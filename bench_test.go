@@ -162,6 +162,42 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSwitch measures one kernel-to-process round trip: a
+// process that wakes from Sleep, finds nothing to do and sleeps again,
+// which is what every idle poll cost before SleepWhile.
+func BenchmarkProcSwitch(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	k.Spawn("poller", func(p *sim.Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.Step() // start the process; it parks in its first Sleep
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+// BenchmarkSleepWhileTick measures the same idle poll through
+// SleepWhile: the predicate runs in kernel context and the event
+// re-arms itself, so a tick is a heap pop and push with no handoff.
+func BenchmarkSleepWhileTick(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	k.Spawn("poller", func(p *sim.Proc) {
+		p.SleepWhile(time.Microsecond, func() bool { return true })
+	})
+	k.Step()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
 // BenchmarkMachineSubmitChurn measures the processor-sharing machine
 // under task churn: submits, a rate change, a cancellation, and
 // completion retirement per iteration.

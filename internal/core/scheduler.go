@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -78,6 +80,7 @@ type Scheduler struct {
 	sys     *System
 	cfg     Config
 	info    map[proclet.ID]*procInfo
+	compute []*procInfo // the KindCompute entries of info, in ID order
 	adapts  []Adaptive
 	started bool
 
@@ -100,10 +103,34 @@ func newScheduler(sys *System) *Scheduler {
 
 // register is called by resource proclet constructors.
 func (sc *Scheduler) register(pr *proclet.Proclet, kind Kind) {
-	sc.info[pr.ID()] = &procInfo{pr: pr, kind: kind}
+	sc.unregister(pr.ID())
+	pi := &procInfo{pr: pr, kind: kind}
+	sc.info[pr.ID()] = pi
+	if kind == KindCompute {
+		sc.compute = slices.Insert(sc.compute, sc.computeIndex(pr.ID()), pi)
+	}
 }
 
-func (sc *Scheduler) unregister(id proclet.ID) { delete(sc.info, id) }
+func (sc *Scheduler) unregister(id proclet.ID) {
+	pi, ok := sc.info[id]
+	if !ok {
+		return
+	}
+	delete(sc.info, id)
+	if pi.kind == KindCompute {
+		i := sc.computeIndex(id)
+		sc.compute = slices.Delete(sc.compute, i, i+1)
+	}
+}
+
+// computeIndex finds id's position (or insertion point) in the
+// ID-ordered compute index.
+func (sc *Scheduler) computeIndex(id proclet.ID) int {
+	i, _ := slices.BinarySearchFunc(sc.compute, id, func(pi *procInfo, id proclet.ID) int {
+		return cmp.Compare(pi.pr.ID(), id)
+	})
+	return i
+}
 
 // RegisterProclet registers a resource proclet built outside package
 // core (for example storage proclets) for placement and migration.
@@ -133,9 +160,13 @@ func (sc *Scheduler) start() {
 	if !sc.cfg.DisableFastPath {
 		for _, m := range sc.sys.Cluster.Machines() {
 			m := m
-			k.Spawn(fmt.Sprintf("sched/reactor-%d", m.ID), func(p *sim.Proc) {
+			name := func() string { return fmt.Sprintf("sched/reactor-%d", m.ID) }
+			k.SpawnLazy(name, func(p *sim.Proc) {
+				// A calm machine is re-checked in kernel context: the
+				// reactor's goroutine runs only for a pressure episode.
+				calm := func() bool { return !sc.needsReact(m) }
 				for {
-					p.Sleep(sc.cfg.LocalPeriod)
+					p.SleepWhile(sc.cfg.LocalPeriod, calm)
 					sc.reactCPU(p, m)
 					sc.reactMem(p, m)
 				}
@@ -210,11 +241,15 @@ func (sc *Scheduler) computeLoad(m *cluster.Machine, extra float64) float64 {
 	return (sc.demandOn(m.ID) + extra) / avail
 }
 
-// demandOn sums registered compute demand currently placed on machine m.
+// demandOn sums registered compute demand currently placed on machine
+// m. Like workersOn it walks only the compute index — every reactor
+// tick calls it, and a serving fleet registers thousands of memory
+// proclets and no compute ones — and in ID order, so the float sum
+// does not depend on map iteration.
 func (sc *Scheduler) demandOn(m cluster.MachineID) float64 {
 	var sum float64
-	for _, pi := range sc.info {
-		if pi.kind == KindCompute && pi.pr.Location() == m {
+	for _, pi := range sc.compute {
+		if pi.pr.Location() == m {
 			sum += pi.demand()
 		}
 	}
@@ -224,8 +259,8 @@ func (sc *Scheduler) demandOn(m cluster.MachineID) float64 {
 // workersOn sums compute worker threads placed on machine m.
 func (sc *Scheduler) workersOn(m cluster.MachineID) float64 {
 	var sum float64
-	for _, pi := range sc.info {
-		if pi.kind == KindCompute && pi.pr.Location() == m {
+	for _, pi := range sc.compute {
+		if pi.pr.Location() == m {
 			if w, ok := pi.pr.Data.(workerser); ok {
 				sum += float64(w.Workers())
 			}
@@ -290,10 +325,19 @@ func (sc *Scheduler) PlaceComputeIdle() (cluster.MachineID, error) {
 // smallest heap first (cheapest to migrate).
 func (sc *Scheduler) movableOn(m cluster.MachineID, kind Kind) []*procInfo {
 	var out []*procInfo
-	for _, pi := range sc.info {
+	keep := func(pi *procInfo) {
 		if pi.kind == kind && !pi.pinned &&
 			pi.pr.Location() == m && pi.pr.State() == proclet.StateRunning {
 			out = append(out, pi)
+		}
+	}
+	if kind == KindCompute {
+		for _, pi := range sc.compute {
+			keep(pi)
+		}
+	} else {
+		for _, pi := range sc.info {
+			keep(pi)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -303,6 +347,17 @@ func (sc *Scheduler) movableOn(m cluster.MachineID, kind Kind) []*procInfo {
 		return out[i].pr.ID() < out[j].pr.ID()
 	})
 	return out
+}
+
+// needsReact reports whether the fast path would act on machine m now:
+// the entry conditions of reactCPU and reactMem, free of side effects so
+// that an idle reactor can evaluate it as a sim.SleepWhile predicate.
+func (sc *Scheduler) needsReact(m *cluster.Machine) bool {
+	if m.Down() {
+		return false
+	}
+	return sc.demandOn(m.ID) > m.AvailCores()*sc.cfg.CPUHighWater ||
+		m.MemPressure() > sc.cfg.MemHighWater
 }
 
 // reactCPU evacuates compute proclets from an overloaded machine,

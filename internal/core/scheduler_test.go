@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/proclet"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestPlaceComputePrefersLeastLoaded(t *testing.T) {
@@ -289,4 +290,125 @@ func TestPinPreventsMigration(t *testing.T) {
 	if cp.Location() != 0 {
 		t.Errorf("pinned proclet moved to %d", cp.Location())
 	}
+}
+
+// TestReactorWakesOnFirstTickOfPressure: a reactor idles inside
+// sim.SleepWhile, and must behave exactly as the Sleep loop did — it
+// reacts on the first LocalPeriod tick after demand crosses
+// CPUHighWater, and once the episode ends its next check is one
+// LocalPeriod later (its ticks shift to the end of the episode; they do
+// not stay on the original grid).
+func TestReactorWakesOnFirstTickOfPressure(t *testing.T) {
+	s := testSystem(t)
+	defer s.Close()
+	s.Start()
+	period := sim.Time(s.cfg.LocalPeriod)
+	cp, err := NewComputeProcletOn(s, "busy", 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var feed func(cp *ComputeProclet)
+	feed = func(cp *ComputeProclet) {
+		cp.Run(func(tc *TaskCtx) {
+			tc.Compute(100 * time.Microsecond)
+			feed(tc.ComputeProclet())
+		})
+	}
+	for i := 0; i < 4; i++ {
+		feed(cp)
+	}
+	pressuresOn := func(m int) []trace.Event {
+		var out []trace.Event
+		for _, e := range s.Trace.Filter(trace.KindPressure) {
+			if e.From == m {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
+	// First episode: pressure starts a quarter period after tick 25.
+	s.K.Schedule(25*period+period/4, func() { s.Cluster.Machine(0).SetReserved(8) })
+	s.K.RunUntil(50 * period)
+	first := pressuresOn(0)
+	if len(first) != 1 || first[0].At != 26*period {
+		t.Fatalf("pressure events on m0 = %v, want exactly one at tick 26 (%v)", first, 26*period)
+	}
+	if cp.Location() != 1 || s.Sched.Evacuations.Value() != 1 {
+		t.Fatalf("busy on m%d after %d evacuations, want m1 after 1", cp.Location(), s.Sched.Evacuations.Value())
+	}
+	migs := s.Trace.Filter(trace.KindMigrate)
+	episodeEnd := migs[len(migs)-1].At // the reactor waited for its evacuation
+	if (episodeEnd-26*period)%period == 0 {
+		t.Fatalf("episode ended on the tick grid (%v): the test cannot tell the two schedules apart", episodeEnd)
+	}
+
+	// Second episode on the same machine: move the proclet back, then
+	// reserve the cores again at an arbitrary instant.
+	s.Cluster.Machine(0).SetReserved(0)
+	s.K.Spawn("move-back", func(p *sim.Proc) {
+		if err := s.Runtime.Migrate(p, cp.Proclet().ID(), 0); err != nil {
+			t.Errorf("move back: %v", err)
+		}
+	})
+	s.K.RunUntil(60 * period)
+	again := 60*period + period/3
+	s.K.Schedule(again, func() { s.Cluster.Machine(0).SetReserved(8) })
+	s.K.RunUntil(80 * period)
+	both := pressuresOn(0)
+	if len(both) != 2 {
+		t.Fatalf("pressure events on m0 = %v, want two", both)
+	}
+	at := both[1].At
+	if at < again || at-again >= period || (at-episodeEnd)%period != 0 {
+		t.Fatalf("second reaction at %v: want the first tick after %v on the grid episodeEnd(%v) + n*%v",
+			at, again, episodeEnd, time.Duration(period))
+	}
+}
+
+// TestComputeIndexTracksRegistry: the ID-ordered compute index that
+// demandOn, workersOn and movableOn walk must follow register and
+// unregister, whatever the order.
+func TestComputeIndexTracksRegistry(t *testing.T) {
+	s := testSystem(t)
+	defer s.Close()
+	var cps []*ComputeProclet
+	for i := 0; i < 5; i++ {
+		cp, err := NewComputeProcletOn(s, "c", cluster.MachineID(i%2), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cps = append(cps, cp)
+		if _, err := NewMemoryProcletOn(s, "m", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(want int) {
+		t.Helper()
+		if len(s.Sched.compute) != want {
+			t.Fatalf("compute index has %d entries, want %d", len(s.Sched.compute), want)
+		}
+		for i, pi := range s.Sched.compute {
+			if pi.kind != KindCompute || s.Sched.info[pi.pr.ID()] != pi {
+				t.Fatalf("index entry %d (%s) is not the registry's compute entry", i, pi.pr.Name())
+			}
+			if i > 0 && s.Sched.compute[i-1].pr.ID() >= pi.pr.ID() {
+				t.Fatalf("index out of ID order at %d", i)
+			}
+		}
+	}
+	check(5)
+	if got := s.Sched.workersOn(0); got != 6 {
+		t.Errorf("workersOn(0) = %v, want 6", got)
+	}
+	// Out-of-order churn through the exported entry points.
+	mid := cps[2].Proclet()
+	s.Sched.UnregisterProclet(mid.ID())
+	s.Sched.UnregisterProclet(mid.ID()) // unknown ID: no-op
+	check(4)
+	s.Sched.RegisterProclet(mid, KindCompute)
+	s.Sched.RegisterProclet(mid, KindCompute) // re-registration replaces
+	check(5)
+	s.Sched.RegisterProclet(mid, KindOther) // kind change leaves the index
+	check(4)
 }

@@ -16,7 +16,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -211,15 +210,8 @@ func (s *System) EnableTelemetry(period time.Duration) *obs.Telemetry {
 	}
 	// Compute proclets created before telemetry was enabled, in ID
 	// order for deterministic series ordering.
-	ids := make([]proclet.ID, 0, len(s.Sched.info))
-	for id, pi := range s.Sched.info {
-		if pi.kind == KindCompute {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if cp, ok := s.Sched.info[id].pr.Data.(*ComputeProclet); ok {
+	for _, pi := range s.Sched.compute {
+		if cp, ok := pi.pr.Data.(*ComputeProclet); ok {
 			s.registerComputeTelemetry(cp)
 		}
 	}
@@ -227,10 +219,12 @@ func (s *System) EnableTelemetry(period time.Duration) *obs.Telemetry {
 	return s.Tel
 }
 
-// Close releases the kernel's pooled worker goroutines. Call it when
-// done simulating on this system; experiment sweeps and benchmark
-// loops that build many systems would otherwise accumulate parked
-// goroutines for the life of the host process. No-op for systems built
+// Close ends the simulation and releases every goroutine of the
+// kernel: pooled workers and the daemons still parked (reactors, the
+// global and adaptation loops, ping loops). Call it when done
+// simulating on this system; experiment sweeps and benchmark loops
+// that build many systems would otherwise accumulate a fleet's worth of
+// parked goroutines per system for the life of the host process. No-op for systems built
 // on a caller-owned kernel (NewSystemOnKernel) — close that kernel (or
 // its ParKernel) instead.
 func (s *System) Close() {

@@ -5,8 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestListAndTitles(t *testing.T) {
@@ -777,5 +779,27 @@ func TestExtGPUFleetDeterminism(t *testing.T) {
 		if len(r1.Trace) == 0 || !reflect.DeepEqual(r1.Trace, r2.Trace) {
 			t.Errorf("seed %d: merged traces differ across runs", seed)
 		}
+	}
+}
+
+// TestRunLeavesNoGoroutines: an experiment's daemons (reactors, the
+// global and adaptation loops, antagonists) are still parked when it
+// ends; closing its systems must release every one of them.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	if _, err := Run("fig1", TestScale); err != nil { // anything lazily started by a first run
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := Run("fig1", TestScale); err != nil {
+		t.Fatal(err)
+	}
+	// A process unwound by Kernel.Close has reported in slightly before
+	// the runtime stops counting its goroutine.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after the run, %d before it: the fleet leaked", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
 	}
 }

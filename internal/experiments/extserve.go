@@ -380,12 +380,16 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				byStore := make([][]uint64, cfg.stores)
 				batch := make([]load.Request, 0, cfg.batchMax)
 				batches := 0
+				// An empty queue is polled in kernel context: the server's
+				// goroutine runs only when there is work or the horizon
+				// has passed.
+				idle := func() bool { return st.qhead == len(st.queue) && p.Now() < cfg.horizon }
 				for {
 					if st.qhead == len(st.queue) {
 						if p.Now() >= cfg.horizon {
 							return // all arrivals delivered and drained
 						}
-						p.Sleep(cfg.poll)
+						p.SleepWhile(cfg.poll, idle)
 						continue
 					}
 					n := len(st.queue) - st.qhead

@@ -225,9 +225,8 @@ func (d *Detector) Start() {
 		mid := m.ID
 		d.health[mid].lastBeat = now
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
-		d.k.Spawn(fmt.Sprintf("repl/fd-m%d", mid), func(p *sim.Proc) {
-			d.pingLoop(p, mid)
-		})
+		name := func() string { return fmt.Sprintf("repl/fd-m%d", mid) }
+		d.k.SpawnLazy(name, func(p *sim.Proc) { d.pingLoop(p, mid) })
 	}
 }
 

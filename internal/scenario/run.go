@@ -454,12 +454,16 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				readIDs := make([][]uint64, w.Stores)
 				writeIDs := make([][]uint64, w.Stores)
 				batch := make([]load.Request, 0, w.BatchMax)
+				// An empty queue is polled in kernel context: the server's
+				// goroutine runs only when there is work or the horizon
+				// has passed.
+				idle := func() bool { return st.qhead == len(st.queue) && p.Now() < horizon }
 				for {
 					if st.qhead == len(st.queue) {
 						if p.Now() >= horizon {
 							return
 						}
-						p.Sleep(serverPoll)
+						p.SleepWhile(serverPoll, idle)
 						continue
 					}
 					n := len(st.queue) - st.qhead

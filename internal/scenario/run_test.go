@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 const smoke = `name: smoke
@@ -316,5 +318,31 @@ func TestGPUTrainDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
 		t.Error("par=1 and par=4 GPU-trainer reports differ; worker count leaked into the simulation")
+	}
+}
+
+// goroutinesSettle waits for the goroutine count to fall back to want: a
+// process unwound by Kernel.Close has reported in slightly before the
+// runtime stops counting its goroutine.
+func goroutinesSettle(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after the run, %d before it: the fleet leaked", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRunLeavesNoGoroutines: a run's daemons (reactors, servers, ping
+// loops) are still parked when it ends; Run must release them and the
+// shard state they pin, at one worker and at several.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	mustRun(t, smoke, Options{Par: 1}) // anything lazily started by a first run
+	before := runtime.NumGoroutine()
+	for _, par := range []int{1, 4} {
+		mustRun(t, smoke, Options{Par: par})
+		goroutinesSettle(t, before)
 	}
 }

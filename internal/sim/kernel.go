@@ -16,6 +16,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"time"
 )
 
@@ -61,7 +63,7 @@ type event struct {
 	tag  uint64       // evTagged argument
 	fn   func()       // evFn payload
 	tfn  func(uint64) // evTagged payload
-	p    *Proc        // evResume / evWakeParked payload
+	p    *Proc        // evResume / evWakeParked / evStart / evPoll payload
 	kind uint8
 }
 
@@ -72,6 +74,7 @@ const (
 	evResume                   // resume p (already un-blocked by wake)
 	evWakeParked               // un-block and resume p (Sleep expiry)
 	evStart                    // first resume of a freshly spawned p
+	evPoll                     // re-check p's SleepWhile predicate (see Kernel.poll)
 )
 
 // eventLess orders events by (time, insertion sequence).
@@ -113,6 +116,7 @@ type Kernel struct {
 	curr      *Proc
 	processed uint64
 	stopFlag  bool
+	closing   bool // Close is unwinding parked processes (see park)
 
 	// Worker pool for the spawn-run-die process pattern (RPC handlers,
 	// migration copiers, per-task workers). Each worker is a goroutine,
@@ -121,7 +125,8 @@ type Kernel struct {
 	// the free list instead of letting the goroutine die. A worker whose
 	// process panicked is discarded, never pooled.
 	free    []*worker
-	created uint64 // workers (goroutines) ever created
+	workers []*worker // every worker whose goroutine is alive, pooled or not
+	created uint64    // workers (goroutines) ever created
 }
 
 type yieldMsg struct {
@@ -393,6 +398,7 @@ func (k *Kernel) getWorker() *worker {
 	k.created++
 	w := &worker{k: k, resume: make(chan struct{})}
 	w.p = &Proc{k: k, w: w, resume: w.resume}
+	k.workers = append(k.workers, w)
 	go w.loop()
 	return w
 }
@@ -430,17 +436,56 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Close retires the parked workers on the free list, letting their
-// goroutines exit. Go never reclaims a blocked goroutine, so code that
-// churns through many kernels (benchmark loops, experiment sweeps)
-// should Close each kernel when done with it. The kernel remains usable
-// after Close; new spawns simply create fresh workers.
+// Close ends the simulation and releases every goroutine the kernel
+// owns. Go never reclaims a blocked goroutine, so code that churns
+// through many kernels (benchmark loops, experiment sweeps, scenario
+// runs) must Close each kernel when done with it. Pooled workers retire;
+// processes still parked mid-body (daemons such as reactors, servers
+// and ping loops, or anything waiting on a condition that never fired)
+// are unwound with runtime.Goexit, so their deferred functions run;
+// pending events are dropped, since they may refer to the processes
+// just unwound. The kernel remains usable afterwards: the clock keeps
+// its value and new spawns create fresh workers. Close must be called
+// from the host goroutine, never from an event or a process.
 func (k *Kernel) Close() {
-	for _, w := range k.free {
-		w.fn = nil
-		w.resume <- struct{}{}
+	k.closing = true
+	// By index: a deferred function run by the unwinding may Spawn.
+	for i := 0; i < len(k.workers); i++ {
+		w := k.workers[i]
+		p := w.p
+		switch {
+		case w.fn != nil: // spawned, never started: parked in loop
+			w.fn = nil
+			p.finished = true
+			k.live--
+			w.resume <- struct{}{}
+		case p.finished: // idle on the free list: parked in loop
+			w.resume <- struct{}{}
+		default: // parked mid-body: each resume makes park call Goexit
+			k.curr = p
+			var msg yieldMsg
+			for !msg.done {
+				w.resume <- struct{}{}
+				msg = <-k.yield
+			}
+			k.curr = nil
+			p.finished = true
+			k.live--
+			if msg.panicked {
+				panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.Name(), msg.panicVal))
+			}
+		}
 	}
+	k.closing = false
+	clear(k.workers)
+	k.workers = k.workers[:0]
+	clear(k.free)
 	k.free = k.free[:0]
+	clear(k.heap)
+	k.heap = k.heap[:0]
+	clear(k.nowq)
+	k.nowq, k.nowHead = k.nowq[:0], 0
+	k.blocked = 0
 }
 
 // PooledWorkers reports the number of idle workers on the free list.
@@ -470,12 +515,42 @@ func (k *Kernel) resumeAndWait(p *Proc) {
 		if msg.panicked {
 			// The worker goroutine already exited; drop it on the floor
 			// rather than pooling a worker in an unknown state.
+			k.forget(p.w)
 			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, msg.panicVal))
 		}
 		k.free = append(k.free, p.w)
 		return
 	}
 	k.blocked++
+}
+
+// forget drops a worker whose goroutine died from the live list, so
+// Close does not try to resume it.
+func (k *Kernel) forget(w *worker) {
+	if i := slices.Index(k.workers, w); i >= 0 {
+		k.workers = slices.Delete(k.workers, i, i+1)
+	}
+}
+
+// poll runs one SleepWhile re-check in kernel context: while the
+// predicate holds the event re-arms itself — one push, no goroutine
+// handoff, no allocation — and the first time it does not, the parked
+// process resumes exactly as a Sleep expiry would.
+func (k *Kernel) poll(p *Proc) {
+	seq := k.seq
+	idle := p.pollIdle()
+	if k.seq != seq {
+		panic(fmt.Sprintf(
+			"sim: SleepWhile predicate of process %q scheduled an event at %v: idle() runs in kernel context and must have no side effects",
+			p.Name(), k.now))
+	}
+	if idle {
+		k.push(k.now.Add(p.pollEvery), event{p: p, kind: evPoll})
+		return
+	}
+	p.pollIdle = nil
+	k.blocked--
+	k.resumeAndWait(p)
 }
 
 // wake schedules p to resume at the current virtual time.
@@ -507,6 +582,8 @@ func (k *Kernel) Step() bool {
 		k.resumeAndWait(e.p)
 	case evStart:
 		k.resumeAndWait(e.p)
+	case evPoll:
+		k.poll(e.p)
 	}
 	return true
 }
@@ -572,6 +649,11 @@ type Proc struct {
 	// waker already won it.
 	parkSeq   uint64
 	parkWoken bool
+
+	// SleepWhile state: the predicate the kernel re-checks on every
+	// evPoll, and the period between checks.
+	pollIdle  func() bool
+	pollEvery time.Duration
 }
 
 // Name returns the process name, computing it on first use when the
@@ -602,6 +684,11 @@ func (p *Proc) park() {
 	}
 	p.k.yield <- yieldMsg{p: p}
 	<-p.resume
+	if p.k.closing {
+		// Kernel.Close is unwinding this process: run its deferred
+		// functions and let the goroutine exit.
+		runtime.Goexit()
+	}
 }
 
 // Sleep suspends the process for virtual duration d.
@@ -611,6 +698,33 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	k := p.k
 	k.push(k.now.Add(d), event{p: p, kind: evWakeParked})
+	p.parkCounted()
+}
+
+// SleepWhile suspends the process and re-checks idle every d of virtual
+// time, resuming it at the first check that finds idle() false. It is
+// event-for-event identical to
+//
+//	for { p.Sleep(d); if !idle() { break } }
+//
+// — every check consumes one event and one sequence number at the same
+// place the loop's Sleep would — but the checks run in kernel context,
+// so a poller that finds nothing to do costs one heap push and pop
+// instead of a goroutine round trip.
+//
+// The contract that buys this: idle must be pure (it may read simulated
+// state but not schedule, spawn, wake or mutate; the kernel panics if it
+// scheduled anything), non-blocking (a blocking call from it hits the
+// usual outside-its-own-context panic) and, under a ParKernel, must read
+// only its own shard's state. Build the closure once per process, not
+// once per call, to keep polling allocation-free.
+func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
+	if d < 0 {
+		d = 0
+	}
+	k := p.k
+	p.pollIdle, p.pollEvery = idle, d
+	k.push(k.now.Add(d), event{p: p, kind: evPoll})
 	p.parkCounted()
 }
 

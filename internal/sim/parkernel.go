@@ -344,9 +344,11 @@ func (pk *ParKernel) Run() Time {
 	return max
 }
 
-// Close retires the host worker pool and every shard kernel's pooled
-// process goroutines. Call when done with the ParKernel; benchmark
-// loops that build many would otherwise accumulate parked goroutines.
+// Close retires the host worker pool and closes every shard kernel
+// (see Kernel.Close: pooled workers retire, still-parked processes are
+// unwound, pending events are dropped). Call when done with the
+// ParKernel; code that builds many would otherwise accumulate a fleet's
+// worth of parked goroutines, and the shard state they pin, per run.
 func (pk *ParKernel) Close() {
 	pk.stopPool()
 	for _, sh := range pk.shards {

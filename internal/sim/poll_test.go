@@ -1,0 +1,361 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+)
+
+// pollFn is how a process waits for a condition: the old way, a loop of
+// Sleeps on its own goroutine, or SleepWhile's kernel-context re-checks.
+type pollFn func(p *Proc, d time.Duration, idle func() bool)
+
+func pollBySleepLoop(p *Proc, d time.Duration, idle func() bool) {
+	for {
+		p.Sleep(d)
+		if !idle() {
+			return
+		}
+	}
+}
+
+func pollBySleepWhile(p *Proc, d time.Duration, idle func() bool) {
+	p.SleepWhile(d, idle)
+}
+
+// eventStamp identifies one executed event: when, in what order, and
+// for which process (0 for a plain callback).
+type eventStamp struct {
+	at  Time
+	seq uint64
+	pid int64
+}
+
+// peek returns the event the next Step will execute, without removing it.
+func (k *Kernel) peek() (event, bool) {
+	qn := k.nowHead < len(k.nowq)
+	hn := len(k.heap) > 0
+	switch {
+	case qn && hn:
+		if eventLess(k.heap[0], k.nowq[k.nowHead]) {
+			return k.heap[0], true
+		}
+		return k.nowq[k.nowHead], true
+	case qn:
+		return k.nowq[k.nowHead], true
+	case hn:
+		return k.heap[0], true
+	}
+	return event{}, false
+}
+
+// pollMixRun is what one run of the random program produced.
+type pollMixRun struct {
+	events  uint64
+	resumes []string     // "poller i resumed at t", in resume order
+	log     []eventStamp // every event executed
+	blocked int
+}
+
+// runPollMix builds a random program from seed — pollers waiting on
+// flags, sleepers and timed callbacks that raise them, and channel
+// ping-pong pairs whose wakes interleave with the polls — and runs it
+// with the given polling implementation.
+func runPollMix(seed int64, poll pollFn) pollMixRun {
+	k := NewKernel(seed)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(seed))
+	var out pollMixRun
+
+	nPollers := 2 + rng.Intn(6)
+	flags := make([]int, nPollers)
+	periods := []time.Duration{3 * time.Microsecond, 5 * time.Microsecond, 7 * time.Microsecond, 20 * time.Microsecond}
+	for i := 0; i < nPollers; i++ {
+		i := i
+		d := periods[rng.Intn(len(periods))]
+		rounds := 1 + rng.Intn(5)
+		// Poller 0's first wait may poll with period 0, spinning through
+		// the same-instant FIFO until the callback below releases it.
+		spinFirst := i == 0 && rng.Intn(2) == 0
+		k.Spawn(fmt.Sprintf("poller-%d", i), func(p *Proc) {
+			idle := func() bool { return flags[i] == 0 }
+			for r := 0; r < rounds; r++ {
+				if r == 0 && spinFirst {
+					poll(p, 0, idle)
+				} else {
+					poll(p, d, idle)
+				}
+				out.resumes = append(out.resumes, fmt.Sprintf("poller %d resumed at %v", i, p.Now()))
+				flags[i] = 0
+				// Work between waits: sleep, and sometimes release a peer.
+				p.Sleep(time.Duration(k.Rand().Intn(30)) * time.Microsecond)
+				if k.Rand().Intn(2) == 0 {
+					flags[k.Rand().Intn(nPollers)]++
+				}
+			}
+		})
+	}
+	for i, n := 0, 2+rng.Intn(6); i < n; i++ {
+		k.Spawn("sleeper", func(p *Proc) {
+			for r := 0; r < 12; r++ {
+				p.Sleep(time.Duration(1+k.Rand().Intn(40)) * time.Microsecond)
+				flags[k.Rand().Intn(nPollers)]++
+			}
+		})
+	}
+	for i, n := 0, rng.Intn(20); i < n; i++ {
+		target := rng.Intn(nPollers)
+		k.After(time.Duration(rng.Intn(400))*time.Microsecond, func() { flags[target]++ })
+	}
+	// A poller spinning at period 0 must be released at its own instant
+	// or the clock would never advance: flag 0 is raised by a
+	// same-instant callback queued behind its first few polls.
+	k.Schedule(0, func() { k.Schedule(0, func() { flags[0]++ }) })
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
+		k.Spawn("ping", func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				ping.Send(p, r)
+				pong.Recv(p)
+				p.Sleep(time.Duration(k.Rand().Intn(15)) * time.Microsecond)
+			}
+		})
+		k.Spawn("pong", func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				ping.Recv(p)
+				pong.Send(p, r)
+			}
+		})
+	}
+
+	// Pollers whose flag is never raised again poll forever: bound the run.
+	const horizon = 600 * Microsecond
+	for {
+		e, ok := k.peek()
+		if !ok || e.at > horizon {
+			break
+		}
+		st := eventStamp{at: e.at, seq: e.seq}
+		if e.p != nil {
+			st.pid = e.p.ID
+		}
+		out.log = append(out.log, st)
+		k.Step()
+	}
+	out.events = k.EventsProcessed()
+	out.blocked = k.Blocked()
+	return out
+}
+
+// TestSleepWhileMatchesSleepLoop: SleepWhile must be event-for-event
+// identical to the Sleep loop it replaces — same event count, same
+// (time, seq, process) for every event, same resume instants — on
+// random mixes of pollers, sleepers, callbacks and channel wakers.
+func TestSleepWhileMatchesSleepLoop(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		want := runPollMix(seed, pollBySleepLoop)
+		got := runPollMix(seed, pollBySleepWhile)
+		if got.events != want.events {
+			t.Fatalf("seed %d: SleepWhile ran %d events, Sleep loop %d", seed, got.events, want.events)
+		}
+		if got.blocked != want.blocked {
+			t.Fatalf("seed %d: Blocked() = %d with SleepWhile, %d with Sleep loop", seed, got.blocked, want.blocked)
+		}
+		if !reflect.DeepEqual(got.resumes, want.resumes) {
+			t.Fatalf("seed %d: resume instants differ\nSleepWhile: %v\nSleep loop: %v", seed, got.resumes, want.resumes)
+		}
+		for i := range want.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: event %d is %+v with SleepWhile, %+v with Sleep loop", seed, i, got.log[i], want.log[i])
+			}
+		}
+		if len(want.resumes) == 0 {
+			t.Fatalf("seed %d: degenerate program, no poller ever resumed (%d events)", seed, len(want.log))
+		}
+	}
+}
+
+// TestSleepWhileResumesOnFirstFalseCheck pins the timing: checks happen
+// at d, 2d, ... after the call, and the process resumes at the first one
+// that finds the predicate false.
+func TestSleepWhileResumesOnFirstFalseCheck(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	ready := false
+	checks := 0
+	var resumed Time
+	k.Spawn("poller", func(p *Proc) {
+		p.SleepWhile(10*time.Microsecond, func() bool { checks++; return !ready })
+		resumed = p.Now()
+	})
+	k.Schedule(25*Microsecond, func() { ready = true })
+	k.Run()
+	if resumed != 30*Microsecond || checks != 3 {
+		t.Fatalf("resumed at %v after %d checks, want 30µs after 3", resumed, checks)
+	}
+	if k.Blocked() != 0 || k.Live() != 0 {
+		t.Fatalf("Blocked=%d Live=%d after the poller finished, want 0 0", k.Blocked(), k.Live())
+	}
+}
+
+// TestSleepWhileIdleTickAllocatesNothing: a poll that finds nothing to
+// do is one pop and one push.
+func TestSleepWhileIdleTickAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	for i := 0; i < 64; i++ {
+		k.Spawn("poller", func(p *Proc) {
+			p.SleepWhile(time.Microsecond, func() bool { return true })
+		})
+	}
+	k.RunUntil(10 * Microsecond) // every poller parked, queues at capacity
+	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
+		t.Fatalf("idle poll tick allocates %v objects, want 0", a)
+	}
+}
+
+// mustPanic runs fn and returns the panic message it must raise.
+func mustPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected a panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
+// TestSleepWhilePredicateMustNotSchedule: a predicate that schedules
+// would consume sequence numbers the Sleep loop did not; the kernel
+// says which process and when.
+func TestSleepWhilePredicateMustNotSchedule(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Spawn("impure", func(p *Proc) {
+		p.SleepWhile(time.Microsecond, func() bool {
+			k.After(time.Microsecond, func() {})
+			return true
+		})
+	})
+	msg := mustPanic(t, func() { k.Run() })
+	for _, want := range []string{"SleepWhile predicate", `"impure"`, "1µs", "no side effects"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not mention %q", msg, want)
+		}
+	}
+}
+
+// TestSleepWhilePredicateMustNotBlock: the predicate runs in kernel
+// context, so a blocking call from it hits the park guard.
+func TestSleepWhilePredicateMustNotBlock(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	k.Spawn("blocker", func(p *Proc) {
+		p.SleepWhile(time.Microsecond, func() bool {
+			p.Sleep(time.Microsecond)
+			return true
+		})
+	})
+	msg := mustPanic(t, func() { k.Run() })
+	if !strings.Contains(msg, "must not block") || !strings.Contains(msg, `"blocker"`) {
+		t.Fatalf("unexpected panic message: %v", msg)
+	}
+}
+
+// waitGoroutines waits for the goroutine count to fall to want: an
+// unwound goroutine has told Close it is done slightly before the
+// runtime stops counting it.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, want %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestCloseUnwindsParkedProcesses: Close must release every goroutine —
+// pooled workers, processes parked in any wait (including one whose
+// deferred function blocks), and processes that never started — and run
+// the deferred functions of those it unwinds.
+func TestCloseUnwindsParkedProcesses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	deferred := 0
+	never := NewChan[int](k, 0)
+	for i := 0; i < 4; i++ {
+		k.Spawn("daemon", func(p *Proc) {
+			defer func() { deferred++ }()
+			p.SleepWhile(time.Microsecond, func() bool { return true })
+			t.Error("daemon resumed normally")
+		})
+	}
+	k.Spawn("sleeper", func(p *Proc) {
+		defer func() { deferred++ }()
+		p.Sleep(time.Hour)
+		t.Error("sleeper resumed normally")
+	})
+	k.Spawn("receiver", func(p *Proc) {
+		defer func() {
+			deferred++
+			p.Sleep(time.Second) // blocks while unwinding: must not hang Close
+			t.Error("deferred function continued past a blocking call")
+		}()
+		never.Recv(p)
+	})
+	k.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) }) // ends up pooled
+	k.RunUntil(Millisecond)
+	k.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	if k.Live() != 7 {
+		t.Fatalf("Live = %d before Close, want 7", k.Live())
+	}
+
+	k.Close()
+	if deferred != 6 {
+		t.Errorf("%d deferred functions ran, want 6", deferred)
+	}
+	if k.Live() != 0 || k.Blocked() != 0 || k.Pending() != 0 || k.PooledWorkers() != 0 {
+		t.Errorf("after Close: Live=%d Blocked=%d Pending=%d PooledWorkers=%d, want all 0",
+			k.Live(), k.Blocked(), k.Pending(), k.PooledWorkers())
+	}
+	waitGoroutines(t, before)
+
+	// The kernel is still usable.
+	ran := false
+	k.Spawn("again", func(p *Proc) { p.Sleep(time.Microsecond); ran = true })
+	k.Run()
+	if !ran {
+		t.Error("spawn after Close did not run")
+	}
+	k.Close()
+	waitGoroutines(t, before)
+}
+
+// TestParKernelCloseUnwindsShards: the same through a ParKernel.
+func TestParKernelCloseUnwindsShards(t *testing.T) {
+	before := runtime.NumGoroutine()
+	pk := NewParKernel(1, 4, 10*Microsecond)
+	pk.SetWorkers(2)
+	for s := 0; s < pk.NumShards(); s++ {
+		for i := 0; i < 8; i++ {
+			pk.Shard(s).Spawn("daemon", func(p *Proc) {
+				p.SleepWhile(3*time.Microsecond, func() bool { return true })
+			})
+		}
+	}
+	pk.RunUntil(Millisecond)
+	if runtime.NumGoroutine() < before+32 {
+		t.Fatalf("only %d goroutines for 32 parked daemons", runtime.NumGoroutine()-before)
+	}
+	pk.Close()
+	waitGoroutines(t, before)
+}
