@@ -63,7 +63,7 @@ type event struct {
 	tag  uint64       // evTagged argument
 	fn   func()       // evFn payload
 	tfn  func(uint64) // evTagged payload
-	p    *Proc        // evResume / evWakeParked / evStart / evPoll payload
+	p    *Proc        // evResume / evWakeParked / evStart / evPoll / evStage payload
 	kind uint8
 }
 
@@ -75,6 +75,7 @@ const (
 	evWakeParked               // un-block and resume p (Sleep expiry)
 	evStart                    // first resume of a freshly spawned p
 	evPoll                     // re-check p's SleepWhile predicate (see Kernel.poll)
+	evStage                    // run p's SleepThenWait stage (see Kernel.stage)
 )
 
 // eventLess orders events by (time, insertion sequence).
@@ -553,6 +554,21 @@ func (k *Kernel) poll(p *Proc) {
 	k.resumeAndWait(p)
 }
 
+// stage runs a SleepThenWait stage in kernel context, in the event that
+// would have been the Sleep expiry: the stage either leaves the process
+// parked, now as a waiter on its Cond, or lets it resume within this
+// same event, exactly as the expiry would have.
+func (k *Kernel) stage(p *Proc) {
+	fn, c := p.stageFn, p.stageCond
+	p.stageFn, p.stageCond = nil, nil
+	if fn() {
+		c.add(p.prepark())
+		return
+	}
+	k.blocked--
+	k.resumeAndWait(p)
+}
+
 // wake schedules p to resume at the current virtual time.
 func (k *Kernel) wake(p *Proc) {
 	k.blocked--
@@ -584,6 +600,8 @@ func (k *Kernel) Step() bool {
 		k.resumeAndWait(e.p)
 	case evPoll:
 		k.poll(e.p)
+	case evStage:
+		k.stage(e.p)
 	}
 	return true
 }
@@ -654,6 +672,11 @@ type Proc struct {
 	// evPoll, and the period between checks.
 	pollIdle  func() bool
 	pollEvery time.Duration
+
+	// SleepThenWait state: the stage the kernel runs at the expiry and
+	// the Cond the process waits on if the stage says so.
+	stageFn   func() bool
+	stageCond *Cond
 }
 
 // Name returns the process name, computing it on first use when the
@@ -725,6 +748,37 @@ func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
 	k := p.k
 	p.pollIdle, p.pollEvery = idle, d
 	k.push(k.now.Add(d), event{p: p, kind: evPoll})
+	p.parkCounted()
+}
+
+// SleepThenWait suspends the process for d, runs stage in kernel context
+// at the expiry, and then either resumes the process (stage returned
+// false) or leaves it parked on c until c is signaled (stage returned
+// true). It is event-for-event identical to
+//
+//	p.Sleep(d); if stage() { c.Wait(p) }
+//
+// — the stage runs in the event, and under the sequence number, of the
+// Sleep expiry, and whatever it schedules is stamped as the inline code
+// would have stamped it — but the process is handed the host thread once
+// instead of twice: a process whose next step after a delay is to start
+// some work and wait for it (an RPC's caller-side overhead, then the
+// round trip) pays one goroutine round trip for both.
+//
+// Unlike SleepWhile's predicate the stage may schedule, spawn and wake.
+// It must not block (a blocking call from it hits the usual
+// outside-its-own-context panic), and the process is not yet a waiter on
+// c while it runs: if what the process would wait for already happened
+// during the stage, the stage reports false — signaling c from inside
+// the stage wakes nobody. Build the closure once per waiting object, not
+// once per call, to keep the call allocation-free.
+func (p *Proc) SleepThenWait(d time.Duration, stage func() bool, c *Cond) {
+	if d < 0 {
+		d = 0
+	}
+	k := p.k
+	p.stageFn, p.stageCond = stage, c
+	k.push(k.now.Add(d), event{p: p, kind: evStage})
 	p.parkCounted()
 }
 

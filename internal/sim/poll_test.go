@@ -269,6 +269,204 @@ func TestSleepWhilePredicateMustNotBlock(t *testing.T) {
 	}
 }
 
+// stageFn is how a process sleeps, starts some work and waits for it: on
+// its own goroutine, or with SleepThenWait's kernel-context stage.
+type stageFn func(p *Proc, d time.Duration, stage func() bool, c *Cond)
+
+func stageInline(p *Proc, d time.Duration, stage func() bool, c *Cond) {
+	p.Sleep(d)
+	if stage() {
+		c.Wait(p)
+	}
+}
+
+func stageInKernel(p *Proc, d time.Duration, stage func() bool, c *Cond) {
+	p.SleepThenWait(d, stage, c)
+}
+
+// runStageMix builds a random program from seed — callers that sleep,
+// start a piece of work whose completion signals them (a timed callback,
+// a spawned process, or nothing at all because it finished on the spot)
+// and wait for it, among sleepers and ping-pong pairs whose wakes
+// interleave — and runs it with the given implementation.
+func runStageMix(seed int64, wait stageFn) pollMixRun {
+	k := NewKernel(seed)
+	defer k.Close()
+	rng := rand.New(rand.NewSource(seed))
+	var out pollMixRun
+
+	for i, n := 0, 2+rng.Intn(6); i < n; i++ {
+		i := i
+		d := time.Duration(rng.Intn(4)) * time.Microsecond // 0: same-instant FIFO
+		rounds := 1 + rng.Intn(8)
+		k.Spawn(fmt.Sprintf("caller-%d", i), func(p *Proc) {
+			var c Cond
+			done := false
+			finish := func() { done = true; c.Signal() }
+			stage := func() bool {
+				done = false
+				switch k.Rand().Intn(4) {
+				case 0: // resolved on the spot: nothing to wait for
+					finish()
+				case 1: // completes at this very instant, behind the stage
+					k.Schedule(k.Now(), finish)
+				case 2:
+					k.After(time.Duration(1+k.Rand().Intn(20))*time.Microsecond, finish)
+				default:
+					k.Spawn("handler", func(hp *Proc) {
+						hp.Sleep(time.Duration(k.Rand().Intn(10)) * time.Microsecond)
+						finish()
+					})
+				}
+				return !done
+			}
+			for r := 0; r < rounds; r++ {
+				wait(p, d, stage, &c)
+				if !done {
+					panic("caller resumed before its work finished")
+				}
+				out.resumes = append(out.resumes, fmt.Sprintf("caller %d resumed at %v", i, p.Now()))
+				p.Sleep(time.Duration(k.Rand().Intn(12)) * time.Microsecond)
+			}
+		})
+	}
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		k.Spawn("sleeper", func(p *Proc) {
+			for r := 0; r < 12; r++ {
+				p.Sleep(time.Duration(1+k.Rand().Intn(15)) * time.Microsecond)
+			}
+		})
+	}
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
+		k.Spawn("ping", func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				ping.Send(p, r)
+				pong.Recv(p)
+				p.Sleep(time.Duration(k.Rand().Intn(15)) * time.Microsecond)
+			}
+		})
+		k.Spawn("pong", func(p *Proc) {
+			for r := 0; r < 10; r++ {
+				ping.Recv(p)
+				pong.Send(p, r)
+			}
+		})
+	}
+
+	for {
+		e, ok := k.peek()
+		if !ok {
+			break
+		}
+		st := eventStamp{at: e.at, seq: e.seq}
+		if e.p != nil {
+			st.pid = e.p.ID
+		}
+		out.log = append(out.log, st)
+		k.Step()
+	}
+	out.events = k.EventsProcessed()
+	out.blocked = k.Blocked()
+	return out
+}
+
+// TestSleepThenWaitMatchesInlineContinuation: SleepThenWait must be
+// event-for-event identical to Sleep followed by the stage and the wait
+// on the process's own goroutine — same event count, same (time, seq,
+// process) for every event, same resume instants.
+func TestSleepThenWaitMatchesInlineContinuation(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		want := runStageMix(seed, stageInline)
+		got := runStageMix(seed, stageInKernel)
+		if got.events != want.events {
+			t.Fatalf("seed %d: SleepThenWait ran %d events, inline %d", seed, got.events, want.events)
+		}
+		if got.blocked != 0 || want.blocked != 0 {
+			t.Fatalf("seed %d: Blocked() = %d with SleepThenWait, %d inline, want 0 0", seed, got.blocked, want.blocked)
+		}
+		if !reflect.DeepEqual(got.resumes, want.resumes) {
+			t.Fatalf("seed %d: resume instants differ\nSleepThenWait: %v\ninline:        %v", seed, got.resumes, want.resumes)
+		}
+		for i := range want.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: event %d is %+v with SleepThenWait, %+v inline", seed, i, got.log[i], want.log[i])
+			}
+		}
+	}
+}
+
+// TestSleepThenWaitResumesInTheStageEvent pins the cost: a stage with
+// nothing to wait for resumes its process in the very event that ran it
+// (no wake event behind it), and one that waits costs the stage event
+// plus the wake.
+func TestSleepThenWaitResumesInTheStageEvent(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	var c Cond
+	var first, second Time
+	k.Spawn("caller", func(p *Proc) {
+		p.SleepThenWait(5*time.Microsecond, func() bool { return false }, &c)
+		first = p.Now()
+		p.SleepThenWait(5*time.Microsecond, func() bool {
+			k.After(7*time.Microsecond, c.Signal)
+			return true
+		}, &c)
+		second = p.Now()
+	})
+	k.Run()
+	if first != 5*Microsecond || second != 17*Microsecond {
+		t.Fatalf("resumed at %v and %v, want 5µs and 17µs", first, second)
+	}
+	// start, stage (resumes), stage (parks), signal callback, wake.
+	if k.EventsProcessed() != 5 {
+		t.Fatalf("%d events, want 5", k.EventsProcessed())
+	}
+	if k.Blocked() != 0 || k.Live() != 0 || c.Waiters() != 0 {
+		t.Fatalf("Blocked=%d Live=%d Waiters=%d after the caller finished, want all 0", k.Blocked(), k.Live(), c.Waiters())
+	}
+}
+
+// TestSleepThenWaitAllocatesNothing: with the stage built once, a
+// sleep-stage-wait round trip is pushes and pops only.
+func TestSleepThenWaitAllocatesNothing(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	var c Cond
+	signal := func(uint64) { c.Signal() }
+	stage := func() bool {
+		k.AfterTagged(time.Microsecond, signal, 0)
+		return true
+	}
+	k.Spawn("caller", func(p *Proc) {
+		for {
+			p.SleepThenWait(time.Microsecond, stage, &c)
+		}
+	})
+	k.RunUntil(100 * Microsecond) // queues at capacity
+	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
+		t.Fatalf("a SleepThenWait step allocates %v objects, want 0", a)
+	}
+}
+
+// TestSleepThenWaitStageMustNotBlock: the stage runs in kernel context,
+// so a blocking call from it hits the park guard.
+func TestSleepThenWaitStageMustNotBlock(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	var c Cond
+	k.Spawn("blocker", func(p *Proc) {
+		p.SleepThenWait(time.Microsecond, func() bool {
+			p.Sleep(time.Microsecond)
+			return true
+		}, &c)
+	})
+	msg := mustPanic(t, func() { k.Run() })
+	if !strings.Contains(msg, "must not block") || !strings.Contains(msg, `"blocker"`) {
+		t.Fatalf("unexpected panic message: %v", msg)
+	}
+}
+
 // waitGoroutines waits for the goroutine count to fall to want: an
 // unwound goroutine has told Close it is done slightly before the
 // runtime stops counting it.

@@ -191,3 +191,29 @@ func TestCallStateReuse(t *testing.T) {
 		t.Errorf("Calls = %d, want 50", f.Calls.Value())
 	}
 }
+
+// TestSteadyStateCallAllocatesNothing: once the pools are warm, a fast
+// cross-node Call — the caller's single park, the send stage, delivery,
+// reply and resume — allocates nothing, with or without a deadline.
+func TestSteadyStateCallAllocatesNothing(t *testing.T) {
+	for _, timeout := range []time.Duration{0, 2 * time.Millisecond} {
+		k := sim.NewKernel(1)
+		cfg := testConfig()
+		cfg.CallTimeout = timeout
+		f := New(k, cfg)
+		f.AddNode(1)
+		f.AddNode(2).HandleFast("echo", func(req Message) (Message, error) { return req, nil })
+		k.Spawn("client", func(p *sim.Proc) {
+			for {
+				if _, err := f.Call(p, 1, 2, "echo", Message{Bytes: 100}); err != nil {
+					panic(err)
+				}
+			}
+		})
+		k.RunUntil(10 * sim.Millisecond) // pools warm, queues at capacity
+		if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
+			t.Errorf("CallTimeout %v: a steady-state Call step allocates %v objects, want 0", timeout, a)
+		}
+		k.Close()
+	}
+}

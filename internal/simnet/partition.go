@@ -181,53 +181,52 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 	}
 	hasDeadline := d > 0
 
-	// Fixed software overhead on the caller side, as on the fabric path.
-	p.Sleep(srcFab.cfg.RPCOverhead)
-
+	// One park, as on the fabric path: the fixed caller-side software
+	// overhead, then this send stage in kernel context, then the round
+	// trip.
 	k := srcFab.k
 	cc := &crossCall{}
-	if hasDeadline {
-		deadline := fmt.Errorf("%w: cross-shard %q to %v after %v", ErrTimeout, method, to, d)
-		k.Schedule(k.Now().Add(d), func() {
-			if cc.done {
-				return
-			}
-			pt.CrossTimeouts.Inc()
-			pt.complete(cc, Message{}, deadline)
-		})
-	}
-
-	lf := pt.crossFaultOn(from, to)
-	lost := lf.Partitioned || (lf.DropProb > 0 && k.Rand().Float64() < lf.DropProb)
-	switch {
-	case lost && !hasDeadline:
-		// No deadline armed to resolve the loss: fail now rather than
-		// hang forever (mirrors Fabric.Call).
-		pt.CrossDrops.Inc()
-		pt.CrossTimeouts.Inc()
-		return Message{}, fmt.Errorf("%w: %q lost on cross link %v->%v", ErrTimeout, method, from, to)
-	case lost:
-		pt.CrossDrops.Inc() // the armed deadline resolves the call
-	default:
-		now := k.Now()
-		wire := srcFab.wireTime(req.Bytes)
-		txStart := now
-		if src.txFree > txStart {
-			txStart = src.txFree
+	p.SleepThenWait(srcFab.cfg.RPCOverhead, func() bool {
+		if hasDeadline {
+			k.Schedule(k.Now().Add(d), func() {
+				if cc.done {
+					return
+				}
+				pt.CrossTimeouts.Inc()
+				pt.complete(cc, Message{}, fmt.Errorf("%w: cross-shard %q to %v after %v", ErrTimeout, method, to, d))
+			})
 		}
-		txEnd := txStart.Add(wire)
-		src.txFree = txEnd
-		src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
-		pt.CrossBytes.Addn(req.Bytes)
-		arrive := txEnd.Add(srcFab.cfg.Latency + lf.ExtraLatency)
-		pt.pk.Send(from.Shard, to.Shard, arrive, func() {
-			pt.deliver(cc, from, to, method, req, hasDeadline)
-		})
-	}
 
-	for !cc.done {
-		cc.cv.Wait(p)
-	}
+		lf := pt.crossFaultOn(from, to)
+		lost := lf.Partitioned || (lf.DropProb > 0 && k.Rand().Float64() < lf.DropProb)
+		switch {
+		case lost && !hasDeadline:
+			// No deadline armed to resolve the loss: fail now rather than
+			// hang forever (mirrors Fabric.Call).
+			pt.CrossDrops.Inc()
+			pt.CrossTimeouts.Inc()
+			pt.complete(cc, Message{}, fmt.Errorf("%w: %q lost on cross link %v->%v", ErrTimeout, method, from, to))
+		case lost:
+			pt.CrossDrops.Inc() // the armed deadline resolves the call
+		default:
+			now := k.Now()
+			wire := srcFab.wireTime(req.Bytes)
+			txStart := now
+			if src.txFree > txStart {
+				txStart = src.txFree
+			}
+			txEnd := txStart.Add(wire)
+			src.txFree = txEnd
+			src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
+			pt.CrossBytes.Addn(req.Bytes)
+			arrive := txEnd.Add(srcFab.cfg.Latency + lf.ExtraLatency)
+			pt.pk.Send(from.Shard, to.Shard, arrive, func() {
+				pt.deliver(cc, from, to, method, req, hasDeadline)
+			})
+		}
+		return !cc.done
+	}, &cc.cv)
+
 	if cc.err != nil {
 		return Message{}, cc.err
 	}

@@ -430,8 +430,9 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 }
 
 // callState is one in-flight Call's plumbing, pooled on the Fabric. It
-// carries pre-built closures for every stage of the round trip — request
-// delivery, the (pooled) handler process, reply delivery, completion —
+// carries pre-built closures for every stage of the round trip — send,
+// request delivery, the (pooled) handler process, reply delivery,
+// completion —
 // so a steady-state RPC allocates nothing: not for the kernel events,
 // not for the handler process (worker pool), not for its name (lazy),
 // and not for the caller's wait (inline Cond slot).
@@ -463,6 +464,7 @@ type callState struct {
 	handlerLive bool   // blocking handler process still references cs
 	abandoned   bool   // owner returned before the handler finished
 
+	sendF    func() bool   // runs when the caller-side overhead has elapsed
 	deliverT func(uint64)  // runs when the request lands on the destination
 	finishT  func(uint64)  // runs when the reply lands back on the caller
 	timeoutT func(uint64)  // runs when the call's deadline expires
@@ -478,6 +480,7 @@ func (f *Fabric) getCall() *callState {
 		return cs
 	}
 	cs := &callState{f: f, ifIdx: -1}
+	cs.sendF = cs.send
 	cs.deliverT = cs.onDelivered
 	cs.finishT = cs.onReplyDelivered
 	cs.timeoutT = cs.onDeadline
@@ -529,6 +532,35 @@ func (f *Fabric) removeInflight(cs *callState) {
 	f.inflight[last] = nil
 	f.inflight = f.inflight[:last]
 	cs.ifIdx = -1
+}
+
+// send is the call's send stage: it runs in kernel context at the
+// instant the caller-side overhead has elapsed, registers the call for
+// failure notification, arms its deadline and puts the request on the
+// wire. It reports whether the caller has anything left to wait for; a
+// call that resolved right here (the node went down during the overhead,
+// or the request was lost with no deadline to wait out) has not.
+func (cs *callState) send() (wait bool) {
+	f := cs.f
+	f.addInflight(cs)
+	if cs.timeout > 0 {
+		cs.hasDeadline = true
+		f.k.ScheduleTagged(f.k.Now().Add(cs.timeout), cs.timeoutT, cs.gen)
+	}
+
+	if cs.from == cs.to {
+		f.k.ScheduleTagged(f.k.Now(), cs.deliverT, cs.gen)
+	} else if f.lost(cs.from, cs.to) {
+		if !cs.hasDeadline {
+			// No deadline armed to resolve the loss: fail now rather
+			// than hang forever.
+			f.Timeouts.Inc()
+			cs.finish(Message{}, fmt.Errorf("%w: %q lost on link %d->%d", ErrTimeout, cs.method, cs.from, cs.to))
+		}
+	} else if terr := f.transferAsyncTagged(cs.from, cs.to, cs.req.Bytes, cs.deliverT, cs.gen); terr != nil {
+		cs.finish(Message{}, terr)
+	}
+	return !cs.done
 }
 
 func (cs *callState) procName() string {
@@ -658,7 +690,7 @@ func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 	}
 
 	// Span bookkeeping is synchronous host-side work: it must read the
-	// one-shot parent before the first park (the overhead sleep below)
+	// one-shot parent before the call's park (the overhead sleep below)
 	// or an unrelated caller could consume it.
 	var sp obs.SpanID
 	if f.obs != nil {
@@ -667,34 +699,16 @@ func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 		f.obs.SetBytes(sp, int64(req.Bytes))
 	}
 
-	// Fixed software overhead on the caller side.
-	p.Sleep(f.cfg.RPCOverhead)
-
 	cs := f.getCall()
 	cs.from, cs.to, cs.method, cs.req, cs.h, cs.fh = from, to, method, req, h, fh
-	f.addInflight(cs)
 	if d > 0 {
 		cs.timeout = d
-		cs.hasDeadline = true
-		f.k.ScheduleTagged(f.k.Now().Add(d), cs.timeoutT, cs.gen)
 	}
 
-	if from == to {
-		f.k.ScheduleTagged(f.k.Now(), cs.deliverT, cs.gen)
-	} else if f.lost(from, to) {
-		if !cs.hasDeadline {
-			// No deadline armed to resolve the loss: fail now rather
-			// than hang forever.
-			f.Timeouts.Inc()
-			cs.finish(Message{}, fmt.Errorf("%w: %q lost on link %d->%d", ErrTimeout, method, from, to))
-		}
-	} else if terr := f.transferAsyncTagged(from, to, req.Bytes, cs.deliverT, cs.gen); terr != nil {
-		cs.finish(Message{}, terr)
-	}
+	// The one park of the call: the fixed caller-side software overhead,
+	// then the send stage in kernel context, then the round trip.
+	p.SleepThenWait(f.cfg.RPCOverhead, cs.sendF, &cs.cv)
 
-	for !cs.done {
-		cs.cv.Wait(p)
-	}
 	reply, rerr := cs.reply, cs.err
 	f.putCall(cs)
 	if f.obs != nil {
