@@ -75,27 +75,37 @@ type scanReq struct {
 	lo, hi uint64
 }
 
-// getBatchReq asks for a specific set of objects by ID (request fan-in:
-// many reads against one shard collapse into one invocation).
-type getBatchReq struct {
-	ids []uint64
-}
+// Batch is a set of objects moving into or out of a memory proclet in
+// one invocation: PutBatch stores it and GetBatch fills the one its
+// caller passes. The caller owns the slices. A caller
+// that reads in a loop keeps one Batch and passes it to every GetBatch,
+// which then allocates nothing once the slices have grown; a caller that
+// holds on to results across calls passes a fresh Batch each time. A
+// Batch must not be reused while a call it was passed to is outstanding.
+type Batch struct {
+	IDs   []uint64
+	Vals  []any
+	Sizes []int64
 
-// scanRes carries a batch of objects out of mem.scan; it doubles as the
-// argument to mem.putbatch (bulk loads and shard splits/merges).
-type scanRes struct {
-	ids   []uint64
-	vals  []any
-	bytes []int64
+	// want is the request half of a GetBatch: the IDs asked for, which
+	// the handler answers into the exported slices.
+	want []uint64
 }
 
 // totalBytes sums the batch's payload bytes.
-func (r *scanRes) totalBytes() int64 {
+func (b *Batch) totalBytes() int64 {
 	var sum int64
-	for _, b := range r.bytes {
-		sum += b
+	for _, n := range b.Sizes {
+		sum += n
 	}
 	return sum
+}
+
+// add appends one object.
+func (b *Batch) add(id uint64, e objEntry) {
+	b.IDs = append(b.IDs, id)
+	b.Vals = append(b.Vals, e.val)
+	b.Sizes = append(b.Sizes, e.bytes)
 }
 
 // NewMemoryProclet creates a memory proclet on an explicit machine.
@@ -204,16 +214,14 @@ func (mp *MemoryProclet) registerMethods() {
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
 		}
-		r := arg.Payload.(*getBatchReq)
-		res := &scanRes{}
-		for _, id := range r.ids {
+		b := arg.Payload.(*Batch)
+		b.IDs, b.Vals, b.Sizes = b.IDs[:0], b.Vals[:0], b.Sizes[:0]
+		for _, id := range b.want {
 			if e, ok := mp.objs[id]; ok {
-				res.ids = append(res.ids, id)
-				res.vals = append(res.vals, e.val)
-				res.bytes = append(res.bytes, e.bytes)
+				b.add(id, e)
 			}
 		}
-		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
+		return proclet.Msg{Payload: b, Bytes: b.totalBytes()}, nil
 	})
 	mp.pr.HandleWithFallback(methodMemPut, mp.fastMutator(mp.applyPut), mp.replMutator(mp.applyPut))
 	mp.pr.HandleWithFallback(methodMemDel, mp.fastMutator(mp.applyDel), mp.replMutator(mp.applyDel))
@@ -222,12 +230,9 @@ func (mp *MemoryProclet) registerMethods() {
 			return proclet.Msg{}, err
 		}
 		r := arg.Payload.(*scanReq)
-		res := &scanRes{}
+		res := &Batch{}
 		for _, id := range mp.idsInRange(r.lo, r.hi) {
-			e := mp.objs[id]
-			res.ids = append(res.ids, id)
-			res.vals = append(res.vals, e.val)
-			res.bytes = append(res.bytes, e.bytes)
+			res.add(id, mp.objs[id])
 		}
 		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
 	})
@@ -301,28 +306,31 @@ func (mp *MemoryProclet) applyDel(arg proclet.Msg) (proclet.Msg, []repRecord, er
 }
 
 func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
-	r := arg.Payload.(*scanRes)
+	// Everything is copied out of the caller's batch, into the object
+	// table and the log records, before this returns: the caller may
+	// refill the batch as soon as its PutBatch does.
+	r := arg.Payload.(*Batch)
 	var delta int64
-	for i, id := range r.ids {
+	for i, id := range r.IDs {
 		if old, existed := mp.objs[id]; existed {
 			delta -= old.bytes + objOverheadBytes
 		}
-		delta += r.bytes[i] + objOverheadBytes
+		delta += r.Sizes[i] + objOverheadBytes
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
 		return proclet.Msg{}, nil, err
 	}
 	var recs []repRecord
 	if mp.rs != nil {
-		recs = make([]repRecord, 0, len(r.ids))
+		recs = make([]repRecord, 0, len(r.IDs))
 	}
-	for i, id := range r.ids {
-		mp.objs[id] = objEntry{val: r.vals[i], bytes: r.bytes[i]}
+	for i, id := range r.IDs {
+		mp.objs[id] = objEntry{val: r.Vals[i], bytes: r.Sizes[i]}
 		if id > mp.nextObj {
 			mp.nextObj = id
 		}
 		if mp.rs != nil {
-			recs = append(recs, repRecord{id: id, val: r.vals[i], bytes: r.bytes[i]})
+			recs = append(recs, repRecord{id: id, val: r.Vals[i], bytes: r.Sizes[i]})
 		}
 	}
 	return proclet.Msg{}, recs, nil
@@ -442,19 +450,18 @@ func (mp *MemoryProclet) Get(p *sim.Proc, from cluster.MachineID, id uint64) (an
 	return res.Payload, nil
 }
 
-// GetBatch fetches the objects with the given IDs in one invocation.
-// Absent IDs are skipped: the returned ids slice lists what was found,
-// aligned with vals. One batched call costs one network round instead
-// of len(ids), which is the point — open-loop serving fans many
-// same-shard reads into a single RPC.
-func (mp *MemoryProclet) GetBatch(p *sim.Proc, from cluster.MachineID, ids []uint64) ([]uint64, []any, error) {
-	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemGetBatch,
-		proclet.Msg{Payload: &getBatchReq{ids: ids}, Bytes: int64(8 * len(ids))})
-	if err != nil {
-		return nil, nil, err
-	}
-	r := res.Payload.(*scanRes)
-	return r.ids, r.vals, nil
+// GetBatch fetches the objects with the given IDs in one invocation,
+// into the caller's batch (see Batch for who reuses one and who must
+// not). Absent IDs are skipped: into.IDs lists what was found, aligned
+// with into.Vals and into.Sizes. One batched call costs one network
+// round instead of len(ids), which is the point — open-loop serving fans
+// many same-shard reads into a single RPC.
+func (mp *MemoryProclet) GetBatch(p *sim.Proc, from cluster.MachineID, ids []uint64, into *Batch) error {
+	into.want = ids
+	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemGetBatch,
+		proclet.Msg{Payload: into, Bytes: int64(8 * len(ids))})
+	into.want = nil
+	return err
 }
 
 // Del removes the object with the given ID.
@@ -504,15 +511,15 @@ func (mp *MemoryProclet) Scan(p *sim.Proc, from cluster.MachineID, lo, hi uint64
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	r := res.Payload.(*scanRes)
-	return r.ids, r.vals, r.bytes, nil
+	r := res.Payload.(*Batch)
+	return r.IDs, r.Vals, r.Sizes, nil
 }
 
-// PutBatch bulk-stores objects (used by loaders and shard splits).
-func (mp *MemoryProclet) PutBatch(p *sim.Proc, from cluster.MachineID, ids []uint64, vals []any, sizes []int64) error {
-	batch := &scanRes{ids: ids, vals: vals, bytes: sizes}
+// PutBatch bulk-stores the batch's objects (loaders, shard splits, write
+// fan-in). The proclet keeps the values, not the slices.
+func (mp *MemoryProclet) PutBatch(p *sim.Proc, from cluster.MachineID, b *Batch) error {
 	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemPutBatch,
-		proclet.Msg{Payload: batch, Bytes: batch.totalBytes()})
+		proclet.Msg{Payload: b, Bytes: b.totalBytes()})
 	return err
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -145,7 +146,7 @@ func TestMemScanAndBatchOps(t *testing.T) {
 			vals = append(vals, i*i)
 			sizes = append(sizes, 100)
 		}
-		if err := src.PutBatch(p, 0, ids, vals, sizes); err != nil {
+		if err := src.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
 		if src.NumObjects() != 10 {
@@ -159,7 +160,7 @@ func TestMemScanAndBatchOps(t *testing.T) {
 			t.Errorf("Scan = %v %v %v", gotIDs, gotVals, gotSizes)
 		}
 		// Move the scanned range to dst (a shard split's data plane).
-		if err := dst.PutBatch(p, 0, gotIDs, gotVals, gotSizes); err != nil {
+		if err := dst.PutBatch(p, 0, &Batch{IDs: gotIDs, Vals: gotVals, Sizes: gotSizes}); err != nil {
 			t.Fatalf("dst PutBatch: %v", err)
 		}
 		if err := src.DelRange(p, 0, 3, 7); err != nil {
@@ -243,4 +244,68 @@ func TestClientInvoke(t *testing.T) {
 		}
 	})
 	s.K.Run()
+}
+
+// TestGetBatchFillsCallersBatch: GetBatch answers into the batch it is
+// handed — found IDs in request order, absent ones skipped — and a
+// reused batch holds only the latest answer.
+func TestGetBatchFillsCallersBatch(t *testing.T) {
+	s := testSystem(t)
+	mp, _ := NewMemoryProcletOn(s, "store", 1)
+	s.K.Spawn("client", func(p *sim.Proc) {
+		for id := uint64(1); id <= 8; id++ {
+			if err := mp.Put(p, 0, id, int(id*10), 100+int64(id)); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		var b Batch
+		if err := mp.GetBatch(p, 0, []uint64{5, 99, 2, 7}, &b); err != nil {
+			t.Fatalf("GetBatch: %v", err)
+		}
+		if len(b.IDs) != 3 || b.IDs[0] != 5 || b.IDs[1] != 2 || b.IDs[2] != 7 ||
+			b.Vals[1].(int) != 20 || b.Sizes[2] != 107 {
+			t.Errorf("GetBatch = %v %v %v", b.IDs, b.Vals, b.Sizes)
+		}
+		if err := mp.GetBatch(p, 0, []uint64{3}, &b); err != nil {
+			t.Fatalf("second GetBatch: %v", err)
+		}
+		if len(b.IDs) != 1 || len(b.Vals) != 1 || len(b.Sizes) != 1 || b.Vals[0].(int) != 30 {
+			t.Errorf("reused batch = %v %v %v, want only object 3", b.IDs, b.Vals, b.Sizes)
+		}
+		if err := mp.GetBatch(p, 0, []uint64{404}, &b); err != nil || len(b.IDs) != 0 {
+			t.Errorf("GetBatch of an absent ID = %v, %v; want empty, nil", b.IDs, err)
+		}
+	})
+	s.K.Run()
+}
+
+// TestBufferedGetBatchAllocatesNothing: a remote batched read into a
+// batch the caller keeps — Runtime.Invoke, the fabric round trip, the
+// handler filling the caller's slices — allocates nothing once warm.
+func TestBufferedGetBatchAllocatesNothing(t *testing.T) {
+	s := testSystem(t)
+	defer s.K.Close()
+	mp, _ := NewMemoryProcletOn(s, "store", 1)
+	s.K.Spawn("server", func(p *sim.Proc) {
+		ids := make([]uint64, 32)
+		for i := range ids {
+			ids[i] = uint64(i)
+			if err := mp.Put(p, 0, ids[i], i, 128); err != nil {
+				panic(err)
+			}
+		}
+		var b Batch
+		for {
+			if err := mp.GetBatch(p, 0, ids, &b); err != nil || len(b.IDs) != len(ids) {
+				panic(fmt.Sprintf("GetBatch: %d of %d objects, %v", len(b.IDs), len(ids), err))
+			}
+		}
+	})
+	s.K.RunUntil(5 * sim.Millisecond) // pools warm, slices grown
+	if a := testing.AllocsPerRun(1000, func() { s.K.Step() }); a != 0 {
+		t.Fatalf("a buffered GetBatch step allocates %v objects, want 0", a)
+	}
+	if mp.Proclet().Invocations() < 100 {
+		t.Fatalf("only %d invocations ran", mp.Proclet().Invocations())
+	}
 }

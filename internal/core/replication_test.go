@@ -401,3 +401,45 @@ func TestPrimaryCrashMidShipKeepsBackupAndPromotes(t *testing.T) {
 		t.Errorf("%d of %d acked writes lost after failover", lost, len(acked))
 	}
 }
+
+// TestPutBatchCopiesOutOfCallersBatch: a writer that refills one batch
+// for every PutBatch must not disturb what earlier calls stored — on the
+// primary, in the shipped log records, or on the backup.
+func TestPutBatchCopiesOutOfCallersBatch(t *testing.T) {
+	s, rm, _ := replSystem(t, 0)
+	mp, err := NewMemoryProcletOn(s, "store", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.Replicate(mp, 2); err != nil {
+		t.Fatal(err)
+	}
+	s.K.Spawn("writer", func(p *sim.Proc) {
+		var b Batch
+		for round := 0; round < 5; round++ {
+			b.IDs, b.Vals, b.Sizes = b.IDs[:0], b.Vals[:0], b.Sizes[:0]
+			for j := 0; j < 4; j++ {
+				id := uint64(round*4 + j + 1)
+				b.IDs = append(b.IDs, id)
+				b.Vals = append(b.Vals, int(id*7))
+				b.Sizes = append(b.Sizes, 64+int64(id))
+			}
+			if err := mp.PutBatch(p, 3, &b); err != nil {
+				t.Errorf("round %d: %v", round, err)
+			}
+		}
+	})
+	s.K.RunUntil(sim.Time(10 * time.Millisecond))
+
+	backup := rm.sets[mp.ID()].backups[0].mp
+	for _, objs := range []map[uint64]objEntry{mp.objs, backup.objs} {
+		if len(objs) != 20 {
+			t.Fatalf("%d objects stored, want 20", len(objs))
+		}
+		for id := uint64(1); id <= 20; id++ {
+			if e := objs[id]; e.val != int(id*7) || e.bytes != 64+int64(id) {
+				t.Errorf("obj %d = %v (%d bytes), want %d (%d bytes)", id, e.val, e.bytes, id*7, 64+id)
+			}
+		}
+	}
+}

@@ -136,7 +136,7 @@ func TestReactMemEvacuatesUnderPressure(t *testing.T) {
 			vals = append(vals, i)
 			sizes = append(sizes, 100<<10)
 		}
-		if err := mp.PutBatch(p, 0, ids, vals, sizes); err != nil {
+		if err := mp.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 			t.Errorf("PutBatch: %v", err)
 		}
 	})
@@ -157,7 +157,7 @@ func TestFreeUpMemory(t *testing.T) {
 	mp, _ := NewMemoryProcletOn(s, "shard", 0)
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		ids, vals, sizes := []uint64{1}, []any{0}, []int64{8 << 20}
-		if err := mp.PutBatch(p, 0, ids, vals, sizes); err != nil {
+		if err := mp.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
 		// Machine 0 now holds ~8 MiB of 10 MiB; ask for 5 MiB free.

@@ -179,7 +179,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 		for i, it := range items {
 			ids[i], vals[i], sizes[i] = it.key, it.val, it.bytes
 		}
-		return mp.PutBatch(p, 0, ids, vals, sizes)
+		return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 	}
 	if rm == nil {
 		sys.SetRebuilder(rebuilder)

@@ -175,7 +175,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
 				for j, k := range keys {
 					ids[j], vals[j], sizes[j] = k, st.golden[i][k], cfg.opBytes
 				}
-				return mp.PutBatch(p, 0, ids, vals, sizes)
+				return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 			}
 			return nil
 		})

@@ -360,7 +360,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				sizes[i] = cfg.objBytes
 			}
 			for _, mp := range st.stores {
-				if err := mp.PutBatch(p, 0, ids, vals, sizes); err != nil {
+				if err := mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 					panic(fmt.Sprintf("ext-serve preload: %v", err))
 				}
 			}
@@ -379,6 +379,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				defer wg.Done()
 				byStore := make([][]uint64, cfg.stores)
 				batch := make([]load.Request, 0, cfg.batchMax)
+				var got core.Batch // one read buffer per server, refilled by every call
 				batches := 0
 				// An empty queue is polled in kernel context: the server's
 				// goroutine runs only when there is work or the horizon
@@ -416,10 +417,9 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 							continue
 						}
 						tr.SetNext(root)
-						gotIDs, _, err := st.stores[si].GetBatch(p, 0, ids)
-						if err != nil {
+						if err := st.stores[si].GetBatch(p, 0, ids, &got); err != nil {
 							st.errs += uint64(len(ids))
-						} else if len(gotIDs) == 0 {
+						} else if len(got.IDs) == 0 {
 							st.errs++
 						}
 					}

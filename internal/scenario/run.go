@@ -341,7 +341,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					for j, kk := range keys {
 						ids[j], vals[j], sizes[j] = kk, writeVal(kk), w.ObjectBytes
 					}
-					return mp.PutBatch(p, 0, ids, vals, sizes)
+					return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 				}
 				return nil
 			})
@@ -432,8 +432,9 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				vals[i] = writeVal(uint64(i))
 				sizes[i] = w.ObjectBytes
 			}
+			preload := &core.Batch{IDs: ids, Vals: vals, Sizes: sizes}
 			for _, mp := range st.stores {
-				if err := mp.PutBatch(p, 0, ids, vals, sizes); err != nil {
+				if err := mp.PutBatch(p, 0, preload); err != nil {
 					panic(fmt.Sprintf("scenario preload: %v", err))
 				}
 			}
@@ -454,6 +455,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				readIDs := make([][]uint64, w.Stores)
 				writeIDs := make([][]uint64, w.Stores)
 				batch := make([]load.Request, 0, w.BatchMax)
+				// One read buffer and one write buffer per server: nothing
+				// read is kept past the call, and the store copies writes
+				// out before PutBatch returns.
+				var rbuf, wbuf core.Batch
 				// An empty queue is polled in kernel context: the server's
 				// goroutine runs only when there is work or the horizon
 				// has passed.
@@ -486,18 +491,17 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					}
 					for si := range st.stores {
 						if ids := readIDs[si]; len(ids) > 0 {
-							if _, _, err := st.stores[si].GetBatch(p, 0, ids); err != nil {
+							if err := st.stores[si].GetBatch(p, 0, ids, &rbuf); err != nil {
 								st.errs += uint64(len(ids))
 							}
 						}
 						if ids := writeIDs[si]; len(ids) > 0 {
-							vals := make([]any, len(ids))
-							sizes := make([]int64, len(ids))
-							for j, id := range ids {
-								vals[j] = writeVal(id)
-								sizes[j] = w.ObjectBytes
+							wbuf.IDs, wbuf.Vals, wbuf.Sizes = ids, wbuf.Vals[:0], wbuf.Sizes[:0]
+							for _, id := range ids {
+								wbuf.Vals = append(wbuf.Vals, writeVal(id))
+								wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
 							}
-							if err := st.stores[si].PutBatch(p, 0, ids, vals, sizes); err != nil {
+							if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
 								st.errs += uint64(len(ids))
 							} else {
 								for _, id := range ids {
@@ -547,6 +551,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// golden key (sorted, chunked) and count what the fleet lost.
 		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
 			wg.Wait(p)
+			var rb core.Batch // each chunk is checked before the next is read
 			for si, mp := range st.stores {
 				keys := sortedKeys(st.golden[si])
 				for off := 0; off < len(keys); off += verifyChunk {
@@ -555,14 +560,13 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 						end = len(keys)
 					}
 					chunk := keys[off:end]
-					ids, vals, err := mp.GetBatch(p, 0, chunk)
-					if err != nil {
+					if err := mp.GetBatch(p, 0, chunk, &rb); err != nil {
 						st.lost += int64(len(chunk))
 						continue
 					}
-					got := make(map[uint64]int64, len(ids))
-					for j, id := range ids {
-						if v, ok := vals[j].(int64); ok {
+					got := make(map[uint64]int64, len(rb.IDs))
+					for j, id := range rb.IDs {
+						if v, ok := rb.Vals[j].(int64); ok {
 							got[id] = v
 						}
 					}

@@ -230,6 +230,7 @@ func (m *Map[K, V]) GetBatch(p *sim.Proc, from cluster.MachineID, keys []K) ([]V
 	}
 	var ids []uint64
 	var members []int
+	var got core.Batch // consumed before the next shard's call refills it
 	for s := 0; s < len(m.shards); s++ {
 		ids = ids[:0]
 		members = members[:0]
@@ -244,14 +245,14 @@ func (m *Map[K, V]) GetBatch(p *sim.Proc, from cluster.MachineID, keys []K) ([]V
 		}
 		sh := m.shards[s]
 		m.ops.enter(sh.mp.ID())
-		gotIDs, gotVals, err := sh.mp.GetBatch(p, from, ids)
+		err := sh.mp.GetBatch(p, from, ids, &got)
 		m.ops.exit(sh.mp.ID())
 		if err != nil {
 			return nil, nil, err
 		}
-		buckets := make(map[uint64]any, len(gotIDs))
-		for j, id := range gotIDs {
-			buckets[id] = gotVals[j]
+		buckets := make(map[uint64]any, len(got.IDs))
+		for j, id := range got.IDs {
+			buckets[id] = got.Vals[j]
 		}
 		for _, i := range members {
 			bv, ok := buckets[hs[i]]
@@ -355,7 +356,7 @@ func (m *Map[K, V]) splitShard(p *sim.Proc, s int) bool {
 	home := src.Location()
 	ids, vals, sizes, err := src.Scan(p, home, mid, hi)
 	if err == nil && len(ids) > 0 {
-		err = dst.PutBatch(p, home, ids, vals, sizes)
+		err = dst.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 	}
 	if err != nil {
 		dst.Destroy()
@@ -391,7 +392,7 @@ func (m *Map[K, V]) mergeShards(p *sim.Proc, s int) bool {
 	home := src.mp.Location()
 	ids, vals, sizes, err := src.mp.Scan(p, home, lo, hi)
 	if err == nil && len(ids) > 0 {
-		err = dst.mp.PutBatch(p, home, ids, vals, sizes)
+		err = dst.mp.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 	}
 	if err != nil {
 		return false

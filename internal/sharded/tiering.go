@@ -143,7 +143,7 @@ func (v *Vector[T]) faultShard(p *sim.Proc, s int) error {
 		return err
 	}
 	pl := raw.(*spillPayload)
-	if err := mp.PutBatch(p, mp.Location(), pl.ids, pl.vals, pl.sizes); err != nil {
+	if err := mp.PutBatch(p, mp.Location(), &core.Batch{IDs: pl.ids, Vals: pl.vals, Sizes: pl.sizes}); err != nil {
 		mp.Destroy()
 		return err
 	}

@@ -266,7 +266,7 @@ func (v *Vector[T]) splitShard(p *sim.Proc, s int) bool {
 	home := src.Location()
 	ids, vals, sizes, err := src.Scan(p, home, mid+1, hi+1)
 	if err == nil {
-		err = dst.PutBatch(p, home, ids, vals, sizes)
+		err = dst.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 	}
 	if err != nil {
 		dst.Destroy()
@@ -308,7 +308,7 @@ func (v *Vector[T]) mergeShards(p *sim.Proc, s int) bool {
 	home := src.mp.Location()
 	ids, vals, sizes, err := src.mp.Scan(p, home, lo+1, hi+1)
 	if err == nil && len(ids) > 0 {
-		err = dst.mp.PutBatch(p, home, ids, vals, sizes)
+		err = dst.mp.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
 	}
 	if err != nil {
 		return false
