@@ -186,6 +186,30 @@ func (k *Kernel) AfterTagged(d time.Duration, fn func(tag uint64), tag uint64) {
 	k.ScheduleTagged(k.now.Add(d), fn, tag)
 }
 
+// ReserveSeq consumes the next event sequence number without scheduling
+// anything, for an event that may turn out not to be needed: a timer
+// that matters only if something else fails to happen first. Scheduling
+// it later with ScheduleReserved puts it exactly where scheduling it now
+// would have, and never scheduling it leaves every other event's (time,
+// seq) as it was — so a run that drops such timers when they cannot fire
+// executes the same events, minus the ones that would have done nothing.
+func (k *Kernel) ReserveSeq() uint64 {
+	k.seq++
+	return k.seq
+}
+
+// ScheduleReserved runs fn(tag) at the future instant at, ordered among
+// that instant's events by a sequence number taken earlier from
+// ReserveSeq. A number must be used at most once. The instant must be
+// strictly after now: events of the current instant with later numbers
+// may already have run.
+func (k *Kernel) ScheduleReserved(at Time, seq uint64, fn func(tag uint64), tag uint64) {
+	if at <= k.now {
+		panic(fmt.Sprintf("sim: ScheduleReserved at %v is not after now (%v)", at, k.now))
+	}
+	k.heapPush(event{at: at, seq: seq, tfn: fn, tag: tag, kind: evTagged})
+}
+
 // push stamps e with (time, seq) and routes it to the same-instant FIFO
 // or the future heap.
 func (k *Kernel) push(at Time, e event) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -268,5 +269,56 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if tm.String() != "1.5s" {
 		t.Errorf("String() = %q", tm.String())
+	}
+}
+
+// TestScheduleReservedKeepsItsPlace: an event scheduled late under a
+// sequence number reserved early runs where it would have run had it
+// been scheduled at the reservation — ahead of same-instant events
+// scheduled in between — and a reservation never used costs nothing.
+func TestScheduleReservedKeepsItsPlace(t *testing.T) {
+	run := func(lazy bool) (order []uint64, events uint64) {
+		k := NewKernel(1)
+		defer k.Close()
+		note := func(tag uint64) { order = append(order, tag) }
+		k.ScheduleTagged(10*Microsecond, note, 1)
+		var seq uint64
+		if lazy {
+			seq = k.ReserveSeq()
+			_ = k.ReserveSeq() // never scheduled: must not disturb anything
+		} else {
+			k.ScheduleTagged(10*Microsecond, note, 2)
+			k.ScheduleTagged(20*Microsecond, func(uint64) {}, 0) // fires, does nothing
+		}
+		k.ScheduleTagged(10*Microsecond, note, 3)
+		k.Schedule(5*Microsecond, func() {
+			k.ScheduleTagged(10*Microsecond, note, 4)
+			if lazy {
+				k.ScheduleReserved(10*Microsecond, seq, note, 2)
+			}
+		})
+		k.Run()
+		return order, k.EventsProcessed()
+	}
+	eager, eagerEvents := run(false)
+	lazy, lazyEvents := run(true)
+	if fmt.Sprint(eager) != "[1 2 3 4]" || fmt.Sprint(lazy) != fmt.Sprint(eager) {
+		t.Fatalf("order eager %v, reserved %v, want both [1 2 3 4]", eager, lazy)
+	}
+	if lazyEvents != eagerEvents-1 {
+		t.Fatalf("%d events with the no-op timer never scheduled, %d with it: want one fewer", lazyEvents, eagerEvents)
+	}
+}
+
+// TestScheduleReservedRefusesThePresent: an old sequence number cannot be
+// honoured at the current instant, where later numbers may already have run.
+func TestScheduleReservedRefusesThePresent(t *testing.T) {
+	k := NewKernel(1)
+	defer k.Close()
+	seq := k.ReserveSeq()
+	k.RunUntil(10 * Microsecond)
+	msg := mustPanic(t, func() { k.ScheduleReserved(10*Microsecond, seq, func(uint64) {}, 0) })
+	if !strings.Contains(msg, "not after now") {
+		t.Fatalf("unexpected panic message: %v", msg)
 	}
 }

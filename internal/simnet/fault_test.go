@@ -375,3 +375,47 @@ func TestNoHangUnderRandomFaults(t *testing.T) {
 		t.Fatalf("%d processes still blocked after drain", got)
 	}
 }
+
+// TestDeadlineThatCannotFireIsNeverQueued: a fast call whose reply is
+// known, when it is sent, to land before the deadline costs four events
+// — send stage, delivery, reply, resume — and leaves nothing behind in
+// the queue; the deadline's sequence number is still consumed, so a call
+// that does need its deadline gets the event where it always was.
+func TestDeadlineThatCannotFireIsNeverQueued(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	cfg := testConfig()
+	cfg.CallTimeout = 2 * time.Millisecond
+	f := echoFabric(k, cfg)
+	f.Node(2).HandleFast("fast", func(req Message) (Message, error) { return req, nil })
+	var err error
+	k.Spawn("caller", func(p *sim.Proc) {
+		_, err = f.Call(p, 1, 2, "fast", Message{Bytes: 100})
+	})
+	k.Step() // the caller starts and parks in Call
+	before := k.EventsProcessed()
+	for k.Live() > 0 && k.Step() {
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := k.EventsProcessed() - before; n != 4 {
+		t.Errorf("a fast call under a deadline took %d events, want 4", n)
+	}
+	if k.Pending() != 0 {
+		t.Errorf("%d events left queued after the call, want 0", k.Pending())
+	}
+
+	// A blocking handler can outlast any deadline, so its call keeps one.
+	k.Spawn("caller", func(p *sim.Proc) {
+		_, err = f.Call(p, 1, 2, "echo", Message{Bytes: 100})
+	})
+	for k.Live() > 0 && k.Step() {
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.Pending() != 1 {
+		t.Errorf("%d events queued after a blocking call, want its deadline", k.Pending())
+	}
+}

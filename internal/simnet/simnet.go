@@ -412,28 +412,30 @@ func (f *Fabric) TransferAsync(from, to NodeID, size int64, onDelivered func()) 
 
 // transferAsyncTagged is TransferAsync with a tagged callback, so
 // pooled call state can discard deliveries aimed at a recycled
-// generation without allocating a closure per message.
-func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64), tag uint64) error {
+// generation without allocating a closure per message. It also returns
+// the instant the transfer lands, which is how a call knows whether its
+// deadline can still fire.
+func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64), tag uint64) (sim.Time, error) {
 	src, dst, err := f.checkPath(from, to)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if from == to {
-		f.k.ScheduleTagged(f.k.Now(), fn, tag)
-		return nil
+	at := f.k.Now()
+	if from != to {
+		if f.lost(from, to) {
+			return 0, fmt.Errorf("%w: transfer %d->%d (%d bytes) lost", ErrTimeout, from, to, size)
+		}
+		at = f.deliveryTime(src, dst, size)
 	}
-	if f.lost(from, to) {
-		return fmt.Errorf("%w: transfer %d->%d (%d bytes) lost", ErrTimeout, from, to, size)
-	}
-	f.k.ScheduleTagged(f.deliveryTime(src, dst, size), fn, tag)
-	return nil
+	f.k.ScheduleTagged(at, fn, tag)
+	return at, nil
 }
 
 // callState is one in-flight Call's plumbing, pooled on the Fabric. It
 // carries pre-built closures for every stage of the round trip — send,
 // request delivery, the (pooled) handler process, reply delivery,
-// completion —
-// so a steady-state RPC allocates nothing: not for the kernel events,
+// completion — so a steady-state RPC allocates nothing: not for the
+// kernel events,
 // not for the handler process (worker pool), not for its name (lazy),
 // and not for the caller's wait (inline Cond slot).
 //
@@ -460,9 +462,14 @@ type callState struct {
 
 	gen         uint64 // bumped on recycle; stale tagged events no-op
 	ifIdx       int    // index in Fabric.inflight, -1 if not tracked
-	hasDeadline bool   // a timeout event is armed for this attempt
+	hasDeadline bool   // this attempt has a deadline (see armDeadline)
 	handlerLive bool   // blocking handler process still references cs
 	abandoned   bool   // owner returned before the handler finished
+
+	// The deadline's instant, and the sequence number reserved for its
+	// event at send time; zero once the event is queued.
+	deadlineAt  sim.Time
+	deadlineSeq uint64
 
 	sendF    func() bool   // runs when the caller-side overhead has elapsed
 	deliverT func(uint64)  // runs when the request lands on the destination
@@ -511,6 +518,7 @@ func (f *Fabric) resetCall(cs *callState) {
 	cs.done = false
 	cs.ifIdx = -1
 	cs.hasDeadline = false
+	cs.deadlineSeq = 0
 	cs.abandoned = false
 }
 
@@ -536,7 +544,7 @@ func (f *Fabric) removeInflight(cs *callState) {
 
 // send is the call's send stage: it runs in kernel context at the
 // instant the caller-side overhead has elapsed, registers the call for
-// failure notification, arms its deadline and puts the request on the
+// failure notification, starts its deadline and puts the request on the
 // wire. It reports whether the caller has anything left to wait for; a
 // call that resolved right here (the node went down during the overhead,
 // or the request was lost with no deadline to wait out) has not.
@@ -545,22 +553,55 @@ func (cs *callState) send() (wait bool) {
 	f.addInflight(cs)
 	if cs.timeout > 0 {
 		cs.hasDeadline = true
-		f.k.ScheduleTagged(f.k.Now().Add(cs.timeout), cs.timeoutT, cs.gen)
+		cs.deadlineAt = f.k.Now().Add(cs.timeout)
+		cs.deadlineSeq = f.k.ReserveSeq()
 	}
 
 	if cs.from == cs.to {
+		// Lands now, before any deadline; a blocking handler arms it.
 		f.k.ScheduleTagged(f.k.Now(), cs.deliverT, cs.gen)
 	} else if f.lost(cs.from, cs.to) {
-		if !cs.hasDeadline {
-			// No deadline armed to resolve the loss: fail now rather
-			// than hang forever.
+		if cs.hasDeadline {
+			cs.armDeadline() // nothing else will resolve the call
+		} else {
+			// No deadline to resolve the loss: fail now rather than
+			// hang forever.
 			f.Timeouts.Inc()
 			cs.finish(Message{}, fmt.Errorf("%w: %q lost on link %d->%d", ErrTimeout, cs.method, cs.from, cs.to))
 		}
-	} else if terr := f.transferAsyncTagged(cs.from, cs.to, cs.req.Bytes, cs.deliverT, cs.gen); terr != nil {
+	} else if at, terr := f.transferAsyncTagged(cs.from, cs.to, cs.req.Bytes, cs.deliverT, cs.gen); terr != nil {
 		cs.finish(Message{}, terr)
+	} else {
+		cs.armDeadlineIfDue(at)
 	}
 	return !cs.done
+}
+
+// armDeadline queues the call's deadline event, at the instant and under
+// the sequence number it was given at send time. A deadline is queued
+// only once something can make it fire: the request or the reply is
+// lost, either lands at or after the deadline (the deadline, reserved
+// first, wins a tie), or the request is handed to a blocking handler,
+// which may take any amount of time. The arrival instant of a message is
+// known when it is sent and a node failure resolves its calls itself
+// (SetDown), so a call that none of this happens to is certain to
+// resolve first, and its deadline — which would find the call done and
+// do nothing — is never queued. Sequence numbers are reserved either
+// way, so every event that does run keeps its (time, seq).
+func (cs *callState) armDeadline() {
+	if cs.deadlineSeq == 0 {
+		return // no deadline, or already queued
+	}
+	cs.f.k.ScheduleReserved(cs.deadlineAt, cs.deadlineSeq, cs.timeoutT, cs.gen)
+	cs.deadlineSeq = 0
+}
+
+// armDeadlineIfDue queues the deadline if a message landing at the given
+// instant would not beat it.
+func (cs *callState) armDeadlineIfDue(lands sim.Time) {
+	if cs.deadlineSeq != 0 && lands >= cs.deadlineAt {
+		cs.armDeadline()
+	}
 }
 
 func (cs *callState) procName() string {
@@ -590,6 +631,7 @@ func (cs *callState) onDelivered(gen uint64) {
 			return
 		}
 	}
+	cs.armDeadline() // a blocking handler may outlast any deadline
 	cs.handlerLive = true
 	cs.f.k.SpawnLazy(cs.nameF, cs.procF)
 }
@@ -632,7 +674,8 @@ func (cs *callState) sendReply(reply Message, err error) {
 	}
 	if cs.f.lost(cs.to, cs.from) {
 		if cs.hasDeadline {
-			return // reply eaten by the link; the armed deadline resolves the call
+			cs.armDeadline() // reply eaten by the link; the deadline resolves the call
+			return
 		}
 		cs.f.Timeouts.Inc()
 		cs.finish(Message{}, fmt.Errorf("%w: reply for %q lost on link %d->%d",
@@ -640,8 +683,10 @@ func (cs *callState) sendReply(reply Message, err error) {
 		return
 	}
 	cs.reply = reply // parked here while the reply crosses the wire
-	if terr := cs.f.transferAsyncTagged(cs.to, cs.from, reply.Bytes, cs.finishT, cs.gen); terr != nil {
+	if at, terr := cs.f.transferAsyncTagged(cs.to, cs.from, reply.Bytes, cs.finishT, cs.gen); terr != nil {
 		cs.finish(Message{}, terr)
+	} else {
+		cs.armDeadlineIfDue(at)
 	}
 }
 
