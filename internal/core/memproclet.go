@@ -77,11 +77,11 @@ type scanReq struct {
 
 // Batch is a set of objects moving into or out of a memory proclet in
 // one invocation: PutBatch stores it and GetBatch fills the one its
-// caller passes. The caller owns the slices. A caller
-// that reads in a loop keeps one Batch and passes it to every GetBatch,
-// which then allocates nothing once the slices have grown; a caller that
-// holds on to results across calls passes a fresh Batch each time. A
-// Batch must not be reused while a call it was passed to is outstanding.
+// caller passes. The caller owns the slices. A caller that reads in a
+// loop keeps one Batch and passes it to every GetBatch, which then
+// allocates nothing once the slices have grown; a caller that holds on
+// to results across calls passes a fresh Batch each time. A Batch must
+// not be reused while a call it was passed to is outstanding.
 type Batch struct {
 	IDs   []uint64
 	Vals  []any

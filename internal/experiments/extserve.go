@@ -399,6 +399,11 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 					}
 					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
 					st.qhead += n
+					if st.qhead == len(st.queue) {
+						// Drained: reuse the queue's storage instead of growing it
+						// by every request the run will ever see.
+						st.queue, st.qhead = st.queue[:0], 0
+					}
 					// One causal tree per fan-in batch: the root opens at
 					// pickup, store fan-in RPCs hang off it via SetNext, and
 					// each request lands as a retroactive child spanning

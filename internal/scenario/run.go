@@ -477,6 +477,11 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					}
 					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
 					st.qhead += n
+					if st.qhead == len(st.queue) {
+						// Drained: reuse the queue's storage instead of growing it
+						// by every request the run will ever see.
+						st.queue, st.qhead = st.queue[:0], 0
+					}
 					for i := range readIDs {
 						readIDs[i] = readIDs[i][:0]
 						writeIDs[i] = writeIDs[i][:0]

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -134,6 +135,12 @@ func runPollMix(seed int64, poll pollFn) pollMixRun {
 
 	// Pollers whose flag is never raised again poll forever: bound the run.
 	const horizon = 600 * Microsecond
+	out.drive(k, horizon)
+	return out
+}
+
+// drive steps k through every event up to horizon, logging each one.
+func (out *pollMixRun) drive(k *Kernel, horizon Time) {
 	for {
 		e, ok := k.peek()
 		if !ok || e.at > horizon {
@@ -148,7 +155,6 @@ func runPollMix(seed int64, poll pollFn) pollMixRun {
 	}
 	out.events = k.EventsProcessed()
 	out.blocked = k.Blocked()
-	return out
 }
 
 // TestSleepWhileMatchesSleepLoop: SleepWhile must be event-for-event
@@ -354,20 +360,7 @@ func runStageMix(seed int64, wait stageFn) pollMixRun {
 		})
 	}
 
-	for {
-		e, ok := k.peek()
-		if !ok {
-			break
-		}
-		st := eventStamp{at: e.at, seq: e.seq}
-		if e.p != nil {
-			st.pid = e.p.ID
-		}
-		out.log = append(out.log, st)
-		k.Step()
-	}
-	out.events = k.EventsProcessed()
-	out.blocked = k.Blocked()
+	out.drive(k, math.MaxInt64) // every caller finishes: run to the end
 	return out
 }
 

@@ -435,9 +435,8 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 // carries pre-built closures for every stage of the round trip — send,
 // request delivery, the (pooled) handler process, reply delivery,
 // completion — so a steady-state RPC allocates nothing: not for the
-// kernel events,
-// not for the handler process (worker pool), not for its name (lazy),
-// and not for the caller's wait (inline Cond slot).
+// kernel events, not for the handler process (worker pool), not for its
+// name (lazy), and not for the caller's wait (inline Cond slot).
 //
 // Timeouts make recycling subtle: a timed-out call can leave its
 // delivery/reply/deadline events in the queue, and its blocking handler
@@ -462,7 +461,6 @@ type callState struct {
 
 	gen         uint64 // bumped on recycle; stale tagged events no-op
 	ifIdx       int    // index in Fabric.inflight, -1 if not tracked
-	hasDeadline bool   // this attempt has a deadline (see armDeadline)
 	handlerLive bool   // blocking handler process still references cs
 	abandoned   bool   // owner returned before the handler finished
 
@@ -517,7 +515,6 @@ func (f *Fabric) resetCall(cs *callState) {
 	cs.timeout = 0
 	cs.done = false
 	cs.ifIdx = -1
-	cs.hasDeadline = false
 	cs.deadlineSeq = 0
 	cs.abandoned = false
 }
@@ -552,7 +549,6 @@ func (cs *callState) send() (wait bool) {
 	f := cs.f
 	f.addInflight(cs)
 	if cs.timeout > 0 {
-		cs.hasDeadline = true
 		cs.deadlineAt = f.k.Now().Add(cs.timeout)
 		cs.deadlineSeq = f.k.ReserveSeq()
 	}
@@ -561,7 +557,7 @@ func (cs *callState) send() (wait bool) {
 		// Lands now, before any deadline; a blocking handler arms it.
 		f.k.ScheduleTagged(f.k.Now(), cs.deliverT, cs.gen)
 	} else if f.lost(cs.from, cs.to) {
-		if cs.hasDeadline {
+		if cs.timeout > 0 {
 			cs.armDeadline() // nothing else will resolve the call
 		} else {
 			// No deadline to resolve the loss: fail now rather than
@@ -599,7 +595,7 @@ func (cs *callState) armDeadline() {
 // armDeadlineIfDue queues the deadline if a message landing at the given
 // instant would not beat it.
 func (cs *callState) armDeadlineIfDue(lands sim.Time) {
-	if cs.deadlineSeq != 0 && lands >= cs.deadlineAt {
+	if lands >= cs.deadlineAt {
 		cs.armDeadline()
 	}
 }
@@ -673,7 +669,7 @@ func (cs *callState) sendReply(reply Message, err error) {
 		return
 	}
 	if cs.f.lost(cs.to, cs.from) {
-		if cs.hasDeadline {
+		if cs.timeout > 0 {
 			cs.armDeadline() // reply eaten by the link; the deadline resolves the call
 			return
 		}
