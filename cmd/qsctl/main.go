@@ -259,6 +259,39 @@ func writeTrace(path string, sys *core.System) error {
 	return obs.WriteChromeTrace(f, sys.Obs, sys.Tel)
 }
 
+// loadScenario is the front half of `qsctl run` and `qsctl top`: parse
+// the subcommand's flags, take its one scenario file — before the flags
+// (`run file.yaml -seed 7`) or after them (`run -seed 7 file.yaml`) —
+// and parse it. On failure sp is nil and code is the exit status: 2 for
+// a usage or scenario error, 1 for a file that cannot be read.
+func loadScenario(fs *flag.FlagSet, args []string, stderr io.Writer, usage string) (file string, sp *scen.Spec, code int) {
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		file, args = args[0], args[1:]
+	}
+	if err := fs.Parse(args); err != nil {
+		return file, nil, 2
+	}
+	switch {
+	case file == "" && fs.NArg() == 1:
+		file = fs.Arg(0)
+	case file != "" && fs.NArg() == 0:
+	default:
+		fmt.Fprintln(stderr, usage)
+		return file, nil, 2
+	}
+	src, err := os.ReadFile(file)
+	if err != nil {
+		fmt.Fprintf(stderr, "qsctl: %v\n", err)
+		return file, nil, 1
+	}
+	sp, err = scen.Parse(string(src))
+	if err != nil {
+		fmt.Fprintf(stderr, "qsctl: %s: %v\n", file, err)
+		return file, nil, 2
+	}
+	return file, sp, 0
+}
+
 // runScenarioFile implements `qsctl run <file.yaml>`: parse, execute at
 // the requested seed and worker count, print the deterministic report,
 // and exit nonzero when an assertion fails.
@@ -271,32 +304,10 @@ func runScenarioFile(args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace-out", "", "write the merged control-plane trace here")
 	flightOut := fs.String("flight-out", "", "write the flight recorder dump here when an assertion fails or an incident opened")
 	noAssert := fs.Bool("no-assert", false, "evaluate and print assertions but always exit 0 (for determinism sweeps at non-committed seeds)")
-	// Accept both `qsctl run file.yaml -seed 7` and `qsctl run -seed 7
-	// file.yaml`: the scenario file may come before the flags.
-	file := ""
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		file, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	switch {
-	case file == "" && fs.NArg() == 1:
-		file = fs.Arg(0)
-	case file != "" && fs.NArg() == 0:
-	default:
-		fmt.Fprintln(stderr, "usage: qsctl run <scenario.yaml> [-seed N] [-par P] [-report out.json] [-trace-out out.txt] [-flight-out dump.txt] [-no-assert]")
-		return 2
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(stderr, "qsctl: %v\n", err)
-		return 1
-	}
-	sp, err := scen.Parse(string(src))
-	if err != nil {
-		fmt.Fprintf(stderr, "qsctl: %s: %v\n", file, err)
-		return 2
+	_, sp, code := loadScenario(fs, args, stderr,
+		"usage: qsctl run <scenario.yaml> [-seed N] [-par P] [-report out.json] [-trace-out out.txt] [-flight-out dump.txt] [-no-assert]")
+	if sp == nil {
+		return code
 	}
 	out, err := scen.Run(sp, scen.Options{Seed: *seed, Par: *par})
 	if err != nil {
@@ -358,30 +369,9 @@ func runTop(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 0, "seed override (0: the scenario's committed seed)")
 	par := fs.Int("par", 1, "host worker count (must not change the table)")
-	file := ""
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		file, args = args[0], args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	switch {
-	case file == "" && fs.NArg() == 1:
-		file = fs.Arg(0)
-	case file != "" && fs.NArg() == 0:
-	default:
-		fmt.Fprintln(stderr, "usage: qsctl top <scenario.yaml> [-seed N] [-par P]")
-		return 2
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		fmt.Fprintf(stderr, "qsctl: %v\n", err)
-		return 1
-	}
-	sp, err := scen.Parse(string(src))
-	if err != nil {
-		fmt.Fprintf(stderr, "qsctl: %s: %v\n", file, err)
-		return 2
+	file, sp, code := loadScenario(fs, args, stderr, "usage: qsctl top <scenario.yaml> [-seed N] [-par P]")
+	if sp == nil {
+		return code
 	}
 	if !sp.SLO.Enabled() {
 		fmt.Fprintf(stderr, "qsctl: %s: scenario has no slo block — nothing to render\n", file)
@@ -760,20 +750,30 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 		for s := 0; s < servers; s++ {
 			sys.K.Spawn(fmt.Sprintf("server-%d", s), func(p *sim.Proc) {
 				keys := make([]uint64, 0, batchMax)
+				reqs := make([]load.Request, 0, batchMax)
+				// An empty queue is polled in kernel context: the server's
+				// goroutine runs only when there is work or the horizon
+				// has passed.
+				idle := func() bool { return qhead == len(queue) && p.Now() < horizon }
 				for {
 					if qhead == len(queue) {
 						if p.Now() >= horizon {
 							return
 						}
-						p.Sleep(poll)
+						p.SleepWhile(poll, idle)
 						continue
 					}
 					n := len(queue) - qhead
 					if n > batchMax {
 						n = batchMax
 					}
-					reqs := queue[qhead : qhead+n]
+					reqs = append(reqs[:0], queue[qhead:qhead+n]...)
 					qhead += n
+					if qhead == len(queue) {
+						// Drained: reuse the queue's storage instead of growing it
+						// by every request the run will ever see.
+						queue, qhead = queue[:0], 0
+					}
 					keys = keys[:0]
 					for _, r := range reqs {
 						keys = append(keys, r.Key)

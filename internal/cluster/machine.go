@@ -195,13 +195,6 @@ func (m *Machine) TrackUtilization() *metrics.TimeSeries {
 	return m.Util
 }
 
-// TrackMemory attaches a time series recording bytes in use.
-func (m *Machine) TrackMemory() *metrics.TimeSeries {
-	m.MemSeries = metrics.NewTimeSeries(fmt.Sprintf("machine-%d.mem_used", m.ID))
-	m.MemSeries.Add(m.k.Now(), float64(m.memUsed))
-	return m.MemSeries
-}
-
 // availCores returns the capacity left after reservations.
 func (m *Machine) availCores() float64 {
 	a := m.cfg.Cores - m.reserved

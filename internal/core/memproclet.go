@@ -464,13 +464,6 @@ func (mp *MemoryProclet) GetBatch(p *sim.Proc, from cluster.MachineID, ids []uin
 	return err
 }
 
-// Del removes the object with the given ID.
-func (mp *MemoryProclet) Del(p *sim.Proc, from cluster.MachineID, id uint64) error {
-	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemDel,
-		proclet.Msg{Payload: id, Bytes: 8})
-	return err
-}
-
 // Take atomically fetches and removes the object (queue pops).
 func (mp *MemoryProclet) Take(p *sim.Proc, from cluster.MachineID, id uint64) (any, error) {
 	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemTake,
@@ -583,9 +576,6 @@ func NewPtr[T any](p *sim.Proc, from cluster.MachineID, mp *MemoryProclet, val T
 	}
 	return Ptr[T]{sys: mp.sys, pid: mp.ID(), obj: id, bytes: bytes}, nil
 }
-
-// Nil reports whether the pointer is unset.
-func (pt Ptr[T]) Nil() bool { return pt.sys == nil }
 
 // ProcletID returns the memory proclet holding the object.
 func (pt Ptr[T]) ProcletID() proclet.ID { return pt.pid }

@@ -138,9 +138,6 @@ var baseSeed int64
 // concurrently with Run.
 func SetBaseSeed(s int64) { baseSeed = s }
 
-// BaseSeed returns the current seed offset.
-func BaseSeed() int64 { return baseSeed }
-
 // seeded mixes an experiment's built-in seed with the base seed; with
 // the default base of 0 it returns s unchanged.
 func seeded(s int64) int64 { return s + baseSeed*1_000_003 }

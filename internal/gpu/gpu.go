@@ -265,9 +265,6 @@ func (gp *Proclet) ModelBytes() int64 { return gp.modelBytes }
 // steps, rolled back only when an unmirrored model is lost.
 func (gp *Proclet) CompletedSteps() int64 { return gp.acked }
 
-// CheckpointedStep returns the highest step covered by the mirror.
-func (gp *Proclet) CheckpointedStep() int64 { return gp.ckptStep }
-
 // CheckpointHome returns the mirror machine (meaningful only when
 // checkpointing is enabled).
 func (gp *Proclet) CheckpointHome() cluster.MachineID { return gp.ckptHome }

@@ -74,9 +74,6 @@ func NewZipf(n uint64, theta float64) *Zipf {
 // N returns the number of ranks.
 func (z *Zipf) N() uint64 { return z.n }
 
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Sample draws one rank in [0, n); rank 0 is the most popular. O(1),
 // zero allocations.
 func (z *Zipf) Sample(rng *rand.Rand) uint64 {

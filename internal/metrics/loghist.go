@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"time"
 )
 
 // LogHistogram is a fixed-shape log-scale latency histogram: power-of-two
@@ -107,9 +106,6 @@ func (h *LogHistogram) Record(ns int64) {
 		h.max = ns
 	}
 }
-
-// RecordDuration records a duration sample.
-func (h *LogHistogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
 // Count returns the number of recorded samples.
 func (h *LogHistogram) Count() uint64 { return h.count }

@@ -47,14 +47,6 @@ func (s *TimeSeries) Len() int { return len(s.points) }
 // Points returns the underlying samples (not a copy; do not mutate).
 func (s *TimeSeries) Points() []Point { return s.points }
 
-// Last returns the most recent sample, or a zero Point when empty.
-func (s *TimeSeries) Last() Point {
-	if len(s.points) == 0 {
-		return Point{}
-	}
-	return s.points[len(s.points)-1]
-}
-
 // At returns the value in effect at time t, treating the series as a
 // step function (last sample at or before t). ok is false before the
 // first sample.

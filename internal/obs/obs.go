@@ -183,17 +183,6 @@ func (t *Tracer) Start(kind, name string, machine int, parent SpanID) SpanID {
 	return id
 }
 
-// SkipIDs burns n span IDs without recording anything. The sampler
-// uses it to keep a filtered tracer's ID counter aligned with the full
-// tracer it mirrors, so spans recorded after a dropped tree still get
-// identical IDs in both.
-func (t *Tracer) SkipIDs(n uint64) {
-	if t == nil {
-		return
-	}
-	t.seq += n
-}
-
 // RecordAt appends a complete span with explicit timestamps and
 // returns its ID. This is the retroactive path: the SLO monitor emits
 // an incident span only once the incident has closed, with the open
@@ -233,8 +222,7 @@ func (t *Tracer) RecordAt(kind, name string, machine int, parent SpanID, start, 
 // is how samplers and mergers build derived tracers: the copied span
 // is byte-identical to the original, so a filtered export is a literal
 // subset of the full one. The caller must not reuse an ID already
-// present. Put does not advance the ID counter — pair it with SkipIDs
-// when mirroring a live tracer.
+// present. Put does not advance the ID counter.
 func (t *Tracer) Put(s Span) {
 	if t == nil {
 		return

@@ -108,9 +108,6 @@ func (tl *Telemetry) Series() []*metrics.TimeSeries {
 	return out
 }
 
-// machineOf returns the machine associated with probe i.
-func (tl *Telemetry) machineOf(i int) int { return tl.probes[i].machine }
-
 // MergeSeries combines the series of several telemetry registries into
 // one deterministic view, in argument order then registration order.
 //

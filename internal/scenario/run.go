@@ -176,50 +176,27 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	spikes := make(map[string][]func(sim.Time) float64)
 	for _, ev := range sp.Events {
 		at := mst(ev.AtMS)
-		switch ev.Kind {
-		case KindCrash, KindRestart:
-			s := ev.Machine / f.Machines
-			op := fault.OpCrash
-			if ev.Kind == KindRestart {
-				op = fault.OpRestart
-			}
-			faults[s] = append(faults[s], fault.Event{
-				At: at, Op: op, A: cluster.MachineID(ev.Machine % f.Machines)})
-		case KindPartition, KindDegrade, KindHeal:
-			s := ev.A / f.Machines
-			op := fault.OpPartition
-			switch ev.Kind {
-			case KindDegrade:
-				op = fault.OpDegrade
-			case KindHeal:
-				op = fault.OpHeal
-			}
-			faults[s] = append(faults[s], fault.Event{
-				At: at, Op: op,
-				A:     cluster.MachineID(ev.A % f.Machines),
-				B:     cluster.MachineID(ev.B % f.Machines),
-				Extra: time.Duration(ev.ExtraUS * 1e3),
-				Drop:  ev.Drop,
-			})
-		case KindSpike:
+		switch kind := eventKinds[ev.Kind]; kind.on {
+		case onTenant:
 			spikes[ev.Tenant] = append(spikes[ev.Tenant],
 				load.Spike(at, msd(ev.RampMS), msd(ev.HoldMS), msd(ev.DecayMS), ev.Mult))
-		case KindMigrate:
+		case onStore:
 			s := ev.Store / w.Stores
 			migs[s] = append(migs[s], migration{
 				at: at, store: ev.Store % w.Stores, to: ev.To % f.Machines})
-		case KindGPUXid, KindGPUThrottle, KindGPUHeal:
-			s := ev.Machine / f.Machines
-			op := fault.OpGPUXid
-			switch ev.Kind {
-			case KindGPUThrottle:
-				op = fault.OpGPUThrottle
-			case KindGPUHeal:
-				op = fault.OpGPUHeal
+		default:
+			// Machine-, GPU- and link-addressed kinds are fault-plane
+			// operations; each reads only its own fields of the event.
+			a := ev.Machine
+			if kind.on == onLink {
+				a = ev.A
 			}
-			faults[s] = append(faults[s], fault.Event{
-				At: at, Op: op,
-				A:          cluster.MachineID(ev.Machine % f.Machines),
+			faults[a/f.Machines] = append(faults[a/f.Machines], fault.Event{
+				At: at, Op: kind.op,
+				A:          cluster.MachineID(a % f.Machines),
+				B:          cluster.MachineID(ev.B % f.Machines),
+				Extra:      time.Duration(ev.ExtraUS * 1e3),
+				Drop:       ev.Drop,
 				Gpu:        ev.GPU,
 				Xid:        ev.Xid,
 				Factor:     ev.Factor,
@@ -598,144 +575,150 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	return collect(sp, seed, pk, shards, bucketNS)
 }
 
+// metric is one row of the report: a name assertions may reference,
+// each shard's share of it, and how the run's value follows.
+type metric struct {
+	name  string
+	shard func(st *shardState) float64 // shares add up in shard order; nil when the value only exists run-wide
+	fold  func(r *rollup) float64      // nil: the value is the sum of shares; else computed from the merged run
+}
+
+// rollup is the merged run a fold reads: the Outcome so far — in
+// Metrics, every sum and the folds of the rows above its own — and the
+// state no single shard holds.
+type rollup struct {
+	*Outcome
+	good     []int64 // goodput buckets, summed over shards
+	startNS  int64   // when the last shard finished preloading
+	horizon  int64
+	bucketNS int64
+	windows  float64 // ParKernel barrier windows of the whole run
+}
+
+// ratio is a/b, and 0 while b has nothing in it.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
+// fleetCount reads a trainer-fleet counter; a shard without trainers
+// has no fleet.
+func fleetCount(get func(*gpu.Fleet) int64) func(*shardState) float64 {
+	return func(st *shardState) float64 {
+		if st.fleet == nil {
+			return 0
+		}
+		return float64(get(st.fleet))
+	}
+}
+
+// trainerSum adds a per-trainer count over the shard's trainers.
+func trainerSum(get func(*gpu.Proclet) int64) func(*shardState) float64 {
+	return func(st *shardState) (n float64) {
+		for _, tp := range st.trainers {
+			n += float64(get(tp))
+		}
+		return n
+	}
+}
+
+// metricTable is every metric of a run, in report order. MetricNames,
+// collect's accumulation and the report all derive from it.
+var metricTable = []metric{
+	{"generated", func(st *shardState) float64 { return float64(st.inj.TotalGenerated()) }, nil},
+	{"served", func(st *shardState) float64 { return float64(st.served) }, nil},
+	{"timeouts", func(st *shardState) float64 { return float64(st.timeouts) }, nil},
+	{"timeout_frac", nil, func(r *rollup) float64 { return ratio(r.Metrics["timeouts"], r.Metrics["served"]) }},
+	{"errors", func(st *shardState) float64 { return float64(st.errs) }, nil},
+	{"goodput_rps", nil, func(r *rollup) float64 {
+		return ratio(r.Metrics["served"]-r.Metrics["timeouts"], float64(r.horizon-r.startNS)/1e9)
+	}},
+	{"p50_ms", nil, func(r *rollup) float64 { return r.Hist.QuantileMS(0.50) }},
+	{"p99_ms", nil, func(r *rollup) float64 { return r.Hist.QuantileMS(0.99) }},
+	{"p999_ms", nil, func(r *rollup) float64 { return r.Hist.QuantileMS(0.999) }},
+	{"max_ms", nil, func(r *rollup) float64 { return float64(r.Hist.Max()) / 1e6 }},
+	{"mean_ms", nil, func(r *rollup) float64 { return r.Hist.Mean() / 1e6 }},
+	{"acked_writes", func(st *shardState) float64 { return float64(st.acked) }, nil},
+	{"lost", func(st *shardState) float64 { return float64(st.lost) }, nil},
+	{"crashes", func(st *shardState) float64 { return float64(st.in.Crashes.Value()) }, nil},
+	{"restarts", func(st *shardState) float64 { return float64(st.in.Restarts.Value()) }, nil},
+	{"partitions", func(st *shardState) float64 { return float64(st.in.Partitions.Value()) }, nil},
+	{"degrades", func(st *shardState) float64 { return float64(st.in.Degrades.Value()) }, nil},
+	{"heals", func(st *shardState) float64 { return float64(st.in.Heals.Value()) }, nil},
+	{"promotions", func(st *shardState) float64 {
+		if st.rm == nil {
+			return 0
+		}
+		return float64(st.rm.Promotions.Value())
+	}, nil},
+	{"recoveries", func(st *shardState) float64 { return float64(st.sys.Sched.Recoveries.Value()) }, nil},
+	{"migrations", func(st *shardState) float64 { return float64(st.migOK) }, nil},
+	{"recovery_ms", nil, func(r *rollup) float64 { return recoveryMS(r.Spec, r.good, r.bucketNS, r.startNS, r.horizon) }},
+	{"events", func(st *shardState) float64 { return float64(st.sys.K.EventsProcessed()) }, nil},
+	{"windows", nil, func(r *rollup) float64 { return r.windows }},
+	{"gpu_xids", func(st *shardState) float64 { return float64(st.in.GPUXids.Value()) }, nil},
+	{"gpu_throttles", func(st *shardState) float64 { return float64(st.in.GPUThrottles.Value()) }, nil},
+	{"gpu_heals", func(st *shardState) float64 { return float64(st.in.GPUHeals.Value()) }, nil},
+	{"gpu_restores", fleetCount(func(f *gpu.Fleet) int64 { return f.Restores.Value() }), nil},
+	{"gpu_evacuations", fleetCount(func(f *gpu.Fleet) int64 { return f.Evacuations.Value() }), nil},
+	{"gpu_mitigations", fleetCount(func(f *gpu.Fleet) int64 { return f.Mitigations.Value() }), nil},
+	{"gpu_stranded", fleetCount(func(f *gpu.Fleet) int64 { return f.Stranded.Value() }), nil},
+	{"trainer_steps", trainerSum((*gpu.Proclet).CompletedSteps), nil},
+	{"checkpoints", trainerSum(func(tp *gpu.Proclet) int64 { return tp.Checkpoints.Value() }), nil},
+	{"lost_steps", fleetCount((*gpu.Fleet).LostSteps), nil},
+	{"slo_windows", func(st *shardState) float64 { return float64(st.mon.WindowsClosed()) }, nil},
+	{"slo_breaches", func(st *shardState) float64 { return float64(st.mon.Breaches()) }, nil},
+	{"incidents_opened", func(st *shardState) float64 { return float64(st.mon.Opened()) }, nil},
+	{"incidents_resolved", func(st *shardState) float64 { return float64(st.mon.Resolved()) }, nil},
+	{"incidents_open", func(st *shardState) float64 { return float64(st.mon.OpenCount()) }, nil},
+}
+
+// MetricNames is every metric a scenario assertion may reference, in
+// report order. Run always populates all of them.
+var MetricNames = column(metricTable, func(d metric) string { return d.name })
+
 // collect folds per-shard state into the Outcome, in fixed shard order.
 func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, bucketNS int64) (*Outcome, error) {
-	var generated, served, timeouts, errs, acked uint64
-	var lost, migOK, crashes, restarts, partitions, degrades, heals, promotions, recoveries int64
-	var gpuXids, gpuThrottles, gpuHeals, gpuRestores, gpuEvacs, gpuMitigations, gpuStranded int64
-	var trainerSteps, checkpoints, lostSteps int64
-	var sloWindows, sloBreaches, incOpened, incResolved, incOpen int
-	var events uint64
-	startNS := int64(0)
-	hist := metrics.NewLogHistogram("latency")
-	good := make([]int64, len(shards[0].good))
-	var incidents []slo.Incident
-	var sloHistory [][]slo.WindowStat
+	horizon := mst(sp.HorizonMS)
+	out := &Outcome{Spec: sp, Seed: seed, Pass: true,
+		Metrics: make(map[string]float64, len(metricTable)), Hist: metrics.NewLogHistogram("latency")}
+	r := rollup{Outcome: out, good: make([]int64, len(shards[0].good)),
+		horizon: int64(horizon), bucketNS: bucketNS, windows: float64(pk.Windows())}
 	flightSnaps := make([][]slo.FlightEntry, len(shards))
-	flightDropped := 0
-	horizonT := mst(sp.HorizonMS)
 	for s, st := range shards {
 		// Seal the SLO plane at the horizon: trailing empty windows
 		// close (a tail outage still breaches), incidents still open
 		// get their spans clamped.
-		st.mon.Finish(horizonT)
-		sloWindows += st.mon.WindowsClosed()
-		sloBreaches += st.mon.Breaches()
-		incOpened += st.mon.Opened()
-		incResolved += st.mon.Resolved()
-		incOpen += st.mon.OpenCount()
-		incidents = append(incidents, st.mon.Incidents()...)
+		st.mon.Finish(horizon)
+		out.Incidents = append(out.Incidents, st.mon.Incidents()...)
 		if h := st.mon.History(); h != nil {
-			sloHistory = append(sloHistory, h)
+			out.SLOHistory = append(out.SLOHistory, h)
 		}
 		flightSnaps[s] = st.flight.Snapshot()
-		flightDropped += st.flight.Dropped()
-	}
-	for s, st := range shards {
-		generated += st.inj.TotalGenerated()
-		served += st.served
-		timeouts += st.timeouts
-		errs += st.errs
-		acked += st.acked
-		lost += st.lost
-		migOK += st.migOK
-		crashes += st.in.Crashes.Value()
-		restarts += st.in.Restarts.Value()
-		partitions += st.in.Partitions.Value()
-		degrades += st.in.Degrades.Value()
-		heals += st.in.Heals.Value()
-		if st.rm != nil {
-			promotions += st.rm.Promotions.Value()
+		out.FlightDropped += st.flight.Dropped()
+		if st.startNS > r.startNS {
+			r.startNS = st.startNS
 		}
-		recoveries += st.sys.Sched.Recoveries.Value()
-		gpuXids += st.in.GPUXids.Value()
-		gpuThrottles += st.in.GPUThrottles.Value()
-		gpuHeals += st.in.GPUHeals.Value()
-		if st.fleet != nil {
-			gpuRestores += st.fleet.Restores.Value()
-			gpuEvacs += st.fleet.Evacuations.Value()
-			gpuMitigations += st.fleet.Mitigations.Value()
-			gpuStranded += st.fleet.Stranded.Value()
-			lostSteps += st.fleet.LostSteps()
-			for _, tp := range st.trainers {
-				trainerSteps += tp.CompletedSteps()
-				checkpoints += tp.Checkpoints.Value()
+		out.Hist.Merge(st.hist)
+		for i, v := range st.good {
+			r.good[i] += v
+		}
+		for _, d := range metricTable {
+			if d.shard != nil {
+				out.Metrics[d.name] += d.shard(st)
 			}
 		}
-		if st.startNS > startNS {
-			startNS = st.startNS
-		}
-		events += pk.Shard(s).EventsProcessed()
-		hist.Merge(st.hist)
-		for i, v := range st.good {
-			good[i] += v
+	}
+	for _, d := range metricTable {
+		if d.fold != nil {
+			out.Metrics[d.name] = d.fold(&r)
 		}
 	}
-
-	horizon := int64(mst(sp.HorizonMS))
-	durS := float64(horizon-startNS) / 1e9
-	goodput := 0.0
-	if durS > 0 {
-		goodput = float64(served-timeouts) / durS
-	}
-	timeoutFrac := 0.0
-	if served > 0 {
-		timeoutFrac = float64(timeouts) / float64(served)
-	}
-
-	m := map[string]float64{
-		"generated":    float64(generated),
-		"served":       float64(served),
-		"timeouts":     float64(timeouts),
-		"timeout_frac": timeoutFrac,
-		"errors":       float64(errs),
-		"goodput_rps":  goodput,
-		"p50_ms":       hist.QuantileMS(0.50),
-		"p99_ms":       hist.QuantileMS(0.99),
-		"p999_ms":      hist.QuantileMS(0.999),
-		"max_ms":       float64(hist.Max()) / 1e6,
-		"mean_ms":      hist.Mean() / 1e6,
-		"acked_writes": float64(acked),
-		"lost":         float64(lost),
-		"crashes":      float64(crashes),
-		"restarts":     float64(restarts),
-		"partitions":   float64(partitions),
-		"degrades":     float64(degrades),
-		"heals":        float64(heals),
-		"promotions":   float64(promotions),
-		"recoveries":   float64(recoveries),
-		"migrations":   float64(migOK),
-		"recovery_ms":  recoveryMS(sp, good, bucketNS, startNS, horizon),
-		"events":       float64(events),
-		"windows":      float64(pk.Windows()),
-
-		"gpu_xids":        float64(gpuXids),
-		"gpu_throttles":   float64(gpuThrottles),
-		"gpu_heals":       float64(gpuHeals),
-		"gpu_restores":    float64(gpuRestores),
-		"gpu_evacuations": float64(gpuEvacs),
-		"gpu_mitigations": float64(gpuMitigations),
-		"gpu_stranded":    float64(gpuStranded),
-		"trainer_steps":   float64(trainerSteps),
-		"checkpoints":     float64(checkpoints),
-		"lost_steps":      float64(lostSteps),
-
-		"slo_windows":        float64(sloWindows),
-		"slo_breaches":       float64(sloBreaches),
-		"incidents_opened":   float64(incOpened),
-		"incidents_resolved": float64(incResolved),
-		"incidents_open":     float64(incOpen),
-	}
-
-	out := &Outcome{
-		Spec: sp, Seed: seed, Metrics: m, Hist: hist, Pass: true,
-		Incidents:     incidents,
-		Flight:        slo.MergeSnapshots(flightSnaps...),
-		FlightDropped: flightDropped,
-		SLOHistory:    sloHistory,
-	}
+	out.Flight = slo.MergeSnapshots(flightSnaps...)
 	for _, a := range sp.Asserts {
-		got := m[a.Metric]
+		got := out.Metrics[a.Metric]
 		ok := evalOp(got, a.Op, a.Value)
 		out.Asserts = append(out.Asserts, AssertResult{
 			Metric: a.Metric, Op: a.Op, Bound: a.Value, Got: got, Pass: ok})

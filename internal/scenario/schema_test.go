@@ -1,0 +1,228 @@
+package scenario
+
+import (
+	"fmt"
+	"os"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// walk visits every block of the schema with its dotted path ("" at
+// top level, "fleet.gpus[]").
+func walk(b *block, path string, visit func(path string, b *block)) {
+	visit(path, b)
+	for i := range b.fields {
+		f := &b.fields[i]
+		switch sub := strings.TrimPrefix(path+"."+f.name, "."); f.kind {
+		case reflect.Struct:
+			walk(f.sub, sub, visit)
+		case reflect.Slice:
+			walk(f.sub, sub+"[]", visit)
+		}
+	}
+}
+
+// TestSchema holds the compiled schema to what decode assumes of it:
+// every field of every Spec type is a row (or the @line slot), every
+// row's kind is one set can store, its enum resolves, its bound parses,
+// and its default is in the prototype as the tag spells it.
+func TestSchema(t *testing.T) {
+	rows := 0
+	walk(schema, "", func(path string, b *block) {
+		typ := b.proto.Type()
+		want := typ.NumField()
+		if b.lineOff >= 0 {
+			want--
+			if sf, _ := typ.FieldByName("Line"); int(sf.Offset) != b.lineOff || sf.Type.Kind() != reflect.Int {
+				t.Errorf("%s: @line must mark an int field named Line", typ)
+			}
+		}
+		if len(b.fields) != want {
+			t.Errorf("%s: %d rows for %d fields", typ, len(b.fields), want)
+		}
+		if len(b.fields) > 64 {
+			t.Errorf("%s: %d rows outgrow decode's 64-bit seen set", typ, len(b.fields))
+		}
+		names := map[string]bool{}
+		for i := range b.fields {
+			f := &b.fields[i]
+			rows++
+			at := fmt.Sprintf("%s row %q", typ, f.name)
+			var sf reflect.StructField
+			for j := 0; j < typ.NumField(); j++ {
+				if typ.Field(j).Offset == f.off && typ.Field(j).Tag.Get("yaml") != "" {
+					sf = typ.Field(j)
+				}
+			}
+			if name, _, _ := strings.Cut(sf.Tag.Get("yaml"), ","); name != f.name || sf.Type.Kind() != f.kind {
+				t.Errorf("%s: resolves to field %q of kind %s, declared %s", at, sf.Name, sf.Type.Kind(), f.kind)
+			}
+			if f.name == "" || !validKey(f.name) || names[f.name] {
+				t.Errorf("%s: name is empty, not a YAML key, or taken", at)
+			}
+			names[f.name] = true
+			switch f.kind {
+			case reflect.String, reflect.Bool, reflect.Int, reflect.Int64, reflect.Float64:
+			case reflect.Uint64:
+				if f.bound == "" || f.min < 0 {
+					t.Errorf("%s: an unsigned field needs a bound that keeps it >= 0", at)
+				}
+			case reflect.Struct, reflect.Slice:
+				if f.sub == nil || f.def != "" || f.bound != "" || f.noun != "" || f.required {
+					t.Errorf("%s: a nested block takes no def, bound, enum or required", at)
+				}
+				continue
+			default:
+				t.Errorf("%s: no decoder for kind %s", at, f.kind)
+			}
+			if (f.noun != "") != (f.enum != nil) {
+				t.Errorf("%s: enum %q is not in enums", at, f.noun)
+			}
+			if f.enum != nil && f.kind != reflect.String && f.kind != reflect.Int {
+				t.Errorf("%s: an enum is stored as its name or its index, not as %s", at, f.kind)
+			}
+			if f.bound != "" {
+				if f.kind == reflect.String || f.kind == reflect.Bool || f.enum != nil {
+					t.Errorf("%s: bound on a field that is not a number", at)
+				}
+				if min, err := strconv.ParseFloat(strings.TrimPrefix(f.bound, ">= "), 64); f.bound != "positive" && (err != nil || min != f.min) {
+					t.Errorf("%s: bound %q is neither \"positive\" nor \">= x\"", at, f.bound)
+				}
+			}
+			if f.def != "" && f.zero != "" {
+				t.Errorf("%s: def and zero both claim the unset value", at)
+			}
+			if got := fmt.Sprint(b.proto.FieldByIndex(sf.Index).Interface()); f.def != "" && got != f.def {
+				t.Errorf("%s: prototype holds %s, tag says def %q", at, got, f.def)
+			}
+		}
+	})
+	if rows < 80 {
+		t.Errorf("walked %d rows; the format has more than that", rows)
+	}
+	for noun, e := range enums {
+		if len(e.names) == 0 || e.word == "" {
+			t.Errorf("enum %q is empty", noun)
+		}
+	}
+	if kinds := enums["event kind"].names; len(kinds) != len(eventKinds) || kinds[KindGPUHeal] != "gpu_heal" {
+		t.Errorf("event kind names %v do not index eventKinds", kinds)
+	}
+}
+
+// TestParseAllocs pins what a lazily built error context buys: the
+// per-block decoders formatted one per field and parsed az-outage.yaml
+// in 332 allocations; the schema walk takes about 225.
+func TestParseAllocs(t *testing.T) {
+	src, err := os.ReadFile("../../scenarios/az-outage.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 332
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(string(src)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("Parse(az-outage.yaml) = %v allocs, ceiling %d", got, ceiling)
+	}
+}
+
+// TestDegenerateValues feeds Parse the numbers that used to reach Run
+// and panic it (makeslice, divide by zero, non-positive sample step,
+// counter decrement, zero-width SLO window), their neighbours, and the
+// odd values that have always run. Parse must reject with a located
+// message or accept; whatever it accepts, Run must survive.
+func TestDegenerateValues(t *testing.T) {
+	top := func(line string) string { return minimal + line + "\n" }
+	workload := func(line string) string {
+		return strings.Replace(minimal, "  stores: 2\n", "  stores: 2\n  "+line+"\n", 1)
+	}
+	slo := func(line string) string { return minimal + "slo:\n  " + line + "\n" }
+	cases := []struct{ name, src, want string }{
+		{"bucket_ms negative", top("bucket_ms: -1"), `field "bucket_ms": must be >= 1e-6 (line 11)`},
+		{"bucket_ms rounds to 0ns", top("bucket_ms: 0.0000001"), `field "bucket_ms": must be >= 1e-6 (line 11)`},
+		{"bucket_ms unset", top("bucket_ms: 0"), ""},
+		{"drain_ms negative", top("drain_ms: -50"), `field "drain_ms": must be >= 0 (line 11)`},
+		{"drain_ms unset", top("drain_ms: 0"), ""},
+		{"horizon_ms negative", strings.Replace(minimal, "horizon_ms: 4", "horizon_ms: -4", 1), `field "horizon_ms": must be >= 0.001 (line 2)`},
+		{"horizon_ms rounds to 0ns", strings.Replace(minimal, "horizon_ms: 4", "horizon_ms: 0.0000001", 1), `field "horizon_ms": must be >= 0.001 (line 2)`},
+		{"horizon_ms not a finite number", strings.Replace(minimal, "horizon_ms: 4", "horizon_ms: inf", 1), `field "horizon_ms": expected a number, got "inf" (line 2)`},
+		{"sample_step_ms negative", workload("sample_step_ms: -1"), `workload: field "sample_step_ms": must be >= 1e-6 (line 7)`},
+		{"sample_step_ms rounds to 0ns", workload("sample_step_ms: 0.0000001"), `workload: field "sample_step_ms": must be >= 1e-6 (line 7)`},
+		{"object_bytes negative", workload("object_bytes: -5"), `workload: field "object_bytes": must be >= 0 (line 7)`},
+		{"object_bytes zero", workload("object_bytes: 0"), ""},
+		{"deadline_us zero", workload("deadline_us: 0"), ""},
+		{"deadline_us negative", workload("deadline_us: -1"), ""},
+		{"batch_max zero", workload("batch_max: 0"), `workload: field "batch_max": must be >= 1 (line 7)`},
+		{"machines too few", strings.Replace(minimal, "machines: 3", "machines: 1", 1), `fleet: field "machines": must be >= 2 (line 4)`},
+		{"slo window rounds to 0ns", slo("window_ms: 0.0000001"), `slo: field "window_ms": must be >= 1e-6 (line 12)`},
+		{"slo window negative", slo("window_ms: -1"), `slo: field "window_ms": must be >= 1e-6 (line 12)`},
+		{"slo window zero, no rules", slo("window_ms: 0"), ""},
+		{"slo ring empty", slo("windows: 0"), `slo: field "windows": must be >= 1 (line 12)`},
+		{"trainer batch negative", workload("trainers:\n    batch_kb: -1"), `trainers: field "batch_kb": must be >= 0 (line 8)`},
+		{"tenant keys zero", minimal + "      keys: 0\n", `tenants[0]: field "keys": must be positive (line 11)`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := Parse(tc.src)
+			if tc.want != "" {
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("Parse error = %v\nwant %s", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Parse rejected a value that has always run: %v", err)
+			}
+			if _, err := Run(sp, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// fieldReference renders the schema as DESIGN.md's field-reference
+// table: one row per field, blocks in declaration order. An empty
+// default is the type's zero value.
+func fieldReference() string {
+	types := map[reflect.Kind]string{reflect.String: "string", reflect.Bool: "bool", reflect.Float64: "float",
+		reflect.Int: "int", reflect.Int64: "int", reflect.Uint64: "int",
+		reflect.Struct: "mapping", reflect.Slice: "sequence of mappings"}
+	var sb strings.Builder
+	sb.WriteString("| field | type | default | bounds | values |\n|---|---|---|---|---|\n")
+	walk(schema, "", func(path string, b *block) {
+		for i := range b.fields {
+			f := &b.fields[i]
+			typ, def, values := types[f.kind], f.def, ""
+			if f.required {
+				def = "required"
+			} else if f.zero != "" {
+				def = "unset = " + f.zero
+			}
+			if f.noun == "metric" {
+				typ, values = "enum", "every metric of the report (`MetricNames`)"
+			} else if f.enum != nil {
+				typ, values = "enum", "`"+strings.Join(f.enum.names, "` `")+"`"
+			}
+			fmt.Fprintf(&sb, "| `%s` | %s | %s | %s | %s |\n",
+				strings.TrimPrefix(path+"."+f.name, "."), typ, def, f.bound, values)
+		}
+	})
+	return sb.String()
+}
+
+// TestDesignFieldReference fails when DESIGN.md's field-reference table
+// and the schema drift apart; the failure prints the table to paste.
+func TestDesignFieldReference(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fieldReference(); !strings.Contains(string(doc), want) {
+		t.Errorf("DESIGN.md's scenario field reference is not what the schema renders; replace it with:\n%s", want)
+	}
+}

@@ -3,27 +3,45 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sort"
+	"reflect"
+	"slices"
+	"strconv"
 	"strings"
+	"unsafe"
+
+	"repro/internal/fault"
 )
 
+// The scenario format is declared once, on the types below: a field's
+// struct tags are its schema row, compiled at start-up into the table
+// (see block) that Parse's one generic decoder walks.
+//
+//	yaml:"name"           the YAML key; ",required" makes its absence an error;
+//	                      "@line" marks the field that receives the mapping's source line
+//	def:"v"               the value when the key is absent
+//	zero:"text"           0 means unset, and text says what unset resolves to;
+//	                      bounds do not apply to it
+//	bound:"positive"      the admitted range, worded as messages word it: "positive" or ">= x"
+//	enum:"noun"           the value must belong to enums[noun]
+//	label:"l"             a nested block's name in error messages, when not the key
+//
 // Spec is one fully decoded, validated scenario: a fleet, a workload
 // mix, a timed event schedule, and declarative assertions over the
 // run's measured metrics.
 type Spec struct {
-	Name         string
-	Description  string
-	Seed         int64   // committed seed; qsctl run -seed overrides
-	HorizonMS    float64 // virtual run length
-	BucketMS     float64 // goodput bucket width (default horizon/40)
-	DrainMS      float64 // post-horizon drain+verify window (default max(6, horizon/2))
-	RecoveryFrac float64 // goodput fraction of baseline that counts as recovered
+	Name         string  `yaml:"name"`
+	Description  string  `yaml:"description"`
+	Seed         int64   `yaml:"seed" def:"1"`                                        // committed seed; qsctl run -seed overrides
+	HorizonMS    float64 `yaml:"horizon_ms" bound:">= 0.001"`                         // virtual run length; the floor keeps each default derived from it >= 1ns
+	BucketMS     float64 `yaml:"bucket_ms" zero:"horizon_ms / 40" bound:">= 1e-6"`    // goodput bucket width
+	DrainMS      float64 `yaml:"drain_ms" zero:"max(6, horizon_ms / 2)" bound:">= 0"` // post-horizon drain+verify window
+	RecoveryFrac float64 `yaml:"recovery_frac" def:"0.9"`                             // goodput fraction of baseline that counts as recovered
 
-	Fleet    Fleet
-	Workload Workload
-	Events   []Event
-	Asserts  []Assertion
-	SLO      SLO
+	Fleet    Fleet       `yaml:"fleet"`
+	Workload Workload    `yaml:"workload"`
+	Events   []Event     `yaml:"events"`
+	Asserts  []Assertion `yaml:"assertions"`
+	SLO      SLO         `yaml:"slo"`
 }
 
 // SLO configures the streaming SLO plane (internal/obs/slo): fixed
@@ -31,9 +49,9 @@ type Spec struct {
 // open/close incidents. Rates (floor_rps) are fleet-wide; Run divides
 // them by the shard count, matching how tenant rates split.
 type SLO struct {
-	WindowMS float64
-	Windows  int // burn-rate ring: rules look at the last N windows
-	Rules    []SLORule
+	WindowMS float64   `yaml:"window_ms" zero:"no SLO plane" bound:">= 1e-6"`
+	Windows  int       `yaml:"windows" def:"5" bound:">= 1"` // burn-rate ring: rules look at the last N windows
+	Rules    []SLORule `yaml:"rules" label:"slo rules"`
 }
 
 // Enabled reports whether the scenario declared an slo block.
@@ -41,14 +59,14 @@ func (s SLO) Enabled() bool { return s.WindowMS > 0 }
 
 // SLORule mirrors slo.Rule with spec-level units.
 type SLORule struct {
-	Kind     string // p999_above | goodput_below | error_rate_above
-	Name     string
-	BoundMS  float64 // p999_above
-	FloorRPS float64 // goodput_below, fleet-wide
-	Ceiling  float64 // error_rate_above, fraction in [0,1]
-	For      int
-	Severity string // warn (default) | page
-	Line     int
+	Kind     string  `yaml:"kind,required" enum:"rule kind"`
+	Name     string  `yaml:"name"`
+	BoundMS  float64 `yaml:"bound_ms"`  // p999_above
+	FloorRPS float64 `yaml:"floor_rps"` // goodput_below, fleet-wide
+	Ceiling  float64 `yaml:"ceiling"`   // error_rate_above, fraction in [0,1)
+	For      int     `yaml:"for" def:"1"`
+	Severity string  `yaml:"severity" def:"warn" enum:"severity"`
+	Line     int     `yaml:"@line"`
 }
 
 // Fleet shapes the simulated cluster: Shards independent kernel shards
@@ -56,11 +74,11 @@ type SLORule struct {
 // (servers, failure-detector monitor) and cannot be crashed. GPUs, when
 // present, attach to every non-front-end machine (1..Machines-1).
 type Fleet struct {
-	Shards   int
-	Machines int // per shard
-	Cores    int
-	MemMB    int64
-	GPUs     []GPUClass // device classes per non-front-end machine
+	Shards   int        `yaml:"shards" def:"1" bound:">= 1"`
+	Machines int        `yaml:"machines" def:"4" bound:">= 2"` // per shard
+	Cores    int        `yaml:"cores" def:"4" bound:">= 1"`
+	MemMB    int64      `yaml:"mem_mb" def:"64" bound:">= 1"`
+	GPUs     []GPUClass `yaml:"gpus"` // device classes per non-front-end machine
 }
 
 // GPUsPerMachine is the device count each GPU-bearing machine hosts.
@@ -76,29 +94,29 @@ func (f Fleet) GPUsPerMachine() int {
 // machine, each with MemMB of device memory, a LinkGBps host link, and
 // a relative Speed (kernel time divides by it).
 type GPUClass struct {
-	Count    int
-	MemMB    int64
-	LinkGBps float64
-	Class    string
-	Speed    float64
+	Count    int     `yaml:"count" def:"1"`
+	MemMB    int64   `yaml:"mem_mb"`
+	LinkGBps float64 `yaml:"link_gbps" def:"16"`
+	Class    string  `yaml:"class" def:"gpu"`
+	Speed    float64 `yaml:"speed" def:"1"`
 }
 
 // Workload is the serving mix driven against the fleet: preloaded
 // stores, an open-loop multi-tenant request stream, and a write
 // fraction that makes durability observable.
 type Workload struct {
-	Stores       int  // memory proclets per shard, on machines 1..Machines-1
-	RF           int  // replication factor; 1 = unreplicated
-	Rebuild      bool // RF=1 only: rebuild crash-lost contents from the golden record
-	Objects      int  // preloaded objects per store
-	ObjectBytes  int64
-	WriteFrac    float64 // fraction of requests that are writes
-	Servers      int     // server procs per shard, on machine 0
-	BatchMax     int
-	DeadlineUS   float64 // latency deadline; beyond it a request is a timeout
-	SampleStepMS float64 // rate-curve discretization step
-	Tenants      []Tenant
-	Trainers     Trainers
+	Stores       int      `yaml:"stores" def:"4" bound:">= 1"`    // memory proclets per shard, on machines 1..Machines-1
+	RF           int      `yaml:"rf" def:"1"`                     // replication factor; 1 = unreplicated
+	Rebuild      bool     `yaml:"rebuild"`                        // RF=1 only: rebuild crash-lost contents from the golden record
+	Objects      int      `yaml:"objects" def:"512" bound:">= 1"` // preloaded objects per store
+	ObjectBytes  int64    `yaml:"object_bytes" def:"256" bound:">= 0"`
+	WriteFrac    float64  `yaml:"write_frac" def:"0.25"`        // fraction of requests that are writes
+	Servers      int      `yaml:"servers" def:"4" bound:">= 1"` // server procs per shard, on machine 0
+	BatchMax     int      `yaml:"batch_max" def:"32" bound:">= 1"`
+	DeadlineUS   float64  `yaml:"deadline_us" def:"1000"`                                 // latency deadline; beyond it a request is a timeout
+	SampleStepMS float64  `yaml:"sample_step_ms" zero:"horizon_ms / 200" bound:">= 1e-6"` // rate-curve discretization step
+	Tenants      []Tenant `yaml:"tenants"`
+	Trainers     Trainers `yaml:"trainers"`
 }
 
 // Trainers is an optional GPU training workload riding alongside the
@@ -107,34 +125,32 @@ type Workload struct {
 // every step's optimizer delta to anti-affine host RAM before the ack,
 // so a fatal device error (gpu_xid) loses at most the in-flight step.
 type Trainers struct {
-	Count         int
-	ModelMB       int64   // device-resident state per trainer
-	StepUS        float64 // kernel time per step at speed 1
-	BatchKB       int64   // per-step batch upload
-	CheckpointKB  int64   // per-step delta ship; 0 disables checkpointing
-	SnapshotEvery int     // every Nth delta is a full snapshot
+	Count         int     `yaml:"count"`
+	ModelMB       int64   `yaml:"model_mb"`                    // device-resident state per trainer
+	StepUS        float64 `yaml:"step_us"`                     // kernel time per step at speed 1
+	BatchKB       int64   `yaml:"batch_kb" bound:">= 0"`       // per-step batch upload
+	CheckpointKB  int64   `yaml:"checkpoint_kb" bound:">= 0"`  // per-step delta ship; 0 disables checkpointing
+	SnapshotEvery int     `yaml:"snapshot_every" bound:">= 0"` // every Nth delta is a full snapshot
 }
 
 // Tenant is one aggregate client population: a rate curve over the
 // horizon and a Zipfian key popularity.
 type Tenant struct {
-	Name     string
-	Rate     float64 // aggregate req/s across the whole fleet
-	Curve    string  // constant | diurnal | ramp
-	Amp      float64 // diurnal amplitude in [0,1]
-	PeriodMS float64 // diurnal period
-	To       float64 // ramp target rate
-	OverMS   float64 // ramp duration
-	Zipf     float64 // Zipfian skew theta
-	Keys     uint64  // keyspace size
+	Name     string  `yaml:"name"`
+	Rate     float64 `yaml:"rate"` // aggregate req/s across the whole fleet
+	Curve    string  `yaml:"curve" zero:"constant" enum:"curve"`
+	Amp      float64 `yaml:"amp"`                                 // diurnal amplitude in [0,1]
+	PeriodMS float64 `yaml:"period_ms" zero:"horizon_ms"`         // diurnal period
+	To       float64 `yaml:"to"`                                  // ramp target rate
+	OverMS   float64 `yaml:"over_ms"`                             // ramp duration
+	Zipf     float64 `yaml:"zipf" zero:"0.9"`                     // Zipfian skew theta
+	Keys     uint64  `yaml:"keys" def:"1048576" bound:"positive"` // keyspace size
 }
 
 // EventKind enumerates the timed operations a scenario can schedule.
 type EventKind int
 
-// Event kinds. Fault kinds compile onto the per-shard fault.Injector;
-// spike folds into the tenant's rate curve; migrate compiles to a
-// timed proclet migration.
+// Event kinds, in eventKinds order.
 const (
 	KindCrash EventKind = iota
 	KindRestart
@@ -148,39 +164,75 @@ const (
 	KindGPUHeal
 )
 
-var kindNames = []string{"crash", "restart", "partition", "degrade", "heal", "spike", "migrate",
-	"gpu_xid", "gpu_throttle", "gpu_heal"}
+// target says which Event fields address what a kind acts on — and
+// with that, which shard it compiles onto.
+type target int
 
-func (k EventKind) String() string { return kindNames[k] }
+const (
+	onMachine target = iota // Machine
+	onGPU                   // GPU on Machine
+	onLink                  // the A–B link
+	onTenant                // Tenant, on every shard: folds into its rate curve
+	onStore                 // Store, moving to machine To
+)
+
+// notFault marks the kinds that do not compile onto the fault plane.
+const notFault fault.Op = -1
+
+type eventKind struct {
+	name string
+	op   fault.Op
+	on   target
+}
+
+// eventKinds is the event vocabulary: each kind's YAML name, the
+// fault-plane operation it compiles to, and how it addresses its
+// target. Kind lookup, validate's range checks and Run's compile loop
+// all read this table.
+var eventKinds = [...]eventKind{
+	KindCrash:       {"crash", fault.OpCrash, onMachine},
+	KindRestart:     {"restart", fault.OpRestart, onMachine},
+	KindPartition:   {"partition", fault.OpPartition, onLink},
+	KindDegrade:     {"degrade", fault.OpDegrade, onLink},
+	KindHeal:        {"heal", fault.OpHeal, onLink},
+	KindSpike:       {"spike", notFault, onTenant},
+	KindMigrate:     {"migrate", notFault, onStore},
+	KindGPUXid:      {"gpu_xid", fault.OpGPUXid, onGPU},
+	KindGPUThrottle: {"gpu_throttle", fault.OpGPUThrottle, onGPU},
+	KindGPUHeal:     {"gpu_heal", fault.OpGPUHeal, onGPU},
+}
+
+func (k EventKind) String() string { return eventKinds[k].name }
 
 // Event is one timed operation. Machine, A, B, Store, and To are
 // global indices: machine g lives on shard g/Fleet.Machines as local
 // machine g%Fleet.Machines, store s on shard s/Workload.Stores.
 type Event struct {
-	AtMS float64
-	Kind EventKind
-	Line int
+	AtMS float64   `yaml:"at_ms"`
+	Kind EventKind `yaml:"kind,required" enum:"event kind"`
+	Line int       `yaml:"@line"`
 
-	Machine int // crash, restart
+	Machine int `yaml:"machine" def:"-1"` // crash, restart, gpu_*
 
-	A, B    int     // partition, degrade, heal
-	ExtraUS float64 // degrade: added latency
-	Drop    float64 // degrade: drop probability
+	A       int     `yaml:"a" def:"-1"` // partition, degrade, heal
+	B       int     `yaml:"b" def:"-1"`
+	ExtraUS float64 `yaml:"extra_us"` // degrade: added latency
+	Drop    float64 `yaml:"drop"`     // degrade: drop probability
 
-	Tenant  string  // spike
-	Mult    float64 // spike multiplier
-	RampMS  float64
-	HoldMS  float64
-	DecayMS float64
+	Tenant  string  `yaml:"tenant"` // spike
+	Mult    float64 `yaml:"mult"`   // spike multiplier (>= 1)
+	RampMS  float64 `yaml:"ramp_ms"`
+	HoldMS  float64 `yaml:"hold_ms"`
+	DecayMS float64 `yaml:"decay_ms"`
 
-	Store int // migrate: global store index
-	To    int // migrate: global destination machine
+	Store int `yaml:"store" def:"-1"` // migrate: global store index
+	To    int `yaml:"to" def:"-1"`    // migrate: global destination machine
 
-	GPU         int     // gpu_*: device index on Machine
-	Xid         int     // gpu_xid: device error code
-	Factor      float64 // gpu_throttle: multiplicative slowdown (>= 1)
-	StallEveryN int     // gpu_throttle: ECC stutter cadence (0 = none)
-	StallUS     float64 // gpu_throttle: stall length per stutter
+	GPU         int     `yaml:"gpu" def:"-1"` // gpu_*: device index on Machine
+	Xid         int     `yaml:"xid" def:"79"` // gpu_xid: device error code
+	Factor      float64 `yaml:"factor"`       // gpu_throttle: multiplicative slowdown (> 1)
+	StallEveryN int     `yaml:"stall_every"`  // gpu_throttle: ECC stutter cadence (0 = none)
+	StallUS     float64 `yaml:"stall_us"`     // gpu_throttle: stall length per stutter
 }
 
 // EndMS is when the event's disturbance is over: the instant itself,
@@ -218,46 +270,249 @@ func (e Event) String() string {
 
 // Assertion is one declarative bound over a run metric.
 type Assertion struct {
-	Metric string
-	Op     string // == != < <= > >=
-	Value  float64
-	Line   int
+	Metric string  `yaml:"metric,required" enum:"metric"`
+	Op     string  `yaml:"op,required" enum:"comparison op"`
+	Value  float64 `yaml:"value,required"`
+	Line   int     `yaml:"@line"`
 }
 
 func (a Assertion) String() string {
 	return fmt.Sprintf("%s %s %g", a.Metric, a.Op, a.Value)
 }
 
-// MetricNames is every metric a scenario assertion may reference, in
-// report order. Run always populates all of them.
-var MetricNames = []string{
-	"generated", "served", "timeouts", "timeout_frac", "errors",
-	"goodput_rps", "p50_ms", "p99_ms", "p999_ms", "max_ms", "mean_ms",
-	"acked_writes", "lost",
-	"crashes", "restarts", "partitions", "degrades", "heals",
-	"promotions", "recoveries", "migrations",
-	"recovery_ms", "events", "windows",
-	"gpu_xids", "gpu_throttles", "gpu_heals",
-	"gpu_restores", "gpu_evacuations", "gpu_mitigations", "gpu_stranded",
-	"trainer_steps", "checkpoints", "lost_steps",
-	"slo_windows", "slo_breaches",
-	"incidents_opened", "incidents_resolved", "incidents_open",
-}
-
-var metricSet = func() map[string]bool {
-	m := make(map[string]bool, len(MetricNames))
-	for _, n := range MetricNames {
-		m[n] = true
-	}
-	return m
-}()
-
-var assertOps = []string{"==", "!=", "<", "<=", ">", ">="}
-
 // NeverRecovered is the recovery_ms value reported when goodput never
 // regains the recovery threshold after the last event: any upper-bound
 // assertion on recovery_ms fails against it.
 const NeverRecovered = 1e300
+
+// enum is a closed set of names: a string field holds one of them, an
+// integer field such as Event.Kind the index of one.
+type enum struct {
+	word  string // introduces the set in messages: "want a, b, c"
+	names []string
+	late  bool // membership is validate's to check — its message names the owner — not the decoder's
+}
+
+func (e *enum) hint() string { return e.word + " " + strings.Join(e.names, ", ") }
+
+// enums is every closed set of the format, keyed by the noun messages
+// use for it.
+var enums = map[string]*enum{
+	"event kind":    {"want", column(eventKinds[:], func(k eventKind) string { return k.name }), false},
+	"rule kind":     {"want", []string{"p999_above", "goodput_below", "error_rate_above"}, false},
+	"severity":      {"want", []string{"warn", "page"}, true},
+	"curve":         {"want", []string{"constant", "diurnal", "ramp"}, true},
+	"metric":        {"known:", MetricNames, false},
+	"comparison op": {"want", []string{"==", "!=", "<", "<=", ">", ">="}, false},
+}
+
+// column is one string of every row of a table, in row order.
+func column[T any](rows []T, of func(T) string) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = of(row)
+	}
+	return out
+}
+
+// field is one schema row: a YAML key, where its value lands in the Go
+// struct, and which values it admits.
+type field struct {
+	name     string
+	kind     reflect.Kind // String, Bool, Int, Int64, Uint64 or Float64; Struct or Slice for a nested block
+	off      uintptr      // offset in the enclosing struct
+	want     string       // the value's type as messages put it: "a number", "a mapping"
+	required bool
+	def      string  // initial value as the tag spells it; "" leaves the zero value
+	zero     string  // non-empty: 0 means unset, and this says what unset resolves to
+	bound    string  // non-empty: the admitted range, "positive" or ">= x"
+	min      float64 // the bound itself, exclusive when bound is "positive"
+	noun     string  // enums key, and the noun of the bad-value message
+	enum     *enum
+	sub      *block       // Struct: the nested mapping; Slice: each item's mapping
+	slice    reflect.Type // Slice only
+}
+
+// block is the compiled schema of one mapping of the format.
+type block struct {
+	label   string // what messages about the block open with: "" at top level, "fleet: ", "gpus[%d]: "
+	fields  []field
+	lineOff int           // where the mapping's source line goes; -1 when nowhere
+	proto   reflect.Value // a struct value holding every default
+}
+
+// schema is the whole format, compiled once from Spec's struct tags.
+var schema = compile(reflect.TypeOf(Spec{}), "")
+
+// compile reads t's struct tags into a block. It runs at start-up only;
+// TestSchema holds it to what decode assumes of a row.
+func compile(t reflect.Type, label string) *block {
+	b := &block{label: label, lineOff: -1, proto: reflect.New(t).Elem()}
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		name, opt, _ := strings.Cut(sf.Tag.Get("yaml"), ",")
+		if name == "@line" {
+			b.lineOff = int(sf.Offset)
+			continue
+		}
+		f := field{name: name, kind: sf.Type.Kind(), off: sf.Offset, want: "an integer", required: opt == "required",
+			def: sf.Tag.Get("def"), zero: sf.Tag.Get("zero"), bound: sf.Tag.Get("bound"), noun: sf.Tag.Get("enum")}
+		f.min, _ = strconv.ParseFloat(strings.TrimPrefix(f.bound, ">= "), 64) // "positive": above 0
+		f.enum = enums[f.noun]
+		sub := sf.Tag.Get("label")
+		if sub == "" {
+			sub = name
+		}
+		switch f.kind {
+		case reflect.Struct:
+			f.want, f.sub = "a mapping", compile(sf.Type, sub+": ")
+			b.proto.Field(i).Set(f.sub.proto)
+		case reflect.Slice:
+			f.want, f.slice, f.sub = "a sequence", sf.Type, compile(sf.Type.Elem(), sub+"[%d]: ")
+		case reflect.String:
+			f.want = "a string"
+		case reflect.Bool:
+			f.want = "true or false"
+		case reflect.Float64:
+			f.want = "a number"
+		}
+		if f.enum != nil {
+			f.want = "a string"
+		}
+		if f.def != "" {
+			if msg := f.set(b.proto.Field(i).Addr().UnsafePointer(), f.def); msg != "" {
+				panic(fmt.Sprintf("scenario schema: %s.%s: default: %s", t.Name(), sf.Name, msg))
+			}
+		}
+		b.fields = append(b.fields, f)
+	}
+	return b
+}
+
+// mistyped is the message for a value of the wrong type or shape: got
+// is a quoted scalar or a node's shape.
+func (f *field) mistyped(got string) string { return f.about("expected " + f.want + ", got " + got) }
+
+// about pins what is wrong with a value on its field.
+func (f *field) about(what string) string { return "field " + strconv.Quote(f.name) + ": " + what }
+
+// set parses scalar s into the field at p. A value it rejects comes
+// back as the message saying why, built only then; no number past this
+// point is NaN or infinite.
+func (f *field) set(p unsafe.Pointer, s string) string {
+	switch {
+	case f.enum != nil:
+		i := slices.Index(f.enum.names, s)
+		if i < 0 && !f.enum.late {
+			return fmt.Sprintf("unknown %s %q (%s)", f.noun, s, f.enum.hint())
+		}
+		if f.kind == reflect.String {
+			*(*string)(p) = s
+		} else {
+			*(*int)(p) = i
+		}
+	case f.kind == reflect.String:
+		*(*string)(p) = s
+	case f.kind == reflect.Bool:
+		if s != "true" && s != "false" {
+			return f.mistyped(strconv.Quote(s))
+		}
+		*(*bool)(p) = s == "true"
+	case f.kind == reflect.Float64:
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return f.mistyped(strconv.Quote(s))
+		}
+		*(*float64)(p) = v
+		return f.outside(v)
+	default:
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return f.mistyped(strconv.Quote(s))
+		}
+		if f.kind == reflect.Int {
+			*(*int)(p) = int(v)
+		} else { // Int64, and Uint64, whose rows all carry a bound that keeps v >= 0
+			*(*int64)(p) = v
+		}
+		return f.outside(float64(v))
+	}
+	return ""
+}
+
+// outside is the message for a number the field's bound does not admit.
+// A zero: row's 0 is no value yet, so no bound applies to it.
+func (f *field) outside(v float64) string {
+	if f.bound == "" || v > f.min || v == f.min && f.bound != "positive" || v == 0 && f.zero != "" {
+		return ""
+	}
+	return f.about("must be " + f.bound)
+}
+
+// errorf is how every decode error is put together: the block (and
+// item) it is in, what is wrong, and the source line.
+func (b *block) errorf(idx, line int, what string) error {
+	return fmt.Errorf("%s%s (line %d)", strings.Replace(b.label, "%d", strconv.Itoa(idx), 1), what, line)
+}
+
+// decode fills the struct at dst, which already holds the block's
+// defaults, from mapping n — item idx of its sequence. Every way a
+// field of the format can be wrong is reported from here and from set.
+func (b *block) decode(n *node, dst unsafe.Pointer, idx int) error {
+	if b.lineOff >= 0 {
+		*(*int)(unsafe.Add(dst, b.lineOff)) = n.line
+	}
+	var seen uint64
+	for i, key := range n.keys {
+		v := n.vals[i]
+		var f *field
+		for fi := range b.fields {
+			if b.fields[fi].name == key {
+				f, seen = &b.fields[fi], seen|1<<fi
+				break
+			}
+		}
+		if f == nil {
+			what := "unknown field "
+			if b.label == "" {
+				what = "unknown top-level field "
+			}
+			return b.errorf(idx, v.line, what+strconv.Quote(key))
+		}
+		p := unsafe.Add(dst, f.off)
+		switch {
+		case f.kind == reflect.Struct && !v.isScalar && !v.isSeq:
+			if err := f.sub.decode(v, p, 0); err != nil {
+				return err
+			}
+		case f.kind == reflect.Slice && v.isSeq:
+			items := reflect.MakeSlice(f.slice, len(v.items), len(v.items))
+			for j, item := range v.items {
+				if item.isScalar || item.isSeq {
+					return f.sub.errorf(j, item.line, "expected a mapping, got "+item.shape())
+				}
+				el := items.Index(j)
+				el.Set(f.sub.proto)
+				if err := f.sub.decode(item, el.Addr().UnsafePointer(), j); err != nil {
+					return err
+				}
+			}
+			reflect.NewAt(f.slice, p).Elem().Set(items)
+		case f.sub != nil || !v.isScalar:
+			return b.errorf(idx, v.line, f.mistyped(v.shape()))
+		default:
+			if msg := f.set(p, v.scalar); msg != "" {
+				return b.errorf(idx, v.line, msg)
+			}
+		}
+	}
+	for fi := range b.fields {
+		if f := &b.fields[fi]; f.required && seen&(1<<fi) == 0 {
+			return b.errorf(idx, n.line, "missing "+strconv.Quote(f.name))
+		}
+	}
+	return nil
+}
 
 // Parse decodes and validates a scenario document. Errors carry the
 // 1-based source line of the offending field.
@@ -266,75 +521,10 @@ func Parse(src string) (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := &Spec{
-		Seed:         1,
-		RecoveryFrac: 0.9,
-		Fleet:        Fleet{Shards: 1, Machines: 4, Cores: 4, MemMB: 64},
-		Workload: Workload{
-			Stores:      4,
-			RF:          1,
-			Objects:     512,
-			ObjectBytes: 256,
-			WriteFrac:   0.25,
-			Servers:     4,
-			BatchMax:    32,
-			DeadlineUS:  1000,
-		},
-	}
-	for i, key := range root.keys {
-		v := root.vals[i]
-		switch key {
-		case "name":
-			if sp.Name, err = v.strVal(`field "name"`); err != nil {
-				return nil, err
-			}
-		case "description":
-			if sp.Description, err = v.strVal(`field "description"`); err != nil {
-				return nil, err
-			}
-		case "seed":
-			if sp.Seed, err = v.intVal(`field "seed"`); err != nil {
-				return nil, err
-			}
-		case "horizon_ms":
-			if sp.HorizonMS, err = v.floatVal(`field "horizon_ms"`); err != nil {
-				return nil, err
-			}
-		case "bucket_ms":
-			if sp.BucketMS, err = v.floatVal(`field "bucket_ms"`); err != nil {
-				return nil, err
-			}
-		case "drain_ms":
-			if sp.DrainMS, err = v.floatVal(`field "drain_ms"`); err != nil {
-				return nil, err
-			}
-		case "recovery_frac":
-			if sp.RecoveryFrac, err = v.floatVal(`field "recovery_frac"`); err != nil {
-				return nil, err
-			}
-		case "fleet":
-			if err = decodeFleet(v, &sp.Fleet); err != nil {
-				return nil, err
-			}
-		case "workload":
-			if err = decodeWorkload(v, &sp.Workload); err != nil {
-				return nil, err
-			}
-		case "events":
-			if sp.Events, err = decodeEvents(v); err != nil {
-				return nil, err
-			}
-		case "assertions":
-			if sp.Asserts, err = decodeAsserts(v); err != nil {
-				return nil, err
-			}
-		case "slo":
-			if err = decodeSLO(v, &sp.SLO); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown top-level field %q (line %d)", key, v.line)
-		}
+	sp := new(Spec)
+	reflect.ValueOf(sp).Elem().Set(schema.proto)
+	if err := schema.decode(root, unsafe.Pointer(sp), 0); err != nil {
+		return nil, err
 	}
 	sp.applyDefaults()
 	if err := sp.validate(); err != nil {
@@ -343,6 +533,9 @@ func Parse(src string) (*Spec, error) {
 	return sp, nil
 }
 
+// applyDefaults resolves the fields whose unset value derives from
+// another field or, for tenants, stands for a fixed default an explicit
+// 0 also selects (their zero: rows).
 func (sp *Spec) applyDefaults() {
 	if sp.BucketMS == 0 {
 		sp.BucketMS = sp.HorizonMS / 40
@@ -361,479 +554,16 @@ func (sp *Spec) applyDefaults() {
 		if t.Zipf == 0 {
 			t.Zipf = 0.9
 		}
-		if t.Keys == 0 {
-			t.Keys = 1 << 20
-		}
 		if t.PeriodMS == 0 {
 			t.PeriodMS = sp.HorizonMS
 		}
 	}
 }
 
-func decodeFleet(n *node, f *Fleet) error {
-	if n.isScalar || n.isSeq {
-		return fmt.Errorf(`field "fleet": expected a mapping, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	for i, key := range n.keys {
-		v := n.vals[i]
-		ctx := fmt.Sprintf("fleet: field %q", key)
-		var err error
-		var iv int64
-		switch key {
-		case "shards":
-			if iv, err = v.intVal(ctx); err == nil {
-				f.Shards = int(iv)
-			}
-		case "machines":
-			if iv, err = v.intVal(ctx); err == nil {
-				f.Machines = int(iv)
-			}
-		case "cores":
-			if iv, err = v.intVal(ctx); err == nil {
-				f.Cores = int(iv)
-			}
-		case "mem_mb":
-			if f.MemMB, err = v.intVal(ctx); err != nil {
-				return err
-			}
-		case "gpus":
-			f.GPUs, err = decodeGPUs(v)
-		default:
-			return fmt.Errorf("fleet: unknown field %q (line %d)", key, v.line)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeGPUs(n *node) ([]GPUClass, error) {
-	if !n.isSeq {
-		return nil, fmt.Errorf(`fleet: field "gpus": expected a sequence, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	var out []GPUClass
-	for gi, item := range n.items {
-		if item.isScalar || item.isSeq {
-			return nil, fmt.Errorf("gpus[%d]: expected a mapping, got a %s (line %d)", gi, item.kindName(), item.line)
-		}
-		c := GPUClass{Count: 1, LinkGBps: 16, Class: "gpu", Speed: 1}
-		for i, key := range item.keys {
-			v := item.vals[i]
-			ctx := fmt.Sprintf("gpus[%d]: field %q", gi, key)
-			var err error
-			var iv int64
-			switch key {
-			case "count":
-				if iv, err = v.intVal(ctx); err == nil {
-					c.Count = int(iv)
-				}
-			case "mem_mb":
-				c.MemMB, err = v.intVal(ctx)
-			case "link_gbps":
-				c.LinkGBps, err = v.floatVal(ctx)
-			case "class":
-				c.Class, err = v.strVal(ctx)
-			case "speed":
-				c.Speed, err = v.floatVal(ctx)
-			default:
-				return nil, fmt.Errorf("gpus[%d]: unknown field %q (line %d)", gi, key, v.line)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-func decodeWorkload(n *node, w *Workload) error {
-	if n.isScalar || n.isSeq {
-		return fmt.Errorf(`field "workload": expected a mapping, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	for i, key := range n.keys {
-		v := n.vals[i]
-		ctx := fmt.Sprintf("workload: field %q", key)
-		var err error
-		var iv int64
-		switch key {
-		case "stores":
-			if iv, err = v.intVal(ctx); err == nil {
-				w.Stores = int(iv)
-			}
-		case "rf":
-			if iv, err = v.intVal(ctx); err == nil {
-				w.RF = int(iv)
-			}
-		case "rebuild":
-			w.Rebuild, err = v.boolVal(ctx)
-		case "objects":
-			if iv, err = v.intVal(ctx); err == nil {
-				w.Objects = int(iv)
-			}
-		case "object_bytes":
-			w.ObjectBytes, err = v.intVal(ctx)
-		case "write_frac":
-			w.WriteFrac, err = v.floatVal(ctx)
-		case "servers":
-			if iv, err = v.intVal(ctx); err == nil {
-				w.Servers = int(iv)
-			}
-		case "batch_max":
-			if iv, err = v.intVal(ctx); err == nil {
-				w.BatchMax = int(iv)
-			}
-		case "deadline_us":
-			w.DeadlineUS, err = v.floatVal(ctx)
-		case "sample_step_ms":
-			w.SampleStepMS, err = v.floatVal(ctx)
-		case "tenants":
-			w.Tenants, err = decodeTenants(v)
-		case "trainers":
-			err = decodeTrainers(v, &w.Trainers)
-		default:
-			return fmt.Errorf("workload: unknown field %q (line %d)", key, v.line)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeTrainers(n *node, t *Trainers) error {
-	if n.isScalar || n.isSeq {
-		return fmt.Errorf(`workload: field "trainers": expected a mapping, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	for i, key := range n.keys {
-		v := n.vals[i]
-		ctx := fmt.Sprintf("trainers: field %q", key)
-		var err error
-		var iv int64
-		switch key {
-		case "count":
-			if iv, err = v.intVal(ctx); err == nil {
-				t.Count = int(iv)
-			}
-		case "model_mb":
-			t.ModelMB, err = v.intVal(ctx)
-		case "step_us":
-			t.StepUS, err = v.floatVal(ctx)
-		case "batch_kb":
-			t.BatchKB, err = v.intVal(ctx)
-		case "checkpoint_kb":
-			t.CheckpointKB, err = v.intVal(ctx)
-		case "snapshot_every":
-			if iv, err = v.intVal(ctx); err == nil {
-				t.SnapshotEvery = int(iv)
-			}
-		default:
-			return fmt.Errorf("trainers: unknown field %q (line %d)", key, v.line)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeTenants(n *node) ([]Tenant, error) {
-	if !n.isSeq {
-		return nil, fmt.Errorf(`workload: field "tenants": expected a sequence, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	var out []Tenant
-	for ti, item := range n.items {
-		if item.isScalar || item.isSeq {
-			return nil, fmt.Errorf("tenants[%d]: expected a mapping, got a %s (line %d)", ti, item.kindName(), item.line)
-		}
-		var t Tenant
-		for i, key := range item.keys {
-			v := item.vals[i]
-			ctx := fmt.Sprintf("tenants[%d]: field %q", ti, key)
-			var err error
-			var iv int64
-			switch key {
-			case "name":
-				t.Name, err = v.strVal(ctx)
-			case "rate":
-				t.Rate, err = v.floatVal(ctx)
-			case "curve":
-				t.Curve, err = v.strVal(ctx)
-			case "amp":
-				t.Amp, err = v.floatVal(ctx)
-			case "period_ms":
-				t.PeriodMS, err = v.floatVal(ctx)
-			case "to":
-				t.To, err = v.floatVal(ctx)
-			case "over_ms":
-				t.OverMS, err = v.floatVal(ctx)
-			case "zipf":
-				t.Zipf, err = v.floatVal(ctx)
-			case "keys":
-				if iv, err = v.intVal(ctx); err == nil {
-					if iv <= 0 {
-						return nil, fmt.Errorf("%s: must be positive (line %d)", ctx, v.line)
-					}
-					t.Keys = uint64(iv)
-				}
-			default:
-				return nil, fmt.Errorf("tenants[%d]: unknown field %q (line %d)", ti, key, v.line)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func decodeEvents(n *node) ([]Event, error) {
-	if !n.isSeq {
-		return nil, fmt.Errorf(`field "events": expected a sequence, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	var out []Event
-	for ei, item := range n.items {
-		if item.isScalar || item.isSeq {
-			return nil, fmt.Errorf("events[%d]: expected a mapping, got a %s (line %d)", ei, item.kindName(), item.line)
-		}
-		ev := Event{Kind: -1, Line: item.line, Machine: -1, A: -1, B: -1, Store: -1, To: -1,
-			GPU: -1, Xid: 79, Mult: math.NaN()}
-		for i, key := range item.keys {
-			v := item.vals[i]
-			ctx := fmt.Sprintf("events[%d]: field %q", ei, key)
-			var err error
-			var iv int64
-			switch key {
-			case "at_ms":
-				ev.AtMS, err = v.floatVal(ctx)
-			case "kind":
-				var s string
-				if s, err = v.strVal(ctx); err == nil {
-					ev.Kind = -1
-					for k, name := range kindNames {
-						if name == s {
-							ev.Kind = EventKind(k)
-						}
-					}
-					if ev.Kind < 0 {
-						return nil, fmt.Errorf("events[%d]: unknown event kind %q (want %s) (line %d)",
-							ei, s, strings.Join(kindNames, ", "), v.line)
-					}
-				}
-			case "machine":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.Machine = int(iv)
-				}
-			case "a":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.A = int(iv)
-				}
-			case "b":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.B = int(iv)
-				}
-			case "extra_us":
-				ev.ExtraUS, err = v.floatVal(ctx)
-			case "drop":
-				ev.Drop, err = v.floatVal(ctx)
-			case "tenant":
-				ev.Tenant, err = v.strVal(ctx)
-			case "mult":
-				ev.Mult, err = v.floatVal(ctx)
-			case "ramp_ms":
-				ev.RampMS, err = v.floatVal(ctx)
-			case "hold_ms":
-				ev.HoldMS, err = v.floatVal(ctx)
-			case "decay_ms":
-				ev.DecayMS, err = v.floatVal(ctx)
-			case "store":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.Store = int(iv)
-				}
-			case "to":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.To = int(iv)
-				}
-			case "gpu":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.GPU = int(iv)
-				}
-			case "xid":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.Xid = int(iv)
-				}
-			case "factor":
-				ev.Factor, err = v.floatVal(ctx)
-			case "stall_every":
-				if iv, err = v.intVal(ctx); err == nil {
-					ev.StallEveryN = int(iv)
-				}
-			case "stall_us":
-				ev.StallUS, err = v.floatVal(ctx)
-			default:
-				return nil, fmt.Errorf("events[%d]: unknown field %q (line %d)", ei, key, v.line)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if ev.Kind < 0 {
-			return nil, fmt.Errorf(`events[%d]: missing "kind" (line %d)`, ei, item.line)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-var sloRuleKinds = []string{"p999_above", "goodput_below", "error_rate_above"}
-
-func decodeSLO(n *node, s *SLO) error {
-	if n.isScalar || n.isSeq {
-		return fmt.Errorf(`field "slo": expected a mapping, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	s.Windows = 5
-	for i, key := range n.keys {
-		v := n.vals[i]
-		ctx := fmt.Sprintf("slo: field %q", key)
-		var err error
-		var iv int64
-		switch key {
-		case "window_ms":
-			s.WindowMS, err = v.floatVal(ctx)
-		case "windows":
-			if iv, err = v.intVal(ctx); err == nil {
-				s.Windows = int(iv)
-			}
-		case "rules":
-			s.Rules, err = decodeSLORules(v)
-		default:
-			return fmt.Errorf("slo: unknown field %q (line %d)", key, v.line)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeSLORules(n *node) ([]SLORule, error) {
-	if !n.isSeq {
-		return nil, fmt.Errorf(`slo: field "rules": expected a sequence, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	var out []SLORule
-	for ri, item := range n.items {
-		if item.isScalar || item.isSeq {
-			return nil, fmt.Errorf("slo rules[%d]: expected a mapping, got a %s (line %d)", ri, item.kindName(), item.line)
-		}
-		r := SLORule{Line: item.line, For: 1, Severity: "warn"}
-		for i, key := range item.keys {
-			v := item.vals[i]
-			ctx := fmt.Sprintf("slo rules[%d]: field %q", ri, key)
-			var err error
-			var iv int64
-			switch key {
-			case "kind":
-				if r.Kind, err = v.strVal(ctx); err == nil {
-					ok := false
-					for _, k := range sloRuleKinds {
-						if k == r.Kind {
-							ok = true
-						}
-					}
-					if !ok {
-						return nil, fmt.Errorf("slo rules[%d]: unknown rule kind %q (want %s) (line %d)",
-							ri, r.Kind, strings.Join(sloRuleKinds, ", "), v.line)
-					}
-				}
-			case "name":
-				r.Name, err = v.strVal(ctx)
-			case "bound_ms":
-				r.BoundMS, err = v.floatVal(ctx)
-			case "floor_rps":
-				r.FloorRPS, err = v.floatVal(ctx)
-			case "ceiling":
-				r.Ceiling, err = v.floatVal(ctx)
-			case "for":
-				if iv, err = v.intVal(ctx); err == nil {
-					r.For = int(iv)
-				}
-			case "severity":
-				r.Severity, err = v.strVal(ctx)
-			default:
-				return nil, fmt.Errorf("slo rules[%d]: unknown field %q (line %d)", ri, key, v.line)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if r.Kind == "" {
-			return nil, fmt.Errorf(`slo rules[%d]: missing "kind" (line %d)`, ri, item.line)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-func decodeAsserts(n *node) ([]Assertion, error) {
-	if !n.isSeq {
-		return nil, fmt.Errorf(`field "assertions": expected a sequence, got a %s (line %d)`, n.kindName(), n.line)
-	}
-	var out []Assertion
-	for ai, item := range n.items {
-		if item.isScalar || item.isSeq {
-			return nil, fmt.Errorf("assertions[%d]: expected a mapping, got a %s (line %d)", ai, item.kindName(), item.line)
-		}
-		a := Assertion{Line: item.line, Value: math.NaN()}
-		for i, key := range item.keys {
-			v := item.vals[i]
-			ctx := fmt.Sprintf("assertions[%d]: field %q", ai, key)
-			var err error
-			switch key {
-			case "metric":
-				if a.Metric, err = v.strVal(ctx); err == nil && !metricSet[a.Metric] {
-					return nil, fmt.Errorf("assertions[%d]: unknown metric %q (known: %s) (line %d)",
-						ai, a.Metric, strings.Join(MetricNames, ", "), v.line)
-				}
-			case "op":
-				if a.Op, err = v.strVal(ctx); err == nil {
-					ok := false
-					for _, op := range assertOps {
-						if op == a.Op {
-							ok = true
-						}
-					}
-					if !ok {
-						return nil, fmt.Errorf("assertions[%d]: unknown comparison op %q (want %s) (line %d)",
-							ai, a.Op, strings.Join(assertOps, ", "), v.line)
-					}
-				}
-			case "value":
-				a.Value, err = v.floatVal(ctx)
-			default:
-				return nil, fmt.Errorf("assertions[%d]: unknown field %q (line %d)", ai, key, v.line)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		if a.Metric == "" {
-			return nil, fmt.Errorf(`assertions[%d]: missing "metric" (line %d)`, ai, item.line)
-		}
-		if a.Op == "" {
-			return nil, fmt.Errorf(`assertions[%d]: missing "op" (line %d)`, ai, item.line)
-		}
-		if math.IsNaN(a.Value) {
-			return nil, fmt.Errorf(`assertions[%d]: missing "value" (line %d)`, ai, item.line)
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-// validate enforces cross-field invariants: fleet/workload shape,
-// event targets in range and on one shard, non-decreasing timestamps.
+// validate enforces what no single schema row can: values whose absence
+// is the error, range reports that name several fields or their owner,
+// and cross-field invariants — replication against fleet shape, event
+// targets in range and on one shard, non-decreasing timestamps.
 func (sp *Spec) validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf(`scenario is missing "name"`)
@@ -845,13 +575,6 @@ func (sp *Spec) validate() error {
 		return fmt.Errorf("scenario %q: recovery_frac must be in (0, 1] (got %g)", sp.Name, sp.RecoveryFrac)
 	}
 	f, w := sp.Fleet, sp.Workload
-	if f.Shards < 1 || f.Machines < 2 || f.Cores < 1 || f.MemMB < 1 {
-		return fmt.Errorf("scenario %q: fleet needs shards >= 1, machines >= 2, cores >= 1, mem_mb >= 1 (got %d/%d/%d/%d)",
-			sp.Name, f.Shards, f.Machines, f.Cores, f.MemMB)
-	}
-	if w.Stores < 1 || w.Servers < 1 || w.BatchMax < 1 || w.Objects < 1 {
-		return fmt.Errorf("scenario %q: workload needs stores, servers, batch_max, objects >= 1", sp.Name)
-	}
 	if w.RF < 1 || w.RF > f.Machines-1 {
 		return fmt.Errorf("scenario %q: rf must be in [1, machines-1] (got rf=%d with %d machines/shard)",
 			sp.Name, w.RF, f.Machines)
@@ -879,9 +602,6 @@ func (sp *Spec) validate() error {
 		if tr.ModelMB < 1 || tr.StepUS <= 0 {
 			return fmt.Errorf("scenario %q: trainers need model_mb >= 1 and step_us > 0 (got %d/%g)",
 				sp.Name, tr.ModelMB, tr.StepUS)
-		}
-		if tr.BatchKB < 0 || tr.CheckpointKB < 0 || tr.SnapshotEvery < 0 {
-			return fmt.Errorf("scenario %q: trainers batch_kb, checkpoint_kb, snapshot_every must be >= 0", sp.Name)
 		}
 	}
 	tenants := map[string]bool{}
@@ -918,9 +638,6 @@ func (sp *Spec) validate() error {
 		if sp.SLO.WindowMS <= 0 {
 			return fmt.Errorf("scenario %q: slo needs window_ms > 0 (got %g)", sp.Name, sp.SLO.WindowMS)
 		}
-		if sp.SLO.Windows < 1 {
-			return fmt.Errorf("scenario %q: slo windows must be >= 1 (got %d)", sp.Name, sp.SLO.Windows)
-		}
 		if len(sp.SLO.Rules) == 0 {
 			return fmt.Errorf("scenario %q: slo needs at least one rule", sp.Name)
 		}
@@ -943,11 +660,9 @@ func (sp *Spec) validate() error {
 					return fmt.Errorf("scenario %q: slo rules[%d]: error_rate_above needs ceiling in [0, 1) (line %d)", sp.Name, ri, r.Line)
 				}
 			}
-			switch r.Severity {
-			case "warn", "page":
-			default:
-				return fmt.Errorf("scenario %q: slo rules[%d]: unknown severity %q (want warn, page) (line %d)",
-					sp.Name, ri, r.Severity, r.Line)
+			if sev := enums["severity"]; !slices.Contains(sev.names, r.Severity) {
+				return fmt.Errorf("scenario %q: slo rules[%d]: unknown severity %q (%s) (line %d)",
+					sp.Name, ri, r.Severity, sev.hint(), r.Line)
 			}
 		}
 	}
@@ -961,64 +676,23 @@ func (sp *Spec) validate() error {
 		if ev.AtMS < 0 || ev.AtMS > sp.HorizonMS {
 			return fmt.Errorf("events[%d]: at_ms=%g outside the run horizon [0, %g] (line %d)", i, ev.AtMS, sp.HorizonMS, ev.Line)
 		}
-		switch ev.Kind {
-		case KindCrash, KindRestart:
-			if ev.Machine < 0 || ev.Machine >= totalMachines {
-				return fmt.Errorf("events[%d]: machine %d out of range [0, %d) (line %d)", i, ev.Machine, totalMachines, ev.Line)
-			}
-			if ev.Machine%f.Machines == 0 {
-				return fmt.Errorf("events[%d]: machine %d is a shard front end (servers + failure monitor) and cannot be %sed (line %d)",
-					i, ev.Machine, ev.Kind, ev.Line)
-			}
-		case KindPartition, KindDegrade, KindHeal:
-			if ev.A < 0 || ev.A >= totalMachines || ev.B < 0 || ev.B >= totalMachines {
-				return fmt.Errorf("events[%d]: link %d-%d out of range [0, %d) (line %d)", i, ev.A, ev.B, totalMachines, ev.Line)
-			}
-			if ev.A == ev.B {
-				return fmt.Errorf("events[%d]: link endpoints must differ (line %d)", i, ev.Line)
-			}
-			if ev.A/f.Machines != ev.B/f.Machines {
-				return fmt.Errorf("events[%d]: link %d-%d crosses shards (%d and %d); link faults are shard-local (line %d)",
-					i, ev.A, ev.B, ev.A/f.Machines, ev.B/f.Machines, ev.Line)
-			}
-			if ev.Kind == KindDegrade && (ev.Drop < 0 || ev.Drop > 1) {
-				return fmt.Errorf("events[%d]: drop must be in [0, 1] (got %g) (line %d)", i, ev.Drop, ev.Line)
-			}
-		case KindSpike:
-			if !tenants[ev.Tenant] {
-				return fmt.Errorf("events[%d]: spike targets unknown tenant %q (line %d)", i, ev.Tenant, ev.Line)
-			}
-			if math.IsNaN(ev.Mult) || ev.Mult < 1 {
-				return fmt.Errorf("events[%d]: spike mult must be >= 1 (line %d)", i, ev.Line)
-			}
-			if ev.RampMS <= 0 || ev.HoldMS < 0 || ev.DecayMS <= 0 {
-				return fmt.Errorf("events[%d]: spike needs ramp_ms > 0, hold_ms >= 0, decay_ms > 0 (line %d)", i, ev.Line)
-			}
-		case KindMigrate:
-			if ev.Store < 0 || ev.Store >= totalStores {
-				return fmt.Errorf("events[%d]: store %d out of range [0, %d) (line %d)", i, ev.Store, totalStores, ev.Line)
-			}
-			if ev.To < 0 || ev.To >= totalMachines {
-				return fmt.Errorf("events[%d]: destination machine %d out of range [0, %d) (line %d)", i, ev.To, totalMachines, ev.Line)
-			}
-			if ev.Store/w.Stores != ev.To/f.Machines {
-				return fmt.Errorf("events[%d]: store %d (shard %d) cannot migrate to machine %d (shard %d); migration is shard-local (line %d)",
-					i, ev.Store, ev.Store/w.Stores, ev.To, ev.To/f.Machines, ev.Line)
-			}
-			if ev.To%f.Machines == 0 {
-				return fmt.Errorf("events[%d]: machine %d is a shard front end; stores live on machines 1.. (line %d)", i, ev.To, ev.Line)
-			}
-		case KindGPUXid, KindGPUThrottle, KindGPUHeal:
-			if len(f.GPUs) == 0 {
+		on := eventKinds[ev.Kind].on
+		switch on {
+		case onMachine, onGPU:
+			if on == onGPU && len(f.GPUs) == 0 {
 				return fmt.Errorf("events[%d]: %s requires fleet.gpus device classes (line %d)", i, ev.Kind, ev.Line)
 			}
 			if ev.Machine < 0 || ev.Machine >= totalMachines {
 				return fmt.Errorf("events[%d]: machine %d out of range [0, %d) (line %d)", i, ev.Machine, totalMachines, ev.Line)
 			}
-			if ev.Machine%f.Machines == 0 {
+			if ev.Machine%f.Machines == 0 && on == onGPU {
 				return fmt.Errorf("events[%d]: machine %d is a shard front end and hosts no GPUs (line %d)", i, ev.Machine, ev.Line)
 			}
-			if per := f.GPUsPerMachine(); ev.GPU < 0 || ev.GPU >= per {
+			if ev.Machine%f.Machines == 0 {
+				return fmt.Errorf("events[%d]: machine %d is a shard front end (servers + failure monitor) and cannot be %sed (line %d)",
+					i, ev.Machine, ev.Kind, ev.Line)
+			}
+			if per := f.GPUsPerMachine(); on == onGPU && (ev.GPU < 0 || ev.GPU >= per) {
 				return fmt.Errorf("events[%d]: gpu %d out of range [0, %d) (line %d)", i, ev.GPU, per, ev.Line)
 			}
 			if ev.Kind == KindGPUThrottle {
@@ -1032,6 +706,44 @@ func (sp *Spec) validate() error {
 					return fmt.Errorf("events[%d]: gpu_throttle stall_every needs stall_us > 0 (line %d)", i, ev.Line)
 				}
 			}
+		case onLink:
+			if ev.A < 0 || ev.A >= totalMachines || ev.B < 0 || ev.B >= totalMachines {
+				return fmt.Errorf("events[%d]: link %d-%d out of range [0, %d) (line %d)", i, ev.A, ev.B, totalMachines, ev.Line)
+			}
+			if ev.A == ev.B {
+				return fmt.Errorf("events[%d]: link endpoints must differ (line %d)", i, ev.Line)
+			}
+			if ev.A/f.Machines != ev.B/f.Machines {
+				return fmt.Errorf("events[%d]: link %d-%d crosses shards (%d and %d); link faults are shard-local (line %d)",
+					i, ev.A, ev.B, ev.A/f.Machines, ev.B/f.Machines, ev.Line)
+			}
+			if ev.Kind == KindDegrade && (ev.Drop < 0 || ev.Drop > 1) {
+				return fmt.Errorf("events[%d]: drop must be in [0, 1] (got %g) (line %d)", i, ev.Drop, ev.Line)
+			}
+		case onTenant:
+			if !tenants[ev.Tenant] {
+				return fmt.Errorf("events[%d]: spike targets unknown tenant %q (line %d)", i, ev.Tenant, ev.Line)
+			}
+			if ev.Mult < 1 {
+				return fmt.Errorf("events[%d]: spike mult must be >= 1 (line %d)", i, ev.Line)
+			}
+			if ev.RampMS <= 0 || ev.HoldMS < 0 || ev.DecayMS <= 0 {
+				return fmt.Errorf("events[%d]: spike needs ramp_ms > 0, hold_ms >= 0, decay_ms > 0 (line %d)", i, ev.Line)
+			}
+		case onStore:
+			if ev.Store < 0 || ev.Store >= totalStores {
+				return fmt.Errorf("events[%d]: store %d out of range [0, %d) (line %d)", i, ev.Store, totalStores, ev.Line)
+			}
+			if ev.To < 0 || ev.To >= totalMachines {
+				return fmt.Errorf("events[%d]: destination machine %d out of range [0, %d) (line %d)", i, ev.To, totalMachines, ev.Line)
+			}
+			if ev.Store/w.Stores != ev.To/f.Machines {
+				return fmt.Errorf("events[%d]: store %d (shard %d) cannot migrate to machine %d (shard %d); migration is shard-local (line %d)",
+					i, ev.Store, ev.Store/w.Stores, ev.To, ev.To/f.Machines, ev.Line)
+			}
+			if ev.To%f.Machines == 0 {
+				return fmt.Errorf("events[%d]: machine %d is a shard front end; stores live on machines 1.. (line %d)", i, ev.To, ev.Line)
+			}
 		}
 	}
 	return nil
@@ -1044,6 +756,6 @@ func sortedKeys(m map[uint64]struct{}) []uint64 {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }

@@ -13,7 +13,7 @@
 //   - sequences:  `- item` scalar items, or `- key: value` mapping
 //     items whose remaining keys sit two spaces deeper
 //   - scalars:    bare tokens or double-quoted strings with \" \\ \n
-//     \t escapes; numbers and booleans are typed at decode time
+//     \t escapes; the schema (spec.go) types numbers and booleans
 //   - comments:   `#` to end of line (outside quotes)
 //
 // Indentation is spaces only; tabs are a parse error. Every parse and
@@ -23,7 +23,6 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -39,15 +38,15 @@ type node struct {
 	items    []*node
 }
 
-// kindName names the node's shape for error messages.
-func (n *node) kindName() string {
+// shape names the node's shape for error messages.
+func (n *node) shape() string {
 	switch {
 	case n.isScalar:
-		return "scalar"
+		return "a scalar"
 	case n.isSeq:
-		return "sequence"
+		return "a sequence"
 	default:
-		return "mapping"
+		return "a mapping"
 	}
 }
 
@@ -59,55 +58,6 @@ func (n *node) get(key string) *node {
 		}
 	}
 	return nil
-}
-
-// strVal decodes the node as a string scalar.
-func (n *node) strVal(ctx string) (string, error) {
-	if !n.isScalar {
-		return "", fmt.Errorf("%s: expected a string, got a %s (line %d)", ctx, n.kindName(), n.line)
-	}
-	return n.scalar, nil
-}
-
-// floatVal decodes the node as a number.
-func (n *node) floatVal(ctx string) (float64, error) {
-	if !n.isScalar {
-		return 0, fmt.Errorf("%s: expected a number, got a %s (line %d)", ctx, n.kindName(), n.line)
-	}
-	v, err := strconv.ParseFloat(n.scalar, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: expected a number, got %q (line %d)", ctx, n.scalar, n.line)
-	}
-	return v, nil
-}
-
-// intVal decodes the node as an integer.
-func (n *node) intVal(ctx string) (int64, error) {
-	if !n.isScalar {
-		return 0, fmt.Errorf("%s: expected an integer, got a %s (line %d)", ctx, n.kindName(), n.line)
-	}
-	v, err := strconv.ParseInt(n.scalar, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: expected an integer, got %q (line %d)", ctx, n.scalar, n.line)
-	}
-	return v, nil
-}
-
-// boolVal decodes the node as true/false.
-func (n *node) boolVal(ctx string) (bool, error) {
-	if n.isScalar {
-		switch n.scalar {
-		case "true":
-			return true, nil
-		case "false":
-			return false, nil
-		}
-	}
-	what := n.kindName()
-	if n.isScalar {
-		what = fmt.Sprintf("%q", n.scalar)
-	}
-	return false, fmt.Errorf("%s: expected true or false, got %s (line %d)", ctx, what, n.line)
 }
 
 // srcLine is one significant source line after comment stripping.

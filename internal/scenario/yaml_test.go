@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // TestParseYAMLShapes covers the structural subset the DSL relies on:
@@ -27,25 +29,25 @@ flags:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := root.get("name").strVal("name"); got != "demo" {
+	if got := root.get("name").scalar; got != "demo" {
 		t.Errorf("name = %q, want demo", got)
 	}
 	fleet := root.get("fleet")
 	if fleet == nil || len(fleet.keys) != 2 {
 		t.Fatalf("fleet mapping not parsed: %+v", fleet)
 	}
-	if n, _ := fleet.get("machines").intVal("machines"); n != 4 {
-		t.Errorf("machines = %d, want 4", n)
+	if n := fleet.get("machines").scalar; n != "4" {
+		t.Errorf("machines = %q, want 4", n)
 	}
 	tenants := root.get("tenants")
 	if tenants == nil || !tenants.isSeq || len(tenants.items) != 2 {
 		t.Fatalf("tenants sequence not parsed: %+v", tenants)
 	}
-	if name, _ := tenants.items[1].get("name").strVal("name"); name != "spiky # not a comment" {
+	if name := tenants.items[1].get("name").scalar; name != "spiky # not a comment" {
 		t.Errorf("quoted name with hash = %q", name)
 	}
-	if r, _ := tenants.items[1].get("rate").floatVal("rate"); r != 2.5 {
-		t.Errorf("rate = %g, want 2.5", r)
+	if r := tenants.items[1].get("rate").scalar; r != "2.5" {
+		t.Errorf("rate = %q, want 2.5", r)
 	}
 	flags := root.get("flags")
 	if !flags.isSeq || len(flags.items) != 2 || !flags.items[0].isScalar {
@@ -86,32 +88,42 @@ func TestParseYAMLErrors(t *testing.T) {
 	}
 }
 
-// TestScalarCoercions checks the typed accessors and their mismatch
-// errors, which back the DSL's "assertion-bound type mismatch" checks.
+// TestScalarCoercions checks how the schema types scalars and the
+// mismatch text when it cannot, which backs the DSL's "assertion-bound
+// type mismatch" checks.
 func TestScalarCoercions(t *testing.T) {
-	root, err := parseYAML("num: 3\nfrac: 0.5\nword: zero\nyes: true\nno: false\n")
-	if err != nil {
+	var got struct {
+		Num   float64 `yaml:"num"`
+		Yes   bool    `yaml:"yes" def:"false"`
+		No    bool    `yaml:"no" def:"true"`
+		Value float64 `yaml:"value"`
+		Frac  int     `yaml:"frac"`
+		Word  bool    `yaml:"word"`
+	}
+	b := compile(reflect.TypeOf(got), "")
+	decode := func(src string) error {
+		root, err := parseYAML(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.decode(root, unsafe.Pointer(&got), 0)
+	}
+	if err := decode("num: 3\nyes: true\nno: false\n"); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := root.get("num").floatVal("num"); err != nil || v != 3 {
-		t.Errorf("floatVal(num) = %g, %v", v, err)
+	if got.Num != 3 || !got.Yes || got.No {
+		t.Errorf("decoded %+v, want num 3, yes true, no false", got)
 	}
-	if v, err := root.get("yes").boolVal("yes"); err != nil || !v {
-		t.Errorf("boolVal(yes) = %v, %v", v, err)
-	}
-	if v, err := root.get("no").boolVal("no"); err != nil || v {
-		t.Errorf("boolVal(no) = %v, %v", v, err)
-	}
-	if _, err := root.get("word").floatVal("value"); err == nil ||
-		!strings.Contains(err.Error(), `value: expected a number, got "zero"`) {
-		t.Errorf("floatVal on word = %v, want type-mismatch error", err)
-	}
-	if _, err := root.get("frac").intVal("frac"); err == nil ||
-		!strings.Contains(err.Error(), `frac: expected an integer, got "0.5"`) {
-		t.Errorf("intVal on fraction = %v, want integer error", err)
-	}
-	if _, err := root.get("word").boolVal("word"); err == nil ||
-		!strings.Contains(err.Error(), "expected true or false") {
-		t.Errorf("boolVal on word = %v, want bool error", err)
+	for src, want := range map[string]string{
+		"value: zero\n":  `value": expected a number, got "zero"`,
+		"frac: 0.5\n":    `frac": expected an integer, got "0.5"`,
+		"word: zero\n":   `expected true or false, got "zero"`,
+		"value: nan\n":   `value": expected a number, got "nan"`,
+		"value: -Inf\n":  `value": expected a number, got "-Inf"`,
+		"word:\n  - a\n": `expected true or false, got a sequence`,
+	} {
+		if err := decode(src); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decode(%q) = %v, want an error containing %q", src, err, want)
+		}
 	}
 }

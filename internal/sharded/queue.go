@@ -84,15 +84,6 @@ func (q *Queue[T]) Len() uint64 { return q.tailSeq - q.headSeq }
 // NumSegments returns the live segment count.
 func (q *Queue[T]) NumSegments() int { return len(q.segs) }
 
-// Segments returns the backing memory proclets, oldest first.
-func (q *Queue[T]) Segments() []*core.MemoryProclet {
-	out := make([]*core.MemoryProclet, len(q.segs))
-	for i, s := range q.segs {
-		out[i] = s.mp
-	}
-	return out
-}
-
 // segFor locates the segment covering sequence number seq.
 func (q *Queue[T]) segFor(seq uint64) *qseg {
 	for _, s := range q.segs {

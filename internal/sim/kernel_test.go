@@ -206,9 +206,9 @@ func TestProcPanicPropagates(t *testing.T) {
 
 func TestBlockedAccounting(t *testing.T) {
 	k := NewKernel(1)
-	ch := NewChan[int](k, 0)
+	var never Cond
 	k.Spawn("stuck", func(p *Proc) {
-		ch.Recv(p) // never satisfied
+		never.Wait(p) // never signaled
 	})
 	k.Run()
 	if k.Blocked() != 1 {
@@ -222,20 +222,25 @@ func TestBlockedAccounting(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (trace []string, events uint64) {
 		k := NewKernel(42)
-		ch := NewChan[int](k, 4)
+		var queue []int
+		var nonEmpty Cond
 		for i := 0; i < 5; i++ {
 			i := i
 			k.Spawn(fmt.Sprintf("producer-%d", i), func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Sleep(time.Duration(k.Rand().Intn(1000)) * time.Microsecond)
-					ch.Send(p, i*100+j)
+					queue = append(queue, i*100+j)
+					nonEmpty.Signal()
 				}
 			})
 		}
 		k.Spawn("consumer", func(p *Proc) {
 			for n := 0; n < 50; n++ {
-				v, _ := ch.Recv(p)
-				trace = append(trace, fmt.Sprintf("%v:%d", p.Now(), v))
+				for len(queue) == 0 {
+					nonEmpty.Wait(p)
+				}
+				trace = append(trace, fmt.Sprintf("%v:%d", p.Now(), queue[0]))
+				queue = queue[1:]
 			}
 		})
 		k.Run()

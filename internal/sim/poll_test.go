@@ -117,26 +117,40 @@ func runPollMix(seed int64, poll pollFn) pollMixRun {
 	// same-instant callback queued behind its first few polls.
 	k.Schedule(0, func() { k.Schedule(0, func() { flags[0]++ }) })
 	for i, n := 0, rng.Intn(3); i < n; i++ {
-		ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
-		k.Spawn("ping", func(p *Proc) {
-			for r := 0; r < 10; r++ {
-				ping.Send(p, r)
-				pong.Recv(p)
-				p.Sleep(time.Duration(k.Rand().Intn(15)) * time.Microsecond)
-			}
-		})
-		k.Spawn("pong", func(p *Proc) {
-			for r := 0; r < 10; r++ {
-				ping.Recv(p)
-				pong.Send(p, r)
-			}
-		})
+		spawnPingPong(k)
 	}
 
 	// Pollers whose flag is never raised again poll forever: bound the run.
 	const horizon = 600 * Microsecond
 	out.drive(k, horizon)
 	return out
+}
+
+// spawnPingPong adds a pair of processes that hand a ball back and
+// forth ten times, each parking until the other signals: blocking
+// handoffs for the pollers' events to interleave with.
+func spawnPingPong(k *Kernel) {
+	ball := 0 // even: ping's turn
+	var toPing, toPong Cond
+	k.Spawn("ping", func(p *Proc) {
+		for r := 0; r < 10; r++ {
+			ball++
+			toPong.Signal()
+			for ball%2 == 1 {
+				toPing.Wait(p)
+			}
+			p.Sleep(time.Duration(k.Rand().Intn(15)) * time.Microsecond)
+		}
+	})
+	k.Spawn("pong", func(p *Proc) {
+		for r := 0; r < 10; r++ {
+			for ball%2 == 0 {
+				toPong.Wait(p)
+			}
+			ball++
+			toPing.Signal()
+		}
+	})
 }
 
 // drive steps k through every event up to horizon, logging each one.
@@ -344,20 +358,7 @@ func runStageMix(seed int64, wait stageFn) pollMixRun {
 		})
 	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
-		ping, pong := NewChan[int](k, 0), NewChan[int](k, 0)
-		k.Spawn("ping", func(p *Proc) {
-			for r := 0; r < 10; r++ {
-				ping.Send(p, r)
-				pong.Recv(p)
-				p.Sleep(time.Duration(k.Rand().Intn(15)) * time.Microsecond)
-			}
-		})
-		k.Spawn("pong", func(p *Proc) {
-			for r := 0; r < 10; r++ {
-				ping.Recv(p)
-				pong.Send(p, r)
-			}
-		})
+		spawnPingPong(k)
 	}
 
 	out.drive(k, math.MaxInt64) // every caller finishes: run to the end
@@ -482,7 +483,7 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	deferred := 0
-	never := NewChan[int](k, 0)
+	var never Cond
 	for i := 0; i < 4; i++ {
 		k.Spawn("daemon", func(p *Proc) {
 			defer func() { deferred++ }()
@@ -501,7 +502,7 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 			p.Sleep(time.Second) // blocks while unwinding: must not hang Close
 			t.Error("deferred function continued past a blocking call")
 		}()
-		never.Recv(p)
+		never.Wait(p)
 	})
 	k.Spawn("short", func(p *Proc) { p.Sleep(time.Microsecond) }) // ends up pooled
 	k.RunUntil(Millisecond)

@@ -88,65 +88,6 @@ func (wg *WaitGroup) release() {
 	wg.waiters = nil
 }
 
-// Semaphore is a counting semaphore with FIFO waiters.
-type Semaphore struct {
-	avail   int64
-	waiters []semWaiter
-}
-
-type semWaiter struct {
-	w waiter
-	n int64
-}
-
-// NewSemaphore creates a semaphore with n initially available units.
-func NewSemaphore(n int64) *Semaphore {
-	if n < 0 {
-		panic("sim: negative semaphore count")
-	}
-	return &Semaphore{avail: n}
-}
-
-// Available returns the number of free units.
-func (s *Semaphore) Available() int64 { return s.avail }
-
-// TryAcquire acquires n units if immediately available.
-func (s *Semaphore) TryAcquire(n int64) bool {
-	if n <= s.avail && len(s.waiters) == 0 {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
-// Acquire blocks until n units are available and takes them.
-func (s *Semaphore) Acquire(p *Proc, n int64) {
-	if s.TryAcquire(n) {
-		return
-	}
-	sw := semWaiter{w: p.prepark(), n: n}
-	s.waiters = append(s.waiters, sw)
-	p.park()
-}
-
-// Release returns n units and wakes eligible waiters in FIFO order.
-func (s *Semaphore) Release(n int64) {
-	s.avail += n
-	for len(s.waiters) > 0 {
-		sw := s.waiters[0]
-		if sw.w.woken() {
-			s.waiters = s.waiters[1:]
-			continue
-		}
-		if sw.n > s.avail {
-			return // FIFO: do not starve the head waiter
-		}
-		s.avail -= sw.n
-		s.waiters = s.waiters[1:]
-		sw.w.wake()
-	}
-}
-
 // Cond is a simulated condition variable. Unlike sync.Cond it is not
 // tied to a mutex: since the kernel runs one process at a time, checking
 // the predicate and calling Wait cannot race.

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -129,59 +128,6 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	wg.Done()
 }
 
-func TestSemaphore(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSemaphore(2)
-	active, maxActive := 0, 0
-	var wg WaitGroup
-	wg.Add(5)
-	for i := 0; i < 5; i++ {
-		k.Spawn("w", func(p *Proc) {
-			s.Acquire(p, 1)
-			active++
-			if active > maxActive {
-				maxActive = active
-			}
-			p.Sleep(time.Millisecond)
-			active--
-			s.Release(1)
-			wg.Done()
-		})
-	}
-	k.Run()
-	if maxActive != 2 {
-		t.Errorf("maxActive = %d, want 2", maxActive)
-	}
-	if s.Available() != 2 {
-		t.Errorf("Available() = %d, want 2", s.Available())
-	}
-}
-
-func TestSemaphoreFIFOHeadOfLine(t *testing.T) {
-	k := NewKernel(1)
-	s := NewSemaphore(0)
-	var order []string
-	k.Spawn("big", func(p *Proc) {
-		s.Acquire(p, 3)
-		order = append(order, "big")
-	})
-	k.Spawn("small", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		s.Acquire(p, 1)
-		order = append(order, "small")
-	})
-	k.Spawn("releaser", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		s.Release(3) // big (head) must win even though small fits first
-		p.Sleep(time.Millisecond)
-		s.Release(1)
-	})
-	k.Run()
-	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
-		t.Errorf("order = %v, want [big small] (no head-of-line bypass)", order)
-	}
-}
-
 func TestCondSignalBroadcast(t *testing.T) {
 	k := NewKernel(1)
 	var c Cond
@@ -234,6 +180,73 @@ func TestCondWaitTimeout(t *testing.T) {
 	k2.Run()
 }
 
+// TestCondWaitTimeoutTwoWakers covers a park cycle with two wakers — the
+// signal and the deadline — in each order and at the same instant: one
+// of them wins the cycle, and the loser's handle, now stale, neither
+// wakes the process out of a later wait nor absorbs a later Signal.
+func TestCondWaitTimeoutTwoWakers(t *testing.T) {
+	// Deadline first: the timed-out registration stays in the Cond. The
+	// one Signal at 5ms must pass over it and wake the second wait.
+	k := NewKernel(1)
+	var c Cond
+	k.Spawn("w", func(p *Proc) {
+		if !c.WaitTimeout(p, 2*time.Millisecond) || p.Now() != 2*Millisecond {
+			t.Errorf("first wait: want a timeout at 2ms, at %v", p.Now())
+		}
+		if c.WaitTimeout(p, 10*time.Millisecond) || p.Now() != 5*Millisecond {
+			t.Errorf("second wait: want the 5ms signal, at %v; the dead waiter stole it", p.Now())
+		}
+	})
+	k.Spawn("sig", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		c.Signal()
+	})
+	k.Run()
+	if k.Blocked() != 0 {
+		t.Errorf("Blocked() = %d, want 0", k.Blocked())
+	}
+
+	// Signal first: the deadline still fires at 10ms, while the process
+	// is in a later park cycle, and must not cut that sleep short.
+	k = NewKernel(1)
+	var c2 Cond
+	k.Spawn("w", func(p *Proc) {
+		if c2.WaitTimeout(p, 10*time.Millisecond) || p.Now() != Millisecond {
+			t.Errorf("want the 1ms signal, at %v", p.Now())
+		}
+		p.Sleep(20 * time.Millisecond)
+		if p.Now() != 21*Millisecond {
+			t.Errorf("sleep ended at %v, want 21ms; the stale deadline woke it", p.Now())
+		}
+	})
+	k.Spawn("sig", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		c2.Signal()
+	})
+	k.Run()
+
+	// Same instant: the deadline event was queued first and wins; the
+	// signal finds nobody to wake, and the process resumes exactly once.
+	k = NewKernel(1)
+	var c3 Cond
+	resumed := 0
+	k.Spawn("w", func(p *Proc) {
+		if !c3.WaitTimeout(p, 2*time.Millisecond) {
+			t.Error("deadline queued ahead of the same-instant signal should win")
+		}
+		resumed++
+		p.Sleep(time.Millisecond)
+	})
+	k.Spawn("sig", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		c3.Signal()
+	})
+	k.Run()
+	if resumed != 1 || k.Now() != 3*Millisecond {
+		t.Errorf("resumed %d times, run ended at %v; want once, 3ms", resumed, k.Now())
+	}
+}
+
 func TestFuture(t *testing.T) {
 	k := NewKernel(1)
 	f := NewFuture[int]()
@@ -281,35 +294,4 @@ func TestFutureDoubleSetPanics(t *testing.T) {
 	f := NewFuture[int]()
 	f.Set(1, nil)
 	f.Set(2, nil)
-}
-
-// TestSemaphoreConservationProperty: for arbitrary acquire/release
-// workloads that fit within the semaphore, all units come back.
-func TestSemaphoreConservationProperty(t *testing.T) {
-	f := func(sizes []uint8) bool {
-		k := NewKernel(3)
-		const total = 16
-		s := NewSemaphore(total)
-		var wg WaitGroup
-		for _, raw := range sizes {
-			n := int64(raw%total) + 1
-			wg.Add(1)
-			k.Spawn("w", func(p *Proc) {
-				s.Acquire(p, n)
-				p.Sleep(time.Duration(n) * time.Microsecond)
-				s.Release(n)
-				wg.Done()
-			})
-		}
-		done := false
-		k.Spawn("check", func(p *Proc) {
-			wg.Wait(p)
-			done = true
-		})
-		k.Run()
-		return done && s.Available() == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }

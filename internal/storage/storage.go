@@ -44,17 +44,6 @@ type DeviceConfig struct {
 	IOPS int64
 }
 
-// DefaultDeviceConfig models a slice of datacenter flash.
-func DefaultDeviceConfig() DeviceConfig {
-	return DeviceConfig{
-		CapacityBytes: 64 << 30,
-		ReadLatency:   80 * time.Microsecond,
-		WriteLatency:  20 * time.Microsecond,
-		Bandwidth:     2_000_000_000, // 2 GB/s
-		IOPS:          500_000,
-	}
-}
-
 const (
 	methodStRead  = "st.read"
 	methodStWrite = "st.write"
