@@ -162,9 +162,10 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkProcSwitch measures one kernel-to-process round trip: a
-// process that wakes from Sleep, finds nothing to do and sleeps again,
-// which is what every idle poll cost before SleepWhile.
+// BenchmarkProcSwitch measures one kernel-to-process round trip, two
+// coroutine switches: a process that wakes from Sleep, finds nothing to
+// do and sleeps again, which is what every idle poll cost before
+// SleepWhile.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
@@ -191,6 +192,22 @@ func BenchmarkSleepWhileTick(b *testing.B) {
 	k.Spawn("poller", func(p *sim.Proc) {
 		p.SleepWhile(time.Microsecond, func() bool { return true })
 	})
+	k.Step()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+// BenchmarkSpawnPolledTick measures the idle poll of a process that has
+// not run yet: the same pop and push as a SleepWhile tick, with no worker
+// behind it.
+func BenchmarkSpawnPolledTick(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	k.SpawnPolled(func() string { return "poller" }, time.Microsecond,
+		func() bool { return true }, func(p *sim.Proc) {})
 	k.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -46,7 +46,7 @@ type objEntry struct {
 //
 // Unreplicated, every method serves on the inline fast-dispatch path:
 // none of them blocks, so remote operations are served at the instant
-// the request is delivered — no handler process, no goroutine handoff.
+// the request is delivered — no handler process, no process switch.
 // A replicated primary (rs != nil) keeps reads inline but declines
 // mutating fast dispatches to their blocking fallbacks, which ship log
 // records to the backups before acking (replication.go).
@@ -195,6 +195,12 @@ func (mp *MemoryProclet) replMutator(apply applyFn) proclet.Method {
 	}
 }
 
+// handleMutator registers a mutating method both ways, inline and
+// blocking, over one evaluation of the apply method value.
+func (mp *MemoryProclet) handleMutator(method string, apply applyFn) {
+	mp.pr.HandleWithFallback(method, mp.fastMutator(apply), mp.replMutator(apply))
+}
+
 func (mp *MemoryProclet) registerMethods() {
 	mp.pr.HandleFast(methodMemGet, func(arg proclet.Msg) (proclet.Msg, error) {
 		if err := mp.gate(); err != nil {
@@ -223,8 +229,8 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: b, Bytes: b.totalBytes()}, nil
 	})
-	mp.pr.HandleWithFallback(methodMemPut, mp.fastMutator(mp.applyPut), mp.replMutator(mp.applyPut))
-	mp.pr.HandleWithFallback(methodMemDel, mp.fastMutator(mp.applyDel), mp.replMutator(mp.applyDel))
+	mp.handleMutator(methodMemPut, mp.applyPut)
+	mp.handleMutator(methodMemDel, mp.applyDel)
 	mp.pr.HandleFast(methodMemScan, func(arg proclet.Msg) (proclet.Msg, error) {
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
@@ -236,8 +242,8 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
 	})
-	mp.pr.HandleWithFallback(methodMemPutBatch, mp.fastMutator(mp.applyPutBatch), mp.replMutator(mp.applyPutBatch))
-	mp.pr.HandleWithFallback(methodMemDelRange, mp.fastMutator(mp.applyDelRange), mp.replMutator(mp.applyDelRange))
+	mp.handleMutator(methodMemPutBatch, mp.applyPutBatch)
+	mp.handleMutator(methodMemDelRange, mp.applyDelRange)
 	mp.pr.HandleFast(methodMemReplApply, func(arg proclet.Msg) (proclet.Msg, error) {
 		// Backup side of log shipping: apply a record batch. Records are
 		// absolute effects, so reapplying after a retried ship is
@@ -372,8 +378,8 @@ type updateReq struct {
 // registerMutators installs the take/update methods (split out of
 // registerMethods for readability).
 func (mp *MemoryProclet) registerMutators() {
-	mp.pr.HandleWithFallback(methodMemTake, mp.fastMutator(mp.applyTake), mp.replMutator(mp.applyTake))
-	mp.pr.HandleWithFallback(methodMemUpdate, mp.fastMutator(mp.applyUpdate), mp.replMutator(mp.applyUpdate))
+	mp.handleMutator(methodMemTake, mp.applyTake)
+	mp.handleMutator(methodMemUpdate, mp.applyUpdate)
 }
 
 func (mp *MemoryProclet) applyTake(arg proclet.Msg) (proclet.Msg, []repRecord, error) {

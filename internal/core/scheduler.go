@@ -161,14 +161,15 @@ func (sc *Scheduler) start() {
 		for _, m := range sc.sys.Cluster.Machines() {
 			m := m
 			name := func() string { return fmt.Sprintf("sched/reactor-%d", m.ID) }
-			k.SpawnLazy(name, func(p *sim.Proc) {
-				// A calm machine is re-checked in kernel context: the
-				// reactor's goroutine runs only for a pressure episode.
-				calm := func() bool { return !sc.needsReact(m) }
+			// A calm machine is re-checked in kernel context: the reactor
+			// runs, and owns a worker at all, only from its first pressure
+			// episode on.
+			calm := func() bool { return !sc.needsReact(m) }
+			k.SpawnPolled(name, sc.cfg.LocalPeriod, calm, func(p *sim.Proc) {
 				for {
-					p.SleepWhile(sc.cfg.LocalPeriod, calm)
 					sc.reactCPU(p, m)
 					sc.reactMem(p, m)
+					p.SleepWhile(sc.cfg.LocalPeriod, calm)
 				}
 			})
 		}
@@ -182,12 +183,15 @@ func (sc *Scheduler) start() {
 			}
 		})
 	}
-	k.Spawn("sched/adapt", func(p *sim.Proc) {
+	// Most systems never register a split/merge policy: until one does,
+	// the adaptation loop is a poll and owns no worker.
+	noAdapts := func() bool { return len(sc.adapts) == 0 }
+	k.SpawnPolled(func() string { return "sched/adapt" }, sc.cfg.AdaptPeriod, noAdapts, func(p *sim.Proc) {
 		for {
-			p.Sleep(sc.cfg.AdaptPeriod)
 			for _, a := range sc.adapts {
 				a.Adapt(p)
 			}
+			p.Sleep(sc.cfg.AdaptPeriod)
 		}
 	})
 }

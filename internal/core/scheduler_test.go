@@ -366,6 +366,39 @@ func TestReactorWakesOnFirstTickOfPressure(t *testing.T) {
 	}
 }
 
+// TestCalmFleetCreatesNoReactorWorkers: a reactor is a kernel-side poll
+// until its machine first needs it, so a thousand calm machines — and an
+// adaptation loop nobody registered a policy with — are a thousand and
+// one live processes and not one worker; the first machine under pressure
+// pays for its own reactor alone.
+func TestCalmFleetCreatesNoReactorWorkers(t *testing.T) {
+	machines := make([]cluster.MachineConfig, 1000)
+	for i := range machines {
+		machines[i] = cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30}
+	}
+	cfg := DefaultConfig()
+	cfg.DisableSlowPath = true // sched/global is an ordinary process
+	s := NewSystem(cfg, machines)
+	defer s.Close()
+	s.Start()
+	period := sim.Time(cfg.LocalPeriod)
+	s.K.RunUntil(100 * period)
+	if s.K.WorkersCreated() != 0 {
+		t.Fatalf("calm fleet created %d workers, want 0", s.K.WorkersCreated())
+	}
+	if s.K.Live() != 1001 || s.K.Blocked() != 1001 {
+		t.Fatalf("Live=%d Blocked=%d, want 1001 1001", s.K.Live(), s.K.Blocked())
+	}
+	// Past MemHighWater: reactor 7 wakes and finds nothing to move.
+	if err := s.Cluster.Machine(7).AllocMem(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+	s.K.RunUntil(102 * period)
+	if s.K.WorkersCreated() != 1 {
+		t.Fatalf("one machine under pressure created %d workers, want 1", s.K.WorkersCreated())
+	}
+}
+
 // TestComputeIndexTracksRegistry: the ID-ordered compute index that
 // demandOn, workersOn and movableOn walk must follow register and
 // unregister, whatever the order.

@@ -85,7 +85,7 @@ type Method func(ctx *Ctx, arg Msg) (Msg, error)
 // FastMethod is a proclet method that never blocks: no sleeping, no
 // compute, no locks, no nested calls. Remote invocations of a fast
 // method are served inline at the instant the request is delivered —
-// no handler process, no goroutine handoff, no Ctx allocation — via
+// no handler process, no process switch, no Ctx allocation — via
 // simnet's fast-dispatch path; local invocations skip the Ctx as well.
 // Pure state reads and writes (directory lookups, memory-proclet
 // get/put) belong here.

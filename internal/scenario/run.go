@@ -534,6 +534,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
 			wg.Wait(p)
 			var rb core.Batch // each chunk is checked before the next is read
+			got := make(map[uint64]int64, verifyChunk)
 			for si, mp := range st.stores {
 				keys := sortedKeys(st.golden[si])
 				for off := 0; off < len(keys); off += verifyChunk {
@@ -546,7 +547,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 						st.lost += int64(len(chunk))
 						continue
 					}
-					got := make(map[uint64]int64, len(rb.IDs))
+					clear(got)
 					for j, id := range rb.IDs {
 						if v, ok := rb.Vals[j].(int64); ok {
 							got[id] = v

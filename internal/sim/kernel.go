@@ -1,22 +1,29 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel
-// with virtual time and goroutine-backed simulated processes.
+// with virtual time and coroutine-backed simulated processes.
 //
-// The kernel executes exactly one simulated process at a time and hands
-// control back and forth over channels, so simulated code is written as
-// ordinary sequential Go while the kernel retains full determinism: given
-// the same seed and the same program, every run produces an identical
-// event order. Virtual time advances only when the kernel pops events
-// from its queue; simulated code never consumes wall-clock time.
+// The kernel executes exactly one simulated process at a time: every
+// process body runs on a runtime coroutine (iter.Pull) that the kernel
+// switches into and that switches back when the body parks, so simulated
+// code is written as ordinary sequential Go while the kernel retains full
+// determinism: given the same seed and the same program, every run
+// produces an identical event order. Virtual time advances only when the
+// kernel pops events from its queue; simulated code never consumes
+// wall-clock time.
 //
 // All Quicksand substrates (machines, networks, proclets) are built on
 // this kernel, which is what makes microsecond-scale claims (migration
 // latency, time-to-equilibrium) reproducible in tests on any hardware.
+//
+// The package needs a Go ≥ 1.23 toolchain (iter.Pull); the go1.23 build
+// constraint on this file is what lets a module that says "go 1.22" use it.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
-	"runtime"
 	"slices"
 	"time"
 )
@@ -113,36 +120,25 @@ type Kernel struct {
 	nextPID   int64
 	live      int // processes spawned and not yet finished
 	blocked   int // processes currently parked
-	yield     chan yieldMsg
+	unbound   int // SpawnPolled processes still polling, without a worker
 	curr      *Proc
 	processed uint64
 	stopFlag  bool
-	closing   bool // Close is unwinding parked processes (see park)
 
 	// Worker pool for the spawn-run-die process pattern (RPC handlers,
-	// migration copiers, per-task workers). Each worker is a goroutine,
-	// its resume channel, and a Proc struct, all created once and reused
-	// across process lifetimes; a finished process returns its worker to
-	// the free list instead of letting the goroutine die. A worker whose
-	// process panicked is discarded, never pooled.
+	// migration copiers, per-task workers). Each worker is a coroutine and
+	// a Proc struct, created once and reused across process lifetimes; a
+	// finished process returns its worker to the free list instead of
+	// letting the coroutine end. A worker whose process panicked is
+	// discarded, never pooled.
 	free    []*worker
-	workers []*worker // every worker whose goroutine is alive, pooled or not
-	created uint64    // workers (goroutines) ever created
-}
-
-type yieldMsg struct {
-	p        *Proc
-	done     bool
-	panicked bool
-	panicVal any
+	workers []*worker // every worker whose coroutine is alive, pooled or not
+	created uint64    // workers (coroutines) ever created
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan yieldMsg),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -368,45 +364,49 @@ func (k *Kernel) Every(t0 Time, period time.Duration, fn func() bool) {
 }
 
 // worker is a pooled execution vehicle for simulated processes: one
-// goroutine, one resume channel, and one Proc struct, created together
-// and reused across process lifetimes. Between lifetimes the goroutine
-// parks on the resume channel inside loop; handing it a new fn costs a
-// channel send instead of a goroutine creation. The unbuffered resume
-// channel orders every kernel-side write to w.p/w.fn before the worker
-// goroutine reads them, so reuse is race-free.
+// runtime coroutine and one Proc struct, created together and reused
+// across process lifetimes. The coroutine runs loop; the kernel switches
+// into it with next, and it switches back with yield — from park when the
+// body blocks (false), from loop when the body returned (true) — so a
+// process switch stays on the kernel's own thread and never goes through
+// the Go scheduler. next and stop belong to the host goroutine that is
+// driving the kernel at that moment (goroutines may take turns, as
+// ParKernel's do across windows); a process must never call them.
 type worker struct {
-	k      *Kernel
-	resume chan struct{}
-	p      *Proc
-	fn     func(p *Proc) // next body to run; nil send retires the worker
+	own      Proc          // the process Spawn puts on this worker
+	p        *Proc         // the process running or last run: &own, or a SpawnPolled process bound by poll
+	fn       func(p *Proc) // next body to run
+	next     func() (done, ok bool)
+	stop     func()
+	yield    func(done bool) bool
+	panicVal any // what the body panicked with; the coroutine has ended
 }
 
-func (w *worker) loop() {
-	for {
-		<-w.resume
-		if w.fn == nil {
-			return // retired by Kernel.Close
-		}
-		if !w.runOne() {
-			return // body panicked; this goroutine is done for
-		}
+// loop is the coroutine: one body per resume, for as long as bodies
+// return normally and the kernel does not stop the worker.
+func (w *worker) loop(yield func(done bool) bool) {
+	w.yield = yield
+	for w.runOne() && yield(true) {
 	}
 }
 
+// closeUnwind is what park panics with once Kernel.Close has stopped the
+// coroutine: it unwinds the body, running its deferred functions, up to
+// runOne. It is not runtime.Goexit because iter.Pull re-raises a Goexit in
+// the caller of next or stop, which is the host goroutine.
+type closeUnwind struct{}
+
 // runOne executes one process lifetime and reports whether the worker
-// may be reused. A panic in the body is captured and forwarded to the
-// kernel, and the worker goroutine exits: its internal state is
-// suspect, so the pool never sees it again.
+// may be reused. A panic in the body is kept for the kernel to report,
+// and the coroutine ends: its internal state is suspect, so the pool
+// never sees it again.
 func (w *worker) runOne() (ok bool) {
 	p, fn := w.p, w.fn
 	w.fn = nil
 	defer func() {
-		msg := yieldMsg{p: p, done: true}
-		if r := recover(); r != nil {
-			msg.panicked = true
-			msg.panicVal = r
+		if r := recover(); r != nil && r != any(closeUnwind{}) {
+			w.panicVal = r
 		}
-		w.k.yield <- msg
 	}()
 	fn(p)
 	return true
@@ -421,10 +421,10 @@ func (k *Kernel) getWorker() *worker {
 		return w
 	}
 	k.created++
-	w := &worker{k: k, resume: make(chan struct{})}
-	w.p = &Proc{k: k, w: w, resume: w.resume}
+	w := &worker{}
+	w.own = Proc{k: k, w: w}
+	w.next, w.stop = iter.Pull(w.loop)
 	k.workers = append(k.workers, w)
-	go w.loop()
 	return w
 }
 
@@ -448,64 +448,76 @@ func (k *Kernel) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 
 func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	w := k.getWorker()
-	p := w.p
+	p := &w.own
+	w.p, w.fn = p, fn
 	k.nextPID++
 	p.ID = k.nextPID
 	p.name, p.nameFn = "", nil
 	p.finished = false
 	// parkSeq deliberately survives reuse: it stays monotonic so waiter
 	// handles from the previous lifetime remain stale.
-	w.fn = fn
 	k.live++
 	k.push(k.now, event{p: p, kind: evStart})
 	return p
 }
 
-// Close ends the simulation and releases every goroutine the kernel
-// owns. Go never reclaims a blocked goroutine, so code that churns
-// through many kernels (benchmark loops, experiment sweeps, scenario
-// runs) must Close each kernel when done with it. Pooled workers retire;
-// processes still parked mid-body (daemons such as reactors, servers
-// and ping loops, or anything waiting on a condition that never fired)
-// are unwound with runtime.Goexit, so their deferred functions run;
-// pending events are dropped, since they may refer to the processes
-// just unwound. The kernel remains usable afterwards: the clock keeps
-// its value and new spawns create fresh workers. Close must be called
-// from the host goroutine, never from an event or a process.
+// SpawnPolled is SpawnLazy for a process that starts by waiting. It is
+// event-for-event identical to
+//
+//	k.SpawnLazy(nameFn, func(p *Proc) { p.SleepWhile(d, idle); fn(p) })
+//
+// — same PID, same start and poll events under the same sequence numbers,
+// same Live and Blocked — but until a poll finds idle() false the process
+// is its Proc and nothing else: the worker is bound at that poll, so a
+// daemon whose condition never arises in a run (the reactor of a calm
+// machine) never owns a coroutine. idle is under SleepWhile's contract.
+func (k *Kernel) SpawnPolled(nameFn func() string, d time.Duration, idle func() bool, fn func(p *Proc)) *Proc {
+	if d < 0 {
+		d = 0
+	}
+	k.nextPID++
+	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, pollIdle: idle, pollEvery: d, body: fn}
+	k.live++
+	k.unbound++
+	k.push(k.now, event{p: p, kind: evStart})
+	return p
+}
+
+// Close ends the simulation and releases every coroutine the kernel
+// owns. A coroutine that is neither finished nor stopped is never
+// reclaimed, so code that churns through many kernels (benchmark loops,
+// experiment sweeps, scenario runs) must Close each kernel when done with
+// it. Pooled workers retire; processes still parked mid-body (daemons
+// such as reactors, servers and ping loops, or anything waiting on a
+// condition that never fired) are unwound — every park, including one in
+// a deferred function, panics with closeUnwind — so their deferred
+// functions run; pending events are dropped, since they may refer to the
+// processes just unwound. The kernel remains usable afterwards: the clock
+// keeps its value and new spawns create fresh workers. Close must be
+// called from the host goroutine, never from an event or a process.
 func (k *Kernel) Close() {
-	k.closing = true
-	// By index: a deferred function run by the unwinding may Spawn.
+	// A deferred function run by the unwinding may Spawn: only onto a new
+	// worker, which the loop below then reaches.
+	clear(k.free)
+	k.free = k.free[:0]
 	for i := 0; i < len(k.workers); i++ {
 		w := k.workers[i]
 		p := w.p
-		switch {
-		case w.fn != nil: // spawned, never started: parked in loop
-			w.fn = nil
+		k.curr = p // for a body parked mid-way: park's guard must let it unwind
+		w.stop()
+		k.curr = nil
+		if !p.finished { // unwound, or spawned and never started
 			p.finished = true
 			k.live--
-			w.resume <- struct{}{}
-		case p.finished: // idle on the free list: parked in loop
-			w.resume <- struct{}{}
-		default: // parked mid-body: each resume makes park call Goexit
-			k.curr = p
-			var msg yieldMsg
-			for !msg.done {
-				w.resume <- struct{}{}
-				msg = <-k.yield
-			}
-			k.curr = nil
-			p.finished = true
-			k.live--
-			if msg.panicked {
-				panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.Name(), msg.panicVal))
-			}
+		}
+		if w.panicVal != nil {
+			panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.Name(), w.panicVal))
 		}
 	}
-	k.closing = false
+	k.live -= k.unbound // SpawnPolled processes that never stopped polling
+	k.unbound = 0
 	clear(k.workers)
 	k.workers = k.workers[:0]
-	clear(k.free)
-	k.free = k.free[:0]
 	clear(k.heap)
 	k.heap = k.heap[:0]
 	clear(k.nowq)
@@ -516,41 +528,52 @@ func (k *Kernel) Close() {
 // PooledWorkers reports the number of idle workers on the free list.
 func (k *Kernel) PooledWorkers() int { return len(k.free) }
 
-// WorkersCreated reports how many worker goroutines the kernel has ever
-// created; the gap between this and the number of processes spawned is
-// the pool's hit count.
+// WorkersCreated reports how many workers (coroutines) the kernel has
+// ever created; the gap between this and the number of processes spawned
+// is the pool's hit count plus the SpawnPolled processes still polling.
 func (k *Kernel) WorkersCreated() uint64 { return k.created }
 
-// resumeAndWait transfers control to p and blocks until p parks or
+// start runs a process's first event. A SpawnPolled process begins its
+// wait here — the push and the blocked count of the SleepWhile it stands
+// for — without a worker to run it on.
+func (k *Kernel) start(p *Proc) {
+	if p.w != nil {
+		k.resumeAndWait(p)
+		return
+	}
+	k.push(k.now.Add(p.pollEvery), event{p: p, kind: evPoll})
+	k.blocked++
+}
+
+// resumeAndWait transfers control to p and returns when p parks or
 // finishes. It must only be called from kernel context.
 func (k *Kernel) resumeAndWait(p *Proc) {
 	if p.finished {
 		return
 	}
+	w := p.w
 	k.curr = p
-	p.resume <- struct{}{}
-	msg := <-k.yield
+	done, ok := w.next()
 	k.curr = nil
-	if msg.p != p {
-		panic(fmt.Sprintf("sim: yield from %q while running %q", msg.p.Name(), p.Name()))
-	}
-	if msg.done {
+	switch {
+	case !ok:
+		// The body panicked and the coroutine ended; drop the worker on
+		// the floor rather than pooling it in an unknown state.
 		p.finished = true
 		k.live--
-		if msg.panicked {
-			// The worker goroutine already exited; drop it on the floor
-			// rather than pooling a worker in an unknown state.
-			k.forget(p.w)
-			panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, msg.panicVal))
-		}
-		k.free = append(k.free, p.w)
-		return
+		k.forget(w)
+		panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, w.panicVal))
+	case done:
+		p.finished = true
+		k.live--
+		k.free = append(k.free, w)
+	default:
+		k.blocked++
 	}
-	k.blocked++
 }
 
-// forget drops a worker whose goroutine died from the live list, so
-// Close does not try to resume it.
+// forget drops a worker whose coroutine ended from the live list, so
+// Close does not try to stop it.
 func (k *Kernel) forget(w *worker) {
 	if i := slices.Index(k.workers, w); i >= 0 {
 		k.workers = slices.Delete(k.workers, i, i+1)
@@ -575,6 +598,11 @@ func (k *Kernel) poll(p *Proc) {
 	}
 	p.pollIdle = nil
 	k.blocked--
+	if p.w == nil { // SpawnPolled: the wait is over, the body needs a worker
+		w := k.getWorker()
+		w.p, w.fn, p.w, p.body = p, p.body, w, nil
+		k.unbound--
+	}
 	k.resumeAndWait(p)
 }
 
@@ -621,7 +649,7 @@ func (k *Kernel) Step() bool {
 		k.blocked--
 		k.resumeAndWait(e.p)
 	case evStart:
-		k.resumeAndWait(e.p)
+		k.start(e.p)
 	case evPoll:
 		k.poll(e.p)
 	case evStage:
@@ -662,10 +690,10 @@ func (k *Kernel) RunUntil(t Time) Time {
 // event completes. It may be called from events or simulated processes.
 func (k *Kernel) Stop() { k.stopFlag = true }
 
-// Proc is a simulated process: a goroutine whose execution interleaves
+// Proc is a simulated process: a coroutine whose execution interleaves
 // deterministically with all other simulated processes under kernel
 // control. All blocking methods must be called only from the process's
-// own goroutine.
+// own body.
 //
 // Proc structs are pooled along with their workers: once a process
 // finishes, its struct may be recycled for a later Spawn with a new ID.
@@ -676,8 +704,7 @@ func (k *Kernel) Stop() { k.stopFlag = true }
 type Proc struct {
 	ID       int64
 	k        *Kernel
-	w        *worker
-	resume   chan struct{}
+	w        *worker // nil while a SpawnPolled process is still polling
 	finished bool
 
 	// Lazy naming: name is computed from nameFn the first time Name is
@@ -696,6 +723,7 @@ type Proc struct {
 	// evPoll, and the period between checks.
 	pollIdle  func() bool
 	pollEvery time.Duration
+	body      func(p *Proc) // SpawnPolled: what runs once pollIdle says no
 
 	// SleepThenWait state: the stage the kernel runs at the expiry and
 	// the Cond the process waits on if the stage says so.
@@ -729,12 +757,8 @@ func (p *Proc) park() {
 			"sim: blocking call on process %q from outside its own context: fast handlers and kernel events must not block (sleep, lock, channel ops)",
 			p.Name()))
 	}
-	p.k.yield <- yieldMsg{p: p}
-	<-p.resume
-	if p.k.closing {
-		// Kernel.Close is unwinding this process: run its deferred
-		// functions and let the goroutine exit.
-		runtime.Goexit()
+	if !p.w.yield(false) {
+		panic(closeUnwind{}) // Kernel.Close stopped the coroutine
 	}
 }
 
@@ -757,7 +781,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // — every check consumes one event and one sequence number at the same
 // place the loop's Sleep would — but the checks run in kernel context,
 // so a poller that finds nothing to do costs one heap push and pop
-// instead of a goroutine round trip.
+// instead of a switch into the process and back.
 //
 // The contract that buys this: idle must be pure (it may read simulated
 // state but not schedule, spawn, wake or mutate; the kernel panics if it
@@ -787,7 +811,7 @@ func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
 // would have stamped it — but the process is handed the host thread once
 // instead of twice: a process whose next step after a delay is to start
 // some work and wait for it (an RPC's caller-side overhead, then the
-// round trip) pays one goroutine round trip for both.
+// round trip) pays one switch in and out for both.
 //
 // Unlike SleepWhile's predicate the stage may schedule, spawn and wake.
 // It must not block (a blocking call from it hits the usual

@@ -217,3 +217,65 @@ func TestSteadyStateCallAllocatesNothing(t *testing.T) {
 		k.Close()
 	}
 }
+
+// TestMethodTableInlineAndSpill: a node's first two methods sit in its
+// inline table and the rest in the spill map; registration, dispatch, the
+// duplicate-handler panics and ErrNoHandler are the same in both places.
+func TestMethodTableInlineAndSpill(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	f := New(k, testConfig())
+	f.AddNode(1)
+	srv := f.AddNode(2)
+	fast := func(tag string) FastHandler {
+		return func(Message) (Message, error) { return Message{Payload: "fast:" + tag}, nil }
+	}
+	blocking := func(tag string) Handler {
+		return func(*sim.Proc, Message) (Message, error) { return Message{Payload: "blocking:" + tag}, nil }
+	}
+	decline := func(Message) (Message, error) { return Message{}, ErrWouldBlock }
+	srv.HandleFast("m0", fast("m0"))
+	srv.Handle("m1", blocking("m1"))
+	srv.HandleFast("m2", fast("m2"))
+	srv.Handle("m3", blocking("m3"))
+	srv.Handle("m4", blocking("m4")) // both handlers, blocking first
+	srv.HandleFast("m4", decline)
+	srv.HandleFast("m1", decline) // both handlers, inline slot
+	if len(srv.spill) != 3 {
+		t.Fatalf("%d methods spilled, want 3 of 5", len(srv.spill))
+	}
+
+	want := map[string]string{"m0": "fast:m0", "m1": "blocking:m1", "m2": "fast:m2", "m3": "blocking:m3", "m4": "blocking:m4"}
+	k.Spawn("client", func(p *sim.Proc) {
+		for _, m := range []string{"m0", "m1", "m2", "m3", "m4"} {
+			rep, err := f.Call(p, 1, 2, m, Message{})
+			if err != nil || rep.Payload != want[m] {
+				t.Errorf("%s: reply %v, err %v; want %s", m, rep.Payload, err, want[m])
+			}
+		}
+		_, err := f.Call(p, 1, 2, "m5", Message{})
+		if !errors.Is(err, ErrNoHandler) || !strings.Contains(err.Error(), `"m5" on node 2`) {
+			t.Errorf("unregistered method: err = %v, want ErrNoHandler naming it", err)
+		}
+	})
+	k.Run()
+
+	for _, tc := range []struct {
+		register func()
+		want     string
+	}{
+		{func() { srv.Handle("m1", blocking("again")) }, `simnet: duplicate handler "m1" on node 2`},
+		{func() { srv.HandleFast("m0", fast("again")) }, `simnet: duplicate fast handler "m0" on node 2`},
+		{func() { srv.Handle("m3", blocking("again")) }, `simnet: duplicate handler "m3" on node 2`},
+		{func() { srv.HandleFast("m2", fast("again")) }, `simnet: duplicate fast handler "m2" on node 2`},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != tc.want {
+					t.Errorf("panic = %v, want %s", r, tc.want)
+				}
+			}()
+			tc.register()
+		}()
+	}
+}

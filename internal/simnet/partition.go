@@ -250,12 +250,12 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: destination %v", ErrNodeDown, to), hasDeadline)
 		return
 	}
-	fh := dst.fast[method]
-	h, hasH := dst.handlers[method]
-	if fh == nil && !hasH {
+	e := dst.lookup(method)
+	if e == nil {
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %q on %v", ErrNoHandler, method, to), hasDeadline)
 		return
 	}
+	fh, h := e.fast, e.blocking
 
 	wire := dstFab.wireTime(req.Bytes)
 	rxStart := k.Now()
@@ -276,7 +276,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 				pt.reply(cc, to, from, rep, err, hasDeadline)
 				return
 			}
-			if !hasH {
+			if h == nil {
 				pt.reply(cc, to, from, Message{}, fmt.Errorf(
 					"%w: fast handler for %q on %v declined and no blocking handler is registered",
 					ErrNoHandler, method, to), hasDeadline)

@@ -111,22 +111,35 @@ type Handler func(p *sim.Proc, req Message) (Message, error)
 
 // FastHandler processes an RPC inline in kernel context at the instant
 // the request is delivered: no simulated process is created and no
-// goroutine handoff happens. It must not block — any park attempt
+// process switch happens. It must not block — any park attempt
 // (sleep, lock, channel op) panics the kernel with a clear message. A
 // fast handler may decline a particular request by returning
 // ErrWouldBlock, which routes that request to the method's blocking
 // Handler instead.
 type FastHandler func(req Message) (Message, error)
 
+// methodEntry is what one method dispatches to on a node: a fast
+// handler, a blocking one, or both.
+type methodEntry struct {
+	method   string
+	fast     FastHandler
+	blocking Handler
+}
+
 // Node is a machine's attachment to the fabric.
 type Node struct {
-	ID       NodeID
-	f        *Fabric
-	txFree   sim.Time
-	rxFree   sim.Time
-	handlers map[string]Handler
-	fast     map[string]FastHandler
-	down     bool
+	ID     NodeID
+	f      *Fabric
+	txFree sim.Time
+	rxFree sim.Time
+	down   bool
+
+	// Handlers by method. Almost every node serves a single method
+	// (proclet.invoke), so the first two registered live inline and only a
+	// node with more pays for a map.
+	methods [2]methodEntry
+	inline  int // slots of methods in use
+	spill   map[string]*methodEntry
 
 	// TxBytes and RxBytes count payload+header bytes through this NIC.
 	TxBytes metrics.Counter
@@ -252,7 +265,7 @@ func (f *Fabric) AddNode(id NodeID) *Node {
 	if _, ok := f.nodes[id]; ok {
 		panic(fmt.Sprintf("simnet: duplicate node %d", id))
 	}
-	n := &Node{ID: id, f: f, handlers: make(map[string]Handler)}
+	n := &Node{ID: id, f: f}
 	f.nodes[id] = n
 	return n
 }
@@ -293,10 +306,11 @@ func (f *Fabric) failInflightOn(id NodeID) {
 
 // Handle registers an RPC handler for method on this node.
 func (n *Node) Handle(method string, h Handler) {
-	if _, dup := n.handlers[method]; dup {
+	e := n.entry(method)
+	if e.blocking != nil {
 		panic(fmt.Sprintf("simnet: duplicate handler %q on node %d", method, n.ID))
 	}
-	n.handlers[method] = h
+	e.blocking = h
 }
 
 // HandleFast registers an inline handler for method on this node. A
@@ -304,13 +318,42 @@ func (n *Node) Handle(method string, h Handler) {
 // runs first and may return ErrWouldBlock to route a request to the
 // blocking one (per request, so the decision can depend on state).
 func (n *Node) HandleFast(method string, h FastHandler) {
-	if _, dup := n.fast[method]; dup {
+	e := n.entry(method)
+	if e.fast != nil {
 		panic(fmt.Sprintf("simnet: duplicate fast handler %q on node %d", method, n.ID))
 	}
-	if n.fast == nil {
-		n.fast = make(map[string]FastHandler)
+	e.fast = h
+}
+
+// lookup returns method's entry on this node, nil when nothing is
+// registered under that name.
+func (n *Node) lookup(method string) *methodEntry {
+	for i := range n.methods[:n.inline] {
+		if e := &n.methods[i]; e.method == method {
+			return e
+		}
 	}
-	n.fast[method] = h
+	return n.spill[method]
+}
+
+// entry is lookup for registration: the first time a method is named it
+// claims the next inline slot or, those gone, a place in the spill map.
+func (n *Node) entry(method string) *methodEntry {
+	if e := n.lookup(method); e != nil {
+		return e
+	}
+	if n.inline < len(n.methods) {
+		e := &n.methods[n.inline]
+		n.inline++
+		e.method = method
+		return e
+	}
+	if n.spill == nil {
+		n.spill = make(map[string]*methodEntry)
+	}
+	e := &methodEntry{method: method}
+	n.spill[method] = e
+	return e
 }
 
 // wireTime returns how long size payload bytes occupy a NIC direction.
@@ -721,11 +764,11 @@ func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 	if err != nil {
 		return Message{}, err
 	}
-	fh := dst.fast[method]
-	h, hasH := dst.handlers[method]
-	if fh == nil && !hasH {
+	e := dst.lookup(method)
+	if e == nil {
 		return Message{}, fmt.Errorf("%w: %q on node %d", ErrNoHandler, method, to)
 	}
+	fh, h := e.fast, e.blocking
 	if d == 0 {
 		d = f.cfg.CallTimeout
 	}
