@@ -59,6 +59,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -187,6 +188,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if sc == nil {
 		fmt.Fprintf(stderr, "qsctl: unknown scenario %q\n", *scenarioName)
 		listScenarios(stderr, *scenarioDir)
+		return 2
+	}
+	// Every canned run places its events at fractions of the horizon.
+	if *horizonMs < 1 {
+		fmt.Fprintf(stderr, "qsctl: -horizon-ms %d: the horizon must be at least 1 ms\n", *horizonMs)
 		return 2
 	}
 
@@ -636,17 +642,9 @@ func runReplicas(sys *core.System, horizon sim.Time, out io.Writer) error {
 	// mid-run and restarts late.
 	rm := sys.EnableReplicationPlane(replication.Config{}, 0)
 	const stores = 6
-	mps := make([]*core.MemoryProclet, stores)
-	for i := range mps {
-		mid := cluster.MachineID(1 + i%(len(sys.Cluster.Machines())-1))
-		mp, err := core.NewMemoryProcletOn(sys, fmt.Sprintf("store-%d", i), mid)
-		if err != nil {
-			return err
-		}
-		if err := rm.Replicate(mp, 2); err != nil {
-			return err
-		}
-		mps[i] = mp
+	mps, err := fleet.PlaceStores(sys, "store-%d", stores, 1, 2)
+	if err != nil {
+		return err
 	}
 	in.Install(fault.Schedule{
 		{At: sim.Time(float64(horizon) * 0.3), Op: fault.OpCrash, A: 1},
@@ -716,11 +714,8 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 	}
 
 	hist := metrics.NewLogHistogram("serve.latency")
-	var queue []load.Request
-	qhead := 0
-	inj := load.NewInjector(sys.K, 250*time.Microsecond, func(r load.Request) {
-		queue = append(queue, r)
-	})
+	var queue load.Queue
+	inj := load.NewInjector(sys.K, 250*time.Microsecond, queue.Push)
 	step := time.Duration(horizon) / 200
 	web := inj.AddTenant("web",
 		load.Sampled(horizon, step, load.Diurnal(40_000, 0.4, time.Duration(horizon)/2)),
@@ -750,36 +745,13 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 		for s := 0; s < servers; s++ {
 			sys.K.Spawn(fmt.Sprintf("server-%d", s), func(p *sim.Proc) {
 				keys := make([]uint64, 0, batchMax)
-				reqs := make([]load.Request, 0, batchMax)
-				// An empty queue is polled in kernel context: the server's
-				// goroutine runs only when there is work or the horizon
-				// has passed.
-				idle := func() bool { return qhead == len(queue) && p.Now() < horizon }
-				for {
-					if qhead == len(queue) {
-						if p.Now() >= horizon {
-							return
-						}
-						p.SleepWhile(poll, idle)
-						continue
-					}
-					n := len(queue) - qhead
-					if n > batchMax {
-						n = batchMax
-					}
-					reqs = append(reqs[:0], queue[qhead:qhead+n]...)
-					qhead += n
-					if qhead == len(queue) {
-						// Drained: reuse the queue's storage instead of growing it
-						// by every request the run will ever see.
-						queue, qhead = queue[:0], 0
-					}
+				queue.Serve(p, horizon, poll, batchMax, func(reqs []load.Request) {
 					keys = keys[:0]
 					for _, r := range reqs {
 						keys = append(keys, r.Key)
 					}
 					if _, _, err := kv.GetBatch(p, 0, keys); err != nil {
-						return
+						return // unserved: the batch shows as generated - served
 					}
 					now := p.Now()
 					for _, r := range reqs {
@@ -790,7 +762,7 @@ func runServe(sys *core.System, horizon sim.Time, out io.Writer) error {
 							timeouts++
 						}
 					}
-				}
+				})
 			})
 		}
 	})

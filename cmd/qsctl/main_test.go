@@ -461,3 +461,60 @@ func TestScenarioListIncludesFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestCannedGoldens compares the serve and replicas runs with
+// testdata/*.golden, the stdout of the same commands at 677053b — the
+// commit before the canned runs moved onto load.Queue and
+// fleet.PlaceStores, which promised to move nothing.
+// QSCTL_UPDATE_GOLDENS=1 go test -run CannedGoldens rewrites the files,
+// which only makes sense when a change means to move the output.
+func TestCannedGoldens(t *testing.T) {
+	for path, args := range map[string][]string{
+		"testdata/serve_events.golden": {"-scenario", "serve", "-events"},
+		"testdata/replicas.golden":     {"-scenario", "replicas"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit = %d (stderr: %s)", args, code, errb.String())
+		}
+		if os.Getenv("QSCTL_UPDATE_GOLDENS") != "" {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%v: output differs from %s\n--- got\n%s--- want\n%s", args, path, out.Bytes(), want)
+		}
+	}
+}
+
+// TestHorizonBelowOneMsIsAUsageError: a canned run places its events at
+// fractions of the horizon, so none can run with less than 1 ms
+// (-scenario serve -horizon-ms 0 used to panic in load.Sampled, and a
+// negative horizon ran nothing and reported success).
+func TestHorizonBelowOneMsIsAUsageError(t *testing.T) {
+	for _, sc := range scenarios {
+		for _, ms := range []string{"0", "-5"} {
+			var out, errb bytes.Buffer
+			if code := run([]string{"-scenario", sc.name, "-horizon-ms", ms}, &out, &errb); code != 2 {
+				t.Errorf("%s -horizon-ms %s: exit = %d, want 2", sc.name, ms, code)
+			}
+			msg := errb.String()
+			if !strings.Contains(msg, "-horizon-ms "+ms) || strings.Count(msg, "\n") != 1 {
+				t.Errorf("%s -horizon-ms %s: stderr is not a one-line usage error: %q", sc.name, ms, msg)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s -horizon-ms %s: wrote to stdout: %q", sc.name, ms, out.String())
+			}
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-scenario", "serve", "-horizon-ms", "1"}, &out, &errb); code != 0 {
+		t.Errorf("-horizon-ms 1: exit = %d, want 0 (stderr: %s)", code, errb.String())
+	}
+}

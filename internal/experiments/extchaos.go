@@ -13,13 +13,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/proclet"
+	"repro/internal/fleet"
 	"repro/internal/replication"
 	"repro/internal/runpar"
 	"repro/internal/sim"
@@ -114,14 +113,6 @@ type chaosOutcome struct {
 	trace      []string
 }
 
-// chaosItem is one acked op's record (the durable source rebuilds from
-// these).
-type chaosItem struct {
-	key   uint64
-	val   int
-	bytes int64
-}
-
 // runChaosOnce drives the workload, with or without the fault
 // schedule. At rf >= 2 the stores are replicated through the
 // lease/heartbeat plane and there is NO rebuilder: durability must come
@@ -141,48 +132,15 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 		rm = sys.EnableReplicationPlane(replication.Config{}, 0)
 	}
 
+	stores, err := fleet.PlaceStores(sys, "store-%d", cfg.stores, 0, rf)
+	if err != nil {
+		return out, err
+	}
 	// The durable source: every acked put is recorded host-side, per
 	// store, and replayed by the rebuilder when a store's machine dies.
-	golden := make([]map[uint64]chaosItem, cfg.stores)
-	for i := range golden {
-		golden[i] = make(map[uint64]chaosItem)
-	}
-	stores := make([]*core.MemoryProclet, cfg.stores)
-	byProclet := make(map[proclet.ID]int)
-	for i := range stores {
-		mid := cluster.MachineID(i % len(cfg.machines))
-		mp, err := core.NewMemoryProcletOn(sys, fmt.Sprintf("store-%d", i), mid)
-		if err != nil {
-			return out, err
-		}
-		if rm != nil {
-			if err := rm.Replicate(mp, rf); err != nil {
-				return out, err
-			}
-		}
-		stores[i] = mp
-		byProclet[mp.ID()] = i
-	}
-	rebuilder := func(p *sim.Proc, mp *core.MemoryProclet) error {
-		idx, ok := byProclet[mp.ID()]
-		if !ok {
-			return nil
-		}
-		items := make([]chaosItem, 0, len(golden[idx]))
-		for _, it := range golden[idx] {
-			items = append(items, it)
-		}
-		sort.Slice(items, func(i, j int) bool { return items[i].key < items[j].key })
-		ids := make([]uint64, len(items))
-		vals := make([]any, len(items))
-		sizes := make([]int64, len(items))
-		for i, it := range items {
-			ids[i], vals[i], sizes[i] = it.key, it.val, it.bytes
-		}
-		return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-	}
+	ledger := fleet.NewLedger(stores, cfg.opBytes, opVal)
 	if rm == nil {
-		sys.SetRebuilder(rebuilder)
+		sys.SetRebuilder(ledger.Rebuild)
 	}
 
 	pool := make([]*core.ComputeProclet, cfg.pool)
@@ -215,14 +173,13 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 			for op := 0; p.Now() < cfg.horizon; op++ {
 				storeIdx := (w + op) % cfg.stores
 				key := uint64(w)<<32 | uint64(op)
-				val := w*1_000_003 + op
 				taskDone := false
 				var done sim.Cond
 				pool[(w+op)%cfg.pool].Run(func(tc *core.TaskCtx) {
 					tc.Compute(cfg.opCPU)
-					err := stores[storeIdx].Put(tc.Proc(), tc.Machine(), key, val, cfg.opBytes)
+					err := stores[storeIdx].Put(tc.Proc(), tc.Machine(), key, opVal(key), cfg.opBytes)
 					if err == nil {
-						golden[storeIdx][key] = chaosItem{key: key, val: val, bytes: cfg.opBytes}
+						ledger.Ack(storeIdx, key)
 						out.ops++
 						if b := int(int64(tc.Proc().Now()) / int64(cfg.bucket)); b < nBuckets {
 							out.goodput[b]++
@@ -240,33 +197,17 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 		})
 	}
 
-	var runErr error
 	completed := false
 	sys.K.Spawn("chaos-driver", func(p *sim.Proc) {
 		wg.Wait(p)
 		// Verify: every acked object must be readable after all faults
 		// healed (crash-lost contents were rebuilt from the durable
 		// source).
-		for i, mp := range stores {
-			keys := make([]uint64, 0, len(golden[i]))
-			for k := range golden[i] {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			for _, k := range keys {
-				v, err := mp.Get(p, 0, k)
-				if err != nil || v.(int) != golden[i][k].val {
-					out.lost++
-				}
-			}
-		}
+		out.lost = ledger.Verify(p, 1)
 		completed = true
 		sys.K.Stop()
 	})
 	sys.K.Run()
-	if runErr != nil {
-		return out, runErr
-	}
 	if !completed {
 		return out, fmt.Errorf("ext-chaos: run did not complete (workload wedged)")
 	}

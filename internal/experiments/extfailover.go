@@ -16,12 +16,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/replication"
 	"repro/internal/runpar"
 	"repro/internal/sim"
@@ -106,23 +106,14 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 
 	// Stores on machines 1..N-1; machine 0 hosts the monitor and the
 	// clients and never crashes.
-	golden := make([]map[uint64]int, cfg.stores)
-	stores := make([]*core.MemoryProclet, cfg.stores)
+	stores, err := fleet.PlaceStores(sys, "fstore-%d", cfg.stores, 1, rf)
+	if err != nil {
+		return out, err
+	}
+	ledger := fleet.NewLedger(stores, cfg.opBytes, opVal)
 	affected := make([]bool, cfg.stores) // primary on the crashing machine
-	for i := range stores {
-		golden[i] = make(map[uint64]int)
-		mid := cluster.MachineID(1 + i%(len(cfg.machines)-1))
-		mp, err := core.NewMemoryProcletOn(sys, fmt.Sprintf("fstore-%d", i), mid)
-		if err != nil {
-			return out, err
-		}
-		if rf >= 2 {
-			if err := rm.Replicate(mp, rf); err != nil {
-				return out, err
-			}
-		}
-		stores[i] = mp
-		affected[i] = mid == 1
+	for i, mp := range stores {
+		affected[i] = mp.Location() == 1
 	}
 
 	if inject {
@@ -145,9 +136,8 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 			for op := 0; p.Now() < cfg.horizon; op++ {
 				idx := (w + op) % cfg.stores
 				key := uint64(w)<<32 | uint64(op)
-				val := w*1_000_003 + op
-				if err := stores[idx].Put(p, 0, key, val, cfg.opBytes); err == nil {
-					golden[idx][key] = val
+				if err := stores[idx].Put(p, 0, key, opVal(key), cfg.opBytes); err == nil {
+					ledger.Ack(idx, key)
 					out.ops++
 					now := p.Now()
 					if b := int(int64(now) / int64(cfg.bucket)); b < nBuckets {
@@ -170,19 +160,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 		// Every acked write must be readable at the end of the run;
 		// there is no rebuilder, so whatever a crash destroyed at RF=1
 		// stays lost and is counted here.
-		for i, mp := range stores {
-			keys := make([]uint64, 0, len(golden[i]))
-			for k := range golden[i] {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-			for _, k := range keys {
-				v, err := mp.Get(p, 0, k)
-				if err != nil || v.(int) != golden[i][k] {
-					out.lost++
-				}
-			}
-		}
+		out.lost = ledger.Verify(p, 1)
 		completed = true
 		sys.K.Stop()
 	})

@@ -11,33 +11,24 @@ package experiments
 // (granular re-placement plus rebuild, as in ext-chaos — now inside a
 // partitioned run).
 //
-// The experiment is its own determinism harness: it executes the same
-// seed at worker counts P in {1, 4, 8} and errors out unless every
-// deterministic observable — per-shard event counts, per-shard op and
-// error counts, window and cross-message totals, and the merged
-// control-plane trace — is identical across P. The CI seed sweep runs
-// this experiment at several seeds, so the sweep is automatically a
-// seed x P matrix.
-//
-// Wall-clock per worker count is reported under Values keys prefixed
-// "wall_". Host time is the one observable that legitimately varies
-// run to run (and cannot show parallel speedup at all on a single-core
-// host), so those keys never appear in Lines (which the seed sweep
-// byte-compares) and benchdiff excludes the "wall_" prefix from its
-// regression gate.
+// The experiment is its own determinism harness (sweepWorkers): the same
+// seed runs at every worker count of sweepP and must yield one scaleDet
+// — per-shard event counts, per-shard op and error counts, window and
+// cross-message totals, and the merged control-plane trace. The CI seed
+// sweep runs this experiment at several seeds, so the sweep is
+// automatically a seed x P matrix.
 
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // scaleCfg parameterizes the partitioned fleet.
@@ -51,7 +42,6 @@ type scaleCfg struct {
 	sample     int // verify every Nth acked key on the crash shard
 	horizon    sim.Time
 	slack      sim.Time // drain window after the horizon
-	workers    []int    // host worker counts to sweep
 }
 
 func scaleConfig(scale Scale) scaleCfg {
@@ -66,7 +56,6 @@ func scaleConfig(scale Scale) scaleCfg {
 		sample:     4,
 		horizon:    sim.Time(8 * time.Millisecond),
 		slack:      sim.Time(8 * time.Millisecond),
-		workers:    []int{1, 4, 8},
 	}
 	if scale == FullScale {
 		cfg.perShard = 125 // 8 x 125 = 1,000 machines
@@ -79,8 +68,8 @@ func scaleConfig(scale Scale) scaleCfg {
 	return cfg
 }
 
-// scaleDet is every observable that must be identical at any worker
-// count. Compared with reflect.DeepEqual across the P sweep.
+// scaleDet is one run's measurements, every one of which must be
+// identical at any worker count.
 type scaleDet struct {
 	ShardEvents []uint64
 	Ops         []int64
@@ -95,139 +84,72 @@ type scaleDet struct {
 	Trace       []string
 }
 
-// scaleOutcome is one run's measurements: the deterministic core plus
-// host wall-clock.
-type scaleOutcome struct {
-	det    scaleDet
-	wallMS float64
-}
-
 // runScaleOnce builds the partitioned fleet and drives it with the
 // given number of host workers.
-func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
-	var out scaleOutcome
-	start := time.Now()
-
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seeded(29), cfg.shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(workers)
-
-	machines := make([]cluster.MachineConfig, cfg.perShard)
-	for i := range machines {
-		machines[i] = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
-	}
+func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
+	fl := fleet.New(seeded(29), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
+	defer fl.Close()
+	fl.PK.SetWorkers(workers)
 
 	type shardState struct {
-		sys    *core.System
 		stores []*core.MemoryProclet
-		golden []map[uint64]int
+		ledger *fleet.Ledger
 		latest int64 // last acked value, served by the xget gateway
 		done   bool
 	}
 	shards := make([]*shardState, cfg.shards)
-	fabrics := make([]*simnet.Fabric, cfg.shards)
-	for s := 0; s < cfg.shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seeded(29) + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
-		shards[s] = &shardState{sys: sys}
-		fabrics[s] = sys.Cluster.Fabric
-	}
-	pt := simnet.NewPartition(pk, fabrics)
-
-	var buildErr error
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		st.sys.Start()
-		st.stores = make([]*core.MemoryProclet, cfg.stores)
-		st.golden = make([]map[uint64]int, cfg.stores)
-		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(cfg.perShard-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
-			if err != nil {
-				buildErr = err
-				break
-			}
-			st.stores[i] = mp
-			st.golden[i] = make(map[uint64]int)
+	for s, sys := range fl.Shards {
+		st := &shardState{}
+		shards[s] = st
+		sys.Start()
+		var err error
+		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
+			return scaleDet{}, err
 		}
-		if buildErr != nil {
-			break
-		}
-		// Rebuild crash-lost store contents from the shard's host-side
-		// golden record (shard-local: written and read only in shard
-		// context).
-		st.sys.SetRebuilder(func(p *sim.Proc, mp *core.MemoryProclet) error {
-			for i, sp := range st.stores {
-				if sp.ID() != mp.ID() {
-					continue
-				}
-				keys := make([]uint64, 0, len(st.golden[i]))
-				for k := range st.golden[i] {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-				ids := make([]uint64, len(keys))
-				vals := make([]any, len(keys))
-				sizes := make([]int64, len(keys))
-				for j, k := range keys {
-					ids[j], vals[j], sizes[j] = k, st.golden[i][k], cfg.opBytes
-				}
-				return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-			}
-			return nil
-		})
+		// Crash-lost store contents come back from the shard's ledger.
+		st.ledger = fleet.NewLedger(st.stores, cfg.opBytes, opVal)
+		sys.SetRebuilder(st.ledger.Rebuild)
 		// The cross-shard gateway: machine 0 serves the shard's last
 		// acked value to peers, on the inline fast path.
-		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
+		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: st.latest, Bytes: 128}, nil
 		})
-	}
-	if buildErr != nil {
-		return out, buildErr
 	}
 
 	// Shard 0 loses machine 1 mid-run and gets it back: orphaned stores
 	// re-place, the rebuilder restores their contents.
-	in := fault.New(pk.Shard(0), shards[0].sys.Cluster, shards[0].sys.Trace)
-	shards[0].sys.AttachInjector(in)
+	in := fault.New(fl.PK.Shard(0), fl.Shards[0].Cluster, fl.Shards[0].Trace)
+	fl.Shards[0].AttachInjector(in)
 	in.Install(fault.Schedule{
 		{At: sim.Time(float64(cfg.horizon) * 0.35), Op: fault.OpCrash, A: 1},
 		{At: sim.Time(float64(cfg.horizon) * 0.65), Op: fault.OpRestart, A: 1},
 	})
 
 	det := scaleDet{
-		ShardEvents: make([]uint64, cfg.shards),
 		Ops:         make([]int64, cfg.shards),
 		Failed:      make([]int64, cfg.shards),
 		CrossOps:    make([]int64, cfg.shards),
 		CrossFailed: make([]int64, cfg.shards),
 	}
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
+	for s, st := range shards {
+		k := fl.PK.Shard(s)
 		var wg sim.WaitGroup
 		for c := 0; c < cfg.clients; c++ {
-			c := c
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-client-%d", s, c), func(p *sim.Proc) {
 				defer wg.Done()
 				for op := 0; p.Now() < cfg.horizon; op++ {
 					idx := (c + op) % cfg.stores
 					key := uint64(c)<<32 | uint64(op)
-					val := c*1_000_003 + op
-					if err := st.stores[idx].Put(p, 0, key, val, cfg.opBytes); err == nil {
-						st.golden[idx][key] = val
-						st.latest = int64(val)
+					if err := st.stores[idx].Put(p, 0, key, opVal(key), cfg.opBytes); err == nil {
+						st.ledger.Ack(idx, key)
+						st.latest = opVal(key)
 						det.Ops[s]++
 					} else {
 						det.Failed[s]++
 					}
 					if op%cfg.crossEvery == 0 {
-						_, err := pt.Call(p, simnet.ShardNode{Shard: s, Node: 0},
+						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err == nil {
@@ -244,46 +166,72 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleOutcome, error) {
 			if s == 0 {
 				// Sampled read-back on the crash shard: acked writes must
 				// have survived the crash via re-placement + rebuild.
-				for i, mp := range st.stores {
-					keys := make([]uint64, 0, len(st.golden[i]))
-					for k := range st.golden[i] {
-						keys = append(keys, k)
-					}
-					sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-					for j := 0; j < len(keys); j += cfg.sample {
-						v, err := mp.Get(p, 0, keys[j])
-						if err != nil || v.(int) != st.golden[i][keys[j]] {
-							det.Lost++
-						}
-					}
-				}
+				det.Lost = st.ledger.Verify(p, cfg.sample)
 			}
 			st.done = true
 		})
 	}
 
-	pk.RunUntil(cfg.horizon + cfg.slack)
+	fl.PK.RunUntil(cfg.horizon + cfg.slack)
 
 	for s, st := range shards {
 		if !st.done {
-			return out, fmt.Errorf("ext-scale: shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
+			return det, fmt.Errorf("ext-scale: shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
 		}
-		det.ShardEvents[s] = pk.Shard(s).EventsProcessed()
 	}
+	det.ShardEvents = fl.Events()
 	det.Crashes = in.Crashes.Value()
-	det.Recoveries = shards[0].sys.Sched.Recoveries.Value()
-	det.Windows = pk.Windows()
-	det.CrossMsgs = uint64(pt.CrossCalls.Value())
-	logs := make([]*trace.Log, cfg.shards)
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
+	det.Recoveries = fl.Shards[0].Sched.Recoveries.Value()
+	det.Windows = fl.PK.Windows()
+	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
+	det.Trace = fl.Trace()
+	return det, nil
+}
+
+// opVal is the value the closed-loop writers of ext-scale, ext-chaos and
+// ext-failover store under key = client<<32 | op — a pure function of
+// the key, which is what lets a fleet.Ledger of keys stand in for the
+// durable copy of the data.
+func opVal(key uint64) int64 { return int64(key>>32)*1_000_003 + int64(uint32(key)) }
+
+// sweepP is the host worker counts every partitioned experiment runs at.
+var sweepP = []int{1, 4, 8}
+
+// sweepWorkers makes a partitioned experiment its own determinism
+// harness: it runs once at each worker count of sweepP and fails unless
+// every run's outcome is reflect.DeepEqual to the first's, which it
+// returns. Each run's per-shard kernel events are added to res. Host
+// wall-clock per worker count goes under Values keys prefixed "wall_":
+// host time is the one observable that legitimately varies run to run
+// (and cannot show parallel speedup at all on a single-core host), so
+// those keys never appear in Lines (which the seed sweep byte-compares)
+// and benchdiff excludes the prefix from its regression gate.
+func sweepWorkers[O any](res *Result, once func(workers int) (O, []uint64, error)) (O, error) {
+	wall := make([]float64, len(sweepP))
+	var ref O
+	var refEvents []uint64
+	for i, p := range sweepP {
+		start := time.Now()
+		o, events, err := once(p)
+		if err != nil {
+			return ref, err
+		}
+		wall[i] = float64(time.Since(start).Microseconds()) / 1000
+		res.EventsProcessed += sumU64(events)
+		if i == 0 {
+			ref, refEvents = o, events
+		} else if !reflect.DeepEqual(o, ref) {
+			return ref, fmt.Errorf("%s: determinism violated — P=%d diverged from P=%d (per-shard events %v vs %v)",
+				res.ID, p, sweepP[0], events, refEvents)
+		}
 	}
-	for _, e := range trace.Merge(logs...).Events() {
-		det.Trace = append(det.Trace, e.String())
+	for i, p := range sweepP {
+		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[i])
+		if i > 0 && wall[i] > 0 {
+			res.set(fmt.Sprintf("wall_speedup_p%d", p), wall[0]/wall[i])
+		}
 	}
-	out.det = det
-	out.wallMS = float64(time.Since(start).Microseconds()) / 1000
-	return out, nil
+	return ref, nil
 }
 
 func runExtScale(scale Scale) (*Result, error) {
@@ -294,41 +242,28 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.addf("faults: shard 0 crashes machine 1 at %v, restarts it at %v",
 		sim.Time(float64(cfg.horizon)*0.35), sim.Time(float64(cfg.horizon)*0.65))
 
-	var ref scaleOutcome
-	wall := make(map[int]float64, len(cfg.workers))
-	for i, p := range cfg.workers {
-		o, err := runScaleOnce(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		wall[p] = o.wallMS
-		res.EventsProcessed += sumU64(o.det.ShardEvents)
-		if i == 0 {
-			ref = o
-			continue
-		}
-		if !reflect.DeepEqual(o.det, ref.det) {
-			return nil, fmt.Errorf(
-				"ext-scale: determinism violated — P=%d diverged from P=%d (events %v vs %v, ops %v vs %v, trace %d vs %d lines)",
-				p, cfg.workers[0], o.det.ShardEvents, ref.det.ShardEvents,
-				o.det.Ops, ref.det.Ops, len(o.det.Trace), len(ref.det.Trace))
-		}
+	ref, err := sweepWorkers(res, func(p int) (scaleDet, []uint64, error) {
+		det, err := runScaleOnce(cfg, p)
+		return det, det.ShardEvents, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.Trace = ref.det.Trace
+	res.Trace = ref.Trace
 
 	var ops, failed, crossOps, crossFailed int64
 	for s := 0; s < cfg.shards; s++ {
-		ops += ref.det.Ops[s]
-		failed += ref.det.Failed[s]
-		crossOps += ref.det.CrossOps[s]
-		crossFailed += ref.det.CrossFailed[s]
+		ops += ref.Ops[s]
+		failed += ref.Failed[s]
+		crossOps += ref.CrossOps[s]
+		crossFailed += ref.CrossFailed[s]
 	}
 	res.addf("ops acked %d (failed %d), cross-shard reads %d (failed %d), objects lost %d",
-		ops, failed, crossOps, crossFailed, ref.det.Lost)
+		ops, failed, crossOps, crossFailed, ref.Lost)
 	res.addf("crashes %d, orphans re-placed %d; %d sync windows, %d cross-shard RPCs",
-		ref.det.Crashes, ref.det.Recoveries, ref.det.Windows, ref.det.CrossMsgs)
+		ref.Crashes, ref.Recoveries, ref.Windows, ref.CrossMsgs)
 	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run)",
-		ref.det.ShardEvents, cfg.workers)
+		ref.ShardEvents, sweepP)
 	res.addf("wall-clock per worker count is host time: see the wall_* keys in the")
 	res.addf("JSON output (excluded from byte-compared output and the benchdiff gate).")
 
@@ -338,19 +273,12 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.set("failed", float64(failed))
 	res.set("cross_ops", float64(crossOps))
 	res.set("cross_failed", float64(crossFailed))
-	res.set("lost", float64(ref.det.Lost))
-	res.set("crashes", float64(ref.det.Crashes))
-	res.set("recoveries", float64(ref.det.Recoveries))
-	res.set("windows", float64(ref.det.Windows))
-	res.set("cross_msgs", float64(ref.det.CrossMsgs))
-	res.set("events", float64(sumU64(ref.det.ShardEvents)))
-	base := wall[cfg.workers[0]]
-	for _, p := range cfg.workers {
-		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[p])
-		if p != cfg.workers[0] && wall[p] > 0 {
-			res.set(fmt.Sprintf("wall_speedup_p%d", p), base/wall[p])
-		}
-	}
+	res.set("lost", float64(ref.Lost))
+	res.set("crashes", float64(ref.Crashes))
+	res.set("recoveries", float64(ref.Recoveries))
+	res.set("windows", float64(ref.Windows))
+	res.set("cross_msgs", float64(ref.CrossMsgs))
+	res.set("events", float64(sumU64(ref.ShardEvents)))
 	return res, nil
 }
 

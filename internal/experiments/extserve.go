@@ -23,10 +23,10 @@ package experiments
 // shard migrates two of its stores to different machines while serving,
 // so the migrate-phase p999 shows the blackout cost). A jittered
 // workload.Antagonist per shard exercises the injected-RNG interference
-// path. Like ext-scale, the run is its own determinism harness: the
-// same seed executes at P in {1, 4, 8} host workers and every
-// deterministic observable — per-shard events, request counts,
-// histogram snapshots, merged trace — must be identical.
+// path. Like ext-scale, the run is its own determinism harness
+// (sweepWorkers): every observable of a run — per-shard events, request
+// counts, histograms, merged trace, trace exports — must be identical at
+// every worker count.
 
 import (
 	"bytes"
@@ -35,18 +35,17 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -81,7 +80,6 @@ type serveCfg struct {
 	migratePer int     // stores migrated per shard in the migrate phase
 	sampleStep time.Duration
 	tenants    []serveTenant
-	workers    []int // host worker counts to sweep
 	flashAt    float64
 	migrateAt  float64
 }
@@ -107,7 +105,6 @@ func serveConfig(scale Scale) serveCfg {
 		sampleStep: 100 * time.Microsecond,
 		flashAt:    0.40,
 		migrateAt:  0.70,
-		workers:    []int{1, 4, 8},
 		tenants: []serveTenant{
 			{name: "A", clients: 12_000, perRPS: 30, keys: 10_000_000, theta: 0.99},
 			{name: "B", clients: 8_000, perRPS: 24, keys: 5_000_000, theta: 0.90},
@@ -221,7 +218,6 @@ type serveOutcome struct {
 	det     serveDet
 	phases  []*metrics.LogHistogram
 	overall *metrics.LogHistogram
-	wallMS  float64
 
 	// Trace exports, only when a trace directory is configured: the
 	// full merged Chrome trace, the tail-sampled subset, and the
@@ -236,18 +232,10 @@ type serveOutcome struct {
 // the given number of host workers.
 func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	var out serveOutcome
-	start := time.Now()
-
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seeded(37), cfg.shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(workers)
-	injWindow := time.Duration(lookahead) * time.Duration(cfg.injWindows)
-
-	machines := make([]cluster.MachineConfig, cfg.perShard)
-	for i := range machines {
-		machines[i] = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
-	}
+	fl := fleet.New(seeded(37), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
+	defer fl.Close()
+	fl.PK.SetWorkers(workers)
+	injWindow := time.Duration(fl.PK.Lookahead()) * time.Duration(cfg.injWindows)
 
 	// Shared immutable per-tenant samplers: one zeta precompute serves
 	// all shards; each shard draws from its own RNG streams.
@@ -261,57 +249,45 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		stores  []*core.MemoryProclet
 		inj     *load.Injector
 		mon     *slo.Monitor
-		queue   []load.Request
-		qhead   int
+		queue   load.Queue
 		served  uint64
 		timeout uint64
 		errs    uint64
 		migOK   int64
 		startNS int64
-		phases  []*metrics.LogHistogram
-		overall *metrics.LogHistogram
 		done    bool
 	}
 	shards := make([]*shardState, cfg.shards)
-	fabrics := make([]*simnet.Fabric, cfg.shards)
-	for s := 0; s < cfg.shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seeded(37) + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
+	// Shard-local latency histograms, [shard] and [phase][shard].
+	overall := make([]*metrics.LogHistogram, cfg.shards)
+	phases := make([][]*metrics.LogHistogram, len(servePhases))
+	for ph := range phases {
+		phases[ph] = make([]*metrics.LogHistogram, cfg.shards)
+	}
+	for s, sys := range fl.Shards {
+		k := sys.K
 		if traceDir != "" {
 			// Per-shard tracer with a disjoint ID base: shard s owns IDs
 			// s<<32 .. (s+1)<<32, so obs.Concat merges shard timelines
 			// into one globally ordered export.
 			sys.EnableTracingAt(obs.SpanID(s) << 32)
 		}
-		st := &shardState{sys: sys, overall: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s))}
+		st := &shardState{sys: sys}
+		shards[s] = st
 		st.mon = serveSLO(cfg, s)
 		st.mon.Log = sys.Trace
 		st.mon.Tracer = sys.Obs
-		for _, ph := range servePhases {
-			st.phases = append(st.phases, metrics.NewLogHistogram(fmt.Sprintf("s%d.lat.%s", s, ph)))
+		overall[s] = metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s))
+		for ph, name := range servePhases {
+			phases[ph][s] = metrics.NewLogHistogram(fmt.Sprintf("s%d.lat.%s", s, name))
 		}
-		shards[s] = st
-		fabrics[s] = sys.Cluster.Fabric
-	}
-	pt := simnet.NewPartition(pk, fabrics)
+		sys.Start()
 
-	for s := 0; s < cfg.shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
-		st.sys.Start()
-
-		// Stores round-robin over machines 1..perShard-1; machine 0 is the
-		// shard's front-end (servers + cross-shard gateway).
-		st.stores = make([]*core.MemoryProclet, cfg.stores)
-		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(cfg.perShard-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
-			if err != nil {
-				return out, err
-			}
-			st.stores[i] = mp
+		// Machine 0 is the shard's front end (servers + cross-shard
+		// gateway); the stores go on the others.
+		var err error
+		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
+			return out, err
 		}
 		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: int64(st.served), Bytes: 64}, nil
@@ -321,9 +297,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		// divided by the shard count, diurnal-modulated, with tenant C
 		// riding the flash-crowd multiplier. Arrivals land in the shard's
 		// serving queue; servers drain it.
-		st.inj = load.NewInjector(k, injWindow, func(r load.Request) {
-			st.queue = append(st.queue, r)
-		})
+		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		period := time.Duration(cfg.horizon)
 		spikeF := load.Spike(
 			sim.Time(float64(cfg.horizon)*cfg.flashAt),
@@ -378,32 +352,9 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
 				byStore := make([][]uint64, cfg.stores)
-				batch := make([]load.Request, 0, cfg.batchMax)
 				var got core.Batch // one read buffer per server, refilled by every call
 				batches := 0
-				// An empty queue is polled in kernel context: the server's
-				// goroutine runs only when there is work or the horizon
-				// has passed.
-				idle := func() bool { return st.qhead == len(st.queue) && p.Now() < cfg.horizon }
-				for {
-					if st.qhead == len(st.queue) {
-						if p.Now() >= cfg.horizon {
-							return // all arrivals delivered and drained
-						}
-						p.SleepWhile(cfg.poll, idle)
-						continue
-					}
-					n := len(st.queue) - st.qhead
-					if n > cfg.batchMax {
-						n = cfg.batchMax
-					}
-					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
-					st.qhead += n
-					if st.qhead == len(st.queue) {
-						// Drained: reuse the queue's storage instead of growing it
-						// by every request the run will ever see.
-						st.queue, st.qhead = st.queue[:0], 0
-					}
+				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, func(batch []load.Request) {
 					// One causal tree per fan-in batch: the root opens at
 					// pickup, store fan-in RPCs hang off it via SetNext, and
 					// each request lands as a retroactive child spanning
@@ -431,8 +382,8 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 					now := p.Now()
 					for _, r := range batch {
 						lat := int64(now - r.At)
-						st.overall.Record(lat)
-						st.phases[cfg.phaseOf(r.At)].Record(lat)
+						overall[s].Record(lat)
+						phases[cfg.phaseOf(r.At)][s].Record(lat)
 						st.served++
 						missed := lat > int64(cfg.deadline)
 						if missed {
@@ -458,14 +409,14 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 						// Keep the fleet coupled: a cross-shard gateway read
 						// rides the partition mailboxes.
 						tr.SetNext(root)
-						_, err := pt.Call(p, simnet.ShardNode{Shard: s, Node: 0},
+						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err != nil {
 							st.errs++
 						}
 					}
-				}
+				})
 			})
 		}
 
@@ -492,10 +443,10 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		})
 	}
 
-	pk.RunUntil(cfg.horizon + cfg.slack)
+	fl.PK.RunUntil(cfg.horizon + cfg.slack)
 
 	det := serveDet{
-		ShardEvents: make([]uint64, cfg.shards),
+		ShardEvents: fl.Events(),
 		Generated:   make([]uint64, cfg.shards),
 		Served:      make([]uint64, cfg.shards),
 		Timeouts:    make([]uint64, cfg.shards),
@@ -513,7 +464,6 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				s, cfg.horizon+cfg.slack, st.served, st.inj.TotalGenerated())
 		}
 		st.mon.Finish(cfg.horizon)
-		det.ShardEvents[s] = pk.Shard(s).EventsProcessed()
 		det.Generated[s] = st.inj.TotalGenerated()
 		det.Served[s] = st.served
 		det.Timeouts[s] = st.timeout
@@ -526,34 +476,20 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		det.Spans[s] = st.sys.Obs.Len()
 		out.incidents = append(out.incidents, st.mon.Incidents()...)
 	}
-	det.Windows = pk.Windows()
-	det.CrossMsgs = uint64(pt.CrossCalls.Value())
+	det.Windows = fl.PK.Windows()
+	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
 
 	// Merge shard-local histograms in fixed shard order (the
 	// obs.MergeSeries pattern): integer bucket addition, byte-identical
 	// at any worker count.
-	out.overall = metrics.NewLogHistogram("latency")
-	out.phases = make([]*metrics.LogHistogram, len(servePhases))
-	for ph := range servePhases {
-		out.phases[ph] = metrics.NewLogHistogram("latency." + servePhases[ph])
-	}
-	for _, st := range shards {
-		out.overall.Merge(st.overall)
-		for ph := range servePhases {
-			out.phases[ph].Merge(st.phases[ph])
-		}
-	}
+	out.overall = metrics.MergeLogHistograms("latency", overall...)
 	det.Overall = out.overall.Snapshot()
-	for ph := range servePhases {
-		det.Phases = append(det.Phases, out.phases[ph].Snapshot())
+	for ph, name := range servePhases {
+		h := metrics.MergeLogHistograms("latency."+name, phases[ph]...)
+		out.phases = append(out.phases, h)
+		det.Phases = append(det.Phases, h.Snapshot())
 	}
-	logs := make([]*trace.Log, cfg.shards)
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
-	}
-	for _, e := range trace.Merge(logs...).Events() {
-		det.Trace = append(det.Trace, e.String())
-	}
+	det.Trace = fl.Trace()
 
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
@@ -576,7 +512,6 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		out.fullTrace, out.sampledTrace, out.sampleStats = fb.Bytes(), sb.Bytes(), stats
 	}
 	out.det = det
-	out.wallMS = float64(time.Since(start).Microseconds()) / 1000
 	return out, nil
 }
 
@@ -594,31 +529,12 @@ func runExtServe(scale Scale) (*Result, error) {
 			t.name, t.clients, t.perRPS, t.theta, t.keys, extra)
 	}
 
-	var ref serveOutcome
-	wall := make(map[int]float64, len(cfg.workers))
-	for i, p := range cfg.workers {
+	ref, err := sweepWorkers(res, func(p int) (serveOutcome, []uint64, error) {
 		o, err := runServeOnce(cfg, p)
-		if err != nil {
-			return nil, err
-		}
-		wall[p] = o.wallMS
-		res.EventsProcessed += sumU64(o.det.ShardEvents)
-		if i == 0 {
-			ref = o
-			continue
-		}
-		if !reflect.DeepEqual(o.det, ref.det) {
-			return nil, fmt.Errorf(
-				"ext-serve: determinism violated — P=%d diverged from P=%d (events %v vs %v, served %v vs %v)",
-				p, cfg.workers[0], o.det.ShardEvents, ref.det.ShardEvents,
-				o.det.Served, ref.det.Served)
-		}
-		if !bytes.Equal(o.fullTrace, ref.fullTrace) || !bytes.Equal(o.sampledTrace, ref.sampledTrace) {
-			return nil, fmt.Errorf(
-				"ext-serve: trace export not byte-identical at P=%d vs P=%d (full %d vs %d bytes, sampled %d vs %d bytes)",
-				p, cfg.workers[0], len(o.fullTrace), len(ref.fullTrace),
-				len(o.sampledTrace), len(ref.sampledTrace))
-		}
+		return o, o.det.ShardEvents, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.Trace = ref.det.Trace
 
@@ -689,7 +605,7 @@ func runExtServe(scale Scale) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run,", ref.det.ShardEvents, cfg.workers)
+	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run,", ref.det.ShardEvents, sweepP)
 	res.addf("histogram snapshots included); wall_* keys are host time, excluded from gates.")
 
 	res.set("machines", float64(cfg.shards*cfg.perShard))
@@ -712,12 +628,5 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("windows", float64(ref.det.Windows))
 	res.set("cross_msgs", float64(ref.det.CrossMsgs))
 	res.set("events", float64(sumU64(ref.det.ShardEvents)))
-	base := wall[cfg.workers[0]]
-	for _, p := range cfg.workers {
-		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[p])
-		if p != cfg.workers[0] && wall[p] > 0 {
-			res.set(fmt.Sprintf("wall_speedup_p%d", p), base/wall[p])
-		}
-	}
 	return res, nil
 }

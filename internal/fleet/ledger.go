@@ -1,0 +1,83 @@
+package fleet
+
+import (
+	"slices"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+)
+
+// Ledger is an experiment's durable source: the keys whose writes each
+// store acknowledged, kept host-side where no simulated crash reaches.
+// A key's value is a pure function of the key and every object has one
+// size, so a set of keys is the whole record — replay, rebuild and
+// verification agree without coordination. A ledger belongs to the shard
+// of its stores and is touched only in that shard's context.
+type Ledger struct {
+	stores []*core.MemoryProclet
+	acked  []map[uint64]struct{} // per store; nil until its first Ack
+	size   int64
+	val    func(key uint64) int64
+}
+
+// NewLedger starts an empty record for stores, whose objects are size
+// bytes and hold val(key).
+func NewLedger(stores []*core.MemoryProclet, size int64, val func(key uint64) int64) *Ledger {
+	return &Ledger{stores: stores, acked: make([]map[uint64]struct{}, len(stores)), size: size, val: val}
+}
+
+// Ack records that stores[store] acknowledged writes of keys. A store's
+// first batch sizes its set, so record a preload in one call.
+func (l *Ledger) Ack(store int, keys ...uint64) {
+	if l.acked[store] == nil {
+		l.acked[store] = make(map[uint64]struct{}, len(keys))
+	}
+	for _, k := range keys {
+		l.acked[store][k] = struct{}{}
+	}
+}
+
+// Keys returns stores[store]'s acked keys ascending — the fixed order
+// every walk of the record uses, so runs stay deterministic.
+func (l *Ledger) Keys(store int) []uint64 {
+	keys := make([]uint64, 0, len(l.acked[store]))
+	for k := range l.acked[store] {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Rebuild is a core.Rebuilder: it restores a crash-lost store by writing
+// back everything it had acked in one batch. Proclets the ledger does
+// not track are left empty.
+func (l *Ledger) Rebuild(p *sim.Proc, mp *core.MemoryProclet) error {
+	for i, st := range l.stores {
+		if st.ID() != mp.ID() {
+			continue
+		}
+		b := &core.Batch{IDs: l.Keys(i)}
+		b.Vals = make([]any, len(b.IDs))
+		b.Sizes = make([]int64, len(b.IDs))
+		for j, k := range b.IDs {
+			b.Vals[j], b.Sizes[j] = l.val(k), l.size
+		}
+		return mp.PutBatch(p, 0, b)
+	}
+	return nil
+}
+
+// Verify reads back every every-th acked key of each store from machine
+// 0 and returns how many are unreadable or hold the wrong value.
+func (l *Ledger) Verify(p *sim.Proc, every int) (lost int64) {
+	for i, mp := range l.stores {
+		keys := l.Keys(i)
+		for j := 0; j < len(keys); j += every {
+			v, err := mp.Get(p, 0, keys[j])
+			if got, ok := v.(int64); err != nil || !ok || got != l.val(keys[j]) {
+				lost++
+			}
+		}
+	}
+	return lost
+}

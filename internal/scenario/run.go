@@ -23,6 +23,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -30,7 +31,6 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Options are the per-invocation knobs that do not change the
@@ -105,13 +105,11 @@ type shardState struct {
 	rm       *core.ReplManager
 	in       *fault.Injector
 	stores   []*core.MemoryProclet
-	golden   []map[uint64]struct{}
+	ledger   *fleet.Ledger
 	inj      *load.Injector
+	queue    load.Queue
 	fleet    *gpu.Fleet
 	trainers []*gpu.Proclet
-
-	queue []load.Request
-	qhead int
 
 	served   uint64
 	timeouts uint64
@@ -147,16 +145,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	bucketNS := int64(sp.BucketMS * 1e6)
 	nBuckets := int((int64(horizon)+int64(drain))/bucketNS) + 2
 
-	lookahead := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds())
-	pk := sim.NewParKernel(seed, f.Shards, lookahead)
-	defer pk.Close()
-	pk.SetWorkers(par)
-	injWindow := time.Duration(lookahead) * injWindows
-
-	machines := make([]cluster.MachineConfig, f.Machines)
-	for i := range machines {
-		machines[i] = cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20}
-	}
+	fl := fleet.New(seed, f.Shards, f.Machines, cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20})
+	defer fl.Close()
+	fl.PK.SetWorkers(par)
+	injWindow := time.Duration(fl.PK.Lookahead()) * injWindows
 
 	// One zeta precompute per tenant serves every shard.
 	zipfs := make([]*load.Zipf, len(w.Tenants))
@@ -206,23 +198,23 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 	}
 
+	// Every object a store is preloaded with, and so its ledger's first
+	// entries: ids 0..Objects-1.
+	preload := &core.Batch{IDs: make([]uint64, w.Objects), Vals: make([]any, w.Objects), Sizes: make([]int64, w.Objects)}
+	for i := range preload.IDs {
+		preload.IDs[i], preload.Vals[i], preload.Sizes[i] = uint64(i), writeVal(uint64(i)), w.ObjectBytes
+	}
+
 	shards := make([]*shardState, f.Shards)
-	for s := 0; s < f.Shards; s++ {
-		sysCfg := core.DefaultConfig()
-		sysCfg.Seed = seed + int64(s)
-		sys := core.NewSystemOnKernel(pk.Shard(s), sysCfg, machines)
-		shards[s] = &shardState{
+	for s, sys := range fl.Shards {
+		st := &shardState{
 			sys:  sys,
 			hist: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
 			good: make([]int64, nBuckets),
 		}
-	}
-
-	for s := 0; s < f.Shards; s++ {
-		s := s
-		st := shards[s]
-		k := pk.Shard(s)
-		st.sys.Start()
+		shards[s] = st
+		k := sys.K
+		sys.Start()
 
 		// The fault plane is installed on every shard — even those with no
 		// scheduled faults — so RPC timeout behavior is uniform fleet-wide.
@@ -284,44 +276,19 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			st.rm = st.sys.EnableReplicationPlane(replication.Config{}, 0)
 		}
 
-		// Stores round-robin over machines 1..Machines-1; machine 0 is the
-		// shard front end (servers + failure-detector monitor).
-		st.stores = make([]*core.MemoryProclet, w.Stores)
-		st.golden = make([]map[uint64]struct{}, w.Stores)
+		// Stores go on machines 1..Machines-1; machine 0 is the shard
+		// front end (servers + failure-detector monitor).
+		var err error
+		st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), w.Stores, 1, w.RF)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q: %w", sp.Name, err)
+		}
+		st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes, writeVal)
 		for i := range st.stores {
-			mid := cluster.MachineID(1 + i%(f.Machines-1))
-			mp, err := core.NewMemoryProcletOn(st.sys, fmt.Sprintf("s%d-store-%d", s, i), mid)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: shard %d store %d: %w", sp.Name, s, i, err)
-			}
-			st.stores[i] = mp
-			st.golden[i] = make(map[uint64]struct{}, w.Objects)
-			for id := 0; id < w.Objects; id++ {
-				st.golden[i][uint64(id)] = struct{}{}
-			}
-			if w.RF >= 2 {
-				if err := st.rm.Replicate(mp, w.RF); err != nil {
-					return nil, fmt.Errorf("scenario %q: replicate shard %d store %d: %w", sp.Name, s, i, err)
-				}
-			}
+			st.ledger.Ack(i, preload.IDs...)
 		}
 		if w.RF == 1 && w.Rebuild {
-			st.sys.SetRebuilder(func(p *sim.Proc, mp *core.MemoryProclet) error {
-				for i, sp2 := range st.stores {
-					if sp2.ID() != mp.ID() {
-						continue
-					}
-					keys := sortedKeys(st.golden[i])
-					ids := make([]uint64, len(keys))
-					vals := make([]any, len(keys))
-					sizes := make([]int64, len(keys))
-					for j, kk := range keys {
-						ids[j], vals[j], sizes[j] = kk, writeVal(kk), w.ObjectBytes
-					}
-					return mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-				}
-				return nil
-			})
+			sys.SetRebuilder(st.ledger.Rebuild)
 		}
 		st.in.Install(faults[s])
 
@@ -371,9 +338,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// The shard's open-loop arrival stream: each tenant's fleet rate is
 		// split evenly across shards, spike events multiply onto the base
 		// curve, and the whole thing is pre-sampled into a piecewise curve.
-		st.inj = load.NewInjector(k, injWindow, func(r load.Request) {
-			st.queue = append(st.queue, r)
-		})
+		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		for ti, t := range w.Tenants {
 			per := t.Rate / float64(f.Shards)
 			var base func(sim.Time) float64
@@ -401,15 +366,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 		// Preload, then start injection at a deterministic virtual instant.
 		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			ids := make([]uint64, w.Objects)
-			vals := make([]any, w.Objects)
-			sizes := make([]int64, w.Objects)
-			for i := range ids {
-				ids[i] = uint64(i)
-				vals[i] = writeVal(uint64(i))
-				sizes[i] = w.ObjectBytes
-			}
-			preload := &core.Batch{IDs: ids, Vals: vals, Sizes: sizes}
 			for _, mp := range st.stores {
 				if err := mp.PutBatch(p, 0, preload); err != nil {
 					panic(fmt.Sprintf("scenario preload: %v", err))
@@ -431,34 +387,11 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				defer wg.Done()
 				readIDs := make([][]uint64, w.Stores)
 				writeIDs := make([][]uint64, w.Stores)
-				batch := make([]load.Request, 0, w.BatchMax)
 				// One read buffer and one write buffer per server: nothing
 				// read is kept past the call, and the store copies writes
 				// out before PutBatch returns.
 				var rbuf, wbuf core.Batch
-				// An empty queue is polled in kernel context: the server's
-				// goroutine runs only when there is work or the horizon
-				// has passed.
-				idle := func() bool { return st.qhead == len(st.queue) && p.Now() < horizon }
-				for {
-					if st.qhead == len(st.queue) {
-						if p.Now() >= horizon {
-							return
-						}
-						p.SleepWhile(serverPoll, idle)
-						continue
-					}
-					n := len(st.queue) - st.qhead
-					if n > w.BatchMax {
-						n = w.BatchMax
-					}
-					batch = append(batch[:0], st.queue[st.qhead:st.qhead+n]...)
-					st.qhead += n
-					if st.qhead == len(st.queue) {
-						// Drained: reuse the queue's storage instead of growing it
-						// by every request the run will ever see.
-						st.queue, st.qhead = st.queue[:0], 0
-					}
+				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, func(batch []load.Request) {
 					for i := range readIDs {
 						readIDs[i] = readIDs[i][:0]
 						writeIDs[i] = writeIDs[i][:0]
@@ -486,9 +419,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 							if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
 								st.errs += uint64(len(ids))
 							} else {
-								for _, id := range ids {
-									st.golden[si][id] = struct{}{}
-								}
+								st.ledger.Ack(si, ids...)
 								st.acked += uint64(len(ids))
 							}
 						}
@@ -514,7 +445,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 							st.good[bi]++
 						}
 					}
-				}
+				})
 			})
 		}
 
@@ -536,7 +467,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			var rb core.Batch // each chunk is checked before the next is read
 			got := make(map[uint64]int64, verifyChunk)
 			for si, mp := range st.stores {
-				keys := sortedKeys(st.golden[si])
+				keys := st.ledger.Keys(si)
 				for off := 0; off < len(keys); off += verifyChunk {
 					end := off + verifyChunk
 					if end > len(keys) {
@@ -564,7 +495,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		})
 	}
 
-	pk.RunUntil(horizon + drain)
+	fl.PK.RunUntil(horizon + drain)
 
 	for s, st := range shards {
 		if !st.done {
@@ -573,7 +504,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 	}
 
-	return collect(sp, seed, pk, shards, bucketNS)
+	return collect(sp, seed, fl, shards, bucketNS)
 }
 
 // metric is one row of the report: a name assertions may reference,
@@ -681,13 +612,14 @@ var metricTable = []metric{
 var MetricNames = column(metricTable, func(d metric) string { return d.name })
 
 // collect folds per-shard state into the Outcome, in fixed shard order.
-func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, bucketNS int64) (*Outcome, error) {
+func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucketNS int64) (*Outcome, error) {
 	horizon := mst(sp.HorizonMS)
 	out := &Outcome{Spec: sp, Seed: seed, Pass: true,
-		Metrics: make(map[string]float64, len(metricTable)), Hist: metrics.NewLogHistogram("latency")}
+		Metrics: make(map[string]float64, len(metricTable))}
 	r := rollup{Outcome: out, good: make([]int64, len(shards[0].good)),
-		horizon: int64(horizon), bucketNS: bucketNS, windows: float64(pk.Windows())}
+		horizon: int64(horizon), bucketNS: bucketNS, windows: float64(fl.PK.Windows())}
 	flightSnaps := make([][]slo.FlightEntry, len(shards))
+	hists := make([]*metrics.LogHistogram, len(shards))
 	for s, st := range shards {
 		// Seal the SLO plane at the horizon: trailing empty windows
 		// close (a tail outage still breaches), incidents still open
@@ -702,7 +634,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 		if st.startNS > r.startNS {
 			r.startNS = st.startNS
 		}
-		out.Hist.Merge(st.hist)
+		hists[s] = st.hist
 		for i, v := range st.good {
 			r.good[i] += v
 		}
@@ -712,6 +644,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 			}
 		}
 	}
+	out.Hist = metrics.MergeLogHistograms("latency", hists...)
 	for _, d := range metricTable {
 		if d.fold != nil {
 			out.Metrics[d.name] = d.fold(&r)
@@ -727,13 +660,7 @@ func collect(sp *Spec, seed int64, pk *sim.ParKernel, shards []*shardState, buck
 			out.Pass = false
 		}
 	}
-	logs := make([]*trace.Log, len(shards))
-	for s, st := range shards {
-		logs[s] = st.sys.Trace
-	}
-	for _, e := range trace.Merge(logs...).Events() {
-		out.Trace = append(out.Trace, e.String())
-	}
+	out.Trace = fl.Trace()
 	return out, nil
 }
 

@@ -748,14 +748,3 @@ func (sp *Spec) validate() error {
 	}
 	return nil
 }
-
-// sortedKeys returns m's keys ascending — the fixed iteration order
-// every golden-record walk uses so runs stay deterministic.
-func sortedKeys(m map[uint64]struct{}) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}

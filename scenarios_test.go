@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -63,5 +65,37 @@ func TestScenarioLibrary(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCIMatrixListsEveryScenario: the CI scenario-matrix job names its
+// cells by hand, so a scenario file added without a cell would pass
+// this library gate and never meet the seed sweep.
+func TestCIMatrixListsEveryScenario(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := regexp.MustCompile(`(?m)^ +scenario:\n((?: +- \S+\n)+)`).FindSubmatch(ci)
+	if list == nil {
+		t.Fatal("ci.yml has no scenario-matrix `scenario:` list")
+	}
+	cells := make(map[string]bool)
+	for _, name := range regexp.MustCompile(`- (\S+)`).FindAllSubmatch(list[1], -1) {
+		cells[string(name[1])] = true
+	}
+	files, err := filepath.Glob(filepath.Join(scenarioDir, "*.yaml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".yaml")
+		if !cells[name] {
+			t.Errorf("%s has no cell in ci.yml's scenario-matrix", path)
+		}
+		delete(cells, name)
+	}
+	for name := range cells {
+		t.Errorf("ci.yml's scenario-matrix lists %q, which is not a file in %s/", name, scenarioDir)
 	}
 }
