@@ -13,8 +13,7 @@ type Cluster struct {
 	K      *sim.Kernel
 	Fabric *simnet.Fabric
 
-	machines []*Machine
-	byID     map[MachineID]*Machine
+	machines []*Machine // indexed by MachineID: AddMachine assigns IDs densely from 0
 }
 
 // New creates an empty cluster on the kernel with the given network.
@@ -22,7 +21,6 @@ func New(k *sim.Kernel, netCfg simnet.Config) *Cluster {
 	return &Cluster{
 		K:      k,
 		Fabric: simnet.New(k, netCfg),
-		byID:   make(map[MachineID]*Machine),
 	}
 }
 
@@ -32,7 +30,6 @@ func (c *Cluster) AddMachine(cfg MachineConfig) *Machine {
 	id := MachineID(len(c.machines))
 	m := NewMachine(c.K, id, fmt.Sprintf("m%d", id), cfg)
 	c.machines = append(c.machines, m)
-	c.byID[id] = m
 	c.Fabric.AddNode(simnet.NodeID(id))
 	return m
 }
@@ -41,7 +38,12 @@ func (c *Cluster) AddMachine(cfg MachineConfig) *Machine {
 func (c *Cluster) Machines() []*Machine { return c.machines }
 
 // Machine returns the machine with the given ID, or nil.
-func (c *Cluster) Machine(id MachineID) *Machine { return c.byID[id] }
+func (c *Cluster) Machine(id MachineID) *Machine {
+	if id < 0 || int(id) >= len(c.machines) {
+		return nil
+	}
+	return c.machines[id]
+}
 
 // NumMachines returns the machine count.
 func (c *Cluster) NumMachines() int { return len(c.machines) }

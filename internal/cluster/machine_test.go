@@ -253,6 +253,30 @@ func TestClusterWiring(t *testing.T) {
 	}
 }
 
+// TestMachineLookupByID: IDs are dense indexes into the machine list, and
+// an ID nobody was given is nil, not a panic.
+func TestMachineLookupByID(t *testing.T) {
+	c := New(sim.NewKernel(1), simnet.DefaultConfig())
+	if c.Machine(0) != nil {
+		t.Error("Machine(0) on an empty cluster is not nil")
+	}
+	ms := []*Machine{
+		c.AddMachine(MachineConfig{Cores: 1}),
+		c.AddMachine(MachineConfig{Cores: 1}),
+		c.AddMachine(MachineConfig{Cores: 1}),
+	}
+	for _, tc := range []struct {
+		id   MachineID
+		want *Machine
+	}{
+		{-1, nil}, {0, ms[0]}, {1, ms[1]}, {2, ms[2]}, {MachineID(len(ms)), nil}, {math.MaxInt, nil}, {math.MinInt, nil},
+	} {
+		if got := c.Machine(tc.id); got != tc.want {
+			t.Errorf("Machine(%d) = %p, want %p", tc.id, got, tc.want)
+		}
+	}
+}
+
 // Property: n equal tasks of work w on c cores finish together at
 // max(w, n*w/c) (within float tolerance), and conservation holds:
 // consumed core-seconds equal n*w.

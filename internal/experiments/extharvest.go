@@ -56,13 +56,16 @@ func runExtHarvest(scale Scale) (*Result, error) {
 			_ = i
 		}
 		goodput := metrics.NewBucketSeries("goodput", time.Millisecond)
-		var feed func(cp *core.ComputeProclet)
-		feed = func(cp *core.ComputeProclet) {
-			cp.Run(func(tc *core.TaskCtx) {
-				tc.Compute(unit)
-				goodput.Add(sys.K.Now(), 1)
-				feed(tc.ComputeProclet())
-			})
+		// One closure value feeds every task, as in fig1: a completion
+		// re-enqueues the same TaskFn on its current proclet.
+		var taskFn core.TaskFn
+		taskFn = func(tc *core.TaskCtx) {
+			tc.Compute(unit)
+			goodput.Add(sys.K.Now(), 1)
+			tc.ComputeProclet().Run(taskFn)
+		}
+		feed := func(cp *core.ComputeProclet) {
+			cp.Run(taskFn)
 		}
 		// Filler sized to the idle capacity: 2 machines' worth.
 		members := int(2 * cores)

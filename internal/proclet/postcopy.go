@@ -69,10 +69,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 
 	start := rt.k.Now()
 	pr.state = StateMigrating
-	for task := range pr.tasks {
-		task.Cancel()
-	}
-	pr.tasks = make(map[*cluster.Task]struct{})
+	pr.cancelTasks()
 	for pr.active > 0 {
 		pr.drained.Wait(p)
 	}

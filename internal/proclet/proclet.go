@@ -15,6 +15,7 @@ package proclet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -123,7 +124,7 @@ type Proclet struct {
 	residentAt sim.Time // when the last post-copy window closed
 
 	nextThread int64
-	tasks      map[*cluster.Task]struct{} // outstanding thread compute
+	tasks      []*cluster.Task // outstanding thread compute, in submission order
 
 	commBytes map[ID]int64 // affinity: bytes exchanged per peer proclet
 	invokes   metrics.Counter
@@ -324,13 +325,32 @@ func (t *Thread) Compute(d time.Duration) {
 		}
 		m := pr.rt.Cluster.Machine(pr.machine)
 		task := m.Submit(d)
-		pr.tasks[task] = struct{}{}
+		pr.tasks = append(pr.tasks, task)
 		canceled, rem := task.Wait(t.proc)
-		delete(pr.tasks, task)
+		pr.dropTask(task)
 		if !canceled {
 			return
 		}
 		d = rem
+	}
+}
+
+// cancelTasks suspends every outstanding thread compute, oldest first, so
+// the order in which the threads wake, resubmit and are numbered by the
+// next machine depends on the program alone.
+func (pr *Proclet) cancelTasks() {
+	for _, task := range pr.tasks {
+		task.Cancel()
+	}
+	clear(pr.tasks)
+	pr.tasks = pr.tasks[:0]
+}
+
+// dropTask forgets a task its thread has finished waiting for. A task
+// that cancelTasks already dropped is not found, which is fine.
+func (pr *Proclet) dropTask(task *cluster.Task) {
+	if i := slices.Index(pr.tasks, task); i >= 0 {
+		pr.tasks = slices.Delete(pr.tasks, i, i+1)
 	}
 }
 

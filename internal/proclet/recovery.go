@@ -61,10 +61,7 @@ func (rt *Runtime) CrashMachine(mid cluster.MachineID) []*Proclet {
 		delete(tbl, id)
 		pr.state = StateOrphaned
 		pr.lazyWindow = false // a post-copy window dies with the machine
-		for task := range pr.tasks {
-			task.Cancel()
-		}
-		pr.tasks = make(map[*cluster.Task]struct{})
+		pr.cancelTasks()
 		// Wake suspended threads and migration waiters: they observe
 		// StateOrphaned and park for recovery (or abort, for a migration
 		// whose source just died).
@@ -95,10 +92,7 @@ func (rt *Runtime) Depose(pr *Proclet) error {
 	delete(rt.local[mid], pr.id)
 	pr.state = StateOrphaned
 	pr.lazyWindow = false
-	for task := range pr.tasks {
-		task.Cancel()
-	}
-	pr.tasks = make(map[*cluster.Task]struct{})
+	pr.cancelTasks()
 	pr.unblocked.Broadcast()
 	pr.drained.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), trace.KindRepl, pr.name, int(mid), -1,

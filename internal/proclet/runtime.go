@@ -202,7 +202,6 @@ func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Pr
 		allocEpoch: mach.Epoch(),
 		heapBytes:  heapBytes,
 		methods:    make(map[string]Method),
-		tasks:      make(map[*cluster.Task]struct{}),
 		commBytes:  make(map[ID]int64),
 	}
 	rt.directory[pr.id] = m
@@ -225,10 +224,7 @@ func (rt *Runtime) Destroy(id ID) error {
 	rt.freeHeap(pr)
 	pr.heapBytes = 0
 	pr.state = StateDead
-	for task := range pr.tasks {
-		task.Cancel()
-	}
-	pr.tasks = make(map[*cluster.Task]struct{})
+	pr.cancelTasks()
 	delete(rt.local[m], id)
 	delete(rt.directory, id)
 	pr.unblocked.Broadcast()
@@ -609,10 +605,7 @@ func (rt *Runtime) MigrateCaused(p *sim.Proc, id ID, to cluster.MachineID, cause
 	pr.state = StateMigrating
 
 	// Suspend thread compute; remaining work resumes at the destination.
-	for task := range pr.tasks {
-		task.Cancel()
-	}
-	pr.tasks = make(map[*cluster.Task]struct{})
+	pr.cancelTasks()
 
 	// Drain in-flight method invocations.
 	for pr.active > 0 {
