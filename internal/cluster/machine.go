@@ -88,6 +88,22 @@ func (t *Task) Wait(p *sim.Proc) (canceled bool, remaining time.Duration) {
 	return false, 0
 }
 
+// Release hands the task's storage back to its machine for a later
+// Submit to reuse; the handle is dead afterwards. Only a caller that owns
+// the one handle to a finished task may release it — Exec and a proclet
+// thread's Compute, which submit, wait once and forget. Nothing is
+// released on the caller's behalf at retirement, because a handle held
+// elsewhere (a controller's, to Cancel later) must stay valid. Releasing a
+// resident task, or one already released, panics.
+func (t *Task) Release() {
+	m := t.m
+	if m == nil || !t.finished {
+		panic("cluster: Release of a task that is resident or already released")
+	}
+	t.m = nil
+	m.freeTasks = append(m.freeTasks, t)
+}
+
 // Cancel removes the task from the machine, settling its remaining
 // work. Canceling a finished task is a no-op.
 func (t *Task) Cancel() {
@@ -126,12 +142,14 @@ type Machine struct {
 	// re-arming allocates nothing.
 	completeFn func(gen uint64)
 
-	// taskSlab block-allocates Task structs so high-churn workloads pay
-	// one allocation per slabSize submissions instead of one each. Slots
-	// are never recycled: a retired Task stays valid (Remaining, Wait,
-	// Cancel are all legal on finished tasks) and its slab block is
-	// garbage-collected once every task in it is unreachable.
-	taskSlab []Task
+	// Task storage. Submit reuses what Task.Release handed back and, when
+	// nothing has been, takes the next slot of a block-allocated slab, so a
+	// submit-wait-release loop allocates nothing in steady state and a
+	// caller that keeps its handles pays one allocation per slabSize
+	// submissions. A retired Task that was not released stays valid
+	// (Remaining, Wait, Cancel are all legal on finished tasks).
+	freeTasks []*Task
+	taskSlab  []Task
 
 	memUsed int64
 
@@ -439,12 +457,19 @@ func (m *Machine) Submit(work time.Duration) *Task {
 	}
 	m.settle()
 	m.nextTaskID++
-	const slabSize = 64
-	if len(m.taskSlab) == 0 {
-		m.taskSlab = make([]Task, slabSize)
+	var t *Task
+	if n := len(m.freeTasks); n > 0 {
+		t = m.freeTasks[n-1]
+		m.freeTasks = m.freeTasks[:n-1]
+		t.remaining, t.finished, t.canceled = 0, false, false
+	} else {
+		const slabSize = 64
+		if len(m.taskSlab) == 0 {
+			m.taskSlab = make([]Task, slabSize)
+		}
+		t = &m.taskSlab[0]
+		m.taskSlab = m.taskSlab[1:]
 	}
-	t := &m.taskSlab[0]
-	m.taskSlab = m.taskSlab[1:]
 	t.m = m
 	t.id = m.nextTaskID
 	if m.down {
@@ -470,7 +495,9 @@ func (m *Machine) Exec(p *sim.Proc, work time.Duration) {
 	if work <= 0 {
 		return
 	}
-	m.Submit(work).Wait(p)
+	t := m.Submit(work)
+	t.Wait(p)
+	t.Release()
 }
 
 // SetReserved changes the cores reserved for high-priority work,

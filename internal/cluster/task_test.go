@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -106,5 +108,161 @@ func TestTaskCancelStalledByReservation(t *testing.T) {
 	k.Run()
 	if rem != 7*time.Millisecond {
 		t.Errorf("remaining = %v, want full 7ms", rem)
+	}
+}
+
+// retirement is one task leaving the machine, as its waiter saw it.
+type retirement struct {
+	task      int // program-level index of the Submit
+	at        sim.Time
+	canceled  bool
+	remaining time.Duration
+}
+
+// releaseRun is what one run of the random machine program produced.
+type releaseRun struct {
+	retired  []retirement
+	runnable []int // Runnable() after every operation
+	coreSecs float64
+	events   uint64
+	reused   int // Submits that were handed storage seen before
+}
+
+// runReleaseMix runs a random program of Submit, Cancel, SetReserved,
+// Crash and Restart against one machine. Every Submit has a waiter process
+// that records the retirement; with release set, the waiter then releases
+// the task — the earliest legal point — and the controller forgets the
+// handle, as an owner must.
+func runReleaseMix(seed int64, release bool) releaseRun {
+	k := sim.NewKernel(seed)
+	defer k.Close()
+	m := NewMachine(k, 0, "m", MachineConfig{Cores: 4})
+	rng := rand.New(rand.NewSource(seed))
+	var out releaseRun
+	var handles []*Task // nil once released
+	seen := map[*Task]bool{}
+
+	const horizon = 5 * time.Millisecond
+	for i, n := 0, 40+rng.Intn(160); i < n; i++ {
+		at := sim.Time(rng.Int63n(int64(horizon)))
+		var op func()
+		switch r := rng.Intn(100); {
+		case r < 55:
+			work := time.Duration(1+rng.Intn(500)) * time.Microsecond
+			op = func() {
+				idx := len(handles)
+				t := m.Submit(work)
+				handles = append(handles, t)
+				if seen[t] {
+					out.reused++
+				}
+				seen[t] = true
+				k.Spawn("waiter", func(p *sim.Proc) {
+					canceled, rem := t.Wait(p)
+					out.retired = append(out.retired, retirement{idx, p.Now(), canceled, rem})
+					if release {
+						handles[idx] = nil
+						t.Release()
+					}
+				})
+			}
+		case r < 75:
+			pick := rng.Int()
+			op = func() {
+				if len(handles) == 0 {
+					return
+				}
+				// Without release this also cancels finished tasks, which
+				// must stay a no-op.
+				if t := handles[pick%len(handles)]; t != nil {
+					t.Cancel()
+				}
+			}
+		case r < 93:
+			cores := float64(rng.Intn(6)) // up to more than the machine has
+			op = func() { m.SetReserved(cores) }
+		case r < 96:
+			op = m.Crash
+		default:
+			op = m.Restart
+		}
+		k.Schedule(at, func() {
+			op()
+			out.runnable = append(out.runnable, m.Runnable())
+		})
+	}
+	k.Schedule(sim.Time(horizon), func() { m.SetReserved(0) }) // let what is left finish
+	k.Run()
+	out.runnable = append(out.runnable, m.Runnable())
+	out.coreSecs = m.CoreSeconds
+	out.events = k.EventsProcessed()
+	return out
+}
+
+// TestReleaseChangesNothingButStorage: a program that releases every task
+// the moment it may is indistinguishable — retirements, Runnable(),
+// CoreSeconds, event count — from one that never releases, and does reuse
+// storage.
+func TestReleaseChangesNothingButStorage(t *testing.T) {
+	reused := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		want := runReleaseMix(seed, false)
+		got := runReleaseMix(seed, true)
+		if want.reused != 0 {
+			t.Fatalf("seed %d: %d Submits reused storage that was never released", seed, want.reused)
+		}
+		reused += got.reused
+		got.reused = 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: run with Release differs\nwith:    %+v\nwithout: %+v", seed, got, want)
+		}
+		if len(want.retired) == 0 {
+			t.Fatalf("seed %d: degenerate program, nothing retired", seed)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no Submit ever reused released storage")
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestReleaseRefusesResidentAndReleasedTasks: the two misuses that would
+// alias live storage.
+func TestReleaseRefusesResidentAndReleasedTasks(t *testing.T) {
+	k, m := newTestMachine(t, 1, 0)
+	task := m.Submit(time.Millisecond)
+	mustPanic(t, "Release of a resident task", task.Release)
+	k.Run()
+	task.Release()
+	mustPanic(t, "second Release", task.Release)
+	if again := m.Submit(time.Millisecond); again != task {
+		t.Error("Submit after Release did not reuse the released storage")
+	}
+}
+
+// TestExecAllocatesNothingInSteadyState: eight processes computing back to
+// back, the shape of a filler proclet's workers, recycle their tasks.
+func TestExecAllocatesNothingInSteadyState(t *testing.T) {
+	k, m := newTestMachine(t, 4, 0)
+	defer k.Close()
+	for i := 0; i < 8; i++ {
+		k.Spawn("worker", func(p *sim.Proc) {
+			for {
+				m.Exec(p, 50*time.Microsecond)
+			}
+		})
+	}
+	k.RunUntil(10 * sim.Millisecond) // queues and free list at capacity
+	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
+		t.Fatalf("a steady-state Exec step allocates %v objects, want 0", a)
 	}
 }

@@ -328,6 +328,7 @@ func (t *Thread) Compute(d time.Duration) {
 		pr.tasks = append(pr.tasks, task)
 		canceled, rem := task.Wait(t.proc)
 		pr.dropTask(task)
+		task.Release()
 		if !canceled {
 			return
 		}
