@@ -162,6 +162,51 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerRearm measures one Arm of a pending timer among 16 queued
+// events: the firing is re-keyed where it sits in the heap and sifted,
+// which is what every Submit and retirement costs a machine's completion
+// timer.
+func BenchmarkTimerRearm(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	noop := func() {}
+	for i := 1; i <= 16; i++ {
+		k.Schedule(sim.Time(i)*sim.Millisecond, noop)
+	}
+	var t sim.Timer
+	t.Init(k, noop)
+	t.Arm(sim.Microsecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.Arm(sim.Time(i%17)*sim.Millisecond + sim.Microsecond)
+	}
+}
+
+// BenchmarkComputeUnit measures one unit of simulated compute in the fig1
+// shape — Machine.Exec of 50 µs by one of 8 workers whose tasks are all
+// resident and staggered, so each completion retires one task and each
+// resubmission moves the completion timer.
+func BenchmarkComputeUnit(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	m := cluster.NewMachine(k, 0, "m", cluster.MachineConfig{Cores: 8})
+	left := b.N
+	for w := 0; w < 8; w++ {
+		stagger := time.Duration(w) * 6 * time.Microsecond
+		k.Spawn("worker", func(p *sim.Proc) {
+			p.Sleep(stagger)
+			for left > 0 {
+				left--
+				m.Exec(p, 50*time.Microsecond)
+			}
+		})
+	}
+	b.ResetTimer()
+	k.Run()
+}
+
 // BenchmarkProcSwitch measures one kernel-to-process round trip, two
 // coroutine switches: a process that wakes from Sleep, finds nothing to
 // do and sleeps again, which is what every idle poll cost before

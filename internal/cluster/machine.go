@@ -135,12 +135,12 @@ type Machine struct {
 	nextTaskID int64
 	reserved   float64  // cores taken by high-priority work
 	lastSettle sim.Time // last time attained service was settled
-	gen        uint64   // invalidates stale completion events
 
-	// completeFn is the machine's single long-lived completion callback;
-	// reschedule arms it with the generation as the event tag, so
-	// re-arming allocates nothing.
-	completeFn func(gen uint64)
+	// completion fires completeFinished when the resident task with the
+	// least work left is due to finish. Every change to the task set or
+	// the rate moves it (reschedule), so no superseded completion is ever
+	// queued.
+	completion sim.Timer
 
 	// Task storage. Submit reuses what Task.Release handed back and, when
 	// nothing has been, takes the next slot of a block-allocated slab, so a
@@ -190,12 +190,7 @@ func NewMachine(k *sim.Kernel, id MachineID, name string, cfg MachineConfig) *Ma
 		k:    k,
 		cfg:  cfg,
 	}
-	m.completeFn = func(gen uint64) {
-		if gen != m.gen {
-			return
-		}
-		m.completeFinished()
-	}
+	m.completion.Init(k, m.completeFinished)
 	return m
 }
 
@@ -359,12 +354,12 @@ func (m *Machine) settle() {
 	m.lastSettle = now
 }
 
-// reschedule computes the next task completion and schedules it. Any
-// previously scheduled completion event becomes stale via m.gen.
+// reschedule computes the next task completion and moves the completion
+// timer to it, or stops the timer when nothing can complete.
 func (m *Machine) reschedule() {
-	m.gen++
 	rate := m.perTaskRate()
 	if rate <= 0 || len(m.taskHeap) == 0 {
+		m.completion.Stop()
 		return
 	}
 	minRem := m.taskHeap[0].vfinish - m.attained
@@ -372,7 +367,7 @@ func (m *Machine) reschedule() {
 		minRem = 0
 	}
 	dt := time.Duration(math.Ceil(minRem / rate))
-	m.k.AfterTagged(dt, m.completeFn, m.gen)
+	m.completion.Arm(m.k.Now().Add(dt))
 }
 
 // completeFinished settles and retires every task whose work is done,
@@ -388,12 +383,6 @@ func (m *Machine) completeFinished() {
 		t.done.Broadcast()
 	}
 	m.recordUtil()
-	if len(m.taskHeap) == 0 {
-		// Nothing left to complete: the event that brought us here was
-		// the only live generation, so there is no stale completion to
-		// invalidate and nothing to re-arm.
-		return
-	}
 	m.reschedule()
 }
 
@@ -434,7 +423,7 @@ func (m *Machine) Crash() {
 		m.MemSeries.Add(m.k.Now(), 0)
 	}
 	m.recordUtil()
-	m.reschedule() // no tasks: just invalidates any pending completion
+	m.reschedule() // no tasks: stops the completion timer
 }
 
 // Restart brings a crashed machine back online with empty memory and no

@@ -23,6 +23,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -54,23 +55,37 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a single entry in the kernel's event queue. Events are held
-// by value inside the kernel's slices — there is no per-event heap
-// allocation and no interface boxing on the schedule/pop path; the
-// slices themselves act as the event pool, retaining capacity across
-// the run.
-//
-// The hot event payloads are typed instead of closed over: process
-// wakes carry the *Proc directly and tagged callbacks carry a uint64
-// argument, so the dominant event kinds (wake, sleep-expiry, machine
-// completion re-arms) schedule without allocating a closure.
-type event struct {
+// qkey is one queued event as the queues see it: when it runs, its place
+// among that instant's events, and which slab slot holds what it does.
+// The same-instant FIFO and the future-event heap hold nothing else, so a
+// sift moves 24 pointer-free bytes and never runs a write barrier.
+type qkey struct {
 	at   Time
 	seq  uint64
-	tag  uint64       // evTagged argument
-	fn   func()       // evFn payload
-	tfn  func(uint64) // evTagged payload
-	p    *Proc        // evResume / evWakeParked / evStart / evPoll / evStage payload
+	slot int32
+}
+
+// noSlot is the slot of a FIFO entry whose timer was stopped or re-armed
+// after it was queued (a tombstone), and of an idle Timer.
+const noSlot int32 = -1
+
+// slot is one queued event's payload, written once when the event is
+// scheduled and never moved; the slab of slots is the event pool, so
+// scheduling allocates nothing once the slab has grown to the run's peak.
+//
+// The hot payloads are typed instead of closed over: process wakes carry
+// the *Proc directly and tagged callbacks carry a uint64 argument, so the
+// dominant event kinds schedule without allocating a closure.
+type slot struct {
+	fn  func()       // evFn payload
+	tfn func(uint64) // evTagged payload
+	tag uint64       // evTagged argument
+	p   *Proc        // evResume / evWakeParked / evStart / evPoll / evStage payload
+	t   *Timer       // evTimer payload
+	// pos says where the event's key is, so a Timer can find it: the heap
+	// index if >= 0, else the complement of the nowq index. On a free slot
+	// it links the free list.
+	pos  int32
 	kind uint8
 }
 
@@ -83,10 +98,11 @@ const (
 	evStart                    // first resume of a freshly spawned p
 	evPoll                     // re-check p's SleepWhile predicate (see Kernel.poll)
 	evStage                    // run p's SleepThenWait stage (see Kernel.stage)
+	evTimer                    // fire t (see Timer)
 )
 
-// eventLess orders events by (time, insertion sequence).
-func eventLess(a, b event) bool {
+// keyLess orders events by (time, insertion sequence).
+func keyLess(a, b qkey) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -104,17 +120,22 @@ type Kernel struct {
 	seq uint64
 
 	// The event queue is split in two. Events scheduled for a future
-	// instant go through a hand-rolled binary min-heap over a value
-	// slice. Events scheduled at exactly the current instant — the
-	// dominant case: wakes, Yield, same-instant event chains — take a
-	// FIFO fast path that bypasses the heap entirely. FIFO order within
-	// nowq equals (time, seq) order because entries are appended with
-	// nondecreasing timestamps and increasing sequence numbers; pop
-	// compares the FIFO head against the heap top so global (time, seq)
-	// order is preserved exactly.
-	heap    []event
-	nowq    []event
+	// instant go through a hand-rolled binary min-heap of keys. Events
+	// scheduled at exactly the current instant — the dominant case: wakes,
+	// Yield, same-instant event chains — take a FIFO fast path that
+	// bypasses the heap entirely. FIFO order within nowq equals (time,
+	// seq) order because entries are appended with nondecreasing
+	// timestamps and increasing sequence numbers; step compares the FIFO
+	// head against the heap top so global (time, seq) order is preserved
+	// exactly. nowq[nowHead] is never a tombstone; dead counts the
+	// tombstones behind it.
+	heap    []qkey
+	nowq    []qkey
 	nowHead int
+	dead    int
+
+	slots    []slot
+	freeSlot int32 // first free slot, linked through slot.pos; noSlot if none
 
 	rng       *rand.Rand
 	nextPID   int64
@@ -138,7 +159,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{rng: rand.New(rand.NewSource(seed)), freeSlot: noSlot}
 }
 
 // Now returns the current virtual time.
@@ -159,27 +180,23 @@ func (k *Kernel) Live() int { return k.live }
 func (k *Kernel) Blocked() int { return k.blocked }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) + len(k.nowq) - k.nowHead }
+func (k *Kernel) Pending() int { return len(k.heap) + len(k.nowq) - k.nowHead - k.dead }
 
 // Schedule runs fn at absolute virtual time at (clamped to now if in the
 // past). fn executes in kernel context: it must not block, but it may
 // spawn or wake processes.
 func (k *Kernel) Schedule(at Time, fn func()) {
-	k.push(at, event{fn: fn, kind: evFn})
+	k.push(at, evFn).fn = fn
 }
 
 // ScheduleTagged runs fn(tag) at absolute virtual time at (clamped like
 // Schedule). Because the argument travels in the event itself, callers
-// that re-arm the same callback with varying state (for example a
-// machine's generation-guarded completion event) can hold one long-lived
-// fn and schedule with zero allocations.
+// that schedule the same callback with varying state (for example an
+// injector's per-arrival index) can hold one long-lived fn and schedule
+// with zero allocations.
 func (k *Kernel) ScheduleTagged(at Time, fn func(tag uint64), tag uint64) {
-	k.push(at, event{tfn: fn, tag: tag, kind: evTagged})
-}
-
-// AfterTagged runs fn(tag) after virtual duration d.
-func (k *Kernel) AfterTagged(d time.Duration, fn func(tag uint64), tag uint64) {
-	k.ScheduleTagged(k.now.Add(d), fn, tag)
+	s := k.push(at, evTagged)
+	s.tfn, s.tag = fn, tag
 }
 
 // ReserveSeq consumes the next event sequence number without scheduling
@@ -203,118 +220,240 @@ func (k *Kernel) ScheduleReserved(at Time, seq uint64, fn func(tag uint64), tag 
 	if at <= k.now {
 		panic(fmt.Sprintf("sim: ScheduleReserved at %v is not after now (%v)", at, k.now))
 	}
-	k.heapPush(event{at: at, seq: seq, tfn: fn, tag: tag, kind: evTagged})
+	i, s := k.newSlot(evTagged)
+	s.tfn, s.tag = fn, tag
+	k.heapInsert(qkey{at: at, seq: seq, slot: i})
 }
 
-// push stamps e with (time, seq) and routes it to the same-instant FIFO
-// or the future heap.
-func (k *Kernel) push(at Time, e event) {
+// newSlot takes a slot off the free list, or grows the slab by one, for an
+// event of the given kind. The pointer is good until the next newSlot.
+func (k *Kernel) newSlot(kind uint8) (int32, *slot) {
+	i := k.freeSlot
+	if i == noSlot {
+		k.slots = append(k.slots, slot{})
+		i = int32(len(k.slots) - 1)
+	} else {
+		k.freeSlot = k.slots[i].pos
+	}
+	s := &k.slots[i]
+	s.kind = kind
+	return i, s
+}
+
+// recycle puts slot i, its payload pointer already cleared, back on the
+// free list.
+func (k *Kernel) recycle(i int32) {
+	k.slots[i].pos = k.freeSlot
+	k.freeSlot = i
+}
+
+// push queues a new event of the given kind under the next sequence
+// number and returns its slot for the caller to fill in the payload.
+func (k *Kernel) push(at Time, kind uint8) *slot {
 	k.seq++
-	e.seq = k.seq
+	i, s := k.newSlot(kind)
+	k.enqueue(at, k.seq, i)
+	return s
+}
+
+// enqueue routes slot i's key to the same-instant FIFO or the future heap.
+func (k *Kernel) enqueue(at Time, seq uint64, i int32) {
 	if at <= k.now {
 		// Same-instant fast path: append to the FIFO, skip the heap.
-		e.at = k.now
-		k.nowq = append(k.nowq, e)
+		k.slots[i].pos = ^int32(len(k.nowq))
+		k.nowq = append(k.nowq, qkey{at: k.now, seq: seq, slot: i})
 		return
 	}
-	e.at = at
-	k.heapPush(e)
+	k.heapInsert(qkey{at: at, seq: seq, slot: i})
 }
 
-// heapPush inserts e into the future-event heap.
-func (k *Kernel) heapPush(e event) {
-	h := append(k.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// unqueue removes the key at pos (see slot.pos) from whichever queue holds
+// it. A FIFO entry cannot be cut out of the middle, so it stays behind as
+// a tombstone that the head skips over.
+func (k *Kernel) unqueue(pos int32) {
+	if pos >= 0 {
+		k.heapRemove(int(pos))
+		return
 	}
-	k.heap = h
+	k.nowq[^pos].slot = noSlot
+	k.dead++
+	k.nowqSkipDead()
 }
 
-// heapPop removes and returns the minimum future event.
-func (k *Kernel) heapPop() event {
-	h := k.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the closure to the GC
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && eventLess(h[r], h[l]) {
-			m = r
-		}
-		if !eventLess(h[m], h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	k.heap = h
-	return top
-}
-
-// nowqPop removes and returns the FIFO head. The backing array is
-// reused once the queue drains, so steady-state same-instant traffic
-// allocates nothing.
-func (k *Kernel) nowqPop() event {
-	e := k.nowq[k.nowHead]
-	k.nowq[k.nowHead] = event{} // release payload references to the GC
+// nowqPop drops the FIFO head.
+func (k *Kernel) nowqPop() {
 	k.nowHead++
+	k.nowqSkipDead()
+}
+
+// nowqSkipDead restores the invariant that the FIFO head is a live event.
+// The backing array is reused once the queue drains, so steady-state
+// same-instant traffic allocates nothing.
+func (k *Kernel) nowqSkipDead() {
+	for k.nowHead < len(k.nowq) && k.nowq[k.nowHead].slot == noSlot {
+		k.nowHead++
+		k.dead--
+	}
 	if k.nowHead == len(k.nowq) {
 		k.nowq = k.nowq[:0]
 		k.nowHead = 0
 	}
-	return e
 }
 
-// pop removes and returns the globally next event in (time, seq) order,
-// merging the FIFO fast path with the heap.
-func (k *Kernel) pop() (event, bool) {
-	qn := k.nowHead < len(k.nowq)
-	hn := len(k.heap) > 0
-	switch {
-	case qn && hn:
-		if eventLess(k.heap[0], k.nowq[k.nowHead]) {
-			return k.heapPop(), true
-		}
-		return k.nowqPop(), true
-	case qn:
-		return k.nowqPop(), true
-	case hn:
-		return k.heapPop(), true
+// heapInsert adds e to the future-event heap.
+func (k *Kernel) heapInsert(e qkey) {
+	k.heap = append(k.heap, e)
+	k.siftUp(len(k.heap)-1, e)
+}
+
+// heapRemove deletes the key at index i.
+func (k *Kernel) heapRemove(i int) {
+	n := len(k.heap) - 1
+	last := k.heap[n]
+	k.heap = k.heap[:n]
+	if i < n {
+		k.heapPlace(i, last)
 	}
-	return event{}, false
 }
 
-// nextAt returns the timestamp of the next pending event, consulting
-// both the FIFO fast path and the heap.
+// heapPlace puts e where index i's key was and restores heap order,
+// whichever way e has to move.
+func (k *Kernel) heapPlace(i int, e qkey) {
+	if i > 0 && keyLess(e, k.heap[(i-1)/2]) {
+		k.siftUp(i, e)
+	} else {
+		k.siftDown(i, e)
+	}
+}
+
+// siftUp moves the hole at index i toward the root until e fits in it.
+// Every key that moves tells its slot where it went.
+func (k *Kernel) siftUp(i int, e qkey) {
+	h, slots := k.heap, k.slots
+	for i > 0 {
+		p := (i - 1) / 2
+		if !keyLess(e, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		slots[h[i].slot].pos = int32(i)
+		i = p
+	}
+	h[i] = e
+	slots[e.slot].pos = int32(i)
+}
+
+// siftDown moves the hole at index i toward the leaves until e fits in it.
+func (k *Kernel) siftDown(i int, e qkey) {
+	h, slots := k.heap, k.slots
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && keyLess(h[r], h[c]) {
+			c = r
+		}
+		if !keyLess(h[c], e) {
+			break
+		}
+		h[i] = h[c]
+		slots[h[i].slot].pos = int32(i)
+		i = c
+	}
+	h[i] = e
+	slots[e.slot].pos = int32(i)
+}
+
+// next returns the key of the globally next event in (time, seq) order,
+// merging the FIFO fast path with the heap, and says which of the two
+// holds it.
+func (k *Kernel) next() (e qkey, fromHeap, ok bool) {
+	fromHeap = len(k.heap) > 0
+	if k.nowHead < len(k.nowq) {
+		e = k.nowq[k.nowHead]
+		if fromHeap && keyLess(k.heap[0], e) {
+			return k.heap[0], true, true
+		}
+		return e, false, true
+	}
+	if fromHeap {
+		return k.heap[0], true, true
+	}
+	return e, false, false
+}
+
+// nextAt returns the timestamp of the next pending event. ParKernel sizes
+// its windows with it.
 func (k *Kernel) nextAt() (Time, bool) {
-	qn := k.nowHead < len(k.nowq)
-	hn := len(k.heap) > 0
-	switch {
-	case qn && hn:
-		q, h := k.nowq[k.nowHead].at, k.heap[0].at
-		if h < q {
-			return h, true
-		}
-		return q, true
-	case qn:
-		return k.nowq[k.nowHead].at, true
-	case hn:
-		return k.heap[0].at, true
+	e, _, ok := k.next()
+	return e.at, ok
+}
+
+// Timer is a re-armable one-shot event: at most one firing is ever
+// queued, and arming it again moves that firing instead of adding a
+// second. It is for the event a model keeps postponing or pulling forward
+// — a processor-sharing machine's next completion moves on every submit
+// and every retirement — where scheduling a fresh event each time and
+// letting the superseded ones fire as no-ops would make most of the queue
+// traffic dead weight.
+//
+// A Timer is owned by its user and meant to be embedded by value; Init it
+// once, before anything else. Kernel.Close leaves every timer idle and
+// re-armable.
+type Timer struct {
+	k    *Kernel
+	fn   func()
+	slot int32 // slab slot of the queued firing; noSlot while idle
+}
+
+// Init binds the timer, idle, to the kernel it fires on and to what it
+// runs. fn executes in kernel context, like a Schedule callback, with the
+// timer already idle, so it may re-arm.
+func (t *Timer) Init(k *Kernel, fn func()) {
+	t.k, t.fn, t.slot = k, fn, noSlot
+}
+
+// Arm sets the timer to fire at absolute virtual time at, replacing any
+// firing still pending. It orders the firing exactly as ScheduleTagged
+// would order a fresh event — it consumes one sequence number, and at <=
+// now joins the current instant's FIFO — so a program that re-arms sees
+// the same (time, seq) on every firing that does happen as one that pushed
+// a new event each time and ignored the stale ones.
+func (t *Timer) Arm(at Time) {
+	k := t.k
+	k.seq++
+	i := t.slot
+	if i == noSlot {
+		var s *slot
+		i, s = k.newSlot(evTimer)
+		s.t, t.slot = t, i
+		k.enqueue(at, k.seq, i)
+		return
 	}
-	return 0, false
+	if pos := k.slots[i].pos; pos >= 0 && at > k.now {
+		// The common case: a future firing moves to another future
+		// instant. Re-key it where it sits and sift.
+		k.heapPlace(int(pos), qkey{at: at, seq: k.seq, slot: i})
+	} else {
+		k.unqueue(pos)
+		k.enqueue(at, k.seq, i)
+	}
+}
+
+// Stop cancels the pending firing, if there is one. It consumes no
+// sequence number.
+func (t *Timer) Stop() {
+	i := t.slot
+	if i == noSlot {
+		return
+	}
+	k := t.k
+	k.unqueue(k.slots[i].pos)
+	k.slots[i].t = nil
+	k.recycle(i)
+	t.slot = noSlot
 }
 
 // After runs fn after virtual duration d.
@@ -332,8 +471,7 @@ func (k *Kernel) inject(at Time, fn func()) {
 	if at <= k.now {
 		panic(fmt.Sprintf("sim: cross-shard delivery at %v is not after shard time %v (causality violation)", at, k.now))
 	}
-	k.seq++
-	k.heapPush(event{at: at, seq: k.seq, fn: fn, kind: evFn})
+	k.push(at, evFn).fn = fn
 }
 
 // advanceTo moves the clock forward to t without executing anything
@@ -457,7 +595,7 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	// parkSeq deliberately survives reuse: it stays monotonic so waiter
 	// handles from the previous lifetime remain stale.
 	k.live++
-	k.push(k.now, event{p: p, kind: evStart})
+	k.push(k.now, evStart).p = p
 	return p
 }
 
@@ -479,7 +617,7 @@ func (k *Kernel) SpawnPolled(nameFn func() string, d time.Duration, idle func() 
 	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, pollIdle: idle, pollEvery: d, body: fn}
 	k.live++
 	k.unbound++
-	k.push(k.now, event{p: p, kind: evStart})
+	k.push(k.now, evStart).p = p
 	return p
 }
 
@@ -518,10 +656,15 @@ func (k *Kernel) Close() {
 	k.unbound = 0
 	clear(k.workers)
 	k.workers = k.workers[:0]
-	clear(k.heap)
+	for i := range k.slots {
+		if t := k.slots[i].t; t != nil {
+			t.slot = noSlot // armed: idle again, and re-armable
+		}
+	}
+	clear(k.slots)
+	k.slots, k.freeSlot = k.slots[:0], noSlot
 	k.heap = k.heap[:0]
-	clear(k.nowq)
-	k.nowq, k.nowHead = k.nowq[:0], 0
+	k.nowq, k.nowHead, k.dead = k.nowq[:0], 0, 0
 	k.blocked = 0
 }
 
@@ -541,7 +684,7 @@ func (k *Kernel) start(p *Proc) {
 		k.resumeAndWait(p)
 		return
 	}
-	k.push(k.now.Add(p.pollEvery), event{p: p, kind: evPoll})
+	k.push(k.now.Add(p.pollEvery), evPoll).p = p
 	k.blocked++
 }
 
@@ -593,7 +736,7 @@ func (k *Kernel) poll(p *Proc) {
 			p.Name(), k.now))
 	}
 	if idle {
-		k.push(k.now.Add(p.pollEvery), event{p: p, kind: evPoll})
+		k.push(k.now.Add(p.pollEvery), evPoll).p = p
 		return
 	}
 	p.pollIdle = nil
@@ -624,61 +767,92 @@ func (k *Kernel) stage(p *Proc) {
 // wake schedules p to resume at the current virtual time.
 func (k *Kernel) wake(p *Proc) {
 	k.blocked--
-	k.push(k.now, event{p: p, kind: evResume})
+	k.push(k.now, evResume).p = p
 }
 
-// Step executes the next pending event. It reports false when the event
-// queue is empty.
-func (k *Kernel) Step() bool {
-	e, ok := k.pop()
-	if !ok {
+// step executes the next pending event if it is due at or before limit,
+// and reports whether it did. It is the kernel's one loop body: Step, Run
+// and RunUntil differ only in the limit and in who keeps calling.
+func (k *Kernel) step(limit Time) bool {
+	e, fromHeap, ok := k.next()
+	if !ok || e.at > limit {
 		return false
+	}
+	if fromHeap {
+		k.heapRemove(0)
+	} else {
+		k.nowqPop()
 	}
 	if e.at > k.now {
 		k.now = e.at
 	}
 	k.processed++
-	switch e.kind {
+
+	// The payload leaves its slot, and the slot goes back on the free
+	// list, before anything runs: the event may schedule, which may reuse
+	// the slot or move the slab.
+	switch s := &k.slots[e.slot]; s.kind {
 	case evFn:
-		e.fn()
+		fn := s.fn
+		s.fn = nil
+		k.recycle(e.slot)
+		fn()
 	case evTagged:
-		e.tfn(e.tag)
+		fn, tag := s.tfn, s.tag
+		s.tfn = nil
+		k.recycle(e.slot)
+		fn(tag)
+	case evTimer:
+		t := s.t
+		s.t = nil
+		k.recycle(e.slot)
+		t.slot = noSlot // idle before it fires: fn may re-arm
+		t.fn()
 	case evResume:
-		k.resumeAndWait(e.p)
+		k.resumeAndWait(k.takeProc(e.slot))
 	case evWakeParked:
 		k.blocked--
-		k.resumeAndWait(e.p)
+		k.resumeAndWait(k.takeProc(e.slot))
 	case evStart:
-		k.start(e.p)
+		k.start(k.takeProc(e.slot))
 	case evPoll:
-		k.poll(e.p)
+		k.poll(k.takeProc(e.slot))
 	case evStage:
-		k.stage(e.p)
+		k.stage(k.takeProc(e.slot))
 	}
 	return true
 }
+
+// takeProc empties and recycles the slot of a process event.
+func (k *Kernel) takeProc(i int32) *Proc {
+	s := &k.slots[i]
+	p := s.p
+	s.p = nil
+	k.recycle(i)
+	return p
+}
+
+// maxTime is a limit no event is past.
+const maxTime = Time(math.MaxInt64)
+
+// Step executes the next pending event. It reports false when the event
+// queue is empty.
+func (k *Kernel) Step() bool { return k.step(maxTime) }
 
 // Run executes events until the queue drains or Stop is called. It
 // returns the final virtual time.
 func (k *Kernel) Run() Time {
 	k.stopFlag = false
-	for !k.stopFlag && k.Step() {
+	for !k.stopFlag && k.step(maxTime) {
 	}
 	return k.now
 }
 
 // RunUntil executes events with timestamps up to and including t, then
-// advances the clock to t. Events scheduled after t remain queued. The
-// next-event check consults both the same-instant FIFO and the heap, so
-// current-instant work queued on the fast path is never stranded.
+// advances the clock to t. Events scheduled after t remain queued.
 func (k *Kernel) RunUntil(t Time) Time {
 	k.stopFlag = false
-	for !k.stopFlag {
-		at, ok := k.nextAt()
-		if !ok || at > t {
-			break
-		}
-		k.Step()
+	for !k.stopFlag && k.step(t) {
 	}
 	if k.now < t {
 		k.now = t
@@ -768,7 +942,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	k := p.k
-	k.push(k.now.Add(d), event{p: p, kind: evWakeParked})
+	k.push(k.now.Add(d), evWakeParked).p = p
 	p.parkCounted()
 }
 
@@ -795,7 +969,7 @@ func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
 	}
 	k := p.k
 	p.pollIdle, p.pollEvery = idle, d
-	k.push(k.now.Add(d), event{p: p, kind: evPoll})
+	k.push(k.now.Add(d), evPoll).p = p
 	p.parkCounted()
 }
 
@@ -826,7 +1000,7 @@ func (p *Proc) SleepThenWait(d time.Duration, stage func() bool, c *Cond) {
 	}
 	k := p.k
 	p.stageFn, p.stageCond = stage, c
-	k.push(k.now.Add(d), event{p: p, kind: evStage})
+	k.push(k.now.Add(d), evStage).p = p
 	p.parkCounted()
 }
 

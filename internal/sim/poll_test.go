@@ -36,37 +36,84 @@ type eventStamp struct {
 	pid int64
 }
 
-// peek returns the event the next Step will execute, without removing it.
-func (k *Kernel) peek() (event, bool) {
-	qn := k.nowHead < len(k.nowq)
-	hn := len(k.heap) > 0
-	switch {
-	case qn && hn:
-		if eventLess(k.heap[0], k.nowq[k.nowHead]) {
-			return k.heap[0], true
-		}
-		return k.nowq[k.nowHead], true
-	case qn:
-		return k.nowq[k.nowHead], true
-	case hn:
-		return k.heap[0], true
+// peek returns the stamp of the event the next Step will execute, without
+// removing it.
+func (k *Kernel) peek() (eventStamp, bool) {
+	e, _, ok := k.next()
+	if !ok {
+		return eventStamp{}, false
 	}
-	return event{}, false
+	st := eventStamp{at: e.at, seq: e.seq}
+	if p := k.slots[e.slot].p; p != nil {
+		st.pid = p.ID
+	}
+	return st, true
 }
 
 // pollMixRun is what one run of the random program produced.
 type pollMixRun struct {
 	events  uint64
 	resumes []string     // "poller i resumed at t", in resume order
-	log     []eventStamp // every event executed
+	log     []eventStamp // every event executed that did something
 	blocked int
+	noops   uint64 // events that found themselves superseded (genTimer only)
 }
 
+// mixTimer is how the random program keeps a one-shot it moves about: a
+// Timer, or the model Timer replaces.
+type mixTimer interface {
+	arm(at Time)
+	stop()
+}
+
+type newMixTimer func(k *Kernel, out *pollMixRun, fire func()) mixTimer
+
+// kernelTimer is the Timer itself.
+type kernelTimer struct{ t Timer }
+
+func newKernelTimer(k *Kernel, _ *pollMixRun, fire func()) mixTimer {
+	kt := &kernelTimer{}
+	kt.t.Init(k, fire)
+	return kt
+}
+
+func (kt *kernelTimer) arm(at Time) { kt.t.Arm(at) }
+func (kt *kernelTimer) stop()       { kt.t.Stop() }
+
+// genTimer is the reference model: every arm pushes a fresh tagged event
+// and bumps a generation, and an event that pops under a superseded
+// generation does nothing.
+type genTimer struct {
+	k    *Kernel
+	gen  uint64
+	fire func(gen uint64)
+}
+
+func newGenTimer(k *Kernel, out *pollMixRun, fire func()) mixTimer {
+	gt := &genTimer{k: k}
+	gt.fire = func(gen uint64) {
+		if gen != gt.gen {
+			out.noops++
+			return
+		}
+		fire()
+	}
+	return gt
+}
+
+func (gt *genTimer) arm(at Time) {
+	gt.gen++
+	gt.k.ScheduleTagged(at, gt.fire, gt.gen)
+}
+
+func (gt *genTimer) stop() { gt.gen++ }
+
 // runPollMix builds a random program from seed — pollers waiting on
-// flags, sleepers and timed callbacks that raise them, and channel
-// ping-pong pairs whose wakes interleave with the polls — and runs it
-// with the given polling implementation.
-func runPollMix(seed int64, poll pollFn) pollMixRun {
+// flags, sleepers and timed callbacks that raise them, channel ping-pong
+// pairs whose wakes interleave with the polls, and one-shot timers that
+// are moved, stopped and re-armed from processes and from their own
+// firings — and runs it with the given polling and timer implementations.
+func runPollMix(seed int64, poll pollFn, newTimer newMixTimer) pollMixRun {
 	k := NewKernel(seed)
 	defer k.Close()
 	rng := rand.New(rand.NewSource(seed))
@@ -119,11 +166,90 @@ func runPollMix(seed int64, poll pollFn) pollMixRun {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		spawnPingPong(k)
 	}
+	spawnTimerMix(k, rng, &out, flags, newTimer)
 
 	// Pollers whose flag is never raised again poll forever: bound the run.
 	const horizon = 600 * Microsecond
 	out.drive(k, horizon)
 	return out
+}
+
+// spawnTimerMix adds one to four timers, each with a process that keeps
+// moving it — later, earlier, to the instant it is already set for, to
+// now, into the past, twice within one instant — or stops it. A firing
+// raises a flag and is recorded as a resume; it may re-arm its own timer
+// or move the next one. Around them runs tagged and reserved-sequence
+// traffic, so a sequence number consumed in the wrong place shows.
+func spawnTimerMix(k *Kernel, rng *rand.Rand, out *pollMixRun, flags []int, newTimer newMixTimer) {
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	n := 1 + rng.Intn(4)
+	timers := make([]mixTimer, n)
+	setFor := make([]Time, n) // where each timer was last armed for
+	arm := func(i int, at Time) {
+		setFor[i] = at
+		timers[i].arm(at)
+	}
+	for i := range timers {
+		i := i
+		timers[i] = newTimer(k, out, func() {
+			out.resumes = append(out.resumes, fmt.Sprintf("timer %d fired at %v", i, k.Now()))
+			flags[k.Rand().Intn(len(flags))]++
+			switch k.Rand().Intn(6) {
+			case 0:
+				arm(i, k.Now().Add(us(1+k.Rand().Intn(25))))
+			case 1:
+				arm(i, k.Now()) // fires again within this instant
+			case 2:
+				arm((i+1)%n, k.Now().Add(us(k.Rand().Intn(10))))
+			case 3:
+				timers[(i+1)%n].stop()
+			}
+		})
+		rounds := 4 + rng.Intn(12)
+		k.Spawn(fmt.Sprintf("timer-driver-%d", i), func(p *Proc) {
+			for r := 0; r < rounds; r++ {
+				p.Sleep(us(k.Rand().Intn(20)))
+				switch now := p.Now(); k.Rand().Intn(10) {
+				case 0, 1:
+					arm(i, now.Add(us(1+k.Rand().Intn(40))))
+				case 2:
+					arm(i, setFor[i]) // same instant, later place in it
+				case 3:
+					arm(i, setFor[i]-Time(us(1+k.Rand().Intn(15)))) // earlier; may be past
+				case 4:
+					arm(i, setFor[i].Add(us(1+k.Rand().Intn(15)))) // later
+				case 5:
+					timers[i].stop()
+					timers[i].stop()
+				case 6:
+					arm(i, now-5*Microsecond) // clamped into this instant's FIFO
+				case 7:
+					arm(i, now)
+					arm(i, now) // supersedes a firing already in the FIFO
+				case 8:
+					arm(i, now)
+					arm(i, now.Add(us(1+k.Rand().Intn(10)))) // out of the FIFO, into the heap
+				case 9:
+					arm(i, now)
+					timers[i].stop()
+				}
+			}
+		})
+	}
+
+	bump := func(target uint64) { flags[target]++ }
+	for i, n := 0, rng.Intn(12); i < n; i++ {
+		k.ScheduleTagged(Time(us(rng.Intn(400))), bump, uint64(rng.Intn(len(flags))))
+	}
+	k.Spawn("reserver", func(p *Proc) {
+		for r := 0; r < 10; r++ {
+			seq := k.ReserveSeq()
+			p.Sleep(us(k.Rand().Intn(12)))
+			if k.Rand().Intn(3) > 0 { // else the number is never used
+				k.ScheduleReserved(p.Now().Add(us(1+k.Rand().Intn(20))), seq, bump, uint64(k.Rand().Intn(len(flags))))
+			}
+		}
+	})
 }
 
 // spawnPingPong adds a pair of processes that hand a ball back and
@@ -153,19 +279,19 @@ func spawnPingPong(k *Kernel) {
 	})
 }
 
-// drive steps k through every event up to horizon, logging each one.
+// drive steps k through every event up to horizon, logging each one
+// that did not turn out to be a genTimer's superseded firing.
 func (out *pollMixRun) drive(k *Kernel, horizon Time) {
 	for {
-		e, ok := k.peek()
-		if !ok || e.at > horizon {
+		st, ok := k.peek()
+		if !ok || st.at > horizon {
 			break
 		}
-		st := eventStamp{at: e.at, seq: e.seq}
-		if e.p != nil {
-			st.pid = e.p.ID
-		}
-		out.log = append(out.log, st)
+		noops := out.noops
 		k.Step()
+		if out.noops == noops {
+			out.log = append(out.log, st)
+		}
 	}
 	out.events = k.EventsProcessed()
 	out.blocked = k.Blocked()
@@ -177,8 +303,8 @@ func (out *pollMixRun) drive(k *Kernel, horizon Time) {
 // random mixes of pollers, sleepers, callbacks and channel wakers.
 func TestSleepWhileMatchesSleepLoop(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
-		want := runPollMix(seed, pollBySleepLoop)
-		got := runPollMix(seed, pollBySleepWhile)
+		want := runPollMix(seed, pollBySleepLoop, newKernelTimer)
+		got := runPollMix(seed, pollBySleepWhile, newKernelTimer)
 		if got.events != want.events {
 			t.Fatalf("seed %d: SleepWhile ran %d events, Sleep loop %d", seed, got.events, want.events)
 		}
@@ -196,6 +322,41 @@ func TestSleepWhileMatchesSleepLoop(t *testing.T) {
 		if len(want.resumes) == 0 {
 			t.Fatalf("seed %d: degenerate program, no poller ever resumed (%d events)", seed, len(want.log))
 		}
+	}
+}
+
+// TestTimerMatchesGenerationGuardedEvents: a Timer must be what pushing a
+// fresh generation-tagged event per arm was, minus the events that did
+// nothing — the same (time, seq, process) for every event that does
+// something, the same firing and resume instants, and an event count
+// lower by exactly the model's superseded firings.
+func TestTimerMatchesGenerationGuardedEvents(t *testing.T) {
+	var noops uint64
+	for seed := int64(1); seed <= 200; seed++ {
+		want := runPollMix(seed, pollBySleepWhile, newGenTimer)
+		got := runPollMix(seed, pollBySleepWhile, newKernelTimer)
+		if got.noops != 0 || got.events != want.events-want.noops {
+			t.Fatalf("seed %d: Timer ran %d events (%d no-ops), model %d of which %d no-ops",
+				seed, got.events, got.noops, want.events, want.noops)
+		}
+		if got.blocked != want.blocked {
+			t.Fatalf("seed %d: Blocked() = %d with Timer, %d with the model", seed, got.blocked, want.blocked)
+		}
+		if !reflect.DeepEqual(got.resumes, want.resumes) {
+			t.Fatalf("seed %d: firing and resume instants differ\nTimer: %v\nmodel: %v", seed, got.resumes, want.resumes)
+		}
+		if len(got.log) != len(want.log) {
+			t.Fatalf("seed %d: Timer ran %d live events, model %d", seed, len(got.log), len(want.log))
+		}
+		for i := range want.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: live event %d is %+v with Timer, %+v with the model", seed, i, got.log[i], want.log[i])
+			}
+		}
+		noops += want.noops
+	}
+	if noops < 200 {
+		t.Fatalf("degenerate programs: only %d superseded firings over 200 seeds", noops)
 	}
 }
 
@@ -429,7 +590,7 @@ func TestSleepThenWaitAllocatesNothing(t *testing.T) {
 	var c Cond
 	signal := func(uint64) { c.Signal() }
 	stage := func() bool {
-		k.AfterTagged(time.Microsecond, signal, 0)
+		k.ScheduleTagged(k.Now().Add(time.Microsecond), signal, 0)
 		return true
 	}
 	k.Spawn("caller", func(p *Proc) {
