@@ -8,7 +8,9 @@ package quicksand
 // regressions in *behaviour*, not just wall time, are visible.
 
 import (
+	"io"
 	"math/rand"
+	"os"
 	"testing"
 	"time"
 
@@ -19,6 +21,7 @@ import (
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/proclet"
+	"repro/internal/scenario"
 	"repro/internal/sharded"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -538,6 +541,60 @@ func BenchmarkZipfSample(b *testing.B) {
 		sink += load.ScrambleKey(z.Sample(rng))
 	}
 	_ = sink
+}
+
+// zipfColdPairs numbers the pairs BenchmarkNewZipf/cold has used, across
+// b.N ramps and -count reruns, so that none is asked for twice.
+var zipfColdPairs int
+
+// BenchmarkNewZipf measures sampler construction at the scenario
+// library's default keyspace. cold asks for a pair the process has not
+// seen (theta moves by 1e-9 per iteration), which is the full
+// zetaExactMax-term summation; warm asks for one it has, which is a
+// table lookup. Every run after a process's first pays warm.
+func BenchmarkNewZipf(b *testing.B) {
+	const keys = 1 << 20
+	var sink *load.Zipf
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			zipfColdPairs++
+			sink = load.NewZipf(keys, 0.9+1e-9*float64(zipfColdPairs))
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		load.NewZipf(keys, 0.9)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink = load.NewZipf(keys, 0.9)
+		}
+	})
+	_ = sink
+}
+
+// BenchmarkScenarioShortRun measures one whole short run the way qsctl
+// run and the scenario gates pay for it: read the file, parse, run at
+// the committed seed on one worker, render the report. The fleet
+// workloads amortise set-up over hundreds of simulated milliseconds;
+// this is the 16 ms case where set-up is a line item.
+func BenchmarkScenarioShortRun(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src, err := os.ReadFile("scenarios/az-outage.yaml")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp, err := scenario.Parse(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := scenario.Run(sp, scenario.Options{Par: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.WriteReport(io.Discard)
+	}
 }
 
 // BenchmarkArrivalBatch measures drawing one 250us window of

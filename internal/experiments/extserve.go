@@ -237,8 +237,9 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	fl.PK.SetWorkers(workers)
 	injWindow := time.Duration(fl.PK.Lookahead()) * time.Duration(cfg.injWindows)
 
-	// Shared immutable per-tenant samplers: one zeta precompute serves
-	// all shards; each shard draws from its own RNG streams.
+	// Shared immutable per-tenant samplers: each shard draws from its
+	// own RNG streams, and load.NewZipf memoises the zeta precompute, so
+	// the P sweep's reruns do not sum it again.
 	zipfs := make([]*load.Zipf, len(cfg.tenants))
 	for i, t := range cfg.tenants {
 		zipfs[i] = load.NewZipf(t.keys, t.theta)

@@ -155,7 +155,8 @@ func TestZipfDistribution(t *testing.T) {
 	if counts[0] < counts[10] || counts[10] < counts[100] {
 		t.Fatalf("popularity not decaying: %d, %d, %d", counts[0], counts[10], counts[100])
 	}
-	// Theoretical head probability check for rank 0: 1/zetan.
+	// Theoretical head probability check for rank 0: 1/zetan, from the
+	// un-memoised summation rather than the sampler under test.
 	want := 1 / zeta(n, 0.99)
 	if math.Abs(share0-want) > 0.02 {
 		t.Fatalf("rank-0 share %v deviates from theory %v", share0, want)
@@ -186,7 +187,8 @@ func TestZipfHugeKeyspaceConstruction(t *testing.T) {
 
 func TestZetaTailApproximation(t *testing.T) {
 	// The integral-corrected tail must agree with exact summation just
-	// past the exact cutoff.
+	// past the exact cutoff. zeta is the un-memoised function: NewZipf's
+	// memo is not on this path.
 	n := uint64(zetaExactMax + 50000)
 	var exact float64
 	for i := uint64(1); i <= n; i++ {

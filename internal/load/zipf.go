@@ -3,6 +3,8 @@ package load
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 )
 
 // Zipf samples ranks in [0, n) with P(rank=i) ∝ 1/(i+1)^theta in O(1)
@@ -14,9 +16,10 @@ import (
 // the same as one over a hundred.
 //
 // A Zipf is immutable after construction and holds no RNG: the stream
-// is injected per call, so one shared Zipf (built once per tenant)
-// serves every shard of a partitioned simulation while each shard
-// draws from its own deterministic RNG.
+// is injected per call, so one shared Zipf serves every shard of a
+// partitioned simulation — and, through NewZipf's memo, every tenant
+// and every run of the process that asks for the same (n, theta) —
+// while each shard draws from its own deterministic RNG.
 type Zipf struct {
 	n     uint64
 	theta float64
@@ -53,22 +56,57 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// NewZipf builds a sampler over n ranks with skew theta in (0, 1) —
-// 0.99 is the YCSB default ("hotspot" skew). Construction cost is
-// bounded by zetaExactMax regardless of n.
-func NewZipf(n uint64, theta float64) *Zipf {
-	if n == 0 {
-		panic("load: Zipf needs at least one rank")
-	}
-	if theta <= 0 || theta >= 1 {
-		panic("load: Zipf skew theta must be in (0, 1)")
-	}
+// zipfKey names one sampler: a Zipf is a pure function of this pair.
+type zipfKey struct {
+	n     uint64
+	theta float64
+}
+
+// zipfMemo holds every sampler this process has built, zipfKey →
+// *Zipf. It has no eviction and no size cap on purpose: an entry is tens
+// of bytes of constants and costs a full zeta summation (≈ 3.5 ms at n ≥
+// zetaExactMax) to create, so the table cannot grow faster than about
+// 15 KB per CPU-second spent filling it.
+var zipfMemo sync.Map
+
+// zipfBuilds counts buildZipf calls, for the test that a repeated pair
+// is summed once.
+var zipfBuilds atomic.Int64
+
+// buildZipf is the un-memoised constructor: two zeta summations and the
+// constants derived from them.
+func buildZipf(n uint64, theta float64) *Zipf {
+	zipfBuilds.Add(1)
 	z := &Zipf{n: n, theta: theta}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	return z
+}
+
+// NewZipf returns the sampler over n ranks with skew theta in (0, 1) —
+// 0.99 is the YCSB default ("hotspot" skew). Construction cost is
+// bounded by zetaExactMax regardless of n, but that bound is 65,536
+// math.Pow calls, ≈ 3.5 ms of host time — as long as a short scenario
+// run — so the constructor memoises: the first call for a pair builds
+// the sampler, every later one, from any goroutine, returns that same
+// *Zipf. What a hit returns is what the summation returned, so the
+// memo cannot change a sampled rank. Two goroutines missing on one pair
+// at once both sum (to the same bits) and one result is kept.
+func NewZipf(n uint64, theta float64) *Zipf {
+	if n == 0 {
+		panic("load: Zipf needs at least one rank")
+	}
+	if !(theta > 0 && theta < 1) { // also rejects NaN, which no key would ever match
+		panic("load: Zipf skew theta must be in (0, 1)")
+	}
+	key := zipfKey{n, theta}
+	if z, ok := zipfMemo.Load(key); ok {
+		return z.(*Zipf)
+	}
+	z, _ := zipfMemo.LoadOrStore(key, buildZipf(n, theta))
+	return z.(*Zipf)
 }
 
 // N returns the number of ranks.

@@ -150,7 +150,9 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	fl.PK.SetWorkers(par)
 	injWindow := time.Duration(fl.PK.Lookahead()) * injWindows
 
-	// One zeta precompute per tenant serves every shard.
+	// One immutable sampler per tenant serves every shard. NewZipf owns
+	// the zeta precompute: tenants and runs that share (keys, zipf)
+	// share one summation per process.
 	zipfs := make([]*load.Zipf, len(w.Tenants))
 	for i, t := range w.Tenants {
 		zipfs[i] = load.NewZipf(t.Keys, t.Zipf)
