@@ -259,6 +259,26 @@ func TestRunScenarioParseErrorExits2(t *testing.T) {
 	}
 }
 
+// TestRunScenarioBadZipfExits2: a tenant skew outside (0, 1) would
+// panic load.NewZipf if it reached Run. It is a usage error like any
+// other bad field: exit 2, one located line, no stack trace.
+func TestRunScenarioBadZipfExits2(t *testing.T) {
+	for _, zipf := range []string{"1.5", "1", "-0.5"} {
+		path := writeScenario(t, strings.Replace(testScenario, "      rate: 60000\n", "      rate: 60000\n      zipf: "+zipf+"\n", 1))
+		var out, errb bytes.Buffer
+		if code := run([]string{"run", path}, &out, &errb); code != 2 {
+			t.Fatalf("zipf: %s: exit = %d, want 2 (stderr: %s)", zipf, code, errb.String())
+		}
+		want := `scenario "clitest": tenant "web": zipf must be in (0, 1) (got ` + zipf + `)`
+		if got := errb.String(); !strings.Contains(got, want) || strings.Contains(got, "panic") || strings.Contains(got, "goroutine") {
+			t.Errorf("zipf: %s: stderr = %q\nwant the diagnostic %q and no stack trace", zipf, got, want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("zipf: %s: a rejected file printed a report:\n%s", zipf, out.String())
+		}
+	}
+}
+
 func TestRunScenarioReportAndTraceFiles(t *testing.T) {
 	path := writeScenario(t, testScenario)
 	dir := t.TempDir()

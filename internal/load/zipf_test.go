@@ -106,8 +106,8 @@ func TestNewZipfConcurrent(t *testing.T) {
 			defer wg.Done()
 			got[g] = make([]*Zipf, len(pairs))
 			for i := range pairs {
-				p := pairs[(i+g)%len(pairs)] // stagger so misses collide
-				got[g][(i+g)%len(pairs)] = NewZipf(p.n, p.theta)
+				j := (i + g) % len(pairs) // stagger so misses collide
+				got[g][j] = NewZipf(pairs[j].n, pairs[j].theta)
 			}
 		}(g)
 	}

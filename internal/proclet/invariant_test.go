@@ -15,7 +15,8 @@ import (
 func checkInvariants(t *testing.T, rt *Runtime) {
 	t.Helper()
 	seen := make(map[ID]cluster.MachineID)
-	for mid, table := range rt.local {
+	for i, table := range rt.local {
+		mid := cluster.MachineID(i)
 		for id, pr := range table {
 			if prev, dup := seen[id]; dup {
 				t.Fatalf("proclet %d on machines %d and %d", id, prev, mid)

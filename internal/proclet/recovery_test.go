@@ -200,7 +200,7 @@ func countResidency(rt *Runtime, id ID) (n int, at cluster.MachineID) {
 	for mid, tbl := range rt.local {
 		if _, ok := tbl[id]; ok {
 			n++
-			at = mid
+			at = cluster.MachineID(mid)
 		}
 	}
 	return n, at

@@ -81,9 +81,11 @@ type Runtime struct {
 	k      *sim.Kernel
 	nextID ID
 
-	directory map[ID]cluster.MachineID                       // authoritative
-	local     map[cluster.MachineID]map[ID]*Proclet          // per-machine tables
-	caches    map[cluster.MachineID]map[ID]cluster.MachineID // per-machine location caches
+	directory map[ID]cluster.MachineID // authoritative
+	// Per-machine tables and location caches, indexed by MachineID (the
+	// cluster assigns ids densely from 0); the proclet-id level stays a map.
+	local  []map[ID]*Proclet
+	caches []map[ID]cluster.MachineID
 
 	// MigrationLatency records blackout times (the window in which new
 	// invocations block) in seconds, for both pre- and post-copy
@@ -154,8 +156,8 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *trace.Log) *Runtime {
 		cfg:              cfg,
 		k:                c.K,
 		directory:        make(map[ID]cluster.MachineID),
-		local:            make(map[cluster.MachineID]map[ID]*Proclet),
-		caches:           make(map[cluster.MachineID]map[ID]cluster.MachineID),
+		local:            make([]map[ID]*Proclet, len(c.Machines())),
+		caches:           make([]map[ID]cluster.MachineID, len(c.Machines())),
 		MigrationLatency: metrics.NewHistogram("proclet.migration_latency"),
 		LazyResidence:    metrics.NewHistogram("proclet.lazy_residence"),
 	}

@@ -64,6 +64,25 @@ func TestRunSmokeDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunSamplerBuiltThenSharedSameReport: load.NewZipf keeps every
+// sampler it builds for the life of the process. The first run below
+// builds the (keys, zipf) pair no other test uses — and its second
+// tenant already shares it — the second run finds it; the reports must
+// not be able to tell.
+func TestRunSamplerBuiltThenSharedSameReport(t *testing.T) {
+	src := strings.Replace(smoke, "      rate: 60000\n",
+		"      rate: 60000\n      keys: 77777\n      zipf: 0.77\n"+
+			"    - name: batch\n      rate: 20000\n      keys: 77777\n      zipf: 0.77\n", 1)
+	var reports [2]bytes.Buffer
+	for i := range reports {
+		mustRun(t, src, Options{}).WriteReport(&reports[i])
+	}
+	if !bytes.Equal(reports[0].Bytes(), reports[1].Bytes()) {
+		t.Errorf("the run that built the sampler and the run that reused it report differently:\n%s\n---\n%s",
+			reports[0].String(), reports[1].String())
+	}
+}
+
 func TestRunSeedChangesOutcome(t *testing.T) {
 	a := mustRun(t, smoke, Options{Seed: 1})
 	b := mustRun(t, smoke, Options{Seed: 2})

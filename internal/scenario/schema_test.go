@@ -133,9 +133,10 @@ func TestParseAllocs(t *testing.T) {
 
 // TestDegenerateValues feeds Parse the numbers that used to reach Run
 // and panic it (makeslice, divide by zero, non-positive sample step,
-// counter decrement, zero-width SLO window), their neighbours, and the
-// odd values that have always run. Parse must reject with a located
-// message or accept; whatever it accepts, Run must survive.
+// counter decrement, zero-width SLO window, Zipf skew outside (0, 1)),
+// their neighbours, and the odd values that have always run. Parse must
+// reject with a located message or accept; whatever it accepts, Run
+// must survive.
 func TestDegenerateValues(t *testing.T) {
 	top := func(line string) string { return minimal + line + "\n" }
 	workload := func(line string) string {
@@ -165,6 +166,9 @@ func TestDegenerateValues(t *testing.T) {
 		{"slo ring empty", slo("windows: 0"), `slo: field "windows": must be >= 1 (line 12)`},
 		{"trainer batch negative", workload("trainers:\n    batch_kb: -1"), `trainers: field "batch_kb": must be >= 0 (line 8)`},
 		{"tenant keys zero", minimal + "      keys: 0\n", `tenants[0]: field "keys": must be positive (line 11)`},
+		{"tenant zipf one", minimal + "      zipf: 1\n", `scenario "mini": tenant "web": zipf must be in (0, 1) (got 1)`},
+		{"tenant zipf unset", minimal + "      zipf: 0\n", ""},
+		{"tenant zipf just inside", minimal + "      zipf: 0.999\n      keys: 3\n", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

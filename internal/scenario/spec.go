@@ -616,6 +616,9 @@ func (sp *Spec) validate() error {
 		if t.Rate <= 0 {
 			return fmt.Errorf("scenario %q: tenant %q needs a positive rate (got %g)", sp.Name, t.Name, t.Rate)
 		}
+		if t.Zipf <= 0 || t.Zipf >= 1 {
+			return fmt.Errorf("scenario %q: tenant %q: zipf must be in (0, 1) (got %g)", sp.Name, t.Name, t.Zipf)
+		}
 		switch t.Curve {
 		case "constant":
 		case "diurnal":

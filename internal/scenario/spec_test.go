@@ -157,6 +157,11 @@ func TestParseErrorPaths(t *testing.T) {
 			strings.Replace(minimal, "      rate: 50000\n", "      rate: 50000\n      curve: sawtooth\n", 1),
 			`unknown curve "sawtooth" (want constant, diurnal, ramp)`,
 		},
+		{
+			"zipf skew out of range",
+			minimal + "      zipf: 1.5\n",
+			`scenario "mini": tenant "web": zipf must be in (0, 1) (got 1.5)`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

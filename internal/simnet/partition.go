@@ -169,7 +169,7 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 		return pt.fabrics[from.Shard].CallWithTimeout(p, from.Node, to.Node, method, req, d)
 	}
 	srcFab := pt.fabrics[from.Shard]
-	src := srcFab.nodes[from.Node]
+	src := srcFab.Node(from.Node)
 	if src == nil {
 		return Message{}, fmt.Errorf("%w: %v", ErrNoSuchNode, from)
 	}
@@ -241,7 +241,7 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, req Message, hasDeadline bool) {
 	dstFab := pt.fabrics[to.Shard]
 	k := dstFab.k
-	dst := dstFab.nodes[to.Node]
+	dst := dstFab.Node(to.Node)
 	switch {
 	case dst == nil:
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %v", ErrNoSuchNode, to), hasDeadline)
@@ -318,7 +318,7 @@ func (pt *Partition) reply(cc *crossCall, responder, caller ShardNode, rep Messa
 		})
 		return
 	}
-	node := dstFab.nodes[responder.Node]
+	node := dstFab.Node(responder.Node)
 	wire := dstFab.wireTime(rep.Bytes)
 	txStart := k.Now()
 	if node != nil {
@@ -338,7 +338,7 @@ func (pt *Partition) reply(cc *crossCall, responder, caller ShardNode, rep Messa
 		// then complete once the payload is fully received.
 		srcFab := pt.fabrics[caller.Shard]
 		sk := srcFab.k
-		srcNode := srcFab.nodes[caller.Node]
+		srcNode := srcFab.Node(caller.Node)
 		rxStart := sk.Now()
 		rwire := srcFab.wireTime(rep.Bytes)
 		if srcNode != nil {

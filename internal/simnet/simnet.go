@@ -148,9 +148,12 @@ type Node struct {
 
 // Fabric is the cluster-wide network.
 type Fabric struct {
-	k     *sim.Kernel
-	cfg   Config
-	nodes map[NodeID]*Node
+	k   *sim.Kernel
+	cfg Config
+	// nodes is indexed by NodeID: the cluster assigns ids densely from
+	// 0, so every send's two endpoint lookups are bounds-checked loads,
+	// not map probes. An id nobody added holds nil.
+	nodes []*Node
 
 	// faults holds per-directed-link fault state. It stays empty on
 	// fault-free runs, so the hot paths pay only a length check.
@@ -192,7 +195,6 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 	return &Fabric{
 		k:               k,
 		cfg:             cfg,
-		nodes:           make(map[NodeID]*Node),
 		TransferLatency: metrics.NewHistogram("simnet.transfer_latency"),
 	}
 }
@@ -260,18 +262,32 @@ func (f *Fabric) extraLatency(from, to NodeID) time.Duration {
 	return f.faults[linkKey{from, to}].ExtraLatency
 }
 
-// AddNode attaches a new node. Adding a duplicate ID panics.
+// AddNode attaches a new node. Adding a duplicate or negative ID
+// panics. IDs need not arrive in order or start at 0; the table grows
+// to the largest one.
 func (f *Fabric) AddNode(id NodeID) *Node {
-	if _, ok := f.nodes[id]; ok {
+	if id < 0 {
+		panic(fmt.Sprintf("simnet: negative node id %d", id))
+	}
+	if f.Node(id) != nil {
 		panic(fmt.Sprintf("simnet: duplicate node %d", id))
+	}
+	for int(id) >= len(f.nodes) {
+		f.nodes = append(f.nodes, nil)
 	}
 	n := &Node{ID: id, f: f}
 	f.nodes[id] = n
 	return n
 }
 
-// Node returns the node with the given ID, or nil.
-func (f *Fabric) Node(id NodeID) *Node { return f.nodes[id] }
+// Node returns the node with the given ID, or nil if there is none
+// (never added, out of range, negative).
+func (f *Fabric) Node(id NodeID) *Node {
+	if id < 0 || int(id) >= len(f.nodes) {
+		return nil
+	}
+	return f.nodes[id]
+}
 
 // SetDown marks a node as unreachable (true) or reachable (false).
 // Taking a node down completes every in-flight call that touches it
@@ -389,12 +405,12 @@ func (f *Fabric) deliveryTime(from, to *Node, size int64) sim.Time {
 
 // checkPath validates both endpoints, returning the node structs.
 func (f *Fabric) checkPath(from, to NodeID) (*Node, *Node, error) {
-	src, ok := f.nodes[from]
-	if !ok {
+	src := f.Node(from)
+	if src == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchNode, from)
 	}
-	dst, ok := f.nodes[to]
-	if !ok {
+	dst := f.Node(to)
+	if dst == nil {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchNode, to)
 	}
 	if src.down {

@@ -273,13 +273,30 @@ func TestNodeDown(t *testing.T) {
 	k.Run()
 }
 
+// The node table is indexed by id. Ids may arrive out of order and
+// leave gaps; a gap, an id past the end and a negative id are all "no
+// such node".
 func TestUnknownNode(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := New(k, testConfig())
-	f.AddNode(1)
+	n3, n1 := f.AddNode(3), f.AddNode(1)
+	if f.Node(3) != n3 || f.Node(1) != n1 {
+		t.Fatal("Node does not return what AddNode attached")
+	}
+	unknown := []NodeID{0, 2, 4, 99, -1}
+	for _, id := range unknown {
+		if f.Node(id) != nil {
+			t.Errorf("Node(%d) = %v, want nil", id, f.Node(id))
+		}
+	}
 	k.Spawn("client", func(p *sim.Proc) {
-		if err := f.Transfer(p, 1, 99, 100); !errors.Is(err, ErrNoSuchNode) {
-			t.Errorf("err = %v, want ErrNoSuchNode", err)
+		for _, id := range unknown {
+			if err := f.Transfer(p, 1, id, 100); !errors.Is(err, ErrNoSuchNode) {
+				t.Errorf("to %d: err = %v, want ErrNoSuchNode", id, err)
+			}
+			if err := f.Transfer(p, id, 1, 100); !errors.Is(err, ErrNoSuchNode) {
+				t.Errorf("from %d: err = %v, want ErrNoSuchNode", id, err)
+			}
 		}
 	})
 	k.Run()
