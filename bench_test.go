@@ -263,6 +263,51 @@ func BenchmarkSpawnPolledTick(b *testing.B) {
 	}
 }
 
+// BenchmarkPollFleet measures an idle tick in the shape serve-read gives
+// it, which one poller on an empty queue cannot show: 125 calm reactors
+// polling every 200us beside 64 future events that are in no order (and
+// never come due here). The reactors share one lane, so a tick sifts
+// through 65 heap entries, not 189.
+func BenchmarkPollFleet(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	for i := 0; i < 125; i++ {
+		k.SpawnPolled(func() string { return "reactor" }, 200*time.Microsecond,
+			func() bool { return true }, func(p *sim.Proc) {})
+	}
+	for i := 0; i < 64; i++ {
+		k.ScheduleTagged(sim.Time(1000*time.Hour)+sim.Time(k.Rand().Int63n(int64(time.Hour))), func(uint64) {}, 0)
+	}
+	k.RunUntil(sim.Millisecond) // every reactor past its start event and polling
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+}
+
+// BenchmarkLaneArrivals measures one 250us injector window at 400k req/s
+// from two tenants, end to end: draw the arrivals, sample their keys,
+// schedule each through its tenant's lane, deliver them all.
+func BenchmarkLaneArrivals(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	const window = 250 * time.Microsecond
+	var delivered int
+	inj := load.NewInjector(k, window, func(load.Request) { delivered++ })
+	z := load.NewZipf(65536, 0.9)
+	inj.AddTenant("web", load.Constant(300_000), z)
+	inj.AddTenant("api", load.Constant(100_000), z)
+	const warm = 64 // windows, to grow the reusable buffers
+	inj.Start(0, sim.Time(warm+b.N)*sim.Time(window))
+	k.RunUntil(warm*sim.Time(window) - 1)
+	delivered = 0
+	b.ResetTimer()
+	k.Run()
+	b.ReportMetric(float64(delivered)/float64(b.N), "arrivals/window")
+}
+
 // BenchmarkMachineSubmitChurn measures the processor-sharing machine
 // under task churn: submits, a rate change, a cancellation, and
 // completion retirement per iteration.

@@ -279,6 +279,25 @@ func TestRunScenarioBadZipfExits2(t *testing.T) {
 	}
 }
 
+// TestRunScenarioTooFineSampleStepExits2: a sample step at its own floor
+// passed Parse and Run died in load.Sampled with the runtime's "fatal
+// error: out of memory", which nothing recovers. The point count it
+// implies is bounded now: exit 2, one located line, no stack trace.
+func TestRunScenarioTooFineSampleStepExits2(t *testing.T) {
+	path := writeScenario(t, strings.Replace(testScenario, "  stores: 2\n", "  stores: 2\n  sample_step_ms: 0.000001\n", 1))
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", path}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	want := `scenario "clitest": workload: sample_step_ms 1e-06 cuts horizon_ms 4 into 4000000 rate-curve points (limit 100000)`
+	if got := errb.String(); !strings.Contains(got, want) || strings.Contains(got, "fatal error") || strings.Contains(got, "goroutine") {
+		t.Errorf("stderr = %q\nwant the diagnostic %q and no stack trace", got, want)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a rejected file printed a report:\n%s", out.String())
+	}
+}
+
 func TestRunScenarioReportAndTraceFiles(t *testing.T) {
 	path := writeScenario(t, testScenario)
 	dir := t.TempDir()

@@ -25,11 +25,12 @@ type Request struct {
 //
 // Per batch window [W, W+window) the injector — running as an ordinary
 // shard event at W — draws every tenant's arrival instants by thinning,
-// samples a Zipfian key per arrival, and schedules each request through
-// the kernel's pooled event queue via ScheduleTagged with a func bound
-// once at Start. The pending slice is reused across windows, so the
-// whole generate→schedule→deliver path is allocation-free at steady
-// state: cost is O(requests), never O(clients).
+// samples a Zipfian key per arrival, and schedules each request on its
+// tenant's sim.Lane — arrivals are drawn in time order, so the kernel's
+// heap orders one entry per tenant, not one per request — with a func
+// bound once. The pending slice is reused across windows, so the whole
+// generate→schedule→deliver path is allocation-free at steady state:
+// cost is O(requests), never O(clients).
 //
 // Arrivals in a window all land strictly before the next batch event
 // (Draw returns [from, to)), so indices into pending are stable for
@@ -59,6 +60,7 @@ type stream struct {
 	arr  *Arrivals
 	zipf *Zipf
 	rng  *rand.Rand
+	lane sim.Lane // the stream's arrivals, appended in time order
 }
 
 // NewInjector creates an injector on shard kernel k drawing arrivals in
@@ -94,6 +96,7 @@ func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) int {
 		arr:  NewArrivals(curve, rng),
 		zipf: zipf,
 		rng:  rng,
+		lane: inj.k.NewLane(),
 	})
 	inj.generated = append(inj.generated, 0)
 	return len(inj.streams) - 1
@@ -113,7 +116,7 @@ func (inj *Injector) Start(from, horizon sim.Time) {
 }
 
 // runBatch draws one window of arrivals for every tenant (fixed tenant
-// order) and schedules each through the pooled event queue.
+// order) and schedules each on its tenant's lane.
 func (inj *Injector) runBatch() {
 	t0 := inj.k.Now()
 	t1 := t0 + inj.window
@@ -137,7 +140,8 @@ func (inj *Injector) runBatch() {
 	// Schedule only after the slice is fully built: appends above may
 	// reallocate, but indices are stable from here to the next batch.
 	for i := range inj.pending {
-		inj.k.ScheduleTagged(inj.pending[i].At, inj.fire, uint64(i))
+		r := &inj.pending[i]
+		inj.streams[r.Tenant].lane.ScheduleTagged(r.At, inj.fire, uint64(i))
 	}
 	if t1 < inj.horizon {
 		inj.k.ScheduleTagged(t1, inj.batch, 0)

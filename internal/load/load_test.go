@@ -300,6 +300,47 @@ func TestInjectorDeliversInOrder(t *testing.T) {
 	}
 }
 
+// TestInjectorArrivalsStayOutOfTheHeap: a tenant's arrivals are drawn in
+// time order and scheduled under increasing sequence numbers, so each one
+// takes its stream's lane and none falls back to the heap. However many
+// requests a window draws ahead, the heap holds the head of each stream
+// and the next batch event.
+func TestInjectorArrivalsStayOutOfTheHeap(t *testing.T) {
+	k := sim.NewKernel(7)
+	defer k.Close()
+	const window = time.Millisecond
+	var maxHeap, maxBehind int
+	var atWindowStart uint64 // due at the instant they were drawn: the FIFO's, not a lane's
+	inj := NewInjector(k, window, func(r Request) {
+		st := k.QueueStats()
+		maxHeap, maxBehind = max(maxHeap, st.Heap), max(maxBehind, st.Behind)
+		if r.At%sim.Time(window) == 0 {
+			atWindowStart++
+		}
+	})
+	z := NewZipf(1000, 0.9)
+	horizon := sim.Time(20 * window)
+	inj.AddTenant("web", Sampled(horizon, window/4, Diurnal(300000, 0.3, 10*window)), z)
+	inj.AddTenant("api", Constant(100000), z)
+	inj.AddTenant("batch", Constant(20000), z)
+	inj.Start(0, horizon)
+	k.Run()
+
+	st := k.QueueStats()
+	if inj.Windows() != 20 || inj.Delivered() < 7000 || inj.Delivered() != inj.TotalGenerated() {
+		t.Fatalf("%d windows, %d generated, %d delivered: want 20 windows of about 420 requests, all delivered",
+			inj.Windows(), inj.TotalGenerated(), inj.Delivered())
+	}
+	if st.LaneFallbacks != 0 || st.LaneAppends+atWindowStart != inj.TotalGenerated() {
+		t.Errorf("%d of %d arrivals took a lane (%d were due at once), %d fell back to the heap: want all and 0",
+			st.LaneAppends, inj.TotalGenerated(), atWindowStart, st.LaneFallbacks)
+	}
+	if maxHeap > 3+1 || maxBehind < 300 {
+		t.Errorf("heap reached %d entries with up to %d arrivals waiting behind lane heads: want at most tenants + 1, and a window's worth waiting",
+			maxHeap, maxBehind)
+	}
+}
+
 func TestInjectorDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Request {
 		k := sim.NewKernel(123)

@@ -133,7 +133,8 @@ func TestParseAllocs(t *testing.T) {
 
 // TestDegenerateValues feeds Parse the numbers that used to reach Run
 // and panic it (makeslice, divide by zero, non-positive sample step,
-// counter decrement, zero-width SLO window, Zipf skew outside (0, 1)),
+// counter decrement, zero-width SLO window, Zipf skew outside (0, 1)) or
+// exhaust memory (a sample step that cuts the horizon into millions),
 // their neighbours, and the odd values that have always run. Parse must
 // reject with a located message or accept; whatever it accepts, Run
 // must survive.
@@ -154,6 +155,9 @@ func TestDegenerateValues(t *testing.T) {
 		{"horizon_ms not a finite number", strings.Replace(minimal, "horizon_ms: 4", "horizon_ms: inf", 1), `field "horizon_ms": expected a number, got "inf" (line 2)`},
 		{"sample_step_ms negative", workload("sample_step_ms: -1"), `workload: field "sample_step_ms": must be >= 1e-6 (line 7)`},
 		{"sample_step_ms rounds to 0ns", workload("sample_step_ms: 0.0000001"), `workload: field "sample_step_ms": must be >= 1e-6 (line 7)`},
+		{"sample_step_ms at its floor", workload("sample_step_ms: 0.000001"), `scenario "mini": workload: sample_step_ms 1e-06 cuts horizon_ms 4 into 4000000 rate-curve points (limit 100000)`},
+		{"sample_step_ms one point too fine", workload("sample_step_ms: 0.0000399996"), `scenario "mini": workload: sample_step_ms 3.99996e-05 cuts horizon_ms 4 into 100001 rate-curve points (limit 100000)`},
+		{"sample_step_ms at the point limit", workload("sample_step_ms: 0.00004"), ""},
 		{"object_bytes negative", workload("object_bytes: -5"), `workload: field "object_bytes": must be >= 0 (line 7)`},
 		{"object_bytes zero", workload("object_bytes: 0"), ""},
 		{"deadline_us zero", workload("deadline_us: 0"), ""},

@@ -560,6 +560,12 @@ func (sp *Spec) applyDefaults() {
 	}
 }
 
+// maxCurvePoints bounds how finely sample_step_ms may cut the horizon:
+// every tenant on every shard holds its pre-sampled rate curve, 16 bytes a
+// point, and the step's own floor allows a million points a millisecond.
+// The default step makes 200.
+const maxCurvePoints = 100_000
+
 // validate enforces what no single schema row can: values whose absence
 // is the error, range reports that name several fields or their owner,
 // and cross-field invariants — replication against fleet shape, event
@@ -588,6 +594,10 @@ func (sp *Spec) validate() error {
 	}
 	if len(w.Tenants) == 0 {
 		return fmt.Errorf("scenario %q: workload needs at least one tenant", sp.Name)
+	}
+	if pts := sp.HorizonMS / w.SampleStepMS; pts > maxCurvePoints {
+		return fmt.Errorf("scenario %q: workload: sample_step_ms %g cuts horizon_ms %g into %.0f rate-curve points (limit %d)",
+			sp.Name, w.SampleStepMS, sp.HorizonMS, pts, maxCurvePoints)
 	}
 	for gi, c := range f.GPUs {
 		if c.Count < 1 || c.MemMB < 1 || c.LinkGBps <= 0 || c.Speed <= 0 {

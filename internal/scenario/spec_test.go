@@ -162,6 +162,11 @@ func TestParseErrorPaths(t *testing.T) {
 			minimal + "      zipf: 1.5\n",
 			`scenario "mini": tenant "web": zipf must be in (0, 1) (got 1.5)`,
 		},
+		{
+			"sample step implies too many curve points",
+			strings.Replace(minimal, "  stores: 2\n", "  stores: 2\n  sample_step_ms: 0.00003\n", 1),
+			`scenario "mini": workload: sample_step_ms 3e-05 cuts horizon_ms 4 into 133333 rate-curve points (limit 100000)`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

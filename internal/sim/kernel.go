@@ -56,13 +56,15 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // qkey is one queued event as the queues see it: when it runs, its place
-// among that instant's events, and which slab slot holds what it does.
-// The same-instant FIFO and the future-event heap hold nothing else, so a
+// among that instant's events, which slab slot holds what it does, and,
+// for a heap entry that is the head of a lane, which lane (0: none). The
+// same-instant FIFO and the future-event heap hold nothing else, so a
 // sift moves 24 pointer-free bytes and never runs a write barrier.
 type qkey struct {
 	at   Time
 	seq  uint64
 	slot int32
+	lane int32
 }
 
 // noSlot is the slot of a FIFO entry whose timer was stopped or re-armed
@@ -82,12 +84,31 @@ type slot struct {
 	tag uint64       // evTagged argument
 	p   *Proc        // evResume / evWakeParked / evStart / evPoll / evStage payload
 	t   *Timer       // evTimer payload
+	// at and seq are the event's key while it is in a lane: the entries
+	// behind a lane's head are in no queue array, and the tail's key is
+	// what the next append is checked against.
+	at  Time
+	seq uint64
 	// pos says where the event's key is, so a Timer can find it: the heap
-	// index if >= 0, else the complement of the nowq index. On a free slot
-	// it links the free list.
+	// index if >= 0, else the complement of the nowq index. On a lane entry
+	// behind the head it links the next entry of the lane, on a free slot
+	// the free list.
 	pos  int32
 	kind uint8
 }
+
+// lane is the kernel's side of a Lane: a FIFO of future events that were
+// appended in (time, seq) order. The first is an ordinary heap entry marked
+// with the lane; the rest wait in the slab, linked through slot.pos.
+type lane struct {
+	next int32 // first entry behind the head; noSlot if the head is alone
+	tail int32 // last entry, the head if it is alone; noSlot if the lane is empty
+}
+
+// maxDelayLanes bounds the lanes the kernel keeps for polls and stages,
+// one per distinct delay. A delay past the bound schedules through the
+// heap, which is exact, so the bound is not a limit on programs.
+const maxDelayLanes = 8
 
 // Event payload kinds.
 const (
@@ -119,20 +140,35 @@ type Kernel struct {
 	now Time
 	seq uint64
 
-	// The event queue is split in two. Events scheduled for a future
-	// instant go through a hand-rolled binary min-heap of keys. Events
-	// scheduled at exactly the current instant — the dominant case: wakes,
-	// Yield, same-instant event chains — take a FIFO fast path that
-	// bypasses the heap entirely. FIFO order within nowq equals (time,
-	// seq) order because entries are appended with nondecreasing
-	// timestamps and increasing sequence numbers; step compares the FIFO
-	// head against the heap top so global (time, seq) order is preserved
-	// exactly. nowq[nowHead] is never a tombstone; dead counts the
-	// tombstones behind it.
+	// The event queue has three parts. Events scheduled at exactly the
+	// current instant — the dominant case: wakes, Yield, same-instant event
+	// chains — take a FIFO fast path that bypasses the heap entirely. FIFO
+	// order within nowq equals (time, seq) order because entries are
+	// appended with nondecreasing timestamps and increasing sequence
+	// numbers. Events scheduled for a future instant are ordered by a
+	// hand-rolled binary min-heap of keys; step compares the FIFO head
+	// against the heap top so global (time, seq) order is preserved exactly.
+	// nowq[nowHead] is never a tombstone; dead counts the tombstones behind
+	// it. A source whose future events come in (time, seq) order anyway
+	// appends them to a lane (see Lane): the heap holds the lane's first
+	// entry only, and the heap top is still the earliest future event
+	// because every lane is sorted and its head is its minimum.
 	heap    []qkey
 	nowq    []qkey
 	nowHead int
 	dead    int
+
+	lanes  []lane // lanes[id-1]; id 0 means no lane
+	behind int    // entries waiting in lanes behind their heads
+	// The lanes polls and stages ride, by delay (see pushAfter).
+	delayLanes [maxDelayLanes]struct {
+		d  time.Duration
+		id int32
+	}
+	nDelayLanes int
+	// Host-side census of lane traffic (see QueueStats).
+	laneAppends   uint64
+	laneFallbacks uint64
 
 	slots    []slot
 	freeSlot int32 // first free slot, linked through slot.pos; noSlot if none
@@ -180,7 +216,21 @@ func (k *Kernel) Live() int { return k.live }
 func (k *Kernel) Blocked() int { return k.blocked }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) + len(k.nowq) - k.nowHead - k.dead }
+func (k *Kernel) Pending() int { return len(k.heap) + k.behind + len(k.nowq) - k.nowHead - k.dead }
+
+// QueueStats is a host-side reading of the event queue. It describes the
+// simulator, not the simulation, and belongs in no report.
+type QueueStats struct {
+	Heap          int    // entries in the future-event heap now, lane heads included
+	Behind        int    // entries waiting in lanes behind their heads now
+	LaneAppends   uint64 // future events lanes have taken, in order
+	LaneFallbacks uint64 // future events lanes have passed to the heap, out of order
+}
+
+// QueueStats returns the current reading.
+func (k *Kernel) QueueStats() QueueStats {
+	return QueueStats{len(k.heap), k.behind, k.laneAppends, k.laneFallbacks}
+}
 
 // Schedule runs fn at absolute virtual time at (clamped to now if in the
 // past). fn executes in kernel context: it must not block, but it may
@@ -202,7 +252,7 @@ func (k *Kernel) ScheduleTagged(at Time, fn func(tag uint64), tag uint64) {
 // ReserveSeq consumes the next event sequence number without scheduling
 // anything, for an event that may turn out not to be needed: a timer
 // that matters only if something else fails to happen first. Scheduling
-// it later with ScheduleReserved puts it exactly where scheduling it now
+// it later with Lane.ScheduleReserved puts it exactly where scheduling it now
 // would have, and never scheduling it leaves every other event's (time,
 // seq) as it was — so a run that drops such timers when they cannot fire
 // executes the same events, minus the ones that would have done nothing.
@@ -211,18 +261,132 @@ func (k *Kernel) ReserveSeq() uint64 {
 	return k.seq
 }
 
+// Lane is a handle on a FIFO of future events for a source that schedules
+// in (time, seq) order: an open-loop arrival stream, deadlines a fixed
+// timeout after their calls. The heap orders a lane's first entry against
+// everything else and the rest wait behind it at no cost to anyone, so a
+// pop sifts through one entry per lane instead of one per event. Order is
+// checked, not assumed: an append that would come before the lane's last
+// entry is queued through the heap like any other event, so every event
+// runs at the same (time, seq) whichever lane it was scheduled through, or
+// none. A Lane belongs to its kernel's shard and is used only from that
+// shard's context; it stays usable across Kernel.Close.
+type Lane struct {
+	k  *Kernel
+	id int32
+}
+
+// NewLane returns a new, empty lane on k.
+func (k *Kernel) NewLane() Lane {
+	k.lanes = append(k.lanes, lane{next: noSlot, tail: noSlot})
+	return Lane{k: k, id: int32(len(k.lanes))}
+}
+
+// ScheduleTagged is order-identical to Kernel.ScheduleTagged.
+func (l Lane) ScheduleTagged(at Time, fn func(tag uint64), tag uint64) {
+	k := l.k
+	k.seq++
+	i, s := k.newSlot(evTagged)
+	s.tfn, s.tag = fn, tag
+	k.laneAppend(l.id, at, k.seq, i)
+}
+
 // ScheduleReserved runs fn(tag) at the future instant at, ordered among
 // that instant's events by a sequence number taken earlier from
-// ReserveSeq. A number must be used at most once. The instant must be
-// strictly after now: events of the current instant with later numbers
+// Kernel.ReserveSeq. A number must be used at most once. The instant must
+// be strictly after now: events of the current instant with later numbers
 // may already have run.
-func (k *Kernel) ScheduleReserved(at Time, seq uint64, fn func(tag uint64), tag uint64) {
+func (l Lane) ScheduleReserved(at Time, seq uint64, fn func(tag uint64), tag uint64) {
+	k := l.k
 	if at <= k.now {
 		panic(fmt.Sprintf("sim: ScheduleReserved at %v is not after now (%v)", at, k.now))
 	}
 	i, s := k.newSlot(evTagged)
 	s.tfn, s.tag = fn, tag
-	k.heapInsert(qkey{at: at, seq: seq, slot: i})
+	k.laneAppend(l.id, at, seq, i)
+}
+
+// laneAppend queues slot i's event through lane id: at the lane's tail if
+// the event is in the future and not before the entry already there, else
+// as enqueue would.
+func (k *Kernel) laneAppend(id int32, at Time, seq uint64, i int32) {
+	if at <= k.now || id == 0 {
+		k.enqueue(at, seq, i)
+		return
+	}
+	ln := &k.lanes[id-1]
+	s := &k.slots[i]
+	if ln.tail == noSlot { // empty lane: the event is its head
+		s.at, s.seq = at, seq
+		ln.tail = i
+		k.laneAppends++
+		k.heapInsert(qkey{at: at, seq: seq, slot: i, lane: id})
+		return
+	}
+	tail := &k.slots[ln.tail]
+	if keyLess(qkey{at: at, seq: seq}, qkey{at: tail.at, seq: tail.seq}) {
+		k.laneFallbacks++
+		k.heapInsert(qkey{at: at, seq: seq, slot: i})
+		return
+	}
+	s.at, s.seq, s.pos = at, seq, noSlot
+	if ln.next == noSlot {
+		ln.next = i // the tail is the head, whose pos is its heap index
+	} else {
+		tail.pos = i
+	}
+	ln.tail = i
+	k.behind++
+	k.laneAppends++
+}
+
+// lanePop removes the heap root e, the head of a lane, and puts the lane's
+// next entry, marked as the head, in its place: one sift down a heap that
+// holds one entry per lane.
+func (k *Kernel) lanePop(e qkey) {
+	ln := &k.lanes[e.lane-1]
+	n := ln.next
+	if n == noSlot {
+		ln.tail = noSlot
+		k.heapRemove(0)
+		return
+	}
+	s := &k.slots[n]
+	ln.next = s.pos
+	k.behind--
+	k.siftDown(0, qkey{at: s.at, seq: s.seq, slot: n, lane: e.lane})
+}
+
+// pushAfter queues a poll or stage event for p at now + d under the next
+// sequence number. Such events ride a lane per delay: the clock and the
+// sequence counter only move forward, so a source that always adds the
+// same d schedules in order. p remembers the lane of the delay it used
+// last; a process polls at one period for its whole life.
+func (k *Kernel) pushAfter(p *Proc, d time.Duration, kind uint8) {
+	k.seq++
+	i, s := k.newSlot(kind)
+	s.p = p
+	if p.laneDelay != d {
+		p.laneDelay, p.lane = d, k.delayLane(d)
+	}
+	k.laneAppend(p.lane, k.now.Add(d), k.seq, i)
+}
+
+// delayLane returns the lane for events scheduled d ahead, making it on
+// first use, or 0 (no lane) once maxDelayLanes delays have one.
+func (k *Kernel) delayLane(d time.Duration) int32 {
+	for _, dl := range k.delayLanes[:k.nDelayLanes] {
+		if dl.d == d {
+			return dl.id
+		}
+	}
+	if d == 0 || k.nDelayLanes == maxDelayLanes {
+		return 0 // delay 0 is the FIFO's
+	}
+	dl := &k.delayLanes[k.nDelayLanes]
+	k.nDelayLanes++
+	dl.d, dl.id = d, k.NewLane().id
+	return dl.id
 }
 
 // newSlot takes a slot off the free list, or grows the slab by one, for an
@@ -665,6 +829,10 @@ func (k *Kernel) Close() {
 	k.slots, k.freeSlot = k.slots[:0], noSlot
 	k.heap = k.heap[:0]
 	k.nowq, k.nowHead, k.dead = k.nowq[:0], 0, 0
+	for i := range k.lanes {
+		k.lanes[i] = lane{next: noSlot, tail: noSlot} // empty; handles stay good
+	}
+	k.behind = 0
 	k.blocked = 0
 }
 
@@ -684,7 +852,7 @@ func (k *Kernel) start(p *Proc) {
 		k.resumeAndWait(p)
 		return
 	}
-	k.push(k.now.Add(p.pollEvery), evPoll).p = p
+	k.pushAfter(p, p.pollEvery, evPoll)
 	k.blocked++
 }
 
@@ -736,7 +904,7 @@ func (k *Kernel) poll(p *Proc) {
 			p.Name(), k.now))
 	}
 	if idle {
-		k.push(k.now.Add(p.pollEvery), evPoll).p = p
+		k.pushAfter(p, p.pollEvery, evPoll)
 		return
 	}
 	p.pollIdle = nil
@@ -778,10 +946,12 @@ func (k *Kernel) step(limit Time) bool {
 	if !ok || e.at > limit {
 		return false
 	}
-	if fromHeap {
-		k.heapRemove(0)
-	} else {
+	if !fromHeap {
 		k.nowqPop()
+	} else if e.lane != 0 {
+		k.lanePop(e)
+	} else {
+		k.heapRemove(0)
 	}
 	if e.at > k.now {
 		k.now = e.at
@@ -903,6 +1073,11 @@ type Proc struct {
 	// the Cond the process waits on if the stage says so.
 	stageFn   func() bool
 	stageCond *Cond
+
+	// The delay of the process's last poll or stage and that delay's lane
+	// (see pushAfter). The zero value is right: delay 0 has no lane.
+	laneDelay time.Duration
+	lane      int32
 }
 
 // Name returns the process name, computing it on first use when the
@@ -953,9 +1128,10 @@ func (p *Proc) Sleep(d time.Duration) {
 //	for { p.Sleep(d); if !idle() { break } }
 //
 // — every check consumes one event and one sequence number at the same
-// place the loop's Sleep would — but the checks run in kernel context,
-// so a poller that finds nothing to do costs one heap push and pop
-// instead of a switch into the process and back.
+// place the loop's Sleep would — but the checks run in kernel context and
+// queue through the lane of their period, so a poller that finds nothing
+// to do costs one append and one pop that no other poller at that period
+// adds to, instead of a switch into the process and back.
 //
 // The contract that buys this: idle must be pure (it may read simulated
 // state but not schedule, spawn, wake or mutate; the kernel panics if it
@@ -969,7 +1145,7 @@ func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
 	}
 	k := p.k
 	p.pollIdle, p.pollEvery = idle, d
-	k.push(k.now.Add(d), evPoll).p = p
+	k.pushAfter(p, d, evPoll)
 	p.parkCounted()
 }
 
@@ -1000,7 +1176,7 @@ func (p *Proc) SleepThenWait(d time.Duration, stage func() bool, c *Cond) {
 	}
 	k := p.k
 	p.stageFn, p.stageCond = stage, c
-	k.push(k.now.Add(d), evStage).p = p
+	k.pushAfter(p, d, evStage)
 	p.parkCounted()
 }
 

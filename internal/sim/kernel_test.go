@@ -299,7 +299,7 @@ func TestScheduleReservedKeepsItsPlace(t *testing.T) {
 		k.Schedule(5*Microsecond, func() {
 			k.ScheduleTagged(10*Microsecond, note, 4)
 			if lazy {
-				k.ScheduleReserved(10*Microsecond, seq, note, 2)
+				k.NewLane().ScheduleReserved(10*Microsecond, seq, note, 2)
 			}
 		})
 		k.Run()
@@ -322,7 +322,7 @@ func TestScheduleReservedRefusesThePresent(t *testing.T) {
 	defer k.Close()
 	seq := k.ReserveSeq()
 	k.RunUntil(10 * Microsecond)
-	msg := mustPanic(t, func() { k.ScheduleReserved(10*Microsecond, seq, func(uint64) {}, 0) })
+	msg := mustPanic(t, func() { k.NewLane().ScheduleReserved(10*Microsecond, seq, func(uint64) {}, 0) })
 	if !strings.Contains(msg, "not after now") {
 		t.Fatalf("unexpected panic message: %v", msg)
 	}

@@ -241,12 +241,13 @@ func spawnTimerMix(k *Kernel, rng *rand.Rand, out *pollMixRun, flags []int, newT
 	for i, n := 0, rng.Intn(12); i < n; i++ {
 		k.ScheduleTagged(Time(us(rng.Intn(400))), bump, uint64(rng.Intn(len(flags))))
 	}
+	lane := k.NewLane() // the delays vary, so some appends arrive out of order
 	k.Spawn("reserver", func(p *Proc) {
 		for r := 0; r < 10; r++ {
 			seq := k.ReserveSeq()
 			p.Sleep(us(k.Rand().Intn(12)))
 			if k.Rand().Intn(3) > 0 { // else the number is never used
-				k.ScheduleReserved(p.Now().Add(us(1+k.Rand().Intn(20))), seq, bump, uint64(k.Rand().Intn(len(flags))))
+				lane.ScheduleReserved(p.Now().Add(us(1+k.Rand().Intn(20))), seq, bump, uint64(k.Rand().Intn(len(flags))))
 			}
 		}
 	})

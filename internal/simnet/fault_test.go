@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -417,5 +418,72 @@ func TestDeadlineThatCannotFireIsNeverQueued(t *testing.T) {
 	}
 	if k.Pending() != 1 {
 		t.Errorf("%d events queued after a blocking call, want its deadline", k.Pending())
+	}
+}
+
+// timedOutOrder sends one call per entry of timeouts (0: the fabric's
+// default), 10 µs apart, to a handler that outlasts them all. It returns
+// the callers in the order their calls timed out, the order (time, seq)
+// gives them — by deadline instant, the earlier-sent call first at a tie —
+// and the kernel's lane census.
+func timedOutOrder(t *testing.T, timeouts []time.Duration) (got, want []int, st sim.QueueStats) {
+	t.Helper()
+	k := sim.NewKernel(1)
+	defer k.Close()
+	cfg := testConfig()
+	cfg.CallTimeout = 200 * time.Microsecond
+	f := echoFabric(k, cfg)
+	deadline := make([]sim.Time, len(timeouts))
+	for i, d := range timeouts {
+		sent := sim.Time(i) * 10 * sim.Microsecond
+		k.Schedule(sent, func() {
+			k.Spawn("caller", func(p *sim.Proc) {
+				if _, err := f.CallWithTimeout(p, 1, 2, "slow", Message{Bytes: 100}, d); !errors.Is(err, ErrTimeout) {
+					t.Errorf("call %d: err = %v, want a timeout", i, err)
+				}
+				if p.Now() != deadline[i] {
+					t.Errorf("call %d timed out at %v, want %v", i, p.Now(), deadline[i])
+				}
+				got = append(got, i)
+			})
+		})
+		if d == 0 {
+			d = cfg.CallTimeout
+		}
+		deadline[i] = sent.Add(cfg.RPCOverhead + d)
+		want = append(want, i)
+	}
+	slices.SortStableFunc(want, func(a, b int) int { return int(deadline[a] - deadline[b]) })
+	k.Run()
+	return got, want, k.QueueStats()
+}
+
+// TestDeadlinesAtOneTimeoutRideTheLane: a blocking handler's call queues
+// its deadline, and at the fabric's one timeout the deadlines come due in
+// the order the calls were sent, so all of them take the fabric's lane.
+// Deadlines under other timeouts arrive out of that order: those go
+// through the heap, and every call still resolves where (time, seq) puts
+// it.
+func TestDeadlinesAtOneTimeoutRideTheLane(t *testing.T) {
+	got, want, st := timedOutOrder(t, make([]time.Duration, 40))
+	if !slices.Equal(got, want) || st.LaneFallbacks != 0 || st.LaneAppends < 40 {
+		t.Errorf("one timeout: calls timed out in order %v, want %v; %d lane appends, %d fallbacks, want >= 40 and 0",
+			got, want, st.LaneAppends, st.LaneFallbacks)
+	}
+
+	us := time.Microsecond
+	mixed := make([]time.Duration, 40)
+	for i := range mixed {
+		// 0 is the default, 200 µs. There are ties: call 5n+7 (130 µs) comes
+		// due at the instant call 5n does, call 5n+16 (50 µs) with call 5n+4
+		// (170 µs).
+		mixed[i] = []time.Duration{0, 50 * us, 130 * us, 0, 170 * us}[i%5]
+	}
+	got, want, st = timedOutOrder(t, mixed)
+	if !slices.Equal(got, want) {
+		t.Errorf("mixed timeouts: calls timed out in order\n%v, want\n%v", got, want)
+	}
+	if st.LaneFallbacks == 0 || slices.IsSorted(want) {
+		t.Errorf("mixed timeouts: %d fallbacks to the heap and deadline order %v: want some, and not the sending order", st.LaneFallbacks, want)
 	}
 }

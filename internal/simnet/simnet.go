@@ -163,6 +163,8 @@ type Fabric struct {
 	// complete them with ErrNodeDown instead of stranding the callers.
 	inflight []*callState
 
+	deadlines sim.Lane // queued call deadlines (see armDeadline)
+
 	// TransferLatency records end-to-end transfer times in seconds.
 	TransferLatency *metrics.Histogram
 	// Calls counts completed RPCs.
@@ -195,6 +197,7 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 	return &Fabric{
 		k:               k,
 		cfg:             cfg,
+		deadlines:       k.NewLane(),
 		TransferLatency: metrics.NewHistogram("simnet.transfer_latency"),
 	}
 }
@@ -642,12 +645,16 @@ func (cs *callState) send() (wait bool) {
 // (SetDown), so a call that none of this happens to is certain to
 // resolve first, and its deadline — which would find the call done and
 // do nothing — is never queued. Sequence numbers are reserved either
-// way, so every event that does run keeps its (time, seq).
+// way, so every event that does run keeps its (time, seq). One that is
+// queued sits out its whole timeout on the fabric's lane: under one
+// timeout deadlines come due in the order their calls were sent, so they
+// wait behind the lane's head, outside the heap. One that would come due
+// before the lane's last (another CallWithTimeout) goes through the heap.
 func (cs *callState) armDeadline() {
 	if cs.deadlineSeq == 0 {
 		return // no deadline, or already queued
 	}
-	cs.f.k.ScheduleReserved(cs.deadlineAt, cs.deadlineSeq, cs.timeoutT, cs.gen)
+	cs.f.deadlines.ScheduleReserved(cs.deadlineAt, cs.deadlineSeq, cs.timeoutT, cs.gen)
 	cs.deadlineSeq = 0
 }
 
