@@ -163,9 +163,8 @@ type Kernel struct {
 	// The lanes polls and stages ride, by delay (see pushAfter).
 	delayLanes [maxDelayLanes]struct {
 		d  time.Duration
-		id int32
+		id int32 // 0: entry not yet used
 	}
-	nDelayLanes int
 	// Host-side census of lane traffic (see QueueStats).
 	laneAppends   uint64
 	laneFallbacks uint64
@@ -314,29 +313,26 @@ func (k *Kernel) laneAppend(id int32, at Time, seq uint64, i int32) {
 		k.enqueue(at, seq, i)
 		return
 	}
-	ln := &k.lanes[id-1]
-	s := &k.slots[i]
+	ln, s := &k.lanes[id-1], &k.slots[i]
 	if ln.tail == noSlot { // empty lane: the event is its head
-		s.at, s.seq = at, seq
-		ln.tail = i
-		k.laneAppends++
 		k.heapInsert(qkey{at: at, seq: seq, slot: i, lane: id})
-		return
-	}
-	tail := &k.slots[ln.tail]
-	if keyLess(qkey{at: at, seq: seq}, qkey{at: tail.at, seq: tail.seq}) {
-		k.laneFallbacks++
-		k.heapInsert(qkey{at: at, seq: seq, slot: i})
-		return
-	}
-	s.at, s.seq, s.pos = at, seq, noSlot
-	if ln.next == noSlot {
-		ln.next = i // the tail is the head, whose pos is its heap index
 	} else {
-		tail.pos = i
+		tail := &k.slots[ln.tail]
+		if keyLess(qkey{at: at, seq: seq}, qkey{at: tail.at, seq: tail.seq}) {
+			k.laneFallbacks++
+			k.heapInsert(qkey{at: at, seq: seq, slot: i})
+			return
+		}
+		if ln.next == noSlot {
+			ln.next = i // the tail is the head, whose pos is its heap index
+		} else {
+			tail.pos = i
+		}
+		s.pos = noSlot
+		k.behind++
 	}
+	s.at, s.seq = at, seq
 	ln.tail = i
-	k.behind++
 	k.laneAppends++
 }
 
@@ -375,18 +371,19 @@ func (k *Kernel) pushAfter(p *Proc, d time.Duration, kind uint8) {
 // delayLane returns the lane for events scheduled d ahead, making it on
 // first use, or 0 (no lane) once maxDelayLanes delays have one.
 func (k *Kernel) delayLane(d time.Duration) int32 {
-	for _, dl := range k.delayLanes[:k.nDelayLanes] {
+	if d == 0 {
+		return 0 // the FIFO's
+	}
+	for i := range k.delayLanes {
+		dl := &k.delayLanes[i]
+		if dl.id == 0 { // d's first use, and an entry left for it
+			dl.d, dl.id = d, k.NewLane().id
+		}
 		if dl.d == d {
 			return dl.id
 		}
 	}
-	if d == 0 || k.nDelayLanes == maxDelayLanes {
-		return 0 // delay 0 is the FIFO's
-	}
-	dl := &k.delayLanes[k.nDelayLanes]
-	k.nDelayLanes++
-	dl.d, dl.id = d, k.NewLane().id
-	return dl.id
+	return 0
 }
 
 // newSlot takes a slot off the free list, or grows the slab by one, for an

@@ -240,11 +240,12 @@ func runLaneMix(seed int64, plain bool) laneMixRun {
 // across a Close.
 //
 // Mutations of kernel.go this was checked to fail under: the order check
-// dropped from laneAppend; the order check comparing at only; a head's key
-// not written to its slot (the next append is checked against garbage);
-// lanePop promoting the next entry without the lane mark (the entries
-// behind it never run); lanePop leaving a drained lane's tail set; behind
-// not decremented, or left out of Pending; Close not resetting the lanes.
+// dropped from laneAppend; the order check comparing at only; an entry's
+// key not written to its slot (the next append is checked against, and
+// the promotion made with, garbage); lanePop promoting the next entry
+// without the lane mark (the entries behind it never run); lanePop leaving
+// a drained lane's tail set; behind not decremented, or left out of
+// Pending; Close not resetting the lanes.
 func TestLanesMatchTheHeap(t *testing.T) {
 	var appends, fallbacks uint64
 	var bySeqOnly, relocations, maxBehind int
