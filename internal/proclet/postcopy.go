@@ -57,6 +57,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 	if err := dst.AllocMem(pr.heapBytes); err != nil {
 		return err
 	}
+	dstEpoch := dst.Epoch()
 
 	var sp, frz obs.SpanID
 	if rt.obs != nil {
@@ -79,12 +80,10 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 	p.Sleep(rt.cfg.MigrationFixedOverhead)
 
 	// Commit the move.
-	delete(rt.local[from], id)
-	rt.local[to][id] = pr
-	rt.directory[id] = to
-	rt.caches[from][id] = to
-	rt.caches[to][id] = to
+	rt.cache(from, id, to)
+	rt.cache(to, id, to)
 	pr.machine = to
+	pr.allocEpoch = dstEpoch
 	pr.state = StateRunning
 	pr.lazyWindow = true
 	pr.unblocked.Broadcast()

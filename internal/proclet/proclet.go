@@ -99,16 +99,25 @@ type Proclet struct {
 	name    string
 	rt      *Runtime
 	machine cluster.MachineID
-	state   State
+	// resident is set while machine actually holds the proclet; a crash or
+	// a Depose clears it, leaving an orphan the directory still lists under
+	// that machine, and Restore sets it again. (Resident, the method, is
+	// about the heap during a post-copy window, not this.)
+	resident bool
+	state    State
 
 	// allocEpoch is the hosting machine's crash epoch at the time the
 	// heap was charged to it. A mismatch means the machine crashed since
 	// (wiping the allocation), so the heap must not be freed against it.
 	allocEpoch uint64
 
-	heapBytes   int64
-	methods     map[string]Method
-	fastMethods map[string]FastMethod
+	heapBytes int64
+	// methods holds each method name once, with whichever of its two
+	// registrations exist. A proclet has a dozen methods at most, so
+	// dispatch scans by name, as simnet.Node.lookup does one layer down,
+	// and an invocation the fast registration declines has its fallback
+	// in hand.
+	methods []methodEntry
 
 	// Data holds the proclet's actual structure state (shard contents,
 	// task queues). It travels with the proclet on migration; its
@@ -155,33 +164,48 @@ func (pr *Proclet) CommBytes() map[ID]int64 { return pr.commBytes }
 // ResetComm clears the affinity counters.
 func (pr *Proclet) ResetComm() { pr.commBytes = make(map[ID]int64) }
 
+// methodEntry is one method name's registrations: fast, blocking, or —
+// through HandleWithFallback only — both.
+type methodEntry struct {
+	name     string
+	fast     FastMethod
+	blocking Method
+}
+
+// method returns the entry registered under name, or nil.
+func (pr *Proclet) method(name string) *methodEntry {
+	for i := range pr.methods {
+		if e := &pr.methods[i]; e.name == name {
+			return e
+		}
+	}
+	return nil
+}
+
 // Handle registers a method. Registration is not allowed after the
 // proclet has started serving (no enforcement; callers register at
 // construction time).
 func (pr *Proclet) Handle(method string, fn Method) {
-	if _, dup := pr.methods[method]; dup {
-		panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
-	}
-	if _, dup := pr.fastMethods[method]; dup {
+	if e := pr.method(method); e != nil {
+		if e.blocking != nil {
+			panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
+		}
 		panic(fmt.Sprintf("proclet: method %q on %s already registered as fast", method, pr.name))
 	}
-	pr.methods[method] = fn
+	pr.methods = append(pr.methods, methodEntry{name: method, blocking: fn})
 }
 
 // HandleFast registers a non-blocking method served on the inline
 // dispatch path (see FastMethod). A method name is either fast or
 // blocking, not both; registering it in both tables panics.
 func (pr *Proclet) HandleFast(method string, fn FastMethod) {
-	if _, dup := pr.fastMethods[method]; dup {
-		panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
-	}
-	if _, dup := pr.methods[method]; dup {
+	if e := pr.method(method); e != nil {
+		if e.fast != nil {
+			panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
+		}
 		panic(fmt.Sprintf("proclet: method %q on %s already registered as blocking", method, pr.name))
 	}
-	if pr.fastMethods == nil {
-		pr.fastMethods = make(map[string]FastMethod)
-	}
-	pr.fastMethods[method] = fn
+	pr.methods = append(pr.methods, methodEntry{name: method, fast: fn})
 }
 
 // HandleWithFallback registers the same method name on both dispatch
@@ -193,17 +217,13 @@ func (pr *Proclet) HandleFast(method string, fn FastMethod) {
 // a blocking protocol in another (the same write shipping a replication
 // record before acking).
 func (pr *Proclet) HandleWithFallback(method string, fast FastMethod, blocking Method) {
-	if _, dup := pr.fastMethods[method]; dup {
-		panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
-	}
-	if _, dup := pr.methods[method]; dup {
+	if e := pr.method(method); e != nil {
+		if e.fast != nil {
+			panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
+		}
 		panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
 	}
-	if pr.fastMethods == nil {
-		pr.fastMethods = make(map[string]FastMethod)
-	}
-	pr.fastMethods[method] = fast
-	pr.methods[method] = blocking
+	pr.methods = append(pr.methods, methodEntry{name: method, fast: fast, blocking: blocking})
 }
 
 // GrowHeap adjusts the proclet's accounted state size by delta bytes

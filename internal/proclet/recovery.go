@@ -14,7 +14,6 @@ package proclet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -46,19 +45,15 @@ func (pr *Proclet) ResetHeap() {
 // CrashMachine detaches every proclet resident on mid after the machine
 // fail-stopped: each becomes StateOrphaned, its outstanding thread
 // compute is canceled (Machine.Crash usually already retired it), and
-// waiters are woken so they re-check state. Returns the orphans sorted
-// by ID so recovery is deterministic.
+// waiters are woken so they re-check state. Returns the orphans in
+// ascending ID order so recovery is deterministic.
 func (rt *Runtime) CrashMachine(mid cluster.MachineID) []*Proclet {
-	tbl := rt.local[mid]
-	ids := make([]ID, 0, len(tbl))
-	for id := range tbl {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	orphans := make([]*Proclet, 0, len(ids))
-	for _, id := range ids {
-		pr := tbl[id]
-		delete(tbl, id)
+	var orphans []*Proclet
+	for _, pr := range rt.procs {
+		if pr == nil || !pr.resident || pr.machine != mid {
+			continue
+		}
+		pr.resident = false
 		pr.state = StateOrphaned
 		pr.lazyWindow = false // a post-copy window dies with the machine
 		pr.cancelTasks()
@@ -68,7 +63,7 @@ func (rt *Runtime) CrashMachine(mid cluster.MachineID) []*Proclet {
 		pr.unblocked.Broadcast()
 		pr.drained.Broadcast()
 		rt.Trace.Emitf(rt.k.Now(), trace.KindCrash, pr.name, int(mid), -1,
-			"orphaned id=%d heap=%d", id, pr.heapBytes)
+			"orphaned id=%d heap=%d", pr.id, pr.heapBytes)
 		orphans = append(orphans, pr)
 	}
 	return orphans
@@ -89,7 +84,7 @@ func (rt *Runtime) Depose(pr *Proclet) error {
 	mid := pr.machine
 	rt.freeHeap(pr)
 	pr.heapBytes = 0
-	delete(rt.local[mid], pr.id)
+	pr.resident = false
 	pr.state = StateOrphaned
 	pr.lazyWindow = false
 	pr.cancelTasks()
@@ -133,10 +128,9 @@ func (rt *Runtime) Restore(p *sim.Proc, pr *Proclet, to cluster.MachineID) error
 	}
 
 	pr.machine = to
+	pr.resident = true
 	pr.allocEpoch = epoch
-	rt.local[to][pr.id] = pr
-	rt.directory[pr.id] = to
-	rt.caches[to][pr.id] = to
+	rt.cache(to, pr.id, to)
 	pr.state = StateRunning
 	pr.unblocked.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), trace.KindRecover, pr.name, int(from), int(to),
@@ -153,7 +147,7 @@ func (rt *Runtime) Abandon(pr *Proclet) {
 	}
 	pr.state = StateDead
 	pr.heapBytes = 0
-	delete(rt.directory, pr.id)
+	rt.procs[pr.id] = nil
 	pr.unblocked.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), trace.KindDestroy, pr.name, int(pr.machine), -1,
 		"shed after crash id=%d", pr.id)

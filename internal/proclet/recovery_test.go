@@ -197,10 +197,10 @@ func TestAbandonSurfacesNotFound(t *testing.T) {
 // double residency and no leaked memory charge.
 
 func countResidency(rt *Runtime, id ID) (n int, at cluster.MachineID) {
-	for mid, tbl := range rt.local {
-		if _, ok := tbl[id]; ok {
+	for _, m := range rt.Cluster.Machines() {
+		if rt.localOn(m.ID, id) != nil {
 			n++
-			at = cluster.MachineID(mid)
+			at = m.ID
 		}
 	}
 	return n, at

@@ -3,7 +3,6 @@ package proclet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -77,15 +76,25 @@ type Runtime struct {
 	Cluster *cluster.Cluster
 	Trace   *trace.Log
 
-	cfg    Config
-	k      *sim.Kernel
-	nextID ID
+	cfg Config
+	k   *sim.Kernel
 
-	directory map[ID]cluster.MachineID // authoritative
-	// Per-machine tables and location caches, indexed by MachineID (the
-	// cluster assigns ids densely from 0); the proclet-id level stays a map.
-	local  []map[ID]*Proclet
-	caches []map[ID]cluster.MachineID
+	// procs is the directory and every machine's resident table in one
+	// slice indexed by proclet id: Spawn hands ids out densely from 1 and
+	// never reuses one. A non-nil procs[id] is the authoritative record —
+	// the proclet lives on pr.machine — and stays through an outage (an
+	// orphan is still listed under its dead machine); Destroy and Abandon
+	// nil it. Machine m holds the proclet only while pr.resident is also
+	// set. The slice is as long as the number of proclets this runtime
+	// ever spawned — at most 34 in the benchmark's workloads and the
+	// scenario library, 122 in the experiment that splits shards most
+	// (ext-tiering) — so a workload that churns proclets pays 8 bytes per
+	// dead id, where a map paid nothing.
+	procs []*Proclet
+	// caches[m] is machine m's location cache, indexed by proclet id and
+	// grown only to the highest id m has looked up: the cached machine
+	// plus one, 0 for no entry.
+	caches [][]int32
 
 	// MigrationLatency records blackout times (the window in which new
 	// invocations block) in seconds, for both pre- and post-copy
@@ -155,16 +164,13 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *trace.Log) *Runtime {
 		Trace:            tl,
 		cfg:              cfg,
 		k:                c.K,
-		directory:        make(map[ID]cluster.MachineID),
-		local:            make([]map[ID]*Proclet, len(c.Machines())),
-		caches:           make([]map[ID]cluster.MachineID, len(c.Machines())),
+		procs:            make([]*Proclet, 1), // id 0 is "no proclet"
+		caches:           make([][]int32, len(c.Machines())),
 		MigrationLatency: metrics.NewHistogram("proclet.migration_latency"),
 		LazyResidence:    metrics.NewHistogram("proclet.lazy_residence"),
 	}
 	for _, m := range c.Machines() {
 		mid := m.ID
-		rt.local[mid] = make(map[ID]*Proclet)
-		rt.caches[mid] = make(map[ID]cluster.MachineID)
 		n := c.Node(mid)
 		n.Handle("proclet.invoke", func(hp *sim.Proc, req simnet.Message) (simnet.Message, error) {
 			r := req.Payload.(*invokeReq)
@@ -195,19 +201,17 @@ func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Pr
 	if err := mach.AllocMem(heapBytes); err != nil {
 		return nil, err
 	}
-	rt.nextID++
 	pr := &Proclet{
-		id:         rt.nextID,
+		id:         ID(len(rt.procs)),
 		name:       name,
 		rt:         rt,
 		machine:    m,
+		resident:   true,
 		allocEpoch: mach.Epoch(),
 		heapBytes:  heapBytes,
-		methods:    make(map[string]Method),
 		commBytes:  make(map[ID]int64),
 	}
-	rt.directory[pr.id] = m
-	rt.local[m][pr.id] = pr
+	rt.procs = append(rt.procs, pr)
 	rt.Trace.Emitf(rt.k.Now(), trace.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, pr.id)
 	return pr, nil
 }
@@ -227,8 +231,7 @@ func (rt *Runtime) Destroy(id ID) error {
 	pr.heapBytes = 0
 	pr.state = StateDead
 	pr.cancelTasks()
-	delete(rt.local[m], id)
-	delete(rt.directory, id)
+	rt.procs[id] = nil
 	pr.unblocked.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), trace.KindDestroy, pr.name, int(m), -1, "id=%d", id)
 	return nil
@@ -238,40 +241,73 @@ func (rt *Runtime) Destroy(id ID) error {
 // zero-cost host-side accessor for controllers and tests; simulated
 // code pays routing costs through Invoke.
 func (rt *Runtime) Lookup(id ID) *Proclet {
-	m, ok := rt.directory[id]
-	if !ok {
+	if pr := rt.listed(id); pr != nil && pr.resident {
+		return pr
+	}
+	return nil
+}
+
+// listed returns the directory's record for id: the proclet, resident or
+// orphaned, or nil when there is none.
+func (rt *Runtime) listed(id ID) *Proclet {
+	if uint64(id) >= uint64(len(rt.procs)) {
 		return nil
 	}
-	return rt.local[m][id]
+	return rt.procs[id]
+}
+
+// localOn returns the proclet if machine m holds it right now.
+func (rt *Runtime) localOn(m cluster.MachineID, id ID) *Proclet {
+	if pr := rt.listed(id); pr != nil && pr.resident && pr.machine == m {
+		return pr
+	}
+	return nil
 }
 
 // Proclets returns all live proclets in ascending ID order, so dumps
 // built from it are deterministic.
 func (rt *Runtime) Proclets() []*Proclet {
 	var out []*Proclet
-	for id, m := range rt.directory {
-		if pr := rt.local[m][id]; pr != nil {
+	for _, pr := range rt.procs {
+		if pr != nil && pr.resident {
 			out = append(out, pr)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
 // locate returns the target's location as seen from machine m, charging
 // a directory lookup on cache miss.
 func (rt *Runtime) locate(p *sim.Proc, m cluster.MachineID, target ID) (cluster.MachineID, error) {
-	if loc, ok := rt.caches[m][target]; ok {
-		return loc, nil
+	if c := rt.caches[m]; uint64(target) < uint64(len(c)) && c[target] != 0 {
+		return cluster.MachineID(c[target] - 1), nil
 	}
 	rt.DirectoryLookups.Inc()
 	p.Sleep(rt.cfg.DirectoryLookup)
-	loc, ok := rt.directory[target]
-	if !ok {
+	pr := rt.listed(target)
+	if pr == nil {
 		return 0, fmt.Errorf("%w: id %d", ErrNotFound, target)
 	}
-	rt.caches[m][target] = loc
-	return loc, nil
+	rt.cache(m, target, pr.machine)
+	return pr.machine, nil
+}
+
+// cache records on machine m that the proclet lives on loc. Only listed
+// ids are ever cached, so a cache is never longer than procs.
+func (rt *Runtime) cache(m cluster.MachineID, id ID, loc cluster.MachineID) {
+	c := rt.caches[m]
+	if n := int(id) + 1 - len(c); n > 0 {
+		c = append(c, make([]int32, n)...)
+		rt.caches[m] = c
+	}
+	c[id] = int32(loc) + 1
+}
+
+// uncache drops machine m's cached location of the proclet.
+func (rt *Runtime) uncache(m cluster.MachineID, id ID) {
+	if c := rt.caches[m]; uint64(id) < uint64(len(c)) {
+		c[id] = 0
+	}
 }
 
 // Invoke calls a method on the target proclet from fromMachine. from is
@@ -390,9 +426,9 @@ func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			return Msg{}, err
 		}
 		if loc == fromMachine {
-			pr, ok := rt.local[loc][req.Target]
-			if !ok {
-				delete(rt.caches[fromMachine], req.Target)
+			pr := rt.localOn(loc, req.Target)
+			if pr == nil {
+				rt.uncache(fromMachine, req.Target)
 				continue
 			}
 			if pr.state == StateMigrating {
@@ -407,7 +443,7 @@ func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invok
 				// back off and re-route (the proclet may be promoted
 				// onto another machine meanwhile).
 				lastErr = err
-				delete(rt.caches[fromMachine], req.Target)
+				rt.uncache(fromMachine, req.Target)
 				rt.InvokeRetries.Inc()
 				p.Sleep(rt.backoffDelay(retries))
 				retries++
@@ -423,7 +459,7 @@ func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			"proclet.invoke", simnet.Message{Payload: req, Bytes: req.Arg.Bytes},
 			rt.cfg.InvokeTimeout)
 		if errors.Is(err, ErrMoved) {
-			delete(rt.caches[fromMachine], req.Target)
+			rt.uncache(fromMachine, req.Target)
 			continue
 		}
 		if err != nil {
@@ -437,7 +473,7 @@ func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invok
 				rt.InvokeTimeouts.Inc()
 			}
 			lastErr = err
-			delete(rt.caches[fromMachine], req.Target)
+			rt.uncache(fromMachine, req.Target)
 			rt.InvokeRetries.Inc()
 			p.Sleep(rt.backoffDelay(retries))
 			retries++
@@ -458,8 +494,8 @@ func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invok
 // longer (or never was) here.
 func (rt *Runtime) execOn(p *sim.Proc, m cluster.MachineID, r *invokeReq) (Msg, error) {
 	for {
-		pr, ok := rt.local[m][r.Target]
-		if !ok {
+		pr := rt.localOn(m, r.Target)
+		if pr == nil {
 			return Msg{}, ErrMoved
 		}
 		if pr.state == StateMigrating {
@@ -477,21 +513,21 @@ func (rt *Runtime) execOn(p *sim.Proc, m cluster.MachineID, r *invokeReq) (Msg, 
 // window (the remote-access penalty is a sleep), or the method is a
 // blocking one.
 func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
-	pr, ok := rt.local[m][r.Target]
-	if !ok {
+	pr := rt.localOn(m, r.Target)
+	if pr == nil {
 		return Msg{}, ErrMoved
 	}
 	if pr.state == StateMigrating || (pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0) {
 		return Msg{}, simnet.ErrWouldBlock
 	}
-	fn, ok := pr.fastMethods[r.Method]
-	if !ok {
-		if _, blocking := pr.methods[r.Method]; blocking {
-			return Msg{}, simnet.ErrWouldBlock
-		}
+	e := pr.method(r.Method)
+	if e == nil {
 		return Msg{}, fmt.Errorf("%w: %q on %s", ErrNoMethod, r.Method, pr.name)
 	}
-	res, err := fn(r.Arg)
+	if e.fast == nil {
+		return Msg{}, simnet.ErrWouldBlock
+	}
+	res, err := e.fast(r.Arg)
 	if errors.Is(err, simnet.ErrWouldBlock) {
 		// The fast registration declined this particular invocation
 		// (e.g. a write that must ship replication records); it will be
@@ -511,8 +547,9 @@ func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
 // so a migration drain can never observe one in flight.
 func (rt *Runtime) exec(p *sim.Proc, pr *Proclet, from ID, method string, arg Msg) (Msg, error) {
 	rt.lazyPenalty(p, pr)
-	if fastFn, ok := pr.fastMethods[method]; ok {
-		res, err := fastFn(arg)
+	e := pr.method(method)
+	if e != nil && e.fast != nil {
+		res, err := e.fast(arg)
 		if !errors.Is(err, simnet.ErrWouldBlock) {
 			rt.FastInvokes.Inc()
 			rt.account(pr, from, arg, res)
@@ -520,14 +557,13 @@ func (rt *Runtime) exec(p *sim.Proc, pr *Proclet, from ID, method string, arg Ms
 		}
 		// Declined: fall through to the blocking fallback registration.
 	}
-	fn, ok := pr.methods[method]
-	if !ok {
+	if e == nil || e.blocking == nil {
 		return Msg{}, fmt.Errorf("%w: %q on %s", ErrNoMethod, method, pr.name)
 	}
 	pr.active++
 	ctx := rt.getCtx()
 	ctx.Proc, ctx.Self, ctx.From = p, pr, from
-	res, err := fn(ctx, arg)
+	res, err := e.blocking(ctx, arg)
 	rt.putCtx(ctx)
 	pr.active--
 	if pr.active == 0 {
@@ -669,11 +705,8 @@ func (rt *Runtime) MigrateCaused(p *sim.Proc, id ID, to cluster.MachineID, cause
 
 	// Commit.
 	rt.Cluster.Machine(from).FreeMem(pr.heapBytes)
-	delete(rt.local[from], id)
-	rt.local[to][id] = pr
-	rt.directory[id] = to
-	rt.caches[from][id] = to
-	rt.caches[to][id] = to
+	rt.cache(from, id, to)
+	rt.cache(to, id, to)
 	pr.machine = to
 	pr.allocEpoch = dstEpoch
 	pr.state = StateRunning

@@ -147,8 +147,11 @@ type Detector struct {
 	cfg     Config
 	monitor cluster.MachineID
 
-	health map[cluster.MachineID]*machineHealth
-	leases map[cluster.MachineID]sim.Time // serving-lease expiry per machine
+	// Both indexed by MachineID (the cluster assigns ids densely from 0)
+	// and sized to the machines present at NewDetector; a machine added
+	// later is unmonitored: Alive, and without a lease.
+	health []machineHealth
+	leases []sim.Time // serving-lease expiry per machine
 
 	// OnSuspect fires when a machine transitions Alive→Suspect;
 	// OnConfirm when Suspect→Dead (recovery should begin); OnAlive on
@@ -186,14 +189,14 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *trace.Log, cfg Config, m
 		tl:            tl,
 		cfg:           cfg.withDefaults(),
 		monitor:       monitor,
-		health:        make(map[cluster.MachineID]*machineHealth),
-		leases:        make(map[cluster.MachineID]sim.Time),
+		health:        make([]machineHealth, len(c.Machines())),
+		leases:        make([]sim.Time, len(c.Machines())),
 		DetectLatency: metrics.NewHistogram("replication.detect_latency"),
 	}
 	now := k.Now()
 	for _, m := range c.Machines() {
 		mid := m.ID
-		d.health[mid] = &machineHealth{state: StateAlive, lastBeat: now}
+		d.health[mid] = machineHealth{state: StateAlive, lastBeat: now}
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
 		// The handler runs in kernel context at request delivery on the
 		// target machine: the lease renewal models local knowledge — a
@@ -264,7 +267,7 @@ func (d *Detector) sleepPeriod(p *sim.Proc) {
 
 // noteAlive records a successful heartbeat round trip.
 func (d *Detector) noteAlive(mid cluster.MachineID, at sim.Time) {
-	h := d.health[mid]
+	h := &d.health[mid]
 	prev := h.state
 	h.misses = 0
 	h.lastBeat = at
@@ -285,7 +288,7 @@ func (d *Detector) noteAlive(mid cluster.MachineID, at sim.Time) {
 
 // noteMiss records a missed heartbeat and advances the state machine.
 func (d *Detector) noteMiss(mid cluster.MachineID) {
-	h := d.health[mid]
+	h := &d.health[mid]
 	h.misses++
 	switch {
 	case h.state == StateAlive && h.misses >= d.cfg.SuspectMisses:
@@ -310,8 +313,8 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 
 // State returns the detector's view of machine mid.
 func (d *Detector) State(mid cluster.MachineID) MachineState {
-	if h, ok := d.health[mid]; ok {
-		return h.state
+	if uint(mid) < uint(len(d.health)) {
+		return d.health[mid].state
 	}
 	return StateAlive
 }
@@ -320,9 +323,14 @@ func (d *Detector) State(mid cluster.MachineID) MachineState {
 // lease: its most recent heartbeat arrived within LeaseDuration. A
 // primary on a machine without a valid lease must not serve.
 func (d *Detector) LeaseValid(mid cluster.MachineID) bool {
-	exp, ok := d.leases[mid]
-	return ok && d.k.Now() < exp
+	return d.k.Now() < d.LeaseExpiry(mid)
 }
 
-// LeaseExpiry returns machine mid's current lease expiry instant.
-func (d *Detector) LeaseExpiry(mid cluster.MachineID) sim.Time { return d.leases[mid] }
+// LeaseExpiry returns machine mid's current lease expiry instant, zero
+// for a machine the detector does not monitor.
+func (d *Detector) LeaseExpiry(mid cluster.MachineID) sim.Time {
+	if uint(mid) < uint(len(d.leases)) {
+		return d.leases[mid]
+	}
+	return 0
+}
