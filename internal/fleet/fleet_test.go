@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -96,7 +98,10 @@ func TestPlaceStoresNamesTheStoreThatFailed(t *testing.T) {
 }
 
 // crashRun drives two shards; shard 0 loses machine 1, which holds one
-// of its two stores, from 1 ms to 2 ms while a writer keeps putting.
+// of its two stores, from 1 ms to 2 ms while a writer keeps putting: 75
+// writes scattered over 60 keys, then the next 60 keys, so the ledger is
+// mid-stream — an unsorted tail with repeats, appended to while Rebuild's
+// batch is on the wire — when the rebuild reads it.
 // It returns the fleet (already run) and what Verify counted on shard 0.
 func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 	t.Helper()
@@ -123,7 +128,8 @@ func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 			{At: sim.Time(2 * time.Millisecond), Op: fault.OpRestart, A: 1},
 		})
 		sys.K.Spawn("writer", func(p *sim.Proc) {
-			for k := uint64(0); p.Now() < sim.Time(3*time.Millisecond); k++ {
+			for i := uint64(0); p.Now() < sim.Time(3*time.Millisecond); i++ {
+				k := i*31%60 + i/75*60
 				if stores[k%2].Put(p, 0, k, val(k), 512) == nil {
 					led.Ack(int(k%2), k)
 				}
@@ -171,6 +177,41 @@ func TestLedgerKeysSortedAndDeduplicated(t *testing.T) {
 	}
 	if got := led.Keys(0); len(got) != 0 {
 		t.Errorf("Keys(0) = %v for a store that acked nothing", got)
+	}
+}
+
+// TestLedgerStaysProportionalToDistinctKeys: acking the same thousand
+// keys a hundred times over must not grow the record a hundredfold.
+func TestLedgerStaysProportionalToDistinctKeys(t *testing.T) {
+	const distinct = 1000
+	led := NewLedger(make([]*core.MemoryProclet, 1), 1, func(uint64) int64 { return 0 })
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[uint64]bool)
+	for i := 0; i < 100_000; i++ {
+		k := uint64(rng.Intn(distinct)) * 7919
+		seen[k] = true
+		led.Ack(0, k)
+		if c := cap(led.acked[0].keys); c > 4*distinct {
+			t.Fatalf("after %d acks of %d distinct keys the record holds room for %d", i+1, len(seen), c)
+		}
+	}
+	keys := led.Keys(0)
+	if len(keys) != len(seen) || !slices.IsSorted(keys) || len(slices.Compact(slices.Clone(keys))) != len(keys) {
+		t.Errorf("Keys returned %d keys (sorted=%v) for %d distinct acked", len(keys), slices.IsSorted(keys), len(seen))
+	}
+	for _, k := range keys {
+		if !seen[k] {
+			t.Errorf("Keys returned %d, never acked", k)
+		}
+	}
+	// The caller owns what Keys returns — Rebuild has it on the wire while
+	// servers keep acking — so a later compaction must not touch it.
+	before := slices.Clone(keys)
+	for k := uint64(0); k <= distinct; k++ {
+		led.Ack(0, k)
+	}
+	if !slices.Equal(keys, before) {
+		t.Error("acks after Keys changed the slice it had returned")
 	}
 }
 

@@ -15,37 +15,51 @@ import (
 // of its stores and is touched only in that shard's context.
 type Ledger struct {
 	stores []*core.MemoryProclet
-	acked  []map[uint64]struct{} // per store; nil until its first Ack
+	acked  []ackedKeys // per store
 	size   int64
 	val    func(key uint64) int64
+}
+
+// ackedKeys is one store's record: the first sorted keys ascending and
+// distinct, the rest as Ack appended them.
+type ackedKeys struct {
+	keys   []uint64
+	sorted int
 }
 
 // NewLedger starts an empty record for stores, whose objects are size
 // bytes and hold val(key).
 func NewLedger(stores []*core.MemoryProclet, size int64, val func(key uint64) int64) *Ledger {
-	return &Ledger{stores: stores, acked: make([]map[uint64]struct{}, len(stores)), size: size, val: val}
+	return &Ledger{stores: stores, acked: make([]ackedKeys, len(stores)), size: size, val: val}
 }
 
-// Ack records that stores[store] acknowledged writes of keys. A store's
-// first batch sizes its set, so record a preload in one call.
+// Ack records that stores[store] acknowledged writes of keys: an append.
+// Repeats are squeezed out once the appended tail outgrows the sorted
+// prefix, so a store's record never holds more than twice its distinct
+// keys plus one call's, however often the same keys are acked.
 func (l *Ledger) Ack(store int, keys ...uint64) {
-	if l.acked[store] == nil {
-		l.acked[store] = make(map[uint64]struct{}, len(keys))
-	}
-	for _, k := range keys {
-		l.acked[store][k] = struct{}{}
+	a := &l.acked[store]
+	a.keys = append(a.keys, keys...)
+	if len(a.keys) > 2*a.sorted {
+		a.compact()
 	}
 }
 
-// Keys returns stores[store]'s acked keys ascending — the fixed order
-// every walk of the record uses, so runs stay deterministic.
+// compact sorts the keys and drops the repeats, in place.
+func (a *ackedKeys) compact() {
+	slices.Sort(a.keys)
+	a.keys = slices.Compact(a.keys)
+	a.sorted = len(a.keys)
+}
+
+// Keys returns a copy of stores[store]'s acked keys ascending — the fixed
+// order every walk of the record uses, so runs stay deterministic.
 func (l *Ledger) Keys(store int) []uint64 {
-	keys := make([]uint64, 0, len(l.acked[store]))
-	for k := range l.acked[store] {
-		keys = append(keys, k)
+	a := &l.acked[store]
+	if len(a.keys) > a.sorted {
+		a.compact()
 	}
-	slices.Sort(keys)
-	return keys
+	return slices.Clone(a.keys)
 }
 
 // Rebuild is a core.Rebuilder: it restores a crash-lost store by writing
