@@ -17,10 +17,12 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
 	"repro/internal/proclet"
+	"repro/internal/replication"
 	"repro/internal/scenario"
 	"repro/internal/sharded"
 	"repro/internal/sim"
@@ -372,6 +374,66 @@ func BenchmarkRemoteInvoke(b *testing.B) {
 		}
 	})
 	sys.K.Run()
+}
+
+// BenchmarkReplicatedPutBatch measures one replicated write the way a
+// scenario server issues it: an 8-object PutBatch over existing keys from
+// machine 0 to an rf=2 store on a 4-machine system, applied, log-shipped
+// to the backup and acked before it returns. Steady state allocates
+// nothing: the batch is the caller's and the records ride the pipe's
+// recycled buffers. (benchmark/'s core.repl_put_* probe times single Puts,
+// which also pay the caller's &putReq.)
+func BenchmarkReplicatedPutBatch(b *testing.B) {
+	b.ReportAllocs()
+	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
+		{Cores: 8, MemBytes: 4 << 30}, {Cores: 8, MemBytes: 4 << 30},
+		{Cores: 8, MemBytes: 4 << 30}, {Cores: 8, MemBytes: 4 << 30},
+	})
+	defer sys.Close()
+	rm := sys.EnableReplicationPlane(replication.Config{}, 0)
+	mp, err := core.NewMemoryProcletOn(sys, "store", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rm.Replicate(mp, 2); err != nil {
+		b.Fatal(err)
+	}
+	batch := core.Batch{IDs: make([]uint64, 8), Vals: make([]any, 8), Sizes: make([]int64, 8)}
+	for i := range batch.IDs {
+		batch.IDs[i], batch.Vals[i], batch.Sizes[i] = uint64(i), int64(i), 256
+	}
+	sys.K.Spawn("client", func(p *sim.Proc) {
+		for i := -64; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer() // the object table, the pipe's buffers and the pools have grown
+			}
+			if err := mp.PutBatch(p, 0, &batch); err != nil {
+				b.Error(err)
+				break
+			}
+		}
+		sys.K.Stop() // the detector's heartbeats never run out
+	})
+	sys.K.Run()
+}
+
+// BenchmarkLedgerAck measures recording acknowledged writes in the durable
+// ledger, per key, at a serving workload's skew: batches of 8 keys drawn
+// Zipf(0.99) from 64k, so most acks repeat a key already recorded.
+func BenchmarkLedgerAck(b *testing.B) {
+	b.ReportAllocs()
+	z := load.NewZipf(1<<16, 0.99)
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]uint64, 1<<16)
+	for i := range keys {
+		keys[i] = load.ScrambleKey(z.Sample(rng))
+	}
+	led := fleet.NewLedger(make([]*core.MemoryProclet, 1), 256, func(uint64) int64 { return 0 })
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 8 {
+		at := i % len(keys)
+		led.Ack(0, keys[at:at+8]...)
+	}
 }
 
 // BenchmarkRPCCall measures the raw fabric RPC path (no proclet layer):

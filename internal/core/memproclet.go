@@ -25,9 +25,9 @@ const (
 	methodMemUpdate   = "mem.update"
 )
 
-// objOverheadBytes is the accounting overhead per stored object
+// ObjectOverheadBytes is the accounting overhead per stored object
 // (allocator metadata, index entry).
-const objOverheadBytes = 64
+const ObjectOverheadBytes = 64
 
 // ErrNoObject is returned when dereferencing a dangling pointer.
 var ErrNoObject = errors.New("core: no such object")
@@ -58,6 +58,10 @@ type MemoryProclet struct {
 
 	// rs is the replica set when this proclet is a replicated primary.
 	rs *replicaSet
+	// recs is where a replicated primary's mutators build their log
+	// records. One buffer serves every write because it is filled and
+	// handed to replicaSet.replicate, which copies it, within one event.
+	recs []repRecord
 	// isBackup marks a backup replica: it serves only mem.replapply
 	// traffic from its primary and is excluded from generic recovery.
 	isBackup bool
@@ -151,9 +155,9 @@ func (mp *MemoryProclet) gate() error {
 }
 
 // applyFn applies one mutating operation to local state and returns the
-// log records describing its effect. Records are built only when the
-// proclet is a replicated primary; the unreplicated fast path allocates
-// nothing.
+// log records describing its effect, in mp.recs. Records are built only
+// when the proclet is a replicated primary; the unreplicated fast path
+// allocates nothing.
 type applyFn func(arg proclet.Msg) (proclet.Msg, []repRecord, error)
 
 // fastMutator serves an unreplicated mutator inline. A replicated
@@ -188,7 +192,7 @@ func (mp *MemoryProclet) replMutator(apply applyFn) proclet.Method {
 		if err != nil {
 			return proclet.Msg{}, err
 		}
-		if err := rs.replicate(ctx.Proc, recs...); err != nil {
+		if err := rs.replicate(ctx.Proc, recs); err != nil {
 			return proclet.Msg{}, err
 		}
 		return res, nil
@@ -254,15 +258,15 @@ func (mp *MemoryProclet) registerMethods() {
 			if rec.del {
 				if e, ok := mp.objs[rec.id]; ok {
 					delete(mp.objs, rec.id)
-					if err := mp.pr.GrowHeap(-(e.bytes + objOverheadBytes)); err != nil {
+					if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 						return proclet.Msg{}, err
 					}
 				}
 				continue
 			}
-			delta := rec.bytes + objOverheadBytes
+			delta := rec.bytes + ObjectOverheadBytes
 			if old, existed := mp.objs[rec.id]; existed {
-				delta -= old.bytes + objOverheadBytes
+				delta -= old.bytes + ObjectOverheadBytes
 			}
 			if err := mp.pr.GrowHeap(delta); err != nil {
 				return proclet.Msg{}, err
@@ -276,22 +280,28 @@ func (mp *MemoryProclet) registerMethods() {
 	})
 }
 
+// record returns the one log record of a single-object mutation, in
+// mp.recs; nothing when the proclet is not a replicated primary.
+func (mp *MemoryProclet) record(r repRecord) []repRecord {
+	if mp.rs == nil {
+		return nil
+	}
+	mp.recs = append(mp.recs[:0], r)
+	return mp.recs
+}
+
 func (mp *MemoryProclet) applyPut(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
 	r := arg.Payload.(*putReq)
 	old, existed := mp.objs[r.id]
-	delta := r.bytes + objOverheadBytes
+	delta := r.bytes + ObjectOverheadBytes
 	if existed {
-		delta -= old.bytes + objOverheadBytes
+		delta -= old.bytes + ObjectOverheadBytes
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
 		return proclet.Msg{}, nil, err
 	}
 	mp.objs[r.id] = objEntry{val: r.val, bytes: r.bytes}
-	var recs []repRecord
-	if mp.rs != nil {
-		recs = []repRecord{{id: r.id, val: r.val, bytes: r.bytes}}
-	}
-	return proclet.Msg{}, recs, nil
+	return proclet.Msg{}, mp.record(repRecord{id: r.id, val: r.val, bytes: r.bytes}), nil
 }
 
 func (mp *MemoryProclet) applyDel(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
@@ -301,14 +311,10 @@ func (mp *MemoryProclet) applyDel(arg proclet.Msg) (proclet.Msg, []repRecord, er
 		return proclet.Msg{}, nil, fmt.Errorf("%w: obj %d", ErrNoObject, id)
 	}
 	delete(mp.objs, id)
-	if err := mp.pr.GrowHeap(-(e.bytes + objOverheadBytes)); err != nil {
+	if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	var recs []repRecord
-	if mp.rs != nil {
-		recs = []repRecord{{id: id, del: true}}
-	}
-	return proclet.Msg{}, recs, nil
+	return proclet.Msg{}, mp.record(repRecord{id: id, del: true}), nil
 }
 
 func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
@@ -319,17 +325,14 @@ func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecor
 	var delta int64
 	for i, id := range r.IDs {
 		if old, existed := mp.objs[id]; existed {
-			delta -= old.bytes + objOverheadBytes
+			delta -= old.bytes + ObjectOverheadBytes
 		}
-		delta += r.Sizes[i] + objOverheadBytes
+		delta += r.Sizes[i] + ObjectOverheadBytes
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	var recs []repRecord
-	if mp.rs != nil {
-		recs = make([]repRecord, 0, len(r.IDs))
-	}
+	recs := mp.recs[:0]
 	for i, id := range r.IDs {
 		mp.objs[id] = objEntry{val: r.Vals[i], bytes: r.Sizes[i]}
 		if id > mp.nextObj {
@@ -339,21 +342,23 @@ func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecor
 			recs = append(recs, repRecord{id: id, val: r.Vals[i], bytes: r.Sizes[i]})
 		}
 	}
+	mp.recs = recs
 	return proclet.Msg{}, recs, nil
 }
 
 func (mp *MemoryProclet) applyDelRange(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
 	r := arg.Payload.(*scanReq)
 	var delta int64
-	var recs []repRecord
+	recs := mp.recs[:0]
 	for _, id := range mp.idsInRange(r.lo, r.hi) {
 		e := mp.objs[id]
 		delete(mp.objs, id)
-		delta -= e.bytes + objOverheadBytes
+		delta -= e.bytes + ObjectOverheadBytes
 		if mp.rs != nil {
 			recs = append(recs, repRecord{id: id, del: true})
 		}
 	}
+	mp.recs = recs
 	if delta != 0 {
 		if err := mp.pr.GrowHeap(delta); err != nil {
 			return proclet.Msg{}, nil, err
@@ -389,14 +394,10 @@ func (mp *MemoryProclet) applyTake(arg proclet.Msg) (proclet.Msg, []repRecord, e
 		return proclet.Msg{}, nil, fmt.Errorf("%w: obj %d in %s", ErrNoObject, id, mp.pr.Name())
 	}
 	delete(mp.objs, id)
-	if err := mp.pr.GrowHeap(-(e.bytes + objOverheadBytes)); err != nil {
+	if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	var recs []repRecord
-	if mp.rs != nil {
-		recs = []repRecord{{id: id, del: true}}
-	}
-	return proclet.Msg{Payload: e.val, Bytes: e.bytes}, recs, nil
+	return proclet.Msg{Payload: e.val, Bytes: e.bytes}, mp.record(repRecord{id: id, del: true}), nil
 }
 
 func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
@@ -411,31 +412,24 @@ func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord,
 	case keep && existed:
 		delta = bytes - old.bytes
 	case keep:
-		delta = bytes + objOverheadBytes
+		delta = bytes + ObjectOverheadBytes
 	case existed:
-		delta = -(old.bytes + objOverheadBytes)
+		delta = -(old.bytes + ObjectOverheadBytes)
 	default:
 		return proclet.Msg{}, nil, nil
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	var recs []repRecord
 	if keep {
 		mp.objs[r.id] = objEntry{val: val, bytes: bytes}
 		if r.id > mp.nextObj {
 			mp.nextObj = r.id
 		}
-		if mp.rs != nil {
-			recs = []repRecord{{id: r.id, val: val, bytes: bytes}}
-		}
-	} else {
-		delete(mp.objs, r.id)
-		if mp.rs != nil {
-			recs = []repRecord{{id: r.id, del: true}}
-		}
+		return proclet.Msg{}, mp.record(repRecord{id: r.id, val: val, bytes: bytes}), nil
 	}
-	return proclet.Msg{}, recs, nil
+	delete(mp.objs, r.id)
+	return proclet.Msg{}, mp.record(repRecord{id: r.id, del: true}), nil
 }
 
 // Put stores val at an explicit object ID (sharded structures derive

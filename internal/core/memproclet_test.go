@@ -52,8 +52,8 @@ func TestMemoryProcletPutGet(t *testing.T) {
 			t.Errorf("Deref = %q, %v", v, err)
 		}
 		// Heap accounting: value + overhead.
-		if mp.HeapBytes() != 100+objOverheadBytes {
-			t.Errorf("HeapBytes = %d, want %d", mp.HeapBytes(), 100+objOverheadBytes)
+		if mp.HeapBytes() != 100+ObjectOverheadBytes {
+			t.Errorf("HeapBytes = %d, want %d", mp.HeapBytes(), 100+ObjectOverheadBytes)
 		}
 		if err := ptr.Free(p, 0); err != nil {
 			t.Errorf("Free: %v", err)
@@ -80,8 +80,8 @@ func TestPtrStoreOverwrites(t *testing.T) {
 		if v != 2 {
 			t.Errorf("Deref = %v, want 2", v)
 		}
-		if mp.HeapBytes() != 80+objOverheadBytes {
-			t.Errorf("HeapBytes = %d, want %d (overwrite replaces)", mp.HeapBytes(), 80+objOverheadBytes)
+		if mp.HeapBytes() != 80+ObjectOverheadBytes {
+			t.Errorf("HeapBytes = %d, want %d (overwrite replaces)", mp.HeapBytes(), 80+ObjectOverheadBytes)
 		}
 	})
 	s.K.Run()
@@ -169,7 +169,7 @@ func TestMemScanAndBatchOps(t *testing.T) {
 		if src.NumObjects() != 6 || dst.NumObjects() != 4 {
 			t.Errorf("after move: src=%d dst=%d, want 6/4", src.NumObjects(), dst.NumObjects())
 		}
-		wantSrc := int64(6 * (100 + objOverheadBytes))
+		wantSrc := int64(6 * (100 + ObjectOverheadBytes))
 		if src.HeapBytes() != wantSrc {
 			t.Errorf("src heap = %d, want %d", src.HeapBytes(), wantSrc)
 		}

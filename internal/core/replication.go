@@ -16,7 +16,10 @@ package core
 // set's pending pipe and, if another writer is already shipping, waits
 // until the pipe has drained past its record — concurrent writes to
 // one primary batch into single RPCs per backup instead of one RPC per
-// write. Failed ships drop the backup from the set (the write still
+// write. The pipe owns every buffer a write passes through and reuses
+// it (see replicaSet.await for who may touch which, and until when), so
+// a steady-state replicated write allocates nothing of its own. Failed
+// ships drop the backup from the set (the write still
 // acks: the primary holds the data and re-replication restores RF);
 // RF is repaired in the background by a resync that streams a
 // point-in-time snapshot through the same pipe, keeping snapshot and
@@ -106,6 +109,8 @@ type replicaSet struct {
 	nextSeq    uint64 // records ever enqueued
 	shippedSeq uint64 // records shipped (or abandoned at an epoch bump)
 	pending    []repRecord
+	spare      []repRecord  // emptied storage of the last shipped batch
+	req        replApplyReq // the one request a shipper sends, backup after backup
 	inflight   bool
 	shipped    sim.Cond
 	nextGen    uint64
@@ -255,8 +260,8 @@ func (rs *replicaSet) addBackup() error {
 	return nil
 }
 
-// enqueue appends records to the pipe and returns the sequence number
-// of the last one.
+// enqueue copies records onto the end of the pipe and returns the
+// sequence number of the last one. The caller keeps recs.
 func (rs *replicaSet) enqueue(recs ...repRecord) uint64 {
 	rs.nextSeq += uint64(len(recs))
 	rs.pending = append(rs.pending, recs...)
@@ -269,18 +274,34 @@ func (rs *replicaSet) enqueue(recs ...repRecord) uint64 {
 // the pipe idle ships for everyone queued behind). Ship failures do
 // not fail the write — the failing backup is dropped and repaired by
 // resync — but an epoch bump (failover) does: the caller must retry
-// against the promoted replica.
-func (rs *replicaSet) replicate(p *sim.Proc, recs ...repRecord) error {
+// against the promoted replica. recs is the primary's scratch
+// (MemoryProclet.recs): it is copied into the pipe and emptied before the
+// first yield, when the next writer may fill it again.
+func (rs *replicaSet) replicate(p *sim.Proc, recs []repRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	epoch := rs.epoch
 	seq := rs.enqueue(recs...)
+	clear(recs)
 	return rs.await(p, seq, epoch)
 }
 
 // await drives the pipe until shippedSeq reaches seq (pumping it if no
 // other writer is).
+//
+// The pipe has two buffers. Writers append to pending; the shipper takes
+// pending as its batch, leaves the spare in its place for the writers
+// that arrive meanwhile, and when shipBatch returns empties the batch and
+// keeps it as the next spare. A batch is the shipper's alone from the
+// swap until then, and nobody else reads it while the shipper is parked:
+// inflight admits one shipper per set and is not released by an epoch
+// bump (a failover drops pending, never a batch, and a writer of the new
+// epoch waits for the old shipper to leave); the backups' mem.replapply
+// is registered fast-only, so it reads its records at the instant the
+// request lands and keeps none; and simnet drops the delivery of a call
+// that has already resolved, so a request that lands after its deadline
+// is never read at all.
 func (rs *replicaSet) await(p *sim.Proc, seq, epoch uint64) error {
 	if rs.inflight {
 		for rs.epoch == epoch && rs.shippedSeq < seq {
@@ -294,8 +315,10 @@ func (rs *replicaSet) await(p *sim.Proc, seq, epoch uint64) error {
 	rs.inflight = true
 	for len(rs.pending) > 0 && rs.epoch == epoch {
 		batch := rs.pending
-		rs.pending = nil
+		rs.pending, rs.spare = rs.spare, nil
 		rs.shipBatch(p, batch, epoch)
+		clear(batch) // pin no value
+		rs.spare = batch[:0]
 		if rs.epoch != epoch {
 			break
 		}
@@ -320,8 +343,10 @@ func (rs *replicaSet) shipBatch(p *sim.Proc, batch []repRecord, epoch uint64) {
 		sp = tr.Start(obs.KindRepl, "ship", int(rs.primary.pr.Location()), 0)
 		tr.Num(sp, "records", float64(len(batch)))
 	}
-	refs := append([]*backupRef(nil), rs.backups...)
-	for _, b := range refs {
+	// A snapshot of the membership: dropBackup edits rs.backups under the
+	// loop. It stays on the stack up to rf = 5.
+	var arr [4]*backupRef
+	for _, b := range append(arr[:0], rs.backups...) {
 		if rs.epoch != epoch {
 			tr.End(sp)
 			return
@@ -341,10 +366,12 @@ func (rs *replicaSet) shipBatch(p *sim.Proc, batch []repRecord, epoch uint64) {
 		if tr != nil {
 			tr.SetNext(sp) // each per-backup apply invoke is a child
 		}
+		rs.req.recs = recs
 		_, err := rt.InvokeLimited(p, rs.primary.pr.Location(), rs.primary.pr.ID(),
 			b.mp.pr.ID(), methodMemReplApply,
-			proclet.Msg{Payload: &replApplyReq{recs: recs}, Bytes: payloadBytes(recs)},
+			proclet.Msg{Payload: &rs.req, Bytes: payloadBytes(recs)},
 			shipAttempts)
+		rs.req.recs = nil
 		if rs.epoch != epoch {
 			tr.End(sp)
 			return
