@@ -557,3 +557,39 @@ func TestHorizonBelowOneMsIsAUsageError(t *testing.T) {
 		t.Errorf("-horizon-ms 1: exit = %d, want 0 (stderr: %s)", code, errb.String())
 	}
 }
+
+// TestRunScenarioPreloadDoesNotFit: a preload larger than fleet.mem_mb
+// passed Parse and then Run panicked out of its setup process with a
+// goroutine dump. Where the placement arithmetic decides it, it is a
+// usage error (exit 2); where only the run can tell — here a migration at
+// t=0 doubles up two stores — Run fails with exit 1. Either way: one
+// located line, no stack trace, no report.
+func TestRunScenarioPreloadDoesNotFit(t *testing.T) {
+	tight := strings.Replace(testScenario, "  machines: 3\n", "  machines: 3\n  mem_mb: 1\n", 1)
+	withBytes := func(n string) string {
+		return strings.Replace(tight, "  objects: 48\n", "  objects: 48\n  object_bytes: "+n+"\n", 1)
+	}
+	for _, tc := range []struct {
+		name, src string
+		code      int
+		want      string
+	}{
+		{"rejected by Parse", withBytes("30000"), 2,
+			`scenario "clitest": the preload does not fit: fleet.mem_mb 1 leaves 21845 bytes an object on the machine holding 1 × 48 of them (stores × objects), and object_bytes 30000 + 64 of overhead is more — raise fleet.mem_mb or shrink workload.objects × object_bytes`},
+		{"found by Run", withBytes("12000") + "events:\n  - at_ms: 0\n    kind: migrate\n    store: 0\n    to: 2\n", 1,
+			`scenario "clitest": shard 0: preload of store 1 (48 objects of 12000 bytes): cluster: out of memory: machine 2: 579072 requested, 469504 free: raise fleet.mem_mb or shrink workload.objects × object_bytes`},
+	} {
+		path := writeScenario(t, tc.src)
+		var out, errb bytes.Buffer
+		if code := run([]string{"run", path}, &out, &errb); code != tc.code {
+			t.Fatalf("%s: exit = %d, want %d (stderr: %s)", tc.name, code, tc.code, errb.String())
+		}
+		got := errb.String()
+		if !strings.Contains(got, tc.want) || strings.Contains(got, "panic") || strings.Contains(got, "goroutine") || strings.Count(got, "\n") != 1 {
+			t.Errorf("%s: stderr = %q\nwant one line with the diagnostic %q and no stack trace", tc.name, got, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: a failed preload printed a report:\n%s", tc.name, out.String())
+		}
+	}
+}

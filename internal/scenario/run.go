@@ -117,7 +117,8 @@ type shardState struct {
 	acked    uint64
 	lost     int64
 	migOK    int64
-	startNS  int64
+	startNS  int64 // when the preload finished; 0 until it has
+	setupErr error // why it never will
 	hist     *metrics.LogHistogram
 	good     []int64 // goodput buckets: on-deadline completions by completion time
 	done     bool
@@ -368,9 +369,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 		// Preload, then start injection at a deterministic virtual instant.
 		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			for _, mp := range st.stores {
+			for i, mp := range st.stores {
 				if err := mp.PutBatch(p, 0, preload); err != nil {
-					panic(fmt.Sprintf("scenario preload: %v", err))
+					st.setupErr = fmt.Errorf("preload of store %d (%d objects of %d bytes): %w", i, w.Objects, w.ObjectBytes, err)
+					return
 				}
 			}
 			st.startNS = int64(p.Now())
@@ -500,6 +502,15 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	fl.PK.RunUntil(horizon + drain)
 
 	for s, st := range shards {
+		switch {
+		case errors.Is(st.setupErr, cluster.ErrNoMemory):
+			return nil, fmt.Errorf("scenario %q: shard %d: %w: raise fleet.mem_mb or shrink workload.objects × object_bytes", sp.Name, s, st.setupErr)
+		case st.setupErr != nil:
+			return nil, fmt.Errorf("scenario %q: shard %d: %w", sp.Name, s, st.setupErr)
+		case st.startNS == 0:
+			return nil, fmt.Errorf("scenario %q: shard %d: the preload of %d stores (%d objects of %d bytes each) was still on the wire at %v, so no request was ever generated — raise horizon_ms or shrink workload.objects × object_bytes",
+				sp.Name, s, w.Stores, w.Objects, w.ObjectBytes, horizon+drain)
+		}
 		if !st.done {
 			return nil, fmt.Errorf("scenario %q: shard %d did not drain by %v (%d served of %d generated) — raise drain_ms or heal the fleet before the horizon",
 				sp.Name, s, horizon+drain, st.served, st.inj.TotalGenerated())

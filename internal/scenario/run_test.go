@@ -365,3 +365,30 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		goroutinesSettle(t, before)
 	}
 }
+
+// TestRunPreloadFailuresAreLocatedErrors: a preload that Parse cannot
+// rule out but the fleet cannot take used to panic Run's setup process,
+// and one still on the wire when the run ended was reported as a fleet
+// that "did not drain (0 served of 0 generated)". Both are errors that
+// name the shard, the store and the field to change.
+func TestRunPreloadFailuresAreLocatedErrors(t *testing.T) {
+	// Each machine fits one store; a migration at t=0 puts both on machine
+	// 2 before either preload lands.
+	crowded := strings.Replace(minimal, "  machines: 3\n", "  machines: 3\n  mem_mb: 1\n", 1)
+	crowded = strings.Replace(crowded, "  objects: 32\n", "  objects: 32\n  object_bytes: 20000\n", 1) +
+		"events:\n  - at_ms: 0\n    kind: migrate\n    store: 0\n    to: 2\n"
+	// 2 × 32 objects of 1 MB do not cross the fabric in 10 ms.
+	slow := strings.Replace(minimal, "  objects: 32\n", "  objects: 32\n  object_bytes: 1000000\n", 1)
+	for _, tc := range []struct{ name, src, want string }{
+		{"out of memory", crowded, `scenario "mini": shard 0: preload of store 1 (32 objects of 20000 bytes): cluster: out of memory: machine 2: 642048 requested, 406528 free: raise fleet.mem_mb or shrink workload.objects × object_bytes`},
+		{"still on the wire", slow, `scenario "mini": shard 0: the preload of 2 stores (32 objects of 1000000 bytes each) was still on the wire at 10ms, so no request was ever generated — raise horizon_ms or shrink workload.objects × object_bytes`},
+	} {
+		sp, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: Parse: %v", tc.name, err)
+		}
+		if _, err := Run(sp, Options{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Run error = %v\nwant %s", tc.name, err, tc.want)
+		}
+	}
+}

@@ -133,8 +133,9 @@ func TestParseAllocs(t *testing.T) {
 
 // TestDegenerateValues feeds Parse the numbers that used to reach Run
 // and panic it (makeslice, divide by zero, non-positive sample step,
-// counter decrement, zero-width SLO window, Zipf skew outside (0, 1)) or
-// exhaust memory (a sample step that cuts the horizon into millions),
+// counter decrement, zero-width SLO window, Zipf skew outside (0, 1), a
+// preload larger than a machine) or exhaust memory (a sample step that
+// cuts the horizon into millions),
 // their neighbours, and the odd values that have always run. Parse must
 // reject with a located message or accept; whatever it accepts, Run
 // must survive.
@@ -144,7 +145,15 @@ func TestDegenerateValues(t *testing.T) {
 		return strings.Replace(minimal, "  stores: 2\n", "  stores: 2\n  "+line+"\n", 1)
 	}
 	slo := func(line string) string { return minimal + "slo:\n  " + line + "\n" }
+	// One store a machine and 1 MiB of memory: 32 objects of 32768 bytes.
+	tight := func(objectBytes string) string {
+		return strings.Replace(workload("object_bytes: "+objectBytes), "  machines: 3\n", "  machines: 3\n  mem_mb: 1\n", 1)
+	}
 	cases := []struct{ name, src, want string }{
+		{"preload one byte too many", tight("32705"), `scenario "mini": the preload does not fit: fleet.mem_mb 1 leaves 32768 bytes an object on the machine holding 1 × 32 of them (stores × objects), and object_bytes 32705 + 64 of overhead is more — raise fleet.mem_mb or shrink workload.objects × object_bytes`},
+		{"preload fills memory exactly", tight("32704"), ""},
+		{"object_bytes at the top of int64", workload("object_bytes: 9223372036854775807"), `scenario "mini": the preload does not fit: fleet.mem_mb 64 leaves 2097152 bytes an object on the machine holding 1 × 32 of them (stores × objects), and object_bytes 9223372036854775807 + 64 of overhead is more — raise fleet.mem_mb or shrink workload.objects × object_bytes`},
+		{"mem_mb past 63 bits of bytes", strings.Replace(minimal, "  machines: 3\n", "  machines: 3\n  mem_mb: 8796093022208\n", 1), `scenario "mini": fleet.mem_mb 8796093022208 is more bytes than fit in 63 bits`},
 		{"bucket_ms negative", top("bucket_ms: -1"), `field "bucket_ms": must be >= 1e-6 (line 11)`},
 		{"bucket_ms rounds to 0ns", top("bucket_ms: 0.0000001"), `field "bucket_ms": must be >= 1e-6 (line 11)`},
 		{"bucket_ms unset", top("bucket_ms: 0"), ""},

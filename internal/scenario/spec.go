@@ -9,6 +9,7 @@ import (
 	"strings"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -588,6 +589,21 @@ func (sp *Spec) validate() error {
 	if w.RF > 1 && w.Rebuild {
 		return fmt.Errorf("scenario %q: rebuild is an rf=1 fallback; at rf=%d durability must come from replication alone",
 			sp.Name, w.RF)
+	}
+	// Store i is placed on machine 1 + i%(machines-1), so the fullest
+	// machine holds ceil(stores/(machines-1)) primaries, each preloaded
+	// with objects × (object_bytes + overhead) bytes. If those alone
+	// exceed its memory a preload fails, whatever else (backups, trainer
+	// checkpoints) is charged there; what fits here can still fail in Run,
+	// which reports it. Nested floor divisions are the exact quotient and
+	// cannot overflow once mem_mb is known to fit in bytes.
+	if f.MemMB > math.MaxInt64>>20 {
+		return fmt.Errorf("scenario %q: fleet.mem_mb %d is more bytes than fit in 63 bits", sp.Name, f.MemMB)
+	}
+	fullest := (w.Stores + f.Machines - 2) / (f.Machines - 1)
+	if room := f.MemMB << 20 / int64(fullest) / int64(w.Objects); w.ObjectBytes > room-core.ObjectOverheadBytes {
+		return fmt.Errorf("scenario %q: the preload does not fit: fleet.mem_mb %d leaves %d bytes an object on the machine holding %d × %d of them (stores × objects), and object_bytes %d + %d of overhead is more — raise fleet.mem_mb or shrink workload.objects × object_bytes",
+			sp.Name, f.MemMB, room, fullest, w.Objects, w.ObjectBytes, core.ObjectOverheadBytes)
 	}
 	if w.WriteFrac < 0 || w.WriteFrac > 1 {
 		return fmt.Errorf("scenario %q: write_frac must be in [0, 1] (got %g)", sp.Name, w.WriteFrac)
