@@ -7,136 +7,47 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/obs"
+	"repro/internal/experiments"
 )
 
-func TestScenarioList(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "list"}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	for _, sc := range scenarios {
-		if !strings.Contains(out.String(), sc.name) {
-			t.Errorf("list output missing scenario %q:\n%s", sc.name, out.String())
+// TestUsage: qsctl has four verbs and nothing else. A bare invocation, an
+// unknown verb and the flag-only form it used to accept all print the
+// usage on stderr and exit 2.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"nope"}, {"-scenario", "serve"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
 		}
-	}
-}
-
-func TestUnknownScenarioListsAndExits2(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "nope"}, &out, &errb); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	msg := errb.String()
-	if !strings.Contains(msg, `unknown scenario "nope"`) {
-		t.Errorf("stderr missing unknown-scenario message:\n%s", msg)
-	}
-	for _, sc := range scenarios {
-		if !strings.Contains(msg, sc.name) {
-			t.Errorf("stderr missing valid scenario %q:\n%s", sc.name, msg)
-		}
-	}
-}
-
-// TestChurnTraceCausality is the acceptance check: a churn run with
-// tracing enabled must contain at least one migration span that is a
-// descendant of a pressure span.
-func TestChurnTraceCausality(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "churn.jsonl")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "churn", "-horizon-ms", "60", "-trace-out", path}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, err := obs.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[uint64]obs.Record{}
-	for _, r := range recs {
-		if r.Type == "span" {
-			byID[r.ID] = r
-		}
-	}
-	caused := 0
-	for _, r := range byID {
-		if r.Kind != obs.KindMigrate {
-			continue
-		}
-		for p := r.Parent; p != 0; {
-			pr, ok := byID[p]
-			if !ok {
-				break
+		for _, verb := range []string{"run", "validate", "top", "analyze"} {
+			if !strings.Contains(errb.String(), "\n  "+verb+" ") {
+				t.Errorf("%v: usage does not name verb %q:\n%s", args, verb, errb.String())
 			}
-			if pr.Kind == obs.KindPressure {
-				caused++
-				break
-			}
-			p = pr.Parent
 		}
-	}
-	if caused == 0 {
-		t.Fatal("no migration span descends from a pressure span")
-	}
-}
-
-// TestServeScenarioReportsTail runs the open-loop serving scenario and
-// checks the operator summary: both tenants generated load, every
-// generated request that was served shows up in the histogram, and the
-// latency line carries the p50/p99/p999 tail quantiles.
-func TestServeScenarioReportsTail(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "serve", "-horizon-ms", "30"}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, errb.String())
-	}
-	rep := out.String()
-	for _, want := range []string{"serving plane", "web", "batch", "goodput",
-		"p50=", "p99=", "p999=", "timeouts"} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("serve output missing %q:\n%s", want, rep)
-		}
-	}
-	// Same flags, same seed: the run is deterministic, so a second
-	// invocation must print byte-identical serving stats.
-	var out2, errb2 bytes.Buffer
-	if code := run([]string{"-scenario", "serve", "-horizon-ms", "30"}, &out2, &errb2); code != 0 {
-		t.Fatalf("second run exit = %d (stderr: %s)", code, errb2.String())
-	}
-	if out.String() != out2.String() {
-		t.Error("serve scenario output differs between identical runs")
-	}
-	// The servers' empty-queue poll moved from a Sleep loop to SleepWhile,
-	// which is event-for-event the same wait: the stats and the kernel's
-	// event count are those of the Sleep loop.
-	for _, want := range []string{
-		"generated 1467, served 1467, timeouts 0 (deadline 1ms), goodput 48900 req/s",
-		"serve.latency: n=1467 mean=0.010ms p50=0.009ms p99=0.025ms p999=0.029ms max=0.030ms",
-		`scenario "serve" ran to 30ms (17609 events)`,
-	} {
-		if !strings.Contains(rep, want) {
-			t.Errorf("serve output no longer has %q:\n%s", want, rep)
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %q", args, out.String())
 		}
 	}
 }
 
+// TestAnalyzeReportsMethodPercentiles digests the record stream a traced
+// ext-memharvest run exports — the producer `qsctl analyze` is fed by.
 func TestAnalyzeReportsMethodPercentiles(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.jsonl")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "churn", "-horizon-ms", "40", "-trace-out", path}, &out, &errb); code != 0 {
-		t.Fatalf("scenario exit = %d (stderr: %s)", code, errb.String())
+	dir := t.TempDir()
+	experiments.SetTraceDir(dir)
+	defer experiments.SetTraceDir("")
+	if _, err := experiments.Run("ext-memharvest", experiments.TestScale); err != nil {
+		t.Fatal(err)
 	}
-	out.Reset()
-	errb.Reset()
+	path := filepath.Join(dir, "ext-memharvest.jsonl")
+	var out, errb bytes.Buffer
 	if code := run([]string{"analyze", path}, &out, &errb); code != 0 {
 		t.Fatalf("analyze exit = %d (stderr: %s)", code, errb.String())
 	}
 	rep := out.String()
-	for _, want := range []string{"call latency by method", "p50", "p99", "slowest migrations", "per-machine utilization"} {
+	for _, want := range []string{"call latency by method", "p50", "p99", "slowest migrations", "pressure:mem m0", "per-machine utilization"} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("analyze output missing %q:\n%s", want, rep)
 		}
@@ -144,27 +55,14 @@ func TestAnalyzeReportsMethodPercentiles(t *testing.T) {
 	if !strings.Contains(rep, "rpc") {
 		t.Errorf("analyze output has no rpc method rows:\n%s", rep)
 	}
-}
-
-func TestChromeTraceExportIsValidJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "filler", "-horizon-ms", "30", "-trace-out", path}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d (stderr: %s)", code, errb.String())
+	// A negative -top used to print "top -1 of N" over an empty table.
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"analyze", "-top", "-1", path}, &out, &errb); code != 2 {
+		t.Errorf("-top -1: exit = %d, want 2", code)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-		TraceEvents     []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("chrome trace is not valid JSON: %v", err)
-	}
-	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) == 0 {
-		t.Fatalf("unexpected trace shape: unit=%q events=%d", doc.DisplayTimeUnit, len(doc.TraceEvents))
+	if !strings.Contains(errb.String(), "-top -1") || out.Len() != 0 {
+		t.Errorf("-top -1: stderr %q, stdout %q; want a usage error and no table", errb.String(), out.String())
 	}
 }
 
@@ -478,83 +376,138 @@ func TestRunFlightOut(t *testing.T) {
 	}
 }
 
-// TestScenarioListIncludesFiles: `-scenario list` must enumerate the
-// scenario-file library alongside the built-ins, flagging bad files
-// inline rather than erroring out.
-func TestScenarioListIncludesFiles(t *testing.T) {
+// TestValidateReportsEveryFile: `qsctl validate` over a directory checks
+// every *.yaml under it, recursively, and no file stops the sweep: the
+// good ones get an ok line with name and description, the bad one its
+// located error, and the exit status says a file was rejected.
+func TestValidateReportsEveryFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "good.yaml"), []byte(testScenario), 0o644); err != nil {
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "bad.yaml"), []byte("name: x\n\tboom\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "list", "-scenario-dir", dir}, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d (stderr: %s)", code, errb.String())
-	}
-	s := out.String()
-	for _, want := range []string{"good.yaml", "bad.yaml", "(parse error:", "filler"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("list output missing %q:\n%s", want, s)
-		}
-	}
-}
-
-// TestCannedGoldens compares the serve and replicas runs with
-// testdata/*.golden, the stdout of the same commands at 677053b — the
-// commit before the canned runs moved onto load.Queue and
-// fleet.PlaceStores, which promised to move nothing.
-// QSCTL_UPDATE_GOLDENS=1 go test -run CannedGoldens rewrites the files,
-// which only makes sense when a change means to move the output.
-func TestCannedGoldens(t *testing.T) {
-	for path, args := range map[string][]string{
-		"testdata/serve_events.golden": {"-scenario", "serve", "-events"},
-		"testdata/replicas.golden":     {"-scenario", "replicas"},
+	for path, src := range map[string]string{
+		filepath.Join(dir, "bad.yaml"):    "name: x\n\tboom\n",
+		filepath.Join(dir, "good.yaml"):   testScenario,
+		filepath.Join(sub, "nested.yaml"): "description: one level down\n" + sloScenario,
+		filepath.Join(dir, "notes.txt"):   "not a scenario\n",
 	} {
-		var out, errb bytes.Buffer
-		if code := run(args, &out, &errb); code != 0 {
-			t.Fatalf("%v: exit = %d (stderr: %s)", args, code, errb.String())
-		}
-		if os.Getenv("QSCTL_UPDATE_GOLDENS") != "" {
-			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("%v: output differs from %s\n--- got\n%s--- want\n%s", args, path, out.Bytes(), want)
-		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"validate", dir}, &out, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	wantOut := "ok  " + filepath.Join(dir, "good.yaml") + "  clitest — \n" +
+		"ok  " + filepath.Join(sub, "nested.yaml") + "  clislo — one level down\n"
+	if out.String() != wantOut {
+		t.Errorf("stdout = %q\nwant %q", out.String(), wantOut)
+	}
+	if got := errb.String(); !strings.HasPrefix(got, "qsctl: "+filepath.Join(dir, "bad.yaml")+": ") ||
+		!strings.Contains(got, "line 2: tab in indentation") || strings.Count(got, "\n") != 1 {
+		t.Errorf("stderr = %q\nwant one line locating the error in bad.yaml", got)
+	}
+	// A file named outright is checked whatever its extension.
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"validate", filepath.Join(dir, "notes.txt")}, &out, &errb); code != 2 {
+		t.Errorf("notes.txt: exit = %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	if code := run([]string{"validate"}, &out, &errb); code != 2 {
+		t.Errorf("no arguments: exit = %d, want 2", code)
 	}
 }
 
-// TestHorizonBelowOneMsIsAUsageError: a canned run places its events at
-// fractions of the horizon, so none can run with less than 1 ms
-// (-scenario serve -horizon-ms 0 used to panic in load.Sampled, and a
-// negative horizon ran nothing and reported success).
-func TestHorizonBelowOneMsIsAUsageError(t *testing.T) {
-	for _, sc := range scenarios {
-		for _, ms := range []string{"0", "-5"} {
-			var out, errb bytes.Buffer
-			if code := run([]string{"-scenario", sc.name, "-horizon-ms", ms}, &out, &errb); code != 2 {
-				t.Errorf("%s -horizon-ms %s: exit = %d, want 2", sc.name, ms, code)
-			}
-			msg := errb.String()
-			if !strings.Contains(msg, "-horizon-ms "+ms) || strings.Count(msg, "\n") != 1 {
-				t.Errorf("%s -horizon-ms %s: stderr is not a one-line usage error: %q", sc.name, ms, msg)
-			}
-			if out.Len() != 0 {
-				t.Errorf("%s -horizon-ms %s: wrote to stdout: %q", sc.name, ms, out.String())
-			}
+// TestValidateUnreadablePathExits1: a path that cannot be read, or a
+// directory holding no scenario, is exit 1 — and a rejected file beside
+// it still makes the sweep exit 2.
+func TestValidateUnreadablePathExits1(t *testing.T) {
+	empty := t.TempDir()
+	missing := filepath.Join(empty, "missing.yaml")
+	for _, path := range []string{missing, empty} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"validate", path}, &out, &errb); code != 1 {
+			t.Errorf("%s: exit = %d, want 1", path, code)
+		}
+		if got := errb.String(); !strings.Contains(got, path) || strings.Count(got, "\n") != 1 || out.Len() != 0 {
+			t.Errorf("%s: stderr %q, stdout %q; want one line naming the path", path, got, out.String())
 		}
 	}
+	bad := writeScenario(t, "name: x\n\tboom\n")
+	good := writeScenario(t, testScenario)
 	var out, errb bytes.Buffer
-	if code := run([]string{"-scenario", "serve", "-horizon-ms", "1"}, &out, &errb); code != 0 {
-		t.Errorf("-horizon-ms 1: exit = %d, want 0 (stderr: %s)", code, errb.String())
+	if code := run([]string{"validate", missing, bad, good}, &out, &errb); code != 2 {
+		t.Errorf("missing + bad + good: exit = %d, want 2", code)
+	}
+	if strings.Count(errb.String(), "\n") != 2 || !strings.HasPrefix(out.String(), "ok  "+good+"  clitest") {
+		t.Errorf("missing + bad + good: stderr %q, stdout %q; want every file reported", errb.String(), out.String())
+	}
+}
+
+// TestValidateCommittedLibraries: every committed scenario file — the
+// library and the benchmark's workloads, which this only reads — is ok.
+func TestValidateCommittedLibraries(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"validate", "../../scenarios", "../../benchmark/workloads"}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, errb.String())
+	}
+	if errb.Len() != 0 {
+		t.Errorf("stderr: %s", errb.String())
+	}
+	for _, want := range []string{
+		"ok  ../../scenarios/flash-crowd.yaml  flash-crowd — 5x arrival spike",
+		"ok  ../../benchmark/workloads/matrix/flash-crowd.yaml  flash-crowd — ",
+		"ok  ../../benchmark/workloads/serve-write-rf2.yaml  serve-write-rf2 — ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "\n"); n != 26 {
+		t.Errorf("%d files reported, want 12 scenarios + 12 matrix workloads + 2 serving workloads:\n%s", n, out.String())
+	}
+}
+
+// TestOverBudgetAndBadDeadlineExit2: four files passed Parse and then
+// took the process down — out of memory, or still running after 40 s —
+// and a deadline no request can meet ran to RESULT PASS with goodput 0.
+// Each is a usage error from `validate` and from `run`: exit 2 at once,
+// one located line, no report.
+func TestOverBudgetAndBadDeadlineExit2(t *testing.T) {
+	workload := func(line string) string {
+		return strings.Replace(testScenario, "  stores: 2\n", "  stores: 2\n  "+line+"\n", 1)
+	}
+	for _, tc := range []struct{ name, src, want string }{
+		{"tenant rate", strings.Replace(testScenario, "rate: 60000", "rate: 1e11", 1),
+			`scenario "clitest": the tenants offer up to 4e+08 requests over horizon_ms 4 (peak rate × spike mults × horizon; limit 25000000) — shrink a tenant's rate, a spike's mult or horizon_ms`},
+		{"spike mult", testScenario + "events:\n  - at_ms: 1\n    kind: spike\n    tenant: web\n    mult: 1e9\n    ramp_ms: 0.5\n    decay_ms: 0.5\n",
+			`scenario "clitest": the tenants offer up to 2.4e+11 requests over horizon_ms 4 (peak rate × spike mults × horizon; limit 25000000) — shrink a tenant's rate, a spike's mult or horizon_ms`},
+		{"shards", strings.Replace(testScenario, "  machines: 3\n", "  machines: 3\n  shards: 100000\n", 1),
+			`scenario "clitest": fleet.shards 100000 × fleet.machines 3 is 300000 machines (limit 100000) — shrink either`},
+		{"servers", workload("servers: 10000000"),
+			`scenario "clitest": workload.servers 10000000 is more than a shard can poll (limit 1000) — shrink it`},
+		{"deadline 0", workload("deadline_us: 0"), `workload: field "deadline_us": must be positive (line 7)`},
+		{"deadline -5", workload("deadline_us: -5"), `workload: field "deadline_us": must be positive (line 7)`},
+	} {
+		path := writeScenario(t, tc.src)
+		for _, verb := range []string{"validate", "run"} {
+			var out, errb bytes.Buffer
+			start := time.Now()
+			if code := run([]string{verb, path}, &out, &errb); code != 2 {
+				t.Fatalf("%s %s: exit = %d, want 2 (stderr: %s)", verb, tc.name, code, errb.String())
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Errorf("%s %s: took %v to reject", verb, tc.name, took)
+			}
+			if got, want := errb.String(), "qsctl: "+path+": "+tc.want+"\n"; got != want {
+				t.Errorf("%s %s: stderr = %q\nwant %q", verb, tc.name, got, want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s %s: a rejected file wrote to stdout:\n%s", verb, tc.name, out.String())
+			}
+		}
 	}
 }
 

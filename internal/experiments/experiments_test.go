@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestListAndTitles(t *testing.T) {
@@ -292,6 +294,52 @@ func TestExtMemHarvestShape(t *testing.T) {
 	}
 	if res.Values["reads"] < 100 {
 		t.Errorf("reads = %v, too few to be meaningful", res.Values["reads"])
+	}
+}
+
+// TestMemHarvestTraceCausality: the traced ext-memharvest run exports a
+// record stream in which at least one migration span descends from a
+// memory-pressure span — the tenant's ramp, not a rebalance, moved the
+// shard.
+func TestMemHarvestTraceCausality(t *testing.T) {
+	dir := t.TempDir()
+	SetTraceDir(dir)
+	defer SetTraceDir("")
+	if _, err := Run("ext-memharvest", TestScale); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ext-memharvest.trace.json")); err != nil {
+		t.Errorf("no Chrome trace beside the record stream: %v", err)
+	}
+	f, err := os.Open(filepath.Join(dir, "ext-memharvest.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[uint64]obs.Record{}
+	for _, r := range recs {
+		if r.Type == "span" {
+			byID[r.ID] = r
+		}
+	}
+	caused := 0
+	for _, r := range byID {
+		if r.Kind != obs.KindMigrate {
+			continue
+		}
+		for p := r.Parent; p != 0; p = byID[p].Parent {
+			if pr := byID[p]; pr.Kind == obs.KindPressure && pr.Name == "mem" {
+				caused++
+				break
+			}
+		}
+	}
+	if caused == 0 {
+		t.Fatal("no migration span descends from a mem pressure span")
 	}
 }
 

@@ -140,6 +140,7 @@ func runExtMemHarvest(scale Scale) (*Result, error) {
 		{Cores: 8, MemBytes: 2 << 30},
 	})
 	defer sys.Close()
+	maybeTrace(sys)
 	sys.Start()
 	v, err := sharded.NewVector[int](sys, "dataset", sharded.Options{MaxShardBytes: 64 << 20, AutoAdapt: true})
 	if err != nil {
@@ -204,6 +205,9 @@ func runExtMemHarvest(scale Scale) (*Result, error) {
 		sys.K.Stop()
 	})
 	sys.K.Run()
+	if err := maybeExportTrace("ext-memharvest", sys); err != nil {
+		return nil, err
+	}
 
 	evictions := sys.Sched.MemEvictions.Value()
 	res.addf("loaded %d MiB across the cluster; tenant oscillates 0<->1.5 GiB on machine 0", loaded*2)

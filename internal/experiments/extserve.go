@@ -220,10 +220,12 @@ type serveOutcome struct {
 	overall *metrics.LogHistogram
 
 	// Trace exports, only when a trace directory is configured: the
-	// full merged Chrome trace, the tail-sampled subset, and the
-	// sampler's retention accounting. Byte-compared across the P sweep.
+	// full merged Chrome trace, the tail-sampled subset in both export
+	// formats, and the sampler's retention accounting. Byte-compared
+	// across the P sweep.
 	fullTrace    []byte
 	sampledTrace []byte
+	sampledJSONL []byte
 	sampleStats  slo.SampleStats
 	incidents    []slo.Incident
 }
@@ -503,14 +505,17 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		}
 		merged := obs.Concat(tracers...)
 		sampled, stats := slo.Filter(merged, out.incidents, serveSampleConfig(cfg))
-		var fb, sb bytes.Buffer
+		var fb, sb, jb bytes.Buffer
 		if err := obs.WriteChromeTrace(&fb, merged, nil); err != nil {
 			return out, err
 		}
 		if err := obs.WriteChromeTrace(&sb, sampled, nil); err != nil {
 			return out, err
 		}
-		out.fullTrace, out.sampledTrace, out.sampleStats = fb.Bytes(), sb.Bytes(), stats
+		if err := obs.WriteJSONL(&jb, sampled, nil); err != nil {
+			return out, err
+		}
+		out.fullTrace, out.sampledTrace, out.sampledJSONL, out.sampleStats = fb.Bytes(), sb.Bytes(), jb.Bytes(), stats
 	}
 	out.det = det
 	return out, nil
@@ -603,6 +608,9 @@ func runExtServe(scale Scale) (*Result, error) {
 			return nil, err
 		}
 		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.trace.json"), ref.sampledTrace, 0o644); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.jsonl"), ref.sampledJSONL, 0o644); err != nil {
 			return nil, err
 		}
 	}

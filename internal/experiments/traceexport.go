@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -10,11 +11,12 @@ import (
 )
 
 // traceDir, when set, makes the traced experiments (fig1's quicksand
-// mode, ext-failover's RF=2 crash run) record causal spans plus
-// resource telemetry and export the run as Chrome trace-event JSON to
-// <dir>/<name>.trace.json. The default of empty leaves every run
-// untraced, so kernel event counts and the BENCH_*.json baselines are
-// unaffected.
+// mode, ext-failover's RF=2 crash run, ext-memharvest, ext-serve) record
+// causal spans plus resource telemetry and export the run twice:
+// <dir>/<name>.trace.json is Chrome trace-event JSON, <dir>/<name>.jsonl
+// the compact record stream `qsctl analyze` digests. The default of
+// empty leaves every run untraced, so kernel event counts and the
+// BENCH_*.json baselines are unaffected.
 var traceDir string
 
 // SetTraceDir sets the trace export directory ("" disables). Not safe
@@ -38,15 +40,25 @@ func maybeTrace(sys *core.System) {
 }
 
 // maybeExportTrace writes sys's recorded timeline to
-// <traceDir>/<name>.trace.json; a no-op when tracing is off.
+// <traceDir>/<name>.trace.json and <traceDir>/<name>.jsonl; a no-op
+// when tracing is off.
 func maybeExportTrace(name string, sys *core.System) error {
 	if traceDir == "" || sys.Obs == nil {
 		return nil
 	}
-	f, err := os.Create(filepath.Join(traceDir, name+".trace.json"))
-	if err != nil {
-		return err
+	for _, out := range []struct {
+		ext   string
+		write func(io.Writer, *obs.Tracer, *obs.Telemetry) error
+	}{{".trace.json", obs.WriteChromeTrace}, {".jsonl", obs.WriteJSONL}} {
+		f, err := os.Create(filepath.Join(traceDir, name+out.ext))
+		if err != nil {
+			return err
+		}
+		err = out.write(f, sys.Obs, sys.Tel)
+		f.Close()
+		if err != nil {
+			return err
+		}
 	}
-	defer f.Close()
-	return obs.WriteChromeTrace(f, sys.Obs, sys.Tel)
+	return nil
 }

@@ -169,8 +169,9 @@ func TestDegenerateValues(t *testing.T) {
 		{"sample_step_ms at the point limit", workload("sample_step_ms: 0.00004"), ""},
 		{"object_bytes negative", workload("object_bytes: -5"), `workload: field "object_bytes": must be >= 0 (line 7)`},
 		{"object_bytes zero", workload("object_bytes: 0"), ""},
-		{"deadline_us zero", workload("deadline_us: 0"), ""},
-		{"deadline_us negative", workload("deadline_us: -1"), ""},
+		{"deadline_us zero", workload("deadline_us: 0"), `workload: field "deadline_us": must be positive (line 7)`},
+		{"deadline_us negative", workload("deadline_us: -5"), `workload: field "deadline_us": must be positive (line 7)`},
+		{"deadline_us one nanosecond", workload("deadline_us: 0.001"), ""},
 		{"batch_max zero", workload("batch_max: 0"), `workload: field "batch_max": must be >= 1 (line 7)`},
 		{"machines too few", strings.Replace(minimal, "machines: 3", "machines: 1", 1), `fleet: field "machines": must be >= 2 (line 4)`},
 		{"slo window rounds to 0ns", slo("window_ms: 0.0000001"), `slo: field "window_ms": must be >= 1e-6 (line 12)`},
@@ -182,6 +183,14 @@ func TestDegenerateValues(t *testing.T) {
 		{"tenant zipf one", minimal + "      zipf: 1\n", `scenario "mini": tenant "web": zipf must be in (0, 1) (got 1)`},
 		{"tenant zipf unset", minimal + "      zipf: 0\n", ""},
 		{"tenant zipf just inside", minimal + "      zipf: 0.999\n      keys: 3\n", ""},
+		{"offered load over the run budget", strings.Replace(minimal, "rate: 50000", "rate: 1e11", 1), `scenario "mini": the tenants offer up to 4e+08 requests over horizon_ms 4 (peak rate × spike mults × horizon; limit 25000000) — shrink a tenant's rate, a spike's mult or horizon_ms`},
+		{"spike mult over the run budget", minimal + "events:\n  - at_ms: 1\n    kind: spike\n    tenant: web\n    mult: 1e9\n    ramp_ms: 0.5\n    decay_ms: 0.5\n", `scenario "mini": the tenants offer up to 2e+11 requests over horizon_ms 4 (peak rate × spike mults × horizon; limit 25000000) — shrink a tenant's rate, a spike's mult or horizon_ms`},
+		{"offered load one request over", strings.Replace(minimal, "rate: 50000", "rate: 6250000250", 1), `scenario "mini": the tenants offer up to 2.5e+07 requests over horizon_ms 4 (peak rate × spike mults × horizon; limit 25000000) — shrink a tenant's rate, a spike's mult or horizon_ms`},
+		{"machines over the run budget", strings.Replace(minimal, "  machines: 3\n", "  machines: 3\n  shards: 100000\n", 1), `scenario "mini": fleet.shards 100000 × fleet.machines 3 is 300000 machines (limit 100000) — shrink either`},
+		{"machines one over", strings.Replace(minimal, "  machines: 3\n", "  machines: 100001\n", 1), `scenario "mini": fleet.shards 1 × fleet.machines 100001 is 100001 machines (limit 100000) — shrink either`},
+		{"machines product past int64", strings.Replace(minimal, "  machines: 3\n", "  machines: 4294967296\n  shards: 4294967296\n", 1), `scenario "mini": fleet.shards 4294967296 × fleet.machines 4294967296 is 18446744073709551616 machines (limit 100000) — shrink either`},
+		{"servers over the run budget", workload("servers: 10000000"), `scenario "mini": workload.servers 10000000 is more than a shard can poll (limit 1000) — shrink it`},
+		{"servers at the limit", workload("servers: 1000"), ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

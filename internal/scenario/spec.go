@@ -114,7 +114,7 @@ type Workload struct {
 	WriteFrac    float64  `yaml:"write_frac" def:"0.25"`        // fraction of requests that are writes
 	Servers      int      `yaml:"servers" def:"4" bound:">= 1"` // server procs per shard, on machine 0
 	BatchMax     int      `yaml:"batch_max" def:"32" bound:">= 1"`
-	DeadlineUS   float64  `yaml:"deadline_us" def:"1000"`                                 // latency deadline; beyond it a request is a timeout
+	DeadlineUS   float64  `yaml:"deadline_us" def:"1000" bound:"positive"`                // latency deadline; beyond it a request is a timeout
 	SampleStepMS float64  `yaml:"sample_step_ms" zero:"horizon_ms / 200" bound:">= 1e-6"` // rate-curve discretization step
 	Tenants      []Tenant `yaml:"tenants"`
 	Trainers     Trainers `yaml:"trainers"`
@@ -567,10 +567,60 @@ func (sp *Spec) applyDefaults() {
 // The default step makes 200.
 const maxCurvePoints = 100_000
 
+// The run budget bounds what a file may ask Run to simulate, each limit
+// 100 times or more what the largest committed scenario, benchmark
+// workload or ext-* experiment uses (245,000 offered requests, 1,000
+// machines, 8 servers a shard). Past them a run does not fail, it takes
+// the process down: a request the servers never reach is held in its
+// shard's queue at about 100 bytes, a machine costs about 13 KB before the
+// first event, and every server is a process polling every 20 µs.
+const (
+	maxOfferedRequests = 25_000_000 // Σ tenants: peak rate × its spikes' mults × horizon
+	maxFleetMachines   = 100_000    // fleet.shards × fleet.machines
+	maxServers         = 1_000      // workload.servers, per shard
+)
+
+// overBudget reports the first run-budget limit the spec exceeds, naming
+// the fields to shrink. The offered load is an upper bound: a tenant's
+// spikes multiply whether or not they overlap.
+func (sp *Spec) overBudget() error {
+	f, w := sp.Fleet, sp.Workload
+	if n := float64(f.Shards) * float64(f.Machines); n > maxFleetMachines {
+		return fmt.Errorf("scenario %q: fleet.shards %d × fleet.machines %d is %.0f machines (limit %d) — shrink either",
+			sp.Name, f.Shards, f.Machines, n, maxFleetMachines)
+	}
+	if w.Servers > maxServers {
+		return fmt.Errorf("scenario %q: workload.servers %d is more than a shard can poll (limit %d) — shrink it",
+			sp.Name, w.Servers, maxServers)
+	}
+	offered := 0.0
+	for _, t := range w.Tenants {
+		peak := t.Rate
+		switch t.Curve {
+		case "diurnal":
+			peak *= 1 + t.Amp
+		case "ramp":
+			peak = math.Max(peak, t.To)
+		}
+		for _, ev := range sp.Events {
+			if ev.Kind == KindSpike && ev.Tenant == t.Name {
+				peak *= ev.Mult
+			}
+		}
+		offered += peak * sp.HorizonMS / 1000
+	}
+	if offered > maxOfferedRequests {
+		return fmt.Errorf("scenario %q: the tenants offer up to %.3g requests over horizon_ms %g (peak rate × spike mults × horizon; limit %d) — shrink a tenant's rate, a spike's mult or horizon_ms",
+			sp.Name, offered, sp.HorizonMS, maxOfferedRequests)
+	}
+	return nil
+}
+
 // validate enforces what no single schema row can: values whose absence
 // is the error, range reports that name several fields or their owner,
 // and cross-field invariants — replication against fleet shape, event
-// targets in range and on one shard, non-decreasing timestamps.
+// targets in range and on one shard, non-decreasing timestamps — and,
+// of a spec sound in every part, that the whole fits the run budget.
 func (sp *Spec) validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf(`scenario is missing "name"`)
@@ -775,5 +825,5 @@ func (sp *Spec) validate() error {
 			}
 		}
 	}
-	return nil
+	return sp.overBudget()
 }
