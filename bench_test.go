@@ -21,6 +21,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/scenario"
@@ -735,6 +736,49 @@ func BenchmarkArrivalBatch(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n)/float64(b.N), "arrivals/window")
+}
+
+// logEmitChunk bounds the log BenchmarkLogEmit appends to: a Log only
+// grows, so b.N emits into one log would hold b.N events.
+const logEmitChunk = 1 << 12
+
+var logEmitEvent = obs.Event{At: 1, Kind: obs.KindMigrate, Subject: "mem-1", From: 0, To: 1, Detail: "bytes=1024"}
+
+// warmLog returns a log that already holds logEmitChunk events — a
+// short scenario run's worth.
+func warmLog() *obs.Log {
+	l := obs.NewLog()
+	for i := 0; i < logEmitChunk; i++ {
+		l.Emit(logEmitEvent)
+	}
+	return l
+}
+
+// BenchmarkLogEmit measures appending a prebuilt control-plane event to
+// a warm log. Emit is a bare append — no hook, no formatting — so
+// allocs/op is 0: the only allocation is the backing array's growth,
+// a few per chunk. That growth (copying, and collecting, a 72-byte-
+// per-event array) is most of ns/op.
+func BenchmarkLogEmit(b *testing.B) {
+	b.ReportAllocs()
+	for done := 0; done < b.N; done += logEmitChunk {
+		b.StopTimer()
+		l := warmLog()
+		b.StartTimer()
+		for i := 0; i < min(logEmitChunk, b.N-done); i++ {
+			l.Emit(logEmitEvent)
+		}
+	}
+}
+
+// TestLogEmitDoesNotAllocate is BenchmarkLogEmit's assertion: anything
+// Emit does per event beyond the append (a hook, a formatted copy)
+// shows up as at least one allocation per call.
+func TestLogEmitDoesNotAllocate(t *testing.T) {
+	l := warmLog()
+	if allocs := testing.AllocsPerRun(1000, func() { l.Emit(logEmitEvent) }); allocs != 0 {
+		t.Fatalf("Emit into a warm log allocates: %v allocs/op", allocs)
+	}
 }
 
 // BenchmarkLogHistogramRecord measures the fixed-bucket latency

@@ -15,10 +15,10 @@
 // at a fixed seed the report is byte-identical at any -par worker
 // count. A failed assertion exits 1; -report writes the
 // machine-readable verdict, -trace-out the merged control-plane trace,
-// and -flight-out the merged per-shard flight recorder — the last
-// control-plane events before trouble — whenever an assertion fails or
-// an incident opened during the run; CI uploads these dumps as failure
-// artifacts.
+// and -flight-out the flight dump — the last 64 control-plane events
+// of each shard's log, merged and shard-tagged — whenever an assertion
+// fails or an incident opened during the run; CI uploads these dumps as
+// failure artifacts.
 //
 // `qsctl validate` parses and semantically checks files without running
 // them: everything `run` would reject before its first event, from an

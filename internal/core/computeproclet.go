@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrPoolLimit is returned when Grow/Shrink would exceed pool bounds.
@@ -426,7 +425,7 @@ func (pl *Pool) Grow(p *sim.Proc) (bool, error) {
 		cp.Run(fn)
 	}
 	pl.Splits++
-	pl.sys.Trace.Emitf(pl.sys.K.Now(), trace.KindSplit, pl.name,
+	pl.sys.Trace.Emitf(pl.sys.K.Now(), obs.KindSplit, pl.name,
 		int(victim.Location()), int(cp.Location()), "members=%d", len(pl.members))
 	if pl.sys.Obs != nil {
 		pl.sys.Obs.SetRoute(sp, int(victim.Location()), int(cp.Location()))
@@ -463,7 +462,7 @@ func (pl *Pool) Shrink(p *sim.Proc) (bool, error) {
 		victim.shutdown(rp)
 	})
 	pl.Merges++
-	pl.sys.Trace.Emitf(pl.sys.K.Now(), trace.KindMerge, pl.name,
+	pl.sys.Trace.Emitf(pl.sys.K.Now(), obs.KindMerge, pl.name,
 		int(loc), -1, "members=%d moved=%d", len(pl.members), len(pending))
 	pl.sys.Obs.End(sp)
 	return true, nil

@@ -16,9 +16,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Rebuilder reconstructs a memory proclet's contents after it was
@@ -104,7 +104,7 @@ func (sc *Scheduler) recoverOne(p *sim.Proc, pr *proclet.Proclet) {
 					sc.Recoveries.Inc()
 					if mp != nil && sc.sys.rebuild != nil {
 						if rerr := sc.sys.rebuild(p, mp); rerr != nil {
-							sc.sys.Trace.Emitf(sc.sys.K.Now(), trace.KindRecover, pr.Name(),
+							sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindRecover, pr.Name(),
 								-1, int(target), "rebuild failed: %v", rerr)
 						}
 					}

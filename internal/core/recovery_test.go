@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // End-to-end crash recovery through the control plane: injector →
@@ -66,7 +66,7 @@ func TestCrashRecoveryRebuildsMemoryProclet(t *testing.T) {
 	if got := s.Sched.Recoveries.Value(); got != 1 {
 		t.Errorf("Recoveries = %d, want 1", got)
 	}
-	if s.Trace.Count(trace.KindCrash) == 0 || s.Trace.Count(trace.KindRecover) == 0 {
+	if s.Trace.Count(obs.KindCrash) == 0 || s.Trace.Count(obs.KindRecover) == 0 {
 		t.Error("expected crash and recover trace events")
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // methodMemReplApply is the backup-side RPC applying a record batch.
@@ -148,7 +147,7 @@ type ReplManager struct {
 // detector's confirmations. With the plane installed, crash recovery is
 // driven by detector confirmations instead of injector oracle
 // knowledge. Call once, before the workload starts; rcfg zero-values
-// default sensibly (replication.DefaultConfig).
+// take replication.DefaultConfig's, except HeartbeatJitter (stays 0).
 func (s *System) EnableReplicationPlane(rcfg replication.Config, monitor cluster.MachineID) *ReplManager {
 	if s.repl != nil {
 		panic("core: replication plane enabled twice")
@@ -243,7 +242,7 @@ func (rs *replicaSet) addBackup() error {
 	bmp.isBackup = true
 	sys.Sched.Pin(bmp.ID())
 	rs.backups = append(rs.backups, &backupRef{mp: bmp, gen: gen})
-	sys.Trace.Emitf(sys.K.Now(), trace.KindRepl, rs.primary.pr.Name(),
+	sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, rs.primary.pr.Name(),
 		int(rs.primary.pr.Location()), int(target), "backup %s gen=%d", name, gen)
 
 	// Snapshot the primary's live objects into the pipe, targeted at
@@ -446,7 +445,7 @@ func (rs *replicaSet) dropBackup(b *backupRef, cause error) {
 	rs.destroyShell(b)
 	rs.rm.BackupDrops.Inc()
 	sys := rs.rm.sys
-	sys.Trace.Emitf(sys.K.Now(), trace.KindRepl, rs.primary.pr.Name(),
+	sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, rs.primary.pr.Name(),
 		int(b.mp.pr.Location()), -1, "dropped backup %s: %v", b.mp.pr.Name(), cause)
 	rs.rm.scheduleResync(rs)
 }
@@ -494,7 +493,7 @@ func (rs *replicaSet) resync(p *sim.Proc) {
 			// No anti-affine machine can host a replica right now;
 			// stay degraded and let the next membership change retry.
 			sys := rs.rm.sys
-			sys.Trace.Emitf(sys.K.Now(), trace.KindRepl, rs.primary.pr.Name(),
+			sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, rs.primary.pr.Name(),
 				int(rs.primary.pr.Location()), -1, "resync degraded: %v", err)
 			break
 		}
@@ -621,7 +620,7 @@ func (rm *ReplManager) failoverSet(p *sim.Proc, rs *replicaSet) {
 		if m != nil && !m.Down() && rm.leaseValid(old) {
 			// Never depose a primary that could still be serving: the
 			// no-split-brain invariant outranks failover progress.
-			sys.Trace.Emitf(start, trace.KindRepl, pr.Name(), int(old), -1,
+			sys.Trace.Emitf(start, obs.KindRepl, pr.Name(), int(old), -1,
 				"failover refused: lease valid until %v", rm.det.LeaseExpiry(old))
 			if sys.Obs != nil {
 				sys.Obs.Str(sp, "refused", "lease valid")
@@ -684,7 +683,7 @@ func (rm *ReplManager) failoverSet(p *sim.Proc, rs *replicaSet) {
 		rm.Promotions.Inc()
 		rm.PromoteLatency.ObserveDuration(time.Duration(sys.K.Now() - start))
 		sys.Sched.Recoveries.Inc()
-		sys.Trace.Emitf(sys.K.Now(), trace.KindRepl, pr.Name(), int(old), int(target),
+		sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, pr.Name(), int(old), int(target),
 			"promoted backup gen=%d applied=%d heap=%d", b.gen, b.applied, heap)
 		if sys.Obs != nil {
 			sys.Obs.SetRoute(sp, int(old), int(target))
@@ -724,7 +723,7 @@ func (rs *replicaSet) freshestLive() *backupRef {
 func (rm *ReplManager) fallbackRecover(p *sim.Proc, rs *replicaSet) {
 	sys := rm.sys
 	pr := rs.primary.pr
-	sys.Trace.Emitf(sys.K.Now(), trace.KindRepl, pr.Name(), int(pr.Location()), -1,
+	sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, pr.Name(), int(pr.Location()), -1,
 		"all replicas lost; falling back to rebuild/abandon")
 	for _, b := range append([]*backupRef(nil), rs.backups...) {
 		rs.removeBackup(b)

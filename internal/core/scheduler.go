@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // ErrNoCapacity is returned when no machine can host a placement.
@@ -420,7 +419,7 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 		})
 	}
 	if launched > 0 {
-		sc.sys.Trace.Emitf(sc.sys.K.Now(), trace.KindPressure, fmt.Sprintf("m%d", m.ID),
+		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, fmt.Sprintf("m%d", m.ID),
 			int(m.ID), -1, "cpu evacuating %d proclets", launched)
 		wg.Wait(p)
 	}
@@ -576,7 +575,7 @@ func (sc *Scheduler) rebalance(p *sim.Proc) {
 			}
 			if err := sc.sys.Runtime.MigrateCaused(p, v.pr.ID(), lo.ID, sp); err == nil {
 				sc.Rebalances.Inc()
-				sc.sys.Trace.Emitf(sc.sys.K.Now(), trace.KindRebalance, v.pr.Name(),
+				sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindRebalance, v.pr.Name(),
 					int(hi.ID), int(lo.ID), "load %.2f->%.2f", hiLoad, loLoad)
 				moved = true
 			}

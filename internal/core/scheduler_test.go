@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestPlaceComputePrefersLeastLoaded(t *testing.T) {
@@ -317,9 +317,9 @@ func TestReactorWakesOnFirstTickOfPressure(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		feed(cp)
 	}
-	pressuresOn := func(m int) []trace.Event {
-		var out []trace.Event
-		for _, e := range s.Trace.Filter(trace.KindPressure) {
+	pressuresOn := func(m int) []obs.Event {
+		var out []obs.Event
+		for _, e := range s.Trace.Filter(obs.KindPressure) {
 			if e.From == m {
 				out = append(out, e)
 			}
@@ -337,7 +337,7 @@ func TestReactorWakesOnFirstTickOfPressure(t *testing.T) {
 	if cp.Location() != 1 || s.Sched.Evacuations.Value() != 1 {
 		t.Fatalf("busy on m%d after %d evacuations, want m1 after 1", cp.Location(), s.Sched.Evacuations.Value())
 	}
-	migs := s.Trace.Filter(trace.KindMigrate)
+	migs := s.Trace.Filter(obs.KindMigrate)
 	episodeEnd := migs[len(migs)-1].At // the reactor waited for its evacuation
 	if (episodeEnd-26*period)%period == 0 {
 		t.Fatalf("episode ended on the tick grid (%v): the test cannot tell the two schedules apart", episodeEnd)

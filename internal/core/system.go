@@ -23,7 +23,6 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Config tunes the Quicksand control plane.
@@ -110,7 +109,7 @@ type System struct {
 	Cluster *cluster.Cluster
 	Runtime *proclet.Runtime
 	Sched   *Scheduler
-	Trace   *trace.Log
+	Trace   *obs.Log
 
 	// Obs records causal spans when EnableTracing has been called; Tel
 	// samples resource telemetry when EnableTelemetry has. Both are nil
@@ -143,7 +142,7 @@ func NewSystemOnKernel(k *sim.Kernel, cfg Config, machines []cluster.MachineConf
 	for _, mc := range machines {
 		cl.AddMachine(mc)
 	}
-	tl := trace.New()
+	tl := obs.NewLog()
 	s := &System{
 		K:       k,
 		Cluster: cl,

@@ -219,9 +219,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 	if rm != nil {
 		out.promotions = rm.Promotions.Value()
 	}
-	for _, e := range sys.Trace.Events() {
-		out.trace = append(out.trace, e.String())
-	}
+	out.trace = sys.Trace.Lines()
 	return out, nil
 }
 

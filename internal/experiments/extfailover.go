@@ -188,9 +188,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 	out.resyncs = rm.Resyncs.Value()
 	out.confirms = rm.Detector().Confirms.Value()
 	out.replRecords = rm.ReplRecords.Value()
-	for _, e := range sys.Trace.Events() {
-		out.trace = append(out.trace, e.String())
-	}
+	out.trace = sys.Trace.Lines()
 	if rf >= 2 && inject {
 		if err := maybeExportTrace("ext-failover", sys); err != nil {
 			return out, err

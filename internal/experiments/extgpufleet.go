@@ -234,9 +234,7 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 	out.stranded = fleet.Stranded.Value()
 	out.xids = in.GPUXids.Value()
 	out.events = sys.K.EventsProcessed()
-	for _, e := range sys.Trace.Events() {
-		out.trace = append(out.trace, e.String())
-	}
+	out.trace = sys.Trace.Lines()
 	return out, nil
 }
 

@@ -202,9 +202,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config)) (fig1Stats
 		st.reactMeanM = sum / float64(len(reacts))
 	}
 	st.events = k.EventsProcessed()
-	for _, e := range sys.Trace.Events() {
-		st.trace = append(st.trace, e.String())
-	}
+	st.trace = sys.Trace.Lines()
 	if mode == "quicksand" {
 		if err := maybeExportTrace("fig1", sys); err != nil {
 			return st, err

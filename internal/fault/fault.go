@@ -20,9 +20,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Op is a fault operation.
@@ -117,7 +117,7 @@ type Schedule []Event
 type Injector struct {
 	k *sim.Kernel
 	c *cluster.Cluster
-	t *trace.Log
+	t *obs.Log
 
 	// HookCrash runs after machine m fail-stops (node down, tasks
 	// retired, memory wiped). The control plane orphans and re-places
@@ -150,7 +150,7 @@ type Injector struct {
 // call timeout, one is set (2ms): without a deadline, an RPC whose
 // reply is lost to a partition could hang forever, and the no-hang
 // guarantee is the point of running under the injector.
-func New(k *sim.Kernel, c *cluster.Cluster, tl *trace.Log) *Injector {
+func New(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log) *Injector {
 	if c.Fabric.Config().CallTimeout <= 0 {
 		c.Fabric.SetCallTimeout(2 * time.Millisecond)
 	}
@@ -180,17 +180,17 @@ func (in *Injector) Apply(ev Event) {
 		in.Partitions.Inc()
 		in.c.Fabric.SetLinkFault(simnet.NodeID(ev.A), simnet.NodeID(ev.B),
 			simnet.LinkFault{Partitioned: true})
-		in.t.Emitf(in.k.Now(), trace.KindFault, "link", int(ev.A), int(ev.B), "partition")
+		in.t.Emitf(in.k.Now(), obs.KindFault, "link", int(ev.A), int(ev.B), "partition")
 	case OpDegrade:
 		in.Degrades.Inc()
 		in.c.Fabric.SetLinkFault(simnet.NodeID(ev.A), simnet.NodeID(ev.B),
 			simnet.LinkFault{ExtraLatency: ev.Extra, DropProb: ev.Drop})
-		in.t.Emitf(in.k.Now(), trace.KindFault, "link", int(ev.A), int(ev.B),
+		in.t.Emitf(in.k.Now(), obs.KindFault, "link", int(ev.A), int(ev.B),
 			"degrade latency+%v drop=%.2f", ev.Extra, ev.Drop)
 	case OpHeal:
 		in.Heals.Inc()
 		in.c.Fabric.ClearLinkFault(simnet.NodeID(ev.A), simnet.NodeID(ev.B))
-		in.t.Emitf(in.k.Now(), trace.KindFault, "link", int(ev.A), int(ev.B), "heal")
+		in.t.Emitf(in.k.Now(), obs.KindFault, "link", int(ev.A), int(ev.B), "heal")
 	case OpGPUXid, OpGPUThrottle, OpGPUHeal, OpGPUReclaim, OpGPUReturn:
 		in.applyGPU(ev)
 	default:
@@ -215,7 +215,7 @@ func (in *Injector) applyGPU(ev Event) {
 		}
 		in.GPUXids.Inc()
 		g.Fail(ev.Xid)
-		in.t.Emitf(in.k.Now(), trace.KindFault, name, int(ev.A), ev.Gpu,
+		in.t.Emitf(in.k.Now(), obs.KindFault, name, int(ev.A), ev.Gpu,
 			"gpu xid %d (fatal, device memory lost)", ev.Xid)
 	case OpGPUThrottle:
 		in.GPUThrottles.Inc()
@@ -225,26 +225,26 @@ func (in *Injector) applyGPU(ev Event) {
 		if ev.StallEvery > 0 {
 			g.SetStutter(ev.StallEvery, ev.Stall)
 		}
-		in.t.Emitf(in.k.Now(), trace.KindFault, name, int(ev.A), ev.Gpu,
+		in.t.Emitf(in.k.Now(), obs.KindFault, name, int(ev.A), ev.Gpu,
 			"gpu throttle x%.2f stall %v/%d", g.Throttle(), ev.Stall, ev.StallEvery)
 	case OpGPUHeal:
 		in.GPUHeals.Inc()
 		g.Heal()
-		in.t.Emitf(in.k.Now(), trace.KindRecover, name, int(ev.A), ev.Gpu, "gpu heal")
+		in.t.Emitf(in.k.Now(), obs.KindRecover, name, int(ev.A), ev.Gpu, "gpu heal")
 	case OpGPUReclaim:
 		if !g.Available() {
 			return
 		}
 		in.GPUReclaims.Inc()
 		g.SetAvailable(false)
-		in.t.Emitf(in.k.Now(), trace.KindFault, name, int(ev.A), ev.Gpu, "gpu spot reclaim")
+		in.t.Emitf(in.k.Now(), obs.KindFault, name, int(ev.A), ev.Gpu, "gpu spot reclaim")
 	case OpGPUReturn:
 		if g.Available() {
 			return
 		}
 		in.GPUReturns.Inc()
 		g.SetAvailable(true)
-		in.t.Emitf(in.k.Now(), trace.KindRecover, name, int(ev.A), ev.Gpu, "gpu spot return")
+		in.t.Emitf(in.k.Now(), obs.KindRecover, name, int(ev.A), ev.Gpu, "gpu spot return")
 	}
 	if in.HookGPU != nil {
 		in.HookGPU(ev.A, ev.Gpu)
@@ -261,7 +261,7 @@ func (in *Injector) crash(mid cluster.MachineID) {
 	// retired, memory wiped), then the control plane's orphaning pass.
 	in.c.Node(mid).SetDown(true)
 	m.Crash()
-	in.t.Emitf(in.k.Now(), trace.KindCrash, fmt.Sprintf("m%d", mid), int(mid), -1,
+	in.t.Emitf(in.k.Now(), obs.KindCrash, fmt.Sprintf("m%d", mid), int(mid), -1,
 		"machine fail-stop")
 	if in.HookCrash != nil {
 		in.HookCrash(mid)
@@ -276,7 +276,7 @@ func (in *Injector) restart(mid cluster.MachineID) {
 	in.Restarts.Inc()
 	m.Restart()
 	in.c.Node(mid).SetDown(false)
-	in.t.Emitf(in.k.Now(), trace.KindRecover, fmt.Sprintf("m%d", mid), int(mid), -1,
+	in.t.Emitf(in.k.Now(), obs.KindRecover, fmt.Sprintf("m%d", mid), int(mid), -1,
 		"machine restart (empty)")
 	if in.HookRestart != nil {
 		in.HookRestart(mid)

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 func testCluster(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *proclet.Runtime) {
@@ -27,7 +27,7 @@ func testCluster(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *pr
 		MigrationFixedOverhead: 100 * time.Microsecond,
 		DirectoryLookup:        5 * time.Microsecond,
 		MaxInvokeRetries:       16,
-	}, trace.New())
+	}, obs.NewLog())
 	return k, c, rt
 }
 
@@ -83,7 +83,7 @@ func TestChurnDeterministicPerSeed(t *testing.T) {
 
 func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 	k, c, _ := testCluster(t, 2)
-	in := New(k, c, trace.New())
+	in := New(k, c, obs.NewLog())
 	in.Install(Schedule{
 		// Deliberately out of order; Install sorts by time.
 		{At: sim.Time(3 * time.Millisecond), Op: OpHeal, A: 0, B: 1},
@@ -120,7 +120,7 @@ func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 
 func TestInjectorIdempotentOps(t *testing.T) {
 	k, c, _ := testCluster(t, 2)
-	in := New(k, c, trace.New())
+	in := New(k, c, obs.NewLog())
 	k.Spawn("driver", func(p *sim.Proc) {
 		in.Apply(Event{Op: OpCrash, A: 0})
 		in.Apply(Event{Op: OpCrash, A: 0}) // already down: no-op
@@ -135,7 +135,7 @@ func TestInjectorIdempotentOps(t *testing.T) {
 
 func TestNewSetsDefaultCallTimeout(t *testing.T) {
 	k, c, _ := testCluster(t, 1)
-	New(k, c, trace.New())
+	New(k, c, obs.NewLog())
 	if d := c.Fabric.Config().CallTimeout; d != 2*time.Millisecond {
 		t.Errorf("CallTimeout = %v, want 2ms default", d)
 	}
@@ -145,7 +145,7 @@ func TestNewSetsDefaultCallTimeout(t *testing.T) {
 		Latency: time.Microsecond, Bandwidth: 1e9, CallTimeout: 5 * time.Millisecond,
 	})
 	c2.AddMachine(cluster.MachineConfig{Cores: 1, MemBytes: 1 << 20})
-	New(k2, c2, trace.New())
+	New(k2, c2, obs.NewLog())
 	if d := c2.Fabric.Config().CallTimeout; d != 5*time.Millisecond {
 		t.Errorf("CallTimeout = %v, want 5ms (explicit)", d)
 	}
@@ -157,7 +157,7 @@ func TestNewSetsDefaultCallTimeout(t *testing.T) {
 // kernel must drain — nothing blocks forever.
 func TestNoHangUnderChurn(t *testing.T) {
 	k, c, rt := testCluster(t, 4)
-	tl := trace.New()
+	tl := obs.NewLog()
 	in := New(k, c, tl)
 
 	// A service proclet per machine; crashed machines orphan theirs.
@@ -228,7 +228,7 @@ type (
 func TestGPUFaultOps(t *testing.T) {
 	k, c, _ := testCluster(t, 2)
 	c.Machine(1).AddGPUs(cluster.GPUConfig{Count: 2, MemBytes: 4 << 30, LinkBandwidth: 1_000_000_000})
-	tl := trace.New()
+	tl := obs.NewLog()
 	in := New(k, c, tl)
 	var kicks []int
 	in.HookGPU = func(m cluster.MachineID, gpu int) {

@@ -10,9 +10,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Fleet is a partitioned deployment: one core.System per shard, each on
@@ -64,16 +64,12 @@ func (f *Fleet) Events() []uint64 {
 // logs merged by time, ties broken by shard index. The result depends
 // only on what each shard logged, never on the host worker count.
 func (f *Fleet) Trace() []string {
-	logs := make([]*trace.Log, len(f.Shards))
+	logs := make([]*obs.Log, len(f.Shards))
 	for s, sys := range f.Shards {
 		logs[s] = sys.Trace
 	}
-	events := trace.Merge(logs...).Events()
-	lines := make([]string, len(events))
-	for i, e := range events {
-		lines[i] = e.String()
-	}
-	return lines
+	merged, _ := obs.MergeLogs(logs...)
+	return merged.Lines()
 }
 
 // PlaceStores creates n memory proclets named by nameFmt (one %d verb,

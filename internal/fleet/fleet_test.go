@@ -12,10 +12,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 var testMachine = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
@@ -223,11 +223,11 @@ func TestTraceMergesByTimeThenShard(t *testing.T) {
 	got := f.Trace()
 
 	type tagged struct {
-		e     trace.Event
+		e     obs.Event
 		shard int
 	}
 	var all []tagged
-	logs := make([]*trace.Log, len(f.Shards))
+	logs := make([]*obs.Log, len(f.Shards))
 	for s, sys := range f.Shards {
 		logs[s] = sys.Trace
 		for _, e := range sys.Trace.Events() {
@@ -248,7 +248,7 @@ func TestTraceMergesByTimeThenShard(t *testing.T) {
 		if got[i] != tg.e.String() {
 			t.Fatalf("line %d = %q, want shard %d's %q", i, got[i], tg.shard, tg.e.String())
 		}
-		if tg.e.Kind == trace.KindCrash {
+		if tg.e.Kind == obs.KindCrash {
 			crashes++
 		}
 		if i > 0 && all[i-1].e.At == tg.e.At && all[i-1].shard != tg.shard {
@@ -259,9 +259,10 @@ func TestTraceMergesByTimeThenShard(t *testing.T) {
 		t.Errorf("the run logged %d crash events and %d cross-shard ties; the test needs both", crashes, ties)
 	}
 	// And it is the rendering the callers used to assemble by hand.
-	for i, e := range trace.Merge(logs...).Events() {
+	merged, _ := obs.MergeLogs(logs...)
+	for i, e := range merged.Events() {
 		if got[i] != e.String() {
-			t.Fatalf("line %d = %q, trace.Merge renders %q", i, got[i], e.String())
+			t.Fatalf("line %d = %q, obs.MergeLogs renders %q", i, got[i], e.String())
 		}
 	}
 }

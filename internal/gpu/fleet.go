@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Config tunes a Fleet.
@@ -355,7 +354,7 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 			// Nowhere strictly better — moving would churn, not help.
 			continue
 		}
-		f.sys.Trace.Emitf(p.Now(), trace.KindRebalance, gp.Name(),
+		f.sys.Trace.Emitf(p.Now(), obs.KindRebalance, gp.Name(),
 			int(gp.Device().Machine.ID), int(dst.Machine.ID),
 			"straggler %.3fms vs median %.3fms: re-dispatch %s -> %s",
 			gp.StepLatencyMS(), median, gp.Device(), dst)

@@ -28,10 +28,10 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Errors returned by GPU proclet operations.
@@ -380,7 +380,7 @@ func (gp *Proclet) MigrateTo(p *sim.Proc, dst *cluster.GPU) error {
 	gp.resetTelemetry()
 	gp.migrating = false
 	gp.unblocked.Broadcast()
-	gp.sys.Trace.Emitf(gp.sys.K.Now(), trace.KindMigrate, gp.name,
+	gp.sys.Trace.Emitf(gp.sys.K.Now(), obs.KindMigrate, gp.name,
 		int(src.Machine.ID), int(dst.Machine.ID), "gpu %s -> %s (%d bytes)", src, dst, gp.modelBytes)
 	return nil
 }
@@ -451,7 +451,7 @@ func (gp *Proclet) RestoreTo(p *sim.Proc, dst *cluster.GPU) error {
 	gp.resetTelemetry()
 	gp.migrating = false
 	gp.unblocked.Broadcast()
-	gp.sys.Trace.Emitf(gp.sys.K.Now(), trace.KindRecover, gp.name,
+	gp.sys.Trace.Emitf(gp.sys.K.Now(), obs.KindRecover, gp.name,
 		int(src.Machine.ID), int(dst.Machine.ID),
 		"gpu restore %s -> %s from mirror m%d (step %d)", src, dst, gp.ckptHome, gp.ckptStep)
 	return nil

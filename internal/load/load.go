@@ -16,8 +16,8 @@
 //     arrival instants in a window by thinning against the curve's
 //     window maximum, allocation-free after warm-up, from an injected
 //     per-shard RNG stream.
-//   - Zipf/AliasTable (zipf.go): O(1) skewed key and tenant-mix
-//     sampling with zero allocations on the sample path.
+//   - Zipf (zipf.go): O(1) skewed key sampling with zero allocations
+//     on the sample path.
 //   - Injector (inject.go): batched shard-local injection — arrivals
 //     for one sim.ParKernel shard are drawn a window at a time in
 //     shard context and enqueued through the kernel's pooled event

@@ -220,38 +220,12 @@ func TestScrambleKeyStable(t *testing.T) {
 	}
 }
 
-func TestAliasTable(t *testing.T) {
-	weights := []float64{5, 3, 2}
-	at := NewAliasTable(weights)
-	rng := rand.New(rand.NewSource(13))
-	counts := make([]int, len(weights))
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[at.Sample(rng)]++
-	}
-	for i, w := range weights {
-		got := float64(counts[i]) / draws
-		want := w / 10
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("outcome %d share %v, want %v", i, got, want)
-		}
-	}
-	// Zero-weight outcomes never sampled.
-	at2 := NewAliasTable([]float64{1, 0, 1})
-	for i := 0; i < 10000; i++ {
-		if at2.Sample(rng) == 1 {
-			t.Fatal("sampled zero-weight outcome")
-		}
-	}
-}
-
 func TestSamplePathZeroAlloc(t *testing.T) {
 	z := NewZipf(10_000_000, 0.99)
-	at := NewAliasTable([]float64{3, 2, 1})
 	rng := rand.New(rand.NewSource(21))
 	var sink uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		sink += ScrambleKey(z.Sample(rng)) + uint64(at.Sample(rng))
+		sink += ScrambleKey(z.Sample(rng))
 	})
 	if allocs != 0 {
 		t.Fatalf("sample path allocates: %v allocs/run", allocs)

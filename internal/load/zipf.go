@@ -141,83 +141,3 @@ func ScrambleKey(rank uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
 }
-
-// AliasTable samples an arbitrary small discrete distribution in O(1)
-// per draw (Vose's alias method): one uniform draw picks a column and
-// either keeps it or takes its alias. Used for per-arrival tenant-mix
-// selection; build cost is O(n) once.
-type AliasTable struct {
-	prob  []float64
-	alias []int32
-}
-
-// NewAliasTable builds a sampler over weights (non-negative, at least
-// one positive).
-func NewAliasTable(weights []float64) *AliasTable {
-	n := len(weights)
-	if n == 0 {
-		panic("load: alias table needs at least one weight")
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("load: negative or NaN alias weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("load: alias table needs a positive total weight")
-	}
-	t := &AliasTable{prob: make([]float64, n), alias: make([]int32, n)}
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / total
-		if scaled[i] < 1 {
-			small = append(small, int32(i))
-		} else {
-			large = append(large, int32(i))
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-		t.prob[s] = scaled[s]
-		t.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	for _, i := range large {
-		t.prob[i] = 1
-		t.alias[i] = i
-	}
-	for _, i := range small {
-		t.prob[i] = 1 // numerical remainder
-		t.alias[i] = i
-	}
-	return t
-}
-
-// Len returns the number of outcomes.
-func (t *AliasTable) Len() int { return len(t.prob) }
-
-// Sample draws one outcome index. O(1), zero allocations, one uniform
-// variate (split into column and coin).
-func (t *AliasTable) Sample(rng *rand.Rand) int {
-	u := rng.Float64() * float64(len(t.prob))
-	i := int(u)
-	if i >= len(t.prob) {
-		i = len(t.prob) - 1
-	}
-	if u-float64(i) < t.prob[i] {
-		return i
-	}
-	return int(t.alias[i])
-}

@@ -1,7 +1,4 @@
-// Package trace records structured runtime events — placements,
-// migrations, splits, merges — so experiments and tools can reconstruct
-// what the Quicksand control plane did and when.
-package trace
+package obs
 
 import (
 	"fmt"
@@ -10,33 +7,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Kind classifies a control-plane event.
-type Kind string
-
-// Event kinds emitted by the runtime and scheduler.
-const (
-	KindSpawn     Kind = "spawn"
-	KindDestroy   Kind = "destroy"
-	KindMigrate   Kind = "migrate"
-	KindSplit     Kind = "split"
-	KindMerge     Kind = "merge"
-	KindPlace     Kind = "place"
-	KindPressure  Kind = "pressure"
-	KindRebalance Kind = "rebalance"
-	KindCrash     Kind = "crash"    // a machine failed (fault injection)
-	KindRecover   Kind = "recover"  // a machine restarted or a proclet was re-placed
-	KindFault     Kind = "fault"    // a link fault was installed or healed
-	KindSuspect   Kind = "suspect"  // a failure-detector state transition
-	KindRepl      Kind = "repl"     // replication plane: ship, promote, depose, resync
-	KindIncident  Kind = "incident" // SLO plane: an incident opened or closed
-)
-
 // Event is one control-plane occurrence. From/To are machine IDs (as
 // ints to avoid layering on the cluster package); -1 means not
 // applicable.
 type Event struct {
 	At      sim.Time
-	Kind    Kind
+	Kind    string // a Kind* constant
 	Subject string // proclet or resource name
 	From    int
 	To      int
@@ -59,16 +35,10 @@ func (e Event) String() string {
 // events, so instrumented code never needs nil checks.
 type Log struct {
 	events []Event
-
-	// OnEmit, when non-nil, observes every event as it is appended.
-	// The flight recorder hangs its bounded ring off this hook; the
-	// hook must not emit into the same log. When nil (the default)
-	// Emit stays a bare append, so the disabled path costs nothing.
-	OnEmit func(Event)
 }
 
-// New creates an empty log.
-func New() *Log { return &Log{} }
+// NewLog creates an empty log.
+func NewLog() *Log { return &Log{} }
 
 // Emit appends an event. No-op on a nil log.
 func (l *Log) Emit(e Event) {
@@ -76,13 +46,10 @@ func (l *Log) Emit(e Event) {
 		return
 	}
 	l.events = append(l.events, e)
-	if l.OnEmit != nil {
-		l.OnEmit(e)
-	}
 }
 
 // Emitf is shorthand for Emit with a formatted detail string.
-func (l *Log) Emitf(at sim.Time, kind Kind, subject string, from, to int, format string, args ...any) {
+func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format string, args ...any) {
 	if l == nil {
 		return
 	}
@@ -107,7 +74,7 @@ func (l *Log) Len() int {
 }
 
 // Filter returns the events of the given kind, in order.
-func (l *Log) Filter(kind Kind) []Event {
+func (l *Log) Filter(kind string) []Event {
 	if l == nil {
 		return nil
 	}
@@ -122,7 +89,7 @@ func (l *Log) Filter(kind Kind) []Event {
 
 // Count returns how many events of the given kind were recorded,
 // without materializing the filtered slice.
-func (l *Log) Count(kind Kind) int {
+func (l *Log) Count(kind string) int {
 	if l == nil {
 		return 0
 	}
@@ -135,46 +102,58 @@ func (l *Log) Count(kind Kind) int {
 	return n
 }
 
-// Merge combines several logs into one, ordered by timestamp with ties
-// broken by argument position (then by within-log emission order, which
-// is preserved). This is the deterministic barrier merge for
+// MergeLogs combines several logs into one, ordered by timestamp with
+// ties broken by argument position (then by within-log emission order,
+// which is preserved); src[i] is the argument position of the log that
+// event i came from. This is the deterministic barrier merge for
 // partitioned simulations: each shard keeps its own single-threaded Log
 // as a per-shard accumulator — Emit and Count stay lock- and
 // allocation-free — and the merged view depends only on shard contents
 // and argument order, never on the host worker count. Nil logs are
 // skipped; the inputs are not modified.
-func Merge(logs ...*Log) *Log {
+func MergeLogs(logs ...*Log) (merged *Log, src []int) {
 	total := 0
 	for _, l := range logs {
 		total += l.Len()
 	}
 	type cursor struct {
 		events []Event
-		pos    int
+		arg    int
 	}
 	curs := make([]cursor, 0, len(logs))
-	for _, l := range logs {
+	for i, l := range logs {
 		if l.Len() > 0 {
-			curs = append(curs, cursor{events: l.Events()})
+			curs = append(curs, cursor{events: l.events, arg: i})
 		}
 	}
-	out := &Log{events: make([]Event, 0, total)}
+	merged = &Log{events: make([]Event, 0, total)}
+	src = make([]int, 0, total)
 	for {
 		best := -1
 		for i := range curs {
-			if curs[i].pos >= len(curs[i].events) {
+			if len(curs[i].events) == 0 {
 				continue
 			}
-			if best < 0 || curs[i].events[curs[i].pos].At < curs[best].events[curs[best].pos].At {
+			if best < 0 || curs[i].events[0].At < curs[best].events[0].At {
 				best = i
 			}
 		}
 		if best < 0 {
-			return out
+			return merged, src
 		}
-		out.events = append(out.events, curs[best].events[curs[best].pos])
-		curs[best].pos++
+		merged.events = append(merged.events, curs[best].events[0])
+		src = append(src, curs[best].arg)
+		curs[best].events = curs[best].events[1:]
 	}
+}
+
+// Lines renders the log, one String() per event.
+func (l *Log) Lines() []string {
+	lines := make([]string, l.Len())
+	for i, e := range l.Events() {
+		lines[i] = e.String()
+	}
+	return lines
 }
 
 // String renders the whole log, one event per line.

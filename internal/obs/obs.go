@@ -1,10 +1,10 @@
 // Package obs is the observability layer over the deterministic
-// simulation: causal spans (who did what, for how long, and what
-// triggered it) and continuously sampled resource telemetry. The flat
-// event log in internal/trace records *that* a migration or split
-// happened; obs records *why* — a migration span is a child of the
-// pressure span that caused it — and exports the whole run as a
-// Perfetto-loadable timeline (export.go).
+// simulation: the control-plane event log (log.go), causal spans (who
+// did what, for how long, and what triggered it) and continuously
+// sampled resource telemetry. The flat event log records *that* a
+// migration or split happened; spans record *why* — a migration span is
+// a child of the pressure span that caused it — and the whole run
+// exports as a Perfetto-loadable timeline (export.go).
 //
 // Everything is nil-safe: a nil *Tracer accepts every call, allocates
 // nothing, and returns the zero SpanID, so instrumented hot paths pay
@@ -21,20 +21,29 @@ import (
 	"repro/internal/sim"
 )
 
-// Span kinds. Name refines the kind: a KindPhase span named "freeze"
-// is the blackout phase of its parent migration span.
+// Kinds: one vocabulary for control-plane events (Event.Kind) and
+// spans (Span.Kind). A span's Name refines its kind: a KindPhase span
+// named "freeze" is the blackout phase of its parent migration span.
 const (
-	KindRPC      = "rpc"      // one fabric round trip (simnet)
-	KindInvoke   = "invoke"   // one proclet method invocation, retries included
-	KindMigrate  = "migrate"  // one proclet migration, phases as children
-	KindPhase    = "phase"    // a migration phase: freeze, precopy, postcopy
-	KindSplit    = "split"    // a pool split
-	KindMerge    = "merge"    // a pool merge
-	KindPressure = "pressure" // a reactor pressure episode (cpu, mem, mem-demand)
-	KindSched    = "sched"    // a slow-path decision: rebalance, affinity
-	KindRepl     = "repl"     // replication plane: ship, promote
-	KindIncident = "incident" // an SLO incident interval (internal/obs/slo)
-	KindReq      = "req"      // one served request (or fan-in batch) in a serving plane
+	KindSpawn     = "spawn"
+	KindDestroy   = "destroy"
+	KindPlace     = "place"
+	KindMigrate   = "migrate"  // one proclet migration; as a span, phases are its children
+	KindPhase     = "phase"    // a migration phase: freeze, precopy, postcopy
+	KindSplit     = "split"    // a pool split
+	KindMerge     = "merge"    // a pool merge
+	KindPressure  = "pressure" // a reactor pressure episode (cpu, mem, mem-demand)
+	KindRebalance = "rebalance"
+	KindSched     = "sched"    // a slow-path decision: rebalance, affinity
+	KindCrash     = "crash"    // a machine failed (fault injection)
+	KindRecover   = "recover"  // a machine restarted or a proclet was re-placed
+	KindFault     = "fault"    // a link fault was installed or healed
+	KindSuspect   = "suspect"  // a failure-detector state transition
+	KindRepl      = "repl"     // replication plane: ship, promote, depose, resync
+	KindIncident  = "incident" // SLO plane (internal/obs/slo): an incident opened or closed; as a span, its interval
+	KindRPC       = "rpc"      // one fabric round trip (simnet)
+	KindInvoke    = "invoke"   // one proclet method invocation, retries included
+	KindReq       = "req"      // one served request (or fan-in batch) in a serving plane
 )
 
 // SpanID identifies a span within one Tracer; 0 is "no span" (the

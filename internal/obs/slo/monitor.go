@@ -19,7 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // RuleKind selects the windowed statistic a rule evaluates.
@@ -140,11 +139,10 @@ type Monitor struct {
 	// Hooks, all optional. Log receives incident open/close events and
 	// is scanned backward for the causal control-plane event; Tracer
 	// receives one incident span per incident (recorded at close, so
-	// span IDs stay deterministic); Flight gets window and incident
-	// notes; OnWindow observes every closed window.
-	Log      *trace.Log
+	// span IDs stay deterministic); OnWindow observes every closed
+	// window.
+	Log      *obs.Log
 	Tracer   *obs.Tracer
-	Flight   *FlightRecorder
 	OnWindow func(WindowStat)
 }
 
@@ -305,16 +303,14 @@ func (m *Monitor) openIncident(rs *ruleState, w *WindowStat) {
 		Open:     true,
 	}
 	if ev, ok := m.cause(w.End); ok {
-		inc.Cause = string(ev.Kind) + " " + ev.Subject
+		inc.Cause = ev.Kind + " " + ev.Subject
 		inc.CauseAt = ev.At
 	}
 	inc.Parent = m.Tracer.LastOpen(obs.KindPressure, obs.KindMigrate, obs.KindSched, obs.KindRepl)
 	rs.open = len(m.incidents)
 	m.incidents = append(m.incidents, inc)
-	m.Log.Emitf(w.End, trace.KindIncident, m.cfg.Subject, -1, -1,
+	m.Log.Emitf(w.End, obs.KindIncident, m.cfg.Subject, -1, -1,
 		"open %s severity=%s cause=%s", rs.rule.Name, inc.Severity, orNone(inc.Cause))
-	m.Flight.Note(w.End, "incident",
-		fmt.Sprintf("open %s %s severity=%s cause=%s", m.cfg.Subject, rs.rule.Name, inc.Severity, orNone(inc.Cause)))
 }
 
 // closeIncident seals the rule's open incident at the end of window w
@@ -326,10 +322,8 @@ func (m *Monitor) closeIncident(rs *ruleState, w *WindowStat) {
 	inc.Open = false
 	rs.open = -1
 	inc.Span = m.recordSpan(inc, w.End, false)
-	m.Log.Emitf(w.End, trace.KindIncident, m.cfg.Subject, -1, -1,
+	m.Log.Emitf(w.End, obs.KindIncident, m.cfg.Subject, -1, -1,
 		"close %s after=%v", rs.rule.Name, w.End-inc.OpenAt)
-	m.Flight.Note(w.End, "incident",
-		fmt.Sprintf("close %s %s after=%v", m.cfg.Subject, rs.rule.Name, w.End-inc.OpenAt))
 }
 
 // recordSpan emits the incident's span into the tracer (0 when no
@@ -352,20 +346,20 @@ func (m *Monitor) recordSpan(inc *Incident, end sim.Time, stillOpen bool) obs.Sp
 
 // cause scans the attached control-plane log backward for the most
 // recent fault/pressure/migration-family event at or before at.
-func (m *Monitor) cause(at sim.Time) (trace.Event, bool) {
+func (m *Monitor) cause(at sim.Time) (obs.Event, bool) {
 	evs := m.Log.Events()
 	for i := len(evs) - 1; i >= 0; i-- {
 		e := &evs[i]
-		if e.At > at || e.Kind == trace.KindIncident {
+		if e.At > at || e.Kind == obs.KindIncident {
 			continue
 		}
 		switch e.Kind {
-		case trace.KindCrash, trace.KindFault, trace.KindMigrate,
-			trace.KindPressure, trace.KindRepl, trace.KindSuspect:
+		case obs.KindCrash, obs.KindFault, obs.KindMigrate,
+			obs.KindPressure, obs.KindRepl, obs.KindSuspect:
 			return *e, true
 		}
 	}
-	return trace.Event{}, false
+	return obs.Event{}, false
 }
 
 func orNone(s string) string {

@@ -1,7 +1,6 @@
 package slo
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 const win = sim.Time(100 * time.Millisecond)
@@ -25,7 +23,7 @@ func feedWindow(m *Monitor, idx int, n int, latNS int64, isErr bool) {
 }
 
 func TestMonitorOpensAndClosesIncident(t *testing.T) {
-	tl := trace.New()
+	tl := obs.NewLog()
 	k := sim.NewKernel(1)
 	tr := obs.NewTracer(k)
 	m := New(Config{
@@ -36,7 +34,7 @@ func TestMonitorOpensAndClosesIncident(t *testing.T) {
 	m.Tracer = tr
 
 	// A control-plane event before the breach: becomes the cause.
-	tl.Emitf(sim.Time(250*time.Millisecond), trace.KindCrash, "m3", 3, -1, "fail-stop")
+	tl.Emitf(sim.Time(250*time.Millisecond), obs.KindCrash, "m3", 3, -1, "fail-stop")
 
 	for i := 0; i < 3; i++ {
 		feedWindow(m, i, 50, int64(10*time.Millisecond), false)
@@ -85,7 +83,7 @@ func TestMonitorOpensAndClosesIncident(t *testing.T) {
 	}
 
 	// Log carries exactly one open and one close event.
-	incEvents := tl.Filter(trace.KindIncident)
+	incEvents := tl.Filter(obs.KindIncident)
 	if len(incEvents) != 2 {
 		t.Fatalf("incident events = %d, want 2", len(incEvents))
 	}
@@ -312,63 +310,5 @@ func TestFilterBudgetIsPrefixClosed(t *testing.T) {
 		if s.Parent != 0 && sampled.Span(s.Parent) == nil {
 			t.Errorf("span %d orphaned: parent %d dropped", s.ID, s.Parent)
 		}
-	}
-}
-
-func TestFlightRecorderRingAndMerge(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		f.Note(sim.Time(i), "note", "x")
-	}
-	if f.Recorded() != 10 || f.Dropped() != 6 {
-		t.Fatalf("Recorded/Dropped = %d/%d, want 10/6", f.Recorded(), f.Dropped())
-	}
-	snap := f.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(snap))
-	}
-	for i, e := range snap {
-		if e.At != sim.Time(6+i) {
-			t.Errorf("snapshot[%d].At = %v, want %v (oldest first)", i, e.At, 6+i)
-		}
-	}
-
-	g := NewFlightRecorder(4)
-	g.Note(sim.Time(7), "note", "y")
-	merged := MergeSnapshots(f.Snapshot(), g.Snapshot())
-	if len(merged) != 5 {
-		t.Fatalf("merged len = %d", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		a, b := merged[i-1], merged[i]
-		if a.At > b.At || (a.At == b.At && a.Shard > b.Shard) {
-			t.Errorf("merge order violated at %d: %+v then %+v", i, a, b)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := WriteDump(&buf, "test", merged, f.Dropped()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "flight recorder: test (5 entries, 6 evicted)") {
-		t.Errorf("dump header wrong:\n%s", buf.String())
-	}
-}
-
-func TestFlightRecorderAttachLog(t *testing.T) {
-	f := NewFlightRecorder(8)
-	tl := trace.New()
-	f.AttachLog(tl)
-	tl.Emitf(5, trace.KindCrash, "m1", 1, -1, "fail-stop")
-	tl.Emitf(9, trace.KindRecover, "m1", -1, 1, "restart")
-	snap := f.Snapshot()
-	if len(snap) != 2 || snap[0].Source != "event" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if !strings.Contains(snap[0].Text, "crash") || !strings.Contains(snap[0].Text, "m1") {
-		t.Errorf("entry text = %q", snap[0].Text)
-	}
-	if tl.Len() != 2 {
-		t.Error("hook must not suppress log append")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Post-copy ("lazy") migration — the paper's §5 CXL direction: with
@@ -91,7 +90,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 	blackout := rt.k.Now().Sub(start)
 	rt.MigrationLatency.ObserveDuration(blackout)
 	rt.Migrations.Inc()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindMigrate, pr.name, int(from), int(to),
+	rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
 		"post-copy blackout=%v bytes=%d", blackout, pr.heapBytes)
 
 	// The migrate span covers only the blackout; the postcopy phase
@@ -133,7 +132,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 		pr.lazyWindow = false
 		pr.residentAt = rt.k.Now()
 		rt.LazyResidence.ObserveDuration(rt.k.Now().Sub(start))
-		rt.Trace.Emitf(rt.k.Now(), trace.KindMigrate, pr.name, int(from), int(to),
+		rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
 			"post-copy resident after %v", rt.k.Now().Sub(start))
 		rt.obs.End(pcp)
 	})

@@ -16,9 +16,9 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // freeHeap releases pr's heap charge against its hosting machine — but
@@ -62,7 +62,7 @@ func (rt *Runtime) CrashMachine(mid cluster.MachineID) []*Proclet {
 		// whose source just died).
 		pr.unblocked.Broadcast()
 		pr.drained.Broadcast()
-		rt.Trace.Emitf(rt.k.Now(), trace.KindCrash, pr.name, int(mid), -1,
+		rt.Trace.Emitf(rt.k.Now(), obs.KindCrash, pr.name, int(mid), -1,
 			"orphaned id=%d heap=%d", pr.id, pr.heapBytes)
 		orphans = append(orphans, pr)
 	}
@@ -90,7 +90,7 @@ func (rt *Runtime) Depose(pr *Proclet) error {
 	pr.cancelTasks()
 	pr.unblocked.Broadcast()
 	pr.drained.Broadcast()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindRepl, pr.name, int(mid), -1,
+	rt.Trace.Emitf(rt.k.Now(), obs.KindRepl, pr.name, int(mid), -1,
 		"deposed id=%d (false confirmation)", pr.id)
 	return nil
 }
@@ -133,7 +133,7 @@ func (rt *Runtime) Restore(p *sim.Proc, pr *Proclet, to cluster.MachineID) error
 	rt.cache(to, pr.id, to)
 	pr.state = StateRunning
 	pr.unblocked.Broadcast()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindRecover, pr.name, int(from), int(to),
+	rt.Trace.Emitf(rt.k.Now(), obs.KindRecover, pr.name, int(from), int(to),
 		"restored id=%d heap=%d", pr.id, pr.heapBytes)
 	return nil
 }
@@ -149,6 +149,6 @@ func (rt *Runtime) Abandon(pr *Proclet) {
 	pr.heapBytes = 0
 	rt.procs[pr.id] = nil
 	pr.unblocked.Broadcast()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindDestroy, pr.name, int(pr.machine), -1,
+	rt.Trace.Emitf(rt.k.Now(), obs.KindDestroy, pr.name, int(pr.machine), -1,
 		"shed after crash id=%d", pr.id)
 }

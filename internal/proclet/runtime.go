@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Config tunes the runtime's cost model.
@@ -74,7 +73,7 @@ func DefaultConfig() Config {
 // the cluster (Nu's "distributed runtime" that avoids cold starts).
 type Runtime struct {
 	Cluster *cluster.Cluster
-	Trace   *trace.Log
+	Trace   *obs.Log
 
 	cfg Config
 	k   *sim.Kernel
@@ -144,7 +143,7 @@ type invokeReq struct {
 // NewRuntime creates a runtime over an already-populated cluster (all
 // machines must be added before calling). tl may be nil to disable
 // tracing.
-func NewRuntime(c *cluster.Cluster, cfg Config, tl *trace.Log) *Runtime {
+func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
 	if cfg.MaxInvokeRetries <= 0 {
 		cfg.MaxInvokeRetries = 16
 	}
@@ -212,7 +211,7 @@ func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Pr
 		commBytes:  make(map[ID]int64),
 	}
 	rt.procs = append(rt.procs, pr)
-	rt.Trace.Emitf(rt.k.Now(), trace.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, pr.id)
+	rt.Trace.Emitf(rt.k.Now(), obs.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, pr.id)
 	return pr, nil
 }
 
@@ -233,7 +232,7 @@ func (rt *Runtime) Destroy(id ID) error {
 	pr.cancelTasks()
 	rt.procs[id] = nil
 	pr.unblocked.Broadcast()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindDestroy, pr.name, int(m), -1, "id=%d", id)
+	rt.Trace.Emitf(rt.k.Now(), obs.KindDestroy, pr.name, int(m), -1, "id=%d", id)
 	return nil
 }
 
@@ -715,7 +714,7 @@ func (rt *Runtime) MigrateCaused(p *sim.Proc, id ID, to cluster.MachineID, cause
 	d := rt.k.Now().Sub(start)
 	rt.MigrationLatency.ObserveDuration(d)
 	rt.Migrations.Inc()
-	rt.Trace.Emitf(rt.k.Now(), trace.KindMigrate, pr.name, int(from), int(to),
+	rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
 		"bytes=%d latency=%v", pr.heapBytes, d)
 	rt.obs.End(sp)
 	return nil

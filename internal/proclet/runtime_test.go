@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // testEnv builds a 2-machine cluster with simple, round-number costs:
@@ -32,7 +32,7 @@ func testEnv(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *Runtim
 		MaxInvokeRetries:       16,
 		LazyRemotePenalty:      4 * time.Microsecond,
 	}
-	rt := NewRuntime(c, cfg, trace.New())
+	rt := NewRuntime(c, cfg, obs.NewLog())
 	return k, c, rt
 }
 
@@ -408,8 +408,8 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	k.Run()
 	rt.Destroy(pr.ID())
 	tl := rt.Trace
-	if tl.Count(trace.KindSpawn) != 1 || tl.Count(trace.KindMigrate) != 1 || tl.Count(trace.KindDestroy) != 1 {
+	if tl.Count(obs.KindSpawn) != 1 || tl.Count(obs.KindMigrate) != 1 || tl.Count(obs.KindDestroy) != 1 {
 		t.Errorf("trace counts: spawn=%d migrate=%d destroy=%d",
-			tl.Count(trace.KindSpawn), tl.Count(trace.KindMigrate), tl.Count(trace.KindDestroy))
+			tl.Count(obs.KindSpawn), tl.Count(obs.KindMigrate), tl.Count(obs.KindDestroy))
 	}
 }

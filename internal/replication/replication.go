@@ -25,9 +25,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // methodPing is the heartbeat RPC served by every machine's node.
@@ -43,7 +43,9 @@ type Config struct {
 	// HeartbeatJitter is the fraction of each period randomized (0..1),
 	// drawn from the kernel RNG: a period d becomes uniform in
 	// [d*(1-j/2), d*(1+j/2)]. Jitter de-synchronizes the per-machine
-	// ping loops.
+	// ping loops. Unlike the other fields, zero is not defaulted: a
+	// zero Config — what every caller in the tree passes — pings in
+	// lockstep, with no jitter (ROADMAP item 1, defect iv).
 	HeartbeatJitter float64
 	// PingTimeout bounds each heartbeat RPC. Zero defaults to
 	// HeartbeatPeriod.
@@ -65,7 +67,9 @@ type Config struct {
 
 // DefaultConfig returns detector parameters tuned for the simulated
 // fabric's microsecond RPCs: confirmation in ~3ms of a fail-stop,
-// leases lapsing ~1ms before that.
+// leases lapsing ~1ms before that. A zero Config gets every value here
+// except HeartbeatJitter, which withDefaults clamps to [0, 1] but
+// leaves at 0.
 func DefaultConfig() Config {
 	return Config{
 		HeartbeatPeriod: 500 * time.Microsecond,
@@ -143,7 +147,7 @@ type machineHealth struct {
 type Detector struct {
 	k       *sim.Kernel
 	c       *cluster.Cluster
-	tl      *trace.Log
+	tl      *obs.Log
 	cfg     Config
 	monitor cluster.MachineID
 
@@ -182,7 +186,7 @@ type Detector struct {
 // the cluster from the given monitor machine. It registers the
 // heartbeat handler on every node and grants every machine an initial
 // lease; Start launches the ping loops. tl may be nil.
-func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *trace.Log, cfg Config, monitor cluster.MachineID) *Detector {
+func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, monitor cluster.MachineID) *Detector {
 	d := &Detector{
 		k:             k,
 		c:             c,
@@ -275,10 +279,10 @@ func (d *Detector) noteAlive(mid cluster.MachineID, at sim.Time) {
 	switch prev {
 	case StateSuspect:
 		d.FalseSuspects.Inc()
-		d.tl.Emitf(at, trace.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(at, obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
 			"cleared: heartbeat answered")
 	case StateDead:
-		d.tl.Emitf(at, trace.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(at, obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
 			"rejoined after confirm")
 	}
 	if d.OnAlive != nil {
@@ -294,7 +298,7 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 	case h.state == StateAlive && h.misses >= d.cfg.SuspectMisses:
 		h.state = StateSuspect
 		d.Suspects.Inc()
-		d.tl.Emitf(d.k.Now(), trace.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(d.k.Now(), obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
 			"suspected after %d misses", h.misses)
 		if d.OnSuspect != nil {
 			d.OnSuspect(mid)
@@ -303,7 +307,7 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 		h.state = StateDead
 		d.Confirms.Inc()
 		d.DetectLatency.ObserveDuration(time.Duration(d.k.Now() - h.lastBeat))
-		d.tl.Emitf(d.k.Now(), trace.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(d.k.Now(), obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
 			"confirmed dead after %d misses", h.misses)
 		if d.OnConfirm != nil {
 			d.OnConfirm(mid)

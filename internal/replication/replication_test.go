@@ -6,21 +6,21 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // testCluster builds a kernel + n-machine cluster with the detector's
 // handlers not yet installed.
-func testCluster(t *testing.T, n int) (*sim.Kernel, *cluster.Cluster, *trace.Log) {
+func testCluster(t *testing.T, n int) (*sim.Kernel, *cluster.Cluster, *obs.Log) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	c := cluster.New(k, simnet.DefaultConfig())
 	for i := 0; i < n; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 4, MemBytes: 1 << 28})
 	}
-	return k, c, trace.New()
+	return k, c, obs.NewLog()
 }
 
 func TestDetectorCrashSuspectConfirm(t *testing.T) {
@@ -120,6 +120,20 @@ func TestDetectorPartitionLapsesLeaseBeforeConfirm(t *testing.T) {
 	}
 	if lapsedBy >= confirmAt {
 		t.Errorf("lease expiry %v not strictly before confirmation %v", lapsedBy, confirmAt)
+	}
+}
+
+// TestZeroConfigHasNoHeartbeatJitter pins what every caller in the tree
+// runs with: Config{} keeps HeartbeatJitter 0 although DefaultConfig
+// advertises 0.2, so the per-machine ping loops stay synchronized.
+// Defaulting it moves events; it is ROADMAP item 1's defect (iv), for
+// the PR that is allowed to — that PR updates this test.
+func TestZeroConfigHasNoHeartbeatJitter(t *testing.T) {
+	if j := (Config{}).withDefaults().HeartbeatJitter; j != 0 {
+		t.Errorf("Config{}.withDefaults().HeartbeatJitter = %v, want 0", j)
+	}
+	if j := DefaultConfig().HeartbeatJitter; j != 0.2 {
+		t.Errorf("DefaultConfig().HeartbeatJitter = %v, want 0.2", j)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/load"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/proclet"
 	"repro/internal/replication"
@@ -68,14 +69,17 @@ type Outcome struct {
 	Pass    bool
 	Trace   []string
 
-	// SLO plane results: incidents in shard order, the merged flight
-	// recorder timeline (always populated — it backs failure dumps),
-	// and per-shard window history when Options.KeepWindows is set.
-	Incidents     []slo.Incident
-	Flight        []slo.FlightEntry
-	FlightDropped int
-	SLOHistory    [][]slo.WindowStat
+	// SLO plane results: incidents in shard order, and per-shard
+	// window history when Options.KeepWindows is set.
+	Incidents  []slo.Incident
+	SLOHistory [][]slo.WindowStat
+
+	logs []*obs.Log // per-shard control-plane logs: WriteFlightDump's source
 }
+
+// flightTail is how many of each shard's latest control-plane events
+// the flight dump keeps.
+const flightTail = 64
 
 // injWindows sizes the injector batch window in lookahead units, as in
 // the ext-serve experiment (125 x 2us lookahead = 250us windows).
@@ -123,8 +127,7 @@ type shardState struct {
 	good     []int64 // goodput buckets: on-deadline completions by completion time
 	done     bool
 
-	mon    *slo.Monitor        // nil unless the spec declares an slo block
-	flight *slo.FlightRecorder // always on: backs failure dumps
+	mon *slo.Monitor // nil unless the spec declares an slo block
 }
 
 // Run executes the scenario and evaluates its assertions. The returned
@@ -224,11 +227,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		st.in = fault.New(k, st.sys.Cluster, st.sys.Trace)
 		st.sys.AttachInjector(st.in)
 
-		// Flight recorder: every control-plane event lands in the ring,
-		// so assertion failures dump the last moments of context.
-		st.flight = slo.NewFlightRecorder(64)
-		st.flight.AttachLog(st.sys.Trace)
-
 		// The streaming SLO plane, when declared: fleet-wide rate floors
 		// split across shards the same way tenant rates do.
 		if sp.SLO.Enabled() {
@@ -253,7 +251,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				KeepHistory: opt.KeepWindows,
 			})
 			st.mon.Log = st.sys.Trace
-			st.mon.Flight = st.flight
 		}
 
 		// GPUs attach to every non-front-end machine; machine 0 stays a
@@ -631,7 +628,6 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 		Metrics: make(map[string]float64, len(metricTable))}
 	r := rollup{Outcome: out, good: make([]int64, len(shards[0].good)),
 		horizon: int64(horizon), bucketNS: bucketNS, windows: float64(fl.PK.Windows())}
-	flightSnaps := make([][]slo.FlightEntry, len(shards))
 	hists := make([]*metrics.LogHistogram, len(shards))
 	for s, st := range shards {
 		// Seal the SLO plane at the horizon: trailing empty windows
@@ -642,8 +638,7 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 		if h := st.mon.History(); h != nil {
 			out.SLOHistory = append(out.SLOHistory, h)
 		}
-		flightSnaps[s] = st.flight.Snapshot()
-		out.FlightDropped += st.flight.Dropped()
+		out.logs = append(out.logs, st.sys.Trace)
 		if st.startNS > r.startNS {
 			r.startNS = st.startNS
 		}
@@ -663,7 +658,6 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 			out.Metrics[d.name] = d.fold(&r)
 		}
 	}
-	out.Flight = slo.MergeSnapshots(flightSnaps...)
 	for _, a := range sp.Asserts {
 		got := out.Metrics[a.Metric]
 		ok := evalOp(got, a.Op, a.Value)
@@ -842,9 +836,30 @@ func (o *Outcome) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFlightDump renders the merged flight-recorder timeline — the
-// artifact qsctl run saves when assertions fail or an incident opened.
+// WriteFlightDump renders the flight-recorder timeline — the last
+// flightTail control-plane events of every shard, merged by time then
+// shard and tagged with the shard — the artifact qsctl run saves when
+// assertions fail or an incident opened.
 func (o *Outcome) WriteFlightDump(w io.Writer) error {
-	title := fmt.Sprintf("%s seed %d", o.Spec.Name, o.Seed)
-	return slo.WriteDump(w, title, o.Flight, o.FlightDropped)
+	merged, shard := obs.MergeLogs(o.logs...)
+	older := make([]int, len(o.logs)) // per shard: events before its tail
+	evicted := 0
+	for s, l := range o.logs {
+		older[s] = max(0, l.Len()-flightTail)
+		evicted += older[s]
+	}
+	if _, err := fmt.Fprintf(w, "flight recorder: %s seed %d (%d entries, %d evicted)\n",
+		o.Spec.Name, o.Seed, merged.Len()-evicted, evicted); err != nil {
+		return err
+	}
+	for i, e := range merged.Events() {
+		if older[shard[i]] > 0 {
+			older[shard[i]]--
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "s%-2d %v\n", shard[i], e); err != nil {
+			return err
+		}
+	}
+	return nil
 }

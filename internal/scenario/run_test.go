@@ -3,10 +3,15 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 const smoke = `name: smoke
@@ -122,6 +127,102 @@ func TestFailingAssertionReported(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "RESULT FAIL") {
 		t.Errorf("report missing RESULT FAIL summary:\n%s", rep.String())
+	}
+}
+
+// flightDump returns WriteFlightDump's header and entry lines.
+func flightDump(t *testing.T, out *Outcome) (header string, entries []string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := out.WriteFlightDump(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	return lines[0], lines[1:]
+}
+
+// TestFlightDumpIsTheTailOfEachShardsLog: the post-mortem of a failing
+// run is nothing but the last 64 events each shard already logged,
+// sorted by (time, shard) and tagged with the shard; what fell off the
+// front of each log is counted, not kept.
+func TestFlightDumpIsTheTailOfEachShardsLog(t *testing.T) {
+	src := strings.Replace(smoke, "    value: 100\n", "    value: 1000000000\n", 1)
+	src = strings.Replace(src, "  stores: 2\n", "  stores: 30\n  rf: 2\n", 1)
+	out := mustRun(t, src, Options{})
+	if out.Pass {
+		t.Fatal("outcome passed despite impossible generated > 1e9 bound")
+	}
+	type tagged struct {
+		shard int
+		e     obs.Event
+	}
+	var tail []tagged
+	evicted := 0
+	for s, l := range out.logs {
+		ev := l.Events()
+		if n := len(ev) - 64; n > 0 {
+			evicted += n
+			ev = ev[n:]
+		}
+		for _, e := range ev {
+			tail = append(tail, tagged{s, e})
+		}
+	}
+	if len(out.logs) != 2 || evicted == 0 {
+		t.Fatalf("%d shard logs, %d events evicted: the test needs 2 shards with more than 64 events", len(out.logs), evicted)
+	}
+	sort.SliceStable(tail, func(i, j int) bool {
+		if tail[i].e.At != tail[j].e.At {
+			return tail[i].e.At < tail[j].e.At
+		}
+		return tail[i].shard < tail[j].shard
+	})
+	header, entries := flightDump(t, out)
+	if want := fmt.Sprintf("flight recorder: smoke seed %d (%d entries, %d evicted)", out.Seed, len(tail), evicted); header != want {
+		t.Errorf("header = %q, want %q", header, want)
+	}
+	if len(entries) != len(tail) {
+		t.Fatalf("%d entry lines, want %d", len(entries), len(tail))
+	}
+	for i, tg := range tail {
+		if want := fmt.Sprintf("s%-2d %v", tg.shard, tg.e); entries[i] != want {
+			t.Fatalf("entry %d = %q, want %q", i, entries[i], want)
+		}
+	}
+}
+
+// TestFlightDumpShowsAnIncidentTransitionOnce: slow-node opens one
+// incident and resolves it (its own assertions say so); the dump shows
+// the open and the close once each and repeats no line.
+func TestFlightDumpShowsAnIncidentTransitionOnce(t *testing.T) {
+	src, err := os.ReadFile("../../scenarios/slow-node.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := mustRun(t, string(src), Options{})
+	if !out.Pass {
+		t.Fatal("slow-node failed its assertions")
+	}
+	_, entries := flightDump(t, out)
+	seen := map[string]bool{}
+	opens, closes := 0, 0
+	for _, line := range entries {
+		if seen[line] {
+			t.Errorf("line repeated: %q", line)
+		}
+		seen[line] = true
+		if !strings.Contains(line, " "+obs.KindIncident+" ") {
+			continue
+		}
+		switch {
+		case strings.Contains(line, "(open "):
+			opens++
+		case strings.Contains(line, "(close "):
+			closes++
+		}
+	}
+	if opens != 1 || closes != 1 {
+		t.Errorf("dump shows %d incident opens and %d closes, want 1 and 1:\n%s", opens, closes, strings.Join(entries, "\n"))
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // mapEntry is one key/value pair inside a hash bucket.
@@ -372,7 +372,7 @@ func (m *Map[K, V]) splitShard(p *sim.Proc, s int) bool {
 		}
 	}
 	m.Splits++
-	m.sys.Trace.Emitf(m.sys.K.Now(), trace.KindSplit, m.name,
+	m.sys.Trace.Emitf(m.sys.K.Now(), obs.KindSplit, m.name,
 		int(src.Location()), int(dst.Location()), "hash mid=%x, %d shards", mid, len(m.shards))
 	return true
 }
@@ -401,7 +401,7 @@ func (m *Map[K, V]) mergeShards(p *sim.Proc, s int) bool {
 	m.publishIndex(p)
 	src.mp.Destroy()
 	m.Merges++
-	m.sys.Trace.Emitf(m.sys.K.Now(), trace.KindMerge, m.name,
+	m.sys.Trace.Emitf(m.sys.K.Now(), obs.KindMerge, m.name,
 		int(home), int(dst.mp.Location()), "%d shards", len(m.shards))
 	return true
 }

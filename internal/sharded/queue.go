@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Queue is a sharded FIFO queue connecting pipeline stages (§4): items
@@ -121,7 +121,7 @@ func (q *Queue[T]) Push(p *sim.Proc, from cluster.MachineID, val T, bytes int64)
 			q.segs = append(q.segs, nseg)
 			seg = nseg
 			q.Seals++
-			q.sys.Trace.Emitf(q.sys.K.Now(), trace.KindSplit, q.name,
+			q.sys.Trace.Emitf(q.sys.K.Now(), obs.KindSplit, q.name,
 				-1, int(nseg.mp.Location()), "sealed at seq %d, %d segments", seq, len(q.segs))
 		}
 	}
@@ -196,7 +196,7 @@ func (q *Queue[T]) retireDrained() {
 		s.mp.Destroy()
 		q.segs = q.segs[1:]
 		q.Retires++
-		q.sys.Trace.Emitf(q.sys.K.Now(), trace.KindMerge, q.name, -1, -1,
+		q.sys.Trace.Emitf(q.sys.K.Now(), obs.KindMerge, q.name, -1, -1,
 			"retired segment [%d,%d), %d segments", s.lo, s.hi, len(q.segs))
 	}
 }

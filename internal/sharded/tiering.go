@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Memory tiering — the paper's §5 storage-class direction: "fast flash
@@ -114,7 +114,7 @@ func (v *Vector[T]) spillShard(p *sim.Proc, s int) error {
 	v.shards[s].spillBytes = bytes
 	v.Spills++
 	v.publishIndex(p)
-	v.sys.Trace.Emitf(v.sys.K.Now(), trace.KindMigrate, v.name, int(home), -1,
+	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindMigrate, v.name, int(home), -1,
 		"spilled shard [%d,%d) %d bytes to %s", lo, hi, bytes, v.opts.Spill.Name())
 	return nil
 }
@@ -156,7 +156,7 @@ func (v *Vector[T]) faultShard(p *sim.Proc, s int) error {
 	v.touch(s)
 	v.Faults++
 	v.publishIndex(p)
-	v.sys.Trace.Emitf(v.sys.K.Now(), trace.KindMigrate, v.name, -1, int(machine),
+	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindMigrate, v.name, -1, int(machine),
 		"faulted shard [%d,%d) back from %s", lo, hi, v.opts.Spill.Name())
 	return nil
 }

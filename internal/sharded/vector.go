@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // indexObjID is the object holding the routing table inside a
@@ -282,7 +282,7 @@ func (v *Vector[T]) splitShard(p *sim.Proc, s int) bool {
 		return false
 	}
 	v.Splits++
-	v.sys.Trace.Emitf(v.sys.K.Now(), trace.KindSplit, v.name,
+	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindSplit, v.name,
 		int(src.Location()), int(dst.Location()), "shard %d at %d, %d shards", s, mid, len(v.shards))
 	return true
 }
@@ -317,7 +317,7 @@ func (v *Vector[T]) mergeShards(p *sim.Proc, s int) bool {
 	v.publishIndex(p)
 	src.mp.Destroy()
 	v.Merges++
-	v.sys.Trace.Emitf(v.sys.K.Now(), trace.KindMerge, v.name,
+	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindMerge, v.name,
 		int(home), int(dst.mp.Location()), "%d shards", len(v.shards))
 	return true
 }
