@@ -382,8 +382,7 @@ func BenchmarkRemoteInvoke(b *testing.B) {
 // machine 0 to an rf=2 store on a 4-machine system, applied, log-shipped
 // to the backup and acked before it returns. Steady state allocates
 // nothing: the batch is the caller's and the records ride the pipe's
-// recycled buffers. (benchmark/'s core.repl_put_* probe times single Puts,
-// which also pay the caller's &putReq.)
+// recycled buffers. (benchmark/'s core.repl_put_* probe times single Puts.)
 func BenchmarkReplicatedPutBatch(b *testing.B) {
 	b.ReportAllocs()
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
@@ -399,9 +398,9 @@ func BenchmarkReplicatedPutBatch(b *testing.B) {
 	if err := rm.Replicate(mp, 2); err != nil {
 		b.Fatal(err)
 	}
-	batch := core.Batch{IDs: make([]uint64, 8), Vals: make([]any, 8), Sizes: make([]int64, 8)}
+	batch := core.Batch{IDs: make([]uint64, 8), Vals: make([]core.Value, 8), Sizes: make([]int64, 8)}
 	for i := range batch.IDs {
-		batch.IDs[i], batch.Vals[i], batch.Sizes[i] = uint64(i), int64(i), 256
+		batch.IDs[i], batch.Vals[i], batch.Sizes[i] = uint64(i), core.Int(int64(i)), 256
 	}
 	sys.K.Spawn("client", func(p *sim.Proc) {
 		for i := -64; i < b.N; i++ {
@@ -418,17 +417,88 @@ func BenchmarkReplicatedPutBatch(b *testing.B) {
 	sys.K.Run()
 }
 
-// BenchmarkLedgerAck measures recording acknowledged writes in the durable
-// ledger, per key, at a serving workload's skew: batches of 8 keys drawn
-// Zipf(0.99) from 64k, so most acks repeat a key already recorded.
-func BenchmarkLedgerAck(b *testing.B) {
-	b.ReportAllocs()
+// servingKeys draws 64k keys at a serving workload's skew: Zipf(0.99) over
+// 64k ranks, scrambled, so most of a run's keys repeat.
+func servingKeys() []uint64 {
 	z := load.NewZipf(1<<16, 0.99)
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]uint64, 1<<16)
 	for i := range keys {
 		keys[i] = load.ScrambleKey(z.Sample(rng))
 	}
+	return keys
+}
+
+// BenchmarkObjTableUpsert measures one object-table upsert, per id, at a
+// serving workload's skew: 8-id PutBatches of scalars drawn Zipf(0.99)
+// from 64k scrambled keys into an unreplicated store, issued from the
+// store's own machine so the invocation around the eight upserts is a
+// function call. Most ids overwrite; the table stops growing early on.
+func BenchmarkObjTableUpsert(b *testing.B) {
+	b.ReportAllocs()
+	sys := benchSystem()
+	defer sys.Close()
+	mp, err := core.NewMemoryProcletOn(sys, "store", 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := servingKeys()
+	batch := core.Batch{Vals: make([]core.Value, 8), Sizes: make([]int64, 8)}
+	for i := range batch.Vals {
+		batch.Vals[i], batch.Sizes[i] = core.Int(int64(i)), 256
+	}
+	sys.K.Spawn("client", func(p *sim.Proc) {
+		for i := -len(keys); i < b.N; i += 8 {
+			if i == 0 {
+				b.ResetTimer() // every key has been written once
+			}
+			at := (i + len(keys)) % len(keys)
+			batch.IDs = keys[at : at+8]
+			if err := mp.PutBatch(p, 0, &batch); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	sys.K.Run()
+}
+
+// BenchmarkMemPutGetInt measures a scalar's round trip through a remote
+// store: one PutInt and one GetInt of the same object from machine 0 to a
+// store on machine 1. Nothing is boxed on the way and nothing allocated.
+func BenchmarkMemPutGetInt(b *testing.B) {
+	b.ReportAllocs()
+	sys := benchSystem()
+	defer sys.Close()
+	mp, err := core.NewMemoryProcletOn(sys, "store", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.K.Spawn("client", func(p *sim.Proc) {
+		for i := -64; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer() // the pools have grown
+			}
+			id := uint64(i & 1023)
+			if err := mp.PutInt(p, 0, id, int64(i)<<20, 256); err != nil {
+				b.Error(err)
+				return
+			}
+			if v, ok, err := mp.GetInt(p, 0, id); err != nil || !ok || v != int64(i)<<20 {
+				b.Errorf("GetInt = %d, %v, %v", v, ok, err)
+				return
+			}
+		}
+	})
+	sys.K.Run()
+}
+
+// BenchmarkLedgerAck measures recording acknowledged writes in the durable
+// ledger, per key, at a serving workload's skew: batches of 8 keys drawn
+// Zipf(0.99) from 64k, so most acks repeat a key already recorded.
+func BenchmarkLedgerAck(b *testing.B) {
+	b.ReportAllocs()
+	keys := servingKeys()
 	led := fleet.NewLedger(make([]*core.MemoryProclet, 1), 256, func(uint64) int64 { return 0 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 8 {

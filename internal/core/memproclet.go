@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/proclet"
@@ -32,12 +31,6 @@ const ObjectOverheadBytes = 64
 // ErrNoObject is returned when dereferencing a dangling pointer.
 var ErrNoObject = errors.New("core: no such object")
 
-// objEntry is one stored object inside a memory proclet.
-type objEntry struct {
-	val   any
-	bytes int64
-}
-
 // MemoryProclet is a resource proclet specialized for memory: it stores
 // in-memory objects and exposes NewPtr-style distributed pointers for
 // access from anywhere in the cluster (§3.1). Its compute footprint is
@@ -53,7 +46,7 @@ type objEntry struct {
 type MemoryProclet struct {
 	sys     *System
 	pr      *proclet.Proclet
-	objs    map[uint64]objEntry
+	objs    objTable
 	nextObj uint64
 
 	// rs is the replica set when this proclet is a replicated primary.
@@ -67,12 +60,30 @@ type MemoryProclet struct {
 	isBackup bool
 }
 
-// putReq is the wire argument of mem.put.
-type putReq struct {
-	id    uint64
-	val   any
-	bytes int64
+// displaced is what one put overwrote.
+type displaced struct {
+	old     objEntry
+	existed bool
 }
+
+// intArg carries mem.put's value when it is a scalar: the id rides in the
+// message's Word and the size in its Bytes, which leaves a scalar value no
+// inline place (a reference value is the Payload itself). Cells are
+// recycled on the System. One is reachable only through the invocation's
+// envelope, so it is free when Invoke returns, as the envelope is.
+type intArg struct{ n int64 }
+
+func (s *System) getIntArg(n int64) *intArg {
+	if last := len(s.intArgs) - 1; last >= 0 {
+		c := s.intArgs[last]
+		s.intArgs = s.intArgs[:last]
+		c.n = n
+		return c
+	}
+	return &intArg{n: n}
+}
+
+func (s *System) putIntArg(c *intArg) { s.intArgs = append(s.intArgs, c) }
 
 // scanReq asks for all objects with id in [lo, hi).
 type scanReq struct {
@@ -88,7 +99,7 @@ type scanReq struct {
 // not be reused while a call it was passed to is outstanding.
 type Batch struct {
 	IDs   []uint64
-	Vals  []any
+	Vals  []Value
 	Sizes []int64
 
 	// want is the request half of a GetBatch: the IDs asked for, which
@@ -119,7 +130,7 @@ func NewMemoryProcletOn(sys *System, name string, m cluster.MachineID) (*MemoryP
 	if err != nil {
 		return nil, err
 	}
-	mp := &MemoryProclet{sys: sys, pr: pr, objs: make(map[uint64]objEntry)}
+	mp := &MemoryProclet{sys: sys, pr: pr}
 	pr.Data = mp
 	mp.registerMethods()
 	mp.registerMutators()
@@ -210,12 +221,11 @@ func (mp *MemoryProclet) registerMethods() {
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
 		}
-		id := arg.Payload.(uint64)
-		e, ok := mp.objs[id]
+		e, ok := mp.objs.get(arg.Word)
 		if !ok {
-			return proclet.Msg{}, fmt.Errorf("%w: obj %d in %s", ErrNoObject, id, mp.pr.Name())
+			return proclet.Msg{}, fmt.Errorf("%w: obj %d in %s", ErrNoObject, arg.Word, mp.pr.Name())
 		}
-		return proclet.Msg{Payload: e.val, Bytes: e.bytes}, nil
+		return e.msg(), nil
 	})
 	mp.pr.HandleFast(methodMemGetBatch, func(arg proclet.Msg) (proclet.Msg, error) {
 		// Read-only and non-blocking, so like mem.get it serves on the
@@ -227,7 +237,7 @@ func (mp *MemoryProclet) registerMethods() {
 		b := arg.Payload.(*Batch)
 		b.IDs, b.Vals, b.Sizes = b.IDs[:0], b.Vals[:0], b.Sizes[:0]
 		for _, id := range b.want {
-			if e, ok := mp.objs[id]; ok {
+			if e, ok := mp.objs.get(id); ok {
 				b.add(id, e)
 			}
 		}
@@ -240,9 +250,11 @@ func (mp *MemoryProclet) registerMethods() {
 			return proclet.Msg{}, err
 		}
 		r := arg.Payload.(*scanReq)
-		res := &Batch{}
-		for _, id := range mp.idsInRange(r.lo, r.hi) {
-			res.add(id, mp.objs[id])
+		ids := mp.idsInRange(r.lo, r.hi)
+		res := &Batch{IDs: make([]uint64, 0, len(ids)), Vals: make([]Value, 0, len(ids)), Sizes: make([]int64, 0, len(ids))}
+		for _, id := range ids {
+			e, _ := mp.objs.get(id)
+			res.add(id, e)
 		}
 		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
 	})
@@ -254,24 +266,19 @@ func (mp *MemoryProclet) registerMethods() {
 		// idempotent. A heap-growth failure leaves this backup stale and
 		// errors the ship; the primary drops and replaces it.
 		r := arg.Payload.(*replApplyReq)
+		mp.objs.reserve(mp.objs.len() + len(r.recs))
 		for _, rec := range r.recs {
 			if rec.del {
-				if e, ok := mp.objs[rec.id]; ok {
-					delete(mp.objs, rec.id)
+				if e, ok := mp.objs.del(rec.id); ok {
 					if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 						return proclet.Msg{}, err
 					}
 				}
 				continue
 			}
-			delta := rec.bytes + ObjectOverheadBytes
-			if old, existed := mp.objs[rec.id]; existed {
-				delta -= old.bytes + ObjectOverheadBytes
-			}
-			if err := mp.pr.GrowHeap(delta); err != nil {
+			if err := mp.store(rec.id, objEntry{val: rec.val, bytes: rec.bytes}); err != nil {
 				return proclet.Msg{}, err
 			}
-			mp.objs[rec.id] = objEntry{val: rec.val, bytes: rec.bytes}
 			if rec.id > mp.nextObj {
 				mp.nextObj = rec.id
 			}
@@ -290,27 +297,59 @@ func (mp *MemoryProclet) record(r repRecord) []repRecord {
 	return mp.recs
 }
 
-func (mp *MemoryProclet) applyPut(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
-	r := arg.Payload.(*putReq)
-	old, existed := mp.objs[r.id]
-	delta := r.bytes + ObjectOverheadBytes
-	if existed {
-		delta -= old.bytes + ObjectOverheadBytes
+// msg is the reply that carries the object: a Value crosses the wire as
+// its two halves, the reference in Payload and the scalar in Word.
+func (e objEntry) msg() proclet.Msg {
+	return proclet.Msg{Payload: e.val.ref, Word: uint64(e.val.n), Bytes: e.bytes}
+}
+
+// msgValue is the Value a reply built by objEntry.msg carries.
+func msgValue(m proclet.Msg) Value { return Value{ref: m.Payload, n: int64(m.Word)} }
+
+// store puts e under id, one probe whether or not the id is new, and
+// charges the heap for the difference. If the machine refuses, the table
+// is put back as it was.
+func (mp *MemoryProclet) store(id uint64, e objEntry) error {
+	old, existed := mp.objs.put(id, e)
+	delta := e.bytes - old.bytes
+	if !existed {
+		delta += ObjectOverheadBytes
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
+		mp.unstore(id, displaced{old, existed})
+		return err
+	}
+	return nil
+}
+
+// unstore undoes one put.
+func (mp *MemoryProclet) unstore(id uint64, d displaced) {
+	if d.existed {
+		mp.objs.put(id, d.old)
+	} else {
+		mp.objs.del(id)
+	}
+}
+
+func (mp *MemoryProclet) applyPut(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
+	// The id is the message's Word and the size its Bytes. The value is
+	// the Payload itself, unless that is an intArg holding a scalar.
+	val := Ref(arg.Payload)
+	if c, ok := arg.Payload.(*intArg); ok {
+		val = Int(c.n)
+	}
+	if err := mp.store(arg.Word, objEntry{val: val, bytes: arg.Bytes}); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	mp.objs[r.id] = objEntry{val: r.val, bytes: r.bytes}
-	return proclet.Msg{}, mp.record(repRecord{id: r.id, val: r.val, bytes: r.bytes}), nil
+	return proclet.Msg{}, mp.record(repRecord{id: arg.Word, val: val, bytes: arg.Bytes}), nil
 }
 
 func (mp *MemoryProclet) applyDel(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
-	id := arg.Payload.(uint64)
-	e, ok := mp.objs[id]
+	id := arg.Word
+	e, ok := mp.objs.del(id)
 	if !ok {
 		return proclet.Msg{}, nil, fmt.Errorf("%w: obj %d", ErrNoObject, id)
 	}
-	delete(mp.objs, id)
 	if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 		return proclet.Msg{}, nil, err
 	}
@@ -321,20 +360,37 @@ func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecor
 	// Everything is copied out of the caller's batch, into the object
 	// table and the log records, before this returns: the caller may
 	// refill the batch as soon as its PutBatch does.
+	//
+	// One pass of puts, each remembering what it displaced, then one
+	// charge for the sum: an id named twice finds its first occurrence in
+	// the table, so the sum is right whatever the batch repeats. If the
+	// machine refuses the charge, undoing the puts last to first leaves
+	// the table holding exactly what it held.
 	r := arg.Payload.(*Batch)
+	mp.objs.reserve(mp.objs.len() + len(r.IDs))
+	undo := mp.sys.undo[:0]
 	var delta int64
 	for i, id := range r.IDs {
-		if old, existed := mp.objs[id]; existed {
-			delta -= old.bytes + ObjectOverheadBytes
+		old, existed := mp.objs.put(id, objEntry{val: r.Vals[i], bytes: r.Sizes[i]})
+		undo = append(undo, displaced{old, existed})
+		delta += r.Sizes[i] - old.bytes
+		if !existed {
+			delta += ObjectOverheadBytes
 		}
-		delta += r.Sizes[i] + ObjectOverheadBytes
 	}
-	if err := mp.pr.GrowHeap(delta); err != nil {
+	err := mp.pr.GrowHeap(delta)
+	if err != nil {
+		for i := len(undo) - 1; i >= 0; i-- {
+			mp.unstore(r.IDs[i], undo[i])
+		}
+	}
+	clear(undo) // pin no value
+	mp.sys.undo = undo
+	if err != nil {
 		return proclet.Msg{}, nil, err
 	}
 	recs := mp.recs[:0]
 	for i, id := range r.IDs {
-		mp.objs[id] = objEntry{val: r.Vals[i], bytes: r.Sizes[i]}
 		if id > mp.nextObj {
 			mp.nextObj = id
 		}
@@ -351,8 +407,7 @@ func (mp *MemoryProclet) applyDelRange(arg proclet.Msg) (proclet.Msg, []repRecor
 	var delta int64
 	recs := mp.recs[:0]
 	for _, id := range mp.idsInRange(r.lo, r.hi) {
-		e := mp.objs[id]
-		delete(mp.objs, id)
+		e, _ := mp.objs.del(id)
 		delta -= e.bytes + ObjectOverheadBytes
 		if mp.rs != nil {
 			recs = append(recs, repRecord{id: id, del: true})
@@ -388,16 +443,15 @@ func (mp *MemoryProclet) registerMutators() {
 }
 
 func (mp *MemoryProclet) applyTake(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
-	id := arg.Payload.(uint64)
-	e, ok := mp.objs[id]
+	id := arg.Word
+	e, ok := mp.objs.del(id)
 	if !ok {
 		return proclet.Msg{}, nil, fmt.Errorf("%w: obj %d in %s", ErrNoObject, id, mp.pr.Name())
 	}
-	delete(mp.objs, id)
 	if err := mp.pr.GrowHeap(-(e.bytes + ObjectOverheadBytes)); err != nil {
 		return proclet.Msg{}, nil, err
 	}
-	return proclet.Msg{Payload: e.val, Bytes: e.bytes}, mp.record(repRecord{id: id, del: true}), nil
+	return e.msg(), mp.record(repRecord{id: id, del: true}), nil
 }
 
 func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
@@ -405,8 +459,9 @@ func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord,
 	// the closure — is what replicates, so backups never re-run
 	// application code.
 	r := arg.Payload.(*updateReq)
-	old, existed := mp.objs[r.id]
-	val, bytes, keep := r.fn(old.val, existed)
+	old, existed := mp.objs.get(r.id)
+	ret, bytes, keep := r.fn(old.val.Any(), existed)
+	val := Ref(ret)
 	var delta int64
 	switch {
 	case keep && existed:
@@ -422,13 +477,13 @@ func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord,
 		return proclet.Msg{}, nil, err
 	}
 	if keep {
-		mp.objs[r.id] = objEntry{val: val, bytes: bytes}
+		mp.objs.put(r.id, objEntry{val: val, bytes: bytes})
 		if r.id > mp.nextObj {
 			mp.nextObj = r.id
 		}
 		return proclet.Msg{}, mp.record(repRecord{id: r.id, val: val, bytes: bytes}), nil
 	}
-	delete(mp.objs, r.id)
+	mp.objs.del(r.id)
 	return proclet.Msg{}, mp.record(repRecord{id: r.id, del: true}), nil
 }
 
@@ -436,18 +491,43 @@ func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord,
 // IDs from element indices or key hashes).
 func (mp *MemoryProclet) Put(p *sim.Proc, from cluster.MachineID, id uint64, val any, bytes int64) error {
 	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemPut,
-		proclet.Msg{Payload: &putReq{id: id, val: val, bytes: bytes}, Bytes: bytes})
+		proclet.Msg{Word: id, Payload: val, Bytes: bytes})
 	return err
+}
+
+// PutInt is Put for a scalar, which is stored inline: nothing is boxed
+// between the caller and the object table, or the backup's.
+func (mp *MemoryProclet) PutInt(p *sim.Proc, from cluster.MachineID, id uint64, val int64, bytes int64) error {
+	c := mp.sys.getIntArg(val)
+	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemPut,
+		proclet.Msg{Word: id, Payload: c, Bytes: bytes})
+	mp.sys.putIntArg(c)
+	return err
+}
+
+// fetch invokes a method that takes an object id and answers with the
+// object: mem.get or mem.take.
+func (mp *MemoryProclet) fetch(p *sim.Proc, from cluster.MachineID, method string, id uint64) (Value, error) {
+	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), method,
+		proclet.Msg{Word: id, Bytes: 8})
+	if err != nil {
+		return Value{}, err
+	}
+	return msgValue(res), nil
 }
 
 // Get fetches the object with the given ID.
 func (mp *MemoryProclet) Get(p *sim.Proc, from cluster.MachineID, id uint64) (any, error) {
-	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemGet,
-		proclet.Msg{Payload: id, Bytes: 8})
-	if err != nil {
-		return nil, err
-	}
-	return res.Payload, nil
+	v, err := mp.fetch(p, from, methodMemGet, id)
+	return v.Any(), err
+}
+
+// GetInt is Get for an object stored as a scalar; ok is false when the
+// object is a reference.
+func (mp *MemoryProclet) GetInt(p *sim.Proc, from cluster.MachineID, id uint64) (val int64, ok bool, err error) {
+	v, err := mp.fetch(p, from, methodMemGet, id)
+	val, ok = v.Int()
+	return val, ok, err
 }
 
 // GetBatch fetches the objects with the given IDs in one invocation,
@@ -466,12 +546,8 @@ func (mp *MemoryProclet) GetBatch(p *sim.Proc, from cluster.MachineID, ids []uin
 
 // Take atomically fetches and removes the object (queue pops).
 func (mp *MemoryProclet) Take(p *sim.Proc, from cluster.MachineID, id uint64) (any, error) {
-	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemTake,
-		proclet.Msg{Payload: id, Bytes: 8})
-	if err != nil {
-		return nil, err
-	}
-	return res.Payload, nil
+	v, err := mp.fetch(p, from, methodMemTake, id)
+	return v.Any(), err
 }
 
 // Update applies fn to the object with the given ID inside the proclet,
@@ -483,22 +559,20 @@ func (mp *MemoryProclet) Update(p *sim.Proc, from cluster.MachineID, id uint64, 
 	return err
 }
 
-// idsInRange returns the IDs of stored objects in [lo, hi), ascending.
+// idsInRange returns the IDs of stored objects in [lo, hi), ascending, in
+// the System's scratch: the caller is done with them within its event.
 // It iterates the object table (not the range), so sparse ID spaces —
 // hash-sharded maps — scan in O(objects).
 func (mp *MemoryProclet) idsInRange(lo, hi uint64) []uint64 {
-	var ids []uint64
-	for id := range mp.objs {
-		if id >= lo && id < hi {
-			ids = append(ids, id)
-		}
+	if hi == 0 {
+		return nil
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	mp.sys.ids = mp.objs.ids(mp.sys.ids[:0], lo, hi-1)
+	return mp.sys.ids
 }
 
 // Scan reads all objects with IDs in [lo, hi) from the proclet.
-func (mp *MemoryProclet) Scan(p *sim.Proc, from cluster.MachineID, lo, hi uint64) (ids []uint64, vals []any, sizes []int64, err error) {
+func (mp *MemoryProclet) Scan(p *sim.Proc, from cluster.MachineID, lo, hi uint64) (ids []uint64, vals []Value, sizes []int64, err error) {
 	res, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemScan,
 		proclet.Msg{Payload: &scanReq{lo: lo, hi: hi}, Bytes: 16})
 	if err != nil {
@@ -536,7 +610,7 @@ func (mp *MemoryProclet) Location() cluster.MachineID { return mp.pr.Location() 
 func (mp *MemoryProclet) HeapBytes() int64 { return mp.pr.HeapBytes() }
 
 // NumObjects returns the number of stored objects.
-func (mp *MemoryProclet) NumObjects() int { return len(mp.objs) }
+func (mp *MemoryProclet) NumObjects() int { return mp.objs.len() }
 
 // Destroy removes the proclet and its objects. Destroying a replicated
 // primary tears down its backups too.
@@ -569,9 +643,7 @@ type Ptr[T any] struct {
 // machine it runs on (invocation is routed like any other call).
 func NewPtr[T any](p *sim.Proc, from cluster.MachineID, mp *MemoryProclet, val T, bytes int64) (Ptr[T], error) {
 	id := mp.allocID()
-	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemPut,
-		proclet.Msg{Payload: &putReq{id: id, val: val, bytes: bytes}, Bytes: bytes})
-	if err != nil {
+	if err := mp.Put(p, from, id, val, bytes); err != nil {
 		return Ptr[T]{}, err
 	}
 	return Ptr[T]{sys: mp.sys, pid: mp.ID(), obj: id, bytes: bytes}, nil
@@ -589,17 +661,17 @@ func (pt Ptr[T]) Bytes() int64 { return pt.bytes }
 func (pt Ptr[T]) Deref(p *sim.Proc, from cluster.MachineID) (T, error) {
 	var zero T
 	res, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemGet,
-		proclet.Msg{Payload: pt.obj, Bytes: 8})
+		proclet.Msg{Word: pt.obj, Bytes: 8})
 	if err != nil {
 		return zero, err
 	}
-	return res.Payload.(T), nil
+	return msgValue(res).Any().(T), nil
 }
 
 // Store overwrites the object in place (same pointer, new value).
 func (pt *Ptr[T]) Store(p *sim.Proc, from cluster.MachineID, val T, bytes int64) error {
 	_, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemPut,
-		proclet.Msg{Payload: &putReq{id: pt.obj, val: val, bytes: bytes}, Bytes: bytes})
+		proclet.Msg{Word: pt.obj, Payload: val, Bytes: bytes})
 	if err == nil {
 		pt.bytes = bytes
 	}
@@ -609,6 +681,6 @@ func (pt *Ptr[T]) Store(p *sim.Proc, from cluster.MachineID, val T, bytes int64)
 // Free deletes the object.
 func (pt Ptr[T]) Free(p *sim.Proc, from cluster.MachineID) error {
 	_, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemDel,
-		proclet.Msg{Payload: pt.obj, Bytes: 8})
+		proclet.Msg{Word: pt.obj, Bytes: 8})
 	return err
 }

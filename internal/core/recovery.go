@@ -97,7 +97,7 @@ func (sc *Scheduler) recoverOne(p *sim.Proc, pr *proclet.Proclet) {
 			if err == nil {
 				mp, _ := pr.Data.(*MemoryProclet)
 				if mp != nil {
-					mp.objs = make(map[uint64]objEntry)
+					mp.objs = objTable{}
 				}
 				pr.ResetHeap()
 				if err = sc.sys.Runtime.Restore(p, pr, target); err == nil {

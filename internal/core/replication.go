@@ -57,7 +57,7 @@ const snapshotChunk = 64
 // only the backup created with that generation (resync snapshots).
 type repRecord struct {
 	id    uint64
-	val   any
+	val   Value
 	bytes int64
 	del   bool
 	gen   uint64
@@ -246,14 +246,13 @@ func (rs *replicaSet) addBackup() error {
 		int(rs.primary.pr.Location()), int(target), "backup %s gen=%d", name, gen)
 
 	// Snapshot the primary's live objects into the pipe, targeted at
-	// this backup only. Sorted for determinism.
-	ids := make([]uint64, 0, len(rs.primary.objs))
-	for id := range rs.primary.objs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := rs.primary.objs[id]
+	// this backup only. Ascending for determinism. The shell is sized for
+	// them here, so applying the snapshot chunk by chunk never regrows it.
+	objs := &rs.primary.objs
+	sys.ids = objs.ids(sys.ids[:0], 0, topID)
+	bmp.objs.reserve(len(sys.ids))
+	for _, id := range sys.ids {
+		e, _ := objs.get(id)
 		rs.enqueue(repRecord{id: id, val: e.val, bytes: e.bytes, gen: gen})
 	}
 	return nil
@@ -660,7 +659,7 @@ func (rm *ReplManager) failoverSet(p *sim.Proc, rs *replicaSet) {
 			return
 		}
 		target := b.mp.pr.Location()
-		rs.primary.objs = b.mp.objs
+		rs.primary.objs, b.mp.objs = b.mp.objs, objTable{}
 		if b.mp.nextObj > rs.primary.nextObj {
 			rs.primary.nextObj = b.mp.nextObj
 		}

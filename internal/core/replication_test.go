@@ -54,10 +54,10 @@ func TestReplicateShipsWritesToBackup(t *testing.T) {
 	s.K.RunUntil(sim.Time(10 * time.Millisecond))
 
 	b := rm.sets[mp.ID()].backups[0]
-	if got := len(b.mp.objs); got != 10 {
+	if got := b.mp.NumObjects(); got != 10 {
 		t.Fatalf("backup holds %d objects, want 10", got)
 	}
-	if v := b.mp.objs[7].val.(int); v != 700 {
+	if v := b.mp.objs.all()[7].val.Any().(int); v != 700 {
 		t.Errorf("backup obj 7 = %d, want 700", v)
 	}
 	if b.mp.pr.HeapBytes() != mp.pr.HeapBytes() {
@@ -126,7 +126,7 @@ func TestFailoverPromotesBackupWithoutDataLoss(t *testing.T) {
 		t.Errorf("resynced backup on machine %d, want anti-affine to %d and dead 1", bm, backupMachine)
 	}
 	nb := rm.sets[mp.ID()].backups[0]
-	if got := len(nb.mp.objs); got != 20 {
+	if got := nb.mp.NumObjects(); got != 20 {
 		t.Errorf("resynced backup holds %d objects, want 20", got)
 	}
 }
@@ -351,10 +351,10 @@ func TestReplicatedTakeAndUpdateShipEffects(t *testing.T) {
 	s.K.RunUntil(sim.Time(10 * time.Millisecond))
 
 	b := rm.sets[mp.ID()].backups[0].mp
-	if got := len(b.objs); got != 1 {
+	if got := b.NumObjects(); got != 1 {
 		t.Fatalf("backup objects = %d, want 1 (take's delete must replicate)", got)
 	}
-	if v := b.objs[1].val.(int); v != 15 {
+	if v := b.objs.all()[1].val.Any().(int); v != 15 {
 		t.Errorf("backup obj 1 = %d, want 15 (update's result must replicate)", v)
 	}
 }
@@ -421,7 +421,7 @@ func TestPutBatchCopiesOutOfCallersBatch(t *testing.T) {
 			for j := 0; j < 4; j++ {
 				id := uint64(round*4 + j + 1)
 				b.IDs = append(b.IDs, id)
-				b.Vals = append(b.Vals, int(id*7))
+				b.Vals = append(b.Vals, Ref(int(id*7)))
 				b.Sizes = append(b.Sizes, 64+int64(id))
 			}
 			if err := mp.PutBatch(p, 3, &b); err != nil {
@@ -432,13 +432,13 @@ func TestPutBatchCopiesOutOfCallersBatch(t *testing.T) {
 	s.K.RunUntil(sim.Time(10 * time.Millisecond))
 
 	backup := rm.sets[mp.ID()].backups[0].mp
-	for _, objs := range []map[uint64]objEntry{mp.objs, backup.objs} {
+	for _, objs := range []map[objID]objEntry{mp.objs.all(), backup.objs.all()} {
 		if len(objs) != 20 {
 			t.Fatalf("%d objects stored, want 20", len(objs))
 		}
 		for id := uint64(1); id <= 20; id++ {
-			if e := objs[id]; e.val != int(id*7) || e.bytes != 64+int64(id) {
-				t.Errorf("obj %d = %v (%d bytes), want %d (%d bytes)", id, e.val, e.bytes, id*7, 64+id)
+			if e := objs[id]; e.val != Ref(int(id*7)) || e.bytes != 64+int64(id) {
+				t.Errorf("obj %d = %v (%d bytes), want %d (%d bytes)", id, e.val.Any(), e.bytes, id*7, 64+id)
 			}
 		}
 	}

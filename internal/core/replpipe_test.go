@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -41,11 +42,11 @@ func ms(f float64) sim.Time { return sim.Time(f * float64(time.Millisecond)) }
 // sameObjects reports whether two replicas hold the same objects.
 func sameObjects(t *testing.T, what string, got, want *MemoryProclet) {
 	t.Helper()
-	if len(got.objs) != len(want.objs) {
-		t.Errorf("%s holds %d objects, the primary %d", what, len(got.objs), len(want.objs))
+	if got.NumObjects() != want.NumObjects() {
+		t.Errorf("%s holds %d objects, the primary %d", what, got.NumObjects(), want.NumObjects())
 	}
-	for id, w := range want.objs {
-		if g, ok := got.objs[id]; !ok || g != w {
+	for id, w := range want.objs.all() {
+		if g, ok := got.objs.get(id); !ok || g != w {
 			t.Errorf("%s obj %d = %v (present=%v), the primary has %v", what, id, g, ok, w)
 		}
 	}
@@ -73,7 +74,7 @@ func writers(s *System, mp *MemoryProclet, n int, on func(sim.Time) bool, until 
 				for j := 0; j < 4; j++ {
 					version++
 					b.IDs = append(b.IDs, uint64((round*4+j)%16+1))
-					b.Vals = append(b.Vals, version)
+					b.Vals = append(b.Vals, Int(version))
 					b.Sizes = append(b.Sizes, 64+version%7)
 				}
 				if err := mp.PutBatch(p, 2, &b); err == nil {
@@ -89,41 +90,43 @@ func writers(s *System, mp *MemoryProclet, n int, on func(sim.Time) bool, until 
 
 func TestReplicatedWriteSteadyStateAllocs(t *testing.T) {
 	s, _, _, mp, _ := replicatedStore(t, 2)
-	b := Batch{IDs: make([]uint64, 8), Vals: make([]any, 8), Sizes: make([]int64, 8)}
+	// A server-shaped batch: eight scalars, one of them named twice, the
+	// way a serving batch repeats a hot key.
+	b := Batch{IDs: make([]uint64, 8), Vals: make([]Value, 8), Sizes: make([]int64, 8)}
 	for i := range b.IDs {
-		b.IDs[i], b.Vals[i], b.Sizes[i] = uint64(i+1), int64(i), 128
+		b.IDs[i], b.Vals[i], b.Sizes[i] = uint64(i+1), Int(int64(i)<<40), 128
 	}
-	var one any = int64(7) // boxed once, as a caller that keeps its values would
-	batch := true
+	b.IDs[7] = b.IDs[0]
+	var one any = int64(7) << 40 // boxed once, as a caller that keeps its values would
+	write := (*MemoryProclet).PutBatch
+	writes := map[string]func(*MemoryProclet, *sim.Proc, cluster.MachineID, *Batch) error{
+		"PutBatch": (*MemoryProclet).PutBatch,
+		"Put": func(mp *MemoryProclet, p *sim.Proc, from cluster.MachineID, _ *Batch) error {
+			return mp.Put(p, from, 3, one, 128)
+		},
+		"PutInt": func(mp *MemoryProclet, p *sim.Proc, from cluster.MachineID, _ *Batch) error {
+			return mp.PutInt(p, from, 3, 9<<40, 128)
+		},
+	}
 	s.K.Spawn("writer", func(p *sim.Proc) {
 		// Every Run below executes one whole write (the tail of one and the
 		// head of the next): Stop ends it when the process next parks.
 		for {
-			var err error
-			if batch {
-				err = mp.PutBatch(p, 2, &b)
-			} else {
-				err = mp.Put(p, 2, 3, one, 128)
-			}
-			if err != nil {
+			if err := write(mp, p, 2, &b); err != nil {
 				t.Errorf("write: %v", err)
 			}
 			s.K.Stop()
 		}
 	})
 	step := func() { s.K.Run() }
-	for i := 0; i < 20; i++ { // grow the object table, both pipe buffers and the pools
-		step()
-	}
-	if got := testing.AllocsPerRun(200, step); got != 0 {
-		t.Errorf("rf=2 PutBatch over existing keys: %v allocs per write, want 0", got)
-	}
-	batch = false
-	step()
-	step()
-	// The caller's &putReq; the value is already boxed.
-	if got := testing.AllocsPerRun(200, step); got > 2 {
-		t.Errorf("rf=2 Put: %v allocs per write, want at most 2", got)
+	for _, name := range []string{"PutBatch", "Put", "PutInt"} {
+		write = writes[name]
+		for i := 0; i < 20; i++ { // grow the object table, both pipe buffers and the pools
+			step()
+		}
+		if got := testing.AllocsPerRun(200, step); got != 0 {
+			t.Errorf("rf=2 %s over existing keys: %v allocs per write, want 0", name, got)
+		}
 	}
 }
 
@@ -174,7 +177,7 @@ func TestLateShipIsNeverApplied(t *testing.T) {
 		t.Errorf("%d of 16 ids acked", len(acked))
 	}
 	for id := range acked {
-		if _, ok := mp.objs[id]; !ok {
+		if _, ok := mp.objs.get(id); !ok {
 			t.Errorf("acked obj %d lost", id)
 		}
 	}
@@ -237,7 +240,7 @@ func TestFailoverMidShipKeepsBatchWithItsShipper(t *testing.T) {
 	}
 	sameObjects(t, "resynced backup", rs.backups[0].mp, mp)
 	for id := range acked {
-		if _, ok := mp.objs[id]; !ok {
+		if _, ok := mp.objs.get(id); !ok {
 			t.Errorf("acked obj %d lost", id)
 		}
 	}

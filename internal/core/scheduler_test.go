@@ -129,11 +129,11 @@ func TestReactMemEvacuatesUnderPressure(t *testing.T) {
 	s.K.Spawn("filler", func(p *sim.Proc) {
 		// Fill machine 0 past the high-water mark (92% of 10 MiB).
 		var ids []uint64
-		var vals []any
+		var vals []Value
 		var sizes []int64
 		for i := 0; i < 95; i++ {
 			ids = append(ids, uint64(i+1))
-			vals = append(vals, i)
+			vals = append(vals, Int(int64(i)))
 			sizes = append(sizes, 100<<10)
 		}
 		if err := mp.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
@@ -156,7 +156,7 @@ func TestFreeUpMemory(t *testing.T) {
 	)
 	mp, _ := NewMemoryProcletOn(s, "shard", 0)
 	s.K.Spawn("driver", func(p *sim.Proc) {
-		ids, vals, sizes := []uint64{1}, []any{0}, []int64{8 << 20}
+		ids, vals, sizes := []uint64{1}, []Value{Int(0)}, []int64{8 << 20}
 		if err := mp.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
@@ -236,7 +236,7 @@ func TestAffinityColocation(t *testing.T) {
 			cp.Run(func(tc *TaskCtx) {
 				// Proclet-to-proclet call so affinity is attributed.
 				if _, err := cp.Proclet().Call(tc.Proc(), mp.ID(), "mem.get",
-					proclet.Msg{Payload: ptr.obj, Bytes: 8}); err != nil {
+					proclet.Msg{Word: ptr.obj, Bytes: 8}); err != nil {
 					t.Errorf("call: %v", err)
 					return
 				}

@@ -121,6 +121,12 @@ type System struct {
 	ownKernel bool         // Close tears the kernel down only if we made it
 	rebuild   Rebuilder    // memory-proclet reconstruction hook (recovery.go)
 	repl      *ReplManager // durability plane, nil unless enabled (replication.go)
+
+	// Scratch of the memory proclets' handlers (memproclet.go). Each is
+	// filled and consumed within one event, so one serves every proclet.
+	ids     []uint64    // a range walk's ids, ascending
+	undo    []displaced // what a PutBatch has overwritten so far
+	intArgs []*intArg   // free cells for PutInt
 }
 
 // NewSystem builds a Quicksand system over machines with the given

@@ -278,7 +278,7 @@ func runAblLocality(scale Scale) (*Result, error) {
 				var loop core.TaskFn
 				loop = func(tc *core.TaskCtx) {
 					if _, err := cpLocal.Proclet().Call(tc.Proc(), mpLocal.ID(), "mem.get",
-						proclet.Msg{Payload: uint64(1), Bytes: 8}); err != nil {
+						proclet.Msg{Word: 1, Bytes: 8}); err != nil {
 						return
 					}
 					_ = ptr

@@ -177,7 +177,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 				var done sim.Cond
 				pool[(w+op)%cfg.pool].Run(func(tc *core.TaskCtx) {
 					tc.Compute(cfg.opCPU)
-					err := stores[storeIdx].Put(tc.Proc(), tc.Machine(), key, opVal(key), cfg.opBytes)
+					err := stores[storeIdx].PutInt(tc.Proc(), tc.Machine(), key, opVal(key), cfg.opBytes)
 					if err == nil {
 						ledger.Ack(storeIdx, key)
 						out.ops++

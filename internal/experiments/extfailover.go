@@ -136,7 +136,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 			for op := 0; p.Now() < cfg.horizon; op++ {
 				idx := (w + op) % cfg.stores
 				key := uint64(w)<<32 | uint64(op)
-				if err := stores[idx].Put(p, 0, key, opVal(key), cfg.opBytes); err == nil {
+				if err := stores[idx].PutInt(p, 0, key, opVal(key), cfg.opBytes); err == nil {
 					ledger.Ack(idx, key)
 					out.ops++
 					now := p.Now()

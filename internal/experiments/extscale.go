@@ -141,7 +141,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 				for op := 0; p.Now() < cfg.horizon; op++ {
 					idx := (c + op) % cfg.stores
 					key := uint64(c)<<32 | uint64(op)
-					if err := st.stores[idx].Put(p, 0, key, opVal(key), cfg.opBytes); err == nil {
+					if err := st.stores[idx].PutInt(p, 0, key, opVal(key), cfg.opBytes); err == nil {
 						st.ledger.Ack(idx, key)
 						st.latest = opVal(key)
 						det.Ops[s]++

@@ -329,11 +329,11 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		// the stores are populated (a deterministic virtual-time instant).
 		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
 			ids := make([]uint64, cfg.objsPer)
-			vals := make([]any, cfg.objsPer)
+			vals := make([]core.Value, cfg.objsPer)
 			sizes := make([]int64, cfg.objsPer)
 			for i := range ids {
 				ids[i] = uint64(i)
-				vals[i] = int64(i)
+				vals[i] = core.Int(int64(i))
 				sizes[i] = cfg.objBytes
 			}
 			for _, mp := range st.stores {

@@ -130,7 +130,7 @@ func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 		sys.K.Spawn("writer", func(p *sim.Proc) {
 			for i := uint64(0); p.Now() < sim.Time(3*time.Millisecond); i++ {
 				k := i*31%60 + i/75*60
-				if stores[k%2].Put(p, 0, k, val(k), 512) == nil {
+				if stores[k%2].PutInt(p, 0, k, val(k), 512) == nil {
 					led.Ack(int(k%2), k)
 				}
 				p.Sleep(20 * time.Microsecond)

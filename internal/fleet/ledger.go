@@ -28,7 +28,8 @@ type ackedKeys struct {
 }
 
 // NewLedger starts an empty record for stores, whose objects are size
-// bytes and hold val(key).
+// bytes and hold the scalar val(key): writers store it with PutInt or as
+// core.Int in a batch, which is how Rebuild writes it and Verify reads it.
 func NewLedger(stores []*core.MemoryProclet, size int64, val func(key uint64) int64) *Ledger {
 	return &Ledger{stores: stores, acked: make([]ackedKeys, len(stores)), size: size, val: val}
 }
@@ -71,10 +72,10 @@ func (l *Ledger) Rebuild(p *sim.Proc, mp *core.MemoryProclet) error {
 			continue
 		}
 		b := &core.Batch{IDs: l.Keys(i)}
-		b.Vals = make([]any, len(b.IDs))
+		b.Vals = make([]core.Value, len(b.IDs))
 		b.Sizes = make([]int64, len(b.IDs))
 		for j, k := range b.IDs {
-			b.Vals[j], b.Sizes[j] = l.val(k), l.size
+			b.Vals[j], b.Sizes[j] = core.Int(l.val(k)), l.size
 		}
 		return mp.PutBatch(p, 0, b)
 	}
@@ -87,8 +88,8 @@ func (l *Ledger) Verify(p *sim.Proc, every int) (lost int64) {
 	for i, mp := range l.stores {
 		keys := l.Keys(i)
 		for j := 0; j < len(keys); j += every {
-			v, err := mp.Get(p, 0, keys[j])
-			if got, ok := v.(int64); err != nil || !ok || got != l.val(keys[j]) {
+			got, ok, err := mp.GetInt(p, 0, keys[j])
+			if err != nil || !ok || got != l.val(keys[j]) {
 				lost++
 			}
 		}

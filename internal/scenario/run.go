@@ -206,9 +206,9 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 	// Every object a store is preloaded with, and so its ledger's first
 	// entries: ids 0..Objects-1.
-	preload := &core.Batch{IDs: make([]uint64, w.Objects), Vals: make([]any, w.Objects), Sizes: make([]int64, w.Objects)}
+	preload := &core.Batch{IDs: make([]uint64, w.Objects), Vals: make([]core.Value, w.Objects), Sizes: make([]int64, w.Objects)}
 	for i := range preload.IDs {
-		preload.IDs[i], preload.Vals[i], preload.Sizes[i] = uint64(i), writeVal(uint64(i)), w.ObjectBytes
+		preload.IDs[i], preload.Vals[i], preload.Sizes[i] = uint64(i), core.Int(writeVal(uint64(i))), w.ObjectBytes
 	}
 
 	shards := make([]*shardState, f.Shards)
@@ -414,7 +414,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 						if ids := writeIDs[si]; len(ids) > 0 {
 							wbuf.IDs, wbuf.Vals, wbuf.Sizes = ids, wbuf.Vals[:0], wbuf.Sizes[:0]
 							for _, id := range ids {
-								wbuf.Vals = append(wbuf.Vals, writeVal(id))
+								wbuf.Vals = append(wbuf.Vals, core.Int(writeVal(id)))
 								wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
 							}
 							if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
@@ -481,7 +481,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					}
 					clear(got)
 					for j, id := range rb.IDs {
-						if v, ok := rb.Vals[j].(int64); ok {
+						if v, ok := rb.Vals[j].Int(); ok {
 							got[id] = v
 						}
 					}

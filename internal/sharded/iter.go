@@ -30,7 +30,7 @@ type VecIter[T any] struct {
 	ranged    bool   // when false, end tracks the live vector length
 	batchSize int
 
-	buf      []any
+	buf      []core.Value
 	bufPos   int
 	inflight *sim.Future[*vecBatch]
 	nextFrom uint64 // first element of the batch to prefetch next
@@ -44,7 +44,7 @@ type VecIter[T any] struct {
 type vecBatch struct {
 	start uint64
 	end   uint64 // planned exclusive extent at fetch time
-	vals  []any
+	vals  []core.Value
 	err   error
 }
 
@@ -151,7 +151,7 @@ func (it *VecIter[T]) Next(p *sim.Proc, from cluster.MachineID) (T, bool, error)
 			it.pos++
 			// Keep the pipeline primed.
 			it.issuePrefetch(from)
-			return val.(T), true, nil
+			return val.Any().(T), true, nil
 		}
 		if it.pos >= it.limit() {
 			return zero, false, nil

@@ -252,7 +252,7 @@ func (m *Map[K, V]) GetBatch(p *sim.Proc, from cluster.MachineID, keys []K) ([]V
 		}
 		buckets := make(map[uint64]any, len(got.IDs))
 		for j, id := range got.IDs {
-			buckets[id] = got.Vals[j]
+			buckets[id] = got.Vals[j].Any()
 		}
 		for _, i := range members {
 			bv, ok := buckets[hs[i]]

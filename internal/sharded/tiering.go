@@ -26,7 +26,7 @@ var ErrNoTier = errors.New("sharded: dataset exceeds memory and no spill tier is
 // spillPayload is what a spilled shard stores in the flat tier.
 type spillPayload struct {
 	ids   []uint64
-	vals  []any
+	vals  []core.Value
 	sizes []int64
 }
 

@@ -487,3 +487,39 @@ func TestDeadlinesAtOneTimeoutRideTheLane(t *testing.T) {
 		t.Errorf("mixed timeouts: %d fallbacks to the heap and deadline order %v: want some, and not the sending order", st.LaneFallbacks, want)
 	}
 }
+
+// A crashed node is refused at every heartbeat and retry, so the refusal
+// is built once per node and direction: two refused calls return the
+// identical error value, in the words a fresh fmt.Errorf would use, and
+// it still wraps ErrNodeDown.
+func TestDownErrorsAreBuiltOncePerNode(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	f := echoFabric(k, testConfig())
+	f.Node(2).SetDown(true)
+	var toDown, fromDown [2]error
+	k.Spawn("caller", func(p *sim.Proc) {
+		for i := range toDown {
+			_, toDown[i] = f.Call(p, 1, 2, "echo", Message{Bytes: 10})
+			fromDown[i] = f.Transfer(p, 2, 1, 10)
+		}
+	})
+	k.Run()
+	for _, c := range []struct {
+		errs [2]error
+		text string
+	}{
+		{toDown, "simnet: node is down: destination 2"},
+		{fromDown, "simnet: node is down: source 2"},
+	} {
+		if c.errs[0] != c.errs[1] {
+			t.Errorf("two refusals returned distinct errors %p and %p", c.errs[0], c.errs[1])
+		}
+		if !errors.Is(c.errs[0], ErrNodeDown) || c.errs[0].Error() != c.text {
+			t.Errorf("refusal = %q, want %q wrapping ErrNodeDown", c.errs[0], c.text)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _, _ = f.checkPath(1, 2) }); a != 0 {
+		t.Errorf("a refused path check allocates %v objects, want 0", a)
+	}
+}

@@ -100,9 +100,12 @@ type linkKey struct {
 
 // Message is an RPC payload plus its on-wire size. Payloads are passed
 // by reference (host memory); Bytes is what the network charges for.
+// Word is one scalar carried inline, for a request or reply that is
+// nothing more (an object id, a stored integer): it needs no box.
 type Message struct {
 	Payload any
 	Bytes   int64
+	Word    uint64
 }
 
 // Handler processes an RPC on the destination node. It runs in its own
@@ -133,6 +136,10 @@ type Node struct {
 	txFree sim.Time
 	rxFree sim.Time
 	down   bool
+	// errSrcDown and errDstDown are what checkPath answers while the node
+	// is down, built on first use: a crashed node is refused at every
+	// heartbeat and retry, always in the same words.
+	errSrcDown, errDstDown error
 
 	// Handlers by method. Almost every node serves a single method
 	// (proclet.invoke), so the first two registered live inline and only a
@@ -417,10 +424,16 @@ func (f *Fabric) checkPath(from, to NodeID) (*Node, *Node, error) {
 		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchNode, to)
 	}
 	if src.down {
-		return nil, nil, fmt.Errorf("%w: source %d", ErrNodeDown, from)
+		if src.errSrcDown == nil {
+			src.errSrcDown = fmt.Errorf("%w: source %d", ErrNodeDown, from)
+		}
+		return nil, nil, src.errSrcDown
 	}
 	if dst.down {
-		return nil, nil, fmt.Errorf("%w: destination %d", ErrNodeDown, to)
+		if dst.errDstDown == nil {
+			dst.errDstDown = fmt.Errorf("%w: destination %d", ErrNodeDown, to)
+		}
+		return nil, nil, dst.errDstDown
 	}
 	return src, dst, nil
 }
