@@ -213,6 +213,55 @@ func BenchmarkComputeUnit(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkComputeTask measures one filler unit as fig1 runs it: 8
+// single-worker compute proclets on an 8-core machine, each kept busy by
+// two 50 µs units that count and re-enqueue themselves. blocking is the
+// closure that computes and counts on the worker's thread, one switch in
+// and out a unit; staged is RunCompute, whose worker is never switched in.
+func BenchmarkComputeTask(b *testing.B) {
+	const unit = 50 * time.Microsecond
+	for _, staged := range []bool{false, true} {
+		name := "blocking"
+		if staged {
+			name = "staged"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := benchSystem()
+			defer sys.Close()
+			left := b.N
+			// One closure value feeds every unit, as in fig1.
+			var count, whole core.TaskFn
+			feed := func(cp *core.ComputeProclet) {
+				if staged {
+					cp.RunCompute(unit, count)
+				} else {
+					cp.Run(whole)
+				}
+			}
+			count = func(tc *core.TaskCtx) {
+				if left--; left > 0 {
+					feed(tc.ComputeProclet())
+				}
+			}
+			whole = func(tc *core.TaskCtx) {
+				tc.Compute(unit)
+				count(tc)
+			}
+			for i := 0; i < 8; i++ {
+				cp, err := core.NewComputeProcletOn(sys, "filler", 0, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				feed(cp)
+				feed(cp)
+			}
+			b.ResetTimer()
+			sys.K.Run()
+		})
+	}
+}
+
 // BenchmarkProcSwitch measures one kernel-to-process round trip, two
 // coroutine switches: a process that wakes from Sleep, finds nothing to
 // do and sleeps again, which is what every idle poll cost before

@@ -46,13 +46,16 @@ func main() {
 		metrics.NewBucketSeries("m0", time.Millisecond),
 		metrics.NewBucketSeries("m1", time.Millisecond),
 	}
-	var feed func(cp *core.ComputeProclet)
-	feed = func(cp *core.ComputeProclet) {
-		cp.Run(func(tc *core.TaskCtx) {
-			tc.Compute(50 * time.Microsecond)
-			goodput[tc.Machine()].Add(sys.K.Now(), 1)
-			feed(tc.ComputeProclet())
-		})
+	// A unit is 50 us of compute, then a count and the next unit: nothing
+	// after the compute blocks, so RunCompute carries it as data and the
+	// count runs in kernel context.
+	var count core.TaskFn
+	feed := func(cp *core.ComputeProclet) {
+		cp.RunCompute(50*time.Microsecond, count)
+	}
+	count = func(tc *core.TaskCtx) {
+		goodput[tc.Machine()].Add(sys.K.Now(), 1)
+		feed(tc.ComputeProclet())
 	}
 	for _, m := range pool.Members() {
 		feed(m)

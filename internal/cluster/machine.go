@@ -75,12 +75,22 @@ func (t *Task) Remaining() time.Duration {
 	return time.Duration(math.Ceil(t.remaining))
 }
 
+// Done returns the Cond that is broadcast when the task completes or is
+// canceled, or nil once it has: what a caller that cannot block (a
+// sim.WaitStaged stage) parks its process on in place of Wait.
+func (t *Task) Done() *sim.Cond {
+	if t.finished {
+		return nil
+	}
+	return &t.done
+}
+
 // Wait blocks the calling process until the task completes or is
 // canceled. It reports whether the task was canceled and, if so, how
 // much work remains.
 func (t *Task) Wait(p *sim.Proc) (canceled bool, remaining time.Duration) {
-	if !t.finished {
-		t.done.Wait(p)
+	if c := t.Done(); c != nil {
+		c.Wait(p)
 	}
 	if t.canceled {
 		return true, t.Remaining()

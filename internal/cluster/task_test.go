@@ -93,6 +93,35 @@ func TestTaskWaitAfterCompletion(t *testing.T) {
 	k.Run()
 }
 
+// TestTaskDoneIsNilOnceFinished: Done names a Cond to park on only while
+// the task is resident. Completed, canceled or refused by a down machine,
+// the broadcast has already happened, and a caller that parked on the Cond
+// anyway would never wake.
+func TestTaskDoneIsNilOnceFinished(t *testing.T) {
+	k, m := newTestMachine(t, 1, 0)
+	completed, canceled := m.Submit(time.Millisecond), m.Submit(5*time.Millisecond)
+	if completed.Done() == nil || canceled.Done() == nil {
+		t.Fatal("Done is nil on a resident task")
+	}
+	woken := 0
+	k.Spawn("waiter", func(p *sim.Proc) {
+		completed.Done().Wait(p)
+		woken++
+	})
+	k.Schedule(3*sim.Millisecond, canceled.Cancel)
+	k.Run()
+	if woken != 1 {
+		t.Errorf("the waiter on Done woke %d times, want 1", woken)
+	}
+	m.Crash()
+	refused := m.Submit(time.Millisecond)
+	for name, task := range map[string]*Task{"completed": completed, "canceled": canceled, "refused": refused} {
+		if task.Done() != nil {
+			t.Errorf("Done is not nil on a %s task", name)
+		}
+	}
+}
+
 func TestTaskCancelStalledByReservation(t *testing.T) {
 	// With all cores reserved the task makes zero progress; cancel must
 	// return the full work.

@@ -19,6 +19,14 @@ var ErrPoolLimit = errors.New("core: pool size limit reached")
 // migrations.
 type TaskFn func(tc *TaskCtx)
 
+// task is one queued unit: fn, run on the worker's thread (work == 0, what
+// Run enqueues), or work of compute followed by fn in kernel context (what
+// RunCompute enqueues).
+type task struct {
+	fn   TaskFn
+	work time.Duration
+}
+
 // TaskCtx gives a running task access to its execution environment.
 type TaskCtx struct {
 	thread *proclet.Thread
@@ -53,7 +61,7 @@ type ComputeProclet struct {
 	// queue[qHead:] holds pending tasks; popping advances qHead so the
 	// backing array's capacity is reused across drain cycles instead of
 	// being abandoned by reslicing from the front.
-	queue    []TaskFn
+	queue    []task
 	qHead    int
 	qCond    sim.Cond
 	workers  int
@@ -145,39 +153,96 @@ func (s *System) NewComputeProclet(name string, workers int) (*ComputeProclet, e
 	return NewComputeProcletOn(s, name, m, workers)
 }
 
+// worker is one worker thread's state between two parks: the task it
+// took off the queue and whether that task's compute is still in flight.
+type worker struct {
+	cp        *ComputeProclet
+	thread    *proclet.Thread
+	ctx       TaskCtx // one per thread: both fields are invariant for its lifetime
+	cur       task
+	computing bool
+}
+
+// workerLoop is a worker thread's body. Everything that cannot block —
+// waiting for a task, taking it, a compute task's whole life, the finish
+// accounting — is next, which the kernel runs as the stage of one
+// WaitStaged park after another; the thread's process is resumed only to
+// run a blocking task, or to exit.
 func (cp *ComputeProclet) workerLoop(t *proclet.Thread) {
-	// One TaskCtx per worker thread: both fields are invariant for the
-	// thread's lifetime, so handing every task the same context avoids a
-	// heap allocation per task.
-	ctx := TaskCtx{thread: t, cp: cp}
+	w := &worker{cp: cp, thread: t, ctx: TaskCtx{thread: t, cp: cp}}
+	stage := w.next
 	for {
-		for cp.QueueLen() == 0 && !cp.stopping {
-			// Idle worker: steal from a pool sibling before parking.
-			if cp.pool != nil && cp.pool.stealFor(cp) {
-				break
-			}
-			cp.qCond.Wait(t.Proc())
-		}
-		if cp.QueueLen() == 0 && cp.stopping {
+		t.Proc().WaitStaged(w.next(), stage)
+		if w.cur.fn == nil {
 			return
 		}
-		fn := cp.popFront()
-		cp.running++
-		fn(&ctx)
-		cp.running--
-		cp.executed++
-		if cp.running == 0 && cp.QueueLen() == 0 {
-			cp.idle.Broadcast()
-		}
+		w.cur.fn(&w.ctx)
+		w.finish()
 	}
 }
 
+// next advances the worker as far as it can go without blocking and
+// returns the Cond it has to park on. Nil hands over to the thread's
+// process: w.cur is a blocking task, taken and counted as running, or is
+// empty because the proclet is stopping and the worker is done.
+func (w *worker) next() *sim.Cond {
+	cp := w.cp
+	for {
+		if w.computing {
+			if c := w.thread.ComputeStep(); c != nil {
+				return c
+			}
+			w.computing = false
+			w.cur.fn(&w.ctx)
+			w.finish()
+		}
+		if cp.QueueLen() == 0 {
+			if cp.stopping {
+				w.cur = task{}
+				return nil
+			}
+			// Idle worker: steal from a pool sibling before parking.
+			if cp.pool != nil && cp.pool.stealFor(cp) {
+				continue
+			}
+			return &cp.qCond
+		}
+		w.cur = cp.popFront()
+		cp.running++
+		if w.cur.work == 0 {
+			return nil
+		}
+		if c := w.thread.ComputeBegin(w.cur.work); c != nil {
+			w.computing = true
+			return c
+		}
+		w.cur.fn(&w.ctx)
+		w.finish()
+	}
+}
+
+// finish accounts for the task the worker just ran.
+func (w *worker) finish() {
+	cp := w.cp
+	cp.running--
+	cp.executed++
+	if cp.running == 0 && cp.QueueLen() == 0 {
+		cp.idle.Broadcast()
+	}
+}
+
+// queueSlack is the dead prefix popFront tolerates before it compacts.
+const queueSlack = 32
+
 // popFront removes and returns the oldest pending task. The drained
-// prefix is reused once the queue empties (or compacted when it grows
-// large), keeping steady-state enqueueing allocation-free.
-func (cp *ComputeProclet) popFront() TaskFn {
-	fn := cp.queue[cp.qHead]
-	cp.queue[cp.qHead] = nil // release the closure for GC
+// prefix is reused once the queue empties, and compacted away once it is
+// queueSlack long and at least half the slice — a proclet fed by tasks
+// that re-enqueue themselves never empties — so the queue's storage is
+// bounded by its live entries and steady-state enqueueing allocates
+// nothing.
+func (cp *ComputeProclet) popFront() task {
+	t := cp.queue[cp.qHead]
+	cp.queue[cp.qHead] = task{} // release the closure for GC
 	if cp.delayTrack {
 		cp.waitSumNS += int64(cp.sys.K.Now().Sub(cp.qTimes[cp.qHead]))
 		cp.waitN++
@@ -189,7 +254,7 @@ func (cp *ComputeProclet) popFront() TaskFn {
 			cp.qTimes = cp.qTimes[:0]
 		}
 		cp.qHead = 0
-	} else if cp.qHead >= 1024 && cp.qHead*2 >= len(cp.queue) {
+	} else if cp.qHead >= queueSlack && cp.qHead*2 >= len(cp.queue) {
 		n := copy(cp.queue, cp.queue[cp.qHead:])
 		cp.queue = cp.queue[:n]
 		if cp.delayTrack {
@@ -198,22 +263,42 @@ func (cp *ComputeProclet) popFront() TaskFn {
 		}
 		cp.qHead = 0
 	}
-	return fn
+	return t
 }
 
 // Run enqueues a task (§3.1's Run(lambda)). Safe to call from kernel
 // context or any simulated process; enqueueing itself is free. Tasks
 // submitted to a pool member that is being merged away are redirected
 // to the pool's surviving members.
-func (cp *ComputeProclet) Run(fn TaskFn) {
+func (cp *ComputeProclet) Run(fn TaskFn) { cp.enqueue(task{fn: fn}) }
+
+// RunCompute enqueues "burn work of single-core CPU on the proclet's
+// machine, following migrations, then call fn": Run of a task that starts
+// with tc.Compute(work), with the rest of the task carried as data. fn
+// runs in kernel context, in the event in which the compute finished, and
+// so must not block — no Compute, Call, Sleep, lock or channel operation;
+// one that tries hits the kernel's outside-its-own-context panic. It may
+// do what an event may: read and write simulated state, enqueue tasks,
+// schedule, spawn and wake. A worker runs such a task without its process
+// ever being switched in, which is what keeps a fine-grained unit cheap;
+// a task that has to block after its compute goes through Run. work must
+// be positive.
+func (cp *ComputeProclet) RunCompute(work time.Duration, fn TaskFn) {
+	if work <= 0 {
+		panic("core: RunCompute requires positive work")
+	}
+	cp.enqueue(task{fn: fn, work: work})
+}
+
+func (cp *ComputeProclet) enqueue(t task) {
 	if cp.stopping {
 		if cp.pool != nil {
-			cp.pool.Run(fn)
+			cp.pool.enqueue(t)
 			return
 		}
 		panic(fmt.Sprintf("core: Run on stopping compute proclet %s", cp.pr.Name()))
 	}
-	cp.queue = append(cp.queue, fn)
+	cp.queue = append(cp.queue, t)
 	if cp.delayTrack {
 		cp.qTimes = append(cp.qTimes, cp.sys.K.Now())
 	}
@@ -260,12 +345,12 @@ func (cp *ComputeProclet) WaitIdle(p *sim.Proc) {
 
 // stealHalf removes the back half of the pending queue (the newest
 // tasks) and returns it; used when splitting.
-func (cp *ComputeProclet) stealHalf() []TaskFn {
+func (cp *ComputeProclet) stealHalf() []task {
 	n := cp.QueueLen() / 2
 	if n == 0 {
 		return nil
 	}
-	stolen := make([]TaskFn, n)
+	stolen := make([]task, n)
 	copy(stolen, cp.queue[len(cp.queue)-n:])
 	cp.queue = cp.queue[:len(cp.queue)-n]
 	if cp.delayTrack {
@@ -275,7 +360,7 @@ func (cp *ComputeProclet) stealHalf() []TaskFn {
 }
 
 // drainAll removes and returns the entire pending queue (merging).
-func (cp *ComputeProclet) drainAll() []TaskFn {
+func (cp *ComputeProclet) drainAll() []task {
 	q := cp.queue[cp.qHead:]
 	cp.queue, cp.qHead = nil, 0
 	cp.qTimes = nil
@@ -358,7 +443,9 @@ func (pl *Pool) Members() []*ComputeProclet { return pl.members }
 
 // Run dispatches a task to the member with the shortest backlog,
 // breaking ties round-robin.
-func (pl *Pool) Run(fn TaskFn) {
+func (pl *Pool) Run(fn TaskFn) { pl.enqueue(task{fn: fn}) }
+
+func (pl *Pool) enqueue(t task) {
 	best := -1
 	bestLen := int(^uint(0) >> 1)
 	n := len(pl.members)
@@ -369,7 +456,7 @@ func (pl *Pool) Run(fn TaskFn) {
 		}
 	}
 	pl.rr = (pl.rr + 1) % n
-	pl.members[best].Run(fn)
+	pl.members[best].enqueue(t)
 }
 
 // QueueLen returns total pending tasks across members.
@@ -421,8 +508,8 @@ func (pl *Pool) Grow(p *sim.Proc) (bool, error) {
 		}
 		return false, err
 	}
-	for _, fn := range victim.stealHalf() {
-		cp.Run(fn)
+	for _, t := range victim.stealHalf() {
+		cp.enqueue(t)
 	}
 	pl.Splits++
 	pl.sys.Trace.Emitf(pl.sys.K.Now(), obs.KindSplit, pl.name,
@@ -448,8 +535,8 @@ func (pl *Pool) Shrink(p *sim.Proc) (bool, error) {
 	victim := pl.members[vIdx]
 	pl.members = append(pl.members[:vIdx], pl.members[vIdx+1:]...)
 	pending := victim.drainAll()
-	for _, fn := range pending {
-		pl.Run(fn)
+	for _, t := range pending {
+		pl.enqueue(t)
 	}
 	loc := victim.Location()
 	var sp obs.SpanID

@@ -83,6 +83,13 @@ type Scheduler struct {
 	adapts  []Adaptive
 	started bool
 
+	// Scratch for reactCPU, which every reactor tick of every machine
+	// reaches: its victim list and the demand it has projected onto each
+	// machine this round. One copy serves all reactors because reactCPU uses
+	// them only before its first blocking call.
+	victims []*procInfo
+	added   []float64
+
 	// Counters for control-plane activity.
 	Evacuations   metrics.Counter // fast-path CPU evacuations
 	MemEvictions  metrics.Counter // fast-path memory evacuations
@@ -324,14 +331,13 @@ func (sc *Scheduler) PlaceComputeIdle() (cluster.MachineID, error) {
 
 // ---- Fast path: per-machine reactors ----
 
-// movableOn lists non-pinned, running proclets of a kind on machine m,
-// smallest heap first (cheapest to migrate).
-func (sc *Scheduler) movableOn(m cluster.MachineID, kind Kind) []*procInfo {
-	var out []*procInfo
+// movableOn appends to dst the non-pinned, running proclets of a kind on
+// machine m, smallest heap first (cheapest to migrate).
+func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) []*procInfo {
 	keep := func(pi *procInfo) {
 		if pi.kind == kind && !pi.pinned &&
 			pi.pr.Location() == m && pi.pr.State() == proclet.StateRunning {
-			out = append(out, pi)
+			dst = append(dst, pi)
 		}
 	}
 	if kind == KindCompute {
@@ -343,13 +349,13 @@ func (sc *Scheduler) movableOn(m cluster.MachineID, kind Kind) []*procInfo {
 			keep(pi)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].pr.HeapBytes() != out[j].pr.HeapBytes() {
-			return out[i].pr.HeapBytes() < out[j].pr.HeapBytes()
+	slices.SortFunc(dst, func(a, b *procInfo) int {
+		if c := cmp.Compare(a.pr.HeapBytes(), b.pr.HeapBytes()); c != 0 {
+			return c
 		}
-		return out[i].pr.ID() < out[j].pr.ID()
+		return cmp.Compare(a.pr.ID(), b.pr.ID())
 	})
-	return out
+	return dst
 }
 
 // needsReact reports whether the fast path would act on machine m now:
@@ -374,13 +380,17 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 	if demand <= avail*sc.cfg.CPUHighWater {
 		return
 	}
-	victims := sc.movableOn(m.ID, KindCompute)
+	// Nothing between here and wg.Wait blocks, so no other reactor runs
+	// while the scheduler's scratch is in use.
+	sc.victims = sc.movableOn(sc.victims[:0], m.ID, KindCompute)
+	victims := sc.victims
 	if len(victims) == 0 {
 		return
 	}
 	// Projected demand added to each target this round.
-	added := make(map[cluster.MachineID]float64)
-	var wg sim.WaitGroup
+	sc.added = append(sc.added[:0], make([]float64, sc.sys.Cluster.NumMachines())...)
+	added := sc.added
+	var wg *sim.WaitGroup // made by the first launch: most rounds find no target
 	launched := 0
 	var sp obs.SpanID
 	for _, v := range victims {
@@ -407,19 +417,23 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 		}
 		added[target] += d
 		demand -= d
-		id := v.pr.ID()
-		cause := sp
-		wg.Add(1)
+		if wg == nil {
+			wg = new(sim.WaitGroup)
+		}
+		// Copies for the closure: capturing wg or sp themselves would put
+		// them on the heap in every round, launch or not.
+		id, cause, round := v.pr.ID(), sp, wg
+		round.Add(1)
 		launched++
 		sc.sys.K.Spawn("sched/evacuate", func(mp *sim.Proc) {
-			defer wg.Done()
+			defer round.Done()
 			if err := sc.sys.Runtime.MigrateCaused(mp, id, target, cause); err == nil {
 				sc.Evacuations.Inc()
 			}
 		})
 	}
 	if launched > 0 {
-		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, fmt.Sprintf("m%d", m.ID),
+		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, m.Name, // "m<ID>"
 			int(m.ID), -1, "cpu evacuating %d proclets", launched)
 		wg.Wait(p)
 	}
@@ -428,7 +442,7 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 
 // pickCPUTarget finds the machine (other than src) that can absorb d
 // cores of demand while staying under the low-water load.
-func (sc *Scheduler) pickCPUTarget(src cluster.MachineID, d float64, added map[cluster.MachineID]float64, heap int64) cluster.MachineID {
+func (sc *Scheduler) pickCPUTarget(src cluster.MachineID, d float64, added []float64, heap int64) cluster.MachineID {
 	var best cluster.MachineID = -1
 	bestLoad := math.Inf(1)
 	for _, m := range sc.sys.Cluster.Machines() {
@@ -449,7 +463,7 @@ func (sc *Scheduler) reactMem(p *sim.Proc, m *cluster.Machine) {
 	if m.Down() || m.MemPressure() <= sc.cfg.MemHighWater {
 		return
 	}
-	victims := sc.movableOn(m.ID, KindMemory)
+	victims := sc.movableOn(nil, m.ID, KindMemory)
 	// Evacuate biggest first: frees the most per migration.
 	for i, j := 0, len(victims)-1; i < j; i, j = i+1, j-1 {
 		victims[i], victims[j] = victims[j], victims[i]
@@ -501,7 +515,7 @@ func (sc *Scheduler) pickMemTarget(src cluster.MachineID, bytes int64) cluster.M
 func (sc *Scheduler) FreeUpMemory(p *sim.Proc, mid cluster.MachineID, bytes int64) bool {
 	m := sc.sys.Cluster.Machine(mid)
 	var sp obs.SpanID
-	for _, v := range sc.movableOn(mid, KindMemory) {
+	for _, v := range sc.movableOn(nil, mid, KindMemory) {
 		if m.MemFree() >= bytes {
 			break
 		}
@@ -555,7 +569,7 @@ func (sc *Scheduler) rebalance(p *sim.Proc) {
 			return
 		}
 		moved := false
-		for _, v := range sc.movableOn(hi.ID, KindCompute) {
+		for _, v := range sc.movableOn(nil, hi.ID, KindCompute) {
 			d := v.demand()
 			if d == 0 {
 				continue

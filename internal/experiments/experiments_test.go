@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -367,6 +368,51 @@ func TestExperimentDeterminism(t *testing.T) {
 			if r1.Lines[i] != r2.Lines[i] {
 				t.Errorf("%s: line %d differs:\n%s\n%s", id, i, r1.Lines[i], r2.Lines[i])
 			}
+		}
+	}
+}
+
+// TestFig1RunComputeMatchesBlockingUnit: the filler unit enqueued with
+// RunCompute — counted in kernel context, its worker never switched in —
+// is the same simulation as the closure it replaced, which computes and
+// counts on the worker's own thread: every mode of fig1 executes the same
+// number of events, writes the same control-plane trace and fills the same
+// goodput buckets either way.
+func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
+	blocking := func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn) {
+		cp.Run(func(tc *core.TaskCtx) {
+			tc.Compute(work)
+			fn(tc)
+		})
+	}
+	cfg := fig1Config(TestScale)
+	for _, mode := range []string{"quicksand", "pinned", "coarse"} {
+		want, err := fig1RunFull(cfg, mode, nil, blocking)
+		if err != nil {
+			t.Fatalf("%s, blocking: %v", mode, err)
+		}
+		got, err := fig1RunFull(cfg, mode, nil, (*core.ComputeProclet).RunCompute)
+		if err != nil {
+			t.Fatalf("%s, RunCompute: %v", mode, err)
+		}
+		if got.events != want.events {
+			t.Errorf("%s: %d events with RunCompute, %d with the blocking unit", mode, got.events, want.events)
+		}
+		if !reflect.DeepEqual(got.trace, want.trace) {
+			t.Errorf("%s: control-plane traces differ\nRunCompute: %v\nblocking:   %v", mode, got.trace, want.trace)
+		}
+		for m := range want.perMachine {
+			if !reflect.DeepEqual(got.perMachine[m], want.perMachine[m]) {
+				t.Errorf("%s: machine %d's goodput series differs", mode, m)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: goodput %.3f%%, %d migrations (mean %.4f ms, max %.4f ms), react %.3f ms with RunCompute; %.3f%%, %d (%.4f, %.4f), %.3f with the blocking unit",
+				mode, got.goodputPct, got.migrations, got.migMeanMs, got.migMaxMs, got.reactMeanM,
+				want.goodputPct, want.migrations, want.migMeanMs, want.migMaxMs, want.reactMeanM)
+		}
+		if mode == "quicksand" && (want.migrations == 0 || want.goodputPct < 50) {
+			t.Errorf("quicksand mode migrated %d times for %.1f%% goodput: the run exercises nothing", want.migrations, want.goodputPct)
 		}
 	}
 }

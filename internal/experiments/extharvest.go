@@ -57,15 +57,14 @@ func runExtHarvest(scale Scale) (*Result, error) {
 		}
 		goodput := metrics.NewBucketSeries("goodput", time.Millisecond)
 		// One closure value feeds every task, as in fig1: a completion
-		// re-enqueues the same TaskFn on its current proclet.
-		var taskFn core.TaskFn
-		taskFn = func(tc *core.TaskCtx) {
-			tc.Compute(unit)
-			goodput.Add(sys.K.Now(), 1)
-			tc.ComputeProclet().Run(taskFn)
-		}
+		// re-enqueues the same unit on its current proclet.
+		var count core.TaskFn
 		feed := func(cp *core.ComputeProclet) {
-			cp.Run(taskFn)
+			cp.RunCompute(unit, count)
+		}
+		count = func(tc *core.TaskCtx) {
+			goodput.Add(sys.K.Now(), 1)
+			feed(tc.ComputeProclet())
 		}
 		// Filler sized to the idle capacity: 2 machines' worth.
 		members := int(2 * cores)

@@ -59,16 +59,20 @@ type fig1Stats struct {
 }
 
 func fig1Run(cfg fig1Cfg, mode string) (fig1Stats, error) {
-	return fig1RunFull(cfg, mode, nil)
+	return fig1RunFull(cfg, mode, nil, (*core.ComputeProclet).RunCompute)
 }
 
 // fig1RunWith runs the Quicksand mode with a mutated system config
 // (scheduler ablations).
 func fig1RunWith(cfg fig1Cfg, mutate func(*core.Config)) (fig1Stats, error) {
-	return fig1RunFull(cfg, "quicksand", mutate)
+	return fig1RunFull(cfg, "quicksand", mutate, (*core.ComputeProclet).RunCompute)
 }
 
-func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config)) (fig1Stats, error) {
+// fig1RunFull runs one mode. enqueue is how a filler unit — work of
+// compute, then a function that cannot block — reaches a compute proclet:
+// RunCompute, except in the test that holds RunCompute to its blocking twin.
+func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config),
+	enqueue func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn)) (fig1Stats, error) {
 	sysCfg := core.DefaultConfig()
 	if mutate != nil {
 		mutate(&sysCfg)
@@ -99,16 +103,16 @@ func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config)) (fig1Stats
 	}
 
 	// One closure value feeds every task: each completion re-enqueues
-	// the same TaskFn on its current proclet, so the steady-state filler
-	// loop allocates no closures at all.
-	var taskFn core.TaskFn
-	taskFn = func(tc *core.TaskCtx) {
-		tc.Compute(cfg.unit)
-		st.perMachine[tc.Machine()].Add(k.Now(), 1)
-		tc.ComputeProclet().Run(taskFn)
-	}
+	// the same unit on its current proclet, so the steady-state filler
+	// loop allocates no closures at all. Nothing after the compute can
+	// block, so the unit is a RunCompute and no worker is switched in for it.
+	var count core.TaskFn
 	feed := func(cp *core.ComputeProclet) {
-		cp.Run(taskFn)
+		enqueue(cp, cfg.unit, count)
+	}
+	count = func(tc *core.TaskCtx) {
+		st.perMachine[tc.Machine()].Add(k.Now(), 1)
+		feed(tc.ComputeProclet())
 	}
 
 	switch mode {

@@ -300,6 +300,11 @@ type Thread struct {
 	proc *sim.Proc
 	base string // thread name as given to SpawnThread
 	idx  int64  // per-proclet thread ordinal
+
+	// The compute in flight (see ComputeStep): the task submitted for it
+	// or, while none is, the work still owed.
+	task *cluster.Task
+	rem  time.Duration
 }
 
 // SpawnThread starts fn on a new thread of the proclet. The thread's
@@ -332,27 +337,51 @@ func (t *Thread) Sleep(d time.Duration) { t.proc.Sleep(d) }
 // the proclet, following it across migrations: if the proclet migrates
 // mid-compute, the remaining work resumes on the new machine.
 func (t *Thread) Compute(d time.Duration) {
+	for c := t.ComputeBegin(d); c != nil; c = t.ComputeStep() {
+		c.Wait(t.proc)
+	}
+}
+
+// ComputeBegin starts what Compute does and returns the Cond the thread
+// has to wait on before calling ComputeStep, or nil if there is nothing
+// left to wait for. Neither blocks, so a thread can run its compute from
+// a sim.WaitStaged stage; a thread has one compute in flight at a time.
+func (t *Thread) ComputeBegin(d time.Duration) *sim.Cond {
+	t.rem = d
+	return t.ComputeStep()
+}
+
+// ComputeStep moves the thread's compute on after a wake: it settles the
+// task that finished, resubmits what a cancellation left over, and returns
+// the next Cond to wait on, or nil once the work is done.
+func (t *Thread) ComputeStep() *sim.Cond {
 	pr := t.pr
-	for d > 0 {
+	for {
+		if task := t.task; task != nil {
+			if c := task.Done(); c != nil {
+				return c
+			}
+			t.task = nil
+			pr.dropTask(task)
+			t.rem = 0
+			if task.Canceled() {
+				t.rem = task.Remaining()
+			}
+			task.Release()
+		}
+		if t.rem <= 0 {
+			return nil
+		}
 		switch pr.state {
 		case StateDead:
-			return
+			return nil
 		case StateMigrating, StateOrphaned:
 			// Suspended: a migration commit or a crash-recovery Restore
 			// resumes the remainder on the proclet's new machine.
-			pr.unblocked.Wait(t.proc)
-			continue
+			return &pr.unblocked
 		}
-		m := pr.rt.Cluster.Machine(pr.machine)
-		task := m.Submit(d)
-		pr.tasks = append(pr.tasks, task)
-		canceled, rem := task.Wait(t.proc)
-		pr.dropTask(task)
-		task.Release()
-		if !canceled {
-			return
-		}
-		d = rem
+		t.task = pr.rt.Cluster.Machine(pr.machine).Submit(t.rem)
+		pr.tasks = append(pr.tasks, t.task)
 	}
 }
 

@@ -929,6 +929,19 @@ func (k *Kernel) stage(p *Proc) {
 	k.resumeAndWait(p)
 }
 
+// waitStage runs a WaitStaged stage in kernel context, in the event that
+// would have resumed the process: the stage either parks the process
+// again, on the Cond it names, or lets it resume within this same event.
+func (k *Kernel) waitStage(p *Proc) {
+	if c := p.waitStage(); c != nil {
+		c.add(p.prepark())
+		k.blocked++
+		return
+	}
+	p.waitStage = nil
+	k.resumeAndWait(p)
+}
+
 // wake schedules p to resume at the current virtual time.
 func (k *Kernel) wake(p *Proc) {
 	k.blocked--
@@ -976,7 +989,11 @@ func (k *Kernel) step(limit Time) bool {
 		t.slot = noSlot // idle before it fires: fn may re-arm
 		t.fn()
 	case evResume:
-		k.resumeAndWait(k.takeProc(e.slot))
+		if p := k.takeProc(e.slot); p.waitStage != nil {
+			k.waitStage(p)
+		} else {
+			k.resumeAndWait(p)
+		}
 	case evWakeParked:
 		k.blocked--
 		k.resumeAndWait(k.takeProc(e.slot))
@@ -1070,6 +1087,10 @@ type Proc struct {
 	// the Cond the process waits on if the stage says so.
 	stageFn   func() bool
 	stageCond *Cond
+
+	// WaitStaged state: what the kernel runs, in place of resuming the
+	// process, each time a Cond the process is parked on wakes it.
+	waitStage func() *Cond
 
 	// The delay of the process's last poll or stage and that delay's lane
 	// (see pushAfter). The zero value is right: delay 0 has no lane.
@@ -1175,6 +1196,36 @@ func (p *Proc) SleepThenWait(d time.Duration, stage func() bool, c *Cond) {
 	p.stageFn, p.stageCond = stage, c
 	k.pushAfter(p, d, evStage)
 	p.parkCounted()
+}
+
+// WaitStaged parks the process on c and, every time a wake would have
+// resumed it, runs stage in kernel context instead: the process parks
+// again on the Cond the stage returns, and resumes only once the stage
+// returns nil. It is event-for-event identical to
+//
+//	for c != nil { c.Wait(p); c = stage() }
+//
+// — each stage runs in the event, and under the sequence number, of the
+// wake the loop would have resumed on, and whatever it schedules is
+// stamped as the inline code would have stamped it — but the process is
+// handed the host thread once, however many times it re-parks. It is the
+// Cond-wake sibling of SleepThenWait: a process whose steps between two
+// waits cannot block (a worker taking the next unit of work off a queue
+// and submitting it) runs them all without a switch in and out.
+//
+// The stage is under SleepThenWait's contract: it may schedule, spawn and
+// wake; it must not block (a blocking call from it hits the usual
+// outside-its-own-context panic); and the process is not yet a waiter on
+// the Cond the stage is about to return while the stage runs, so the stage
+// checks state before naming a Cond — signaling it from inside the stage
+// wakes nobody. Build the closure once per process, not once per call, to
+// keep the call allocation-free. A nil c returns at once.
+func (p *Proc) WaitStaged(c *Cond, stage func() *Cond) {
+	if c == nil {
+		return
+	}
+	p.waitStage = stage
+	c.Wait(p)
 }
 
 // SleepUntil suspends the process until absolute virtual time t.
