@@ -212,12 +212,8 @@ func (w *worker) next() *sim.Cond {
 		if w.cur.work == 0 {
 			return nil
 		}
-		if c := w.thread.ComputeBegin(w.cur.work); c != nil {
-			w.computing = true
-			return c
-		}
-		w.cur.fn(&w.ctx)
-		w.finish()
+		w.thread.ComputeBegin(w.cur.work)
+		w.computing = true
 	}
 }
 

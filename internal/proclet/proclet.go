@@ -337,23 +337,21 @@ func (t *Thread) Sleep(d time.Duration) { t.proc.Sleep(d) }
 // the proclet, following it across migrations: if the proclet migrates
 // mid-compute, the remaining work resumes on the new machine.
 func (t *Thread) Compute(d time.Duration) {
-	for c := t.ComputeBegin(d); c != nil; c = t.ComputeStep() {
+	t.ComputeBegin(d)
+	for c := t.ComputeStep(); c != nil; c = t.ComputeStep() {
 		c.Wait(t.proc)
 	}
 }
 
-// ComputeBegin starts what Compute does and returns the Cond the thread
-// has to wait on before calling ComputeStep, or nil if there is nothing
-// left to wait for. Neither blocks, so a thread can run its compute from
-// a sim.WaitStaged stage; a thread has one compute in flight at a time.
-func (t *Thread) ComputeBegin(d time.Duration) *sim.Cond {
-	t.rem = d
-	return t.ComputeStep()
-}
+// ComputeBegin and ComputeStep are Compute for a thread that cannot block
+// where it stands, a sim.WaitStaged stage: ComputeBegin(d) makes d the work
+// the thread owes, and every ComputeStep moves it as far as it goes without
+// waiting. A thread has one compute in flight at a time.
+func (t *Thread) ComputeBegin(d time.Duration) { t.rem = d }
 
-// ComputeStep moves the thread's compute on after a wake: it settles the
-// task that finished, resubmits what a cancellation left over, and returns
-// the next Cond to wait on, or nil once the work is done.
+// ComputeStep submits the work owed, or after a wake settles the task that
+// finished and resubmits what a cancellation left of it, and returns the
+// Cond to wait on before the next step, or nil once the work is done.
 func (t *Thread) ComputeStep() *sim.Cond {
 	pr := t.pr
 	for {

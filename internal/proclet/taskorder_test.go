@@ -123,17 +123,19 @@ func runThreadComputes(t *testing.T, staged bool, disturb func(t *testing.T, p *
 			}
 			r := 0
 			stage := func() *sim.Cond {
-				for c := th.ComputeStep(); ; c = th.ComputeBegin(work) {
-					if c != nil {
+				for {
+					if c := th.ComputeStep(); c != nil {
 						return c
 					}
 					finished = append(finished, byte('0'+i))
 					if r++; r == rounds {
 						return nil
 					}
+					th.ComputeBegin(work)
 				}
 			}
-			th.Proc().WaitStaged(th.ComputeBegin(work), stage)
+			th.ComputeBegin(work)
+			th.Proc().WaitStaged(th.ComputeStep(), stage)
 		})
 	}
 	k.Spawn("ctl", func(p *sim.Proc) {
