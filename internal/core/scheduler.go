@@ -433,7 +433,8 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 		})
 	}
 	if launched > 0 {
-		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, m.Name, // "m<ID>"
+		// A cluster machine's Name is "m<ID>": no subject to format.
+		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, m.Name,
 			int(m.ID), -1, "cpu evacuating %d proclets", launched)
 		wg.Wait(p)
 	}

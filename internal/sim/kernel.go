@@ -1060,10 +1060,9 @@ func (k *Kernel) Stop() { k.stopFlag = true }
 // handles remain safe because park generations are monotonic across
 // reuse.
 type Proc struct {
-	ID       int64
-	k        *Kernel
-	w        *worker // nil while a SpawnPolled process is still polling
-	finished bool
+	ID int64
+	k  *Kernel
+	w  *worker // nil while a SpawnPolled process is still polling
 
 	// Lazy naming: name is computed from nameFn the first time Name is
 	// called, so hot spawn paths never pay for a formatted name that
@@ -1072,10 +1071,9 @@ type Proc struct {
 	nameFn func() string
 
 	// Park-cycle state for waiter handles (see prepark): parkSeq
-	// identifies the current cycle and parkWoken records whether some
-	// waker already won it.
-	parkSeq   uint64
-	parkWoken bool
+	// identifies the current cycle and parkWoken, below, records whether
+	// some waker already won it.
+	parkSeq uint64
 
 	// SleepWhile state: the predicate the kernel re-checks on every
 	// evPoll, and the period between checks.
@@ -1096,6 +1094,12 @@ type Proc struct {
 	// (see pushAfter). The zero value is right: delay 0 has no lane.
 	laneDelay time.Duration
 	lane      int32
+
+	// The flags sit in the lane's word: a Proc is allocated by the
+	// thousand (one per polled reactor), and a word apiece would cost each
+	// of them a size class.
+	parkWoken bool
+	finished  bool
 }
 
 // Name returns the process name, computing it on first use when the
