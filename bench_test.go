@@ -264,8 +264,8 @@ func BenchmarkComputeTask(b *testing.B) {
 
 // BenchmarkProcSwitch measures one kernel-to-process round trip, two
 // coroutine switches: a process that wakes from Sleep, finds nothing to
-// do and sleeps again, which is what every idle poll cost before
-// SleepWhile.
+// do and sleeps again, which is what every idle poll cost before a poll
+// became an Await stage.
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
@@ -282,16 +282,15 @@ func BenchmarkProcSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkSleepWhileTick measures the same idle poll through
-// SleepWhile: the predicate runs in kernel context and the event
-// re-arms itself, so a tick is a heap pop and push with no handoff.
-func BenchmarkSleepWhileTick(b *testing.B) {
+// BenchmarkAwaitTick measures the same idle poll through Await: the
+// stage runs in kernel context and queues the next delay, so a tick is a
+// pop and a push with no handoff.
+func BenchmarkAwaitTick(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()
-	k.Spawn("poller", func(p *sim.Proc) {
-		p.SleepWhile(time.Microsecond, func() bool { return true })
-	})
+	idle := func() sim.Wait { return sim.After(time.Microsecond) }
+	k.Spawn("poller", func(p *sim.Proc) { p.Await(idle(), idle) })
 	k.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -299,15 +298,15 @@ func BenchmarkSleepWhileTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnPolledTick measures the idle poll of a process that has
-// not run yet: the same pop and push as a SleepWhile tick, with no worker
+// BenchmarkSpawnAwaitTick measures the idle poll of a process that has
+// not run yet: the same pop and push as an Await tick, with no worker
 // behind it.
-func BenchmarkSpawnPolledTick(b *testing.B) {
+func BenchmarkSpawnAwaitTick(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()
-	k.SpawnPolled(func() string { return "poller" }, time.Microsecond,
-		func() bool { return true }, func(p *sim.Proc) {})
+	idle := func() sim.Wait { return sim.After(time.Microsecond) }
+	k.SpawnAwait(func() string { return "poller" }, idle(), idle, func(p *sim.Proc) {})
 	k.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -324,9 +323,9 @@ func BenchmarkPollFleet(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()
+	calm := func() sim.Wait { return sim.After(200 * time.Microsecond) }
 	for i := 0; i < 125; i++ {
-		k.SpawnPolled(func() string { return "reactor" }, 200*time.Microsecond,
-			func() bool { return true }, func(p *sim.Proc) {})
+		k.SpawnAwait(func() string { return "reactor" }, calm(), calm, func(p *sim.Proc) {})
 	}
 	for i := 0; i < 64; i++ {
 		k.ScheduleTagged(sim.Time(1000*time.Hour)+sim.Time(k.Rand().Int63n(int64(time.Hour))), func(uint64) {}, 0)

@@ -165,14 +165,14 @@ type worker struct {
 
 // workerLoop is a worker thread's body. Everything that cannot block —
 // waiting for a task, taking it, a compute task's whole life, the finish
-// accounting — is next, which the kernel runs as the stage of one
-// WaitStaged park after another; the thread's process is resumed only to
-// run a blocking task, or to exit.
+// accounting — is next, which the kernel runs as the stage of one Await;
+// the thread's process is resumed only to run a blocking task, or to
+// exit.
 func (cp *ComputeProclet) workerLoop(t *proclet.Thread) {
 	w := &worker{cp: cp, thread: t, ctx: TaskCtx{thread: t, cp: cp}}
 	stage := w.next
 	for {
-		t.Proc().WaitStaged(w.next(), stage)
+		t.Proc().Await(w.next(), stage)
 		if w.cur.fn == nil {
 			return
 		}
@@ -182,15 +182,16 @@ func (cp *ComputeProclet) workerLoop(t *proclet.Thread) {
 }
 
 // next advances the worker as far as it can go without blocking and
-// returns the Cond it has to park on. Nil hands over to the thread's
-// process: w.cur is a blocking task, taken and counted as running, or is
-// empty because the proclet is stopping and the worker is done.
-func (w *worker) next() *sim.Cond {
+// returns On the Cond it has to park on, or Resume to hand over to the
+// thread's process: w.cur is a blocking task, taken and counted as
+// running, or is empty because the proclet is stopping and the worker is
+// done.
+func (w *worker) next() sim.Wait {
 	cp := w.cp
 	for {
 		if w.computing {
 			if c := w.thread.ComputeStep(); c != nil {
-				return c
+				return sim.On(c)
 			}
 			w.computing = false
 			w.cur.fn(&w.ctx)
@@ -199,18 +200,18 @@ func (w *worker) next() *sim.Cond {
 		if cp.QueueLen() == 0 {
 			if cp.stopping {
 				w.cur = task{}
-				return nil
+				return sim.Resume
 			}
 			// Idle worker: steal from a pool sibling before parking.
 			if cp.pool != nil && cp.pool.stealFor(cp) {
 				continue
 			}
-			return &cp.qCond
+			return sim.On(&cp.qCond)
 		}
 		w.cur = cp.popFront()
 		cp.running++
 		if w.cur.work == 0 {
-			return nil
+			return sim.Resume
 		}
 		w.thread.ComputeBegin(w.cur.work)
 		w.computing = true

@@ -170,12 +170,17 @@ func (sc *Scheduler) start() {
 			// A calm machine is re-checked in kernel context: the reactor
 			// runs, and owns a worker at all, only from its first pressure
 			// episode on.
-			calm := func() bool { return !sc.needsReact(m) }
-			k.SpawnPolled(name, sc.cfg.LocalPeriod, calm, func(p *sim.Proc) {
+			calm := func() sim.Wait {
+				if sc.needsReact(m) {
+					return sim.Resume
+				}
+				return sim.After(sc.cfg.LocalPeriod)
+			}
+			k.SpawnAwait(name, sim.After(sc.cfg.LocalPeriod), calm, func(p *sim.Proc) {
 				for {
 					sc.reactCPU(p, m)
 					sc.reactMem(p, m)
-					p.SleepWhile(sc.cfg.LocalPeriod, calm)
+					p.Await(sim.After(sc.cfg.LocalPeriod), calm)
 				}
 			})
 		}
@@ -191,8 +196,13 @@ func (sc *Scheduler) start() {
 	}
 	// Most systems never register a split/merge policy: until one does,
 	// the adaptation loop is a poll and owns no worker.
-	noAdapts := func() bool { return len(sc.adapts) == 0 }
-	k.SpawnPolled(func() string { return "sched/adapt" }, sc.cfg.AdaptPeriod, noAdapts, func(p *sim.Proc) {
+	noAdapts := func() sim.Wait {
+		if len(sc.adapts) == 0 {
+			return sim.After(sc.cfg.AdaptPeriod)
+		}
+		return sim.Resume
+	}
+	k.SpawnAwait(func() string { return "sched/adapt" }, sim.After(sc.cfg.AdaptPeriod), noAdapts, func(p *sim.Proc) {
 		for {
 			for _, a := range sc.adapts {
 				a.Adapt(p)
@@ -360,7 +370,7 @@ func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) 
 
 // needsReact reports whether the fast path would act on machine m now:
 // the entry conditions of reactCPU and reactMem, free of side effects so
-// that an idle reactor can evaluate it as a sim.SleepWhile predicate.
+// that an idle reactor can evaluate it in its sim.Proc.Await stage.
 func (sc *Scheduler) needsReact(m *cluster.Machine) bool {
 	if m.Down() {
 		return false

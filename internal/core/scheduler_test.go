@@ -293,7 +293,7 @@ func TestPinPreventsMigration(t *testing.T) {
 }
 
 // TestReactorWakesOnFirstTickOfPressure: a reactor idles inside
-// sim.SleepWhile, and must behave exactly as the Sleep loop did — it
+// sim.Proc.Await, and must behave exactly as the Sleep loop did — it
 // reacts on the first LocalPeriod tick after demand crosses
 // CPUHighWater, and once the episode ends its next check is one
 // LocalPeriod later (its ticks shift to the end of the episode; they do

@@ -28,13 +28,18 @@ func (q *Queue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int
 	// An empty queue is polled in kernel context: the server's
 	// goroutine runs only when there is work or the horizon
 	// has passed.
-	idle := func() bool { return q.qhead == len(q.reqs) && p.Now() < horizon }
+	idle := func() sim.Wait {
+		if q.qhead == len(q.reqs) && p.Now() < horizon {
+			return sim.After(poll)
+		}
+		return sim.Resume
+	}
 	for {
 		if q.qhead == len(q.reqs) {
 			if p.Now() >= horizon {
 				return
 			}
-			p.SleepWhile(poll, idle)
+			p.Await(sim.After(poll), idle)
 			continue
 		}
 		n := min(len(q.reqs)-q.qhead, max)

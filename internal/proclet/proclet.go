@@ -344,7 +344,7 @@ func (t *Thread) Compute(d time.Duration) {
 }
 
 // ComputeBegin and ComputeStep are Compute for a thread that cannot block
-// where it stands, a sim.WaitStaged stage: ComputeBegin(d) makes d the work
+// where it stands, a sim.Proc.Await stage: ComputeBegin(d) makes d the work
 // the thread owes, and every ComputeStep moves it as far as it goes without
 // waiting. A thread has one compute in flight at a time.
 func (t *Thread) ComputeBegin(d time.Duration) { t.rem = d }

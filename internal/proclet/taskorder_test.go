@@ -122,20 +122,20 @@ func runThreadComputes(t *testing.T, staged bool, disturb func(t *testing.T, p *
 				return
 			}
 			r := 0
-			stage := func() *sim.Cond {
+			stage := func() sim.Wait {
 				for {
 					if c := th.ComputeStep(); c != nil {
-						return c
+						return sim.On(c)
 					}
 					finished = append(finished, byte('0'+i))
 					if r++; r == rounds {
-						return nil
+						return sim.Resume
 					}
 					th.ComputeBegin(work)
 				}
 			}
 			th.ComputeBegin(work)
-			th.Proc().WaitStaged(th.ComputeStep(), stage)
+			th.Proc().Await(sim.On(th.ComputeStep()), stage)
 		})
 	}
 	k.Spawn("ctl", func(p *sim.Proc) {
@@ -154,7 +154,7 @@ func runThreadComputes(t *testing.T, staged bool, disturb func(t *testing.T, p *
 }
 
 // TestStagedThreadComputeMatchesBlocking: a thread that runs its computes
-// from a WaitStaged stage, never resumed between them, is step for step
+// from an Await stage, never resumed between them, is step for step
 // the thread that calls Compute — through every kind of suspension — and
 // in both forms the proclet lists only computes some thread is still in:
 // a finished one it kept listed would be cancelled, on its next

@@ -82,7 +82,7 @@ type slot struct {
 	fn  func()       // evFn payload
 	tfn func(uint64) // evTagged payload
 	tag uint64       // evTagged argument
-	p   *Proc        // evResume / evWakeParked / evStart / evPoll / evStage payload
+	p   *Proc        // evResume / evWakeParked / evStart / evStartAwait / evAwait payload
 	t   *Timer       // evTimer payload
 	// at and seq are the event's key while it is in a lane: the entries
 	// behind a lane's head are in no queue array, and the tail's key is
@@ -105,20 +105,23 @@ type lane struct {
 	tail int32 // last entry, the head if it is alone; noSlot if the lane is empty
 }
 
-// maxDelayLanes bounds the lanes the kernel keeps for polls and stages,
-// one per distinct delay. A delay past the bound schedules through the
+// maxDelayLanes bounds the lanes the kernel keeps for Await delays, one
+// per distinct delay. A delay past the bound schedules through the
 // heap, which is exact, so the bound is not a limit on programs.
 const maxDelayLanes = 8
 
-// Event payload kinds.
+// Event payload kinds. Keep at least eight: the compiler dispatches
+// step's switch through a jump table only from eight cases up, and for
+// seven it builds a compare chain that branches on the kind of every
+// event.
 const (
 	evFn         = uint8(iota) // run fn()
 	evTagged                   // run tfn(tag)
-	evResume                   // resume p (already un-blocked by wake)
+	evResume                   // resume p (already un-blocked by wake), or run its Await stage
 	evWakeParked               // un-block and resume p (Sleep expiry)
 	evStart                    // first resume of a freshly spawned p
-	evPoll                     // re-check p's SleepWhile predicate (see Kernel.poll)
-	evStage                    // run p's SleepThenWait stage (see Kernel.stage)
+	evStartAwait               // first event of a SpawnAwait p: its first wait, without a worker
+	evAwait                    // un-block p and run its Await stage (delay expiry)
 	evTimer                    // fire t (see Timer)
 )
 
@@ -160,7 +163,7 @@ type Kernel struct {
 
 	lanes  []lane // lanes[id-1]; id 0 means no lane
 	behind int    // entries waiting in lanes behind their heads
-	// The lanes polls and stages ride, by delay (see pushAfter).
+	// The lanes Await delays ride, by delay (see pushAfter).
 	delayLanes [maxDelayLanes]struct {
 		d  time.Duration
 		id int32 // 0: entry not yet used
@@ -176,7 +179,7 @@ type Kernel struct {
 	nextPID   int64
 	live      int // processes spawned and not yet finished
 	blocked   int // processes currently parked
-	unbound   int // SpawnPolled processes still polling, without a worker
+	unbound   int // SpawnAwait processes still waiting, without a worker
 	curr      *Proc
 	processed uint64
 	stopFlag  bool
@@ -353,14 +356,14 @@ func (k *Kernel) lanePop(e qkey) {
 	k.siftDown(0, qkey{at: s.at, seq: s.seq, slot: n, lane: e.lane})
 }
 
-// pushAfter queues a poll or stage event for p at now + d under the next
-// sequence number. Such events ride a lane per delay: the clock and the
-// sequence counter only move forward, so a source that always adds the
+// pushAfter queues an Await delay's expiry for p at now + d under the
+// next sequence number. Such events ride a lane per delay: the clock and
+// the sequence counter only move forward, so a source that always adds the
 // same d schedules in order. p remembers the lane of the delay it used
 // last; a process polls at one period for its whole life.
-func (k *Kernel) pushAfter(p *Proc, d time.Duration, kind uint8) {
+func (k *Kernel) pushAfter(p *Proc, d time.Duration) {
 	k.seq++
-	i, s := k.newSlot(kind)
+	i, s := k.newSlot(evAwait)
 	s.p = p
 	if p.laneDelay != d {
 		p.laneDelay, p.lane = d, k.delayLane(d)
@@ -673,7 +676,7 @@ func (k *Kernel) Every(t0 Time, period time.Duration, fn func() bool) {
 // ParKernel's do across windows); a process must never call them.
 type worker struct {
 	own      Proc          // the process Spawn puts on this worker
-	p        *Proc         // the process running or last run: &own, or a SpawnPolled process bound by poll
+	p        *Proc         // the process running or last run: &own, or a SpawnAwait process bound by proceed
 	fn       func(p *Proc) // next body to run
 	next     func() (done, ok bool)
 	stop     func()
@@ -752,6 +755,7 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	k.nextPID++
 	p.ID = k.nextPID
 	p.name, p.nameFn = "", nil
+	p.stage = nil // a stage left by an Await that Close cut short
 	p.finished = false
 	// parkSeq deliberately survives reuse: it stays monotonic so waiter
 	// handles from the previous lifetime remain stale.
@@ -760,25 +764,22 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnPolled is SpawnLazy for a process that starts by waiting. It is
+// SpawnAwait is SpawnLazy for a process that starts by waiting. It is
 // event-for-event identical to
 //
-//	k.SpawnLazy(nameFn, func(p *Proc) { p.SleepWhile(d, idle); fn(p) })
+//	k.SpawnLazy(nameFn, func(p *Proc) { p.Await(w, stage); fn(p) })
 //
-// — same PID, same start and poll events under the same sequence numbers,
-// same Live and Blocked — but until a poll finds idle() false the process
-// is its Proc and nothing else: the worker is bound at that poll, so a
-// daemon whose condition never arises in a run (the reactor of a calm
-// machine) never owns a coroutine. idle is under SleepWhile's contract.
-func (k *Kernel) SpawnPolled(nameFn func() string, d time.Duration, idle func() bool, fn func(p *Proc)) *Proc {
-	if d < 0 {
-		d = 0
-	}
+// — same PID, same events under the same sequence numbers, same Live and
+// Blocked — but until stage returns Resume the process is its Proc and
+// nothing else: the worker is bound then, so a daemon whose condition
+// never arises in a run (the reactor of a calm machine) never owns a
+// coroutine.
+func (k *Kernel) SpawnAwait(nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) *Proc {
 	k.nextPID++
-	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, pollIdle: idle, pollEvery: d, body: fn}
+	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, stage: stage, first: w, body: fn}
 	k.live++
 	k.unbound++
-	k.push(k.now, evStart).p = p
+	k.push(k.now, evStartAwait).p = p
 	return p
 }
 
@@ -813,7 +814,7 @@ func (k *Kernel) Close() {
 			panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.Name(), w.panicVal))
 		}
 	}
-	k.live -= k.unbound // SpawnPolled processes that never stopped polling
+	k.live -= k.unbound // SpawnAwait processes whose stage never said Resume
 	k.unbound = 0
 	clear(k.workers)
 	k.workers = k.workers[:0]
@@ -838,20 +839,8 @@ func (k *Kernel) PooledWorkers() int { return len(k.free) }
 
 // WorkersCreated reports how many workers (coroutines) the kernel has
 // ever created; the gap between this and the number of processes spawned
-// is the pool's hit count plus the SpawnPolled processes still polling.
+// is the pool's hit count plus the SpawnAwait processes still waiting.
 func (k *Kernel) WorkersCreated() uint64 { return k.created }
-
-// start runs a process's first event. A SpawnPolled process begins its
-// wait here — the push and the blocked count of the SleepWhile it stands
-// for — without a worker to run it on.
-func (k *Kernel) start(p *Proc) {
-	if p.w != nil {
-		k.resumeAndWait(p)
-		return
-	}
-	k.pushAfter(p, p.pollEvery, evPoll)
-	k.blocked++
-}
 
 // resumeAndWait transfers control to p and returns when p parks or
 // finishes. It must only be called from kernel context.
@@ -888,58 +877,39 @@ func (k *Kernel) forget(w *worker) {
 	}
 }
 
-// poll runs one SleepWhile re-check in kernel context: while the
-// predicate holds the event re-arms itself — one push, no goroutine
-// handoff, no allocation — and the first time it does not, the parked
-// process resumes exactly as a Sleep expiry would.
-func (k *Kernel) poll(p *Proc) {
-	seq := k.seq
-	idle := p.pollIdle()
-	if k.seq != seq {
-		panic(fmt.Sprintf(
-			"sim: SleepWhile predicate of process %q scheduled an event at %v: idle() runs in kernel context and must have no side effects",
-			p.Name(), k.now))
+// await queues p's wait w — p as a waiter on a Cond, or a delay on the
+// lane of its length — and reports false if w is Resume.
+func (k *Kernel) await(p *Proc, w Wait) bool {
+	switch {
+	case w.c != nil:
+		w.c.add(p.prepark())
+	case w.d >= 0:
+		k.pushAfter(p, w.d)
+	default:
+		return false
 	}
-	if idle {
-		k.pushAfter(p, p.pollEvery, evPoll)
-		return
+	return true
+}
+
+// proceed moves p, parked and not counted blocked, on to w in kernel
+// context, in the event that ended its last wait: into its next wait, or —
+// w being Resume — out of its Await, bound to a worker first if it is a
+// SpawnAwait process that never ran, and then it reports true: the caller
+// resumes p within this same event. (The caller, not proceed: a frame
+// between step and the coroutine switch costs a mispredicted return on
+// every switch back, ~15 ns an RPC.)
+func (k *Kernel) proceed(p *Proc, w Wait) (resume bool) {
+	if k.await(p, w) {
+		k.blocked++
+		return false
 	}
-	p.pollIdle = nil
-	k.blocked--
-	if p.w == nil { // SpawnPolled: the wait is over, the body needs a worker
+	p.stage = nil
+	if p.w == nil {
 		w := k.getWorker()
 		w.p, w.fn, p.w, p.body = p, p.body, w, nil
 		k.unbound--
 	}
-	k.resumeAndWait(p)
-}
-
-// stage runs a SleepThenWait stage in kernel context, in the event that
-// would have been the Sleep expiry: the stage either leaves the process
-// parked, now as a waiter on its Cond, or lets it resume within this
-// same event, exactly as the expiry would have.
-func (k *Kernel) stage(p *Proc) {
-	fn, c := p.stageFn, p.stageCond
-	p.stageFn, p.stageCond = nil, nil
-	if fn() {
-		c.add(p.prepark())
-		return
-	}
-	k.blocked--
-	k.resumeAndWait(p)
-}
-
-// waitStage runs a WaitStaged stage in kernel context, in the event that
-// would have resumed the process: the stage either parks the process
-// again, on the Cond it names, or lets it resume within this same event.
-func (k *Kernel) waitStage(p *Proc) {
-	if c := p.waitStage(); c != nil {
-		c.add(p.prepark())
-		k.blocked++
-		return
-	}
-	p.waitStage = nil
-	k.resumeAndWait(p)
+	return true
 }
 
 // wake schedules p to resume at the current virtual time.
@@ -988,21 +958,22 @@ func (k *Kernel) step(limit Time) bool {
 		k.recycle(e.slot)
 		t.slot = noSlot // idle before it fires: fn may re-arm
 		t.fn()
+	case evAwait:
+		k.blocked--
+		fallthrough
 	case evResume:
-		if p := k.takeProc(e.slot); p.waitStage != nil {
-			k.waitStage(p)
-		} else {
+		if p := k.takeProc(e.slot); p.stage == nil || k.proceed(p, p.stage()) {
 			k.resumeAndWait(p)
 		}
 	case evWakeParked:
 		k.blocked--
 		k.resumeAndWait(k.takeProc(e.slot))
 	case evStart:
-		k.start(k.takeProc(e.slot))
-	case evPoll:
-		k.poll(k.takeProc(e.slot))
-	case evStage:
-		k.stage(k.takeProc(e.slot))
+		k.resumeAndWait(k.takeProc(e.slot))
+	case evStartAwait:
+		if p := k.takeProc(e.slot); k.proceed(p, p.first) {
+			k.resumeAndWait(p)
+		}
 	}
 	return true
 }
@@ -1062,7 +1033,7 @@ func (k *Kernel) Stop() { k.stopFlag = true }
 type Proc struct {
 	ID int64
 	k  *Kernel
-	w  *worker // nil while a SpawnPolled process is still polling
+	w  *worker // nil while a SpawnAwait process is still waiting
 
 	// Lazy naming: name is computed from nameFn the first time Name is
 	// called, so hot spawn paths never pay for a formatted name that
@@ -1075,22 +1046,14 @@ type Proc struct {
 	// some waker already won it.
 	parkSeq uint64
 
-	// SleepWhile state: the predicate the kernel re-checks on every
-	// evPoll, and the period between checks.
-	pollIdle  func() bool
-	pollEvery time.Duration
-	body      func(p *Proc) // SpawnPolled: what runs once pollIdle says no
+	// The stage of the Await the process is in, nil outside one; and for
+	// a SpawnAwait process, its first wait and the body a worker runs once
+	// a stage says Resume.
+	stage func() Wait
+	first Wait
+	body  func(p *Proc)
 
-	// SleepThenWait state: the stage the kernel runs at the expiry and
-	// the Cond the process waits on if the stage says so.
-	stageFn   func() bool
-	stageCond *Cond
-
-	// WaitStaged state: what the kernel runs, in place of resuming the
-	// process, each time a Cond the process is parked on wakes it.
-	waitStage func() *Cond
-
-	// The delay of the process's last poll or stage and that delay's lane
+	// The delay of the process's last Await delay and that delay's lane
 	// (see pushAfter). The zero value is right: delay 0 has no lane.
 	laneDelay time.Duration
 	lane      int32
@@ -1140,96 +1103,51 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	k := p.k
 	k.push(k.now.Add(d), evWakeParked).p = p
-	p.parkCounted()
+	p.park()
 }
 
-// SleepWhile suspends the process and re-checks idle every d of virtual
-// time, resuming it at the first check that finds idle() false. It is
-// event-for-event identical to
-//
-//	for { p.Sleep(d); if !idle() { break } }
-//
-// — every check consumes one event and one sequence number at the same
-// place the loop's Sleep would — but the checks run in kernel context and
-// queue through the lane of their period, so a poller that finds nothing
-// to do costs one append and one pop that no other poller at that period
-// adds to, instead of a switch into the process and back.
-//
-// The contract that buys this: idle must be pure (it may read simulated
-// state but not schedule, spawn, wake or mutate; the kernel panics if it
-// scheduled anything), non-blocking (a blocking call from it hits the
-// usual outside-its-own-context panic) and, under a ParKernel, must read
-// only its own shard's state. Build the closure once per process, not
-// once per call, to keep polling allocation-free.
-func (p *Proc) SleepWhile(d time.Duration, idle func() bool) {
-	if d < 0 {
-		d = 0
-	}
-	k := p.k
-	p.pollIdle, p.pollEvery = idle, d
-	k.pushAfter(p, d, evPoll)
-	p.parkCounted()
+// Wait is one step of an Await: After(d), On(c) or Resume.
+type Wait struct {
+	c *Cond
+	d time.Duration // After's delay; -1 for On and Resume
 }
 
-// SleepThenWait suspends the process for d, runs stage in kernel context
-// at the expiry, and then either resumes the process (stage returned
-// false) or leaves it parked on c until c is signaled (stage returned
-// true). It is event-for-event identical to
-//
-//	p.Sleep(d); if stage() { c.Wait(p) }
-//
-// — the stage runs in the event, and under the sequence number, of the
-// Sleep expiry, and whatever it schedules is stamped as the inline code
-// would have stamped it — but the process is handed the host thread once
-// instead of twice: a process whose next step after a delay is to start
-// some work and wait for it (an RPC's caller-side overhead, then the
-// round trip) pays one switch in and out for both.
-//
-// Unlike SleepWhile's predicate the stage may schedule, spawn and wake.
-// It must not block (a blocking call from it hits the usual
-// outside-its-own-context panic), and the process is not yet a waiter on
-// c while it runs: if what the process would wait for already happened
-// during the stage, the stage reports false — signaling c from inside
-// the stage wakes nobody. Build the closure once per waiting object, not
-// once per call, to keep the call allocation-free.
-func (p *Proc) SleepThenWait(d time.Duration, stage func() bool, c *Cond) {
-	if d < 0 {
-		d = 0
-	}
-	k := p.k
-	p.stageFn, p.stageCond = stage, c
-	k.pushAfter(p, d, evStage)
-	p.parkCounted()
-}
+// Resume ends an Await: the process carries on.
+var Resume = Wait{d: -1}
 
-// WaitStaged parks the process on c and, every time a wake would have
-// resumed it, runs stage in kernel context instead: the process parks
-// again on the Cond the stage returns, and resumes only once the stage
-// returns nil. It is event-for-event identical to
+// After waits out virtual duration d, as Sleep(d) does.
+func After(d time.Duration) Wait { return Wait{d: max(d, 0)} }
+
+// On waits for c to be signaled, as c.Wait does. On(nil) is Resume.
+func On(c *Cond) Wait { return Wait{c: c, d: -1} }
+
+// Await parks the process in w and, each time a wait ends, runs stage in
+// kernel context instead of resuming the process: the process waits again
+// on the Wait the stage returns, and resumes once the stage returns
+// Resume. It is event-for-event identical to
 //
-//	for c != nil { c.Wait(p); c = stage() }
+//	for w != Resume { wait(w); w = stage() }
 //
-// — each stage runs in the event, and under the sequence number, of the
-// wake the loop would have resumed on, and whatever it schedules is
-// stamped as the inline code would have stamped it — but the process is
-// handed the host thread once, however many times it re-parks. It is the
-// Cond-wake sibling of SleepThenWait: a process whose steps between two
-// waits cannot block (a worker taking the next unit of work off a queue
-// and submitting it) runs them all without a switch in and out.
+// where to wait After(d) is p.Sleep(d) and to wait On(c) is c.Wait(p) —
+// each stage runs in the event, and under the sequence number, that would
+// have resumed the loop, and whatever it schedules is stamped as the loop
+// would have stamped it — but the process is handed the host thread once,
+// however many waits it goes through: a poller re-checking an idle queue,
+// a caller starting its RPC after the send overhead, a worker taking its
+// next unit off a queue and submitting it. Delays ride the lane of their
+// length (see Lane), so a fleet polling at one period is one heap entry.
 //
-// The stage is under SleepThenWait's contract: it may schedule, spawn and
-// wake; it must not block (a blocking call from it hits the usual
-// outside-its-own-context panic); and the process is not yet a waiter on
-// the Cond the stage is about to return while the stage runs, so the stage
-// checks state before naming a Cond — signaling it from inside the stage
-// wakes nobody. Build the closure once per process, not once per call, to
-// keep the call allocation-free. A nil c returns at once.
-func (p *Proc) WaitStaged(c *Cond, stage func() *Cond) {
-	if c == nil {
-		return
+// The stage may do what an event may: schedule, spawn, wake. It must not
+// block (a blocking call from it hits the usual outside-its-own-context
+// panic), and while it runs the process is a waiter on nothing, so a stage
+// checks state before naming a Cond: signaling it from inside the stage
+// wakes nobody. Build the stage once per process or pooled object, not
+// once per call, to keep waiting allocation-free.
+func (p *Proc) Await(w Wait, stage func() Wait) {
+	if p.k.await(p, w) {
+		p.stage = stage
+		p.park()
 	}
-	p.waitStage = stage
-	c.Wait(p)
 }
 
 // SleepUntil suspends the process until absolute virtual time t.
@@ -1240,11 +1158,6 @@ func (p *Proc) SleepUntil(t Time) {
 // Yield lets every other event and process scheduled for the current
 // instant run before this process continues.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// parkCounted parks and lets the kernel account the process as blocked.
-// The waker must go through a path that decrements the blocked count
-// (kernel.wake / the evWakeParked event).
-func (p *Proc) parkCounted() { p.park() }
 
 // waiter is a one-shot wake handle for one park cycle of a process.
 // Primitives (channels, mutexes, timeouts) register a waiter before

@@ -64,10 +64,10 @@ func (s *laneSource) reserved(at Time, seq uint64, fn func(uint64), id uint64) {
 
 // runLaneMix builds a random program from seed and runs it on one kernel
 // of the pair: with plain false every ordered source schedules through a
-// lane and processes wait with SleepWhile and SleepThenWait, which ride
-// the kernel's delay lanes; with plain true nothing touches a lane — the
-// sources use the Kernel's own methods and the processes wait with Sleep,
-// which stays on the heap. The program has two halves with a Close between
+// lane and processes wait with Await, whose delays ride the kernel's delay
+// lanes; with plain true nothing touches a lane — the sources use the
+// Kernel's own methods and the processes wait in the loop Await stands
+// for, whose Sleeps stay on the heap. The program has two halves with a Close between
 // them, and the second half reuses the first half's Lane handles.
 //
 // The traffic: arrival streams that append runs in time order, some
@@ -176,14 +176,19 @@ func runLaneMix(seed int64, plain bool) laneMixRun {
 		flags := make([]int, 3+rng.Intn(4))
 		for i := range flags {
 			d := delays[rng.Intn(len(delays))]
-			idle := func() bool { return flags[i] == 0 }
+			idle := func() Wait {
+				if flags[i] == 0 {
+					return After(d)
+				}
+				return Resume
+			}
+			await := (*Proc).Await
+			if plain {
+				await = awaitLoop
+			}
 			k.Spawn(fmt.Sprintf("poller-%d", i), func(p *Proc) {
 				for {
-					if plain {
-						pollBySleepLoop(p, d, idle)
-					} else {
-						p.SleepWhile(d, idle)
-					}
+					await(p, After(d), idle)
 					flags[i] = 0
 					p.Sleep(us(k.Rand().Intn(20)))
 				}
@@ -194,20 +199,26 @@ func runLaneMix(seed int64, plain bool) laneMixRun {
 			k.Spawn("stager", func(p *Proc) {
 				var c Cond
 				signal := func(uint64) { c.Signal() }
-				stage := func() bool {
+				waiting := false
+				stage := func() Wait {
+					if waiting {
+						waiting = false
+						return Resume
+					}
 					flags[k.Rand().Intn(len(flags))]++
 					if k.Rand().Intn(3) == 0 {
-						return false // nothing to wait for
+						return Resume // nothing to wait for
 					}
 					k.ScheduleTagged(k.Now().Add(us(1+k.Rand().Intn(15))), signal, 0)
-					return true
+					waiting = true
+					return On(&c)
+				}
+				await := (*Proc).Await
+				if plain {
+					await = awaitLoop
 				}
 				for {
-					if plain {
-						stageInline(p, d, stage, &c)
-					} else {
-						p.SleepThenWait(d, stage, &c)
-					}
+					await(p, After(d), stage)
 				}
 			})
 		}
@@ -293,8 +304,9 @@ func TestPollFleetSharesOneHeapEntry(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
 	const fleet = 125
+	calm := func() Wait { return After(200 * time.Microsecond) }
 	for i := 0; i < fleet; i++ {
-		k.SpawnPolled(func() string { return "reactor" }, 200*time.Microsecond, func() bool { return true },
+		k.SpawnAwait(func() string { return "reactor" }, calm(), calm,
 			func(*Proc) { t.Error("a reactor that is always calm resumed") })
 	}
 	k.RunUntil(Millisecond)

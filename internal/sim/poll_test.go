@@ -2,31 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
-
-// pollFn is how a process waits for a condition: the old way, a loop of
-// Sleeps on its own goroutine, or SleepWhile's kernel-context re-checks.
-type pollFn func(p *Proc, d time.Duration, idle func() bool)
-
-func pollBySleepLoop(p *Proc, d time.Duration, idle func() bool) {
-	for {
-		p.Sleep(d)
-		if !idle() {
-			return
-		}
-	}
-}
-
-func pollBySleepWhile(p *Proc, d time.Duration, idle func() bool) {
-	p.SleepWhile(d, idle)
-}
 
 // eventStamp identifies one executed event: when, in what order, and
 // for which process (0 for a plain callback).
@@ -112,8 +93,8 @@ func (gt *genTimer) stop() { gt.gen++ }
 // flags, sleepers and timed callbacks that raise them, channel ping-pong
 // pairs whose wakes interleave with the polls, and one-shot timers that
 // are moved, stopped and re-armed from processes and from their own
-// firings — and runs it with the given polling and timer implementations.
-func runPollMix(seed int64, poll pollFn, newTimer newMixTimer) pollMixRun {
+// firings — and runs it with the given timer implementation.
+func runPollMix(seed int64, newTimer newMixTimer) pollMixRun {
 	k := NewKernel(seed)
 	defer k.Close()
 	rng := rand.New(rand.NewSource(seed))
@@ -130,13 +111,19 @@ func runPollMix(seed int64, poll pollFn, newTimer newMixTimer) pollMixRun {
 		// the same-instant FIFO until the callback below releases it.
 		spinFirst := i == 0 && rng.Intn(2) == 0
 		k.Spawn(fmt.Sprintf("poller-%d", i), func(p *Proc) {
-			idle := func() bool { return flags[i] == 0 }
-			for r := 0; r < rounds; r++ {
-				if r == 0 && spinFirst {
-					poll(p, 0, idle)
-				} else {
-					poll(p, d, idle)
+			period := d
+			if spinFirst {
+				period = 0
+			}
+			idle := func() Wait {
+				if flags[i] == 0 {
+					return After(period)
 				}
+				return Resume
+			}
+			for r := 0; r < rounds; r++ {
+				p.Await(After(period), idle)
+				period = d
 				out.resumes = append(out.resumes, fmt.Sprintf("poller %d resumed at %v", i, p.Now()))
 				flags[i] = 0
 				// Work between waits: sleep, and sometimes release a peer.
@@ -298,34 +285,6 @@ func (out *pollMixRun) drive(k *Kernel, horizon Time) {
 	out.blocked = k.Blocked()
 }
 
-// TestSleepWhileMatchesSleepLoop: SleepWhile must be event-for-event
-// identical to the Sleep loop it replaces — same event count, same
-// (time, seq, process) for every event, same resume instants — on
-// random mixes of pollers, sleepers, callbacks and channel wakers.
-func TestSleepWhileMatchesSleepLoop(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		want := runPollMix(seed, pollBySleepLoop, newKernelTimer)
-		got := runPollMix(seed, pollBySleepWhile, newKernelTimer)
-		if got.events != want.events {
-			t.Fatalf("seed %d: SleepWhile ran %d events, Sleep loop %d", seed, got.events, want.events)
-		}
-		if got.blocked != want.blocked {
-			t.Fatalf("seed %d: Blocked() = %d with SleepWhile, %d with Sleep loop", seed, got.blocked, want.blocked)
-		}
-		if !reflect.DeepEqual(got.resumes, want.resumes) {
-			t.Fatalf("seed %d: resume instants differ\nSleepWhile: %v\nSleep loop: %v", seed, got.resumes, want.resumes)
-		}
-		for i := range want.log {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: event %d is %+v with SleepWhile, %+v with Sleep loop", seed, i, got.log[i], want.log[i])
-			}
-		}
-		if len(want.resumes) == 0 {
-			t.Fatalf("seed %d: degenerate program, no poller ever resumed (%d events)", seed, len(want.log))
-		}
-	}
-}
-
 // TestTimerMatchesGenerationGuardedEvents: a Timer must be what pushing a
 // fresh generation-tagged event per arm was, minus the events that did
 // nothing — the same (time, seq, process) for every event that does
@@ -334,8 +293,8 @@ func TestSleepWhileMatchesSleepLoop(t *testing.T) {
 func TestTimerMatchesGenerationGuardedEvents(t *testing.T) {
 	var noops uint64
 	for seed := int64(1); seed <= 200; seed++ {
-		want := runPollMix(seed, pollBySleepWhile, newGenTimer)
-		got := runPollMix(seed, pollBySleepWhile, newKernelTimer)
+		want := runPollMix(seed, newGenTimer)
+		got := runPollMix(seed, newKernelTimer)
 		if got.noops != 0 || got.events != want.events-want.noops {
 			t.Fatalf("seed %d: Timer ran %d events (%d no-ops), model %d of which %d no-ops",
 				seed, got.events, got.noops, want.events, want.noops)
@@ -361,45 +320,6 @@ func TestTimerMatchesGenerationGuardedEvents(t *testing.T) {
 	}
 }
 
-// TestSleepWhileResumesOnFirstFalseCheck pins the timing: checks happen
-// at d, 2d, ... after the call, and the process resumes at the first one
-// that finds the predicate false.
-func TestSleepWhileResumesOnFirstFalseCheck(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	ready := false
-	checks := 0
-	var resumed Time
-	k.Spawn("poller", func(p *Proc) {
-		p.SleepWhile(10*time.Microsecond, func() bool { checks++; return !ready })
-		resumed = p.Now()
-	})
-	k.Schedule(25*Microsecond, func() { ready = true })
-	k.Run()
-	if resumed != 30*Microsecond || checks != 3 {
-		t.Fatalf("resumed at %v after %d checks, want 30µs after 3", resumed, checks)
-	}
-	if k.Blocked() != 0 || k.Live() != 0 {
-		t.Fatalf("Blocked=%d Live=%d after the poller finished, want 0 0", k.Blocked(), k.Live())
-	}
-}
-
-// TestSleepWhileIdleTickAllocatesNothing: a poll that finds nothing to
-// do is one pop and one push.
-func TestSleepWhileIdleTickAllocatesNothing(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	for i := 0; i < 64; i++ {
-		k.Spawn("poller", func(p *Proc) {
-			p.SleepWhile(time.Microsecond, func() bool { return true })
-		})
-	}
-	k.RunUntil(10 * Microsecond) // every poller parked, queues at capacity
-	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
-		t.Fatalf("idle poll tick allocates %v objects, want 0", a)
-	}
-}
-
 // mustPanic runs fn and returns the panic message it must raise.
 func mustPanic(t *testing.T, fn func()) (msg string) {
 	t.Helper()
@@ -412,215 +332,6 @@ func mustPanic(t *testing.T, fn func()) (msg string) {
 	}()
 	fn()
 	return ""
-}
-
-// TestSleepWhilePredicateMustNotSchedule: a predicate that schedules
-// would consume sequence numbers the Sleep loop did not; the kernel
-// says which process and when.
-func TestSleepWhilePredicateMustNotSchedule(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	k.Spawn("impure", func(p *Proc) {
-		p.SleepWhile(time.Microsecond, func() bool {
-			k.After(time.Microsecond, func() {})
-			return true
-		})
-	})
-	msg := mustPanic(t, func() { k.Run() })
-	for _, want := range []string{"SleepWhile predicate", `"impure"`, "1µs", "no side effects"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("panic %q does not mention %q", msg, want)
-		}
-	}
-}
-
-// TestSleepWhilePredicateMustNotBlock: the predicate runs in kernel
-// context, so a blocking call from it hits the park guard.
-func TestSleepWhilePredicateMustNotBlock(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	k.Spawn("blocker", func(p *Proc) {
-		p.SleepWhile(time.Microsecond, func() bool {
-			p.Sleep(time.Microsecond)
-			return true
-		})
-	})
-	msg := mustPanic(t, func() { k.Run() })
-	if !strings.Contains(msg, "must not block") || !strings.Contains(msg, `"blocker"`) {
-		t.Fatalf("unexpected panic message: %v", msg)
-	}
-}
-
-// stageFn is how a process sleeps, starts some work and waits for it: on
-// its own goroutine, or with SleepThenWait's kernel-context stage.
-type stageFn func(p *Proc, d time.Duration, stage func() bool, c *Cond)
-
-func stageInline(p *Proc, d time.Duration, stage func() bool, c *Cond) {
-	p.Sleep(d)
-	if stage() {
-		c.Wait(p)
-	}
-}
-
-func stageInKernel(p *Proc, d time.Duration, stage func() bool, c *Cond) {
-	p.SleepThenWait(d, stage, c)
-}
-
-// runStageMix builds a random program from seed — callers that sleep,
-// start a piece of work whose completion signals them (a timed callback,
-// a spawned process, or nothing at all because it finished on the spot)
-// and wait for it, among sleepers and ping-pong pairs whose wakes
-// interleave — and runs it with the given implementation.
-func runStageMix(seed int64, wait stageFn) pollMixRun {
-	k := NewKernel(seed)
-	defer k.Close()
-	rng := rand.New(rand.NewSource(seed))
-	var out pollMixRun
-
-	for i, n := 0, 2+rng.Intn(6); i < n; i++ {
-		i := i
-		d := time.Duration(rng.Intn(4)) * time.Microsecond // 0: same-instant FIFO
-		rounds := 1 + rng.Intn(8)
-		k.Spawn(fmt.Sprintf("caller-%d", i), func(p *Proc) {
-			var c Cond
-			done := false
-			finish := func() { done = true; c.Signal() }
-			stage := func() bool {
-				done = false
-				switch k.Rand().Intn(4) {
-				case 0: // resolved on the spot: nothing to wait for
-					finish()
-				case 1: // completes at this very instant, behind the stage
-					k.Schedule(k.Now(), finish)
-				case 2:
-					k.After(time.Duration(1+k.Rand().Intn(20))*time.Microsecond, finish)
-				default:
-					k.Spawn("handler", func(hp *Proc) {
-						hp.Sleep(time.Duration(k.Rand().Intn(10)) * time.Microsecond)
-						finish()
-					})
-				}
-				return !done
-			}
-			for r := 0; r < rounds; r++ {
-				wait(p, d, stage, &c)
-				if !done {
-					panic("caller resumed before its work finished")
-				}
-				out.resumes = append(out.resumes, fmt.Sprintf("caller %d resumed at %v", i, p.Now()))
-				p.Sleep(time.Duration(k.Rand().Intn(12)) * time.Microsecond)
-			}
-		})
-	}
-	for i, n := 0, rng.Intn(4); i < n; i++ {
-		k.Spawn("sleeper", func(p *Proc) {
-			for r := 0; r < 12; r++ {
-				p.Sleep(time.Duration(1+k.Rand().Intn(15)) * time.Microsecond)
-			}
-		})
-	}
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		spawnPingPong(k)
-	}
-
-	out.drive(k, math.MaxInt64) // every caller finishes: run to the end
-	return out
-}
-
-// TestSleepThenWaitMatchesInlineContinuation: SleepThenWait must be
-// event-for-event identical to Sleep followed by the stage and the wait
-// on the process's own goroutine — same event count, same (time, seq,
-// process) for every event, same resume instants.
-func TestSleepThenWaitMatchesInlineContinuation(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
-		want := runStageMix(seed, stageInline)
-		got := runStageMix(seed, stageInKernel)
-		if got.events != want.events {
-			t.Fatalf("seed %d: SleepThenWait ran %d events, inline %d", seed, got.events, want.events)
-		}
-		if got.blocked != 0 || want.blocked != 0 {
-			t.Fatalf("seed %d: Blocked() = %d with SleepThenWait, %d inline, want 0 0", seed, got.blocked, want.blocked)
-		}
-		if !reflect.DeepEqual(got.resumes, want.resumes) {
-			t.Fatalf("seed %d: resume instants differ\nSleepThenWait: %v\ninline:        %v", seed, got.resumes, want.resumes)
-		}
-		for i := range want.log {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: event %d is %+v with SleepThenWait, %+v inline", seed, i, got.log[i], want.log[i])
-			}
-		}
-	}
-}
-
-// TestSleepThenWaitResumesInTheStageEvent pins the cost: a stage with
-// nothing to wait for resumes its process in the very event that ran it
-// (no wake event behind it), and one that waits costs the stage event
-// plus the wake.
-func TestSleepThenWaitResumesInTheStageEvent(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	var c Cond
-	var first, second Time
-	k.Spawn("caller", func(p *Proc) {
-		p.SleepThenWait(5*time.Microsecond, func() bool { return false }, &c)
-		first = p.Now()
-		p.SleepThenWait(5*time.Microsecond, func() bool {
-			k.After(7*time.Microsecond, c.Signal)
-			return true
-		}, &c)
-		second = p.Now()
-	})
-	k.Run()
-	if first != 5*Microsecond || second != 17*Microsecond {
-		t.Fatalf("resumed at %v and %v, want 5µs and 17µs", first, second)
-	}
-	// start, stage (resumes), stage (parks), signal callback, wake.
-	if k.EventsProcessed() != 5 {
-		t.Fatalf("%d events, want 5", k.EventsProcessed())
-	}
-	if k.Blocked() != 0 || k.Live() != 0 || c.Waiters() != 0 {
-		t.Fatalf("Blocked=%d Live=%d Waiters=%d after the caller finished, want all 0", k.Blocked(), k.Live(), c.Waiters())
-	}
-}
-
-// TestSleepThenWaitAllocatesNothing: with the stage built once, a
-// sleep-stage-wait round trip is pushes and pops only.
-func TestSleepThenWaitAllocatesNothing(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	var c Cond
-	signal := func(uint64) { c.Signal() }
-	stage := func() bool {
-		k.ScheduleTagged(k.Now().Add(time.Microsecond), signal, 0)
-		return true
-	}
-	k.Spawn("caller", func(p *Proc) {
-		for {
-			p.SleepThenWait(time.Microsecond, stage, &c)
-		}
-	})
-	k.RunUntil(100 * Microsecond) // queues at capacity
-	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
-		t.Fatalf("a SleepThenWait step allocates %v objects, want 0", a)
-	}
-}
-
-// TestSleepThenWaitStageMustNotBlock: the stage runs in kernel context,
-// so a blocking call from it hits the park guard.
-func TestSleepThenWaitStageMustNotBlock(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	var c Cond
-	k.Spawn("blocker", func(p *Proc) {
-		p.SleepThenWait(time.Microsecond, func() bool {
-			p.Sleep(time.Microsecond)
-			return true
-		}, &c)
-	})
-	msg := mustPanic(t, func() { k.Run() })
-	if !strings.Contains(msg, "must not block") || !strings.Contains(msg, `"blocker"`) {
-		t.Fatalf("unexpected panic message: %v", msg)
-	}
 }
 
 // waitGoroutines waits for the goroutine count to fall to want: an
@@ -649,7 +360,7 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		k.Spawn("daemon", func(p *Proc) {
 			defer func() { deferred++ }()
-			p.SleepWhile(time.Microsecond, func() bool { return true })
+			p.Await(After(time.Microsecond), func() Wait { return After(time.Microsecond) })
 			t.Error("daemon resumed normally")
 		})
 	}
@@ -702,7 +413,7 @@ func TestParKernelCloseUnwindsShards(t *testing.T) {
 	for s := 0; s < pk.NumShards(); s++ {
 		for i := 0; i < 8; i++ {
 			pk.Shard(s).Spawn("daemon", func(p *Proc) {
-				p.SleepWhile(3*time.Microsecond, func() bool { return true })
+				p.Await(After(3*time.Microsecond), func() Wait { return After(3 * time.Microsecond) })
 			})
 		}
 	}

@@ -186,7 +186,10 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 	// trip.
 	k := srcFab.k
 	cc := &crossCall{}
-	p.SleepThenWait(srcFab.cfg.RPCOverhead, func() bool {
+	p.Await(sim.After(srcFab.cfg.RPCOverhead), func() sim.Wait {
+		if cc.done { // woken by complete
+			return sim.Resume
+		}
 		if hasDeadline {
 			k.Schedule(k.Now().Add(d), func() {
 				if cc.done {
@@ -224,8 +227,11 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 				pt.deliver(cc, from, to, method, req, hasDeadline)
 			})
 		}
-		return !cc.done
-	}, &cc.cv)
+		if cc.done {
+			return sim.Resume
+		}
+		return sim.On(&cc.cv)
+	})
 
 	if cc.err != nil {
 		return Message{}, cc.err

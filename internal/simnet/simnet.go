@@ -544,11 +544,11 @@ type callState struct {
 	deadlineAt  sim.Time
 	deadlineSeq uint64
 
-	sendF    func() bool   // runs when the caller-side overhead has elapsed
-	deliverT func(uint64)  // runs when the request lands on the destination
-	finishT  func(uint64)  // runs when the reply lands back on the caller
-	timeoutT func(uint64)  // runs when the call's deadline expires
-	nameF    func() string // lazy handler-process name ("rpc:method@node")
+	sendF    func() sim.Wait // the caller's Await stage (see send)
+	deliverT func(uint64)    // runs when the request lands on the destination
+	finishT  func(uint64)    // runs when the reply lands back on the caller
+	timeoutT func(uint64)    // runs when the call's deadline expires
+	nameF    func() string   // lazy handler-process name ("rpc:method@node")
 	procF    func(p *sim.Proc)
 }
 
@@ -560,7 +560,12 @@ func (f *Fabric) getCall() *callState {
 		return cs
 	}
 	cs := &callState{f: f, ifIdx: -1}
-	cs.sendF = cs.send
+	cs.sendF = func() sim.Wait {
+		if cs.done { // finish signalled cv: the call is over
+			return sim.Resume
+		}
+		return cs.send()
+	}
 	cs.deliverT = cs.onDelivered
 	cs.finishT = cs.onReplyDelivered
 	cs.timeoutT = cs.onDeadline
@@ -614,13 +619,13 @@ func (f *Fabric) removeInflight(cs *callState) {
 	cs.ifIdx = -1
 }
 
-// send is the call's send stage: it runs in kernel context at the
-// instant the caller-side overhead has elapsed, registers the call for
-// failure notification, starts its deadline and puts the request on the
-// wire. It reports whether the caller has anything left to wait for; a
-// call that resolved right here (the node went down during the overhead,
-// or the request was lost with no deadline to wait out) has not.
-func (cs *callState) send() (wait bool) {
+// send is the caller's Await stage (sendF) at the instant the
+// caller-side overhead has elapsed. In kernel context it registers the
+// call for failure notification, starts its deadline, puts the request on
+// the wire and parks the caller on cv — unless the call resolved right
+// here (the node went down during the overhead, or the request was lost
+// with no deadline to wait out).
+func (cs *callState) send() sim.Wait {
 	f := cs.f
 	f.addInflight(cs)
 	if cs.timeout > 0 {
@@ -645,7 +650,10 @@ func (cs *callState) send() (wait bool) {
 	} else {
 		cs.armDeadlineIfDue(at)
 	}
-	return !cs.done
+	if cs.done {
+		return sim.Resume
+	}
+	return sim.On(&cs.cv)
 }
 
 // armDeadline queues the call's deadline event, at the instant and under
@@ -827,7 +835,7 @@ func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 
 	// The one park of the call: the fixed caller-side software overhead,
 	// then the send stage in kernel context, then the round trip.
-	p.SleepThenWait(f.cfg.RPCOverhead, cs.sendF, &cs.cv)
+	p.Await(sim.After(f.cfg.RPCOverhead), cs.sendF)
 
 	reply, rerr := cs.reply, cs.err
 	f.putCall(cs)
