@@ -64,7 +64,7 @@ func readStats(dir, id string) (benchStats, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return st, fmt.Errorf(
-			"%s does not exist — record it with `quicksand-bench -json -out %s %s`",
+			"%s does not exist — record it with `cd %s && quicksand-bench -json -par 1 %s` (records land in the working directory)",
 			path, dir, id)
 	}
 	if err != nil {

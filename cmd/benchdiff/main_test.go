@@ -171,10 +171,11 @@ func TestReadStatsFailures(t *testing.T) {
 		}
 	}
 
-	// Missing baseline: the error must say how to record one.
+	// Missing baseline: the error must say how to record one, with flags
+	// quicksand-bench has — it writes records to the working directory.
 	_, err := readStats(dir, "ext-scale")
-	if err == nil || !strings.Contains(err.Error(), "quicksand-bench -json") {
-		t.Errorf("missing record error = %v, want a hint to run quicksand-bench -json", err)
+	if want := "`cd " + dir + " && quicksand-bench -json -par 1 ext-scale`"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("missing record error = %v, want the hint %s", err, want)
 	}
 
 	// Malformed JSON still reports the path.

@@ -25,16 +25,20 @@
 // include whatever ran concurrently.
 //
 // -seed N offsets the RNG seeds of the seed-swept experiments (fig2,
-// ext-chaos, ext-failover). Two runs at the same -seed must produce byte-identical
-// output — CI's seed-sweep job enforces this. 0 (the default) keeps
-// the committed seeds that the BENCH_*.json baselines were recorded at.
+// ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Two runs
+// at the same -seed must produce byte-identical output — CI's seed-sweep
+// job enforces this. 0 (the default) keeps the committed seeds that the
+// BENCH_*.json baselines were recorded at.
 //
 // -trace-dir DIR enables causal span tracing plus resource telemetry
 // on the traced experiments (fig1's quicksand mode, ext-failover's
-// RF=2 crash run) and writes each run as Chrome trace-event JSON to
-// DIR/<id>.trace.json — open the files in Perfetto. Telemetry sampling
-// adds kernel events, so do not combine -trace-dir with runs whose
-// event counts feed the bench baselines.
+// RF=2 crash run, ext-memharvest, ext-serve) and writes each run as
+// Chrome trace-event JSON to DIR/<id>.trace.json — open the files in
+// Perfetto — and as DIR/<id>.jsonl, the record stream `qsctl analyze`
+// reads (ext-serve also writes its unsampled trace to
+// DIR/ext-serve.full.trace.json). Telemetry sampling adds kernel
+// events, so do not combine -trace-dir with runs whose event counts
+// feed the bench baselines.
 package main
 
 import (
@@ -84,7 +88,7 @@ func main() {
 	par := flag.Int("par", 0, "max concurrent host workers for experiments (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "write BENCH_<id>.json per experiment (wall clock, events, allocs)")
 	seed := flag.Int64("seed", 0, "seed offset for seed-swept experiments (0 = committed seeds)")
-	traceDir := flag.String("trace-dir", "", "export Chrome trace-event JSON of traced experiments to this directory")
+	traceDir := flag.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json and .jsonl) to this directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()

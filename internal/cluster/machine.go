@@ -77,7 +77,7 @@ func (t *Task) Remaining() time.Duration {
 
 // Done returns the Cond that is broadcast when the task completes or is
 // canceled, or nil once it has: what a caller that cannot block (a
-// sim.WaitStaged stage) parks its process on in place of Wait.
+// sim.Proc.Await stage) parks its process on in place of Wait.
 func (t *Task) Done() *sim.Cond {
 	if t.finished {
 		return nil
@@ -127,7 +127,6 @@ func (t *Task) Cancel() {
 	t.finished = true
 	t.canceled = true
 	t.done.Broadcast()
-	m.recordUtil()
 	m.reschedule()
 }
 
@@ -177,9 +176,6 @@ type Machine struct {
 	// CoreSeconds accumulates CPU work completed on this machine, in
 	// core-seconds. Reserved (antagonist) cores are not counted.
 	CoreSeconds float64
-	// Util, when non-nil, receives a busy-core sample at every CPU
-	// state transition. Enable with TrackUtilization.
-	Util *metrics.TimeSeries
 	// MemSeries, when non-nil, receives memory-used samples on every
 	// allocation change.
 	MemSeries *metrics.TimeSeries
@@ -209,14 +205,6 @@ func (m *Machine) Config() MachineConfig { return m.cfg }
 
 // Cores returns the machine's total core count.
 func (m *Machine) Cores() float64 { return m.cfg.Cores }
-
-// TrackUtilization attaches a time series that records busy cores
-// (including reserved capacity) at every transition.
-func (m *Machine) TrackUtilization() *metrics.TimeSeries {
-	m.Util = metrics.NewTimeSeries(fmt.Sprintf("machine-%d.busy_cores", m.ID))
-	m.recordUtil()
-	return m.Util
-}
 
 // availCores returns the capacity left after reservations.
 func (m *Machine) availCores() float64 {
@@ -392,14 +380,7 @@ func (m *Machine) completeFinished() {
 		t.finished = true
 		t.done.Broadcast()
 	}
-	m.recordUtil()
 	m.reschedule()
-}
-
-func (m *Machine) recordUtil() {
-	if m.Util != nil {
-		m.Util.Add(m.k.Now(), m.BusyCores())
-	}
 }
 
 // Down reports whether the machine is crashed.
@@ -432,7 +413,6 @@ func (m *Machine) Crash() {
 	if m.MemSeries != nil {
 		m.MemSeries.Add(m.k.Now(), 0)
 	}
-	m.recordUtil()
 	m.reschedule() // no tasks: stops the completion timer
 }
 
@@ -444,7 +424,6 @@ func (m *Machine) Restart() {
 	}
 	m.settle()
 	m.down = false
-	m.recordUtil()
 }
 
 // Submit enqueues `work` of single-core CPU time and returns the task
@@ -482,7 +461,6 @@ func (m *Machine) Submit(work time.Duration) *Task {
 	}
 	t.vfinish = m.attained + float64(work)
 	m.heapPush(t)
-	m.recordUtil()
 	m.reschedule()
 	return t
 }
@@ -507,7 +485,6 @@ func (m *Machine) SetReserved(cores float64) {
 	}
 	m.settle()
 	m.reserved = cores
-	m.recordUtil()
 	m.reschedule()
 }
 

@@ -213,21 +213,6 @@ func TestFreeTooMuchPanics(t *testing.T) {
 	m.FreeMem(1)
 }
 
-func TestUtilizationSeries(t *testing.T) {
-	k, m := newTestMachine(t, 2, 0)
-	util := m.TrackUtilization()
-	k.Spawn("w", func(p *sim.Proc) {
-		m.Exec(p, 5*time.Millisecond)
-	})
-	k.Run()
-	if v, ok := util.At(sim.Millisecond); !ok || v != 1 {
-		t.Errorf("busy cores during run = %v,%v, want 1,true", v, ok)
-	}
-	if v, _ := util.At(6 * sim.Millisecond); v != 0 {
-		t.Errorf("busy cores after run = %v, want 0", v)
-	}
-}
-
 func TestClusterWiring(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, simnet.DefaultConfig())

@@ -24,7 +24,11 @@ func runAblMigration(scale Scale) (*Result, error) {
 	res.addf("%-12s %14s", "state", "latency[ms]")
 	// Each sweep point is an independent two-machine simulation; fan
 	// the points out across host cores and merge in size order.
-	lats, err := runpar.MapErr(len(sizes), parallelism, func(i int) (time.Duration, error) {
+	type point struct {
+		lat    time.Duration
+		events uint64
+	}
+	pts, err := runpar.MapErr(len(sizes), parallelism, func(i int) (point, error) {
 		sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 			{Cores: 8, MemBytes: 8 << 30},
 			{Cores: 8, MemBytes: 8 << 30},
@@ -32,7 +36,7 @@ func runAblMigration(scale Scale) (*Result, error) {
 		defer sys.Close()
 		pr, err := sys.Runtime.Spawn("migrant", 0, sizes[i])
 		if err != nil {
-			return 0, err
+			return point{}, err
 		}
 		var lat time.Duration
 		sys.K.Spawn("ctl", func(p *sim.Proc) {
@@ -43,13 +47,14 @@ func runAblMigration(scale Scale) (*Result, error) {
 			lat = p.Now().Sub(start)
 		})
 		sys.K.Run()
-		return lat, nil
+		return point{lat, sys.K.EventsProcessed()}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for i, size := range sizes {
-		ms := float64(lats[i]) / 1e6
+		res.EventsProcessed += pts[i].events
+		ms := float64(pts[i].lat) / 1e6
 		res.addf("%-12s %14.3f", byteSize(size), ms)
 		res.set(fmt.Sprintf("latency_ms.%d", size), ms)
 	}
@@ -101,6 +106,7 @@ func runAblSplit(scale Scale) (*Result, error) {
 			}
 		})
 		sys.K.Run()
+		res.EventsProcessed += sys.K.EventsProcessed()
 		res.addf("%-12s %16.3f %16.3f", byteSize(cap), splitMs, plainMs)
 		res.set(fmt.Sprintf("split_ms.%d", cap), splitMs)
 	}
@@ -167,6 +173,7 @@ func runAblPrefetch(scale Scale) (*Result, error) {
 			sec = p.Now().Sub(start).Seconds()
 		})
 		sys.K.Run()
+		res.EventsProcessed += sys.K.EventsProcessed()
 		return sec, runErr
 	}
 
@@ -215,6 +222,7 @@ func runAblSched(scale Scale) (*Result, error) {
 	}
 	for i, m := range modes {
 		st := stats[i]
+		res.EventsProcessed += st.events
 		res.addf("%-12s %14.1f %12d", m.name, st.goodputPct, st.migrations)
 		res.set(m.name+".goodput_pct", st.goodputPct)
 	}

@@ -31,6 +31,7 @@ func runAblGranularity(scale Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.EventsProcessed += st.events
 		label := fmt.Sprintf("%d x %dw x %s", members, cfg.workersPer, byteSize(heap))
 		res.addf("%-20s %14.1f %12d %14.3f", label, st.goodputPct, st.migrations, st.migMeanMs)
 		res.set(fmt.Sprintf("goodput_pct.%d", members), st.goodputPct)
@@ -65,6 +66,7 @@ func runAblReactor(scale Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.EventsProcessed += st.events
 		res.addf("%-12v %14.1f %12d", period, st.goodputPct, st.migrations)
 		res.set(fmt.Sprintf("goodput_pct.%d", period.Microseconds()), st.goodputPct)
 	}

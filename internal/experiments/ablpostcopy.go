@@ -71,6 +71,7 @@ func runAblPostcopy(scale Scale) (*Result, error) {
 				}
 			})
 			sys.K.RunUntil(horizon)
+			res.EventsProcessed += sys.K.EventsProcessed()
 			if err != nil {
 				return o, err
 			}

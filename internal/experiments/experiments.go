@@ -49,10 +49,10 @@ type Result struct {
 	Series     map[string][]float64
 	SeriesTime []float64
 	// EventsProcessed is the total number of kernel events executed
-	// across the experiment's simulation runs, and Trace the rendered
-	// control-plane event log — both exist so the determinism
-	// regression test can assert that one seed produces exactly one
-	// behaviour. Currently populated by the figure experiments.
+	// across the experiment's simulation runs (every experiment sets it),
+	// and Trace the rendered control-plane event log of those that keep
+	// one — both exist so the determinism regression test can assert
+	// that one seed produces exactly one behaviour.
 	EventsProcessed uint64
 	Trace           []string
 }
@@ -127,9 +127,10 @@ func SetParallelism(n int) {
 func Parallelism() int { return parallelism }
 
 // baseSeed offsets the RNG seeds of the seed-swept experiments (fig2,
-// ext-chaos, ext-failover) so CI can verify determinism at several seeds: two runs at
-// the same base seed must be byte-identical, while different base seeds
-// explore different schedules. The default of zero leaves every
+// ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve) so CI can
+// verify determinism at several seeds: two runs at the same base seed must
+// be byte-identical, while different base seeds explore different
+// schedules. The default of zero leaves every
 // experiment at its committed seed, so the BENCH_*.json baselines are
 // unaffected.
 var baseSeed int64

@@ -51,6 +51,7 @@ func extGPUConfig(scale Scale) extGPUCfg {
 
 // extGPUOut is one mode's outcome.
 type extGPUOut struct {
+	events     uint64
 	steps      int64
 	idealSteps float64
 	evacs      int64
@@ -152,6 +153,7 @@ func extGPURun(cfg extGPUCfg, fungible bool) (extGPUOut, error) {
 
 	sys.K.RunUntil(cfg.horizon)
 	fleet.Stop()
+	out.events = sys.K.EventsProcessed()
 
 	stepTime := cfg.stepKernel +
 		time.Duration(float64(cfg.batchBytes)/16e9*1e9) // kernel + upload
@@ -177,6 +179,7 @@ func runExtGPU(scale Scale) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		res.EventsProcessed += out.events
 		pct := 100 * float64(out.steps) / out.idealSteps
 		res.addf("%-14s %12d %11.1f%% %10d %14.1f %10d",
 			mode.name, out.steps, pct, out.evacs, out.evacMeanMs, out.restarts)

@@ -91,6 +91,7 @@ func runExtHarvest(scale Scale) (*Result, error) {
 			}
 		}
 		sys.K.RunUntil(horizon)
+		res.EventsProcessed += sys.K.EventsProcessed()
 		idealPerMs := 2 * cores * float64(time.Millisecond) / float64(unit)
 		fromB := int(int64(measure) / int64(time.Millisecond))
 		toB := int(int64(horizon) / int64(time.Millisecond))
@@ -204,6 +205,7 @@ func runExtMemHarvest(scale Scale) (*Result, error) {
 		sys.K.Stop()
 	})
 	sys.K.Run()
+	res.EventsProcessed = sys.K.EventsProcessed()
 	if err := maybeExportTrace("ext-memharvest", sys); err != nil {
 		return nil, err
 	}

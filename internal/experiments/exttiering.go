@@ -97,6 +97,7 @@ func runExtTiering(scale Scale) (*Result, error) {
 			scanMsPerElem = p.Now().Sub(start).Seconds() * 1000 / float64(count)
 		})
 		sys.K.Run()
+		res.EventsProcessed += sys.K.EventsProcessed()
 		return scanMsPerElem, v.Spills, v.Faults, runErr
 	}
 

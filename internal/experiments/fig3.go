@@ -51,6 +51,7 @@ func fig3Config(scale Scale) fig3Cfg {
 
 // fig3Out carries the measured series.
 type fig3Out struct {
+	events   uint64
 	size     *metrics.TimeSeries // producer pool size over time
 	active   *metrics.TimeSeries // active GPUs over time
 	consumed *metrics.BucketSeries
@@ -122,6 +123,7 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 
 	sys.K.RunUntil(cfg.horizon)
 	gpus.Stop()
+	out.events = sys.K.EventsProcessed()
 	out.active = gpus.ActiveSeries
 	out.splits = tp.Pool().Splits
 	out.merges = tp.Pool().Merges
@@ -201,6 +203,7 @@ func runFig3(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	res := newResult("fig3", "Figure 3: compute proclets track varying GPU availability")
+	res.EventsProcessed = out.events
 	res.addf("setup: GPUs toggle %d<->%d every %v; preprocessing %v/batch, GPU %v/batch",
 		cfg.gpusHi, cfg.gpusLo, cfg.halfPeriod, cfg.preprocCPU, cfg.gpuBatch)
 	reacts, utils := fig3Reactions(cfg, out)

@@ -56,7 +56,6 @@ type Injector struct {
 // scaled) rate curve, an independent deterministic RNG stream, and the
 // shared immutable key sampler.
 type stream struct {
-	name string
 	arr  *Arrivals
 	zipf *Zipf
 	rng  *rand.Rand
@@ -88,11 +87,10 @@ func NewInjector(k *sim.Kernel, window time.Duration, handler func(Request)) *In
 // RNG stream is derived from the shard kernel's RNG at registration
 // time, so registration order — which callers keep fixed across shards
 // and worker counts — fully determines the stream. Returns the tenant
-// index used in Request.Tenant.
+// index used in Request.Tenant; name labels the call and is not kept.
 func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) int {
 	rng := rand.New(rand.NewSource(inj.k.Rand().Int63()))
 	inj.streams = append(inj.streams, stream{
-		name: name,
 		arr:  NewArrivals(curve, rng),
 		zipf: zipf,
 		rng:  rng,
@@ -166,6 +164,3 @@ func (inj *Injector) Delivered() uint64 { return inj.delivered }
 
 // Windows returns the number of batch windows executed.
 func (inj *Injector) Windows() uint64 { return inj.windows }
-
-// TenantName returns the name tenant i was registered with.
-func (inj *Injector) TenantName(i int) string { return inj.streams[i].name }
