@@ -81,8 +81,19 @@ func (out *awaitMixRun) count(in *Wait, stage func() Wait) func() Wait {
 	}
 }
 
+// awaitShapes picks which of runAwaitMix's staged populations besides the
+// daemons run.
+type awaitShapes uint8
+
+const (
+	withWorkers awaitShapes = 1 << iota
+	withCallers
+	withTapers
+	allShapes = withWorkers | withCallers | withTapers
+)
+
 // runAwaitMix builds a random program from seed and runs it with impl,
-// checking nothing itself: the test compares what it recorded. Its tapes
+// checking nothing itself: the tests compare what it recorded. Its tapes
 // cover every shape a stage takes in the tree and a few it does not:
 //
 //   - daemons (the reactors) that start by waiting — out a period, on a
@@ -101,10 +112,18 @@ func (out *awaitMixRun) count(in *Wait, stage func() Wait) func() Wait {
 //     end of the tape.
 //
 // Sleepers, timed callbacks, ping-pong pairs and a periodic broadcaster
-// run among them. The run ends in Close, with processes mid-wait.
-func runAwaitMix(seed int64, impl awaitImpl) awaitMixRun {
+// run among them. The run ends in Close, with processes mid-wait. shapes
+// leaves out workers, callers or tapers; the daemons always run.
+func runAwaitMix(seed int64, shapes awaitShapes, impl awaitImpl) awaitMixRun {
 	k := NewKernel(seed)
 	rng := rand.New(rand.NewSource(seed))
+	// some draws n processes of shape s: none if shapes leave s out.
+	some := func(s awaitShapes, n int) int {
+		if shapes&s == 0 {
+			return 0
+		}
+		return n
+	}
 	var out awaitMixRun
 	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 	drive := func(horizon Time) {
@@ -217,7 +236,7 @@ func runAwaitMix(seed int64, impl awaitImpl) awaitMixRun {
 		queue = append(queue, item)
 		qCond.Signal()
 	}
-	nWorkers := 2 + rng.Intn(4)
+	nWorkers := some(withWorkers, 2+rng.Intn(4)) // 0: the feeder feeds nothing
 	for i := 0; i < nWorkers; i++ {
 		rounds, perRound := 1+rng.Intn(3), 1+rng.Intn(5)
 		k.Spawn(fmt.Sprintf("worker-%d", i), func(p *Proc) {
@@ -273,7 +292,7 @@ func runAwaitMix(seed int64, impl awaitImpl) awaitMixRun {
 		}
 	})
 
-	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+	for i, n := 0, some(withCallers, 1+rng.Intn(4)); i < n; i++ {
 		d := us(rng.Intn(4)) // 0: the same-instant FIFO
 		rounds := 1 + rng.Intn(6)
 		k.Spawn(fmt.Sprintf("caller-%d", i), func(p *Proc) {
@@ -305,7 +324,7 @@ func runAwaitMix(seed int64, impl awaitImpl) awaitMixRun {
 	}
 
 	conds := make([]Cond, 3)
-	for i, n := 0, 1+rng.Intn(4); i < n; i++ {
+	for i, n := 0, some(withTapers, 1+rng.Intn(4)); i < n; i++ {
 		rounds := 1 + rng.Intn(5)
 		k.Spawn(fmt.Sprintf("taper-%d", i), func(p *Proc) {
 			defer func() { unwound++ }()
@@ -375,13 +394,84 @@ func runAwaitMix(seed int64, impl awaitImpl) awaitMixRun {
 	return out
 }
 
+// referenceAwaitMix runs seed's program with impl, which spawns its
+// daemons by SpawnLazy, and checks what holds of any such run: something
+// got through, Close left nothing behind, and every daemon had a worker
+// from the start.
+func referenceAwaitMix(t *testing.T, seed int64, shapes awaitShapes, impl awaitImpl) awaitMixRun {
+	t.Helper()
+	want := runAwaitMix(seed, shapes, impl)
+	if len(want.done) == 0 {
+		t.Fatalf("seed %d: degenerate program, nothing got through (%d events)", seed, len(want.log))
+	}
+	if c := want.closed; c[0] != 0 || c[1] != 0 || c[2] != 0 {
+		t.Fatalf("seed %d: after Close (Live, Blocked, Pending) = %v, want 0s", seed, c[:3])
+	}
+	if want.quietWorkers != uint64(len(want.pids)) {
+		t.Fatalf("seed %d: %d workers for %d lazily spawned daemons", seed, want.quietWorkers, len(want.pids))
+	}
+	return want
+}
+
+// matchAwaitMix runs seed's program with impl (called name) and fails t at
+// its first difference from want, the run of the reference (called ref):
+// the same (time, seq, process) for every event, the same Blocked() and
+// Live() after every one, the same daemon PIDs, the same completions in
+// the same order, the same state after Close, and no more workers.
+func matchAwaitMix(t *testing.T, seed int64, shapes awaitShapes, name string, impl awaitImpl, ref string, want awaitMixRun) awaitMixRun {
+	t.Helper()
+	got := runAwaitMix(seed, shapes, impl)
+	if len(got.log) != len(want.log) {
+		t.Fatalf("seed %d: %s ran %d events, %s %d", seed, name, len(got.log), ref, len(want.log))
+	}
+	for i := range want.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("seed %d: event %d is %+v with %s, %+v with %s", seed, i, got.log[i], name, want.log[i], ref)
+		}
+		if got.counts[i] != want.counts[i] {
+			t.Fatalf("seed %d: after event %d (Blocked, Live) = %v with %s, %v with %s",
+				seed, i, got.counts[i], name, want.counts[i], ref)
+		}
+	}
+	if !reflect.DeepEqual(got.done, want.done) {
+		t.Fatalf("seed %d: completions differ\n%s: %v\n%s: %v", seed, name, got.done, ref, want.done)
+	}
+	if !reflect.DeepEqual(got.pids, want.pids) || got.closed != want.closed {
+		t.Fatalf("seed %d: PIDs %v, after Close %v with %s; %v, %v with %s",
+			seed, got.pids, got.closed, name, want.pids, want.closed, ref)
+	}
+	if got.workers > want.workers {
+		t.Fatalf("seed %d: %s created %d workers, %s %d", seed, name, got.workers, ref, want.workers)
+	}
+	return got
+}
+
+// unboundWhileWaiting checks a SpawnAwait run created a worker per daemon
+// let go in the quiet phase at most (a finished one may serve the next),
+// none while waiting, and returns how many daemons waited it out without
+// one.
+func unboundWhileWaiting(t *testing.T, seed int64, got awaitMixRun) int {
+	t.Helper()
+	if got.quietWorkers > uint64(got.quietStarted) {
+		t.Fatalf("seed %d: %d workers in the quiet phase for %d daemons let go", seed, got.quietWorkers, got.quietStarted)
+	}
+	return len(got.pids) - int(got.quietWorkers)
+}
+
+// tally adds run's stage counts to total's.
+func (total *awaitMixRun) tally(run awaitMixRun) {
+	for i := range total.waits {
+		total.waits[i] += run.waits[i]
+	}
+	total.reparks += run.reparks
+}
+
 // TestAwaitMatchesReferenceLoop: Await must be event-for-event the loop it
-// stands for, and SpawnAwait SpawnLazy with the Await first — the same
-// (time, seq, process) for every event, the same Blocked() and Live()
-// after every one, the same daemon PIDs, the same completions in the same
-// order (several workers wait on one Cond), the same state after a Close
-// that cuts waits short — while SpawnAwait creates no worker for a daemon
-// that has not been let go.
+// stands for, and SpawnAwait SpawnLazy with the Await first (see
+// matchAwaitMix), over the whole mix — several workers wait on one Cond,
+// and Close cuts waits short — while SpawnAwait creates no worker for a
+// daemon that has not been let go. The four tests after it run the same
+// check on one shape at a time.
 //
 // Mutations of kernel.go this was checked to fail under: blocked++
 // dropped from proceed; blocked++ dropped on a woken re-park only (the
@@ -398,60 +488,73 @@ func TestAwaitMatchesReferenceLoop(t *testing.T) {
 	var total awaitMixRun
 	saved := 0
 	for seed := int64(1); seed <= 200; seed++ {
-		want := runAwaitMix(seed, byLoop)
-		if len(want.done) == 0 {
-			t.Fatalf("seed %d: degenerate program, nothing got through (%d events)", seed, len(want.log))
-		}
-		if c := want.closed; c[0] != 0 || c[1] != 0 || c[2] != 0 {
-			t.Fatalf("seed %d: after Close (Live, Blocked, Pending) = %v, want 0s", seed, c[:3])
-		}
-		if want.quietWorkers != uint64(len(want.pids)) {
-			t.Fatalf("seed %d: %d workers for %d lazily spawned daemons", seed, want.quietWorkers, len(want.pids))
-		}
-		for _, impl := range []struct {
-			name string
-			awaitImpl
-		}{{"Await", byAwait}, {"SpawnAwait", bySpawnAwait}} {
-			got := runAwaitMix(seed, impl.awaitImpl)
-			if len(got.log) != len(want.log) {
-				t.Fatalf("seed %d: %s ran %d events, the loop %d", seed, impl.name, len(got.log), len(want.log))
-			}
-			for i := range want.log {
-				if got.log[i] != want.log[i] {
-					t.Fatalf("seed %d: event %d is %+v with %s, %+v with the loop", seed, i, got.log[i], impl.name, want.log[i])
-				}
-				if got.counts[i] != want.counts[i] {
-					t.Fatalf("seed %d: after event %d (Blocked, Live) = %v with %s, %v with the loop",
-						seed, i, got.counts[i], impl.name, want.counts[i])
-				}
-			}
-			if !reflect.DeepEqual(got.done, want.done) {
-				t.Fatalf("seed %d: completions differ\n%s: %v\nthe loop: %v", seed, impl.name, got.done, want.done)
-			}
-			if !reflect.DeepEqual(got.pids, want.pids) || got.closed != want.closed {
-				t.Fatalf("seed %d: PIDs %v, after Close %v with %s; %v, %v with the loop",
-					seed, got.pids, got.closed, impl.name, want.pids, want.closed)
-			}
-			if got.workers > want.workers {
-				t.Fatalf("seed %d: %s created %d workers, the loop %d", seed, impl.name, got.workers, want.workers)
-			}
-			if impl.name == "SpawnAwait" {
-				// A worker per daemon let go in the quiet phase at most
-				// (a finished one may serve the next): none while waiting.
-				if got.quietWorkers > uint64(got.quietStarted) {
-					t.Fatalf("seed %d: %d workers in the quiet phase for %d daemons let go", seed, got.quietWorkers, got.quietStarted)
-				}
-				saved += len(got.pids) - int(got.quietWorkers)
-				for i := range total.waits {
-					total.waits[i] += got.waits[i]
-				}
-				total.reparks += got.reparks
-			}
-		}
+		want := referenceAwaitMix(t, seed, allShapes, byLoop)
+		matchAwaitMix(t, seed, allShapes, "Await", byAwait, "the loop", want)
+		got := matchAwaitMix(t, seed, allShapes, "SpawnAwait", bySpawnAwait, "the loop", want)
+		saved += unboundWhileWaiting(t, seed, got)
+		total.tally(got)
 	}
 	if total.waits[0] < 5_000 || total.waits[1] < 3_500 || total.waits[2] < 3_000 || total.reparks < 2_000 || saved < 300 {
 		t.Fatalf("degenerate programs over 200 seeds: stages returned %d After, %d On, %d Resume; %d re-parked after a wake; %d daemons waited out the quiet phase without a worker",
 			total.waits[0], total.waits[1], total.waits[2], total.reparks, saved)
+	}
+}
+
+// TestSleepWhileMatchesSleepLoop: a poll — a stage that returns After(d)
+// until a flag is raised, what SleepWhile was — matches the Sleep loop,
+// with only the daemons polling.
+func TestSleepWhileMatchesSleepLoop(t *testing.T) {
+	var total awaitMixRun
+	for seed := int64(1); seed <= 200; seed++ {
+		want := referenceAwaitMix(t, seed, 0, byLoop)
+		total.tally(matchAwaitMix(t, seed, 0, "Await", byAwait, "the Sleep loop", want))
+	}
+	if total.waits[0] < 4_500 || total.waits[2] < 800 {
+		t.Fatalf("degenerate programs over 200 seeds: polls returned %d After, %d Resume", total.waits[0], total.waits[2])
+	}
+}
+
+// TestSleepThenWaitMatchesInlineContinuation: a delay and then one piece
+// of work waited for on a Cond — what SleepThenWait was — matches the
+// Sleep and the Cond.Wait run inline, with callers beside the daemons.
+func TestSleepThenWaitMatchesInlineContinuation(t *testing.T) {
+	var total awaitMixRun
+	for seed := int64(1); seed <= 200; seed++ {
+		want := referenceAwaitMix(t, seed, withCallers, byLoop)
+		total.tally(matchAwaitMix(t, seed, withCallers, "Await", byAwait, "the inline continuation", want))
+	}
+	if total.waits[1] < 600 || total.waits[2] < 1_500 {
+		t.Fatalf("degenerate programs over 200 seeds: stages returned %d On, %d Resume", total.waits[1], total.waits[2])
+	}
+}
+
+// TestWaitStagedMatchesWaitLoop: a chain of Cond waits — what WaitStaged
+// was — matches the Cond.Wait loop, with workers sharing one queue Cond
+// beside the daemons, so the wake order of several waiters shows.
+func TestWaitStagedMatchesWaitLoop(t *testing.T) {
+	var total awaitMixRun
+	for seed := int64(1); seed <= 200; seed++ {
+		want := referenceAwaitMix(t, seed, withWorkers, byLoop)
+		total.tally(matchAwaitMix(t, seed, withWorkers, "Await", byAwait, "the Wait loop", want))
+	}
+	if total.waits[1] < 2_000 || total.reparks < 1_500 {
+		t.Fatalf("degenerate programs over 200 seeds: stages returned %d On; %d re-parked after a wake", total.waits[1], total.reparks)
+	}
+}
+
+// TestSpawnPolledMatchesSpawnLazy: SpawnAwait — what SpawnPolled was, for
+// a daemon that starts by waiting — matches SpawnLazy with the Await as
+// the body's first statement, while creating no worker for a daemon until
+// its stage lets it go.
+func TestSpawnPolledMatchesSpawnLazy(t *testing.T) {
+	saved := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		want := referenceAwaitMix(t, seed, 0, byAwait)
+		got := matchAwaitMix(t, seed, 0, "SpawnAwait", bySpawnAwait, "SpawnLazy", want)
+		saved += unboundWhileWaiting(t, seed, got)
+	}
+	if saved < 250 {
+		t.Fatalf("degenerate programs over 200 seeds: %d daemons waited out the quiet phase without a worker", saved)
 	}
 }
 
