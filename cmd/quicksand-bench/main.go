@@ -43,8 +43,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -82,22 +84,36 @@ func writeBenchJSON(dir string, st benchStats) (string, error) {
 }
 
 func main() {
-	scaleFlag := flag.String("scale", "full", "experiment scale: full (paper) or test (CI)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	csv := flag.Bool("csv", false, "emit plot-ready CSV time series instead of tables (fig1/fig3)")
-	par := flag.Int("par", 0, "max concurrent host workers for experiments (0 = GOMAXPROCS)")
-	jsonOut := flag.Bool("json", false, "write BENCH_<id>.json per experiment (wall clock, events, allocs)")
-	seed := flag.Int64("seed", 0, "seed offset for seed-swept experiments (0 = committed seeds)")
-	traceDir := flag.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json and .jsonl) to this directory")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable args and streams, for tests. It returns
+// the process exit code, so every exit after the CPU profile starts
+// passes through the deferred stop that writes the profile out.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("quicksand-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "full", "experiment scale: full (paper) or test (CI)")
+	list := fs.Bool("list", false, "list experiments and exit")
+	csv := fs.Bool("csv", false, "emit plot-ready CSV time series instead of tables (fig1/fig3)")
+	par := fs.Int("par", 0, "max concurrent host workers for experiments (0 = GOMAXPROCS)")
+	jsonOut := fs.Bool("json", false, "write BENCH_<id>.json per experiment (wall clock, events, allocs)")
+	seed := fs.Int64("seed", 0, "seed offset for seed-swept experiments (0 = committed seeds)")
+	traceDir := fs.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json and .jsonl) to this directory")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to `file` at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, id := range experiments.List() {
-			fmt.Printf("%-15s %s\n", id, experiments.Title(id))
+			fmt.Fprintf(stdout, "%-15s %s\n", id, experiments.Title(id))
 		}
-		return
+		return 0
 	}
 
 	var scale experiments.Scale
@@ -107,8 +123,8 @@ func main() {
 	case "test":
 		scale = experiments.TestScale
 	default:
-		fmt.Fprintf(os.Stderr, "quicksand-bench: unknown scale %q (want full or test)\n", *scaleFlag)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "quicksand-bench: unknown scale %q (want full or test)\n", *scaleFlag)
+		return 2
 	}
 
 	if *memprofile != "" {
@@ -121,27 +137,34 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+			return 1
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+				code = 1
+			}
+		}()
 	}
 
 	experiments.SetParallelism(*par)
 	experiments.SetBaseSeed(*seed)
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+			return 1
 		}
 		experiments.SetTraceDir(*traceDir)
 	}
 
-	ids := flag.Args()
+	ids := fs.Args()
 	if len(ids) == 0 {
 		ids = experiments.List()
 	}
@@ -174,46 +197,46 @@ func main() {
 		return o
 	})
 
-	failed := false
 	for i, id := range ids {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if outs[i].err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %s: %v\n", id, outs[i].err)
-			failed = true
+			fmt.Fprintf(stderr, "quicksand-bench: %s: %v\n", id, outs[i].err)
+			code = 1
 			continue
 		}
 		if *jsonOut {
 			path, err := writeBenchJSON(".", outs[i].st)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "quicksand-bench: %s: %v\n", id, err)
-				failed = true
+				fmt.Fprintf(stderr, "quicksand-bench: %s: %v\n", id, err)
+				code = 1
 			} else {
-				fmt.Fprintf(os.Stderr, "quicksand-bench: wrote %s\n", path)
+				fmt.Fprintf(stderr, "quicksand-bench: wrote %s\n", path)
 			}
 		}
 		if *csv {
-			outs[i].res.WriteCSV(os.Stdout)
+			outs[i].res.WriteCSV(stdout)
 			continue
 		}
-		outs[i].res.Print(os.Stdout)
+		outs[i].res.Print(stdout)
 	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+			return 1
 		}
 		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "quicksand-bench: %v\n", err)
-			os.Exit(1)
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		f.Close()
+		if err != nil {
+			fmt.Fprintf(stderr, "quicksand-bench: %v\n", err)
+			return 1
+		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -65,5 +67,29 @@ func TestBenchStatsFromExperiment(t *testing.T) {
 	}
 	if _, err := writeBenchJSON(t.TempDir(), benchStats{ID: res.ID, Events: res.EventsProcessed}); err != nil {
 		t.Fatalf("writeBenchJSON: %v", err)
+	}
+}
+
+// TestCPUProfileSurvivesAFailedRun: a run that exits 1 (here, an unknown
+// experiment after a good one) still writes a complete CPU profile. The
+// profile is a gzip stream, so a file the process left unstopped is
+// empty and fails to open as one.
+func TestCPUProfileSurvivesAFailedRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	if code := run([]string{"-scale", "test", "-cpuprofile", path, "fig1", "nosuch"}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not a gzip stream: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil || len(body) == 0 {
+		t.Fatalf("profile body: %d bytes, err %v", len(body), err)
 	}
 }

@@ -155,9 +155,6 @@ func NewCoarseApp(sys *core.System, name string, m cluster.MachineID, workers in
 // Compute returns the underlying compute proclet (submit work with Run).
 func (ca *CoarseApp) Compute() *core.ComputeProclet { return ca.cp }
 
-// Location returns the current machine.
-func (ca *CoarseApp) Location() cluster.MachineID { return ca.cp.Location() }
-
 // StartMonitor launches the slow reprovisioning loop: every
 // MonitorPeriod, if the app's machine has no available cores and some
 // other machine does, move there (paying the full state copy).
@@ -191,5 +188,5 @@ func (ca *CoarseApp) StartMonitor() {
 	})
 }
 
-// Stop ends the monitor at its next tick.
-func (ca *CoarseApp) Stop() { ca.stopped = true }
+// stop ends the monitor at its next tick.
+func (ca *CoarseApp) stop() { ca.stopped = true }

@@ -94,13 +94,13 @@ func TestCoarseAppMovesSlowly(t *testing.T) {
 	// Reserve machine 0 fully at t=100ms.
 	s.K.Schedule(sim.Time(100*time.Millisecond), func() { s.Cluster.Machine(0).SetReserved(8) })
 	s.K.RunUntil(sim.Time(300 * time.Millisecond))
-	if ca.Location() != 0 {
+	if ca.cp.Location() != 0 {
 		t.Fatal("coarse app moved before its monitor period elapsed")
 	}
 	s.K.RunUntil(sim.Time(1200 * time.Millisecond))
-	ca.Stop()
-	if ca.Location() != 1 || ca.Moves != 1 {
-		t.Fatalf("loc=%d moves=%d, want moved to 1 once", ca.Location(), ca.Moves)
+	ca.stop()
+	if ca.cp.Location() != 1 || ca.Moves != 1 {
+		t.Fatalf("loc=%d moves=%d, want moved to 1 once", ca.cp.Location(), ca.Moves)
 	}
 	// The move itself must be slow: 2 GiB over 12.5 GB/s ~ 170ms.
 	if lat := s.Runtime.MigrationLatency.Max(); lat < 0.1 {

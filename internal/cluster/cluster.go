@@ -48,24 +48,6 @@ func (c *Cluster) Machine(id MachineID) *Machine {
 // NumMachines returns the machine count.
 func (c *Cluster) NumMachines() int { return len(c.machines) }
 
-// TotalCores sums core capacity across machines.
-func (c *Cluster) TotalCores() float64 {
-	var sum float64
-	for _, m := range c.machines {
-		sum += m.Cores()
-	}
-	return sum
-}
-
-// TotalMem sums memory capacity across machines.
-func (c *Cluster) TotalMem() int64 {
-	var sum int64
-	for _, m := range c.machines {
-		sum += m.MemCapacity()
-	}
-	return sum
-}
-
 // Node returns the fabric node for a machine.
 func (c *Cluster) Node(id MachineID) *simnet.Node {
 	return c.Fabric.Node(simnet.NodeID(id))

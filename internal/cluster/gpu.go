@@ -71,8 +71,8 @@ type GPUConfig struct {
 	Speed float64
 }
 
-// DefaultGPUConfig models a datacenter training accelerator.
-func DefaultGPUConfig(count int) GPUConfig {
+// defaultGPUConfig models a datacenter training accelerator.
+func defaultGPUConfig(count int) GPUConfig {
 	return GPUConfig{
 		Count:         count,
 		MemBytes:      16 << 30,
@@ -97,9 +97,6 @@ func (m *Machine) AddGPUs(cfgs ...GPUConfig) {
 		if cfg.Speed < 0 {
 			panic("cluster: GPU speed must be non-negative")
 		}
-		if m.gpuLinkBw == 0 {
-			m.gpuLinkBw = cfg.LinkBandwidth
-		}
 		speed := cfg.Speed
 		if speed == 0 {
 			speed = 1
@@ -123,9 +120,6 @@ func (m *Machine) AddGPUs(cfgs ...GPUConfig) {
 	}
 }
 
-// NumGPUs returns how many GPUs the machine has.
-func (m *Machine) NumGPUs() int { return len(m.gpus) }
-
 // GPU returns the i-th GPU, or nil.
 func (m *Machine) GPU(i int) *GPU {
 	if i < 0 || i >= len(m.gpus) {
@@ -137,21 +131,11 @@ func (m *Machine) GPU(i int) *GPU {
 // GPUs returns all GPUs on the machine (not a copy).
 func (m *Machine) GPUs() []*GPU { return m.gpus }
 
-// GPULinkBandwidth returns the host<->device bandwidth of the
-// machine's first GPU class.
-func (m *Machine) GPULinkBandwidth() int64 { return m.gpuLinkBw }
-
 // String identifies the GPU.
 func (g *GPU) String() string { return fmt.Sprintf("m%d/gpu%d", g.Machine.ID, g.Index) }
 
 // Class returns the device class name.
 func (g *GPU) Class() string { return g.class }
-
-// Speed returns the class throughput multiplier.
-func (g *GPU) Speed() float64 { return g.speed }
-
-// LinkBandwidth returns this device's host-link bytes/second.
-func (g *GPU) LinkBandwidth() int64 { return g.linkBw }
 
 // Available reports whether the GPU is currently allocated to us (spot
 // GPUs can be reclaimed by the provider). An available device may
@@ -204,13 +188,6 @@ func (g *GPU) SetStutter(every int, d time.Duration) {
 	g.stallEvery, g.stall = int64(every), d
 }
 
-// Stuttering reports whether an ECC stutter pattern is active.
-func (g *GPU) Stuttering() bool { return g.stallEvery > 0 }
-
-// Degraded reports whether the device runs slower than its class
-// nominal (thermal throttle or ECC stutter) without being failed.
-func (g *GPU) Degraded() bool { return g.throttle > 1 || g.stallEvery > 0 }
-
 // Heal clears all gray-failure state: the device is replaced or
 // recovered — unfailed, unthrottled, stutter-free. Memory accounting
 // and availability are untouched.
@@ -236,12 +213,6 @@ func (g *GPU) EffectiveSpeed() float64 {
 
 // MemFree returns unallocated device memory.
 func (g *GPU) MemFree() int64 { return g.memCap - g.memUsed }
-
-// MemUsed returns allocated device memory.
-func (g *GPU) MemUsed() int64 { return g.memUsed }
-
-// MemCapacity returns total device memory.
-func (g *GPU) MemCapacity() int64 { return g.memCap }
 
 // AllocMem reserves device memory.
 func (g *GPU) AllocMem(bytes int64) error {

@@ -18,14 +18,14 @@ func gpuMachine(t *testing.T, gpus int) (*sim.Kernel, *Machine) {
 
 func TestAddGPUsAndAccessors(t *testing.T) {
 	_, m := gpuMachine(t, 3)
-	if m.NumGPUs() != 3 || len(m.GPUs()) != 3 {
-		t.Fatalf("NumGPUs = %d", m.NumGPUs())
+	if len(m.GPUs()) != 3 || len(m.GPUs()) != 3 {
+		t.Fatalf("NumGPUs = %d", len(m.GPUs()))
 	}
 	if m.GPU(0) == nil || m.GPU(3) != nil || m.GPU(-1) != nil {
 		t.Error("GPU() bounds broken")
 	}
-	if m.GPULinkBandwidth() != 1_000_000_000 {
-		t.Errorf("link bw = %d", m.GPULinkBandwidth())
+	if m.GPU(0).linkBw != 1_000_000_000 {
+		t.Errorf("link bw = %d", m.GPU(0).linkBw)
 	}
 	if m.GPU(1).String() != "m0/gpu1" {
 		t.Errorf("String = %q", m.GPU(1).String())
@@ -49,13 +49,13 @@ func TestAddGPUsZeroCountNoop(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := NewMachine(k, 0, "m", MachineConfig{Cores: 1})
 	m.AddGPUs(GPUConfig{Count: 0})
-	if m.NumGPUs() != 0 {
-		t.Errorf("NumGPUs = %d", m.NumGPUs())
+	if len(m.GPUs()) != 0 {
+		t.Errorf("NumGPUs = %d", len(m.GPUs()))
 	}
 }
 
 func TestDefaultGPUConfig(t *testing.T) {
-	cfg := DefaultGPUConfig(4)
+	cfg := defaultGPUConfig(4)
 	if cfg.Count != 4 || cfg.MemBytes <= 0 || cfg.LinkBandwidth <= 0 {
 		t.Errorf("DefaultGPUConfig = %+v", cfg)
 	}
@@ -126,20 +126,17 @@ func TestAddGPUsHeterogeneousClasses(t *testing.T) {
 		GPUConfig{Count: 2, MemBytes: 8 << 30, LinkBandwidth: 2_000_000_000, Class: "h100", Speed: 2},
 		GPUConfig{Count: 1, MemBytes: 4 << 30, LinkBandwidth: 1_000_000_000, Class: "t4", Speed: 0.5},
 	)
-	if m.NumGPUs() != 3 {
-		t.Fatalf("NumGPUs = %d", m.NumGPUs())
+	if len(m.GPUs()) != 3 {
+		t.Fatalf("NumGPUs = %d", len(m.GPUs()))
 	}
 	fast, slow := m.GPU(0), m.GPU(2)
-	if fast.Class() != "h100" || fast.Speed() != 2 || fast.MemCapacity() != 8<<30 {
-		t.Errorf("fast class = %q speed=%v cap=%d", fast.Class(), fast.Speed(), fast.MemCapacity())
+	if fast.Class() != "h100" || fast.speed != 2 || fast.memCap != 8<<30 {
+		t.Errorf("fast class = %q speed=%v cap=%d", fast.Class(), fast.speed, fast.memCap)
 	}
-	if slow.Class() != "t4" || slow.Speed() != 0.5 || slow.LinkBandwidth() != 1_000_000_000 {
-		t.Errorf("slow class = %q speed=%v bw=%d", slow.Class(), slow.Speed(), slow.LinkBandwidth())
+	if slow.Class() != "t4" || slow.speed != 0.5 || slow.linkBw != 1_000_000_000 {
+		t.Errorf("slow class = %q speed=%v bw=%d", slow.Class(), slow.speed, slow.linkBw)
 	}
 	// Machine-level bandwidth reports the first class.
-	if m.GPULinkBandwidth() != 2_000_000_000 {
-		t.Errorf("machine link bw = %d", m.GPULinkBandwidth())
-	}
 	// A 4ms baseline kernel runs in 2ms on the 2x class, 8ms on the 0.5x.
 	var tFast, tSlow sim.Time
 	k.Spawn("a", func(p *sim.Proc) {
@@ -160,7 +157,7 @@ func TestGPUThermalThrottle(t *testing.T) {
 	k, m := gpuMachine(t, 1)
 	g := m.GPU(0)
 	g.SetThrottle(2.5)
-	if !g.Degraded() || g.Throttle() != 2.5 || g.EffectiveSpeed() != 0.4 {
+	if g.Throttle() != 2.5 || g.EffectiveSpeed() != 0.4 {
 		t.Errorf("throttle=%v eff=%v", g.Throttle(), g.EffectiveSpeed())
 	}
 	k.Spawn("a", func(p *sim.Proc) {
@@ -175,7 +172,7 @@ func TestGPUThermalThrottle(t *testing.T) {
 		}
 	})
 	k.Run()
-	if g.Degraded() {
+	if g.throttle != 1 || g.stallEvery != 0 {
 		t.Error("still degraded after Heal")
 	}
 }
@@ -194,7 +191,7 @@ func TestGPUECCStutter(t *testing.T) {
 	k, m := gpuMachine(t, 1)
 	g := m.GPU(0)
 	g.SetStutter(3, 5*time.Millisecond) // every 3rd kernel stalls 5ms
-	if !g.Stuttering() || !g.Degraded() {
+	if g.stallEvery == 0 {
 		t.Error("stutter not reported")
 	}
 	k.Spawn("a", func(p *sim.Proc) {
@@ -208,7 +205,7 @@ func TestGPUECCStutter(t *testing.T) {
 	})
 	k.Run()
 	g.SetStutter(0, 0)
-	if g.Stuttering() {
+	if g.stallEvery != 0 {
 		t.Error("stutter not cleared")
 	}
 }
@@ -266,8 +263,8 @@ func TestGPUMemBounds(t *testing.T) {
 	if err := g.AllocMem(1); !errors.Is(err, ErrNoMemory) {
 		t.Errorf("err = %v", err)
 	}
-	if g.MemFree() != 0 || g.MemUsed() != 4<<30 {
-		t.Errorf("free=%d used=%d", g.MemFree(), g.MemUsed())
+	if g.MemFree() != 0 || g.memUsed != 4<<30 {
+		t.Errorf("free=%d used=%d", g.MemFree(), g.memUsed)
 	}
 	g.FreeMem(4 << 30)
 	defer func() {

@@ -85,10 +85,10 @@ func (t *Task) Done() *sim.Cond {
 	return &t.done
 }
 
-// Wait blocks the calling process until the task completes or is
+// wait blocks the calling process until the task completes or is
 // canceled. It reports whether the task was canceled and, if so, how
 // much work remains.
-func (t *Task) Wait(p *sim.Proc) (canceled bool, remaining time.Duration) {
+func (t *Task) wait(p *sim.Proc) (canceled bool, remaining time.Duration) {
 	if c := t.Done(); c != nil {
 		c.Wait(p)
 	}
@@ -170,8 +170,7 @@ type Machine struct {
 	epoch uint64
 
 	// Accelerators (see gpu.go).
-	gpus      []*GPU
-	gpuLinkBw int64
+	gpus []*GPU
 
 	// CoreSeconds accumulates CPU work completed on this machine, in
 	// core-seconds. Reserved (antagonist) cores are not counted.
@@ -200,9 +199,6 @@ func NewMachine(k *sim.Kernel, id MachineID, name string, cfg MachineConfig) *Ma
 	return m
 }
 
-// Config returns the machine's static configuration.
-func (m *Machine) Config() MachineConfig { return m.cfg }
-
 // Cores returns the machine's total core count.
 func (m *Machine) Cores() float64 { return m.cfg.Cores }
 
@@ -217,9 +213,6 @@ func (m *Machine) availCores() float64 {
 
 // AvailCores returns cores available to best-effort work.
 func (m *Machine) AvailCores() float64 { return m.availCores() }
-
-// Reserved returns the cores reserved for high-priority work.
-func (m *Machine) Reserved() float64 { return m.reserved }
 
 // Runnable returns the number of tasks currently executing or waiting
 // for CPU share.
@@ -238,28 +231,10 @@ func (m *Machine) perTaskRate() float64 {
 	return rate
 }
 
-// BusyCores returns cores currently in use, counting reservations.
-func (m *Machine) BusyCores() float64 {
-	return math.Min(m.reserved, m.cfg.Cores) + m.perTaskRate()*float64(len(m.taskHeap))
-}
-
-// Utilization returns BusyCores as a fraction of total cores.
-func (m *Machine) Utilization() float64 { return m.BusyCores() / m.cfg.Cores }
-
-// CPUPressure returns demand over available capacity for best-effort
-// work: the number of runnable tasks divided by available cores.
-// Values above 1 mean tasks are receiving less than a full core each;
-// +Inf means work is queued against zero capacity.
-func (m *Machine) CPUPressure() float64 {
-	n := float64(len(m.taskHeap))
-	if n == 0 {
-		return 0
-	}
-	avail := m.availCores()
-	if avail == 0 {
-		return math.Inf(1)
-	}
-	return n / avail
+// Utilization returns the cores in use, counting reservations, as a
+// fraction of total cores.
+func (m *Machine) Utilization() float64 {
+	return (math.Min(m.reserved, m.cfg.Cores) + m.perTaskRate()*float64(len(m.taskHeap))) / m.cfg.Cores
 }
 
 // ---- indexed min-heap on (vfinish, id) ----
@@ -473,7 +448,7 @@ func (m *Machine) Exec(p *sim.Proc, work time.Duration) {
 		return
 	}
 	t := m.Submit(work)
-	t.Wait(p)
+	t.wait(p)
 	t.Release()
 }
 

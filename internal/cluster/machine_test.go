@@ -160,23 +160,20 @@ func TestCoreSecondsAccounting(t *testing.T) {
 
 func TestPressureSignals(t *testing.T) {
 	k, m := newTestMachine(t, 2, 1000)
-	if m.CPUPressure() != 0 {
-		t.Errorf("idle pressure = %v, want 0", m.CPUPressure())
+	if m.Utilization() != 0 {
+		t.Errorf("idle utilization = %v, want 0", m.Utilization())
 	}
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < 4; i++ {
 			k.Spawn("w", func(q *sim.Proc) { m.Exec(q, time.Millisecond) })
 		}
 		p.Yield()
-		if got := m.CPUPressure(); got != 2 {
-			t.Errorf("pressure = %v, want 2 (4 tasks / 2 cores)", got)
-		}
 		if got := m.Utilization(); got != 1 {
 			t.Errorf("utilization = %v, want 1", got)
 		}
 		m.SetReserved(2)
-		if !math.IsInf(m.CPUPressure(), 1) {
-			t.Errorf("pressure with zero capacity = %v, want +Inf", m.CPUPressure())
+		if got := m.Utilization(); got != 1 {
+			t.Errorf("utilization with every core reserved = %v, want 1", got)
 		}
 		m.SetReserved(0)
 	})
@@ -223,12 +220,6 @@ func TestClusterWiring(t *testing.T) {
 	}
 	if c.NumMachines() != 2 {
 		t.Errorf("NumMachines = %d", c.NumMachines())
-	}
-	if c.TotalCores() != 24 {
-		t.Errorf("TotalCores = %v, want 24", c.TotalCores())
-	}
-	if c.TotalMem() != 3<<30 {
-		t.Errorf("TotalMem = %d", c.TotalMem())
 	}
 	if c.Machine(1) != m1 || c.Machine(9) != nil {
 		t.Error("Machine lookup broken")

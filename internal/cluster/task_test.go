@@ -17,7 +17,7 @@ func TestTaskCancelReturnsRemaining(t *testing.T) {
 	var task *Task
 	k.Spawn("w", func(p *sim.Proc) {
 		task = m.Submit(10 * time.Millisecond)
-		canceled, remaining = task.Wait(p)
+		canceled, remaining = task.wait(p)
 		wokeAt = p.Now()
 	})
 	k.Schedule(4*sim.Millisecond, func() { task.Cancel() })
@@ -42,7 +42,7 @@ func TestTaskCancelUnderSharing(t *testing.T) {
 	var victim *Task
 	k.Spawn("victim", func(p *sim.Proc) {
 		victim = m.Submit(10 * time.Millisecond)
-		_, rem = victim.Wait(p)
+		_, rem = victim.wait(p)
 	})
 	k.Spawn("survivor", func(p *sim.Proc) {
 		m.Exec(p, 10*time.Millisecond)
@@ -64,7 +64,7 @@ func TestTaskCancelFinishedNoop(t *testing.T) {
 	var task *Task
 	k.Spawn("w", func(p *sim.Proc) {
 		task = m.Submit(time.Millisecond)
-		task.Wait(p)
+		task.wait(p)
 	})
 	k.Run()
 	task.Cancel() // must not panic or corrupt state
@@ -82,7 +82,7 @@ func TestTaskWaitAfterCompletion(t *testing.T) {
 	k.Spawn("submitter", func(p *sim.Proc) {
 		task = m.Submit(time.Millisecond)
 		p.Sleep(5 * time.Millisecond)
-		canceled, _ := task.Wait(p) // already done: returns immediately
+		canceled, _ := task.wait(p) // already done: returns immediately
 		if canceled {
 			t.Error("completed task reported canceled")
 		}
@@ -131,7 +131,7 @@ func TestTaskCancelStalledByReservation(t *testing.T) {
 	var task *Task
 	k.Spawn("w", func(p *sim.Proc) {
 		task = m.Submit(7 * time.Millisecond)
-		_, rem = task.Wait(p)
+		_, rem = task.wait(p)
 	})
 	k.Schedule(50*sim.Millisecond, func() { task.Cancel() })
 	k.Run()
@@ -187,7 +187,7 @@ func runReleaseMix(seed int64, release bool) releaseRun {
 				}
 				seen[t] = true
 				k.Spawn("waiter", func(p *sim.Proc) {
-					canceled, rem := t.Wait(p)
+					canceled, rem := t.wait(p)
 					out.retired = append(out.retired, retirement{idx, p.Now(), canceled, rem})
 					if release {
 						handles[idx] = nil

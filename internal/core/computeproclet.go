@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -10,9 +9,6 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/sim"
 )
-
-// ErrPoolLimit is returned when Grow/Shrink would exceed pool bounds.
-var ErrPoolLimit = errors.New("core: pool size limit reached")
 
 // TaskFn is one unit of work executed by a compute proclet. It runs on
 // a proclet thread, so its Compute calls follow the proclet across
@@ -42,9 +38,6 @@ func (tc *TaskCtx) Compute(d time.Duration) { tc.thread.Compute(d) }
 
 // Machine returns the machine currently hosting the compute proclet.
 func (tc *TaskCtx) Machine() cluster.MachineID { return tc.cp.pr.Location() }
-
-// System returns the owning system.
-func (tc *TaskCtx) System() *System { return tc.cp.sys }
 
 // ComputeProclet returns the proclet executing the task.
 func (tc *TaskCtx) ComputeProclet() *ComputeProclet { return tc.cp }
@@ -139,14 +132,14 @@ func (s *System) registerComputeTelemetry(cp *ComputeProclet) {
 	name := cp.pr.Name()
 	s.Tel.Register("proclet."+name+".qdelay_ms", -1, cp.sampleQueueDelayMS)
 	s.Tel.Register("proclet."+name+".qlen", -1, func() float64 {
-		return float64(cp.QueueLen())
+		return float64(cp.queueLen())
 	})
 }
 
-// NewComputeProclet creates a compute proclet, letting the scheduler
+// newComputeProclet creates a compute proclet, letting the scheduler
 // pick the least-loaded machine.
-func (s *System) NewComputeProclet(name string, workers int) (*ComputeProclet, error) {
-	m, err := s.Sched.PlaceCompute()
+func (s *System) newComputeProclet(name string, workers int) (*ComputeProclet, error) {
+	m, err := s.Sched.placeCompute()
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +190,7 @@ func (w *worker) next() sim.Wait {
 			w.cur.fn(&w.ctx)
 			w.finish()
 		}
-		if cp.QueueLen() == 0 {
+		if cp.queueLen() == 0 {
 			if cp.stopping {
 				w.cur = task{}
 				return sim.Resume
@@ -223,7 +216,7 @@ func (w *worker) finish() {
 	cp := w.cp
 	cp.running--
 	cp.executed++
-	if cp.running == 0 && cp.QueueLen() == 0 {
+	if cp.running == 0 && cp.queueLen() == 0 {
 		cp.idle.Broadcast()
 	}
 }
@@ -311,14 +304,8 @@ func (cp *ComputeProclet) ID() proclet.ID { return cp.pr.ID() }
 // Location returns the current machine.
 func (cp *ComputeProclet) Location() cluster.MachineID { return cp.pr.Location() }
 
-// QueueLen returns pending (not yet started) tasks.
-func (cp *ComputeProclet) QueueLen() int { return len(cp.queue) - cp.qHead }
-
-// Running returns tasks currently executing.
-func (cp *ComputeProclet) Running() int { return cp.running }
-
-// Executed returns completed task count.
-func (cp *ComputeProclet) Executed() int64 { return cp.executed }
+// queueLen returns pending (not yet started) tasks.
+func (cp *ComputeProclet) queueLen() int { return len(cp.queue) - cp.qHead }
 
 // Workers returns the worker thread count.
 func (cp *ComputeProclet) Workers() int { return cp.workers }
@@ -326,7 +313,7 @@ func (cp *ComputeProclet) Workers() int { return cp.workers }
 // Demand reports the proclet's CPU demand in cores for the scheduler:
 // the number of workers that have work to do.
 func (cp *ComputeProclet) Demand() float64 {
-	want := cp.running + cp.QueueLen()
+	want := cp.running + cp.queueLen()
 	if want > cp.workers {
 		want = cp.workers
 	}
@@ -335,7 +322,7 @@ func (cp *ComputeProclet) Demand() float64 {
 
 // WaitIdle blocks until the proclet has no queued or running tasks.
 func (cp *ComputeProclet) WaitIdle(p *sim.Proc) {
-	for cp.QueueLen() > 0 || cp.running > 0 {
+	for cp.queueLen() > 0 || cp.running > 0 {
 		cp.idle.Wait(p)
 	}
 }
@@ -343,7 +330,7 @@ func (cp *ComputeProclet) WaitIdle(p *sim.Proc) {
 // stealHalf removes the back half of the pending queue (the newest
 // tasks) and returns it; used when splitting.
 func (cp *ComputeProclet) stealHalf() []task {
-	n := cp.QueueLen() / 2
+	n := cp.queueLen() / 2
 	if n == 0 {
 		return nil
 	}
@@ -367,7 +354,7 @@ func (cp *ComputeProclet) drainAll() []task {
 // shutdown drains running work and destroys the proclet. Pending tasks
 // must already have been moved elsewhere.
 func (cp *ComputeProclet) shutdown(p *sim.Proc) error {
-	if cp.QueueLen() > 0 {
+	if cp.queueLen() > 0 {
 		panic("core: shutdown with pending tasks")
 	}
 	cp.stopping = true
@@ -420,7 +407,7 @@ func (s *System) NewPool(name string, workersPer, initial, minSize, maxSize int)
 
 func (pl *Pool) addMember() (*ComputeProclet, error) {
 	pl.nextName++
-	cp, err := pl.sys.NewComputeProclet(fmt.Sprintf("%s-%d", pl.name, pl.nextName), pl.workersPer)
+	cp, err := pl.sys.newComputeProclet(fmt.Sprintf("%s-%d", pl.name, pl.nextName), pl.workersPer)
 	if err != nil {
 		return nil, err
 	}
@@ -428,9 +415,6 @@ func (pl *Pool) addMember() (*ComputeProclet, error) {
 	pl.members = append(pl.members, cp)
 	return cp, nil
 }
-
-// Name returns the pool's name.
-func (pl *Pool) Name() string { return pl.name }
 
 // Size returns the current member count.
 func (pl *Pool) Size() int { return len(pl.members) }
@@ -448,30 +432,12 @@ func (pl *Pool) enqueue(t task) {
 	n := len(pl.members)
 	for i := 0; i < n; i++ {
 		idx := (pl.rr + i) % n
-		if l := pl.members[idx].QueueLen() + pl.members[idx].Running(); l < bestLen {
+		if l := pl.members[idx].queueLen() + pl.members[idx].running; l < bestLen {
 			best, bestLen = idx, l
 		}
 	}
 	pl.rr = (pl.rr + 1) % n
 	pl.members[best].enqueue(t)
-}
-
-// QueueLen returns total pending tasks across members.
-func (pl *Pool) QueueLen() int {
-	var sum int
-	for _, m := range pl.members {
-		sum += m.QueueLen()
-	}
-	return sum
-}
-
-// TotalExecuted sums completed tasks across current members.
-func (pl *Pool) TotalExecuted() int64 {
-	var sum int64
-	for _, m := range pl.members {
-		sum += m.Executed()
-	}
-	return sum
 }
 
 // WaitIdle blocks until every member is idle.
@@ -489,7 +455,7 @@ func (pl *Pool) Grow(p *sim.Proc) (bool, error) {
 	if pl.maxSize > 0 && len(pl.members) >= pl.maxSize {
 		return false, nil
 	}
-	if _, err := pl.sys.Sched.PlaceComputeIdle(); err != nil {
+	if _, err := pl.sys.Sched.placeComputeIdle(); err != nil {
 		return false, nil // no idle CPU anywhere: do not split
 	}
 	victim := pl.busiest()
@@ -559,10 +525,10 @@ func (pl *Pool) Shrink(p *sim.Proc) (bool, error) {
 func (pl *Pool) stealFor(cp *ComputeProclet) bool {
 	var victim *ComputeProclet
 	for _, m := range pl.members {
-		if m == cp || m.QueueLen() < 2 {
+		if m == cp || m.queueLen() < 2 {
 			continue
 		}
-		if victim == nil || m.QueueLen() > victim.QueueLen() {
+		if victim == nil || m.queueLen() > victim.queueLen() {
 			victim = m
 		}
 	}
@@ -587,7 +553,7 @@ func (pl *Pool) stealFor(cp *ComputeProclet) bool {
 func (pl *Pool) busiest() *ComputeProclet {
 	best := pl.members[0]
 	for _, m := range pl.members[1:] {
-		if m.QueueLen() > best.QueueLen() {
+		if m.queueLen() > best.queueLen() {
 			best = m
 		}
 	}
@@ -597,7 +563,7 @@ func (pl *Pool) busiest() *ComputeProclet {
 func (pl *Pool) emptiestIdx() int {
 	best := 0
 	for i, m := range pl.members {
-		if m.QueueLen()+m.Running() < pl.members[best].QueueLen()+pl.members[best].Running() {
+		if m.queueLen()+m.running < pl.members[best].queueLen()+pl.members[best].running {
 			best = i
 		}
 	}

@@ -29,8 +29,8 @@ func TestComputeProcletRunsTasks(t *testing.T) {
 		}
 	})
 	s.K.Run()
-	if done != 4 || cp.Executed() != 4 {
-		t.Errorf("done=%d executed=%d, want 4", done, cp.Executed())
+	if done != 4 || cp.executed != 4 {
+		t.Errorf("done=%d executed=%d, want 4", done, cp.executed)
 	}
 }
 
@@ -86,15 +86,15 @@ func TestPoolDispatchBalances(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pl.Run(func(tc *TaskCtx) { tc.Compute(time.Millisecond) })
 	}
-	q0 := pl.members[0].QueueLen() + pl.members[0].Running()
-	q1 := pl.members[1].QueueLen() + pl.members[1].Running()
+	q0 := pl.members[0].queueLen() + pl.members[0].running
+	q1 := pl.members[1].queueLen() + pl.members[1].running
 	if q0 != 5 || q1 != 5 {
 		t.Errorf("queue split %d/%d, want 5/5", q0, q1)
 	}
 	s.K.Spawn("w", func(p *sim.Proc) { pl.WaitIdle(p) })
 	s.K.Run()
-	if pl.TotalExecuted() != 10 {
-		t.Errorf("TotalExecuted = %d, want 10", pl.TotalExecuted())
+	if n := pl.members[0].executed + pl.members[1].executed; n != 10 {
+		t.Errorf("executed %d, want 10", n)
 	}
 }
 
@@ -252,8 +252,8 @@ func TestPoolWorkStealing(t *testing.T) {
 	if elapsed > 14*time.Millisecond {
 		t.Errorf("took %v, want ~10ms with stealing", elapsed)
 	}
-	if pl.members[1].Executed() < 5 {
-		t.Errorf("member 1 executed %d, want a meaningful share", pl.members[1].Executed())
+	if pl.members[1].executed < 5 {
+		t.Errorf("member 1 executed %d, want a meaningful share", pl.members[1].executed)
 	}
 }
 

@@ -65,7 +65,7 @@ func runFiller(t *testing.T, enqueue unitFn, disturb func(s *System, in *fault.I
 		steps = append(steps, fillerStep{
 			now: s.K.Now(), blocked: s.K.Blocked(), live: s.K.Live(),
 			runnable: [2]int{s.Cluster.Machine(0).Runnable(), s.Cluster.Machine(1).Runnable()},
-			running:  cp.Running(), queued: cp.QueueLen(), executed: cp.Executed(), counted: counted,
+			running:  cp.running, queued: cp.queueLen(), executed: cp.executed, counted: counted,
 			loc: cp.Location(),
 		})
 	}
@@ -159,13 +159,13 @@ func TestComputeTasksMoveWithTheirWork(t *testing.T) {
 				t.Errorf("Grow = %v, %v", grew, err)
 			}
 			return 0
-		}, func(pl *Pool) int64 { return pl.members[1].Executed() }},
+		}, func(pl *Pool) int64 { return pl.members[1].executed }},
 		{"Shrink", 2, 12, func(t *testing.T, p *sim.Proc, pl *Pool, _ TaskFn) int {
 			if shrank, err := pl.Shrink(p); err != nil || !shrank {
 				t.Errorf("Shrink = %v, %v", shrank, err)
 			}
 			return 0
-		}, func(pl *Pool) int64 { return pl.members[0].Executed() - 12 }},
+		}, func(pl *Pool) int64 { return pl.members[0].executed - 12 }},
 		{"stealFor", 2, 24, func(*testing.T, *sim.Proc, *Pool, TaskFn) int { return 0 },
 			func(pl *Pool) int64 { return pl.Steals }},
 		{"RunCompute on a stopping member", 2, 12, func(t *testing.T, p *sim.Proc, pl *Pool, count TaskFn) int {
@@ -177,11 +177,11 @@ func TestComputeTasksMoveWithTheirWork(t *testing.T) {
 			if !victim.stopping {
 				t.Error("the merged member is not stopping")
 			}
-			before := victim.Executed() + int64(victim.Running())
+			before := victim.executed + int64(victim.running)
 			for i := 0; i < 3; i++ {
 				victim.RunCompute(work, count)
 			}
-			if victim.QueueLen() != 0 || victim.Executed()+int64(victim.Running()) != before {
+			if victim.queueLen() != 0 || victim.executed+int64(victim.running) != before {
 				t.Error("a stopping member kept a task enqueued on it")
 			}
 			return 3
@@ -244,8 +244,8 @@ func TestSelfReplacingUnitsKeepTheQueueSmall(t *testing.T) {
 	for s.K.Step() {
 		peak = max(peak, cap(cp.queue))
 	}
-	if cp.Executed() < units {
-		t.Fatalf("%d units executed, want at least %d", cp.Executed(), units)
+	if cp.executed < units {
+		t.Fatalf("%d units executed, want at least %d", cp.executed, units)
 	}
 	if limit := 4 * (queueSlack + 2*workers); peak > limit {
 		t.Errorf("the queue grew to %d entries for %d live units; want at most %d", peak, 2*workers, limit)
@@ -267,11 +267,11 @@ func TestComputeTaskSteadyStateAllocatesNothing(t *testing.T) {
 		cp.RunCompute(50*time.Microsecond, next)
 	}
 	s.K.RunUntil(10 * sim.Millisecond) // queues and slabs at capacity
-	before := cp.Executed()
+	before := cp.executed
 	if a := testing.AllocsPerRun(1000, func() { s.K.Step() }); a != 0 {
 		t.Errorf("a step of the filler allocates %v objects, want 0", a)
 	}
-	if cp.Executed() == before {
+	if cp.executed == before {
 		t.Error("no unit completed while allocations were counted")
 	}
 }

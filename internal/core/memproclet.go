@@ -334,7 +334,7 @@ func (mp *MemoryProclet) unstore(id uint64, d displaced) {
 func (mp *MemoryProclet) applyPut(arg proclet.Msg) (proclet.Msg, []repRecord, error) {
 	// The id is the message's Word and the size its Bytes. The value is
 	// the Payload itself, unless that is an intArg holding a scalar.
-	val := Ref(arg.Payload)
+	val := refTo(arg.Payload)
 	if c, ok := arg.Payload.(*intArg); ok {
 		val = Int(c.n)
 	}
@@ -461,7 +461,7 @@ func (mp *MemoryProclet) applyUpdate(arg proclet.Msg) (proclet.Msg, []repRecord,
 	r := arg.Payload.(*updateReq)
 	old, existed := mp.objs.get(r.id)
 	ret, bytes, keep := r.fn(old.val.Any(), existed)
-	val := Ref(ret)
+	val := refTo(ret)
 	var delta int64
 	switch {
 	case keep && existed:
@@ -597,9 +597,6 @@ func (mp *MemoryProclet) DelRange(p *sim.Proc, from cluster.MachineID, lo, hi ui
 	return err
 }
 
-// Proclet returns the underlying proclet.
-func (mp *MemoryProclet) Proclet() *proclet.Proclet { return mp.pr }
-
 // ID returns the underlying proclet ID.
 func (mp *MemoryProclet) ID() proclet.ID { return mp.pr.ID() }
 
@@ -608,9 +605,6 @@ func (mp *MemoryProclet) Location() cluster.MachineID { return mp.pr.Location() 
 
 // HeapBytes returns accounted state size.
 func (mp *MemoryProclet) HeapBytes() int64 { return mp.pr.HeapBytes() }
-
-// NumObjects returns the number of stored objects.
-func (mp *MemoryProclet) NumObjects() int { return mp.objs.len() }
 
 // Destroy removes the proclet and its objects. Destroying a replicated
 // primary tears down its backups too.
@@ -632,10 +626,9 @@ func (mp *MemoryProclet) allocID() uint64 {
 // (§3.1's NewPtr<T>). It stays valid across proclet migrations: the
 // runtime re-resolves the proclet's location on every dereference.
 type Ptr[T any] struct {
-	sys   *System
-	pid   proclet.ID
-	obj   uint64
-	bytes int64
+	sys *System
+	pid proclet.ID
+	obj uint64
 }
 
 // NewPtr allocates val into the memory proclet and returns a
@@ -646,19 +639,13 @@ func NewPtr[T any](p *sim.Proc, from cluster.MachineID, mp *MemoryProclet, val T
 	if err := mp.Put(p, from, id, val, bytes); err != nil {
 		return Ptr[T]{}, err
 	}
-	return Ptr[T]{sys: mp.sys, pid: mp.ID(), obj: id, bytes: bytes}, nil
+	return Ptr[T]{sys: mp.sys, pid: mp.ID(), obj: id}, nil
 }
 
-// ProcletID returns the memory proclet holding the object.
-func (pt Ptr[T]) ProcletID() proclet.ID { return pt.pid }
-
-// Bytes returns the object's accounted size.
-func (pt Ptr[T]) Bytes() int64 { return pt.bytes }
-
-// Deref fetches the object from wherever its memory proclet currently
+// deref fetches the object from wherever its memory proclet currently
 // lives. Local access costs a function call; remote access an RPC
 // carrying the object's bytes.
-func (pt Ptr[T]) Deref(p *sim.Proc, from cluster.MachineID) (T, error) {
+func (pt Ptr[T]) deref(p *sim.Proc, from cluster.MachineID) (T, error) {
 	var zero T
 	res, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemGet,
 		proclet.Msg{Word: pt.obj, Bytes: 8})
@@ -668,18 +655,15 @@ func (pt Ptr[T]) Deref(p *sim.Proc, from cluster.MachineID) (T, error) {
 	return msgValue(res).Any().(T), nil
 }
 
-// Store overwrites the object in place (same pointer, new value).
-func (pt *Ptr[T]) Store(p *sim.Proc, from cluster.MachineID, val T, bytes int64) error {
+// store overwrites the object in place (same pointer, new value).
+func (pt Ptr[T]) store(p *sim.Proc, from cluster.MachineID, val T, bytes int64) error {
 	_, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemPut,
 		proclet.Msg{Word: pt.obj, Payload: val, Bytes: bytes})
-	if err == nil {
-		pt.bytes = bytes
-	}
 	return err
 }
 
-// Free deletes the object.
-func (pt Ptr[T]) Free(p *sim.Proc, from cluster.MachineID) error {
+// free deletes the object.
+func (pt Ptr[T]) free(p *sim.Proc, from cluster.MachineID) error {
 	_, err := pt.sys.Runtime.Invoke(p, from, 0, pt.pid, methodMemDel,
 		proclet.Msg{Word: pt.obj, Bytes: 8})
 	return err

@@ -47,7 +47,7 @@ func TestMemoryProcletPutGet(t *testing.T) {
 			t.Errorf("NewPtr: %v", err)
 			return
 		}
-		v, err := ptr.Deref(p, 0)
+		v, err := ptr.deref(p, 0)
 		if err != nil || v != "hello" {
 			t.Errorf("Deref = %q, %v", v, err)
 		}
@@ -55,13 +55,13 @@ func TestMemoryProcletPutGet(t *testing.T) {
 		if mp.HeapBytes() != 100+ObjectOverheadBytes {
 			t.Errorf("HeapBytes = %d, want %d", mp.HeapBytes(), 100+ObjectOverheadBytes)
 		}
-		if err := ptr.Free(p, 0); err != nil {
+		if err := ptr.free(p, 0); err != nil {
 			t.Errorf("Free: %v", err)
 		}
 		if mp.HeapBytes() != 0 {
 			t.Errorf("HeapBytes after free = %d", mp.HeapBytes())
 		}
-		if _, err := ptr.Deref(p, 0); !errors.Is(err, ErrNoObject) {
+		if _, err := ptr.deref(p, 0); !errors.Is(err, ErrNoObject) {
 			t.Errorf("Deref after free: %v, want ErrNoObject", err)
 		}
 	})
@@ -73,10 +73,10 @@ func TestPtrStoreOverwrites(t *testing.T) {
 	mp, _ := NewMemoryProcletOn(s, "mem", 0)
 	s.K.Spawn("client", func(p *sim.Proc) {
 		ptr, _ := NewPtr(p, 0, mp, 1, 50)
-		if err := ptr.Store(p, 0, 2, 80); err != nil {
+		if err := ptr.store(p, 0, 2, 80); err != nil {
 			t.Errorf("Store: %v", err)
 		}
-		v, _ := ptr.Deref(p, 0)
+		v, _ := ptr.deref(p, 0)
 		if v != 2 {
 			t.Errorf("Deref = %v, want 2", v)
 		}
@@ -94,12 +94,12 @@ func TestPtrRemoteDerefCostsNetwork(t *testing.T) {
 	s.K.Spawn("client", func(p *sim.Proc) {
 		ptr, _ := NewPtr(p, 0, mp, []byte("img"), 1<<20)
 		start := p.Now()
-		if _, err := ptr.Deref(p, 1); err != nil { // from the same machine
+		if _, err := ptr.deref(p, 1); err != nil { // from the same machine
 			t.Errorf("local deref: %v", err)
 		}
 		local = p.Now().Sub(start)
 		start = p.Now()
-		if _, err := ptr.Deref(p, 0); err != nil { // across the wire
+		if _, err := ptr.deref(p, 0); err != nil { // across the wire
 			t.Errorf("remote deref: %v", err)
 		}
 		remote = p.Now().Sub(start)
@@ -122,7 +122,7 @@ func TestPtrDerefFollowsMigration(t *testing.T) {
 		if err := s.Runtime.Migrate(p, mp.ID(), 1); err != nil {
 			t.Fatalf("Migrate: %v", err)
 		}
-		v, err := ptr.Deref(p, 0)
+		v, err := ptr.deref(p, 0)
 		if err != nil || v != 7 {
 			t.Errorf("Deref after migration = %v, %v", v, err)
 		}
@@ -143,14 +143,14 @@ func TestMemScanAndBatchOps(t *testing.T) {
 		var sizes []int64
 		for i := 0; i < 10; i++ {
 			ids = append(ids, uint64(i+1))
-			vals = append(vals, Ref(i*i))
+			vals = append(vals, refTo(i*i))
 			sizes = append(sizes, 100)
 		}
 		if err := src.PutBatch(p, 0, &Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
-		if src.NumObjects() != 10 {
-			t.Errorf("NumObjects = %d, want 10", src.NumObjects())
+		if src.objs.len() != 10 {
+			t.Errorf("NumObjects = %d, want 10", src.objs.len())
 		}
 		gotIDs, gotVals, gotSizes, err := src.Scan(p, 0, 3, 7)
 		if err != nil {
@@ -166,8 +166,8 @@ func TestMemScanAndBatchOps(t *testing.T) {
 		if err := src.DelRange(p, 0, 3, 7); err != nil {
 			t.Fatalf("DelRange: %v", err)
 		}
-		if src.NumObjects() != 6 || dst.NumObjects() != 4 {
-			t.Errorf("after move: src=%d dst=%d, want 6/4", src.NumObjects(), dst.NumObjects())
+		if src.objs.len() != 6 || dst.objs.len() != 4 {
+			t.Errorf("after move: src=%d dst=%d, want 6/4", src.objs.len(), dst.objs.len())
 		}
 		wantSrc := int64(6 * (100 + ObjectOverheadBytes))
 		if src.HeapBytes() != wantSrc {
@@ -223,19 +223,17 @@ func TestMemoryProcletDestroy(t *testing.T) {
 	}
 }
 
+// TestClientInvoke: an external caller on machine 0, not a proclet,
+// invokes a memory proclet on machine 1 through the runtime.
 func TestClientInvoke(t *testing.T) {
 	s := testSystem(t)
 	mp, _ := NewMemoryProcletOn(s, "mem", 1)
-	cl := s.Client(0)
-	if cl.Machine() != 0 {
-		t.Errorf("Machine = %d", cl.Machine())
-	}
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		ptr, err := NewPtr(p, 1, mp, 5, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cl.Invoke(p, mp.ID(), "mem.get", proclet.Msg{Word: ptr.obj, Bytes: 8})
+		res, err := s.Runtime.Invoke(p, 0, 0, mp.ID(), "mem.get", proclet.Msg{Word: ptr.obj, Bytes: 8})
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)
 		}
@@ -305,8 +303,8 @@ func TestBufferedGetBatchAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(1000, func() { s.K.Step() }); a != 0 {
 		t.Fatalf("a buffered GetBatch step allocates %v objects, want 0", a)
 	}
-	if mp.Proclet().Invocations() < 100 {
-		t.Fatalf("only %d invocations ran", mp.Proclet().Invocations())
+	if mp.pr.Invocations() < 100 {
+		t.Fatalf("only %d invocations ran", mp.pr.Invocations())
 	}
 }
 
@@ -319,7 +317,7 @@ func heapMatchesTable(t *testing.T, what string, mp *MemoryProclet) {
 		want += e.bytes + ObjectOverheadBytes
 	}
 	if got := mp.HeapBytes(); got != want {
-		t.Errorf("%s: heap %d, its %d objects weigh %d", what, got, mp.NumObjects(), want)
+		t.Errorf("%s: heap %d, its %d objects weigh %d", what, got, mp.objs.len(), want)
 	}
 }
 
@@ -357,8 +355,8 @@ func TestPutBatchRepeatedIDsChargeTheHeapOnce(t *testing.T) {
 				if err := mp.PutBatch(p, 0, b); err != nil {
 					t.Errorf("rf=%d batch %d: %v", rf, i, err)
 				}
-				if mp.NumObjects() != wantObjects[i] {
-					t.Errorf("rf=%d batch %d: %d objects, want %d", rf, i, mp.NumObjects(), wantObjects[i])
+				if mp.objs.len() != wantObjects[i] {
+					t.Errorf("rf=%d batch %d: %d objects, want %d", rf, i, mp.objs.len(), wantObjects[i])
 				}
 				heapMatchesTable(t, fmt.Sprintf("rf=%d primary after batch %d", rf, i), mp)
 				// The last occurrence of an id is the one stored.
@@ -385,7 +383,7 @@ func TestRefusedPutBatchLeavesTheStoreUntouched(t *testing.T) {
 	)
 	mp, _ := NewMemoryProcletOn(s, "store", 1)
 	s.K.Spawn("writer", func(p *sim.Proc) {
-		first := &Batch{IDs: []uint64{1, 2, 3}, Vals: []Value{Int(10), Ref("two"), Int(30)}, Sizes: []int64{1000, 2000, 3000}}
+		first := &Batch{IDs: []uint64{1, 2, 3}, Vals: []Value{Int(10), refTo("two"), Int(30)}, Sizes: []int64{1000, 2000, 3000}}
 		if err := mp.PutBatch(p, 0, first); err != nil {
 			t.Fatalf("PutBatch: %v", err)
 		}
@@ -394,7 +392,7 @@ func TestRefusedPutBatchLeavesTheStoreUntouched(t *testing.T) {
 		// for more than the machine has.
 		big := &Batch{
 			IDs:   []uint64{2, 7, 2, 8, 7, 3},
-			Vals:  []Value{Int(1), Int(2), Ref("x"), Int(4), Ref(nil), Int(6)},
+			Vals:  []Value{Int(1), Int(2), refTo("x"), Int(4), refTo(nil), Int(6)},
 			Sizes: []int64{10, 20_000, 30, 80_000, 50, 60},
 		}
 		err := mp.PutBatch(p, 0, big)
@@ -402,7 +400,7 @@ func TestRefusedPutBatchLeavesTheStoreUntouched(t *testing.T) {
 			t.Fatalf("PutBatch past the machine's memory = %v, want ErrNoMemory", err)
 		}
 		after := mp.objs.all()
-		if len(after) != len(before) || mp.NumObjects() != 3 {
+		if len(after) != len(before) || mp.objs.len() != 3 {
 			t.Errorf("%d objects after the refused batch, %d before", len(after), len(before))
 		}
 		for id, want := range before {
@@ -445,7 +443,7 @@ func TestScalarObjectsRoundTrip(t *testing.T) {
 		}
 		var b Batch
 		if err := mp.GetBatch(p, 0, []uint64{6, 5}, &b); err != nil || len(b.Vals) != 2 ||
-			b.Vals[0] != Ref("ref") || b.Vals[1] != Int(-1<<40) {
+			b.Vals[0] != refTo("ref") || b.Vals[1] != Int(-1<<40) {
 			t.Errorf("GetBatch = %v, %v", b.Vals, err)
 		}
 		if v, err := mp.Take(p, 0, 5); err != nil || v != int64(-1<<40) {
@@ -484,8 +482,8 @@ func TestRemoteSingleOpsAllocateNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(2000, func() { s.K.Step() }); a != 0 {
 		t.Fatalf("a remote single-op step allocates %v objects, want 0", a)
 	}
-	if mp.Proclet().Invocations() < 400 {
-		t.Fatalf("only %d invocations ran", mp.Proclet().Invocations())
+	if mp.pr.Invocations() < 400 {
+		t.Fatalf("only %d invocations ran", mp.pr.Invocations())
 	}
 }
 
@@ -495,7 +493,7 @@ func TestRemoteSingleOpsAllocateNothing(t *testing.T) {
 func TestPreloadAllocatesItsTableOnce(t *testing.T) {
 	s := testSystem(t)
 	mp, _ := NewMemoryProcletOn(s, "store", 0)
-	for name, val := range map[string]Value{"scalars": Int(1 << 40), "references": Ref("r")} {
+	for name, val := range map[string]Value{"scalars": Int(1 << 40), "references": refTo("r")} {
 		b := &Batch{IDs: make([]uint64, 256), Vals: make([]Value, 256), Sizes: make([]int64, 256)}
 		for i := range b.IDs {
 			b.IDs[i], b.Vals[i], b.Sizes[i] = uint64(i), val, 512
@@ -509,8 +507,8 @@ func TestPreloadAllocatesItsTableOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := map[string]float64{"scalars": 1, "references": 2}[name]; mp.NumObjects() != 256 || allocs != want {
-			t.Errorf("%s: preloading %d objects made %v allocations, want %v", name, mp.NumObjects(), allocs, want)
+		if want := map[string]float64{"scalars": 1, "references": 2}[name]; mp.objs.len() != 256 || allocs != want {
+			t.Errorf("%s: preloading %d objects made %v allocations, want %v", name, mp.objs.len(), allocs, want)
 		}
 	}
 }

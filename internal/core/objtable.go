@@ -10,7 +10,7 @@ import (
 // representation a stored object has from the caller's Batch through the
 // object table, the replication log and a resync snapshot to the backup's
 // table, so a scalar is never boxed on the way. The zero Value is
-// Ref(nil).
+// refTo(nil).
 type Value struct {
 	ref any // inlineInt{} marks a scalar, held in n
 	n   int64
@@ -23,8 +23,8 @@ type inlineInt struct{}
 // Int is the Value holding v inline.
 func Int(v int64) Value { return Value{ref: inlineInt{}, n: v} }
 
-// Ref is the Value referring to v.
-func Ref(v any) Value { return Value{ref: v} }
+// refTo is the Value referring to v.
+func refTo(v any) Value { return Value{ref: v} }
 
 // Int returns the scalar a Value made by Int holds; ok is false for a
 // reference.

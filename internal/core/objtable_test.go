@@ -84,9 +84,9 @@ func TestObjTableAgainstMap(t *testing.T) {
 			case r < 55:
 				e := objEntry{val: Int(rng.Int63() - 1<<62), bytes: int64(rng.Intn(4096))}
 				if !scalarsOnly && rng.Intn(3) == 0 {
-					e.val = Ref(fmt.Sprint("v", step))
+					e.val = refTo(fmt.Sprint("v", step))
 					if rng.Intn(8) == 0 {
-						e.val = Ref(nil)
+						e.val = refTo(nil)
 					}
 					storedRef = true
 				}
@@ -174,18 +174,18 @@ func TestValueRoundTrips(t *testing.T) {
 		}
 	}
 	for _, x := range []any{nil, "s", int64(3), 3, struct{}{}} {
-		v := Ref(x)
+		v := refTo(x)
 		if _, ok := v.Int(); ok {
-			t.Errorf("Ref(%v).Int() reports a scalar", x)
+			t.Errorf("refTo(%v).Int() reports a scalar", x)
 		}
 		if v.Any() != x {
-			t.Errorf("Ref(%v).Any() = %v", x, v.Any())
+			t.Errorf("refTo(%v).Any() = %v", x, v.Any())
 		}
 	}
-	if (Value{}) != Ref(nil) {
-		t.Error("the zero Value is not Ref(nil)")
+	if (Value{}) != refTo(nil) {
+		t.Error("the zero Value is not refTo(nil)")
 	}
-	if Int(0) == Ref(nil) || Int(3) == Ref(int64(3)) {
+	if Int(0) == refTo(nil) || Int(3) == refTo(int64(3)) {
 		t.Error("a scalar equals a reference")
 	}
 }

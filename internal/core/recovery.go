@@ -112,7 +112,7 @@ func (sc *Scheduler) recoverOne(p *sim.Proc, pr *proclet.Proclet) {
 				}
 			}
 		case KindCompute:
-			target, err = sc.PlaceCompute()
+			target, err = sc.placeCompute()
 			if err == nil {
 				if err = sc.sys.Runtime.Restore(p, pr, target); err == nil {
 					sc.Recoveries.Inc()

@@ -43,8 +43,8 @@ func TestCrashRecoveryRebuildsMemoryProclet(t *testing.T) {
 			}
 		}
 		in.Apply(fault.Event{Op: fault.OpCrash, A: 0})
-		if mp.Proclet().State() != proclet.StateOrphaned {
-			t.Fatalf("state after crash = %v, want orphaned", mp.Proclet().State())
+		if mp.pr.State() != proclet.StateOrphaned {
+			t.Fatalf("state after crash = %v, want orphaned", mp.pr.State())
 		}
 		// Give recovery time to re-place and rebuild, with invokes
 		// retrying across the outage.
@@ -58,8 +58,8 @@ func TestCrashRecoveryRebuildsMemoryProclet(t *testing.T) {
 		if loc := mp.Location(); loc != 1 {
 			t.Errorf("recovered location = %d, want 1", loc)
 		}
-		if mp.NumObjects() != 2 {
-			t.Errorf("rebuilt objects = %d, want 2", mp.NumObjects())
+		if mp.objs.len() != 2 {
+			t.Errorf("rebuilt objects = %d, want 2", mp.objs.len())
 		}
 	})
 	k.Run()
@@ -114,8 +114,8 @@ func TestRecoveryShedsWhenNoCapacity(t *testing.T) {
 		in.Apply(fault.Event{Op: fault.OpCrash, A: 0})
 	})
 	s.K.Run()
-	if mp.Proclet().State() != proclet.StateDead {
-		t.Errorf("state = %v, want dead (shed: only machine crashed)", mp.Proclet().State())
+	if mp.pr.State() != proclet.StateDead {
+		t.Errorf("state = %v, want dead (shed: only machine crashed)", mp.pr.State())
 	}
 	if got := s.Sched.Sheds.Value(); got != 1 {
 		t.Errorf("Sheds = %d, want 1", got)

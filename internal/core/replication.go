@@ -46,10 +46,6 @@ const methodMemReplApply = "mem.replapply"
 // the full retry budget (re-replication repairs the set).
 const shipAttempts = 3
 
-// snapshotChunk is how many records a resync snapshot packs per pipe
-// entry before yielding to interleaved live writes.
-const snapshotChunk = 64
-
 // repRecord is one logical log entry: the effect of a mutating
 // operation (not the operation itself — update closures are applied at
 // the primary and their result is shipped, so backups never re-run
@@ -147,7 +143,7 @@ type ReplManager struct {
 // detector's confirmations. With the plane installed, crash recovery is
 // driven by detector confirmations instead of injector oracle
 // knowledge. Call once, before the workload starts; rcfg zero-values
-// take replication.DefaultConfig's, except HeartbeatJitter (stays 0).
+// take the replication package's defaults, except HeartbeatJitter (stays 0).
 func (s *System) EnableReplicationPlane(rcfg replication.Config, monitor cluster.MachineID) *ReplManager {
 	if s.repl != nil {
 		panic("core: replication plane enabled twice")
@@ -228,7 +224,7 @@ func (rs *replicaSet) replicaMachines() map[cluster.MachineID]bool {
 // live records stay totally ordered.
 func (rs *replicaSet) addBackup() error {
 	sys := rs.rm.sys
-	target, err := sys.Sched.PlaceMemoryExcluding(rs.primary.pr.HeapBytes(), rs.replicaMachines())
+	target, err := sys.Sched.placeMemoryExcluding(rs.primary.pr.HeapBytes(), rs.replicaMachines())
 	if err != nil {
 		return err
 	}
@@ -750,51 +746,4 @@ func (rs *replicaSet) release() {
 	}
 	delete(rs.rm.sets, rs.primary.pr.ID())
 	rs.primary.rs = nil
-}
-
-// SetStatus is one replica set's observable state (qsctl replicas).
-type SetStatus struct {
-	Name           string
-	PrimaryID      proclet.ID
-	PrimaryMachine cluster.MachineID
-	LeaseValid     bool
-	LeaseExpiry    sim.Time
-	Seq            uint64 // records enqueued at the primary
-	Backups        []BackupStatus
-}
-
-// BackupStatus is one backup replica's observable state.
-type BackupStatus struct {
-	Name    string
-	ID      proclet.ID
-	Machine cluster.MachineID
-	Applied uint64
-	Lag     uint64 // primary records not yet processed for this backup
-}
-
-// Status snapshots every replica set, sorted by primary ID.
-func (rm *ReplManager) Status() []SetStatus {
-	out := make([]SetStatus, 0, len(rm.sets))
-	for _, rs := range rm.setsSorted() {
-		mid := rs.primary.pr.Location()
-		st := SetStatus{
-			Name:           rs.primary.pr.Name(),
-			PrimaryID:      rs.primary.pr.ID(),
-			PrimaryMachine: mid,
-			LeaseValid:     rm.det.LeaseValid(mid),
-			LeaseExpiry:    rm.det.LeaseExpiry(mid),
-			Seq:            rs.nextSeq,
-		}
-		for _, b := range rs.backups {
-			st.Backups = append(st.Backups, BackupStatus{
-				Name:    b.mp.pr.Name(),
-				ID:      b.mp.ID(),
-				Machine: b.mp.pr.Location(),
-				Applied: b.applied,
-				Lag:     rs.nextSeq - b.applied,
-			})
-		}
-		out = append(out, st)
-	}
-	return out
 }

@@ -42,8 +42,8 @@ func ms(f float64) sim.Time { return sim.Time(f * float64(time.Millisecond)) }
 // sameObjects reports whether two replicas hold the same objects.
 func sameObjects(t *testing.T, what string, got, want *MemoryProclet) {
 	t.Helper()
-	if got.NumObjects() != want.NumObjects() {
-		t.Errorf("%s holds %d objects, the primary %d", what, got.NumObjects(), want.NumObjects())
+	if got.objs.len() != want.objs.len() {
+		t.Errorf("%s holds %d objects, the primary %d", what, got.objs.len(), want.objs.len())
 	}
 	for id, w := range want.objs.all() {
 		if g, ok := got.objs.get(id); !ok || g != w {
@@ -261,7 +261,7 @@ func TestResyncSnapshotShipsEachBackupItsOwnRecords(t *testing.T) {
 	if rm.Resyncs.Value() != 1 || len(rs.backups) != 2 || rs.backups[0] != survivor {
 		t.Fatalf("resyncs=%d backups=%d: want the crashed backup replaced beside the survivor", rm.Resyncs.Value(), len(rs.backups))
 	}
-	if lag := rm.Status()[0].Backups[0].Lag; lag != 0 {
+	if lag := rs.nextSeq - survivor.applied; lag != 0 {
 		t.Errorf("surviving backup lags %d records at 40ms", lag)
 	}
 	sameObjects(t, "surviving backup", survivor.mp, mp)

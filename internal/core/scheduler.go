@@ -232,10 +232,10 @@ func (sc *Scheduler) PlaceMemory(bytes int64) (cluster.MachineID, error) {
 	return best.ID, nil
 }
 
-// PlaceMemoryExcluding is PlaceMemory restricted to machines outside
+// placeMemoryExcluding is PlaceMemory restricted to machines outside
 // `exclude` — anti-affine placement for replicas, which are worthless
 // on a machine already hosting a copy of the same data.
-func (sc *Scheduler) PlaceMemoryExcluding(bytes int64, exclude map[cluster.MachineID]bool) (cluster.MachineID, error) {
+func (sc *Scheduler) placeMemoryExcluding(bytes int64, exclude map[cluster.MachineID]bool) (cluster.MachineID, error) {
 	var best *cluster.Machine
 	for _, m := range sc.sys.Cluster.Machines() {
 		if exclude[m.ID] || m.Down() || m.MemFree() < bytes {
@@ -304,10 +304,10 @@ func (sc *Scheduler) placementLoad(m *cluster.Machine, extra float64) float64 {
 	return (commit + extra) / avail
 }
 
-// PlaceCompute returns the machine with the lowest CPU load (counting
+// placeCompute returns the machine with the lowest CPU load (counting
 // capacity commitments of idle proclets) that has available cores and
 // room for a compute proclet heap.
-func (sc *Scheduler) PlaceCompute() (cluster.MachineID, error) {
+func (sc *Scheduler) placeCompute() (cluster.MachineID, error) {
 	var best *cluster.Machine
 	bestLoad := math.Inf(1)
 	for _, m := range sc.sys.Cluster.Machines() {
@@ -324,11 +324,11 @@ func (sc *Scheduler) PlaceCompute() (cluster.MachineID, error) {
 	return best.ID, nil
 }
 
-// PlaceComputeIdle is PlaceCompute restricted to machines with idle CPU
+// placeComputeIdle is placeCompute restricted to machines with idle CPU
 // (load under 1). Splits use it: a new compute proclet is only worth
 // creating where spare cycles exist (§3.3).
-func (sc *Scheduler) PlaceComputeIdle() (cluster.MachineID, error) {
-	id, err := sc.PlaceCompute()
+func (sc *Scheduler) placeComputeIdle() (cluster.MachineID, error) {
+	id, err := sc.placeCompute()
 	if err != nil {
 		return 0, err
 	}

@@ -19,7 +19,7 @@ func TestPlaceComputePrefersLeastLoaded(t *testing.T) {
 		cp.Run(func(tc *TaskCtx) { tc.Compute(time.Second) })
 	}
 	s.K.RunUntil(sim.Millisecond) // let workers start
-	m, err := s.Sched.PlaceCompute()
+	m, err := s.Sched.placeCompute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +31,12 @@ func TestPlaceComputePrefersLeastLoaded(t *testing.T) {
 func TestPlaceComputeSkipsReservedMachines(t *testing.T) {
 	s := testSystem(t)
 	s.Cluster.Machine(0).SetReserved(8)
-	m, err := s.Sched.PlaceCompute()
+	m, err := s.Sched.placeCompute()
 	if err != nil || m != 1 {
 		t.Errorf("PlaceCompute = %d, %v, want 1", m, err)
 	}
 	s.Cluster.Machine(1).SetReserved(8)
-	if _, err := s.Sched.PlaceCompute(); !errors.Is(err, ErrNoCapacity) {
+	if _, err := s.Sched.placeCompute(); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity", err)
 	}
 }
@@ -46,7 +46,7 @@ func TestPlaceComputeIdleRequiresSpareCores(t *testing.T) {
 	cp, _ := NewComputeProcletOn(s, "busy", 0, 1)
 	cp.Run(func(tc *TaskCtx) { tc.Compute(time.Second) })
 	s.K.RunUntil(sim.Millisecond)
-	if _, err := s.Sched.PlaceComputeIdle(); !errors.Is(err, ErrNoCapacity) {
+	if _, err := s.Sched.placeComputeIdle(); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("err = %v, want ErrNoCapacity (core already claimed)", err)
 	}
 }
@@ -246,7 +246,7 @@ func TestAffinityColocation(t *testing.T) {
 		}
 		loop()
 	})
-	s.K.RunUntil(sim.Time(cfg.GlobalPeriod*4 + 10*sim.Millisecond.Duration()))
+	s.K.RunUntil(sim.Time(cfg.GlobalPeriod*4 + 10*time.Millisecond))
 	if cp.Location() != 1 {
 		t.Errorf("reader on machine %d, want colocated on 1", cp.Location())
 	}

@@ -241,23 +241,3 @@ func (s *System) Close() {
 // Start launches the scheduler's control loops. Call once, before or
 // during the simulation run.
 func (s *System) Start() { s.Sched.start() }
-
-// Client returns an external caller bound to a machine (for example an
-// ingest frontend or an experiment driver colocated with machine m).
-func (s *System) Client(m cluster.MachineID) *Client {
-	return &Client{sys: s, machine: m}
-}
-
-// Client is an external (non-proclet) invoker pinned to a machine.
-type Client struct {
-	sys     *System
-	machine cluster.MachineID
-}
-
-// Machine returns the machine the client runs on.
-func (c *Client) Machine() cluster.MachineID { return c.machine }
-
-// Invoke calls a proclet method from this client's machine.
-func (c *Client) Invoke(p *sim.Proc, target proclet.ID, method string, arg proclet.Msg) (proclet.Msg, error) {
-	return c.sys.Runtime.Invoke(p, c.machine, 0, target, method, arg)
-}

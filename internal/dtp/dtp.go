@@ -4,14 +4,11 @@
 // compose memory and compute proclets — for example, mapping a
 // function over a sharded vector's elements with iterator prefetch.
 //
-// The pool is elastic: a RateMatcher policy splits producer compute
-// proclets when the downstream consumer is starving and merges them
-// when production outruns consumption (§3.3, §4).
+// The pool is elastic: a TargetScaler policy splits or merges compute
+// proclets toward a size derived from the consumer's capacity (§3.3, §4).
 package dtp
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/sharded"
 	"repro/internal/sim"
@@ -41,20 +38,8 @@ func (tp *ThreadPool) Pool() *core.Pool { return tp.pool }
 // Size returns the current compute proclet count.
 func (tp *ThreadPool) Size() int { return tp.pool.Size() }
 
-// Parallelism returns total worker threads across members.
-func (tp *ThreadPool) Parallelism() int {
-	n := 0
-	for _, m := range tp.pool.Members() {
-		n += m.Workers()
-	}
-	return n
-}
-
 // Run submits one task.
 func (tp *ThreadPool) Run(fn core.TaskFn) { tp.pool.Run(fn) }
-
-// WaitIdle blocks until all members are idle.
-func (tp *ThreadPool) WaitIdle(p *sim.Proc) { tp.pool.WaitIdle(p) }
 
 // ForEachVec applies fn to every element of a sharded vector, fanning
 // out over the pool in chunks of `chunk` elements. Each chunk iterates
@@ -102,9 +87,9 @@ func ForEachVec[T any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk 
 	return firstErr
 }
 
-// MapVec applies fn to every element and collects the results in
+// mapVec applies fn to every element and collects the results in
 // element order.
-func MapVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
+func mapVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
 	fn func(tc *core.TaskCtx, idx uint64, val T) R) ([]R, error) {
 	out := make([]R, v.Len())
 	err := ForEachVec(p, tp, v, chunk, func(tc *core.TaskCtx, idx uint64, val T) {
@@ -113,35 +98,11 @@ func MapVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk i
 	return out, err
 }
 
-// FilterVec returns, in element order, the elements for which pred
-// holds, evaluated in parallel across the pool.
-func FilterVec[T any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
-	pred func(tc *core.TaskCtx, idx uint64, val T) bool) ([]T, error) {
-	keep := make([]bool, v.Len())
-	vals := make([]T, v.Len())
-	err := ForEachVec(p, tp, v, chunk, func(tc *core.TaskCtx, idx uint64, val T) {
-		if pred(tc, idx, val) {
-			keep[idx] = true
-			vals[idx] = val
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := vals[:0]
-	for i, k := range keep {
-		if k {
-			out = append(out, vals[i])
-		}
-	}
-	return out, nil
-}
-
 // ReduceVec maps every element through fn and folds the results with
 // the associative combine function, starting from zero.
 func ReduceVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
 	fn func(tc *core.TaskCtx, val T) R, combine func(R, R) R, zero R) (R, error) {
-	partials, err := MapVec(p, tp, v, chunk, func(tc *core.TaskCtx, _ uint64, val T) R {
+	partials, err := mapVec(p, tp, v, chunk, func(tc *core.TaskCtx, _ uint64, val T) R {
 		return fn(tc, val)
 	})
 	acc := zero
@@ -196,75 +157,6 @@ func (ts *TargetScaler) Adapt(p *sim.Proc) {
 				return
 			}
 			ts.Shrinks++
-		default:
-			return
-		}
-	}
-}
-
-// RateMatcher adapts a producer pool to its consumer's pace using the
-// downstream queue depth as the signal: a starving consumer (shallow
-// queue) grows the producer side; a deep backlog shrinks it. It needs
-// no knowledge of the consumer's capacity, at the cost of slower
-// convergence than TargetScaler when rates are closely matched.
-// Register with the scheduler's adaptation loop.
-type RateMatcher struct {
-	tp *ThreadPool
-	// Depth reports the downstream buffer occupancy.
-	Depth func() uint64
-	// LowWater: grow producers when depth falls below this.
-	LowWater uint64
-	// HighWater: shrink producers when depth exceeds this.
-	HighWater uint64
-	// Cooldown is the minimum time between actions in the same
-	// direction (prevents thrash). Zero allows acting every tick.
-	Cooldown time.Duration
-	// MaxSteps bounds how many grow/shrink actions one tick may take
-	// (0 means 1). Larger steps converge faster after big consumer
-	// swings at the cost of occasional overshoot.
-	MaxSteps int
-
-	lastGrow   sim.Time
-	lastShrink sim.Time
-	// Grows and Shrinks count actions taken.
-	Grows   int64
-	Shrinks int64
-}
-
-// NewRateMatcher wires a rate matcher for tp driven by depth.
-func NewRateMatcher(tp *ThreadPool, depth func() uint64, low, high uint64, cooldown time.Duration) *RateMatcher {
-	return &RateMatcher{tp: tp, Depth: depth, LowWater: low, HighWater: high, Cooldown: cooldown}
-}
-
-// Adapt implements core.Adaptive.
-func (rm *RateMatcher) Adapt(p *sim.Proc) {
-	steps := rm.MaxSteps
-	if steps < 1 {
-		steps = 1
-	}
-	for i := 0; i < steps; i++ {
-		now := p.Now()
-		switch d := rm.Depth(); {
-		case d < rm.LowWater:
-			if rm.lastGrow != 0 && now.Sub(rm.lastGrow) < rm.Cooldown {
-				return
-			}
-			grew, _ := rm.tp.pool.Grow(p)
-			if !grew {
-				return
-			}
-			rm.Grows++
-			rm.lastGrow = now
-		case d > rm.HighWater:
-			if rm.lastShrink != 0 && now.Sub(rm.lastShrink) < rm.Cooldown {
-				return
-			}
-			shrank, _ := rm.tp.pool.Shrink(p)
-			if !shrank {
-				return
-			}
-			rm.Shrinks++
-			rm.lastShrink = now
 		default:
 			return
 		}

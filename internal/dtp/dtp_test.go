@@ -82,12 +82,12 @@ func TestMapVecOrder(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			v.PushBack(p, 0, i, 128)
 		}
-		out, err := MapVec(p, tp, v, 7, func(tc *core.TaskCtx, idx uint64, val int) int {
+		out, err := mapVec(p, tp, v, 7, func(tc *core.TaskCtx, idx uint64, val int) int {
 			tc.Compute(10 * time.Microsecond)
 			return val * val
 		})
 		if err != nil {
-			t.Fatalf("MapVec: %v", err)
+			t.Fatalf("mapVec: %v", err)
 		}
 		for i, r := range out {
 			if r != i*i {
@@ -121,83 +121,6 @@ func TestReduceVec(t *testing.T) {
 	s.K.Run()
 }
 
-func TestRateMatcherGrowsWhenStarved(t *testing.T) {
-	s := testSys(t)
-	tp, _ := New(s, "producers", 1, 2, 1, 8)
-	depth := uint64(0)
-	rm := NewRateMatcher(tp, func() uint64 { return depth }, 4, 32, 0)
-	s.Sched.RegisterAdaptive(rm)
-	s.Start()
-	// Keep members busy so Grow targets real queues.
-	var feed func(cp *core.ComputeProclet)
-	feed = func(cp *core.ComputeProclet) {
-		cp.Run(func(tc *core.TaskCtx) {
-			tc.Compute(200 * time.Microsecond)
-			feed(tc.ComputeProclet())
-		})
-	}
-	for _, m := range tp.Pool().Members() {
-		feed(m)
-		feed(m)
-	}
-	s.K.RunUntil(20 * sim.Millisecond)
-	if tp.Size() <= 2 || rm.Grows == 0 {
-		t.Errorf("size=%d grows=%d, want growth under starvation", tp.Size(), rm.Grows)
-	}
-	// Now a deep backlog: the matcher must shrink.
-	depth = 100
-	s.K.RunUntil(60 * sim.Millisecond)
-	if rm.Shrinks == 0 {
-		t.Errorf("no shrinks under backlog (size=%d)", tp.Size())
-	}
-}
-
-func TestRateMatcherCooldown(t *testing.T) {
-	s := testSys(t)
-	tp, _ := New(s, "producers", 1, 1, 1, 16)
-	rm := NewRateMatcher(tp, func() uint64 { return 0 }, 4, 32, 10*time.Millisecond)
-	s.Sched.RegisterAdaptive(rm)
-	s.Start()
-	s.K.RunUntil(21 * sim.Millisecond)
-	// AdaptPeriod 2ms for 21ms = ~10 ticks, but cooldown 10ms allows
-	// only ~2-3 grows.
-	if rm.Grows > 3 {
-		t.Errorf("Grows = %d with 10ms cooldown over 21ms", rm.Grows)
-	}
-	if rm.Grows == 0 {
-		t.Error("cooldown blocked all growth")
-	}
-}
-
-func TestFilterVec(t *testing.T) {
-	s := testSys(t)
-	tp, _ := New(s, "tp", 2, 2, 1, 0)
-	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 8 << 10})
-	s.K.Spawn("driver", func(p *sim.Proc) {
-		for i := 0; i < 50; i++ {
-			v.PushBack(p, 0, i, 64)
-		}
-		out, err := FilterVec(p, tp, v, 10, func(tc *core.TaskCtx, idx uint64, val int) bool {
-			tc.Compute(10 * time.Microsecond)
-			return val%3 == 0
-		})
-		if err != nil {
-			t.Fatalf("FilterVec: %v", err)
-		}
-		want := 0
-		for _, val := range out {
-			if val != want {
-				t.Fatalf("out = %v (order or content wrong at %d)", out, val)
-			}
-			want += 3
-		}
-		if len(out) != 17 {
-			t.Errorf("len = %d, want 17", len(out))
-		}
-	})
-	s.K.Run()
-}
-
 func TestTargetScalerTracksTarget(t *testing.T) {
 	s := testSys(t)
 	tp, _ := New(s, "producers", 1, 4, 1, 16)
@@ -206,8 +129,8 @@ func TestTargetScalerTracksTarget(t *testing.T) {
 	ts.MaxSteps = 2
 	s.Sched.RegisterAdaptive(ts)
 	s.Start()
-	if tp.Parallelism() != 4 {
-		t.Errorf("Parallelism = %d, want 4", tp.Parallelism())
+	if tp.Size() != 4 {
+		t.Errorf("Size = %d, want 4", tp.Size())
 	}
 	// Keep members fed so splits have queues to divide.
 	var produce core.TaskFn
@@ -248,7 +171,7 @@ func TestThreadPoolWaitIdle(t *testing.T) {
 		})
 	}
 	s.K.Spawn("w", func(p *sim.Proc) {
-		tp.WaitIdle(p)
+		tp.Pool().WaitIdle(p)
 		if ran != 4 {
 			t.Errorf("WaitIdle returned with %d/4 done", ran)
 		}

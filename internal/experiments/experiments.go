@@ -122,10 +122,6 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// Parallelism returns the current intra-experiment worker bound
-// (0 = GOMAXPROCS).
-func Parallelism() int { return parallelism }
-
 // baseSeed offsets the RNG seeds of the seed-swept experiments (fig2,
 // ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve) so CI can
 // verify determinism at several seeds: two runs at the same base seed must

@@ -482,9 +482,8 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	det.Windows = fl.PK.Windows()
 	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
 
-	// Merge shard-local histograms in fixed shard order (the
-	// obs.MergeSeries pattern): integer bucket addition, byte-identical
-	// at any worker count.
+	// Merge shard-local histograms in fixed shard order: integer bucket
+	// addition, byte-identical at any worker count.
 	out.overall = metrics.MergeLogHistograms("latency", overall...)
 	det.Overall = out.overall.Snapshot()
 	for ph, name := range servePhases {
@@ -589,7 +588,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("incidents_opened", float64(opened))
 	res.set("incidents_resolved", float64(resolved))
 
-	if TraceDir() != "" {
+	if traceDir != "" {
 		st := ref.sampleStats
 		if st.KeptSpans*10 > st.FullSpans {
 			return nil, fmt.Errorf(
@@ -603,14 +602,14 @@ func runExtServe(scale Scale) (*Result, error) {
 		res.set("trace_spans_full", float64(st.FullSpans))
 		res.set("trace_spans_sampled", float64(st.KeptSpans))
 		res.set("trace_trees_kept", float64(st.Kept))
-		full := filepath.Join(TraceDir(), "ext-serve.full.trace.json")
+		full := filepath.Join(traceDir, "ext-serve.full.trace.json")
 		if err := os.WriteFile(full, ref.fullTrace, 0o644); err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.trace.json"), ref.sampledTrace, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(traceDir, "ext-serve.trace.json"), ref.sampledTrace, 0o644); err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(filepath.Join(TraceDir(), "ext-serve.jsonl"), ref.sampledJSONL, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(traceDir, "ext-serve.jsonl"), ref.sampledJSONL, 0o644); err != nil {
 			return nil, err
 		}
 	}

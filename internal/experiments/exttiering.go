@@ -45,7 +45,7 @@ func runExtTiering(scale Scale) (*Result, error) {
 		if ferr != nil {
 			return 0, 0, 0, ferr
 		}
-		v, verr := NewTieredVector(sys, flat)
+		v, verr := newTieredVector(sys, flat)
 		if verr != nil {
 			return 0, 0, 0, verr
 		}
@@ -126,8 +126,8 @@ func runExtTiering(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// NewTieredVector builds the experiment's vector (shared by the bench).
-func NewTieredVector(sys *core.System, flat *storage.Flat) (*sharded.Vector[int], error) {
+// newTieredVector builds the experiment's vector.
+func newTieredVector(sys *core.System, flat *storage.Flat) (*sharded.Vector[int], error) {
 	return sharded.NewVector[int](sys, "tiered", sharded.Options{
 		MaxShardBytes: 16 << 20,
 		Spill:         flat,

@@ -23,9 +23,6 @@ var traceDir string
 // to call concurrently with Run.
 func SetTraceDir(dir string) { traceDir = dir }
 
-// TraceDir returns the current trace export directory.
-func TraceDir() string { return traceDir }
-
 // maybeTrace enables span tracing and telemetry on sys when a trace
 // directory is configured. Telemetry sampling schedules kernel events,
 // so a traced run's event count differs from an untraced one — which

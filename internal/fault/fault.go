@@ -14,7 +14,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -281,31 +280,4 @@ func (in *Injector) restart(mid cluster.MachineID) {
 	if in.HookRestart != nil {
 		in.HookRestart(mid)
 	}
-}
-
-// Churn generates a crash/restart schedule for the given machines over
-// [0, horizon): each machine alternates up and down phases whose
-// lengths are exponentially distributed around meanUp and meanDown.
-// All randomness comes from rng, so the same seed yields the same
-// schedule.
-func Churn(rng *rand.Rand, ids []cluster.MachineID, horizon sim.Time, meanUp, meanDown time.Duration) Schedule {
-	var s Schedule
-	for _, id := range ids {
-		at := sim.Time(0)
-		for {
-			up := time.Duration(rng.ExpFloat64() * float64(meanUp))
-			at = at.Add(up)
-			if at >= horizon {
-				break
-			}
-			s = append(s, Event{At: at, Op: OpCrash, A: id})
-			down := time.Duration(rng.ExpFloat64() * float64(meanDown))
-			at = at.Add(down)
-			if at >= horizon {
-				break
-			}
-			s = append(s, Event{At: at, Op: OpRestart, A: id})
-		}
-	}
-	return s
 }

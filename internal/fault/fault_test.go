@@ -31,10 +31,37 @@ func testCluster(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *pr
 	return k, c, rt
 }
 
+// churn generates a crash/restart schedule for the given machines over
+// [0, horizon): each machine alternates up and down phases whose
+// lengths are exponentially distributed around meanUp and meanDown.
+// All randomness comes from rng, so the same seed yields the same
+// schedule.
+func churn(rng *rand.Rand, ids []cluster.MachineID, horizon sim.Time, meanUp, meanDown time.Duration) Schedule {
+	var s Schedule
+	for _, id := range ids {
+		at := sim.Time(0)
+		for {
+			up := time.Duration(rng.ExpFloat64() * float64(meanUp))
+			at = at.Add(up)
+			if at >= horizon {
+				break
+			}
+			s = append(s, Event{At: at, Op: OpCrash, A: id})
+			down := time.Duration(rng.ExpFloat64() * float64(meanDown))
+			at = at.Add(down)
+			if at >= horizon {
+				break
+			}
+			s = append(s, Event{At: at, Op: OpRestart, A: id})
+		}
+	}
+	return s
+}
+
 func TestChurnDeterministicPerSeed(t *testing.T) {
 	ids := []cluster.MachineID{0, 1, 2}
 	gen := func(seed int64) Schedule {
-		return Churn(rand.New(rand.NewSource(seed)), ids,
+		return churn(rand.New(rand.NewSource(seed)), ids,
 			sim.Time(100*time.Millisecond), 10*time.Millisecond, 2*time.Millisecond)
 	}
 	a, b := gen(7), gen(7)
@@ -91,20 +118,25 @@ func TestInjectorAppliesScheduleInOrder(t *testing.T) {
 		{At: sim.Time(2 * time.Millisecond), Op: OpCrash, A: 1},
 		{At: sim.Time(4 * time.Millisecond), Op: OpRestart, A: 1},
 	})
-	check := func(at sim.Time, fn func()) { k.Schedule(at, fn) }
-	check(sim.Time(1500*time.Microsecond), func() {
-		if !c.Fabric.LinkFaultOn(0, 1).Partitioned {
-			t.Error("t=1.5ms: expected partition")
+	// Each check sends one byte from machine 0 to machine 1.
+	check := func(at sim.Time, fn func(err error)) {
+		k.Schedule(at, func() {
+			k.Spawn("check", func(p *sim.Proc) { fn(c.Fabric.Transfer(p, 0, 1, 1)) })
+		})
+	}
+	check(sim.Time(1500*time.Microsecond), func(err error) {
+		if !errors.Is(err, simnet.ErrTimeout) {
+			t.Errorf("t=1.5ms: transfer err = %v, want the partition's ErrTimeout", err)
 		}
 	})
-	check(sim.Time(2500*time.Microsecond), func() {
-		if !c.Machine(1).Down() || !c.Node(1).Down() {
-			t.Error("t=2.5ms: expected machine 1 down")
+	check(sim.Time(2500*time.Microsecond), func(err error) {
+		if !c.Machine(1).Down() || !errors.Is(err, simnet.ErrNodeDown) {
+			t.Errorf("t=2.5ms: machine 1 down = %v, transfer err = %v; want down and ErrNodeDown", c.Machine(1).Down(), err)
 		}
 	})
-	check(sim.Time(3500*time.Microsecond), func() {
-		if c.Fabric.LinkFaultOn(0, 1).Partitioned {
-			t.Error("t=3.5ms: expected link healed")
+	check(sim.Time(4500*time.Microsecond), func(err error) {
+		if err != nil {
+			t.Errorf("t=4.5ms: transfer err = %v, want the link healed and machine 1 back", err)
 		}
 	})
 	k.Run()
@@ -177,7 +209,7 @@ func TestNoHangUnderChurn(t *testing.T) {
 
 	horizon := sim.Time(20 * time.Millisecond)
 	rng := k.Rand()
-	sched := Churn(rng, []cluster.MachineID{1, 2, 3}, horizon,
+	sched := churn(rng, []cluster.MachineID{1, 2, 3}, horizon,
 		5*time.Millisecond, 2*time.Millisecond)
 	// Mix in link faults on machine 0's links, always healed before the end.
 	sched = append(sched,

@@ -16,6 +16,7 @@ import (
 	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 var testMachine = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
@@ -23,9 +24,8 @@ var testMachine = cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20}
 func TestNewTopology(t *testing.T) {
 	f := New(40, 3, 5, testMachine)
 	defer f.Close()
-	if f.PK.NumShards() != 3 || len(f.Shards) != 3 || f.Net.NumShards() != 3 {
-		t.Fatalf("shards: kernel %d, systems %d, partition %d, want 3 each",
-			f.PK.NumShards(), len(f.Shards), f.Net.NumShards())
+	if f.PK.NumShards() != 3 || len(f.Shards) != 3 {
+		t.Fatalf("shards: kernel %d, systems %d, want 3 each", f.PK.NumShards(), len(f.Shards))
 	}
 	if want := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds()); f.PK.Lookahead() != want {
 		t.Errorf("lookahead = %v, want the fabric latency %v", f.PK.Lookahead(), want)
@@ -40,10 +40,20 @@ func TestNewTopology(t *testing.T) {
 		if n := len(sys.Cluster.Machines()); n != 5 {
 			t.Errorf("shard %d has %d machines, want 5", s, n)
 		}
-		if f.Net.Fabric(s) != sys.Cluster.Fabric {
-			t.Errorf("partition fabric %d is not shard %d's", s, s)
-		}
+		sys.Cluster.Fabric.Node(0).HandleFast("whoami", func(simnet.Message) (simnet.Message, error) {
+			return simnet.Message{Word: uint64(s)}, nil
+		})
 	}
+	// The partition reaches each shard through that shard's own fabric.
+	f.PK.Shard(0).Spawn("probe", func(p *sim.Proc) {
+		for s := range f.Shards {
+			rep, err := f.Net.Call(p, simnet.ShardNode{Shard: 0}, simnet.ShardNode{Shard: s}, "whoami", simnet.Message{})
+			if err != nil || rep.Word != uint64(s) {
+				t.Errorf("call to shard %d: reply %d, err %v; the partition's fabric is not the shard's", s, rep.Word, err)
+			}
+		}
+	})
+	f.PK.RunUntil(sim.Time(time.Millisecond))
 }
 
 func TestPlaceStores(t *testing.T) {
@@ -75,14 +85,15 @@ func TestPlaceStoresReplicatesAsPlaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Primary, its one backup, next primary: primaries hold every other ID.
+	// Primary, its one backup, next primary: primaries hold every other ID,
+	// and each backup sits off its primary's machine.
 	for i, mp := range stores {
 		if want := stores[0].ID() + 2*proclet.ID(i); mp.ID() != want {
 			t.Errorf("store %d has proclet ID %d, want %d", i, mp.ID(), want)
 		}
-	}
-	if got := len(sys.Replication().Status()); got != 3 {
-		t.Errorf("%d replica sets, want 3", got)
+		if b := sys.Runtime.Lookup(mp.ID() + 1); b == nil || b.Location() == mp.Location() {
+			t.Errorf("store %d has no backup off its machine %d", i, mp.Location())
+		}
 	}
 }
 

@@ -119,21 +119,12 @@ func (f *Fleet) Add(name string, modelBytes int64, stepKernel time.Duration) (*P
 	if err != nil {
 		return nil, err
 	}
-	gp, err := NewCheckpointed(f.sys, name, g, modelBytes, stepKernel, f.cfg.Checkpoint)
+	gp, err := newCheckpointed(f.sys, name, g, modelBytes, stepKernel, f.cfg.Checkpoint)
 	if err != nil {
 		return nil, err
 	}
 	f.procs = append(f.procs, &entry{gp: gp})
 	return gp, nil
-}
-
-// Proclets returns the managed proclets.
-func (f *Fleet) Proclets() []*Proclet {
-	out := make([]*Proclet, len(f.procs))
-	for i, e := range f.procs {
-		out[i] = e.gp
-	}
-	return out
 }
 
 // PickGPU returns the healthy GPU with the most free device memory
@@ -188,7 +179,7 @@ func (f *Fleet) pickFaster(gp *Proclet) *cluster.GPU {
 	bestSpeed := 0.0
 	for _, m := range f.sys.Cluster.Machines() {
 		for _, g := range m.GPUs() {
-			if g == cur || !g.Healthy() || g.MemFree() < gp.ModelBytes() {
+			if g == cur || !g.Healthy() || g.MemFree() < gp.modelBytes {
 				continue
 			}
 			speed := g.EffectiveSpeed() / (f.residents(g) + 1)
@@ -205,15 +196,15 @@ func (f *Fleet) pickFaster(gp *Proclet) *cluster.GPU {
 	return best
 }
 
-// AttachTelemetry registers per-proclet step-latency and queue-delay
+// attachTelemetry registers per-proclet step-latency and queue-delay
 // gauges for every currently managed proclet, following the
 // proclet.<name>.qdelay_ms naming convention. Call after Add.
-func (f *Fleet) AttachTelemetry(tel *obs.Telemetry) {
+func (f *Fleet) attachTelemetry(tel *obs.Telemetry) {
 	for _, e := range f.procs {
 		gp := e.gp
 		machine := int(gp.Device().Machine.ID)
-		tel.Register(fmt.Sprintf("gpu.%s.step_ms", gp.Name()), machine, gp.StepLatencyMS)
-		tel.Register(fmt.Sprintf("gpu.%s.qdelay_ms", gp.Name()), machine, gp.QueueDelayMS)
+		tel.Register(fmt.Sprintf("gpu.%s.step_ms", gp.Name()), machine, gp.stepLatencyMS)
+		tel.Register(fmt.Sprintf("gpu.%s.qdelay_ms", gp.Name()), machine, gp.queueDelayMS)
 	}
 }
 
@@ -262,13 +253,13 @@ func (f *Fleet) react(p *sim.Proc) {
 		if gp.dead || !gp.Device().Failed() {
 			continue
 		}
-		dst, err := f.PickGPU(gp.ModelBytes(), gp.Device())
+		dst, err := f.PickGPU(gp.modelBytes, gp.Device())
 		if err != nil {
 			f.Stranded.Inc()
 			continue
 		}
 		start := p.Now()
-		if err := gp.RestoreTo(p, dst); err != nil {
+		if err := gp.restoreTo(p, dst); err != nil {
 			f.Stranded.Inc()
 			continue
 		}
@@ -284,13 +275,13 @@ func (f *Fleet) react(p *sim.Proc) {
 		if gp.dead || d.Available() || d.Failed() {
 			continue
 		}
-		dst, err := f.PickGPU(gp.ModelBytes(), d)
+		dst, err := f.PickGPU(gp.modelBytes, d)
 		if err != nil {
 			f.Stranded.Inc()
 			continue
 		}
 		start := p.Now()
-		if err := gp.MigrateTo(p, dst); err != nil {
+		if err := gp.migrateTo(p, dst); err != nil {
 			f.Stranded.Inc()
 			continue
 		}
@@ -321,8 +312,8 @@ func (f *Fleet) settle(e *entry) {
 func (f *Fleet) detectStragglers(p *sim.Proc) {
 	var lats []float64
 	for _, e := range f.procs {
-		if gp := e.gp; !gp.dead && gp.Device().Healthy() && gp.StepSamples() >= f.cfg.MinSamples {
-			lats = append(lats, gp.StepLatencyMS())
+		if gp := e.gp; !gp.dead && gp.Device().Healthy() && gp.stepSamples() >= f.cfg.MinSamples {
+			lats = append(lats, gp.stepLatencyMS())
 		}
 	}
 	if len(lats) < 2 {
@@ -338,10 +329,10 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 	threshold := median * f.cfg.StragglerFactor
 	for _, e := range f.procs {
 		gp := e.gp
-		if gp.dead || !gp.Device().Healthy() || gp.StepSamples() < f.cfg.MinSamples {
+		if gp.dead || !gp.Device().Healthy() || gp.stepSamples() < f.cfg.MinSamples {
 			continue
 		}
-		if gp.StepLatencyMS() <= threshold {
+		if gp.stepLatencyMS() <= threshold {
 			e.strikes = 0
 			continue
 		}
@@ -357,9 +348,9 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 		f.sys.Trace.Emitf(p.Now(), obs.KindRebalance, gp.Name(),
 			int(gp.Device().Machine.ID), int(dst.Machine.ID),
 			"straggler %.3fms vs median %.3fms: re-dispatch %s -> %s",
-			gp.StepLatencyMS(), median, gp.Device(), dst)
+			gp.stepLatencyMS(), median, gp.Device(), dst)
 		start := p.Now()
-		if err := gp.MigrateTo(p, dst); err != nil {
+		if err := gp.migrateTo(p, dst); err != nil {
 			continue
 		}
 		f.Mitigations.Inc()

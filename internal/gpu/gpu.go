@@ -76,8 +76,8 @@ type CheckpointConfig struct {
 	Home cluster.MachineID
 }
 
-// Enabled reports whether checkpoints are on.
-func (c CheckpointConfig) Enabled() bool { return c.DeltaBytes > 0 }
+// enabled reports whether checkpoints are on.
+func (c CheckpointConfig) enabled() bool { return c.DeltaBytes > 0 }
 
 // Proclet is a GPU resource proclet: model state in device memory plus
 // a host-side control proclet on the device's machine.
@@ -120,12 +120,12 @@ type Proclet struct {
 // state and no checkpointing; each training step costs stepKernel of
 // device time plus the batch upload.
 func New(sys *core.System, name string, g *cluster.GPU, modelBytes int64, stepKernel time.Duration) (*Proclet, error) {
-	return NewCheckpointed(sys, name, g, modelBytes, stepKernel, CheckpointConfig{})
+	return newCheckpointed(sys, name, g, modelBytes, stepKernel, CheckpointConfig{})
 }
 
-// NewCheckpointed creates a GPU proclet whose training state is
+// newCheckpointed creates a GPU proclet whose training state is
 // mirrored per ck.
-func NewCheckpointed(sys *core.System, name string, g *cluster.GPU, modelBytes int64, stepKernel time.Duration, ck CheckpointConfig) (*Proclet, error) {
+func newCheckpointed(sys *core.System, name string, g *cluster.GPU, modelBytes int64, stepKernel time.Duration, ck CheckpointConfig) (*Proclet, error) {
 	if !g.Healthy() {
 		return nil, deviceErr(g)
 	}
@@ -148,7 +148,7 @@ func NewCheckpointed(sys *core.System, name string, g *cluster.GPU, modelBytes i
 		stepMS:     metrics.NewEWMA(ewmaAlpha),
 		qdelayMS:   metrics.NewEWMA(ewmaAlpha),
 	}
-	if ck.Enabled() {
+	if ck.enabled() {
 		gp.ckptHome = ck.Home
 		if gp.ckptHome == AutoHome {
 			gp.ckptHome = g.Machine.ID
@@ -203,7 +203,7 @@ func (gp *Proclet) step(ctx *proclet.Ctx, arg proclet.Msg) (proclet.Msg, error) 
 		gp.finish()
 		return proclet.Msg{}, deviceErr(g)
 	}
-	if gp.ckpt.Enabled() {
+	if gp.ckpt.enabled() {
 		if err := gp.shipCheckpoint(ctx.Proc, g); err != nil {
 			gp.finish()
 			return proclet.Msg{}, err
@@ -252,32 +252,22 @@ func (gp *Proclet) finish() {
 // Name returns the proclet's name.
 func (gp *Proclet) Name() string { return gp.name }
 
-// ProcletID returns the host-side proclet's ID.
-func (gp *Proclet) ProcletID() proclet.ID { return gp.pr.ID() }
-
 // Device returns the GPU currently hosting the model.
 func (gp *Proclet) Device() *cluster.GPU { return gp.gpu }
-
-// ModelBytes returns the device-resident state size.
-func (gp *Proclet) ModelBytes() int64 { return gp.modelBytes }
 
 // CompletedSteps returns the driver-visible training progress: acked
 // steps, rolled back only when an unmirrored model is lost.
 func (gp *Proclet) CompletedSteps() int64 { return gp.acked }
 
-// CheckpointHome returns the mirror machine (meaningful only when
-// checkpointing is enabled).
-func (gp *Proclet) CheckpointHome() cluster.MachineID { return gp.ckptHome }
+// stepLatencyMS returns the smoothed per-step latency in milliseconds.
+func (gp *Proclet) stepLatencyMS() float64 { return gp.stepMS.Value() }
 
-// StepLatencyMS returns the smoothed per-step latency in milliseconds.
-func (gp *Proclet) StepLatencyMS() float64 { return gp.stepMS.Value() }
+// queueDelayMS returns the smoothed device queue delay in milliseconds.
+func (gp *Proclet) queueDelayMS() float64 { return gp.qdelayMS.Value() }
 
-// QueueDelayMS returns the smoothed device queue delay in milliseconds.
-func (gp *Proclet) QueueDelayMS() float64 { return gp.qdelayMS.Value() }
-
-// StepSamples returns how many steps have fed the latency average
+// stepSamples returns how many steps have fed the latency average
 // since the proclet last changed device.
-func (gp *Proclet) StepSamples() int64 { return gp.stepMS.Count() }
+func (gp *Proclet) stepSamples() int64 { return gp.stepMS.Count() }
 
 func (gp *Proclet) resetTelemetry() {
 	gp.stepMS.Reset()
@@ -322,14 +312,14 @@ func (gp *Proclet) AwaitPlaced(p *sim.Proc) error {
 	}
 }
 
-// MigrateTo moves the model replica to another GPU by reading it back
+// migrateTo moves the model replica to another GPU by reading it back
 // from the current device: block new steps, drain in-flight ones, copy
 // device state (host link down, network if cross-machine, host link
 // up), move the control proclet if the machine changed, and resume.
 // The source must be readable — reclaimed is fine (providers keep the
 // memory addressable for a grace window), fatally failed is not: a
-// Failed source requires RestoreTo.
-func (gp *Proclet) MigrateTo(p *sim.Proc, dst *cluster.GPU) error {
+// Failed source requires restoreTo.
+func (gp *Proclet) migrateTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.dead {
 		return proclet.ErrDead
 	}
@@ -385,13 +375,13 @@ func (gp *Proclet) MigrateTo(p *sim.Proc, dst *cluster.GPU) error {
 	return nil
 }
 
-// RestoreTo rebuilds the proclet on dst after its device died fatally:
+// restoreTo rebuilds the proclet on dst after its device died fatally:
 // the model ships from the checkpoint mirror (network if the mirror is
 // remote, then host link up). Without checkpointing the model is gone —
 // training restarts from step zero and every acked step is counted
 // lost. At most the one in-flight unacked step is lost when a mirror
 // exists, because acks happen only after the delta reaches it.
-func (gp *Proclet) RestoreTo(p *sim.Proc, dst *cluster.GPU) error {
+func (gp *Proclet) restoreTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.dead {
 		return proclet.ErrDead
 	}
@@ -415,7 +405,7 @@ func (gp *Proclet) RestoreTo(p *sim.Proc, dst *cluster.GPU) error {
 		gp.drained.Wait(p)
 	}
 
-	if gp.ckpt.Enabled() {
+	if gp.ckpt.enabled() {
 		if gp.ckptHome != dst.Machine.ID {
 			if err := gp.sys.Cluster.Fabric.Transfer(p,
 				simnet.NodeID(gp.ckptHome), simnet.NodeID(dst.Machine.ID), gp.modelBytes); err != nil {

@@ -28,7 +28,7 @@ func testSys(t *testing.T) *core.System {
 func TestGPUDeviceModel(t *testing.T) {
 	s := testSys(t)
 	g := s.Cluster.Machine(0).GPU(0)
-	if g == nil || s.Cluster.Machine(0).NumGPUs() != 2 {
+	if g == nil || len(s.Cluster.Machine(0).GPUs()) != 2 {
 		t.Fatal("GPUs not attached")
 	}
 	s.K.Spawn("driver", func(p *sim.Proc) {
@@ -70,8 +70,8 @@ func TestGPUMemAccounting(t *testing.T) {
 		t.Errorf("overcommit err = %v", err)
 	}
 	g.FreeMem(6 << 30)
-	if g.MemUsed() != 0 {
-		t.Errorf("MemUsed = %d", g.MemUsed())
+	if g.MemFree() != 8<<30 {
+		t.Errorf("MemFree = %d, want all 8 GiB", g.MemFree())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestProcletStepCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.MemUsed() != 1<<30 {
-		t.Errorf("device mem = %d, want model resident", g.MemUsed())
+	if g.MemFree() != 7<<30 {
+		t.Errorf("device mem free = %d, want the 1 GiB model resident", g.MemFree())
 	}
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		start := p.Now()
@@ -108,8 +108,8 @@ func TestMigrateSameMachine(t *testing.T) {
 	gp, _ := New(s, "trainer", m0.GPU(0), 1<<30, time.Millisecond)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
 		start := p.Now()
-		if err := gp.MigrateTo(p, m0.GPU(1)); err != nil {
-			t.Fatalf("MigrateTo: %v", err)
+		if err := gp.migrateTo(p, m0.GPU(1)); err != nil {
+			t.Fatalf("migrateTo: %v", err)
 		}
 		// 1 GiB down + 1 GiB up at 16 GB/s = ~67ms + ~67ms.
 		elapsed := p.Now().Sub(start)
@@ -121,8 +121,8 @@ func TestMigrateSameMachine(t *testing.T) {
 	if gp.Device() != m0.GPU(1) {
 		t.Error("device not updated")
 	}
-	if m0.GPU(0).MemUsed() != 0 || m0.GPU(1).MemUsed() != 1<<30 {
-		t.Errorf("device memory: src=%d dst=%d", m0.GPU(0).MemUsed(), m0.GPU(1).MemUsed())
+	if m0.GPU(0).MemFree() != 8<<30 || m0.GPU(1).MemFree() != 7<<30 {
+		t.Errorf("device memory free: src=%d dst=%d", m0.GPU(0).MemFree(), m0.GPU(1).MemFree())
 	}
 }
 
@@ -131,8 +131,8 @@ func TestMigrateCrossMachineMovesControlProclet(t *testing.T) {
 	gp, _ := New(s, "trainer", s.Cluster.Machine(0).GPU(0), 512<<20, time.Millisecond)
 	dst := s.Cluster.Machine(1).GPU(0)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if err := gp.MigrateTo(p, dst); err != nil {
-			t.Fatalf("MigrateTo: %v", err)
+		if err := gp.migrateTo(p, dst); err != nil {
+			t.Fatalf("migrateTo: %v", err)
 		}
 		// Steps must work at the new location.
 		if err := gp.Step(p, 1, 1_000_000); err != nil {
@@ -143,7 +143,7 @@ func TestMigrateCrossMachineMovesControlProclet(t *testing.T) {
 	if gp.Device() != dst {
 		t.Error("device not updated")
 	}
-	if loc := s.Runtime.Lookup(gp.ProcletID()).Location(); loc != 1 {
+	if loc := s.Runtime.Lookup(gp.pr.ID()).Location(); loc != 1 {
 		t.Errorf("control proclet on machine %d, want 1", loc)
 	}
 }
@@ -161,8 +161,8 @@ func TestMigrationBlocksAndDrainsSteps(t *testing.T) {
 	})
 	s.K.Spawn("ctl", func(p *sim.Proc) {
 		p.Sleep(2 * time.Millisecond) // step now in flight
-		if err := gp.MigrateTo(p, m0.GPU(1)); err != nil {
-			t.Fatalf("MigrateTo: %v", err)
+		if err := gp.migrateTo(p, m0.GPU(1)); err != nil {
+			t.Fatalf("migrateTo: %v", err)
 		}
 		migDone = p.Now()
 	})
@@ -178,7 +178,7 @@ func TestMigrateToReclaimedFails(t *testing.T) {
 	gp, _ := New(s, "trainer", m0.GPU(0), 1<<20, time.Millisecond)
 	m0.GPU(1).SetAvailable(false)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if err := gp.MigrateTo(p, m0.GPU(1)); !errors.Is(err, ErrReclaimed) {
+		if err := gp.migrateTo(p, m0.GPU(1)); !errors.Is(err, ErrReclaimed) {
 			t.Errorf("err = %v, want ErrReclaimed", err)
 		}
 	})
@@ -254,8 +254,8 @@ func TestDestroyReleasesEverything(t *testing.T) {
 	if err := gp.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if g.MemUsed() != 0 {
-		t.Errorf("device mem leaked: %d", g.MemUsed())
+	if g.MemFree() != 8<<30 {
+		t.Errorf("device mem leaked: %d free of 8 GiB", g.MemFree())
 	}
 	if s.Cluster.Machine(0).MemUsed() != 0 {
 		t.Errorf("host mem leaked: %d", s.Cluster.Machine(0).MemUsed())

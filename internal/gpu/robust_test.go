@@ -62,8 +62,8 @@ func TestPickGPUCapacityAware(t *testing.T) {
 	if err != nil {
 		t.Fatalf("PickGPU: %v", err)
 	}
-	if g.MemCapacity() != 4<<30 {
-		t.Errorf("picked %s (cap %d), want a small device with room", g, g.MemCapacity())
+	if g.Class() != "slow" {
+		t.Errorf("picked %s (class %s), want a small device with room", g, g.Class())
 	}
 
 	// Nothing has 5 GiB free: a clean ErrNoSpare, not a doomed pick.
@@ -183,7 +183,7 @@ func TestFleetConcurrentReclaimDeterministic(t *testing.T) {
 					t.Errorf("seed %d: Stranded = %d, want stranded=%v", seed, got.stranded, tc.wantStranded)
 				}
 				if tc.wantWinner >= 0 {
-					if w := procs[tc.wantWinner].Device(); !w.Available() || w.MemCapacity() != 2<<30 {
+					if w := procs[tc.wantWinner].Device(); !w.Available() || w.Machine.ID != 1 {
 						t.Errorf("seed %d: winner on %s, want the machine-1 spare", seed, w)
 					}
 				}
@@ -207,8 +207,8 @@ func TestCheckpointedRestoreAfterXid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gp.CheckpointHome() == gp.Device().Machine.ID {
-		t.Errorf("checkpoint home m%d not anti-affine to device %s", gp.CheckpointHome(), gp.Device())
+	if gp.ckptHome == gp.Device().Machine.ID {
+		t.Errorf("checkpoint home m%d not anti-affine to device %s", gp.ckptHome, gp.Device())
 	}
 	f.Start()
 	src := gp.Device()
@@ -321,7 +321,7 @@ func TestStragglerMitigationWithHysteresis(t *testing.T) {
 	var procs []*Proclet
 	for j := 0; j < 3; j++ {
 		g := s.Cluster.Machine(1).GPU(j)
-		gp, err := NewCheckpointed(s, fmt.Sprintf("trainer-%d", j), g, 256<<20, time.Millisecond, CheckpointConfig{})
+		gp, err := newCheckpointed(s, fmt.Sprintf("trainer-%d", j), g, 256<<20, time.Millisecond, CheckpointConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,19 +482,19 @@ func TestAttachTelemetryRegistersGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.AttachTelemetry(tel)
+	f.attachTelemetry(tel)
 	drive(s, gp, 1<<20, 20)
 	s.K.RunUntil(sim.Time(100 * time.Millisecond))
 	f.Stop()
-	if gp.StepLatencyMS() <= 0 || gp.StepSamples() < 20 {
-		t.Errorf("step EWMA = %v after %d samples", gp.StepLatencyMS(), gp.StepSamples())
+	if gp.stepLatencyMS() <= 0 || gp.stepSamples() < 20 {
+		t.Errorf("step EWMA = %v after %d samples", gp.stepLatencyMS(), gp.stepSamples())
 	}
 	series := tel.Series()
 	var found int
 	for _, ts := range series {
 		if ts.Name == "gpu.trainer-0.step_ms" || ts.Name == "gpu.trainer-0.qdelay_ms" {
 			found++
-			if ts.Len() == 0 {
+			if len(ts.Points()) == 0 {
 				t.Errorf("series %s sampled no points", ts.Name)
 			}
 		}

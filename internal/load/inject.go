@@ -146,9 +146,6 @@ func (inj *Injector) runBatch() {
 	}
 }
 
-// Generated returns the number of requests generated for tenant i.
-func (inj *Injector) Generated(i int) uint64 { return inj.generated[i] }
-
 // TotalGenerated returns the number of requests generated across all
 // tenants.
 func (inj *Injector) TotalGenerated() uint64 {
@@ -158,9 +155,3 @@ func (inj *Injector) TotalGenerated() uint64 {
 	}
 	return n
 }
-
-// Delivered returns the number of requests whose handler has run.
-func (inj *Injector) Delivered() uint64 { return inj.delivered }
-
-// Windows returns the number of batch windows executed.
-func (inj *Injector) Windows() uint64 { return inj.windows }

@@ -49,9 +49,9 @@ type Curve struct {
 	pts []CurvePoint
 }
 
-// Piecewise builds a curve from anchor points, which must be in
+// piecewise builds a curve from anchor points, which must be in
 // strictly increasing time order with non-negative rates.
-func Piecewise(pts ...CurvePoint) Curve {
+func piecewise(pts ...CurvePoint) Curve {
 	if len(pts) == 0 {
 		panic("load: curve needs at least one point")
 	}
@@ -68,7 +68,7 @@ func Piecewise(pts ...CurvePoint) Curve {
 
 // Constant builds a flat curve at rps requests/second.
 func Constant(rps float64) Curve {
-	return Piecewise(CurvePoint{At: 0, Rate: rps})
+	return piecewise(CurvePoint{At: 0, Rate: rps})
 }
 
 // Sampled discretizes an analytic intensity function into a
@@ -163,18 +163,18 @@ func (c Curve) rateFrom(i int, t sim.Time) (float64, int) {
 	return a.Rate + (b.Rate-a.Rate)*frac, i
 }
 
-// Rate evaluates the curve at t.
-func (c Curve) Rate(t sim.Time) float64 {
+// rate evaluates the curve at t.
+func (c Curve) rate(t sim.Time) float64 {
 	r, _ := c.rateFrom(0, t)
 	return r
 }
 
-// MaxRate returns the maximum rate over [from, to]. A piecewise-linear
+// maxRate returns the maximum rate over [from, to]. A piecewise-linear
 // curve attains its window maximum at a segment endpoint or a window
 // edge, so this is exact — the tight thinning bound for that window.
-func (c Curve) MaxRate(from, to sim.Time) float64 {
-	max := c.Rate(from)
-	if r := c.Rate(to); r > max {
+func (c Curve) maxRate(from, to sim.Time) float64 {
+	max := c.rate(from)
+	if r := c.rate(to); r > max {
 		max = r
 	}
 	for _, pt := range c.pts {
@@ -191,15 +191,15 @@ func (c Curve) MaxRate(from, to sim.Time) float64 {
 	return max
 }
 
-// Mean returns the time-weighted mean rate over [from, to) — the
+// mean returns the time-weighted mean rate over [from, to) — the
 // expected number of arrivals in the window divided by its length.
-func (c Curve) Mean(from, to sim.Time) float64 {
+func (c Curve) mean(from, to sim.Time) float64 {
 	if to <= from {
 		return 0
 	}
 	var area float64
 	prevT := from
-	prevR := c.Rate(from)
+	prevR := c.rate(from)
 	for _, pt := range c.pts {
 		if pt.At <= from {
 			continue
@@ -207,11 +207,11 @@ func (c Curve) Mean(from, to sim.Time) float64 {
 		if pt.At >= to {
 			break
 		}
-		r := c.Rate(pt.At)
+		r := c.rate(pt.At)
 		area += (prevR + r) / 2 * float64(pt.At-prevT)
 		prevT, prevR = pt.At, r
 	}
-	area += (prevR + c.Rate(to)) / 2 * float64(to-prevT)
+	area += (prevR + c.rate(to)) / 2 * float64(to-prevT)
 	return area / float64(to-from)
 }
 
@@ -251,7 +251,7 @@ func (a *Arrivals) Draw(from, to sim.Time) []sim.Time {
 	if to <= from {
 		return a.buf
 	}
-	lamMax := a.curve.MaxRate(from, to)
+	lamMax := a.curve.maxRate(from, to)
 	if lamMax <= 0 {
 		return a.buf
 	}

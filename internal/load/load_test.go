@@ -11,34 +11,34 @@ import (
 )
 
 func TestCurveRateAndMax(t *testing.T) {
-	c := Piecewise(
+	c := piecewise(
 		CurvePoint{At: 0, Rate: 100},
 		CurvePoint{At: sim.Time(10 * time.Second), Rate: 300},
 		CurvePoint{At: sim.Time(20 * time.Second), Rate: 50},
 	)
-	if got := c.Rate(sim.Time(5 * time.Second)); math.Abs(got-200) > 1e-9 {
+	if got := c.rate(sim.Time(5 * time.Second)); math.Abs(got-200) > 1e-9 {
 		t.Fatalf("Rate(5s) = %v, want 200", got)
 	}
-	if got := c.Rate(sim.Time(30 * time.Second)); got != 50 {
+	if got := c.rate(sim.Time(30 * time.Second)); got != 50 {
 		t.Fatalf("Rate past end = %v, want 50", got)
 	}
-	if got := c.MaxRate(0, sim.Time(30*time.Second)); got != 300 {
-		t.Fatalf("MaxRate = %v, want 300 (interior peak)", got)
+	if got := c.maxRate(0, sim.Time(30*time.Second)); got != 300 {
+		t.Fatalf("maxRate = %v, want 300 (interior peak)", got)
 	}
 	// Window that excludes the peak: max is at a window edge.
-	if got := c.MaxRate(sim.Time(12*time.Second), sim.Time(14*time.Second)); got <= 200 || got >= 300 {
-		t.Fatalf("MaxRate(12s,14s) = %v, want in (200,300)", got)
+	if got := c.maxRate(sim.Time(12*time.Second), sim.Time(14*time.Second)); got <= 200 || got >= 300 {
+		t.Fatalf("maxRate(12s,14s) = %v, want in (200,300)", got)
 	}
-	if got := c.Mean(0, sim.Time(10*time.Second)); math.Abs(got-200) > 1e-9 {
+	if got := c.mean(0, sim.Time(10*time.Second)); math.Abs(got-200) > 1e-9 {
 		t.Fatalf("Mean(0,10s) = %v, want 200", got)
 	}
 }
 
 func TestCurveValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"empty":      func() { Piecewise() },
-		"negative":   func() { Piecewise(CurvePoint{At: 0, Rate: -1}) },
-		"nonincreas": func() { Piecewise(CurvePoint{At: 5, Rate: 1}, CurvePoint{At: 5, Rate: 2}) },
+		"empty":      func() { piecewise() },
+		"negative":   func() { piecewise(CurvePoint{At: 0, Rate: -1}) },
+		"nonincreas": func() { piecewise(CurvePoint{At: 5, Rate: 1}, CurvePoint{At: 5, Rate: 2}) },
 	} {
 		func() {
 			defer func() {
@@ -56,7 +56,7 @@ func TestSampledShapes(t *testing.T) {
 	d := Diurnal(1000, 0.5, 10*time.Second)
 	c := Sampled(horizon, 100*time.Millisecond, d)
 	// The sine peaks at t=period/4 with rate base*(1+amp).
-	peak := c.Rate(sim.Time(2500 * time.Millisecond))
+	peak := c.rate(sim.Time(2500 * time.Millisecond))
 	if math.Abs(peak-1500) > 15 {
 		t.Fatalf("diurnal peak = %v, want ~1500", peak)
 	}
@@ -85,7 +85,7 @@ func TestArrivalsRateAccuracy(t *testing.T) {
 	for from := sim.Time(0); from < sim.Time(60*time.Second); from += window {
 		n += len(a.Draw(from, from+window))
 	}
-	mean := c.Mean(0, sim.Time(60*time.Second)) * 60
+	mean := c.mean(0, sim.Time(60*time.Second)) * 60
 	sigma := math.Sqrt(mean)
 	if math.Abs(float64(n)-mean) > 5*sigma {
 		t.Fatalf("arrivals = %d, expected %v ± %v", n, mean, 5*sigma)
@@ -252,12 +252,12 @@ func TestInjectorDeliversInOrder(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("no requests delivered")
 	}
-	if inj.Delivered() != uint64(len(got)) || inj.TotalGenerated() != inj.Delivered() {
+	if inj.delivered != uint64(len(got)) || inj.TotalGenerated() != inj.delivered {
 		t.Fatalf("generated %d delivered %d handled %d",
-			inj.TotalGenerated(), inj.Delivered(), len(got))
+			inj.TotalGenerated(), inj.delivered, len(got))
 	}
-	if inj.Windows() != 10 {
-		t.Fatalf("windows = %d, want 10", inj.Windows())
+	if inj.windows != 10 {
+		t.Fatalf("windows = %d, want 10", inj.windows)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].At < got[i-1].At {
@@ -265,7 +265,7 @@ func TestInjectorDeliversInOrder(t *testing.T) {
 		}
 	}
 	// Tenant a offers ~2x tenant b's rate.
-	ratio := float64(inj.Generated(0)) / float64(inj.Generated(1))
+	ratio := float64(inj.generated[0]) / float64(inj.generated[1])
 	if ratio < 1.6 || ratio > 2.5 {
 		t.Fatalf("tenant rate ratio = %v, want ~2", ratio)
 	}
@@ -298,9 +298,9 @@ func TestInjectorArrivalsStayOutOfTheHeap(t *testing.T) {
 	k.Run()
 
 	st := k.QueueStats()
-	if inj.Windows() != 20 || inj.Delivered() < 7000 || inj.Delivered() != inj.TotalGenerated() {
+	if inj.windows != 20 || inj.delivered < 7000 || inj.delivered != inj.TotalGenerated() {
 		t.Fatalf("%d windows, %d generated, %d delivered: want 20 windows of about 420 requests, all delivered",
-			inj.Windows(), inj.TotalGenerated(), inj.Delivered())
+			inj.windows, inj.TotalGenerated(), inj.delivered)
 	}
 	if st.LaneFallbacks != 0 || st.LaneAppends+atWindowStart != inj.TotalGenerated() {
 		t.Errorf("%d of %d arrivals took a lane (%d were due at once), %d fell back to the heap: want all and 0",

@@ -16,15 +16,14 @@ import (
 // samples, and the memory footprint is a small constant regardless of
 // sample count. The price is bounded relative error: every sample lands
 // in a bucket whose width is at most 2^-logSubBits of its lower bound,
-// so any quantile is within RelError (~3.1%) of the exact order
+// so any quantile is within relError (~3.1%) of the exact order
 // statistic.
 //
 // All state is plain integers updated single-threaded from shard
 // context, so per-shard histograms recorded under a sim.ParKernel are
 // deterministic at any worker count, and Merge — integer addition in
 // caller-chosen order — is deterministic regardless of how many workers
-// produced the inputs (the obs.MergeSeries pattern: record shard-local,
-// aggregate once at a barrier).
+// produced the inputs: record shard-local, aggregate once at a barrier.
 type LogHistogram struct {
 	Name string
 
@@ -48,9 +47,9 @@ const (
 	logBuckets = (logMaxExp-logSubBits+1)*logSub + 1
 )
 
-// RelError is the worst-case relative error of a quantile query for
+// relError is the worst-case relative error of a quantile query for
 // non-overflowed samples: bucket width over bucket lower bound.
-const RelError = 1.0 / logSub
+const relError = 1.0 / logSub
 
 // NewLogHistogram creates an empty named log-scale histogram.
 func NewLogHistogram(name string) *LogHistogram {
@@ -110,23 +109,12 @@ func (h *LogHistogram) Record(ns int64) {
 // Count returns the number of recorded samples.
 func (h *LogHistogram) Count() uint64 { return h.count }
 
-// Sum returns the exact sum of all samples in nanoseconds.
-func (h *LogHistogram) Sum() int64 { return h.sum }
-
 // Mean returns the exact arithmetic mean in nanoseconds (0 when empty).
 func (h *LogHistogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.count)
-}
-
-// Min returns the exact smallest sample in nanoseconds (0 when empty).
-func (h *LogHistogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max returns the exact largest sample in nanoseconds (0 when empty).
@@ -136,10 +124,6 @@ func (h *LogHistogram) Max() int64 {
 	}
 	return h.max
 }
-
-// Overflowed returns the number of samples clamped into the overflow
-// bucket (at or above 2^logMaxExp ns).
-func (h *LogHistogram) Overflowed() uint64 { return h.counts[logBuckets-1] }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) in nanoseconds using
 // nearest-rank over the cumulative bucket counts; the returned value is
@@ -183,10 +167,10 @@ func (h *LogHistogram) QuantileMS(q float64) float64 {
 	return float64(h.Quantile(q)) / 1e6
 }
 
-// CountAbove returns the number of samples whose bucket lies entirely
+// countAbove returns the number of samples whose bucket lies entirely
 // at or above ns (an under-estimate by at most one bucket's worth of
 // samples; exact when ns is a bucket boundary).
-func (h *LogHistogram) CountAbove(ns int64) uint64 {
+func (h *LogHistogram) countAbove(ns int64) uint64 {
 	idx := logIndex(ns)
 	if logLower(idx) < ns {
 		idx++ // partial bucket: exclude it

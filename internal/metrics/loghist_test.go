@@ -50,16 +50,16 @@ func TestLogHistogramQuantileAccuracy(t *testing.T) {
 			}
 			exact := samples[rank]
 			got := h.Quantile(q)
-			lo := float64(exact) * (1 - RelError)
-			hi := float64(exact) * (1 + RelError)
+			lo := float64(exact) * (1 - relError)
+			hi := float64(exact) * (1 + relError)
 			if float64(got) < lo || float64(got) > hi {
 				t.Fatalf("trial %d q=%v: got %d, exact %d, bound ±%.1f%%",
-					trial, q, got, exact, RelError*100)
+					trial, q, got, exact, relError*100)
 			}
 		}
-		if h.Min() != samples[0] || h.Max() != samples[n-1] {
+		if h.min != samples[0] || h.Max() != samples[n-1] {
 			t.Fatalf("min/max not exact: got %d/%d want %d/%d",
-				h.Min(), h.Max(), samples[0], samples[n-1])
+				h.min, h.Max(), samples[0], samples[n-1])
 		}
 	}
 }
@@ -99,20 +99,20 @@ func TestLogHistogramMergeShardInvariant(t *testing.T) {
 func TestLogHistogramEmpty(t *testing.T) {
 	h := NewLogHistogram("empty")
 	if h.Count() != 0 || h.Quantile(0.5) != 0 || h.Mean() != 0 ||
-		h.Min() != 0 || h.Max() != 0 || h.Overflowed() != 0 {
+		h.min != 0 || h.Max() != 0 || h.counts[logBuckets-1] != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	// Merging an empty histogram must not disturb min/max.
 	g := NewLogHistogram("g")
 	g.Record(42)
 	g.Merge(h)
-	if g.Min() != 42 || g.Max() != 42 || g.Count() != 1 {
+	if g.min != 42 || g.Max() != 42 || g.Count() != 1 {
 		t.Fatalf("merge with empty perturbed state: %+v", g.Snapshot())
 	}
 	// Merging into an empty histogram adopts the source's min.
 	h.Merge(g)
-	if h.Min() != 42 || h.Count() != 1 {
-		t.Fatalf("merge into empty lost min: min=%d count=%d", h.Min(), h.Count())
+	if h.min != 42 || h.Count() != 1 {
+		t.Fatalf("merge into empty lost min: min=%d count=%d", h.min, h.Count())
 	}
 }
 
@@ -122,11 +122,11 @@ func TestLogHistogramOverflowAndClamps(t *testing.T) {
 	h.Record(huge)
 	h.Record(-5) // negative clamps to bucket 0
 	h.Record(0)
-	if h.Overflowed() != 1 {
-		t.Fatalf("overflowed = %d, want 1", h.Overflowed())
+	if h.counts[logBuckets-1] != 1 {
+		t.Fatalf("overflowed = %d, want 1", h.counts[logBuckets-1])
 	}
-	if h.Min() != -5 || h.Max() != huge {
-		t.Fatalf("exact min/max lost: %d/%d", h.Min(), h.Max())
+	if h.min != -5 || h.Max() != huge {
+		t.Fatalf("exact min/max lost: %d/%d", h.min, h.Max())
 	}
 	// Quantile(1) is clamped to the exact max even for overflowed samples.
 	if h.Quantile(1) != huge {
@@ -150,9 +150,9 @@ func TestLogHistogramCountAbove(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Record(i * int64(time.Millisecond))
 	}
-	// 10ms is a bucket boundary-ish threshold; CountAbove must never
+	// 10ms is a bucket boundary-ish threshold; countAbove must never
 	// overcount (it excludes the partial bucket).
-	got := h.CountAbove(int64(50 * time.Millisecond))
+	got := h.countAbove(int64(50 * time.Millisecond))
 	if got > 51 || got < 45 {
 		t.Fatalf("CountAbove(50ms) = %d, want ~51 and never above", got)
 	}

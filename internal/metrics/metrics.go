@@ -1,7 +1,7 @@
 // Package metrics provides lightweight measurement containers used by
 // the Quicksand simulator and the experiment harness: time series,
 // fixed-width bucket series (for goodput/utilization timelines),
-// histograms with percentiles, and counters.
+// histograms, and counters.
 //
 // All containers are designed for single-threaded use from within the
 // deterministic simulation, so they need no locking.
@@ -41,9 +41,6 @@ func (s *TimeSeries) Add(t sim.Time, v float64) {
 	s.points = append(s.points, Point{At: t, Value: v})
 }
 
-// Len returns the number of samples.
-func (s *TimeSeries) Len() int { return len(s.points) }
-
 // Points returns the underlying samples (not a copy; do not mutate).
 func (s *TimeSeries) Points() []Point { return s.points }
 
@@ -58,9 +55,9 @@ func (s *TimeSeries) At(t sim.Time) (v float64, ok bool) {
 	return s.points[i-1].Value, true
 }
 
-// Mean returns the time-weighted mean of the step function over
+// mean returns the time-weighted mean of the step function over
 // [from, to). It returns 0 when the window is empty or degenerate.
-func (s *TimeSeries) Mean(from, to sim.Time) float64 {
+func (s *TimeSeries) mean(from, to sim.Time) float64 {
 	if to <= from || len(s.points) == 0 {
 		return 0
 	}
@@ -86,9 +83,9 @@ func (s *TimeSeries) Mean(from, to sim.Time) float64 {
 	return area / float64(to-from)
 }
 
-// Max returns the maximum sample value over [from, to], considering the
+// max returns the maximum sample value over [from, to], considering the
 // step value at from as well.
-func (s *TimeSeries) Max(from, to sim.Time) float64 {
+func (s *TimeSeries) max(from, to sim.Time) float64 {
 	max := math.Inf(-1)
 	if v, ok := s.At(from); ok {
 		max = v
@@ -107,10 +104,10 @@ func (s *TimeSeries) Max(from, to sim.Time) float64 {
 	return max
 }
 
-// FirstCrossing returns the earliest time in [from, to] at which the
+// firstCrossing returns the earliest time in [from, to] at which the
 // step function satisfies pred, scanning sample transitions. ok is false
 // if pred never holds in the window.
-func (s *TimeSeries) FirstCrossing(from, to sim.Time, pred func(v float64) bool) (sim.Time, bool) {
+func (s *TimeSeries) firstCrossing(from, to sim.Time, pred func(v float64) bool) (sim.Time, bool) {
 	if v, haveV := s.At(from); haveV && pred(v) {
 		return from, true
 	}
@@ -165,14 +162,8 @@ func (b *BucketSeries) Bucket(i int) float64 {
 	return b.buckets[i]
 }
 
-// NumBuckets returns the number of materialized buckets.
-func (b *BucketSeries) NumBuckets() int { return len(b.buckets) }
-
-// Values returns all bucket values (not a copy).
-func (b *BucketSeries) Values() []float64 { return b.buckets }
-
-// Total returns the sum across all buckets.
-func (b *BucketSeries) Total() float64 {
+// total returns the sum across all buckets.
+func (b *BucketSeries) total() float64 {
 	var sum float64
 	for _, v := range b.buckets {
 		sum += v
@@ -180,132 +171,51 @@ func (b *BucketSeries) Total() float64 {
 	return sum
 }
 
-// Rate returns bucket i's value expressed per second.
-func (b *BucketSeries) Rate(i int) float64 {
+// rate returns bucket i's value expressed per second.
+func (b *BucketSeries) rate(i int) float64 {
 	return b.Bucket(i) / b.Width.Seconds()
 }
 
-// Histogram collects unordered samples and reports distribution
-// statistics. Percentile queries sort lazily and incrementally: the
-// container keeps a sorted prefix, and a query after k new
-// observations sorts only the k-sample tail and merges it in — it
-// never re-sorts samples that were already in order. Repeated queries
-// with no intervening Observe touch nothing at all.
+// Histogram keeps the running mean and maximum of a stream of samples.
+// The sum adds the samples in the order they were observed.
 type Histogram struct {
-	Name      string
-	vals      []float64
-	sortedLen int       // vals[:sortedLen] is sorted
-	scratch   []float64 // reusable tail buffer for the in-place merge
-
-	// White-box counters for the no-per-call-sort guarantee:
-	// tailSorts is how many times a query found unsorted samples;
-	// tailSorted is how many samples those sorts covered in total.
-	tailSorts  int
-	tailSorted int
+	Name string
+	n    int
+	sum  float64
+	max  float64
 }
 
 // NewHistogram creates an empty named histogram.
 func NewHistogram(name string) *Histogram { return &Histogram{Name: name} }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	h.vals = append(h.vals, v)
+// observe records one sample.
+func (h *Histogram) observe(v float64) {
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sum += v
 }
 
 // ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.vals) }
+func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
-	if len(h.vals) == 0 {
+	if h.n == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range h.vals {
-		sum += v
-	}
-	return sum / float64(len(h.vals))
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() float64 {
-	h.ensureSorted()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	return h.vals[0]
+	return h.sum / float64(h.n)
 }
 
 // Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.ensureSorted()
-	if len(h.vals) == 0 {
-		return 0
-	}
-	return h.vals[len(h.vals)-1]
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on the sorted samples. It returns 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.vals) == 0 {
-		return 0
-	}
-	if p < 0 || p > 100 {
-		panic("metrics: percentile out of range")
-	}
-	h.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(h.vals))))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.vals[rank-1]
-}
-
-// ensureSorted restores the fully-sorted invariant. Samples appended
-// since the last query form an unsorted tail: sort just that tail,
-// copy it to a reusable scratch buffer, and merge the two sorted runs
-// backwards in place. Cost is O(k log k + n) for k new samples rather
-// than O(n log n) for the whole slice, and zero when nothing changed.
-func (h *Histogram) ensureSorted() {
-	n := len(h.vals)
-	if h.sortedLen == n {
-		return
-	}
-	tail := h.vals[h.sortedLen:]
-	sort.Float64s(tail)
-	h.tailSorts++
-	h.tailSorted += len(tail)
-	if h.sortedLen > 0 {
-		if cap(h.scratch) < len(tail) {
-			h.scratch = make([]float64, len(tail))
-		}
-		s := h.scratch[:len(tail)]
-		copy(s, tail)
-		i, j, k := h.sortedLen-1, len(s)-1, n-1
-		for j >= 0 {
-			if i >= 0 && h.vals[i] > s[j] {
-				h.vals[k] = h.vals[i]
-				i--
-			} else {
-				h.vals[k] = s[j]
-				j--
-			}
-			k--
-		}
-	}
-	h.sortedLen = n
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // Counter is a monotonically increasing count. It is single-threaded
 // like every other container here: use SharedCounter for counts that
 // multiple partitioned-simulation shards bump concurrently.
 type Counter struct {
-	Name string
-	n    int64
+	n int64
 }
 
 // Inc adds one to the counter.
@@ -331,8 +241,7 @@ func (c *Counter) Value() int64 { return c.n }
 // deterministic at any worker count even though increment interleaving
 // is not.
 type SharedCounter struct {
-	Name string
-	n    atomic.Int64
+	n atomic.Int64
 }
 
 // Inc adds one to the counter.

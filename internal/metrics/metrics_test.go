@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -46,15 +47,15 @@ func TestTimeSeriesMean(t *testing.T) {
 	s.Add(0, 0)
 	s.Add(10, 10)
 	// step: 0 on [0,10), 10 on [10,20) -> mean over [0,20) = 5
-	if got := s.Mean(0, 20); got != 5 {
+	if got := s.mean(0, 20); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
 	// window fully in second step
-	if got := s.Mean(12, 18); got != 10 {
+	if got := s.mean(12, 18); got != 10 {
 		t.Errorf("Mean = %v, want 10", got)
 	}
 	// empty window
-	if got := s.Mean(10, 10); got != 0 {
+	if got := s.mean(10, 10); got != 0 {
 		t.Errorf("Mean on empty window = %v, want 0", got)
 	}
 }
@@ -64,10 +65,10 @@ func TestTimeSeriesMax(t *testing.T) {
 	s.Add(0, 1)
 	s.Add(10, 7)
 	s.Add(20, 3)
-	if got := s.Max(5, 25); got != 7 {
+	if got := s.max(5, 25); got != 7 {
 		t.Errorf("Max = %v, want 7", got)
 	}
-	if got := s.Max(15, 16); got != 7 { // step value at window start
+	if got := s.max(15, 16); got != 7 { // step value at window start
 		t.Errorf("Max = %v, want 7 (step at from)", got)
 	}
 }
@@ -77,16 +78,16 @@ func TestTimeSeriesFirstCrossing(t *testing.T) {
 	s.Add(0, 1)
 	s.Add(10, 5)
 	s.Add(20, 9)
-	at, ok := s.FirstCrossing(0, 100, func(v float64) bool { return v >= 5 })
+	at, ok := s.firstCrossing(0, 100, func(v float64) bool { return v >= 5 })
 	if !ok || at != 10 {
-		t.Errorf("FirstCrossing = %v,%v, want 10,true", at, ok)
+		t.Errorf("firstCrossing = %v,%v, want 10,true", at, ok)
 	}
-	at, ok = s.FirstCrossing(15, 100, func(v float64) bool { return v >= 5 })
+	at, ok = s.firstCrossing(15, 100, func(v float64) bool { return v >= 5 })
 	if !ok || at != 15 {
-		t.Errorf("FirstCrossing from mid-step = %v,%v, want 15,true", at, ok)
+		t.Errorf("firstCrossing from mid-step = %v,%v, want 15,true", at, ok)
 	}
-	if _, ok := s.FirstCrossing(0, 100, func(v float64) bool { return v > 100 }); ok {
-		t.Error("FirstCrossing found impossible predicate")
+	if _, ok := s.firstCrossing(0, 100, func(v float64) bool { return v > 100 }); ok {
+		t.Error("firstCrossing found impossible predicate")
 	}
 }
 
@@ -96,54 +97,77 @@ func TestBucketSeries(t *testing.T) {
 	b.Add(sim.Time(500*time.Microsecond), 2)
 	b.Add(sim.Time(time.Millisecond), 4)
 	b.Add(sim.Time(5*time.Millisecond), 8)
-	if b.NumBuckets() != 6 {
-		t.Errorf("NumBuckets = %d, want 6", b.NumBuckets())
+	if len(b.buckets) != 6 {
+		t.Errorf("buckets = %d, want 6", len(b.buckets))
 	}
 	if b.Bucket(0) != 3 || b.Bucket(1) != 4 || b.Bucket(5) != 8 {
-		t.Errorf("buckets = %v", b.Values())
+		t.Errorf("buckets = %v", b.buckets)
 	}
 	if b.Bucket(2) != 0 || b.Bucket(99) != 0 {
 		t.Error("empty buckets should be 0")
 	}
-	if b.Total() != 15 {
-		t.Errorf("Total = %v, want 15", b.Total())
+	if b.total() != 15 {
+		t.Errorf("total = %v, want 15", b.total())
 	}
-	if b.Rate(1) != 4000 { // 4 per ms = 4000/s
-		t.Errorf("Rate(1) = %v, want 4000", b.Rate(1))
+	if b.rate(1) != 4000 { // 4 per ms = 4000/s
+		t.Errorf("rate(1) = %v, want 4000", b.rate(1))
 	}
 }
 
 func TestHistogramStats(t *testing.T) {
 	h := NewHistogram("lat")
 	for _, v := range []float64{5, 1, 3, 2, 4} {
-		h.Observe(v)
+		h.observe(v)
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
+	if h.Mean() != 3 || h.Max() != 5 {
+		t.Errorf("Mean/Max = %v/%v, want 3/5", h.Mean(), h.Max())
 	}
-	if h.Mean() != 3 {
-		t.Errorf("Mean = %v, want 3", h.Mean())
+	h.observe(7)
+	if h.Max() != 7 {
+		t.Errorf("Max after a larger observation = %v, want 7", h.Max())
 	}
-	if h.Min() != 1 || h.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-	if got := h.Percentile(50); got != 3 {
-		t.Errorf("P50 = %v, want 3", got)
-	}
-	if got := h.Percentile(100); got != 5 {
-		t.Errorf("P100 = %v, want 5", got)
-	}
-	// Observing after a percentile query must re-sort.
-	h.Observe(0.5)
-	if h.Min() != 0.5 {
-		t.Errorf("Min after new observation = %v, want 0.5", h.Min())
+	neg := NewHistogram("neg")
+	neg.observe(-2)
+	neg.observe(-1)
+	if neg.Max() != -1 {
+		t.Errorf("Max of negative samples = %v, want -1", neg.Max())
 	}
 }
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram("empty")
-	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 || h.Percentile(99) != 0 {
+	if h.Mean() != 0 || h.Max() != 0 {
 		t.Error("empty histogram stats should be 0")
+	}
+}
+
+// TestHistogramIncrementalMatchesFullSort cross-checks the running mean
+// and max of an interleaved build, round by round, against recomputing
+// them from every sample so far: the in-order sum and the top of a full
+// sort.
+func TestHistogramIncrementalMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	h := NewHistogram("x")
+	var all []float64
+	for round := 0; round < 20; round++ {
+		n := rng.Intn(40) // including empty rounds
+		for i := 0; i < n; i++ {
+			v := rng.NormFloat64()
+			h.observe(v)
+			all = append(all, v)
+		}
+		if len(all) == 0 {
+			continue
+		}
+		var sum float64
+		for _, v := range all {
+			sum += v
+		}
+		sorted := append([]float64(nil), all...)
+		sort.Float64s(sorted)
+		if mean, max := sum/float64(len(all)), sorted[len(sorted)-1]; h.Mean() != mean || h.Max() != max {
+			t.Fatalf("round %d: Mean/Max = %v/%v, full recomputation %v/%v", round, h.Mean(), h.Max(), mean, max)
+		}
 	}
 }
 
@@ -174,38 +198,7 @@ func TestCounterNegativePanics(t *testing.T) {
 	c.Addn(-1)
 }
 
-// Property: histogram percentiles are monotone and bounded by min/max.
-func TestHistogramPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var vals []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		h := NewHistogram("p")
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v := h.Percentile(p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return h.Percentile(100) == h.Max() && h.Percentile(0) == h.Min()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: BucketSeries.Total equals the sum of inserted values, and
+// Property: BucketSeries.total equals the sum of inserted values, and
 // bucket assignment matches integer division.
 func TestBucketSeriesTotalProperty(t *testing.T) {
 	f := func(offsets []uint16) bool {
@@ -218,7 +211,7 @@ func TestBucketSeriesTotalProperty(t *testing.T) {
 			want++
 			wantBuckets[int(o/100)]++
 		}
-		if b.Total() != want {
+		if b.total() != want {
 			return false
 		}
 		for i, v := range wantBuckets {
@@ -249,10 +242,81 @@ func TestTimeSeriesConstantMeanProperty(t *testing.T) {
 		for _, tt := range times {
 			s.Add(sim.Time(tt), v)
 		}
-		got := s.Mean(0, sim.Time(times[n-1]+100))
+		got := s.mean(0, sim.Time(times[n-1]+100))
 		return math.Abs(got-v) < 1e-9*math.Max(1, math.Abs(v))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFirstCrossingEdgeCases covers the satellite's edge matrix: empty
+// series, a single point, a degenerate from==to window, and windows
+// that miss every sample.
+func TestFirstCrossingEdgeCases(t *testing.T) {
+	above := func(bound float64) func(float64) bool {
+		return func(v float64) bool { return v > bound }
+	}
+
+	empty := NewTimeSeries("empty")
+	if at, ok := empty.firstCrossing(0, 100, above(0)); ok {
+		t.Errorf("empty series: firstCrossing = %v,true, want !ok", at)
+	}
+
+	one := NewTimeSeries("one")
+	one.Add(50, 3)
+	if at, ok := one.firstCrossing(0, 100, above(2)); !ok || at != 50 {
+		t.Errorf("single point in window: got %v,%v, want 50,true", at, ok)
+	}
+	if _, ok := one.firstCrossing(0, 40, above(2)); ok {
+		t.Error("single point after window reported a crossing")
+	}
+	// After the sample the series holds its value: the step function
+	// already satisfies pred at `from`.
+	if at, ok := one.firstCrossing(60, 100, above(2)); !ok || at != 60 {
+		t.Errorf("step value at from: got %v,%v, want 60,true", at, ok)
+	}
+	if _, ok := one.firstCrossing(60, 100, above(5)); ok {
+		t.Error("pred never holds but a crossing was reported")
+	}
+
+	s := NewTimeSeries("s")
+	s.Add(10, 1)
+	s.Add(20, 5)
+	// from==to degenerates to a point query on the step function.
+	if at, ok := s.firstCrossing(20, 20, above(2)); !ok || at != 20 {
+		t.Errorf("from==to at sample: got %v,%v, want 20,true", at, ok)
+	}
+	if at, ok := s.firstCrossing(25, 25, above(2)); !ok || at != 25 {
+		t.Errorf("from==to between samples: got %v,%v, want 25,true", at, ok)
+	}
+	if _, ok := s.firstCrossing(15, 15, above(2)); ok {
+		t.Error("from==to before the crossing reported one")
+	}
+	// Window entirely before any sample.
+	if _, ok := s.firstCrossing(0, 5, above(0)); ok {
+		t.Error("window before first sample reported a crossing")
+	}
+}
+
+// TestBucketSeriesRateEdgeCases covers rate on out-of-range and
+// negative indices, plus the empty series.
+func TestBucketSeriesRateEdgeCases(t *testing.T) {
+	b := NewBucketSeries("good", 100*1e6) // 100ms buckets
+	if got := b.rate(0); got != 0 {
+		t.Errorf("empty series rate(0) = %v, want 0", got)
+	}
+	b.Add(sim.Time(50*1e6), 10)  // bucket 0
+	b.Add(sim.Time(150*1e6), 30) // bucket 1
+	if got := b.rate(0); got != 100 {
+		t.Errorf("rate(0) = %v, want 100 (10 per 0.1s)", got)
+	}
+	if got := b.rate(1); got != 300 {
+		t.Errorf("rate(1) = %v, want 300", got)
+	}
+	for _, i := range []int{-1, -100, 2, 1000} {
+		if got := b.rate(i); got != 0 {
+			t.Errorf("out-of-range rate(%d) = %v, want 0", i, got)
+		}
 	}
 }

@@ -100,9 +100,11 @@ func Analyze(recs []Record) *Report {
 	}
 
 	// rootCause walks parents to the outermost pressure/sched ancestor.
+	// A chain visits each recorded span at most once, so a walk longer
+	// than that is a parent cycle in a damaged stream, and it stops.
 	rootCause := func(r *Record) string {
 		cause := ""
-		for p := r.Parent; p != 0; {
+		for p, hops := r.Parent, 0; p != 0 && hops < len(byID); hops++ {
 			pr, ok := byID[p]
 			if !ok {
 				break

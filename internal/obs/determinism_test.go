@@ -72,7 +72,7 @@ func tracedChurnRun(t *testing.T, seed int64) (jsonl, chrome []byte, spans []obs
 	if err := obs.WriteChromeTrace(&cb, sys.Obs, sys.Tel); err != nil {
 		t.Fatal(err)
 	}
-	return jb.Bytes(), cb.Bytes(), append([]obs.Span(nil), sys.Obs.Spans()...)
+	return jb.Bytes(), cb.Bytes(), append([]obs.Span(nil), sys.Obs.SpansByID()...)
 }
 
 // TestTracedRunDeterministic5Seeds sweeps five seeds; each must

@@ -93,7 +93,7 @@ func TestMerge(t *testing.T) {
 	mk := func(name string, times ...int64) *Log {
 		l := NewLog()
 		for i, at := range times {
-			l.Emit(Event{At: sim.Time(at), Kind: KindPlace,
+			l.Emit(Event{At: sim.Time(at), Kind: KindSplit,
 				Subject: fmt.Sprintf("%s%d", name, i), From: -1, To: -1})
 		}
 		return l
@@ -148,7 +148,7 @@ func TestMerge(t *testing.T) {
 func TestCountAllocationFree(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 1000; i++ {
-		k := KindPlace
+		k := KindSplit
 		if i%3 == 0 {
 			k = KindMigrate
 		}

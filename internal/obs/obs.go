@@ -27,7 +27,6 @@ import (
 const (
 	KindSpawn     = "spawn"
 	KindDestroy   = "destroy"
-	KindPlace     = "place"
 	KindMigrate   = "migrate"  // one proclet migration; as a span, phases are its children
 	KindPhase     = "phase"    // a migration phase: freeze, precopy, postcopy
 	KindSplit     = "split"    // a pool split
@@ -88,14 +87,6 @@ type Span struct {
 	Attrs   []Attr
 }
 
-// Duration returns End-Start, or 0 for a span that was never ended.
-func (s *Span) Duration() sim.Time {
-	if !s.Done {
-		return 0
-	}
-	return s.End - s.Start
-}
-
 // Tracer records spans against the kernel clock. All methods are valid
 // on a nil receiver (no-ops returning zero), so instrumentation sites
 // need no guards for correctness — only optionally for speed.
@@ -133,9 +124,6 @@ func NewTracer(k *sim.Kernel) *Tracer {
 func NewTracerWithBase(k *sim.Kernel, base SpanID) *Tracer {
 	return &Tracer{k: k, base: base, pos: make(map[SpanID]int)}
 }
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Base returns the tracer's ID base.
 func (t *Tracer) Base() SpanID {
@@ -333,16 +321,6 @@ func (t *Tracer) Len() int {
 		return 0
 	}
 	return len(t.spans)
-}
-
-// Spans returns all recorded spans in recording order (not a copy).
-// Within one live tracer recording order is ID order; tracers built
-// with Put may interleave — exporters use SpansByID.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	return t.spans
 }
 
 // SpansByID returns the spans in ascending ID order. When the spans

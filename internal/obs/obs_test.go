@@ -13,9 +13,6 @@ import (
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer must report disabled")
-	}
 	id := tr.Start(KindRPC, "x", 0, 0)
 	if id != 0 {
 		t.Errorf("nil Start = %d, want 0", id)
@@ -30,7 +27,7 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.TakeNext() != 0 {
 		t.Error("nil TakeNext must be 0")
 	}
-	if tr.Len() != 0 || tr.Spans() != nil || tr.Span(1) != nil {
+	if tr.Len() != 0 || tr.SpansByID() != nil || tr.Span(1) != nil {
 		t.Error("nil tracer must hold nothing")
 	}
 }
@@ -54,8 +51,7 @@ func TestNilTelemetrySafe(t *testing.T) {
 		t.Error("nil Register must return nil series")
 	}
 	tl.Start()
-	tl.Stop()
-	if tl.Period() != 0 || tl.Series() != nil {
+	if tl.Series() != nil {
 		t.Error("nil telemetry must hold nothing")
 	}
 }
@@ -108,8 +104,8 @@ func TestEndRecordsKernelTime(t *testing.T) {
 	if s.Start != sim.Time(time.Millisecond) || s.End != sim.Time(3*time.Millisecond) {
 		t.Errorf("span times = [%d, %d]", s.Start, s.End)
 	}
-	if s.Duration() != sim.Time(2*time.Millisecond) {
-		t.Errorf("Duration = %d", s.Duration())
+	if !s.Done {
+		t.Error("ended span not marked done")
 	}
 }
 
@@ -122,9 +118,6 @@ func TestOpenSpanClampsOnExport(t *testing.T) {
 	s := tr.Span(sp)
 	if s.Done {
 		t.Fatal("span should be open")
-	}
-	if s.Duration() != 0 {
-		t.Error("open span Duration must be 0")
 	}
 	if end := tr.clampEnd(s); end != k.Now() {
 		t.Errorf("clampEnd = %d, want now %d", end, k.Now())
@@ -159,16 +152,11 @@ func TestTelemetrySamplesOnCadence(t *testing.T) {
 	if pts[0].At != sim.Time(time.Millisecond) || pts[0].Value != 0.1 {
 		t.Errorf("first sample = %+v", pts[0])
 	}
-	tl.Stop()
-	k.RunUntil(sim.Time(10 * time.Millisecond))
-	if len(s.Points()) != 5 {
-		t.Error("samples recorded after Stop")
-	}
 }
 
 // buildRun records a tiny run with a pressure-caused migration, an RPC,
 // and one telemetry series, all at fixed kernel times.
-func buildRun(t *testing.T) (*Tracer, *Telemetry) {
+func buildRun(t testing.TB) (*Tracer, *Telemetry) {
 	t.Helper()
 	k := sim.NewKernel(1)
 	tr := NewTracer(k)

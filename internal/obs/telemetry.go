@@ -32,7 +32,6 @@ type Telemetry struct {
 	period  time.Duration
 	probes  []probe
 	started bool
-	stopped bool
 }
 
 // NewTelemetry creates a sampling registry with the given cadence.
@@ -41,14 +40,6 @@ func NewTelemetry(k *sim.Kernel, period time.Duration) *Telemetry {
 		period = time.Millisecond
 	}
 	return &Telemetry{k: k, period: period}
-}
-
-// Period returns the sampling cadence.
-func (tl *Telemetry) Period() time.Duration {
-	if tl == nil {
-		return 0
-	}
-	return tl.period
 }
 
 // Register adds a gauge under the given series name. Probes registered
@@ -71,21 +62,9 @@ func (tl *Telemetry) Start() {
 	}
 	tl.started = true
 	tl.k.Every(tl.k.Now().Add(tl.period), tl.period, func() bool {
-		if tl.stopped {
-			return false
-		}
 		tl.sample()
 		return true
 	})
-}
-
-// Stop ends sampling at the next tick. A stopped registry keeps its
-// recorded series and cannot be restarted.
-func (tl *Telemetry) Stop() {
-	if tl == nil {
-		return
-	}
-	tl.stopped = true
 }
 
 // sample polls every probe once at the current kernel time.
@@ -104,25 +83,6 @@ func (tl *Telemetry) Series() []*metrics.TimeSeries {
 	out := make([]*metrics.TimeSeries, len(tl.probes))
 	for i := range tl.probes {
 		out[i] = tl.probes[i].series
-	}
-	return out
-}
-
-// MergeSeries combines the series of several telemetry registries into
-// one deterministic view, in argument order then registration order.
-//
-// This is the shard-safe telemetry design for partitioned simulations
-// (sim.ParKernel): each shard owns a private registry on its own shard
-// kernel — sampling stays single-threaded and lock-free, exactly as on
-// the sequential kernel — and cross-shard aggregation happens once,
-// host-side, after the shards have synchronized at a barrier. The
-// merged ordering depends only on argument order, never on the worker
-// count. Nil registries are skipped, so partitioned systems with
-// telemetry enabled on a subset of shards need no guards.
-func MergeSeries(registries ...*Telemetry) []*metrics.TimeSeries {
-	var out []*metrics.TimeSeries
-	for _, tl := range registries {
-		out = append(out, tl.Series()...)
 	}
 	return out
 }

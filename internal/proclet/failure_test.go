@@ -164,7 +164,7 @@ func TestMachineOverloadDoesNotCorruptAccounting(t *testing.T) {
 		k.Spawn("w", func(p *sim.Proc) {
 			task := m.Submit(time.Millisecond)
 			tasks = append(tasks, task)
-			task.Wait(p)
+			task.Done().Wait(p)
 		})
 	}
 	k.Schedule(10*sim.Millisecond, func() {

@@ -93,7 +93,7 @@ func TestFastMethodDuringLazyWindow(t *testing.T) {
 		if err := rt.MigrateLazy(p, pr.ID(), 1); err != nil {
 			t.Errorf("MigrateLazy: %v", err)
 		}
-		if pr.Resident() {
+		if !pr.lazyWindow {
 			t.Fatal("proclet already resident; lazy window too short for test")
 		}
 		// The inline dispatch path must refuse to serve during the

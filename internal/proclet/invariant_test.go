@@ -241,7 +241,7 @@ func TestRuntimeInvariantsProperty(t *testing.T) {
 						if _, err := rt.Invoke(p, (m+1)%machines, 0, pr.ID(), "ping", Msg{}); !errors.Is(err, md.invoke((m+1)%machines, pr.ID(), 16, down)) {
 							fail("invoke in the lazy window: %v", err)
 						}
-						for !pr.Resident() {
+						for pr.lazyWindow {
 							p.Sleep(100 * time.Microsecond)
 						}
 					}

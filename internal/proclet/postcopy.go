@@ -26,10 +26,6 @@ import (
 // copy lands (the bytes physically live there), with the destination's
 // share reserved up front so the copy cannot strand the proclet.
 
-// Resident reports whether the proclet's heap is fully local to its
-// current machine (false during a post-copy window).
-func (pr *Proclet) Resident() bool { return !pr.lazyWindow }
-
 // MigrateLazy post-copy-migrates the proclet: the location flips after
 // draining in-flight invocations and paying only the fixed pinning
 // overhead; the heap streams over in the background. Further

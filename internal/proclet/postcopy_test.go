@@ -2,11 +2,24 @@ package proclet
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 )
+
+// residences counts the post-copy windows that closed: the control-plane
+// log records each one as it lands.
+func residences(rt *Runtime) int {
+	n := 0
+	for _, e := range rt.Trace.Events() {
+		if strings.HasPrefix(e.Detail, "post-copy resident") {
+			n++
+		}
+	}
+	return n
+}
 
 func TestMigrateLazyConstantBlackout(t *testing.T) {
 	// Post-copy blackout must not depend on state size; pre-copy must.
@@ -51,7 +64,7 @@ func TestMigrateLazyServesImmediatelyWithPenalty(t *testing.T) {
 		if pr.Location() != 1 {
 			t.Fatalf("location = %d immediately after lazy migrate", pr.Location())
 		}
-		if pr.Resident() {
+		if !pr.lazyWindow {
 			t.Fatal("resident before background copy")
 		}
 		// Invocation during the window: works, but pays the penalty.
@@ -64,7 +77,7 @@ func TestMigrateLazyServesImmediatelyWithPenalty(t *testing.T) {
 		}
 		// After residence, no penalty.
 		p.Sleep(100 * time.Millisecond)
-		if !pr.Resident() {
+		if pr.lazyWindow {
 			t.Fatal("still not resident after 100ms")
 		}
 		before = rt.LazyPenalties.Value()
@@ -76,8 +89,8 @@ func TestMigrateLazyServesImmediatelyWithPenalty(t *testing.T) {
 		}
 	})
 	k.Run()
-	if rt.LazyResidence.Count() != 1 {
-		t.Errorf("LazyResidence count = %d", rt.LazyResidence.Count())
+	if n := residences(rt); n != 1 {
+		t.Errorf("residences = %d, want 1", n)
 	}
 }
 
@@ -139,7 +152,7 @@ func TestMigrateLazyInvariantsAfterChain(t *testing.T) {
 	})
 	k.Run()
 	checkInvariants(t, rt)
-	if rt.LazyResidence.Count() != 4 {
-		t.Errorf("residences = %d, want 4", rt.LazyResidence.Count())
+	if n := residences(rt); n != 4 {
+		t.Errorf("residences = %d, want 4", n)
 	}
 }

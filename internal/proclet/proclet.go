@@ -269,27 +269,6 @@ type Ctx struct {
 	From ID
 }
 
-// Machine returns the machine hosting the proclet right now.
-func (c *Ctx) Machine() *cluster.Machine {
-	return c.Self.rt.Cluster.Machine(c.Self.machine)
-}
-
-// Compute executes d of single-core CPU work on the proclet's machine.
-// Unlike thread compute, invocation compute is not migratable: the
-// migration protocol drains invocations first, so methods should keep
-// their compute slices short.
-func (c *Ctx) Compute(d time.Duration) {
-	c.Machine().Exec(c.Proc, d)
-}
-
-// Call invokes a method on another proclet on behalf of Self.
-func (c *Ctx) Call(target ID, method string, arg Msg) (Msg, error) {
-	return c.Self.Call(c.Proc, target, method, arg)
-}
-
-// Runtime returns the owning runtime.
-func (c *Ctx) Runtime() *Runtime { return c.Self.rt }
-
 // Thread is a proclet thread: long-running computation that belongs to
 // the proclet and follows it across migrations. When the proclet
 // migrates, in-flight Compute work is suspended and its remainder
@@ -326,12 +305,6 @@ func (t *Thread) procName() string {
 
 // Proc returns the thread's simulated process.
 func (t *Thread) Proc() *sim.Proc { return t.proc }
-
-// Proclet returns the owning proclet.
-func (t *Thread) Proclet() *Proclet { return t.pr }
-
-// Sleep suspends the thread for virtual duration d.
-func (t *Thread) Sleep(d time.Duration) { t.proc.Sleep(d) }
 
 // Compute executes d of single-core CPU work on whichever machine hosts
 // the proclet, following it across migrations: if the proclet migrates
@@ -400,10 +373,4 @@ func (pr *Proclet) dropTask(task *cluster.Task) {
 	if i := slices.Index(pr.tasks, task); i >= 0 {
 		pr.tasks = slices.Delete(pr.tasks, i, i+1)
 	}
-}
-
-// Call invokes a method on another proclet on behalf of this thread's
-// proclet.
-func (t *Thread) Call(target ID, method string, arg Msg) (Msg, error) {
-	return t.pr.Call(t.proc, target, method, arg)
 }

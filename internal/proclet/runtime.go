@@ -184,12 +184,6 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
 	return rt
 }
 
-// Config returns the runtime's cost-model configuration.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Kernel returns the simulation kernel.
-func (rt *Runtime) Kernel() *sim.Kernel { return rt.k }
-
 // Spawn creates a proclet with heapBytes of state on machine m. It
 // fails with cluster.ErrNoMemory when m cannot hold the heap.
 func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Proclet, error) {

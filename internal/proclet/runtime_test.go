@@ -358,7 +358,7 @@ func TestCtxNestedCall(t *testing.T) {
 		return Msg{Payload: arg.Payload.(int) + 1}, nil
 	})
 	front.Handle("relay", func(ctx *Ctx, arg Msg) (Msg, error) {
-		return ctx.Call(back.ID(), "add", arg)
+		return ctx.Self.Call(ctx.Proc, back.ID(), "add", arg)
 	})
 	k.Spawn("client", func(p *sim.Proc) {
 		res, err := rt.Invoke(p, 0, 0, front.ID(), "relay", Msg{Payload: 41})

@@ -65,12 +65,12 @@ type Config struct {
 	LeaseDuration time.Duration
 }
 
-// DefaultConfig returns detector parameters tuned for the simulated
+// defaultConfig returns detector parameters tuned for the simulated
 // fabric's microsecond RPCs: confirmation in ~3ms of a fail-stop,
 // leases lapsing ~1ms before that. A zero Config gets every value here
 // except HeartbeatJitter, which withDefaults clamps to [0, 1] but
 // leaves at 0.
-func DefaultConfig() Config {
+func defaultConfig() Config {
 	return Config{
 		HeartbeatPeriod: 500 * time.Microsecond,
 		HeartbeatJitter: 0.2,
@@ -81,7 +81,7 @@ func DefaultConfig() Config {
 }
 
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
+	d := defaultConfig()
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = d.HeartbeatPeriod
 	}
@@ -179,7 +179,6 @@ type Detector struct {
 	DetectLatency *metrics.Histogram
 
 	started bool
-	stopped bool
 }
 
 // NewDetector creates a detector monitoring every machine currently in
@@ -214,12 +213,6 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, mon
 	return d
 }
 
-// Config returns the detector's (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
-// Monitor returns the machine the ping loops run on.
-func (d *Detector) Monitor() cluster.MachineID { return d.monitor }
-
 // Start launches one heartbeat process per monitored machine. Call
 // once, after the cluster is fully populated.
 func (d *Detector) Start() {
@@ -237,16 +230,10 @@ func (d *Detector) Start() {
 	}
 }
 
-// Stop halts the ping loops at their next iteration.
-func (d *Detector) Stop() { d.stopped = true }
-
 // pingLoop is the monitor's heartbeat process for one machine.
 func (d *Detector) pingLoop(p *sim.Proc, mid cluster.MachineID) {
-	for !d.stopped {
+	for {
 		d.sleepPeriod(p)
-		if d.stopped {
-			return
-		}
 		d.HeartbeatsSent.Inc()
 		_, err := d.c.Fabric.CallWithTimeout(p,
 			simnet.NodeID(d.monitor), simnet.NodeID(mid),
@@ -315,8 +302,8 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 	}
 }
 
-// State returns the detector's view of machine mid.
-func (d *Detector) State(mid cluster.MachineID) MachineState {
+// state returns the detector's view of machine mid.
+func (d *Detector) state(mid cluster.MachineID) MachineState {
 	if uint(mid) < uint(len(d.health)) {
 		return d.health[mid].state
 	}

@@ -682,7 +682,7 @@ func recoveryMS(sp *Spec, good []int64, bucketNS, startNS, horizon int64) float6
 	firstNS := int64(mst(sp.Events[0].AtMS))
 	lastEnd := int64(0)
 	for _, ev := range sp.Events {
-		if e := int64(mst(ev.EndMS())); e > lastEnd {
+		if e := int64(mst(ev.endMS())); e > lastEnd {
 			lastEnd = e
 		}
 	}
@@ -753,7 +753,7 @@ func (o *Outcome) WriteReport(w io.Writer) {
 		f.Shards, f.Machines, f.Shards*f.Machines, wl.Stores, wl.RF, wl.Servers)
 	if wl.Trainers.Count > 0 {
 		fmt.Fprintf(w, "gpus: %d classes x %d devices per worker machine; %d trainers (model %d MB, ckpt %d KB) per shard\n",
-			len(f.GPUs), f.GPUsPerMachine(), wl.Trainers.Count, wl.Trainers.ModelMB, wl.Trainers.CheckpointKB)
+			len(f.GPUs), f.gpusPerMachine(), wl.Trainers.Count, wl.Trainers.ModelMB, wl.Trainers.CheckpointKB)
 	}
 	fmt.Fprintf(w, "horizon %gms, drain %gms, %d tenants, %d events, %d assertions\n",
 		o.Spec.HorizonMS, o.Spec.DrainMS, len(wl.Tenants), len(o.Spec.Events), len(o.Spec.Asserts))

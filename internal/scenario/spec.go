@@ -82,8 +82,8 @@ type Fleet struct {
 	GPUs     []GPUClass `yaml:"gpus"` // device classes per non-front-end machine
 }
 
-// GPUsPerMachine is the device count each GPU-bearing machine hosts.
-func (f Fleet) GPUsPerMachine() int {
+// gpusPerMachine is the device count each GPU-bearing machine hosts.
+func (f Fleet) gpusPerMachine() int {
 	n := 0
 	for _, c := range f.GPUs {
 		n += c.Count
@@ -236,9 +236,9 @@ type Event struct {
 	StallUS     float64 `yaml:"stall_us"`     // gpu_throttle: stall length per stutter
 }
 
-// EndMS is when the event's disturbance is over: the instant itself,
+// endMS is when the event's disturbance is over: the instant itself,
 // except spikes which run at+ramp+hold+decay.
-func (e Event) EndMS() float64 {
+func (e Event) endMS() float64 {
 	if e.Kind == KindSpike {
 		return e.AtMS + e.RampMS + e.HoldMS + e.DecayMS
 	}
@@ -771,7 +771,7 @@ func (sp *Spec) validate() error {
 				return fmt.Errorf("events[%d]: machine %d is a shard front end (servers + failure monitor) and cannot be %sed (line %d)",
 					i, ev.Machine, ev.Kind, ev.Line)
 			}
-			if per := f.GPUsPerMachine(); on == onGPU && (ev.GPU < 0 || ev.GPU >= per) {
+			if per := f.gpusPerMachine(); on == onGPU && (ev.GPU < 0 || ev.GPU >= per) {
 				return fmt.Errorf("events[%d]: gpu %d out of range [0, %d) (line %d)", i, ev.GPU, per, ev.Line)
 			}
 			if ev.Kind == KindGPUThrottle {

@@ -189,10 +189,10 @@ func TestEventEndMSAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Events[0].EndMS(); got != 5 {
-		t.Errorf("spike EndMS = %g, want 5 (1+1+2+1)", got)
+	if got := sp.Events[0].endMS(); got != 5 {
+		t.Errorf("spike endMS = %g, want 5 (1+1+2+1)", got)
 	}
-	if got := sp.Events[1].EndMS(); got != 2 {
+	if got := sp.Events[1].endMS(); got != 2 {
 		t.Errorf("crash EndMS = %g, want 2", got)
 	}
 	if s := sp.Events[1].String(); !strings.Contains(s, "crash") {
@@ -240,7 +240,7 @@ func TestParseGPUConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sp.Fleet
-	if len(f.GPUs) != 2 || f.GPUsPerMachine() != 3 {
+	if len(f.GPUs) != 2 || f.gpusPerMachine() != 3 {
 		t.Fatalf("gpus = %+v, want 2 classes, 3 devices per machine", f.GPUs)
 	}
 	if f.GPUs[0].Class != "a100" || f.GPUs[0].Speed != 2 || f.GPUs[0].LinkGBps != 16 {

@@ -156,12 +156,12 @@ func TestCloseIsIdempotentUnderFailure(t *testing.T) {
 	v, _ := NewVector[int](s, "vec", smallOpts())
 	m, _ := NewMap[int, int](s, "map", smallOpts())
 	q, _ := NewQueue[int](s, "q", smallOpts())
-	v.Close()
-	v.Close()
-	m.Close()
-	m.Close()
-	q.Close()
-	q.Close()
+	v.close()
+	v.close()
+	m.close()
+	m.close()
+	q.close()
+	q.close()
 	used := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()
 	if used != 0 {
 		t.Errorf("double close leaked %d bytes", used)

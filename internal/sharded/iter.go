@@ -72,14 +72,6 @@ func (it *VecIter[T]) limit() uint64 {
 	return it.v.length
 }
 
-// Remaining returns how many elements are left.
-func (it *VecIter[T]) Remaining() uint64 {
-	if lim := it.limit(); it.pos < lim {
-		return lim - it.pos
-	}
-	return 0
-}
-
 // issuePrefetch starts an asynchronous batch fetch, if one is not
 // already in flight and elements remain. The shard is re-resolved
 // inside the fetch process (after any in-progress restructure ends),

@@ -81,9 +81,6 @@ func (m *Map[K, V]) newShard() (*core.MemoryProclet, error) {
 	return replicate(m.sys, mp, m.opts)
 }
 
-// Name returns the map's name.
-func (m *Map[K, V]) Name() string { return m.name }
-
 // Len returns the number of keys.
 func (m *Map[K, V]) Len() int64 { return m.count }
 
@@ -285,18 +282,6 @@ func (m *Map[K, V]) GetBatch(p *sim.Proc, from cluster.MachineID, keys []K) ([]V
 	return vals, found, nil
 }
 
-// Contains reports whether the key is present.
-func (m *Map[K, V]) Contains(p *sim.Proc, from cluster.MachineID, key K) (bool, error) {
-	_, err := m.Get(p, from, key)
-	if errors.Is(err, ErrNotFound) {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // Delete removes a key. Deleting an absent key is a no-op.
 func (m *Map[K, V]) Delete(p *sim.Proc, from cluster.MachineID, key K) error {
 	if m.closed {
@@ -435,8 +420,8 @@ func (m *Map[K, V]) Adapt(p *sim.Proc) {
 	}
 }
 
-// Close destroys all shards and the index.
-func (m *Map[K, V]) Close() {
+// close destroys all shards and the index.
+func (m *Map[K, V]) close() {
 	if m.closed {
 		return
 	}
@@ -446,44 +431,3 @@ func (m *Map[K, V]) Close() {
 	}
 	m.index.Destroy()
 }
-
-// Set is a sharded set: a Map with empty values.
-type Set[K comparable] struct {
-	m *Map[K, struct{}]
-}
-
-// NewSet creates a sharded set.
-func NewSet[K comparable](sys *core.System, name string, opts Options) (*Set[K], error) {
-	m, err := NewMap[K, struct{}](sys, name, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Set[K]{m: m}, nil
-}
-
-// Add inserts a key; bytes is its accounted size.
-func (s *Set[K]) Add(p *sim.Proc, from cluster.MachineID, key K, bytes int64) error {
-	return s.m.Put(p, from, key, struct{}{}, bytes)
-}
-
-// Contains reports membership.
-func (s *Set[K]) Contains(p *sim.Proc, from cluster.MachineID, key K) (bool, error) {
-	return s.m.Contains(p, from, key)
-}
-
-// Remove deletes a key.
-func (s *Set[K]) Remove(p *sim.Proc, from cluster.MachineID, key K) error {
-	return s.m.Delete(p, from, key)
-}
-
-// Len returns the member count.
-func (s *Set[K]) Len() int64 { return s.m.Len() }
-
-// NumShards returns the shard count.
-func (s *Set[K]) NumShards() int { return s.m.NumShards() }
-
-// Adapt implements core.Adaptive.
-func (s *Set[K]) Adapt(p *sim.Proc) { s.m.Adapt(p) }
-
-// Close destroys the set.
-func (s *Set[K]) Close() { s.m.Close() }

@@ -188,33 +188,6 @@ func TestMapHashCollisionsBucketed(t *testing.T) {
 	s.K.Run()
 }
 
-func TestSetSemantics(t *testing.T) {
-	s := testSys(t)
-	set, err := NewSet[int](s, "set", smallOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.K.Spawn("driver", func(p *sim.Proc) {
-		set.Add(p, 0, 7, 8)
-		set.Add(p, 0, 7, 8) // duplicate
-		set.Add(p, 0, 9, 8)
-		if set.Len() != 2 {
-			t.Errorf("Len = %d, want 2", set.Len())
-		}
-		if ok, _ := set.Contains(p, 0, 7); !ok {
-			t.Error("Contains(7) = false")
-		}
-		if ok, _ := set.Contains(p, 0, 8); ok {
-			t.Error("Contains(8) = true")
-		}
-		set.Remove(p, 0, 7)
-		if ok, _ := set.Contains(p, 0, 7); ok {
-			t.Error("Contains(7) after remove")
-		}
-	})
-	s.K.Run()
-}
-
 // Property: a sharded map behaves exactly like a Go map under an
 // arbitrary sequence of puts and deletes, including across splits.
 func TestMapMatchesModelProperty(t *testing.T) {

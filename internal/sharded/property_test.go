@@ -49,7 +49,7 @@ func TestQueueMatchesModelProperty(t *testing.T) {
 					}
 				}
 			}
-			if q.Len() != uint64(len(model)) {
+			if q.depth() != uint64(len(model)) {
 				ok = false
 				return
 			}
@@ -97,7 +97,7 @@ func TestVectorMatchesModelProperty(t *testing.T) {
 						continue
 					}
 					idx := uint64(int(op) % len(model))
-					if err := v.Set(p, 0, idx, -1, 200); err != nil {
+					if err := v.set(p, 0, idx, -1, 200); err != nil {
 						ok = false
 						return
 					}

@@ -74,15 +74,9 @@ func (q *Queue[T]) newSeg(lo uint64) (*qseg, error) {
 	return &qseg{mp: mp, lo: lo}, nil
 }
 
-// Name returns the queue's name.
-func (q *Queue[T]) Name() string { return q.name }
-
-// Len returns the number of items logically in the queue (reserved
+// depth returns the number of items logically in the queue (reserved
 // pushes minus reserved pops).
-func (q *Queue[T]) Len() uint64 { return q.tailSeq - q.headSeq }
-
-// NumSegments returns the live segment count.
-func (q *Queue[T]) NumSegments() int { return len(q.segs) }
+func (q *Queue[T]) depth() uint64 { return q.tailSeq - q.headSeq }
 
 // segFor locates the segment covering sequence number seq.
 func (q *Queue[T]) segFor(seq uint64) *qseg {
@@ -102,7 +96,7 @@ func (q *Queue[T]) Push(p *sim.Proc, from cluster.MachineID, val T, bytes int64)
 	}
 	seq := q.tailSeq
 	q.tailSeq++
-	if d := q.Len(); d > q.MaxDepth {
+	if d := q.depth(); d > q.MaxDepth {
 		q.MaxDepth = d
 	}
 	seg := q.segs[len(q.segs)-1]
@@ -201,8 +195,8 @@ func (q *Queue[T]) retireDrained() {
 	}
 }
 
-// Close destroys all segments. Items still queued are lost.
-func (q *Queue[T]) Close() {
+// close destroys all segments. Items still queued are lost.
+func (q *Queue[T]) close() {
 	if q.closed {
 		return
 	}

@@ -19,8 +19,8 @@ func TestQueueFIFO(t *testing.T) {
 				t.Fatalf("Push: %v", err)
 			}
 		}
-		if q.Len() != 20 {
-			t.Errorf("Len = %d, want 20", q.Len())
+		if q.depth() != 20 {
+			t.Errorf("Len = %d, want 20", q.depth())
 		}
 		for i := 0; i < 20; i++ {
 			val, ok, err := q.TryPop(p, 1)
@@ -69,8 +69,8 @@ func TestQueueSealsAndRetiresSegments(t *testing.T) {
 				t.Fatalf("Push: %v", err)
 			}
 		}
-		if q.Seals == 0 || q.NumSegments() < 2 {
-			t.Errorf("Seals=%d segments=%d, want rollover", q.Seals, q.NumSegments())
+		if q.Seals == 0 || len(q.segs) < 2 {
+			t.Errorf("Seals=%d segments=%d, want rollover", q.Seals, len(q.segs))
 		}
 		for i := 0; i < 50; i++ {
 			if _, ok, err := q.TryPop(p, 1); !ok || err != nil {
@@ -80,8 +80,8 @@ func TestQueueSealsAndRetiresSegments(t *testing.T) {
 		if q.Retires == 0 {
 			t.Error("no segments retired after draining")
 		}
-		if q.NumSegments() != 1 {
-			t.Errorf("NumSegments = %d after drain, want 1", q.NumSegments())
+		if len(q.segs) != 1 {
+			t.Errorf("segments = %d after drain, want 1", len(q.segs))
 		}
 	})
 	s.K.Run()
@@ -186,7 +186,7 @@ func TestQueueCloseReleasesMemory(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			q.Push(p, 0, i, 1<<10)
 		}
-		q.Close()
+		q.close()
 	})
 	s.K.Run()
 	total := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()

@@ -30,9 +30,9 @@ type spillPayload struct {
 	sizes []int64
 }
 
-// Spilled reports how many of the vector's shards currently live in
-// the storage tier.
-func (v *Vector[T]) Spilled() int {
+// spilledShards reports how many of the vector's shards currently live
+// in the storage tier.
+func (v *Vector[T]) spilledShards() int {
 	n := 0
 	for _, s := range v.shards {
 		if s.spilled {

@@ -45,8 +45,8 @@ func TestTieringHoldsDatasetLargerThanRAM(t *testing.T) {
 				t.Fatalf("PushBack(%d): %v", i, err)
 			}
 		}
-		if v.Spilled() == 0 || v.Spills == 0 {
-			t.Fatalf("nothing spilled (spilled=%d spills=%d): dataset should exceed RAM", v.Spilled(), v.Spills)
+		if v.spilledShards() == 0 || v.Spills == 0 {
+			t.Fatalf("nothing spilled (spilled=%d spills=%d): dataset should exceed RAM", v.spilledShards(), v.Spills)
 		}
 		// Every element — resident or spilled — must read back.
 		for i := uint64(0); i < n; i++ {

@@ -95,9 +95,6 @@ func (v *Vector[T]) newShard() (*core.MemoryProclet, error) {
 	return replicate(v.sys, mp, v.opts)
 }
 
-// Name returns the vector's name.
-func (v *Vector[T]) Name() string { return v.name }
-
 // Len returns the element count.
 func (v *Vector[T]) Len() uint64 { return v.length }
 
@@ -155,8 +152,8 @@ func (v *Vector[T]) Get(p *sim.Proc, from cluster.MachineID, i uint64) (T, error
 	return zero, fmt.Errorf("sharded: element %d unroutable after retries", i)
 }
 
-// Set overwrites element i.
-func (v *Vector[T]) Set(p *sim.Proc, from cluster.MachineID, i uint64, val T, bytes int64) error {
+// set overwrites element i.
+func (v *Vector[T]) set(p *sim.Proc, from cluster.MachineID, i uint64, val T, bytes int64) error {
 	if i >= v.length {
 		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.length)
 	}
@@ -362,10 +359,9 @@ func (v *Vector[T]) Adapt(p *sim.Proc) {
 	}
 }
 
-// Close destroys all resident shards and the index. Spilled shards'
-// storage objects are left for the storage tier's owner to reclaim
-// (Flat.Close destroys the proclets holding them).
-func (v *Vector[T]) Close() {
+// close destroys all resident shards and the index. Spilled shards'
+// storage objects are left for the storage tier's owner to reclaim.
+func (v *Vector[T]) close() {
 	if v.closed {
 		return
 	}

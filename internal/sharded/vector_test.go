@@ -61,7 +61,7 @@ func TestVectorSet(t *testing.T) {
 	v, _ := NewVector[int](s, "vec", smallOpts())
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		v.PushBack(p, 0, 1, 64)
-		if err := v.Set(p, 0, 0, 99, 64); err != nil {
+		if err := v.set(p, 0, 0, 99, 64); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 		got, _ := v.Get(p, 0, 0)
@@ -143,7 +143,7 @@ func TestVectorMergeAfterShrink(t *testing.T) {
 		}
 		// Shrink all elements to near-zero size, then adapt.
 		for i := uint64(0); i < 40; i++ {
-			if err := v.Set(p, 0, i, nil, 1); err != nil {
+			if err := v.set(p, 0, i, nil, 1); err != nil {
 				t.Fatalf("Set: %v", err)
 			}
 		}
@@ -269,7 +269,7 @@ func TestVectorClose(t *testing.T) {
 	v, _ := NewVector[int](s, "vec", smallOpts())
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		v.PushBack(p, 0, 1, 100)
-		v.Close()
+		v.close()
 		if err := v.PushBack(p, 0, 2, 100); !errors.Is(err, ErrClosed) {
 			t.Errorf("push after close: %v", err)
 		}

@@ -47,9 +47,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration between t and earlier time u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Duration converts the timestamp to a duration since simulation start.
-func (t Time) Duration() time.Duration { return time.Duration(t) }
-
 // Seconds returns the timestamp as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -231,7 +228,7 @@ type QueueStats struct {
 
 // QueueStats returns the current reading.
 func (k *Kernel) QueueStats() QueueStats {
-	return QueueStats{len(k.heap), k.behind, k.laneAppends, k.laneFallbacks}
+	return QueueStats{Heap: len(k.heap), Behind: k.behind, LaneAppends: k.laneAppends, LaneFallbacks: k.laneFallbacks}
 }
 
 // Schedule runs fn at absolute virtual time at (clamped to now if in the
@@ -811,7 +808,7 @@ func (k *Kernel) Close() {
 			k.live--
 		}
 		if w.panicVal != nil {
-			panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.Name(), w.panicVal))
+			panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.label(), w.panicVal))
 		}
 	}
 	k.live -= k.unbound // SpawnAwait processes whose stage never said Resume
@@ -833,9 +830,6 @@ func (k *Kernel) Close() {
 	k.behind = 0
 	k.blocked = 0
 }
-
-// PooledWorkers reports the number of idle workers on the free list.
-func (k *Kernel) PooledWorkers() int { return len(k.free) }
 
 // WorkersCreated reports how many workers (coroutines) the kernel has
 // ever created; the gap between this and the number of processes spawned
@@ -859,7 +853,7 @@ func (k *Kernel) resumeAndWait(p *Proc) {
 		p.finished = true
 		k.live--
 		k.forget(w)
-		panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.Name(), k.now, w.panicVal))
+		panic(fmt.Sprintf("sim: process %q panicked at %v: %v", p.label(), k.now, w.panicVal))
 	case done:
 		p.finished = true
 		k.live--
@@ -1065,9 +1059,9 @@ type Proc struct {
 	finished  bool
 }
 
-// Name returns the process name, computing it on first use when the
+// label returns the process name, computing it on first use when the
 // process was spawned with SpawnLazy.
-func (p *Proc) Name() string {
+func (p *Proc) label() string {
 	if p.name == "" && p.nameFn != nil {
 		p.name = p.nameFn()
 		p.nameFn = nil
@@ -1078,9 +1072,6 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
@@ -1089,7 +1080,7 @@ func (p *Proc) park() {
 	if p.k.curr != p {
 		panic(fmt.Sprintf(
 			"sim: blocking call on process %q from outside its own context: fast handlers and kernel events must not block (sleep, lock, channel ops)",
-			p.Name()))
+			p.label()))
 	}
 	if !p.w.yield(false) {
 		panic(closeUnwind{}) // Kernel.Close stopped the coroutine

@@ -152,33 +152,6 @@ func (pk *ParKernel) Windows() uint64 { return pk.windows }
 // sent.
 func (pk *ParKernel) CrossMessages() uint64 { return pk.crossSent.Load() }
 
-// EventsProcessed sums executed events across shards in shard order.
-func (pk *ParKernel) EventsProcessed() uint64 {
-	var n uint64
-	for _, sh := range pk.shards {
-		n += sh.EventsProcessed()
-	}
-	return n
-}
-
-// Live sums unfinished processes across shards.
-func (pk *ParKernel) Live() int {
-	n := 0
-	for _, sh := range pk.shards {
-		n += sh.Live()
-	}
-	return n
-}
-
-// Blocked sums parked processes across shards.
-func (pk *ParKernel) Blocked() int {
-	n := 0
-	for _, sh := range pk.shards {
-		n += sh.Blocked()
-	}
-	return n
-}
-
 // Send schedules fn to run in shard dst at absolute virtual time at. It
 // must be called from code executing in shard src (an event, a fast
 // handler, or a simulated process of that shard). Same-shard sends are

@@ -52,8 +52,8 @@ func TestParKernelSingleShardReduction(t *testing.T) {
 	if plainEnd != parEnd {
 		t.Fatalf("final time: plain %v vs par %v", plainEnd, parEnd)
 	}
-	if plain.EventsProcessed() != pk.EventsProcessed() {
-		t.Fatalf("events: plain %d vs par %d", plain.EventsProcessed(), pk.EventsProcessed())
+	if plain.EventsProcessed() != pk.Shard(0).EventsProcessed() {
+		t.Fatalf("events: plain %d vs par %d", plain.EventsProcessed(), pk.Shard(0).EventsProcessed())
 	}
 	if pk.Windows() != 0 {
 		t.Fatalf("single-shard ParKernel executed %d windows, want 0 (exact reduction)", pk.Windows())

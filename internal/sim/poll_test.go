@@ -388,9 +388,9 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	if deferred != 6 {
 		t.Errorf("%d deferred functions ran, want 6", deferred)
 	}
-	if k.Live() != 0 || k.Blocked() != 0 || k.Pending() != 0 || k.PooledWorkers() != 0 {
+	if k.Live() != 0 || k.Blocked() != 0 || k.Pending() != 0 || len(k.free) != 0 {
 		t.Errorf("after Close: Live=%d Blocked=%d Pending=%d PooledWorkers=%d, want all 0",
-			k.Live(), k.Blocked(), k.Pending(), k.PooledWorkers())
+			k.Live(), k.Blocked(), k.Pending(), len(k.free))
 	}
 	waitGoroutines(t, before)
 

@@ -25,8 +25,8 @@ func TestSpawnReusesWorkers(t *testing.T) {
 	if k.WorkersCreated() != 1 {
 		t.Fatalf("created %d workers for sequential spawns, want 1", k.WorkersCreated())
 	}
-	if k.PooledWorkers() != 1 {
-		t.Fatalf("PooledWorkers = %d, want 1", k.PooledWorkers())
+	if len(k.free) != 1 {
+		t.Fatalf("PooledWorkers = %d, want 1", len(k.free))
 	}
 }
 
@@ -42,8 +42,8 @@ func TestSpawnOverlappingWorkers(t *testing.T) {
 	if k.WorkersCreated() != 8 {
 		t.Fatalf("created %d workers for 8 overlapping processes, want 8", k.WorkersCreated())
 	}
-	if k.PooledWorkers() != 8 {
-		t.Fatalf("PooledWorkers = %d after drain, want 8", k.PooledWorkers())
+	if len(k.free) != 8 {
+		t.Fatalf("PooledWorkers = %d after drain, want 8", len(k.free))
 	}
 	// The next burst reuses all eight.
 	for i := 0; i < 8; i++ {
@@ -64,8 +64,8 @@ func TestPanicDoesNotPoisonPool(t *testing.T) {
 	// Prime the pool with one healthy worker.
 	k.Spawn("ok", func(p *Proc) {})
 	k.Run()
-	if k.PooledWorkers() != 1 {
-		t.Fatalf("PooledWorkers = %d, want 1", k.PooledWorkers())
+	if len(k.free) != 1 {
+		t.Fatalf("PooledWorkers = %d, want 1", len(k.free))
 	}
 
 	func() {
@@ -83,8 +83,8 @@ func TestPanicDoesNotPoisonPool(t *testing.T) {
 	}()
 
 	// The panicked worker must not be back on the free list.
-	if k.PooledWorkers() != 0 {
-		t.Fatalf("PooledWorkers = %d after panic, want 0", k.PooledWorkers())
+	if len(k.free) != 0 {
+		t.Fatalf("PooledWorkers = %d after panic, want 0", len(k.free))
 	}
 
 	// And the pool still works: subsequent spawns run normally on fresh
@@ -111,10 +111,10 @@ func TestSpawnLazyName(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("nameFn ran %d times without the name being observed", calls)
 	}
-	if got := p.Name(); got != "lazy-1" {
+	if got := p.label(); got != "lazy-1" {
 		t.Fatalf("Name() = %q, want %q", got, "lazy-1")
 	}
-	if got := p.Name(); got != "lazy-1" || calls != 1 {
+	if got := p.label(); got != "lazy-1" || calls != 1 {
 		t.Fatalf("second Name() = %q (calls=%d), want cached %q (1 call)", got, calls, "lazy-1")
 	}
 }
@@ -150,12 +150,12 @@ func TestCloseRetiresWorkers(t *testing.T) {
 		k.Spawn("w", func(p *Proc) { p.Sleep(time.Microsecond) })
 	}
 	k.Run()
-	if k.PooledWorkers() != 4 {
-		t.Fatalf("PooledWorkers = %d, want 4", k.PooledWorkers())
+	if len(k.free) != 4 {
+		t.Fatalf("PooledWorkers = %d, want 4", len(k.free))
 	}
 	k.Close()
-	if k.PooledWorkers() != 0 {
-		t.Fatalf("PooledWorkers = %d after Close, want 0", k.PooledWorkers())
+	if len(k.free) != 0 {
+		t.Fatalf("PooledWorkers = %d after Close, want 0", len(k.free))
 	}
 	ran := false
 	k.Spawn("again", func(p *Proc) { ran = true })

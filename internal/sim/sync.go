@@ -45,9 +45,6 @@ func (m *Mutex) Unlock() {
 	m.held = false
 }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.held }
-
 // WaitGroup waits for a collection of simulated activities to finish.
 type WaitGroup struct {
 	count   int
@@ -67,9 +64,6 @@ func (wg *WaitGroup) Add(delta int) {
 
 // Done decrements the counter by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
-
-// Count returns the current counter value.
-func (wg *WaitGroup) Count() int { return wg.count }
 
 // Wait blocks the calling process until the counter reaches zero.
 func (wg *WaitGroup) Wait(p *Proc) {
@@ -169,16 +163,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiters returns the number of registered (possibly already-woken)
-// waiters; mainly useful in tests.
-func (c *Cond) Waiters() int {
-	n := len(c.waiters)
-	if c.has0 {
-		n++
-	}
-	return n
-}
-
 // Future is a one-shot value that simulated processes can wait on.
 type Future[T any] struct {
 	set     bool
@@ -202,9 +186,6 @@ func (f *Future[T]) Set(v T, err error) {
 	}
 	f.waiters = nil
 }
-
-// Ready reports whether the future has been resolved.
-func (f *Future[T]) Ready() bool { return f.set }
 
 // Get blocks until the future resolves and returns its value.
 func (f *Future[T]) Get(p *Proc) (T, error) {

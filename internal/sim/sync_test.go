@@ -66,7 +66,7 @@ func TestMutexTryLock(t *testing.T) {
 		t.Fatal("TryLock on held mutex succeeded")
 	}
 	mu.Unlock()
-	if mu.Locked() {
+	if mu.held {
 		t.Fatal("mutex still locked after Unlock")
 	}
 	_ = k
@@ -267,7 +267,7 @@ func TestFuture(t *testing.T) {
 	if got != 42 || gotAt != 4*Millisecond {
 		t.Errorf("got %d at %v, want 42 at 4ms", got, gotAt)
 	}
-	if !f.Ready() {
+	if !f.set {
 		t.Error("future not ready after Set")
 	}
 }

@@ -337,7 +337,7 @@ func TestNoHangUnderRandomFaults(t *testing.T) {
 				f.ClearLinkFault(a, b)
 			case 2:
 				if n := f.Node(a); n != nil {
-					n.SetDown(!n.Down())
+					n.SetDown(!n.down)
 				}
 			case 3:
 				f.SetLinkFault(a, b, LinkFault{DropProb: 0.3, ExtraLatency: 20 * time.Microsecond})

@@ -42,8 +42,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -60,11 +58,6 @@ type ShardNode struct {
 
 func (sn ShardNode) String() string { return fmt.Sprintf("%d.%d", sn.Shard, sn.Node) }
 
-// crossLink addresses one direction of a cross-shard node pair.
-type crossLink struct {
-	from, to ShardNode
-}
-
 // crossCall is the caller-side state of one cross-shard RPC. It is
 // created, waited on, and completed exclusively in the source shard's
 // context; the destination shard only ever carries the pointer inside
@@ -78,19 +71,11 @@ type crossCall struct {
 
 // Partition connects per-shard Fabrics across a ParKernel.
 type Partition struct {
-	pk      *sim.ParKernel
-	fabrics []*Fabric
-
-	// Cross-shard link faults. Guarded by a mutex because fault
-	// schedules may be installed from any shard's injector; reads on
-	// the call path take the read lock only when faults exist.
-	mu            sync.RWMutex
-	faults        map[crossLink]LinkFault
-	faulted       bool
+	pk            *sim.ParKernel
+	fabrics       []*Fabric
 	CrossCalls    metrics.SharedCounter // completed cross-shard RPCs
 	CrossBytes    metrics.SharedCounter // payload bytes across shard boundaries
-	CrossTimeouts metrics.SharedCounter // cross-shard calls resolved by deadline/loss
-	CrossDrops    metrics.SharedCounter // cross-shard messages eaten by link faults
+	CrossTimeouts metrics.SharedCounter // cross-shard calls resolved by deadline
 }
 
 // NewPartition builds the cross-shard plane over one Fabric per shard.
@@ -111,62 +96,18 @@ func NewPartition(pk *sim.ParKernel, fabrics []*Fabric) *Partition {
 	return &Partition{pk: pk, fabrics: fabrics}
 }
 
-// NumShards returns the number of shards in the partition.
-func (pt *Partition) NumShards() int { return len(pt.fabrics) }
-
-// Fabric returns shard s's fabric.
-func (pt *Partition) Fabric(s int) *Fabric { return pt.fabrics[s] }
-
-// SetCrossLinkFault installs fault state on the cross-shard link
-// between a and b, in both directions. Intra-shard faults belong on the
-// shard's own Fabric (SetLinkFault).
-func (pt *Partition) SetCrossLinkFault(a, b ShardNode, lf LinkFault) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	if pt.faults == nil {
-		pt.faults = make(map[crossLink]LinkFault)
-	}
-	pt.faults[crossLink{a, b}] = lf
-	pt.faults[crossLink{b, a}] = lf
-	pt.faulted = true
-}
-
-// ClearCrossLinkFault heals the cross-shard link between a and b.
-func (pt *Partition) ClearCrossLinkFault(a, b ShardNode) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	delete(pt.faults, crossLink{a, b})
-	delete(pt.faults, crossLink{b, a})
-	pt.faulted = len(pt.faults) > 0
-}
-
-// crossFaultOn returns the fault installed on the directed cross link.
-func (pt *Partition) crossFaultOn(from, to ShardNode) LinkFault {
-	if !pt.faulted {
-		return LinkFault{}
-	}
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	return pt.faults[crossLink{from, to}]
-}
-
 // Call performs a synchronous RPC between any two nodes of the
 // partitioned fleet. Same-shard calls delegate to the shard Fabric's
 // Call (identical semantics and cost, including the zero-allocation
 // fast path); cross-shard calls take the mailbox path described in the
-// package comment.
+// package comment. A cross-shard call is bounded by the source fabric's
+// default deadline (Config.CallTimeout).
 func (pt *Partition) Call(p *sim.Proc, from, to ShardNode, method string, req Message) (Message, error) {
-	return pt.CallWithTimeout(p, from, to, method, req, 0)
-}
-
-// CallWithTimeout is Call with an explicit deadline: d > 0 bounds this
-// call, d == 0 uses the source fabric's default, d < 0 forces none.
-func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method string, req Message, d time.Duration) (Message, error) {
 	if from.Shard < 0 || from.Shard >= len(pt.fabrics) || to.Shard < 0 || to.Shard >= len(pt.fabrics) {
 		return Message{}, fmt.Errorf("%w: shard out of range in %v -> %v", ErrNoSuchNode, from, to)
 	}
 	if from.Shard == to.Shard {
-		return pt.fabrics[from.Shard].CallWithTimeout(p, from.Node, to.Node, method, req, d)
+		return pt.fabrics[from.Shard].Call(p, from.Node, to.Node, method, req)
 	}
 	srcFab := pt.fabrics[from.Shard]
 	src := srcFab.Node(from.Node)
@@ -176,10 +117,7 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 	if src.down {
 		return Message{}, fmt.Errorf("%w: source %v", ErrNodeDown, from)
 	}
-	if d == 0 {
-		d = srcFab.cfg.CallTimeout
-	}
-	hasDeadline := d > 0
+	d := srcFab.cfg.CallTimeout
 
 	// One park, as on the fabric path: the fixed caller-side software
 	// overhead, then this send stage in kernel context, then the round
@@ -190,7 +128,7 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 		if cc.done { // woken by complete
 			return sim.Resume
 		}
-		if hasDeadline {
+		if d > 0 {
 			k.Schedule(k.Now().Add(d), func() {
 				if cc.done {
 					return
@@ -200,36 +138,17 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 			})
 		}
 
-		lf := pt.crossFaultOn(from, to)
-		lost := lf.Partitioned || (lf.DropProb > 0 && k.Rand().Float64() < lf.DropProb)
-		switch {
-		case lost && !hasDeadline:
-			// No deadline armed to resolve the loss: fail now rather than
-			// hang forever (mirrors Fabric.Call).
-			pt.CrossDrops.Inc()
-			pt.CrossTimeouts.Inc()
-			pt.complete(cc, Message{}, fmt.Errorf("%w: %q lost on cross link %v->%v", ErrTimeout, method, from, to))
-		case lost:
-			pt.CrossDrops.Inc() // the armed deadline resolves the call
-		default:
-			now := k.Now()
-			wire := srcFab.wireTime(req.Bytes)
-			txStart := now
-			if src.txFree > txStart {
-				txStart = src.txFree
-			}
-			txEnd := txStart.Add(wire)
-			src.txFree = txEnd
-			src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
-			pt.CrossBytes.Addn(req.Bytes)
-			arrive := txEnd.Add(srcFab.cfg.Latency + lf.ExtraLatency)
-			pt.pk.Send(from.Shard, to.Shard, arrive, func() {
-				pt.deliver(cc, from, to, method, req, hasDeadline)
-			})
+		txStart := k.Now()
+		if src.txFree > txStart {
+			txStart = src.txFree
 		}
-		if cc.done {
-			return sim.Resume
-		}
+		txEnd := txStart.Add(srcFab.wireTime(req.Bytes))
+		src.txFree = txEnd
+		src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
+		pt.CrossBytes.Addn(req.Bytes)
+		pt.pk.Send(from.Shard, to.Shard, txEnd.Add(srcFab.cfg.Latency), func() {
+			pt.deliver(cc, from, to, method, req)
+		})
 		return sim.On(&cc.cv)
 	})
 
@@ -244,21 +163,21 @@ func (pt *Partition) CallWithTimeout(p *sim.Proc, from, to ShardNode, method str
 // request lands: it reserves receive-side NIC time, then dispatches the
 // method's fast handler inline or its blocking handler in a pooled
 // process, exactly like the sequential fabric's onDelivered.
-func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, req Message, hasDeadline bool) {
+func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, req Message) {
 	dstFab := pt.fabrics[to.Shard]
 	k := dstFab.k
 	dst := dstFab.Node(to.Node)
 	switch {
 	case dst == nil:
-		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %v", ErrNoSuchNode, to), hasDeadline)
+		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %v", ErrNoSuchNode, to))
 		return
 	case dst.down:
-		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: destination %v", ErrNodeDown, to), hasDeadline)
+		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: destination %v", ErrNodeDown, to))
 		return
 	}
 	e := dst.lookup(method)
 	if e == nil {
-		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %q on %v", ErrNoHandler, method, to), hasDeadline)
+		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %q on %v", ErrNoHandler, method, to))
 		return
 	}
 	fh, h := e.fast, e.blocking
@@ -279,13 +198,13 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 				if err == nil {
 					dstFab.FastCalls.Inc()
 				}
-				pt.reply(cc, to, from, rep, err, hasDeadline)
+				pt.reply(cc, to, from, rep, err)
 				return
 			}
 			if h == nil {
 				pt.reply(cc, to, from, Message{}, fmt.Errorf(
 					"%w: fast handler for %q on %v declined and no blocking handler is registered",
-					ErrNoHandler, method, to), hasDeadline)
+					ErrNoHandler, method, to))
 				return
 			}
 		}
@@ -293,7 +212,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 			func() string { return fmt.Sprintf("xrpc:%s@%v", method, to) },
 			func(hp *sim.Proc) {
 				rep, err := h(hp, req)
-				pt.reply(cc, to, from, rep, err, hasDeadline)
+				pt.reply(cc, to, from, rep, err)
 			})
 	})
 }
@@ -302,25 +221,12 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 // result back to the caller. Success replies are charged on the wire in
 // both directions; error replies travel as minimal control messages
 // after one propagation latency.
-func (pt *Partition) reply(cc *crossCall, responder, caller ShardNode, rep Message, err error, hasDeadline bool) {
+func (pt *Partition) reply(cc *crossCall, responder, caller ShardNode, rep Message, err error) {
 	dstFab := pt.fabrics[responder.Shard]
 	k := dstFab.k
 	if err != nil {
 		pt.pk.Send(responder.Shard, caller.Shard, k.Now().Add(dstFab.cfg.Latency), func() {
 			pt.complete(cc, Message{}, err)
-		})
-		return
-	}
-	lf := pt.crossFaultOn(responder, caller)
-	if lf.Partitioned || (lf.DropProb > 0 && k.Rand().Float64() < lf.DropProb) {
-		pt.CrossDrops.Inc()
-		if hasDeadline {
-			return // the caller's armed deadline resolves the call
-		}
-		lossErr := fmt.Errorf("%w: cross-shard reply lost on link %v->%v", ErrTimeout, responder, caller)
-		pt.pk.Send(responder.Shard, caller.Shard, k.Now().Add(dstFab.cfg.Latency), func() {
-			pt.CrossTimeouts.Inc()
-			pt.complete(cc, Message{}, lossErr)
 		})
 		return
 	}
@@ -338,8 +244,7 @@ func (pt *Partition) reply(cc *crossCall, responder, caller ShardNode, rep Messa
 		node.TxBytes.Addn(rep.Bytes + dstFab.cfg.MsgOverheadBytes)
 	}
 	pt.CrossBytes.Addn(rep.Bytes)
-	arrive := txEnd.Add(dstFab.cfg.Latency + lf.ExtraLatency)
-	pt.pk.Send(responder.Shard, caller.Shard, arrive, func() {
+	pt.pk.Send(responder.Shard, caller.Shard, txEnd.Add(dstFab.cfg.Latency), func() {
 		// Back in the caller's shard: reserve receive-side NIC time,
 		// then complete once the payload is fully received.
 		srcFab := pt.fabrics[caller.Shard]

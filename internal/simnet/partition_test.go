@@ -60,7 +60,7 @@ func TestPartitionSameShardDelegates(t *testing.T) {
 
 	pk, pt := newTestPartition(1, 2, 2, cfg)
 	defer pk.Close()
-	pt.Fabric(0).Node(1).HandleFast("echo", func(req Message) (Message, error) { return req, nil })
+	pt.fabrics[0].Node(1).HandleFast("echo", func(req Message) (Message, error) { return req, nil })
 	var elapsed sim.Time
 	pk.Shard(0).Spawn("client", func(p *sim.Proc) {
 		start := pk.Shard(0).Now()
@@ -94,7 +94,7 @@ func TestPartitionCrossShardLatencyModel(t *testing.T) {
 	pk, pt := newTestPartition(7, 2, 1, cfg)
 	defer pk.Close()
 
-	pt.Fabric(1).Node(0).HandleFast("get", func(req Message) (Message, error) {
+	pt.fabrics[1].Node(0).HandleFast("get", func(req Message) (Message, error) {
 		return Message{Payload: "value", Bytes: 500}, nil
 	})
 
@@ -124,8 +124,8 @@ func TestPartitionCrossShardLatencyModel(t *testing.T) {
 	if got := pt.CrossBytes.Value(); got != 1500 {
 		t.Errorf("CrossBytes = %d, want 1500 (request 1000 + reply 500)", got)
 	}
-	tx := pt.Fabric(0).Node(0).TxBytes.Value()
-	rx := pt.Fabric(1).Node(0).RxBytes.Value()
+	tx := pt.fabrics[0].Node(0).TxBytes.Value()
+	rx := pt.fabrics[1].Node(0).RxBytes.Value()
 	if tx != 1000 || rx != 1000 {
 		t.Errorf("request NIC charges tx=%d rx=%d, want 1000/1000", tx, rx)
 	}
@@ -139,7 +139,7 @@ func TestPartitionCrossShardBlockingFallback(t *testing.T) {
 	defer pk.Close()
 
 	fastTried := false
-	dst := pt.Fabric(1).Node(0)
+	dst := pt.fabrics[1].Node(0)
 	dst.HandleFast("work", func(req Message) (Message, error) {
 		fastTried = true
 		return Message{}, ErrWouldBlock
@@ -170,7 +170,7 @@ func TestPartitionCrossShardBlockingFallback(t *testing.T) {
 	if elapsed != want {
 		t.Errorf("blocking cross-shard round trip took %v, want %v", elapsed, want)
 	}
-	if got := pt.Fabric(1).FastCalls.Value(); got != 0 {
+	if got := pt.fabrics[1].FastCalls.Value(); got != 0 {
 		t.Errorf("FastCalls = %d after ErrWouldBlock fallback, want 0", got)
 	}
 }
@@ -182,8 +182,8 @@ func TestPartitionCrossShardErrors(t *testing.T) {
 	pk, pt := newTestPartition(11, 3, 2, cfg)
 	defer pk.Close()
 
-	pt.Fabric(2).Node(1).SetDown(true)
-	pt.Fabric(1).Node(0).HandleFast("only", func(req Message) (Message, error) { return req, nil })
+	pt.fabrics[2].Node(1).SetDown(true)
+	pt.fabrics[1].Node(0).HandleFast("only", func(req Message) (Message, error) { return req, nil })
 
 	pk.Shard(0).Spawn("client", func(p *sim.Proc) {
 		if _, err := pt.Call(p, ShardNode{0, 0}, ShardNode{1, 7}, "only", Message{}); !errors.Is(err, ErrNoSuchNode) {
@@ -202,88 +202,36 @@ func TestPartitionCrossShardErrors(t *testing.T) {
 	pk.Run()
 }
 
-// A partitioned cross link drops the request: with a deadline the call
-// resolves as ErrTimeout exactly when the deadline fires; without one
-// it fails immediately rather than hanging. Healing the link restores
-// service.
-func TestPartitionCrossLinkFaults(t *testing.T) {
+// A cross-shard call whose handler outlives the source fabric's
+// deadline resolves as ErrTimeout exactly when the deadline fires:
+// overhead + CallTimeout after the call.
+func TestPartitionCrossShardDeadline(t *testing.T) {
 	cfg := testPartCfg()
+	cfg.CallTimeout = 50 * time.Microsecond
 	pk, pt := newTestPartition(5, 2, 1, cfg)
 	defer pk.Close()
-	pt.Fabric(1).Node(0).HandleFast("echo", func(req Message) (Message, error) { return req, nil })
-
-	a, b := ShardNode{0, 0}, ShardNode{1, 0}
-	pt.SetCrossLinkFault(a, b, LinkFault{Partitioned: true})
+	pt.fabrics[1].Node(0).Handle("slow", func(hp *sim.Proc, req Message) (Message, error) {
+		hp.Sleep(100 * time.Microsecond)
+		return req, nil
+	})
 
 	pk.Shard(0).Spawn("client", func(p *sim.Proc) {
-		// With a deadline: resolves at overhead + d.
 		start := pk.Shard(0).Now()
-		_, err := pt.CallWithTimeout(p, a, b, "echo", Message{Bytes: 100}, 50*time.Microsecond)
+		_, err := pt.Call(p, ShardNode{0, 0}, ShardNode{1, 0}, "slow", Message{Bytes: 100})
 		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("partitioned with deadline: err = %v, want ErrTimeout", err)
+			t.Errorf("err = %v, want ErrTimeout", err)
 		}
 		if got, want := pk.Shard(0).Now()-start, 51*sim.Microsecond; got != want {
 			t.Errorf("deadline resolution after %v, want %v", got, want)
 		}
-
-		// Without a deadline: fails at send time instead of hanging.
-		start = pk.Shard(0).Now()
-		_, err = pt.CallWithTimeout(p, a, b, "echo", Message{Bytes: 100}, -1)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("partitioned without deadline: err = %v, want ErrTimeout", err)
-		}
-		if got, want := pk.Shard(0).Now()-start, sim.Microsecond; got != want {
-			t.Errorf("no-deadline loss resolved after %v, want %v (overhead only)", got, want)
-		}
-
-		pt.ClearCrossLinkFault(a, b)
-		if _, err := pt.Call(p, a, b, "echo", Message{Bytes: 100}); err != nil {
-			t.Errorf("call after heal: %v", err)
-		}
 	})
 	pk.Run()
 
-	if got := pt.CrossDrops.Value(); got != 2 {
-		t.Errorf("CrossDrops = %d, want 2", got)
+	if got := pt.CrossTimeouts.Value(); got != 1 {
+		t.Errorf("CrossTimeouts = %d, want 1", got)
 	}
-	if got := pt.CrossTimeouts.Value(); got != 2 {
-		t.Errorf("CrossTimeouts = %d, want 2", got)
-	}
-}
-
-// A reply lost to a fault installed mid-call must still resolve a
-// caller that has no deadline armed.
-func TestPartitionReplyLossResolves(t *testing.T) {
-	cfg := testPartCfg()
-	pk, pt := newTestPartition(9, 2, 1, cfg)
-	defer pk.Close()
-
-	a, b := ShardNode{0, 0}, ShardNode{1, 0}
-	pt.Fabric(1).Node(0).Handle("slow", func(hp *sim.Proc, req Message) (Message, error) {
-		hp.Sleep(20 * time.Microsecond)
-		return Message{Payload: "late"}, nil
-	})
-	// Cut the link after the request is through but before the reply:
-	// the request is in flight by ~5us, the reply departs after ~25us.
-	pk.Shard(1).Schedule(10*sim.Microsecond, func() {
-		pt.SetCrossLinkFault(a, b, LinkFault{Partitioned: true})
-	})
-
-	done := false
-	pk.Shard(0).Spawn("client", func(p *sim.Proc) {
-		_, err := pt.CallWithTimeout(p, a, b, "slow", Message{Bytes: 100}, -1)
-		if !errors.Is(err, ErrTimeout) {
-			t.Errorf("lost reply: err = %v, want ErrTimeout", err)
-		}
-		done = true
-	})
-	pk.Run()
-
-	if !done {
-		t.Fatal("caller never resolved after reply loss")
-	}
-	if got := pt.CrossDrops.Value(); got != 1 {
-		t.Errorf("CrossDrops = %d, want 1", got)
+	if got := pt.CrossCalls.Value(); got != 0 {
+		t.Errorf("CrossCalls = %d, want 0", got)
 	}
 }
 
@@ -301,7 +249,7 @@ func partitionTrafficRun(t *testing.T, seed int64, workers int) ([][]string, []i
 
 	for s := 0; s < shards; s++ {
 		s := s
-		srv := pt.Fabric(s).Node(1)
+		srv := pt.fabrics[s].Node(1)
 		srv.HandleFast("echo", func(req Message) (Message, error) {
 			return Message{Payload: req.Payload, Bytes: req.Bytes / 2}, nil
 		})
@@ -310,10 +258,6 @@ func partitionTrafficRun(t *testing.T, seed int64, workers int) ([][]string, []i
 			return Message{Bytes: 200}, nil
 		})
 	}
-	// A lossy cross link between shard 0 and shard 1 exercises the
-	// RNG-driven drop path under the deadline.
-	pt.SetCrossLinkFault(ShardNode{0, 0}, ShardNode{1, 1}, LinkFault{DropProb: 0.3})
-
 	logs := make([][]string, shards)
 	for s := 0; s < shards; s++ {
 		s := s
@@ -340,7 +284,7 @@ func partitionTrafficRun(t *testing.T, seed int64, workers int) ([][]string, []i
 
 	counters := []int64{
 		pt.CrossCalls.Value(), pt.CrossBytes.Value(),
-		pt.CrossTimeouts.Value(), pt.CrossDrops.Value(),
+		pt.CrossTimeouts.Value(),
 	}
 	for s := 0; s < shards; s++ {
 		counters = append(counters, int64(pk.Shard(s).EventsProcessed()))

@@ -233,15 +233,6 @@ func (f *Fabric) ClearLinkFault(a, b NodeID) {
 	delete(f.faults, linkKey{b, a})
 }
 
-// LinkFaultOn returns the fault installed on the directed link from ->
-// to (zero value if healthy).
-func (f *Fabric) LinkFaultOn(from, to NodeID) LinkFault {
-	if len(f.faults) == 0 {
-		return LinkFault{}
-	}
-	return f.faults[linkKey{from, to}]
-}
-
 // lost decides whether a message sent now on from -> to is eaten by a
 // link fault. It draws from the kernel RNG only when a probabilistic
 // drop is installed, so fault-free runs consume no randomness.
@@ -311,9 +302,6 @@ func (n *Node) SetDown(down bool) {
 		n.f.failInflightOn(n.ID)
 	}
 }
-
-// Down reports whether the node is unreachable.
-func (n *Node) Down() bool { return n.down }
 
 // failInflightOn resolves every outstanding call with an endpoint on
 // the given node. Collect first: finish() swap-removes entries from the
@@ -465,31 +453,13 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to NodeID, size int64) error {
 	return nil
 }
 
-// TransferAsync schedules onDelivered to run when the transfer lands.
-// For same-node transfers the callback runs at the current instant. On
-// a faulted link the message is eaten and ErrTimeout returned; the
-// callback never runs.
-func (f *Fabric) TransferAsync(from, to NodeID, size int64, onDelivered func()) error {
-	src, dst, err := f.checkPath(from, to)
-	if err != nil {
-		return err
-	}
-	if from == to {
-		f.k.Schedule(f.k.Now(), onDelivered)
-		return nil
-	}
-	if f.lost(from, to) {
-		return fmt.Errorf("%w: transfer %d->%d (%d bytes) lost", ErrTimeout, from, to, size)
-	}
-	f.k.Schedule(f.deliveryTime(src, dst, size), onDelivered)
-	return nil
-}
-
-// transferAsyncTagged is TransferAsync with a tagged callback, so
-// pooled call state can discard deliveries aimed at a recycled
-// generation without allocating a closure per message. It also returns
-// the instant the transfer lands, which is how a call knows whether its
-// deadline can still fire.
+// transferAsyncTagged schedules fn(tag) to run when a transfer of size
+// bytes lands, at the current instant for a same-node transfer. On a
+// faulted link the message is eaten, ErrTimeout returned, and fn never
+// runs. The tag lets pooled call state discard deliveries aimed at a
+// recycled generation without allocating a closure per message. It
+// returns the instant the transfer lands, which is how a call knows
+// whether its deadline can still fire.
 func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64), tag uint64) (sim.Time, error) {
 	src, dst, err := f.checkPath(from, to)
 	if err != nil {

@@ -126,19 +126,28 @@ func TestMsgOverheadBytes(t *testing.T) {
 	}
 }
 
+// TestTransferAsync: the asynchronous transfer under every call's
+// messages runs its callback, with its tag, at the instant it returns:
+// one latency plus the wire time after the send.
 func TestTransferAsync(t *testing.T) {
 	k := sim.NewKernel(1)
 	f := New(k, testConfig())
 	f.AddNode(1)
 	f.AddNode(2)
 	var at sim.Time = -1
-	if err := f.TransferAsync(1, 2, 1_000_000, func() { at = k.Now() }); err != nil {
-		t.Fatalf("TransferAsync: %v", err)
+	lands, err := f.transferAsyncTagged(1, 2, 1_000_000, func(tag uint64) {
+		if tag != 7 {
+			t.Errorf("tag = %d, want 7", tag)
+		}
+		at = k.Now()
+	}, 7)
+	if err != nil {
+		t.Fatalf("transferAsyncTagged: %v", err)
 	}
 	k.Run()
 	want := sim.Time(time.Millisecond + 10*time.Microsecond)
-	if at != want {
-		t.Errorf("delivered at %v, want %v", at, want)
+	if at != want || lands != want {
+		t.Errorf("delivered at %v, reported %v, want %v", at, lands, want)
 	}
 }
 

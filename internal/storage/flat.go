@@ -28,10 +28,10 @@ func NewFlat(sys *core.System, name string, n int, dev DeviceConfig) (*Flat, err
 	machines := sys.Cluster.Machines()
 	for i := 0; i < n; i++ {
 		m := machines[i%len(machines)]
-		sp, err := NewProcletOn(sys, fmt.Sprintf("%s.st-%d", name, i), m.ID, dev)
+		sp, err := newProcletOn(sys, fmt.Sprintf("%s.st-%d", name, i), m.ID, dev)
 		if err != nil {
 			for _, prev := range f.procs {
-				prev.Destroy()
+				prev.destroy()
 			}
 			return nil, err
 		}
@@ -50,30 +50,6 @@ func (f *Flat) procFor(key string) *Proclet {
 // Name returns the store's name.
 func (f *Flat) Name() string { return f.name }
 
-// NumProclets returns the number of storage proclets.
-func (f *Flat) NumProclets() int { return len(f.procs) }
-
-// Proclets returns the backing storage proclets.
-func (f *Flat) Proclets() []*Proclet { return f.procs }
-
-// Capacity returns the combined device capacity.
-func (f *Flat) Capacity() int64 {
-	var sum int64
-	for _, sp := range f.procs {
-		sum += sp.Capacity()
-	}
-	return sum
-}
-
-// Used returns total bytes stored.
-func (f *Flat) Used() int64 {
-	var sum int64
-	for _, sp := range f.procs {
-		sum += sp.Used()
-	}
-	return sum
-}
-
 // TotalOps returns completed reads+writes across proclets.
 func (f *Flat) TotalOps() int64 {
 	var sum int64
@@ -85,23 +61,23 @@ func (f *Flat) TotalOps() int64 {
 
 // Read fetches an object.
 func (f *Flat) Read(p *sim.Proc, from cluster.MachineID, key string) (any, error) {
-	return f.procFor(key).ReadObject(p, from, key)
+	return f.procFor(key).readObject(p, from, key)
 }
 
 // Write stores an object.
 func (f *Flat) Write(p *sim.Proc, from cluster.MachineID, key string, val any, bytes int64) error {
-	return f.procFor(key).WriteObject(p, from, key, val, bytes)
+	return f.procFor(key).writeObject(p, from, key, val, bytes)
 }
 
 // Delete removes an object.
 func (f *Flat) Delete(p *sim.Proc, from cluster.MachineID, key string) error {
-	return f.procFor(key).DeleteObject(p, from, key)
+	return f.procFor(key).deleteObject(p, from, key)
 }
 
-// Close destroys every storage proclet.
-func (f *Flat) Close() {
+// close destroys every storage proclet.
+func (f *Flat) close() {
 	for _, sp := range f.procs {
-		sp.Destroy()
+		sp.destroy()
 	}
 	f.procs = nil
 }

@@ -82,8 +82,8 @@ type Proclet struct {
 // metadataHeap is the RAM footprint of a storage proclet.
 const metadataHeap = 16 << 10
 
-// NewProcletOn creates a storage proclet on an explicit machine.
-func NewProcletOn(sys *core.System, name string, m cluster.MachineID, dev DeviceConfig) (*Proclet, error) {
+// newProcletOn creates a storage proclet on an explicit machine.
+func newProcletOn(sys *core.System, name string, m cluster.MachineID, dev DeviceConfig) (*Proclet, error) {
 	pr, err := sys.Runtime.Spawn(name, m, metadataHeap)
 	if err != nil {
 		return nil, err
@@ -167,23 +167,8 @@ func (sp *Proclet) deviceOp(p *sim.Proc, lat time.Duration, bytes int64) {
 	sp.OpLatency.ObserveDuration(dur)
 }
 
-// Proclet returns the underlying proclet.
-func (sp *Proclet) Proclet() *proclet.Proclet { return sp.pr }
-
-// ID returns the proclet ID.
-func (sp *Proclet) ID() proclet.ID { return sp.pr.ID() }
-
-// Used returns bytes stored on the device slice.
-func (sp *Proclet) Used() int64 { return sp.used }
-
-// Capacity returns the device slice capacity.
-func (sp *Proclet) Capacity() int64 { return sp.dev.CapacityBytes }
-
-// NumObjects returns the stored object count.
-func (sp *Proclet) NumObjects() int { return len(sp.objs) }
-
-// ReadObject fetches an object from this proclet (§3.1's ReadObject).
-func (sp *Proclet) ReadObject(p *sim.Proc, from cluster.MachineID, key string) (any, error) {
+// readObject fetches an object from this proclet (§3.1's ReadObject).
+func (sp *Proclet) readObject(p *sim.Proc, from cluster.MachineID, key string) (any, error) {
 	res, err := sp.sys.Runtime.Invoke(p, from, 0, sp.pr.ID(), methodStRead,
 		proclet.Msg{Payload: key, Bytes: int64(len(key))})
 	if err != nil {
@@ -192,21 +177,21 @@ func (sp *Proclet) ReadObject(p *sim.Proc, from cluster.MachineID, key string) (
 	return res.Payload, nil
 }
 
-// WriteObject stores an object (§3.1's WriteObject).
-func (sp *Proclet) WriteObject(p *sim.Proc, from cluster.MachineID, key string, val any, bytes int64) error {
+// writeObject stores an object (§3.1's WriteObject).
+func (sp *Proclet) writeObject(p *sim.Proc, from cluster.MachineID, key string, val any, bytes int64) error {
 	_, err := sp.sys.Runtime.Invoke(p, from, 0, sp.pr.ID(), methodStWrite,
 		proclet.Msg{Payload: &writeReq{key: key, val: val, bytes: bytes}, Bytes: bytes})
 	return err
 }
 
-// DeleteObject removes an object.
-func (sp *Proclet) DeleteObject(p *sim.Proc, from cluster.MachineID, key string) error {
+// deleteObject removes an object.
+func (sp *Proclet) deleteObject(p *sim.Proc, from cluster.MachineID, key string) error {
 	_, err := sp.sys.Runtime.Invoke(p, from, 0, sp.pr.ID(), methodStDel,
 		proclet.Msg{Payload: key, Bytes: int64(len(key))})
 	return err
 }
 
-// Destroy removes the storage proclet.
-func (sp *Proclet) Destroy() error {
+// destroy removes the storage proclet.
+func (sp *Proclet) destroy() error {
 	return sp.sys.Runtime.Destroy(sp.pr.ID())
 }

@@ -31,29 +31,29 @@ func fastDev() DeviceConfig {
 
 func TestWriteReadDelete(t *testing.T) {
 	s := testSys(t)
-	sp, err := NewProcletOn(s, "st", 0, fastDev())
+	sp, err := newProcletOn(s, "st", 0, fastDev())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.K.Spawn("client", func(p *sim.Proc) {
-		if err := sp.WriteObject(p, 0, "k1", "payload", 1000); err != nil {
+		if err := sp.writeObject(p, 0, "k1", "payload", 1000); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		v, err := sp.ReadObject(p, 0, "k1")
+		v, err := sp.readObject(p, 0, "k1")
 		if err != nil || v != "payload" {
 			t.Errorf("Read = %v, %v", v, err)
 		}
-		if sp.Used() != 1000 || sp.NumObjects() != 1 {
-			t.Errorf("Used=%d NumObjects=%d", sp.Used(), sp.NumObjects())
+		if sp.used != 1000 || len(sp.objs) != 1 {
+			t.Errorf("Used=%d NumObjects=%d", sp.used, len(sp.objs))
 		}
-		if err := sp.DeleteObject(p, 0, "k1"); err != nil {
+		if err := sp.deleteObject(p, 0, "k1"); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
-		if _, err := sp.ReadObject(p, 0, "k1"); !errors.Is(err, ErrNoKey) {
+		if _, err := sp.readObject(p, 0, "k1"); !errors.Is(err, ErrNoKey) {
 			t.Errorf("Read deleted = %v", err)
 		}
-		if sp.Used() != 0 {
-			t.Errorf("Used = %d after delete", sp.Used())
+		if sp.used != 0 {
+			t.Errorf("Used = %d after delete", sp.used)
 		}
 	})
 	s.K.Run()
@@ -63,16 +63,16 @@ func TestCapacityEnforced(t *testing.T) {
 	s := testSys(t)
 	dev := fastDev()
 	dev.CapacityBytes = 1000
-	sp, _ := NewProcletOn(s, "st", 0, dev)
+	sp, _ := newProcletOn(s, "st", 0, dev)
 	s.K.Spawn("client", func(p *sim.Proc) {
-		if err := sp.WriteObject(p, 0, "a", nil, 800); err != nil {
+		if err := sp.writeObject(p, 0, "a", nil, 800); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
-		if err := sp.WriteObject(p, 0, "b", nil, 300); !errors.Is(err, ErrNoSpace) {
+		if err := sp.writeObject(p, 0, "b", nil, 300); !errors.Is(err, ErrNoSpace) {
 			t.Errorf("overcommit err = %v", err)
 		}
 		// Overwrite within capacity is fine.
-		if err := sp.WriteObject(p, 0, "a", nil, 900); err != nil {
+		if err := sp.writeObject(p, 0, "a", nil, 900); err != nil {
 			t.Errorf("overwrite: %v", err)
 		}
 	})
@@ -81,11 +81,11 @@ func TestCapacityEnforced(t *testing.T) {
 
 func TestReadLatencyCharged(t *testing.T) {
 	s := testSys(t)
-	sp, _ := NewProcletOn(s, "st", 0, fastDev())
+	sp, _ := newProcletOn(s, "st", 0, fastDev())
 	s.K.Spawn("client", func(p *sim.Proc) {
-		sp.WriteObject(p, 0, "k", nil, 1_000_000)
+		sp.writeObject(p, 0, "k", nil, 1_000_000)
 		start := p.Now()
-		sp.ReadObject(p, 0, "k")
+		sp.readObject(p, 0, "k")
 		elapsed := p.Now().Sub(start)
 		// 100us latency + 1MB/1GB/s = 1ms transfer = 1.1ms min.
 		if elapsed < 1100*time.Microsecond {
@@ -100,12 +100,12 @@ func TestIOPSCapSpacesOps(t *testing.T) {
 	dev := fastDev()
 	dev.IOPS = 1000 // 1ms spacing
 	dev.ReadLatency = 0
-	sp, _ := NewProcletOn(s, "st", 0, dev)
+	sp, _ := newProcletOn(s, "st", 0, dev)
 	s.K.Spawn("client", func(p *sim.Proc) {
-		sp.WriteObject(p, 0, "k", nil, 10)
+		sp.writeObject(p, 0, "k", nil, 10)
 		start := p.Now()
 		for i := 0; i < 10; i++ {
-			sp.ReadObject(p, 0, "k")
+			sp.readObject(p, 0, "k")
 		}
 		elapsed := p.Now().Sub(start)
 		// 10 ops at 1000 IOPS >= ~9ms.
@@ -123,14 +123,11 @@ func TestFlatSpreadsAcrossMachines(t *testing.T) {
 		t.Fatal(err)
 	}
 	locs := map[cluster.MachineID]int{}
-	for _, sp := range f.Proclets() {
-		locs[sp.Proclet().Location()]++
+	for _, sp := range f.procs {
+		locs[sp.pr.Location()]++
 	}
 	if len(locs) != 2 || locs[0] != 2 || locs[1] != 2 {
 		t.Errorf("proclet spread = %v, want 2 per machine", locs)
-	}
-	if f.Capacity() != 4<<20 {
-		t.Errorf("Capacity = %d, want 4MiB", f.Capacity())
 	}
 }
 
@@ -150,14 +147,20 @@ func TestFlatRoutesAndCombinesIOPS(t *testing.T) {
 		}
 	})
 	s.K.Run()
-	if f.Used() != 320 || f.TotalOps() != 32 {
-		t.Errorf("Used=%d TotalOps=%d", f.Used(), f.TotalOps())
+	if f.TotalOps() != 32 {
+		t.Errorf("TotalOps = %d, want 32", f.TotalOps())
 	}
-	// Each proclet must have received some share of the keys.
-	for i, sp := range f.Proclets() {
-		if sp.NumObjects() == 0 {
+	// Each proclet must have received some share of the keys, and
+	// together they hold all 320 bytes.
+	var used int64
+	for i, sp := range f.procs {
+		if len(sp.objs) == 0 {
 			t.Errorf("proclet %d received no objects", i)
 		}
+		used += sp.used
+	}
+	if used != 320 {
+		t.Errorf("used = %d, want 320", used)
 	}
 	// Aggregate IOPS: 32 sequential writes through one proclet at 1000
 	// IOPS would take ~31ms; spread over 4, parallel clients would cut
@@ -217,9 +220,9 @@ func TestFlatParallelClientsExceedSingleProcletIOPS(t *testing.T) {
 func TestFlatClose(t *testing.T) {
 	s := testSys(t)
 	f, _ := NewFlat(s, "flat", 4, fastDev())
-	f.Close()
-	if f.NumProclets() != 0 {
-		t.Errorf("NumProclets = %d after Close", f.NumProclets())
+	f.close()
+	if len(f.procs) != 0 {
+		t.Errorf("%d proclets after close", len(f.procs))
 	}
 	used := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()
 	if used != 0 {

@@ -219,15 +219,6 @@ func (g *GPUPool) Active() int { return g.active }
 // Stop terminates the consumer processes at their next poll.
 func (g *GPUPool) Stop() { g.stopped = true }
 
-// BusySeconds returns accumulated GPU-busy time.
-func (g *GPUPool) BusySeconds() float64 { return float64(g.busyNs) / 1e9 }
-
-// ConsumptionRate returns the pool's maximum drain rate in batches per
-// second at the current active count.
-func (g *GPUPool) ConsumptionRate() float64 {
-	return float64(g.active) / g.PerBatch.Seconds()
-}
-
 // Toggle flips fn between two levels every half-period, starting with
 // `a` now — the Figure 3 availability trace (4 and 8 GPUs every
 // 200 ms).

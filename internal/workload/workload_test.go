@@ -11,6 +11,9 @@ import (
 	"repro/internal/sim"
 )
 
+// reserved is the cores m's antagonist holds.
+func reserved(m *cluster.Machine) float64 { return m.Cores() - m.AvailCores() }
+
 func TestAntagonistSquareWave(t *testing.T) {
 	k := sim.NewKernel(1)
 	m := cluster.NewMachine(k, 0, "m", cluster.MachineConfig{Cores: 8})
@@ -20,7 +23,7 @@ func TestAntagonistSquareWave(t *testing.T) {
 	for _, at := range []sim.Time{sim.Time(5 * time.Millisecond), sim.Time(15 * time.Millisecond),
 		sim.Time(25 * time.Millisecond), sim.Time(35 * time.Millisecond)} {
 		at := at
-		k.Schedule(at, func() { samples[at] = m.Reserved() })
+		k.Schedule(at, func() { samples[at] = reserved(m) })
 	}
 	k.Schedule(40*sim.Millisecond, func() { a.Stop(); k.Stop() })
 	k.Run()
@@ -39,8 +42,8 @@ func TestAntagonistPhaseOffset(t *testing.T) {
 		Offset: 10 * time.Millisecond, Cores: 4}
 	a.Start(k)
 	var at5, at15 float64 = -1, -1
-	k.Schedule(5*sim.Millisecond, func() { at5 = m.Reserved() })
-	k.Schedule(15*sim.Millisecond, func() { at15 = m.Reserved() })
+	k.Schedule(5*sim.Millisecond, func() { at5 = reserved(m) })
+	k.Schedule(15*sim.Millisecond, func() { at15 = reserved(m) })
 	k.Schedule(30*sim.Millisecond, func() { a.Stop(); k.Stop() })
 	k.Run()
 	if at5 != 0 || at15 != 4 {
@@ -59,7 +62,7 @@ func TestAntagonistJitterDeterministic(t *testing.T) {
 		a.Start(k)
 		var samples []float64
 		for at := sim.Time(time.Millisecond); at < sim.Time(200*time.Millisecond); at += sim.Time(time.Millisecond) {
-			k.Schedule(at, func() { samples = append(samples, m.Reserved()) })
+			k.Schedule(at, func() { samples = append(samples, reserved(m)) })
 		}
 		k.Schedule(sim.Time(200*time.Millisecond), func() { a.Stop(); k.Stop() })
 		k.Run()
@@ -148,8 +151,8 @@ func TestGPUPoolDrainsQueue(t *testing.T) {
 		t.Errorf("Consumed = %d, want 40", g.Consumed.Value())
 	}
 	// 40 batches / 4 GPUs x 1ms = ~10ms of busy time each.
-	if g.BusySeconds() < 0.039 || g.BusySeconds() > 0.041 {
-		t.Errorf("BusySeconds = %v, want 0.040", g.BusySeconds())
+	if busy := float64(g.busyNs) / 1e9; busy < 0.039 || busy > 0.041 {
+		t.Errorf("busy = %vs, want 0.040", busy)
 	}
 }
 
@@ -174,8 +177,8 @@ func TestGPUPoolSetActiveThrottles(t *testing.T) {
 	if g.Consumed.Value() < 90 {
 		t.Errorf("Consumed = %d after reactivation, want ~100", g.Consumed.Value())
 	}
-	if g.ConsumptionRate() != 8000 {
-		t.Errorf("ConsumptionRate = %v, want 8000/s", g.ConsumptionRate())
+	if g.Active() != 8 {
+		t.Errorf("Active = %d, want 8", g.Active())
 	}
 }
 
