@@ -262,6 +262,75 @@ func BenchmarkComputeTask(b *testing.B) {
 	}
 }
 
+// BenchmarkRunCall measures one abl-locality op: 8 single-worker compute
+// proclets on machine 0, each reading over the network from a proclet on
+// machine 1 and computing 5 µs on the reply, over and over. blocking is
+// the task that invokes and then computes on the worker's thread, two
+// switches in and out an op; staged is RunCall whose continuation
+// enqueues a RunCompute, and the worker is never switched in.
+func BenchmarkRunCall(b *testing.B) {
+	const work = 5 * time.Microsecond
+	arg := proclet.Msg{Word: 1, Bytes: 8}
+	for _, staged := range []bool{false, true} {
+		name := "blocking"
+		if staged {
+			name = "staged"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			sys := benchSystem()
+			defer sys.Close()
+			data, err := sys.Runtime.Spawn("data", 1, 1024)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data.HandleFast("get", func(arg proclet.Msg) (proclet.Msg, error) {
+				return proclet.Msg{Word: arg.Word, Bytes: 64}, nil
+			})
+			left := b.N
+			var op, next core.TaskFn
+			var got core.CallFn
+			next = func(tc *core.TaskCtx) {
+				if left--; left > 0 {
+					op(tc)
+				}
+			}
+			got = func(tc *core.TaskCtx, _ proclet.Msg, err error) {
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				tc.ComputeProclet().RunCompute(work, next)
+			}
+			whole := func(tc *core.TaskCtx) {
+				cp := tc.ComputeProclet()
+				if _, err := sys.Runtime.Invoke(tc.Proc(), cp.Location(), cp.ID(), data.ID(), "get", arg); err != nil {
+					b.Error(err)
+					return
+				}
+				tc.Compute(work)
+				next(tc)
+			}
+			op = func(tc *core.TaskCtx) {
+				if staged {
+					tc.ComputeProclet().RunCall(data.ID(), "get", arg, got)
+				} else {
+					tc.ComputeProclet().Run(whole)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				cp, err := core.NewComputeProcletOn(sys, "reader", 0, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cp.Run(op)
+			}
+			b.ResetTimer()
+			sys.K.Run()
+		})
+	}
+}
+
 // BenchmarkProcSwitch measures one kernel-to-process round trip, two
 // coroutine switches: a process that wakes from Sleep, finds nothing to
 // do and sleeps again, which is what every idle poll cost before a poll

@@ -41,6 +41,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -58,29 +59,53 @@ type benchStats struct {
 	Values map[string]float64 `json:"values,omitempty"`
 }
 
+// readStats reads BENCH_<id>.json from dir and decodes it.
 func readStats(dir, id string) (benchStats, error) {
-	var st benchStats
 	path := filepath.Join(dir, "BENCH_"+id+".json")
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return st, fmt.Errorf(
+		return benchStats{}, fmt.Errorf(
 			"%s does not exist — record it with `cd %s && quicksand-bench -json -par 1 %s` (records land in the working directory)",
 			path, dir, id)
 	}
 	if err != nil {
-		return st, err
+		return benchStats{}, err
 	}
-	if err := json.Unmarshal(data, &st); err != nil {
+	st, err := decodeStats(data, id)
+	if err != nil {
 		return st, fmt.Errorf("%s: %w", path, err)
 	}
+	return st, nil
+}
+
+// decodeStats decodes the record of experiment id. A record that is not
+// JSON fails with the byte where decoding stopped.
+func decodeStats(data []byte, id string) (benchStats, error) {
+	var st benchStats
+	if err := json.Unmarshal(data, &st); err != nil {
+		return st, located(err)
+	}
 	if st.ID != "" && st.ID != id {
-		return st, fmt.Errorf("%s records experiment %q, not %q — stale or misnamed file", path, st.ID, id)
+		return st, fmt.Errorf("records experiment %q, not %q — stale or misnamed file", st.ID, id)
 	}
 	if st.Events == 0 {
 		return st, fmt.Errorf(
-			"%s has no events_processed — malformed or truncated record; regenerate it with `quicksand-bench -json`", path)
+			"no events_processed — malformed or truncated record; regenerate it with `quicksand-bench -json`")
 	}
 	return st, nil
+}
+
+// located prefixes a JSON decoding error with the byte offset it names.
+func located(err error) error {
+	var syn *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &syn):
+		return fmt.Errorf("byte %d: %w", syn.Offset, err)
+	case errors.As(err, &typ):
+		return fmt.Errorf("byte %d: %w", typ.Offset, err)
+	}
+	return err
 }
 
 // relDelta returns (cand-base)/base; +0.10 means 10% above baseline.

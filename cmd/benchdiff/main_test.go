@@ -206,3 +206,29 @@ func TestReadStatsFailures(t *testing.T) {
 		t.Errorf("valid record parsed as %+v", st)
 	}
 }
+
+// FuzzBenchRecord is the input-boundary contract of the records benchdiff
+// reads: any bytes either decode to a record with events, which compares
+// clean against itself, or fail with an error that says where — the byte
+// the JSON broke at, or the field that is wrong — and never panic. The
+// seeds in testdata/fuzz are the committed BENCH_*.json records and the
+// malformed records TestReadStatsFailures pins.
+func FuzzBenchRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, id string) {
+		st, err := decodeStats(data, id)
+		if err != nil {
+			msg := err.Error()
+			if !strings.Contains(msg, "byte ") && !strings.Contains(msg, "records experiment") &&
+				!strings.Contains(msg, "events_processed") {
+				t.Errorf("error says nothing of where: %v", err)
+			}
+			return
+		}
+		if st.Events == 0 {
+			t.Errorf("decoded a record without events: %+v", st)
+		}
+		if fails := compare(st, st, 0.1); len(fails) != 0 {
+			t.Errorf("a record differs from itself: %v", fails)
+		}
+	})
+}

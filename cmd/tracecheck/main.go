@@ -22,6 +22,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -169,14 +170,21 @@ func checkSubset(path string, full map[uint64]string, maxFrac float64) error {
 	return nil
 }
 
+// checkFile reads path and checks it (see checkData).
 func checkFile(path string, requireCausal bool, minEvents int) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
+	return checkData(raw, requireCausal, minEvents)
+}
+
+// checkData validates one trace file's bytes. Every failure names where
+// it is: a byte offset, an event index, a span, or a document field.
+func checkData(raw []byte, requireCausal bool, minEvents int) error {
 	var doc document
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("not valid JSON: %w", err)
+		return fmt.Errorf("not valid JSON: %w", located(err))
 	}
 	if doc.DisplayTimeUnit != "ms" {
 		return fmt.Errorf("displayTimeUnit = %q, want \"ms\"", doc.DisplayTimeUnit)
@@ -185,12 +193,14 @@ func checkFile(path string, requireCausal bool, minEvents int) error {
 		return fmt.Errorf("%d trace events, want >= %d", len(doc.TraceEvents), minEvents)
 	}
 
-	// spanArgs maps span ID -> (parent, cat) for the causal walk.
+	// spans maps span ID -> (parent, cat) for the causal walk; migrates
+	// holds the migrate spans in file order.
 	type spanInfo struct {
 		parent uint64
 		cat    string
 	}
 	spans := map[uint64]spanInfo{}
+	var migrates []uint64
 	sawComplete := false
 	for i, ev := range doc.TraceEvents {
 		switch ev.Ph {
@@ -206,8 +216,14 @@ func checkFile(path string, requireCausal bool, minEvents int) error {
 			if !okID || id == 0 {
 				return fmt.Errorf("event %d (%s) missing args.span", i, ev.Name)
 			}
+			if _, dup := spans[id]; dup {
+				return fmt.Errorf("event %d (%s) repeats span id %d", i, ev.Name, id)
+			}
 			parent, _ := asUint(ev.Args["parent"])
 			spans[id] = spanInfo{parent: parent, cat: ev.Cat}
+			if ev.Cat == "migrate" {
+				migrates = append(migrates, id)
+			}
 		case "M":
 			if ev.Name != "process_name" || ev.Pid == nil {
 				return fmt.Errorf("event %d (ph=M) malformed metadata", i)
@@ -225,31 +241,38 @@ func checkFile(path string, requireCausal bool, minEvents int) error {
 	}
 
 	if requireCausal {
-		causal := false
-		for _, s := range spans {
-			if s.cat != "migrate" {
-				continue
-			}
-			for p := s.parent; p != 0; {
+		for _, id := range migrates {
+			// A chain longer than the span count has come back on itself.
+			for p, hops := spans[id].parent, 0; p != 0; hops++ {
+				if hops == len(spans) {
+					return fmt.Errorf("span %d: its parent chain has a cycle", id)
+				}
 				ps, ok := spans[p]
 				if !ok {
 					break
 				}
 				if ps.cat == "pressure" || ps.cat == "sched" || ps.cat == "repl" {
-					causal = true
-					break
+					return nil
 				}
 				p = ps.parent
 			}
-			if causal {
-				break
-			}
 		}
-		if !causal {
-			return fmt.Errorf("no migrate span descends from a pressure/sched/repl span")
-		}
+		return fmt.Errorf("no migrate span descends from a pressure/sched/repl span")
 	}
 	return nil
+}
+
+// located prefixes a JSON decoding error with the byte offset it names.
+func located(err error) error {
+	var syn *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &syn):
+		return fmt.Errorf("byte %d: %w", syn.Offset, err)
+	case errors.As(err, &typ):
+		return fmt.Errorf("byte %d: %w", typ.Offset, err)
+	}
+	return err
 }
 
 // asUint coerces a decoded JSON number to uint64.

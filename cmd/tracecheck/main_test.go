@@ -174,3 +174,27 @@ func TestMaxFracRequiresSubset(t *testing.T) {
 		t.Fatalf("exit = %d, want 2", code)
 	}
 }
+
+// FuzzTraceFile is the input-boundary contract of the trace files
+// tracecheck reads: for any bytes, with and without -require-causal, the
+// check passes or fails with an error that says where — a byte offset, an
+// event, a span or a document field — and never panics or hangs. The seeds
+// in testdata/fuzz are a -scale test -trace-dir export and hand-written
+// edge files: truncated JSON, a repeated span id, a span that ends before
+// it starts, an unknown parent, huge ids and a parent cycle.
+func FuzzTraceFile(f *testing.F) {
+	f.Add([]byte(goodTrace))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, causal := range []bool{false, true} {
+			err := checkData(data, causal, 1)
+			if err == nil {
+				continue
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "byte ") && !strings.Contains(msg, "event") && !strings.Contains(msg, "span ") &&
+				!strings.Contains(msg, "displayTimeUnit") {
+				t.Errorf("error says nothing of where: %v", err)
+			}
+		}
+	})
+}

@@ -16,12 +16,26 @@ import (
 type TaskFn func(tc *TaskCtx)
 
 // task is one queued unit: fn, run on the worker's thread (work == 0, what
-// Run enqueues), or work of compute followed by fn in kernel context (what
-// RunCompute enqueues).
+// Run enqueues); work of compute followed by fn in kernel context (what
+// RunCompute enqueues); or an invocation followed by its continuation in
+// kernel context (call, what RunCall enqueues).
 type task struct {
 	fn   TaskFn
 	work time.Duration
+	call *call
 }
+
+// call is a RunCall task's arguments, pooled on the System so that the
+// queue entry stays three words.
+type call struct {
+	target proclet.ID
+	method string
+	arg    proclet.Msg
+	then   CallFn
+}
+
+// CallFn continues a RunCall task with the invocation's reply or error.
+type CallFn func(tc *TaskCtx, res proclet.Msg, err error)
 
 // TaskCtx gives a running task access to its execution environment.
 type TaskCtx struct {
@@ -147,41 +161,53 @@ func (s *System) newComputeProclet(name string, workers int) (*ComputeProclet, e
 }
 
 // worker is one worker thread's state between two parks: the task it
-// took off the queue and whether that task's compute is still in flight.
+// took off the queue, whether that task's compute is still in flight, and
+// a call task's invocation.
 type worker struct {
 	cp        *ComputeProclet
 	thread    *proclet.Thread
 	ctx       TaskCtx // one per thread: both fields are invariant for its lifetime
 	cur       task
 	computing bool
+	inv       *proclet.Invocation
 }
 
 // workerLoop is a worker thread's body. Everything that cannot block —
-// waiting for a task, taking it, a compute task's whole life, the finish
-// accounting — is next, which the kernel runs as the stage of one Await;
-// the thread's process is resumed only to run a blocking task, or to
-// exit.
+// waiting for a task, taking it, a compute task's or a call task's whole
+// life, the finish accounting — is next, which the kernel runs as the
+// stage of one Await; the thread's process is resumed only to run a
+// blocking task or a local blocking method a call reached, or to exit.
 func (cp *ComputeProclet) workerLoop(t *proclet.Thread) {
 	w := &worker{cp: cp, thread: t, ctx: TaskCtx{thread: t, cp: cp}}
 	stage := w.next
 	for {
 		t.Proc().Await(w.next(), stage)
-		if w.cur.fn == nil {
+		switch {
+		case w.inv != nil:
+			w.inv.Exec(t.Proc())
+		case w.cur.fn == nil:
 			return
+		default:
+			w.cur.fn(&w.ctx)
+			w.finish()
 		}
-		w.cur.fn(&w.ctx)
-		w.finish()
 	}
 }
 
 // next advances the worker as far as it can go without blocking and
-// returns On the Cond it has to park on, or Resume to hand over to the
+// returns the wait it has to park in, or Resume to hand over to the
 // thread's process: w.cur is a blocking task, taken and counted as
-// running, or is empty because the proclet is stopping and the worker is
-// done.
+// running; or w.inv needs the process for a local blocking method; or
+// w.cur is empty because the proclet is stopping and the worker is done.
 func (w *worker) next() sim.Wait {
 	cp := w.cp
 	for {
+		if inv := w.inv; inv != nil {
+			if wt := inv.Step(); wt != sim.Resume || inv.NeedsProc() {
+				return wt
+			}
+			w.called()
+		}
 		if w.computing {
 			if c := w.thread.ComputeStep(); c != nil {
 				return sim.On(c)
@@ -203,12 +229,29 @@ func (w *worker) next() sim.Wait {
 		}
 		w.cur = cp.popFront()
 		cp.running++
+		if c := w.cur.call; c != nil {
+			// Routed from where the proclet is now, as its own call.
+			w.inv = cp.sys.Runtime.Begin(cp.pr.Location(), cp.pr.ID(), c.target, c.method, c.arg)
+			continue
+		}
 		if w.cur.work == 0 {
 			return sim.Resume
 		}
 		w.thread.ComputeBegin(w.cur.work)
 		w.computing = true
 	}
+}
+
+// called ends the call task in hand: its continuation, in the event the
+// reply or the error landed in, then the finish accounting.
+func (w *worker) called() {
+	res, err := w.inv.End()
+	c := w.cur.call
+	then := c.then
+	w.inv, w.cur = nil, task{}
+	w.cp.sys.putCall(c)
+	then(&w.ctx, res, err)
+	w.finish()
 }
 
 // finish accounts for the task the worker just ran.
@@ -278,6 +321,22 @@ func (cp *ComputeProclet) RunCompute(work time.Duration, fn TaskFn) {
 		panic("core: RunCompute requires positive work")
 	}
 	cp.enqueue(task{fn: fn, work: work})
+}
+
+// RunCall enqueues "invoke method on the target proclet, then call then
+// with the reply or the error": Run of a task that starts with the
+// blocking invocation, with the rest of the task carried as data. The
+// invocation routes from the machine the proclet is on when a worker
+// takes the task, as the proclet's own call. then has RunCompute's fn's
+// contract — it must not block, and may do what an event may — and runs
+// in the event in which the reply or the error landed. A worker runs such
+// a task without its process being switched in, unless the method turns
+// out to be a blocking one on this machine: that, and then then, run on
+// the worker's process.
+func (cp *ComputeProclet) RunCall(target proclet.ID, method string, arg proclet.Msg, then CallFn) {
+	c := cp.sys.getCall()
+	c.target, c.method, c.arg, c.then = target, method, arg, then
+	cp.enqueue(task{call: c})
 }
 
 func (cp *ComputeProclet) enqueue(t task) {

@@ -231,20 +231,17 @@ func TestAffinityColocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var loop func()
-		loop = func() {
-			cp.Run(func(tc *TaskCtx) {
-				// Proclet-to-proclet call so affinity is attributed.
-				if _, err := cp.Proclet().Call(tc.Proc(), mp.ID(), "mem.get",
-					proclet.Msg{Word: ptr.obj, Bytes: 8}); err != nil {
-					t.Errorf("call: %v", err)
-					return
-				}
-				tc.Compute(100 * time.Microsecond)
-				loop()
-			})
+		// Proclet-to-proclet calls so affinity is attributed.
+		var got CallFn
+		get := func(*TaskCtx) { cp.RunCall(mp.ID(), "mem.get", proclet.Msg{Word: ptr.obj, Bytes: 8}, got) }
+		got = func(_ *TaskCtx, _ proclet.Msg, err error) {
+			if err != nil {
+				t.Errorf("call: %v", err)
+				return
+			}
+			cp.RunCompute(100*time.Microsecond, get)
 		}
-		loop()
+		get(nil)
 	})
 	s.K.RunUntil(sim.Time(cfg.GlobalPeriod*4 + 10*time.Millisecond))
 	if cp.Location() != 1 {

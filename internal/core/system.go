@@ -127,6 +127,8 @@ type System struct {
 	ids     []uint64    // a range walk's ids, ascending
 	undo    []displaced // what a PutBatch has overwritten so far
 	intArgs []*intArg   // free cells for PutInt
+
+	calls []*call // free RunCall records
 }
 
 // NewSystem builds a Quicksand system over machines with the given
@@ -158,6 +160,23 @@ func NewSystemOnKernel(k *sim.Kernel, cfg Config, machines []cluster.MachineConf
 	}
 	s.Sched = newScheduler(s)
 	return s
+}
+
+// getCall takes a RunCall record off the free list, or makes one; putCall
+// clears one and puts it back.
+func (s *System) getCall() *call {
+	if n := len(s.calls); n > 0 {
+		c := s.calls[n-1]
+		s.calls[n-1] = nil
+		s.calls = s.calls[:n-1]
+		return c
+	}
+	return &call{}
+}
+
+func (s *System) putCall(c *call) {
+	*c = call{}
+	s.calls = append(s.calls, c)
 }
 
 // Config returns the system configuration.

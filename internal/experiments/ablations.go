@@ -283,18 +283,20 @@ func runAblLocality(scale Scale) (*Result, error) {
 				if err != nil {
 					return
 				}
-				var loop core.TaskFn
-				loop = func(tc *core.TaskCtx) {
-					if _, err := cpLocal.Proclet().Call(tc.Proc(), mpLocal.ID(), "mem.get",
-						proclet.Msg{Word: 1, Bytes: 8}); err != nil {
-						return
-					}
-					_ = ptr
-					tc.Compute(5 * time.Microsecond)
+				// One op: read the object, then compute on it. Neither
+				// half blocks, so the reader's worker never switches in.
+				var got core.CallFn
+				get := func(*core.TaskCtx) {
 					*ops++
-					cpLocal.Run(loop)
+					cpLocal.RunCall(mpLocal.ID(), "mem.get", proclet.Msg{Word: 1, Bytes: 8}, got)
 				}
-				cpLocal.Run(loop)
+				got = func(_ *core.TaskCtx, _ proclet.Msg, err error) {
+					if err == nil {
+						cpLocal.RunCompute(5*time.Microsecond, get)
+					}
+				}
+				_ = ptr
+				cpLocal.RunCall(mpLocal.ID(), "mem.get", proclet.Msg{Word: 1, Bytes: 8}, got)
 			})
 		}
 		sys.K.RunUntil(horizon)

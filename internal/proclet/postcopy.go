@@ -135,11 +135,12 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 	return nil
 }
 
-// lazyPenalty charges the remote-access cost of an invocation that
-// runs during a post-copy window.
-func (rt *Runtime) lazyPenalty(p *sim.Proc, pr *Proclet) {
+// lazyPenalty counts the remote-access penalty of an invocation that
+// runs during a post-copy window and returns its cost, 0 outside one.
+func (rt *Runtime) lazyPenalty(pr *Proclet) time.Duration {
 	if pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0 {
 		rt.LazyPenalties.Inc()
-		p.Sleep(rt.cfg.LazyRemotePenalty)
+		return rt.cfg.LazyRemotePenalty
 	}
+	return 0
 }

@@ -251,12 +251,6 @@ func (pr *Proclet) GrowHeap(delta int64) error {
 	return nil
 }
 
-// Call invokes a method on another proclet from this one, recording
-// affinity and routing from this proclet's current machine.
-func (pr *Proclet) Call(p *sim.Proc, target ID, method string, arg Msg) (Msg, error) {
-	return pr.rt.Invoke(p, pr.machine, pr.id, target, method, arg)
-}
-
 // Ctx is passed to every method invocation. It is valid only for the
 // duration of the invocation — the runtime recycles Ctx structs, so
 // methods must not retain one past their return.

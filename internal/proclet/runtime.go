@@ -116,12 +116,12 @@ type Runtime struct {
 	InvokeRetries  metrics.Counter
 	InvokeTimeouts metrics.Counter
 
-	// reqPool recycles invokeReq wire structs so steady-state remote
-	// invocations allocate nothing for the request envelope; ctxPool
-	// does the same for method Ctxs (a stack, so invocations that
-	// nest — a method calling another local proclet — each get their
-	// own Ctx).
-	reqPool []*invokeReq
+	// invPool recycles Invocations, and with them the request envelopes
+	// they carry, so steady-state invocations allocate nothing; ctxPool
+	// does the same for method Ctxs. Both are stacks, so invocations
+	// that nest — a method calling another local proclet — each get
+	// their own.
+	invPool []*Invocation
 	ctxPool []*Ctx
 
 	// obs, when set, records invocation and migration spans. Nil (the
@@ -172,8 +172,10 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
 		mid := m.ID
 		n := c.Node(mid)
 		n.Handle("proclet.invoke", func(hp *sim.Proc, req simnet.Message) (simnet.Message, error) {
-			r := req.Payload.(*invokeReq)
-			return rt.execOn(hp, mid, r)
+			// The envelope belongs to the caller's Invocation, which a
+			// deadline can end and recycle while this handler waits out a
+			// migration: serve a copy.
+			return rt.execOn(hp, mid, *req.Payload.(*invokeReq))
 		})
 		// Fast methods are served inline at request delivery; anything
 		// that would need to block falls back to the handler above.
@@ -269,20 +271,12 @@ func (rt *Runtime) Proclets() []*Proclet {
 	return out
 }
 
-// locate returns the target's location as seen from machine m, charging
-// a directory lookup on cache miss.
-func (rt *Runtime) locate(p *sim.Proc, m cluster.MachineID, target ID) (cluster.MachineID, error) {
+// cached returns the target's location in machine m's cache.
+func (rt *Runtime) cached(m cluster.MachineID, target ID) (cluster.MachineID, bool) {
 	if c := rt.caches[m]; uint64(target) < uint64(len(c)) && c[target] != 0 {
-		return cluster.MachineID(c[target] - 1), nil
+		return cluster.MachineID(c[target] - 1), true
 	}
-	rt.DirectoryLookups.Inc()
-	p.Sleep(rt.cfg.DirectoryLookup)
-	pr := rt.listed(target)
-	if pr == nil {
-		return 0, fmt.Errorf("%w: id %d", ErrNotFound, target)
-	}
-	rt.cache(m, target, pr.machine)
-	return pr.machine, nil
+	return 0, false
 }
 
 // cache records on machine m that the proclet lives on loc. Only listed
@@ -306,22 +300,10 @@ func (rt *Runtime) uncache(m cluster.MachineID, id ID) {
 // Invoke calls a method on the target proclet from fromMachine. from is
 // the calling proclet (0 for external clients); it is used for affinity
 // accounting. The call blocks the calling process until the reply
-// arrives, chasing stale location caches as needed.
+// arrives, chasing stale location caches as needed: it is an Invocation
+// driven by one Await, with a local blocking method run on p.
 func (rt *Runtime) Invoke(p *sim.Proc, fromMachine cluster.MachineID, from ID, target ID, method string, arg Msg) (Msg, error) {
-	var sp obs.SpanID
-	if rt.obs != nil {
-		sp = rt.obs.Start(obs.KindInvoke, method, int(fromMachine), rt.obs.TakeNext())
-		rt.obs.SetBytes(sp, arg.Bytes)
-	}
-	req := rt.getReq()
-	req.From, req.Target, req.Method, req.Arg = from, target, method, arg
-	res, err := rt.invoke(p, fromMachine, req, rt.cfg.MaxInvokeRetries, sp)
-	rt.putReq(req)
-	if rt.obs != nil {
-		rt.obs.SetErr(sp, err)
-		rt.obs.End(sp)
-	}
-	return res, err
+	return rt.Begin(fromMachine, from, target, method, arg).await(p)
 }
 
 // InvokeLimited is Invoke with an explicit attempt bound overriding
@@ -329,42 +311,7 @@ func (rt *Runtime) Invoke(p *sim.Proc, fromMachine cluster.MachineID, from ID, t
 // is not stalled for the full retry budget by one dead backup: the
 // shipper drops the backup quickly and re-replication repairs the set.
 func (rt *Runtime) InvokeLimited(p *sim.Proc, fromMachine cluster.MachineID, from ID, target ID, method string, arg Msg, maxAttempts int) (Msg, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 1
-	}
-	var sp obs.SpanID
-	if rt.obs != nil {
-		sp = rt.obs.Start(obs.KindInvoke, method, int(fromMachine), rt.obs.TakeNext())
-		rt.obs.SetBytes(sp, arg.Bytes)
-	}
-	req := rt.getReq()
-	req.From, req.Target, req.Method, req.Arg = from, target, method, arg
-	res, err := rt.invoke(p, fromMachine, req, maxAttempts, sp)
-	rt.putReq(req)
-	if rt.obs != nil {
-		rt.obs.SetErr(sp, err)
-		rt.obs.End(sp)
-	}
-	return res, err
-}
-
-// getReq pops a pooled request envelope; putReq returns it. The
-// envelope is only referenced synchronously while the invocation is in
-// flight (the caller blocks for the round trip), so releasing it when
-// invoke returns is safe.
-func (rt *Runtime) getReq() *invokeReq {
-	if n := len(rt.reqPool); n > 0 {
-		r := rt.reqPool[n-1]
-		rt.reqPool[n-1] = nil
-		rt.reqPool = rt.reqPool[:n-1]
-		return r
-	}
-	return &invokeReq{}
-}
-
-func (rt *Runtime) putReq(r *invokeReq) {
-	*r = invokeReq{} // drop the payload reference
-	rt.reqPool = append(rt.reqPool, r)
+	return rt.begin(fromMachine, from, target, method, arg, max(maxAttempts, 1)).await(p)
 }
 
 func (rt *Runtime) getCtx() *Ctx {
@@ -410,82 +357,10 @@ func retryable(err error) bool {
 		errors.Is(err, ErrUnavailable)
 }
 
-func (rt *Runtime) invoke(p *sim.Proc, fromMachine cluster.MachineID, req *invokeReq, maxAttempts int, sp obs.SpanID) (Msg, error) {
-	var lastErr error
-	retries := 0
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		loc, err := rt.locate(p, fromMachine, req.Target)
-		if err != nil {
-			return Msg{}, err
-		}
-		if loc == fromMachine {
-			pr := rt.localOn(loc, req.Target)
-			if pr == nil {
-				rt.uncache(fromMachine, req.Target)
-				continue
-			}
-			if pr.state == StateMigrating {
-				pr.unblocked.Wait(p)
-				continue
-			}
-			p.Sleep(rt.cfg.LocalInvokeOverhead)
-			rt.LocalInvokes.Inc()
-			res, err := rt.exec(p, pr, req.From, req.Method, req.Arg)
-			if errors.Is(err, ErrUnavailable) {
-				// A lease-lapsed or deposed primary refused to serve;
-				// back off and re-route (the proclet may be promoted
-				// onto another machine meanwhile).
-				lastErr = err
-				rt.uncache(fromMachine, req.Target)
-				rt.InvokeRetries.Inc()
-				p.Sleep(rt.backoffDelay(retries))
-				retries++
-				continue
-			}
-			return res, err
-		}
-		if rt.obs != nil {
-			rt.obs.SetNext(sp) // consumed synchronously at CallWithTimeout entry
-		}
-		reply, err := rt.Cluster.Fabric.CallWithTimeout(p,
-			simnet.NodeID(fromMachine), simnet.NodeID(loc),
-			"proclet.invoke", simnet.Message{Payload: req, Bytes: req.Arg.Bytes},
-			rt.cfg.InvokeTimeout)
-		if errors.Is(err, ErrMoved) {
-			rt.uncache(fromMachine, req.Target)
-			continue
-		}
-		if err != nil {
-			if !retryable(err) {
-				return Msg{}, err
-			}
-			// The target's machine is down, or the message was lost: the
-			// cached location may be stale (recovery re-places orphans),
-			// so drop it and retry after a capped, jittered backoff.
-			if errors.Is(err, simnet.ErrTimeout) {
-				rt.InvokeTimeouts.Inc()
-			}
-			lastErr = err
-			rt.uncache(fromMachine, req.Target)
-			rt.InvokeRetries.Inc()
-			p.Sleep(rt.backoffDelay(retries))
-			retries++
-			continue
-		}
-		rt.RemoteInvokes.Inc()
-		return reply, nil
-	}
-	if lastErr != nil {
-		return Msg{}, fmt.Errorf("%w: target %d method %q (last: %w)",
-			ErrRetries, req.Target, req.Method, lastErr)
-	}
-	return Msg{}, fmt.Errorf("%w: target %d method %q", ErrRetries, req.Target, req.Method)
-}
-
 // execOn runs an invocation that arrived at machine m, waiting out any
 // in-progress migration and reporting ErrMoved when the proclet is no
 // longer (or never was) here.
-func (rt *Runtime) execOn(p *sim.Proc, m cluster.MachineID, r *invokeReq) (Msg, error) {
+func (rt *Runtime) execOn(p *sim.Proc, m cluster.MachineID, r invokeReq) (Msg, error) {
 	for {
 		pr := rt.localOn(m, r.Target)
 		if pr == nil {
@@ -513,45 +388,59 @@ func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
 	if pr.state == StateMigrating || (pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0) {
 		return Msg{}, simnet.ErrWouldBlock
 	}
-	e := pr.method(r.Method)
-	if e == nil {
-		return Msg{}, fmt.Errorf("%w: %q on %s", ErrNoMethod, r.Method, pr.name)
-	}
-	if e.fast == nil {
+	res, blocking, err := rt.serveInline(pr, r.From, r.Method, r.Arg)
+	if blocking != nil {
+		// No fast registration, or it declined this particular invocation
+		// (e.g. a write that must ship replication records): the blocking
+		// handler serves it.
 		return Msg{}, simnet.ErrWouldBlock
 	}
-	res, err := e.fast(r.Arg)
-	if errors.Is(err, simnet.ErrWouldBlock) {
-		// The fast registration declined this particular invocation
-		// (e.g. a write that must ship replication records); it will be
-		// re-dispatched to the blocking fallback, which does its own
-		// counting and accounting.
-		return Msg{}, simnet.ErrWouldBlock
-	}
-	rt.FastInvokes.Inc()
-	rt.account(pr, r.From, r.Arg, res)
 	return res, err
 }
 
-// exec dispatches the method on a proclet known to be local and
-// running, tracking the active-invocation count for migration drains
-// and affinity bytes for the scheduler. Fast methods skip the Ctx and
-// the active count: they execute atomically within the current event,
-// so a migration drain can never observe one in flight.
+// exec dispatches the method on a proclet known to be local and running,
+// on process p: the post-copy penalty, then both halves of local dispatch.
 func (rt *Runtime) exec(p *sim.Proc, pr *Proclet, from ID, method string, arg Msg) (Msg, error) {
-	rt.lazyPenalty(p, pr)
+	if d := rt.lazyPenalty(pr); d > 0 {
+		p.Sleep(d)
+	}
+	res, blocking, err := rt.serveInline(pr, from, method, arg)
+	if blocking == nil {
+		return res, err
+	}
+	return rt.serveBlocking(p, pr, blocking, from, arg)
+}
+
+// serveInline is local dispatch's inline half, shared by every way an
+// invocation reaches a proclet: it runs the method's fast registration and
+// counts and accounts it, or fails with ErrNoMethod. Fast methods skip the
+// Ctx and the active count: they execute atomically within the current
+// event, so a migration drain can never observe one in flight. When the
+// method has no fast registration, or it declined with
+// simnet.ErrWouldBlock, serveInline returns the method's entry instead,
+// for serveBlocking to run on a process.
+func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Msg, *methodEntry, error) {
 	e := pr.method(method)
-	if e != nil && e.fast != nil {
+	if e == nil {
+		return Msg{}, nil, fmt.Errorf("%w: %q on %s", ErrNoMethod, method, pr.name)
+	}
+	if e.fast != nil {
 		res, err := e.fast(arg)
 		if !errors.Is(err, simnet.ErrWouldBlock) {
 			rt.FastInvokes.Inc()
 			rt.account(pr, from, arg, res)
-			return res, err
+			return res, nil, err
 		}
-		// Declined: fall through to the blocking fallback registration.
 	}
-	if e == nil || e.blocking == nil {
-		return Msg{}, fmt.Errorf("%w: %q on %s", ErrNoMethod, method, pr.name)
+	return Msg{}, e, nil
+}
+
+// serveBlocking is local dispatch's process half: it runs e's blocking
+// registration on p, tracking the active-invocation count for migration
+// drains.
+func (rt *Runtime) serveBlocking(p *sim.Proc, pr *Proclet, e *methodEntry, from ID, arg Msg) (Msg, error) {
+	if e.blocking == nil {
+		return Msg{}, fmt.Errorf("%w: %q on %s", ErrNoMethod, e.name, pr.name)
 	}
 	pr.active++
 	ctx := rt.getCtx()

@@ -336,8 +336,8 @@ func TestAffinityTracking(t *testing.T) {
 		return Msg{Bytes: 200}, nil
 	})
 	k.Spawn("driver", func(p *sim.Proc) {
-		if _, err := a.Call(p, b.ID(), "recv", Msg{Bytes: 300}); err != nil {
-			t.Errorf("Call: %v", err)
+		if _, err := rt.Invoke(p, a.Location(), a.ID(), b.ID(), "recv", Msg{Bytes: 300}); err != nil {
+			t.Errorf("Invoke: %v", err)
 		}
 	})
 	k.Run()
@@ -358,7 +358,7 @@ func TestCtxNestedCall(t *testing.T) {
 		return Msg{Payload: arg.Payload.(int) + 1}, nil
 	})
 	front.Handle("relay", func(ctx *Ctx, arg Msg) (Msg, error) {
-		return ctx.Self.Call(ctx.Proc, back.ID(), "add", arg)
+		return rt.Invoke(ctx.Proc, ctx.Self.Location(), ctx.Self.ID(), back.ID(), "add", arg)
 	})
 	k.Spawn("client", func(p *sim.Proc) {
 		res, err := rt.Invoke(p, 0, 0, front.ID(), "relay", Msg{Payload: 41})

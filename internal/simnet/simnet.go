@@ -168,7 +168,7 @@ type Fabric struct {
 
 	// inflight tracks every outstanding Call so a node going down can
 	// complete them with ErrNodeDown instead of stranding the callers.
-	inflight []*callState
+	inflight []*Call
 
 	deadlines sim.Lane // queued call deadlines (see armDeadline)
 
@@ -184,11 +184,11 @@ type Fabric struct {
 	// Drops counts messages eaten by link faults.
 	Drops metrics.Counter
 
-	// callPool recycles per-Call state (see callState). The pool is a
-	// stack, so reuse order is deterministic.
-	callPool []*callState
+	// callPool recycles the state of finished calls (see Call). The pool
+	// is a stack, so reuse order is deterministic.
+	callPool []*Call
 
-	// obs, when set, records one causal span per Call. Nil (the
+	// obs, when set, records one causal span per call. Nil (the
 	// default) keeps the fast path allocation-free.
 	obs *obs.Tracer
 }
@@ -307,7 +307,7 @@ func (n *Node) SetDown(down bool) {
 // the given node. Collect first: finish() swap-removes entries from the
 // in-flight list.
 func (f *Fabric) failInflightOn(id NodeID) {
-	var hit []*callState
+	var hit []*Call
 	for _, cs := range f.inflight {
 		if cs.from == id || cs.to == id {
 			hit = append(hit, cs)
@@ -476,8 +476,13 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 	return at, nil
 }
 
-// callState is one in-flight Call's plumbing, pooled on the Fabric. It
-// carries pre-built closures for every stage of the round trip — send,
+// Call is one RPC in flight, pooled on the Fabric. StartCall begins it;
+// Stage is what its caller waits on, first the caller-side overhead and
+// then the round trip, and drives it as a sim.Proc.Await stage; End takes
+// the reply and retires it. CallWithTimeout is the three around one Await;
+// a caller that is itself an Await stage steps Stage from its own.
+//
+// It carries pre-built closures for every stage of the round trip — send,
 // request delivery, the (pooled) handler process, reply delivery,
 // completion — so a steady-state RPC allocates nothing: not for the
 // kernel events, not for the handler process (worker pool), not for its
@@ -486,10 +491,10 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 // Timeouts make recycling subtle: a timed-out call can leave its
 // delivery/reply/deadline events in the queue, and its blocking handler
 // mid-run. Every such event carries the generation it was armed for and
-// is discarded if the callState has since been recycled (gen bumped in
-// putCall); a still-running handler pins the callState out of the pool
+// is discarded if the Call has since been recycled (gen bumped in
+// putCall); a still-running handler pins the Call out of the pool
 // (handlerLive) until its sendReply, which reclaims it.
-type callState struct {
+type Call struct {
 	f       *Fabric
 	from    NodeID
 	to      NodeID
@@ -499,10 +504,13 @@ type callState struct {
 	fh      FastHandler // fast handler, or nil
 	timeout time.Duration
 
-	reply Message
-	err   error
-	done  bool
-	cv    sim.Cond
+	sp obs.SpanID // the call's span, 0 without a tracer
+
+	reply   Message
+	err     error
+	started bool // Stage has handed out the caller-side overhead
+	done    bool
+	cv      sim.Cond
 
 	gen         uint64 // bumped on recycle; stale tagged events no-op
 	ifIdx       int    // index in Fabric.inflight, -1 if not tracked
@@ -514,7 +522,7 @@ type callState struct {
 	deadlineAt  sim.Time
 	deadlineSeq uint64
 
-	sendF    func() sim.Wait // the caller's Await stage (see send)
+	stageF   func() sim.Wait // Stage, bound once
 	deliverT func(uint64)    // runs when the request lands on the destination
 	finishT  func(uint64)    // runs when the reply lands back on the caller
 	timeoutT func(uint64)    // runs when the call's deadline expires
@@ -522,20 +530,15 @@ type callState struct {
 	procF    func(p *sim.Proc)
 }
 
-func (f *Fabric) getCall() *callState {
+func (f *Fabric) getCall() *Call {
 	if n := len(f.callPool); n > 0 {
 		cs := f.callPool[n-1]
 		f.callPool[n-1] = nil
 		f.callPool = f.callPool[:n-1]
 		return cs
 	}
-	cs := &callState{f: f, ifIdx: -1}
-	cs.sendF = func() sim.Wait {
-		if cs.done { // finish signalled cv: the call is over
-			return sim.Resume
-		}
-		return cs.send()
-	}
+	cs := &Call{f: f, ifIdx: -1}
+	cs.stageF = cs.Stage
 	cs.deliverT = cs.onDelivered
 	cs.finishT = cs.onReplyDelivered
 	cs.timeoutT = cs.onDeadline
@@ -547,7 +550,7 @@ func (f *Fabric) getCall() *callState {
 // putCall retires cs after its owning Call completes. If the blocking
 // handler is still running it keeps a reference, so cs is marked
 // abandoned instead of pooled; sendReply reclaims it.
-func (f *Fabric) putCall(cs *callState) {
+func (f *Fabric) putCall(cs *Call) {
 	cs.gen++
 	if cs.handlerLive {
 		cs.abandoned = true
@@ -557,26 +560,27 @@ func (f *Fabric) putCall(cs *callState) {
 	f.callPool = append(f.callPool, cs)
 }
 
-// resetCall clears a callState for reuse.
-func (f *Fabric) resetCall(cs *callState) {
+// resetCall clears a Call for reuse.
+func (f *Fabric) resetCall(cs *Call) {
 	cs.req, cs.reply = Message{}, Message{}
 	cs.h, cs.fh, cs.err = nil, nil, nil
 	cs.method = ""
 	cs.timeout = 0
-	cs.done = false
+	cs.sp = 0
+	cs.started, cs.done = false, false
 	cs.ifIdx = -1
 	cs.deadlineSeq = 0
 	cs.abandoned = false
 }
 
 // addInflight registers cs for failure notification (see SetDown).
-func (f *Fabric) addInflight(cs *callState) {
+func (f *Fabric) addInflight(cs *Call) {
 	cs.ifIdx = len(f.inflight)
 	f.inflight = append(f.inflight, cs)
 }
 
 // removeInflight unregisters cs via swap-remove; order is deterministic.
-func (f *Fabric) removeInflight(cs *callState) {
+func (f *Fabric) removeInflight(cs *Call) {
 	i := cs.ifIdx
 	if i < 0 {
 		return
@@ -589,13 +593,30 @@ func (f *Fabric) removeInflight(cs *callState) {
 	cs.ifIdx = -1
 }
 
-// send is the caller's Await stage (sendF) at the instant the
-// caller-side overhead has elapsed. In kernel context it registers the
+// Stage advances the call as far as it goes without waiting and returns
+// what its caller waits on next: After the caller-side software overhead
+// the first time; then, the overhead over, whatever send returns; and
+// Resume once the call is over (only finish signals cv, so a stage run by
+// that wake finds the call done). End may be called once it has returned
+// Resume.
+func (cs *Call) Stage() sim.Wait {
+	switch {
+	case !cs.started:
+		cs.started = true
+		return sim.After(cs.f.cfg.RPCOverhead)
+	case cs.done:
+		return sim.Resume
+	}
+	return cs.send()
+}
+
+// send is Stage at the instant the caller-side overhead has elapsed. In
+// kernel context it registers the
 // call for failure notification, starts its deadline, puts the request on
 // the wire and parks the caller on cv — unless the call resolved right
 // here (the node went down during the overhead, or the request was lost
 // with no deadline to wait out).
-func (cs *callState) send() sim.Wait {
+func (cs *Call) send() sim.Wait {
 	f := cs.f
 	f.addInflight(cs)
 	if cs.timeout > 0 {
@@ -641,7 +662,7 @@ func (cs *callState) send() sim.Wait {
 // timeout deadlines come due in the order their calls were sent, so they
 // wait behind the lane's head, outside the heap. One that would come due
 // before the lane's last (another CallWithTimeout) goes through the heap.
-func (cs *callState) armDeadline() {
+func (cs *Call) armDeadline() {
 	if cs.deadlineSeq == 0 {
 		return // no deadline, or already queued
 	}
@@ -651,20 +672,20 @@ func (cs *callState) armDeadline() {
 
 // armDeadlineIfDue queues the deadline if a message landing at the given
 // instant would not beat it.
-func (cs *callState) armDeadlineIfDue(lands sim.Time) {
+func (cs *Call) armDeadlineIfDue(lands sim.Time) {
 	if lands >= cs.deadlineAt {
 		cs.armDeadline()
 	}
 }
 
-func (cs *callState) procName() string {
+func (cs *Call) procName() string {
 	return fmt.Sprintf("rpc:%s@%d", cs.method, cs.to)
 }
 
 // onDelivered runs in kernel context when the request reaches the
 // destination node. The fast path serves the RPC inline; everything
 // else spawns the blocking handler in a pooled process.
-func (cs *callState) onDelivered(gen uint64) {
+func (cs *Call) onDelivered(gen uint64) {
 	if gen != cs.gen || cs.done {
 		return // the call already resolved (timeout / node down) or recycled
 	}
@@ -689,13 +710,13 @@ func (cs *callState) onDelivered(gen uint64) {
 	cs.f.k.SpawnLazy(cs.nameF, cs.procF)
 }
 
-func (cs *callState) runProc(hp *sim.Proc) {
+func (cs *Call) runProc(hp *sim.Proc) {
 	reply, err := cs.h(hp, cs.req)
 	cs.sendReply(reply, err)
 }
 
 // onDeadline fires when a call's deadline expires before its reply.
-func (cs *callState) onDeadline(gen uint64) {
+func (cs *Call) onDeadline(gen uint64) {
 	if gen != cs.gen || cs.done {
 		return
 	}
@@ -706,8 +727,8 @@ func (cs *callState) onDeadline(gen uint64) {
 // sendReply routes the handler's result back to the caller, charging
 // the return wire time for cross-node success replies (errors complete
 // immediately, as before). It is also where a finished blocking handler
-// releases its pin on the callState.
-func (cs *callState) sendReply(reply Message, err error) {
+// releases its pin on the Call.
+func (cs *Call) sendReply(reply Message, err error) {
 	if cs.handlerLive {
 		cs.handlerLive = false
 		if cs.abandoned {
@@ -743,14 +764,14 @@ func (cs *callState) sendReply(reply Message, err error) {
 	}
 }
 
-func (cs *callState) onReplyDelivered(gen uint64) {
+func (cs *Call) onReplyDelivered(gen uint64) {
 	if gen != cs.gen {
 		return
 	}
 	cs.finish(cs.reply, nil)
 }
 
-func (cs *callState) finish(reply Message, err error) {
+func (cs *Call) finish(reply Message, err error) {
 	if cs.done {
 		return
 	}
@@ -774,47 +795,59 @@ func (f *Fabric) Call(p *sim.Proc, from, to NodeID, method string, req Message) 
 // deadline. A call whose deadline expires resolves with ErrTimeout; the
 // request may still execute on the destination (at-most-once).
 func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, req Message, d time.Duration) (Message, error) {
-	_, dst, err := f.checkPath(from, to)
+	cs, err := f.StartCall(from, to, method, req, d)
 	if err != nil {
 		return Message{}, err
 	}
+	// The one park of the call: the fixed caller-side software overhead,
+	// then the send stage in kernel context, then the round trip.
+	p.Await(cs.Stage(), cs.stageF)
+	return cs.End()
+}
+
+// StartCall begins the call CallWithTimeout makes, up to its one park: it
+// checks the path, finds the method's handlers and takes a pooled Call.
+// An error here is the call's whole outcome; it has waited for nothing.
+func (f *Fabric) StartCall(from, to NodeID, method string, req Message, d time.Duration) (*Call, error) {
+	_, dst, err := f.checkPath(from, to)
+	if err != nil {
+		return nil, err
+	}
 	e := dst.lookup(method)
 	if e == nil {
-		return Message{}, fmt.Errorf("%w: %q on node %d", ErrNoHandler, method, to)
+		return nil, fmt.Errorf("%w: %q on node %d", ErrNoHandler, method, to)
 	}
-	fh, h := e.fast, e.blocking
 	if d == 0 {
 		d = f.cfg.CallTimeout
 	}
-
-	// Span bookkeeping is synchronous host-side work: it must read the
-	// one-shot parent before the call's park (the overhead sleep below)
-	// or an unrelated caller could consume it.
-	var sp obs.SpanID
-	if f.obs != nil {
-		sp = f.obs.Start(obs.KindRPC, method, int(from), f.obs.TakeNext())
-		f.obs.SetRoute(sp, int(from), int(to))
-		f.obs.SetBytes(sp, int64(req.Bytes))
-	}
-
 	cs := f.getCall()
-	cs.from, cs.to, cs.method, cs.req, cs.h, cs.fh = from, to, method, req, h, fh
+	cs.from, cs.to, cs.method, cs.req, cs.h, cs.fh = from, to, method, req, e.blocking, e.fast
 	if d > 0 {
 		cs.timeout = d
 	}
+	// Span bookkeeping is synchronous host-side work: it must read the
+	// one-shot parent before the call's park or an unrelated caller could
+	// consume it.
+	if f.obs != nil {
+		cs.sp = f.obs.Start(obs.KindRPC, method, int(from), f.obs.TakeNext())
+		f.obs.SetRoute(cs.sp, int(from), int(to))
+		f.obs.SetBytes(cs.sp, int64(req.Bytes))
+	}
+	return cs, nil
+}
 
-	// The one park of the call: the fixed caller-side software overhead,
-	// then the send stage in kernel context, then the round trip.
-	p.Await(sim.After(f.cfg.RPCOverhead), cs.sendF)
-
-	reply, rerr := cs.reply, cs.err
+// End returns the call's reply, once Stage has returned Resume, and
+// retires the call: cs must not be used again.
+func (cs *Call) End() (Message, error) {
+	f := cs.f
+	reply, err, sp := cs.reply, cs.err, cs.sp
 	f.putCall(cs)
 	if f.obs != nil {
-		f.obs.SetErr(sp, rerr)
+		f.obs.SetErr(sp, err)
 		f.obs.End(sp)
 	}
-	if rerr != nil {
-		return Message{}, rerr
+	if err != nil {
+		return Message{}, err
 	}
 	f.Calls.Inc()
 	return reply, nil
