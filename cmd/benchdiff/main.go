@@ -89,7 +89,7 @@ func decodeStats(data []byte, id string) (benchStats, error) {
 		return st, fmt.Errorf("records experiment %q, not %q — stale or misnamed file", st.ID, id)
 	}
 	if st.Events == 0 {
-		return st, fmt.Errorf(
+		return st, errors.New(
 			"no events_processed — malformed or truncated record; regenerate it with `quicksand-bench -json`")
 	}
 	return st, nil

@@ -104,7 +104,7 @@ func spanEvents(path string) (map[uint64]string, error) {
 	}
 	var doc document
 	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("not valid JSON: %w", err)
+		return nil, fmt.Errorf("not valid JSON: %w", located(err))
 	}
 	out := make(map[uint64]string, len(doc.TraceEvents))
 	for i, ev := range doc.TraceEvents {

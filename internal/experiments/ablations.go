@@ -275,28 +275,23 @@ func runAblLocality(scale Scale) (*Result, error) {
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			var ptr core.Ptr[int]
 			mpLocal := mp
 			cpLocal := cp
 			sys.K.Spawn("setup", func(p *sim.Proc) {
-				ptr, err = core.NewPtr(p, 1, mpLocal, 7, 64<<10)
-				if err != nil {
+				if _, err := core.NewPtr(p, 1, mpLocal, 7, 64<<10); err != nil {
 					return
 				}
-				// One op: read the object, then compute on it. Neither
+				// One op reads the object, then computes on it. Neither
 				// half blocks, so the reader's worker never switches in.
 				var got core.CallFn
-				get := func(*core.TaskCtx) {
-					*ops++
-					cpLocal.RunCall(mpLocal.ID(), "mem.get", proclet.Msg{Word: 1, Bytes: 8}, got)
-				}
+				read := func() { cpLocal.RunCall(mpLocal.ID(), "mem.get", proclet.Msg{Word: 1, Bytes: 8}, got) }
+				computed := func(*core.TaskCtx) { *ops++; read() }
 				got = func(_ *core.TaskCtx, _ proclet.Msg, err error) {
 					if err == nil {
-						cpLocal.RunCompute(5*time.Microsecond, get)
+						cpLocal.RunCompute(5*time.Microsecond, computed)
 					}
 				}
-				_ = ptr
-				cpLocal.RunCall(mpLocal.ID(), "mem.get", proclet.Msg{Word: 1, Bytes: 8}, got)
+				read()
 			})
 		}
 		sys.K.RunUntil(horizon)

@@ -611,11 +611,10 @@ func (cs *Call) Stage() sim.Wait {
 }
 
 // send is Stage at the instant the caller-side overhead has elapsed. In
-// kernel context it registers the
-// call for failure notification, starts its deadline, puts the request on
-// the wire and parks the caller on cv — unless the call resolved right
-// here (the node went down during the overhead, or the request was lost
-// with no deadline to wait out).
+// kernel context it registers the call for failure notification, starts
+// its deadline, puts the request on the wire and parks the caller on cv —
+// unless the call resolved right here (the node went down during the
+// overhead, or the request was lost with no deadline to wait out).
 func (cs *Call) send() sim.Wait {
 	f := cs.f
 	f.addInflight(cs)
