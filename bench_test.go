@@ -534,6 +534,135 @@ func BenchmarkReplicatedPutBatch(b *testing.B) {
 	sys.K.Run()
 }
 
+// fanout is a load.Handler that reads a batch from its stores the way a
+// scenario server does: keys grouped by store, one GetBatch invocation
+// per store in turn, each stepped from the server's Await stage.
+type fanout struct {
+	stores  []*core.MemoryProclet
+	ids     [][]uint64
+	got     core.Batch
+	si      int
+	inv     *proclet.Invocation
+	batches int
+	err     error
+}
+
+func (f *fanout) Begin(batch []load.Request) sim.Wait {
+	for i := range f.ids {
+		f.ids[i] = f.ids[i][:0]
+	}
+	for _, r := range batch {
+		si := r.Key % uint64(len(f.stores))
+		f.ids[si] = append(f.ids[si], r.Key/uint64(len(f.stores)))
+	}
+	f.si = 0
+	return f.Step()
+}
+
+func (f *fanout) Step() sim.Wait {
+	for {
+		if inv := f.inv; inv != nil {
+			if w := inv.Step(); w != sim.Resume {
+				return w
+			}
+			f.inv = nil
+			if _, err := inv.End(); err != nil && f.err == nil {
+				f.err = err
+			}
+			f.si++
+		}
+		for f.si < len(f.ids) && len(f.ids[f.si]) == 0 {
+			f.si++
+		}
+		if f.si == len(f.ids) {
+			f.batches++
+			return sim.Resume
+		}
+		f.inv = f.stores[f.si].StartGetBatch(0, f.ids[f.si], &f.got)
+	}
+}
+
+func (f *fanout) NeedsProc() bool  { return false }
+func (f *fanout) Exec(p *sim.Proc) { panic("a remote read never needs the server's process") }
+
+// fanoutCycle builds a server on machine 0 over 16 stores of 64 objects on
+// machine 1 and returns one cycle: 64 arrivals, four keys a store, served
+// as one batch.
+func fanoutCycle(tb testing.TB) (cycle func(), f *fanout, done func()) {
+	sys := benchSystem()
+	f = &fanout{ids: make([][]uint64, 16)}
+	preload := &core.Batch{}
+	for i := 0; i < 64; i++ {
+		preload.IDs = append(preload.IDs, uint64(i))
+		preload.Vals = append(preload.Vals, core.Int(int64(i)))
+		preload.Sizes = append(preload.Sizes, 256)
+	}
+	for i := 0; i < 16; i++ {
+		mp, err := core.NewMemoryProcletOn(sys, "store", 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f.stores = append(f.stores, mp)
+	}
+	var q load.Queue
+	sys.K.Spawn("setup", func(p *sim.Proc) {
+		for _, mp := range f.stores {
+			if err := mp.PutBatch(p, 0, preload); err != nil {
+				tb.Error(err)
+			}
+		}
+		q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, f)
+	})
+	key := uint64(0)
+	cycle = func() {
+		for i := 0; i < 64; i++ {
+			q.Push(load.Request{At: sys.K.Now(), Key: key % (16 * 64)})
+			key++
+		}
+		for n := f.batches; f.batches == n; {
+			sys.K.Step()
+		}
+	}
+	return cycle, f, sys.Close
+}
+
+// BenchmarkServeFanout measures one serving batch end to end the way the
+// serving workloads run it: 64 arrivals taken off a load.Queue as one
+// batch and read from 16 remote stores, one GetBatch invocation after
+// another, every step of it an Await stage of the server's process. The
+// process is never switched in, and nothing is allocated.
+func BenchmarkServeFanout(b *testing.B) {
+	b.ReportAllocs()
+	cycle, f, done := fanoutCycle(b)
+	defer done()
+	for i := 0; i < 16; i++ {
+		cycle() // the pools and the buffers have grown
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+}
+
+// TestServeFanoutAllocatesNothing: BenchmarkServeFanout's batch allocates
+// nothing at steady state.
+func TestServeFanoutAllocatesNothing(t *testing.T) {
+	cycle, f, done := fanoutCycle(t)
+	defer done()
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Errorf("a 16-store fan-out batch allocates %v objects, want 0", a)
+	}
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+}
+
 // servingKeys draws 64k keys at a serving workload's skew: Zipf(0.99) over
 // 64k ranks, scrambled, so most of a run's keys repeat.
 func servingKeys() []uint64 {

@@ -103,7 +103,9 @@ type Batch struct {
 	Sizes []int64
 
 	// want is the request half of a GetBatch: the IDs asked for, which
-	// the handler answers into the exported slices.
+	// the handler answers into the exported slices. StartGetBatch sets it
+	// and nothing clears it: only the handler of a call in flight reads it,
+	// and a retried attempt must find it again.
 	want []uint64
 }
 
@@ -537,11 +539,17 @@ func (mp *MemoryProclet) GetInt(p *sim.Proc, from cluster.MachineID, id uint64) 
 // round instead of len(ids), which is the point — open-loop serving fans
 // many same-shard reads into a single RPC.
 func (mp *MemoryProclet) GetBatch(p *sim.Proc, from cluster.MachineID, ids []uint64, into *Batch) error {
-	into.want = ids
-	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemGetBatch,
-		proclet.Msg{Payload: into, Bytes: int64(8 * len(ids))})
-	into.want = nil
+	_, err := mp.StartGetBatch(from, ids, into).Await(p)
 	return err
+}
+
+// StartGetBatch is GetBatch as an invocation for its caller to step —
+// from an Await stage, say — and end: into is filled once the invocation
+// is over. GetBatch is StartGetBatch run on a process.
+func (mp *MemoryProclet) StartGetBatch(from cluster.MachineID, ids []uint64, into *Batch) *proclet.Invocation {
+	into.want = ids
+	return mp.sys.Runtime.Begin(from, 0, mp.ID(), methodMemGetBatch,
+		proclet.Msg{Payload: into, Bytes: int64(8 * len(ids))})
 }
 
 // Take atomically fetches and removes the object (queue pops).
@@ -585,9 +593,17 @@ func (mp *MemoryProclet) Scan(p *sim.Proc, from cluster.MachineID, lo, hi uint64
 // PutBatch bulk-stores the batch's objects (loaders, shard splits, write
 // fan-in). The proclet keeps the values, not the slices.
 func (mp *MemoryProclet) PutBatch(p *sim.Proc, from cluster.MachineID, b *Batch) error {
-	_, err := mp.sys.Runtime.Invoke(p, from, 0, mp.ID(), methodMemPutBatch,
-		proclet.Msg{Payload: b, Bytes: b.totalBytes()})
+	_, err := mp.StartPutBatch(from, b).Await(p)
 	return err
+}
+
+// StartPutBatch is PutBatch as an invocation for its caller to step and
+// end, as StartGetBatch is GetBatch. A replicated primary's write is a
+// blocking method: on the caller's own machine the invocation stops at
+// NeedsProc for Exec.
+func (mp *MemoryProclet) StartPutBatch(from cluster.MachineID, b *Batch) *proclet.Invocation {
+	return mp.sys.Runtime.Begin(from, 0, mp.ID(), methodMemPutBatch,
+		proclet.Msg{Payload: b, Bytes: b.totalBytes()})
 }
 
 // DelRange bulk-deletes objects with IDs in [lo, hi).

@@ -44,6 +44,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
+	"repro/internal/proclet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/workload"
@@ -230,6 +231,155 @@ type serveOutcome struct {
 	incidents    []slo.Incident
 }
 
+// serveShard is one shard's serving state, written only in its shard's
+// context.
+type serveShard struct {
+	sys     *core.System
+	stores  []*core.MemoryProclet
+	inj     *load.Injector
+	mon     *slo.Monitor
+	queue   load.Queue
+	served  uint64
+	timeout uint64
+	errs    uint64
+	migOK   int64
+	startNS int64
+	done    bool
+}
+
+// serveServer is one server's load.Handler: batched fan-in. It groups a
+// batch by store and issues one mem.getbatch per touched store, ascending
+// and one at a time, instead of one RPC per request; every crossEvery-th
+// batch ends with a cross-shard gateway read. Each call is stepped from
+// the Serve loop's stage, so the server's process is never switched in to
+// make one.
+type serveServer struct {
+	cfg     *serveCfg
+	shard   int
+	st      *serveShard
+	net     *simnet.Partition
+	tr      *obs.Tracer // nil when untraced; every Tracer method is nil-safe
+	overall *metrics.LogHistogram
+	phases  [][]*metrics.LogHistogram // [phase][shard]
+
+	byStore [][]uint64
+	got     core.Batch // one read buffer per server, refilled by every call
+	batches int
+
+	batch []load.Request
+	root  obs.SpanID
+	si    int                 // the store being read
+	inv   *proclet.Invocation // that read, in flight
+	xc    simnet.PartitionCall
+	xget  bool // xc is in flight
+}
+
+// Begin opens the batch's causal tree, groups it by store and starts its
+// first read. One tree per fan-in batch: the root opens at pickup, store
+// fan-in RPCs hang off it via SetNext, and each request lands as a
+// retroactive child spanning arrival -> completion, so queue wait is
+// visible in the tree extent the tail sampler keys on.
+func (sv *serveServer) Begin(batch []load.Request) sim.Wait {
+	sv.batch = batch
+	sv.root = sv.tr.Start(obs.KindReq, "batch", 0, 0)
+	for i := range sv.byStore {
+		sv.byStore[i] = sv.byStore[i][:0]
+	}
+	for _, r := range batch {
+		si := int(r.Key % uint64(sv.cfg.stores))
+		sv.byStore[si] = append(sv.byStore[si], r.Key%uint64(sv.cfg.objsPer))
+	}
+	sv.si = 0
+	return sv.Step()
+}
+
+// Step steps the read or the gateway read in flight; once a read ends it
+// starts the next, and once none is left it completes the batch.
+func (sv *serveServer) Step() sim.Wait {
+	st := sv.st
+	for {
+		if inv := sv.inv; inv != nil {
+			if w := inv.Step(); w != sim.Resume || inv.NeedsProc() {
+				return w
+			}
+			sv.inv = nil
+			if _, err := inv.End(); err != nil {
+				st.errs += uint64(len(sv.byStore[sv.si]))
+			} else if len(sv.got.IDs) == 0 {
+				st.errs++
+			}
+			sv.si++
+		}
+		if sv.xget {
+			if w := sv.xc.Stage(); w != sim.Resume {
+				return w
+			}
+			sv.xget = false
+			if _, err := sv.xc.End(); err != nil {
+				st.errs++
+			}
+			return sim.Resume
+		}
+		for sv.si < len(sv.byStore) && len(sv.byStore[sv.si]) == 0 {
+			sv.si++
+		}
+		if sv.si < len(sv.byStore) {
+			sv.tr.SetNext(sv.root)
+			sv.inv = st.stores[sv.si].StartGetBatch(0, sv.byStore[sv.si], &sv.got)
+			continue
+		}
+		sv.complete()
+		sv.batches++
+		if sv.batches%sv.cfg.crossEvery != 0 {
+			return sim.Resume
+		}
+		// Keep the fleet coupled: a cross-shard gateway read rides the
+		// partition mailboxes.
+		sv.tr.SetNext(sv.root)
+		xc, err := sv.net.StartCall(simnet.ShardNode{Shard: sv.shard, Node: 0},
+			simnet.ShardNode{Shard: (sv.shard + 1) % sv.cfg.shards, Node: 0},
+			"xget", simnet.Message{Bytes: 64})
+		if err != nil {
+			st.errs++
+			return sim.Resume
+		}
+		sv.xc, sv.xget = xc, true
+	}
+}
+
+func (sv *serveServer) NeedsProc() bool  { return sv.inv != nil && sv.inv.NeedsProc() }
+func (sv *serveServer) Exec(p *sim.Proc) { sv.inv.Exec(p) }
+
+// complete records every request of the batch as served now and closes
+// the batch's tree.
+func (sv *serveServer) complete() {
+	st, cfg, tr := sv.st, sv.cfg, sv.tr
+	now := st.sys.K.Now()
+	for _, r := range sv.batch {
+		lat := int64(now - r.At)
+		sv.overall.Record(lat)
+		sv.phases[cfg.phaseOf(r.At)][sv.shard].Record(lat)
+		st.served++
+		missed := lat > int64(cfg.deadline)
+		if missed {
+			st.timeout++
+		}
+		// The SLO plane covers the horizon; drain-time completions of late
+		// arrivals are excluded so a trailing partial window never
+		// masquerades as an outage.
+		if now < cfg.horizon {
+			st.mon.Observe(now, lat, missed)
+		}
+		if tr != nil {
+			sp := tr.RecordAt(obs.KindReq, "req", 0, sv.root, r.At, now)
+			if missed {
+				tr.SetErr(sp, errServeDeadline)
+			}
+		}
+	}
+	tr.End(sv.root)
+}
+
 // runServeOnce builds the partitioned serving fleet and drives it with
 // the given number of host workers.
 func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
@@ -247,20 +397,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		zipfs[i] = load.NewZipf(t.keys, t.theta)
 	}
 
-	type shardState struct {
-		sys     *core.System
-		stores  []*core.MemoryProclet
-		inj     *load.Injector
-		mon     *slo.Monitor
-		queue   load.Queue
-		served  uint64
-		timeout uint64
-		errs    uint64
-		migOK   int64
-		startNS int64
-		done    bool
-	}
-	shards := make([]*shardState, cfg.shards)
+	shards := make([]*serveShard, cfg.shards)
 	// Shard-local latency histograms, [shard] and [phase][shard].
 	overall := make([]*metrics.LogHistogram, cfg.shards)
 	phases := make([][]*metrics.LogHistogram, len(servePhases))
@@ -275,7 +412,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			// into one globally ordered export.
 			sys.EnableTracingAt(obs.SpanID(s) << 32)
 		}
-		st := &shardState{sys: sys}
+		st := &serveShard{sys: sys}
 		shards[s] = st
 		st.mon = serveSLO(cfg, s)
 		st.mon.Log = sys.Trace
@@ -345,81 +482,15 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			st.inj.Start(p.Now(), cfg.horizon)
 		})
 
-		// Server pool: batched fan-in. Each server takes a run of queued
-		// requests, groups them by store, and issues one mem.getbatch per
-		// touched store instead of one RPC per request.
+		// Server pool: batched fan-in (serveServer).
 		var wg sim.WaitGroup
-		tr := st.sys.Obs // nil when untraced; every Tracer method is nil-safe
 		for srv := 0; srv < cfg.servers; srv++ {
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
-				byStore := make([][]uint64, cfg.stores)
-				var got core.Batch // one read buffer per server, refilled by every call
-				batches := 0
-				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, func(batch []load.Request) {
-					// One causal tree per fan-in batch: the root opens at
-					// pickup, store fan-in RPCs hang off it via SetNext, and
-					// each request lands as a retroactive child spanning
-					// arrival -> completion, so queue wait is visible in the
-					// tree extent the tail sampler keys on.
-					root := tr.Start(obs.KindReq, "batch", 0, 0)
-					for i := range byStore {
-						byStore[i] = byStore[i][:0]
-					}
-					for _, r := range batch {
-						si := int(r.Key % uint64(cfg.stores))
-						byStore[si] = append(byStore[si], r.Key%uint64(cfg.objsPer))
-					}
-					for si, ids := range byStore {
-						if len(ids) == 0 {
-							continue
-						}
-						tr.SetNext(root)
-						if err := st.stores[si].GetBatch(p, 0, ids, &got); err != nil {
-							st.errs += uint64(len(ids))
-						} else if len(got.IDs) == 0 {
-							st.errs++
-						}
-					}
-					now := p.Now()
-					for _, r := range batch {
-						lat := int64(now - r.At)
-						overall[s].Record(lat)
-						phases[cfg.phaseOf(r.At)][s].Record(lat)
-						st.served++
-						missed := lat > int64(cfg.deadline)
-						if missed {
-							st.timeout++
-						}
-						// The SLO plane covers the horizon; drain-time
-						// completions of late arrivals are excluded so a
-						// trailing partial window never masquerades as an
-						// outage.
-						if now < cfg.horizon {
-							st.mon.Observe(now, lat, missed)
-						}
-						if tr != nil {
-							sp := tr.RecordAt(obs.KindReq, "req", 0, root, r.At, now)
-							if missed {
-								tr.SetErr(sp, errServeDeadline)
-							}
-						}
-					}
-					tr.End(root)
-					batches++
-					if batches%cfg.crossEvery == 0 {
-						// Keep the fleet coupled: a cross-shard gateway read
-						// rides the partition mailboxes.
-						tr.SetNext(root)
-						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
-							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
-							"xget", simnet.Message{Bytes: 64})
-						if err != nil {
-							st.errs++
-						}
-					}
-				})
+				sv := &serveServer{cfg: &cfg, shard: s, st: st, net: fl.Net, tr: st.sys.Obs,
+					overall: overall[s], phases: phases, byStore: make([][]uint64, cfg.stores)}
+				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, sv)
 			})
 		}
 

@@ -1,6 +1,8 @@
 package load
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,6 +10,21 @@ import (
 )
 
 const us = sim.Time(time.Microsecond)
+
+// serveFunc is a Handler that serves a batch with serve, in kernel context,
+// and then waits out the service time serve returns, if any.
+type serveFunc func(batch []Request) time.Duration
+
+func (f serveFunc) Begin(batch []Request) sim.Wait {
+	if d := f(batch); d > 0 {
+		return sim.After(d)
+	}
+	return sim.Resume
+}
+
+func (serveFunc) Step() sim.Wait   { return sim.Resume }
+func (serveFunc) NeedsProc() bool  { return false }
+func (serveFunc) Exec(p *sim.Proc) { panic("serveFunc never needs a process") }
 
 // TestQueueServeDrainsPastTheHorizon: a server leaves only when the
 // queue is empty and the horizon has passed — not at the horizon with
@@ -20,12 +37,12 @@ func TestQueueServeDrainsPastTheHorizon(t *testing.T) {
 	var served []uint64
 	var exited sim.Time
 	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, horizon, 10*time.Microsecond, 2, func(batch []Request) {
+		q.Serve(p, horizon, 10*time.Microsecond, 2, serveFunc(func(batch []Request) time.Duration {
 			for _, r := range batch {
 				served = append(served, r.Key)
 			}
-			p.Sleep(30 * time.Microsecond) // service time: the backlog outlives the horizon
-		})
+			return 30 * time.Microsecond // service time: the backlog outlives the horizon
+		}))
 		exited = p.Now()
 	})
 	// Nothing queued for the first 80 µs, then a burst of seven.
@@ -62,7 +79,10 @@ func TestQueueServeExitsAtTheHorizonWhenIdle(t *testing.T) {
 	var q Queue
 	exited := sim.Time(-1)
 	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, 95*us, 10*time.Microsecond, 4, func([]Request) { t.Error("handle called with nothing queued") })
+		q.Serve(p, 95*us, 10*time.Microsecond, 4, serveFunc(func([]Request) time.Duration {
+			t.Error("handle called with nothing queued")
+			return 0
+		}))
 		exited = p.Now()
 	})
 	k.Run()
@@ -82,15 +102,15 @@ func TestQueueServeBatchBound(t *testing.T) {
 	seen := make(map[uint64]int)
 	for s := 0; s < 2; s++ {
 		k.Spawn("server", func(p *sim.Proc) {
-			q.Serve(p, 50*us, time.Microsecond, max, func(batch []Request) {
+			q.Serve(p, 50*us, time.Microsecond, max, serveFunc(func(batch []Request) time.Duration {
 				if len(batch) == 0 || len(batch) > max {
 					t.Errorf("batch of %d, want 1..%d", len(batch), max)
 				}
 				for _, r := range batch {
 					seen[r.Key]++
 				}
-				p.Sleep(2 * time.Microsecond)
-			})
+				return 2 * time.Microsecond
+			}))
 		})
 	}
 	next := uint64(0)
@@ -128,7 +148,10 @@ func TestQueueCycleAllocatesNothing(t *testing.T) {
 	var q Queue
 	served := 0
 	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, sim.Time(time.Hour), time.Microsecond, 8, func(batch []Request) { served += len(batch) })
+		q.Serve(p, sim.Time(time.Hour), time.Microsecond, 8, serveFunc(func(batch []Request) time.Duration {
+			served += len(batch)
+			return 0
+		}))
 	})
 	cycle := func() {
 		for i := 0; i < 20; i++ {
@@ -145,5 +168,82 @@ func TestQueueCycleAllocatesNothing(t *testing.T) {
 	}
 	if served-before != 201*20 {
 		t.Errorf("served %d requests over 201 cycles of 20", served-before)
+	}
+}
+
+// execHandler needs the server's process once per batch: Begin asks for
+// it, Exec sleeps on it for sleep, and Step then waits out wait in kernel
+// context before the batch is done.
+type execHandler struct {
+	sleep, wait time.Duration
+	phase       int // 1: waiting for Exec; 2: Exec ran; 3: waiting out wait
+	execs       int
+	done        []sim.Time
+	k           *sim.Kernel
+}
+
+func (h *execHandler) Begin([]Request) sim.Wait { h.phase = 1; return sim.Resume }
+func (h *execHandler) NeedsProc() bool          { return h.phase == 1 }
+func (h *execHandler) Exec(p *sim.Proc)         { h.execs++; p.Sleep(h.sleep); h.phase = 2 }
+
+func (h *execHandler) Step() sim.Wait {
+	if h.phase == 2 {
+		h.phase = 3
+		return sim.After(h.wait)
+	}
+	h.done = append(h.done, h.k.Now())
+	return sim.Resume
+}
+
+// TestQueueServeExecRunsOnTheServersProcess: a handler that reaches
+// something only a process can do gets the server's process for Exec,
+// and Step then carries the batch on; the process is switched in for
+// that, and otherwise only at its start and its exit.
+func TestQueueServeExecRunsOnTheServersProcess(t *testing.T) {
+	k := sim.NewKernel(1)
+	defer k.Close()
+	var q Queue
+	h := &execHandler{sleep: 3 * time.Microsecond, wait: 4 * time.Microsecond, k: k}
+	k.Spawn("server", func(p *sim.Proc) {
+		q.Serve(p, 20*us, 10*time.Microsecond, 2, h)
+	})
+	k.Schedule(5*us, func() {
+		for i := uint64(0); i < 3; i++ {
+			q.Push(Request{Key: i})
+		}
+	})
+	k.Run()
+	// The poll at 10 µs takes two; Exec sleeps 3 µs and Step waits 4: done
+	// at 17 µs and the last one taken then, done at 24 µs.
+	if fmt.Sprint(h.done) != "[17µs 24µs]" || h.execs != 2 {
+		t.Errorf("batches done at %v after %d Execs, want [17µs 24µs] after 2", h.done, h.execs)
+	}
+	// Start, the two Execs, the two resumes after their sleeps, exit.
+	if got := k.Switches(); got != 6 {
+		t.Errorf("the server was switched in %d times, want 6", got)
+	}
+}
+
+// TestQueueServeRejectsMaxBelowOne: a server that may take no request
+// would spin at one instant forever (max 0) or fail to size its batch
+// (max < 0); Serve refuses both up front, naming the value.
+func TestQueueServeRejectsMaxBelowOne(t *testing.T) {
+	for _, max := range []int{0, -3} {
+		k := sim.NewKernel(1)
+		var q Queue
+		q.Push(Request{Key: 1})
+		k.Spawn("server", func(p *sim.Proc) {
+			q.Serve(p, 10*us, time.Microsecond, max, serveFunc(func([]Request) time.Duration { return 0 }))
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			k.Run()
+			return nil
+		}()
+		want := fmt.Sprintf("Queue.Serve with max %d", max)
+		if s, _ := got.(string); !strings.Contains(s, want) {
+			t.Errorf("max %d: Run panicked with %v, want a panic naming %q", max, got, want)
+		}
+		k.Close()
 	}
 }

@@ -20,8 +20,8 @@ import (
 // event, and under the sequence number, that would have resumed a process
 // sleeping through the wait. Step returns Resume when the invocation is
 // over, or when it has reached a local blocking method, which needs a
-// process (NeedsProc): Exec runs it on one, and Step carries on. Invoke is
-// the blocking wrapper.
+// process (NeedsProc): Exec runs it on one, and Step carries on. Await is
+// the blocking wrapper, and Invoke is Begin and Await.
 type Invocation struct {
 	rt    *Runtime
 	stepF func() sim.Wait // Step, bound once
@@ -239,8 +239,10 @@ func (inv *Invocation) finish(res Msg, err error) sim.Wait {
 	return sim.Resume
 }
 
-// await runs inv on p to its end.
-func (inv *Invocation) await(p *sim.Proc) (Msg, error) {
+// Await runs inv to its end with p standing for the caller: one Await of
+// p's through the steps, and Exec on p for a local blocking method. It
+// ends inv and returns its result.
+func (inv *Invocation) Await(p *sim.Proc) (Msg, error) {
 	w := inv.Step()
 	for {
 		p.Await(w, inv.stepF)

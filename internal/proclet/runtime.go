@@ -303,7 +303,7 @@ func (rt *Runtime) uncache(m cluster.MachineID, id ID) {
 // arrives, chasing stale location caches as needed: it is an Invocation
 // driven by one Await, with a local blocking method run on p.
 func (rt *Runtime) Invoke(p *sim.Proc, fromMachine cluster.MachineID, from ID, target ID, method string, arg Msg) (Msg, error) {
-	return rt.Begin(fromMachine, from, target, method, arg).await(p)
+	return rt.Begin(fromMachine, from, target, method, arg).Await(p)
 }
 
 // InvokeLimited is Invoke with an explicit attempt bound overriding
@@ -311,7 +311,7 @@ func (rt *Runtime) Invoke(p *sim.Proc, fromMachine cluster.MachineID, from ID, t
 // is not stalled for the full retry budget by one dead backup: the
 // shipper drops the backup quickly and re-replication repairs the set.
 func (rt *Runtime) InvokeLimited(p *sim.Proc, fromMachine cluster.MachineID, from ID, target ID, method string, arg Msg, maxAttempts int) (Msg, error) {
-	return rt.begin(fromMachine, from, target, method, arg, max(maxAttempts, 1)).await(p)
+	return rt.begin(fromMachine, from, target, method, arg, max(maxAttempts, 1)).Await(p)
 }
 
 func (rt *Runtime) getCtx() *Ctx {

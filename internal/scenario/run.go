@@ -376,77 +376,14 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			st.inj.Start(p.Now(), horizon)
 		})
 
-		// Server pool: batched fan-in per store, reads via GetBatch and
-		// writes via PutBatch. A request is a write iff its key falls in
-		// the write fraction; writes land under scrambled keys and join the
-		// golden record on ack.
+		// Server pool on machine 0, each server a Queue.Serve over a server
+		// handler.
 		var wg sim.WaitGroup
-		writeCut := uint64(w.WriteFrac * 1000)
 		for srv := 0; srv < w.Servers; srv++ {
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
-				readIDs := make([][]uint64, w.Stores)
-				writeIDs := make([][]uint64, w.Stores)
-				// One read buffer and one write buffer per server: nothing
-				// read is kept past the call, and the store copies writes
-				// out before PutBatch returns.
-				var rbuf, wbuf core.Batch
-				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, func(batch []load.Request) {
-					for i := range readIDs {
-						readIDs[i] = readIDs[i][:0]
-						writeIDs[i] = writeIDs[i][:0]
-					}
-					for _, r := range batch {
-						si := int(r.Key % uint64(w.Stores))
-						if r.Key%1000 < writeCut {
-							writeIDs[si] = append(writeIDs[si], load.ScrambleKey(r.Key))
-						} else {
-							readIDs[si] = append(readIDs[si], r.Key%uint64(w.Objects))
-						}
-					}
-					for si := range st.stores {
-						if ids := readIDs[si]; len(ids) > 0 {
-							if err := st.stores[si].GetBatch(p, 0, ids, &rbuf); err != nil {
-								st.errs += uint64(len(ids))
-							}
-						}
-						if ids := writeIDs[si]; len(ids) > 0 {
-							wbuf.IDs, wbuf.Vals, wbuf.Sizes = ids, wbuf.Vals[:0], wbuf.Sizes[:0]
-							for _, id := range ids {
-								wbuf.Vals = append(wbuf.Vals, core.Int(writeVal(id)))
-								wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
-							}
-							if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
-								st.errs += uint64(len(ids))
-							} else {
-								st.ledger.Ack(si, ids...)
-								st.acked += uint64(len(ids))
-							}
-						}
-					}
-					now := p.Now()
-					for _, r := range batch {
-						lat := int64(now - r.At)
-						st.hist.Record(lat)
-						// The SLO plane covers the scenario horizon:
-						// completions during the drain are backlog
-						// clearing, not steady-state service.
-						if now < horizon {
-							st.mon.Observe(now, lat, lat > deadline)
-						}
-						st.served++
-						if lat > deadline {
-							st.timeouts++
-						} else {
-							bi := int(int64(now) / bucketNS)
-							if bi >= len(st.good) {
-								bi = len(st.good) - 1
-							}
-							st.good[bi]++
-						}
-					}
-				})
+				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, newServer(st, &w, horizon, deadline, bucketNS))
 			})
 		}
 

@@ -179,6 +179,7 @@ type Kernel struct {
 	unbound   int // SpawnAwait processes still waiting, without a worker
 	curr      *Proc
 	processed uint64
+	switches  uint64 // coroutine resumes (see Switches)
 	stopFlag  bool
 
 	// Worker pool for the spawn-run-die process pattern (RPC handlers,
@@ -836,6 +837,12 @@ func (k *Kernel) Close() {
 // is the pool's hit count plus the SpawnAwait processes still waiting.
 func (k *Kernel) WorkersCreated() uint64 { return k.created }
 
+// Switches reports how many times the kernel has handed the host thread
+// to a process: its start, and every resume after a park. An Await stage
+// that does not return Resume is not one. Like QueueStats it describes the
+// simulator, not the simulation, and belongs in no report.
+func (k *Kernel) Switches() uint64 { return k.switches }
+
 // resumeAndWait transfers control to p and returns when p parks or
 // finishes. It must only be called from kernel context.
 func (k *Kernel) resumeAndWait(p *Proc) {
@@ -844,6 +851,7 @@ func (k *Kernel) resumeAndWait(p *Proc) {
 	}
 	w := p.w
 	k.curr = p
+	k.switches++
 	done, ok := w.next()
 	k.curr = nil
 	switch {

@@ -42,6 +42,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -58,15 +59,36 @@ type ShardNode struct {
 
 func (sn ShardNode) String() string { return fmt.Sprintf("%d.%d", sn.Shard, sn.Node) }
 
-// crossCall is the caller-side state of one cross-shard RPC. It is
-// created, waited on, and completed exclusively in the source shard's
-// context; the destination shard only ever carries the pointer inside
-// reply closures, never dereferences it.
+// crossCall is the caller-side state of one cross-shard RPC: its
+// arguments, and its outcome. It is created, waited on, and completed
+// exclusively in the source shard's context; the destination shard only
+// ever carries the pointer inside reply closures, never dereferences it.
 type crossCall struct {
-	reply Message
-	err   error
-	done  bool
-	cv    sim.Cond
+	pt       *Partition
+	src      *Node
+	from, to ShardNode
+	method   string
+	req      Message
+	timeout  time.Duration // the source fabric's deadline when the call started
+
+	reply   Message
+	err     error
+	started bool // stage has handed out the caller-side overhead
+	done    bool
+	cv      sim.Cond
+	stageF  func() sim.Wait // stage, bound once
+}
+
+// PartitionCall is one call through a Partition, in the shape of the
+// fabric's Call: StartCall begins it, Stage is what its caller waits on —
+// the caller-side overhead, then the round trip — and End takes the reply.
+// Partition.Call is the three around one Await; a caller that is itself
+// an Await stage steps Stage from its own. A same-shard call is the shard
+// fabric's Call and allocates nothing; a cross-shard call allocates its
+// state.
+type PartitionCall struct {
+	local *Call
+	cross *crossCall
 }
 
 // Partition connects per-shard Fabrics across a ParKernel.
@@ -103,60 +125,112 @@ func NewPartition(pk *sim.ParKernel, fabrics []*Fabric) *Partition {
 // package comment. A cross-shard call is bounded by the source fabric's
 // default deadline (Config.CallTimeout).
 func (pt *Partition) Call(p *sim.Proc, from, to ShardNode, method string, req Message) (Message, error) {
-	if from.Shard < 0 || from.Shard >= len(pt.fabrics) || to.Shard < 0 || to.Shard >= len(pt.fabrics) {
-		return Message{}, fmt.Errorf("%w: shard out of range in %v -> %v", ErrNoSuchNode, from, to)
+	pc, err := pt.StartCall(from, to, method, req)
+	if err != nil {
+		return Message{}, err
 	}
-	if from.Shard == to.Shard {
-		return pt.fabrics[from.Shard].Call(p, from.Node, to.Node, method, req)
+	// One park, as on the fabric path: the fixed caller-side software
+	// overhead, then the send stage in kernel context, then the round trip.
+	if pc.local != nil {
+		p.Await(pc.local.Stage(), pc.local.stageF)
+	} else {
+		p.Await(pc.cross.stage(), pc.cross.stageF)
+	}
+	return pc.End()
+}
+
+// StartCall begins the call Call makes, up to its one park: it checks the
+// shards and, on a same-shard call, starts the shard fabric's Call; on a
+// cross-shard one, it checks the source node and reads the source
+// fabric's deadline. An error here is the call's whole outcome.
+func (pt *Partition) StartCall(from, to ShardNode, method string, req Message) (PartitionCall, error) {
+	if from.Shard < 0 || from.Shard >= len(pt.fabrics) || to.Shard < 0 || to.Shard >= len(pt.fabrics) {
+		return PartitionCall{}, fmt.Errorf("%w: shard out of range in %v -> %v", ErrNoSuchNode, from, to)
 	}
 	srcFab := pt.fabrics[from.Shard]
+	if from.Shard == to.Shard {
+		cs, err := srcFab.StartCall(from.Node, to.Node, method, req, 0)
+		return PartitionCall{local: cs}, err
+	}
 	src := srcFab.Node(from.Node)
 	if src == nil {
-		return Message{}, fmt.Errorf("%w: %v", ErrNoSuchNode, from)
+		return PartitionCall{}, fmt.Errorf("%w: %v", ErrNoSuchNode, from)
 	}
 	if src.down {
-		return Message{}, fmt.Errorf("%w: source %v", ErrNodeDown, from)
+		return PartitionCall{}, fmt.Errorf("%w: source %v", ErrNodeDown, from)
 	}
-	d := srcFab.cfg.CallTimeout
+	cc := &crossCall{pt: pt, src: src, from: from, to: to, method: method, req: req, timeout: srcFab.cfg.CallTimeout}
+	cc.stageF = cc.stage
+	return PartitionCall{cross: cc}, nil
+}
 
-	// One park, as on the fabric path: the fixed caller-side software
-	// overhead, then this send stage in kernel context, then the round
-	// trip.
-	k := srcFab.k
-	cc := &crossCall{}
-	p.Await(sim.After(srcFab.cfg.RPCOverhead), func() sim.Wait {
-		if cc.done { // woken by complete
-			return sim.Resume
-		}
-		if d > 0 {
-			k.Schedule(k.Now().Add(d), func() {
-				if cc.done {
-					return
-				}
-				pt.CrossTimeouts.Inc()
-				pt.complete(cc, Message{}, fmt.Errorf("%w: cross-shard %q to %v after %v", ErrTimeout, method, to, d))
-			})
-		}
+// Stage advances the call as far as it goes without waiting and returns
+// what its caller waits on next, or Resume once it is over; End may be
+// called then.
+func (pc PartitionCall) Stage() sim.Wait {
+	if pc.local != nil {
+		return pc.local.Stage()
+	}
+	return pc.cross.stage()
+}
 
-		txStart := k.Now()
-		if src.txFree > txStart {
-			txStart = src.txFree
-		}
-		txEnd := txStart.Add(srcFab.wireTime(req.Bytes))
-		src.txFree = txEnd
-		src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
-		pt.CrossBytes.Addn(req.Bytes)
-		pt.pk.Send(from.Shard, to.Shard, txEnd.Add(srcFab.cfg.Latency), func() {
-			pt.deliver(cc, from, to, method, req)
-		})
-		return sim.On(&cc.cv)
-	})
-
+// End returns the call's reply, once Stage has returned Resume, and
+// retires the call.
+func (pc PartitionCall) End() (Message, error) {
+	if pc.local != nil {
+		return pc.local.End()
+	}
+	cc := pc.cross
 	if cc.err != nil {
 		return Message{}, cc.err
 	}
-	pt.CrossCalls.Inc()
+	cc.pt.CrossCalls.Inc()
 	return cc.reply, nil
+}
+
+// stage is a cross-shard call's Stage: After the caller-side overhead the
+// first time; then, the overhead over, send; and Resume once complete has
+// signaled cv.
+func (cc *crossCall) stage() sim.Wait {
+	switch {
+	case !cc.started:
+		cc.started = true
+		return sim.After(cc.pt.fabrics[cc.from.Shard].cfg.RPCOverhead)
+	case cc.done:
+		return sim.Resume
+	}
+	cc.send()
+	return sim.On(&cc.cv)
+}
+
+// send arms the call's deadline, charges the request on the source NIC
+// and hands it to the destination shard's mailbox.
+func (cc *crossCall) send() {
+	pt, from, to, method, req := cc.pt, cc.from, cc.to, cc.method, cc.req
+	srcFab := pt.fabrics[from.Shard]
+	k := srcFab.k
+	if d := cc.timeout; d > 0 {
+		k.Schedule(k.Now().Add(d), func() {
+			if cc.done {
+				return
+			}
+			pt.CrossTimeouts.Inc()
+			pt.complete(cc, Message{}, fmt.Errorf("%w: cross-shard %q to %v after %v", ErrTimeout, method, to, d))
+		})
+	}
+
+	src := cc.src
+	txStart := k.Now()
+	if src.txFree > txStart {
+		txStart = src.txFree
+	}
+	txEnd := txStart.Add(srcFab.wireTime(req.Bytes))
+	src.txFree = txEnd
+	src.TxBytes.Addn(req.Bytes + srcFab.cfg.MsgOverheadBytes)
+	pt.CrossBytes.Addn(req.Bytes)
+	pt.pk.Send(from.Shard, to.Shard, txEnd.Add(srcFab.cfg.Latency), func() {
+		pt.deliver(cc, from, to, method, req)
+	})
 }
 
 // deliver runs in the destination shard's kernel context when the
