@@ -16,14 +16,15 @@ func TestCompare(t *testing.T) {
 		fails int
 	}{
 		{"identical", benchStats{Events: 1000, Allocs: 500}, 0.10, 0},
-		{"within tolerance", benchStats{Events: 1050, Allocs: 540}, 0.10, 0},
+		{"within tolerance", benchStats{Events: 1000, Allocs: 540}, 0.10, 0},
 		{"events regress high", benchStats{Events: 1200, Allocs: 500}, 0.10, 1},
 		{"events regress low", benchStats{Events: 800, Allocs: 500}, 0.10, 1},
+		{"one event of drift fails", benchStats{Events: 1001, Allocs: 500}, 0.10, 1},
 		{"allocs regress", benchStats{Events: 1000, Allocs: 600}, 0.10, 1},
 		{"allocs improve passes", benchStats{Events: 1000, Allocs: 100}, 0.10, 0},
 		{"both regress", benchStats{Events: 2000, Allocs: 2000}, 0.10, 2},
-		{"exactly at tolerance", benchStats{Events: 1100, Allocs: 550}, 0.10, 0},
-		{"tighter tol catches drift", benchStats{Events: 1050, Allocs: 500}, 0.01, 1},
+		{"exactly at tolerance", benchStats{Events: 1000, Allocs: 550}, 0.10, 0},
+		{"tighter tol catches drift", benchStats{Events: 1000, Allocs: 510}, 0.01, 1},
 		{"wall clock never gated", benchStats{WallMS: 9999, Events: 1000, Allocs: 500}, 0.10, 0},
 	}
 	for _, tc := range cases {
@@ -57,9 +58,24 @@ func TestRelDelta(t *testing.T) {
 	}
 }
 
+// edited returns a copy of vals with edits applied and drop removed.
+func edited(vals, edits map[string]float64, drop ...string) map[string]float64 {
+	out := make(map[string]float64)
+	for k, v := range vals {
+		out[k] = v
+	}
+	for k, v := range edits {
+		out[k] = v
+	}
+	for _, k := range drop {
+		delete(out, k)
+	}
+	return out
+}
+
 func TestCompareValues(t *testing.T) {
-	// A record shaped like BENCH_ext-failover.json: durability counters
-	// plus failover latency.
+	// A record shaped like BENCH_ext-failover.json: durability counters,
+	// failover latency, an op count and host time.
 	base := benchStats{
 		ID: "ext-failover", Events: 1000, Allocs: 500,
 		Values: map[string]float64{
@@ -67,45 +83,42 @@ func TestCompareValues(t *testing.T) {
 			"lost_rf1":         1372,
 			"failover_ms_mean": 3.14,
 			"failover_ms_max":  3.27,
-			"ops_rf2":          12262, // informational, never gated
+			"ops_rf2":          12262,
+			"wall_ms_rf2":      950, // host time, never gated
 		},
 	}
 	cases := []struct {
 		name  string
-		vals  map[string]float64
+		edits map[string]float64
+		drop  string
 		fails int
 	}{
-		{"identical", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372,
-			"failover_ms_mean": 3.14, "failover_ms_max": 3.27, "ops_rf2": 12262}, 0},
-		{"data loss appears", map[string]float64{
-			"lost_rf2": 3, "lost_rf1": 1372,
-			"failover_ms_mean": 3.14, "failover_ms_max": 3.27}, 1},
-		{"rf1 loss may shrink", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 900,
-			"failover_ms_mean": 3.14, "failover_ms_max": 3.27}, 0},
-		{"failover latency within tol", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372, "failover_ms_mean": 3.3, "failover_ms_max": 3.4}, 0},
-		{"failover latency regresses", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372, "failover_ms_mean": 9.9, "failover_ms_max": 3.27}, 1},
-		{"failover latency too-good is still drift", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372, "failover_ms_mean": 0.1, "failover_ms_max": 3.27}, 1},
-		{"informational values never gate", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372,
-			"failover_ms_mean": 3.14, "failover_ms_max": 3.27, "ops_rf2": 1}, 0},
-		{"gated key vanished from candidate", map[string]float64{
-			"lost_rf2": 0, "lost_rf1": 1372, "failover_ms_mean": 3.14}, 1},
-		{"candidate without values loses every gated key", nil, 4},
+		{"identical", nil, "", 0},
+		{"data loss appears", map[string]float64{"lost_rf2": 3}, "", 1},
+		{"rf1 loss shrinking is drift", map[string]float64{"lost_rf1": 900}, "", 1},
+		{"failover latency drift fails", map[string]float64{"failover_ms_mean": 3.3, "failover_ms_max": 3.4}, "", 2},
+		{"failover latency regresses", map[string]float64{"failover_ms_mean": 9.9}, "", 1},
+		{"failover latency too-good is still drift", map[string]float64{"failover_ms_mean": 0.1}, "", 1},
+		{"op count drift fails", map[string]float64{"ops_rf2": 12263}, "", 1},
+		{"informational values never gate", map[string]float64{"wall_ms_rf2": 1}, "", 0},
+		{"host time may vanish", nil, "wall_ms_rf2", 0},
+		{"gated key vanished from candidate", nil, "failover_ms_max", 1},
+		{"new candidate keys pass", map[string]float64{"windows": 7}, "", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cand := benchStats{Events: 1000, Allocs: 500, Values: tc.vals}
+			cand := benchStats{Events: 1000, Allocs: 500, Values: edited(base.Values, tc.edits, tc.drop)}
 			fails := compare(base, cand, 0.10)
 			if len(fails) != tc.fails {
 				t.Fatalf("compare = %d failures %v, want %d", len(fails), fails, tc.fails)
 			}
 		})
 	}
+	t.Run("candidate without values loses every gated key", func(t *testing.T) {
+		if fails := compare(base, benchStats{Events: 1000, Allocs: 500}, 0.10); len(fails) != 5 {
+			t.Fatalf("compare = %d failures %v, want 5", len(fails), fails)
+		}
+	})
 	// Old baseline without values must not gate a candidate that has them.
 	if fails := compare(benchStats{Events: 1000, Allocs: 500},
 		benchStats{Events: 1000, Allocs: 500, Values: map[string]float64{"lost_rf2": 5}}, 0.10); len(fails) != 0 {
@@ -114,47 +127,41 @@ func TestCompareValues(t *testing.T) {
 }
 
 func TestCompareServingValues(t *testing.T) {
-	// A record shaped like BENCH_ext-serve.json: goodput plus overall and
-	// per-phase tail quantiles, with wall_* and p50 informational.
+	// A record shaped like BENCH_ext-serve.json: goodput, overall and
+	// per-phase tail quantiles, and host time.
 	base := benchStats{
 		ID: "ext-serve", Events: 1000, Allocs: 500,
 		Values: map[string]float64{
 			"goodput_rps":     3_700_000,
 			"p999_ms":         0.110,
 			"p999_ms_migrate": 0.227,
-			"p50_ms":          0.012, // informational, never gated
-			"wall_ms_p8":      950,   // host time, never gated
-			"wall_speedup_p8": 3.1,   // host time, never gated
+			"p50_ms":          0.012,
+			"wall_ms_p8":      950, // host time, never gated
+			"wall_speedup_p8": 3.1, // host time, never gated
 			"events":          123456,
 		},
 	}
 	cases := []struct {
-		name  string
-		vals  map[string]float64
-		fails int
+		name   string
+		edits  map[string]float64
+		drop   string
+		allocs uint64
+		fails  int
 	}{
-		{"identical", map[string]float64{
-			"goodput_rps": 3_700_000, "p999_ms": 0.110, "p999_ms_migrate": 0.227,
-			"p50_ms": 0.012, "wall_ms_p8": 950, "wall_speedup_p8": 3.1, "events": 123456}, 0},
-		{"within tolerance", map[string]float64{
-			"goodput_rps": 3_500_000, "p999_ms": 0.115, "p999_ms_migrate": 0.23}, 0},
-		{"goodput collapses", map[string]float64{
-			"goodput_rps": 2_000_000, "p999_ms": 0.110, "p999_ms_migrate": 0.227}, 1},
-		{"goodput too-good is still drift", map[string]float64{
-			"goodput_rps": 9_000_000, "p999_ms": 0.110, "p999_ms_migrate": 0.227}, 1},
-		{"tail regresses", map[string]float64{
-			"goodput_rps": 3_700_000, "p999_ms": 0.5, "p999_ms_migrate": 0.227}, 1},
-		{"migration-phase tail regresses", map[string]float64{
-			"goodput_rps": 3_700_000, "p999_ms": 0.110, "p999_ms_migrate": 0.9}, 1},
-		{"wall and p50 drift never gate", map[string]float64{
-			"goodput_rps": 3_700_000, "p999_ms": 0.110, "p999_ms_migrate": 0.227,
-			"p50_ms": 9.9, "wall_ms_p8": 1, "wall_speedup_p8": 0.1, "events": 1}, 0},
-		{"gated serving key vanished", map[string]float64{
-			"goodput_rps": 3_700_000, "p999_ms": 0.110}, 1},
+		{"identical", nil, "", 500, 0},
+		{"within tolerance", nil, "", 540, 0},
+		{"small drift fails", map[string]float64{"goodput_rps": 3_500_000, "p999_ms": 0.115, "p999_ms_migrate": 0.23}, "", 500, 3},
+		{"goodput collapses", map[string]float64{"goodput_rps": 2_000_000}, "", 500, 1},
+		{"goodput too-good is still drift", map[string]float64{"goodput_rps": 9_000_000}, "", 500, 1},
+		{"tail regresses", map[string]float64{"p999_ms": 0.5}, "", 500, 1},
+		{"migration-phase tail regresses", map[string]float64{"p999_ms_migrate": 0.9}, "", 500, 1},
+		{"wall drift never gates", map[string]float64{"wall_ms_p8": 1, "wall_speedup_p8": 0.1}, "", 500, 0},
+		{"p50 and event drift gate", map[string]float64{"p50_ms": 9.9, "events": 1}, "", 500, 2},
+		{"gated serving key vanished", nil, "p999_ms_migrate", 500, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cand := benchStats{Events: 1000, Allocs: 500, Values: tc.vals}
+			cand := benchStats{Events: 1000, Allocs: tc.allocs, Values: edited(base.Values, tc.edits, tc.drop)}
 			fails := compare(base, cand, 0.10)
 			if len(fails) != tc.fails {
 				t.Fatalf("compare = %d failures %v, want %d", len(fails), fails, tc.fails)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // checkInvariants validates the runtime's structural invariants: every
@@ -129,14 +130,21 @@ func (md *refModel) invoke(from cluster.MachineID, id ID, attempts int, down fun
 // After every operation Lookup, Proclets, residency on every machine,
 // every location cache, the directory-lookup count and the outcome of the
 // operation must match, and machine memory must equal the resident heaps.
+// One step crashes a machine mid-migration: a second process fails the
+// source or the destination at an instant drawn inside the fixed pause
+// both protocols' blackouts start with, and the move must end as the
+// model says — ErrCrashed with the proclet orphaned, or ErrNodeDown with
+// it back on the source.
 //
 // Hand mutations this fails on (each tried): Depose not clearing
 // resident; Abandon or Destroy leaving procs[id]; invoke not dropping the
 // cache entry after ErrMoved, or after a local miss; localOn ignoring
 // pr.machine; CrashMachine skipping the resident check; Restore not
-// setting resident; cache storing loc instead of loc+1. The memory check
-// also found MigrateLazy keeping the source's allocEpoch, so that a later
-// Destroy or Depose on a machine with another crash count leaked the heap.
+// setting resident; cache storing loc instead of loc+1; landed without
+// its source-crash case, or without its destination-down check (the
+// latter is how MigrateLazy used to commit). The memory check also found
+// MigrateLazy keeping the source's allocEpoch, so that a later Destroy or
+// Depose on a machine with another crash count leaked the heap.
 func TestRuntimeInvariantsProperty(t *testing.T) {
 	const machines = 4
 	for seed := int64(1); seed <= 40; seed++ {
@@ -198,7 +206,7 @@ func TestRuntimeInvariantsProperty(t *testing.T) {
 				if len(all) > 0 {
 					pr = all[rng.Intn(len(all))]
 				}
-				kind := rng.Intn(12)
+				kind := rng.Intn(13)
 				if pr == nil {
 					kind = 0
 				}
@@ -322,6 +330,46 @@ func TestRuntimeInvariantsProperty(t *testing.T) {
 						md.forget(pr.ID())
 					}
 					rt.Abandon(pr)
+				case 10:
+					lazy, from := rng.Intn(2) == 1, pr.Location()
+					victim := from
+					if rng.Intn(2) == 1 {
+						victim = m
+					}
+					at := time.Duration(rng.Int63n(int64(rt.cfg.MigrationFixedOverhead)))
+					op = fmt.Sprintf("migrate %d to %d lazy=%v, crash %d after %v", pr.ID(), m, lazy, victim, at)
+					if !md.lookup(pr.ID()) || m == from || down(m) {
+						continue
+					}
+					want := error(ErrCrashed)
+					if victim == m {
+						want = simnet.ErrNodeDown
+					}
+					var wantOrphans, gotOrphans []ID
+					for _, q := range all {
+						if md.local[victim][q.ID()] {
+							wantOrphans = append(wantOrphans, q.ID())
+							md.detach(q.ID())
+						}
+					}
+					k.Spawn("crash", func(cp *sim.Proc) {
+						cp.Sleep(at)
+						for _, q := range crash(c, rt, victim) {
+							gotOrphans = append(gotOrphans, q.ID())
+						}
+					})
+					var err error
+					if lazy {
+						err = rt.MigrateLazy(p, pr.ID(), m)
+					} else {
+						err = rt.Migrate(p, pr.ID(), m)
+					}
+					if !errors.Is(err, want) {
+						fail("err = %v, want %v", err, want)
+					}
+					if !slices.Equal(gotOrphans, wantOrphans) {
+						fail("orphans = %v, model says %v", gotOrphans, wantOrphans)
+					}
 				default:
 					op = fmt.Sprintf("invoke %d from %d", pr.ID(), m)
 					want := md.invoke(m, pr.ID(), 16, down)

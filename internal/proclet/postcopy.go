@@ -32,60 +32,23 @@ import (
 // migrations are rejected with ErrMigrating until the proclet is
 // resident.
 func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
-	pr := rt.Lookup(id)
-	if pr == nil {
-		return ErrNotFound
-	}
-	if pr.state == StateMigrating || pr.lazyWindow {
-		return ErrMigrating
-	}
-	from := pr.machine
-	if from == to {
-		return nil
-	}
-	dst := rt.Cluster.Machine(to)
-	if dst == nil {
-		return ErrNotFound
-	}
-	// Reserve the destination's share up front; the source keeps its
-	// charge until the copy completes (the bytes live there).
-	if err := dst.AllocMem(pr.heapBytes); err != nil {
+	mv, err := rt.freeze(p, id, to, 0, "postcopy")
+	if mv.pr == nil {
 		return err
 	}
-	dstEpoch := dst.Epoch()
+	pr, from := mv.pr, mv.from
 
-	var sp, frz obs.SpanID
-	if rt.obs != nil {
-		sp = rt.obs.Start(obs.KindMigrate, pr.name, int(from), 0)
-		rt.obs.SetRoute(sp, int(from), int(to))
-		rt.obs.SetBytes(sp, pr.heapBytes)
-		rt.obs.Str(sp, "mode", "postcopy")
-		frz = rt.obs.Start(obs.KindPhase, "freeze", int(from), sp)
-	}
-
-	start := rt.k.Now()
-	pr.state = StateMigrating
-	pr.cancelTasks()
-	for pr.active > 0 {
-		pr.drained.Wait(p)
-	}
-
-	// Only the fixed control-plane pause — no per-byte pinning, the
-	// pages are not copied during the blackout.
+	// Post-copy blackout: only the fixed control-plane pause — no
+	// per-byte pinning, the pages are not copied during the blackout.
 	p.Sleep(rt.cfg.MigrationFixedOverhead)
+	if err := rt.landed(&mv, nil); err != nil {
+		return err
+	}
 
-	// Commit the move.
-	rt.cache(from, id, to)
-	rt.cache(to, id, to)
-	pr.machine = to
-	pr.allocEpoch = dstEpoch
-	pr.state = StateRunning
-	pr.lazyWindow = true
-	pr.unblocked.Broadcast()
-
-	blackout := rt.k.Now().Sub(start)
-	rt.MigrationLatency.ObserveDuration(blackout)
-	rt.Migrations.Inc()
+	// The source keeps its charge, made under srcEpoch, until the
+	// background copy lands.
+	start, heap, srcEpoch := mv.start, pr.heapBytes, pr.allocEpoch
+	blackout := rt.commit(&mv, true)
 	rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
 		"post-copy blackout=%v bytes=%d", blackout, pr.heapBytes)
 
@@ -93,16 +56,14 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 	// span runs until residence (clamped open if the run ends first).
 	var pcp obs.SpanID
 	if rt.obs != nil {
-		rt.obs.End(frz)
-		rt.obs.End(sp)
-		pcp = rt.obs.Start(obs.KindPhase, "postcopy", int(to), sp)
+		rt.obs.End(mv.frz)
+		rt.obs.End(mv.sp)
+		pcp = rt.obs.Start(obs.KindPhase, "postcopy", int(to), mv.sp)
 		rt.obs.SetRoute(pcp, int(from), int(to))
 		rt.obs.SetBytes(pcp, pr.heapBytes)
 	}
 
 	// Background copy: stream the heap, then settle the accounting.
-	heap := pr.heapBytes
-	srcEpoch := rt.Cluster.Machine(from).Epoch()
 	rt.k.Spawn("postcopy/"+pr.name, func(bp *sim.Proc) {
 		err := rt.Cluster.Fabric.Transfer(bp, simnet.NodeID(from), simnet.NodeID(to), heap)
 		// Transient failures (partition, timeout): the proclet stays

@@ -105,17 +105,10 @@ func (rt *Runtime) Restore(p *sim.Proc, pr *Proclet, to cluster.MachineID) error
 	if pr.state != StateOrphaned {
 		return fmt.Errorf("proclet: Restore on %s in state %v", pr.name, pr.state)
 	}
-	dst := rt.Cluster.Machine(to)
-	if dst == nil {
-		return fmt.Errorf("%w: machine %d", ErrNotFound, to)
-	}
-	if dst.Down() {
-		return fmt.Errorf("%w: restore destination %d", simnet.ErrNodeDown, to)
-	}
-	if err := dst.AllocMem(pr.heapBytes); err != nil {
+	dst, epoch, err := rt.reserve(to, pr.heapBytes, "restore")
+	if err != nil {
 		return err
 	}
-	epoch := dst.Epoch()
 	from := pr.machine
 
 	// Control-plane cost of the re-placement: directory update and page

@@ -269,3 +269,51 @@ func TestCrashSourceDuringMigration(t *testing.T) {
 	})
 	k.Run()
 }
+
+// A crash 50 µs into the 100 µs blackout ends every migration the same
+// way, pre-copy or post-copy: a source crash leaves the proclet orphaned
+// for recovery (ErrCrashed), a destination crash rolls it back to the
+// source (ErrNodeDown), and machine memory still equals the resident
+// heaps. The machine fails but its NIC stays up, so only the runtime's
+// checks can notice. Post-copy used to commit regardless: onto a dead
+// destination, or over an orphan whose background copy then freed the
+// wiped source ("bad free of 1048576 bytes").
+func TestCrashDuringBlackout(t *testing.T) {
+	for _, mode := range []string{"precopy", "postcopy"} {
+		lazy := mode == "postcopy"
+		for _, end := range []struct {
+			name string
+			m    cluster.MachineID
+			want error
+		}{{"source", 0, ErrCrashed}, {"destination", 1, simnet.ErrNodeDown}} {
+			t.Run(mode+"/"+end.name, func(t *testing.T) {
+				k, c, rt := testEnv(t, 3)
+				pr, _ := rt.Spawn("p", 0, 1<<20)
+				k.Spawn("ctl", func(p *sim.Proc) {
+					var err error
+					if lazy {
+						err = rt.MigrateLazy(p, pr.ID(), 1)
+					} else {
+						err = rt.Migrate(p, pr.ID(), 1)
+					}
+					if !errors.Is(err, end.want) {
+						t.Errorf("err = %v, want %v", err, end.want)
+					}
+				})
+				k.Spawn("chaos", func(p *sim.Proc) {
+					p.Sleep(50 * time.Microsecond)
+					c.Machine(end.m).Crash()
+					rt.CrashMachine(end.m)
+				})
+				k.Run()
+				if end.m == 0 && pr.State() != StateOrphaned {
+					t.Errorf("state = %v, want orphaned", pr.State())
+				}
+				if end.m == 1 && (pr.State() != StateRunning || pr.Location() != 0) {
+					t.Errorf("state = %v on machine %d, want running on 0", pr.State(), pr.Location())
+				}
+				checkInvariants(t, rt)
+			})
+		}
+	}
+}

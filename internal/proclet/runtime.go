@@ -485,120 +485,154 @@ func (rt *Runtime) Migrate(p *sim.Proc, id ID, to cluster.MachineID) error {
 // migration span becomes a child of that cause, so traces answer "why
 // did this proclet move". cause 0 records a root migration span.
 func (rt *Runtime) MigrateCaused(p *sim.Proc, id ID, to cluster.MachineID, cause obs.SpanID) error {
-	pr := rt.Lookup(id)
-	if pr == nil {
-		return ErrNotFound
-	}
-	if pr.state == StateMigrating || pr.lazyWindow {
-		return ErrMigrating
-	}
-	if pr.state == StateOrphaned {
-		return ErrCrashed
-	}
-	from := pr.machine
-	if from == to {
-		return nil
-	}
-	dst := rt.Cluster.Machine(to)
-	if dst == nil {
-		return fmt.Errorf("%w: machine %d", ErrNotFound, to)
-	}
-	if dst.Down() {
-		return fmt.Errorf("%w: migration destination %d", simnet.ErrNodeDown, to)
-	}
-	if err := dst.AllocMem(pr.heapBytes); err != nil {
+	mv, err := rt.freeze(p, id, to, cause, "precopy")
+	if mv.pr == nil {
 		return err
 	}
-	dstEpoch := dst.Epoch()
+	pr := mv.pr
 
-	var sp, frz obs.SpanID
-	if rt.obs != nil {
-		sp = rt.obs.Start(obs.KindMigrate, pr.name, int(from), cause)
-		rt.obs.SetRoute(sp, int(from), int(to))
-		rt.obs.SetBytes(sp, pr.heapBytes)
-		rt.obs.Str(sp, "mode", "precopy")
-		// Pre-copy blackout: drain, pin, and copy all happen frozen.
-		frz = rt.obs.Start(obs.KindPhase, "freeze", int(from), sp)
-	}
-
-	start := rt.k.Now()
-	pr.state = StateMigrating
-
-	// Suspend thread compute; remaining work resumes at the destination.
-	pr.cancelTasks()
-
-	// Drain in-flight method invocations.
-	for pr.active > 0 {
-		pr.drained.Wait(p)
-	}
-
-	// Kernel-side pause: page pinning and mapping, scaled by heap size.
+	// Pre-copy blackout: kernel-side page pinning and mapping, scaled by
+	// heap size, then the heap copy, all frozen.
 	pin := rt.cfg.MigrationFixedOverhead +
 		time.Duration(float64(rt.cfg.MigrationPerMiB)*float64(pr.heapBytes)/(1<<20))
 	p.Sleep(pin)
-
 	var cp obs.SpanID
 	if rt.obs != nil {
-		rt.obs.End(frz)
-		cp = rt.obs.Start(obs.KindPhase, "precopy", int(from), sp)
-		rt.obs.SetRoute(cp, int(from), int(to))
+		rt.obs.End(mv.frz)
+		cp = rt.obs.Start(obs.KindPhase, "precopy", int(mv.from), mv.sp)
+		rt.obs.SetRoute(cp, int(mv.from), int(to))
 		rt.obs.SetBytes(cp, pr.heapBytes)
 	}
-
-	// Copy the heap.
-	err := rt.Cluster.Fabric.Transfer(p, simnet.NodeID(from), simnet.NodeID(to), pr.heapBytes)
+	err = rt.Cluster.Fabric.Transfer(p, simnet.NodeID(mv.from), simnet.NodeID(to), pr.heapBytes)
 	if rt.obs != nil {
 		rt.obs.SetErr(cp, err)
 		rt.obs.End(cp)
 	}
-	if pr.state != StateMigrating {
-		// The source crashed mid-copy and CrashMachine orphaned the
-		// proclet underneath us: the half-copied destination image is
-		// abandoned. Recovery owns the proclet now.
-		if dst.Epoch() == dstEpoch {
-			dst.FreeMem(pr.heapBytes)
-		}
-		cerr := fmt.Errorf("%w: source machine %d failed during migration", ErrCrashed, from)
-		if rt.obs != nil {
-			rt.obs.SetErr(sp, cerr)
-			rt.obs.End(sp)
-		}
-		return cerr
-	}
-	if err == nil && dst.Down() {
-		// The copy "landed" on a machine that died before commit.
-		err = fmt.Errorf("%w: migration destination %d", simnet.ErrNodeDown, to)
-	}
-	if err != nil {
-		// Roll back: the proclet stays where it was. The destination's
-		// reservation is released only if the destination has not
-		// crashed since (a crash already wiped it).
-		if dst.Epoch() == dstEpoch {
-			dst.FreeMem(pr.heapBytes)
-		}
-		pr.state = StateRunning
-		pr.unblocked.Broadcast()
-		if rt.obs != nil {
-			rt.obs.SetErr(sp, err)
-			rt.obs.End(sp)
-		}
+	if err := rt.landed(&mv, err); err != nil {
 		return err
 	}
 
-	// Commit.
-	rt.Cluster.Machine(from).FreeMem(pr.heapBytes)
-	rt.cache(from, id, to)
-	rt.cache(to, id, to)
-	pr.machine = to
-	pr.allocEpoch = dstEpoch
-	pr.state = StateRunning
-	pr.unblocked.Broadcast()
+	d := rt.commit(&mv, false)
+	rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(mv.from), int(to),
+		"bytes=%d latency=%v", pr.heapBytes, d)
+	rt.obs.End(mv.sp)
+	return nil
+}
 
-	d := rt.k.Now().Sub(start)
+// move is one migration in flight, from freeze to commit or rollback.
+type move struct {
+	pr       *Proclet
+	from, to cluster.MachineID
+	dst      *cluster.Machine
+	dstEpoch uint64 // the destination's epoch when its share was reserved
+	start    sim.Time
+	sp, frz  obs.SpanID // the migrate span and its freeze phase
+}
+
+// reserve charges bytes to live machine `to` for a proclet about to land
+// there — a migration or a Restore — and returns the machine with the
+// epoch the charge was made under.
+func (rt *Runtime) reserve(to cluster.MachineID, bytes int64, role string) (*cluster.Machine, uint64, error) {
+	dst := rt.Cluster.Machine(to)
+	if dst == nil {
+		return nil, 0, fmt.Errorf("%w: machine %d", ErrNotFound, to)
+	}
+	if dst.Down() {
+		return nil, 0, fmt.Errorf("%w: %s destination %d", simnet.ErrNodeDown, role, to)
+	}
+	if err := dst.AllocMem(bytes); err != nil {
+		return nil, 0, err
+	}
+	return dst, dst.Epoch(), nil
+}
+
+// freeze is the first step of every migration: check the proclet can
+// move, reserve the destination's share, open the migrate span and its
+// freeze phase, block new invocations, suspend thread compute and drain
+// the invocations in flight. A zero move (nil pr) means there is nothing
+// to finish: err says why, or the proclet is already on `to`.
+func (rt *Runtime) freeze(p *sim.Proc, id ID, to cluster.MachineID, cause obs.SpanID, mode string) (move, error) {
+	pr := rt.Lookup(id)
+	if pr == nil {
+		return move{}, ErrNotFound
+	}
+	if pr.state == StateMigrating || pr.lazyWindow {
+		return move{}, ErrMigrating
+	}
+	if pr.machine == to {
+		return move{}, nil
+	}
+	dst, dstEpoch, err := rt.reserve(to, pr.heapBytes, "migration")
+	if err != nil {
+		return move{}, err
+	}
+	mv := move{pr: pr, from: pr.machine, to: to, dst: dst, dstEpoch: dstEpoch}
+	if rt.obs != nil {
+		mv.sp = rt.obs.Start(obs.KindMigrate, pr.name, int(mv.from), cause)
+		rt.obs.SetRoute(mv.sp, int(mv.from), int(to))
+		rt.obs.SetBytes(mv.sp, pr.heapBytes)
+		rt.obs.Str(mv.sp, "mode", mode)
+		mv.frz = rt.obs.Start(obs.KindPhase, "freeze", int(mv.from), mv.sp)
+	}
+	mv.start = rt.k.Now()
+	pr.state = StateMigrating
+	// Suspend thread compute; remaining work resumes at the destination.
+	pr.cancelTasks()
+	for pr.active > 0 {
+		pr.drained.Wait(p)
+	}
+	return mv, nil
+}
+
+// landed decides, after a migration's blackout, whether the move may
+// commit. If the source crashed under it, CrashMachine has orphaned the
+// proclet and recovery owns it: the move ends with ErrCrashed. If the
+// copy failed (err) or the destination died, the proclet rolls back to
+// the source and resumes there. Either way the destination's
+// reservation is released unless a crash already wiped it.
+func (rt *Runtime) landed(mv *move, err error) error {
+	pr := mv.pr
+	crashed := pr.state != StateMigrating
+	if crashed {
+		err = fmt.Errorf("%w: source machine %d failed during migration", ErrCrashed, mv.from)
+	} else if err == nil && mv.dst.Down() {
+		err = fmt.Errorf("%w: migration destination %d", simnet.ErrNodeDown, mv.to)
+	}
+	if err == nil {
+		return nil
+	}
+	if mv.dst.Epoch() == mv.dstEpoch {
+		mv.dst.FreeMem(pr.heapBytes)
+	}
+	if !crashed {
+		pr.state = StateRunning
+		pr.unblocked.Broadcast()
+	}
+	if rt.obs != nil {
+		rt.obs.SetErr(mv.sp, err)
+		rt.obs.End(mv.sp)
+	}
+	return err
+}
+
+// commit moves the proclet to the destination and resumes it, returning
+// the blackout. A pre-copy commit releases the source's charge; a
+// post-copy one (lazy) leaves it for the background copy and opens the
+// lazy window.
+func (rt *Runtime) commit(mv *move, lazy bool) time.Duration {
+	pr := mv.pr
+	if !lazy {
+		rt.Cluster.Machine(mv.from).FreeMem(pr.heapBytes)
+	}
+	rt.cache(mv.from, pr.id, mv.to)
+	rt.cache(mv.to, pr.id, mv.to)
+	pr.machine = mv.to
+	pr.allocEpoch = mv.dstEpoch
+	pr.state = StateRunning
+	pr.lazyWindow = lazy
+	pr.unblocked.Broadcast()
+	d := rt.k.Now().Sub(mv.start)
 	rt.MigrationLatency.ObserveDuration(d)
 	rt.Migrations.Inc()
-	rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
-		"bytes=%d latency=%v", pr.heapBytes, d)
-	rt.obs.End(sp)
-	return nil
+	return d
 }

@@ -64,12 +64,12 @@ func (v *Vector[T]) IterRange(lo, hi uint64, batchSize int) *VecIter[T] {
 // limit returns the iterator's current exclusive bound.
 func (it *VecIter[T]) limit() uint64 {
 	if it.ranged {
-		if it.end > it.v.length {
-			return it.v.length
+		if it.end > it.v.end {
+			return it.v.end
 		}
 		return it.end
 	}
-	return it.v.length
+	return it.v.end
 }
 
 // issuePrefetch starts an asynchronous batch fetch, if one is not

@@ -3,7 +3,6 @@ package sharded
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -23,89 +22,23 @@ type mapEntry[K comparable, V any] struct {
 // ship an update closure to the owning shard (compute-to-data), so a
 // put or delete costs one invocation.
 type Map[K comparable, V any] struct {
-	sys  *core.System
-	name string
-	opts Options
-
-	shards []mshard // sorted by lo (hash-space range starts)
-	count  int64
-
-	index *core.MemoryProclet
-
-	gate      splitGate
-	ops       *opTracker
-	adaptMu   sim.Mutex
-	nextShard int
-	closed    bool
-
-	// Splits and Merges count structural adaptations.
-	Splits int64
-	Merges int64
-}
-
-type mshard struct {
-	lo uint64
-	mp *core.MemoryProclet
+	table
+	count int64
 }
 
 // NewMap creates a sharded map with one initial shard.
 func NewMap[K comparable, V any](sys *core.System, name string, opts Options) (*Map[K, V], error) {
-	opts = opts.withDefaults(sys)
-	m := &Map[K, V]{sys: sys, name: name, opts: opts, ops: newOpTracker()}
-	idx, err := sys.NewMemoryProclet(name+".index", 4096)
-	if err != nil {
+	m := &Map[K, V]{}
+	// A hash is its own object id, and the last shard runs to the top of
+	// the hash space.
+	if err := m.init(sys, name, opts.withDefaults(sys), 0, ^uint64(0), m.splitShard); err != nil {
 		return nil, err
-	}
-	if idx, err = replicate(sys, idx, opts); err != nil {
-		return nil, err
-	}
-	m.index = idx
-	sys.Sched.Pin(idx.ID())
-	sh, err := m.newShard()
-	if err != nil {
-		return nil, err
-	}
-	m.shards = []mshard{{lo: 0, mp: sh}}
-	if opts.AutoAdapt {
-		sys.Sched.RegisterAdaptive(m)
 	}
 	return m, nil
 }
 
-func (m *Map[K, V]) newShard() (*core.MemoryProclet, error) {
-	m.nextShard++
-	mp, err := m.sys.NewMemoryProclet(fmt.Sprintf("%s.shard-%d", m.name, m.nextShard), m.opts.MaxShardBytes/2)
-	if err != nil {
-		return nil, err
-	}
-	return replicate(m.sys, mp, m.opts)
-}
-
 // Len returns the number of keys.
 func (m *Map[K, V]) Len() int64 { return m.count }
-
-// NumShards returns the shard count.
-func (m *Map[K, V]) NumShards() int { return len(m.shards) }
-
-// Shards returns the backing memory proclets in hash order.
-func (m *Map[K, V]) Shards() []*core.MemoryProclet {
-	out := make([]*core.MemoryProclet, len(m.shards))
-	for i, s := range m.shards {
-		out[i] = s.mp
-	}
-	return out
-}
-
-func (m *Map[K, V]) shardIdx(h uint64) int {
-	return sort.Search(len(m.shards), func(s int) bool { return m.shards[s].lo > h }) - 1
-}
-
-func (m *Map[K, V]) hiOf(s int) uint64 {
-	if s == len(m.shards)-1 {
-		return ^uint64(0)
-	}
-	return m.shards[s+1].lo
-}
 
 // Put inserts or replaces a key. bytes is the value's accounted size.
 func (m *Map[K, V]) Put(p *sim.Proc, from cluster.MachineID, key K, val V, bytes int64) error {
@@ -347,9 +280,9 @@ func (m *Map[K, V]) splitShard(p *sim.Proc, s int) bool {
 		dst.Destroy()
 		return false
 	}
-	m.shards = append(m.shards, mshard{})
+	m.shards = append(m.shards, shard{})
 	copy(m.shards[s+2:], m.shards[s+1:])
-	m.shards[s+1] = mshard{lo: mid, mp: dst}
+	m.shards[s+1] = shard{lo: mid, mp: dst}
 	m.publishIndex(p)
 	if len(ids) > 0 {
 		if err := src.DelRange(p, home, mid, hi); err != nil {
@@ -360,74 +293,4 @@ func (m *Map[K, V]) splitShard(p *sim.Proc, s int) bool {
 	m.sys.Trace.Emitf(m.sys.K.Now(), obs.KindSplit, m.name,
 		int(src.Location()), int(dst.Location()), "hash mid=%x, %d shards", mid, len(m.shards))
 	return true
-}
-
-// mergeShards merges shard s+1 into s — the paper's answer to hash
-// tables left sparse after heavy deletes (§3.3). Caller holds adaptMu.
-func (m *Map[K, V]) mergeShards(p *sim.Proc, s int) bool {
-	if s+1 >= len(m.shards) {
-		return false
-	}
-	dst, src := m.shards[s], m.shards[s+1]
-	lo, hi := src.lo, m.hiOf(s+1)
-	m.gate.open(dst.lo, hi)
-	defer m.gate.close()
-	m.ops.drain(p, src.mp.ID())
-	m.ops.drain(p, dst.mp.ID())
-	home := src.mp.Location()
-	ids, vals, sizes, err := src.mp.Scan(p, home, lo, hi)
-	if err == nil && len(ids) > 0 {
-		err = dst.mp.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-	}
-	if err != nil {
-		return false
-	}
-	m.shards = append(m.shards[:s+1], m.shards[s+2:]...)
-	m.publishIndex(p)
-	src.mp.Destroy()
-	m.Merges++
-	m.sys.Trace.Emitf(m.sys.K.Now(), obs.KindMerge, m.name,
-		int(home), int(dst.mp.Location()), "%d shards", len(m.shards))
-	return true
-}
-
-func (m *Map[K, V]) publishIndex(p *sim.Proc) {
-	table := make([]uint64, len(m.shards))
-	for i, s := range m.shards {
-		table[i] = s.lo
-	}
-	m.index.Put(p, m.index.Location(), indexObjID, table, int64(16*len(table)))
-}
-
-// Adapt implements core.Adaptive.
-func (m *Map[K, V]) Adapt(p *sim.Proc) {
-	if m.closed || !m.adaptMu.TryLock() {
-		return
-	}
-	defer m.adaptMu.Unlock()
-	for s := 0; s < len(m.shards); s++ {
-		if m.shards[s].mp.HeapBytes() > m.opts.MaxShardBytes {
-			m.splitShard(p, s)
-		}
-	}
-	mergeMax := int64(float64(m.opts.MaxShardBytes) * m.opts.MergeFraction)
-	for s := 0; s+1 < len(m.shards); s++ {
-		if m.shards[s].mp.HeapBytes()+m.shards[s+1].mp.HeapBytes() < mergeMax {
-			if m.mergeShards(p, s) {
-				s--
-			}
-		}
-	}
-}
-
-// close destroys all shards and the index.
-func (m *Map[K, V]) close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	for _, s := range m.shards {
-		s.mp.Destroy()
-	}
-	m.index.Destroy()
 }

@@ -3,13 +3,14 @@
 // disjoint ranges, each range stored in its own memory proclet so the
 // scheduler can place and migrate data at fine granularity.
 //
-// Each structure keeps an index proclet mapping shard ranges to data
-// proclets; clients cache the index, so lookups route directly to the
-// owning shard. Structure-specific split and merge functions keep
-// shards within the migration-latency budget (§3.3): a shard that
-// outgrows MaxShardBytes splits in two, and adjacent underfull shards
-// merge. Iterators carry semantic hints that drive prefetching, hiding
-// remote-shard access latency behind computation.
+// Map and Vector share one range table (table.go): an index proclet
+// mapping shard ranges to data proclets, which clients cache so lookups
+// route directly to the owning shard, and the restructuring protocol
+// that keeps shards within the migration-latency budget (§3.3): a
+// shard that outgrows MaxShardBytes splits in two by the structure's
+// own split function, and adjacent underfull shards merge. Iterators
+// carry semantic hints that drive prefetching, hiding remote-shard
+// access latency behind computation.
 package sharded
 
 import (
@@ -34,9 +35,6 @@ type Options struct {
 	// MaxShardBytes caps shard size; 0 uses the system's derived cap
 	// (target migration latency x NIC bandwidth).
 	MaxShardBytes int64
-	// MergeFraction: two adjacent shards merge when their combined
-	// size is below MergeFraction*MaxShardBytes. Default 0.5.
-	MergeFraction float64
 	// AutoAdapt registers the structure with the scheduler's
 	// adaptation loop so splits and merges happen automatically.
 	AutoAdapt bool
@@ -58,9 +56,6 @@ type Options struct {
 func (o Options) withDefaults(sys *core.System) Options {
 	if o.MaxShardBytes == 0 {
 		o.MaxShardBytes = sys.Config().MaxShardBytes()
-	}
-	if o.MergeFraction == 0 {
-		o.MergeFraction = 0.5
 	}
 	return o
 }

@@ -3,7 +3,6 @@ package sharded
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,51 +10,20 @@ import (
 	"repro/internal/sim"
 )
 
-// indexObjID is the object holding the routing table inside a
-// structure's index proclet.
-const indexObjID = 1
-
 // Vector is a sharded, growable sequence. Elements live in memory
 // proclets partitioned by contiguous index ranges; an index proclet
 // records the partitioning (clients cache it). Appends go to the last
 // shard; a shard that outgrows the size cap splits at its midpoint.
 type Vector[T any] struct {
-	sys  *core.System
-	name string
-	opts Options
+	table
 
 	// prefName caches the prefetch-process name ("<name>.prefetch") so
 	// the iterator hot path does not format it per fetch.
 	prefName string
 
-	shards []vshard // sorted by lo
-	length uint64
-
-	index *core.MemoryProclet // pinned; holds the routing table
-
-	gate      splitGate
-	ops       *opTracker
-	adaptMu   sim.Mutex
-	nextShard int
-	closed    bool
-
-	// Splits and Merges count structural adaptations; Spills and
-	// Faults count tiering activity (see tiering.go).
-	Splits int64
-	Merges int64
+	// Spills and Faults count tiering activity (see tiering.go).
 	Spills int64
 	Faults int64
-}
-
-// vshard is one index entry: the shard holding elements [lo, next.lo).
-// A spilled shard has mp == nil and its contents in the storage tier.
-type vshard struct {
-	lo uint64
-	mp *core.MemoryProclet
-
-	spilled    bool
-	spillBytes int64
-	lastAccess sim.Time
 }
 
 // NewVector creates a sharded vector with one initial shard placed by
@@ -65,70 +33,23 @@ func NewVector[T any](sys *core.System, name string, opts Options) (*Vector[T], 
 	if opts.Spill != nil && opts.Replicas >= 2 {
 		return nil, errors.New("sharded: Replicas and Spill are mutually exclusive")
 	}
-	v := &Vector[T]{sys: sys, name: name, opts: opts, ops: newOpTracker()}
-	idx, err := sys.NewMemoryProclet(name+".index", 4096)
-	if err != nil {
+	v := &Vector[T]{}
+	// Element i is object i+1, and the table's end is the element count,
+	// which PushBack advances.
+	if err := v.init(sys, name, opts, 1, 0, v.splitShard); err != nil {
 		return nil, err
-	}
-	if idx, err = replicate(sys, idx, opts); err != nil {
-		return nil, err
-	}
-	v.index = idx
-	sys.Sched.Pin(idx.ID())
-	sh, err := v.newShard()
-	if err != nil {
-		return nil, err
-	}
-	v.shards = []vshard{{lo: 0, mp: sh}}
-	if opts.AutoAdapt {
-		sys.Sched.RegisterAdaptive(v)
 	}
 	return v, nil
 }
 
-func (v *Vector[T]) newShard() (*core.MemoryProclet, error) {
-	v.nextShard++
-	mp, err := v.sys.NewMemoryProclet(fmt.Sprintf("%s.shard-%d", v.name, v.nextShard), v.opts.MaxShardBytes/2)
-	if err != nil {
-		return nil, err
-	}
-	return replicate(v.sys, mp, v.opts)
-}
-
 // Len returns the element count.
-func (v *Vector[T]) Len() uint64 { return v.length }
-
-// NumShards returns the current shard count.
-func (v *Vector[T]) NumShards() int { return len(v.shards) }
-
-// Shards returns the backing memory proclets in index order; spilled
-// shards contribute nil entries.
-func (v *Vector[T]) Shards() []*core.MemoryProclet {
-	out := make([]*core.MemoryProclet, len(v.shards))
-	for i, s := range v.shards {
-		out[i] = s.mp
-	}
-	return out
-}
-
-// shardIdx returns the index of the shard covering element i.
-func (v *Vector[T]) shardIdx(i uint64) int {
-	return sort.Search(len(v.shards), func(s int) bool { return v.shards[s].lo > i }) - 1
-}
-
-// hiOf returns the exclusive upper element bound of shard s.
-func (v *Vector[T]) hiOf(s int) uint64 {
-	if s == len(v.shards)-1 {
-		return v.length
-	}
-	return v.shards[s+1].lo
-}
+func (v *Vector[T]) Len() uint64 { return v.end }
 
 // Get fetches element i from wherever its shard lives.
 func (v *Vector[T]) Get(p *sim.Proc, from cluster.MachineID, i uint64) (T, error) {
 	var zero T
-	if i >= v.length {
-		return zero, fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.length)
+	if i >= v.end {
+		return zero, fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.end)
 	}
 	for retry := 0; retry < 4; retry++ {
 		v.gate.wait(p, i)
@@ -154,8 +75,8 @@ func (v *Vector[T]) Get(p *sim.Proc, from cluster.MachineID, i uint64) (T, error
 
 // set overwrites element i.
 func (v *Vector[T]) set(p *sim.Proc, from cluster.MachineID, i uint64, val T, bytes int64) error {
-	if i >= v.length {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.length)
+	if i >= v.end {
+		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.end)
 	}
 	v.gate.wait(p, i)
 	if err := v.ensureResident(p, i); err != nil {
@@ -176,7 +97,7 @@ func (v *Vector[T]) PushBack(p *sim.Proc, from cluster.MachineID, val T, bytes i
 	if v.closed {
 		return ErrClosed
 	}
-	i := v.length
+	i := v.end
 	v.gate.wait(p, i)
 	last := len(v.shards) - 1
 	v.touch(last)
@@ -209,7 +130,7 @@ func (v *Vector[T]) PushBack(p *sim.Proc, from cluster.MachineID, val T, bytes i
 		if nerr != nil {
 			return fmt.Errorf("sharded: push spill failed: %w (after %w)", nerr, err)
 		}
-		v.shards = append(v.shards, vshard{lo: i, mp: nsh})
+		v.shards = append(v.shards, shard{lo: i, mp: nsh})
 		v.publishIndex(p)
 		v.ops.enter(nsh.ID())
 		err = nsh.Put(p, from, i+1, val, bytes)
@@ -220,7 +141,7 @@ func (v *Vector[T]) PushBack(p *sim.Proc, from cluster.MachineID, val T, bytes i
 	} else if err != nil {
 		return err
 	}
-	v.length = i + 1
+	v.end = i + 1
 	// Keep the tail shard within the migration budget.
 	if sh.mp.HeapBytes() > v.opts.MaxShardBytes {
 		v.adaptMu.Lock(p)
@@ -271,9 +192,9 @@ func (v *Vector[T]) splitShard(p *sim.Proc, s int) bool {
 	}
 	// Publish the new routing before deleting from the source so
 	// readers always find their element on one side or the other.
-	v.shards = append(v.shards, vshard{})
+	v.shards = append(v.shards, shard{})
 	copy(v.shards[s+2:], v.shards[s+1:])
-	v.shards[s+1] = vshard{lo: mid, mp: dst}
+	v.shards[s+1] = shard{lo: mid, mp: dst}
 	v.publishIndex(p)
 	if err := src.DelRange(p, home, mid+1, hi+1); err != nil {
 		return false
@@ -282,94 +203,4 @@ func (v *Vector[T]) splitShard(p *sim.Proc, s int) bool {
 	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindSplit, v.name,
 		int(src.Location()), int(dst.Location()), "shard %d at %d, %d shards", s, mid, len(v.shards))
 	return true
-}
-
-// mergeShards merges shard s+1 into shard s. Caller holds adaptMu.
-func (v *Vector[T]) mergeShards(p *sim.Proc, s int) bool {
-	if s+1 >= len(v.shards) {
-		return false
-	}
-	if v.shards[s].spilled || v.shards[s+1].spilled {
-		return false
-	}
-	dst, src := v.shards[s], v.shards[s+1]
-	gateHi := ^uint64(0)
-	if s+2 < len(v.shards) {
-		gateHi = v.shards[s+2].lo
-	}
-	v.gate.open(dst.lo, gateHi)
-	defer v.gate.close()
-	v.ops.drain(p, src.mp.ID())
-	v.ops.drain(p, dst.mp.ID())
-	lo, hi := src.lo, v.hiOf(s+1)
-	home := src.mp.Location()
-	ids, vals, sizes, err := src.mp.Scan(p, home, lo+1, hi+1)
-	if err == nil && len(ids) > 0 {
-		err = dst.mp.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-	}
-	if err != nil {
-		return false
-	}
-	v.shards = append(v.shards[:s+1], v.shards[s+2:]...)
-	v.publishIndex(p)
-	src.mp.Destroy()
-	v.Merges++
-	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindMerge, v.name,
-		int(home), int(dst.mp.Location()), "%d shards", len(v.shards))
-	return true
-}
-
-// publishIndex writes the routing table to the index proclet (clients
-// read their cached copy; the write keeps the authoritative copy
-// current for recovery and for cold clients).
-func (v *Vector[T]) publishIndex(p *sim.Proc) {
-	table := make([]uint64, len(v.shards))
-	for i, s := range v.shards {
-		table[i] = s.lo
-	}
-	// 16 bytes per entry: range start + proclet id.
-	v.index.Put(p, v.index.Location(), indexObjID, table, int64(16*len(table)))
-}
-
-// Adapt implements core.Adaptive: split oversized shards, merge
-// adjacent underfull neighbours.
-func (v *Vector[T]) Adapt(p *sim.Proc) {
-	if v.closed || !v.adaptMu.TryLock() {
-		return
-	}
-	defer v.adaptMu.Unlock()
-	for s := 0; s < len(v.shards); s++ {
-		if v.shards[s].spilled {
-			continue
-		}
-		if v.shards[s].mp.HeapBytes() > v.opts.MaxShardBytes {
-			v.splitShard(p, s)
-		}
-	}
-	mergeMax := int64(float64(v.opts.MaxShardBytes) * v.opts.MergeFraction)
-	for s := 0; s+1 < len(v.shards); s++ {
-		if v.shards[s].spilled || v.shards[s+1].spilled {
-			continue
-		}
-		if v.shards[s].mp.HeapBytes()+v.shards[s+1].mp.HeapBytes() < mergeMax {
-			if v.mergeShards(p, s) {
-				s-- // re-examine the merged shard with its next neighbour
-			}
-		}
-	}
-}
-
-// close destroys all resident shards and the index. Spilled shards'
-// storage objects are left for the storage tier's owner to reclaim.
-func (v *Vector[T]) close() {
-	if v.closed {
-		return
-	}
-	v.closed = true
-	for _, s := range v.shards {
-		if s.mp != nil {
-			s.mp.Destroy()
-		}
-	}
-	v.index.Destroy()
 }
