@@ -4,12 +4,14 @@ package experiments
 // promised to move no simulated value. testdata/ext_seed<N>.golden is
 // the stdout of
 //
-//	quicksand-bench -scale test -seed <N> ext-chaos ext-failover ext-scale ext-serve
+//	quicksand-bench -scale test -seed <N> ext-chaos ext-failover ext-scale ext-serve ext-gpu ext-gpufleet
 //
-// recorded at 677053b, the commit before it; the determinism tests
-// compare a run with itself, this one compares it with that commit.
-// EXPERIMENTS_UPDATE_GOLDENS=1 go test -run ExtGoldens rewrites the
-// files, which only makes sense when a change means to move the output.
+// the first four recorded at 677053b, the commit before it, and the two
+// GPU runs at 9bcf8e1, before the GPU proclet's two move paths became
+// one; the determinism tests compare a run with itself, this one
+// compares it with those commits. EXPERIMENTS_UPDATE_GOLDENS=1 go test
+// -run ExtGoldens rewrites the files, which only makes sense when a
+// change means to move the output.
 
 import (
 	"bytes"
@@ -23,7 +25,7 @@ func TestExtGoldens(t *testing.T) {
 	for seed := int64(0); seed <= 2; seed++ {
 		SetBaseSeed(seed)
 		var got bytes.Buffer
-		for i, id := range []string{"ext-chaos", "ext-failover", "ext-scale", "ext-serve"} {
+		for i, id := range []string{"ext-chaos", "ext-failover", "ext-scale", "ext-serve", "ext-gpu", "ext-gpufleet"} {
 			res, err := Run(id, TestScale)
 			if err != nil {
 				t.Fatalf("seed %d: %s: %v", seed, id, err)
