@@ -534,84 +534,31 @@ func BenchmarkReplicatedPutBatch(b *testing.B) {
 	sys.K.Run()
 }
 
-// fanout is a load.Handler that reads a batch from its stores the way a
-// scenario server does: keys grouped by store, one GetBatch invocation
-// per store in turn, each stepped from the server's Await stage.
-type fanout struct {
-	stores  []*core.MemoryProclet
-	ids     [][]uint64
-	got     core.Batch
-	si      int
-	inv     *proclet.Invocation
-	batches int
-	err     error
-}
-
-func (f *fanout) Begin(batch []load.Request) sim.Wait {
-	for i := range f.ids {
-		f.ids[i] = f.ids[i][:0]
-	}
-	for _, r := range batch {
-		si := r.Key % uint64(len(f.stores))
-		f.ids[si] = append(f.ids[si], r.Key/uint64(len(f.stores)))
-	}
-	f.si = 0
-	return f.Step()
-}
-
-func (f *fanout) Step() sim.Wait {
-	for {
-		if inv := f.inv; inv != nil {
-			if w := inv.Step(); w != sim.Resume {
-				return w
-			}
-			f.inv = nil
-			if _, err := inv.End(); err != nil && f.err == nil {
-				f.err = err
-			}
-			f.si++
-		}
-		for f.si < len(f.ids) && len(f.ids[f.si]) == 0 {
-			f.si++
-		}
-		if f.si == len(f.ids) {
-			f.batches++
-			return sim.Resume
-		}
-		f.inv = f.stores[f.si].StartGetBatch(0, f.ids[f.si], &f.got)
-	}
-}
-
-func (f *fanout) NeedsProc() bool  { return false }
-func (f *fanout) Exec(p *sim.Proc) { panic("a remote read never needs the server's process") }
-
-// fanoutCycle builds a server on machine 0 over 16 stores of 64 objects on
-// machine 1 and returns one cycle: 64 arrivals, four keys a store, served
-// as one batch.
-func fanoutCycle(tb testing.TB) (cycle func(), f *fanout, done func()) {
+// fanoutCycle builds a fleet.Server on machine 0 over 16 stores of 64
+// objects on machine 1 and returns one cycle: 64 arrivals, four keys a
+// store, served as one batch.
+func fanoutCycle(tb testing.TB) (cycle func(), t *fleet.Tally, done func()) {
 	sys := benchSystem()
-	f = &fanout{ids: make([][]uint64, 16)}
 	preload := &core.Batch{}
 	for i := 0; i < 64; i++ {
 		preload.IDs = append(preload.IDs, uint64(i))
 		preload.Vals = append(preload.Vals, core.Int(int64(i)))
 		preload.Sizes = append(preload.Sizes, 256)
 	}
-	for i := 0; i < 16; i++ {
-		mp, err := core.NewMemoryProcletOn(sys, "store", 1)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		f.stores = append(f.stores, mp)
+	stores, err := fleet.PlaceStores(sys, "store-%d", 16, 1, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	t = &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
+	sv := fleet.NewServer(sys, t, fleet.NewLedger(stores, 256, func(k uint64) int64 { return int64(k) }), 64, 0)
 	var q load.Queue
 	sys.K.Spawn("setup", func(p *sim.Proc) {
-		for _, mp := range f.stores {
+		for _, mp := range stores {
 			if err := mp.PutBatch(p, 0, preload); err != nil {
 				tb.Error(err)
 			}
 		}
-		q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, f)
+		q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv)
 	})
 	key := uint64(0)
 	cycle = func() {
@@ -619,21 +566,22 @@ func fanoutCycle(tb testing.TB) (cycle func(), f *fanout, done func()) {
 			q.Push(load.Request{At: sys.K.Now(), Key: key % (16 * 64)})
 			key++
 		}
-		for n := f.batches; f.batches == n; {
+		for n := t.Served; t.Served == n; {
 			sys.K.Step()
 		}
 	}
-	return cycle, f, sys.Close
+	return cycle, t, sys.Close
 }
 
 // BenchmarkServeFanout measures one serving batch end to end the way the
 // serving workloads run it: 64 arrivals taken off a load.Queue as one
-// batch and read from 16 remote stores, one GetBatch invocation after
-// another, every step of it an Await stage of the server's process. The
-// process is never switched in, and nothing is allocated.
+// batch and read by a fleet.Server from 16 remote stores, one GetBatch
+// invocation after another, every step of it an Await stage of the
+// server's process. The process is never switched in, and nothing is
+// allocated.
 func BenchmarkServeFanout(b *testing.B) {
 	b.ReportAllocs()
-	cycle, f, done := fanoutCycle(b)
+	cycle, t, done := fanoutCycle(b)
 	defer done()
 	for i := 0; i < 16; i++ {
 		cycle() // the pools and the buffers have grown
@@ -642,15 +590,15 @@ func BenchmarkServeFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cycle()
 	}
-	if f.err != nil {
-		b.Fatal(f.err)
+	if t.Errors != 0 {
+		b.Fatalf("%d keys failed", t.Errors)
 	}
 }
 
 // TestServeFanoutAllocatesNothing: BenchmarkServeFanout's batch allocates
 // nothing at steady state.
 func TestServeFanoutAllocatesNothing(t *testing.T) {
-	cycle, f, done := fanoutCycle(t)
+	cycle, tally, done := fanoutCycle(t)
 	defer done()
 	for i := 0; i < 16; i++ {
 		cycle()
@@ -658,8 +606,8 @@ func TestServeFanoutAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(100, cycle); a != 0 {
 		t.Errorf("a 16-store fan-out batch allocates %v objects, want 0", a)
 	}
-	if f.err != nil {
-		t.Fatal(f.err)
+	if tally.Errors != 0 {
+		t.Fatalf("%d keys failed", tally.Errors)
 	}
 }
 

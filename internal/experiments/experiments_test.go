@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -666,6 +668,18 @@ func TestExtServeShape(t *testing.T) {
 	}
 	if res.EventsProcessed == 0 {
 		t.Error("missing event count")
+	}
+}
+
+// TestExtServePreloadThatDoesNotFitIsAnError: stores whose preload
+// outgrows a 64 MB machine end the run with an error that says so, as
+// scenario.Run's do, instead of a panic in a simulated process.
+func TestExtServePreloadThatDoesNotFitIsAnError(t *testing.T) {
+	cfg := serveConfig(TestScale)
+	cfg.objBytes = 160 << 10 // 512 objects of 160 KB: 80 MB a store
+	_, err := runServeOnce(cfg, 1)
+	if !errors.Is(err, cluster.ErrNoMemory) || !strings.Contains(err.Error(), "preload of store 0 (512 objects of 163840 bytes)") {
+		t.Errorf("err = %v, want the preload's ErrNoMemory", err)
 	}
 }
 

@@ -30,7 +30,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
-	"repro/internal/proclet"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/workload"
@@ -135,10 +133,6 @@ func serveConfig(scale Scale) serveCfg {
 // servePhases names the three phases; arrival time decides a request's
 // phase, so attribution is independent of when service completes.
 var servePhases = []string{"diurnal", "flash", "migrate"}
-
-// errServeDeadline marks a request span that missed the serving
-// deadline, so tail-based sampling retains its causal tree.
-var errServeDeadline = errors.New("deadline exceeded")
 
 // serveSLO is the always-on streaming SLO plane for the serving fleet:
 // half-millisecond windows, a burn-rate ring of 4, paging when the
@@ -234,150 +228,69 @@ type serveOutcome struct {
 // serveShard is one shard's serving state, written only in its shard's
 // context.
 type serveShard struct {
-	sys     *core.System
-	stores  []*core.MemoryProclet
-	inj     *load.Injector
-	mon     *slo.Monitor
-	queue   load.Queue
-	served  uint64
-	timeout uint64
-	errs    uint64
-	migOK   int64
-	startNS int64
-	done    bool
+	fleet.Tally
+	sys      *core.System
+	stores   []*core.MemoryProclet
+	inj      *load.Injector
+	queue    load.Queue
+	migOK    int64
+	startNS  int64
+	setupErr error
+	done     bool
 }
 
-// serveServer is one server's load.Handler: batched fan-in. It groups a
-// batch by store and issues one mem.getbatch per touched store, ascending
-// and one at a time, instead of one RPC per request; every crossEvery-th
-// batch ends with a cross-shard gateway read. Each call is stepped from
-// the Serve loop's stage, so the server's process is never switched in to
-// make one.
+// serveServer is one server: a fleet.Server whose every crossEvery-th
+// batch ends with a cross-shard gateway read, which keeps the fleet
+// coupled through the partition mailboxes. The read is stepped from the
+// Serve loop's stage like the store calls.
 type serveServer struct {
+	*fleet.Server
 	cfg     *serveCfg
 	shard   int
 	st      *serveShard
 	net     *simnet.Partition
-	tr      *obs.Tracer // nil when untraced; every Tracer method is nil-safe
-	overall *metrics.LogHistogram
-	phases  [][]*metrics.LogHistogram // [phase][shard]
-
-	byStore [][]uint64
-	got     core.Batch // one read buffer per server, refilled by every call
 	batches int
-
-	batch []load.Request
-	root  obs.SpanID
-	si    int                 // the store being read
-	inv   *proclet.Invocation // that read, in flight
-	xc    simnet.PartitionCall
-	xget  bool // xc is in flight
+	xc      simnet.PartitionCall
+	xget    bool // xc is in flight
 }
 
-// Begin opens the batch's causal tree, groups it by store and starts its
-// first read. One tree per fan-in batch: the root opens at pickup, store
-// fan-in RPCs hang off it via SetNext, and each request lands as a
-// retroactive child spanning arrival -> completion, so queue wait is
-// visible in the tree extent the tail sampler keys on.
 func (sv *serveServer) Begin(batch []load.Request) sim.Wait {
-	sv.batch = batch
-	sv.root = sv.tr.Start(obs.KindReq, "batch", 0, 0)
-	for i := range sv.byStore {
-		sv.byStore[i] = sv.byStore[i][:0]
-	}
-	for _, r := range batch {
-		si := int(r.Key % uint64(sv.cfg.stores))
-		sv.byStore[si] = append(sv.byStore[si], r.Key%uint64(sv.cfg.objsPer))
-	}
-	sv.si = 0
-	return sv.Step()
+	return sv.served(sv.Server.Begin(batch))
 }
 
-// Step steps the read or the gateway read in flight; once a read ends it
-// starts the next, and once none is left it completes the batch.
 func (sv *serveServer) Step() sim.Wait {
-	st := sv.st
-	for {
-		if inv := sv.inv; inv != nil {
-			if w := inv.Step(); w != sim.Resume || inv.NeedsProc() {
-				return w
-			}
-			sv.inv = nil
-			if _, err := inv.End(); err != nil {
-				st.errs += uint64(len(sv.byStore[sv.si]))
-			} else if len(sv.got.IDs) == 0 {
-				st.errs++
-			}
-			sv.si++
-		}
-		if sv.xget {
-			if w := sv.xc.Stage(); w != sim.Resume {
-				return w
-			}
-			sv.xget = false
-			if _, err := sv.xc.End(); err != nil {
-				st.errs++
-			}
-			return sim.Resume
-		}
-		for sv.si < len(sv.byStore) && len(sv.byStore[sv.si]) == 0 {
-			sv.si++
-		}
-		if sv.si < len(sv.byStore) {
-			sv.tr.SetNext(sv.root)
-			sv.inv = st.stores[sv.si].StartGetBatch(0, sv.byStore[sv.si], &sv.got)
-			continue
-		}
-		sv.complete()
-		sv.batches++
-		if sv.batches%sv.cfg.crossEvery != 0 {
-			return sim.Resume
-		}
-		// Keep the fleet coupled: a cross-shard gateway read rides the
-		// partition mailboxes.
-		sv.tr.SetNext(sv.root)
-		xc, err := sv.net.StartCall(simnet.ShardNode{Shard: sv.shard, Node: 0},
-			simnet.ShardNode{Shard: (sv.shard + 1) % sv.cfg.shards, Node: 0},
-			"xget", simnet.Message{Bytes: 64})
-		if err != nil {
-			st.errs++
-			return sim.Resume
-		}
-		sv.xc, sv.xget = xc, true
+	if !sv.xget {
+		return sv.served(sv.Server.Step())
 	}
+	w := sv.xc.Stage()
+	if w == sim.Resume {
+		sv.xget = false
+		if _, err := sv.xc.End(); err != nil {
+			sv.st.Errors++
+		}
+	}
+	return w
 }
 
-func (sv *serveServer) NeedsProc() bool  { return sv.inv != nil && sv.inv.NeedsProc() }
-func (sv *serveServer) Exec(p *sim.Proc) { sv.inv.Exec(p) }
-
-// complete records every request of the batch as served now and closes
-// the batch's tree.
-func (sv *serveServer) complete() {
-	st, cfg, tr := sv.st, sv.cfg, sv.tr
-	now := st.sys.K.Now()
-	for _, r := range sv.batch {
-		lat := int64(now - r.At)
-		sv.overall.Record(lat)
-		sv.phases[cfg.phaseOf(r.At)][sv.shard].Record(lat)
-		st.served++
-		missed := lat > int64(cfg.deadline)
-		if missed {
-			st.timeout++
-		}
-		// The SLO plane covers the horizon; drain-time completions of late
-		// arrivals are excluded so a trailing partial window never
-		// masquerades as an outage.
-		if now < cfg.horizon {
-			st.mon.Observe(now, lat, missed)
-		}
-		if tr != nil {
-			sp := tr.RecordAt(obs.KindReq, "req", 0, sv.root, r.At, now)
-			if missed {
-				tr.SetErr(sp, errServeDeadline)
-			}
-		}
+// served passes on the fan-in's wait w until its batch is served, then
+// starts the gateway read if this batch has one.
+func (sv *serveServer) served(w sim.Wait) sim.Wait {
+	if w != sim.Resume || sv.NeedsProc() {
+		return w
 	}
-	tr.End(sv.root)
+	if sv.batches++; sv.batches%sv.cfg.crossEvery != 0 {
+		return sim.Resume
+	}
+	sv.st.sys.Obs.SetNext(sv.Root())
+	xc, err := sv.net.StartCall(simnet.ShardNode{Shard: sv.shard, Node: 0},
+		simnet.ShardNode{Shard: (sv.shard + 1) % sv.cfg.shards, Node: 0},
+		"xget", simnet.Message{Bytes: 64})
+	if err != nil {
+		sv.st.Errors++
+		return sim.Resume
+	}
+	sv.xc, sv.xget = xc, true
+	return sv.Step()
 }
 
 // runServeOnce builds the partitioned serving fleet and drives it with
@@ -398,7 +311,8 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	}
 
 	shards := make([]*serveShard, cfg.shards)
-	// Shard-local latency histograms, [shard] and [phase][shard].
+	// Shard-local latency histograms, [shard] (each shard's Tally.Hist)
+	// and [phase][shard].
 	overall := make([]*metrics.LogHistogram, cfg.shards)
 	phases := make([][]*metrics.LogHistogram, len(servePhases))
 	for ph := range phases {
@@ -412,15 +326,22 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			// into one globally ordered export.
 			sys.EnableTracingAt(obs.SpanID(s) << 32)
 		}
-		st := &serveShard{sys: sys}
-		shards[s] = st
-		st.mon = serveSLO(cfg, s)
-		st.mon.Log = sys.Trace
-		st.mon.Tracer = sys.Obs
 		overall[s] = metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s))
 		for ph, name := range servePhases {
 			phases[ph][s] = metrics.NewLogHistogram(fmt.Sprintf("s%d.lat.%s", s, name))
 		}
+		st := &serveShard{sys: sys, Tally: fleet.Tally{
+			Hist:     overall[s],
+			Mon:      serveSLO(cfg, s),
+			Deadline: int64(cfg.deadline),
+			Horizon:  cfg.horizon,
+			OnServe: func(arrived, done sim.Time, _ bool) {
+				phases[cfg.phaseOf(arrived)][s].Record(int64(done - arrived))
+			},
+		}}
+		shards[s] = st
+		st.Mon.Log = sys.Trace
+		st.Mon.Tracer = sys.Obs
 		sys.Start()
 
 		// Machine 0 is the shard's front end (servers + cross-shard
@@ -429,8 +350,10 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
 			return out, err
 		}
+		// The stores hold key i as int64(i); nothing writes to them.
+		ledger := fleet.NewLedger(st.stores, cfg.objBytes, func(key uint64) int64 { return int64(key) })
 		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
-			return simnet.Message{Payload: int64(st.served), Bytes: 64}, nil
+			return simnet.Message{Payload: int64(st.Served), Bytes: 64}, nil
 		})
 
 		// The shard's injector: tenant curves are the fleet intensity
@@ -473,9 +396,10 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 				vals[i] = core.Int(int64(i))
 				sizes[i] = cfg.objBytes
 			}
-			for _, mp := range st.stores {
+			for i, mp := range st.stores {
 				if err := mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
-					panic(fmt.Sprintf("ext-serve preload: %v", err))
+					st.setupErr = fmt.Errorf("preload of store %d (%d objects of %d bytes): %w", i, cfg.objsPer, cfg.objBytes, err)
+					return
 				}
 			}
 			st.startNS = int64(p.Now())
@@ -488,8 +412,8 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
-				sv := &serveServer{cfg: &cfg, shard: s, st: st, net: fl.Net, tr: st.sys.Obs,
-					overall: overall[s], phases: phases, byStore: make([][]uint64, cfg.stores)}
+				sv := &serveServer{Server: fleet.NewServer(sys, &st.Tally, ledger, cfg.objsPer, 0),
+					cfg: &cfg, shard: s, st: st, net: fl.Net}
 				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, sv)
 			})
 		}
@@ -533,22 +457,25 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		Spans:       make([]int, cfg.shards),
 	}
 	for s, st := range shards {
+		if st.setupErr != nil {
+			return out, fmt.Errorf("ext-serve: shard %d: %w", s, st.setupErr)
+		}
 		if !st.done {
 			return out, fmt.Errorf("ext-serve: shard %d did not drain by %v (%d/%d served)",
-				s, cfg.horizon+cfg.slack, st.served, st.inj.TotalGenerated())
+				s, cfg.horizon+cfg.slack, st.Served, st.inj.TotalGenerated())
 		}
-		st.mon.Finish(cfg.horizon)
+		st.Mon.Finish(cfg.horizon)
 		det.Generated[s] = st.inj.TotalGenerated()
-		det.Served[s] = st.served
-		det.Timeouts[s] = st.timeout
-		det.Errors[s] = st.errs
+		det.Served[s] = st.Served
+		det.Timeouts[s] = st.Timeouts
+		det.Errors[s] = st.Errors
 		det.Migrations[s] = st.migOK
 		det.StartNS[s] = st.startNS
-		det.Opened[s] = st.mon.Opened()
-		det.Resolved[s] = st.mon.Resolved()
-		det.SLOWindows[s] = st.mon.WindowsClosed()
+		det.Opened[s] = st.Mon.Opened()
+		det.Resolved[s] = st.Mon.Resolved()
+		det.SLOWindows[s] = st.Mon.WindowsClosed()
 		det.Spans[s] = st.sys.Obs.Len()
-		out.incidents = append(out.incidents, st.mon.Incidents()...)
+		out.incidents = append(out.incidents, st.Mon.Incidents()...)
 	}
 	det.Windows = fl.PK.Windows()
 	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())

@@ -1,8 +1,9 @@
 // Package fleet is the one way to assemble a simulated fleet: the
 // partitioned topology every multi-shard run shares, where its memory
-// proclets go, how its per-shard control-plane logs merge, and the
-// durable record an experiment checks "no acked write lost" against
-// (Ledger). DESIGN.md "Fleet assembly" states the contract.
+// proclets go, how its per-shard control-plane logs merge, the durable
+// record an experiment checks "no acked write lost" against (Ledger),
+// and how a server fans a batch out to the stores (Server). DESIGN.md
+// "Fleet assembly" states the contract.
 package fleet
 
 import (

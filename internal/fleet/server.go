@@ -1,0 +1,193 @@
+package fleet
+
+import (
+	"errors"
+
+	"repro/internal/core"
+	"repro/internal/load"
+	"repro/internal/metrics"
+	"repro/internal/obs"
+	"repro/internal/obs/slo"
+	"repro/internal/proclet"
+	"repro/internal/sim"
+)
+
+// Tally is a shard's serving record, shared by its servers and written
+// only in the shard's context.
+type Tally struct {
+	Served, Timeouts, Errors, Acked uint64
+
+	Hist     *metrics.LogHistogram // arrival-to-completion latency
+	Mon      *slo.Monitor          // nil without an SLO plane
+	Deadline int64                 // ns; a request served later is a timeout
+	Horizon  sim.Time              // the SLO plane observes completions before it
+
+	// OnServe, when set, sees every request as it is served: what only
+	// one engine keeps (goodput buckets, per-phase histograms).
+	OnServe func(arrived, done sim.Time, missed bool)
+}
+
+// errDeadline marks a request span that missed the deadline, so
+// tail-based sampling retains its causal tree.
+var errDeadline = errors.New("deadline exceeded")
+
+// Server is one server's load.Handler: batched fan-in over a ledger's
+// stores. A request whose key falls in the write fraction writes object
+// load.ScrambleKey(key), any other reads object key % objects, and either
+// goes to store key % len(stores). The stores are called one invocation
+// at a time — ascending, each store's read before its write — and every
+// request of the batch completes at the instant the last call ends. The
+// calls are stepped from the Serve loop's stage, so the server's process
+// runs only for a local blocking method (a replicated primary's write on
+// the server's machine).
+//
+// A failed call fails its keys, and a successful read fails each key it
+// did not return; an acked write joins the ledger. When the shard traces,
+// each batch is one causal tree: the root opens at pickup, the store
+// calls hang off it and each request lands as a child spanning arrival
+// to completion, so its queue wait shows in the extent a tail sampler
+// keys on.
+type Server struct {
+	sys     *core.System
+	t       *Tally
+	l       *Ledger
+	objects uint64
+	cut     uint64 // a key is a write iff key % 1000 < cut
+
+	// calls holds the batch's keys per call: store i's reads at 2i, its
+	// writes at 2i+1. op is the call the server is at, inv that call in
+	// flight.
+	calls [][]uint64
+	op    int
+	inv   *proclet.Invocation
+	// One read buffer and one write buffer per server: nothing read is
+	// kept past the call, and the store copies a write out in the event
+	// the call is served.
+	rbuf, wbuf core.Batch
+
+	batch []load.Request
+	root  obs.SpanID
+}
+
+// NewServer returns a server on sys's shard over l's stores that records
+// into t. Reads address objects 0 to objects-1; writeFrac of the keys,
+// to a thousandth, are writes.
+func NewServer(sys *core.System, t *Tally, l *Ledger, objects int, writeFrac float64) *Server {
+	return &Server{sys: sys, t: t, l: l, objects: uint64(objects), cut: uint64(writeFrac * 1000),
+		calls: make([][]uint64, 2*len(l.stores))}
+}
+
+// Root returns the causal tree of the batch in hand, or of the last one.
+func (s *Server) Root() obs.SpanID { return s.root }
+
+// Begin opens the batch's tree, groups it by call and starts the first.
+func (s *Server) Begin(batch []load.Request) sim.Wait {
+	s.batch = batch
+	s.root = s.sys.Obs.Start(obs.KindReq, "batch", 0, 0)
+	for i := range s.calls {
+		s.calls[i] = s.calls[i][:0]
+	}
+	stores := uint64(len(s.l.stores))
+	for _, r := range batch {
+		op := 2 * (r.Key % stores)
+		if r.Key%1000 < s.cut {
+			s.calls[op+1] = append(s.calls[op+1], load.ScrambleKey(r.Key))
+		} else {
+			s.calls[op] = append(s.calls[op], r.Key%s.objects)
+		}
+	}
+	s.op = 0
+	return s.Step()
+}
+
+// Step steps the call in flight; once it ends, it settles it and starts
+// the next, and once none is left it completes the batch.
+func (s *Server) Step() sim.Wait {
+	for {
+		if inv := s.inv; inv != nil {
+			if w := inv.Step(); w != sim.Resume || inv.NeedsProc() {
+				return w
+			}
+			s.inv = nil
+			_, err := inv.End()
+			s.settle(err)
+			s.op++
+		}
+		if !s.call() {
+			s.complete()
+			return sim.Resume
+		}
+	}
+}
+
+func (s *Server) NeedsProc() bool  { return s.inv != nil && s.inv.NeedsProc() }
+func (s *Server) Exec(p *sim.Proc) { s.inv.Exec(p) }
+
+// call starts the first call from op on that has keys, and reports
+// whether there was one.
+func (s *Server) call() bool {
+	for ; s.op < len(s.calls); s.op++ {
+		ids := s.calls[s.op]
+		if len(ids) == 0 {
+			continue
+		}
+		mp := s.l.stores[s.op/2]
+		s.sys.Obs.SetNext(s.root)
+		if s.op%2 == 0 {
+			s.inv = mp.StartGetBatch(0, ids, &s.rbuf)
+			return true
+		}
+		s.wbuf.IDs, s.wbuf.Vals, s.wbuf.Sizes = ids, s.wbuf.Vals[:0], s.wbuf.Sizes[:0]
+		for _, id := range ids {
+			s.wbuf.Vals = append(s.wbuf.Vals, core.Int(s.l.val(id)))
+			s.wbuf.Sizes = append(s.wbuf.Sizes, s.l.size)
+		}
+		s.inv = mp.StartPutBatch(0, &s.wbuf)
+		return true
+	}
+	return false
+}
+
+// settle counts call op's outcome.
+func (s *Server) settle(err error) {
+	t, ids := s.t, s.calls[s.op]
+	switch {
+	case err != nil:
+		t.Errors += uint64(len(ids))
+	case s.op%2 == 0:
+		t.Errors += uint64(len(ids) - len(s.rbuf.IDs))
+	default:
+		s.l.Ack(s.op/2, ids...)
+		t.Acked += uint64(len(ids))
+	}
+}
+
+// complete records every request of the batch as served now and closes
+// the batch's tree.
+func (s *Server) complete() {
+	t, tr, now := s.t, s.sys.Obs, s.sys.K.Now()
+	for _, r := range s.batch {
+		lat := int64(now - r.At)
+		missed := lat > t.Deadline
+		t.Hist.Record(lat)
+		if t.OnServe != nil {
+			t.OnServe(r.At, now, missed)
+		}
+		t.Served++
+		if missed {
+			t.Timeouts++
+		}
+		// The SLO plane covers the horizon: completions during the drain
+		// are backlog clearing, not steady-state service.
+		if now < t.Horizon {
+			t.Mon.Observe(now, lat, missed)
+		}
+		if tr != nil {
+			sp := tr.RecordAt(obs.KindReq, "req", 0, s.root, r.At, now)
+			if missed {
+				tr.SetErr(sp, errDeadline)
+			}
+		}
+	}
+	tr.End(s.root)
+}

@@ -254,18 +254,9 @@ func (f *Fleet) react(p *sim.Proc) {
 			continue
 		}
 		dst, err := f.PickGPU(gp.modelBytes, gp.Device())
-		if err != nil {
+		if err != nil || f.move(p, e, dst, gp.restoreTo, &f.Restores) != nil {
 			f.Stranded.Inc()
-			continue
 		}
-		start := p.Now()
-		if err := gp.restoreTo(p, dst); err != nil {
-			f.Stranded.Inc()
-			continue
-		}
-		f.Restores.Inc()
-		f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
-		f.settle(e)
 	}
 	// Spot reclaims: the device is readable for the grace window, so
 	// evacuate by readback.
@@ -276,18 +267,9 @@ func (f *Fleet) react(p *sim.Proc) {
 			continue
 		}
 		dst, err := f.PickGPU(gp.modelBytes, d)
-		if err != nil {
+		if err != nil || f.move(p, e, dst, gp.migrateTo, &f.Evacuations) != nil {
 			f.Stranded.Inc()
-			continue
 		}
-		start := p.Now()
-		if err := gp.migrateTo(p, dst); err != nil {
-			f.Stranded.Inc()
-			continue
-		}
-		f.Evacuations.Inc()
-		f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
-		f.settle(e)
 	}
 	f.detectStragglers(p)
 	// Release drivers parked in AwaitPlaced whose proclet is whole
@@ -299,10 +281,19 @@ func (f *Fleet) react(p *sim.Proc) {
 	}
 }
 
-// settle resets detector state after a proclet changes device.
-func (f *Fleet) settle(e *entry) {
+// move moves e's proclet to dst by how (restoreTo or migrateTo); once
+// it has moved, it counts the move in n, records how long it took and
+// resets the detector's state for the proclet.
+func (f *Fleet) move(p *sim.Proc, e *entry, dst *cluster.GPU, how func(*sim.Proc, *cluster.GPU) error, n *metrics.Counter) error {
+	start := p.Now()
+	if err := how(p, dst); err != nil {
+		return err
+	}
+	n.Inc()
+	f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
 	e.strikes = 0
 	e.cooldownUntil = f.pass + f.cfg.CooldownPasses
+	return nil
 }
 
 // detectStragglers compares each proclet's step-latency EWMA against
@@ -349,13 +340,7 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 			int(gp.Device().Machine.ID), int(dst.Machine.ID),
 			"straggler %.3fms vs median %.3fms: re-dispatch %s -> %s",
 			gp.stepLatencyMS(), median, gp.Device(), dst)
-		start := p.Now()
-		if err := gp.migrateTo(p, dst); err != nil {
-			continue
-		}
-		f.Mitigations.Inc()
-		f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
-		f.settle(e)
+		f.move(p, e, dst, gp.migrateTo, &f.Mitigations)
 	}
 }
 

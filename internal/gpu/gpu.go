@@ -313,12 +313,9 @@ func (gp *Proclet) AwaitPlaced(p *sim.Proc) error {
 }
 
 // migrateTo moves the model replica to another GPU by reading it back
-// from the current device: block new steps, drain in-flight ones, copy
-// device state (host link down, network if cross-machine, host link
-// up), move the control proclet if the machine changed, and resume.
-// The source must be readable — reclaimed is fine (providers keep the
-// memory addressable for a grace window), fatally failed is not: a
-// Failed source requires restoreTo.
+// from the current device. The source must be readable — reclaimed is
+// fine (providers keep the memory addressable for a grace window),
+// fatally failed is not: a Failed source requires restoreTo.
 func (gp *Proclet) migrateTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.dead {
 		return proclet.ErrDead
@@ -335,52 +332,14 @@ func (gp *Proclet) migrateTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.migrating {
 		return proclet.ErrMigrating
 	}
-	if err := dst.AllocMem(gp.modelBytes); err != nil {
-		return err
-	}
-	src := gp.gpu
-	gp.migrating = true
-	for gp.active > 0 {
-		gp.drained.Wait(p)
-	}
-
-	// Device -> host on the source machine; the device remains
-	// readable after a spot reclaim, matching providers' grace
-	// windows.
-	src.Download(p, gp.modelBytes)
-	if dst.Machine.ID != src.Machine.ID {
-		if err := gp.sys.Cluster.Fabric.Transfer(p,
-			simnet.NodeID(src.Machine.ID), simnet.NodeID(dst.Machine.ID), gp.modelBytes); err != nil {
-			dst.FreeMem(gp.modelBytes)
-			gp.migrating = false
-			gp.unblocked.Broadcast()
-			return err
-		}
-		if err := gp.sys.Runtime.Migrate(p, gp.pr.ID(), dst.Machine.ID); err != nil {
-			dst.FreeMem(gp.modelBytes)
-			gp.migrating = false
-			gp.unblocked.Broadcast()
-			return err
-		}
-	}
-	dst.Upload(p, gp.modelBytes)
-
-	src.FreeMem(gp.modelBytes)
-	gp.gpu = dst
-	gp.resetTelemetry()
-	gp.migrating = false
-	gp.unblocked.Broadcast()
-	gp.sys.Trace.Emitf(gp.sys.K.Now(), obs.KindMigrate, gp.name,
-		int(src.Machine.ID), int(dst.Machine.ID), "gpu %s -> %s (%d bytes)", src, dst, gp.modelBytes)
-	return nil
+	return gp.move(p, dst, false)
 }
 
-// restoreTo rebuilds the proclet on dst after its device died fatally:
-// the model ships from the checkpoint mirror (network if the mirror is
-// remote, then host link up). Without checkpointing the model is gone —
-// training restarts from step zero and every acked step is counted
-// lost. At most the one in-flight unacked step is lost when a mirror
-// exists, because acks happen only after the delta reaches it.
+// restoreTo rebuilds the proclet on dst after its device died fatally,
+// from the checkpoint mirror. Without one the model is gone: training
+// restarts from step zero and every acked step is counted lost. With
+// one, at most the in-flight unacked step is lost, because acks happen
+// only after the delta reaches the mirror.
 func (gp *Proclet) restoreTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.dead {
 		return proclet.ErrDead
@@ -394,57 +353,64 @@ func (gp *Proclet) restoreTo(p *sim.Proc, dst *cluster.GPU) error {
 	if gp.migrating {
 		return proclet.ErrMigrating
 	}
+	return gp.move(p, dst, true)
+}
+
+// move is every device move, Nu's protocol at the device level: reserve
+// dst; block new steps and drain the ones in flight (on a dead device
+// they wake from their kernel sleeps, observe the failure and abort
+// unacked); bring the model to dst's machine — from the source device
+// (host link down, then the network) or, on a restore, from the mirror;
+// move the control proclet if the machine changes; upload and commit. A
+// failed copy or control-proclet move leaves the proclet where it was.
+func (gp *Proclet) move(p *sim.Proc, dst *cluster.GPU, restore bool) error {
 	if err := dst.AllocMem(gp.modelBytes); err != nil {
 		return err
 	}
 	src := gp.gpu
 	gp.migrating = true
-	// In-flight steps on the dead device wake from their kernel
-	// sleeps, observe the failure, and abort unacked.
 	for gp.active > 0 {
 		gp.drained.Wait(p)
 	}
 
-	if gp.ckpt.enabled() {
-		if gp.ckptHome != dst.Machine.ID {
-			if err := gp.sys.Cluster.Fabric.Transfer(p,
-				simnet.NodeID(gp.ckptHome), simnet.NodeID(dst.Machine.ID), gp.modelBytes); err != nil {
-				dst.FreeMem(gp.modelBytes)
-				gp.migrating = false
-				gp.unblocked.Broadcast()
-				return err
-			}
-		}
-		if lost := gp.acked - gp.ckptStep; lost > 0 {
-			// Unreachable while ships are synchronous; kept as the
-			// accounting truth if the protocol ever batches acks.
+	from := src.Machine.ID
+	switch {
+	case !restore:
+		src.Download(p, gp.modelBytes)
+	case gp.ckpt.enabled():
+		from = gp.ckptHome
+	default:
+		from = dst.Machine.ID // no mirror: nothing to ship
+	}
+	var err error
+	if from != dst.Machine.ID {
+		err = gp.sys.Cluster.Fabric.Transfer(p, simnet.NodeID(from), simnet.NodeID(dst.Machine.ID), gp.modelBytes)
+	}
+	if err == nil && dst.Machine.ID != src.Machine.ID {
+		err = gp.sys.Runtime.Migrate(p, gp.pr.ID(), dst.Machine.ID)
+	}
+	freed := dst
+	if err == nil {
+		dst.Upload(p, gp.modelBytes)
+		// The step count rolls back to the mirror's step, which is 0
+		// without checkpoints; with them, nothing acked is past it while
+		// ships are synchronous.
+		if lost := gp.acked - gp.ckptStep; restore && lost > 0 {
 			gp.LostSteps.Addn(lost)
 			gp.acked = gp.ckptStep
 		}
-	} else {
-		gp.LostSteps.Addn(gp.acked)
-		gp.acked = 0
-		gp.ckptStep = 0
-	}
-	if dst.Machine.ID != src.Machine.ID {
-		if err := gp.sys.Runtime.Migrate(p, gp.pr.ID(), dst.Machine.ID); err != nil {
-			dst.FreeMem(gp.modelBytes)
-			gp.migrating = false
-			gp.unblocked.Broadcast()
-			return err
+		freed, gp.gpu = src, dst
+		gp.resetTelemetry()
+		kind, what := obs.KindMigrate, fmt.Sprintf("gpu %s -> %s (%d bytes)", src, dst, gp.modelBytes)
+		if restore {
+			kind, what = obs.KindRecover, fmt.Sprintf("gpu restore %s -> %s from mirror m%d (step %d)", src, dst, gp.ckptHome, gp.ckptStep)
 		}
+		gp.sys.Trace.Emitf(gp.sys.K.Now(), kind, gp.name, int(src.Machine.ID), int(dst.Machine.ID), "%s", what)
 	}
-	dst.Upload(p, gp.modelBytes)
-
-	src.FreeMem(gp.modelBytes)
-	gp.gpu = dst
-	gp.resetTelemetry()
+	freed.FreeMem(gp.modelBytes)
 	gp.migrating = false
 	gp.unblocked.Broadcast()
-	gp.sys.Trace.Emitf(gp.sys.K.Now(), obs.KindRecover, gp.name,
-		int(src.Machine.ID), int(dst.Machine.ID),
-		"gpu restore %s -> %s from mirror m%d (step %d)", src, dst, gp.ckptHome, gp.ckptStep)
-	return nil
+	return err
 }
 
 // Destroy releases device memory and the control proclet.

@@ -8,10 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The serving loop as it was written before server: load.Queue.Serve
+// The serving loop as it was written before fleet.Server: load.Queue.Serve
 // handing each batch to a handler that runs on the server's own process,
 // every store call a blocking GetBatch or PutBatch. TestServerMatchesReferenceLoop
-// holds Queue.Serve over server to it, event for event.
+// holds Queue.Serve over fleet.Server to it, event for event.
 
 // refQueue is load.Queue with the Serve it had then.
 type refQueue struct {
@@ -69,7 +69,9 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 		for si := range st.stores {
 			if ids := readIDs[si]; len(ids) > 0 {
 				if err := st.stores[si].GetBatch(p, 0, ids, &rbuf); err != nil {
-					st.errs += uint64(len(ids))
+					st.Errors += uint64(len(ids))
+				} else {
+					st.Errors += uint64(len(ids) - len(rbuf.IDs))
 				}
 			}
 			if ids := writeIDs[si]; len(ids) > 0 {
@@ -79,23 +81,23 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 					wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
 				}
 				if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
-					st.errs += uint64(len(ids))
+					st.Errors += uint64(len(ids))
 				} else {
 					st.ledger.Ack(si, ids...)
-					st.acked += uint64(len(ids))
+					st.Acked += uint64(len(ids))
 				}
 			}
 		}
 		now := p.Now()
 		for _, r := range batch {
 			lat := int64(now - r.At)
-			st.hist.Record(lat)
+			st.Hist.Record(lat)
 			if now < horizon {
-				st.mon.Observe(now, lat, lat > deadline)
+				st.Mon.Observe(now, lat, lat > deadline)
 			}
-			st.served++
+			st.Served++
 			if lat > deadline {
-				st.timeouts++
+				st.Timeouts++
 			} else {
 				bi := int(int64(now) / bucketNS)
 				if bi >= len(st.good) {

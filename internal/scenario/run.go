@@ -105,6 +105,7 @@ func writeVal(id uint64) int64 { return int64(id ^ 0x9e3779b97f4a7c15) }
 // shardState is one shard's mutable run state. Written only in shard
 // context (procs on that shard's kernel), read host-side after the run.
 type shardState struct {
+	fleet.Tally
 	sys      *core.System
 	rm       *core.ReplManager
 	in       *fault.Injector
@@ -115,19 +116,22 @@ type shardState struct {
 	fleet    *gpu.Fleet
 	trainers []*gpu.Proclet
 
-	served   uint64
-	timeouts uint64
-	errs     uint64
-	acked    uint64
 	lost     int64
 	migOK    int64
-	startNS  int64 // when the preload finished; 0 until it has
-	setupErr error // why it never will
-	hist     *metrics.LogHistogram
+	startNS  int64   // when the preload finished; 0 until it has
+	setupErr error   // why it never will
 	good     []int64 // goodput buckets: on-deadline completions by completion time
 	done     bool
+}
 
-	mon *slo.Monitor // nil unless the spec declares an slo block
+// countGood is the shard's Tally.OnServe: an on-deadline completion
+// counts in the goodput bucket of its completion time.
+func (st *shardState) countGood(bucketNS int64) func(arrived, done sim.Time, missed bool) {
+	return func(_, done sim.Time, missed bool) {
+		if !missed {
+			st.good[min(int(int64(done)/bucketNS), len(st.good)-1)]++
+		}
+	}
 }
 
 // Run executes the scenario and evaluates its assertions. The returned
@@ -214,10 +218,15 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	shards := make([]*shardState, f.Shards)
 	for s, sys := range fl.Shards {
 		st := &shardState{
+			Tally: fleet.Tally{
+				Hist:     metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
+				Deadline: deadline,
+				Horizon:  horizon,
+			},
 			sys:  sys,
-			hist: metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
 			good: make([]int64, nBuckets),
 		}
+		st.OnServe = st.countGood(bucketNS)
 		shards[s] = st
 		k := sys.K
 		sys.Start()
@@ -242,7 +251,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					Severity: r.Severity,
 				}
 			}
-			st.mon = slo.New(slo.Config{
+			st.Mon = slo.New(slo.Config{
 				Window:      mst(sp.SLO.WindowMS),
 				Windows:     sp.SLO.Windows,
 				Rules:       rules,
@@ -250,7 +259,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				Machine:     -1,
 				KeepHistory: opt.KeepWindows,
 			})
-			st.mon.Log = st.sys.Trace
+			st.Mon.Log = st.sys.Trace
 		}
 
 		// GPUs attach to every non-front-end machine; machine 0 stays a
@@ -376,14 +385,14 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			st.inj.Start(p.Now(), horizon)
 		})
 
-		// Server pool on machine 0, each server a Queue.Serve over a server
-		// handler.
+		// Server pool on machine 0, each server a Queue.Serve over a
+		// fleet.Server.
 		var wg sim.WaitGroup
 		for srv := 0; srv < w.Servers; srv++ {
 			wg.Add(1)
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
-				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, newServer(st, &w, horizon, deadline, bucketNS))
+				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, fleet.NewServer(sys, &st.Tally, st.ledger, w.Objects, w.WriteFrac))
 			})
 		}
 
@@ -447,7 +456,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 		if !st.done {
 			return nil, fmt.Errorf("scenario %q: shard %d did not drain by %v (%d served of %d generated) — raise drain_ms or heal the fleet before the horizon",
-				sp.Name, s, horizon+drain, st.served, st.inj.TotalGenerated())
+				sp.Name, s, horizon+drain, st.Served, st.inj.TotalGenerated())
 		}
 	}
 
@@ -507,10 +516,10 @@ func trainerSum(get func(*gpu.Proclet) int64) func(*shardState) float64 {
 // collect's accumulation and the report all derive from it.
 var metricTable = []metric{
 	{"generated", func(st *shardState) float64 { return float64(st.inj.TotalGenerated()) }, nil},
-	{"served", func(st *shardState) float64 { return float64(st.served) }, nil},
-	{"timeouts", func(st *shardState) float64 { return float64(st.timeouts) }, nil},
+	{"served", func(st *shardState) float64 { return float64(st.Served) }, nil},
+	{"timeouts", func(st *shardState) float64 { return float64(st.Timeouts) }, nil},
 	{"timeout_frac", nil, func(r *rollup) float64 { return ratio(r.Metrics["timeouts"], r.Metrics["served"]) }},
-	{"errors", func(st *shardState) float64 { return float64(st.errs) }, nil},
+	{"errors", func(st *shardState) float64 { return float64(st.Errors) }, nil},
 	{"goodput_rps", nil, func(r *rollup) float64 {
 		return ratio(r.Metrics["served"]-r.Metrics["timeouts"], float64(r.horizon-r.startNS)/1e9)
 	}},
@@ -519,7 +528,7 @@ var metricTable = []metric{
 	{"p999_ms", nil, func(r *rollup) float64 { return r.Hist.QuantileMS(0.999) }},
 	{"max_ms", nil, func(r *rollup) float64 { return float64(r.Hist.Max()) / 1e6 }},
 	{"mean_ms", nil, func(r *rollup) float64 { return r.Hist.Mean() / 1e6 }},
-	{"acked_writes", func(st *shardState) float64 { return float64(st.acked) }, nil},
+	{"acked_writes", func(st *shardState) float64 { return float64(st.Acked) }, nil},
 	{"lost", func(st *shardState) float64 { return float64(st.lost) }, nil},
 	{"crashes", func(st *shardState) float64 { return float64(st.in.Crashes.Value()) }, nil},
 	{"restarts", func(st *shardState) float64 { return float64(st.in.Restarts.Value()) }, nil},
@@ -547,11 +556,11 @@ var metricTable = []metric{
 	{"trainer_steps", trainerSum((*gpu.Proclet).CompletedSteps), nil},
 	{"checkpoints", trainerSum(func(tp *gpu.Proclet) int64 { return tp.Checkpoints.Value() }), nil},
 	{"lost_steps", fleetCount((*gpu.Fleet).LostSteps), nil},
-	{"slo_windows", func(st *shardState) float64 { return float64(st.mon.WindowsClosed()) }, nil},
-	{"slo_breaches", func(st *shardState) float64 { return float64(st.mon.Breaches()) }, nil},
-	{"incidents_opened", func(st *shardState) float64 { return float64(st.mon.Opened()) }, nil},
-	{"incidents_resolved", func(st *shardState) float64 { return float64(st.mon.Resolved()) }, nil},
-	{"incidents_open", func(st *shardState) float64 { return float64(st.mon.OpenCount()) }, nil},
+	{"slo_windows", func(st *shardState) float64 { return float64(st.Mon.WindowsClosed()) }, nil},
+	{"slo_breaches", func(st *shardState) float64 { return float64(st.Mon.Breaches()) }, nil},
+	{"incidents_opened", func(st *shardState) float64 { return float64(st.Mon.Opened()) }, nil},
+	{"incidents_resolved", func(st *shardState) float64 { return float64(st.Mon.Resolved()) }, nil},
+	{"incidents_open", func(st *shardState) float64 { return float64(st.Mon.OpenCount()) }, nil},
 }
 
 // MetricNames is every metric a scenario assertion may reference, in
@@ -570,16 +579,16 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 		// Seal the SLO plane at the horizon: trailing empty windows
 		// close (a tail outage still breaches), incidents still open
 		// get their spans clamped.
-		st.mon.Finish(horizon)
-		out.Incidents = append(out.Incidents, st.mon.Incidents()...)
-		if h := st.mon.History(); h != nil {
+		st.Mon.Finish(horizon)
+		out.Incidents = append(out.Incidents, st.Mon.Incidents()...)
+		if h := st.Mon.History(); h != nil {
 			out.SLOHistory = append(out.SLOHistory, h)
 		}
 		out.logs = append(out.logs, st.sys.Trace)
 		if st.startNS > r.startNS {
 			r.startNS = st.startNS
 		}
-		hists[s] = st.hist
+		hists[s] = st.Hist
 		for i, v := range st.good {
 			r.good[i] += v
 		}

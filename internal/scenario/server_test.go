@@ -158,10 +158,11 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	sys := core.NewSystemOnKernel(k, core.DefaultConfig(), mcs)
 	w := tp.w
 	st := &shardState{
-		sys:  sys,
-		hist: metrics.NewLogHistogram("lat"),
-		good: make([]int64, int(int64(tapeEnd)/tapeBucketNS)+2),
+		Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: tapeDeadline, Horizon: tapeHorizon},
+		sys:   sys,
+		good:  make([]int64, int(int64(tapeEnd)/tapeBucketNS)+2),
 	}
+	st.OnServe = st.countGood(tapeBucketNS)
 	st.in = fault.New(k, sys.Cluster, sys.Trace)
 	sys.AttachInjector(st.in)
 	if w.RF >= 2 {
@@ -227,7 +228,7 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 			if ref {
 				refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, tapeBucketNS)
 			} else {
-				st.queue.Serve(p, tapeHorizon, serverPoll, w.BatchMax, census{newServer(st, &w, tapeHorizon, tapeDeadline, tapeBucketNS), cov})
+				st.queue.Serve(p, tapeHorizon, serverPoll, w.BatchMax, census{fleet.NewServer(sys, &st.Tally, st.ledger, w.Objects, w.WriteFrac), cov})
 			}
 			out.results = append(out.results, fmt.Sprintf("%v pid %d server %d left", p.Now(), p.ID, srv))
 		})
@@ -239,10 +240,10 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 				pushed++
 			}
 		}
-		if st.served < uint64(pushed) {
+		if st.Served < uint64(pushed) {
 			cov.queued++
 		}
-		out.results = append(out.results, fmt.Sprintf("horizon: %d of %d served", st.served, pushed))
+		out.results = append(out.results, fmt.Sprintf("horizon: %d of %d served", st.Served, pushed))
 	})
 	end := false
 	k.Schedule(tapeEnd, func() { end = true })
@@ -252,13 +253,13 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 			t.Fatalf("seed %d: no end after %d events", seed, steps)
 		}
 		out.stamps = append(out.stamps, serveStamp{k.Now(), k.ReserveSeq(), k.Pending(), k.Blocked(), k.Live(),
-			st.served, st.errs, st.acked})
+			st.Served, st.Errors, st.Acked})
 	}
 	out.after = [2]int{k.Blocked(), k.Live()}
 	out.switches = k.Switches()
 	out.nextRand = k.Rand().Int63()
-	out.served = []uint64{st.served, st.timeouts, st.errs, st.acked}
-	out.hist = st.hist.Snapshot()
+	out.served = []uint64{st.Served, st.Timeouts, st.Errors, st.Acked}
+	out.hist = st.Hist.Snapshot()
 	out.good = st.good
 	for i := range st.stores {
 		out.ledger = append(out.ledger, st.ledger.Keys(i))
@@ -276,10 +277,10 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	if st.in.Partitions.Value() > 0 {
 		cov.parts++
 	}
-	if st.errs > 0 {
+	if st.Errors > 0 {
 		cov.failed++
 	}
-	if st.acked > 0 {
+	if st.Acked > 0 {
 		cov.acked++
 	}
 	if w.Servers > 1 {

@@ -172,8 +172,6 @@ type Fabric struct {
 
 	deadlines sim.Lane // queued call deadlines (see armDeadline)
 
-	// TransferLatency records end-to-end transfer times in seconds.
-	TransferLatency *metrics.Histogram
 	// Calls counts completed RPCs.
 	Calls metrics.Counter
 	// FastCalls counts RPCs served inline by a FastHandler (no handler
@@ -202,10 +200,9 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 		panic("simnet: bandwidth must be positive")
 	}
 	return &Fabric{
-		k:               k,
-		cfg:             cfg,
-		deadlines:       k.NewLane(),
-		TransferLatency: metrics.NewHistogram("simnet.transfer_latency"),
+		k:         k,
+		cfg:       cfg,
+		deadlines: k.NewLane(),
 	}
 }
 
@@ -446,10 +443,7 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to NodeID, size int64) error {
 		}
 		return fmt.Errorf("%w: transfer %d->%d (%d bytes) lost", ErrTimeout, from, to, size)
 	}
-	start := f.k.Now()
-	done := f.deliveryTime(src, dst, size)
-	p.SleepUntil(done)
-	f.TransferLatency.ObserveDuration(f.k.Now().Sub(start))
+	p.SleepUntil(f.deliveryTime(src, dst, size))
 	return nil
 }
 

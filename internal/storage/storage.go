@@ -72,11 +72,9 @@ type Proclet struct {
 
 	nextFree sim.Time // device serialization + IOPS spacing
 
-	// Reads/Writes count completed operations; OpLatency records
-	// end-to-end op times in seconds.
-	Reads     metrics.Counter
-	Writes    metrics.Counter
-	OpLatency *metrics.Histogram
+	// Reads/Writes count completed operations.
+	Reads  metrics.Counter
+	Writes metrics.Counter
 }
 
 // metadataHeap is the RAM footprint of a storage proclet.
@@ -89,11 +87,10 @@ func newProcletOn(sys *core.System, name string, m cluster.MachineID, dev Device
 		return nil, err
 	}
 	sp := &Proclet{
-		sys:       sys,
-		pr:        pr,
-		dev:       dev,
-		objs:      make(map[string]stEntry),
-		OpLatency: metrics.NewHistogram(name + ".oplat"),
+		sys:  sys,
+		pr:   pr,
+		dev:  dev,
+		objs: make(map[string]stEntry),
 	}
 	pr.Data = sp
 	sys.Sched.RegisterProclet(pr, core.KindStorage)
@@ -164,7 +161,6 @@ func (sp *Proclet) deviceOp(p *sim.Proc, lat time.Duration, bytes int64) {
 		}
 	}
 	p.SleepUntil(end)
-	sp.OpLatency.ObserveDuration(dur)
 }
 
 // readObject fetches an object from this proclet (§3.1's ReadObject).
