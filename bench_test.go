@@ -611,6 +611,56 @@ func TestServeFanoutAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestReplicatedPutBatchAllocatesNothing: a fleet.Server's write batch to
+// rf-2 stores allocates nothing at steady state and switches no process
+// in, with the primaries remote — a staged handler process serves each
+// write — and with one on the server's machine, whose write the server's
+// invocation steps itself. Either way each write's records are shipped to
+// its backup by a staged commit, while the failure detector pings every
+// machine.
+func TestReplicatedPutBatchAllocatesNothing(t *testing.T) {
+	for _, first := range []int{1, 0} {
+		machines := make([]cluster.MachineConfig, 4)
+		for i := range machines {
+			machines[i] = cluster.MachineConfig{Cores: 8, MemBytes: 4 << 30}
+		}
+		sys := core.NewSystem(core.DefaultConfig(), machines)
+		sys.EnableReplicationPlane(replication.Config{}, 0)
+		stores, err := fleet.PlaceStores(sys, "store-%d", 2, first, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally := &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
+		sv := fleet.NewServer(sys, tally, fleet.NewLedger(stores, 256, func(k uint64) int64 { return int64(k) }), 64, 1)
+		var q load.Queue
+		sys.K.Spawn("server", func(p *sim.Proc) { q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv) })
+		key := uint64(0)
+		cycle := func() {
+			for i := 0; i < 64; i++ {
+				q.Push(load.Request{At: sys.K.Now(), Key: key % 256})
+				key++
+			}
+			for n := tally.Served; tally.Served == n; {
+				sys.K.Step()
+			}
+		}
+		for i := 0; i < 32; i++ {
+			cycle() // every key written once; the pools and the buffers have grown
+		}
+		switches := sys.K.Switches()
+		if a := testing.AllocsPerRun(100, cycle); a != 0 {
+			t.Errorf("primaries from machine %d: a replicated write batch allocates %v objects, want 0", first, a)
+		}
+		if n := sys.K.Switches() - switches; n != 0 {
+			t.Errorf("primaries from machine %d: 101 write batches switched %d times, want 0", first, n)
+		}
+		if tally.Errors != 0 || tally.Acked == 0 {
+			t.Errorf("primaries from machine %d: %d keys failed, %d acked", first, tally.Errors, tally.Acked)
+		}
+		sys.Close()
+	}
+}
+
 // servingKeys draws 64k keys at a serving workload's skew: Zipf(0.99) over
 // 64k ranks, scrambled, so most of a run's keys repeat.
 func servingKeys() []uint64 {

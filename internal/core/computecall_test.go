@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/proclet"
 	"repro/internal/sim"
-	"repro/internal/simnet"
 )
 
 // callStep is the simulation as one event left it, for a proclet that
@@ -185,10 +184,7 @@ func TestRunCallResumesForLocalBlockingMethodOnly(t *testing.T) {
 	}
 	var where []string
 	note := func(what string) { where = append(where, what+"@"+goid()) }
-	pr.HandleWithFallback("m", func(proclet.Msg) (proclet.Msg, error) {
-		note("declined")
-		return proclet.Msg{}, simnet.ErrWouldBlock
-	}, func(ctx *proclet.Ctx, _ proclet.Msg) (proclet.Msg, error) {
+	pr.Handle("m", func(ctx *proclet.Ctx, _ proclet.Msg) (proclet.Msg, error) {
 		note("blocking")
 		ctx.Proc.Sleep(10 * time.Microsecond)
 		note("woke")
@@ -216,7 +212,7 @@ func TestRunCallResumesForLocalBlockingMethodOnly(t *testing.T) {
 	if proc == "" {
 		t.Fatalf("nothing ran on a process: %v", where)
 	}
-	want := []string{"declined@" + host, "blocking@" + proc, "woke@" + proc, "then(1, <nil>)@" + proc,
+	want := []string{"blocking@" + proc, "woke@" + proc, "then(1, <nil>)@" + proc,
 		"fast@" + host, "then(2, <nil>)@" + host}
 	if !reflect.DeepEqual(where, want) {
 		t.Errorf("ran\n %v\nwant\n %v", where, want)

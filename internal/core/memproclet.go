@@ -41,7 +41,7 @@ var ErrNoObject = errors.New("core: no such object")
 // none of them blocks, so remote operations are served at the instant
 // the request is delivered — no handler process, no process switch.
 // A replicated primary (rs != nil) keeps reads inline but declines
-// mutating fast dispatches to their blocking fallbacks, which ship log
+// mutating fast dispatches to their staged registrations, which ship log
 // records to the backups before acking (replication.go).
 type MemoryProclet struct {
 	sys     *System
@@ -53,7 +53,7 @@ type MemoryProclet struct {
 	rs *replicaSet
 	// recs is where a replicated primary's mutators build their log
 	// records. One buffer serves every write because it is filled and
-	// handed to replicaSet.replicate, which copies it, within one event.
+	// handed to replWrite.begin, which copies it, within one event.
 	recs []repRecord
 	// isBackup marks a backup replica: it serves only mem.replapply
 	// traffic from its primary and is excluded from generic recovery.
@@ -173,49 +173,17 @@ func (mp *MemoryProclet) gate() error {
 // allocates nothing.
 type applyFn func(arg proclet.Msg) (proclet.Msg, []repRecord, error)
 
-// fastMutator serves an unreplicated mutator inline. A replicated
-// primary declines every invocation to the blocking fallback: the write
-// must ship log records before acking, which blocks.
-func (mp *MemoryProclet) fastMutator(apply applyFn) proclet.FastMethod {
-	return func(arg proclet.Msg) (proclet.Msg, error) {
+// handleMutator registers a mutating method over one evaluation of the
+// apply method value: inline unreplicated, and on a replicated primary as
+// a staged write (replWrite), which ships log records before it acks.
+func (mp *MemoryProclet) handleMutator(method string, apply applyFn) {
+	mp.pr.HandleStaged(method, func(arg proclet.Msg) (proclet.Msg, error) {
 		if mp.rs != nil {
 			return proclet.Msg{}, simnet.ErrWouldBlock
 		}
 		res, _, err := apply(arg)
 		return res, err
-	}
-}
-
-// replMutator is the blocking fallback for a replicated primary: check
-// the lease, apply locally, group-commit the records to the backups,
-// then ack.
-func (mp *MemoryProclet) replMutator(apply applyFn) proclet.Method {
-	return func(ctx *proclet.Ctx, arg proclet.Msg) (proclet.Msg, error) {
-		rs := mp.rs
-		if rs == nil {
-			// Replication was released between the fast decline and this
-			// dispatch; serve plainly.
-			res, _, err := apply(arg)
-			return res, err
-		}
-		if err := mp.gate(); err != nil {
-			return proclet.Msg{}, err
-		}
-		res, recs, err := apply(arg)
-		if err != nil {
-			return proclet.Msg{}, err
-		}
-		if err := rs.replicate(ctx.Proc, recs); err != nil {
-			return proclet.Msg{}, err
-		}
-		return res, nil
-	}
-}
-
-// handleMutator registers a mutating method both ways, inline and
-// blocking, over one evaluation of the apply method value.
-func (mp *MemoryProclet) handleMutator(method string, apply applyFn) {
-	mp.pr.HandleWithFallback(method, mp.fastMutator(apply), mp.replMutator(apply))
+	}, func(arg proclet.Msg) proclet.Staged { return mp.sys.getWrite(mp, apply, arg) })
 }
 
 func (mp *MemoryProclet) registerMethods() {
@@ -245,8 +213,6 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: b, Bytes: b.totalBytes()}, nil
 	})
-	mp.handleMutator(methodMemPut, mp.applyPut)
-	mp.handleMutator(methodMemDel, mp.applyDel)
 	mp.pr.HandleFast(methodMemScan, func(arg proclet.Msg) (proclet.Msg, error) {
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
@@ -260,8 +226,6 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
 	})
-	mp.handleMutator(methodMemPutBatch, mp.applyPutBatch)
-	mp.handleMutator(methodMemDelRange, mp.applyDelRange)
 	mp.pr.HandleFast(methodMemReplApply, func(arg proclet.Msg) (proclet.Msg, error) {
 		// Backup side of log shipping: apply a record batch. Records are
 		// absolute effects, so reapplying after a retried ship is
@@ -437,9 +401,13 @@ type updateReq struct {
 	fn UpdateFn
 }
 
-// registerMutators installs the take/update methods (split out of
-// registerMethods for readability).
+// registerMutators installs the mutating methods; registerMethods the
+// rest.
 func (mp *MemoryProclet) registerMutators() {
+	mp.handleMutator(methodMemPut, mp.applyPut)
+	mp.handleMutator(methodMemDel, mp.applyDel)
+	mp.handleMutator(methodMemPutBatch, mp.applyPutBatch)
+	mp.handleMutator(methodMemDelRange, mp.applyDelRange)
 	mp.handleMutator(methodMemTake, mp.applyTake)
 	mp.handleMutator(methodMemUpdate, mp.applyUpdate)
 }
@@ -599,8 +567,7 @@ func (mp *MemoryProclet) PutBatch(p *sim.Proc, from cluster.MachineID, b *Batch)
 
 // StartPutBatch is PutBatch as an invocation for its caller to step and
 // end, as StartGetBatch is GetBatch. A replicated primary's write is a
-// blocking method: on the caller's own machine the invocation stops at
-// NeedsProc for Exec.
+// staged method, which the invocation steps like any other wait.
 func (mp *MemoryProclet) StartPutBatch(from cluster.MachineID, b *Batch) *proclet.Invocation {
 	return mp.sys.Runtime.Begin(from, 0, mp.ID(), methodMemPutBatch,
 		proclet.Msg{Payload: b, Bytes: b.totalBytes()})

@@ -17,8 +17,10 @@ package core
 // until the pipe has drained past its record — concurrent writes to
 // one primary batch into single RPCs per backup instead of one RPC per
 // write. The pipe owns every buffer a write passes through and reuses
-// it (see replicaSet.await for who may touch which, and until when), so
-// a steady-state replicated write allocates nothing of its own. Failed
+// it (see commit for who may touch which, and until when), so a
+// steady-state replicated write allocates nothing of its own. A write is
+// a staged method (replWrite) and its wait for the pipe an Await stage
+// (commit), so neither side of it switches a process in. Failed
 // ships drop the backup from the set (the write still
 // acks: the primary holds the data and re-replication restores RF);
 // RF is repaired in the background by a resync that streams a
@@ -263,130 +265,227 @@ func (rs *replicaSet) enqueue(recs ...repRecord) uint64 {
 	return rs.nextSeq
 }
 
-// replicate is the writer-side commit: append the records and block
-// until the pipe has shipped past them (group commit: whoever finds
-// the pipe idle ships for everyone queued behind). Ship failures do
-// not fail the write — the failing backup is dropped and repaired by
-// resync — but an epoch bump (failover) does: the caller must retry
-// against the promoted replica. recs is the primary's scratch
-// (MemoryProclet.recs): it is copied into the pipe and emptied before the
-// first yield, when the next writer may fill it again.
-func (rs *replicaSet) replicate(p *sim.Proc, recs []repRecord) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	epoch := rs.epoch
-	seq := rs.enqueue(recs...)
-	clear(recs)
-	return rs.await(p, seq, epoch)
+// replWrite is a replicated primary's mutator, run as a staged method:
+// check the lease, apply locally, commit the records to the backups, then
+// ack. A failed ship does not fail the write (the backup is dropped and
+// resync repairs the set); a failover does, and the caller retries
+// against the promoted replica. Pooled on the System.
+type replWrite struct {
+	mp    *MemoryProclet
+	apply applyFn
+	arg   proclet.Msg
+	res   proclet.Msg
+	err   error
+	c     commit
 }
 
-// await drives the pipe until shippedSeq reaches seq (pumping it if no
-// other writer is).
+func (s *System) getWrite(mp *MemoryProclet, apply applyFn, arg proclet.Msg) *replWrite {
+	var w *replWrite
+	if n := len(s.writes); n > 0 {
+		w, s.writes = s.writes[n-1], s.writes[:n-1]
+	} else {
+		w = &replWrite{}
+	}
+	w.mp, w.apply, w.arg = mp, apply, arg
+	return w
+}
+
+func (w *replWrite) Step() sim.Wait {
+	if w.c.rs == nil { // the first step: everything up to the commit
+		rs, recs := w.mp.rs, []repRecord(nil)
+		if rs == nil {
+			// Replication was released between the fast decline and this
+			// dispatch; serve plainly.
+			w.res, _, w.err = w.apply(w.arg)
+		} else if w.err = w.mp.gate(); w.err == nil {
+			w.res, recs, w.err = w.apply(w.arg)
+		}
+		if w.err != nil || len(recs) == 0 {
+			return sim.Resume
+		}
+		// recs is the primary's scratch (MemoryProclet.recs): it is copied
+		// into the pipe and emptied before the first wait.
+		epoch := rs.epoch
+		w.c.start(rs, rs.enqueue(recs...), epoch)
+		clear(recs)
+	}
+	if wt := w.c.step(); wt != sim.Resume {
+		return wt
+	}
+	if w.c.err != nil {
+		w.res, w.err = proclet.Msg{}, w.c.err
+	}
+	return sim.Resume
+}
+
+func (w *replWrite) End() (proclet.Msg, error) {
+	res, err, sys := w.res, w.err, w.mp.sys
+	*w = replWrite{c: commit{targets: w.c.targets}}
+	sys.writes = append(sys.writes, w)
+	return res, err
+}
+
+// commit is a wait, as an Await stage, for the pipe to ship past seq: a
+// write's, or a resync's. Group commit: whoever finds the pipe idle holds
+// it (inflight) and ships for everyone queued behind, batch after batch,
+// while the others wait on shipped and never take over.
 //
 // The pipe has two buffers. Writers append to pending; the shipper takes
 // pending as its batch, leaves the spare in its place for the writers
-// that arrive meanwhile, and when shipBatch returns empties the batch and
-// keeps it as the next spare. A batch is the shipper's alone from the
-// swap until then, and nobody else reads it while the shipper is parked:
-// inflight admits one shipper per set and is not released by an epoch
-// bump (a failover drops pending, never a batch, and a writer of the new
-// epoch waits for the old shipper to leave); the backups' mem.replapply
-// is registered fast-only, so it reads its records at the instant the
-// request lands and keeps none; and simnet drops the delivery of a call
-// that has already resolved, so a request that lands after its deadline
-// is never read at all.
-func (rs *replicaSet) await(p *sim.Proc, seq, epoch uint64) error {
-	if rs.inflight {
-		for rs.epoch == epoch && rs.shippedSeq < seq {
-			rs.shipped.Wait(p)
-		}
-		if rs.epoch != epoch {
-			return errReplEpoch
-		}
-		return nil
-	}
-	rs.inflight = true
-	for len(rs.pending) > 0 && rs.epoch == epoch {
-		batch := rs.pending
-		rs.pending, rs.spare = rs.spare, nil
-		rs.shipBatch(p, batch, epoch)
-		clear(batch) // pin no value
-		rs.spare = batch[:0]
-		if rs.epoch != epoch {
-			break
-		}
-		rs.shippedSeq += uint64(len(batch))
-		rs.shipped.Broadcast()
-	}
-	rs.inflight = false
-	if rs.epoch != epoch {
-		return errReplEpoch
-	}
-	return nil
+// that arrive meanwhile, and once the batch has gone to every backup
+// empties it and keeps it as the next spare. A batch is the shipper's
+// alone from the swap until then, and nobody else reads it while the
+// shipper waits: inflight is not released by an epoch bump (a failover
+// drops pending, never a batch, and a writer of the new epoch waits for
+// the old shipper to leave); the backups' mem.replapply is fast-only, so
+// it reads its records at the instant the request lands and keeps none;
+// and simnet drops the delivery of a call that has already resolved, so a
+// request that lands after its deadline is never read at all.
+type commit struct {
+	rs         *replicaSet
+	seq, epoch uint64
+	shipping   bool // this commit holds the pipe
+	done       bool
+	err        error // errReplEpoch if the set failed over
+	// The shipper's batch in flight, a snapshot of the backups it goes to
+	// (dropBackup edits rs.backups meanwhile), the one it is at and the
+	// apply to that one.
+	batch   []repRecord
+	targets []*backupRef
+	next    int
+	inv     *proclet.Invocation
+	sp      obs.SpanID
 }
 
-// shipBatch sends one batch to every live backup (filtered per backup
-// by record generation). A backup that cannot be reached within
-// shipAttempts, or fails to apply (out of memory), is dropped.
-func (rs *replicaSet) shipBatch(p *sim.Proc, batch []repRecord, epoch uint64) {
-	rs.rm.ReplBatches.Inc()
-	tr := rs.rm.sys.Obs
-	var sp obs.SpanID
-	if tr != nil {
-		sp = tr.Start(obs.KindRepl, "ship", int(rs.primary.pr.Location()), 0)
-		tr.Num(sp, "records", float64(len(batch)))
-	}
-	// A snapshot of the membership: dropBackup edits rs.backups under the
-	// loop. It stays on the stack up to rf = 5.
-	var arr [4]*backupRef
-	for _, b := range append(arr[:0], rs.backups...) {
-		if rs.epoch != epoch {
-			tr.End(sp)
-			return
+func (c *commit) start(rs *replicaSet, seq, epoch uint64) {
+	c.rs, c.seq, c.epoch, c.done, c.err = rs, seq, epoch, false, nil
+	c.shipping = !rs.inflight
+	rs.inflight = true
+}
+
+// step moves the commit as far as it goes without waiting and returns the
+// next wait, or Resume once it is done.
+func (c *commit) step() sim.Wait {
+	rs := c.rs
+	for !c.done {
+		switch {
+		case !c.shipping:
+			if rs.epoch == c.epoch && rs.shippedSeq < c.seq {
+				return sim.On(&rs.shipped)
+			}
+			c.finish()
+		case c.inv != nil:
+			if w := c.inv.Step(); w != sim.Resume {
+				return w
+			}
+			c.applied()
+		case len(rs.pending) == 0 || rs.epoch != c.epoch:
+			rs.inflight = false
+			c.finish()
+		default:
+			c.startBatch()
 		}
+	}
+	return sim.Resume
+}
+
+func (c *commit) finish() {
+	if c.rs.epoch != c.epoch {
+		c.err = errReplEpoch
+	}
+	c.done = true
+}
+
+// startBatch takes pending as the batch and ships it to every live backup,
+// filtered per backup by record generation. A backup that cannot be
+// reached within shipAttempts, or fails to apply (out of memory), is
+// dropped.
+func (c *commit) startBatch() {
+	rs := c.rs
+	c.batch = rs.pending
+	rs.pending, rs.spare = rs.spare, nil
+	rs.rm.ReplBatches.Inc()
+	if tr := rs.rm.sys.Obs; tr != nil {
+		c.sp = tr.Start(obs.KindRepl, "ship", int(rs.primary.pr.Location()), 0)
+		tr.Num(c.sp, "records", float64(len(c.batch)))
+	}
+	c.targets, c.next = append(c.targets[:0], rs.backups...), 0
+	c.nextBackup()
+}
+
+// nextBackup starts the apply to the next backup from c.next that takes
+// records, or ends the batch.
+func (c *commit) nextBackup() {
+	rs := c.rs
+	for ; c.next < len(c.targets) && rs.epoch == c.epoch; c.next++ {
+		b := c.targets[c.next]
 		if !rs.hasBackup(b) {
 			continue // dropped while we shipped to an earlier backup
 		}
-		recs := batch
-		if hasTargeted(batch) {
-			recs = filterForGen(batch, b.gen)
+		recs := c.batch
+		if hasTargeted(recs) {
+			recs = filterForGen(recs, b.gen)
 		}
 		if len(recs) == 0 {
-			b.applied += uint64(len(batch))
+			b.applied += uint64(len(c.batch))
 			continue
 		}
-		rt := rs.rm.sys.Runtime
-		if tr != nil {
-			tr.SetNext(sp) // each per-backup apply invoke is a child
+		if tr := rs.rm.sys.Obs; tr != nil {
+			tr.SetNext(c.sp) // each per-backup apply invoke is a child
 		}
 		rs.req.recs = recs
-		_, err := rt.InvokeLimited(p, rs.primary.pr.Location(), rs.primary.pr.ID(),
+		c.inv = rs.rm.sys.Runtime.BeginLimited(rs.primary.pr.Location(), rs.primary.pr.ID(),
 			b.mp.pr.ID(), methodMemReplApply,
 			proclet.Msg{Payload: &rs.req, Bytes: payloadBytes(recs)},
 			shipAttempts)
-		rs.req.recs = nil
-		if rs.epoch != epoch {
-			tr.End(sp)
+		return
+	}
+	c.shipped()
+}
+
+// applied settles the apply to the backup at c.next.
+func (c *commit) applied() {
+	rs, b := c.rs, c.targets[c.next]
+	_, err := c.inv.End()
+	c.inv, rs.req.recs = nil, nil
+	switch {
+	case rs.epoch != c.epoch:
+		c.shipped()
+		return
+	case err == nil:
+		b.applied += uint64(len(c.batch))
+	default:
+		// A failed ship only convicts the backup while the primary
+		// itself is healthy. If the primary's machine died mid-ship,
+		// the invocation failure says nothing about the backup — and
+		// dropping it here would erase the very replica failover is
+		// about to promote. Abort the ship; the detector decides.
+		m := rs.rm.sys.Cluster.Machine(rs.primary.pr.Location())
+		if rs.primary.pr.State() != proclet.StateRunning || m == nil || m.Down() {
+			c.shipped()
 			return
 		}
-		if err != nil {
-			// A failed ship only convicts the backup while the primary
-			// itself is healthy. If the primary's machine died mid-ship,
-			// the invocation failure says nothing about the backup — and
-			// dropping it here would erase the very replica failover is
-			// about to promote. Abort the ship; the detector decides.
-			m := rs.rm.sys.Cluster.Machine(rs.primary.pr.Location())
-			if rs.primary.pr.State() != proclet.StateRunning || m == nil || m.Down() {
-				tr.End(sp)
-				return
-			}
-			rs.dropBackup(b, err)
-			continue
-		}
-		b.applied += uint64(len(batch))
+		rs.dropBackup(b, err)
 	}
-	tr.End(sp)
+	c.next++
+	c.nextBackup()
+}
+
+// shipped ends the batch: it becomes the spare and, unless the set failed
+// over meanwhile, the pipe moves past it.
+func (c *commit) shipped() {
+	rs, batch := c.rs, c.batch
+	rs.rm.sys.Obs.End(c.sp)
+	clear(c.targets)
+	clear(batch) // pin no value
+	c.batch, c.sp, rs.spare = nil, 0, batch[:0]
+	if rs.epoch != c.epoch {
+		rs.inflight = false
+		c.finish()
+		return
+	}
+	rs.shippedSeq += uint64(len(batch))
+	rs.shipped.Broadcast()
 }
 
 // hasTargeted reports whether any record in the batch is
@@ -482,6 +581,8 @@ func (rm *ReplManager) spawnFlusher(rs *replicaSet) {
 func (rs *replicaSet) resync(p *sim.Proc) {
 	defer func() { rs.resyncing = false }()
 	epoch := rs.epoch
+	var c commit
+	ship := func() error { c.start(rs, rs.nextSeq, epoch); p.Await(c.step(), c.step); return c.err }
 	for rs.epoch == epoch && rs.primary.pr.State() == proclet.StateRunning &&
 		len(rs.backups) < rs.rf-1 {
 		if err := rs.addBackup(); err != nil {
@@ -493,12 +594,12 @@ func (rs *replicaSet) resync(p *sim.Proc) {
 			break
 		}
 		rs.rm.Resyncs.Inc()
-		if err := rs.await(p, rs.nextSeq, epoch); err != nil {
+		if err := ship(); err != nil {
 			return
 		}
 	}
 	if rs.epoch == epoch && len(rs.pending) > 0 {
-		_ = rs.await(p, rs.nextSeq, epoch)
+		_ = ship()
 	}
 }
 

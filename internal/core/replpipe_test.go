@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// The log pipe reuses its buffers (replicaSet.await states the ownership
+// The log pipe reuses its buffers (commit states the ownership
 // rule). These tests pin what that costs — nothing, per steady-state
 // write — and the three situations in which a reused buffer could be
 // read by the wrong party: a request that lands after its call timed out,

@@ -128,7 +128,8 @@ type System struct {
 	undo    []displaced // what a PutBatch has overwritten so far
 	intArgs []*intArg   // free cells for PutInt
 
-	calls []*call // free RunCall records
+	calls  []*call      // free RunCall records
+	writes []*replWrite // free replicated-write runs (replication.go)
 }
 
 // NewSystem builds a Quicksand system over machines with the given

@@ -275,7 +275,7 @@ func (sv *serveServer) Step() sim.Wait {
 // served passes on the fan-in's wait w until its batch is served, then
 // starts the gateway read if this batch has one.
 func (sv *serveServer) served(w sim.Wait) sim.Wait {
-	if w != sim.Resume || sv.NeedsProc() {
+	if w != sim.Resume {
 		return w
 	}
 	if sv.batches++; sv.batches%sv.cfg.crossEvery != 0 {

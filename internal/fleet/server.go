@@ -37,9 +37,9 @@ var errDeadline = errors.New("deadline exceeded")
 // goes to store key % len(stores). The stores are called one invocation
 // at a time — ascending, each store's read before its write — and every
 // request of the batch completes at the instant the last call ends. The
-// calls are stepped from the Serve loop's stage, so the server's process
-// runs only for a local blocking method (a replicated primary's write on
-// the server's machine).
+// calls are stepped from the Serve loop's stage — a replicated primary's
+// write on the server's machine too, a staged method — so the server's
+// process never runs for them.
 //
 // A failed call fails its keys, and a successful read fails each key it
 // did not return; an acked write joins the ledger. When the shard traces,
@@ -105,7 +105,7 @@ func (s *Server) Begin(batch []load.Request) sim.Wait {
 func (s *Server) Step() sim.Wait {
 	for {
 		if inv := s.inv; inv != nil {
-			if w := inv.Step(); w != sim.Resume || inv.NeedsProc() {
+			if w := inv.Step(); w != sim.Resume {
 				return w
 			}
 			s.inv = nil
@@ -119,9 +119,6 @@ func (s *Server) Step() sim.Wait {
 		}
 	}
 }
-
-func (s *Server) NeedsProc() bool  { return s.inv != nil && s.inv.NeedsProc() }
-func (s *Server) Exec(p *sim.Proc) { s.inv.Exec(p) }
 
 // call starts the first call from op on that has keys, and reports
 // whether there was one.

@@ -22,37 +22,26 @@ func (q *Queue) Push(r Request) { q.reqs = append(q.reqs, r) }
 // Handler serves the batches a server takes off its Queue, as the stages
 // of the server's one Await (sim.Proc.Await). Begin takes a batch and Step
 // carries it on; each runs in kernel context, in the event that ended the
-// wait before it, and returns the next wait — or Resume, once the batch is
-// served or once the handler has reached something only a process can do
-// (NeedsProc), which Exec then does on the server's process before Step
-// carries on. Neither Begin nor Step may block. The batch belongs to the
-// server, which refills it for the next Begin.
+// wait before it, and returns the next wait, or Resume once the batch is
+// served. Neither may block. The batch belongs to the server, which
+// refills it for the next Begin.
 type Handler interface {
 	Begin(batch []Request) sim.Wait
 	Step() sim.Wait
-	NeedsProc() bool
-	Exec(p *sim.Proc)
 }
 
 // Serve runs one server on process p: it hands h runs of at most max
 // queued requests, oldest first, until the queue is empty and the horizon
 // has passed — so every arrival delivered before the horizon is served,
 // however late. Polling an empty queue, taking a batch and serving it are
-// all stages of one Await: p is switched in at its start, at its exit and
-// for h's Exec, and nowhere else. Several servers may share one queue.
+// all stages of one Await: p is switched in at its start and at its exit,
+// and nowhere else. Several servers may share one queue.
 func (q *Queue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int, h Handler) {
 	if max < 1 {
 		panic(fmt.Sprintf("load: Queue.Serve with max %d: a server takes at least one request at a time", max))
 	}
 	s := &server{q: q, p: p, h: h, horizon: horizon, poll: poll, max: max, batch: make([]Request, 0, max)}
-	stage := s.next
-	for {
-		p.Await(s.next(), stage)
-		if !s.busy {
-			return
-		}
-		h.Exec(p)
-	}
+	p.Await(s.next(), s.next)
 }
 
 // server is one Serve's state between two waits.
@@ -69,8 +58,7 @@ type server struct {
 
 // next advances the server as far as it goes without waiting: it carries
 // the batch in hand on, or takes the next one, or polls an empty queue.
-// It returns Resume when the server is done (busy false) or h needs the
-// process (busy true).
+// It returns Resume when the server is done.
 func (s *server) next() sim.Wait {
 	q := s.q
 	for {
@@ -95,7 +83,7 @@ func (s *server) next() sim.Wait {
 			s.busy = true
 			w = s.h.Begin(s.batch)
 		}
-		if w != sim.Resume || s.h.NeedsProc() {
+		if w != sim.Resume {
 			return w
 		}
 		s.busy = false

@@ -22,9 +22,7 @@ func (f serveFunc) Begin(batch []Request) sim.Wait {
 	return sim.Resume
 }
 
-func (serveFunc) Step() sim.Wait   { return sim.Resume }
-func (serveFunc) NeedsProc() bool  { return false }
-func (serveFunc) Exec(p *sim.Proc) { panic("serveFunc never needs a process") }
+func (serveFunc) Step() sim.Wait { return sim.Resume }
 
 // TestQueueServeDrainsPastTheHorizon: a server leaves only when the
 // queue is empty and the horizon has passed — not at the horizon with
@@ -168,59 +166,6 @@ func TestQueueCycleAllocatesNothing(t *testing.T) {
 	}
 	if served-before != 201*20 {
 		t.Errorf("served %d requests over 201 cycles of 20", served-before)
-	}
-}
-
-// execHandler needs the server's process once per batch: Begin asks for
-// it, Exec sleeps on it for sleep, and Step then waits out wait in kernel
-// context before the batch is done.
-type execHandler struct {
-	sleep, wait time.Duration
-	phase       int // 1: waiting for Exec; 2: Exec ran; 3: waiting out wait
-	execs       int
-	done        []sim.Time
-	k           *sim.Kernel
-}
-
-func (h *execHandler) Begin([]Request) sim.Wait { h.phase = 1; return sim.Resume }
-func (h *execHandler) NeedsProc() bool          { return h.phase == 1 }
-func (h *execHandler) Exec(p *sim.Proc)         { h.execs++; p.Sleep(h.sleep); h.phase = 2 }
-
-func (h *execHandler) Step() sim.Wait {
-	if h.phase == 2 {
-		h.phase = 3
-		return sim.After(h.wait)
-	}
-	h.done = append(h.done, h.k.Now())
-	return sim.Resume
-}
-
-// TestQueueServeExecRunsOnTheServersProcess: a handler that reaches
-// something only a process can do gets the server's process for Exec,
-// and Step then carries the batch on; the process is switched in for
-// that, and otherwise only at its start and its exit.
-func TestQueueServeExecRunsOnTheServersProcess(t *testing.T) {
-	k := sim.NewKernel(1)
-	defer k.Close()
-	var q Queue
-	h := &execHandler{sleep: 3 * time.Microsecond, wait: 4 * time.Microsecond, k: k}
-	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, 20*us, 10*time.Microsecond, 2, h)
-	})
-	k.Schedule(5*us, func() {
-		for i := uint64(0); i < 3; i++ {
-			q.Push(Request{Key: i})
-		}
-	})
-	k.Run()
-	// The poll at 10 µs takes two; Exec sleeps 3 µs and Step waits 4: done
-	// at 17 µs and the last one taken then, done at 24 µs.
-	if fmt.Sprint(h.done) != "[17µs 24µs]" || h.execs != 2 {
-		t.Errorf("batches done at %v after %d Execs, want [17µs 24µs] after 2", h.done, h.execs)
-	}
-	// Start, the two Execs, the two resumes after their sleeps, exit.
-	if got := k.Switches(); got != 6 {
-		t.Errorf("the server was switched in %d times, want 6", got)
 	}
 }
 

@@ -104,7 +104,7 @@ type Tracer struct {
 
 	// next is a one-shot parent handed across an API boundary whose
 	// signature cannot carry a SpanID (Runtime.Invoke calling
-	// Fabric.CallWithTimeout). SetNext and the consuming TakeNext must
+	// Fabric.StartCall). SetNext and the consuming TakeNext must
 	// run synchronously — no park in between — or the scope would leak
 	// to an unrelated caller.
 	next SpanID

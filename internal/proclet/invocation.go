@@ -18,10 +18,11 @@ import (
 // Cond; a fabric call's own waits — so the stage of a sim.Proc.Await can
 // drive it, as Thread.ComputeStep drives a compute: each step runs in the
 // event, and under the sequence number, that would have resumed a process
-// sleeping through the wait. Step returns Resume when the invocation is
-// over, or when it has reached a local blocking method, which needs a
-// process (NeedsProc): Exec runs it on one, and Step carries on. Await is
-// the blocking wrapper, and Invoke is Begin and Await.
+// sleeping through the wait. A local staged method is stepped the same
+// way. Step returns Resume when the invocation is over, or when it has
+// reached a local blocking method, which needs a process (NeedsProc): Exec
+// runs it on one, and Step carries on. Await is the blocking wrapper, and
+// Invoke is Begin and Await.
 type Invocation struct {
 	rt    *Runtime
 	stepF func() sim.Wait // Step, bound once
@@ -42,6 +43,7 @@ type Invocation struct {
 	loc      cluster.MachineID // where this attempt routes
 	pr       *Proclet          // the local target, from the dispatch overhead on
 	blocking *methodEntry      // the method Exec runs
+	st       Staged            // the local staged method's run
 	call     *simnet.Call      // the remote attempt's fabric call
 	res      Msg
 	err      error
@@ -56,6 +58,7 @@ const (
 	invLocated                  // the target's machine is known
 	invDispatch                 // the local dispatch overhead has been charged
 	invServe                    // any post-copy penalty has been charged
+	invStaged                   // a local staged method is running
 	invExec                     // a local blocking method waits for Exec
 	invServed                   // the local method returned res, err
 	invCall                     // a fabric call is in flight, or failed to start
@@ -66,10 +69,14 @@ const (
 // fromMachine, bounded by MaxInvokeRetries attempts. from is the calling
 // proclet (0 for external clients), for affinity accounting.
 func (rt *Runtime) Begin(fromMachine cluster.MachineID, from, target ID, method string, arg Msg) *Invocation {
-	return rt.begin(fromMachine, from, target, method, arg, rt.cfg.MaxInvokeRetries)
+	return rt.BeginLimited(fromMachine, from, target, method, arg, rt.cfg.MaxInvokeRetries)
 }
 
-func (rt *Runtime) begin(fromMachine cluster.MachineID, from, target ID, method string, arg Msg, maxAttempts int) *Invocation {
+// BeginLimited is Begin with an explicit attempt bound overriding
+// MaxInvokeRetries. Replication shipping uses a small bound so a write
+// is not stalled for the full retry budget by one dead backup: the
+// shipper drops the backup quickly and re-replication repairs the set.
+func (rt *Runtime) BeginLimited(fromMachine cluster.MachineID, from, target ID, method string, arg Msg, maxAttempts int) *Invocation {
 	var sp obs.SpanID
 	if rt.obs != nil {
 		sp = rt.obs.Start(obs.KindInvoke, method, int(fromMachine), rt.obs.TakeNext())
@@ -84,7 +91,7 @@ func (rt *Runtime) begin(fromMachine cluster.MachineID, from, target ID, method 
 		inv = &Invocation{rt: rt}
 		inv.stepF = inv.Step
 	}
-	inv.from, inv.max, inv.sp = fromMachine, maxAttempts, sp
+	inv.from, inv.max, inv.sp = fromMachine, max(maxAttempts, 1), sp
 	inv.req = invokeReq{From: from, Target: target, Method: method, Arg: arg}
 	return inv
 }
@@ -149,12 +156,22 @@ func (inv *Invocation) Step() sim.Wait {
 				return sim.After(d)
 			}
 		case invServe:
-			res, blocking, err := rt.serveInline(inv.pr, inv.req.From, inv.req.Method, inv.req.Arg)
-			if blocking != nil {
-				inv.blocking, inv.phase = blocking, invExec
+			res, e, err := rt.serveInline(inv.pr, inv.req.From, inv.req.Method, inv.req.Arg)
+			switch {
+			case e == nil:
+				inv.res, inv.err, inv.phase = res, err, invServed
+			case e.staged != nil:
+				inv.st, inv.phase = rt.startStaged(inv.pr, e, inv.req.Arg), invStaged
+			default:
+				inv.blocking, inv.phase = e, invExec
 				return sim.Resume
 			}
-			inv.res, inv.err, inv.phase = res, err, invServed
+		case invStaged:
+			if w := inv.st.Step(); w != sim.Resume {
+				return w
+			}
+			inv.res, inv.err = rt.endStaged(inv.pr, inv.st, inv.req.From, inv.req.Arg)
+			inv.st, inv.phase = nil, invServed
 		case invServed:
 			if errors.Is(inv.err, ErrUnavailable) {
 				// A lease-lapsed or deposed primary refused to serve; back

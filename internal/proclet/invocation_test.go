@@ -16,16 +16,36 @@ import (
 )
 
 // invokeFn is one way to run an invocation to its end on a process: Invoke
-// (limit 0) or InvokeLimited (limit > 0), or refInvoke, the loop they
-// replace.
+// (limit 0) or BeginLimited (limit > 0) and Await, or refInvoke, the loop
+// they replace.
 type invokeFn func(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, from, target ID, method string, arg Msg, limit int) (Msg, error)
 
 func stagedInvoke(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, from, target ID, method string, arg Msg, limit int) (Msg, error) {
 	if limit == 0 {
 		return rt.Invoke(p, fromMachine, from, target, method, arg)
 	}
-	return rt.InvokeLimited(p, fromMachine, from, target, method, arg, limit)
+	return rt.BeginLimited(fromMachine, from, target, method, arg, limit).Await(p)
 }
+
+// waitThen is a staged method's run that waits d and then serves.
+type waitThen struct {
+	d      time.Duration
+	then   func() (Msg, error)
+	waited bool
+	res    Msg
+	err    error
+}
+
+func (w *waitThen) Step() sim.Wait {
+	if !w.waited {
+		w.waited = true
+		return sim.After(w.d)
+	}
+	w.res, w.err = w.then()
+	return sim.Resume
+}
+
+func (w *waitThen) End() (Msg, error) { return w.res, w.err }
 
 // tapeOp is one entry of a random invocation tape: at instant at, kind
 // does something to proclet pi (an index into the tape's proclets; one
@@ -181,18 +201,19 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 			ctx.Proc.Sleep(time.Duration(arg.Word) * time.Microsecond)
 			return Msg{Word: arg.Word + 2, Bytes: 32}, nil
 		})
-		// Odd words decline the fast registration.
-		pr.HandleWithFallback("fb", func(arg Msg) (Msg, error) {
+		// Odd words decline the fast registration to a staged one.
+		pr.HandleStaged("fb", func(arg Msg) (Msg, error) {
 			if arg.Word%2 == 1 {
 				return Msg{}, simnet.ErrWouldBlock
 			}
 			return Msg{Word: arg.Word + 3}, nil
-		}, func(ctx *Ctx, arg Msg) (Msg, error) {
-			ctx.Proc.Sleep(10 * time.Microsecond)
-			return Msg{Word: arg.Word + 4, Bytes: 8}, nil
+		}, func(arg Msg) Staged {
+			return &waitThen{d: 10 * time.Microsecond, then: func() (Msg, error) {
+				return Msg{Word: arg.Word + 4, Bytes: 8}, nil
+			}}
 		})
 		// Refuses while it owes refusals: inline for even words, after a
-		// blocking 5 µs for odd ones.
+		// staged 5 µs for odd ones.
 		refuse := func(arg Msg) (Msg, error) {
 			if refusals[i] > 0 {
 				refusals[i]--
@@ -200,14 +221,13 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 			}
 			return Msg{Word: arg.Word + 5}, nil
 		}
-		pr.HandleWithFallback("flaky", func(arg Msg) (Msg, error) {
+		pr.HandleStaged("flaky", func(arg Msg) (Msg, error) {
 			if arg.Word%2 == 1 {
 				return Msg{}, simnet.ErrWouldBlock
 			}
 			return refuse(arg)
-		}, func(ctx *Ctx, arg Msg) (Msg, error) {
-			ctx.Proc.Sleep(5 * time.Microsecond)
-			return refuse(arg)
+		}, func(arg Msg) Staged {
+			return &waitThen{d: 5 * time.Microsecond, then: func() (Msg, error) { return refuse(arg) }}
 		})
 		// A nested invocation from the method's own process.
 		pr.Handle("relay", func(ctx *Ctx, arg Msg) (Msg, error) {
@@ -298,11 +318,11 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 // plane log, the spans on traced tapes, and the kernel RNG's next draw.
 //
 // The tapes cover cache misses and ErrMoved chases after migrations; local
-// fast and blocking methods and a fast registration declining to its
-// blocking one; the same remotely; targets migrating across a call, pre-
+// fast and blocking methods and a fast registration declining to a
+// staged one; the same remotely; targets migrating across a call, pre-
 // and post-copy with the lazy penalty; nodes going down and up mid-call;
 // partitions and lossy links, with and without deadlines; ErrUnavailable
-// backoffs from inline and blocking methods; retries exhausted; a destroyed
+// backoffs from inline and staged methods; retries exhausted; a destroyed
 // target; nested invocations; and back-to-back calls that reuse pooled
 // Invocations. The test fails if any of these never happened across the
 // seeds.
@@ -375,14 +395,22 @@ func TestInvocationMatchesReferenceLoop(t *testing.T) {
 	}
 }
 
-// TestAbandonedHandlerKeepsItsRequest: a remote blocking handler that
-// outlives its caller serves the request it was sent, not whatever the
-// caller's recycled envelope holds by the time it wakes. The caller here
-// times out on a proclet that is mid-migration, so the handler waits out
-// the migration; by its commit the same client is busy with a stream of
+// TestAbandonedHandlerKeepsItsRequest: a remote handler that outlives its
+// caller serves the request it was sent, not whatever the caller's
+// recycled envelope holds by the time it wakes. The caller here times out
+// on a proclet that is mid-migration, so the handler waits out the
+// migration; by its commit the same client is busy with a stream of
 // invocations of another proclet on that machine, and a handler that
-// re-read the caller's envelope ran one of them a second time.
+// re-read the caller's envelope ran one of them a second time. The
+// migrating proclet's method is blocking, so a blocking handler waits, or
+// staged, so the staged handler does.
 func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
+	for _, staged := range []bool{false, true} {
+		abandonHandler(t, staged)
+	}
+}
+
+func abandonHandler(t *testing.T, staged bool) {
 	k := sim.NewKernel(1)
 	c := cluster.New(k, simnet.Config{Latency: 10 * time.Microsecond, Bandwidth: 1_000_000_000})
 	for i := 0; i < 3; i++ {
@@ -396,7 +424,13 @@ func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moving.Handle("ping", func(*Ctx, Msg) (Msg, error) { return Msg{}, nil })
+	if staged {
+		moving.HandleStaged("ping", nil, func(Msg) Staged {
+			return &waitThen{then: func() (Msg, error) { return Msg{}, nil }}
+		})
+	} else {
+		moving.Handle("ping", func(*Ctx, Msg) (Msg, error) { return Msg{}, nil })
+	}
 	worker, err := rt.Spawn("worker", 1, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +447,7 @@ func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
 		}
 	})
 	k.Spawn("client", func(p *sim.Proc) {
-		if _, err := rt.InvokeLimited(p, 0, 0, moving.ID(), "ping", Msg{}, 1); !errors.Is(err, simnet.ErrTimeout) {
+		if _, err := rt.BeginLimited(0, 0, moving.ID(), "ping", Msg{}, 1).Await(p); !errors.Is(err, simnet.ErrTimeout) {
 			t.Errorf("the call to the migrating proclet ended with %v, want a timeout", err)
 		}
 		for i := 0; i < 200; i++ {
@@ -425,9 +459,9 @@ func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
 	k.Run()
 	k.Close()
 	if runs != 200 {
-		t.Errorf("the method ran %d times for 200 invocations", runs)
+		t.Errorf("staged ping %v: the method ran %d times for 200 invocations", staged, runs)
 	}
 	if moving.Invocations() != 0 {
-		t.Errorf("the migrated proclet served %d invocations; the abandoned handler should have found it gone", moving.Invocations())
+		t.Errorf("staged ping %v: the migrated proclet served %d invocations; the abandoned handler should have found it gone", staged, moving.Invocations())
 	}
 }

@@ -92,6 +92,20 @@ type Method func(ctx *Ctx, arg Msg) (Msg, error)
 // get/put) belong here.
 type FastMethod func(arg Msg) (Msg, error)
 
+// StagedMethod is a proclet method that waits but never blocks (a
+// replicated write waiting for its backups). It starts a run for arg, a
+// Staged, which the caller's Invocation steps, or for a remote caller a
+// staged handler process (sim.Kernel.SpawnStaged); no process switches in.
+// Step moves a run as far as it goes without waiting and returns the next
+// wait, or Resume once it is over; End returns its result and retires it.
+type StagedMethod func(arg Msg) Staged
+
+// Staged is one run of a StagedMethod. Neither method may block.
+type Staged interface {
+	Step() sim.Wait
+	End() (Msg, error)
+}
+
 // Proclet is one migratable unit: a heap (byte-accounted state plus an
 // arbitrary Go value in Data) and threads.
 type Proclet struct {
@@ -165,11 +179,12 @@ func (pr *Proclet) CommBytes() map[ID]int64 { return pr.commBytes }
 func (pr *Proclet) ResetComm() { pr.commBytes = make(map[ID]int64) }
 
 // methodEntry is one method name's registrations: fast, blocking, or —
-// through HandleWithFallback only — both.
+// through HandleStaged only — fast and staged.
 type methodEntry struct {
 	name     string
 	fast     FastMethod
 	blocking Method
+	staged   StagedMethod
 }
 
 // method returns the entry registered under name, or nil.
@@ -208,22 +223,14 @@ func (pr *Proclet) HandleFast(method string, fn FastMethod) {
 	pr.methods = append(pr.methods, methodEntry{name: method, fast: fn})
 }
 
-// HandleWithFallback registers the same method name on both dispatch
-// tables: fast serves the common case inline, and may decline any
-// individual invocation by returning simnet.ErrWouldBlock, which
-// re-dispatches that invocation to blocking on a handler process. This
-// is how a method stays on the zero-overhead inline path in one
-// configuration (an unreplicated memory-proclet write) while paying for
-// a blocking protocol in another (the same write shipping a replication
-// record before acking).
-func (pr *Proclet) HandleWithFallback(method string, fast FastMethod, blocking Method) {
-	if e := pr.method(method); e != nil {
-		if e.fast != nil {
-			panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
-		}
+// HandleStaged registers a method that is fast when it can be: fast (which
+// may be nil) serves an invocation inline or declines it with
+// simnet.ErrWouldBlock, and staged serves what it declines.
+func (pr *Proclet) HandleStaged(method string, fast FastMethod, staged StagedMethod) {
+	if pr.method(method) != nil {
 		panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
 	}
-	pr.methods = append(pr.methods, methodEntry{name: method, fast: fast, blocking: blocking})
+	pr.methods = append(pr.methods, methodEntry{name: method, fast: fast, staged: staged})
 }
 
 // GrowHeap adjusts the proclet's accounted state size by delta bytes

@@ -3,6 +3,7 @@ package proclet
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -15,7 +16,7 @@ import (
 // process. TestInvocationMatchesReferenceLoop holds Invoke to it, event
 // for event.
 
-// refInvoke is Invoke (limit 0) and InvokeLimited (limit > 0) over refLoop.
+// refInvoke is Invoke (limit 0) and BeginLimited (limit > 0) over refLoop.
 func refInvoke(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, from, target ID, method string, arg Msg, limit int) (Msg, error) {
 	maxAttempts := rt.cfg.MaxInvokeRetries
 	if limit > 0 {
@@ -71,7 +72,7 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			}
 			p.Sleep(rt.cfg.LocalInvokeOverhead)
 			rt.LocalInvokes.Inc()
-			res, err := rt.exec(p, pr, req.From, req.Method, req.Arg)
+			res, err := refExec(rt, p, pr, req.From, req.Method, req.Arg)
 			if errors.Is(err, ErrUnavailable) {
 				// A lease-lapsed or deposed primary refused to serve;
 				// back off and re-route (the proclet may be promoted
@@ -86,12 +87,10 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			return res, err
 		}
 		if rt.obs != nil {
-			rt.obs.SetNext(sp) // consumed synchronously at CallWithTimeout entry
+			rt.obs.SetNext(sp) // consumed synchronously by StartCall
 		}
-		reply, err := rt.Cluster.Fabric.CallWithTimeout(p,
-			simnet.NodeID(fromMachine), simnet.NodeID(loc),
-			"proclet.invoke", simnet.Message{Payload: req, Bytes: req.Arg.Bytes},
-			rt.cfg.InvokeTimeout)
+		reply, err := refCall(p, rt.Cluster.Fabric, simnet.NodeID(fromMachine), simnet.NodeID(loc),
+			simnet.Message{Payload: req, Bytes: req.Arg.Bytes}, rt.cfg.InvokeTimeout)
 		if errors.Is(err, ErrMoved) {
 			rt.uncache(fromMachine, req.Target)
 			continue
@@ -121,4 +120,33 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			ErrRetries, req.Target, req.Method, lastErr)
 	}
 	return Msg{}, fmt.Errorf("%w: target %d method %q", ErrRetries, req.Target, req.Method)
+}
+
+// refCall is a blocking fabric call with a deadline, as the loop made it.
+func refCall(p *sim.Proc, f *simnet.Fabric, from, to simnet.NodeID, req simnet.Message, d time.Duration) (simnet.Message, error) {
+	cs, err := f.StartCall(from, to, "proclet.invoke", req, d)
+	if err != nil {
+		return simnet.Message{}, err
+	}
+	p.Await(cs.Stage(), cs.Stage)
+	return cs.End()
+}
+
+// refExec is local dispatch on p, as the loop did it: the post-copy
+// penalty, then the method inline, on p, or — staged — its run stepped by
+// an Await of p's.
+func refExec(rt *Runtime, p *sim.Proc, pr *Proclet, from ID, method string, arg Msg) (Msg, error) {
+	if d := rt.lazyPenalty(pr); d > 0 {
+		p.Sleep(d)
+	}
+	res, e, err := rt.serveInline(pr, from, method, arg)
+	switch {
+	case e == nil:
+		return res, err
+	case e.staged == nil:
+		return rt.serveBlocking(p, pr, e, from, arg)
+	}
+	st := rt.startStaged(pr, e, arg)
+	p.Await(st.Step(), st.Step)
+	return rt.endStaged(pr, st, from, arg)
 }

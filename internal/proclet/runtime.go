@@ -123,6 +123,7 @@ type Runtime struct {
 	// their own.
 	invPool []*Invocation
 	ctxPool []*Ctx
+	runPool []*handlerRun
 
 	// obs, when set, records invocation and migration spans. Nil (the
 	// default) keeps the invoke fast path allocation-free.
@@ -168,17 +169,22 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
 		MigrationLatency: metrics.NewHistogram("proclet.migration_latency"),
 		LazyResidence:    metrics.NewHistogram("proclet.lazy_residence"),
 	}
+	c.Fabric.HandleStaged(rt.serveStaged)
 	for _, m := range c.Machines() {
 		mid := m.ID
 		n := c.Node(mid)
+		// The staged handler's run, on a process for a blocking method.
 		n.Handle("proclet.invoke", func(hp *sim.Proc, req simnet.Message) (simnet.Message, error) {
-			// The envelope belongs to the caller's Invocation, which a
-			// deadline can end and recycle while this handler waits out a
-			// migration: serve a copy.
-			return rt.execOn(hp, mid, *req.Payload.(*invokeReq))
+			h := rt.startRun(mid, req)
+			hp.Await(h.stage(), h.stageF)
+			if e := h.blocking; e != nil {
+				h.res, h.err = rt.serveBlocking(hp, h.pr, e, h.req.From, h.req.Arg)
+			}
+			return h.End()
 		})
 		// Fast methods are served inline at request delivery; anything
-		// that would need to block falls back to the handler above.
+		// else falls back to the handler above, or a staged method to the
+		// fabric's staged handler, serveStaged.
 		n.HandleFast("proclet.invoke", func(req simnet.Message) (simnet.Message, error) {
 			return rt.execFastOn(mid, req.Payload.(*invokeReq))
 		})
@@ -306,14 +312,6 @@ func (rt *Runtime) Invoke(p *sim.Proc, fromMachine cluster.MachineID, from ID, t
 	return rt.Begin(fromMachine, from, target, method, arg).Await(p)
 }
 
-// InvokeLimited is Invoke with an explicit attempt bound overriding
-// MaxInvokeRetries. Replication shipping uses a small bound so a write
-// is not stalled for the full retry budget by one dead backup: the
-// shipper drops the backup quickly and re-replication repairs the set.
-func (rt *Runtime) InvokeLimited(p *sim.Proc, fromMachine cluster.MachineID, from ID, target ID, method string, arg Msg, maxAttempts int) (Msg, error) {
-	return rt.begin(fromMachine, from, target, method, arg, max(maxAttempts, 1)).Await(p)
-}
-
 func (rt *Runtime) getCtx() *Ctx {
 	if n := len(rt.ctxPool); n > 0 {
 		c := rt.ctxPool[n-1]
@@ -357,58 +355,122 @@ func retryable(err error) bool {
 		errors.Is(err, ErrUnavailable)
 }
 
-// execOn runs an invocation that arrived at machine m, waiting out any
-// in-progress migration and reporting ErrMoved when the proclet is no
-// longer (or never was) here.
-func (rt *Runtime) execOn(p *sim.Proc, m cluster.MachineID, r invokeReq) (Msg, error) {
-	for {
-		pr := rt.localOn(m, r.Target)
-		if pr == nil {
-			return Msg{}, ErrMoved
-		}
-		if pr.state == StateMigrating {
-			pr.unblocked.Wait(p)
-			continue
-		}
-		return rt.exec(p, pr, r.From, r.Method, r.Arg)
-	}
-}
-
 // execFastOn serves a remote invocation inline in kernel context at the
-// instant the request lands. It declines with simnet.ErrWouldBlock
-// whenever serving would need a simulated process: the proclet is
-// migrating (the handler must wait it out), it is in a post-copy lazy
-// window (the remote-access penalty is a sleep), or the method is a
-// blocking one.
+// instant the request lands. It declines to a handler — the staged one for
+// a staged method (simnet.ErrStaged), else the blocking one — when the
+// proclet is migrating or in a post-copy lazy window (the handler waits
+// those out), or the method is not fast, or its fast registration declined.
 func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
 	pr := rt.localOn(m, r.Target)
 	if pr == nil {
 		return Msg{}, ErrMoved
 	}
 	if pr.state == StateMigrating || (pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0) {
-		return Msg{}, simnet.ErrWouldBlock
+		return Msg{}, decline(pr.method(r.Method))
 	}
-	res, blocking, err := rt.serveInline(pr, r.From, r.Method, r.Arg)
-	if blocking != nil {
-		// No fast registration, or it declined this particular invocation
-		// (e.g. a write that must ship replication records): the blocking
-		// handler serves it.
-		return Msg{}, simnet.ErrWouldBlock
+	res, e, err := rt.serveInline(pr, r.From, r.Method, r.Arg)
+	if e != nil {
+		return Msg{}, decline(e)
 	}
 	return res, err
 }
 
-// exec dispatches the method on a proclet known to be local and running,
-// on process p: the post-copy penalty, then both halves of local dispatch.
-func (rt *Runtime) exec(p *sim.Proc, pr *Proclet, from ID, method string, arg Msg) (Msg, error) {
-	if d := rt.lazyPenalty(pr); d > 0 {
-		p.Sleep(d)
+// decline is how execFastOn turns down an invocation of e.
+func decline(e *methodEntry) error {
+	if e != nil && e.staged != nil {
+		return simnet.ErrStaged
 	}
-	res, blocking, err := rt.serveInline(pr, from, method, arg)
-	if blocking == nil {
-		return res, err
+	return simnet.ErrWouldBlock
+}
+
+// handlerRun is a remote invocation a fast dispatch declined: wait out a
+// migration and the post-copy penalty, then serve the method inline, step
+// its staged run, or stop at a blocking method for the blocking handler's
+// process to run. req copies the caller's envelope, which the caller's
+// Invocation may reuse meanwhile. Pooled on the Runtime.
+type handlerRun struct {
+	rt       *Runtime
+	m        cluster.MachineID
+	req      invokeReq
+	pr       *Proclet     // the target, once no migration is in the way
+	st       Staged       // the method's staged run, once started
+	blocking *methodEntry // the method, if it is neither fast nor staged
+	res      Msg
+	err      error
+	cs       *simnet.Call    // the call to answer, on the staged handler
+	stageF   func() sim.Wait // stage, bound once
+}
+
+// startRun starts the run of a remote invocation on machine m.
+func (rt *Runtime) startRun(m cluster.MachineID, req simnet.Message) *handlerRun {
+	var h *handlerRun
+	if n := len(rt.runPool); n > 0 {
+		h, rt.runPool = rt.runPool[n-1], rt.runPool[:n-1]
+	} else {
+		h = &handlerRun{rt: rt}
+		h.stageF = h.stage
 	}
-	return rt.serveBlocking(p, pr, blocking, from, arg)
+	h.m, h.req = m, *req.Payload.(*invokeReq)
+	return h
+}
+
+// serveStaged is the fabric's StagedHandler: a run whose stage answers cs.
+func (rt *Runtime) serveStaged(to simnet.NodeID, req simnet.Message, cs *simnet.Call) func() sim.Wait {
+	h := rt.startRun(cluster.MachineID(to), req)
+	h.cs = cs
+	return h.stageF
+}
+
+// stage steps the run and, on the staged handler, answers once it is over.
+func (h *handlerRun) stage() sim.Wait {
+	w := h.Step()
+	if cs := h.cs; w == sim.Resume && cs != nil {
+		cs.Reply(h.End())
+	}
+	return w
+}
+
+func (h *handlerRun) Step() sim.Wait {
+	rt := h.rt
+	if h.st != nil {
+		if w := h.st.Step(); w != sim.Resume {
+			return w
+		}
+		h.res, h.err = rt.endStaged(h.pr, h.st, h.req.From, h.req.Arg)
+		return sim.Resume
+	}
+	if h.pr == nil {
+		pr := rt.localOn(h.m, h.req.Target)
+		if pr == nil {
+			h.err = ErrMoved
+			return sim.Resume
+		}
+		if pr.state == StateMigrating {
+			return sim.On(&pr.unblocked)
+		}
+		h.pr = pr
+		if d := rt.lazyPenalty(pr); d > 0 {
+			return sim.After(d)
+		}
+	}
+	res, e, err := rt.serveInline(h.pr, h.req.From, h.req.Method, h.req.Arg)
+	switch {
+	case e == nil:
+		h.res, h.err = res, err
+	case e.staged == nil:
+		h.blocking = e
+	default:
+		h.st = rt.startStaged(h.pr, e, h.req.Arg)
+		return h.Step()
+	}
+	return sim.Resume
+}
+
+func (h *handlerRun) End() (Msg, error) {
+	rt, res, err := h.rt, h.res, h.err
+	*h = handlerRun{rt: rt, stageF: h.stageF}
+	rt.runPool = append(rt.runPool, h)
+	return res, err
 }
 
 // serveInline is local dispatch's inline half, shared by every way an
@@ -418,7 +480,7 @@ func (rt *Runtime) exec(p *sim.Proc, pr *Proclet, from ID, method string, arg Ms
 // event, so a migration drain can never observe one in flight. When the
 // method has no fast registration, or it declined with
 // simnet.ErrWouldBlock, serveInline returns the method's entry instead,
-// for serveBlocking to run on a process.
+// for serveBlocking to run on a process or startStaged to start.
 func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Msg, *methodEntry, error) {
 	e := pr.method(method)
 	if e == nil {
@@ -433,6 +495,23 @@ func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Ms
 		}
 	}
 	return Msg{}, e, nil
+}
+
+// startStaged and endStaged are local dispatch's staged half, around the
+// steps of e's staged run: they count it active, for migration drains, as
+// serveBlocking does, and account it.
+func (rt *Runtime) startStaged(pr *Proclet, e *methodEntry, arg Msg) Staged {
+	pr.active++
+	return e.staged(arg)
+}
+
+func (rt *Runtime) endStaged(pr *Proclet, st Staged, from ID, arg Msg) (Msg, error) {
+	res, err := st.End()
+	if pr.active--; pr.active == 0 {
+		pr.drained.Broadcast()
+	}
+	rt.account(pr, from, arg, res)
+	return res, err
 }
 
 // serveBlocking is local dispatch's process half: it runs e's blocking

@@ -45,7 +45,7 @@ type Config struct {
 	// [d*(1-j/2), d*(1+j/2)]. Jitter de-synchronizes the per-machine
 	// ping loops. Unlike the other fields, zero is not defaulted: a
 	// zero Config — what every caller in the tree passes — pings in
-	// lockstep, with no jitter (ROADMAP item 1, defect iv).
+	// lockstep, with no jitter (ROADMAP item 2(iv)).
 	HeartbeatJitter float64
 	// PingTimeout bounds each heartbeat RPC. Zero defaults to
 	// HeartbeatPeriod.
@@ -154,16 +154,17 @@ type Detector struct {
 	// Both indexed by MachineID (the cluster assigns ids densely from 0)
 	// and sized to the machines present at NewDetector; a machine added
 	// later is unmonitored: Alive, and without a lease.
-	health []machineHealth
-	leases []sim.Time // serving-lease expiry per machine
+	health  []machineHealth
+	leases  []sim.Time // serving-lease expiry per machine
+	pingers []pinger   // one heartbeat loop per machine, in one allocation
 
 	// OnSuspect fires when a machine transitions Alive→Suspect;
 	// OnConfirm when Suspect→Dead (recovery should begin); OnAlive on
 	// every successful heartbeat round trip — not just transitions —
 	// because a machine can crash and restart so fast it never leaves
-	// Alive, yet its orphaned proclets still need recovery. Hooks run on
-	// the detector's per-machine ping process and should spawn if they
-	// need to block for long.
+	// Alive, yet its orphaned proclets still need recovery. Hooks run in
+	// kernel context, in the event that settles a heartbeat: they must
+	// not block, and spawn a process for anything that waits.
 	OnSuspect func(cluster.MachineID)
 	OnConfirm func(cluster.MachineID)
 	OnAlive   func(cluster.MachineID)
@@ -194,11 +195,15 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, mon
 		monitor:       monitor,
 		health:        make([]machineHealth, len(c.Machines())),
 		leases:        make([]sim.Time, len(c.Machines())),
+		pingers:       make([]pinger, len(c.Machines())),
 		DetectLatency: metrics.NewHistogram("replication.detect_latency"),
 	}
 	now := k.Now()
 	for _, m := range c.Machines() {
 		mid := m.ID
+		pn := &d.pingers[mid]
+		pn.d, pn.mid = d, mid
+		pn.stageF = pn.stage
 		d.health[mid] = machineHealth{state: StateAlive, lastBeat: now}
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
 		// The handler runs in kernel context at request delivery on the
@@ -225,35 +230,57 @@ func (d *Detector) Start() {
 		mid := m.ID
 		d.health[mid].lastBeat = now
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
-		name := func() string { return fmt.Sprintf("repl/fd-m%d", mid) }
-		d.k.SpawnLazy(name, func(p *sim.Proc) { d.pingLoop(p, mid) })
+		pn := &d.pingers[mid]
+		d.k.SpawnLazy(pn.name, func(p *sim.Proc) { p.Await(pn.stage(), pn.stageF) })
 	}
 }
 
-// pingLoop is the monitor's heartbeat process for one machine.
-func (d *Detector) pingLoop(p *sim.Proc, mid cluster.MachineID) {
+// pinger is the monitor's heartbeat loop for one machine — sleep a
+// jittered period, ping, settle the outcome, and again — as the stage of
+// one Await, so its process is switched in at its start and never again.
+type pinger struct {
+	d      *Detector
+	mid    cluster.MachineID
+	slept  bool         // the period is over: ping
+	call   *simnet.Call // the ping in flight
+	stageF func() sim.Wait
+}
+
+func (pn *pinger) name() string { return fmt.Sprintf("repl/fd-m%d", pn.mid) }
+
+func (pn *pinger) stage() sim.Wait {
+	d := pn.d
 	for {
-		d.sleepPeriod(p)
-		d.HeartbeatsSent.Inc()
-		_, err := d.c.Fabric.CallWithTimeout(p,
-			simnet.NodeID(d.monitor), simnet.NodeID(mid),
-			methodPing, simnet.Message{Bytes: pingBytes}, d.cfg.PingTimeout)
+		var err error
+		switch {
+		case pn.call != nil:
+			if w := pn.call.Stage(); w != sim.Resume {
+				return w
+			}
+			_, err = pn.call.End()
+			pn.call = nil
+		case pn.slept:
+			pn.slept = false
+			d.HeartbeatsSent.Inc()
+			if pn.call, err = d.c.Fabric.StartCall(simnet.NodeID(d.monitor), simnet.NodeID(pn.mid),
+				methodPing, simnet.Message{Bytes: pingBytes}, d.cfg.PingTimeout); err == nil {
+				continue
+			}
+		default:
+			period := d.cfg.HeartbeatPeriod
+			if j := d.cfg.HeartbeatJitter; j > 0 {
+				period = time.Duration(float64(period) * (1 - j/2 + j*d.k.Rand().Float64()))
+			}
+			pn.slept = true
+			return sim.After(period)
+		}
 		if err == nil {
-			d.noteAlive(mid, p.Now())
+			d.noteAlive(pn.mid, d.k.Now())
 		} else {
 			d.HeartbeatsMissed.Inc()
-			d.noteMiss(mid)
+			d.noteMiss(pn.mid)
 		}
 	}
-}
-
-// sleepPeriod sleeps one jittered heartbeat period.
-func (d *Detector) sleepPeriod(p *sim.Proc) {
-	period := d.cfg.HeartbeatPeriod
-	if j := d.cfg.HeartbeatJitter; j > 0 {
-		period = time.Duration(float64(period) * (1 - j/2 + j*d.k.Rand().Float64()))
-	}
-	p.Sleep(period)
 }
 
 // noteAlive records a successful heartbeat round trip.

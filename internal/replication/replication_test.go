@@ -123,7 +123,7 @@ func TestDetectorPartitionLapsesLeaseBeforeConfirm(t *testing.T) {
 // TestZeroConfigHasNoHeartbeatJitter pins what every caller in the tree
 // runs with: Config{} keeps HeartbeatJitter 0 although defaultConfig
 // advertises 0.2, so the per-machine ping loops stay synchronized.
-// Defaulting it moves events; it is ROADMAP item 1's defect (iv), for
+// Defaulting it moves events; it is ROADMAP item 2's defect (iv), for
 // the PR that is allowed to — that PR updates this test.
 func TestZeroConfigHasNoHeartbeatJitter(t *testing.T) {
 	if j := (Config{}).withDefaults().HeartbeatJitter; j != 0 {
@@ -147,4 +147,63 @@ func TestConfigRejectsUnsafeLease(t *testing.T) {
 		LeaseDuration:   5 * time.Millisecond,
 	}
 	cfg.withDefaults()
+}
+
+// TestDetectorSwitchesOnlyAtStart: each machine's heartbeat loop is one
+// Await, so monitoring N machines for K periods switches exactly N times,
+// at the loops' starts: pings, their settling and the periods between run
+// in kernel context. With a machine crashed the confirmation lands at the
+// instant the blocking ping loop confirmed it, 3.505024 ms for a crash at
+// 1 ms, after as many heartbeats (312); that loop switched 594 times.
+func TestDetectorSwitchesOnlyAtStart(t *testing.T) {
+	const n, periods = 8, 40
+	for _, crash := range []bool{false, true} {
+		k, c, tl := testCluster(t, n)
+		d := NewDetector(k, c, tl, Config{}, 0)
+		var confirmAt sim.Time
+		d.OnConfirm = func(cluster.MachineID) { confirmAt = k.Now() }
+		d.Start()
+		if crash {
+			fault.New(k, c, tl).Install(fault.Schedule{{At: sim.Time(time.Millisecond), Op: fault.OpCrash, A: 3}})
+		}
+		k.RunUntil(sim.Time(periods * d.cfg.HeartbeatPeriod))
+		if got := k.Switches(); got != n {
+			t.Errorf("crash %v: %d machines monitored for %d periods switched %d times, want %d", crash, n, periods, got, n)
+		}
+		if sent := d.HeartbeatsSent.Value(); sent < n*(periods-1) {
+			t.Errorf("crash %v: %d heartbeats sent, want at least %d", crash, sent, n*(periods-1))
+		}
+		if want := sim.Time(3505024); crash && (confirmAt != want || d.HeartbeatsSent.Value() != 312) {
+			t.Errorf("m3 confirmed dead at %v after %d heartbeats, want %v after 312", confirmAt, d.HeartbeatsSent.Value(), want)
+		}
+		k.Close()
+	}
+}
+
+// TestJitteredPeriodsLeaveTheLanesToPollers: with HeartbeatJitter > 0
+// every ping period is a fresh delay, and none of them may take one of the
+// kernel's delay lanes, or the first few would take them all and a poller
+// started later would fall back to the heap: every wait of the poller but
+// its first rides a lane, and nothing falls back.
+func TestJitteredPeriodsLeaveTheLanesToPollers(t *testing.T) {
+	run := func(poller bool) (sim.QueueStats, int) {
+		k, c, tl := testCluster(t, 16)
+		defer k.Close()
+		NewDetector(k, c, tl, Config{HeartbeatJitter: 0.2}, 0).Start()
+		polls := 0
+		poll := func() sim.Wait { polls++; return sim.After(30 * time.Microsecond) }
+		if poller {
+			k.Schedule(sim.Time(5*time.Millisecond), func() {
+				k.SpawnLazy(func() string { return "poller" }, func(p *sim.Proc) { p.Await(poll(), poll) })
+			})
+		}
+		k.RunUntil(sim.Time(10 * time.Millisecond))
+		return k.QueueStats(), polls
+	}
+	alone, _ := run(false)
+	st, polls := run(true)
+	if st.LaneAppends-alone.LaneAppends != uint64(polls-1) || st.LaneFallbacks != 0 {
+		t.Errorf("the poller's %d polls added %d lane appends, with %d fallbacks: want %d and 0",
+			polls, st.LaneAppends-alone.LaneAppends, st.LaneFallbacks, polls-1)
+	}
 }

@@ -21,7 +21,7 @@ type refQueue struct {
 
 func (q *refQueue) Push(r load.Request) { q.reqs = append(q.reqs, r) }
 
-func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int, handle func(batch []load.Request)) {
+func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int, handle func(batch []load.Request), switches *uint64) {
 	batch := make([]load.Request, 0, max)
 	idle := func() sim.Wait {
 		if q.qhead == len(q.reqs) && p.Now() < horizon {
@@ -35,6 +35,7 @@ func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max 
 				return
 			}
 			p.Await(sim.After(poll), idle)
+			*switches++
 			continue
 		}
 		n := min(len(q.reqs)-q.qhead, max)
@@ -47,8 +48,20 @@ func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max 
 	}
 }
 
-// refServe is a scenario server's process body as it was then.
-func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim.Time, deadline, bucketNS int64) {
+// refServe is a scenario server's process body as it was then. It adds one
+// to switches each time p is switched back in after a park.
+func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim.Time, deadline, bucketNS int64, switches *uint64) {
+	k := st.sys.K
+	// parked counts the switch back into p that a call which parked it
+	// ends with: it ran past the event it started in.
+	parked := func(call func() error) error {
+		n := k.EventsProcessed()
+		err := call()
+		if k.EventsProcessed() != n {
+			*switches++
+		}
+		return err
+	}
 	writeCut := uint64(w.WriteFrac * 1000)
 	readIDs := make([][]uint64, w.Stores)
 	writeIDs := make([][]uint64, w.Stores)
@@ -68,7 +81,7 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 		}
 		for si := range st.stores {
 			if ids := readIDs[si]; len(ids) > 0 {
-				if err := st.stores[si].GetBatch(p, 0, ids, &rbuf); err != nil {
+				if err := parked(func() error { return st.stores[si].GetBatch(p, 0, ids, &rbuf) }); err != nil {
 					st.Errors += uint64(len(ids))
 				} else {
 					st.Errors += uint64(len(ids) - len(rbuf.IDs))
@@ -80,7 +93,7 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 					wbuf.Vals = append(wbuf.Vals, core.Int(writeVal(id)))
 					wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
 				}
-				if err := st.stores[si].PutBatch(p, 0, &wbuf); err != nil {
+				if err := parked(func() error { return st.stores[si].PutBatch(p, 0, &wbuf) }); err != nil {
 					st.Errors += uint64(len(ids))
 				} else {
 					st.ledger.Ack(si, ids...)
@@ -106,5 +119,5 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 				st.good[bi]++
 			}
 		}
-	})
+	}, switches)
 }

@@ -160,11 +160,13 @@ type Kernel struct {
 
 	lanes  []lane // lanes[id-1]; id 0 means no lane
 	behind int    // entries waiting in lanes behind their heads
-	// The lanes Await delays ride, by delay (see pushAfter).
+	// The lanes Await delays ride, by delay (see pushAfter), and the delay
+	// the last lookup found no lane for.
 	delayLanes [maxDelayLanes]struct {
 		d  time.Duration
 		id int32 // 0: entry not yet used
 	}
+	missed time.Duration
 	// Host-side census of lane traffic (see QueueStats).
 	laneAppends   uint64
 	laneFallbacks uint64
@@ -174,9 +176,10 @@ type Kernel struct {
 
 	rng       *rand.Rand
 	nextPID   int64
-	live      int // processes spawned and not yet finished
-	blocked   int // processes currently parked
-	unbound   int // SpawnAwait processes still waiting, without a worker
+	live      int     // processes spawned and not yet finished
+	blocked   int     // processes currently parked
+	unbound   int     // SpawnAwait and SpawnStaged processes still waiting, without a worker
+	staged    []*Proc // finished SpawnStaged processes, for the next one
 	curr      *Proc
 	processed uint64
 	switches  uint64 // coroutine resumes (see Switches)
@@ -358,26 +361,36 @@ func (k *Kernel) lanePop(e qkey) {
 // next sequence number. Such events ride a lane per delay: the clock and
 // the sequence counter only move forward, so a source that always adds the
 // same d schedules in order. p remembers the lane of the delay it used
-// last; a process polls at one period for its whole life.
+// last; a process polls at one period for its whole life. A delay gets a
+// lane once it is waited twice in a row, by one process or by any, so
+// delays drawn afresh every time (jittered periods) leave the lanes to the
+// ones that repeat.
 func (k *Kernel) pushAfter(p *Proc, d time.Duration) {
 	k.seq++
 	i, s := k.newSlot(evAwait)
 	s.p = p
 	if p.laneDelay != d {
-		p.laneDelay, p.lane = d, k.delayLane(d)
+		p.laneDelay, p.lane = d, k.delayLane(d, false)
+	} else if p.lane == 0 {
+		p.lane = k.delayLane(d, true)
 	}
 	k.laneAppend(p.lane, k.now.Add(d), k.seq, i)
 }
 
-// delayLane returns the lane for events scheduled d ahead, making it on
-// first use, or 0 (no lane) once maxDelayLanes delays have one.
-func (k *Kernel) delayLane(d time.Duration) int32 {
+// delayLane returns the lane for events scheduled d ahead, making it if
+// claim is set or the last lookup missed d too, or 0 (no lane) if it has
+// none and is not to get one, or maxDelayLanes delays have one.
+func (k *Kernel) delayLane(d time.Duration, claim bool) int32 {
 	if d == 0 {
 		return 0 // the FIFO's
 	}
 	for i := range k.delayLanes {
 		dl := &k.delayLanes[i]
-		if dl.id == 0 { // d's first use, and an entry left for it
+		if dl.id == 0 { // no lane for d, and an entry left for it
+			if !claim && d != k.missed {
+				k.missed = d
+				return 0
+			}
 			dl.d, dl.id = d, k.NewLane().id
 		}
 		if dl.d == d {
@@ -781,6 +794,31 @@ func (k *Kernel) SpawnAwait(nameFn func() string, w Wait, stage func() Wait, fn 
 	return p
 }
 
+// SpawnStaged starts a process made only of stages: its start event runs
+// stage, and so does every event that ends a wait stage returned, until
+// stage returns Resume and the process ends, in kernel context. It is
+// event-for-event identical to
+//
+//	k.SpawnLazy(nameFn, func(p *Proc) { p.Await(stage(), stage) })
+//
+// — same PID, same events under the same sequence numbers, same Live and
+// Blocked — but it never owns a worker, so it never switches, and its Proc
+// is pooled: a request handler that only waits costs nothing per request.
+func (k *Kernel) SpawnStaged(nameFn func() string, stage func() Wait) {
+	var p *Proc
+	if n := len(k.staged); n > 0 {
+		p, k.staged = k.staged[n-1], k.staged[:n-1]
+		p.name, p.finished = "", false // parkSeq stays monotonic, as a worker's does
+	} else {
+		p = &Proc{k: k}
+	}
+	k.nextPID++
+	p.ID, p.nameFn, p.stage = k.nextPID, nameFn, stage
+	k.live++
+	k.unbound++
+	k.push(k.now, evResume).p = p // evResume runs the stage of a Proc that has one
+}
+
 // Close ends the simulation and releases every coroutine the kernel
 // owns. A coroutine that is neither finished nor stopped is never
 // reclaimed, so code that churns through many kernels (benchmark loops,
@@ -899,7 +937,8 @@ func (k *Kernel) await(p *Proc, w Wait) bool {
 // SpawnAwait process that never ran, and then it reports true: the caller
 // resumes p within this same event. (The caller, not proceed: a frame
 // between step and the coroutine switch costs a mispredicted return on
-// every switch back, ~15 ns an RPC.)
+// every switch back, ~15 ns an RPC.) A SpawnStaged process has no body to
+// resume: it ends here, and proceed reports false.
 func (k *Kernel) proceed(p *Proc, w Wait) (resume bool) {
 	if k.await(p, w) {
 		k.blocked++
@@ -907,9 +946,15 @@ func (k *Kernel) proceed(p *Proc, w Wait) (resume bool) {
 	}
 	p.stage = nil
 	if p.w == nil {
+		k.unbound--
+		if p.body == nil {
+			p.finished = true
+			k.live--
+			k.staged = append(k.staged, p)
+			return false
+		}
 		w := k.getWorker()
 		w.p, w.fn, p.w, p.body = p, p.body, w, nil
-		k.unbound--
 	}
 	return true
 }

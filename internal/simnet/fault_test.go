@@ -33,7 +33,7 @@ func TestCallTimesOutOnPartition(t *testing.T) {
 	var err error
 	k.Spawn("caller", func(p *sim.Proc) {
 		start := p.Now()
-		_, err = f.CallWithTimeout(p, 1, 2, "echo", Message{Bytes: 100}, 500*time.Microsecond)
+		_, err = f.callWithTimeout(p, 1, 2, "echo", Message{Bytes: 100}, 500*time.Microsecond)
 		took = p.Now() - start
 	})
 	k.Run()
@@ -101,7 +101,7 @@ func TestReplyLossResolvesViaDeadline(t *testing.T) {
 	f := echoFabric(k, testConfig())
 	var err error
 	k.Spawn("caller", func(p *sim.Proc) {
-		_, err = f.CallWithTimeout(p, 1, 2, "slow", Message{Bytes: 100}, 5*time.Millisecond)
+		_, err = f.callWithTimeout(p, 1, 2, "slow", Message{Bytes: 100}, 5*time.Millisecond)
 	})
 	k.Schedule(sim.Time(500*time.Microsecond), func() {
 		f.SetLinkFault(1, 2, LinkFault{Partitioned: true})
@@ -142,7 +142,7 @@ func TestPartitionHealOrdering(t *testing.T) {
 			called := false
 			k.Schedule(tc.callAt, func() {
 				k.Spawn("caller", func(p *sim.Proc) {
-					_, err = f.CallWithTimeout(p, 1, 2, "echo", Message{Bytes: 10}, 5*time.Millisecond)
+					_, err = f.callWithTimeout(p, 1, 2, "echo", Message{Bytes: 10}, 5*time.Millisecond)
 					called = true
 				})
 			})
@@ -248,7 +248,7 @@ func TestDropProbDeterministicPerSeed(t *testing.T) {
 		outcomes := make([]bool, 0, 64)
 		k.Spawn("caller", func(p *sim.Proc) {
 			for i := 0; i < 64; i++ {
-				_, err := f.CallWithTimeout(p, 1, 2, "echo", Message{Bytes: 10}, 100*time.Microsecond)
+				_, err := f.callWithTimeout(p, 1, 2, "echo", Message{Bytes: 10}, 100*time.Microsecond)
 				outcomes = append(outcomes, err == nil)
 			}
 		})
@@ -438,7 +438,7 @@ func timedOutOrder(t *testing.T, timeouts []time.Duration) (got, want []int, st 
 		sent := sim.Time(i) * 10 * sim.Microsecond
 		k.Schedule(sent, func() {
 			k.Spawn("caller", func(p *sim.Proc) {
-				if _, err := f.CallWithTimeout(p, 1, 2, "slow", Message{Bytes: 100}, d); !errors.Is(err, ErrTimeout) {
+				if _, err := f.callWithTimeout(p, 1, 2, "slow", Message{Bytes: 100}, d); !errors.Is(err, ErrTimeout) {
 					t.Errorf("call %d: err = %v, want a timeout", i, err)
 				}
 				if p.Now() != deadline[i] {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -45,9 +46,22 @@ func errClass(err error) string {
 
 // goldenFabric is nodes 1..n, each serving a fast echo, a blocking
 // handler that works for 3 µs, a fast handler that declines to a
-// blocking fallback, and one that declines with no fallback.
+// blocking fallback, one that declines with no fallback, and one that
+// declines to the fabric's staged handler, which serves it as the
+// blocking handler does.
 func goldenFabric(k *sim.Kernel, cfg Config, n int) *Fabric {
 	f := New(k, cfg)
+	f.HandleStaged(func(_ NodeID, req Message, cs *Call) func() sim.Wait {
+		worked := false
+		return func() sim.Wait {
+			if !worked {
+				worked = true
+				return sim.After(3 * time.Microsecond)
+			}
+			cs.Reply(Message{Bytes: 2 * req.Bytes}, nil)
+			return sim.Resume
+		}
+	})
 	for id := NodeID(1); id <= NodeID(n); id++ {
 		node := f.AddNode(id)
 		node.HandleFast("fast", func(req Message) (Message, error) {
@@ -63,6 +77,7 @@ func goldenFabric(k *sim.Kernel, cfg Config, n int) *Fabric {
 			return Message{Bytes: req.Bytes}, nil
 		})
 		node.HandleFast("refusing", func(Message) (Message, error) { return Message{}, ErrWouldBlock })
+		node.HandleFast("staged", func(Message) (Message, error) { return Message{}, ErrStaged })
 	}
 	return f
 }
@@ -71,7 +86,7 @@ func goldenFabric(k *sim.Kernel, cfg Config, n int) *Fabric {
 type goldenDeadline struct {
 	name     string
 	fabric   time.Duration // Config.CallTimeout
-	explicit time.Duration // d of CallWithTimeout
+	explicit time.Duration // d of callWithTimeout
 }
 
 const goldenD = 20 * time.Microsecond
@@ -135,7 +150,7 @@ func runGoldenCase(seed int64, method string, from, to NodeID, dl goldenDeadline
 	var out []string
 	k.Spawn("caller", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
-			_, err := f.CallWithTimeout(p, from, to, method, Message{Bytes: 128}, dl.explicit)
+			_, err := f.callWithTimeout(p, from, to, method, Message{Bytes: 128}, dl.explicit)
 			out = append(out, fmt.Sprintf("%s@%d", errClass(err), int64(p.Now())))
 		}
 	})
@@ -149,9 +164,9 @@ func runGoldenCase(seed int64, method string, from, to NodeID, dl goldenDeadline
 
 // goldenTable enumerates handler kind × same-node/cross-node × deadline
 // kind × (no fault | fault or node failure × when it strikes).
-func goldenTable() map[string]string {
+func goldenTable(methods ...string) map[string]string {
 	got := make(map[string]string)
-	for _, method := range []string{"fast", "blocking", "declining", "refusing"} {
+	for _, method := range methods {
 		for _, topo := range []struct {
 			name     string
 			from, to NodeID
@@ -181,8 +196,8 @@ func goldenTable() map[string]string {
 // runGoldenProgram runs a random program — callers on four nodes making
 // calls of every kind with every kind of deadline while a script
 // partitions, degrades, heals, crashes and restarts things under them —
-// and returns one line per call.
-func runGoldenProgram(seed int64) []string {
+// and returns one line per call. slow is the method that works for 3 µs.
+func runGoldenProgram(seed int64, slow string) []string {
 	k := sim.NewKernel(seed)
 	defer k.Close()
 	rng := rand.New(rand.NewSource(seed))
@@ -192,7 +207,7 @@ func runGoldenProgram(seed int64) []string {
 	}
 	const nodes = 4
 	f := goldenFabric(k, cfg, nodes)
-	methods := []string{"fast", "fast", "fast", "blocking", "declining", "refusing", "missing"}
+	methods := []string{"fast", "fast", "fast", slow, "declining", "refusing", "missing"}
 	var lines []string
 	for c, n := 0, 3+rng.Intn(4); c < n; c++ {
 		c := c
@@ -210,7 +225,7 @@ func runGoldenProgram(seed int64) []string {
 					d = time.Duration(4+crng.Intn(40)) * time.Microsecond
 				}
 				bytes := int64(64 << crng.Intn(8))
-				_, err := f.CallWithTimeout(p, from, to, method, Message{Bytes: bytes}, d)
+				_, err := f.callWithTimeout(p, from, to, method, Message{Bytes: bytes}, d)
 				lines = append(lines, fmt.Sprintf("c%d.%d %d->%d %s d=%d %s@%d",
 					c, i, from, to, method, d, errClass(err), int64(p.Now())))
 				p.Sleep(time.Duration(crng.Intn(6000)) * time.Nanosecond)
@@ -287,11 +302,11 @@ func writeGoldens(t *testing.T, got map[string]string) {
 // programs resolves with the error class and at the instant the goldens
 // recorded.
 func TestGoldenCallOutcomes(t *testing.T) {
-	got := goldenTable()
+	got := goldenTable("fast", "blocking", "declining", "refusing")
 	programs := make(map[string][]string)
 	for seed := int64(1); seed <= 200; seed++ {
 		name := fmt.Sprintf("program/seed%03d", seed)
-		lines := runGoldenProgram(seed)
+		lines := runGoldenProgram(seed, "blocking")
 		programs[name] = lines
 		got[name] = fmt.Sprintf("%d lines sha256 %x", len(lines), sha256.Sum256([]byte(strings.Join(lines, "\n"))))
 	}
@@ -321,12 +336,37 @@ func TestGoldenCallOutcomes(t *testing.T) {
 	}
 }
 
+// TestStagedHandlerMatchesBlockingHandler: a request a fast handler
+// declines to the fabric's staged handler, whose process is only stages,
+// resolves exactly as one served by a blocking handler process doing the
+// same work — in every case of the golden table and every call of the 200
+// random programs, with deadlines that abandon the handler mid-work and
+// nodes failing under it. Checked to fail with the staged branch of
+// onDelivered not arming the deadline, or not pinning the Call.
+func TestStagedHandlerMatchesBlockingHandler(t *testing.T) {
+	got, want := goldenTable("staged"), goldenTable("blocking")
+	for name, g := range got {
+		if w := want[strings.Replace(name, "/staged/", "/blocking/", 1)]; g != w {
+			t.Errorf("%s: %s; the blocking handler: %s", name, g, w)
+		}
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		got, want := runGoldenProgram(seed, "staged"), runGoldenProgram(seed, "blocking")
+		for i := range got {
+			got[i] = strings.Replace(got[i], " staged ", " blocking ", 1)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("program %d:\nstaged handler:\n%s\nblocking handler:\n%s", seed, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+}
+
 // TestGoldenTableCoversTheClasses guards the table against going
 // degenerate: it must contain successes, timeouts at the deadline, node
 // failures, immediate losses and handler refusals.
 func TestGoldenTableCoversTheClasses(t *testing.T) {
 	count := make(map[string]int)
-	for _, v := range goldenTable() {
+	for _, v := range goldenTable("fast", "blocking", "declining", "refusing") {
 		first, _, _ := strings.Cut(v, "@")
 		count[first]++
 	}
@@ -349,7 +389,7 @@ func replyInstant(t *testing.T, method string, extra time.Duration, d time.Durat
 	var class string
 	var at sim.Time
 	k.Spawn("caller", func(p *sim.Proc) {
-		_, err := f.CallWithTimeout(p, 1, 2, method, Message{Bytes: 128}, d)
+		_, err := f.callWithTimeout(p, 1, 2, method, Message{Bytes: 128}, d)
 		class, at = errClass(err), p.Now()
 	})
 	k.Run()
@@ -400,7 +440,7 @@ func TestDeadlineWinsTheTieWithTheRequest(t *testing.T) {
 	var class string
 	var at sim.Time
 	k.Spawn("caller", func(p *sim.Proc) {
-		_, err := f.CallWithTimeout(p, 1, 2, "stamp", Message{Bytes: 128}, d)
+		_, err := f.callWithTimeout(p, 1, 2, "stamp", Message{Bytes: 128}, d)
 		class, at = errClass(err), p.Now()
 	})
 	k.Run()

@@ -43,6 +43,11 @@ var (
 // method's blocking Handler, which runs in a (pooled) simulated process.
 var ErrWouldBlock = errors.New("simnet: fast handler would block")
 
+// ErrStaged is ErrWouldBlock declining a request to the method's
+// StagedHandler, which serves it from a process that never owns a worker
+// (sim.Kernel.SpawnStaged).
+var ErrStaged = fmt.Errorf("%w: serve it staged", ErrWouldBlock)
+
 // Config holds the network's performance parameters.
 type Config struct {
 	// Latency is the one-way propagation delay between any two nodes.
@@ -121,6 +126,12 @@ type Handler func(p *sim.Proc, req Message) (Message, error)
 // Handler instead.
 type FastHandler func(req Message) (Message, error)
 
+// StagedHandler serves a request for cs on node to that a fast handler
+// declined with ErrStaged. Called in kernel context as the request lands,
+// it copies what it needs of req, which the caller owns, and returns the
+// stage of a process that serves it and answers with cs.Reply.
+type StagedHandler func(to NodeID, req Message, cs *Call) (stage func() sim.Wait)
+
 // methodEntry is what one method dispatches to on a node: a fast
 // handler, a blocking one, or both.
 type methodEntry struct {
@@ -185,11 +196,16 @@ type Fabric struct {
 	// callPool recycles the state of finished calls (see Call). The pool
 	// is a stack, so reuse order is deterministic.
 	callPool []*Call
+	staged   StagedHandler // serves ErrStaged declines on every node
 
 	// obs, when set, records one causal span per call. Nil (the
 	// default) keeps the fast path allocation-free.
 	obs *obs.Tracer
 }
+
+// HandleStaged sets the handler for the requests a fast handler on any
+// node declines with ErrStaged.
+func (f *Fabric) HandleStaged(h StagedHandler) { f.staged = h }
 
 // SetTracer attaches a span tracer to the fabric. Pass nil to detach.
 func (f *Fabric) SetTracer(t *obs.Tracer) { f.obs = t }
@@ -473,8 +489,8 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 // Call is one RPC in flight, pooled on the Fabric. StartCall begins it;
 // Stage is what its caller waits on, first the caller-side overhead and
 // then the round trip, and drives it as a sim.Proc.Await stage; End takes
-// the reply and retires it. CallWithTimeout is the three around one Await;
-// a caller that is itself an Await stage steps Stage from its own.
+// the reply and retires it. Call is the three around one Await; a caller
+// that is itself an Await stage steps Stage from its own.
 //
 // It carries pre-built closures for every stage of the round trip — send,
 // request delivery, the (pooled) handler process, reply delivery,
@@ -483,9 +499,9 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 // name (lazy), and not for the caller's wait (inline Cond slot).
 //
 // Timeouts make recycling subtle: a timed-out call can leave its
-// delivery/reply/deadline events in the queue, and its blocking handler
-// mid-run. Every such event carries the generation it was armed for and
-// is discarded if the Call has since been recycled (gen bumped in
+// delivery/reply/deadline events in the queue, and its blocking or staged
+// handler mid-run. Every such event carries the generation it was armed
+// for and is discarded if the Call has since been recycled (gen bumped in
 // putCall); a still-running handler pins the Call out of the pool
 // (handlerLive) until its sendReply, which reclaims it.
 type Call struct {
@@ -654,7 +670,7 @@ func (cs *Call) send() sim.Wait {
 // queued sits out its whole timeout on the fabric's lane: under one
 // timeout deadlines come due in the order their calls were sent, so they
 // wait behind the lane's head, outside the heap. One that would come due
-// before the lane's last (another CallWithTimeout) goes through the heap.
+// before the lane's last (a call with a shorter timeout) goes through the heap.
 func (cs *Call) armDeadline() {
 	if cs.deadlineSeq == 0 {
 		return // no deadline, or already queued
@@ -676,8 +692,9 @@ func (cs *Call) procName() string {
 }
 
 // onDelivered runs in kernel context when the request reaches the
-// destination node. The fast path serves the RPC inline; everything
-// else spawns the blocking handler in a pooled process.
+// destination node. The fast path serves the RPC inline; a request it
+// declines to the staged handler is served by a staged process;
+// everything else spawns the blocking handler in a pooled process.
 func (cs *Call) onDelivered(gen uint64) {
 	if gen != cs.gen || cs.done {
 		return // the call already resolved (timeout / node down) or recycled
@@ -689,6 +706,12 @@ func (cs *Call) onDelivered(gen uint64) {
 				cs.f.FastCalls.Inc()
 			}
 			cs.sendReply(reply, err)
+			return
+		}
+		if err == ErrStaged && cs.f.staged != nil {
+			cs.armDeadline() // a staged handler may outlast any deadline too
+			cs.handlerLive = true
+			cs.f.k.SpawnStaged(cs.nameF, cs.f.staged(cs.to, cs.req, cs))
 			return
 		}
 		if cs.h == nil {
@@ -708,6 +731,9 @@ func (cs *Call) runProc(hp *sim.Proc) {
 	cs.sendReply(reply, err)
 }
 
+// Reply answers the call from the process its StagedHandler returned.
+func (cs *Call) Reply(reply Message, err error) { cs.sendReply(reply, err) }
+
 // onDeadline fires when a call's deadline expires before its reply.
 func (cs *Call) onDeadline(gen uint64) {
 	if gen != cs.gen || cs.done {
@@ -719,8 +745,8 @@ func (cs *Call) onDeadline(gen uint64) {
 
 // sendReply routes the handler's result back to the caller, charging
 // the return wire time for cross-node success replies (errors complete
-// immediately, as before). It is also where a finished blocking handler
-// releases its pin on the Call.
+// immediately, as before). It is also where a finished blocking or staged
+// handler releases its pin on the Call.
 func (cs *Call) sendReply(reply Message, err error) {
 	if cs.handlerLive {
 		cs.handlerLive = false
@@ -780,15 +806,7 @@ func (cs *Call) finish(reply Message, err error) {
 // reply travels back. The calling process blocks for the round trip,
 // bounded by the fabric's default deadline (Config.CallTimeout).
 func (f *Fabric) Call(p *sim.Proc, from, to NodeID, method string, req Message) (Message, error) {
-	return f.CallWithTimeout(p, from, to, method, req, 0)
-}
-
-// CallWithTimeout is Call with an explicit per-call deadline: d > 0
-// bounds this call, d == 0 uses the fabric default, d < 0 forces no
-// deadline. A call whose deadline expires resolves with ErrTimeout; the
-// request may still execute on the destination (at-most-once).
-func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, req Message, d time.Duration) (Message, error) {
-	cs, err := f.StartCall(from, to, method, req, d)
+	cs, err := f.StartCall(from, to, method, req, 0)
 	if err != nil {
 		return Message{}, err
 	}
@@ -798,9 +816,12 @@ func (f *Fabric) CallWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 	return cs.End()
 }
 
-// StartCall begins the call CallWithTimeout makes, up to its one park: it
-// checks the path, finds the method's handlers and takes a pooled Call.
-// An error here is the call's whole outcome; it has waited for nothing.
+// StartCall begins the call Call makes, up to its one park: it checks the
+// path, finds the method's handlers and takes a pooled Call. d > 0 bounds
+// this call, d == 0 uses the fabric default deadline, d < 0 forces none; a
+// call whose deadline expires resolves with ErrTimeout, and the request
+// may still execute on the destination (at-most-once). An error here is
+// the call's whole outcome; it has waited for nothing.
 func (f *Fabric) StartCall(from, to NodeID, method string, req Message, d time.Duration) (*Call, error) {
 	_, dst, err := f.checkPath(from, to)
 	if err != nil {

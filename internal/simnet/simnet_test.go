@@ -433,3 +433,14 @@ func TestBandwidthCapProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// callWithTimeout is Call with an explicit per-call deadline, d as for
+// StartCall.
+func (f *Fabric) callWithTimeout(p *sim.Proc, from, to NodeID, method string, req Message, d time.Duration) (Message, error) {
+	cs, err := f.StartCall(from, to, method, req, d)
+	if err != nil {
+		return Message{}, err
+	}
+	p.Await(cs.Stage(), cs.stageF)
+	return cs.End()
+}
