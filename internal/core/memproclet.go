@@ -53,7 +53,7 @@ type MemoryProclet struct {
 	rs *replicaSet
 	// recs is where a replicated primary's mutators build their log
 	// records. One buffer serves every write because it is filled and
-	// handed to replWrite.begin, which copies it, within one event.
+	// copied into the pipe by the write's first step, within one event.
 	recs []repRecord
 	// isBackup marks a backup replica: it serves only mem.replapply
 	// traffic from its primary and is excluded from generic recovery.

@@ -784,7 +784,7 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 // Blocked — but until stage returns Resume the process is its Proc and
 // nothing else: the worker is bound then, so a daemon whose condition
 // never arises in a run (the reactor of a calm machine) never owns a
-// coroutine.
+// coroutine. fn must not be nil: a process without a body is SpawnStaged's.
 func (k *Kernel) SpawnAwait(nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) *Proc {
 	k.nextPID++
 	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, stage: stage, first: w, body: fn}
