@@ -90,6 +90,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 	fl := fleet.New(seeded(29), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
 	defer fl.Close()
 	fl.PK.SetWorkers(workers)
+	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
 
 	type shardState struct {
 		stores []*core.MemoryProclet
@@ -149,7 +150,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 						det.Failed[s]++
 					}
 					if op%cfg.crossEvery == 0 {
-						_, err := fl.Net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
+						_, err := net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err == nil {
@@ -172,7 +173,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 		})
 	}
 
-	fl.PK.RunUntil(cfg.horizon + cfg.slack)
+	fl.RunUntil(cfg.horizon + cfg.slack)
 
 	for s, st := range shards {
 		if !st.done {
@@ -183,7 +184,7 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 	det.Crashes = in.Crashes.Value()
 	det.Recoveries = fl.Shards[0].Sched.Recoveries.Value()
 	det.Windows = fl.PK.Windows()
-	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
+	det.CrossMsgs = uint64(net.CrossCalls.Value())
 	det.Trace = fl.Trace()
 	return det, nil
 }

@@ -300,6 +300,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	fl := fleet.New(seeded(37), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
 	defer fl.Close()
 	fl.PK.SetWorkers(workers)
+	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
 	injWindow := time.Duration(fl.PK.Lookahead()) * time.Duration(cfg.injWindows)
 
 	// Shared immutable per-tenant samplers: each shard draws from its
@@ -413,7 +414,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
 				defer wg.Done()
 				sv := &serveServer{Server: fleet.NewServer(sys, &st.Tally, ledger, cfg.objsPer, 0),
-					cfg: &cfg, shard: s, st: st, net: fl.Net}
+					cfg: &cfg, shard: s, st: st, net: net}
 				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, sv)
 			})
 		}
@@ -441,7 +442,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		})
 	}
 
-	fl.PK.RunUntil(cfg.horizon + cfg.slack)
+	fl.RunUntil(cfg.horizon + cfg.slack)
 
 	det := serveDet{
 		ShardEvents: fl.Events(),
@@ -478,7 +479,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		out.incidents = append(out.incidents, st.Mon.Incidents()...)
 	}
 	det.Windows = fl.PK.Windows()
-	det.CrossMsgs = uint64(fl.Net.CrossCalls.Value())
+	det.CrossMsgs = uint64(net.CrossCalls.Value())
 
 	// Merge shard-local histograms in fixed shard order: integer bucket
 	// addition, byte-identical at any worker count.

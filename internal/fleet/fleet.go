@@ -17,18 +17,19 @@ import (
 )
 
 // Fleet is a partitioned deployment: one core.System per shard, each on
-// its own shard kernel of PK, stitched by Net for cross-shard RPC.
+// its own shard kernel of PK. Shards talk only through the Partition.
 type Fleet struct {
 	PK     *sim.ParKernel
-	Net    *simnet.Partition
 	Shards []*core.System
+	net    *simnet.Partition
+	ran    bool
 }
 
 // New builds shards x machines identical machines. The lookahead window
-// is the fabric latency of core.DefaultConfig, shard s runs on
-// PK.Shard(s) under that config seeded seed+s, and every system exists
-// before the partition does. Nothing is started: enable tracing on the
-// shards that want it, then Start each one. Close the fleet when done.
+// is the fabric latency of core.DefaultConfig, and shard s runs on
+// PK.Shard(s) under that config seeded seed+s. Nothing is started:
+// enable tracing on the shards that want it, then Start each one. Close
+// the fleet when done.
 func New(seed int64, shards, machines int, mc cluster.MachineConfig) *Fleet {
 	cfg := core.DefaultConfig()
 	f := &Fleet{
@@ -39,14 +40,37 @@ func New(seed int64, shards, machines int, mc cluster.MachineConfig) *Fleet {
 	for i := range mcs {
 		mcs[i] = mc
 	}
-	fabrics := make([]*simnet.Fabric, shards)
 	for s := range f.Shards {
 		cfg.Seed = seed + int64(s)
 		f.Shards[s] = core.NewSystemOnKernel(f.PK.Shard(s), cfg, mcs)
-		fabrics[s] = f.Shards[s].Cluster.Fabric
 	}
-	f.Net = simnet.NewPartition(f.PK, fabrics)
 	return f
+}
+
+// Partition returns the fleet's cross-shard RPC layer, stitched from the
+// shards' fabrics by the first call, which must precede the first run.
+func (f *Fleet) Partition() *simnet.Partition {
+	if f.net == nil {
+		if f.ran {
+			panic("fleet: Partition after the first RunUntil: the shards already ran isolated")
+		}
+		fabrics := make([]*simnet.Fabric, len(f.Shards))
+		for s, sys := range f.Shards {
+			fabrics[s] = sys.Cluster.Fabric
+		}
+		f.net = simnet.NewPartition(f.PK, fabrics)
+	}
+	return f.net
+}
+
+// RunUntil runs the fleet to t. With no Partition no shard can reach
+// another, so the kernel is isolated: each shard runs straight to t.
+func (f *Fleet) RunUntil(t sim.Time) {
+	if f.net == nil {
+		f.PK.Isolate()
+	}
+	f.ran = true
+	f.PK.RunUntil(t)
 }
 
 // Close retires the host worker pool and unwinds every shard kernel.

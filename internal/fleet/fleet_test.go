@@ -45,15 +45,43 @@ func TestNewTopology(t *testing.T) {
 		})
 	}
 	// The partition reaches each shard through that shard's own fabric.
+	net := f.Partition()
 	f.PK.Shard(0).Spawn("probe", func(p *sim.Proc) {
 		for s := range f.Shards {
-			rep, err := f.Net.Call(p, simnet.ShardNode{Shard: 0}, simnet.ShardNode{Shard: s}, "whoami", simnet.Message{})
+			rep, err := net.Call(p, simnet.ShardNode{Shard: 0}, simnet.ShardNode{Shard: s}, "whoami", simnet.Message{})
 			if err != nil || rep.Word != uint64(s) {
 				t.Errorf("call to shard %d: reply %d, err %v; the partition's fabric is not the shard's", s, rep.Word, err)
 			}
 		}
 	})
-	f.PK.RunUntil(sim.Time(time.Millisecond))
+	f.RunUntil(sim.Time(time.Millisecond))
+	// A fleet with a partition keeps its window barrier, and its
+	// partition stays readable after the run.
+	if f.PK.Windows() == 0 || f.Partition() != net || net.CrossCalls.Value() != 2 {
+		t.Errorf("windows %d, cross calls %d: a partitioned fleet must run windowed", f.PK.Windows(), net.CrossCalls.Value())
+	}
+}
+
+// A fleet that never built a partition runs isolated: no windows, and a
+// partition built after the fact would be a channel the shards never had.
+func TestPartitionAfterFirstRunPanics(t *testing.T) {
+	f := New(3, 2, 2, testMachine)
+	defer f.Close()
+	ticks := make([]int, len(f.Shards))
+	for s := range f.Shards {
+		f.PK.Shard(s).Every(0, 5*time.Microsecond, func() bool { ticks[s]++; return true })
+	}
+	f.RunUntil(sim.Time(time.Millisecond))
+	if w := f.PK.Windows(); w != 0 || ticks[0] != 201 || ticks[1] != 201 {
+		t.Fatalf("isolated fleet: %d windows, ticks %v; want 0 and 201 a shard", w, ticks)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Partition after the first RunUntil") {
+			t.Fatalf("late Partition: recovered %q, want a panic naming the call", msg)
+		}
+	}()
+	f.Partition()
 }
 
 func TestPlaceStores(t *testing.T) {
@@ -155,7 +183,7 @@ func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 			}
 		})
 	}
-	f.PK.RunUntil(sim.Time(10 * time.Millisecond))
+	f.RunUntil(sim.Time(10 * time.Millisecond))
 	if lost < 0 {
 		t.Fatal("the writer did not finish")
 	}

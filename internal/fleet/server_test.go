@@ -65,7 +65,7 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 	sys.K.Spawn("server", func(p *sim.Proc) {
 		q.Serve(p, horizon, 20*time.Microsecond, 8, NewServer(sys, tally, led, objects, 0.5))
 	})
-	f.PK.RunUntil(horizon + sim.Time(time.Millisecond))
+	f.RunUntil(horizon + sim.Time(time.Millisecond))
 
 	if loc := stores[0].Location(); loc == 1 {
 		t.Fatal("the store was not re-placed off the crashed machine")

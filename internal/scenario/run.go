@@ -442,7 +442,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		})
 	}
 
-	fl.PK.RunUntil(horizon + drain)
+	fl.RunUntil(horizon + drain)
 
 	for s, st := range shards {
 		switch {
@@ -480,7 +480,6 @@ type rollup struct {
 	startNS  int64   // when the last shard finished preloading
 	horizon  int64
 	bucketNS int64
-	windows  float64 // ParKernel barrier windows of the whole run
 }
 
 // ratio is a/b, and 0 while b has nothing in it.
@@ -545,7 +544,6 @@ var metricTable = []metric{
 	{"migrations", func(st *shardState) float64 { return float64(st.migOK) }, nil},
 	{"recovery_ms", nil, func(r *rollup) float64 { return recoveryMS(r.Spec, r.good, r.bucketNS, r.startNS, r.horizon) }},
 	{"events", func(st *shardState) float64 { return float64(st.sys.K.EventsProcessed()) }, nil},
-	{"windows", nil, func(r *rollup) float64 { return r.windows }},
 	{"gpu_xids", func(st *shardState) float64 { return float64(st.in.GPUXids.Value()) }, nil},
 	{"gpu_throttles", func(st *shardState) float64 { return float64(st.in.GPUThrottles.Value()) }, nil},
 	{"gpu_heals", func(st *shardState) float64 { return float64(st.in.GPUHeals.Value()) }, nil},
@@ -573,7 +571,7 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 	out := &Outcome{Spec: sp, Seed: seed, Pass: true,
 		Metrics: make(map[string]float64, len(metricTable))}
 	r := rollup{Outcome: out, good: make([]int64, len(shards[0].good)),
-		horizon: int64(horizon), bucketNS: bucketNS, windows: float64(fl.PK.Windows())}
+		horizon: int64(horizon), bucketNS: bucketNS}
 	hists := make([]*metrics.LogHistogram, len(shards))
 	for s, st := range shards {
 		// Seal the SLO plane at the horizon: trailing empty windows

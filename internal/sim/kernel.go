@@ -650,10 +650,11 @@ func (k *Kernel) inject(at Time, fn func()) {
 }
 
 // advanceTo moves the clock forward to t without executing anything
-// (no-op if the clock is already at or past t). Used by ParKernel to
-// leave all shards at a common instant after a bounded run.
+// (no-op if the clock is already at or past t, or t is maxTime, which
+// bounds nothing: RunUntil(maxTime) is Run). Used by ParKernel to leave
+// all shards at a common instant after a bounded run.
 func (k *Kernel) advanceTo(t Time) {
-	if k.now < t {
+	if k.now < t && t < maxTime {
 		k.now = t
 	}
 }
@@ -1056,9 +1057,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 	k.stopFlag = false
 	for !k.stopFlag && k.step(t) {
 	}
-	if k.now < t {
-		k.now = t
-	}
+	k.advanceTo(t)
 	return k.now
 }
 

@@ -26,9 +26,13 @@
 //     Same seed => byte-identical per-shard event counts, traces and
 //     metrics at every P.
 //
-// A ParKernel with one shard degenerates to exactly today's sequential
-// kernel: Run/RunUntil delegate straight to the underlying Kernel with
+// A ParKernel with one shard degenerates to exactly the sequential
+// Kernel: Run/RunUntil delegate straight to the underlying Kernel with
 // zero windows, zero barriers and zero extra events.
+//
+// An isolated ParKernel (Isolate) has no cross-shard channel, so it runs
+// each shard straight to the limit in one pass, with no window barrier:
+// the same per-shard events in the same order, in less wall clock.
 package sim
 
 import (
@@ -79,6 +83,7 @@ type ParKernel struct {
 	// concurrently from different shards, hence the atomic.
 	crossSent atomic.Uint64
 	windows   uint64
+	isolated  bool // set by Isolate: no Send, no windows
 
 	// active is a per-window scratch list of shards with runnable work.
 	active []*Kernel
@@ -152,6 +157,16 @@ func (pk *ParKernel) Windows() uint64 { return pk.windows }
 // sent.
 func (pk *ParKernel) CrossMessages() uint64 { return pk.crossSent.Load() }
 
+// Isolate declares that no shard will Send to another (a cross-shard
+// Send then panics), so Run and RunUntil run with no windows. It must
+// come before the first window.
+func (pk *ParKernel) Isolate() {
+	if pk.windows > 0 {
+		panic(fmt.Sprintf("sim: Isolate after %d windows ran: isolate a ParKernel before it first runs", pk.windows))
+	}
+	pk.isolated = true
+}
+
 // Send schedules fn to run in shard dst at absolute virtual time at. It
 // must be called from code executing in shard src (an event, a fast
 // handler, or a simulated process of that shard). Same-shard sends are
@@ -162,6 +177,9 @@ func (pk *ParKernel) Send(src, dst int, at Time, fn func()) {
 	if src == dst {
 		pk.shards[src].Schedule(at, fn)
 		return
+	}
+	if pk.isolated {
+		panic(fmt.Sprintf("sim: cross-shard send %d->%d at %v (now %v) on an isolated ParKernel", src, dst, at, pk.shards[src].now))
 	}
 	if min := pk.shards[src].now + pk.lookahead; at < min {
 		panic(fmt.Sprintf(
@@ -274,7 +292,10 @@ func (pk *ParKernel) RunUntil(t Time) Time {
 	if len(pk.shards) == 1 {
 		return pk.shards[0].RunUntil(t)
 	}
-	for {
+	if pk.isolated {
+		pk.runWindow(t)
+	}
+	for !pk.isolated {
 		w, ok := pk.minNext()
 		if !ok || w > t {
 			break
@@ -296,18 +317,7 @@ func (pk *ParKernel) RunUntil(t Time) Time {
 // Run executes windows until every shard's queue drains and no
 // cross-shard message is in flight. It returns the maximum shard time.
 func (pk *ParKernel) Run() Time {
-	if len(pk.shards) == 1 {
-		return pk.shards[0].Run()
-	}
-	for {
-		w, ok := pk.minNext()
-		if !ok {
-			break
-		}
-		pk.runWindow(w + pk.lookahead - 1)
-		pk.windows++
-		pk.deliver()
-	}
+	pk.RunUntil(maxTime) // the same windows, and every clock left as it ran
 	var max Time
 	for _, sh := range pk.shards {
 		if sh.now > max {
