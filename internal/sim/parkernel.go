@@ -317,7 +317,7 @@ func (pk *ParKernel) RunUntil(t Time) Time {
 // Run executes windows until every shard's queue drains and no
 // cross-shard message is in flight. It returns the maximum shard time.
 func (pk *ParKernel) Run() Time {
-	pk.RunUntil(maxTime) // the same windows, and every clock left as it ran
+	pk.RunUntil(maxTime) // no limit: no window is cut short, no clock advanced
 	var max Time
 	for _, sh := range pk.shards {
 		if sh.now > max {
