@@ -9,7 +9,7 @@
 //	qsctl run <scenario.yaml> [-seed N] [-par P] [-report out.json] [-trace-out out.txt] [-flight-out dump.txt] [-no-assert]
 //	qsctl validate <scenario.yaml|dir>...
 //	qsctl top <scenario.yaml> [-seed N] [-par P]
-//	qsctl analyze [-top N] run.jsonl
+//	qsctl analyze [-top N] run.trace.json
 //
 // `qsctl run` executes the file. The run is seeded and deterministic —
 // at a fixed seed the report is byte-identical at any -par worker
@@ -34,12 +34,11 @@
 // burn-rate rules had an open incident during that window. It needs an
 // `slo:` block in the scenario file.
 //
-// `qsctl analyze` digests a compact span/sample record stream into
-// slowest-migration, per-method latency and per-machine utilization
-// reports. The traced experiments produce such streams:
-// `quicksand-bench -trace-dir D fig1 ext-failover ext-serve
-// ext-memharvest` writes D/<id>.jsonl beside D/<id>.trace.json (Chrome
-// trace-event JSON; open in Perfetto or chrome://tracing).
+// `qsctl analyze` digests a run's Chrome trace into slowest-migration,
+// per-method latency and per-machine utilization reports. The traced
+// experiments write one: `quicksand-bench -trace-dir D fig1
+// ext-failover ext-serve ext-memharvest` writes D/<id>.trace.json, the
+// same file Perfetto opens.
 package main
 
 import (
@@ -60,7 +59,7 @@ const usage = `usage: qsctl <verb> [arguments]
   run       execute a scenario file and print its report
   validate  parse and check scenario files or directories without running them
   top       replay a scenario and render its per-window SLO state
-  analyze   digest a trace record stream (.jsonl) from quicksand-bench -trace-dir
+  analyze   digest a trace file (.trace.json) from quicksand-bench -trace-dir
 
 Run "qsctl <verb> -h" for a verb's flags.
 `
@@ -334,7 +333,7 @@ func writeTop(w io.Writer, out *scen.Outcome) {
 	}
 }
 
-// runAnalyze implements `qsctl analyze run.jsonl`.
+// runAnalyze implements `qsctl analyze run.trace.json`.
 func runAnalyze(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("qsctl analyze", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -343,7 +342,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: qsctl analyze [-top N] run.jsonl")
+		fmt.Fprintln(stderr, "usage: qsctl analyze [-top N] run.trace.json")
 		return 2
 	}
 	if *top < 0 {
@@ -356,7 +355,7 @@ func runAnalyze(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	recs, err := obs.ReadJSONL(f)
+	recs, err := obs.ReadChromeTrace(f)
 	if err != nil {
 		fmt.Fprintf(stderr, "qsctl: %v\n", err)
 		return 1

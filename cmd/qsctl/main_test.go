@@ -32,7 +32,7 @@ func TestUsage(t *testing.T) {
 	}
 }
 
-// TestAnalyzeReportsMethodPercentiles digests the record stream a traced
+// TestAnalyzeReportsMethodPercentiles digests the trace file a traced
 // ext-memharvest run exports — the producer `qsctl analyze` is fed by.
 func TestAnalyzeReportsMethodPercentiles(t *testing.T) {
 	dir := t.TempDir()
@@ -41,7 +41,7 @@ func TestAnalyzeReportsMethodPercentiles(t *testing.T) {
 	if _, err := experiments.Run("ext-memharvest", experiments.TestScale); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "ext-memharvest.jsonl")
+	path := filepath.Join(dir, "ext-memharvest.trace.json")
 	var out, errb bytes.Buffer
 	if code := run([]string{"analyze", path}, &out, &errb); code != 0 {
 		t.Fatalf("analyze exit = %d (stderr: %s)", code, errb.String())
@@ -224,37 +224,28 @@ func TestRunScenarioReportAndTraceFiles(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMalformedJSONLExits1: a corrupt line in the record stream
-// must fail the whole analysis with the offending line number, not be
-// silently skipped.
-func TestAnalyzeMalformedJSONLExits1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.jsonl")
-	src := `{"type":"span","id":1,"kind":"rpc","name":"a","start_ns":0,"end_ns":10}
-{"type":"span","id":2,"kind":"rpc","name":"b","start_ns":0,"end_ns":10}
-{"type":"span","id":3,"kind":"rpc","na
-`
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"analyze", path}, &out, &errb); code != 1 {
-		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "line 3") {
-		t.Errorf("stderr missing offending line number:\n%s", errb.String())
-	}
-
-	// An unknown record type is just as fatal: the stream contract is
-	// span|sample, and anything else means a producer/consumer skew.
-	if err := os.WriteFile(path, []byte(`{"type":"mystery"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errb.Reset()
-	if code := run([]string{"analyze", path}, &out, &errb); code != 1 {
-		t.Fatalf("unknown type: exit = %d, want 1", code)
-	}
-	if !strings.Contains(errb.String(), "line 1") || !strings.Contains(errb.String(), "mystery") {
-		t.Errorf("stderr missing diagnostic:\n%s", errb.String())
+// TestAnalyzeMalformedTraceExits1: a damaged trace file must fail the
+// whole analysis with the place it goes wrong, not be half read.
+func TestAnalyzeMalformedTraceExits1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.trace.json")
+	for _, tc := range []struct{ src, want string }{
+		// Cut off mid-event: the byte where the JSON ends.
+		{`{"displayTimeUnit":"ms","traceEvents":[
+{"name":"rpc:a","cat":"rpc","ph":"X","ts":0,"dur":1,"pid":1,"args":{"span":1}},
+{"name":"rpc:b","cat":"rpc","ph":"X","ts":0,"na`, "byte 167"},
+		// An event of a phase the exporter never writes: its index.
+		{`{"displayTimeUnit":"ms","traceEvents":[{"name":"mystery","ph":"B"}]}`, `event 0 (ph=B "mystery")`},
+	} {
+		if err := os.WriteFile(path, []byte(tc.src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{"analyze", path}, &out, &errb); code != 1 {
+			t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("stderr missing %q:\n%s", tc.want, errb.String())
+		}
 	}
 }
 

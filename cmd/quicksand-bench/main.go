@@ -20,9 +20,9 @@
 //
 // -json additionally writes one BENCH_<id>.json file per experiment
 // with the host-side cost of the run: wall-clock time, kernel events
-// processed, and heap allocations. Allocation counts are process-wide
-// deltas, so they are exact only at -par 1; under parallel runs they
-// include whatever ran concurrently.
+// processed, and heap allocations. Both costs are process-wide deltas,
+// so with -json the experiments run one after another and each record
+// counts only its own; -par still bounds each experiment's own fan-out.
 //
 // -seed N offsets the RNG seeds of the seed-swept experiments (fig2,
 // ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Two runs
@@ -33,12 +33,11 @@
 // -trace-dir DIR enables causal span tracing plus resource telemetry
 // on the traced experiments (fig1's quicksand mode, ext-failover's
 // RF=2 crash run, ext-memharvest, ext-serve) and writes each run as
-// Chrome trace-event JSON to DIR/<id>.trace.json — open the files in
-// Perfetto — and as DIR/<id>.jsonl, the record stream `qsctl analyze`
-// reads (ext-serve also writes its unsampled trace to
-// DIR/ext-serve.full.trace.json). Telemetry sampling adds kernel
-// events, so do not combine -trace-dir with runs whose event counts
-// feed the bench baselines.
+// Chrome trace-event JSON to DIR/<id>.trace.json, the file Perfetto
+// opens and `qsctl analyze` reads (ext-serve also writes its unsampled
+// trace to DIR/ext-serve.full.trace.json). Telemetry sampling adds
+// kernel events, so do not combine -trace-dir with runs whose event
+// counts feed the bench baselines.
 package main
 
 import (
@@ -99,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	par := fs.Int("par", 0, "max concurrent host workers for experiments (0 = GOMAXPROCS)")
 	jsonOut := fs.Bool("json", false, "write BENCH_<id>.json per experiment (wall clock, events, allocs)")
 	seed := fs.Int64("seed", 0, "seed offset for seed-swept experiments (0 = committed seeds)")
-	traceDir := fs.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json and .jsonl) to this directory")
+	traceDir := fs.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json) to this directory")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := fs.String("memprofile", "", "write an allocation profile to `file` at exit")
 	if err := fs.Parse(args); err != nil {
@@ -170,12 +169,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// Run experiments concurrently but print strictly in request order.
+	// -json measures each one with process-wide counters, so it runs
+	// them one at a time.
 	type outcome struct {
 		res *experiments.Result
 		err error
 		st  benchStats
 	}
-	outs := runpar.Map(len(ids), *par, func(i int) outcome {
+	expPar := *par
+	if *jsonOut {
+		expPar = 1
+	}
+	outs := runpar.Map(len(ids), expPar, func(i int) outcome {
 		var m0 runtime.MemStats
 		if *jsonOut {
 			runtime.ReadMemStats(&m0)

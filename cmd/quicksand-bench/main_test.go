@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/experiments"
 )
@@ -91,5 +92,41 @@ func TestCPUProfileSurvivesAFailedRun(t *testing.T) {
 	body, err := io.ReadAll(zr)
 	if err != nil || len(body) == 0 {
 		t.Fatalf("profile body: %d bytes, err %v", len(body), err)
+	}
+}
+
+// TestJSONRunsExperimentsOneAtATime: each BENCH record's wall_ms and
+// allocs are process-wide deltas, so with -json the experiments must
+// not overlap, whatever -par says. Back-to-back runs fit inside the
+// whole run's wall time; overlapping ones add up to more than it.
+func TestJSONRunsExperimentsOneAtATime(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	ids := []string{"fig1", "fig2", "abl-sched"}
+	start := time.Now()
+	if code := run(append([]string{"-scale", "test", "-par", "2", "-json"}, ids...), io.Discard, io.Discard); code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
+	sum := 0.0
+	for _, id := range ids {
+		data, err := os.ReadFile("BENCH_" + id + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st benchStats
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		sum += st.WallMS
+	}
+	if sum > elapsedMS {
+		t.Errorf("records add up to %.3f ms of a %.3f ms run: the experiments overlapped", sum, elapsedMS)
 	}
 }

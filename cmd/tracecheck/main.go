@@ -1,17 +1,18 @@
-// Command tracecheck validates the shape of a Chrome trace-event JSON
-// file produced by the obs exporter (qsctl -trace-out run.json or the
-// bench harness -trace-dir). It is the CI gate that keeps exported
-// timelines loadable in Perfetto: valid JSON, the trace-event envelope,
-// well-formed events, and — with -require-causal — at least one
-// migration span that descends from a pressure/sched/repl span.
+// Command tracecheck validates a Chrome trace-event JSON file written
+// by the obs exporter (quicksand-bench -trace-dir). It is the CI gate
+// that keeps exported timelines loadable in Perfetto: the file must
+// read back through obs.ReadChromeTrace (valid JSON, the trace-event
+// envelope, well-formed events, unique span ids), hold at least one
+// span, and — with -require-causal — hold at least one migration span
+// that descends from a pressure/sched/repl span.
 //
 // Usage:
 //
 //	tracecheck [-require-causal] [-min-events N] [-subset full.json] [-max-frac F] run.json [more.json ...]
 //
 // -subset names the full (unsampled) export of the same run: every
-// checked file's complete-span events must then be an ID-keyed subset
-// of the full file with byte-identical fields, and prefix-closed — a
+// checked file's spans must then be an ID-keyed subset of the full
+// file's with identical fields, and prefix-closed — a
 // kept span's parent is kept too, so sampled trees stay walkable.
 // -max-frac additionally bounds the sampled span count to a fraction
 // of the full count; it is the CI gate that keeps tail-based sampling
@@ -22,28 +23,13 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/obs"
 )
-
-// event is the subset of a trace event tracecheck inspects.
-type event struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   *float64       `json:"ts"`
-	Dur  *float64       `json:"dur"`
-	Pid  *int           `json:"pid"`
-	Cat  string         `json:"cat"`
-	Args map[string]any `json:"args"`
-}
-
-type document struct {
-	DisplayTimeUnit string  `json:"displayTimeUnit"`
-	TraceEvents     []event `json:"traceEvents"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -54,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	requireCausal := fs.Bool("require-causal", false,
 		"require at least one migrate span descending from a pressure/sched/repl span")
-	minEvents := fs.Int("min-events", 1, "minimum number of trace events per file")
+	minEvents := fs.Int("min-events", 1, "minimum number of span and counter events per file")
 	subset := fs.String("subset", "", "full export: checked files' spans must be an ID-keyed, prefix-closed subset with identical fields")
 	maxFrac := fs.Float64("max-frac", 0, "with -subset: bound sampled span count to this fraction of the full count (0: unbounded)")
 	if err := fs.Parse(args); err != nil {
@@ -70,17 +56,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var full map[uint64]string
 	if *subset != "" {
-		var err error
-		if full, err = spanEvents(*subset); err != nil {
+		recs, err := readFile(*subset)
+		if err == nil {
+			full, err = spanIndex(recs)
+		}
+		if err != nil {
 			fmt.Fprintf(stderr, "tracecheck: %s: %v\n", *subset, err)
 			return 1
 		}
 	}
 	ok := true
 	for _, path := range fs.Args() {
-		err := checkFile(path, *requireCausal, *minEvents)
+		recs, err := readFile(path)
+		if err == nil {
+			err = check(recs, *requireCausal, *minEvents)
+		}
 		if err == nil && full != nil {
-			err = checkSubset(path, full, *maxFrac)
+			err = checkSubset(recs, full, *maxFrac)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "tracecheck: %s: %v\n", path, err)
@@ -95,34 +87,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// spanEvents loads a trace file's complete-span events keyed by span
-// ID, each canonicalized back to JSON for field-exact comparison.
-func spanEvents(path string) (map[uint64]string, error) {
-	raw, err := os.ReadFile(path)
+// readFile reads a trace file's records.
+func readFile(path string) ([]obs.Record, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	var doc document
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("not valid JSON: %w", located(err))
-	}
-	out := make(map[uint64]string, len(doc.TraceEvents))
-	for i, ev := range doc.TraceEvents {
-		if ev.Ph != "X" {
+	defer f.Close()
+	return obs.ReadChromeTrace(f)
+}
+
+// spanIndex keys a file's spans by ID, each rendered as JSON so a
+// subset check compares every field and can print both sides.
+func spanIndex(recs []obs.Record) (map[uint64]string, error) {
+	out := make(map[uint64]string, len(recs))
+	for i := range recs {
+		if recs[i].Type != "span" {
 			continue
 		}
-		id, ok := asUint(ev.Args["span"])
-		if !ok || id == 0 {
-			return nil, fmt.Errorf("event %d (%s) missing args.span", i, ev.Name)
-		}
-		if _, dup := out[id]; dup {
-			return nil, fmt.Errorf("duplicate span id %d", id)
-		}
-		canon, err := json.Marshal(ev)
+		canon, err := json.Marshal(&recs[i])
 		if err != nil {
 			return nil, err
 		}
-		out[id] = string(canon)
+		out[recs[i].ID] = string(canon)
 	}
 	return out, nil
 }
@@ -131,36 +118,28 @@ func spanEvents(path string) (map[uint64]string, error) {
 // export: every sampled span exists in the full set with identical
 // fields, every sampled span's parent (when the full set has it) is
 // also sampled, and the sampled volume honors the claimed reduction.
-func checkSubset(path string, full map[uint64]string, maxFrac float64) error {
-	sampled, err := spanEvents(path)
+func checkSubset(recs []obs.Record, full map[uint64]string, maxFrac float64) error {
+	sampled, err := spanIndex(recs)
 	if err != nil {
 		return err
 	}
-	for id, canon := range sampled {
-		ref, ok := full[id]
+	for _, r := range recs {
+		if r.Type != "span" {
+			continue
+		}
+		ref, ok := full[r.ID]
 		if !ok {
-			return fmt.Errorf("span %d not present in full export", id)
+			return fmt.Errorf("span %d not present in full export", r.ID)
 		}
-		if canon != ref {
-			return fmt.Errorf("span %d differs from full export:\n  sampled: %s\n  full:    %s", id, canon, ref)
+		if canon := sampled[r.ID]; canon != ref {
+			return fmt.Errorf("span %d differs from full export:\n  sampled: %s\n  full:    %s", r.ID, canon, ref)
 		}
-	}
-	// Prefix-closure: a sampled span whose parent the full export
-	// knows must carry that parent along, or the tree is unwalkable.
-	var probe event
-	for id, canon := range sampled {
-		if err := json.Unmarshal([]byte(canon), &probe); err != nil {
-			return err
-		}
-		parent, _ := asUint(probe.Args["parent"])
-		if parent == 0 {
-			continue
-		}
-		if _, inFull := full[parent]; !inFull {
-			continue
-		}
-		if _, inSampled := sampled[parent]; !inSampled {
-			return fmt.Errorf("span %d kept but its parent %d was dropped", id, parent)
+		// Prefix-closure: a sampled span whose parent the full export
+		// knows must carry that parent along, or the tree is unwalkable.
+		if _, inFull := full[r.Parent]; inFull {
+			if _, inSampled := sampled[r.Parent]; !inSampled {
+				return fmt.Errorf("span %d kept but its parent %d was dropped", r.ID, r.Parent)
+			}
 		}
 	}
 	if maxFrac > 0 && float64(len(sampled)) > maxFrac*float64(len(full)) {
@@ -170,116 +149,45 @@ func checkSubset(path string, full map[uint64]string, maxFrac float64) error {
 	return nil
 }
 
-// checkFile reads path and checks it (see checkData).
-func checkFile(path string, requireCausal bool, minEvents int) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return checkData(raw, requireCausal, minEvents)
-}
-
-// checkData validates one trace file's bytes. Every failure names where
-// it is: a byte offset, an event index, a span, or a document field.
-func checkData(raw []byte, requireCausal bool, minEvents int) error {
-	var doc document
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("not valid JSON: %w", located(err))
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		return fmt.Errorf("displayTimeUnit = %q, want \"ms\"", doc.DisplayTimeUnit)
-	}
-	if len(doc.TraceEvents) < minEvents {
-		return fmt.Errorf("%d trace events, want >= %d", len(doc.TraceEvents), minEvents)
+// check applies the checks beyond what reading the file enforces.
+// Every failure names where it is: an event count, a span, or the
+// file's spans as a whole.
+func check(recs []obs.Record, requireCausal bool, minEvents int) error {
+	if len(recs) < minEvents {
+		return fmt.Errorf("%d span and counter events, want >= %d", len(recs), minEvents)
 	}
 
-	// spans maps span ID -> (parent, cat) for the causal walk; migrates
-	// holds the migrate spans in file order.
-	type spanInfo struct {
-		parent uint64
-		cat    string
-	}
-	spans := map[uint64]spanInfo{}
-	var migrates []uint64
-	sawComplete := false
-	for i, ev := range doc.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			sawComplete = true
-			if ev.Name == "" || ev.Ts == nil || ev.Dur == nil || ev.Pid == nil {
-				return fmt.Errorf("event %d (ph=X) missing name/ts/dur/pid", i)
-			}
-			if *ev.Dur < 0 {
-				return fmt.Errorf("event %d (%s) has negative duration %v", i, ev.Name, *ev.Dur)
-			}
-			id, okID := asUint(ev.Args["span"])
-			if !okID || id == 0 {
-				return fmt.Errorf("event %d (%s) missing args.span", i, ev.Name)
-			}
-			if _, dup := spans[id]; dup {
-				return fmt.Errorf("event %d (%s) repeats span id %d", i, ev.Name, id)
-			}
-			parent, _ := asUint(ev.Args["parent"])
-			spans[id] = spanInfo{parent: parent, cat: ev.Cat}
-			if ev.Cat == "migrate" {
-				migrates = append(migrates, id)
-			}
-		case "M":
-			if ev.Name != "process_name" || ev.Pid == nil {
-				return fmt.Errorf("event %d (ph=M) malformed metadata", i)
-			}
-		case "C":
-			if ev.Name == "" || ev.Ts == nil || ev.Pid == nil || ev.Args["value"] == nil {
-				return fmt.Errorf("event %d (ph=C) missing name/ts/pid/value", i)
-			}
-		default:
-			return fmt.Errorf("event %d has unexpected phase %q", i, ev.Ph)
+	// spans maps span ID -> record for the causal walk.
+	spans := map[uint64]*obs.Record{}
+	for i := range recs {
+		if recs[i].Type == "span" {
+			spans[recs[i].ID] = &recs[i]
 		}
 	}
-	if !sawComplete {
+	if len(spans) == 0 {
 		return fmt.Errorf("no complete (ph=X) span events")
 	}
-
-	if requireCausal {
-		for _, id := range migrates {
-			// A chain longer than the span count has come back on itself.
-			for p, hops := spans[id].parent, 0; p != 0; hops++ {
-				if hops == len(spans) {
-					return fmt.Errorf("span %d: its parent chain has a cycle", id)
-				}
-				ps, ok := spans[p]
-				if !ok {
-					break
-				}
-				if ps.cat == "pressure" || ps.cat == "sched" || ps.cat == "repl" {
-					return nil
-				}
-				p = ps.parent
-			}
+	if !requireCausal {
+		return nil
+	}
+	for i := range recs {
+		if recs[i].Kind != obs.KindMigrate {
+			continue
 		}
-		return fmt.Errorf("no migrate span descends from a pressure/sched/repl span")
+		// A chain longer than the span count has come back on itself.
+		for p, hops := recs[i].Parent, 0; p != 0; hops++ {
+			if hops == len(spans) {
+				return fmt.Errorf("span %d: its parent chain has a cycle", recs[i].ID)
+			}
+			ps, ok := spans[p]
+			if !ok {
+				break
+			}
+			if ps.Kind == obs.KindPressure || ps.Kind == obs.KindSched || ps.Kind == obs.KindRepl {
+				return nil
+			}
+			p = ps.Parent
+		}
 	}
-	return nil
-}
-
-// located prefixes a JSON decoding error with the byte offset it names.
-func located(err error) error {
-	var syn *json.SyntaxError
-	var typ *json.UnmarshalTypeError
-	switch {
-	case errors.As(err, &syn):
-		return fmt.Errorf("byte %d: %w", syn.Offset, err)
-	case errors.As(err, &typ):
-		return fmt.Errorf("byte %d: %w", typ.Offset, err)
-	}
-	return err
-}
-
-// asUint coerces a decoded JSON number to uint64.
-func asUint(v any) (uint64, bool) {
-	f, ok := v.(float64)
-	if !ok || f < 0 {
-		return 0, false
-	}
-	return uint64(f), true
+	return fmt.Errorf("no migrate span descends from a pressure/sched/repl span")
 }

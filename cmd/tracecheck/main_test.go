@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func write(t *testing.T, name, content string) string {
@@ -186,7 +188,10 @@ func FuzzTraceFile(f *testing.F) {
 	f.Add([]byte(goodTrace))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, causal := range []bool{false, true} {
-			err := checkData(data, causal, 1)
+			recs, err := obs.ReadChromeTrace(bytes.NewReader(data))
+			if err == nil {
+				err = check(recs, causal, 1)
+			}
 			if err == nil {
 				continue
 			}
@@ -197,4 +202,17 @@ func FuzzTraceFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIDsAbove2To53AreDistinct: span ids are read as exact uint64s, so
+// two ids above 2^53 that differ by one name two spans, not a repeat.
+func TestIDsAbove2To53AreDistinct(t *testing.T) {
+	path := write(t, "big.json", `{"displayTimeUnit":"ms","traceEvents":[
+{"name":"pressure:mem","cat":"pressure","ph":"X","ts":1,"dur":5,"pid":1,"tid":1,"args":{"span":9007199254740992,"parent":0,"trace":9007199254740992}},
+{"name":"migrate:p","cat":"migrate","ph":"X","ts":2,"dur":3,"pid":1,"tid":1,"args":{"span":9007199254740993,"parent":9007199254740992,"trace":9007199254740992}}
+]}`)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-require-causal", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d (stderr: %s)", code, errb.String())
+	}
 }

@@ -301,7 +301,7 @@ func TestExtMemHarvestShape(t *testing.T) {
 }
 
 // TestMemHarvestTraceCausality: the traced ext-memharvest run exports a
-// record stream in which at least one migration span descends from a
+// trace in which at least one migration span descends from a
 // memory-pressure span — the tenant's ramp, not a rebalance, moved the
 // shard.
 func TestMemHarvestTraceCausality(t *testing.T) {
@@ -311,15 +311,12 @@ func TestMemHarvestTraceCausality(t *testing.T) {
 	if _, err := Run("ext-memharvest", TestScale); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "ext-memharvest.trace.json")); err != nil {
-		t.Errorf("no Chrome trace beside the record stream: %v", err)
-	}
-	f, err := os.Open(filepath.Join(dir, "ext-memharvest.jsonl"))
+	f, err := os.Open(filepath.Join(dir, "ext-memharvest.trace.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	recs, err := obs.ReadJSONL(f)
+	recs, err := obs.ReadChromeTrace(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 package experiments
 
-// ext-serve: the million-client open-loop serving scenario (ROADMAP
-// item 1). Per-client state is the thing this experiment refuses to
-// have: tenants are modeled as aggregate nonhomogeneous-Poisson arrival
-// processes (internal/load) whose intensity is client count x
-// per-client rate, so 2.5 million simulated clients cost O(request
-// rate) — the generators never know a client ID exists.
+// ext-serve: the million-client open-loop serving scenario. Per-client
+// state is the thing this experiment refuses to have: tenants are
+// modeled as aggregate nonhomogeneous-Poisson arrival processes
+// (internal/load) whose intensity is client count x per-client rate,
+// so 2.5 million simulated clients cost O(request rate) — the
+// generators never know a client ID exists.
 //
 // The fleet is the partitioned kernel from ext-scale: 8 shards x 125
 // machines (full scale) stitched by a simnet.Partition. Each shard owns
@@ -215,12 +215,10 @@ type serveOutcome struct {
 	overall *metrics.LogHistogram
 
 	// Trace exports, only when a trace directory is configured: the
-	// full merged Chrome trace, the tail-sampled subset in both export
-	// formats, and the sampler's retention accounting. Byte-compared
-	// across the P sweep.
+	// full merged Chrome trace, its tail-sampled subset, and the
+	// sampler's retention accounting. Byte-compared across the P sweep.
 	fullTrace    []byte
 	sampledTrace []byte
-	sampledJSONL []byte
 	sampleStats  slo.SampleStats
 	incidents    []slo.Incident
 }
@@ -494,7 +492,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
-	// sampling against the run's incidents, and render both exports.
+	// sampling against the run's incidents, and render both traces.
 	// The bytes ride back to the caller for the P-sweep identity check.
 	if traceDir != "" {
 		tracers := make([]*obs.Tracer, cfg.shards)
@@ -503,17 +501,14 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 		}
 		merged := obs.Concat(tracers...)
 		sampled, stats := slo.Filter(merged, out.incidents, serveSampleConfig(cfg))
-		var fb, sb, jb bytes.Buffer
+		var fb, sb bytes.Buffer
 		if err := obs.WriteChromeTrace(&fb, merged, nil); err != nil {
 			return out, err
 		}
 		if err := obs.WriteChromeTrace(&sb, sampled, nil); err != nil {
 			return out, err
 		}
-		if err := obs.WriteJSONL(&jb, sampled, nil); err != nil {
-			return out, err
-		}
-		out.fullTrace, out.sampledTrace, out.sampledJSONL, out.sampleStats = fb.Bytes(), sb.Bytes(), jb.Bytes(), stats
+		out.fullTrace, out.sampledTrace, out.sampleStats = fb.Bytes(), sb.Bytes(), stats
 	}
 	out.det = det
 	return out, nil
@@ -606,9 +601,6 @@ func runExtServe(scale Scale) (*Result, error) {
 			return nil, err
 		}
 		if err := os.WriteFile(filepath.Join(traceDir, "ext-serve.trace.json"), ref.sampledTrace, 0o644); err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(traceDir, "ext-serve.jsonl"), ref.sampledJSONL, 0o644); err != nil {
 			return nil, err
 		}
 	}

@@ -9,9 +9,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Run-timeline analysis over JSONL records (qsctl analyze): slowest
-// migrations with their causes, RPC latency percentiles by method, and
-// per-machine utilization timelines.
+// Run-timeline analysis over a trace file's records (qsctl analyze):
+// slowest migrations with their causes, RPC latency percentiles by
+// method, and per-machine utilization timelines.
 
 // MigrationStat is one migration span, slowest-first in Report.
 type MigrationStat struct {
@@ -89,7 +89,7 @@ type Report struct {
 	Incidents  []IncidentStat
 }
 
-// Analyze digests JSONL records into a Report.
+// Analyze digests a trace file's records into a Report.
 func Analyze(recs []Record) *Report {
 	rp := &Report{}
 	byID := map[uint64]*Record{}

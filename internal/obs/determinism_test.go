@@ -22,8 +22,8 @@ import (
 // tracedChurnRun executes a small churn workload — a sharded map under
 // insert/delete waves plus a bursty memory co-tenant that forces
 // pressure-caused migrations — with tracing and telemetry on, and
-// returns both exports plus the recorded spans.
-func tracedChurnRun(t *testing.T, seed int64) (jsonl, chrome []byte, spans []obs.Span) {
+// returns its Chrome trace export plus the recorded spans.
+func tracedChurnRun(t *testing.T, seed int64) (chrome []byte, spans []obs.Span) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
@@ -65,23 +65,20 @@ func tracedChurnRun(t *testing.T, seed int64) (jsonl, chrome []byte, spans []obs
 	})
 	sys.K.RunUntil(sim.Time(40 * time.Millisecond))
 
-	var jb, cb bytes.Buffer
-	if err := obs.WriteJSONL(&jb, sys.Obs, sys.Tel); err != nil {
-		t.Fatal(err)
-	}
+	var cb bytes.Buffer
 	if err := obs.WriteChromeTrace(&cb, sys.Obs, sys.Tel); err != nil {
 		t.Fatal(err)
 	}
-	return jb.Bytes(), cb.Bytes(), append([]obs.Span(nil), sys.Obs.SpansByID()...)
+	return cb.Bytes(), append([]obs.Span(nil), sys.Obs.SpansByID()...)
 }
 
 // TestTracedRunDeterministic5Seeds sweeps five seeds; each must
 // reproduce itself exactly — same spans, same IDs, same order, and
-// byte-identical JSONL and Chrome trace exports.
+// a byte-identical Chrome trace export.
 func TestTracedRunDeterministic5Seeds(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		j1, c1, s1 := tracedChurnRun(t, seed)
-		j2, c2, s2 := tracedChurnRun(t, seed)
+		c1, s1 := tracedChurnRun(t, seed)
+		c2, s2 := tracedChurnRun(t, seed)
 
 		if len(s1) == 0 {
 			t.Fatalf("seed %d: run recorded no spans", seed)
@@ -99,9 +96,6 @@ func TestTracedRunDeterministic5Seeds(t *testing.T) {
 				t.Fatalf("seed %d: span %d diverges:\n  %+v\n  %+v", seed, i, a, b)
 			}
 		}
-		if !bytes.Equal(j1, j2) {
-			t.Errorf("seed %d: JSONL export not byte-identical (%d vs %d bytes)", seed, len(j1), len(j2))
-		}
 		if !bytes.Equal(c1, c2) {
 			t.Errorf("seed %d: Chrome trace export not byte-identical (%d vs %d bytes)", seed, len(c1), len(c2))
 		}
@@ -112,9 +106,9 @@ func TestTracedRunDeterministic5Seeds(t *testing.T) {
 // must not collapse to the same timeline (the workload is seed-driven
 // through proclet placement and steal order).
 func TestTracedRunsDifferAcrossSeeds(t *testing.T) {
-	j1, _, _ := tracedChurnRun(t, 1)
-	j2, _, _ := tracedChurnRun(t, 2)
-	if bytes.Equal(j1, j2) {
+	c1, _ := tracedChurnRun(t, 1)
+	c2, _ := tracedChurnRun(t, 2)
+	if bytes.Equal(c1, c2) {
 		t.Skip("seeds 1 and 2 produced identical timelines (placement happened to match)")
 	}
 }

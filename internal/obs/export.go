@@ -3,24 +3,24 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/sim"
 )
 
-// Export formats. Both are byte-deterministic: spans are written in ID
-// order, samples in (probe, time) order, and attribute maps are
-// marshaled by encoding/json, which sorts keys.
-//
-//   - Chrome trace-event JSON (WriteChromeTrace): loads in Perfetto or
-//     chrome://tracing. One process (pid) per machine, one thread (tid)
-//     per causal tree, so spans of a tree nest visually by time;
-//     telemetry series become counter tracks.
-//   - JSONL (WriteJSONL): one Record per line, for qsctl analyze and
-//     offline tooling.
+// The one trace format is Chrome trace-event JSON (WriteChromeTrace):
+// it loads in Perfetto or chrome://tracing, with one process (pid) per
+// machine and one thread (tid) per causal tree, so spans of a tree nest
+// visually by time, and telemetry series become counter tracks. It is
+// byte-deterministic: spans are written in ID order, samples in
+// (probe, time) order, and args maps are marshaled by encoding/json,
+// which sorts keys. ReadChromeTrace reads it back as Records for qsctl
+// analyze and cmd/tracecheck.
 
 // chromeSpanEvent is one complete ("X") trace event.
 type chromeSpanEvent struct {
@@ -209,9 +209,10 @@ func trackName(machine int) string {
 	return fmt.Sprintf("machine %d", machine)
 }
 
-// Record is one JSONL line: a span (Type "span") or a telemetry sample
-// (Type "sample"). One struct covers both so readers need a single
-// decode path.
+// Record is one span (Type "span") or telemetry sample (Type "sample")
+// read back from a trace file. One struct covers both so readers need a
+// single decode path; its JSON form is how tracecheck compares and
+// prints spans.
 type Record struct {
 	Type string `json:"type"`
 
@@ -238,99 +239,197 @@ type Record struct {
 	Value  float64 `json:"value,omitempty"`
 }
 
-// WriteJSONL writes the run as compact JSONL: one span record per span
-// (ID order), then one sample record per telemetry sample (probe
-// order). tl may be nil.
-func WriteJSONL(w io.Writer, t *Tracer, tl *Telemetry) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	spans := t.SpansByID()
-	for i := range spans {
-		s := &spans[i]
-		rec := Record{
-			Type:    "span",
-			Trace:   uint64(s.TraceID),
-			ID:      uint64(s.ID),
-			Parent:  uint64(s.Parent),
-			Kind:    s.Kind,
-			Name:    s.Name,
-			Machine: s.Machine,
-			From:    s.From,
-			To:      s.To,
-			Bytes:   s.Bytes,
-			StartNS: int64(s.Start),
-			EndNS:   int64(t.clampEnd(s)),
-			Open:    !s.Done,
-			Err:     s.Err,
-		}
-		for _, a := range s.Attrs {
-			if a.IsNum {
-				if rec.Nums == nil {
-					rec.Nums = map[string]float64{}
-				}
-				rec.Nums[a.Key] = finite(a.Num)
-			} else {
-				if rec.Attrs == nil {
-					rec.Attrs = map[string]string{}
-				}
-				rec.Attrs[a.Key] = a.Str
-			}
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	if tl != nil {
-		for i := range tl.probes {
-			p := &tl.probes[i]
-			for _, pt := range p.series.Points() {
-				rec := Record{
-					Type:    "sample",
-					Series:  p.series.Name,
-					Machine: p.machine,
-					From:    -1,
-					To:      -1,
-					AtNS:    int64(pt.At),
-					Value:   finite(pt.Value),
-				}
-				if err := enc.Encode(rec); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
+// chromeEvent is one trace event as ReadChromeTrace decodes it: the
+// union of the three phases WriteChromeTrace writes. The pointers tell
+// a missing field from a zero one, and args stay raw so that span ids
+// decode exactly as uint64 instead of through float64.
+type chromeEvent struct {
+	Name string                     `json:"name"`
+	Cat  string                     `json:"cat"`
+	Ph   string                     `json:"ph"`
+	Ts   *float64                   `json:"ts"`
+	Dur  *float64                   `json:"dur"`
+	Pid  *int                       `json:"pid"`
+	Args map[string]json.RawMessage `json:"args"`
 }
 
-// ReadJSONL parses records written by WriteJSONL. It reads line by
-// line so a malformed record is reported with its 1-based line number
-// instead of being silently skipped or failing with an opaque offset;
-// blank lines are allowed, anything else must be a valid span or
-// sample record.
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+// ReadChromeTrace parses a file written by WriteChromeTrace back into
+// the run's records, in file order: one span per complete ("X") event
+// and one sample per counter ("C") event; process-name metadata ("M")
+// is checked and dropped. It checks the envelope, each phase's required
+// fields, that durations are non-negative and that span ids are
+// non-zero and unique. Every error names where the file goes wrong: an
+// event index, a byte offset, or the envelope's displayTimeUnit.
+func ReadChromeTrace(r io.Reader) ([]Record, error) {
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("obs: reading trace: %w", err)
+	}
+	var doc struct {
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+		TraceEvents     []chromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("obs: not valid JSON: %w", located(err))
+	}
+	if doc.DisplayTimeUnit != "ms" {
+		return nil, fmt.Errorf("obs: displayTimeUnit = %q, want \"ms\"", doc.DisplayTimeUnit)
+	}
+	var recs []Record
+	seen := map[uint64]bool{}
+	for i := range doc.TraceEvents {
+		ev := &doc.TraceEvents[i]
+		rec, err := ev.record()
+		if err == nil && rec.Type == "span" {
+			if seen[rec.ID] {
+				err = fmt.Errorf("repeats span id %d", rec.ID)
+			}
+			seen[rec.ID] = true
 		}
-		var rec Record
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("obs: line %d: malformed JSONL record: %w", line, err)
+		if err != nil {
+			return nil, fmt.Errorf("obs: event %d (ph=%s %q): %w", i, ev.Ph, ev.Name, err)
 		}
-		switch rec.Type {
-		case "span", "sample":
+		if rec.Type != "" {
+			recs = append(recs, rec)
+		}
+	}
+	return recs, nil
+}
+
+// record rebuilds the Record an event was written from: a span for
+// "X", a sample for "C", and none (Type "") for "M".
+func (ev *chromeEvent) record() (Record, error) {
+	rec := Record{From: -1, To: -1}
+	if ev.Pid != nil {
+		rec.Machine = *ev.Pid - 1
+	}
+	switch ev.Ph {
+	case "X":
+		return ev.span(rec)
+	case "M":
+		if ev.Name != "process_name" || ev.Pid == nil {
+			return rec, errors.New("malformed metadata")
+		}
+		return Record{}, nil
+	case "C":
+		if ev.Name == "" || ev.Ts == nil || ev.Pid == nil || ev.Args["value"] == nil {
+			return rec, errors.New("missing name/ts/pid/value")
+		}
+		if err := arg(ev.Args, "value", &rec.Value); err != nil {
+			return rec, err
+		}
+		at, ok := nsOf(*ev.Ts)
+		if !ok {
+			return rec, fmt.Errorf("ts %v out of range", *ev.Ts)
+		}
+		rec.Type, rec.Series, rec.AtNS = "sample", ev.Name, at
+		return rec, nil
+	}
+	return rec, errors.New("unexpected phase")
+}
+
+// span rebuilds a complete event's span record onto rec, which already
+// holds the machine and the default route.
+func (ev *chromeEvent) span(rec Record) (Record, error) {
+	if ev.Name == "" || ev.Ts == nil || ev.Dur == nil || ev.Pid == nil {
+		return rec, errors.New("missing name/ts/dur/pid")
+	}
+	if *ev.Dur < 0 {
+		return rec, fmt.Errorf("negative duration %v", *ev.Dur)
+	}
+	start, okStart := nsOf(*ev.Ts)
+	dur, okDur := nsOf(*ev.Dur)
+	if !okStart || !okDur || start+dur < start {
+		return rec, fmt.Errorf("ts %v + dur %v out of range", *ev.Ts, *ev.Dur)
+	}
+	name, ok := strings.CutPrefix(ev.Name, ev.Cat+":")
+	if !ok {
+		return rec, fmt.Errorf("name does not start with cat %q", ev.Cat+":")
+	}
+	rec.Type, rec.Kind, rec.Name = "span", ev.Cat, name
+	rec.StartNS, rec.EndNS = start, start+dur
+
+	if err := errors.Join(
+		arg(ev.Args, "span", &rec.ID),
+		arg(ev.Args, "parent", &rec.Parent),
+		arg(ev.Args, "trace", &rec.Trace),
+		arg(ev.Args, "from", &rec.From),
+		arg(ev.Args, "to", &rec.To),
+		arg(ev.Args, "bytes", &rec.Bytes),
+		arg(ev.Args, "err", &rec.Err),
+		arg(ev.Args, "open", &rec.Open),
+	); err != nil {
+		return rec, err
+	}
+	if rec.ID == 0 {
+		return rec, errors.New("missing args.span")
+	}
+
+	// The rest are the span's attributes, read in key order so that a
+	// file with two bad ones always reports the same one.
+	keys := make([]string, 0, len(ev.Args))
+	for key := range ev.Args {
+		switch key {
+		case "span", "parent", "trace", "from", "to", "bytes", "err", "open":
 		default:
-			return nil, fmt.Errorf("obs: line %d: unknown record type %q", line, rec.Type)
+			keys = append(keys, key)
 		}
-		out = append(out, rec)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: line %d: %w", line+1, err)
+	sort.Strings(keys)
+	for _, key := range keys {
+		var v any
+		if err := json.Unmarshal(ev.Args[key], &v); err != nil {
+			return rec, fmt.Errorf("args.%s: %w", key, err)
+		}
+		switch v := v.(type) {
+		case string:
+			if rec.Attrs == nil {
+				rec.Attrs = map[string]string{}
+			}
+			rec.Attrs[key] = v
+		case float64:
+			if rec.Nums == nil {
+				rec.Nums = map[string]float64{}
+			}
+			rec.Nums[key] = v
+		default:
+			return rec, fmt.Errorf("args.%s = %s is neither a string nor a number", key, ev.Args[key])
+		}
 	}
-	return out, nil
+	return rec, nil
+}
+
+// arg decodes args[key], when present, into dst. A null value, or
+// one dst's type cannot hold exactly, is an error.
+func arg[T any](args map[string]json.RawMessage, key string, dst *T) error {
+	raw, ok := args[key]
+	if !ok {
+		return nil
+	}
+	var v *T
+	if err := json.Unmarshal(raw, &v); err != nil || v == nil {
+		return fmt.Errorf("args.%s = %s is not a %T", key, raw, *dst)
+	}
+	*dst = *v
+	return nil
+}
+
+// nsOf converts trace-event microseconds back to kernel nanoseconds,
+// the inverse of usOf; ok is false when the result overflows int64.
+func nsOf(us float64) (ns int64, ok bool) {
+	f := math.Round(us * 1e3)
+	return int64(f), f >= math.MinInt64 && f < math.MaxInt64
+}
+
+// located prefixes a JSON decoding error with the byte offset it names.
+func located(err error) error {
+	var syn *json.SyntaxError
+	var typ *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &syn):
+		return fmt.Errorf("byte %d: %w", syn.Offset, err)
+	case errors.As(err, &typ):
+		return fmt.Errorf("byte %d: %w", typ.Offset, err)
+	}
+	return err
 }

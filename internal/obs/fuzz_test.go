@@ -7,23 +7,25 @@ import (
 	"testing"
 )
 
-// FuzzReadJSONL is the input-boundary contract of the record stream
-// `qsctl analyze` reads: any bytes either parse or fail with an error
-// that names a line, and whatever ReadJSONL accepts, Analyze digests
-// and the report prints, never with a panic or a hang. The seeds are
-// one small traced run plus the edge records in testdata/fuzz.
-func FuzzReadJSONL(f *testing.F) {
+// FuzzReadChromeTrace is the input-boundary contract of the trace file
+// `qsctl analyze` and cmd/tracecheck read: any bytes either parse or
+// fail with an error that names the event, the byte or the envelope
+// field that is wrong, and whatever ReadChromeTrace accepts, Analyze
+// digests and the report prints, never with a panic or a hang. The
+// seeds are one small traced run plus the edge files in testdata/fuzz.
+func FuzzReadChromeTrace(f *testing.F) {
 	tr, tl := buildRun(f)
 	var run bytes.Buffer
-	if err := WriteJSONL(&run, tr, tl); err != nil {
+	if err := WriteChromeTrace(&run, tr, tl); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(run.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := ReadJSONL(bytes.NewReader(data))
+		recs, err := ReadChromeTrace(bytes.NewReader(data))
 		if err != nil {
-			if !strings.Contains(err.Error(), "line ") {
-				t.Errorf("error names no line: %v", err)
+			if msg := err.Error(); !strings.Contains(msg, "event ") && !strings.Contains(msg, "byte ") &&
+				!strings.Contains(msg, "displayTimeUnit") {
+				t.Errorf("error names no event or byte: %v", err)
 			}
 			return
 		}

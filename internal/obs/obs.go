@@ -155,29 +155,9 @@ func (t *Tracer) Start(kind, name string, machine int, parent SpanID) SpanID {
 	if t == nil {
 		return 0
 	}
-	t.seq++
-	id := t.base + SpanID(t.seq)
-	trace := id
-	if parent != 0 {
-		if ps := t.span(parent); ps != nil {
-			trace = ps.TraceID
-		}
-	}
 	now := t.k.Now()
 	t.note(now)
-	t.pos[id] = len(t.spans)
-	t.spans = append(t.spans, Span{
-		TraceID: trace,
-		ID:      id,
-		Parent:  parent,
-		Kind:    kind,
-		Name:    name,
-		Machine: machine,
-		From:    -1,
-		To:      -1,
-		Start:   now,
-	})
-	return id
+	return t.add(kind, name, machine, parent, now).ID
 }
 
 // RecordAt appends a complete span with explicit timestamps and
@@ -189,6 +169,15 @@ func (t *Tracer) RecordAt(kind, name string, machine int, parent SpanID, start, 
 	if t == nil {
 		return 0
 	}
+	t.note(end)
+	sp := t.add(kind, name, machine, parent, start)
+	sp.End, sp.Done = end, true
+	return sp.ID
+}
+
+// add appends an open span with the next ID, in its parent's trace (its
+// own when the parent is 0 or unknown), and returns it.
+func (t *Tracer) add(kind, name string, machine int, parent SpanID, start sim.Time) *Span {
 	t.seq++
 	id := t.base + SpanID(t.seq)
 	trace := id
@@ -197,7 +186,6 @@ func (t *Tracer) RecordAt(kind, name string, machine int, parent SpanID, start, 
 			trace = ps.TraceID
 		}
 	}
-	t.note(end)
 	t.pos[id] = len(t.spans)
 	t.spans = append(t.spans, Span{
 		TraceID: trace,
@@ -209,10 +197,8 @@ func (t *Tracer) RecordAt(kind, name string, machine int, parent SpanID, start, 
 		From:    -1,
 		To:      -1,
 		Start:   start,
-		End:     end,
-		Done:    true,
 	})
-	return id
+	return &t.spans[len(t.spans)-1]
 }
 
 // Put stores a span verbatim, keeping its ID, trace, and parent. This

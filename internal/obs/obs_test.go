@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -186,40 +188,125 @@ func buildRun(t testing.TB) (*Tracer, *Telemetry) {
 	return tr, tl
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	tr, tl := buildRun(t)
+// records builds, straight from a run's tracer and telemetry, the
+// Records that reading the run's Chrome trace must give back.
+func records(tr *Tracer, tl *Telemetry) []Record {
+	var out []Record
+	for _, s := range tr.SpansByID() {
+		rec := Record{
+			Type:    "span",
+			Trace:   uint64(s.TraceID),
+			ID:      uint64(s.ID),
+			Parent:  uint64(s.Parent),
+			Kind:    s.Kind,
+			Name:    s.Name,
+			Machine: s.Machine,
+			From:    s.From,
+			To:      s.To,
+			Bytes:   s.Bytes,
+			StartNS: int64(s.Start),
+			EndNS:   int64(tr.clampEnd(&s)),
+			Open:    !s.Done,
+			Err:     s.Err,
+		}
+		for _, a := range s.Attrs {
+			if a.IsNum {
+				if rec.Nums == nil {
+					rec.Nums = map[string]float64{}
+				}
+				rec.Nums[a.Key] = finite(a.Num)
+			} else {
+				if rec.Attrs == nil {
+					rec.Attrs = map[string]string{}
+				}
+				rec.Attrs[a.Key] = a.Str
+			}
+		}
+		out = append(out, rec)
+	}
+	for _, p := range tl.probes {
+		for _, pt := range p.series.Points() {
+			out = append(out, Record{Type: "sample", Series: p.series.Name, Machine: p.machine,
+				From: -1, To: -1, AtNS: int64(pt.At), Value: finite(pt.Value)})
+		}
+	}
+	return out
+}
+
+// TestChromeTraceRoundTrip: reading a run's Chrome trace gives back
+// every span and sample of the run, field for field. The run has an
+// open span, a control-plane span (machine -1), string and numeric
+// attributes, an error, a route, and span ids above 2^53 that differ
+// by one, which a float64 decode cannot tell apart.
+func TestChromeTraceRoundTrip(t *testing.T) {
+	k := sim.NewKernel(1)
+	tr := NewTracerWithBase(k, 1<<60)
+	tl := NewTelemetry(k, time.Millisecond)
+	util := 0.0
+	tl.Register("m0.cpu_util", 0, func() float64 { util += 0.125; return util })
+	tl.Register("control.queue", -1, func() float64 { return 3 })
+	tl.Start()
+	k.After(time.Millisecond+1, func() {
+		sched := tr.Start(KindSched, "rebalance", -1, 0)
+		tr.Str(sched, "reason", "skew")
+		tr.Num(sched, "score", 0.3)
+		mig := tr.Start(KindMigrate, "shard-0", 0, sched)
+		tr.SetRoute(mig, 0, 1)
+		tr.SetBytes(mig, 1<<20)
+		tr.SetErr(mig, errors.New("destination full"))
+		k.After(1500*time.Microsecond, func() {
+			tr.End(mig)
+			tr.End(sched)
+		})
+		tr.Start(KindPressure, "mem", 1, 0) // never ends
+	})
+	k.RunUntil(sim.Time(4 * time.Millisecond))
+
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr, tl); err != nil {
+	if err := WriteChromeTrace(&buf, tr, tl); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
+	got, err := ReadChromeTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans, samples := 0, 0
-	var mig *Record
-	for i := range recs {
-		switch recs[i].Type {
-		case "span":
-			spans++
-			if recs[i].Kind == KindMigrate {
-				mig = &recs[i]
-			}
-		case "sample":
-			samples++
+	want := records(tr, tl)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("read back:\n%+v\nwant:\n%+v", got, want)
+	}
+	if got[0].ID != 1<<60+1 || got[1].ID != 1<<60+2 || !got[2].Open || got[0].Machine != -1 {
+		t.Errorf("spans = %+v", got[:3])
+	}
+}
+
+// TestReadChromeTraceRejects: each malformed file fails with an error
+// that names the event and says what is wrong with it.
+func TestReadChromeTraceRejects(t *testing.T) {
+	const span = `{"name":"rpc:get","cat":"rpc","ph":"X","ts":1,"dur":2,"pid":1,"tid":1,"args":{"span":7,"parent":0,"trace":7}}`
+	doc := func(events ...string) string {
+		return `{"displayTimeUnit":"ms","traceEvents":[` + strings.Join(events, ",") + `]}`
+	}
+	for _, tc := range []struct{ src, want string }{
+		{`{"traceEvents":[`, "byte 16"},
+		{`{"displayTimeUnit":"ns","traceEvents":[]}`, `displayTimeUnit = "ns"`},
+		{doc(`{"ph":"B"}`), `event 0 (ph=B "")`},
+		{doc(`{"name":"x","ph":"M","pid":1}`), "event 0 (ph=M \"x\"): malformed metadata"},
+		{doc(`{"name":"m0.cpu","ph":"C","ts":1,"pid":1,"args":{}}`), "missing name/ts/pid/value"},
+		{doc(strings.Replace(span, `"dur":2`, `"dur":-2`, 1)), "negative duration -2"},
+		{doc(strings.Replace(span, `"ts":1,`, ``, 1)), "missing name/ts/dur/pid"},
+		{doc(strings.Replace(span, `"rpc:get"`, `"get"`, 1)), `name does not start with cat "rpc:"`},
+		{doc(strings.Replace(span, `"span":7`, `"span":0`, 1)), "missing args.span"},
+		{doc(strings.Replace(span, `"span":7`, `"span":1e300`, 1)), "args.span = 1e300 is not a uint64"},
+		{doc(strings.Replace(span, `"parent":0`, `"parent":-1`, 1)), "args.parent = -1 is not a uint64"},
+		{doc(strings.Replace(span, `"parent":0`, `"open":1`, 1)), "args.open = 1 is not a bool"},
+		{doc(strings.Replace(span, `"parent":0`, `"note":[1]`, 1)), "args.note = [1] is neither a string nor a number"},
+		{doc(strings.Replace(span, `"ts":1`, `"ts":1e300`, 1)), "out of range"},
+		{doc(span, span), "event 1 (ph=X \"rpc:get\"): repeats span id 7"},
+	} {
+		_, err := ReadChromeTrace(strings.NewReader(tc.src))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s:\n  err = %v, want it to contain %q", tc.src, err, tc.want)
 		}
-	}
-	if spans != tr.Len() {
-		t.Errorf("round-tripped %d spans, want %d", spans, tr.Len())
-	}
-	if samples == 0 {
-		t.Error("no samples round-tripped")
-	}
-	if mig == nil {
-		t.Fatal("migrate span lost")
-	}
-	if mig.From != 0 || mig.To != 1 || mig.Bytes != 1<<20 || mig.Parent == 0 {
-		t.Errorf("migrate record = %+v", mig)
 	}
 }
 
@@ -283,11 +370,7 @@ func TestExportSanitizesNonFiniteValues(t *testing.T) {
 	if !json.Valid(chrome.Bytes()) {
 		t.Error("chrome export is not valid JSON")
 	}
-	var jl bytes.Buffer
-	if err := WriteJSONL(&jl, tr, tl); err != nil {
-		t.Fatalf("jsonl export rejected non-finite values: %v", err)
-	}
-	recs, err := ReadJSONL(&jl)
+	recs, err := ReadChromeTrace(&chrome)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +389,10 @@ func TestExportSanitizesNonFiniteValues(t *testing.T) {
 func TestAnalyzeReport(t *testing.T) {
 	tr, tl := buildRun(t)
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr, tl); err != nil {
+	if err := WriteChromeTrace(&buf, tr, tl); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSONL(&buf)
+	recs, err := ReadChromeTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
