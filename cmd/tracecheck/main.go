@@ -149,44 +149,24 @@ func checkSubset(recs []obs.Record, full map[uint64]string, maxFrac float64) err
 	return nil
 }
 
-// check applies the checks beyond what reading the file enforces.
-// Every failure names where it is: an event count, a span, or the
-// file's spans as a whole.
+// check applies the checks beyond what reading the file enforces:
+// enough events, at least one span, and with requireCausal a migration
+// whose cause (the one qsctl analyze reports) is a pressure, sched or
+// repl span.
 func check(recs []obs.Record, requireCausal bool, minEvents int) error {
 	if len(recs) < minEvents {
 		return fmt.Errorf("%d span and counter events, want >= %d", len(recs), minEvents)
 	}
-
-	// spans maps span ID -> record for the causal walk.
-	spans := map[uint64]*obs.Record{}
-	for i := range recs {
-		if recs[i].Type == "span" {
-			spans[recs[i].ID] = &recs[i]
-		}
-	}
-	if len(spans) == 0 {
+	rp := obs.Analyze(recs)
+	if rp.Spans == 0 {
 		return fmt.Errorf("no complete (ph=X) span events")
 	}
 	if !requireCausal {
 		return nil
 	}
-	for i := range recs {
-		if recs[i].Kind != obs.KindMigrate {
-			continue
-		}
-		// A chain longer than the span count has come back on itself.
-		for p, hops := recs[i].Parent, 0; p != 0; hops++ {
-			if hops == len(spans) {
-				return fmt.Errorf("span %d: its parent chain has a cycle", recs[i].ID)
-			}
-			ps, ok := spans[p]
-			if !ok {
-				break
-			}
-			if ps.Kind == obs.KindPressure || ps.Kind == obs.KindSched || ps.Kind == obs.KindRepl {
-				return nil
-			}
-			p = ps.Parent
+	for _, m := range rp.Migrations {
+		if m.Cause != "" {
+			return nil
 		}
 	}
 	return fmt.Errorf("no migrate span descends from a pressure/sched/repl span")
