@@ -14,14 +14,16 @@
 // instantaneous rate, the machine keeps one global attained-service
 // accumulator A(t) = ∫rate·dt and each task records its finish point
 // A(t₀) + work at submit. Settling elapsed time is O(1) instead of a
-// walk over every task, and the next completion is the minimum finish
-// point, tracked by an indexed min-heap.
+// walk over every task, and the next completion is the least finish
+// point: the head of the run list, which keeps resident tasks sorted by
+// finish point.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -50,14 +52,12 @@ type MachineConfig struct {
 // completion or are canceled (for example when their proclet migrates
 // and the remaining work should move to another machine).
 type Task struct {
-	m  *Machine
-	id int64
+	m *Machine
 	// vfinish is the machine attained-service value at which this task
 	// completes: attained-at-submit + work. Remaining work at any
 	// instant is vfinish - m.attained, computed lazily.
 	vfinish   float64
 	remaining float64 // core-nanoseconds left, settled at finish/cancel
-	heapIdx   int     // position in m.taskHeap; -1 once retired
 	done      sim.Cond
 	finished  bool
 	canceled  bool
@@ -122,11 +122,7 @@ func (t *Task) Cancel() {
 	}
 	m := t.m
 	m.settle()
-	t.remaining = t.vfinish - m.attained
-	m.heapRemove(t.heapIdx)
-	t.finished = true
-	t.canceled = true
-	t.done.Broadcast()
+	m.retire(m.runHead+slices.Index(m.run[m.runHead:], t), true)
 	m.reschedule()
 }
 
@@ -139,9 +135,9 @@ type Machine struct {
 	cfg MachineConfig
 
 	// CPU processor-sharing state.
-	taskHeap   []*Task // indexed min-heap on (vfinish, id)
-	attained   float64 // A(t): per-task service accrued since creation, ns
-	nextTaskID int64
+	run        []*Task // run[runHead:]: resident tasks by vfinish, ties in submission order
+	runHead    int
+	attained   float64  // A(t): per-task service accrued since creation, ns
 	reserved   float64  // cores taken by high-priority work
 	lastSettle sim.Time // last time attained service was settled
 
@@ -216,11 +212,11 @@ func (m *Machine) AvailCores() float64 { return m.availCores() }
 
 // Runnable returns the number of tasks currently executing or waiting
 // for CPU share.
-func (m *Machine) Runnable() int { return len(m.taskHeap) }
+func (m *Machine) Runnable() int { return len(m.run) - m.runHead }
 
 // perTaskRate returns the core share each task currently receives.
 func (m *Machine) perTaskRate() float64 {
-	n := len(m.taskHeap)
+	n := m.Runnable()
 	if n == 0 {
 		return 0
 	}
@@ -234,80 +230,48 @@ func (m *Machine) perTaskRate() float64 {
 // Utilization returns the cores in use, counting reservations, as a
 // fraction of total cores.
 func (m *Machine) Utilization() float64 {
-	return (math.Min(m.reserved, m.cfg.Cores) + m.perTaskRate()*float64(len(m.taskHeap))) / m.cfg.Cores
+	return (math.Min(m.reserved, m.cfg.Cores) + m.perTaskRate()*float64(m.Runnable())) / m.cfg.Cores
 }
 
-// ---- indexed min-heap on (vfinish, id) ----
+// ---- the run list ----
 
-// taskLess orders resident tasks by finish point, breaking ties by
-// submission order so simultaneous completions retire deterministically.
-func taskLess(a, b *Task) bool {
-	if a.vfinish != b.vfinish {
-		return a.vfinish < b.vfinish
+// runSlack is the dead prefix the run list carries before retire compacts
+// it, as ComputeProclet's queue does.
+const runSlack = 32
+
+// insert places t in the run list after every resident task that finishes
+// no later, so equal finish points retire in submission order. Work mostly
+// arrives in finish order, so the scan back from the tail rarely moves.
+func (m *Machine) insert(t *Task) {
+	m.run = append(m.run, t)
+	i := len(m.run) - 1
+	for ; i > m.runHead && m.run[i-1].vfinish > t.vfinish; i-- {
+		m.run[i] = m.run[i-1]
 	}
-	return a.id < b.id
+	m.run[i] = t
 }
 
-func (m *Machine) heapPush(t *Task) {
-	t.heapIdx = len(m.taskHeap)
-	m.taskHeap = append(m.taskHeap, t)
-	m.siftUp(t.heapIdx)
-}
-
-// heapRemove deletes the task at index i, keeping the heap ordered.
-func (m *Machine) heapRemove(i int) {
-	h := m.taskHeap
-	n := len(h) - 1
-	t := h[i]
-	if i != n {
-		h[i] = h[n]
-		h[i].heapIdx = i
-	}
-	h[n] = nil
-	m.taskHeap = h[:n]
-	if i < n {
-		if !m.siftDown(i) {
-			m.siftUp(i)
+// retire takes run[i] off the machine, settles its remainder and wakes its
+// waiter. The head goes by advancing runHead, anything else by a shift.
+func (m *Machine) retire(i int, canceled bool) {
+	t := m.run[i]
+	if i > m.runHead {
+		m.run = slices.Delete(m.run, i, i+1)
+	} else {
+		m.run[i] = nil
+		m.runHead++
+		if m.runHead == len(m.run) {
+			m.run, m.runHead = m.run[:0], 0
+		} else if m.runHead >= runSlack && 2*m.runHead >= len(m.run) {
+			n := copy(m.run, m.run[m.runHead:])
+			clear(m.run[n:])
+			m.run, m.runHead = m.run[:n], 0
 		}
 	}
-	t.heapIdx = -1
-}
-
-func (m *Machine) siftUp(i int) {
-	h := m.taskHeap
-	for i > 0 {
-		p := (i - 1) / 2
-		if !taskLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		h[i].heapIdx, h[p].heapIdx = i, p
-		i = p
-	}
-}
-
-// siftDown restores heap order below i; it reports whether i moved.
-func (m *Machine) siftDown(i int) bool {
-	h := m.taskHeap
-	n := len(h)
-	i0 := i
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c := l
-		if r := l + 1; r < n && taskLess(h[r], h[l]) {
-			c = r
-		}
-		if !taskLess(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		h[i].heapIdx, h[c].heapIdx = i, c
-		i = c
-	}
-	return i > i0
+	t.remaining = t.vfinish - m.attained
+	t.finished = true
+	t.canceled = canceled
+	t.done.Broadcast()
 }
 
 // settle advances the attained-service accumulator by the rate that has
@@ -322,7 +286,7 @@ func (m *Machine) settle() {
 	rate := m.perTaskRate()
 	if rate > 0 {
 		m.attained += elapsed * rate
-		m.CoreSeconds += elapsed * rate * float64(len(m.taskHeap)) / 1e9
+		m.CoreSeconds += elapsed * rate * float64(m.Runnable()) / 1e9
 	}
 	m.lastSettle = now
 }
@@ -331,11 +295,11 @@ func (m *Machine) settle() {
 // timer to it, or stops the timer when nothing can complete.
 func (m *Machine) reschedule() {
 	rate := m.perTaskRate()
-	if rate <= 0 || len(m.taskHeap) == 0 {
+	if rate <= 0 {
 		m.completion.Stop()
 		return
 	}
-	minRem := m.taskHeap[0].vfinish - m.attained
+	minRem := m.run[m.runHead].vfinish - m.attained
 	if minRem < 0 {
 		minRem = 0
 	}
@@ -348,12 +312,8 @@ func (m *Machine) reschedule() {
 func (m *Machine) completeFinished() {
 	m.settle()
 	const eps = 0.5 // sub-nanosecond residue from float math
-	for len(m.taskHeap) > 0 && m.taskHeap[0].vfinish-m.attained <= eps {
-		t := m.taskHeap[0]
-		m.heapRemove(0)
-		t.remaining = t.vfinish - m.attained
-		t.finished = true
-		t.done.Broadcast()
+	for m.Runnable() > 0 && m.run[m.runHead].vfinish-m.attained <= eps {
+		m.retire(m.runHead, false)
 	}
 	m.reschedule()
 }
@@ -376,13 +336,8 @@ func (m *Machine) Crash() {
 	m.settle()
 	m.down = true
 	m.epoch++
-	for len(m.taskHeap) > 0 {
-		t := m.taskHeap[0]
-		m.heapRemove(0)
-		t.remaining = t.vfinish - m.attained
-		t.finished = true
-		t.canceled = true
-		t.done.Broadcast()
+	for m.Runnable() > 0 {
+		m.retire(m.runHead, true)
 	}
 	m.memUsed = 0
 	if m.MemSeries != nil {
@@ -409,7 +364,6 @@ func (m *Machine) Submit(work time.Duration) *Task {
 		panic("cluster: Submit requires positive work")
 	}
 	m.settle()
-	m.nextTaskID++
 	var t *Task
 	if n := len(m.freeTasks); n > 0 {
 		t = m.freeTasks[n-1]
@@ -424,18 +378,16 @@ func (m *Machine) Submit(work time.Duration) *Task {
 		m.taskSlab = m.taskSlab[1:]
 	}
 	t.m = m
-	t.id = m.nextTaskID
 	if m.down {
 		// A dead machine executes nothing: hand back the task already
 		// canceled, with all of its work as the remainder.
 		t.vfinish = m.attained + float64(work)
 		t.remaining = float64(work)
-		t.heapIdx = -1
 		t.finished, t.canceled = true, true
 		return t
 	}
 	t.vfinish = m.attained + float64(work)
-	m.heapPush(t)
+	m.insert(t)
 	m.reschedule()
 	return t
 }

@@ -633,10 +633,11 @@ func (sc *Scheduler) colocate(p *sim.Proc) {
 		if pi.pinned || pi.pr.State() != proclet.StateRunning {
 			continue
 		}
+		// A tie in bytes goes to the lower peer ID, not to map order.
 		var bestPeer proclet.ID
 		var bestBytes int64
 		for peer, bytes := range pi.pr.CommBytes() {
-			if bytes > bestBytes {
+			if bytes > bestBytes || bytes == bestBytes && bytes > 0 && peer < bestPeer {
 				bestPeer, bestBytes = peer, bytes
 			}
 		}

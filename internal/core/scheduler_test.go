@@ -252,6 +252,41 @@ func TestAffinityColocation(t *testing.T) {
 	}
 }
 
+// TestAffinityTieGoesToLowerPeer: a memory proclet on machine 0 receives
+// the same bytes from two pinned compute proclets, the lower-ID one on
+// machine 2. The affinity pass must move it to machine 2 in every fresh
+// system; picking the peer in map order gets this right with probability
+// 2⁻³² over 32 systems.
+func TestAffinityTieGoesToLowerPeer(t *testing.T) {
+	m := cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30}
+	for i := 0; i < 32; i++ {
+		s := testSystem(t, m, m, m)
+		mp, _ := NewMemoryProcletOn(s, "data", 0)
+		mp.pr.Handle("sink", func(*proclet.Ctx, proclet.Msg) (proclet.Msg, error) {
+			return proclet.Msg{}, nil
+		})
+		low, _ := NewComputeProcletOn(s, "low", 2, 1)
+		high, _ := NewComputeProcletOn(s, "high", 1, 1)
+		for _, cp := range []*ComputeProclet{low, high} {
+			s.Sched.Pin(cp.ID())
+		}
+		s.K.Spawn("driver", func(p *sim.Proc) {
+			for _, cp := range []*ComputeProclet{low, high} {
+				arg := proclet.Msg{Bytes: s.Config().AffinityBytes}
+				if _, err := s.Runtime.Invoke(p, cp.Location(), cp.ID(), mp.ID(), "sink", arg); err != nil {
+					t.Errorf("invoke: %v", err)
+				}
+			}
+			s.Sched.colocate(p)
+		})
+		s.K.Run()
+		if mp.Location() != low.Location() {
+			t.Fatalf("system %d: proclet on machine %d, want %d (peer %d, not %d)",
+				i, mp.Location(), low.Location(), low.ID(), high.ID())
+		}
+	}
+}
+
 func TestAdaptiveLoopRuns(t *testing.T) {
 	s := testSystem(t)
 	count := 0

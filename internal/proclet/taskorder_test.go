@@ -1,6 +1,7 @@
 package proclet
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -189,5 +190,52 @@ func TestStagedThreadComputeMatchesBlocking(t *testing.T) {
 				t.Errorf("the run ended with Live=%d Blocked=%d, want 0 0", last.live, last.blocked)
 			}
 		})
+	}
+}
+
+// TestOutOfOrderFinishResubmitsOldestFirst: thread a's first compute
+// finishes before the older computes of threads b and c, so dropTask takes
+// it from the front of the proclet's list, not the back; a's next compute
+// is then the newest. A migration in mid-compute must cancel b's, c's and
+// a's in that order, so they resubmit their remainders on machine 1 in
+// that order too. A third thread is what catches a delete that swaps the
+// last entry into the hole.
+func TestOutOfOrderFinishResubmitsOldestFirst(t *testing.T) {
+	k, c, rt := testEnv(t, 2)
+	defer k.Close()
+	pr, err := rt.Spawn("workers", 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := pr.SpawnThread("a", func(th *Thread) {
+		th.Compute(20 * time.Microsecond)
+		th.Compute(100 * time.Microsecond)
+	})
+	b := pr.SpawnThread("b", func(th *Thread) { th.Compute(100 * time.Microsecond) })
+	cc := pr.SpawnThread("c", func(th *Thread) { th.Compute(100 * time.Microsecond) })
+	k.Spawn("ctl", func(p *sim.Proc) {
+		p.Sleep(50 * time.Microsecond)
+		if err := rt.Migrate(p, pr.ID(), 1); err != nil {
+			t.Errorf("Migrate: %v", err)
+		}
+	})
+	listed := func(when string) {
+		t.Helper()
+		want := []*cluster.Task{b.task, cc.task, a.task}
+		if !slices.Equal(pr.tasks, want) {
+			t.Fatalf("%s: the proclet lists %v, want b's, c's, a's: %v", when, pr.tasks, want)
+		}
+	}
+	k.RunUntil(30 * sim.Microsecond)
+	listed("before the migration")
+	for k.Step() && c.Machine(1).Runnable() < 3 {
+	}
+	if pr.Location() != 1 {
+		t.Fatalf("the proclet is on machine %d, want 1", pr.Location())
+	}
+	listed("once every remainder is resubmitted")
+	k.Run()
+	if len(pr.tasks) != 0 {
+		t.Errorf("the proclet still lists %d computes after every thread returned", len(pr.tasks))
 	}
 }
