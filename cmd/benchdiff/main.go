@@ -13,22 +13,20 @@
 //     are deterministic, so any change means the simulation's behaviour
 //     changed, faster or slower.
 //   - values: every key the baseline records must be in the candidate
-//     with the same value — the simulation is deterministic, so a
-//     drift of any size is a behaviour change, and a missing key means
-//     the experiment's metric keys changed. Keys prefixed "wall_" are
-//     host time by convention and never gated; keys only the candidate
-//     has are new metrics and pass until the baseline is regenerated.
+//     with the same value, whatever its name — the simulation is
+//     deterministic, so a drift of any size is a behaviour change, and
+//     a missing key means the experiment's metric keys changed. Keys
+//     only the candidate has are new metrics and pass until the
+//     baseline is regenerated.
 //   - allocs: must not exceed the baseline by more than -tol, the one
 //     tolerance. Falling below is an improvement and passes; heap
 //     allocation counts are exact only for -par 1 runs, which is what
 //     CI records.
-//   - wall_ms: reported for context, never gated — wall clock depends
-//     on the host.
 //
 // Missing or malformed records fail with a message saying how to
 // regenerate them (a baseline with zero events is treated as
-// malformed), and a record whose embedded id doesn't match its
-// filename is rejected as stale.
+// malformed), and a record whose embedded id is missing or doesn't
+// match its filename is rejected as stale.
 //
 // Exit status is 1 if any comparison fails, 2 on usage errors.
 package main
@@ -41,13 +39,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // benchStats mirrors the record written by quicksand-bench -json.
 type benchStats struct {
 	ID     string             `json:"id"`
-	WallMS float64            `json:"wall_ms"`
 	Events uint64             `json:"events_processed"`
 	Allocs uint64             `json:"allocs"`
 	Values map[string]float64 `json:"values,omitempty"`
@@ -79,7 +75,7 @@ func decodeStats(data []byte, id string) (benchStats, error) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return st, located(err)
 	}
-	if st.ID != "" && st.ID != id {
+	if st.ID != id {
 		return st, fmt.Errorf("records experiment %q, not %q — stale or misnamed file", st.ID, id)
 	}
 	if st.Events == 0 {
@@ -131,15 +127,13 @@ func compare(base, cand benchStats, tol float64) []string {
 	return append(fails, compareValues(base.Values, cand.Values)...)
 }
 
-// compareValues requires every simulated value of the baseline to reach
-// the candidate unchanged; keys prefixed "wall_" are host time and skip.
+// compareValues requires every value of the baseline to reach the
+// candidate unchanged.
 func compareValues(base, cand map[string]float64) []string {
 	var fails []string
 	keys := make([]string, 0, len(base))
 	for k := range base {
-		if !strings.HasPrefix(k, "wall_") {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
@@ -186,11 +180,10 @@ func main() {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%-14s %s  events %d -> %d (%+.1f%%)  allocs %d -> %d (%+.1f%%)  wall %.0fms -> %.0fms\n",
+		fmt.Printf("%-14s %s  events %d -> %d (%+.1f%%)  allocs %d -> %d (%+.1f%%)\n",
 			id, status,
 			base.Events, cand.Events, 100*relDelta(base.Events, cand.Events),
-			base.Allocs, cand.Allocs, 100*relDelta(base.Allocs, cand.Allocs),
-			base.WallMS, cand.WallMS)
+			base.Allocs, cand.Allocs, 100*relDelta(base.Allocs, cand.Allocs))
 		for _, f := range fails {
 			fmt.Printf("    %s\n", f)
 		}

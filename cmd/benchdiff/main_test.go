@@ -8,7 +8,7 @@ import (
 )
 
 func TestCompare(t *testing.T) {
-	base := benchStats{ID: "fig1", WallMS: 100, Events: 1000, Allocs: 500}
+	base := benchStats{ID: "fig1", Events: 1000, Allocs: 500}
 	cases := []struct {
 		name  string
 		cand  benchStats
@@ -25,7 +25,6 @@ func TestCompare(t *testing.T) {
 		{"both regress", benchStats{Events: 2000, Allocs: 2000}, 0.10, 2},
 		{"exactly at tolerance", benchStats{Events: 1000, Allocs: 550}, 0.10, 0},
 		{"tighter tol catches drift", benchStats{Events: 1000, Allocs: 510}, 0.01, 1},
-		{"wall clock never gated", benchStats{WallMS: 9999, Events: 1000, Allocs: 500}, 0.10, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,7 +74,8 @@ func edited(vals, edits map[string]float64, drop ...string) map[string]float64 {
 
 func TestCompareValues(t *testing.T) {
 	// A record shaped like BENCH_ext-failover.json: durability counters,
-	// failover latency, an op count and host time.
+	// failover latency and an op count, plus a key named like the host
+	// times records once held, which gates like any other.
 	base := benchStats{
 		ID: "ext-failover", Events: 1000, Allocs: 500,
 		Values: map[string]float64{
@@ -84,7 +84,7 @@ func TestCompareValues(t *testing.T) {
 			"failover_ms_mean": 3.14,
 			"failover_ms_max":  3.27,
 			"ops_rf2":          12262,
-			"wall_ms_rf2":      950, // host time, never gated
+			"wall_ms_rf2":      950,
 		},
 	}
 	cases := []struct {
@@ -100,8 +100,7 @@ func TestCompareValues(t *testing.T) {
 		{"failover latency regresses", map[string]float64{"failover_ms_mean": 9.9}, "", 1},
 		{"failover latency too-good is still drift", map[string]float64{"failover_ms_mean": 0.1}, "", 1},
 		{"op count drift fails", map[string]float64{"ops_rf2": 12263}, "", 1},
-		{"informational values never gate", map[string]float64{"wall_ms_rf2": 1}, "", 0},
-		{"host time may vanish", nil, "wall_ms_rf2", 0},
+		{"a changed or missing key fails, whatever its name", map[string]float64{"wall_ms_rf2": 1}, "failover_ms_max", 2},
 		{"gated key vanished from candidate", nil, "failover_ms_max", 1},
 		{"new candidate keys pass", map[string]float64{"windows": 7}, "", 0},
 	}
@@ -115,8 +114,8 @@ func TestCompareValues(t *testing.T) {
 		})
 	}
 	t.Run("candidate without values loses every gated key", func(t *testing.T) {
-		if fails := compare(base, benchStats{Events: 1000, Allocs: 500}, 0.10); len(fails) != 5 {
-			t.Fatalf("compare = %d failures %v, want 5", len(fails), fails)
+		if fails := compare(base, benchStats{Events: 1000, Allocs: 500}, 0.10); len(fails) != 6 {
+			t.Fatalf("compare = %d failures %v, want 6", len(fails), fails)
 		}
 	})
 	// Old baseline without values must not gate a candidate that has them.
@@ -128,7 +127,8 @@ func TestCompareValues(t *testing.T) {
 
 func TestCompareServingValues(t *testing.T) {
 	// A record shaped like BENCH_ext-serve.json: goodput, overall and
-	// per-phase tail quantiles, and host time.
+	// per-phase tail quantiles, and two keys named like the host times
+	// records once held, which gate like any other.
 	base := benchStats{
 		ID: "ext-serve", Events: 1000, Allocs: 500,
 		Values: map[string]float64{
@@ -136,8 +136,8 @@ func TestCompareServingValues(t *testing.T) {
 			"p999_ms":         0.110,
 			"p999_ms_migrate": 0.227,
 			"p50_ms":          0.012,
-			"wall_ms_p8":      950, // host time, never gated
-			"wall_speedup_p8": 3.1, // host time, never gated
+			"wall_ms_p8":      950,
+			"wall_speedup_p8": 3.1,
 			"events":          123456,
 		},
 	}
@@ -155,7 +155,7 @@ func TestCompareServingValues(t *testing.T) {
 		{"goodput too-good is still drift", map[string]float64{"goodput_rps": 9_000_000}, "", 500, 1},
 		{"tail regresses", map[string]float64{"p999_ms": 0.5}, "", 500, 1},
 		{"migration-phase tail regresses", map[string]float64{"p999_ms_migrate": 0.9}, "", 500, 1},
-		{"wall drift never gates", map[string]float64{"wall_ms_p8": 1, "wall_speedup_p8": 0.1}, "", 500, 0},
+		{"a changed or missing key fails, whatever its name", map[string]float64{"wall_ms_p8": 1}, "wall_speedup_p8", 500, 2},
 		{"p50 and event drift gate", map[string]float64{"p50_ms": 9.9, "events": 1}, "", 500, 2},
 		{"gated serving key vanished", nil, "p999_ms_migrate", 500, 1},
 	}
@@ -192,7 +192,7 @@ func TestReadStatsFailures(t *testing.T) {
 	}
 
 	// A record with zero events is malformed (every real run has events).
-	write("BENCH_empty.json", `{"id":"empty","wall_ms":1,"events_processed":0,"allocs":0}`)
+	write("BENCH_empty.json", `{"id":"empty","events_processed":0,"allocs":0}`)
 	if _, err := readStats(dir, "empty"); err == nil || !strings.Contains(err.Error(), "events_processed") {
 		t.Errorf("zero-events record error = %v, want an events_processed complaint", err)
 	}
@@ -203,8 +203,14 @@ func TestReadStatsFailures(t *testing.T) {
 		t.Errorf("mismatched id error = %v, want the stale id named", err)
 	}
 
+	// A record without an id names no experiment, so it passes for none.
+	write("BENCH_fig3.json", `{"events_processed":10,"allocs":1}`)
+	if _, err := readStats(dir, "fig3"); err == nil || !strings.Contains(err.Error(), `records experiment "", not "fig3"`) {
+		t.Errorf("missing id error = %v, want the record rejected as stale", err)
+	}
+
 	// A good record round-trips.
-	write("BENCH_ok.json", `{"id":"ok","wall_ms":2,"events_processed":10,"allocs":1,"values":{"ops":5}}`)
+	write("BENCH_ok.json", `{"id":"ok","events_processed":10,"allocs":1,"values":{"ops":5}}`)
 	st, err := readStats(dir, "ok")
 	if err != nil {
 		t.Fatalf("valid record: %v", err)

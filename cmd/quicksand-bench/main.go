@@ -9,25 +9,27 @@
 // and what they reproduce are described in DESIGN.md's experiment
 // index; `-list` prints them.
 //
-// -par N bounds the host workers used to run experiments (and the
-// independent configurations inside each experiment) concurrently;
-// 0 means one worker per host core. Every simulation runs on its own
-// deterministic kernel and results are always printed in request
-// order, so the output is identical at any -par value.
+// -par N bounds the host workers used to run experiments concurrently,
+// and each experiment's own workers: the independent configurations it
+// fans out, or the shard workers of a partitioned fleet (ext-scale,
+// ext-serve); 0 means one worker per host core. Every simulation is
+// deterministic and results are always printed in request order, so the
+// output is identical at any -par value.
 //
 // -cpuprofile / -memprofile write pprof profiles of the run for
 // `go tool pprof`.
 //
 // -json additionally writes one BENCH_<id>.json file per experiment
-// with the host-side cost of the run: wall-clock time, kernel events
-// processed, and heap allocations. Both costs are process-wide deltas,
-// so with -json the experiments run one after another and each record
-// counts only its own; -par still bounds each experiment's own fan-out.
+// with the kernel events the run processed, its heap allocations and
+// its values. The allocation count is a process-wide delta, so with
+// -json the experiments run one after another and each record counts
+// only its own; -par still bounds each experiment's own workers. A
+// record holds no host time.
 //
 // -seed N offsets the RNG seeds of the seed-swept experiments (fig2,
-// ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Two runs
-// at the same -seed must produce byte-identical output — CI's seed-sweep
-// job enforces this. 0 (the default) keeps the committed seeds that the
+// ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Runs at
+// the same -seed must produce byte-identical output at any -par — CI's
+// seed-sweep job compares -par 1 with -par 4. 0 (the default) keeps the committed seeds that the
 // BENCH_*.json baselines were recorded at.
 //
 // -trace-dir DIR enables causal span tracing plus resource telemetry
@@ -50,7 +52,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/runpar"
@@ -62,7 +63,6 @@ import (
 // can gate behavioural guarantees, not just host cost.
 type benchStats struct {
 	ID     string             `json:"id"`
-	WallMS float64            `json:"wall_ms"`
 	Events uint64             `json:"events_processed"`
 	Allocs uint64             `json:"allocs"`
 	Values map[string]float64 `json:"values,omitempty"`
@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	list := fs.Bool("list", false, "list experiments and exit")
 	csv := fs.Bool("csv", false, "emit plot-ready CSV time series instead of tables (fig1/fig3)")
 	par := fs.Int("par", 0, "max concurrent host workers for experiments (0 = GOMAXPROCS)")
-	jsonOut := fs.Bool("json", false, "write BENCH_<id>.json per experiment (wall clock, events, allocs)")
+	jsonOut := fs.Bool("json", false, "write BENCH_<id>.json per experiment (events, allocs, values)")
 	seed := fs.Int64("seed", 0, "seed offset for seed-swept experiments (0 = committed seeds)")
 	traceDir := fs.String("trace-dir", "", "export the traces of fig1, ext-failover, ext-memharvest and ext-serve (.trace.json) to this directory")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -185,7 +185,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if *jsonOut {
 			runtime.ReadMemStats(&m0)
 		}
-		start := time.Now()
 		res, err := experiments.Run(ids[i], scale)
 		o := outcome{res: res, err: err}
 		if *jsonOut && err == nil {
@@ -193,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			runtime.ReadMemStats(&m1)
 			o.st = benchStats{
 				ID:     ids[i],
-				WallMS: float64(time.Since(start).Microseconds()) / 1000,
 				Events: res.EventsProcessed,
 				Allocs: m1.Mallocs - m0.Mallocs,
 				Values: res.Values,

@@ -6,8 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 )
@@ -15,7 +15,7 @@ import (
 // TestWriteBenchJSON round-trips a stats record through the BENCH file.
 func TestWriteBenchJSON(t *testing.T) {
 	dir := t.TempDir()
-	st := benchStats{ID: "fig1", WallMS: 211.5, Events: 1234567, Allocs: 89_000,
+	st := benchStats{ID: "fig1", Events: 1234567, Allocs: 89_000,
 		Values: map[string]float64{"lost_rf2": 0, "failover_ms_mean": 3.14}}
 	path, err := writeBenchJSON(dir, st)
 	if err != nil {
@@ -32,7 +32,7 @@ func TestWriteBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if got.ID != st.ID || got.WallMS != st.WallMS || got.Events != st.Events || got.Allocs != st.Allocs {
+	if got.ID != st.ID || got.Events != st.Events || got.Allocs != st.Allocs {
 		t.Errorf("round trip = %+v, want %+v", got, st)
 	}
 	if len(got.Values) != len(st.Values) {
@@ -95,10 +95,10 @@ func TestCPUProfileSurvivesAFailedRun(t *testing.T) {
 	}
 }
 
-// TestJSONRunsExperimentsOneAtATime: each BENCH record's wall_ms and
-// allocs are process-wide deltas, so with -json the experiments must
-// not overlap, whatever -par says. Back-to-back runs fit inside the
-// whole run's wall time; overlapping ones add up to more than it.
+// TestJSONRunsExperimentsOneAtATime: each BENCH record's allocs are a
+// process-wide delta, so with -json the experiments must not overlap,
+// whatever -par says. Back-to-back runs' allocations fit inside the
+// whole run's; overlapping ones count each other's and add up to more.
 func TestJSONRunsExperimentsOneAtATime(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -109,12 +109,14 @@ func TestJSONRunsExperimentsOneAtATime(t *testing.T) {
 	}
 	defer os.Chdir(wd)
 	ids := []string{"fig1", "fig2", "abl-sched"}
-	start := time.Now()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	if code := run(append([]string{"-scale", "test", "-par", "2", "-json"}, ids...), io.Discard, io.Discard); code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
-	elapsedMS := float64(time.Since(start).Microseconds()) / 1000
-	sum := 0.0
+	runtime.ReadMemStats(&m1)
+	total := m1.Mallocs - m0.Mallocs
+	var sum uint64
 	for _, id := range ids {
 		data, err := os.ReadFile("BENCH_" + id + ".json")
 		if err != nil {
@@ -124,9 +126,9 @@ func TestJSONRunsExperimentsOneAtATime(t *testing.T) {
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatal(err)
 		}
-		sum += st.WallMS
+		sum += st.Allocs
 	}
-	if sum > elapsedMS {
-		t.Errorf("records add up to %.3f ms of a %.3f ms run: the experiments overlapped", sum, elapsedMS)
+	if sum > total {
+		t.Errorf("records add up to %d of the run's %d allocations: the experiments overlapped", sum, total)
 	}
 }

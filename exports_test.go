@@ -23,6 +23,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -111,6 +112,10 @@ func (t *sourceTree) load(dir string) (*sourcePkg, error) {
 func skipDir(name string) bool {
 	return name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
+
+// checkedTree is loadTree's result, shared by the tests that read the
+// checked source.
+var checkedTree = sync.OnceValues(loadTree)
 
 // loadTree checks every package under the repository root.
 func loadTree() (*sourceTree, error) {
@@ -386,7 +391,7 @@ func deadExports(exports map[types.Object]*export, allow map[string]string) []st
 // or the standard library, and fields a json or yaml tag names, are
 // exempt: their callers are the interface and the codec.
 func TestNoDeadExports(t *testing.T) {
-	tree, err := loadTree()
+	tree, err := checkedTree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,4 +406,44 @@ func TestNoDeadExports(t *testing.T) {
 	for _, line := range deadExports(exports, allow) {
 		t.Error(line)
 	}
+}
+
+// TestNoHostClock: no non-test code of the root module reads the host
+// clock. A simulated run is a function of its seed, so a reading of
+// time.Now or time.Since in it is either dead or a value that differs
+// run to run; the benchmark module, which times runs, is its own
+// module and not held to this.
+func TestNoHostClock(t *testing.T) {
+	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for _, p := range tree.pkgs {
+		if p == nil || !inRootModule(p.dir) {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "time" && (fn.Name() == "Now" || fn.Name() == "Since") {
+				found = append(found, fmt.Sprintf("%s: calls time.%s", tree.fset.Position(id.Pos()), fn.Name()))
+			}
+		}
+	}
+	sort.Strings(found)
+	for _, f := range found {
+		t.Error(f)
+	}
+}
+
+// inRootModule reports whether the package in dir belongs to the root
+// module: no directory from dir up to the root but the root has a
+// go.mod of its own.
+func inRootModule(dir string) bool {
+	for d := dir; d != "."; d = filepath.Dir(d) {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return false
+		}
+	}
+	return true
 }

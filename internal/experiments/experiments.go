@@ -31,6 +31,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 )
 
@@ -51,8 +52,8 @@ type Result struct {
 	// EventsProcessed is the total number of kernel events executed
 	// across the experiment's simulation runs (every experiment sets it),
 	// and Trace the rendered control-plane event log of those that keep
-	// one — both exist so the determinism regression test can assert
-	// that one seed produces exactly one behaviour.
+	// one — both exist so the golden table (TestGoldens) can assert that
+	// one seed produces exactly one behaviour.
 	EventsProcessed uint64
 	Trace           []string
 }
@@ -105,21 +106,31 @@ func (r *Result) Print(w io.Writer) {
 	}
 }
 
-// parallelism bounds the host goroutines used to fan independent
-// simulation configurations (fig1/fig2 modes, ablation sweep points)
-// out across cores; 0 means GOMAXPROCS. Every configuration runs on
-// its own sim.Kernel and results are merged by configuration index, so
-// the outcome is identical at any setting.
+// parallelism bounds the host goroutines of one experiment: those that
+// fan independent simulation configurations (fig1/fig2 modes, ablation
+// sweep points) out across cores, each on its own sim.Kernel with
+// results merged by configuration index, and the sim.ParKernel workers
+// of the partitioned fleets (ext-scale, ext-serve). 0 means GOMAXPROCS.
+// The outcome is identical at any setting.
 var parallelism = 0
 
-// SetParallelism bounds intra-experiment fan-out to n host workers
-// (n <= 0 restores the GOMAXPROCS default). Not safe to call
-// concurrently with Run.
+// SetParallelism bounds each experiment's host workers to n (n <= 0
+// restores the GOMAXPROCS default); the output is the same at any n.
+// Not safe to call concurrently with Run.
 func SetParallelism(n int) {
 	if n <= 0 {
 		n = 0
 	}
 	parallelism = n
+}
+
+// workers is the host worker count parallelism resolves to, as
+// runpar.Map resolves its par.
+func workers() int {
+	if parallelism > 0 {
+		return parallelism
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // baseSeed offsets the RNG seeds of the seed-swept experiments (fig2,

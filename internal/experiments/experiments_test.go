@@ -343,38 +343,6 @@ func TestMemHarvestTraceCausality(t *testing.T) {
 	}
 }
 
-// TestExperimentDeterminism: the flagship property of the simulation —
-// running the same experiment twice yields bit-identical results, every
-// one of them, down to a kernel event count that is never zero.
-func TestExperimentDeterminism(t *testing.T) {
-	for _, id := range List() {
-		r1, err := Run(id, TestScale)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		r2, err := Run(id, TestScale)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if r1.EventsProcessed == 0 || r1.EventsProcessed != r2.EventsProcessed {
-			t.Errorf("%s: %d kernel events, then %d: want the same non-zero count", id, r1.EventsProcessed, r2.EventsProcessed)
-		}
-		if len(r1.Values) != len(r2.Values) {
-			t.Fatalf("%s: value sets differ", id)
-		}
-		for k, v := range r1.Values {
-			if r2.Values[k] != v && !strings.HasPrefix(k, "wall_") { // host time (see sweepWorkers)
-				t.Errorf("%s: %s = %v vs %v across runs", id, k, v, r2.Values[k])
-			}
-		}
-		for i := range r1.Lines {
-			if r1.Lines[i] != r2.Lines[i] {
-				t.Errorf("%s: line %d differs:\n%s\n%s", id, i, r1.Lines[i], r2.Lines[i])
-			}
-		}
-	}
-}
-
 // TestFig1RunComputeMatchesBlockingUnit: the filler unit enqueued with
 // RunCompute — counted in kernel context, its worker never switched in —
 // is the same simulation as the closure it replaced, which computes and
@@ -583,7 +551,7 @@ func TestExtFailoverShape(t *testing.T) {
 func TestExtScaleShape(t *testing.T) {
 	res, err := Run("ext-scale", TestScale)
 	if err != nil {
-		t.Fatal(err) // includes the in-run P={1,4,8} determinism assertion
+		t.Fatal(err)
 	}
 	if res.Values["machines"] != 24 || res.Values["shards"] != 8 {
 		t.Errorf("fleet = %v machines / %v shards, want 24/8 at test scale",
@@ -606,9 +574,6 @@ func TestExtScaleShape(t *testing.T) {
 	if res.Values["cross_msgs"] <= 0 {
 		t.Error("no cross-shard RPCs completed")
 	}
-	if res.Values["wall_ms_p1"] <= 0 || res.Values["wall_ms_p8"] <= 0 {
-		t.Error("missing wall_ms_* values")
-	}
 	if len(res.Trace) == 0 || res.EventsProcessed == 0 {
 		t.Error("missing merged trace or event count")
 	}
@@ -617,7 +582,7 @@ func TestExtScaleShape(t *testing.T) {
 func TestExtServeShape(t *testing.T) {
 	res, err := Run("ext-serve", TestScale)
 	if err != nil {
-		t.Fatal(err) // includes the in-run P={1,4,8} determinism assertion
+		t.Fatal(err)
 	}
 	if res.Values["machines"] != 24 || res.Values["shards"] != 8 {
 		t.Errorf("fleet = %v machines / %v shards, want 24/8 at test scale",
@@ -660,9 +625,6 @@ func TestExtServeShape(t *testing.T) {
 		t.Errorf("windows = %v cross_msgs = %v: fleet never coupled",
 			res.Values["windows"], res.Values["cross_msgs"])
 	}
-	if res.Values["wall_ms_p1"] <= 0 || res.Values["wall_ms_p8"] <= 0 {
-		t.Error("missing wall_ms_* values")
-	}
 	if res.EventsProcessed == 0 {
 		t.Error("missing event count")
 	}
@@ -682,123 +644,52 @@ func TestExtServePreloadThatDoesNotFitIsAnError(t *testing.T) {
 
 // TestExtServeTraceSampling drives the traced path: per-shard tracers
 // with disjoint ID bases, tail-based sampling against the run's
-// incidents, and both exports written. The in-run assertions already
-// cover P={1,4,8} byte-identity and the 10x reduction bound; here we
-// sweep five seeds, and at seed 0 re-run to pin byte-identical exports
-// across repeat runs.
+// incidents, and both exports written. The run itself enforces the 10x
+// reduction bound; here we sweep five seeds at -par 1, and at seed 0
+// re-run at -par 4 to pin byte-identical exports across repeat runs and
+// worker counts. Every run writes to a directory of its own, so a run
+// that writes nothing cannot pass on its predecessor's files.
 func TestExtServeTraceSampling(t *testing.T) {
-	dir := t.TempDir()
-	SetTraceDir(dir)
 	defer SetTraceDir("")
 	defer SetBaseSeed(0)
-	fullPath := filepath.Join(dir, "ext-serve.full.trace.json")
-	sampledPath := filepath.Join(dir, "ext-serve.trace.json")
-	for _, seed := range []int64{0, 1, 2, 3, 4} {
-		SetBaseSeed(seed)
+	defer SetParallelism(0)
+	exports := func(seed int64, par int) (full, sampled []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		SetTraceDir(dir)
+		SetParallelism(par)
 		res, err := Run("ext-serve", TestScale)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d -par %d: %v", seed, par, err)
 		}
-		full, sampled := res.Values["trace_spans_full"], res.Values["trace_spans_sampled"]
-		if full <= 0 || sampled <= 0 {
-			t.Fatalf("seed %d: span counts full=%v sampled=%v", seed, full, sampled)
+		fullSpans, sampledSpans := res.Values["trace_spans_full"], res.Values["trace_spans_sampled"]
+		if fullSpans <= 0 || sampledSpans <= 0 {
+			t.Fatalf("seed %d: span counts full=%v sampled=%v", seed, fullSpans, sampledSpans)
 		}
-		if sampled*10 > full {
-			t.Errorf("seed %d: sampled %v of %v spans — misses the 10x bound", seed, sampled, full)
+		if sampledSpans*10 > fullSpans {
+			t.Errorf("seed %d: sampled %v of %v spans — misses the 10x bound", seed, sampledSpans, fullSpans)
 		}
 		if res.Values["slo_windows"] <= 0 {
 			t.Errorf("seed %d: slo plane closed no windows", seed)
 		}
+		if full, err = os.ReadFile(filepath.Join(dir, "ext-serve.full.trace.json")); err != nil {
+			t.Fatal(err)
+		}
+		if sampled, err = os.ReadFile(filepath.Join(dir, "ext-serve.trace.json")); err != nil {
+			t.Fatal(err)
+		}
+		return full, sampled
+	}
+	for _, seed := range []int64{0, 1, 2, 3, 4} {
+		SetBaseSeed(seed)
+		fb1, sb1 := exports(seed, 1)
 		if seed != 0 {
 			continue
 		}
-		fb1, err := os.ReadFile(fullPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb1, err := os.ReadFile(sampledPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run("ext-serve", TestScale); err != nil {
-			t.Fatalf("seed %d repeat: %v", seed, err)
-		}
-		fb2, _ := os.ReadFile(fullPath)
-		sb2, _ := os.ReadFile(sampledPath)
+		fb2, sb2 := exports(seed, 4)
 		if !bytes.Equal(fb1, fb2) || !bytes.Equal(sb1, sb2) {
-			t.Errorf("seed %d: exports differ across identical runs (full %d vs %d bytes, sampled %d vs %d)",
+			t.Errorf("seed %d: exports differ between -par 1 and -par 4 (full %d vs %d bytes, sampled %d vs %d)",
 				seed, len(fb1), len(fb2), len(sb1), len(sb2))
-		}
-	}
-}
-
-func TestExtServeDeterminism(t *testing.T) {
-	defer SetBaseSeed(0)
-	for _, seed := range []int64{0, 5} {
-		SetBaseSeed(seed)
-		r1, err := Run("ext-serve", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		r2, err := Run("ext-serve", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if r1.EventsProcessed != r2.EventsProcessed {
-			t.Errorf("seed %d: events %d vs %d across runs", seed, r1.EventsProcessed, r2.EventsProcessed)
-		}
-		for k, v := range r1.Values {
-			if strings.HasPrefix(k, "wall_") {
-				continue
-			}
-			if r2.Values[k] != v {
-				t.Errorf("seed %d: %s = %v vs %v across runs", seed, k, v, r2.Values[k])
-			}
-		}
-		for i := range r1.Lines {
-			if r1.Lines[i] != r2.Lines[i] {
-				t.Errorf("seed %d: line %d differs:\n%s\n%s", seed, i, r1.Lines[i], r2.Lines[i])
-			}
-		}
-		if !reflect.DeepEqual(r1.Trace, r2.Trace) {
-			t.Errorf("seed %d: merged traces differ across runs", seed)
-		}
-	}
-}
-
-// Two runs at the same seed must agree on every deterministic value and
-// every line, at several base seeds — the host-time wall_* keys are the
-// only permitted difference.
-func TestExtScaleDeterminism(t *testing.T) {
-	defer SetBaseSeed(0)
-	for _, seed := range []int64{0, 3} {
-		SetBaseSeed(seed)
-		r1, err := Run("ext-scale", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		r2, err := Run("ext-scale", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if r1.EventsProcessed != r2.EventsProcessed {
-			t.Errorf("seed %d: events %d vs %d across runs", seed, r1.EventsProcessed, r2.EventsProcessed)
-		}
-		for k, v := range r1.Values {
-			if strings.HasPrefix(k, "wall_") {
-				continue
-			}
-			if r2.Values[k] != v {
-				t.Errorf("seed %d: %s = %v vs %v across runs", seed, k, v, r2.Values[k])
-			}
-		}
-		for i := range r1.Lines {
-			if r1.Lines[i] != r2.Lines[i] {
-				t.Errorf("seed %d: line %d differs:\n%s\n%s", seed, i, r1.Lines[i], r2.Lines[i])
-			}
-		}
-		if len(r1.Trace) == 0 || !reflect.DeepEqual(r1.Trace, r2.Trace) {
-			t.Errorf("seed %d: merged traces differ across runs", seed)
 		}
 	}
 }
@@ -855,60 +746,76 @@ func TestExtGPUFleetShape(t *testing.T) {
 	}
 }
 
-// Two runs at the same seed must agree on every deterministic value,
-// line, and trace event, at several base seeds.
-func TestExtGPUFleetDeterminism(t *testing.T) {
-	defer SetBaseSeed(0)
-	for _, seed := range []int64{0, 4} {
-		SetBaseSeed(seed)
-		r1, err := Run("ext-gpufleet", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		r2, err := Run("ext-gpufleet", TestScale)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if r1.EventsProcessed != r2.EventsProcessed {
-			t.Errorf("seed %d: events %d vs %d across runs", seed, r1.EventsProcessed, r2.EventsProcessed)
-		}
-		for k, v := range r1.Values {
-			if strings.HasPrefix(k, "wall_") {
-				continue
-			}
-			if r2.Values[k] != v {
-				t.Errorf("seed %d: %s = %v vs %v across runs", seed, k, v, r2.Values[k])
-			}
-		}
-		for i := range r1.Lines {
-			if r1.Lines[i] != r2.Lines[i] {
-				t.Errorf("seed %d: line %d differs:\n%s\n%s", seed, i, r1.Lines[i], r2.Lines[i])
-			}
-		}
-		if len(r1.Trace) == 0 || !reflect.DeepEqual(r1.Trace, r2.Trace) {
-			t.Errorf("seed %d: merged traces differ across runs", seed)
-		}
-	}
-}
-
 // TestRunLeavesNoGoroutines: an experiment's daemons (reactors, the
 // global and adaptation loops, antagonists) are still parked when it
-// ends; closing its systems must release every one of them.
+// ends, and at -par 4 a partitioned fleet has a ParKernel worker pool;
+// closing its systems must release every one of them.
 func TestRunLeavesNoGoroutines(t *testing.T) {
+	SetParallelism(4)
+	defer SetParallelism(0)
 	if _, err := Run("fig1", TestScale); err != nil { // anything lazily started by a first run
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	if _, err := Run("fig1", TestScale); err != nil {
-		t.Fatal(err)
-	}
-	// A process unwound by Kernel.Close has reported in slightly before
-	// the runtime stops counting its goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines alive after the run, %d before it: the fleet leaked", runtime.NumGoroutine(), before)
+	for _, id := range List() {
+		if _, err := Run(id, TestScale); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
-		runtime.Gosched()
+		// A process unwound by Kernel.Close has reported in slightly
+		// before the runtime stops counting its goroutine.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines alive after the run, %d before it: the fleet leaked", id, runtime.NumGoroutine(), before)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestPartitionedFleetsAcrossWorkers: a partitioned fleet's run is the
+// same at every host worker count. ext-scale's scaleDet and ext-serve's
+// serveOutcome — per-shard events, op, error and request counts, window
+// and cross-message totals, the merged trace, and ext-serve's latency
+// histograms down to the bucket — must be reflect.DeepEqual at P = 1, 4
+// and 8, at base seeds 0 to 2. Under -race this is also the data-race
+// check of the window barrier and the mailboxes at fleet scale.
+func TestPartitionedFleetsAcrossWorkers(t *testing.T) {
+	defer SetBaseSeed(0)
+	t.Run("ext-scale", func(t *testing.T) {
+		sameAtEveryP(t, func(p int) (scaleDet, []uint64, error) {
+			det, err := runScaleOnce(scaleConfig(TestScale), p)
+			return det, det.ShardEvents, err
+		})
+	})
+	t.Run("ext-serve", func(t *testing.T) {
+		sameAtEveryP(t, func(p int) (serveOutcome, []uint64, error) {
+			o, err := runServeOnce(serveConfig(TestScale), p)
+			return o, o.det.ShardEvents, err
+		})
+	})
+}
+
+// sameAtEveryP runs once at each worker count and base seed and fails
+// unless every run of a seed is reflect.DeepEqual to its P = 1 run.
+func sameAtEveryP[O any](t *testing.T, once func(workers int) (O, []uint64, error)) {
+	t.Helper()
+	sweepP := []int{1, 4, 8}
+	for _, seed := range goldenSeeds {
+		SetBaseSeed(seed)
+		var ref O
+		var refEvents []uint64
+		for i, p := range sweepP {
+			o, events, err := once(p)
+			if err != nil {
+				t.Fatalf("seed %d P=%d: %v", seed, p, err)
+			}
+			if i == 0 {
+				ref, refEvents = o, events
+			} else if !reflect.DeepEqual(o, ref) {
+				t.Errorf("seed %d: P=%d diverged from P=%d (per-shard events %v vs %v)",
+					seed, p, sweepP[0], events, refEvents)
+			}
+		}
 	}
 }

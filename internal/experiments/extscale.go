@@ -11,16 +11,13 @@ package experiments
 // (granular re-placement plus rebuild, as in ext-chaos — now inside a
 // partitioned run).
 //
-// The experiment is its own determinism harness (sweepWorkers): the same
-// seed runs at every worker count of sweepP and must yield one scaleDet
-// — per-shard event counts, per-shard op and error counts, window and
-// cross-message totals, and the merged control-plane trace. The CI seed
-// sweep runs this experiment at several seeds, so the sweep is
-// automatically a seed x P matrix.
+// The run takes its host worker count from SetParallelism; every field
+// of its scaleDet — per-shard event counts, per-shard op and error
+// counts, window and cross-message totals, and the merged control-plane
+// trace — is the same at any worker count, which the tests assert.
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"repro/internal/cluster"
@@ -195,46 +192,6 @@ func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
 // durable copy of the data.
 func opVal(key uint64) int64 { return int64(key>>32)*1_000_003 + int64(uint32(key)) }
 
-// sweepP is the host worker counts every partitioned experiment runs at.
-var sweepP = []int{1, 4, 8}
-
-// sweepWorkers makes a partitioned experiment its own determinism
-// harness: it runs once at each worker count of sweepP and fails unless
-// every run's outcome is reflect.DeepEqual to the first's, which it
-// returns. Each run's per-shard kernel events are added to res. Host
-// wall-clock per worker count goes under Values keys prefixed "wall_":
-// host time is the one observable that legitimately varies run to run
-// (and cannot show parallel speedup at all on a single-core host), so
-// those keys never appear in Lines (which the seed sweep byte-compares)
-// and benchdiff excludes the prefix from its regression gate.
-func sweepWorkers[O any](res *Result, once func(workers int) (O, []uint64, error)) (O, error) {
-	wall := make([]float64, len(sweepP))
-	var ref O
-	var refEvents []uint64
-	for i, p := range sweepP {
-		start := time.Now()
-		o, events, err := once(p)
-		if err != nil {
-			return ref, err
-		}
-		wall[i] = float64(time.Since(start).Microseconds()) / 1000
-		res.EventsProcessed += sumU64(events)
-		if i == 0 {
-			ref, refEvents = o, events
-		} else if !reflect.DeepEqual(o, ref) {
-			return ref, fmt.Errorf("%s: determinism violated — P=%d diverged from P=%d (per-shard events %v vs %v)",
-				res.ID, p, sweepP[0], events, refEvents)
-		}
-	}
-	for i, p := range sweepP {
-		res.set(fmt.Sprintf("wall_ms_p%d", p), wall[i])
-		if i > 0 && wall[i] > 0 {
-			res.set(fmt.Sprintf("wall_speedup_p%d", p), wall[0]/wall[i])
-		}
-	}
-	return ref, nil
-}
-
 func runExtScale(scale Scale) (*Result, error) {
 	cfg := scaleConfig(scale)
 	res := newResult("ext-scale", "extension: 1,000-machine partitioned fleet, deterministic at any worker count")
@@ -243,13 +200,11 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.addf("faults: shard 0 crashes machine 1 at %v, restarts it at %v",
 		sim.Time(float64(cfg.horizon)*0.35), sim.Time(float64(cfg.horizon)*0.65))
 
-	ref, err := sweepWorkers(res, func(p int) (scaleDet, []uint64, error) {
-		det, err := runScaleOnce(cfg, p)
-		return det, det.ShardEvents, err
-	})
+	ref, err := runScaleOnce(cfg, workers())
 	if err != nil {
 		return nil, err
 	}
+	res.EventsProcessed = sumU64(ref.ShardEvents)
 	res.Trace = ref.Trace
 
 	var ops, failed, crossOps, crossFailed int64
@@ -263,10 +218,6 @@ func runExtScale(scale Scale) (*Result, error) {
 		ops, failed, crossOps, crossFailed, ref.Lost)
 	res.addf("crashes %d, orphans re-placed %d; %d sync windows, %d cross-shard RPCs",
 		ref.Crashes, ref.Recoveries, ref.Windows, ref.CrossMsgs)
-	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run)",
-		ref.ShardEvents, sweepP)
-	res.addf("wall-clock per worker count is host time: see the wall_* keys in the")
-	res.addf("JSON output (excluded from byte-compared output and the benchdiff gate).")
 
 	res.set("machines", float64(cfg.shards*cfg.perShard))
 	res.set("shards", float64(cfg.shards))
@@ -279,7 +230,7 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.set("recoveries", float64(ref.Recoveries))
 	res.set("windows", float64(ref.Windows))
 	res.set("cross_msgs", float64(ref.CrossMsgs))
-	res.set("events", float64(sumU64(ref.ShardEvents)))
+	res.set("events", float64(res.EventsProcessed))
 	return res, nil
 }
 

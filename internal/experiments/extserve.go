@@ -23,10 +23,10 @@ package experiments
 // shard migrates two of its stores to different machines while serving,
 // so the migrate-phase p999 shows the blackout cost). A jittered
 // workload.Antagonist per shard exercises the injected-RNG interference
-// path. Like ext-scale, the run is its own determinism harness
-// (sweepWorkers): every observable of a run — per-shard events, request
-// counts, histograms, merged trace, trace exports — must be identical at
-// every worker count.
+// path. Like ext-scale, the run takes its host worker count from
+// SetParallelism, and every observable of a run — per-shard events,
+// request counts, histograms, merged trace, trace exports — is the same
+// at any worker count, which the tests assert.
 
 import (
 	"bytes"
@@ -187,9 +187,9 @@ func (cfg serveCfg) phaseOf(at sim.Time) int {
 }
 
 // serveDet is every observable that must be identical at any worker
-// count, compared with reflect.DeepEqual across the P sweep. Histogram
-// state rides along as snapshots: if a single latency bucket shifts
-// between worker counts, the run fails.
+// count, which the tests compare with reflect.DeepEqual across worker
+// counts. Histogram state rides along as snapshots: if a single latency
+// bucket shifts between worker counts, the comparison fails.
 type serveDet struct {
 	ShardEvents []uint64
 	Generated   []uint64
@@ -216,7 +216,7 @@ type serveOutcome struct {
 
 	// Trace exports, only when a trace directory is configured: the
 	// full merged Chrome trace, its tail-sampled subset, and the
-	// sampler's retention accounting. Byte-compared across the P sweep.
+	// sampler's retention accounting.
 	fullTrace    []byte
 	sampledTrace []byte
 	sampleStats  slo.SampleStats
@@ -303,7 +303,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 
 	// Shared immutable per-tenant samplers: each shard draws from its
 	// own RNG streams, and load.NewZipf memoises the zeta precompute, so
-	// the P sweep's reruns do not sum it again.
+	// a rerun in the same process does not sum it again.
 	zipfs := make([]*load.Zipf, len(cfg.tenants))
 	for i, t := range cfg.tenants {
 		zipfs[i] = load.NewZipf(t.keys, t.theta)
@@ -493,7 +493,6 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
 	// sampling against the run's incidents, and render both traces.
-	// The bytes ride back to the caller for the P-sweep identity check.
 	if traceDir != "" {
 		tracers := make([]*obs.Tracer, cfg.shards)
 		for s, st := range shards {
@@ -528,13 +527,11 @@ func runExtServe(scale Scale) (*Result, error) {
 			t.name, t.clients, t.perRPS, t.theta, t.keys, extra)
 	}
 
-	ref, err := sweepWorkers(res, func(p int) (serveOutcome, []uint64, error) {
-		o, err := runServeOnce(cfg, p)
-		return o, o.det.ShardEvents, err
-	})
+	ref, err := runServeOnce(cfg, workers())
 	if err != nil {
 		return nil, err
 	}
+	res.EventsProcessed = sumU64(ref.det.ShardEvents)
 	res.Trace = ref.det.Trace
 
 	var generated, served, timeouts, errs uint64
@@ -604,8 +601,6 @@ func runExtServe(scale Scale) (*Result, error) {
 			return nil, err
 		}
 	}
-	res.addf("determinism: per-shard events %v identical at P=%v (asserted in-run,", ref.det.ShardEvents, sweepP)
-	res.addf("histogram snapshots included); wall_* keys are host time, excluded from gates.")
 
 	res.set("machines", float64(cfg.shards*cfg.perShard))
 	res.set("shards", float64(cfg.shards))
@@ -626,6 +621,6 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("migrations", float64(migrations))
 	res.set("windows", float64(ref.det.Windows))
 	res.set("cross_msgs", float64(ref.det.CrossMsgs))
-	res.set("events", float64(sumU64(ref.det.ShardEvents)))
+	res.set("events", float64(res.EventsProcessed))
 	return res, nil
 }

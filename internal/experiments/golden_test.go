@@ -80,9 +80,6 @@ func writeGolden(b *strings.Builder, res *Result) {
 	res.Print(b)
 	fmt.Fprintf(b, "events_processed %d\n", res.EventsProcessed)
 	for _, k := range sortedKeys(res.Values) {
-		if strings.HasPrefix(k, "wall_") { // host time, not a simulated value
-			continue
-		}
 		fmt.Fprintf(b, "value %s %s\n", k, strconv.FormatFloat(res.Values[k], 'g', -1, 64))
 	}
 	fmt.Fprintf(b, "trace %d %s\n", len(res.Trace), digest(res.Trace))
