@@ -74,8 +74,8 @@ func edited(vals, edits map[string]float64, drop ...string) map[string]float64 {
 
 func TestCompareValues(t *testing.T) {
 	// A record shaped like BENCH_ext-failover.json: durability counters,
-	// failover latency and an op count, plus a key named like the host
-	// times records once held, which gates like any other.
+	// failover latency and an op count, plus a wall_ key, which gates
+	// like any other.
 	base := benchStats{
 		ID: "ext-failover", Events: 1000, Allocs: 500,
 		Values: map[string]float64{
@@ -127,8 +127,8 @@ func TestCompareValues(t *testing.T) {
 
 func TestCompareServingValues(t *testing.T) {
 	// A record shaped like BENCH_ext-serve.json: goodput, overall and
-	// per-phase tail quantiles, and two keys named like the host times
-	// records once held, which gate like any other.
+	// per-phase tail quantiles, plus two wall_ keys, which gate like any
+	// other.
 	base := benchStats{
 		ID: "ext-serve", Events: 1000, Allocs: 500,
 		Values: map[string]float64{

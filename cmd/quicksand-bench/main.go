@@ -29,8 +29,8 @@
 // -seed N offsets the RNG seeds of the seed-swept experiments (fig2,
 // ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Runs at
 // the same -seed must produce byte-identical output at any -par — CI's
-// seed-sweep job compares -par 1 with -par 4. 0 (the default) keeps the committed seeds that the
-// BENCH_*.json baselines were recorded at.
+// seed-sweep job compares -par 1 with -par 4. 0 (the default) keeps the
+// committed seeds that the BENCH_*.json baselines were recorded at.
 //
 // -trace-dir DIR enables causal span tracing plus resource telemetry
 // on the traced experiments (fig1's quicksand mode, ext-failover's
