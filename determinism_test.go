@@ -1,11 +1,15 @@
 package quicksand
 
-// Seed-swept guarantees of the replication stack. That one seed
-// produces exactly one behaviour is the golden table's to check, for
-// every experiment (internal/experiments TestGoldens); these tests hold
-// what a behaviour must be at every seed.
+// One seed produces exactly one behaviour. The golden table
+// (internal/experiments TestExperimentDeterminism and TestExtGoldens)
+// holds that for every experiment at base seeds 0-2 and -par 1 and 4;
+// the tests here vary what the table holds fixed — the host's
+// GOMAXPROCS, other -par values, a seed outside the table — and hold
+// what a behaviour of the replication stack must be at every seed.
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,6 +20,67 @@ import (
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
+
+func runExperiment(t *testing.T, id string) *experiments.Result {
+	t.Helper()
+	res, err := experiments.Run(id, experiments.TestScale)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	if res.EventsProcessed == 0 || len(res.Trace) == 0 {
+		t.Fatalf("%s: %d kernel events, %d trace events: want both non-zero", id, res.EventsProcessed, len(res.Trace))
+	}
+	return res
+}
+
+// TestFig1Deterministic: fig1 is the same Result, down to every trace
+// event and series sample, whether the Go runtime schedules it on one
+// host thread or on all of them.
+func TestFig1Deterministic(t *testing.T) {
+	a := runExperiment(t, "fig1")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if b := runExperiment(t, "fig1"); !reflect.DeepEqual(a, b) {
+		t.Error("fig1 differs between GOMAXPROCS=1 and the host default")
+	}
+}
+
+// TestFig1DeterministicParallel: each fig1 mode simulates on its own
+// kernel and results merge by configuration index, never completion
+// order, so -par 2 and 3 — the uneven splits the golden table does not
+// run — give the -par 1 Result.
+func TestFig1DeterministicParallel(t *testing.T) {
+	defer experiments.SetParallelism(0)
+	experiments.SetParallelism(1)
+	seq := runExperiment(t, "fig1")
+	for _, par := range []int{2, 3} {
+		experiments.SetParallelism(par)
+		if res := runExperiment(t, "fig1"); !reflect.DeepEqual(seq, res) {
+			t.Errorf("fig1 at -par %d differs from -par 1", par)
+		}
+	}
+}
+
+// TestExtChaosDeterministic extends the one-seed-one-behaviour
+// guarantee to fault injection under a seed offset outside the golden
+// table: seed 3 must produce the same crash instants, drop decisions,
+// retry backoffs and recovery twice over, must differ from seed 0, and
+// must leave nothing behind that moves seed 0 once it is restored.
+func TestExtChaosDeterministic(t *testing.T) {
+	defer experiments.SetBaseSeed(0)
+	base := runExperiment(t, "ext-chaos")
+	experiments.SetBaseSeed(3)
+	shifted := runExperiment(t, "ext-chaos")
+	if again := runExperiment(t, "ext-chaos"); !reflect.DeepEqual(shifted, again) {
+		t.Error("ext-chaos at seed 3 differs from itself")
+	}
+	if reflect.DeepEqual(base, shifted) {
+		t.Error("ext-chaos at seed 3 is seed 0's run: the seed offset reached no fault decision")
+	}
+	experiments.SetBaseSeed(0)
+	if restored := runExperiment(t, "ext-chaos"); !reflect.DeepEqual(base, restored) {
+		t.Error("ext-chaos at seed 0 moved after a seed-3 run")
+	}
+}
 
 // TestExtFailoverDeterministic5Seeds sweeps the replication stack —
 // heartbeats, lease renewals, group-commit batches, promotion, resync —

@@ -52,8 +52,8 @@ type Result struct {
 	// EventsProcessed is the total number of kernel events executed
 	// across the experiment's simulation runs (every experiment sets it),
 	// and Trace the rendered control-plane event log of those that keep
-	// one — both exist so the golden table (TestGoldens) can assert that
-	// one seed produces exactly one behaviour.
+	// one — both exist so the golden table can assert that one seed
+	// produces exactly one behaviour.
 	EventsProcessed uint64
 	Trace           []string
 }

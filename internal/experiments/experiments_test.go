@@ -773,27 +773,56 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestPartitionedFleetsAcrossWorkers: a partitioned fleet's run is the
-// same at every host worker count. ext-scale's scaleDet and ext-serve's
-// serveOutcome — per-shard events, op, error and request counts, window
-// and cross-message totals, the merged trace, and ext-serve's latency
-// histograms down to the bucket — must be reflect.DeepEqual at P = 1, 4
-// and 8, at base seeds 0 to 2. Under -race this is also the data-race
-// check of the window barrier and the mailboxes at fleet scale.
-func TestPartitionedFleetsAcrossWorkers(t *testing.T) {
+// TestExtScaleDeterminism: a partitioned fleet's run is the same at
+// every host worker count. ext-scale's scaleDet — per-shard events, op
+// and error counts, window and cross-message totals, and the merged
+// trace — must be reflect.DeepEqual at P = 1, 4 and 8, at base seeds 0
+// to 2. Under -race this is also the data-race check of the window
+// barrier and the mailboxes at fleet scale.
+func TestExtScaleDeterminism(t *testing.T) {
 	defer SetBaseSeed(0)
-	t.Run("ext-scale", func(t *testing.T) {
-		sameAtEveryP(t, func(p int) (scaleDet, []uint64, error) {
-			det, err := runScaleOnce(scaleConfig(TestScale), p)
-			return det, det.ShardEvents, err
-		})
+	sameAtEveryP(t, func(p int) (scaleDet, []uint64, error) {
+		det, err := runScaleOnce(scaleConfig(TestScale), p)
+		return det, det.ShardEvents, err
 	})
-	t.Run("ext-serve", func(t *testing.T) {
-		sameAtEveryP(t, func(p int) (serveOutcome, []uint64, error) {
-			o, err := runServeOnce(serveConfig(TestScale), p)
-			return o, o.det.ShardEvents, err
-		})
+}
+
+// TestExtServeDeterminism: as TestExtScaleDeterminism, for ext-serve's
+// serveOutcome, which adds request counts and the latency histograms
+// down to the bucket.
+func TestExtServeDeterminism(t *testing.T) {
+	defer SetBaseSeed(0)
+	sameAtEveryP(t, func(p int) (serveOutcome, []uint64, error) {
+		o, err := runServeOnce(serveConfig(TestScale), p)
+		return o, o.det.ShardEvents, err
 	})
+}
+
+// TestExtGPUFleetDeterminism: ext-gpufleet fans its four variants
+// across -par workers and merges them by variant index. The golden table
+// runs it at -par 1 and 4, one worker and one per variant; the uneven
+// splits, -par 2 and 3, must give a Result reflect.DeepEqual to -par 1's,
+// at base seeds 0 to 2.
+func TestExtGPUFleetDeterminism(t *testing.T) {
+	defer SetBaseSeed(0)
+	defer SetParallelism(0)
+	for _, seed := range goldenSeeds {
+		SetBaseSeed(seed)
+		var ref *Result
+		for _, par := range []int{1, 2, 3} {
+			SetParallelism(par)
+			res, err := Run("ext-gpufleet", TestScale)
+			if err != nil {
+				t.Fatalf("seed %d -par %d: %v", seed, par, err)
+			}
+			if ref == nil {
+				ref = res
+			} else if !reflect.DeepEqual(res, ref) {
+				t.Errorf("seed %d: -par %d diverged from -par 1 (events %d vs %d)",
+					seed, par, res.EventsProcessed, ref.EventsProcessed)
+			}
+		}
+	}
 }
 
 // sameAtEveryP runs once at each worker count and base seed and fails

@@ -1,7 +1,10 @@
 package experiments
 
-// The one determinism check of the experiment suite. A seed's output is
-// a fact of the simulation, so testdata/<id>.golden holds everything a
+// The golden table: the one determinism check of the experiment suite,
+// one harness behind two tests — TestExperimentDeterminism takes the
+// paper's figures and ablations, TestExtGoldens the ext-* experiments,
+// so between them they run every id in List(). A seed's output is a
+// fact of the simulation, so testdata/<id>.golden holds everything a
 // run of <id> at TestScale observes — Print, EventsProcessed, every
 // Values key written exactly, and the Trace and each Series as a count
 // plus a SHA-256 — for base seeds 0, 1 and 2. Every experiment runs at
@@ -9,9 +12,10 @@ package experiments
 // a run that differs from itself, from another worker count, or from
 // the committed seed's past has changed behaviour.
 //
-// EXPERIMENTS_UPDATE_GOLDENS=1 go test -run TestGoldens rewrites the
-// files from the -par 1 runs, which only makes sense when a change means
-// to move the output; the diff then shows what moved.
+//	EXPERIMENTS_UPDATE_GOLDENS=1 go test -run 'TestExperimentDeterminism|TestExtGoldens'
+//
+// rewrites the files from the -par 1 runs, which only makes sense when a
+// change means to move the output; the diff then shows what moved.
 
 import (
 	"crypto/sha256"
@@ -31,11 +35,25 @@ var (
 	goldenPars  = []int{1, 4}
 )
 
-func TestGoldens(t *testing.T) {
+func TestExperimentDeterminism(t *testing.T) {
+	goldenTable(t, func(id string) bool { return !strings.HasPrefix(id, "ext-") })
+}
+
+func TestExtGoldens(t *testing.T) {
+	goldenTable(t, func(id string) bool { return strings.HasPrefix(id, "ext-") })
+}
+
+// goldenTable checks every id in List() that take selects against its
+// golden, at every golden seed and -par value.
+func goldenTable(t *testing.T, take func(id string) bool) {
+	t.Helper()
 	defer SetBaseSeed(0)
 	defer SetParallelism(0)
 	update := os.Getenv("EXPERIMENTS_UPDATE_GOLDENS") != ""
 	for _, id := range List() {
+		if !take(id) {
+			continue
+		}
 		t.Run(id, func(t *testing.T) {
 			got := make([]string, len(goldenPars))
 			for i, par := range goldenPars {
