@@ -944,25 +944,38 @@ func BenchmarkExtServe(b *testing.B) {
 
 // ---- Load-plane micro-benchmarks ----
 
-// BenchmarkZipfSample measures the O(1) Zipfian key sampler over a
-// 10M-key space. The sample path must be allocation-free: skewed key
-// popularity costs a handful of float ops per request regardless of
-// keyspace size.
+// BenchmarkZipfSample measures the O(1) Zipfian key sampler at the
+// scenario library's pair (2²⁰ keys, theta 0.9: alpha 10), at
+// ext-serve's 10M-key pair (theta 0.99: alpha 100), and at theta 0.3,
+// whose alpha (1.43) has no integer power, so every draw pays math.Pow.
+// The sample path must be allocation-free in each.
 func BenchmarkZipfSample(b *testing.B) {
-	b.ReportAllocs()
-	z := load.NewZipf(10_000_000, 0.99)
-	rng := rand.New(rand.NewSource(1))
-	if allocs := testing.AllocsPerRun(1000, func() {
-		_ = load.ScrambleKey(z.Sample(rng))
-	}); allocs != 0 {
-		b.Fatalf("zipf sample path allocates: %v allocs/op", allocs)
+	for _, c := range []struct {
+		name  string
+		n     uint64
+		theta float64
+	}{
+		{"n=2^20,theta=0.9", 1 << 20, 0.9},
+		{"n=1e7,theta=0.99", 10_000_000, 0.99},
+		{"n=2^20,theta=0.3", 1 << 20, 0.3},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			z := load.NewZipf(c.n, c.theta)
+			rng := rand.New(rand.NewSource(1))
+			if allocs := testing.AllocsPerRun(1000, func() {
+				_ = load.ScrambleKey(z.Sample(rng))
+			}); allocs != 0 {
+				b.Fatalf("zipf sample path allocates: %v allocs/op", allocs)
+			}
+			var sink uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += load.ScrambleKey(z.Sample(rng))
+			}
+			_ = sink
+		})
 	}
-	var sink uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += load.ScrambleKey(z.Sample(rng))
-	}
-	_ = sink
 }
 
 // zipfColdPairs numbers the pairs BenchmarkNewZipf/cold has used, across

@@ -7,7 +7,7 @@
 // stream of kernel events even while idle. An open-loop population is
 // the opposite contract — the offered load is an intensity function
 // λ(t) over virtual time, and clients exist only as that intensity.
-// Three pieces make this practical inside the deterministic simulator:
+// Four pieces make this practical inside the deterministic simulator:
 //
 //   - Curve: piecewise-linear request-rate curves (diurnal sine
 //     approximations, flash-crowd spikes, ramps) built per tenant from
@@ -17,7 +17,10 @@
 //     window maximum, allocation-free after warm-up, from an injected
 //     per-shard RNG stream.
 //   - Zipf (zipf.go): O(1) skewed key sampling with zero allocations
-//     on the sample path.
+//     on the sample path. Where 1/(1−theta) is within 1e-12 of an
+//     integer k (every skew in use), a draw takes x^k by repeated
+//     squaring and falls back to math.Pow only within a guard band of a
+//     rank boundary, so every rank is the one math.Pow gives.
 //   - Injector (inject.go): batched shard-local injection — arrivals
 //     for one sim.ParKernel shard are drawn a window at a time in
 //     shard context and enqueued through the kernel's pooled event
@@ -163,21 +166,17 @@ func (c Curve) rateFrom(i int, t sim.Time) (float64, int) {
 	return a.Rate + (b.Rate-a.Rate)*frac, i
 }
 
-// rate evaluates the curve at t.
-func (c Curve) rate(t sim.Time) float64 {
-	r, _ := c.rateFrom(0, t)
-	return r
-}
-
-// maxRate returns the maximum rate over [from, to]. A piecewise-linear
-// curve attains its window maximum at a segment endpoint or a window
-// edge, so this is exact — the tight thinning bound for that window.
-func (c Curve) maxRate(from, to sim.Time) float64 {
-	max := c.rate(from)
-	if r := c.rate(to); r > max {
+// maxRate returns the maximum rate over [from, to], scanning from
+// segment hint i, which must not lie past from's segment (Arrivals
+// passes its cursor). A piecewise-linear curve attains its window
+// maximum at a segment endpoint or a window edge, so this is exact —
+// the tight thinning bound for that window.
+func (c Curve) maxRate(i int, from, to sim.Time) float64 {
+	max, i := c.rateFrom(i, from)
+	if r, _ := c.rateFrom(i, to); r > max {
 		max = r
 	}
-	for _, pt := range c.pts {
+	for _, pt := range c.pts[i:] {
 		if pt.At <= from {
 			continue
 		}
@@ -189,30 +188,6 @@ func (c Curve) maxRate(from, to sim.Time) float64 {
 		}
 	}
 	return max
-}
-
-// mean returns the time-weighted mean rate over [from, to) — the
-// expected number of arrivals in the window divided by its length.
-func (c Curve) mean(from, to sim.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	var area float64
-	prevT := from
-	prevR := c.rate(from)
-	for _, pt := range c.pts {
-		if pt.At <= from {
-			continue
-		}
-		if pt.At >= to {
-			break
-		}
-		r := c.rate(pt.At)
-		area += (prevR + r) / 2 * float64(pt.At-prevT)
-		prevT, prevR = pt.At, r
-	}
-	area += (prevR + c.rate(to)) / 2 * float64(to-prevT)
-	return area / float64(to-from)
 }
 
 // Arrivals samples a nonhomogeneous Poisson process whose intensity is
@@ -251,7 +226,7 @@ func (a *Arrivals) Draw(from, to sim.Time) []sim.Time {
 	if to <= from {
 		return a.buf
 	}
-	lamMax := a.curve.maxRate(from, to)
+	lamMax := a.curve.maxRate(a.cursor, from, to)
 	if lamMax <= 0 {
 		return a.buf
 	}

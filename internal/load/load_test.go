@@ -10,6 +10,95 @@ import (
 	"repro/internal/sim"
 )
 
+// rate evaluates the curve at t.
+func (c Curve) rate(t sim.Time) float64 {
+	r, _ := c.rateFrom(0, t)
+	return r
+}
+
+// mean returns the time-weighted mean rate over [from, to) — the
+// expected number of arrivals in the window divided by its length.
+func (c Curve) mean(from, to sim.Time) float64 {
+	if to <= from {
+		return 0
+	}
+	var area float64
+	prevT := from
+	prevR := c.rate(from)
+	for _, pt := range c.pts {
+		if pt.At <= from {
+			continue
+		}
+		if pt.At >= to {
+			break
+		}
+		r := c.rate(pt.At)
+		area += (prevR + r) / 2 * float64(pt.At-prevT)
+		prevT, prevR = pt.At, r
+	}
+	area += (prevR + c.rate(to)) / 2 * float64(to-prevT)
+	return area / float64(to-from)
+}
+
+// fullScanMaxRate is maxRate as it stood before the segment hint: every
+// scan starts at the curve's first point.
+func (c Curve) fullScanMaxRate(from, to sim.Time) float64 {
+	max := c.rate(from)
+	if r := c.rate(to); r > max {
+		max = r
+	}
+	for _, pt := range c.pts {
+		if pt.At <= from {
+			continue
+		}
+		if pt.At >= to {
+			break
+		}
+		if pt.Rate > max {
+			max = pt.Rate
+		}
+	}
+	return max
+}
+
+// TestMaxRateFromHintMatchesFullScan: over random curves and a
+// time-ordered run of random windows, maxRate from the cursor Draw
+// would hold, and from every other hint at or before from's segment,
+// returns the full scan's maximum bit for bit.
+func TestMaxRateFromHintMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 300; round++ {
+		pts := make([]CurvePoint, 1+rng.Intn(40))
+		at := sim.Time(rng.Intn(1000))
+		for i := range pts {
+			pts[i] = CurvePoint{At: at, Rate: rng.Float64() * 1000}
+			if rng.Intn(5) == 0 {
+				pts[i].Rate = 0
+			}
+			at += sim.Time(1 + rng.Intn(500))
+		}
+		c := piecewise(pts...)
+		cursor := 0
+		for from := sim.Time(0); from < at+500; {
+			to := from + sim.Time(rng.Intn(400))
+			want := c.fullScanMaxRate(from, to)
+			_, seg := c.rateFrom(0, from)
+			for i := 0; i <= seg; i++ {
+				if got := c.maxRate(i, from, to); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("round %d [%v, %v] hint %d: maxRate %v, full scan %v", round, from, to, i, got, want)
+				}
+			}
+			if got := c.maxRate(cursor, from, to); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("round %d [%v, %v] cursor %d: maxRate %v, full scan %v", round, from, to, cursor, got, want)
+			}
+			if to > from { // Draw's cursor trails its last candidate, which is before to
+				_, cursor = c.rateFrom(cursor, from+sim.Time(rng.Int63n(int64(to-from))))
+			}
+			from = to
+		}
+	}
+}
+
 func TestCurveRateAndMax(t *testing.T) {
 	c := piecewise(
 		CurvePoint{At: 0, Rate: 100},
@@ -22,11 +111,11 @@ func TestCurveRateAndMax(t *testing.T) {
 	if got := c.rate(sim.Time(30 * time.Second)); got != 50 {
 		t.Fatalf("Rate past end = %v, want 50", got)
 	}
-	if got := c.maxRate(0, sim.Time(30*time.Second)); got != 300 {
+	if got := c.maxRate(0, 0, sim.Time(30*time.Second)); got != 300 {
 		t.Fatalf("maxRate = %v, want 300 (interior peak)", got)
 	}
 	// Window that excludes the peak: max is at a window edge.
-	if got := c.maxRate(sim.Time(12*time.Second), sim.Time(14*time.Second)); got <= 200 || got >= 300 {
+	if got := c.maxRate(0, sim.Time(12*time.Second), sim.Time(14*time.Second)); got <= 200 || got >= 300 {
 		t.Fatalf("maxRate(12s,14s) = %v, want in (200,300)", got)
 	}
 	if got := c.mean(0, sim.Time(10*time.Second)); math.Abs(got-200) > 1e-9 {

@@ -15,6 +15,10 @@ import (
 // skewed popularity distribution over tens of millions of keys costs
 // the same as one over a hundred.
 //
+// The inversion raises x to alpha = 1/(1−theta). For every skew in use
+// (0.9, 0.99, 0.75, 0.5) alpha is within 1e-12 of an integer, and rank
+// takes that power by repeated squaring, not math.Pow's Exp and Log.
+//
 // A Zipf is immutable after construction and holds no RNG: the stream
 // is injected per call, so one shared Zipf serves every shard of a
 // partitioned simulation — and, through NewZipf's memo, every tenant
@@ -27,7 +31,21 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// k and guard are the integer-power fast path: k is the integer
+	// alpha rounds to (0 when alpha is not within 1e-12 of one), guard
+	// the relative distance from an integer inside which rank falls back
+	// to math.Pow.
+	k     uint64
+	guard float64
 }
+
+// Fast-path limits: alpha may be this far from its integer k, and k at
+// most this large. The distance bounds the guard (under 6.5e-11 of a
+// rank); the power bounds the squarings (2·log2(1024) = 20 roundings).
+const (
+	powFracMax = 1e-12
+	powIntMax  = 1024
+)
 
 // zetaExactMax bounds the exact harmonic summation; beyond it the tail
 // is closed with an Euler–Maclaurin integral correction, making
@@ -82,6 +100,19 @@ func buildZipf(n uint64, theta float64) *Zipf {
 	z.zeta2 = zeta(2, theta)
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	// Split alpha as math.Pow does: Pow(x, alpha) is Exp(yf·Log(x)) times
+	// x^yi by repeated squaring, with yf moved into (-0.5, 0.5].
+	yi, yf := math.Modf(z.alpha)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	if math.Abs(yf) < powFracMax && yi <= powIntMax {
+		// 64·|yf| covers x^yf (|ln x| < 44, see rank); 2⁻⁴⁰ covers the
+		// roundings, a few ulps (2⁻⁵²) each.
+		z.k = uint64(yi)
+		z.guard = 64*math.Abs(yf) + 0x1p-40
+	}
 	return z
 }
 
@@ -112,7 +143,21 @@ func NewZipf(n uint64, theta float64) *Zipf {
 // Sample draws one rank in [0, n); rank 0 is the most popular. O(1),
 // zero allocations.
 func (z *Zipf) Sample(rng *rand.Rand) uint64 {
-	u := rng.Float64()
+	return z.rank(rng.Float64())
+}
+
+// rank maps a uniform u in [0, 1) to its rank: ⌊n·x^alpha⌋ with
+// x = eta·u − eta + 1, clamped to n−1.
+//
+// With an integer k, v = n·x^k differs from n·Pow(x, alpha) only by the
+// factor x^(alpha−k), within |alpha−k|·|ln x| of 1, and by the roundings
+// of the two products (a few ulps each). A rank of 2 or more has
+// x^alpha ≥ 2/n, so |ln x| ≤ (1−theta)·ln(n/2) < 44 and the two differ
+// by less than guard·v. When v is farther than that from an integer,
+// both floor to the same rank; inside that band, and for an alpha with
+// no k, rank evaluates math.Pow itself. Every rank is therefore the one
+// n·Pow(x, alpha) gives on the same host (TestZipfRankMatchesPow).
+func (z *Zipf) rank(u float64) uint64 {
 	uz := u * z.zetan
 	if uz < 1 {
 		return 0
@@ -120,11 +165,22 @@ func (z *Zipf) Sample(rng *rand.Rand) uint64 {
 	if uz < z.zeta2 {
 		return 1
 	}
-	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if r >= z.n {
-		r = z.n - 1
+	x := z.eta*u - z.eta + 1
+	if z.k != 0 {
+		p, s := 1.0, x
+		for i := z.k; i != 0; i >>= 1 {
+			if i&1 != 0 {
+				p *= s
+			}
+			s *= s
+		}
+		v := float64(z.n) * p
+		r := uint64(v)
+		if f, band := v-float64(r), z.guard*v; f > band && 1-f > band {
+			return min(r, z.n-1)
+		}
 	}
-	return r
+	return min(uint64(float64(z.n)*math.Pow(x, z.alpha)), z.n-1)
 }
 
 // ScrambleKey maps a popularity rank to a pseudo-random but stable key

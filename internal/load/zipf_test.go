@@ -27,9 +27,10 @@ func sameBits(t *testing.T, what string, got, want *Zipf) {
 		{"zetan", got.zetan, want.zetan},
 		{"eta", got.eta, want.eta},
 		{"zeta2", got.zeta2, want.zeta2},
+		{"guard", got.guard, want.guard},
 	}
-	if got.n != want.n {
-		t.Fatalf("%s: n = %d, want %d", what, got.n, want.n)
+	if got.n != want.n || got.k != want.k {
+		t.Fatalf("%s: n, k = %d, %d, want %d, %d", what, got.n, got.k, want.n, want.k)
 	}
 	for _, f := range fields {
 		if math.Float64bits(f.got) != math.Float64bits(f.want) {
@@ -136,4 +137,155 @@ func TestNewZipfRejectsOutOfRangeTheta(t *testing.T) {
 			NewZipf(8, theta)
 		}()
 	}
+}
+
+// powRank is Sample as it stood before the integer-power fast path:
+// Gray's inversion with the power taken by math.Pow on every draw. It is
+// the reference every rank is held to.
+func powRank(z *Zipf, u float64) uint64 {
+	uz := u * z.zetan
+	if uz < 1 {
+		return 0
+	}
+	if uz < z.zeta2 {
+		return 1
+	}
+	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if r >= z.n {
+		r = z.n - 1
+	}
+	return r
+}
+
+// rankPairs is the (n, theta) grid rank is checked on. The thetas are
+// the three the traffic uses (0.9, the scenario default, with alpha
+// 10; 0.99 and 0.75, ext-serve's, with alpha 100 and 4), an exact and a
+// near-integer alpha (0.5: 2, 0.8: 5), and two with no fast path (0.3,
+// 0.6); the ns run from the smallest keyspaces to 2⁴⁰. The three
+// traffic pairs themselves ride along.
+func rankPairs() []zipfKey {
+	var pairs []zipfKey
+	for _, theta := range []float64{0.9, 0.99, 0.75, 0.5, 0.8, 0.3, 0.6} {
+		for _, n := range []uint64{3, 4, 1 << 20, 10_000_000, 1 << 40} {
+			pairs = append(pairs, zipfKey{n, theta})
+		}
+	}
+	return append(pairs, zipfKey{5_000_000, 0.9}, zipfKey{2_000_000, 0.75})
+}
+
+// boundaryU returns the u at which n·x^alpha is exactly rank v in real
+// arithmetic, as near as float64 gets: x = (v/n)^(1−theta) and
+// u = 1 − (1−x)/eta.
+func boundaryU(z *Zipf, v float64) float64 {
+	x := math.Pow(v/float64(z.n), 1-z.theta)
+	return 1 - (1-x)/z.eta
+}
+
+// boundaryRanks returns the rank boundaries probed for z: 256 spread
+// geometrically over [2, n] and 64 drawn at random, deduplicated, which
+// is every boundary when n is small.
+func boundaryRanks(z *Zipf, rng *rand.Rand) []float64 {
+	n := float64(z.n)
+	seen := map[float64]bool{}
+	var vs []float64
+	add := func(v float64) {
+		if v >= 2 && v <= n && !seen[v] {
+			seen[v] = true
+			vs = append(vs, v)
+		}
+	}
+	for j := 0; j < 256; j++ {
+		add(math.Round(2 * math.Pow(n/2, float64(j)/255)))
+	}
+	for j := 0; j < 64; j++ {
+		add(math.Floor(2 + rng.Float64()*(n-2)))
+	}
+	return vs
+}
+
+// TestZipfRankMatchesPow: rank gives the rank powRank gives, for a
+// million uniform draws on every pair of rankPairs and for every u
+// within 40 ulps of each probed rank boundary, where the integer power
+// and math.Pow are likeliest to floor differently. The boundary draws
+// catch each of these hand mutations of rank and buildZipf:
+//   - guard 0 (the fast path floors inside the band too): 344 and 1,707
+//     mismatches at (2²⁰, 0.9) and (10⁷, 0.99), none at an exact alpha;
+//   - no yi++ when yf > 0.5 (theta 0.99 squares to x^99, not x^100):
+//     884,286 at (2²⁰, 0.99);
+//   - no fallback (the fast floor is returned inside the band): 371 and
+//     1,707.
+func TestZipfRankMatchesPow(t *testing.T) {
+	const draws = 1_000_000
+	for _, p := range rankPairs() {
+		z := NewZipf(p.n, p.theta)
+		rng := rand.New(rand.NewSource(int64(p.n) ^ int64(p.theta*1000)))
+		var mismatches int
+		check := func(u float64) {
+			if got, want := z.rank(u), powRank(z, u); got != want {
+				if mismatches < 5 {
+					t.Errorf("n=%d theta=%g u=%v (%#x): rank %d, math.Pow %d",
+						p.n, p.theta, u, math.Float64bits(u), got, want)
+				}
+				mismatches++
+			}
+		}
+		for i := 0; i < draws; i++ {
+			check(rng.Float64())
+		}
+		vs := boundaryRanks(z, rng)
+		for _, v := range vs {
+			u0 := boundaryU(z, v)
+			check(u0)
+			lo, hi := u0, u0
+			for j := 0; j < 40; j++ {
+				lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, 1)
+				check(lo)
+				if hi < 1 {
+					check(hi)
+				}
+			}
+		}
+		if mismatches > 0 {
+			t.Errorf("n=%d theta=%g: %d ranks differ from math.Pow's", p.n, p.theta, mismatches)
+		}
+		if want := min(200, int(p.n)-1); len(vs) < want {
+			t.Errorf("n=%d theta=%g: %d rank boundaries probed, want at least %d", p.n, p.theta, len(vs), want)
+		}
+		if wantFast := p.theta != 0.3 && p.theta != 0.6; (z.k != 0) != wantFast {
+			t.Errorf("n=%d theta=%g: fast path k = %d, want one: %v", p.n, p.theta, z.k, wantFast)
+		}
+	}
+}
+
+// FuzzZipfRank: for any u, n and theta = thetaMilli/1000, rank is
+// powRank. u is taken from uBits when they are a float in [0, 1), else
+// from the top 53 bits.
+func FuzzZipfRank(f *testing.F) {
+	for _, p := range []zipfKey{{1 << 20, 0.9}, {10_000_000, 0.99}, {2_000_000, 0.75}, {3, 0.8}} {
+		z := NewZipf(p.n, p.theta)
+		for _, v := range []float64{2, 3, 1000, float64(p.n)} {
+			if v > float64(p.n) {
+				continue
+			}
+			u := boundaryU(z, v)
+			for _, d := range []float64{0, 1e-16, -1e-16} {
+				f.Add(math.Float64bits(u+d), p.n, uint16(p.theta*1000+0.5))
+			}
+		}
+	}
+	f.Add(uint64(0), uint64(1), uint16(1))
+	f.Add(math.Float64bits(math.Nextafter(1, 0)), uint64(1<<40), uint16(999))
+	f.Fuzz(func(t *testing.T, uBits, n uint64, thetaMilli uint16) {
+		if n == 0 || thetaMilli == 0 || thetaMilli >= 1000 {
+			t.Skip()
+		}
+		u := math.Float64frombits(uBits)
+		if !(u >= 0 && u < 1) {
+			u = float64(uBits>>11) / (1 << 53)
+		}
+		z := NewZipf(n, float64(thetaMilli)/1000)
+		if got, want := z.rank(u), powRank(z, u); got != want {
+			t.Fatalf("n=%d theta=%g u=%v (%#x): rank %d, math.Pow %d", n, z.theta, u, math.Float64bits(u), got, want)
+		}
+	})
 }
