@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -22,7 +24,7 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func run(w io.Writer) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 4 << 30},
 		{Cores: 8, MemBytes: 4 << 30},
@@ -72,16 +74,18 @@ func main() {
 	for b := 20; b < 200; b++ {
 		achieved += goodput[0].Bucket(b) + goodput[1].Bucket(b)
 	}
-	fmt.Printf("filler goodput: %.1f%% of one full machine\n", 100*achieved/(ideal*180))
-	fmt.Printf("migrations: %d, mean latency %.3f ms, max %.3f ms\n",
+	fmt.Fprintf(w, "filler goodput: %.1f%% of one full machine\n", 100*achieved/(ideal*180))
+	fmt.Fprintf(w, "migrations: %d, mean latency %.3f ms, max %.3f ms\n",
 		sys.Runtime.Migrations.Value(),
 		sys.Runtime.MigrationLatency.Mean()*1000,
 		sys.Runtime.MigrationLatency.Max()*1000)
 
 	// Timeline excerpt around one antagonist flip (t = 100 ms):
-	fmt.Println("\nper-machine goodput [units/ms] around the 100 ms flip:")
-	fmt.Println("  t[ms]   m0    m1")
+	fmt.Fprintln(w, "\nper-machine goodput [units/ms] around the 100 ms flip:")
+	fmt.Fprintln(w, "  t[ms]   m0    m1")
 	for b := 96; b < 106; b++ {
-		fmt.Printf("  %5d %5.0f %5.0f\n", b, goodput[0].Bucket(b), goodput[1].Bucket(b))
+		fmt.Fprintf(w, "  %5d %5.0f %5.0f\n", b, goodput[0].Bucket(b), goodput[1].Bucket(b))
 	}
 }
+
+func main() { run(os.Stdout) }

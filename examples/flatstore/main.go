@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,7 +22,7 @@ import (
 	"repro/internal/storage"
 )
 
-func run(nProclets int) (ops int64, elapsed time.Duration) {
+func measure(nProclets int) (ops int64, elapsed time.Duration) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 4 << 30},
 		{Cores: 8, MemBytes: 4 << 30},
@@ -70,11 +72,13 @@ func run(nProclets int) (ops int64, elapsed time.Duration) {
 	return flat.TotalOps(), time.Duration(done)
 }
 
-func main() {
+func run(w io.Writer) {
 	for _, n := range []int{1, 4, 16} {
-		ops, elapsed := run(n)
-		fmt.Printf("%2d storage proclets: %5d ops in %8v  (%8.0f ops/s aggregate)\n",
+		ops, elapsed := measure(n)
+		fmt.Fprintf(w, "%2d storage proclets: %5d ops in %8v  (%8.0f ops/s aggregate)\n",
 			n, ops, elapsed.Round(time.Microsecond), float64(3200)/elapsed.Seconds())
 	}
-	fmt.Println("\nspreading fine-grained storage proclets combines capacity and IOPS (§3.2).")
+	fmt.Fprintln(w, "\nspreading fine-grained storage proclets combines capacity and IOPS (§3.2).")
 }
+
+func main() { run(os.Stdout) }

@@ -18,7 +18,9 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,7 +31,7 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func run(w io.Writer) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 16, MemBytes: 32 << 30},
 		{Cores: 16, MemBytes: 32 << 30},
@@ -58,7 +60,7 @@ func main() {
 			log.Fatal(err)
 		}
 		trainers = append(trainers, gp)
-		fmt.Printf("%s starts on %v (%s)\n", gp.Name(), gp.Device(), gp.Device().Class())
+		fmt.Fprintf(w, "%s starts on %v (%s)\n", gp.Name(), gp.Device(), gp.Device().Class())
 	}
 	fleet.Start()
 
@@ -114,17 +116,19 @@ func main() {
 	sys.K.RunUntil(horizon)
 	fleet.Stop()
 
-	fmt.Println()
+	fmt.Fprintln(w)
 	var total int64
 	for _, gp := range trainers {
-		fmt.Printf("%s: %4d steps (%d checkpointed), ends on %v (%s)\n",
+		fmt.Fprintf(w, "%s: %4d steps (%d checkpointed), ends on %v (%s)\n",
 			gp.Name(), gp.CompletedSteps(), gp.Checkpoints.Value(), gp.Device(), gp.Device().Class())
 		total += gp.CompletedSteps()
 	}
 	ideal := float64(len(trainers)) * horizon.Seconds() / (5.5e-3)
-	fmt.Printf("\ntotal %d steps = %.1f%% of fault-free ideal, %d acked steps lost\n",
+	fmt.Fprintf(w, "\ntotal %d steps = %.1f%% of fault-free ideal, %d acked steps lost\n",
 		total, 100*float64(total)/ideal, fleet.LostSteps())
-	fmt.Printf("fleet: %d evacuations, %d restores, %d mitigations (mean %.1f ms) across %d reclamations + 1 xid\n",
+	fmt.Fprintf(w, "fleet: %d evacuations, %d restores, %d mitigations (mean %.1f ms) across %d reclamations + 1 xid\n",
 		fleet.Evacuations.Value(), fleet.Restores.Value(), fleet.Mitigations.Value(),
 		fleet.MigrationLatency.Mean()*1000, victim)
 }
+
+func main() { run(os.Stdout) }

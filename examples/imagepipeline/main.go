@@ -12,8 +12,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -24,7 +26,7 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func run(w io.Writer) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 14, MemBytes: 1 << 30}, // CPU-heavy
 		{Cores: 2, MemBytes: 8 << 30},  // memory-heavy
@@ -32,7 +34,7 @@ func main() {
 	sys.Start()
 
 	imgs := workload.GenImages(rand.New(rand.NewSource(1)), 2000, 1<<20, 8*time.Millisecond, 0.25)
-	fmt.Printf("corpus: %d images, %.2f GiB, %.1f core-seconds of preprocessing\n",
+	fmt.Fprintf(w, "corpus: %d images, %.2f GiB, %.1f core-seconds of preprocessing\n",
 		len(imgs), float64(workload.TotalBytes(imgs))/(1<<30), workload.TotalCPU(imgs))
 
 	vec, err := sharded.NewVector[workload.Image](sys, "images",
@@ -59,7 +61,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		fmt.Printf("loaded: %d shards; resident m0=%d MiB m1=%d MiB\n",
+		fmt.Fprintf(w, "loaded: %d shards; resident m0=%d MiB m1=%d MiB\n",
 			vec.NumShards(),
 			sys.Cluster.Machine(0).MemUsed()>>20, sys.Cluster.Machine(1).MemUsed()>>20)
 
@@ -71,7 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("preprocessed %d images in %v of virtual time\n", len(imgs), p.Now().Sub(start))
+		fmt.Fprintf(w, "preprocessed %d images in %v of virtual time\n", len(imgs), p.Now().Sub(start))
 		gpus.Stop()
 		sys.K.Stop()
 	})
@@ -81,9 +83,11 @@ func main() {
 	for _, cp := range tp.Pool().Members() {
 		split[cp.Location()]++
 	}
-	fmt.Printf("compute proclets by machine: %v\n", split)
-	fmt.Printf("GPU batches trained: %d\n", gpus.Consumed.Value())
-	fmt.Printf("control plane: %d migrations (mean %.3f ms), %d evacuations, %d memory evictions\n",
+	fmt.Fprintf(w, "compute proclets by machine: %v\n", split)
+	fmt.Fprintf(w, "GPU batches trained: %d\n", gpus.Consumed.Value())
+	fmt.Fprintf(w, "control plane: %d migrations (mean %.3f ms), %d evacuations, %d memory evictions\n",
 		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()*1000,
 		sys.Sched.Evacuations.Value(), sys.Sched.MemEvictions.Value())
 }
+
+func main() { run(os.Stdout) }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -19,7 +21,7 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func run(w io.Writer) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 2 << 30},
 		{Cores: 8, MemBytes: 2 << 30},
@@ -39,7 +41,7 @@ func main() {
 		for _, mp := range kv.Shards() {
 			bytes += mp.HeapBytes()
 		}
-		fmt.Printf("%-22s t=%-8v keys=%-6d shards=%-3d resident=%.1f MiB (splits=%d merges=%d)\n",
+		fmt.Fprintf(w, "%-22s t=%-8v keys=%-6d shards=%-3d resident=%.1f MiB (splits=%d merges=%d)\n",
 			phase, p.Now(), kv.Len(), kv.NumShards(), float64(bytes)/(1<<20), kv.Splits, kv.Merges)
 	}
 
@@ -74,12 +76,14 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("\nsurvivor check: %d missing of %d expected keys\n", missing, 3*75)
+		fmt.Fprintf(w, "\nsurvivor check: %d missing of %d expected keys\n", missing, 3*75)
 		sys.K.Stop() // the scheduler's control loops run forever; end the simulation here
 	})
 	sys.K.Run()
 
 	for _, m := range sys.Cluster.Machines() {
-		fmt.Printf("m%d resident at end: %.1f MiB\n", m.ID, float64(m.MemUsed())/(1<<20))
+		fmt.Fprintf(w, "m%d resident at end: %.1f MiB\n", m.ID, float64(m.MemUsed())/(1<<20))
 	}
 }
+
+func main() { run(os.Stdout) }

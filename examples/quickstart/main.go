@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,7 +23,7 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func run(w io.Writer) {
 	// Two machines: one CPU-rich, one memory-rich. Quicksand will use
 	// each for what it has.
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
@@ -68,17 +70,19 @@ func main() {
 			log.Fatal(err)
 		}
 		sum = total
-		fmt.Printf("reduced %d records in %v of virtual time\n", vec.Len(), p.Now().Sub(start))
+		fmt.Fprintf(w, "reduced %d records in %v of virtual time\n", vec.Len(), p.Now().Sub(start))
 		sys.K.Stop() // the scheduler's control loops run forever; end the simulation here
 	})
 	sys.K.Run()
 
-	fmt.Printf("sum = %d (want %d)\n", sum, 10_000*9_999/2)
-	fmt.Printf("vector shards: %d (splits=%d)\n", vec.NumShards(), vec.Splits)
+	fmt.Fprintf(w, "sum = %d (want %d)\n", sum, 10_000*9_999/2)
+	fmt.Fprintf(w, "vector shards: %d (splits=%d)\n", vec.NumShards(), vec.Splits)
 	for _, m := range sys.Cluster.Machines() {
-		fmt.Printf("m%d: %4.0f MiB resident, %.2f core-seconds executed\n",
+		fmt.Fprintf(w, "m%d: %4.0f MiB resident, %.2f core-seconds executed\n",
 			m.ID, float64(m.MemUsed())/(1<<20), m.CoreSeconds)
 	}
-	fmt.Printf("migrations: %d (mean %.3f ms)\n",
+	fmt.Fprintf(w, "migrations: %d (mean %.3f ms)\n",
 		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()*1000)
 }
+
+func main() { run(os.Stdout) }

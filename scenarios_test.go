@@ -2,15 +2,22 @@ package quicksand
 
 // Library gate for scenarios/: every committed scenario file must (a)
 // parse, (b) pass its own assertions at its committed seed, and (c)
-// print a byte-identical report at 1, 4, and 8 host workers. This is
+// print, at 1, 4 and 8 host workers, the report and assertion verdicts
+// recorded in testdata/scenarios/<name>.golden, byte for byte. This is
 // the in-repo mirror of the CI scenario-matrix job, so a scenario that
 // regresses fails `go test ./...` before it ever reaches CI.
+//
+//	EXPERIMENTS_UPDATE_GOLDENS=1 go test -run TestScenarioLibrary .
+//
+// rewrites the goldens from the -par 1 runs; the diff shows what moved.
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,6 +34,7 @@ func TestScenarioLibrary(t *testing.T) {
 	if len(files) < 10 {
 		t.Fatalf("scenario library has %d files, want >= 10", len(files))
 	}
+	update := os.Getenv("EXPERIMENTS_UPDATE_GOLDENS") != ""
 	for _, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
@@ -39,7 +47,11 @@ func TestScenarioLibrary(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			var first bytes.Buffer
+			golden := filepath.Join("testdata", "scenarios", strings.TrimSuffix(filepath.Base(path), ".yaml")+".golden")
+			want, err := os.ReadFile(golden)
+			if err != nil && !update {
+				t.Fatal(err)
+			}
 			for _, par := range []int{1, 4, 8} {
 				out, err := scenario.Run(sp, scenario.Options{Par: par})
 				if err != nil {
@@ -56,12 +68,18 @@ func TestScenarioLibrary(t *testing.T) {
 				}
 				var rep bytes.Buffer
 				out.WriteReport(&rep)
-				if par == 1 {
-					first = rep
-					continue
+				for _, a := range out.Asserts {
+					fmt.Fprintf(&rep, "verdict %s %s %s got %s pass %t\n", a.Metric, a.Op,
+						strconv.FormatFloat(a.Bound, 'g', -1, 64), strconv.FormatFloat(a.Got, 'g', -1, 64), a.Pass)
 				}
-				if !bytes.Equal(first.Bytes(), rep.Bytes()) {
-					t.Fatalf("par=%d report differs from par=1; worker count leaked into the run", par)
+				if update && par == 1 {
+					if err := os.WriteFile(golden, rep.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					want = rep.Bytes()
+				}
+				if !bytes.Equal(want, rep.Bytes()) {
+					t.Fatalf("par=%d report differs from %s:\n--- want\n%s--- got\n%s", par, golden, want, rep.Bytes())
 				}
 			}
 		})
