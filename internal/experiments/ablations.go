@@ -77,9 +77,9 @@ func runAblSplit(scale Scale) (*Result, error) {
 			{Cores: 8, MemBytes: 8 << 30},
 			{Cores: 8, MemBytes: 8 << 30},
 		})
-		defer sys.Close()
 		v, err := sharded.NewVector[int](sys, "v", sharded.Options{MaxShardBytes: cap})
 		if err != nil {
+			sys.Close()
 			return nil, err
 		}
 		elem := cap / 64
@@ -107,6 +107,7 @@ func runAblSplit(scale Scale) (*Result, error) {
 		})
 		sys.K.Run()
 		res.EventsProcessed += sys.K.EventsProcessed()
+		sys.Close() // each point's kernel and parked daemons go before the next is built
 		res.addf("%-12s %16.3f %16.3f", byteSize(cap), splitMs, plainMs)
 		res.set(fmt.Sprintf("split_ms.%d", cap), splitMs)
 	}
