@@ -50,7 +50,7 @@ func run(w io.Writer) {
 	gpus := workload.NewGPUPool(queue, 0, time.Millisecond, 32)
 	gpus.Start(sys.K)
 
-	tp, err := dtp.New(sys, "preproc", 1, 16, 1, 16)
+	pool, err := sys.NewPool("preproc", 1, 16, 1, 16)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func run(w io.Writer) {
 			sys.Cluster.Machine(0).MemUsed()>>20, sys.Cluster.Machine(1).MemUsed()>>20)
 
 		start := p.Now()
-		err := dtp.ForEachVec(p, tp, vec, 8, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
+		err := dtp.ForEachVec(p, pool, vec, 8, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
 			tc.Compute(im.CPU) // decode + clean + augment
 			queue.Push(tc.Proc(), tc.Machine(), workload.Batch{Seq: im.Idx, Bytes: 64 << 10}, 64<<10)
 		})
@@ -80,7 +80,7 @@ func run(w io.Writer) {
 	sys.K.Run()
 
 	split := make(map[cluster.MachineID]int)
-	for _, cp := range tp.Pool().Members() {
+	for _, cp := range pool.Members() {
 		split[cp.Location()]++
 	}
 	fmt.Fprintf(w, "compute proclets by machine: %v\n", split)

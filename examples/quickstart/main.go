@@ -44,7 +44,7 @@ func run(w io.Writer) {
 
 	// A distributed thread pool: compute proclets placed where cores
 	// are free (mostly m0).
-	tp, err := dtp.New(sys, "workers", 2, 4, 1, 8)
+	pool, err := sys.NewPool("workers", 2, 4, 1, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func run(w io.Writer) {
 		// Parallel sum with per-record compute; iterator prefetch
 		// streams remote shards behind the computation.
 		start := p.Now()
-		total, err := dtp.ReduceVec(p, tp, vec, 64,
+		total, err := dtp.ReduceVec(p, pool, vec, 64,
 			func(tc *core.TaskCtx, v int) int {
 				tc.Compute(50 * time.Microsecond)
 				return v

@@ -1,12 +1,12 @@
 package quicksand
 
-// The dead-API gate. staticcheck's U1000 sees only unexported dead
-// code; this test holds the exported surface of internal/ to the same
-// standard. It type-checks every package of the module and of
-// benchmark/ (which imports internal packages but is its own module)
-// from source, counts each identifier's uses in non-test files, and
-// fails on an exported name under internal/ that nothing uses, or on
-// a func or method that only its own package calls.
+// The dead-code gates. They type-check every package of the module and
+// of benchmark/ (which imports internal packages but is its own module)
+// from source and count each identifier's uses in non-test files.
+// TestNoDeadExports fails on an exported name under internal/ that
+// nothing uses, or on a func or method that only its own package calls;
+// TestNoDeadCode fails on any function or method of the root module,
+// exported or not, that only tests use.
 
 import (
 	"bufio"
@@ -31,8 +31,8 @@ import (
 // repro/benchmark, sits under it, so one mapping covers both.
 const modulePath = "repro"
 
-// allowFile lists exported names that only tests in another package
-// read, one "pkg.Name — reason" per line.
+// allowFile lists the names only tests read that the gates keep, one
+// "pkg.Name — reason" per line.
 const allowFile = "testdata/exports_allow.txt"
 
 // sourcePkg is one type-checked package: its directory relative to the
@@ -207,11 +207,7 @@ func census(t *sourceTree) (map[types.Object]*export, error) {
 						continue
 					}
 					m := p.info.Defs[d.Name].(*types.Func)
-					recv := m.Type().(*types.Signature).Recv().Type()
-					if ptr, ok := recv.(*types.Pointer); ok {
-						recv = ptr.Elem()
-					}
-					named := recv.(*types.Named)
+					named := receiver(m)
 					if err := add(d.Name, named.Obj().Name()+"."+d.Name.Name, true, satisfies(named, m.Name(), ifaces)); err != nil {
 						return nil, err
 					}
@@ -280,6 +276,15 @@ func census(t *sourceTree) (map[types.Object]*export, error) {
 		}
 	}
 	return out, nil
+}
+
+// receiver is the named type method m is declared on.
+func receiver(m *types.Func) *types.Named {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	return recv.(*types.Named)
 }
 
 // interfaces is every named, non-generic interface with methods that
@@ -374,6 +379,9 @@ func deadExports(exports map[types.Object]*export, allow map[string]string) []st
 		out = append(out, fmt.Sprintf("%s:%d: %s %s", e.pos.Filename, e.pos.Line, e.name, msg))
 	}
 	for name := range allow {
+		if !token.IsExported(lastName(name)) {
+			continue // an unexported function's entry: TestNoDeadCode checks it
+		}
 		switch e := byName[name]; {
 		case e == nil:
 			out = append(out, fmt.Sprintf("%s: %s is stale: no exported name under internal/ is called that", allowFile, name))
@@ -383,6 +391,11 @@ func deadExports(exports map[types.Object]*export, allow map[string]string) []st
 	}
 	sort.Strings(out)
 	return out
+}
+
+// lastName is the final dotted element of an allowlist name.
+func lastName(name string) string {
+	return name[strings.LastIndex(name, ".")+1:]
 }
 
 // TestNoDeadExports: every exported name under internal/ is used by a
@@ -404,6 +417,130 @@ func TestNoDeadExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range deadExports(exports, allow) {
+		t.Error(line)
+	}
+}
+
+// fn is one function or method declared in a non-test file of the root
+// module.
+type fn struct {
+	name   string // pkg.Name or pkg.Type.Method; a main package goes by its directory
+	pos    token.Position
+	decl   *ast.FuncDecl
+	exempt bool // satisfies an interface
+	used   bool // used in a non-test file, outside its own body
+}
+
+// funcCensus finds every function and method that a non-test file of
+// the root module declares, except main and init, and marks each one a
+// non-test file of the tree uses. A function's calls to itself do not
+// count.
+func funcCensus(t *sourceTree) (map[types.Object]*fn, error) {
+	ifaces := interfaces(t)
+	names := make(map[string]bool)
+	out := make(map[types.Object]*fn)
+	for _, p := range t.pkgs {
+		if p == nil || !inRootModule(p.dir) {
+			continue
+		}
+		qual := p.types.Name()
+		if qual == "main" {
+			qual = filepath.ToSlash(p.dir)
+		}
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Name.Name == "_" || d.Name.Name == "init" || (d.Recv == nil && d.Name.Name == "main" && p.types.Name() == "main") {
+					continue
+				}
+				obj := p.info.Defs[d.Name].(*types.Func)
+				e := &fn{name: qual + "." + d.Name.Name, pos: t.fset.Position(d.Name.Pos()), decl: d}
+				if d.Recv != nil {
+					named := receiver(obj)
+					e.name = qual + "." + named.Obj().Name() + "." + d.Name.Name
+					e.exempt = satisfies(named, obj.Name(), ifaces)
+				}
+				if names[e.name] {
+					return nil, fmt.Errorf("%s: two functions read %s; the allowlist cannot tell them apart", e.pos, e.name)
+				}
+				names[e.name] = true
+				out[obj] = e
+			}
+		}
+	}
+	for _, p := range t.pkgs {
+		if p == nil {
+			continue
+		}
+		for id, obj := range p.info.Uses {
+			f, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if e := out[f.Origin()]; e != nil && (id.Pos() < e.decl.Pos() || id.Pos() >= e.decl.End()) {
+				e.used = true
+			}
+		}
+	}
+	return out, nil
+}
+
+// deadCode is TestNoDeadCode's verdict: one line per function nothing
+// but a test uses and the allowlist does not excuse, and one per entry
+// for an unexported function that excuses nothing.
+func deadCode(fns map[types.Object]*fn, allow map[string]string) []string {
+	var out []string
+	byName := make(map[string]*fn, len(fns))
+	for _, e := range fns {
+		byName[e.name] = e
+		if _, ok := allow[e.name]; ok || e.exempt || e.used {
+			continue
+		}
+		out = append(out, fmt.Sprintf("%s:%d: %s has no non-test use: delete it, or list the test that needs it in %s", e.pos.Filename, e.pos.Line, e.name, allowFile))
+	}
+	for name := range allow {
+		if token.IsExported(lastName(name)) {
+			continue // TestNoDeadExports checks exported names' entries
+		}
+		switch e := byName[name]; {
+		case e == nil:
+			out = append(out, fmt.Sprintf("%s: %s is stale: no function or method of the root module is called that", allowFile, name))
+		case e.exempt || e.used:
+			out = append(out, fmt.Sprintf("%s: %s is stale: it has a non-test use, so the gate passes it without the entry", allowFile, name))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestNoDeadCode: every function and method declared in a non-test
+// file of the root module is used by some non-test file — of any
+// package, benchmark/ included — or is in the allowlist with the test
+// that reads it. Methods that satisfy an interface are exempt, as in
+// TestNoDeadExports. It sees what that gate cannot: an unexported
+// helper only its own package's tests call. At the parent of the change
+// that added it, it failed on eighteen: metrics' TimeSeries.mean, .max
+// and .firstCrossing, BucketSeries.total and .rate and
+// LogHistogram.countAbove, cluster.defaultGPUConfig, storage's
+// Flat.close, sharded's Vector.set and .spilledShards, baseline's
+// CoarseApp.stop, gpu's Fleet.attachTelemetry and replication's
+// Detector.state, which that change deleted, and core's Ptr.deref,
+// .store and .free and sharded's table.close and Queue.close, which it
+// allowlisted.
+func TestNoDeadCode(t *testing.T) {
+	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fns, err := funcCensus(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow, err := readAllow(allowFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range deadCode(fns, allow) {
 		t.Error(line)
 	}
 }

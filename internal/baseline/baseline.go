@@ -132,8 +132,6 @@ type CoarseApp struct {
 	MonitorPeriod time.Duration
 	// Moves counts completed migrations.
 	Moves int64
-
-	stopped bool
 }
 
 // NewCoarseApp creates a coarse application with `workers` threads and
@@ -160,7 +158,7 @@ func (ca *CoarseApp) Compute() *core.ComputeProclet { return ca.cp }
 // other machine does, move there (paying the full state copy).
 func (ca *CoarseApp) StartMonitor() {
 	ca.sys.K.Spawn("coarse-monitor", func(p *sim.Proc) {
-		for !ca.stopped {
+		for {
 			p.Sleep(ca.MonitorPeriod)
 			here := ca.sys.Cluster.Machine(ca.cp.Location())
 			if here.AvailCores() > 0 {
@@ -187,6 +185,3 @@ func (ca *CoarseApp) StartMonitor() {
 		}
 	})
 }
-
-// stop ends the monitor at its next tick.
-func (ca *CoarseApp) stop() { ca.stopped = true }

@@ -98,7 +98,6 @@ func TestCoarseAppMovesSlowly(t *testing.T) {
 		t.Fatal("coarse app moved before its monitor period elapsed")
 	}
 	s.K.RunUntil(sim.Time(1200 * time.Millisecond))
-	ca.stop()
 	if ca.cp.Location() != 1 || ca.Moves != 1 {
 		t.Fatalf("loc=%d moves=%d, want moved to 1 once", ca.cp.Location(), ca.Moves)
 	}

@@ -71,15 +71,6 @@ type GPUConfig struct {
 	Speed float64
 }
 
-// defaultGPUConfig models a datacenter training accelerator.
-func defaultGPUConfig(count int) GPUConfig {
-	return GPUConfig{
-		Count:         count,
-		MemBytes:      16 << 30,
-		LinkBandwidth: 16_000_000_000, // 16 GB/s
-	}
-}
-
 // AddGPUs attaches accelerators to the machine — one or more classes,
 // indexed in declaration order. Call once, before the simulation
 // starts.

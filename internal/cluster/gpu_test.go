@@ -54,13 +54,6 @@ func TestAddGPUsZeroCountNoop(t *testing.T) {
 	}
 }
 
-func TestDefaultGPUConfig(t *testing.T) {
-	cfg := defaultGPUConfig(4)
-	if cfg.Count != 4 || cfg.MemBytes <= 0 || cfg.LinkBandwidth <= 0 {
-		t.Errorf("DefaultGPUConfig = %+v", cfg)
-	}
-}
-
 func TestGPUKernelSerialization(t *testing.T) {
 	k, m := gpuMachine(t, 1)
 	g := m.GPU(0)

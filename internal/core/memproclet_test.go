@@ -27,7 +27,6 @@ func testSystem(t *testing.T, machines ...cluster.MachineConfig) *System {
 
 func TestMaxShardBytesDerivation(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.TargetMigrationLatency = 5 * time.Millisecond
 	cfg.Net.Bandwidth = 12_500_000_000
 	want := int64(62_500_000) // 5ms at 12.5 GB/s
 	if got := cfg.MaxShardBytes(); got != want {

@@ -198,16 +198,16 @@ func (sc *Scheduler) start() {
 	// the adaptation loop is a poll and owns no worker.
 	noAdapts := func() sim.Wait {
 		if len(sc.adapts) == 0 {
-			return sim.After(sc.cfg.AdaptPeriod)
+			return sim.After(adaptPeriod)
 		}
 		return sim.Resume
 	}
-	k.SpawnAwait(func() string { return "sched/adapt" }, sim.After(sc.cfg.AdaptPeriod), noAdapts, func(p *sim.Proc) {
+	k.SpawnAwait(func() string { return "sched/adapt" }, sim.After(adaptPeriod), noAdapts, func(p *sim.Proc) {
 		for {
 			for _, a := range sc.adapts {
 				a.Adapt(p)
 			}
-			p.Sleep(sc.cfg.AdaptPeriod)
+			p.Sleep(adaptPeriod)
 		}
 	})
 }
@@ -375,8 +375,8 @@ func (sc *Scheduler) needsReact(m *cluster.Machine) bool {
 	if m.Down() {
 		return false
 	}
-	return sc.demandOn(m.ID) > m.AvailCores()*sc.cfg.CPUHighWater ||
-		m.MemPressure() > sc.cfg.MemHighWater
+	return sc.demandOn(m.ID) > m.AvailCores()*cpuHighWater ||
+		m.MemPressure() > memHighWater
 }
 
 // reactCPU evacuates compute proclets from an overloaded machine,
@@ -387,7 +387,7 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 	}
 	avail := m.AvailCores()
 	demand := sc.demandOn(m.ID)
-	if demand <= avail*sc.cfg.CPUHighWater {
+	if demand <= avail*cpuHighWater {
 		return
 	}
 	// Nothing between here and wg.Wait blocks, so no other reactor runs
@@ -404,7 +404,7 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 	launched := 0
 	var sp obs.SpanID
 	for _, v := range victims {
-		if demand <= avail || demand <= avail*sc.cfg.CPUHighWater {
+		if demand <= avail || demand <= avail*cpuHighWater {
 			break
 		}
 		d := v.demand()
@@ -461,7 +461,7 @@ func (sc *Scheduler) pickCPUTarget(src cluster.MachineID, d float64, added []flo
 			continue
 		}
 		load := sc.computeLoad(m, added[m.ID]+d)
-		if load < sc.cfg.CPULowWater && load < bestLoad {
+		if load < cpuLowWater && load < bestLoad {
 			best, bestLoad = m.ID, load
 		}
 	}
@@ -471,7 +471,7 @@ func (sc *Scheduler) pickCPUTarget(src cluster.MachineID, d float64, added []flo
 // reactMem evacuates memory proclets from a machine near its memory
 // capacity, until pressure drops below the high water mark.
 func (sc *Scheduler) reactMem(p *sim.Proc, m *cluster.Machine) {
-	if m.Down() || m.MemPressure() <= sc.cfg.MemHighWater {
+	if m.Down() || m.MemPressure() <= memHighWater {
 		return
 	}
 	victims := sc.movableOn(nil, m.ID, KindMemory)
@@ -481,7 +481,7 @@ func (sc *Scheduler) reactMem(p *sim.Proc, m *cluster.Machine) {
 	}
 	var sp obs.SpanID
 	for _, v := range victims {
-		if m.MemPressure() <= sc.cfg.MemHighWater {
+		if m.MemPressure() <= memHighWater {
 			break
 		}
 		target := sc.pickMemTarget(m.ID, v.pr.HeapBytes())
@@ -509,7 +509,7 @@ func (sc *Scheduler) pickMemTarget(src cluster.MachineID, bytes int64) cluster.M
 			continue
 		}
 		after := float64(m.MemUsed()+bytes) / float64(m.MemCapacity())
-		if after >= sc.cfg.MemHighWater-0.05 {
+		if after >= memHighWater-0.05 {
 			continue
 		}
 		if m.MemFree() > bestFree {
@@ -642,7 +642,7 @@ func (sc *Scheduler) colocate(p *sim.Proc) {
 			}
 		}
 		pi.pr.ResetComm()
-		if bestBytes < sc.cfg.AffinityBytes {
+		if bestBytes < affinityBytes {
 			continue
 		}
 		peerPr := sc.sys.Runtime.Lookup(bestPeer)
@@ -653,7 +653,7 @@ func (sc *Scheduler) colocate(p *sim.Proc) {
 		if target.Down() || target.MemFree() < pi.pr.HeapBytes() {
 			continue
 		}
-		if pi.kind == KindCompute && sc.computeLoad(target, pi.demand()) >= sc.cfg.CPULowWater {
+		if pi.kind == KindCompute && sc.computeLoad(target, pi.demand()) >= cpuLowWater {
 			continue
 		}
 		moves = append(moves, move{id: id, target: target.ID})

@@ -272,7 +272,7 @@ func TestAffinityTieGoesToLowerPeer(t *testing.T) {
 		}
 		s.K.Spawn("driver", func(p *sim.Proc) {
 			for _, cp := range []*ComputeProclet{low, high} {
-				arg := proclet.Msg{Bytes: s.Config().AffinityBytes}
+				arg := proclet.Msg{Bytes: affinityBytes}
 				if _, err := s.Runtime.Invoke(p, cp.Location(), cp.ID(), mp.ID(), "sink", arg); err != nil {
 					t.Errorf("invoke: %v", err)
 				}
@@ -293,7 +293,7 @@ func TestAdaptiveLoopRuns(t *testing.T) {
 	s.Sched.RegisterAdaptive(adaptiveFunc(func(p *sim.Proc) { count++ }))
 	s.Start()
 	s.K.RunUntil(sim.Time(20 * time.Millisecond))
-	// AdaptPeriod is 2ms: expect ~10 invocations.
+	// adaptPeriod is 2ms: expect ~10 invocations.
 	if count < 8 || count > 12 {
 		t.Errorf("adaptive ran %d times in 20ms, want ~10", count)
 	}
@@ -327,7 +327,7 @@ func TestPinPreventsMigration(t *testing.T) {
 // TestReactorWakesOnFirstTickOfPressure: a reactor idles inside
 // sim.Proc.Await, and must behave exactly as the Sleep loop did — it
 // reacts on the first LocalPeriod tick after demand crosses
-// CPUHighWater, and once the episode ends its next check is one
+// cpuHighWater, and once the episode ends its next check is one
 // LocalPeriod later (its ticks shift to the end of the episode; they do
 // not stay on the original grid).
 func TestReactorWakesOnFirstTickOfPressure(t *testing.T) {
@@ -421,7 +421,7 @@ func TestCalmFleetCreatesNoReactorWorkers(t *testing.T) {
 	if s.K.Live() != 1001 || s.K.Blocked() != 1001 {
 		t.Fatalf("Live=%d Blocked=%d, want 1001 1001", s.K.Live(), s.K.Blocked())
 	}
-	// Past MemHighWater: reactor 7 wakes and finds nothing to move.
+	// Past memHighWater: reactor 7 wakes and finds nothing to move.
 	if err := s.Cluster.Machine(7).AllocMem(1 << 30); err != nil {
 		t.Fatal(err)
 	}

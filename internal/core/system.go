@@ -40,29 +40,6 @@ type Config struct {
 	// GlobalPeriod is the slow global rebalancer's period (long-term
 	// placement and affinity-driven colocation).
 	GlobalPeriod time.Duration
-	// AdaptPeriod is how often registered adaptives (split/merge
-	// policies) are evaluated.
-	AdaptPeriod time.Duration
-
-	// CPUHighWater is the pressure (runnable tasks per available core)
-	// above which a machine evacuates compute proclets.
-	CPUHighWater float64
-	// CPULowWater is the pressure below which a machine may receive
-	// evacuated compute proclets.
-	CPULowWater float64
-	// MemHighWater is the memory utilization fraction above which a
-	// machine evacuates memory proclets.
-	MemHighWater float64
-
-	// TargetMigrationLatency bounds how long migrating any single
-	// memory proclet may take; the split threshold MaxShardBytes is
-	// derived from it and the NIC bandwidth (§3.3).
-	TargetMigrationLatency time.Duration
-
-	// AffinityBytes is the communication volume between two proclets,
-	// per global period, above which the rebalancer tries to colocate
-	// them.
-	AffinityBytes int64
 
 	// ComputeProcletHeap is the accounted heap size of a compute
 	// proclet (task queue and scratch space); small so they migrate in
@@ -81,25 +58,46 @@ type Config struct {
 // reproduction experiments.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                   1,
-		Net:                    simnet.DefaultConfig(),
-		Proclet:                proclet.DefaultConfig(),
-		LocalPeriod:            200 * time.Microsecond,
-		GlobalPeriod:           50 * time.Millisecond,
-		AdaptPeriod:            2 * time.Millisecond,
-		CPUHighWater:           1.25,
-		CPULowWater:            0.9,
-		MemHighWater:           0.92,
-		TargetMigrationLatency: 5 * time.Millisecond,
-		AffinityBytes:          1 << 20,
-		ComputeProcletHeap:     64 << 10,
+		Seed:               1,
+		Net:                simnet.DefaultConfig(),
+		Proclet:            proclet.DefaultConfig(),
+		LocalPeriod:        200 * time.Microsecond,
+		GlobalPeriod:       50 * time.Millisecond,
+		ComputeProcletHeap: 64 << 10,
 	}
 }
+
+// The control plane's thresholds and periods.
+const (
+	// adaptPeriod is how often registered adaptives (split/merge
+	// policies) are evaluated.
+	adaptPeriod = 2 * time.Millisecond
+
+	// cpuHighWater is the pressure (runnable tasks per available core)
+	// above which a machine evacuates compute proclets.
+	cpuHighWater float64 = 1.25
+	// cpuLowWater is the pressure below which a machine may receive
+	// evacuated compute proclets.
+	cpuLowWater float64 = 0.9
+	// memHighWater is the memory utilization fraction above which a
+	// machine evacuates memory proclets.
+	memHighWater float64 = 0.92
+
+	// targetMigrationLatency bounds how long migrating any single
+	// memory proclet may take; the split threshold MaxShardBytes is
+	// derived from it and the NIC bandwidth (§3.3).
+	targetMigrationLatency = 5 * time.Millisecond
+
+	// affinityBytes is the communication volume between two proclets,
+	// per global period, above which the rebalancer tries to colocate
+	// them.
+	affinityBytes int64 = 1 << 20
+)
 
 // MaxShardBytes is the memory-proclet size cap implied by the target
 // migration latency at the configured NIC bandwidth.
 func (c Config) MaxShardBytes() int64 {
-	return int64(float64(c.Net.Bandwidth) * c.TargetMigrationLatency.Seconds())
+	return int64(float64(c.Net.Bandwidth) * targetMigrationLatency.Seconds())
 }
 
 // System is a running Quicksand deployment: the cluster, the proclet

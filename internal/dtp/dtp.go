@@ -1,8 +1,8 @@
-// Package dtp provides Quicksand's distributed thread pool (§3.2): a
-// compute abstraction whose threads are sharded across compute
-// proclets, with familiar parallel APIs (ForEach, Map, Reduce) that
-// compose memory and compute proclets — for example, mapping a
-// function over a sharded vector's elements with iterator prefetch.
+// Package dtp provides the parallel APIs of Quicksand's distributed
+// thread pool (§3.2) — ForEach, Map, Reduce — over a core.Pool, whose
+// threads are sharded across compute proclets. They compose memory and
+// compute proclets: for example, mapping a function over a sharded
+// vector's elements with iterator prefetch.
 //
 // The pool is elastic: a TargetScaler policy splits or merges compute
 // proclets toward a size derived from the consumer's capacity (§3.3, §4).
@@ -14,39 +14,12 @@ import (
 	"repro/internal/sim"
 )
 
-// ThreadPool is a distributed thread pool over an elastic group of
-// compute proclets.
-type ThreadPool struct {
-	sys  *core.System
-	pool *core.Pool
-}
-
-// New creates a thread pool with `initial` compute proclets of
-// workersPer threads each; the pool may adapt between minSize and
-// maxSize members (maxSize <= 0 means unbounded).
-func New(sys *core.System, name string, workersPer, initial, minSize, maxSize int) (*ThreadPool, error) {
-	pool, err := sys.NewPool(name, workersPer, initial, minSize, maxSize)
-	if err != nil {
-		return nil, err
-	}
-	return &ThreadPool{sys: sys, pool: pool}, nil
-}
-
-// Pool exposes the underlying elastic pool.
-func (tp *ThreadPool) Pool() *core.Pool { return tp.pool }
-
-// Size returns the current compute proclet count.
-func (tp *ThreadPool) Size() int { return tp.pool.Size() }
-
-// Run submits one task.
-func (tp *ThreadPool) Run(fn core.TaskFn) { tp.pool.Run(fn) }
-
 // ForEachVec applies fn to every element of a sharded vector, fanning
 // out over the pool in chunks of `chunk` elements. Each chunk iterates
 // with prefetch (batch size = chunk, capped at 64), so remote shards
 // stream in behind the computation. Blocks until all elements are
 // processed; the first error (if any) is returned.
-func ForEachVec[T any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
+func ForEachVec[T any](p *sim.Proc, pool *core.Pool, v *sharded.Vector[T], chunk int,
 	fn func(tc *core.TaskCtx, idx uint64, val T)) error {
 	if chunk < 1 {
 		chunk = 1
@@ -65,7 +38,7 @@ func ForEachVec[T any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk 
 			hi = n
 		}
 		wg.Add(1)
-		tp.Run(func(tc *core.TaskCtx) {
+		pool.Run(func(tc *core.TaskCtx) {
 			defer wg.Done()
 			it := v.IterRange(lo, hi, batch)
 			for i := lo; i < hi; i++ {
@@ -89,10 +62,10 @@ func ForEachVec[T any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk 
 
 // mapVec applies fn to every element and collects the results in
 // element order.
-func mapVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
+func mapVec[T, R any](p *sim.Proc, pool *core.Pool, v *sharded.Vector[T], chunk int,
 	fn func(tc *core.TaskCtx, idx uint64, val T) R) ([]R, error) {
 	out := make([]R, v.Len())
-	err := ForEachVec(p, tp, v, chunk, func(tc *core.TaskCtx, idx uint64, val T) {
+	err := ForEachVec(p, pool, v, chunk, func(tc *core.TaskCtx, idx uint64, val T) {
 		out[idx] = fn(tc, idx, val)
 	})
 	return out, err
@@ -100,9 +73,9 @@ func mapVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk i
 
 // ReduceVec maps every element through fn and folds the results with
 // the associative combine function, starting from zero.
-func ReduceVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chunk int,
+func ReduceVec[T, R any](p *sim.Proc, pool *core.Pool, v *sharded.Vector[T], chunk int,
 	fn func(tc *core.TaskCtx, val T) R, combine func(R, R) R, zero R) (R, error) {
-	partials, err := mapVec(p, tp, v, chunk, func(tc *core.TaskCtx, _ uint64, val T) R {
+	partials, err := mapVec(p, pool, v, chunk, func(tc *core.TaskCtx, _ uint64, val T) R {
 		return fn(tc, val)
 	})
 	acc := zero
@@ -119,46 +92,32 @@ func ReduceVec[T, R any](p *sim.Proc, tp *ThreadPool, v *sharded.Vector[T], chun
 // activeGPUs x preprocessCost/gpuCost). Register with the scheduler's
 // adaptation loop.
 type TargetScaler struct {
-	tp *ThreadPool
+	pool *core.Pool
 	// Target computes the desired pool size.
 	Target func() int
-	// MaxSteps bounds grow/shrink actions per tick (0 means 1).
-	MaxSteps int
 
 	// Grows and Shrinks count actions taken.
 	Grows   int64
 	Shrinks int64
 }
 
-// NewTargetScaler wires a target scaler for tp.
-func NewTargetScaler(tp *ThreadPool, target func() int) *TargetScaler {
-	return &TargetScaler{tp: tp, Target: target, MaxSteps: 2}
+// NewTargetScaler wires a target scaler for pool.
+func NewTargetScaler(pool *core.Pool, target func() int) *TargetScaler {
+	return &TargetScaler{pool: pool, Target: target}
 }
 
-// Adapt implements core.Adaptive.
+// Adapt implements core.Adaptive: one split or merge per adaptation
+// decision, toward the target, as in the paper.
 func (ts *TargetScaler) Adapt(p *sim.Proc) {
-	steps := ts.MaxSteps
-	if steps < 1 {
-		steps = 1
-	}
-	for i := 0; i < steps; i++ {
-		want := ts.Target()
-		cur := ts.tp.Size()
-		switch {
-		case cur < want:
-			grew, _ := ts.tp.pool.Grow(p)
-			if !grew {
-				return
-			}
+	want, cur := ts.Target(), ts.pool.Size()
+	switch {
+	case cur < want:
+		if grew, _ := ts.pool.Grow(p); grew {
 			ts.Grows++
-		case cur > want:
-			shrank, _ := ts.tp.pool.Shrink(p)
-			if !shrank {
-				return
-			}
+		}
+	case cur > want:
+		if shrank, _ := ts.pool.Shrink(p); shrank {
 			ts.Shrinks++
-		default:
-			return
 		}
 	}
 }

@@ -20,7 +20,7 @@ func testSys(t *testing.T) *core.System {
 
 func TestForEachVecVisitsAll(t *testing.T) {
 	s := testSys(t)
-	tp, err := New(s, "tp", 2, 2, 1, 0)
+	pool, err := s.NewPool("pool", 2, 2, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestForEachVecVisitsAll(t *testing.T) {
 			v.PushBack(p, 0, i, 256)
 		}
 		seen := make([]bool, 100)
-		err := ForEachVec(p, tp, v, 10, func(tc *core.TaskCtx, idx uint64, val int) {
+		err := ForEachVec(p, pool, v, 10, func(tc *core.TaskCtx, idx uint64, val int) {
 			tc.Compute(50 * time.Microsecond)
 			if val != int(idx) {
 				t.Errorf("element %d = %d", idx, val)
@@ -52,7 +52,7 @@ func TestForEachVecVisitsAll(t *testing.T) {
 func TestForEachVecParallelSpeedup(t *testing.T) {
 	// 64 elements x 1ms compute on 8 cores should take ~8ms, not 64ms.
 	s := testSys(t)
-	tp, _ := New(s, "tp", 4, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 4, 2, 1, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 1 << 20})
 	var elapsed time.Duration
 	s.K.Spawn("driver", func(p *sim.Proc) {
@@ -60,7 +60,7 @@ func TestForEachVecParallelSpeedup(t *testing.T) {
 			v.PushBack(p, 0, i, 64)
 		}
 		start := p.Now()
-		ForEachVec(p, tp, v, 8, func(tc *core.TaskCtx, idx uint64, val int) {
+		ForEachVec(p, pool, v, 8, func(tc *core.TaskCtx, idx uint64, val int) {
 			tc.Compute(time.Millisecond)
 		})
 		elapsed = p.Now().Sub(start)
@@ -76,13 +76,13 @@ func TestForEachVecParallelSpeedup(t *testing.T) {
 
 func TestMapVecOrder(t *testing.T) {
 	s := testSys(t)
-	tp, _ := New(s, "tp", 2, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 2, 2, 1, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 8 << 10})
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
 			v.PushBack(p, 0, i, 128)
 		}
-		out, err := mapVec(p, tp, v, 7, func(tc *core.TaskCtx, idx uint64, val int) int {
+		out, err := mapVec(p, pool, v, 7, func(tc *core.TaskCtx, idx uint64, val int) int {
 			tc.Compute(10 * time.Microsecond)
 			return val * val
 		})
@@ -100,7 +100,7 @@ func TestMapVecOrder(t *testing.T) {
 
 func TestReduceVec(t *testing.T) {
 	s := testSys(t)
-	tp, _ := New(s, "tp", 2, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 2, 2, 1, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 8 << 10})
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		want := 0
@@ -108,7 +108,7 @@ func TestReduceVec(t *testing.T) {
 			v.PushBack(p, 0, i, 64)
 			want += i
 		}
-		got, err := ReduceVec(p, tp, v, 10,
+		got, err := ReduceVec(p, pool, v, 10,
 			func(tc *core.TaskCtx, val int) int { return val },
 			func(a, b int) int { return a + b }, 0)
 		if err != nil {
@@ -123,14 +123,13 @@ func TestReduceVec(t *testing.T) {
 
 func TestTargetScalerTracksTarget(t *testing.T) {
 	s := testSys(t)
-	tp, _ := New(s, "producers", 1, 4, 1, 16)
+	pool, _ := s.NewPool("producers", 1, 4, 1, 16)
 	target := 4
-	ts := NewTargetScaler(tp, func() int { return target })
-	ts.MaxSteps = 2
+	ts := NewTargetScaler(pool, func() int { return target })
 	s.Sched.RegisterAdaptive(ts)
 	s.Start()
-	if tp.Size() != 4 {
-		t.Errorf("Size = %d, want 4", tp.Size())
+	if pool.Size() != 4 {
+		t.Errorf("Size = %d, want 4", pool.Size())
 	}
 	// Keep members fed so splits have queues to divide.
 	var produce core.TaskFn
@@ -139,21 +138,21 @@ func TestTargetScalerTracksTarget(t *testing.T) {
 		tc.ComputeProclet().Run(produce)
 	}
 	for i := 0; i < 32; i++ {
-		tp.Run(produce)
+		pool.Run(produce)
 	}
 	s.K.RunUntil(5 * sim.Millisecond)
 	target = 10
 	s.K.RunUntil(30 * sim.Millisecond)
-	if tp.Size() != 10 {
-		t.Errorf("Size = %d after grow target, want 10", tp.Size())
+	if pool.Size() != 10 {
+		t.Errorf("Size = %d after grow target, want 10", pool.Size())
 	}
 	if ts.Grows == 0 {
 		t.Error("no grows recorded")
 	}
 	target = 3
 	s.K.RunUntil(60 * sim.Millisecond)
-	if tp.Size() != 3 {
-		t.Errorf("Size = %d after shrink target, want 3", tp.Size())
+	if pool.Size() != 3 {
+		t.Errorf("Size = %d after shrink target, want 3", pool.Size())
 	}
 	if ts.Shrinks == 0 {
 		t.Error("no shrinks recorded")
@@ -162,16 +161,16 @@ func TestTargetScalerTracksTarget(t *testing.T) {
 
 func TestThreadPoolWaitIdle(t *testing.T) {
 	s := testSys(t)
-	tp, _ := New(s, "tp", 1, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 1, 2, 1, 0)
 	ran := 0
 	for i := 0; i < 4; i++ {
-		tp.Run(func(tc *core.TaskCtx) {
+		pool.Run(func(tc *core.TaskCtx) {
 			tc.Compute(time.Millisecond)
 			ran++
 		})
 	}
 	s.K.Spawn("w", func(p *sim.Proc) {
-		tp.Pool().WaitIdle(p)
+		pool.WaitIdle(p)
 		if ran != 4 {
 			t.Errorf("WaitIdle returned with %d/4 done", ran)
 		}

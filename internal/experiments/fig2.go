@@ -125,7 +125,7 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 	for _, mc := range machines {
 		totalCores += int(mc.Cores)
 	}
-	tp, err := dtp.New(sys, "preproc", 1, totalCores, 1, totalCores)
+	pool, err := sys.NewPool("preproc", 1, totalCores, 1, totalCores)
 	if err != nil {
 		return out, err
 	}
@@ -147,7 +147,7 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 
 		// Preprocessing phase (timed).
 		start := p.Now()
-		err := dtp.ForEachVec(p, tp, vec, cfg.chunk, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
+		err := dtp.ForEachVec(p, pool, vec, cfg.chunk, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
 			tc.Compute(im.CPU)
 			if perr := queue.Push(tc.Proc(), tc.Machine(), workload.Batch{Seq: im.Idx, Bytes: cfg.outBytes}, cfg.outBytes); perr != nil && runErr == nil {
 				runErr = fmt.Errorf("push batch %d: %w", im.Idx, perr)
@@ -158,7 +158,7 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 		}
 		out.completion = p.Now() - start
 		out.procSplit = make([]int, len(machines))
-		for _, cp := range tp.Pool().Members() {
+		for _, cp := range pool.Members() {
 			out.procSplit[cp.Location()]++
 		}
 		done = true

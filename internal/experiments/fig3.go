@@ -61,7 +61,7 @@ type fig3Out struct {
 
 func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 	var out fig3Out
-	sysCfg := core.DefaultConfig() // AdaptPeriod 2 ms: one decision per tick
+	sysCfg := core.DefaultConfig() // adapts every 2 ms: one decision per tick
 	machines := []cluster.MachineConfig{
 		{Cores: 24, MemBytes: 16 << 30},
 		{Cores: 24, MemBytes: 16 << 30},
@@ -79,14 +79,13 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 	// Producers start matched to the high-GPU state.
 	ratio := int(float64(cfg.preprocCPU) / float64(cfg.gpuBatch))
 	initial := cfg.gpusHi * ratio
-	tp, err := dtp.New(sys, "preproc", 1, initial, 1, cfg.maxProducers)
+	pool, err := sys.NewPool("preproc", 1, initial, 1, cfg.maxProducers)
 	if err != nil {
 		return out, err
 	}
 	// The paper's controller: on learning of a GPU change, split or
 	// merge producers to match the new consumption capacity.
-	ts := dtp.NewTargetScaler(tp, func() int { return gpus.Active() * ratio })
-	ts.MaxSteps = 1 // one split/merge per adaptation decision, as in the paper
+	ts := dtp.NewTargetScaler(pool, func() int { return gpus.Active() * ratio })
 	sys.Sched.RegisterAdaptive(ts)
 	sys.Start()
 
@@ -101,7 +100,7 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 		tc.ComputeProclet().Run(produce)
 	}
 	for i := 0; i < 2*cfg.maxProducers; i++ {
-		tp.Run(produce)
+		pool.Run(produce)
 	}
 
 	// The availability trace: hi <-> lo every half period.
@@ -114,7 +113,7 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 	out.consumed = metrics.NewBucketSeries("consumed", 10*time.Millisecond)
 	lastConsumed := int64(0)
 	sys.K.Every(0, time.Millisecond, func() bool {
-		out.size.Add(sys.K.Now(), float64(tp.Size()))
+		out.size.Add(sys.K.Now(), float64(pool.Size()))
 		c := gpus.Consumed.Value()
 		out.consumed.Add(sys.K.Now(), float64(c-lastConsumed))
 		lastConsumed = c
@@ -125,8 +124,8 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 	gpus.Stop()
 	out.events = sys.K.EventsProcessed()
 	out.active = gpus.ActiveSeries
-	out.splits = tp.Pool().Splits
-	out.merges = tp.Pool().Merges
+	out.splits = pool.Splits
+	out.merges = pool.Merges
 	return out, nil
 }
 

@@ -27,14 +27,15 @@ type Config struct {
 	// look slow before mitigation — a single throttle flap or stutter
 	// spike doesn't trigger a move (default 3).
 	Hysteresis int
-	// CooldownPasses suppresses re-mitigating (or re-judging) a
-	// proclet for this many passes after it changes device, so the
-	// fresh EWMA can stabilize (default 10).
-	CooldownPasses int64
 	// MinSamples is how many steps must feed a proclet's EWMA on its
 	// current device before the detector judges it (default 6).
 	MinSamples int64
 }
+
+// cooldownPasses suppresses re-mitigating (or re-judging) a proclet
+// for this many watcher passes after it changes device, so the fresh
+// EWMA can stabilize.
+const cooldownPasses = 10
 
 func (c Config) withDefaults() Config {
 	if c.Period <= 0 {
@@ -45,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 3
-	}
-	if c.CooldownPasses <= 0 {
-		c.CooldownPasses = 10
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 6
@@ -196,18 +194,6 @@ func (f *Fleet) pickFaster(gp *Proclet) *cluster.GPU {
 	return best
 }
 
-// attachTelemetry registers per-proclet step-latency and queue-delay
-// gauges for every currently managed proclet, following the
-// proclet.<name>.qdelay_ms naming convention. Call after Add.
-func (f *Fleet) attachTelemetry(tel *obs.Telemetry) {
-	for _, e := range f.procs {
-		gp := e.gp
-		machine := int(gp.Device().Machine.ID)
-		tel.Register(fmt.Sprintf("gpu.%s.step_ms", gp.Name()), machine, gp.stepLatencyMS)
-		tel.Register(fmt.Sprintf("gpu.%s.qdelay_ms", gp.Name()), machine, gp.queueDelayMS)
-	}
-}
-
 // Start launches the watcher.
 func (f *Fleet) Start() {
 	f.sys.K.Spawn(fmt.Sprintf("gpu-fleet/%s", f.name), func(p *sim.Proc) {
@@ -292,7 +278,7 @@ func (f *Fleet) move(p *sim.Proc, e *entry, dst *cluster.GPU, how func(*sim.Proc
 	n.Inc()
 	f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
 	e.strikes = 0
-	e.cooldownUntil = f.pass + f.cfg.CooldownPasses
+	e.cooldownUntil = f.pass + cooldownPasses
 	return nil
 }
 

@@ -102,10 +102,9 @@ type Proclet struct {
 	unblocked sim.Cond
 	dead      bool
 
-	// Straggler telemetry: smoothed per-step latency and device queue
-	// delay, in milliseconds. Reset when the proclet changes device.
-	stepMS   *metrics.EWMA
-	qdelayMS *metrics.EWMA
+	// Straggler telemetry: smoothed per-step latency in milliseconds.
+	// Reset when the proclet changes device.
+	stepMS *metrics.EWMA
 
 	// Steps counts acknowledged training steps (cumulative, never
 	// rolled back); Checkpoints counts mirror ships; LostSteps counts
@@ -146,7 +145,6 @@ func newCheckpointed(sys *core.System, name string, g *cluster.GPU, modelBytes i
 		stepKernel: stepKernel,
 		ckpt:       ck,
 		stepMS:     metrics.NewEWMA(ewmaAlpha),
-		qdelayMS:   metrics.NewEWMA(ewmaAlpha),
 	}
 	if ck.enabled() {
 		gp.ckptHome = ck.Home
@@ -193,8 +191,8 @@ func (gp *Proclet) step(ctx *proclet.Ctx, arg proclet.Msg) (proclet.Msg, error) 
 	gp.active++
 	start := ctx.Proc.Now()
 	batchBytes, _ := arg.Payload.(int64)
-	qwait := g.Upload(ctx.Proc, batchBytes)
-	qwait += g.ExecKernel(ctx.Proc, gp.stepKernel)
+	g.Upload(ctx.Proc, batchBytes)
+	g.ExecKernel(ctx.Proc, gp.stepKernel)
 	// The device may have died or been reclaimed while the kernel ran:
 	// the step is not acknowledged and not checkpointed — the driver
 	// retries it after re-placement. This is the "at most one step"
@@ -212,7 +210,6 @@ func (gp *Proclet) step(ctx *proclet.Ctx, arg proclet.Msg) (proclet.Msg, error) 
 	gp.acked++
 	gp.Steps.Inc()
 	gp.stepMS.Observe(float64(ctx.Proc.Now().Sub(start)) / float64(time.Millisecond))
-	gp.qdelayMS.Observe(float64(qwait) / float64(time.Millisecond))
 	gp.finish()
 	return proclet.Msg{}, nil
 }
@@ -262,16 +259,12 @@ func (gp *Proclet) CompletedSteps() int64 { return gp.acked }
 // stepLatencyMS returns the smoothed per-step latency in milliseconds.
 func (gp *Proclet) stepLatencyMS() float64 { return gp.stepMS.Value() }
 
-// queueDelayMS returns the smoothed device queue delay in milliseconds.
-func (gp *Proclet) queueDelayMS() float64 { return gp.qdelayMS.Value() }
-
 // stepSamples returns how many steps have fed the latency average
 // since the proclet last changed device.
 func (gp *Proclet) stepSamples() int64 { return gp.stepMS.Count() }
 
 func (gp *Proclet) resetTelemetry() {
 	gp.stepMS.Reset()
-	gp.qdelayMS.Reset()
 }
 
 // Step performs one training step from the caller's machine: the batch

@@ -473,33 +473,3 @@ func TestFaultHookKickBoundsReaction(t *testing.T) {
 		t.Errorf("GPUXids = %d", inj.GPUXids.Value())
 	}
 }
-
-func TestAttachTelemetryRegistersGauges(t *testing.T) {
-	s := heteroSys(t, 1)
-	tel := s.EnableTelemetry(time.Millisecond)
-	f := NewFleet(s, "fleet", time.Millisecond)
-	gp, err := f.Add("trainer-0", 1<<30, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.attachTelemetry(tel)
-	drive(s, gp, 1<<20, 20)
-	s.K.RunUntil(sim.Time(100 * time.Millisecond))
-	f.Stop()
-	if gp.stepLatencyMS() <= 0 || gp.stepSamples() < 20 {
-		t.Errorf("step EWMA = %v after %d samples", gp.stepLatencyMS(), gp.stepSamples())
-	}
-	series := tel.Series()
-	var found int
-	for _, ts := range series {
-		if ts.Name == "gpu.trainer-0.step_ms" || ts.Name == "gpu.trainer-0.qdelay_ms" {
-			found++
-			if len(ts.Points()) == 0 {
-				t.Errorf("series %s sampled no points", ts.Name)
-			}
-		}
-	}
-	if found != 2 {
-		t.Errorf("found %d gpu telemetry series, want 2", found)
-	}
-}

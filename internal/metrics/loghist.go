@@ -167,21 +167,6 @@ func (h *LogHistogram) QuantileMS(q float64) float64 {
 	return float64(h.Quantile(q)) / 1e6
 }
 
-// countAbove returns the number of samples whose bucket lies entirely
-// at or above ns (an under-estimate by at most one bucket's worth of
-// samples; exact when ns is a bucket boundary).
-func (h *LogHistogram) countAbove(ns int64) uint64 {
-	idx := logIndex(ns)
-	if logLower(idx) < ns {
-		idx++ // partial bucket: exclude it
-	}
-	var n uint64
-	for i := idx; i < logBuckets; i++ {
-		n += h.counts[i]
-	}
-	return n
-}
-
 // Merge adds o's samples into h. Both histograms share the package's
 // fixed bucket shape, so merging is pure integer addition: the result
 // is byte-identical regardless of the worker count that produced the

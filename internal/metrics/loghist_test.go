@@ -145,19 +145,6 @@ func TestLogHistogramQuantilePanics(t *testing.T) {
 	h.Quantile(1.5)
 }
 
-func TestLogHistogramCountAbove(t *testing.T) {
-	h := NewLogHistogram("ca")
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * int64(time.Millisecond))
-	}
-	// 10ms is a bucket boundary-ish threshold; countAbove must never
-	// overcount (it excludes the partial bucket).
-	got := h.countAbove(int64(50 * time.Millisecond))
-	if got > 51 || got < 45 {
-		t.Fatalf("CountAbove(50ms) = %d, want ~51 and never above", got)
-	}
-}
-
 func TestLogHistogramRecordNoAllocs(t *testing.T) {
 	h := NewLogHistogram("alloc")
 	rng := rand.New(rand.NewSource(3))

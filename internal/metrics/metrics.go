@@ -9,7 +9,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -55,76 +54,6 @@ func (s *TimeSeries) At(t sim.Time) (v float64, ok bool) {
 	return s.points[i-1].Value, true
 }
 
-// mean returns the time-weighted mean of the step function over
-// [from, to). It returns 0 when the window is empty or degenerate.
-func (s *TimeSeries) mean(from, to sim.Time) float64 {
-	if to <= from || len(s.points) == 0 {
-		return 0
-	}
-	var area float64
-	cur, have := s.At(from)
-	prev := from
-	for _, pt := range s.points {
-		if pt.At <= from {
-			continue
-		}
-		if pt.At >= to {
-			break
-		}
-		if have {
-			area += cur * float64(pt.At-prev)
-		}
-		cur, have = pt.Value, true
-		prev = pt.At
-	}
-	if have {
-		area += cur * float64(to-prev)
-	}
-	return area / float64(to-from)
-}
-
-// max returns the maximum sample value over [from, to], considering the
-// step value at from as well.
-func (s *TimeSeries) max(from, to sim.Time) float64 {
-	max := math.Inf(-1)
-	if v, ok := s.At(from); ok {
-		max = v
-	}
-	for _, pt := range s.points {
-		if pt.At < from || pt.At > to {
-			continue
-		}
-		if pt.Value > max {
-			max = pt.Value
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
-// firstCrossing returns the earliest time in [from, to] at which the
-// step function satisfies pred, scanning sample transitions. ok is false
-// if pred never holds in the window.
-func (s *TimeSeries) firstCrossing(from, to sim.Time, pred func(v float64) bool) (sim.Time, bool) {
-	if v, haveV := s.At(from); haveV && pred(v) {
-		return from, true
-	}
-	for _, pt := range s.points {
-		if pt.At < from {
-			continue
-		}
-		if pt.At > to {
-			break
-		}
-		if pred(pt.Value) {
-			return pt.At, true
-		}
-	}
-	return 0, false
-}
-
 // BucketSeries accumulates values into fixed-width time buckets. It is
 // the container behind goodput/throughput timelines: each Add(t, v)
 // adds v into the bucket containing t.
@@ -160,20 +89,6 @@ func (b *BucketSeries) Bucket(i int) float64 {
 		return 0
 	}
 	return b.buckets[i]
-}
-
-// total returns the sum across all buckets.
-func (b *BucketSeries) total() float64 {
-	var sum float64
-	for _, v := range b.buckets {
-		sum += v
-	}
-	return sum
-}
-
-// rate returns bucket i's value expressed per second.
-func (b *BucketSeries) rate(i int) float64 {
-	return b.Bucket(i) / b.Width.Seconds()
 }
 
 // Histogram keeps the running mean and maximum of a stream of samples.

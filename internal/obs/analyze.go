@@ -49,21 +49,6 @@ type MachineUtil struct {
 	Timeline []float64 // CPU utilization averaged into 10 buckets
 }
 
-// GPUStat summarizes one GPU trainer's sampled step latency and queue
-// delay (the gpu.<name>.step_ms / .qdelay_ms series that
-// gpu.Fleet.AttachTelemetry registers). A step-latency max well above
-// the mean is the analyze-level fingerprint of a gray-degraded device
-// (thermal throttle, ECC stutter) before the fleet mitigates it.
-type GPUStat struct {
-	Name         string
-	Machine      int
-	Samples      int
-	StepMeanMS   float64
-	StepMaxMS    float64
-	QDelayMeanMS float64
-	QDelayMaxMS  float64
-}
-
 // IncidentStat is one SLO incident span (internal/obs/slo), in open
 // order in Report.
 type IncidentStat struct {
@@ -85,7 +70,6 @@ type Report struct {
 	Migrations []MigrationStat
 	Methods    []MethodStat
 	Machines   []MachineUtil
-	GPUs       []GPUStat
 	Incidents  []IncidentStat
 }
 
@@ -128,24 +112,6 @@ func Analyze(recs []Record) *Report {
 		tx, rx   float64
 	}
 	machines := map[int]*mutil{}
-	type gpuSamples struct {
-		machine      int
-		step, qdelay []Record
-	}
-	gpus := map[string]*gpuSamples{}
-	gpuSeries := func(series string) (name, kind string, ok bool) {
-		rest, found := strings.CutPrefix(series, "gpu.")
-		if !found {
-			return "", "", false
-		}
-		if name, found = strings.CutSuffix(rest, ".step_ms"); found {
-			return name, "step", true
-		}
-		if name, found = strings.CutSuffix(rest, ".qdelay_ms"); found {
-			return name, "qdelay", true
-		}
-		return "", "", false
-	}
 
 	for i := range recs {
 		r := &recs[i]
@@ -196,19 +162,6 @@ func Analyze(recs []Record) *Report {
 				rp.HorizonNS = r.AtNS
 			}
 			if r.Machine < 0 {
-				continue
-			}
-			if name, kind, ok := gpuSeries(r.Series); ok {
-				gs := gpus[name]
-				if gs == nil {
-					gs = &gpuSamples{machine: r.Machine}
-					gpus[name] = gs
-				}
-				if kind == "step" {
-					gs.step = append(gs.step, *r)
-				} else {
-					gs.qdelay = append(gs.qdelay, *r)
-				}
 				continue
 			}
 			mu := machines[r.Machine]
@@ -277,18 +230,6 @@ func Analyze(recs []Record) *Report {
 		rp.Machines = append(rp.Machines, u)
 	}
 
-	gnames := make([]string, 0, len(gpus))
-	for name := range gpus {
-		gnames = append(gnames, name)
-	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
-		gs := gpus[name]
-		st := GPUStat{Name: name, Machine: gs.machine, Samples: len(gs.step)}
-		st.StepMeanMS, st.StepMaxMS = meanMax(gs.step)
-		st.QDelayMeanMS, st.QDelayMaxMS = meanMax(gs.qdelay)
-		rp.GPUs = append(rp.GPUs, st)
-	}
 	return rp
 }
 
@@ -388,16 +329,6 @@ func (rp *Report) Print(w io.Writer, topN int) {
 		for _, ms := range rp.Methods {
 			fmt.Fprintf(w, "%-8s %-24s %8d %9.4f %9.4f %9.4f %9.4f %6d\n",
 				ms.Kind, ms.Method, ms.Count, ms.P50MS, ms.P99MS, ms.P999MS, ms.MaxMS, ms.Errs)
-		}
-	}
-
-	if len(rp.GPUs) > 0 {
-		fmt.Fprintf(w, "\n-- gpu trainers (step latency, ms) --\n")
-		fmt.Fprintf(w, "%-24s %8s %8s %9s %9s %11s %11s\n",
-			"trainer", "machine", "samples", "step-mean", "step-max", "qdelay-mean", "qdelay-max")
-		for _, g := range rp.GPUs {
-			fmt.Fprintf(w, "%-24s %8d %8d %9.3f %9.3f %11.3f %11.3f\n",
-				g.Name, g.Machine, g.Samples, g.StepMeanMS, g.StepMaxMS, g.QDelayMeanMS, g.QDelayMaxMS)
 		}
 	}
 

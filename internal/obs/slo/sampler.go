@@ -20,7 +20,6 @@ type SampleConfig struct {
 	Seed      uint64 // run seed folded into the head-sample hash
 	HeadEvery uint64 // keep 1 in HeadEvery trees unconditionally (0: no head sample)
 	TailNS    int64  // keep trees whose end-to-end extent exceeds this (0: keep all completed)
-	Budget    int    // max spans kept per retained tree, lowest IDs first (0: unlimited)
 }
 
 // SampleStats reports what Filter kept and why. A tree retained for
@@ -31,7 +30,6 @@ type SampleStats struct {
 	Kept      int // trees retained
 	FullSpans int
 	KeptSpans int
-	Truncated int // spans dropped from retained trees by Budget
 	Tail      int // trees kept for tail latency (or never completing)
 	Err       int // trees kept for a span error
 	Incident  int // trees kept for overlapping an incident
@@ -139,18 +137,10 @@ func Filter(full *obs.Tracer, incidents []Incident, cfg SampleConfig) (*obs.Trac
 			continue
 		}
 		st.Kept++
-		n := len(idxs)
-		if cfg.Budget > 0 && n > cfg.Budget {
-			// Truncate to the lowest-ID spans. Parents are recorded
-			// before children, so an ID-prefix of a tree is
-			// prefix-closed: no kept span orphans its parent.
-			st.Truncated += n - cfg.Budget
-			n = cfg.Budget
-		}
-		for _, i := range idxs[:n] {
+		for _, i := range idxs {
 			out.Put(spans[i])
 		}
-		st.KeptSpans += n
+		st.KeptSpans += len(idxs)
 	}
 	return out, st
 }

@@ -290,25 +290,3 @@ func TestFilterIncidentOverlapRetains(t *testing.T) {
 		t.Errorf("incident overlap did not change retention: %d vs %d", st2.Kept, st.Kept)
 	}
 }
-
-func TestFilterBudgetIsPrefixClosed(t *testing.T) {
-	k := sim.NewKernel(1)
-	tr := obs.NewTracer(k)
-	// One deep tree: root -> chain of 9 children.
-	root := tr.Start(obs.KindInvoke, "deep", 0, 0)
-	parent := root
-	for i := 0; i < 9; i++ {
-		parent = tr.Start(obs.KindRPC, "hop", 0, parent)
-	}
-	k.RunUntil(sim.Time(time.Second))
-	sampled, st := Filter(tr, nil, SampleConfig{TailNS: 0, Budget: 4})
-	if st.KeptSpans != 4 || st.Truncated != 6 {
-		t.Fatalf("KeptSpans/Truncated = %d/%d, want 4/6", st.KeptSpans, st.Truncated)
-	}
-	// Every kept non-root span's parent must also be kept.
-	for _, s := range sampled.SpansByID() {
-		if s.Parent != 0 && sampled.Span(s.Parent) == nil {
-			t.Errorf("span %d orphaned: parent %d dropped", s.ID, s.Parent)
-		}
-	}
-}

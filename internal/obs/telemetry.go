@@ -74,15 +74,3 @@ func (tl *Telemetry) sample() {
 		tl.probes[i].series.Add(now, tl.probes[i].gauge())
 	}
 }
-
-// Series returns every registered series in registration order.
-func (tl *Telemetry) Series() []*metrics.TimeSeries {
-	if tl == nil {
-		return nil
-	}
-	out := make([]*metrics.TimeSeries, len(tl.probes))
-	for i := range tl.probes {
-		out[i] = tl.probes[i].series
-	}
-	return out
-}

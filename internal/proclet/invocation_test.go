@@ -75,7 +75,7 @@ const (
 )
 
 // tape is a random program for runTape: the proclets' homes and heaps, the
-// runtime's invocation deadline, and the operations.
+// fabric's call deadline, and the operations.
 type tape struct {
 	homes   []cluster.MachineID
 	heaps   []int64
@@ -155,6 +155,7 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 		Bandwidth:        1_000_000_000,
 		RPCOverhead:      time.Microsecond,
 		MsgOverheadBytes: 64,
+		CallTimeout:      tp.timeout,
 	})
 	for i := 0; i < tapeMachines; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 4, MemBytes: 1 << 30})
@@ -166,7 +167,6 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 		LocalInvokeOverhead:    100 * time.Nanosecond,
 		MaxInvokeRetries:       5,
 		LazyRemotePenalty:      4 * time.Microsecond,
-		InvokeTimeout:          tp.timeout,
 		RetryBackoffBase:       20 * time.Microsecond,
 		RetryBackoffMax:        160 * time.Microsecond,
 		RetryJitter:            0.5,
@@ -412,12 +412,12 @@ func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
 
 func abandonHandler(t *testing.T, staged bool) {
 	k := sim.NewKernel(1)
-	c := cluster.New(k, simnet.Config{Latency: 10 * time.Microsecond, Bandwidth: 1_000_000_000})
+	c := cluster.New(k, simnet.Config{Latency: 10 * time.Microsecond, Bandwidth: 1_000_000_000,
+		CallTimeout: time.Millisecond})
 	for i := 0; i < 3; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30})
 	}
 	cfg := DefaultConfig()
-	cfg.InvokeTimeout = time.Millisecond
 	cfg.MigrationFixedOverhead = 5 * time.Millisecond
 	rt := NewRuntime(c, cfg, obs.NewLog())
 	moving, err := rt.Spawn("moving", 1, 4096)

@@ -3,7 +3,6 @@ package proclet
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -90,7 +89,7 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 			rt.obs.SetNext(sp) // consumed synchronously by StartCall
 		}
 		reply, err := refCall(p, rt.Cluster.Fabric, simnet.NodeID(fromMachine), simnet.NodeID(loc),
-			simnet.Message{Payload: req, Bytes: req.Arg.Bytes}, rt.cfg.InvokeTimeout)
+			simnet.Message{Payload: req, Bytes: req.Arg.Bytes})
 		if errors.Is(err, ErrMoved) {
 			rt.uncache(fromMachine, req.Target)
 			continue
@@ -123,8 +122,8 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 }
 
 // refCall is a blocking fabric call with a deadline, as the loop made it.
-func refCall(p *sim.Proc, f *simnet.Fabric, from, to simnet.NodeID, req simnet.Message, d time.Duration) (simnet.Message, error) {
-	cs, err := f.StartCall(from, to, "proclet.invoke", req, d)
+func refCall(p *sim.Proc, f *simnet.Fabric, from, to simnet.NodeID, req simnet.Message) (simnet.Message, error) {
+	cs, err := f.StartCall(from, to, "proclet.invoke", req, 0)
 	if err != nil {
 		return simnet.Message{}, err
 	}

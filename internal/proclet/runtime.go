@@ -36,10 +36,6 @@ type Config struct {
 	// copying of data").
 	LazyRemotePenalty time.Duration
 
-	// InvokeTimeout bounds each remote invocation attempt. Zero defers
-	// to the fabric's default deadline (simnet.Config.CallTimeout);
-	// if that is also zero, attempts have no deadline.
-	InvokeTimeout time.Duration
 	// RetryBackoffBase is the delay before the first retry after a
 	// retryable failure (ErrNodeDown, ErrTimeout); it doubles per
 	// attempt. Routing chases (ErrMoved) never back off.

@@ -329,14 +329,6 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 	}
 }
 
-// state returns the detector's view of machine mid.
-func (d *Detector) state(mid cluster.MachineID) MachineState {
-	if uint(mid) < uint(len(d.health)) {
-		return d.health[mid].state
-	}
-	return StateAlive
-}
-
 // LeaseValid reports whether machine mid currently holds a serving
 // lease: its most recent heartbeat arrived within LeaseDuration. A
 // primary on a machine without a valid lease must not serve.

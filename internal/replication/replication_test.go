@@ -51,11 +51,11 @@ func TestDetectorCrashSuspectConfirm(t *testing.T) {
 	if len(order) != 2 || order[0] != "suspect" || order[1] != "confirm" {
 		t.Fatalf("hook order = %v, want [suspect confirm]", order)
 	}
-	if got := d.state(1); got != StateDead {
-		t.Errorf("State(1) = %v, want dead", got)
+	if got := d.health[1].state; got != StateDead {
+		t.Errorf("state of m1 = %v, want dead", got)
 	}
-	if got := d.state(2); got != StateAlive {
-		t.Errorf("State(2) = %v, want alive", got)
+	if got := d.health[2].state; got != StateAlive {
+		t.Errorf("state of m2 = %v, want alive", got)
 	}
 	if d.Confirms.Value() != 1 || d.Suspects.Value() != 1 {
 		t.Errorf("Suspects=%d Confirms=%d, want 1/1", d.Suspects.Value(), d.Confirms.Value())
@@ -91,8 +91,8 @@ func TestDetectorFalseSuspicionHealsHarmlessly(t *testing.T) {
 	if d.FalseSuspects.Value() != 1 {
 		t.Errorf("FalseSuspects = %d, want 1", d.FalseSuspects.Value())
 	}
-	if got := d.state(1); got != StateAlive {
-		t.Errorf("State(1) = %v, want alive after heal", got)
+	if got := d.health[1].state; got != StateAlive {
+		t.Errorf("state of m1 = %v, want alive after heal", got)
 	}
 	if !d.LeaseValid(1) {
 		t.Error("lease should be renewed after heal")

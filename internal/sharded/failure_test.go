@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/replication"
 	"repro/internal/sim"
 )
 
@@ -165,69 +163,5 @@ func TestCloseIsIdempotentUnderFailure(t *testing.T) {
 	used := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()
 	if used != 0 {
 		t.Errorf("double close leaked %d bytes", used)
-	}
-}
-
-func TestReplicatedMapSurvivesMachineCrash(t *testing.T) {
-	s := testSys(t,
-		cluster.MachineConfig{Cores: 4, MemBytes: 1 << 28},
-		cluster.MachineConfig{Cores: 4, MemBytes: 1 << 28},
-		cluster.MachineConfig{Cores: 4, MemBytes: 1 << 28},
-		cluster.MachineConfig{Cores: 4, MemBytes: 1 << 28},
-	)
-	in := fault.New(s.K, s.Cluster, s.Trace)
-	s.AttachInjector(in)
-	// Monitor on m3: placement favors low-numbered machines, so shard
-	// primaries land on crashable machines.
-	rm := s.EnableReplicationPlane(replication.Config{}, 3)
-
-	m, err := NewMap[int, int](s, "map", Options{MaxShardBytes: 64 << 10, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 40
-	s.K.Spawn("driver", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			if err := m.Put(p, 3, i, i*7, 256); err != nil {
-				t.Fatalf("put %d: %v", i, err)
-			}
-		}
-		// Crash every machine hosting a shard primary except the monitor.
-		crashed := map[cluster.MachineID]bool{}
-		for _, sh := range m.Shards() {
-			if mid := sh.Location(); mid != 3 && !crashed[mid] {
-				crashed[mid] = true
-				in.Apply(fault.Event{Op: fault.OpCrash, A: mid})
-			}
-		}
-		if len(crashed) == 0 {
-			t.Fatal("no shard primary off the monitor machine; test is vacuous")
-		}
-		// Every acked write must survive via promoted backups.
-		for i := 0; i < n; i++ {
-			v, err := m.Get(p, 3, i)
-			if err != nil {
-				t.Errorf("get %d after crash: %v", i, err)
-				continue
-			}
-			if v != i*7 {
-				t.Errorf("key %d = %d, want %d", i, v, i*7)
-			}
-		}
-	})
-	s.K.RunUntil(sim.Time(80 * time.Millisecond))
-	if rm.Promotions.Value() == 0 {
-		t.Error("expected at least one promotion")
-	}
-}
-
-func TestReplicasWithoutPlaneFails(t *testing.T) {
-	s := testSys(t)
-	if _, err := NewMap[int, int](s, "map", Options{Replicas: 2}); err == nil {
-		t.Fatal("Replicas without an enabled replication plane should fail")
-	}
-	used := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()
-	if used != 0 {
-		t.Errorf("failed construction leaked %d bytes", used)
 	}
 }

@@ -71,7 +71,7 @@ func TestQueueMatchesModelProperty(t *testing.T) {
 }
 
 // Property: vector contents equal the model after arbitrary sequences
-// of pushes, sets, and adaptation passes, and total accounted memory
+// of pushes, reads, and adaptation passes, and total accounted memory
 // equals the sum of shard heaps.
 func TestVectorMatchesModelProperty(t *testing.T) {
 	f := func(tape []uint16) bool {
@@ -92,16 +92,15 @@ func TestVectorMatchesModelProperty(t *testing.T) {
 						return
 					}
 					model = append(model, val)
-				case 2: // set
+				case 2: // read
 					if len(model) == 0 {
 						continue
 					}
-					idx := uint64(int(op) % len(model))
-					if err := v.set(p, 0, idx, -1, 200); err != nil {
+					idx := int(op) % len(model)
+					if got, err := v.Get(p, 0, uint64(idx)); err != nil || got != model[idx] {
 						ok = false
 						return
 					}
-					model[idx] = -1
 				case 3: // adapt (split/merge pass)
 					v.Adapt(p)
 				}

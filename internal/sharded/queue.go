@@ -68,9 +68,6 @@ func (q *Queue[T]) newSeg(lo uint64) (*qseg, error) {
 	if err != nil {
 		return nil, err
 	}
-	if mp, err = replicate(q.sys, mp, q.opts); err != nil {
-		return nil, err
-	}
 	return &qseg{mp: mp, lo: lo}, nil
 }
 

@@ -42,15 +42,6 @@ type Options struct {
 	// shards move to this storage tier when RAM runs out and fault
 	// back in on access (§5's "flash as slow cheap memory").
 	Spill *storage.Flat
-	// Replicas, when >= 2, replicates every shard (and the index)
-	// through the system's replication plane: each shard proclet gets
-	// Replicas-1 anti-affine backups and its writes group-commit log
-	// records before acking, so a machine crash promotes a backup
-	// instead of losing the shard. Requires
-	// core.System.EnableReplicationPlane; replicated shards are pinned
-	// (durability trades away harvest mobility). Incompatible with
-	// Spill.
-	Replicas int
 }
 
 func (o Options) withDefaults(sys *core.System) Options {
@@ -58,26 +49,6 @@ func (o Options) withDefaults(sys *core.System) Options {
 		o.MaxShardBytes = sys.Config().MaxShardBytes()
 	}
 	return o
-}
-
-// replicate enables primary/backup replication on a freshly created
-// shard or index proclet when the structure's options ask for it. The
-// proclet is destroyed on failure so callers don't leak a half-built
-// shard.
-func replicate(sys *core.System, mp *core.MemoryProclet, opts Options) (*core.MemoryProclet, error) {
-	if opts.Replicas < 2 {
-		return mp, nil
-	}
-	rm := sys.Replication()
-	if rm == nil {
-		_ = mp.Destroy()
-		return nil, errors.New("sharded: Options.Replicas requires an enabled replication plane")
-	}
-	if err := rm.Replicate(mp, opts.Replicas); err != nil {
-		_ = mp.Destroy()
-		return nil, err
-	}
-	return mp, nil
 }
 
 // hashKey hashes an arbitrary comparable key into the uint64 shard

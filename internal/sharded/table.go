@@ -67,9 +67,6 @@ func (t *table) init(sys *core.System, name string, opts Options, off, end uint6
 	if err != nil {
 		return err
 	}
-	if idx, err = replicate(sys, idx, opts); err != nil {
-		return err
-	}
 	t.index = idx
 	sys.Sched.Pin(idx.ID())
 	sh, err := t.newShard()
@@ -85,11 +82,7 @@ func (t *table) init(sys *core.System, name string, opts Options, off, end uint6
 
 func (t *table) newShard() (*core.MemoryProclet, error) {
 	t.nextShard++
-	mp, err := t.sys.NewMemoryProclet(fmt.Sprintf("%s.shard-%d", t.name, t.nextShard), t.opts.MaxShardBytes/2)
-	if err != nil {
-		return nil, err
-	}
-	return replicate(t.sys, mp, t.opts)
+	return t.sys.NewMemoryProclet(fmt.Sprintf("%s.shard-%d", t.name, t.nextShard), t.opts.MaxShardBytes/2)
 }
 
 // NumShards returns the current shard count.

@@ -30,18 +30,6 @@ type spillPayload struct {
 	sizes []int64
 }
 
-// spilledShards reports how many of the vector's shards currently live
-// in the storage tier.
-func (v *Vector[T]) spilledShards() int {
-	n := 0
-	for _, s := range v.shards {
-		if s.spilled {
-			n++
-		}
-	}
-	return n
-}
-
 // touch stamps a shard's last access time (the spill policy's signal).
 func (v *Vector[T]) touch(s int) {
 	v.shards[s].lastAccess = v.sys.K.Now()

@@ -30,9 +30,6 @@ type Vector[T any] struct {
 // the scheduler.
 func NewVector[T any](sys *core.System, name string, opts Options) (*Vector[T], error) {
 	opts = opts.withDefaults(sys)
-	if opts.Spill != nil && opts.Replicas >= 2 {
-		return nil, errors.New("sharded: Replicas and Spill are mutually exclusive")
-	}
 	v := &Vector[T]{}
 	// Element i is object i+1, and the table's end is the element count,
 	// which PushBack advances.
@@ -71,23 +68,6 @@ func (v *Vector[T]) Get(p *sim.Proc, from cluster.MachineID, i uint64) (T, error
 		return val.(T), nil
 	}
 	return zero, fmt.Errorf("sharded: element %d unroutable after retries", i)
-}
-
-// set overwrites element i.
-func (v *Vector[T]) set(p *sim.Proc, from cluster.MachineID, i uint64, val T, bytes int64) error {
-	if i >= v.end {
-		return fmt.Errorf("%w: %d >= %d", ErrOutOfRange, i, v.end)
-	}
-	v.gate.wait(p, i)
-	if err := v.ensureResident(p, i); err != nil {
-		return err
-	}
-	s := v.shardIdx(i)
-	v.touch(s)
-	sh := v.shards[s]
-	v.ops.enter(sh.mp.ID())
-	defer v.ops.exit(sh.mp.ID())
-	return sh.mp.Put(p, from, i+1, val, bytes)
 }
 
 // PushBack appends an element, splitting or spilling to a new shard as

@@ -56,22 +56,6 @@ func TestVectorPushGet(t *testing.T) {
 	s.K.Run()
 }
 
-func TestVectorSet(t *testing.T) {
-	s := testSys(t)
-	v, _ := NewVector[int](s, "vec", smallOpts())
-	s.K.Spawn("driver", func(p *sim.Proc) {
-		v.PushBack(p, 0, 1, 64)
-		if err := v.set(p, 0, 0, 99, 64); err != nil {
-			t.Fatalf("Set: %v", err)
-		}
-		got, _ := v.Get(p, 0, 0)
-		if got != 99 {
-			t.Errorf("Get = %d, want 99", got)
-		}
-	})
-	s.K.Run()
-}
-
 func TestVectorSplitsWhenOversized(t *testing.T) {
 	s := testSys(t)
 	v, _ := NewVector[[]byte](s, "vec", Options{MaxShardBytes: 10 << 10})
@@ -141,10 +125,10 @@ func TestVectorMergeAfterShrink(t *testing.T) {
 		if before < 3 {
 			t.Fatalf("need splits first, got %d shards", before)
 		}
-		// Shrink all elements to near-zero size, then adapt.
+		// Shrink all elements to near-zero size in place, then adapt.
 		for i := uint64(0); i < 40; i++ {
-			if err := v.set(p, 0, i, nil, 1); err != nil {
-				t.Fatalf("Set: %v", err)
+			if err := v.shards[v.shardIdx(i)].mp.Put(p, 0, i+1, []byte(nil), 1); err != nil {
+				t.Fatalf("Put(%d): %v", i, err)
 			}
 		}
 		v.Adapt(p)

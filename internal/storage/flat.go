@@ -73,11 +73,3 @@ func (f *Flat) Write(p *sim.Proc, from cluster.MachineID, key string, val any, b
 func (f *Flat) Delete(p *sim.Proc, from cluster.MachineID, key string) error {
 	return f.procFor(key).deleteObject(p, from, key)
 }
-
-// close destroys every storage proclet.
-func (f *Flat) close() {
-	for _, sp := range f.procs {
-		sp.destroy()
-	}
-	f.procs = nil
-}

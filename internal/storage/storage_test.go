@@ -216,16 +216,3 @@ func TestFlatParallelClientsExceedSingleProcletIOPS(t *testing.T) {
 		t.Errorf("1-proclet %v vs 8-proclet %v: spreading should combine IOPS", one, eight)
 	}
 }
-
-func TestFlatClose(t *testing.T) {
-	s := testSys(t)
-	f, _ := NewFlat(s, "flat", 4, fastDev())
-	f.close()
-	if len(f.procs) != 0 {
-		t.Errorf("%d proclets after close", len(f.procs))
-	}
-	used := s.Cluster.Machine(0).MemUsed() + s.Cluster.Machine(1).MemUsed()
-	if used != 0 {
-		t.Errorf("metadata heap leaked: %d", used)
-	}
-}
