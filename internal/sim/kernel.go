@@ -25,6 +25,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"time"
 )
@@ -106,6 +107,15 @@ type lane struct {
 // per distinct delay. A delay past the bound schedules through the
 // heap, which is exact, so the bound is not a limit on programs.
 const maxDelayLanes = 8
+
+// yieldEvery is how many events step runs between calls to
+// runtime.Gosched (a power of two). A process switch is a coroutine
+// handoff that never enters the Go scheduler, so at GOMAXPROCS=1 the
+// GC's mark worker would otherwise run only when sysmon preempts, about
+// 10 ms in, and every pointer store would pay the write barrier for
+// that long. Each Gosched also wakes an idle P, which at 1,024 events
+// cost about 5% at GOMAXPROCS=2; 4,096 measured flat there.
+const yieldEvery = 4096
 
 // Event payload kinds. Keep at least eight: the compiler dispatches
 // step's switch through a jump table only from eight cases up, and for
@@ -985,6 +995,9 @@ func (k *Kernel) step(limit Time) bool {
 		k.now = e.at
 	}
 	k.processed++
+	if k.processed&(yieldEvery-1) == 0 {
+		runtime.Gosched() // host-side only: reads and writes no simulated state
+	}
 
 	// The payload leaves its slot, and the slot goes back on the free
 	// list, before anything runs: the event may schedule, which may reuse

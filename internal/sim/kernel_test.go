@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -326,4 +328,64 @@ func TestScheduleReservedRefusesThePresent(t *testing.T) {
 	if !strings.Contains(msg, "not after now") {
 		t.Fatalf("unexpected panic message: %v", msg)
 	}
+}
+
+// pingPong spawns two processes on k that sleep a microsecond at a time,
+// two events per simulated microsecond, and records in seen the count of
+// events k had run when one of them first found ready set.
+func pingPong(k *Kernel, ready *atomic.Bool, seen *uint64) {
+	for _, name := range []string{"ping", "pong"} {
+		k.Spawn(name, func(p *Proc) {
+			for {
+				p.Sleep(time.Microsecond)
+				if *seen == 0 && ready.Load() {
+					*seen = k.EventsProcessed()
+				}
+			}
+		})
+	}
+}
+
+// TestKernelYieldsToTheGoScheduler: a process switch is a coroutine
+// handoff that never enters the Go scheduler, so at one P a runnable
+// goroutine (the GC's mark worker, here one that sets a flag) would wait
+// for sysmon's preemption. The loop must yield to it every yieldEvery
+// events, sequentially and in each shard of a ParKernel at one worker.
+// The bound is two yields, not one: Gosched puts the loop on the global
+// run queue, and one schedule in 61 serves that queue first.
+func TestKernelYieldsToTheGoScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const horizon = 20 * Millisecond // 40,000 events a kernel
+	const bound = 2 * yieldEvery
+
+	t.Run("kernel", func(t *testing.T) {
+		k := NewKernel(1)
+		defer k.Close()
+		var ready atomic.Bool
+		var seen uint64
+		pingPong(k, &ready, &seen)
+		go ready.Store(true)
+		k.RunUntil(horizon)
+		if seen == 0 || seen > bound {
+			t.Fatalf("flag first seen at event %d of %d, want 1..%d", seen, k.EventsProcessed(), bound)
+		}
+	})
+
+	t.Run("parkernel", func(t *testing.T) {
+		pk := NewParKernel(1, 2, 10*Microsecond)
+		defer pk.Close()
+		pk.SetWorkers(1)
+		var ready atomic.Bool
+		seen := make([]uint64, pk.NumShards())
+		for s := range seen {
+			pingPong(pk.Shard(s), &ready, &seen[s])
+		}
+		go ready.Store(true)
+		pk.RunUntil(horizon)
+		for s, n := range seen {
+			if n == 0 || n > bound {
+				t.Fatalf("shard %d: flag first seen at event %d of %d, want 1..%d", s, n, pk.Shard(s).EventsProcessed(), bound)
+			}
+		}
+	})
 }
