@@ -45,8 +45,8 @@ func run(w io.Writer) {
 		log.Fatal(err)
 	}
 	goodput := [2]*metrics.BucketSeries{
-		metrics.NewBucketSeries("m0", time.Millisecond),
-		metrics.NewBucketSeries("m1", time.Millisecond),
+		metrics.NewBucketSeries(time.Millisecond),
+		metrics.NewBucketSeries(time.Millisecond),
 	}
 	// A unit is 50 us of compute, then a count and the next unit: nothing
 	// after the compute blocks, so RunCompute carries it as data and the

@@ -68,7 +68,7 @@ func run(w io.Writer) {
 		start := p.Now()
 		err := dtp.ForEachVec(p, pool, vec, 8, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
 			tc.Compute(im.CPU) // decode + clean + augment
-			queue.Push(tc.Proc(), tc.Machine(), workload.Batch{Seq: im.Idx, Bytes: 64 << 10}, 64<<10)
+			queue.Push(tc.Proc(), tc.Machine(), workload.Batch{}, 64<<10)
 		})
 		if err != nil {
 			log.Fatal(err)

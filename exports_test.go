@@ -6,7 +6,8 @@ package quicksand
 // TestNoDeadExports fails on an exported name under internal/ that
 // nothing uses, or on a func or method that only its own package calls;
 // TestNoDeadCode fails on any function or method of the root module,
-// exported or not, that only tests use.
+// exported or not, that only tests use, and on any struct field or
+// parameter declared there that only tests read.
 
 import (
 	"bufio"
@@ -85,8 +86,9 @@ func (t *sourceTree) load(dir string) (*sourcePkg, error) {
 		return nil, err
 	}
 	p := &sourcePkg{dir: dir, info: &types.Info{
-		Defs: make(map[*ast.Ident]types.Object),
-		Uses: make(map[*ast.Ident]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(t.fset, filepath.Join(dir, name), nil, 0)
@@ -172,9 +174,9 @@ func (e *export) finding() string {
 	return ""
 }
 
-// census finds every exported name under internal/ and counts its uses
-// across the tree.
-func census(t *sourceTree) (map[types.Object]*export, error) {
+// census finds every exported name under internal/, counts its uses
+// across the tree, and gives each its verdict.
+func census(t *sourceTree) (gate, error) {
 	ifaces := interfaces(t)
 	names := make(map[string]bool)
 	out := make(map[types.Object]*export)
@@ -231,15 +233,8 @@ func census(t *sourceTree) (map[types.Object]*export, error) {
 									return err == nil
 								}
 								for _, fl := range st.Fields.List {
-									tag := ""
-									if fl.Tag != nil {
-										tag = strings.Trim(fl.Tag.Value, "`")
-									}
-									st := reflect.StructTag(tag)
-									_, json := st.Lookup("json")
-									_, yaml := st.Lookup("yaml")
 									for _, id := range fl.Names {
-										if err = add(id, s.Name.Name+"."+id.Name, false, json || yaml); err != nil {
+										if err = add(id, s.Name.Name+"."+id.Name, false, codecTagged(fl)); err != nil {
 											return false
 										}
 									}
@@ -275,7 +270,23 @@ func census(t *sourceTree) (map[types.Object]*export, error) {
 			}
 		}
 	}
-	return out, nil
+	g := make(gate, len(out))
+	for _, e := range out {
+		g.add(e.name, e.pos, e.finding())
+	}
+	return g, nil
+}
+
+// codecTagged reports whether a json or yaml tag names fl: the codec
+// reads it.
+func codecTagged(fl *ast.Field) bool {
+	if fl.Tag == nil {
+		return false
+	}
+	tag := reflect.StructTag(strings.Trim(fl.Tag.Value, "`"))
+	_, json := tag.Lookup("json")
+	_, yaml := tag.Lookup("yaml")
+	return json || yaml
 }
 
 // receiver is the named type method m is declared on.
@@ -364,38 +375,60 @@ func readAllow(path string) (map[string]string, error) {
 	return out, sc.Err()
 }
 
-// deadExports is the gate's whole verdict: one line per finding, with
-// allowlisted names excused and allowlist entries that excuse nothing
-// reported as stale.
-func deadExports(exports map[types.Object]*export, allow map[string]string) []string {
+// gate is one census's verdict on every name it checks.
+type gate map[string]verdict
+
+// verdict is where a name is declared and why the gate fails it, ""
+// when it passes.
+type verdict struct {
+	pos     token.Position
+	finding string
+}
+
+// add records name's verdict. A name declared twice (a field of two
+// local types of one name) fails if either declaration does.
+func (g gate) add(name string, pos token.Position, finding string) {
+	if v, ok := g[name]; ok && (v.finding != "" || finding == "") {
+		return
+	}
+	g[name] = verdict{pos, finding}
+}
+
+// unexcused is one line per name g fails that the allowlist does not
+// excuse.
+func (g gate) unexcused(allow map[string]string) []string {
 	var out []string
-	byName := make(map[string]*export, len(exports))
-	for _, e := range exports {
-		byName[e.name] = e
-		msg := e.finding()
-		if _, ok := allow[e.name]; ok || msg == "" {
+	for name, v := range g {
+		if _, ok := allow[name]; ok || v.finding == "" {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s:%d: %s %s", e.pos.Filename, e.pos.Line, e.name, msg))
-	}
-	for name := range allow {
-		if !token.IsExported(lastName(name)) {
-			continue // an unexported function's entry: TestNoDeadCode checks it
-		}
-		switch e := byName[name]; {
-		case e == nil:
-			out = append(out, fmt.Sprintf("%s: %s is stale: no exported name under internal/ is called that", allowFile, name))
-		case e.finding() == "":
-			out = append(out, fmt.Sprintf("%s: %s is stale: it has a non-test reference, so the gate passes it without the entry", allowFile, name))
-		}
+		out = append(out, fmt.Sprintf("%s:%d: %s %s", v.pos.Filename, v.pos.Line, name, v.finding))
 	}
 	sort.Strings(out)
 	return out
 }
 
-// lastName is the final dotted element of an allowlist name.
-func lastName(name string) string {
-	return name[strings.LastIndex(name, ".")+1:]
+// staleEntries is one line per allowlist entry that excuses nothing:
+// no gate checks a name of that spelling, or every gate that does
+// passes it.
+func staleEntries(allow map[string]string, gates ...gate) []string {
+	var out []string
+	for name := range allow {
+		known, needed := false, false
+		for _, g := range gates {
+			v, ok := g[name]
+			known = known || ok
+			needed = needed || v.finding != ""
+		}
+		switch {
+		case !known:
+			out = append(out, fmt.Sprintf("%s: %s is stale: the gates check no name spelt so", allowFile, name))
+		case !needed:
+			out = append(out, fmt.Sprintf("%s: %s is stale: it has a non-test reader, so the gates pass it without the entry", allowFile, name))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestNoDeadExports: every exported name under internal/ is used by a
@@ -416,7 +449,7 @@ func TestNoDeadExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range deadExports(exports, allow) {
+	for _, line := range exports.unexcused(allow) {
 		t.Error(line)
 	}
 }
@@ -432,21 +465,18 @@ type fn struct {
 }
 
 // funcCensus finds every function and method that a non-test file of
-// the root module declares, except main and init, and marks each one a
+// the root module declares, except main and init, and fails each one no
 // non-test file of the tree uses. A function's calls to itself do not
 // count.
-func funcCensus(t *sourceTree) (map[types.Object]*fn, error) {
+func funcCensus(t *sourceTree) (gate, error) {
 	ifaces := interfaces(t)
-	names := make(map[string]bool)
 	out := make(map[types.Object]*fn)
+	g := make(gate)
 	for _, p := range t.pkgs {
 		if p == nil || !inRootModule(p.dir) {
 			continue
 		}
-		qual := p.types.Name()
-		if qual == "main" {
-			qual = filepath.ToSlash(p.dir)
-		}
+		qual := qualifier(p)
 		for _, f := range p.files {
 			for _, decl := range f.Decls {
 				d, ok := decl.(*ast.FuncDecl)
@@ -460,10 +490,10 @@ func funcCensus(t *sourceTree) (map[types.Object]*fn, error) {
 					e.name = qual + "." + named.Obj().Name() + "." + d.Name.Name
 					e.exempt = satisfies(named, obj.Name(), ifaces)
 				}
-				if names[e.name] {
+				if _, dup := g[e.name]; dup {
 					return nil, fmt.Errorf("%s: two functions read %s; the allowlist cannot tell them apart", e.pos, e.name)
 				}
-				names[e.name] = true
+				g[e.name] = verdict{}
 				out[obj] = e
 			}
 		}
@@ -482,53 +512,417 @@ func funcCensus(t *sourceTree) (map[types.Object]*fn, error) {
 			}
 		}
 	}
-	return out, nil
+	for _, e := range out {
+		finding := ""
+		if !e.exempt && !e.used {
+			finding = "has no non-test use: delete it, or list the test that needs it in " + allowFile
+		}
+		g[e.name] = verdict{e.pos, finding}
+	}
+	return g, nil
 }
 
-// deadCode is TestNoDeadCode's verdict: one line per function nothing
-// but a test uses and the allowlist does not excuse, and one per entry
-// for an unexported function that excuses nothing.
-func deadCode(fns map[types.Object]*fn, allow map[string]string) []string {
-	var out []string
-	byName := make(map[string]*fn, len(fns))
-	for _, e := range fns {
-		byName[e.name] = e
-		if _, ok := allow[e.name]; ok || e.exempt || e.used {
+// qualifier is how the gates name p's declarations: by package name, a
+// main package by its directory.
+func qualifier(p *sourcePkg) string {
+	if p.types.Name() == "main" {
+		return filepath.ToSlash(p.dir)
+	}
+	return p.types.Name()
+}
+
+// metricsPath is the metrics package, whose recorders write.
+const metricsPath = modulePath + "/internal/metrics"
+
+// recorders are the metrics methods, by receiver type and name, that
+// only add to the value they are called on: calling one on a field
+// writes the field.
+var recorders = map[string]bool{
+	"Counter.Inc": true, "Counter.Addn": true,
+	"SharedCounter.Inc": true, "SharedCounter.Addn": true,
+	"Histogram.ObserveDuration": true, "LogHistogram.Record": true,
+	"EWMA.Observe": true, "BucketSeries.Add": true, "TimeSeries.Add": true,
+}
+
+// state is one struct field or function parameter declared in a
+// non-test file of the root module.
+type state struct {
+	name string // pkg.Owner.field, pkg.Func.param or pkg.Type.Method.param
+	pos  token.Position
+	read bool // read by a non-test file, or exempt
+}
+
+// stateCensus finds every struct field and function parameter that a
+// non-test file of the root module declares, and fails each one no
+// non-test file of the tree reads. Writing a field is not reading it:
+// the target of an assignment or of ++/--, a composite-literal key,
+// x.f = append(x.f, …) and a call of a metrics recorder on it are
+// writes, and every other use is a read. A field is also read when
+//   - a json or yaml tag names it;
+//   - it is exported and its struct is reachable from a value the tree
+//     passes to encoding/json;
+//   - its struct is a map or sync.Map key, which compares every field;
+//   - fmt walks its struct (one with no String, Error or Format
+//     method) in a value the tree passes to a print function.
+//
+// Embedded fields, _, the parameters of a method that satisfies an
+// interface and those of a function used as a value (its signature is
+// its user's) are exempt.
+func stateCensus(t *sourceTree) gate {
+	ifaces := interfaces(t)
+	vars := make(map[*types.Var]*state)
+	params := make(map[*types.Func][]*state)
+	for _, p := range t.pkgs {
+		if p == nil || !inRootModule(p.dir) {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s:%d: %s has no non-test use: delete it, or list the test that needs it in %s", e.pos.Filename, e.pos.Line, e.name, allowFile))
-	}
-	for name := range allow {
-		if token.IsExported(lastName(name)) {
-			continue // TestNoDeadExports checks exported names' entries
+		qual := qualifier(p)
+		for _, f := range p.files {
+			inspect(f, func(n ast.Node, stack []ast.Node) {
+				switch n := n.(type) {
+				case *ast.StructType:
+					owner := qual + "." + ownerName(stack)
+					for _, fl := range n.Fields.List {
+						for _, id := range fl.Names {
+							if id.Name != "_" {
+								vars[p.info.Defs[id].(*types.Var)] = &state{name: owner + "." + id.Name, pos: t.fset.Position(id.Pos()), read: codecTagged(fl)}
+							}
+						}
+					}
+				case *ast.FuncDecl:
+					if n.Body == nil {
+						return
+					}
+					obj := p.info.Defs[n.Name].(*types.Func)
+					name, exempt := qual+"."+n.Name.Name, false
+					if n.Recv != nil {
+						named := receiver(obj)
+						name = qual + "." + named.Obj().Name() + "." + n.Name.Name
+						exempt = satisfies(named, obj.Name(), ifaces)
+					}
+					for _, fl := range n.Type.Params.List {
+						for _, id := range fl.Names {
+							if id.Name != "_" {
+								s := &state{name: name + "." + id.Name, pos: t.fset.Position(id.Pos()), read: exempt}
+								vars[p.info.Defs[id].(*types.Var)] = s
+								params[obj] = append(params[obj], s)
+							}
+						}
+					}
+				}
+			})
 		}
-		switch e := byName[name]; {
-		case e == nil:
-			out = append(out, fmt.Sprintf("%s: %s is stale: no function or method of the root module is called that", allowFile, name))
-		case e.exempt || e.used:
-			out = append(out, fmt.Sprintf("%s: %s is stale: it has a non-test use, so the gate passes it without the entry", allowFile, name))
+	}
+	mark := func(v *types.Var) {
+		if s := vars[v.Origin()]; s != nil {
+			s.read = true
 		}
 	}
-	sort.Strings(out)
-	return out
+	var keyed func(T types.Type)
+	keyed = func(T types.Type) {
+		switch u := T.Underlying().(type) {
+		case *types.Array:
+			keyed(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				mark(u.Field(i))
+				keyed(u.Field(i).Type())
+			}
+		}
+	}
+	encoded := make(map[types.Type]bool)
+	var encode func(T types.Type)
+	encode = func(T types.Type) {
+		if encoded[T] {
+			return
+		}
+		encoded[T] = true
+		switch u := T.Underlying().(type) {
+		case *types.Pointer:
+			encode(u.Elem())
+		case *types.Slice:
+			encode(u.Elem())
+		case *types.Array:
+			encode(u.Elem())
+		case *types.Map:
+			encode(u.Key())
+			encode(u.Elem())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() || f.Embedded() {
+					mark(f)
+					encode(f.Type())
+				}
+			}
+		}
+	}
+	printed := make(map[types.Type]bool)
+	var show func(T types.Type, top bool)
+	show = func(T types.Type, top bool) {
+		if printed[T] || formatsItself(T) {
+			return
+		}
+		printed[T] = true
+		switch u := T.Underlying().(type) {
+		case *types.Pointer:
+			if top {
+				show(u.Elem(), false)
+			}
+		case *types.Slice:
+			show(u.Elem(), false)
+		case *types.Array:
+			show(u.Elem(), false)
+		case *types.Map:
+			show(u.Key(), false)
+			show(u.Elem(), false)
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				mark(u.Field(i))
+				show(u.Field(i).Type(), false)
+			}
+		}
+	}
+	for _, p := range t.pkgs {
+		if p == nil {
+			continue
+		}
+		for _, f := range p.files {
+			inspect(f, func(n ast.Node, stack []ast.Node) {
+				switch n := n.(type) {
+				case *ast.Ident:
+					switch obj := p.info.Uses[n].(type) {
+					case *types.Var:
+						if !obj.IsField() || reads(p.info, n, stack) {
+							mark(obj)
+						}
+					case *types.Func:
+						if !called(n, stack) {
+							for _, s := range params[obj.Origin()] {
+								s.read = true
+							}
+						}
+					}
+				case *ast.CallExpr:
+					callee := calleeOf(p.info, n)
+					switch {
+					case callee == nil || callee.Pkg() == nil:
+					case callee.Pkg().Path() == "encoding/json":
+						for _, arg := range n.Args {
+							encode(p.info.TypeOf(arg))
+						}
+					case callee.Pkg().Path() == "fmt":
+						for _, arg := range n.Args {
+							show(p.info.TypeOf(arg), true)
+						}
+					case callee.Pkg().Path() == "sync" && len(n.Args) > 0 && recvName(callee) == "Map":
+						keyed(p.info.TypeOf(n.Args[0]))
+					}
+				}
+			})
+		}
+		for _, tv := range p.info.Types {
+			if tv.Type == nil {
+				continue
+			}
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				keyed(m.Key())
+			}
+		}
+	}
+	g := make(gate)
+	for v, s := range vars {
+		finding := ""
+		switch {
+		case s.read:
+		case v.IsField():
+			finding = "is never read by a non-test file: delete it, or list the test that reads it in " + allowFile
+		default:
+			finding = "is never read by its function: drop it"
+		}
+		g.add(s.name, s.pos, finding)
+	}
+	return g
+}
+
+// formatsItself reports whether fmt prints a T by calling its String,
+// Error or Format method rather than by walking its fields.
+func formatsItself(T types.Type) bool {
+	ms := types.NewMethodSet(T)
+	return ms.Lookup(nil, "String") != nil || ms.Lookup(nil, "Error") != nil || ms.Lookup(nil, "Format") != nil
+}
+
+// inspect calls visit on every node of f with the nodes that enclose
+// it, outermost first.
+func inspect(f *ast.File, visit func(n ast.Node, stack []ast.Node)) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		visit(n, stack)
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// ownerName names the struct type stack encloses: the innermost type
+// declaration, else the declaration of the function or variable the
+// struct is written in.
+func ownerName(stack []ast.Node) string {
+	owner := "?"
+	for _, n := range stack {
+		switch n := n.(type) {
+		case *ast.TypeSpec:
+			return n.Name.Name
+		case *ast.FuncDecl:
+			owner = n.Name.Name
+		case *ast.ValueSpec:
+			owner = n.Names[0].Name
+		}
+	}
+	return owner
+}
+
+// reads reports whether the use id of a field, which stack encloses,
+// reads it.
+func reads(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
+	i := len(stack) - 1
+	if kv, ok := stack[i].(*ast.KeyValueExpr); ok && kv.Key == id {
+		_, lit := stack[i-1].(*ast.CompositeLit)
+		return !lit
+	}
+	sel, ok := stack[i].(*ast.SelectorExpr)
+	if !ok || sel.Sel != id {
+		return true
+	}
+	var e ast.Expr = sel
+	for i--; i > 0; i-- {
+		paren, ok := stack[i].(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		e = paren
+	}
+	switch n := stack[i].(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if lhs == e {
+				return false
+			}
+		}
+	case *ast.IncDecStmt:
+		return false
+	case *ast.CallExpr: // x.f = append(x.f, …)
+		as, ok := stack[i-1].(*ast.AssignStmt)
+		if b, isBuiltin := info.Uses[identOf(n.Fun)].(*types.Builtin); !ok || !isBuiltin || b.Name() != "append" || n.Args[0] != e {
+			return true
+		}
+		for j, rhs := range as.Rhs {
+			if rhs == n && j < len(as.Lhs) && types.ExprString(as.Lhs[j]) == types.ExprString(sel) {
+				return false
+			}
+		}
+	case *ast.SelectorExpr: // x.f.Inc()
+		call, ok := stack[i-1].(*ast.CallExpr)
+		m, isFunc := info.Uses[n.Sel].(*types.Func)
+		return !ok || call.Fun != n || !isFunc || m.Pkg() == nil || m.Pkg().Path() != metricsPath || !recorders[recvName(m)+"."+m.Name()]
+	}
+	return true
+}
+
+// called reports whether the use id of a function, which stack
+// encloses, calls it rather than taking its value.
+func called(id *ast.Ident, stack []ast.Node) bool {
+	var e ast.Node = id
+	i := len(stack) - 1
+	for ; i > 0; i-- {
+		switch n := stack[i].(type) {
+		case *ast.SelectorExpr:
+			if n.Sel != e {
+				return false
+			}
+		case *ast.IndexExpr: // an instantiation, F[T]
+			if n.X != e {
+				return false
+			}
+		case *ast.IndexListExpr:
+			if n.X != e {
+				return false
+			}
+		case *ast.ParenExpr:
+		default:
+			call, ok := n.(*ast.CallExpr)
+			return ok && call.Fun == e
+		}
+		e = stack[i]
+	}
+	return false
+}
+
+// calleeOf is the function or method call calls, or nil.
+func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+	f, _ := info.Uses[identOf(call.Fun)].(*types.Func)
+	return f
+}
+
+// identOf is the name at the end of a call's function expression.
+func identOf(e ast.Expr) *ast.Ident {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return e
+	case *ast.SelectorExpr:
+		return e.Sel
+	}
+	return nil
+}
+
+// recvName is the name of the type method m is declared on, "" for a
+// function.
+func recvName(m *types.Func) string {
+	if m.Type().(*types.Signature).Recv() == nil {
+		return ""
+	}
+	return receiver(m).Obj().Name()
 }
 
 // TestNoDeadCode: every function and method declared in a non-test
 // file of the root module is used by some non-test file — of any
-// package, benchmark/ included — or is in the allowlist with the test
-// that reads it. Methods that satisfy an interface are exempt, as in
-// TestNoDeadExports. It sees what that gate cannot: an unexported
-// helper only its own package's tests call. At the parent of the change
-// that added it, it failed on eighteen: metrics' TimeSeries.mean, .max
-// and .firstCrossing, BucketSeries.total and .rate and
-// LogHistogram.countAbove, cluster.defaultGPUConfig, storage's
-// Flat.close, sharded's Vector.set and .spilledShards, baseline's
-// CoarseApp.stop, gpu's Fleet.attachTelemetry and replication's
-// Detector.state, which that change deleted, and core's Ptr.deref,
-// .store and .free and sharded's table.close and Queue.close, which it
-// allowlisted.
+// package, benchmark/ included — and every struct field and parameter
+// declared there is read by one, or the name is in the allowlist with
+// the test that reads it. Methods that satisfy an interface are exempt,
+// as in TestNoDeadExports; stateCensus says what reads a field. It also
+// fails an allowlist entry that excuses nothing, for all three
+// censuses. It sees what TestNoDeadExports cannot: an unexported helper
+// only its own package's tests call, and state that is written and
+// never read.
+//
+// At the parent of the change that added the function census it failed
+// on eighteen: metrics' TimeSeries.mean, .max and .firstCrossing,
+// BucketSeries.total and .rate and LogHistogram.countAbove,
+// cluster.defaultGPUConfig, storage's Flat.close, sharded's Vector.set
+// and .spilledShards, baseline's CoarseApp.stop, gpu's
+// Fleet.attachTelemetry and replication's Detector.state, which that
+// change deleted, and core's Ptr.deref, .store and .free and sharded's
+// table.close and Queue.close, which it allowlisted.
+//
+// At the parent of the change that added fields and parameters it
+// failed on 59 fields and 4 parameters. That change deleted the 13
+// fields no file reads, tests included — proclet's Proclet.residentAt
+// and Ctx.From, workload's Batch.Seq and .Bytes and GPUPool.Starved,
+// experiments' fig2Outcome.evacuations and .memSplit and fig3Cfg.lowWater
+// and .highWater, sharded.VecIter.Refetches, storage.Flat.sys, and
+// metrics' Histogram.Name and BucketSeries.Name — and dropped core's
+// Pool.Grow and .Shrink p and experiments.runStatic's cfg. It
+// allowlisted the other 46 fields, each read by a test, mostly the
+// counters the reference-loop tests compare, and load's
+// Injector.AddTenant name, which benchmark/ passes.
 func TestNoDeadCode(t *testing.T) {
 	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exports, err := census(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,11 +930,12 @@ func TestNoDeadCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vars := stateCensus(tree)
 	allow, err := readAllow(allowFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range deadCode(fns, allow) {
+	for _, line := range append(append(fns.unexcused(allow), vars.unexcused(allow)...), staleEntries(allow, exports, fns, vars)...) {
 		t.Error(line)
 	}
 }
@@ -583,4 +978,103 @@ func inRootModule(dir string) bool {
 		}
 	}
 	return true
+}
+
+// TestStateCensusClassifies holds stateCensus to its read/write rule,
+// one case a row: each row is a package of its own, type-checked from
+// source, and names the fields and parameters the gate must pass
+// (read) and fail (unread). The traps — a map key, a sync.Map key, an
+// untagged field marshalled through a tagged one — are written as
+// their real counterparts are, and the real ones are checked at the
+// end.
+func TestStateCensusClassifies(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	const head = "package x\n\nimport (\n\t\"encoding/json\"\n\t\"fmt\"\n\t\"io\"\n\t\"sync\"\n\n\t\"repro/internal/metrics\"\n)\n\nvar (\n\t_ = json.Marshal\n\t_ = fmt.Sprint\n\t_ io.Writer\n\t_ sync.Map\n\t_ metrics.Counter\n)\n\n"
+	recorder := func(typ, call string) string {
+		return "type T struct{ f *metrics." + typ + " }\n\nfunc F(t *T) { t.f." + call + " }\n"
+	}
+	rows := []struct {
+		name string
+		src  string
+		want map[string]bool // name → read
+	}{
+		{"plain read", "type T struct{ f int }\n\nfunc F(t *T) int { return t.f }\n", map[string]bool{"x.T.f": true, "x.F.t": true}},
+		{"assignment", "type T struct{ f int }\n\nfunc F(t *T) { t.f = 1 }\n", map[string]bool{"x.T.f": false}},
+		{"parenthesised assignment", "type T struct{ f int }\n\nfunc F(t *T) { (t.f) = 1 }\n", map[string]bool{"x.T.f": false}},
+		{"op-assign", "type T struct{ f int }\n\nfunc F(t *T) { t.f += 2 }\n", map[string]bool{"x.T.f": false}},
+		{"increment", "type T struct{ f int }\n\nfunc F(t *T) { t.f++ }\n", map[string]bool{"x.T.f": false}},
+		{"composite-literal key", "type T struct{ f int }\n\nfunc F() *T { return &T{f: 1} }\n", map[string]bool{"x.T.f": false}},
+		{"append to itself", "type T struct{ f []int }\n\nfunc F(t *T) { t.f = append(t.f, 1) }\n", map[string]bool{"x.T.f": false}},
+		{"append to another", "type T struct{ f, g []int }\n\nfunc F(t *T) { t.g = append(t.f, 1) }\n", map[string]bool{"x.T.f": true, "x.T.g": false}},
+		{"Counter.Inc", recorder("Counter", "Inc()"), map[string]bool{"x.T.f": false}},
+		{"Counter.Addn", recorder("Counter", "Addn(2)"), map[string]bool{"x.T.f": false}},
+		{"SharedCounter.Inc", recorder("SharedCounter", "Inc()"), map[string]bool{"x.T.f": false}},
+		{"SharedCounter.Addn", recorder("SharedCounter", "Addn(2)"), map[string]bool{"x.T.f": false}},
+		{"Histogram.ObserveDuration", recorder("Histogram", "ObserveDuration(1)"), map[string]bool{"x.T.f": false}},
+		{"LogHistogram.Record", recorder("LogHistogram", "Record(1)"), map[string]bool{"x.T.f": false}},
+		{"EWMA.Observe", recorder("EWMA", "Observe(1)"), map[string]bool{"x.T.f": false}},
+		{"BucketSeries.Add", recorder("BucketSeries", "Add(0, 1)"), map[string]bool{"x.T.f": false}},
+		{"TimeSeries.Add", recorder("TimeSeries", "Add(0, 1)"), map[string]bool{"x.T.f": false}},
+		{"any other method", recorder("Counter", "Value()"), map[string]bool{"x.T.f": true}},
+		{"address taken", "type T struct{ f int }\n\nfunc F(t *T) *int { return &t.f }\n", map[string]bool{"x.T.f": true}},
+		{"json tag", "type T struct {\n\tf int `json:\"f\"`\n}\n\nfunc F(t *T) { t.f = 1 }\n", map[string]bool{"x.T.f": true}},
+		{"yaml tag", "type T struct {\n\tf int `yaml:\"f\"`\n}\n\nfunc F(t *T) { t.f = 1 }\n", map[string]bool{"x.T.f": true}},
+		{"marshalled through a tagged field (slo.Incident)",
+			"type Incident struct {\n\tKind    string\n\tCauseAt int64\n\tspan    int\n}\n\ntype jsonReport struct {\n\tIncidents []Incident `json:\"incidents\"`\n}\n\nfunc F(in []Incident) ([]byte, error) {\n\tin = append(in, Incident{Kind: \"k\", CauseAt: 1, span: 2})\n\treturn json.MarshalIndent(jsonReport{Incidents: in}, \"\", \" \")\n}\n",
+			map[string]bool{"x.Incident.Kind": true, "x.Incident.CauseAt": true, "x.Incident.span": false}},
+		{"encoded through a pointer and a map",
+			"type Rec struct{ A map[string]*Val }\n\ntype Val struct{ N, n int }\n\nfunc F(w io.Writer) error {\n\treturn json.NewEncoder(w).Encode(&Rec{A: map[string]*Val{\"v\": {N: 1, n: 2}}})\n}\n",
+			map[string]bool{"x.Rec.A": true, "x.Val.N": true, "x.Val.n": false}},
+		{"map key (simnet.linkKey)", "type linkKey struct {\n\tfrom, to int\n}\n\nvar links = map[linkKey]int{}\n\nfunc F(a, b int) { links[linkKey{a, b}]++ }\n", map[string]bool{"x.linkKey.from": true, "x.linkKey.to": true}},
+		{"sync.Map key (load.zipfKey)", "type zipfKey struct {\n\tn     uint64\n\ttheta float64\n}\n\nvar memo sync.Map\n\nfunc F(n uint64, theta float64) { memo.Store(zipfKey{n: n, theta: theta}, 1) }\n", map[string]bool{"x.zipfKey.n": true, "x.zipfKey.theta": true}},
+		{"printed by fmt", "type S struct{ a int }\n\ntype P struct{ q *Q }\n\ntype Q struct{ z int }\n\nfunc F() string { return fmt.Sprint(S{a: 1}, &P{q: &Q{z: 1}}) }\n", map[string]bool{"x.S.a": true, "x.P.q": true, "x.Q.z": false}},
+		{"printed by its String method", "type V struct{ a int }\n\nfunc (v V) String() string { return \"v\" }\n\nfunc F() string { return fmt.Sprint(V{a: 1}) }\n", map[string]bool{"x.V.a": false}},
+		{"unread parameter", "func F(a, b int) int { return a }\n\nvar _ = F(1, 2)\n", map[string]bool{"x.F.a": true, "x.F.b": false}},
+		{"parameter read by a closure", "func F(a int) func() int { return func() int { return a } }\n", map[string]bool{"x.F.a": true}},
+		{"interface method", "type I interface{ M(n int) }\n\ntype U struct{}\n\nfunc (U) M(n int) {}\n\nvar _ I = U{}\n", map[string]bool{"x.U.M.n": true}},
+		{"function used as a value", "func H(n int) {}\n\nvar hook = H\n", map[string]bool{"x.H.n": true}},
+		{"method used as a value", "type U struct{}\n\nfunc (U) N(n int) {}\n\nvar hook = U{}.N\n", map[string]bool{"x.U.N.n": true}},
+		{"called, not a value", "type U struct{}\n\nfunc (U) N(n int) {}\n\nfunc H(n int) {}\n\nfunc F() { H(1); U{}.N(1) }\n", map[string]bool{"x.H.n": false, "x.U.N.n": false}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tree := &sourceTree{fset: fset, std: std, pkgs: make(map[string]*sourcePkg)}
+			f, err := parser.ParseFile(fset, "x.go", head+row.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &sourcePkg{dir: "x", files: []*ast.File{f}, info: &types.Info{
+				Types: make(map[ast.Expr]types.TypeAndValue),
+				Defs:  make(map[*ast.Ident]types.Object),
+				Uses:  make(map[*ast.Ident]types.Object),
+			}}
+			if p.types, err = (&types.Config{Importer: tree}).Check(modulePath+"/x", fset, p.files, p.info); err != nil {
+				t.Fatal(err)
+			}
+			tree.pkgs["x"] = p
+			g := stateCensus(tree)
+			for name, read := range row.want {
+				v, ok := g[name]
+				switch {
+				case !ok:
+					t.Errorf("%s: not censused", name)
+				case read && v.finding != "":
+					t.Errorf("%s: want read, got %q", name, v.finding)
+				case !read && v.finding == "":
+					t.Errorf("%s: want unread, got read", name)
+				}
+			}
+		})
+	}
+	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := stateCensus(tree)
+	for _, name := range []string{"simnet.linkKey.from", "simnet.linkKey.to", "load.zipfKey.n", "load.zipfKey.theta", "slo.Incident.Kind", "slo.Incident.CauseAt"} {
+		if v, ok := g[name]; !ok || v.finding != "" {
+			t.Errorf("%s: want censused and read, got censused %v, finding %q", name, ok, v.finding)
+		}
+	}
 }

@@ -510,7 +510,7 @@ func (pl *Pool) WaitIdle(p *sim.Proc) {
 // with idle CPU and takes half the busiest member's pending queue. It
 // reports false (without error) when the cluster has no spare CPU —
 // the paper's guard against creating excessive compute proclets.
-func (pl *Pool) Grow(p *sim.Proc) (bool, error) {
+func (pl *Pool) Grow() (bool, error) {
 	if pl.maxSize > 0 && len(pl.members) >= pl.maxSize {
 		return false, nil
 	}
@@ -549,7 +549,7 @@ func (pl *Pool) Grow(p *sim.Proc) (bool, error) {
 // background once its running tasks drain, so a controller can issue
 // several merges per tick without serializing on task completions.
 // It reports false when the pool is at its minimum size.
-func (pl *Pool) Shrink(p *sim.Proc) (bool, error) {
+func (pl *Pool) Shrink() (bool, error) {
 	if len(pl.members) <= pl.minSize {
 		return false, nil
 	}

@@ -109,7 +109,7 @@ func TestPoolGrowSplitsQueue(t *testing.T) {
 		})
 	}
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		grew, err := pl.Grow(p)
+		grew, err := pl.Grow()
 		if err != nil || !grew {
 			t.Errorf("Grow = %v, %v", grew, err)
 			return
@@ -138,7 +138,7 @@ func TestPoolGrowRefusesWithoutIdleCPU(t *testing.T) {
 		pl.Run(func(tc *TaskCtx) { tc.Compute(time.Millisecond) })
 	}
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		grew, err := pl.Grow(p)
+		grew, err := pl.Grow()
 		if err != nil {
 			t.Errorf("Grow error: %v", err)
 		}
@@ -156,7 +156,7 @@ func TestPoolGrowRespectsMaxSize(t *testing.T) {
 	s := testSystem(t)
 	pl, _ := s.NewPool("pool", 1, 2, 1, 2)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if grew, _ := pl.Grow(p); grew {
+		if grew, _ := pl.Grow(); grew {
 			t.Error("Grow exceeded maxSize")
 		}
 	})
@@ -174,7 +174,7 @@ func TestPoolShrinkMergesQueue(t *testing.T) {
 		})
 	}
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if shrank, err := pl.Shrink(p); err != nil || !shrank {
+		if shrank, err := pl.Shrink(); err != nil || !shrank {
 			t.Errorf("Shrink = %v, %v", shrank, err)
 			return
 		}
@@ -196,7 +196,7 @@ func TestPoolShrinkRespectsMinSize(t *testing.T) {
 	s := testSystem(t)
 	pl, _ := s.NewPool("pool", 1, 2, 2, 0)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if shrank, _ := pl.Shrink(p); shrank {
+		if shrank, _ := pl.Shrink(); shrank {
 			t.Error("Shrink below minSize")
 		}
 	})
@@ -213,7 +213,7 @@ func TestPoolSplitLatencyIsMilliseconds(t *testing.T) {
 	var elapsed time.Duration
 	s.K.Spawn("ctl", func(p *sim.Proc) {
 		start := p.Now()
-		pl.Grow(p)
+		pl.Grow()
 		elapsed = p.Now().Sub(start)
 		s.K.Stop()
 	})

@@ -155,13 +155,13 @@ func TestComputeTasksMoveWithTheirWork(t *testing.T) {
 		moved   func(pl *Pool) int64
 	}{
 		{"Grow", 1, 24, func(t *testing.T, p *sim.Proc, pl *Pool, _ TaskFn) int {
-			if grew, err := pl.Grow(p); err != nil || !grew {
+			if grew, err := pl.Grow(); err != nil || !grew {
 				t.Errorf("Grow = %v, %v", grew, err)
 			}
 			return 0
 		}, func(pl *Pool) int64 { return pl.members[1].executed }},
 		{"Shrink", 2, 12, func(t *testing.T, p *sim.Proc, pl *Pool, _ TaskFn) int {
-			if shrank, err := pl.Shrink(p); err != nil || !shrank {
+			if shrank, err := pl.Shrink(); err != nil || !shrank {
 				t.Errorf("Shrink = %v, %v", shrank, err)
 			}
 			return 0
@@ -170,7 +170,7 @@ func TestComputeTasksMoveWithTheirWork(t *testing.T) {
 			func(pl *Pool) int64 { return pl.Steals }},
 		{"RunCompute on a stopping member", 2, 12, func(t *testing.T, p *sim.Proc, pl *Pool, count TaskFn) int {
 			victim := pl.members[0]
-			if shrank, err := pl.Shrink(p); err != nil || !shrank {
+			if shrank, err := pl.Shrink(); err != nil || !shrank {
 				t.Errorf("Shrink = %v, %v", shrank, err)
 			}
 			p.Sleep(time.Microsecond) // the retirement has begun

@@ -590,8 +590,16 @@ func (mp *MemoryProclet) Location() cluster.MachineID { return mp.pr.Location() 
 func (mp *MemoryProclet) HeapBytes() int64 { return mp.pr.HeapBytes() }
 
 // Destroy removes the proclet and its objects. Destroying a replicated
-// primary tears down its backups too.
+// primary tears down its backups too. A proclet that is gone or
+// migrating is left as it is: Destroy returns ErrNotFound or
+// ErrMigrating before touching its backups or the scheduler.
 func (mp *MemoryProclet) Destroy() error {
+	switch pr := mp.sys.Runtime.Lookup(mp.pr.ID()); {
+	case pr == nil:
+		return proclet.ErrNotFound
+	case pr.State() == proclet.StateMigrating:
+		return proclet.ErrMigrating
+	}
 	if mp.rs != nil {
 		mp.rs.release()
 	}

@@ -154,7 +154,7 @@ func (s *System) EnableReplicationPlane(rcfg replication.Config, monitor cluster
 		sys:            s,
 		sets:           make(map[proclet.ID]*replicaSet),
 		pendingOrphans: make(map[cluster.MachineID][]*proclet.Proclet),
-		PromoteLatency: metrics.NewHistogram("core.promote_latency"),
+		PromoteLatency: new(metrics.Histogram),
 	}
 	det := replication.NewDetector(s.K, s.Cluster, s.Trace, rcfg, monitor)
 	det.OnConfirm = rm.onConfirm

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -439,5 +440,49 @@ func TestPutBatchCopiesOutOfCallersBatch(t *testing.T) {
 				t.Errorf("obj %d = %v (%d bytes), want %d (%d bytes)", id, e.val.Any(), e.bytes, id*7, 64+id)
 			}
 		}
+	}
+}
+
+// TestDestroyWhileMigratingKeepsStore: Destroy on a replicated store in
+// the middle of a move fails with ErrMigrating and changes nothing. The
+// move then commits, and the store lands with its backup and its
+// scheduler entry, serving the writes made before the move.
+func TestDestroyWhileMigratingKeepsStore(t *testing.T) {
+	s, rm, _ := replSystem(t, 0)
+	mp, err := NewMemoryProcletOn(s, "store", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.Replicate(mp, 2); err != nil {
+		t.Fatal(err)
+	}
+	s.K.Spawn("driver", func(p *sim.Proc) {
+		for i := uint64(1); i <= 10; i++ {
+			if err := mp.Put(p, 1, i, int(i), 64<<10); err != nil {
+				t.Errorf("put %d: %v", i, err)
+			}
+		}
+		s.K.Spawn("destroy", func(p *sim.Proc) {
+			p.Sleep(10 * time.Microsecond)
+			if err := mp.Destroy(); !errors.Is(err, proclet.ErrMigrating) {
+				t.Errorf("Destroy mid-move = %v, want ErrMigrating", err)
+			}
+		})
+		if err := s.Runtime.Migrate(p, mp.ID(), 3); err != nil {
+			t.Errorf("Migrate: %v", err)
+		}
+		if v, err := mp.Get(p, 0, 7); err != nil || v != 7 {
+			t.Errorf("Get after the move = %v, %v; want 7", v, err)
+		}
+	})
+	s.K.RunUntil(sim.Time(10 * time.Millisecond))
+	if got := mp.Location(); got != 3 {
+		t.Errorf("store on machine %d after the move, want 3", got)
+	}
+	if rs := rm.sets[mp.ID()]; rs == nil || len(rs.backups) != 1 || mp.rs != rs {
+		t.Errorf("store lost its replica set: %v", rs)
+	}
+	if s.Sched.info[mp.ID()] == nil {
+		t.Error("store is unknown to the scheduler")
 	}
 }

@@ -112,11 +112,11 @@ func (ts *TargetScaler) Adapt(p *sim.Proc) {
 	want, cur := ts.Target(), ts.pool.Size()
 	switch {
 	case cur < want:
-		if grew, _ := ts.pool.Grow(p); grew {
+		if grew, _ := ts.pool.Grow(); grew {
 			ts.Grows++
 		}
 	case cur > want:
-		if shrank, _ := ts.pool.Shrink(p); shrank {
+		if shrank, _ := ts.pool.Shrink(); shrank {
 			ts.Shrinks++
 		}
 	}

@@ -55,7 +55,7 @@ func runExtHarvest(scale Scale) (*Result, error) {
 			a.Start(sys.K)
 			_ = i
 		}
-		goodput := metrics.NewBucketSeries("goodput", time.Millisecond)
+		goodput := metrics.NewBucketSeries(time.Millisecond)
 		// One closure value feeds every task, as in fig1: a completion
 		// re-enqueues the same unit on its current proclet.
 		var count core.TaskFn

@@ -99,7 +99,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config),
 
 	var st fig1Stats
 	for i := range st.perMachine {
-		st.perMachine[i] = metrics.NewBucketSeries(fmt.Sprintf("goodput-m%d", i), time.Millisecond)
+		st.perMachine[i] = metrics.NewBucketSeries(time.Millisecond)
 	}
 
 	// One closure value feeds every task: each completion re-enqueues

@@ -87,12 +87,10 @@ func fig2Config(scale Scale) fig2Cfg {
 
 // fig2Outcome reports one configuration's pipeline run.
 type fig2Outcome struct {
-	completion  sim.Time
-	shards      int
-	memSplit    []int64 // bytes resident per machine at preprocessing start
-	procSplit   []int   // compute proclets per machine at completion
-	evacuations int64
-	events      uint64
+	completion sim.Time
+	shards     int
+	procSplit  []int // compute proclets per machine at completion
+	events     uint64
 }
 
 // fig2Pipeline runs the Quicksand preprocessing pipeline on the given
@@ -141,15 +139,12 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 			}
 		}
 		out.shards = vec.NumShards()
-		for _, m := range sys.Cluster.Machines() {
-			out.memSplit = append(out.memSplit, m.MemUsed())
-		}
 
 		// Preprocessing phase (timed).
 		start := p.Now()
 		err := dtp.ForEachVec(p, pool, vec, cfg.chunk, func(tc *core.TaskCtx, idx uint64, im workload.Image) {
 			tc.Compute(im.CPU)
-			if perr := queue.Push(tc.Proc(), tc.Machine(), workload.Batch{Seq: im.Idx, Bytes: cfg.outBytes}, cfg.outBytes); perr != nil && runErr == nil {
+			if perr := queue.Push(tc.Proc(), tc.Machine(), workload.Batch{}, cfg.outBytes); perr != nil && runErr == nil {
 				runErr = fmt.Errorf("push batch %d: %w", im.Idx, perr)
 			}
 		})
@@ -172,7 +167,6 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 	if !done {
 		return out, fmt.Errorf("fig2: pipeline did not complete (deadlock?)")
 	}
-	out.evacuations = sys.Sched.Evacuations.Value() + sys.Sched.MemEvictions.Value()
 	out.events = sys.K.EventsProcessed()
 	return out, nil
 }
@@ -229,13 +223,13 @@ func runFig2(scale Scale) (*Result, error) {
 	if len(last.machines) == 2 {
 		res.addf("-- static (non-fungible) baselines on %s --", last.name)
 		// Partition evenly: the low-memory machine OOMs.
-		even := runStatic(cfg, last.machines, imgs, []float64{0.5, 0.5})
+		even := runStatic(last.machines, imgs, []float64{0.5, 0.5})
 		res.addf("static even-split:   %s", describeStatic(even))
 		res.set("static_even.oom", boolTo01(even.OOM != nil))
 		// Partition by memory: feasible but strands the big machine's CPU.
 		m0 := float64(last.machines[0].MemBytes)
 		m1 := float64(last.machines[1].MemBytes)
-		byMem := runStatic(cfg, last.machines, imgs, []float64{m0 / (m0 + m1), m1 / (m0 + m1)})
+		byMem := runStatic(last.machines, imgs, []float64{m0 / (m0 + m1), m1 / (m0 + m1)})
 		res.addf("static by-memory:    %s", describeStatic(byMem))
 		if byMem.OOM == nil {
 			res.set("static_bymem.seconds", byMem.Completion.Seconds())
@@ -247,7 +241,7 @@ func runFig2(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-func runStatic(cfg fig2Cfg, machineCfgs []cluster.MachineConfig, imgs []workload.Image, frac []float64) baseline.StaticResult {
+func runStatic(machineCfgs []cluster.MachineConfig, imgs []workload.Image, frac []float64) baseline.StaticResult {
 	k := sim.NewKernel(seeded(7))
 	defer k.Close()
 	c := cluster.New(k, simnet.DefaultConfig())

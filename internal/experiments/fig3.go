@@ -25,8 +25,6 @@ type fig3Cfg struct {
 	preprocCPU     time.Duration // CPU per batch produced
 	gpuBatch       time.Duration // GPU time per batch consumed
 	outBytes       int64
-	lowWater       uint64
-	highWater      uint64
 	maxProducers   int
 }
 
@@ -39,8 +37,6 @@ func fig3Config(scale Scale) fig3Cfg {
 		preprocCPU:   10 * time.Millisecond,
 		gpuBatch:     5 * time.Millisecond,
 		outBytes:     16 << 10,
-		lowWater:     4,
-		highWater:    32,
 		maxProducers: 24,
 	}
 	if scale == TestScale {
@@ -91,12 +87,10 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 
 	// Continuous production: a fixed population of self-replacing
 	// tasks, dispatched through the pool so new members get fed.
-	seq := 0
 	var produce core.TaskFn
 	produce = func(tc *core.TaskCtx) {
 		tc.Compute(cfg.preprocCPU)
-		seq++
-		queue.Push(tc.Proc(), tc.Machine(), workload.Batch{Seq: seq, Bytes: cfg.outBytes}, cfg.outBytes)
+		queue.Push(tc.Proc(), tc.Machine(), workload.Batch{}, cfg.outBytes)
 		tc.ComputeProclet().Run(produce)
 	}
 	for i := 0; i < 2*cfg.maxProducers; i++ {
@@ -110,7 +104,7 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 
 	// Samplers.
 	out.size = metrics.NewTimeSeries("producers")
-	out.consumed = metrics.NewBucketSeries("consumed", 10*time.Millisecond)
+	out.consumed = metrics.NewBucketSeries(10 * time.Millisecond)
 	lastConsumed := int64(0)
 	sys.K.Every(0, time.Millisecond, func() bool {
 		out.size.Add(sys.K.Now(), float64(pool.Size()))

@@ -105,7 +105,7 @@ func NewFleetConfig(sys *core.System, name string, cfg Config) *Fleet {
 		sys:              sys,
 		name:             name,
 		cfg:              cfg.withDefaults(),
-		MigrationLatency: metrics.NewHistogram(name + ".evac_latency"),
+		MigrationLatency: new(metrics.Histogram),
 	}
 }
 

@@ -58,17 +58,16 @@ func (s *TimeSeries) At(t sim.Time) (v float64, ok bool) {
 // the container behind goodput/throughput timelines: each Add(t, v)
 // adds v into the bucket containing t.
 type BucketSeries struct {
-	Name    string
 	Width   time.Duration
 	buckets []float64
 }
 
 // NewBucketSeries creates a bucket series with the given bucket width.
-func NewBucketSeries(name string, width time.Duration) *BucketSeries {
+func NewBucketSeries(width time.Duration) *BucketSeries {
 	if width <= 0 {
 		panic("metrics: bucket width must be positive")
 	}
-	return &BucketSeries{Name: name, Width: width}
+	return &BucketSeries{Width: width}
 }
 
 // Add accumulates v into the bucket containing time t.
@@ -94,14 +93,10 @@ func (b *BucketSeries) Bucket(i int) float64 {
 // Histogram keeps the running mean and maximum of a stream of samples.
 // The sum adds the samples in the order they were observed.
 type Histogram struct {
-	Name string
-	n    int
-	sum  float64
-	max  float64
+	n   int
+	sum float64
+	max float64
 }
-
-// NewHistogram creates an empty named histogram.
-func NewHistogram(name string) *Histogram { return &Histogram{Name: name} }
 
 // observe records one sample.
 func (h *Histogram) observe(v float64) {

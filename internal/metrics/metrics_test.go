@@ -42,7 +42,7 @@ func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
 }
 
 func TestBucketSeries(t *testing.T) {
-	b := NewBucketSeries("goodput", time.Millisecond)
+	b := NewBucketSeries(time.Millisecond)
 	b.Add(0, 1)
 	b.Add(sim.Time(500*time.Microsecond), 2)
 	b.Add(sim.Time(time.Millisecond), 4)
@@ -58,13 +58,13 @@ func TestBucketSeries(t *testing.T) {
 			t.Errorf("Bucket(%d) = %v, want 0 (empty or out of range)", i, b.Bucket(i))
 		}
 	}
-	if empty := NewBucketSeries("empty", time.Millisecond); empty.Bucket(0) != 0 {
+	if empty := NewBucketSeries(time.Millisecond); empty.Bucket(0) != 0 {
 		t.Errorf("empty series Bucket(0) = %v, want 0", empty.Bucket(0))
 	}
 }
 
 func TestHistogramStats(t *testing.T) {
-	h := NewHistogram("lat")
+	h := new(Histogram)
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		h.observe(v)
 	}
@@ -75,7 +75,7 @@ func TestHistogramStats(t *testing.T) {
 	if h.Max() != 7 {
 		t.Errorf("Max after a larger observation = %v, want 7", h.Max())
 	}
-	neg := NewHistogram("neg")
+	neg := new(Histogram)
 	neg.observe(-2)
 	neg.observe(-1)
 	if neg.Max() != -1 {
@@ -84,7 +84,7 @@ func TestHistogramStats(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram("empty")
+	h := new(Histogram)
 	if h.Mean() != 0 || h.Max() != 0 {
 		t.Error("empty histogram stats should be 0")
 	}
@@ -96,7 +96,7 @@ func TestHistogramEmpty(t *testing.T) {
 // sort.
 func TestHistogramIncrementalMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	h := NewHistogram("x")
+	h := new(Histogram)
 	var all []float64
 	for round := 0; round < 20; round++ {
 		n := rng.Intn(40) // including empty rounds
@@ -121,7 +121,7 @@ func TestHistogramIncrementalMatchesFullSort(t *testing.T) {
 }
 
 func TestHistogramObserveDuration(t *testing.T) {
-	h := NewHistogram("d")
+	h := new(Histogram)
 	h.ObserveDuration(1500 * time.Millisecond)
 	if h.Mean() != 1.5 {
 		t.Errorf("Mean = %v, want 1.5", h.Mean())
@@ -151,7 +151,7 @@ func TestCounterNegativePanics(t *testing.T) {
 // assignment matches integer division.
 func TestBucketSeriesTotalProperty(t *testing.T) {
 	f := func(offsets []uint16) bool {
-		b := NewBucketSeries("x", 100*time.Nanosecond)
+		b := NewBucketSeries(100 * time.Nanosecond)
 		var want float64
 		wantBuckets := map[int]float64{}
 		for _, o := range offsets {

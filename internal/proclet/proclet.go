@@ -143,8 +143,7 @@ type Proclet struct {
 	unblocked sim.Cond // signaled when a migration completes
 
 	// Post-copy migration state (see postcopy.go).
-	lazyWindow bool     // heap not yet resident at pr.machine
-	residentAt sim.Time // when the last post-copy window closed
+	lazyWindow bool // heap not yet resident at pr.machine
 
 	nextThread int64
 	tasks      []*cluster.Task // outstanding thread compute, in submission order
@@ -266,8 +265,6 @@ type Ctx struct {
 	Proc *sim.Proc
 	// Self is the proclet whose method is running.
 	Self *Proclet
-	// From identifies the calling proclet (0 for external clients).
-	From ID
 }
 
 // Thread is a proclet thread: long-running computation that belongs to

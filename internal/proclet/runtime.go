@@ -162,8 +162,8 @@ func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
 		k:                c.K,
 		procs:            make([]*Proclet, 1), // id 0 is "no proclet"
 		caches:           make([][]int32, len(c.Machines())),
-		MigrationLatency: metrics.NewHistogram("proclet.migration_latency"),
-		LazyResidence:    metrics.NewHistogram("proclet.lazy_residence"),
+		MigrationLatency: new(metrics.Histogram),
+		LazyResidence:    new(metrics.Histogram),
 	}
 	c.Fabric.HandleStaged(rt.serveStaged)
 	for _, m := range c.Machines() {
@@ -519,7 +519,7 @@ func (rt *Runtime) serveBlocking(p *sim.Proc, pr *Proclet, e *methodEntry, from 
 	}
 	pr.active++
 	ctx := rt.getCtx()
-	ctx.Proc, ctx.Self, ctx.From = p, pr, from
+	ctx.Proc, ctx.Self = p, pr
 	res, err := e.blocking(ctx, arg)
 	rt.putCtx(ctx)
 	pr.active--

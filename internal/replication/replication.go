@@ -196,7 +196,7 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, mon
 		health:        make([]machineHealth, len(c.Machines())),
 		leases:        make([]sim.Time, len(c.Machines())),
 		pingers:       make([]pinger, len(c.Machines())),
-		DetectLatency: metrics.NewHistogram("replication.detect_latency"),
+		DetectLatency: new(metrics.Histogram),
 	}
 	now := k.Now()
 	for _, m := range c.Machines() {

@@ -35,10 +35,8 @@ type VecIter[T any] struct {
 	inflight *sim.Future[*vecBatch]
 	nextFrom uint64 // first element of the batch to prefetch next
 
-	// Fetches counts batch RPCs issued; Refetches counts batches
-	// discarded because a split or merge raced the scan.
-	Fetches   int64
-	Refetches int64
+	// Fetches counts batch RPCs issued.
+	Fetches int64
 }
 
 type vecBatch struct {
@@ -168,7 +166,6 @@ func (it *VecIter[T]) Next(p *sim.Proc, from cluster.MachineID) (T, bool, error)
 			// A split/merge raced the scan, or the consumer moved.
 			// Discard and refetch through the updated routing; never
 			// skip positions.
-			it.Refetches++
 			it.nextFrom = it.pos
 			it.buf, it.bufPos = nil, 0
 			continue

@@ -13,7 +13,6 @@ import (
 // fine-grained storage proclets on multiple machines by key hash, so
 // one namespace combines the capacity and IOPS of every slice.
 type Flat struct {
-	sys   *core.System
 	name  string
 	procs []*Proclet
 }
@@ -24,7 +23,7 @@ func NewFlat(sys *core.System, name string, n int, dev DeviceConfig) (*Flat, err
 	if n < 1 {
 		return nil, ErrZeroShards
 	}
-	f := &Flat{sys: sys, name: name}
+	f := &Flat{name: name}
 	machines := sys.Cluster.Machines()
 	for i := 0; i < n; i++ {
 		m := machines[i%len(machines)]

@@ -130,11 +130,9 @@ func TotalBytes(imgs []Image) int64 {
 }
 
 // Batch is a preprocessed minibatch flowing from the CPU stage to the
-// GPU stage through the sharded queue.
-type Batch struct {
-	Seq   int
-	Bytes int64
-}
+// GPU stage through the sharded queue. It carries nothing: the queue
+// accounts its size, and a GPU only needs one to be there.
+type Batch struct{}
 
 // GPUPool emulates a set of training GPUs attached to one machine:
 // each active GPU repeatedly pops a batch from the queue and spends
@@ -150,9 +148,8 @@ type GPUPool struct {
 	maxGPUs int
 	stopped bool
 
-	// Consumed counts batches trained; Starved counts empty polls.
+	// Consumed counts batches trained.
 	Consumed metrics.Counter
-	Starved  metrics.Counter
 	// ActiveSeries records the active-GPU count over time.
 	ActiveSeries *metrics.TimeSeries
 	// busyNs accumulates GPU-busy time for utilization accounting.
@@ -194,7 +191,6 @@ func (g *GPUPool) gpuLoop(p *sim.Proc, slot int) {
 			return
 		}
 		if !ok {
-			g.Starved.Inc()
 			p.Sleep(g.Poll)
 			continue
 		}

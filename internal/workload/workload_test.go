@@ -142,7 +142,7 @@ func TestGPUPoolDrainsQueue(t *testing.T) {
 	g.Start(s.K)
 	s.K.Spawn("producer", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {
-			q.Push(p, 0, Batch{Seq: i, Bytes: 1 << 10}, 1<<10)
+			q.Push(p, 0, Batch{}, 1<<10)
 		}
 	})
 	s.K.RunUntil(sim.Time(50 * time.Millisecond))
@@ -163,7 +163,7 @@ func TestGPUPoolSetActiveThrottles(t *testing.T) {
 	g.Start(s.K)
 	s.K.Spawn("producer", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
-			q.Push(p, 0, Batch{Seq: i, Bytes: 256}, 256)
+			q.Push(p, 0, Batch{}, 256)
 		}
 	})
 	// 2 GPUs x 1ms per batch: after 10ms, at most ~20 consumed.
