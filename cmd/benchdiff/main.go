@@ -36,6 +36,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -150,13 +152,29 @@ func compareValues(base, cand map[string]float64) []string {
 	return fails
 }
 
-func main() {
-	tol := flag.Float64("tol", 0.10, "relative tolerance for allocs")
-	flag.Parse()
-	args := flag.Args()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+const usage = "usage: benchdiff [-tol 0.10] baselineDir candidateDir id..."
+
+// run is benchdiff with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tol := fs.Float64("tol", 0.10, "relative tolerance for allocs")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	args = fs.Args()
+	// A NaN or infinite tolerance would pass every allocation count, and
+	// a negative one fail an unchanged count.
+	if math.IsNaN(*tol) || math.IsInf(*tol, 0) || *tol < 0 {
+		fmt.Fprintf(stderr, "benchdiff: -tol %v: want a finite fraction >= 0\n%s\n", *tol, usage)
+		return 2
+	}
 	if len(args) < 3 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol 0.10] baselineDir candidateDir id...")
-		os.Exit(2)
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
 	baseDir, candDir, ids := args[0], args[1], args[2:]
 
@@ -164,13 +182,13 @@ func main() {
 	for _, id := range ids {
 		base, err := readStats(baseDir, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s: baseline: %v\n", id, err)
+			fmt.Fprintf(stderr, "benchdiff: %s: baseline: %v\n", id, err)
 			failed = true
 			continue
 		}
 		cand, err := readStats(candDir, id)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %s: candidate: %v\n", id, err)
+			fmt.Fprintf(stderr, "benchdiff: %s: candidate: %v\n", id, err)
 			failed = true
 			continue
 		}
@@ -180,15 +198,16 @@ func main() {
 			status = "FAIL"
 			failed = true
 		}
-		fmt.Printf("%-14s %s  events %d -> %d (%+.1f%%)  allocs %d -> %d (%+.1f%%)\n",
+		fmt.Fprintf(stdout, "%-14s %s  events %d -> %d (%+.1f%%)  allocs %d -> %d (%+.1f%%)\n",
 			id, status,
 			base.Events, cand.Events, 100*relDelta(base.Events, cand.Events),
 			base.Allocs, cand.Allocs, 100*relDelta(base.Allocs, cand.Allocs))
 		for _, f := range fails {
-			fmt.Printf("    %s\n", f)
+			fmt.Fprintf(stdout, "    %s\n", f)
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

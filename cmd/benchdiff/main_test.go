@@ -246,3 +246,31 @@ func FuzzBenchRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestRejectsBadTolerance: a NaN or infinite -tol would turn the
+// allocation gate off (d > tol is never true), and a negative one fail
+// every unchanged count, so each is a usage error: exit 2 with the
+// usage message, before any record is read.
+func TestRejectsBadTolerance(t *testing.T) {
+	for _, tol := range []string{"NaN", "+Inf", "-Inf", "-0.1"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-tol", tol, "base", "cand", "fig1"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-tol %s: exit %d, want 2", tol, code)
+		}
+		if !strings.Contains(stderr.String(), usage) || stdout.Len() != 0 {
+			t.Errorf("-tol %s: stdout %q, stderr %q; want only the usage message", tol, stdout.String(), stderr.String())
+		}
+	}
+	// The bounds themselves are tolerances.
+	dir := t.TempDir()
+	rec := `{"id":"ok","events_processed":10,"allocs":1}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_ok.json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tol := range []string{"0", "0.10"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-tol", tol, dir, dir, "ok"}, &stdout, &stderr); code != 0 {
+			t.Errorf("-tol %s: exit %d, want 0 (stderr %q)", tol, code, stderr.String())
+		}
+	}
+}

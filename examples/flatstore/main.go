@@ -29,9 +29,6 @@ func measure(nProclets int) (ops int64, elapsed time.Duration) {
 	})
 	dev := storage.DeviceConfig{
 		CapacityBytes: 8 << 30,
-		ReadLatency:   80 * time.Microsecond,
-		WriteLatency:  20 * time.Microsecond,
-		Bandwidth:     2_000_000_000,
 		IOPS:          50_000,
 	}
 	flat, err := storage.NewFlat(sys, "objects", nProclets, dev)

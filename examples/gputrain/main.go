@@ -45,12 +45,10 @@ func run(w io.Writer) {
 		)
 	}
 
-	fleet := gpu.NewFleetConfig(sys, "trainers", gpu.Config{
-		Period: time.Millisecond,
+	fleet := gpu.NewFleet(sys, "trainers", gpu.Config{
 		Checkpoint: gpu.CheckpointConfig{
 			DeltaBytes:    1 << 20,
 			SnapshotEvery: 100,
-			Home:          gpu.AutoHome,
 		},
 	})
 	var trainers []*gpu.Proclet

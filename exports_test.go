@@ -6,14 +6,17 @@ package quicksand
 // TestNoDeadExports fails on an exported name under internal/ that
 // nothing uses, or on a func or method that only its own package calls;
 // TestNoDeadCode fails on any function or method of the root module,
-// exported or not, that only tests use, and on any struct field or
-// parameter declared there that only tests read.
+// exported or not, that only tests use, on any struct field or
+// parameter declared there that only tests read, and on any field of an
+// exported Config or Options struct under internal/ that code outside
+// its package sets to at most one value.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -49,6 +52,7 @@ type sourcePkg struct {
 // demand. Import paths under modulePath resolve to directories of the
 // tree; everything else is the standard library.
 type sourceTree struct {
+	root string // the repository root the directories are relative to
 	fset *token.FileSet
 	std  types.ImporterFrom
 	pkgs map[string]*sourcePkg // by directory
@@ -81,7 +85,7 @@ func (t *sourceTree) load(dir string) (*sourcePkg, error) {
 		return p, nil
 	}
 	t.pkgs[dir] = nil
-	bp, err := build.Default.ImportDir(dir, 0)
+	bp, err := build.Default.ImportDir(filepath.Join(t.root, dir), 0)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +95,7 @@ func (t *sourceTree) load(dir string) (*sourcePkg, error) {
 		Uses:  make(map[*ast.Ident]types.Object),
 	}}
 	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(t.fset, filepath.Join(dir, name), nil, 0)
+		f, err := parser.ParseFile(t.fset, filepath.Join(t.root, dir, name), nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -115,25 +119,26 @@ func skipDir(name string) bool {
 	return name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")
 }
 
-// checkedTree is loadTree's result, shared by the tests that read the
-// checked source.
-var checkedTree = sync.OnceValues(loadTree)
+// checkedTree is loadTree's result for this repository, shared by the
+// tests that read the checked source.
+var checkedTree = sync.OnceValues(func() (*sourceTree, error) { return loadTree(".") })
 
-// loadTree checks every package under the repository root.
-func loadTree() (*sourceTree, error) {
+// loadTree checks every package under root.
+func loadTree(root string) (*sourceTree, error) {
 	fset := token.NewFileSet()
-	t := &sourceTree{fset: fset, pkgs: make(map[string]*sourcePkg),
+	t := &sourceTree{root: root, fset: fset, pkgs: make(map[string]*sourcePkg),
 		std: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
 	var dirs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if path != "." && skipDir(d.Name()) {
+		if path != root && skipDir(d.Name()) {
 			return filepath.SkipDir
 		}
-		dirs = append(dirs, path)
-		return nil
+		rel, err := filepath.Rel(root, path)
+		dirs = append(dirs, rel)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -473,7 +478,7 @@ func funcCensus(t *sourceTree) (gate, error) {
 	out := make(map[types.Object]*fn)
 	g := make(gate)
 	for _, p := range t.pkgs {
-		if p == nil || !inRootModule(p.dir) {
+		if p == nil || !t.inRootModule(p.dir) {
 			continue
 		}
 		qual := qualifier(p)
@@ -573,7 +578,7 @@ func stateCensus(t *sourceTree) gate {
 	vars := make(map[*types.Var]*state)
 	params := make(map[*types.Func][]*state)
 	for _, p := range t.pkgs {
-		if p == nil || !inRootModule(p.dir) {
+		if p == nil || !t.inRootModule(p.dir) {
 			continue
 		}
 		qual := qualifier(p)
@@ -886,14 +891,180 @@ func recvName(m *types.Func) string {
 	return receiver(m).Obj().Name()
 }
 
+// option is one field of an exported Config or Options struct under
+// internal/, with the values that code outside its package writes to
+// it.
+type option struct {
+	name   string // pkg.Type.Field
+	pos    token.Position
+	values []constant.Value // each distinct constant written; nil is the zero of a non-basic type
+	many   bool             // a non-constant write
+}
+
+// write records that e is written to o.
+func (o *option) write(info *types.Info, e ast.Expr) {
+	switch tv := info.Types[e]; {
+	case tv.IsNil():
+		o.add(nil)
+	case tv.Value != nil:
+		o.add(tv.Value)
+	default:
+		o.many = true
+	}
+}
+
+// writeZero records that the zero value of T is written to o.
+func (o *option) writeZero(T types.Type) {
+	b, ok := T.Underlying().(*types.Basic)
+	switch {
+	case !ok:
+		o.add(nil)
+	case b.Info()&types.IsBoolean != 0:
+		o.add(constant.MakeBool(false))
+	case b.Info()&types.IsString != 0:
+		o.add(constant.MakeString(""))
+	default:
+		o.add(constant.MakeInt64(0))
+	}
+}
+
+func (o *option) add(v constant.Value) {
+	for _, w := range o.values {
+		if (v == nil) == (w == nil) && (v == nil || constant.Compare(v, token.EQL, w)) {
+			return
+		}
+	}
+	o.values = append(o.values, v)
+}
+
+// finding is what the gate says about o, or "" when o passes.
+func (o *option) finding() string {
+	switch {
+	case o.many || len(o.values) > 1:
+		return ""
+	case len(o.values) == 0:
+		return "is set by no non-test code outside its package: make it a constant where it is read"
+	case o.values[0] == nil:
+		return "is set outside its package only to its zero value: make it a constant where it is read"
+	}
+	return "is set outside its package only to " + o.values[0].ExactString() + ": make it a constant where it is read"
+}
+
+// optionCensus finds every field of an exported struct type under
+// internal/ whose name ends in Config or Options, and fails each one
+// that non-test code outside its package — the root module, examples/
+// and benchmark/ — sets to at most one value: with one value in use, a
+// setting is a constant. An assignment and a composite-literal key
+// write a field; a keyed literal that omits it, or an empty one, writes
+// its zero value. A non-constant value, an op-assign and ++/-- count as
+// many values. The declaring package's own writes — its defaults and
+// clamps — do not count.
+func optionCensus(t *sourceTree) gate {
+	opts := make(map[*types.Var]*option)
+	for _, p := range t.pkgs {
+		if p == nil || !strings.HasPrefix(filepath.ToSlash(p.dir), "internal/") {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				opts[f] = &option{name: p.types.Name() + "." + name + "." + f.Name(), pos: t.fset.Position(f.Pos())}
+			}
+		}
+	}
+	for _, p := range t.pkgs {
+		if p == nil {
+			continue
+		}
+		away := func(v types.Object) *option {
+			f, ok := v.(*types.Var)
+			if !ok || f.Pkg() == p.types {
+				return nil
+			}
+			return opts[f.Origin()]
+		}
+		target := func(lhs ast.Expr) *option {
+			if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+				return away(p.info.Uses[sel.Sel])
+			}
+			return nil
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					T := p.info.TypeOf(n)
+					if ptr, ok := T.Underlying().(*types.Pointer); ok {
+						T = ptr.Elem()
+					}
+					st, ok := T.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					set := make(map[*types.Var]ast.Expr)
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							set[p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = kv.Value
+						} else {
+							set[st.Field(i)] = elt
+						}
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						fv := st.Field(i)
+						if o := away(fv); o != nil {
+							if e, ok := set[fv]; ok {
+								o.write(p.info, e)
+							} else {
+								o.writeZero(fv.Type())
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if o := target(lhs); o != nil {
+							if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+								o.write(p.info, n.Rhs[i])
+							} else {
+								o.many = true
+							}
+						}
+					}
+				case *ast.IncDecStmt:
+					if o := target(n.X); o != nil {
+						o.many = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	g := make(gate, len(opts))
+	for _, o := range opts {
+		g.add(o.name, o.pos, o.finding())
+	}
+	return g
+}
+
 // TestNoDeadCode: every function and method declared in a non-test
 // file of the root module is used by some non-test file — of any
 // package, benchmark/ included — and every struct field and parameter
 // declared there is read by one, or the name is in the allowlist with
 // the test that reads it. Methods that satisfy an interface are exempt,
-// as in TestNoDeadExports; stateCensus says what reads a field. It also
-// fails an allowlist entry that excuses nothing, for all three
-// censuses. It sees what TestNoDeadExports cannot: an unexported helper
+// as in TestNoDeadExports; stateCensus says what reads a field. Every
+// option — a field of an exported Config or Options struct under
+// internal/ — is set to two values or more by callers outside its
+// package, or is allowlisted with what pins it; optionCensus says what
+// sets one. It also fails an allowlist entry that excuses nothing, for
+// all four censuses. It sees what TestNoDeadExports cannot: an unexported helper
 // only its own package's tests call, and state that is written and
 // never read.
 //
@@ -917,6 +1088,15 @@ func recvName(m *types.Func) string {
 // allowlisted the other 46 fields, each read by a test, mostly the
 // counters the reference-loop tests compare, and load's
 // Injector.AddTenant name, which benchmark/ passes.
+//
+// At the parent of the change that added options it failed on 31
+// fields. That change made 19 of them unexported constants of the
+// package that reads them — all nine of proclet.Config, core.Config's
+// Net, Proclet and GlobalPeriod, gpu.Config's Hysteresis and
+// MinSamples, gpu.CheckpointConfig.Home, slo.SampleConfig.HeadEvery and
+// storage.DeviceConfig's ReadLatency, WriteLatency and Bandwidth — and
+// allowlisted the 12 that benchmark/probes.go pins: replication.Config's
+// six, simnet.Config's five and slo.Config.Machine.
 func TestNoDeadCode(t *testing.T) {
 	tree, err := checkedTree()
 	if err != nil {
@@ -931,11 +1111,16 @@ func TestNoDeadCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	vars := stateCensus(tree)
+	opts := optionCensus(tree)
 	allow, err := readAllow(allowFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range append(append(fns.unexcused(allow), vars.unexcused(allow)...), staleEntries(allow, exports, fns, vars)...) {
+	var lines []string
+	for _, g := range []gate{fns, vars, opts} {
+		lines = append(lines, g.unexcused(allow)...)
+	}
+	for _, line := range append(lines, staleEntries(allow, exports, fns, vars, opts)...) {
 		t.Error(line)
 	}
 }
@@ -952,7 +1137,7 @@ func TestNoHostClock(t *testing.T) {
 	}
 	var found []string
 	for _, p := range tree.pkgs {
-		if p == nil || !inRootModule(p.dir) {
+		if p == nil || !tree.inRootModule(p.dir) {
 			continue
 		}
 		for id, obj := range p.info.Uses {
@@ -971,9 +1156,9 @@ func TestNoHostClock(t *testing.T) {
 // inRootModule reports whether the package in dir belongs to the root
 // module: no directory from dir up to the root but the root has a
 // go.mod of its own.
-func inRootModule(dir string) bool {
+func (t *sourceTree) inRootModule(dir string) bool {
 	for d := dir; d != "."; d = filepath.Dir(d) {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+		if _, err := os.Stat(filepath.Join(t.root, d, "go.mod")); err == nil {
 			return false
 		}
 	}
@@ -1076,5 +1261,100 @@ func TestStateCensusClassifies(t *testing.T) {
 		if v, ok := g[name]; !ok || v.finding != "" {
 			t.Errorf("%s: want censused and read, got censused %v, finding %q", name, ok, v.finding)
 		}
+	}
+}
+
+// TestOptionCensusClassifies holds optionCensus to its rules, one case
+// a row: each row is a small tree written to a temporary directory and
+// loaded as the repository is, with internal/x declaring the options
+// below and the row's files setting them. want names the fields the
+// gate must pass (set to two values or more) and fail (at most one).
+func TestOptionCensusClassifies(t *testing.T) {
+	const decl = "package x\n\ntype Config struct{ A, B int }\n\ntype RunOptions struct{ P int }\n\ntype Other struct{ Q int }\n\n" +
+		"func DefaultConfig() Config { return Config{A: 1, B: 2} }\n\n" +
+		"func (c Config) WithDefaults() Config {\n\tif c.A <= 0 {\n\t\tc.A = 3\n\t}\n\treturn c\n}\n\n" +
+		"func Use(Config, RunOptions, Other) {}\n"
+	user := func(body string) string {
+		return "package y\n\nimport \"repro/internal/x\"\n\nfunc F(n int) {\n" + body + "\n}\n"
+	}
+	rows := []struct {
+		name  string
+		files map[string]string // path → source, beside internal/x/x.go
+		want  map[string]bool   // name → passes
+	}{
+		{"an omitted key writes the zero value",
+			map[string]string{"internal/y/y.go": user("\tx.Use(x.Config{A: 1}, x.RunOptions{P: 1}, x.Other{})\n\tx.Use(x.Config{A: 2, B: 7}, x.RunOptions{}, x.Other{})")},
+			map[string]bool{"x.Config.A": true, "x.Config.B": true, "x.RunOptions.P": true}},
+		{"an explicit zero is the omitted one",
+			map[string]string{"internal/y/y.go": user("\tx.Use(x.Config{A: 1, B: 0}, x.RunOptions{P: 0}, x.Other{})\n\tx.Use(x.Config{A: 2}, x.RunOptions{}, x.Other{})")},
+			map[string]bool{"x.Config.A": true, "x.Config.B": false, "x.RunOptions.P": false}},
+		{"T{} writes the zero value to every field",
+			map[string]string{"internal/y/y.go": user("\tx.Use(x.Config{}, x.RunOptions{}, x.Other{})\n\tx.Use(x.Config{4, 4}, x.RunOptions{4}, x.Other{})")},
+			map[string]bool{"x.Config.A": true, "x.Config.B": true, "x.RunOptions.P": true}},
+		{"a non-constant write counts as many values",
+			map[string]string{"internal/y/y.go": user("\tx.Use(x.Config{A: n, B: 2 * 3}, x.RunOptions{P: n}, x.Other{})\n\tc := x.DefaultConfig()\n\tc.B = 6\n\tx.Use(c, x.RunOptions{}, x.Other{})")},
+			map[string]bool{"x.Config.A": true, "x.Config.B": false, "x.RunOptions.P": true}},
+		{"assignments, op-assigns and ++ write",
+			map[string]string{"internal/y/y.go": user("\tc := x.DefaultConfig()\n\tc.A = 1\n\tc.A = 2\n\to := x.RunOptions{}\n\to.P++\n\tc.B += 1\n\tx.Use(c, o, x.Other{})")},
+			map[string]bool{"x.Config.A": true, "x.Config.B": true, "x.RunOptions.P": true}},
+		{"the declaring package's defaulting does not count",
+			map[string]string{"internal/y/y.go": user("\tx.Use(x.Config{A: 5}.WithDefaults(), x.RunOptions{}, x.Other{})")},
+			map[string]bool{"x.Config.A": false, "x.Config.B": false, "x.RunOptions.P": false}},
+		{"test writes do not count",
+			map[string]string{
+				"internal/y/y.go":      user("\tx.Use(x.Config{A: 1, B: 1}, x.RunOptions{}, x.Other{})"),
+				"internal/y/y_test.go": "package y\n\nimport \"repro/internal/x\"\n\nvar _ = x.Config{A: 2, B: 2}\n",
+			},
+			map[string]bool{"x.Config.A": false, "x.Config.B": false}},
+		{"examples/ counts",
+			map[string]string{
+				"internal/y/y.go":    user("\tx.Use(x.Config{A: 1, B: 1}, x.RunOptions{}, x.Other{})"),
+				"examples/e/main.go": "package main\n\nimport \"repro/internal/x\"\n\nfunc main() { x.Use(x.Config{A: 2, B: 1}, x.RunOptions{}, x.Other{}) }\n",
+			},
+			map[string]bool{"x.Config.A": true, "x.Config.B": false}},
+		{"benchmark/ counts",
+			map[string]string{
+				"internal/y/y.go":  user("\tx.Use(x.Config{A: 1, B: 1}, x.RunOptions{}, x.Other{})"),
+				"benchmark/go.mod": "module repro/benchmark\n",
+				"benchmark/b.go":   "package main\n\nimport \"repro/internal/x\"\n\nfunc main() { x.Use(x.Config{A: 2, B: 1}, x.RunOptions{}, x.Other{}) }\n",
+			},
+			map[string]bool{"x.Config.A": true, "x.Config.B": false}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			root := t.TempDir()
+			files := map[string]string{"go.mod": "module repro\n", "internal/x/x.go": decl}
+			for path, src := range row.files {
+				files[path] = src
+			}
+			for path, src := range files {
+				full := filepath.Join(root, path)
+				if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tree, err := loadTree(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := optionCensus(tree)
+			if _, ok := g["x.Other.Q"]; ok {
+				t.Error("x.Other.Q: censused, but Other is no Config or Options")
+			}
+			for name, passes := range row.want {
+				v, ok := g[name]
+				switch {
+				case !ok:
+					t.Errorf("%s: not censused", name)
+				case passes && v.finding != "":
+					t.Errorf("%s: want passed, got %q", name, v.finding)
+				case !passes && v.finding == "":
+					t.Errorf("%s: want failed, got passed", name)
+				}
+			}
+		})
 	}
 }

@@ -26,10 +26,8 @@ func testSystem(t *testing.T, machines ...cluster.MachineConfig) *System {
 }
 
 func TestMaxShardBytesDerivation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Net.Bandwidth = 12_500_000_000
-	want := int64(62_500_000) // 5ms at 12.5 GB/s
-	if got := cfg.MaxShardBytes(); got != want {
+	want := int64(62_500_000) // 5ms at the fabric's 12.5 GB/s
+	if got := MaxShardBytes(); got != want {
 		t.Errorf("MaxShardBytes = %d, want %d", got, want)
 	}
 }

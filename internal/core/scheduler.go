@@ -188,7 +188,7 @@ func (sc *Scheduler) start() {
 	if !sc.cfg.DisableSlowPath {
 		k.Spawn("sched/global", func(p *sim.Proc) {
 			for {
-				p.Sleep(sc.cfg.GlobalPeriod)
+				p.Sleep(globalPeriod)
 				sc.rebalance(p)
 				sc.colocate(p)
 			}

@@ -217,7 +217,6 @@ func TestGlobalRebalanceSmoothsLoad(t *testing.T) {
 
 func TestAffinityColocation(t *testing.T) {
 	s := testSystem(t)
-	cfg := s.Config()
 	s.Start()
 	// A compute proclet on machine 0 hammers a memory proclet on
 	// machine 1 with large transfers; the global loop should colocate.
@@ -243,7 +242,7 @@ func TestAffinityColocation(t *testing.T) {
 		}
 		get(nil)
 	})
-	s.K.RunUntil(sim.Time(cfg.GlobalPeriod*4 + 10*time.Millisecond))
+	s.K.RunUntil(sim.Time(globalPeriod*4 + 10*time.Millisecond))
 	if cp.Location() != 1 {
 		t.Errorf("reader on machine %d, want colocated on 1", cp.Location())
 	}

@@ -29,17 +29,10 @@ import (
 type Config struct {
 	// Seed drives all randomized decisions deterministically.
 	Seed int64
-	// Net configures the cluster fabric.
-	Net simnet.Config
-	// Proclet configures the Nu substrate's cost model.
-	Proclet proclet.Config
 
 	// LocalPeriod is the fast per-machine reactor's sampling period
 	// (pressure detection and evacuation).
 	LocalPeriod time.Duration
-	// GlobalPeriod is the slow global rebalancer's period (long-term
-	// placement and affinity-driven colocation).
-	GlobalPeriod time.Duration
 
 	// ComputeProcletHeap is the accounted heap size of a compute
 	// proclet (task queue and scratch space); small so they migrate in
@@ -59,10 +52,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Seed:               1,
-		Net:                simnet.DefaultConfig(),
-		Proclet:            proclet.DefaultConfig(),
 		LocalPeriod:        200 * time.Microsecond,
-		GlobalPeriod:       50 * time.Millisecond,
 		ComputeProcletHeap: 64 << 10,
 	}
 }
@@ -72,6 +62,9 @@ const (
 	// adaptPeriod is how often registered adaptives (split/merge
 	// policies) are evaluated.
 	adaptPeriod = 2 * time.Millisecond
+	// globalPeriod is the slow global rebalancer's period (long-term
+	// placement and affinity-driven colocation).
+	globalPeriod = 50 * time.Millisecond
 
 	// cpuHighWater is the pressure (runnable tasks per available core)
 	// above which a machine evacuates compute proclets.
@@ -95,9 +88,9 @@ const (
 )
 
 // MaxShardBytes is the memory-proclet size cap implied by the target
-// migration latency at the configured NIC bandwidth.
-func (c Config) MaxShardBytes() int64 {
-	return int64(float64(c.Net.Bandwidth) * targetMigrationLatency.Seconds())
+// migration latency at the fabric's NIC bandwidth.
+func MaxShardBytes() int64 {
+	return int64(float64(simnet.DefaultConfig().Bandwidth) * targetMigrationLatency.Seconds())
 }
 
 // System is a running Quicksand deployment: the cluster, the proclet
@@ -145,7 +138,7 @@ func NewSystem(cfg Config, machines []cluster.MachineConfig) *System {
 // with a simnet.Partition. The caller owns the kernel's lifecycle —
 // Close on a system built this way is a no-op.
 func NewSystemOnKernel(k *sim.Kernel, cfg Config, machines []cluster.MachineConfig) *System {
-	cl := cluster.New(k, cfg.Net)
+	cl := cluster.New(k, simnet.DefaultConfig())
 	for _, mc := range machines {
 		cl.AddMachine(mc)
 	}
@@ -153,7 +146,7 @@ func NewSystemOnKernel(k *sim.Kernel, cfg Config, machines []cluster.MachineConf
 	s := &System{
 		K:       k,
 		Cluster: cl,
-		Runtime: proclet.NewRuntime(cl, cfg.Proclet, tl),
+		Runtime: proclet.NewRuntime(cl, tl),
 		Trace:   tl,
 		cfg:     cfg,
 	}
@@ -203,16 +196,19 @@ func (s *System) EnableTracingAt(base obs.SpanID) *obs.Tracer {
 	return s.Obs
 }
 
+// telemetryPeriod is how often EnableTelemetry samples.
+const telemetryPeriod = 250 * time.Microsecond
+
 // EnableTelemetry starts sampling per-machine CPU/memory/net
 // utilization (and per-proclet queueing delay for compute proclets
-// created afterwards) every period. Unlike tracing, sampling schedules
-// one kernel event per tick, so runs that compare kernel event counts
-// must leave it off. Idempotent; call before Start.
-func (s *System) EnableTelemetry(period time.Duration) *obs.Telemetry {
+// created afterwards) every telemetryPeriod. Unlike tracing, sampling
+// schedules one kernel event per tick, so runs that compare kernel
+// event counts must leave it off. Idempotent; call before Start.
+func (s *System) EnableTelemetry() *obs.Telemetry {
 	if s.Tel != nil {
 		return s.Tel
 	}
-	s.Tel = obs.NewTelemetry(s.K, period)
+	s.Tel = obs.NewTelemetry(s.K, telemetryPeriod)
 	for _, m := range s.Cluster.Machines() {
 		m := m
 		id := int(m.ID)

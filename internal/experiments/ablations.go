@@ -216,7 +216,10 @@ func runAblSched(scale Scale) (*Result, error) {
 		{"global-only", true, false},
 	}
 	stats, err := runpar.MapErr(len(modes), parallelism, func(i int) (fig1Stats, error) {
-		return fig1RunSched(cfg, modes[i].disFast, modes[i].disSlow)
+		return fig1RunWith(cfg, func(c *core.Config) {
+			c.DisableFastPath = modes[i].disFast
+			c.DisableSlowPath = modes[i].disSlow
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -232,16 +235,6 @@ func runAblSched(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// fig1RunSched is fig1's Quicksand mode with scheduler paths toggled.
-func fig1RunSched(cfg fig1Cfg, disFast, disSlow bool) (fig1Stats, error) {
-	// Reuse fig1Run by temporarily shadowing the system config is not
-	// possible (fig1Run builds its own); duplicate the small core here.
-	return fig1RunWith(cfg, func(c *core.Config) {
-		c.DisableFastPath = disFast
-		c.DisableSlowPath = disSlow
-	})
-}
-
 // runAblLocality measures affinity-driven colocation on an RPC-heavy
 // workload: compute proclets chatting with pinned memory proclets
 // across the network (§5's locality question).
@@ -255,7 +248,6 @@ func runAblLocality(scale Scale) (*Result, error) {
 
 	run := func(colocate bool) (float64, int64, uint64, error) {
 		sysCfg := core.DefaultConfig()
-		sysCfg.GlobalPeriod = 50 * time.Millisecond
 		sysCfg.DisableSlowPath = !colocate
 		sys := core.NewSystem(sysCfg, []cluster.MachineConfig{
 			{Cores: 8, MemBytes: 8 << 30},

@@ -71,7 +71,7 @@ func extGPURun(cfg extGPUCfg, fungible bool) (extGPUOut, error) {
 		m.AddGPUs(cluster.GPUConfig{Count: cfg.gpusPer, MemBytes: 16 << 30, LinkBandwidth: 16_000_000_000})
 	}
 
-	fleet := gpu.NewFleet(sys, "trainers", time.Millisecond)
+	fleet := gpu.NewFleet(sys, "trainers", gpu.Config{})
 	trainers := make([]*gpu.Proclet, cfg.trainers)
 	for i := range trainers {
 		gp, err := fleet.Add(fmt.Sprintf("trainer-%d", i), cfg.modelBytes, cfg.stepKernel)

@@ -145,12 +145,11 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 		)
 	}
 
-	fcfg := gpu.Config{Period: time.Millisecond}
+	var fcfg gpu.Config
 	if ckpt {
 		fcfg.Checkpoint = gpu.CheckpointConfig{
 			DeltaBytes:    cfg.deltaBytes,
 			SnapshotEvery: cfg.snapEvery,
-			Home:          gpu.AutoHome,
 		}
 	}
 	if !mitigate {
@@ -158,7 +157,7 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 		// exceed 1e6 x the fleet median.
 		fcfg.StragglerFactor = 1e6
 	}
-	fleet := gpu.NewFleetConfig(sys, "gpufleet", fcfg)
+	fleet := gpu.NewFleet(sys, "gpufleet", fcfg)
 	trainers := make([]*gpu.Proclet, cfg.trainers)
 	for i := range trainers {
 		gp, err := fleet.Add(fmt.Sprintf("trainer-%d", i), cfg.modelBytes, cfg.stepKernel)

@@ -161,9 +161,8 @@ func serveSLO(cfg serveCfg, shard int) *slo.Monitor {
 // a seeded 1-in-64 head sample.
 func serveSampleConfig(cfg serveCfg) slo.SampleConfig {
 	return slo.SampleConfig{
-		Seed:      uint64(seeded(37)),
-		HeadEvery: 64,
-		TailNS:    cfg.deadline.Nanoseconds(),
+		Seed:   uint64(seeded(37)),
+		TailNS: cfg.deadline.Nanoseconds(),
 	}
 }
 

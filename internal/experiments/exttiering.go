@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"time"
-
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -37,9 +35,6 @@ func runExtTiering(scale Scale) (*Result, error) {
 		defer sys.Close()
 		dev := storage.DeviceConfig{
 			CapacityBytes: 16 << 30,
-			ReadLatency:   80 * time.Microsecond,
-			WriteLatency:  20 * time.Microsecond,
-			Bandwidth:     2_000_000_000,
 		}
 		flat, ferr := storage.NewFlat(sys, "flash", 4, dev)
 		if ferr != nil {

@@ -143,3 +143,49 @@ func firstDiff(want, got string) string {
 	}
 	return fmt.Sprintf("want %d lines, got %d", len(w), len(g))
 }
+
+// TestTraceExportGoldens holds the -trace-dir exports to
+// testdata/traces.golden: the SHA-256 of every file that fig1,
+// ext-failover, ext-memharvest and ext-serve write at TestScale, base
+// seed 0 — the Chrome writer's bytes, spans and telemetry both.
+// EXPERIMENTS_UPDATE_GOLDENS=1 rewrites the file.
+func TestTraceExportGoldens(t *testing.T) {
+	defer SetTraceDir("")
+	defer SetParallelism(0)
+	dir := t.TempDir()
+	SetTraceDir(dir)
+	SetParallelism(1)
+	SetBaseSeed(0)
+	for _, id := range []string{"fig1", "ext-failover", "ext-memharvest", "ext-serve"} {
+		if _, err := Run(id, TestScale); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	var b strings.Builder
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d %x\n", filepath.Base(f), len(data), sha256.Sum256(data))
+	}
+	path := filepath.Join("testdata", "traces.golden")
+	if os.Getenv("EXPERIMENTS_UPDATE_GOLDENS") != "" {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != string(want) {
+		t.Errorf("trace exports differ from %s: %s", path, firstDiff(string(want), b.String()))
+	}
+}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -32,7 +31,7 @@ func maybeTrace(sys *core.System) {
 		return
 	}
 	sys.EnableTracing()
-	sys.EnableTelemetry(250 * time.Microsecond)
+	sys.EnableTelemetry()
 }
 
 // maybeExportTrace writes sys's recorded timeline to

@@ -23,11 +23,7 @@ func testCluster(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *pr
 	for i := 0; i < machines; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30})
 	}
-	rt := proclet.NewRuntime(c, proclet.Config{
-		MigrationFixedOverhead: 100 * time.Microsecond,
-		DirectoryLookup:        5 * time.Microsecond,
-		MaxInvokeRetries:       16,
-	}, obs.NewLog())
+	rt := proclet.NewRuntime(c, obs.NewLog())
 	return k, c, rt
 }
 

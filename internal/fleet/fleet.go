@@ -26,14 +26,14 @@ type Fleet struct {
 }
 
 // New builds shards x machines identical machines. The lookahead window
-// is the fabric latency of core.DefaultConfig, and shard s runs on
+// is the fabric latency of simnet.DefaultConfig, and shard s runs on
 // PK.Shard(s) under that config seeded seed+s. Nothing is started:
 // enable tracing on the shards that want it, then Start each one. Close
 // the fleet when done.
 func New(seed int64, shards, machines int, mc cluster.MachineConfig) *Fleet {
 	cfg := core.DefaultConfig()
 	f := &Fleet{
-		PK:     sim.NewParKernel(seed, shards, sim.Time(cfg.Net.Latency.Nanoseconds())),
+		PK:     sim.NewParKernel(seed, shards, sim.Time(simnet.DefaultConfig().Latency.Nanoseconds())),
 		Shards: make([]*core.System, shards),
 	}
 	mcs := make([]cluster.MachineConfig, machines)

@@ -27,7 +27,7 @@ func TestNewTopology(t *testing.T) {
 	if f.PK.NumShards() != 3 || len(f.Shards) != 3 {
 		t.Fatalf("shards: kernel %d, systems %d, want 3 each", f.PK.NumShards(), len(f.Shards))
 	}
-	if want := sim.Time(core.DefaultConfig().Net.Latency.Nanoseconds()); f.PK.Lookahead() != want {
+	if want := sim.Time(simnet.DefaultConfig().Latency.Nanoseconds()); f.PK.Lookahead() != want {
 		t.Errorf("lookahead = %v, want the fabric latency %v", f.PK.Lookahead(), want)
 	}
 	for s, sys := range f.Shards {

@@ -14,41 +14,35 @@ import (
 
 // Config tunes a Fleet.
 type Config struct {
-	// Period is the watcher interval; faults also Kick the watcher so
-	// reaction latency is not quantized to it.
-	Period time.Duration
 	// Checkpoint applies to proclets created through Add.
 	Checkpoint CheckpointConfig
 
 	// StragglerFactor flags a proclet whose step-latency EWMA exceeds
 	// factor × fleet-median (default 1.7).
 	StragglerFactor float64
-	// Hysteresis is how many consecutive watcher passes a proclet must
-	// look slow before mitigation — a single throttle flap or stutter
-	// spike doesn't trigger a move (default 3).
-	Hysteresis int
-	// MinSamples is how many steps must feed a proclet's EWMA on its
-	// current device before the detector judges it (default 6).
-	MinSamples int64
 }
 
-// cooldownPasses suppresses re-mitigating (or re-judging) a proclet
-// for this many watcher passes after it changes device, so the fresh
-// EWMA can stabilize.
-const cooldownPasses = 10
+// The watcher's tuning.
+const (
+	// watchPeriod is the watcher interval; faults also Kick the
+	// watcher so reaction latency is not quantized to it.
+	watchPeriod = time.Millisecond
+	// hysteresis is how many consecutive watcher passes a proclet must
+	// look slow before mitigation — a single throttle flap or stutter
+	// spike doesn't trigger a move.
+	hysteresis = 3
+	// minSamples is how many steps must feed a proclet's EWMA on its
+	// current device before the detector judges it.
+	minSamples = 6
+	// cooldownPasses suppresses re-mitigating (or re-judging) a
+	// proclet for this many watcher passes after it changes device, so
+	// the fresh EWMA can stabilize.
+	cooldownPasses = 10
+)
 
 func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = time.Millisecond
-	}
 	if c.StragglerFactor <= 1 {
 		c.StragglerFactor = 1.7
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 6
 	}
 	return c
 }
@@ -92,15 +86,9 @@ type Fleet struct {
 	Stranded metrics.Counter
 }
 
-// NewFleet creates a fleet manager with default straggler tuning and
-// no checkpointing. period is the reclaim-detection interval (the
-// fast-path reactor period is a natural choice).
-func NewFleet(sys *core.System, name string, period time.Duration) *Fleet {
-	return NewFleetConfig(sys, name, Config{Period: period})
-}
-
-// NewFleetConfig creates a fleet manager.
-func NewFleetConfig(sys *core.System, name string, cfg Config) *Fleet {
+// NewFleet creates a fleet manager; a zero Config has default
+// straggler tuning and no checkpointing.
+func NewFleet(sys *core.System, name string, cfg Config) *Fleet {
 	return &Fleet{
 		sys:              sys,
 		name:             name,
@@ -201,7 +189,7 @@ func (f *Fleet) Start() {
 			if f.stopped {
 				return
 			}
-			f.wake.WaitTimeout(p, f.cfg.Period)
+			f.wake.WaitTimeout(p, watchPeriod)
 			if f.stopped {
 				return
 			}
@@ -289,7 +277,7 @@ func (f *Fleet) move(p *sim.Proc, e *entry, dst *cluster.GPU, how func(*sim.Proc
 func (f *Fleet) detectStragglers(p *sim.Proc) {
 	var lats []float64
 	for _, e := range f.procs {
-		if gp := e.gp; !gp.dead && gp.Device().Healthy() && gp.stepSamples() >= f.cfg.MinSamples {
+		if gp := e.gp; !gp.dead && gp.Device().Healthy() && gp.stepSamples() >= minSamples {
 			lats = append(lats, gp.stepLatencyMS())
 		}
 	}
@@ -306,7 +294,7 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 	threshold := median * f.cfg.StragglerFactor
 	for _, e := range f.procs {
 		gp := e.gp
-		if gp.dead || !gp.Device().Healthy() || gp.stepSamples() < f.cfg.MinSamples {
+		if gp.dead || !gp.Device().Healthy() || gp.stepSamples() < minSamples {
 			continue
 		}
 		if gp.stepLatencyMS() <= threshold {
@@ -314,7 +302,7 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 			continue
 		}
 		e.strikes++
-		if e.strikes < f.cfg.Hysteresis || f.pass < e.cooldownUntil {
+		if e.strikes < hysteresis || f.pass < e.cooldownUntil {
 			continue
 		}
 		dst := f.pickFaster(gp)

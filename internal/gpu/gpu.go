@@ -52,12 +52,6 @@ const controlHeap = 1 << 20
 // averages the straggler detector consumes.
 const ewmaAlpha = 0.25
 
-// AutoHome asks the checkpoint plane to pick the mirror machine:
-// the lowest-ID machine different from the device's (anti-affine),
-// falling back to the device's own host RAM on one-machine clusters
-// (which still survives a device XID, just not a machine crash).
-const AutoHome cluster.MachineID = -1
-
 // CheckpointConfig describes a proclet's training-state checkpoints.
 // The protocol follows the replication plane's group-commit shipping
 // discipline (core.ReplManager): state reaches the mirror before the
@@ -71,9 +65,6 @@ type CheckpointConfig struct {
 	// snapshot, bounding mirror divergence from accumulated deltas
 	// (0 = deltas only).
 	SnapshotEvery int
-	// Home is the machine holding the host-RAM mirror; AutoHome picks
-	// anti-affine to the initial device.
-	Home cluster.MachineID
 }
 
 // enabled reports whether checkpoints are on.
@@ -146,15 +137,16 @@ func newCheckpointed(sys *core.System, name string, g *cluster.GPU, modelBytes i
 		ckpt:       ck,
 		stepMS:     metrics.NewEWMA(ewmaAlpha),
 	}
+	// The mirror is anti-affine: the lowest-ID machine other than the
+	// device's, falling back to the device's own host RAM on a
+	// one-machine cluster (which still survives a device XID, just not
+	// a machine crash).
 	if ck.enabled() {
-		gp.ckptHome = ck.Home
-		if gp.ckptHome == AutoHome {
-			gp.ckptHome = g.Machine.ID
-			for _, m := range sys.Cluster.Machines() {
-				if m.ID != g.Machine.ID {
-					gp.ckptHome = m.ID
-					break
-				}
+		gp.ckptHome = g.Machine.ID
+		for _, m := range sys.Cluster.Machines() {
+			if m.ID != g.Machine.ID {
+				gp.ckptHome = m.ID
+				break
 			}
 		}
 	}

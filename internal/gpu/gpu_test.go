@@ -200,7 +200,7 @@ func TestStepOnReclaimedGPUFails(t *testing.T) {
 
 func TestFleetEvacuatesOnReclaim(t *testing.T) {
 	s := testSys(t)
-	fleet := NewFleet(s, "fleet", time.Millisecond)
+	fleet := NewFleet(s, "fleet", Config{})
 	gp, err := fleet.Add("trainer-0", 256<<20, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestFleetEvacuatesOnReclaim(t *testing.T) {
 
 func TestFleetStrandedWhenNoSpare(t *testing.T) {
 	s := testSys(t)
-	fleet := NewFleet(s, "fleet", time.Millisecond)
+	fleet := NewFleet(s, "fleet", Config{})
 	gp, _ := fleet.Add("trainer-0", 1<<20, time.Millisecond)
 	fleet.Start()
 	// Reclaim everything.

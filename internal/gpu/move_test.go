@@ -48,7 +48,7 @@ func TestFailedMoveLeavesProcletInPlace(t *testing.T) {
 			src, dst := s.Cluster.Machine(0).GPU(0), s.Cluster.Machine(2).GPU(0)
 			var ck CheckpointConfig
 			if tc.mirror {
-				ck = CheckpointConfig{DeltaBytes: 1 << 20, Home: AutoHome}
+				ck = CheckpointConfig{DeltaBytes: 1 << 20}
 			}
 			gp, err := newCheckpointed(s, "trainer", src, model, time.Millisecond, ck)
 			if err != nil {

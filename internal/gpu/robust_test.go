@@ -46,7 +46,7 @@ func drive(s *core.System, gp *Proclet, batch int64, target int64) {
 
 func TestPickGPUCapacityAware(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleet(s, "fleet", time.Millisecond)
+	f := NewFleet(s, "fleet", Config{})
 	big0, big1 := s.Cluster.Machine(0).GPU(0), s.Cluster.Machine(0).GPU(1)
 
 	// Occupy the big devices so their free memory drops below the
@@ -89,7 +89,7 @@ func TestPickGPUCapacityAware(t *testing.T) {
 
 func TestFleetStopImmediate(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleet(s, "fleet", time.Millisecond)
+	f := NewFleet(s, "fleet", Config{})
 	gp, err := f.Add("trainer-0", 1<<30, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestFleetConcurrentReclaimDeterministic(t *testing.T) {
 					Count: 3, MemBytes: 3 << 30, LinkBandwidth: 16_000_000_000})
 				s.Cluster.Machine(1).AddGPUs(cluster.GPUConfig{
 					Count: 1, MemBytes: 2 << 30, LinkBandwidth: 16_000_000_000})
-				f := NewFleet(s, "fleet", time.Millisecond)
+				f := NewFleet(s, "fleet", Config{})
 				var procs []*Proclet
 				for j := 0; j < 3; j++ {
 					gp, err := f.Add(fmt.Sprintf("trainer-%d", j), 1800<<20, time.Millisecond)
@@ -199,9 +199,8 @@ func TestFleetConcurrentReclaimDeterministic(t *testing.T) {
 
 func TestCheckpointedRestoreAfterXid(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:     time.Millisecond,
-		Checkpoint: CheckpointConfig{DeltaBytes: 8 << 20, SnapshotEvery: 16, Home: AutoHome},
+	f := NewFleet(s, "fleet", Config{
+		Checkpoint: CheckpointConfig{DeltaBytes: 8 << 20, SnapshotEvery: 16},
 	})
 	gp, err := f.Add("trainer-0", 1<<30, time.Millisecond)
 	if err != nil {
@@ -243,7 +242,7 @@ func TestCheckpointedRestoreAfterXid(t *testing.T) {
 
 func TestUncheckpointedXidLosesAckedWork(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleet(s, "fleet", time.Millisecond)
+	f := NewFleet(s, "fleet", Config{})
 	gp, err := f.Add("trainer-0", 1<<30, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -272,9 +271,8 @@ func TestUncheckpointedXidLosesAckedWork(t *testing.T) {
 
 func TestXidMidStepLosesAtMostInFlight(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:     time.Millisecond,
-		Checkpoint: CheckpointConfig{DeltaBytes: 8 << 20, Home: AutoHome},
+	f := NewFleet(s, "fleet", Config{
+		Checkpoint: CheckpointConfig{DeltaBytes: 8 << 20},
 	})
 	// 10ms kernels so the XID lands mid-kernel.
 	gp, err := f.Add("trainer-0", 1<<30, 10*time.Millisecond)
@@ -312,12 +310,7 @@ func TestStragglerMitigationWithHysteresis(t *testing.T) {
 		Count: 2, MemBytes: 8 << 30, LinkBandwidth: 16_000_000_000, Class: "fast", Speed: 2})
 	s.Cluster.Machine(1).AddGPUs(cluster.GPUConfig{
 		Count: 3, MemBytes: 4 << 30, LinkBandwidth: 16_000_000_000, Class: "slow", Speed: 1})
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:          time.Millisecond,
-		StragglerFactor: 1.5,
-		Hysteresis:      3,
-		MinSamples:      4,
-	})
+	f := NewFleet(s, "fleet", Config{StragglerFactor: 1.5})
 	var procs []*Proclet
 	for j := 0; j < 3; j++ {
 		g := s.Cluster.Machine(1).GPU(j)
@@ -366,12 +359,7 @@ func TestStragglerNoPileOnSharedSpare(t *testing.T) {
 		Count: 1, MemBytes: 8 << 30, LinkBandwidth: 16_000_000_000, Class: "fast", Speed: 2})
 	s.Cluster.Machine(1).AddGPUs(cluster.GPUConfig{
 		Count: 1, MemBytes: 8 << 30, LinkBandwidth: 16_000_000_000, Class: "slow", Speed: 1})
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:          time.Millisecond,
-		StragglerFactor: 1.5,
-		Hysteresis:      3,
-		MinSamples:      4,
-	})
+	f := NewFleet(s, "fleet", Config{StragglerFactor: 1.5})
 	slowDev := s.Cluster.Machine(1).GPU(0)
 	fastDev := s.Cluster.Machine(0).GPU(0)
 	slow, err := New(s, "slow-trainer", slowDev, 1<<30, time.Millisecond)
@@ -398,12 +386,7 @@ func TestStragglerNoPileOnSharedSpare(t *testing.T) {
 
 func TestStragglerFlapDoesNotThrash(t *testing.T) {
 	s := heteroSys(t, 1)
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:          time.Millisecond,
-		StragglerFactor: 1.5,
-		Hysteresis:      5,
-		MinSamples:      4,
-	})
+	f := NewFleet(s, "fleet", Config{StragglerFactor: 1.5})
 	var procs []*Proclet
 	for j := 0; j < 2; j++ {
 		g := s.Cluster.Machine(1).GPU(j)
@@ -418,7 +401,8 @@ func TestStragglerFlapDoesNotThrash(t *testing.T) {
 	f.Start()
 	victim := procs[0].Device()
 	// A throttle flap shorter than the hysteresis window: on at 10ms,
-	// healed at 13ms — under 5 consecutive strikes at a 1ms period.
+	// healed at 13ms — under hysteresis consecutive strikes at the 1ms
+	// watcher period.
 	s.K.Schedule(sim.Time(10*time.Millisecond), func() { victim.SetThrottle(4) })
 	s.K.Schedule(sim.Time(13*time.Millisecond), func() { victim.Heal() })
 	s.K.RunUntil(sim.Time(150 * time.Millisecond))
@@ -432,44 +416,47 @@ func TestStragglerFlapDoesNotThrash(t *testing.T) {
 }
 
 func TestFaultHookKickBoundsReaction(t *testing.T) {
-	s := heteroSys(t, 1)
-	// A long 50ms period: without Kick, reaction waits for the tick.
-	f := NewFleetConfig(s, "fleet", Config{
-		Period:     50 * time.Millisecond,
-		Checkpoint: CheckpointConfig{DeltaBytes: 4 << 20, Home: AutoHome},
-	})
-	gp, err := f.Add("trainer-0", 64<<20, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Start()
-	inj := fault.New(s.K, s.Cluster, s.Trace)
-	inj.HookGPU = func(cluster.MachineID, int) { f.Kick() }
-	src := gp.Device()
-	inj.Install(fault.Schedule{{
-		At: sim.Time(5 * time.Millisecond), Op: fault.OpGPUXid,
-		A: src.Machine.ID, Gpu: src.Index, Xid: 79,
-	}})
-	var restoredAt sim.Time
-	s.K.Spawn("probe", func(p *sim.Proc) {
-		for gp.Device() == src && p.Now() < sim.Time(200*time.Millisecond) {
-			p.Sleep(100 * time.Microsecond)
+	// The XID lands at 5.5ms, between two 1ms watcher ticks: without
+	// Kick the reaction waits for the tick at 6ms, with it the restore
+	// starts at the fault instant and ends half a tick sooner.
+	restoredAt := func(kick bool) sim.Time {
+		s := heteroSys(t, 1)
+		f := NewFleet(s, "fleet", Config{
+			Checkpoint: CheckpointConfig{DeltaBytes: 4 << 20},
+		})
+		gp, err := f.Add("trainer-0", 64<<20, time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
 		}
-		restoredAt = p.Now()
-	})
-	s.K.RunUntil(sim.Time(200 * time.Millisecond))
-	f.Stop()
-	if gp.Device() == src {
-		t.Fatal("never restored")
+		f.Start()
+		inj := fault.New(s.K, s.Cluster, s.Trace)
+		if kick {
+			inj.HookGPU = func(cluster.MachineID, int) { f.Kick() }
+		}
+		src := gp.Device()
+		inj.Install(fault.Schedule{{
+			At: sim.Time(5500 * time.Microsecond), Op: fault.OpGPUXid,
+			A: src.Machine.ID, Gpu: src.Index, Xid: 79,
+		}})
+		var at sim.Time
+		s.K.Spawn("probe", func(p *sim.Proc) {
+			for gp.Device() == src && p.Now() < sim.Time(200*time.Millisecond) {
+				p.Sleep(100 * time.Microsecond)
+			}
+			at = p.Now()
+		})
+		s.K.RunUntil(sim.Time(200 * time.Millisecond))
+		f.Stop()
+		if gp.Device() == src {
+			t.Fatalf("kick %v: never restored", kick)
+		}
+		if inj.GPUXids.Value() != 1 {
+			t.Errorf("kick %v: GPUXids = %d", kick, inj.GPUXids.Value())
+		}
+		return at
 	}
-	// 64 MiB from mirror over the wire + host link ≈ 10 ms; starting
-	// at the fault instant (5 ms) lands well inside the first 50 ms
-	// period — without Kick the reaction could not even begin before
-	// the tick.
-	if restoredAt >= sim.Time(50*time.Millisecond) {
-		t.Errorf("restored at %v: reaction quantized to the period, Kick not honored", restoredAt)
-	}
-	if inj.GPUXids.Value() != 1 {
-		t.Errorf("GPUXids = %d", inj.GPUXids.Value())
+	kicked, ticked := restoredAt(true), restoredAt(false)
+	if kicked >= ticked {
+		t.Errorf("restored at %v with Kick, %v without: reaction quantized to the period, Kick not honored", kicked, ticked)
 	}
 }

@@ -33,7 +33,7 @@ func tracedChurnRun(t *testing.T, seed int64) (chrome []byte, spans []obs.Span) 
 	})
 	defer sys.Close()
 	sys.EnableTracing()
-	sys.EnableTelemetry(250 * time.Microsecond)
+	sys.EnableTelemetry()
 	sys.Start()
 
 	m, err := sharded.NewMap[int, []byte](sys, "kv", sharded.Options{MaxShardBytes: 1 << 20, AutoAdapt: true})

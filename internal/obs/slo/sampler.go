@@ -14,13 +14,15 @@ import (
 // export: byte-identical records, just fewer of them. cmd/tracecheck
 // gates exactly that property.
 
-// SampleConfig tunes the retention decision. The zero value keeps
-// nothing but errors; typical configs set all fields.
+// SampleConfig tunes the retention decision.
 type SampleConfig struct {
-	Seed      uint64 // run seed folded into the head-sample hash
-	HeadEvery uint64 // keep 1 in HeadEvery trees unconditionally (0: no head sample)
-	TailNS    int64  // keep trees whose end-to-end extent exceeds this (0: keep all completed)
+	Seed   uint64 // run seed folded into the head-sample hash
+	TailNS int64  // keep trees whose end-to-end extent exceeds this (0: keep all completed)
 }
+
+// headEvery is the head sample's rate: Filter keeps 1 in headEvery
+// trees unconditionally.
+const headEvery = 64
 
 // SampleStats reports what Filter kept and why. A tree retained for
 // several reasons counts once, under the first matching reason in
@@ -129,7 +131,7 @@ func Filter(full *obs.Tracer, incidents []Incident, cfg SampleConfig) (*obs.Trac
 		case overlapsAny(from, to, incs):
 			keep = true
 			st.Incident++
-		case cfg.HeadEvery > 0 && splitmix64(cfg.Seed^uint64(tid))%cfg.HeadEvery == 0:
+		case splitmix64(cfg.Seed^uint64(tid))%headEvery == 0:
 			keep = true
 			st.Head++
 		}

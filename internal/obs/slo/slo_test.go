@@ -238,7 +238,23 @@ func (errFake) Error() string { return "boom" }
 func TestFilterKeepsTailErrAndHead(t *testing.T) {
 	k := sim.NewKernel(1)
 	tr := buildTracer(t, k)
-	cfg := SampleConfig{Seed: 42, HeadEvery: 7, TailNS: int64(50 * time.Millisecond)}
+	// heads counts the 20 fast clean trees (started before 200ms) that
+	// the seeded hash puts in the 1-in-headEvery head sample; the test
+	// takes the first seed from 42 that keeps at least one.
+	heads := func(seed uint64) int {
+		n := 0
+		for _, s := range tr.SpansByID() {
+			if s.Parent == 0 && s.Start < sim.Time(200*time.Millisecond) && splitmix64(seed^uint64(s.TraceID))%headEvery == 0 {
+				n++
+			}
+		}
+		return n
+	}
+	seed := uint64(42)
+	for heads(seed) == 0 {
+		seed++
+	}
+	cfg := SampleConfig{Seed: seed, TailNS: int64(50 * time.Millisecond)}
 	sampled, st := Filter(tr, nil, cfg)
 
 	if st.Trees != 22 {
@@ -246,6 +262,9 @@ func TestFilterKeepsTailErrAndHead(t *testing.T) {
 	}
 	if st.Tail != 1 || st.Err != 1 {
 		t.Errorf("Tail/Err = %d/%d, want 1/1", st.Tail, st.Err)
+	}
+	if st.Head != heads(seed) {
+		t.Errorf("Head = %d at seed %d, want the %d trees the hash picks", st.Head, seed, heads(seed))
 	}
 	if st.Kept >= st.Trees {
 		t.Errorf("sampling kept everything (%d/%d)", st.Kept, st.Trees)

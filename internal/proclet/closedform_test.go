@@ -13,7 +13,7 @@ import (
 )
 
 // TestIdleMigrationBlackoutIsClosedForm: an idle proclet's pre-copy
-// blackout is exactly MigrationFixedOverhead, plus MigrationPerMiB for
+// blackout is exactly migrationFixedOverhead, plus migrationPerMiB for
 // each MiB of heap, plus the transfer — one propagation latency and the
 // heap's wire time — in integer nanoseconds, for heaps from 4 KiB to the
 // largest a machine holds (PAPER.md §2's cost model; fig1's
@@ -26,7 +26,6 @@ import (
 func TestIdleMigrationBlackoutIsClosedForm(t *testing.T) {
 	const machineMem = 64 << 30
 	netCfg := simnet.DefaultConfig()
-	cfg := DefaultConfig()
 	heaps := []int64{4 << 10, 4<<10 + 1, 100_003, 1 << 20, 3<<20 + 12_345, 64 << 20, 1 << 30, 7_777_777_777, 32 << 30, machineMem}
 	checked, rounded, first := 0, 0, ""
 	for _, heap := range heaps {
@@ -34,7 +33,7 @@ func TestIdleMigrationBlackoutIsClosedForm(t *testing.T) {
 		c := cluster.New(k, netCfg)
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: machineMem})
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: machineMem})
-		rt := NewRuntime(c, cfg, obs.NewLog())
+		rt := NewRuntime(c, obs.NewLog())
 		pr, err := rt.Spawn(fmt.Sprintf("idle-%d", heap), 0, heap)
 		if err != nil {
 			t.Fatalf("spawn a %d-byte heap: %v", heap, err)
@@ -52,8 +51,8 @@ func TestIdleMigrationBlackoutIsClosedForm(t *testing.T) {
 
 		hi, lo := bits.Mul64(uint64(heap+netCfg.MsgOverheadBytes), uint64(time.Second))
 		wire, _ := bits.Div64(hi, lo, uint64(netCfg.Bandwidth))
-		perMiB := time.Duration(int64(cfg.MigrationPerMiB) * heap >> 20)
-		want := cfg.MigrationFixedOverhead + perMiB + netCfg.Latency + time.Duration(wire)
+		perMiB := time.Duration(int64(migrationPerMiB) * heap >> 20)
+		want := migrationFixedOverhead + perMiB + netCfg.Latency + time.Duration(wire)
 		checked++
 		switch d := took - want; {
 		case d == 0:
@@ -63,7 +62,7 @@ func TestIdleMigrationBlackoutIsClosedForm(t *testing.T) {
 			}
 		default:
 			t.Errorf("%d-byte heap: blackout %d ns, closed form %d ns (fixed %v + pin %v + latency %v + wire %v)",
-				heap, took, want, cfg.MigrationFixedOverhead, perMiB, netCfg.Latency, time.Duration(wire))
+				heap, took, want, migrationFixedOverhead, perMiB, netCfg.Latency, time.Duration(wire))
 		}
 	}
 	if rounded > 0 {

@@ -113,8 +113,8 @@ func TestFastMethodDuringLazyWindow(t *testing.T) {
 		if rt.LazyPenalties.Value() != 1 {
 			t.Errorf("LazyPenalties = %d, want 1", rt.LazyPenalties.Value())
 		}
-		if elapsed := p.Now().Sub(start); elapsed < rt.cfg.LazyRemotePenalty {
-			t.Errorf("lazy-window invoke took %v, want >= %v penalty", elapsed, rt.cfg.LazyRemotePenalty)
+		if elapsed := p.Now().Sub(start); elapsed < lazyRemotePenalty {
+			t.Errorf("lazy-window invoke took %v, want >= %v penalty", elapsed, lazyRemotePenalty)
 		}
 	})
 	k.Run()

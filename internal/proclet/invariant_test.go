@@ -336,7 +336,7 @@ func TestRuntimeInvariantsProperty(t *testing.T) {
 					if rng.Intn(2) == 1 {
 						victim = m
 					}
-					at := time.Duration(rng.Int63n(int64(rt.cfg.MigrationFixedOverhead)))
+					at := time.Duration(rng.Int63n(int64(migrationFixedOverhead)))
 					op = fmt.Sprintf("migrate %d to %d lazy=%v, crash %d after %v", pr.ID(), m, lazy, victim, at)
 					if !md.lookup(pr.ID()) || m == from || down(m) {
 						continue

@@ -66,14 +66,14 @@ const (
 )
 
 // Begin starts an invocation of method on the target proclet from
-// fromMachine, bounded by MaxInvokeRetries attempts. from is the calling
+// fromMachine, bounded by maxInvokeRetries attempts. from is the calling
 // proclet (0 for external clients), for affinity accounting.
 func (rt *Runtime) Begin(fromMachine cluster.MachineID, from, target ID, method string, arg Msg) *Invocation {
-	return rt.BeginLimited(fromMachine, from, target, method, arg, rt.cfg.MaxInvokeRetries)
+	return rt.BeginLimited(fromMachine, from, target, method, arg, maxInvokeRetries)
 }
 
 // BeginLimited is Begin with an explicit attempt bound overriding
-// MaxInvokeRetries. Replication shipping uses a small bound so a write
+// maxInvokeRetries. Replication shipping uses a small bound so a write
 // is not stalled for the full retry budget by one dead backup: the
 // shipper drops the backup quickly and re-replication repairs the set.
 func (rt *Runtime) BeginLimited(fromMachine cluster.MachineID, from, target ID, method string, arg Msg, maxAttempts int) *Invocation {
@@ -115,7 +115,7 @@ func (inv *Invocation) Step() sim.Wait {
 			if !ok {
 				rt.DirectoryLookups.Inc()
 				inv.phase = invLookedUp
-				return sim.After(rt.cfg.DirectoryLookup)
+				return sim.After(directoryLookup)
 			}
 			inv.loc, inv.phase = loc, invLocated
 		case invLookedUp:
@@ -147,7 +147,7 @@ func (inv *Invocation) Step() sim.Wait {
 				return sim.On(&pr.unblocked)
 			}
 			inv.pr, inv.phase = pr, invDispatch
-			return sim.After(rt.cfg.LocalInvokeOverhead)
+			return sim.After(localInvokeOverhead)
 		case invDispatch:
 			rt.LocalInvokes.Inc()
 			inv.phase = invServe

@@ -160,17 +160,7 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 	for i := 0; i < tapeMachines; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 4, MemBytes: 1 << 30})
 	}
-	rt := NewRuntime(c, Config{
-		MigrationFixedOverhead: 20 * time.Microsecond,
-		MigrationPerMiB:        40 * time.Microsecond,
-		DirectoryLookup:        3 * time.Microsecond,
-		LocalInvokeOverhead:    100 * time.Nanosecond,
-		MaxInvokeRetries:       5,
-		LazyRemotePenalty:      4 * time.Microsecond,
-		RetryBackoffBase:       20 * time.Microsecond,
-		RetryBackoffMax:        160 * time.Microsecond,
-		RetryJitter:            0.5,
-	}, obs.NewLog())
+	rt := NewRuntime(c, obs.NewLog())
 	var tr *obs.Tracer
 	if tp.traced {
 		tr = obs.NewTracer(k)
@@ -412,15 +402,17 @@ func TestAbandonedHandlerKeepsItsRequest(t *testing.T) {
 
 func abandonHandler(t *testing.T, staged bool) {
 	k := sim.NewKernel(1)
-	c := cluster.New(k, simnet.Config{Latency: 10 * time.Microsecond, Bandwidth: 1_000_000_000,
+	// A 1 TB/s fabric leaves the move's NIC time negligible, so the
+	// 160 MiB heap's pinning (migrationPerMiB a MiB) freezes it for
+	// about 5ms, well past the 1ms call timeout, without holding up
+	// the worker's replies.
+	c := cluster.New(k, simnet.Config{Latency: 10 * time.Microsecond, Bandwidth: 1_000_000_000_000,
 		CallTimeout: time.Millisecond})
 	for i := 0; i < 3; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30})
 	}
-	cfg := DefaultConfig()
-	cfg.MigrationFixedOverhead = 5 * time.Millisecond
-	rt := NewRuntime(c, cfg, obs.NewLog())
-	moving, err := rt.Spawn("moving", 1, 4096)
+	rt := NewRuntime(c, obs.NewLog())
+	moving, err := rt.Spawn("moving", 1, 160<<20)
 	if err != nil {
 		t.Fatal(err)
 	}

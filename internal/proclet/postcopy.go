@@ -20,7 +20,7 @@ import (
 //
 //	            blackout              post-move invocation cost
 //	pre-copy    O(state/bandwidth)    none
-//	post-copy   O(1)                  LazyRemotePenalty until resident
+//	post-copy   O(1)                  lazyRemotePenalty until resident
 //
 // The heap stays charged to the source machine until the background
 // copy lands (the bytes physically live there), with the destination's
@@ -40,7 +40,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 
 	// Post-copy blackout: only the fixed control-plane pause — no
 	// per-byte pinning, the pages are not copied during the blackout.
-	p.Sleep(rt.cfg.MigrationFixedOverhead)
+	p.Sleep(migrationFixedOverhead)
 	if err := rt.landed(&mv, nil); err != nil {
 		return err
 	}
@@ -98,9 +98,9 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 // lazyPenalty counts the remote-access penalty of an invocation that
 // runs during a post-copy window and returns its cost, 0 outside one.
 func (rt *Runtime) lazyPenalty(pr *Proclet) time.Duration {
-	if pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0 {
+	if pr.lazyWindow {
 		rt.LazyPenalties.Inc()
-		return rt.cfg.LazyRemotePenalty
+		return lazyRemotePenalty
 	}
 	return 0
 }

@@ -113,7 +113,7 @@ func (rt *Runtime) Restore(p *sim.Proc, pr *Proclet, to cluster.MachineID) error
 
 	// Control-plane cost of the re-placement: directory update and page
 	// table setup, same fixed overhead as a migration (no copy).
-	p.Sleep(rt.cfg.MigrationFixedOverhead)
+	p.Sleep(migrationFixedOverhead)
 	if dst.Down() || dst.Epoch() != epoch {
 		// The chosen machine died during the re-placement; its memory —
 		// including our reservation — is gone. Still orphaned.

@@ -46,13 +46,9 @@ func TestBackoffScheduleNoJitter(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, rt := testEnv(t, 1)
-			rt.cfg.RetryBackoffBase = tc.base
-			rt.cfg.RetryBackoffMax = tc.max
-			rt.cfg.RetryJitter = 0
 			for i, r := range tc.retries {
-				if got := rt.backoffDelay(r); got != tc.want[i] {
-					t.Errorf("backoffDelay(%d) = %v, want %v", r, got, tc.want[i])
+				if got := backoff(tc.base, tc.max, r); got != tc.want[i] {
+					t.Errorf("backoff(%v, %v, %d) = %v, want %v", tc.base, tc.max, r, got, tc.want[i])
 				}
 			}
 		})
@@ -60,10 +56,8 @@ func TestBackoffScheduleNoJitter(t *testing.T) {
 }
 
 func TestBackoffJitterBoundsAndDeterminism(t *testing.T) {
-	const jitter = 0.5
 	draw := func() []time.Duration {
 		_, _, rt := testEnv(t, 1) // testEnv seeds the kernel with 1
-		rt.cfg.RetryJitter = jitter
 		out := make([]time.Duration, 8)
 		for i := range out {
 			out[i] = rt.backoffDelay(i)
@@ -76,13 +70,17 @@ func TestBackoffJitterBoundsAndDeterminism(t *testing.T) {
 			t.Errorf("retry %d: same seed gave %v then %v", i, a[i], b[i])
 		}
 		// Jittered delay stays within [1-j/2, 1+j/2) of the nominal value.
-		_, _, rt := testEnv(t, 1)
-		rt.cfg.RetryJitter = 0
-		nominal := rt.backoffDelay(i)
-		lo := time.Duration(float64(nominal) * (1 - jitter/2))
-		hi := time.Duration(float64(nominal) * (1 + jitter/2))
+		nominal := backoff(retryBackoffBase, retryBackoffMax, i)
+		lo := time.Duration(float64(nominal) * (1 - retryJitter/2))
+		hi := time.Duration(float64(nominal) * (1 + retryJitter/2))
 		if a[i] < lo || a[i] > hi {
 			t.Errorf("retry %d: jittered %v outside [%v, %v]", i, a[i], lo, hi)
+		}
+	}
+	// The draw's ends are the bounds, and its middle is the nominal delay.
+	for u, want := range map[float64]float64{0: 1 - retryJitter/2, 0.5: 1, 1: 1 + retryJitter/2} {
+		if got := jittered(time.Millisecond, u); got != time.Duration(float64(time.Millisecond)*want) {
+			t.Errorf("jittered(1ms, %v) = %v, want %v", u, got, time.Duration(float64(time.Millisecond)*want))
 		}
 	}
 }
@@ -270,7 +268,7 @@ func TestCrashSourceDuringMigration(t *testing.T) {
 	k.Run()
 }
 
-// A crash 50 µs into the 100 µs blackout ends every migration the same
+// A crash 25 µs into the 50 µs blackout ends every migration the same
 // way, pre-copy or post-copy: a source crash leaves the proclet orphaned
 // for recovery (ErrCrashed), a destination crash rolls it back to the
 // source (ErrNodeDown), and machine memory still equals the resident
@@ -301,7 +299,7 @@ func TestCrashDuringBlackout(t *testing.T) {
 					}
 				})
 				k.Spawn("chaos", func(p *sim.Proc) {
-					p.Sleep(50 * time.Microsecond)
+					p.Sleep(migrationFixedOverhead / 2)
 					c.Machine(end.m).Crash()
 					rt.CrashMachine(end.m)
 				})

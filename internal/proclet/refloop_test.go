@@ -17,7 +17,7 @@ import (
 
 // refInvoke is Invoke (limit 0) and BeginLimited (limit > 0) over refLoop.
 func refInvoke(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, from, target ID, method string, arg Msg, limit int) (Msg, error) {
-	maxAttempts := rt.cfg.MaxInvokeRetries
+	maxAttempts := maxInvokeRetries
 	if limit > 0 {
 		maxAttempts = limit
 	}
@@ -42,7 +42,7 @@ func refLocate(rt *Runtime, p *sim.Proc, m cluster.MachineID, target ID) (cluste
 		return loc, nil
 	}
 	rt.DirectoryLookups.Inc()
-	p.Sleep(rt.cfg.DirectoryLookup)
+	p.Sleep(directoryLookup)
 	pr := rt.listed(target)
 	if pr == nil {
 		return 0, fmt.Errorf("%w: id %d", ErrNotFound, target)
@@ -69,7 +69,7 @@ func refLoop(rt *Runtime, p *sim.Proc, fromMachine cluster.MachineID, req *invok
 				pr.unblocked.Wait(p)
 				continue
 			}
-			p.Sleep(rt.cfg.LocalInvokeOverhead)
+			p.Sleep(localInvokeOverhead)
 			rt.LocalInvokes.Inc()
 			res, err := refExec(rt, p, pr, req.From, req.Method, req.Arg)
 			if errors.Is(err, ErrUnavailable) {

@@ -12,58 +12,43 @@ import (
 	"repro/internal/simnet"
 )
 
-// Config tunes the runtime's cost model.
-type Config struct {
-	// MigrationFixedOverhead is the control-plane cost charged once per
+// The runtime's cost model. It matches Nu's reported costs:
+// sub-millisecond migration for small proclets (fixed ~50 us + pinning
+// ~30 us/MiB on top of wire time) and ~100 ns local dispatch.
+const (
+	// migrationFixedOverhead is the control-plane cost charged once per
 	// migration: pausing, page-table setup, directory update.
-	MigrationFixedOverhead time.Duration
-	// MigrationPerMiB is the kernel-side page pinning/mapping cost per
+	migrationFixedOverhead = 50 * time.Microsecond
+	// migrationPerMiB is the kernel-side page pinning/mapping cost per
 	// MiB of migrated heap (the paper's §5 notes this as today's
 	// kernel bottleneck).
-	MigrationPerMiB time.Duration
-	// DirectoryLookup is the cost of consulting the directory service
+	migrationPerMiB = 30 * time.Microsecond
+	// directoryLookup is the cost of consulting the directory service
 	// on a location-cache miss.
-	DirectoryLookup time.Duration
-	// LocalInvokeOverhead is the dispatch cost of a same-machine
+	directoryLookup = 5 * time.Microsecond
+	// localInvokeOverhead is the dispatch cost of a same-machine
 	// method invocation (a function call).
-	LocalInvokeOverhead time.Duration
-	// MaxInvokeRetries bounds routing retries while chasing a moving
+	localInvokeOverhead = 100 * time.Nanosecond
+	// maxInvokeRetries bounds routing retries while chasing a moving
 	// proclet.
-	MaxInvokeRetries int
-	// LazyRemotePenalty is the per-invocation cost of touching
+	maxInvokeRetries = 16
+	// lazyRemotePenalty is the per-invocation cost of touching
 	// not-yet-copied state through coherent remote memory during a
 	// post-copy (CXL-style) migration window (§5: "postponing the
 	// copying of data").
-	LazyRemotePenalty time.Duration
+	lazyRemotePenalty = 4 * time.Microsecond
 
-	// RetryBackoffBase is the delay before the first retry after a
+	// retryBackoffBase is the delay before the first retry after a
 	// retryable failure (ErrNodeDown, ErrTimeout); it doubles per
 	// attempt. Routing chases (ErrMoved) never back off.
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential backoff.
-	RetryBackoffMax time.Duration
-	// RetryJitter is the fraction of each backoff randomized (0..1),
-	// drawn from the kernel RNG so schedules stay deterministic per
-	// seed. A delay d becomes uniform in [d*(1-j/2), d*(1+j/2)].
-	RetryJitter float64
-}
-
-// DefaultConfig matches Nu's reported costs: sub-millisecond migration
-// for small proclets (fixed ~50 us + pinning ~30 us/MiB on top of wire
-// time) and ~100 ns local dispatch.
-func DefaultConfig() Config {
-	return Config{
-		MigrationFixedOverhead: 50 * time.Microsecond,
-		MigrationPerMiB:        30 * time.Microsecond,
-		DirectoryLookup:        5 * time.Microsecond,
-		LocalInvokeOverhead:    100 * time.Nanosecond,
-		MaxInvokeRetries:       16,
-		LazyRemotePenalty:      4 * time.Microsecond,
-		RetryBackoffBase:       100 * time.Microsecond,
-		RetryBackoffMax:        2 * time.Millisecond,
-		RetryJitter:            0.5,
-	}
-}
+	retryBackoffBase = 100 * time.Microsecond
+	// retryBackoffMax caps the exponential backoff.
+	retryBackoffMax = 2 * time.Millisecond
+	// retryJitter is the fraction of each backoff randomized, drawn
+	// from the kernel RNG so schedules stay deterministic per seed. A
+	// delay d becomes uniform in [d*(1-j/2), d*(1+j/2)].
+	retryJitter = 0.5
+)
 
 // Runtime is the distributed proclet runtime spanning every machine in
 // the cluster (Nu's "distributed runtime" that avoids cold starts).
@@ -71,8 +56,7 @@ type Runtime struct {
 	Cluster *cluster.Cluster
 	Trace   *obs.Log
 
-	cfg Config
-	k   *sim.Kernel
+	k *sim.Kernel
 
 	// procs is the directory and every machine's resident table in one
 	// slice indexed by proclet id: Spawn hands ids out densely from 1 and
@@ -140,25 +124,10 @@ type invokeReq struct {
 // NewRuntime creates a runtime over an already-populated cluster (all
 // machines must be added before calling). tl may be nil to disable
 // tracing.
-func NewRuntime(c *cluster.Cluster, cfg Config, tl *obs.Log) *Runtime {
-	if cfg.MaxInvokeRetries <= 0 {
-		cfg.MaxInvokeRetries = 16
-	}
-	if cfg.RetryBackoffBase <= 0 {
-		cfg.RetryBackoffBase = 100 * time.Microsecond
-	}
-	if cfg.RetryBackoffMax < cfg.RetryBackoffBase {
-		cfg.RetryBackoffMax = 2 * time.Millisecond
-	}
-	if cfg.RetryJitter < 0 {
-		cfg.RetryJitter = 0
-	} else if cfg.RetryJitter > 1 {
-		cfg.RetryJitter = 1
-	}
+func NewRuntime(c *cluster.Cluster, tl *obs.Log) *Runtime {
 	rt := &Runtime{
 		Cluster:          c,
 		Trace:            tl,
-		cfg:              cfg,
 		k:                c.K,
 		procs:            make([]*Proclet, 1), // id 0 is "no proclet"
 		caches:           make([][]int32, len(c.Machines())),
@@ -327,19 +296,25 @@ func (rt *Runtime) putCtx(c *Ctx) {
 // retry ordinal (0 = first retry), with deterministic jitter drawn from
 // the kernel RNG.
 func (rt *Runtime) backoffDelay(retry int) time.Duration {
-	d := rt.cfg.RetryBackoffBase
+	return jittered(backoff(retryBackoffBase, retryBackoffMax, retry), rt.k.Rand().Float64())
+}
+
+// backoff is the delay before retry (0 = the first) when it doubles
+// from base and is capped at limit.
+func backoff(base, limit time.Duration, retry int) time.Duration {
 	if retry >= 30 {
-		d = rt.cfg.RetryBackoffMax
-	} else {
-		d <<= uint(retry)
-		if d > rt.cfg.RetryBackoffMax || d <= 0 {
-			d = rt.cfg.RetryBackoffMax
-		}
+		return limit
 	}
-	if j := rt.cfg.RetryJitter; j > 0 {
-		d = time.Duration(float64(d) * (1 - j/2 + j*rt.k.Rand().Float64()))
+	d := base << uint(retry)
+	if d > limit || d <= 0 {
+		return limit
 	}
 	return d
+}
+
+// jittered spreads d by retryJitter, where u is a uniform draw in [0, 1).
+func jittered(d time.Duration, u float64) time.Duration {
+	return time.Duration(float64(d) * (1 - retryJitter/2 + retryJitter*u))
 }
 
 // retryable reports whether an invocation error is worth retrying after
@@ -361,7 +336,7 @@ func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
 	if pr == nil {
 		return Msg{}, ErrMoved
 	}
-	if pr.state == StateMigrating || (pr.lazyWindow && rt.cfg.LazyRemotePenalty > 0) {
+	if pr.state == StateMigrating || pr.lazyWindow {
 		return Msg{}, decline(pr.method(r.Method))
 	}
 	res, e, err := rt.serveInline(pr, r.From, r.Method, r.Arg)
@@ -568,8 +543,8 @@ func (rt *Runtime) MigrateCaused(p *sim.Proc, id ID, to cluster.MachineID, cause
 
 	// Pre-copy blackout: kernel-side page pinning and mapping, scaled by
 	// heap size, then the heap copy, all frozen.
-	pin := rt.cfg.MigrationFixedOverhead +
-		time.Duration(float64(rt.cfg.MigrationPerMiB)*float64(pr.heapBytes)/(1<<20))
+	pin := migrationFixedOverhead +
+		time.Duration(float64(migrationPerMiB)*float64(pr.heapBytes)/(1<<20))
 	p.Sleep(pin)
 	var cp obs.SpanID
 	if rt.obs != nil {

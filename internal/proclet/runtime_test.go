@@ -24,15 +24,7 @@ func testEnv(t *testing.T, machines int) (*sim.Kernel, *cluster.Cluster, *Runtim
 	for i := 0; i < machines; i++ {
 		c.AddMachine(cluster.MachineConfig{Cores: 8, MemBytes: 1 << 30})
 	}
-	cfg := Config{
-		MigrationFixedOverhead: 100 * time.Microsecond,
-		MigrationPerMiB:        0,
-		DirectoryLookup:        5 * time.Microsecond,
-		LocalInvokeOverhead:    100 * time.Nanosecond,
-		MaxInvokeRetries:       16,
-		LazyRemotePenalty:      4 * time.Microsecond,
-	}
-	rt := NewRuntime(c, cfg, obs.NewLog())
+	rt := NewRuntime(c, obs.NewLog())
 	return k, c, rt
 }
 
@@ -144,7 +136,7 @@ func TestMigrateMovesStateAndMemory(t *testing.T) {
 		if err := rt.Migrate(p, pr.ID(), 1); err != nil {
 			t.Errorf("Migrate: %v", err)
 		}
-		// 10 MiB at 1 GB/s ~ 10.49ms + 100us fixed + 10us latency.
+		// 10 MiB at 1 GB/s ~ 10.49ms + 50us fixed + 300us pinning + 10us latency.
 		if pr.Location() != 1 {
 			t.Errorf("location = %d, want 1", pr.Location())
 		}

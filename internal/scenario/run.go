@@ -305,11 +305,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// best device, reacts to XIDs/reclaims/stragglers, and fault hooks
 		// kick its watcher so reactions aren't quantized to the period.
 		if w.Trainers.Count > 0 {
-			st.fleet = gpu.NewFleetConfig(st.sys, fmt.Sprintf("s%d-trainers", s), gpu.Config{
+			st.fleet = gpu.NewFleet(st.sys, fmt.Sprintf("s%d-trainers", s), gpu.Config{
 				Checkpoint: gpu.CheckpointConfig{
 					DeltaBytes:    w.Trainers.CheckpointKB << 10,
 					SnapshotEvery: w.Trainers.SnapshotEvery,
-					Home:          gpu.AutoHome,
 				},
 			})
 			for ti := 0; ti < w.Trainers.Count; ti++ {

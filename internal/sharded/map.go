@@ -31,7 +31,7 @@ func NewMap[K comparable, V any](sys *core.System, name string, opts Options) (*
 	m := &Map[K, V]{}
 	// A hash is its own object id, and the last shard runs to the top of
 	// the hash space.
-	if err := m.init(sys, name, opts.withDefaults(sys), 0, ^uint64(0), m.splitShard); err != nil {
+	if err := m.init(sys, name, opts.withDefaults(), 0, ^uint64(0), m.splitShard); err != nil {
 		return nil, err
 	}
 	return m, nil

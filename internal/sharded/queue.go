@@ -52,7 +52,7 @@ type qseg struct {
 
 // NewQueue creates a queue with a single open segment.
 func NewQueue[T any](sys *core.System, name string, opts Options) (*Queue[T], error) {
-	opts = opts.withDefaults(sys)
+	opts = opts.withDefaults()
 	q := &Queue[T]{sys: sys, name: name, opts: opts}
 	seg, err := q.newSeg(0)
 	if err != nil {

@@ -44,9 +44,9 @@ type Options struct {
 	Spill *storage.Flat
 }
 
-func (o Options) withDefaults(sys *core.System) Options {
+func (o Options) withDefaults() Options {
 	if o.MaxShardBytes == 0 {
-		o.MaxShardBytes = sys.Config().MaxShardBytes()
+		o.MaxShardBytes = core.MaxShardBytes()
 	}
 	return o
 }

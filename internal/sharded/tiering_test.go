@@ -19,9 +19,6 @@ func tierSys(t *testing.T, ramPerMachine int64) (*core.System, *storage.Flat) {
 	})
 	dev := storage.DeviceConfig{
 		CapacityBytes: 8 << 30,
-		ReadLatency:   80 * time.Microsecond,
-		WriteLatency:  20 * time.Microsecond,
-		Bandwidth:     2_000_000_000,
 	}
 	flat, err := storage.NewFlat(s, "flash", 4, dev)
 	if err != nil {

@@ -29,7 +29,7 @@ type Vector[T any] struct {
 // NewVector creates a sharded vector with one initial shard placed by
 // the scheduler.
 func NewVector[T any](sys *core.System, name string, opts Options) (*Vector[T], error) {
-	opts = opts.withDefaults(sys)
+	opts = opts.withDefaults()
 	v := &Vector[T]{}
 	// Element i is object i+1, and the table's end is the element count,
 	// which PushBack advances.

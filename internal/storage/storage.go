@@ -35,14 +35,18 @@ var (
 type DeviceConfig struct {
 	// CapacityBytes is the device slice's capacity.
 	CapacityBytes int64
-	// ReadLatency and WriteLatency are per-operation base costs.
-	ReadLatency  time.Duration
-	WriteLatency time.Duration
-	// Bandwidth is the device slice's throughput in bytes/second.
-	Bandwidth int64
 	// IOPS caps operations per second (0 means uncapped).
 	IOPS int64
 }
+
+// The flash device's costs, the same for every slice.
+const (
+	// readLatency and writeLatency are per-operation base costs.
+	readLatency  = 80 * time.Microsecond
+	writeLatency = 20 * time.Microsecond
+	// deviceBandwidth is a device slice's throughput in bytes/second.
+	deviceBandwidth = 2_000_000_000
+)
 
 const (
 	methodStRead  = "st.read"
@@ -105,7 +109,7 @@ func (sp *Proclet) registerMethods() {
 		if !ok {
 			return proclet.Msg{}, fmt.Errorf("%w: %q", ErrNoKey, key)
 		}
-		sp.deviceOp(ctx.Proc, sp.dev.ReadLatency, e.bytes)
+		sp.deviceOp(ctx.Proc, readLatency, e.bytes)
 		sp.Reads.Inc()
 		return proclet.Msg{Payload: e.val, Bytes: e.bytes}, nil
 	})
@@ -120,7 +124,7 @@ func (sp *Proclet) registerMethods() {
 			return proclet.Msg{}, fmt.Errorf("%w: %q needs %d, %d free",
 				ErrNoSpace, r.key, r.bytes, sp.dev.CapacityBytes-sp.used)
 		}
-		sp.deviceOp(ctx.Proc, sp.dev.WriteLatency, r.bytes)
+		sp.deviceOp(ctx.Proc, writeLatency, r.bytes)
 		sp.objs[r.key] = stEntry{bytes: r.bytes, val: r.val}
 		sp.used += delta
 		sp.Writes.Inc()
@@ -132,7 +136,7 @@ func (sp *Proclet) registerMethods() {
 		if !ok {
 			return proclet.Msg{}, fmt.Errorf("%w: %q", ErrNoKey, key)
 		}
-		sp.deviceOp(ctx.Proc, sp.dev.WriteLatency, 0)
+		sp.deviceOp(ctx.Proc, writeLatency, 0)
 		delete(sp.objs, key)
 		sp.used -= e.bytes
 		return proclet.Msg{}, nil
@@ -147,10 +151,7 @@ func (sp *Proclet) deviceOp(p *sim.Proc, lat time.Duration, bytes int64) {
 	if sp.nextFree > start {
 		start = sp.nextFree
 	}
-	dur := lat
-	if sp.dev.Bandwidth > 0 {
-		dur += time.Duration(float64(bytes) / float64(sp.dev.Bandwidth) * 1e9)
-	}
+	dur := lat + time.Duration(float64(bytes)/deviceBandwidth*1e9)
 	end := start.Add(dur)
 	// IOPS cap: next op may not start sooner than 1/IOPS after this one.
 	sp.nextFree = start.Add(dur)

@@ -22,9 +22,6 @@ func testSys(t *testing.T) *core.System {
 func fastDev() DeviceConfig {
 	return DeviceConfig{
 		CapacityBytes: 1 << 20,
-		ReadLatency:   100 * time.Microsecond,
-		WriteLatency:  50 * time.Microsecond,
-		Bandwidth:     1_000_000_000,
 		IOPS:          0,
 	}
 }
@@ -87,9 +84,9 @@ func TestReadLatencyCharged(t *testing.T) {
 		start := p.Now()
 		sp.readObject(p, 0, "k")
 		elapsed := p.Now().Sub(start)
-		// 100us latency + 1MB/1GB/s = 1ms transfer = 1.1ms min.
-		if elapsed < 1100*time.Microsecond {
-			t.Errorf("read took %v, want >= 1.1ms", elapsed)
+		// 80us latency + 1MB/2GB/s = 500us transfer = 580us min.
+		if elapsed < readLatency+500*time.Microsecond {
+			t.Errorf("read took %v, want >= 580us", elapsed)
 		}
 	})
 	s.K.Run()
@@ -98,8 +95,7 @@ func TestReadLatencyCharged(t *testing.T) {
 func TestIOPSCapSpacesOps(t *testing.T) {
 	s := testSys(t)
 	dev := fastDev()
-	dev.IOPS = 1000 // 1ms spacing
-	dev.ReadLatency = 0
+	dev.IOPS = 1000 // 1ms spacing, well above a read's 80us
 	sp, _ := newProcletOn(s, "st", 0, dev)
 	s.K.Spawn("client", func(p *sim.Proc) {
 		sp.writeObject(p, 0, "k", nil, 10)
@@ -135,8 +131,6 @@ func TestFlatRoutesAndCombinesIOPS(t *testing.T) {
 	s := testSys(t)
 	dev := fastDev()
 	dev.IOPS = 1000
-	dev.ReadLatency = 0
-	dev.Bandwidth = 0
 	f, _ := NewFlat(s, "flat", 4, dev)
 	s.K.Spawn("client", func(p *sim.Proc) {
 		// Write 32 objects; hashing spreads them over the 4 proclets.
@@ -183,9 +177,7 @@ func TestFlatParallelClientsExceedSingleProcletIOPS(t *testing.T) {
 	run := func(nProcs int) sim.Time {
 		s := testSys(t)
 		dev := fastDev()
-		dev.IOPS = 10_000 // 100us spacing
-		dev.ReadLatency = 0
-		dev.Bandwidth = 0
+		dev.IOPS = 10_000 // 100us spacing, above a read's 80us
 		f, _ := NewFlat(s, "flat", nProcs, dev)
 		var done sim.Time
 		var wg sim.WaitGroup
