@@ -367,15 +367,15 @@ func BenchmarkAwaitTick(b *testing.B) {
 	}
 }
 
-// BenchmarkSpawnAwaitTick measures the idle poll of a process that has
-// not run yet: the same pop and push as an Await tick, with no worker
-// behind it.
-func BenchmarkSpawnAwaitTick(b *testing.B) {
+// BenchmarkSpawnPollersTick measures the idle poll of a lone SpawnPollers
+// member, which has no Proc and no worker behind it: a pop, a predicate
+// call and a push.
+func BenchmarkSpawnPollersTick(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()
-	idle := func() sim.Wait { return sim.After(time.Microsecond) }
-	k.SpawnAwait(func() string { return "poller" }, idle(), idle, func(p *sim.Proc) {})
+	k.SpawnPollers(1, time.Microsecond, func(int) string { return "poller" },
+		func(int) bool { return false }, func(*sim.Proc, int) {})
 	k.Step()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -383,25 +383,23 @@ func BenchmarkSpawnAwaitTick(b *testing.B) {
 	}
 }
 
-// BenchmarkPollFleet measures an idle tick in the shape serve-read gives
-// it, which one poller on an empty queue cannot show: 125 calm reactors
-// polling every 200us beside 64 future events that are in no order (and
-// never come due here). The reactors share one lane, so a tick sifts
-// through 65 heap entries, not 189.
+// BenchmarkPollFleet measures an idle member tick in the shape serve-read
+// gives it, which one poller on an empty queue cannot show: 125 calm
+// reactors polling every 200us beside 64 future events that are in no
+// order (and never come due here). The reactors are one run, so a round is
+// one pop and one push for all 125, and an op is one member's tick.
 func BenchmarkPollFleet(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()
-	calm := func() sim.Wait { return sim.After(200 * time.Microsecond) }
-	for i := 0; i < 125; i++ {
-		k.SpawnAwait(func() string { return "reactor" }, calm(), calm, func(p *sim.Proc) {})
-	}
+	k.SpawnPollers(125, 200*time.Microsecond, func(int) string { return "reactor" },
+		func(int) bool { return false }, func(*sim.Proc, int) {})
 	for i := 0; i < 64; i++ {
 		k.ScheduleTagged(sim.Time(1000*time.Hour)+sim.Time(k.Rand().Int63n(int64(time.Hour))), func(uint64) {}, 0)
 	}
 	k.RunUntil(sim.Millisecond) // every reactor past its start event and polling
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for end := k.EventsProcessed() + uint64(b.N); k.EventsProcessed() < end; {
 		k.Step()
 	}
 }

@@ -18,10 +18,12 @@
 //     a missing key means the experiment's metric keys changed. Keys
 //     only the candidate has are new metrics and pass until the
 //     baseline is regenerated.
-//   - allocs: must not exceed the baseline by more than -tol, the one
-//     tolerance. Falling below is an improvement and passes; heap
-//     allocation counts are exact only for -par 1 runs, which is what
-//     CI records.
+//   - allocs: must stay within -tol of the baseline, the one
+//     tolerance, on both sides. Above is an allocation regression; below
+//     is a gain the record does not hold yet, which fails with a message
+//     to re-record the baseline, so the next regression cannot hide in
+//     the slack. Heap allocation counts are exact only for -par 1 runs,
+//     which is what CI records.
 //
 // Missing or malformed records fail with a message saying how to
 // regenerate them (a baseline with zero events is treated as
@@ -119,12 +121,17 @@ func compare(base, cand benchStats, tol float64) []string {
 		fails = append(fails, fmt.Sprintf(
 			"events_processed %d -> %d: deterministic behaviour changed", base.Events, cand.Events))
 	}
-	// Small epsilon so a candidate sitting exactly at the tolerance
+	// Small epsilon so a candidate sitting exactly at either tolerance
 	// boundary passes despite float rounding (1100/1000-1 > 0.10).
-	if d := relDelta(base.Allocs, cand.Allocs); d > tol+1e-9 {
+	switch d := relDelta(base.Allocs, cand.Allocs); {
+	case d > tol+1e-9:
 		fails = append(fails, fmt.Sprintf(
 			"allocs %d -> %d (%+.1f%%, tolerance +%.0f%%): allocation regression",
 			base.Allocs, cand.Allocs, 100*d, 100*tol))
+	case d < -tol-1e-9:
+		fails = append(fails, fmt.Sprintf(
+			"allocs %d -> %d (%+.1f%%, tolerance -%.0f%%): below the record; re-record BENCH_%s.json (quicksand-bench -json -par 1 %s) so the gain is held",
+			base.Allocs, cand.Allocs, 100*d, 100*tol, base.ID, base.ID))
 	}
 	return append(fails, compareValues(base.Values, cand.Values)...)
 }
@@ -161,7 +168,7 @@ const usage = "usage: benchdiff [-tol 0.10] baselineDir candidateDir id..."
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	tol := fs.Float64("tol", 0.10, "relative tolerance for allocs")
+	tol := fs.Float64("tol", 0.10, "relative tolerance for allocs, above and below the baseline")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -21,7 +21,14 @@ func TestCompare(t *testing.T) {
 		{"events regress low", benchStats{Events: 800, Allocs: 500}, 0.10, 1},
 		{"one event of drift fails", benchStats{Events: 1001, Allocs: 500}, 0.10, 1},
 		{"allocs regress", benchStats{Events: 1000, Allocs: 600}, 0.10, 1},
-		{"allocs improve passes", benchStats{Events: 1000, Allocs: 100}, 0.10, 0},
+		{"allocs improve passes", benchStats{Events: 1000, Allocs: 460}, 0.10, 0},
+		{"allocs fall past the tolerance fails", benchStats{Events: 1000, Allocs: 100}, 0.10, 1},
+		{"just inside the tolerance above", benchStats{Events: 1000, Allocs: 549}, 0.10, 0},
+		{"just outside the tolerance above", benchStats{Events: 1000, Allocs: 551}, 0.10, 1},
+		{"exactly at the tolerance below", benchStats{Events: 1000, Allocs: 450}, 0.10, 0},
+		{"just inside the tolerance below", benchStats{Events: 1000, Allocs: 451}, 0.10, 0},
+		{"just outside the tolerance below", benchStats{Events: 1000, Allocs: 449}, 0.10, 1},
+		{"events drift and allocs fall", benchStats{Events: 999, Allocs: 300}, 0.10, 2},
 		{"both regress", benchStats{Events: 2000, Allocs: 2000}, 0.10, 2},
 		{"exactly at tolerance", benchStats{Events: 1000, Allocs: 550}, 0.10, 0},
 		{"tighter tol catches drift", benchStats{Events: 1000, Allocs: 510}, 0.01, 1},
@@ -34,6 +41,11 @@ func TestCompare(t *testing.T) {
 					tc.cand, len(fails), fails, tc.fails)
 			}
 		})
+	}
+	// A fall past the tolerance says how to take the gain into the record.
+	fails := compare(base, benchStats{Events: 1000, Allocs: 100}, 0.10)
+	if want := "re-record BENCH_fig1.json (quicksand-bench -json -par 1 fig1)"; len(fails) != 1 || !strings.Contains(fails[0], want) {
+		t.Errorf("a fall past the tolerance reads %q, want it to say %q", fails, want)
 	}
 }
 

@@ -15,10 +15,11 @@
 // file's with identical fields, and prefix-closed — a
 // kept span's parent is kept too, so sampled trees stay walkable.
 // -max-frac additionally bounds the sampled span count to a fraction
-// of the full count; it is the CI gate that keeps tail-based sampling
-// honest about its claimed volume reduction.
+// of the full count, a finite number in [0, 1] where 0 means unbounded;
+// it is the CI gate that keeps tail-based sampling honest about its
+// claimed volume reduction.
 //
-// Exits 0 when every file passes, 1 on any violation.
+// Exits 0 when every file passes, 1 on any violation, 2 on a usage error.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/obs"
@@ -34,6 +36,8 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+const usage = "usage: tracecheck [-require-causal] [-min-events N] [-subset full.json] [-max-frac F] run.json ..."
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
@@ -47,7 +51,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "usage: tracecheck [-require-causal] [-min-events N] [-subset full.json] [-max-frac F] run.json ...")
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	// A NaN, infinite or negative fraction would skip the bound, which
+	// is tested as maxFrac > 0, and one above 1 bounds nothing.
+	if f := *maxFrac; math.IsNaN(f) || f < 0 || f > 1 {
+		fmt.Fprintf(stderr, "tracecheck: -max-frac %v: want a fraction in [0, 1] (0: unbounded)\n%s\n", f, usage)
 		return 2
 	}
 	if *maxFrac != 0 && *subset == "" {

@@ -169,6 +169,31 @@ func TestSubsetRejectsUnknownAndOrphanSpans(t *testing.T) {
 	}
 }
 
+// TestRejectsBadMaxFrac: a NaN, infinite or negative -max-frac would
+// skip the sampled-volume bound (it is tested as maxFrac > 0), so a full
+// export passed as its own sample; one above 1 bounds nothing. Each exits
+// 2 with the usage message, as a bad benchdiff -tol does.
+func TestRejectsBadMaxFrac(t *testing.T) {
+	fullPath := write(t, "full.json", goodTrace)
+	for _, frac := range []string{"NaN", "+Inf", "-Inf", "-1", "-0.1", "1.5"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-subset", fullPath, "-max-frac", frac, fullPath}, &stdout, &stderr); code != 2 {
+			t.Errorf("-max-frac %s: exit %d, want 2", frac, code)
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), "usage:") {
+			t.Errorf("-max-frac %s: stdout %q, stderr %q; want only the usage message", frac, stdout.String(), stderr.String())
+		}
+	}
+	// The bounds themselves are fractions: 0 is unbounded, and the full
+	// export is its own subset at 1.
+	for _, frac := range []string{"0", "1"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-subset", fullPath, "-max-frac", frac, fullPath}, &stdout, &stderr); code != 0 {
+			t.Errorf("-max-frac %s: exit %d, want 0 (stderr %q)", frac, code, stderr.String())
+		}
+	}
+}
+
 func TestMaxFracRequiresSubset(t *testing.T) {
 	path := write(t, "good.json", goodTrace)
 	var out, errb bytes.Buffer

@@ -128,17 +128,28 @@ func (t *Task) Cancel() {
 
 // Machine is a simulated server.
 type Machine struct {
-	ID   MachineID
-	Name string
+	ID MachineID
+	k  *sim.Kernel
 
-	k   *sim.Kernel
-	cfg MachineConfig
+	// What the scheduler's reactor reads on every poll of a calm machine
+	// (core's needsReact), together in the struct's first cache line:
+	// capacity, cores taken by high-priority work, memory in use, and the
+	// failure state. A down machine accepts no work and holds no memory;
+	// epoch counts crashes, so bookkeeping done against the pre-crash
+	// machine (a migration's pending FreeMem, a proclet's heap charge)
+	// can detect that its allocation no longer exists.
+	cfg      MachineConfig
+	reserved float64
+	memUsed  int64
+	down     bool
+	epoch    uint64
+
+	Name string
 
 	// CPU processor-sharing state.
 	run        []*Task // run[runHead:]: resident tasks by vfinish, ties in submission order
 	runHead    int
 	attained   float64  // A(t): per-task service accrued since creation, ns
-	reserved   float64  // cores taken by high-priority work
 	lastSettle sim.Time // last time attained service was settled
 
 	// completion fires completeFinished when the resident task with the
@@ -155,15 +166,6 @@ type Machine struct {
 	// (Remaining, Wait, Cancel are all legal on finished tasks).
 	freeTasks []*Task
 	taskSlab  []Task
-
-	memUsed int64
-
-	// Failure state: a down machine accepts no work and holds no memory.
-	// epoch counts crashes, so bookkeeping done against the pre-crash
-	// machine (a migration's pending FreeMem, a proclet's heap charge)
-	// can detect that its allocation no longer exists.
-	down  bool
-	epoch uint64
 
 	// Accelerators (see gpu.go).
 	gpus []*GPU

@@ -164,26 +164,27 @@ func (sc *Scheduler) start() {
 	sc.started = true
 	k := sc.sys.K
 	if !sc.cfg.DisableFastPath {
-		for _, m := range sc.sys.Cluster.Machines() {
-			m := m
-			name := func() string { return fmt.Sprintf("sched/reactor-%d", m.ID) }
-			// A calm machine is re-checked in kernel context: the reactor
-			// runs, and owns a worker at all, only from its first pressure
-			// episode on.
-			calm := func() sim.Wait {
-				if sc.needsReact(m) {
-					return sim.Resume
+		// A calm machine is re-checked in kernel context: its reactor
+		// becomes a process, with a worker, only at its first pressure
+		// episode, and the calm ones poll as one queue entry.
+		ms := sc.sys.Cluster.Machines()
+		k.SpawnPollers(len(ms), sc.cfg.LocalPeriod,
+			func(i int) string { return fmt.Sprintf("sched/reactor-%d", ms[i].ID) },
+			func(i int) bool { return sc.needsReact(ms[i]) },
+			func(p *sim.Proc, i int) {
+				m := ms[i]
+				calm := func() sim.Wait {
+					if sc.needsReact(m) {
+						return sim.Resume
+					}
+					return sim.After(sc.cfg.LocalPeriod)
 				}
-				return sim.After(sc.cfg.LocalPeriod)
-			}
-			k.SpawnAwait(name, sim.After(sc.cfg.LocalPeriod), calm, func(p *sim.Proc) {
 				for {
 					sc.reactCPU(p, m)
 					sc.reactMem(p, m)
 					p.Await(sim.After(sc.cfg.LocalPeriod), calm)
 				}
 			})
-		}
 	}
 	if !sc.cfg.DisableSlowPath {
 		k.Spawn("sched/global", func(p *sim.Proc) {
@@ -196,20 +197,17 @@ func (sc *Scheduler) start() {
 	}
 	// Most systems never register a split/merge policy: until one does,
 	// the adaptation loop is a poll and owns no worker.
-	noAdapts := func() sim.Wait {
-		if len(sc.adapts) == 0 {
-			return sim.After(adaptPeriod)
-		}
-		return sim.Resume
-	}
-	k.SpawnAwait(func() string { return "sched/adapt" }, sim.After(adaptPeriod), noAdapts, func(p *sim.Proc) {
-		for {
-			for _, a := range sc.adapts {
-				a.Adapt(p)
+	k.SpawnPollers(1, adaptPeriod,
+		func(int) string { return "sched/adapt" },
+		func(int) bool { return len(sc.adapts) != 0 },
+		func(p *sim.Proc, _ int) {
+			for {
+				for _, a := range sc.adapts {
+					a.Adapt(p)
+				}
+				p.Sleep(adaptPeriod)
 			}
-			p.Sleep(adaptPeriod)
-		}
-	})
+		})
 }
 
 // ---- Placement ----

@@ -40,6 +40,9 @@ func (q *Queue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int
 	if max < 1 {
 		panic(fmt.Sprintf("load: Queue.Serve with max %d: a server takes at least one request at a time", max))
 	}
+	if poll <= 0 {
+		panic(fmt.Sprintf("load: Queue.Serve with poll %v: a server re-checking an empty queue at one instant never lets the clock move", poll))
+	}
 	s := &server{q: q, p: p, h: h, horizon: horizon, poll: poll, max: max, batch: make([]Request, 0, max)}
 	p.Await(s.next(), s.next)
 }

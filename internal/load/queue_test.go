@@ -192,3 +192,27 @@ func TestQueueServeRejectsMaxBelowOne(t *testing.T) {
 		k.Close()
 	}
 }
+
+// TestQueueServeRejectsPollNotPositive: a server that polls an empty
+// queue at After(0) re-queues itself at the same instant forever, so the
+// clock never reaches the horizon; Serve refuses a poll <= 0 up front,
+// naming the value.
+func TestQueueServeRejectsPollNotPositive(t *testing.T) {
+	for _, poll := range []time.Duration{0, -time.Microsecond} {
+		k := sim.NewKernel(1)
+		var q Queue
+		k.Spawn("server", func(p *sim.Proc) {
+			q.Serve(p, 2*us, poll, 1, serveFunc(func([]Request) time.Duration { return 0 }))
+		})
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			k.RunUntil(2 * us)
+			return nil
+		}()
+		want := fmt.Sprintf("Queue.Serve with poll %v", poll)
+		if s, _ := got.(string); !strings.Contains(s, want) {
+			t.Errorf("poll %v: RunUntil panicked with %v, want a panic naming %q", poll, got, want)
+		}
+		k.Close()
+	}
+}

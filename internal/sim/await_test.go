@@ -24,24 +24,40 @@ func awaitLoop(p *Proc, w Wait, stage func() Wait) {
 }
 
 // awaitImpl is one way for the random program to run its Awaits and to
-// spawn its daemons, the processes that start by waiting.
+// spawn its daemons, the processes that start by waiting. A polled
+// implementation spawns through SpawnPollers the daemons that start by
+// waiting out a period, so they wait without a worker; the others it
+// spawns as SpawnLazy does.
 type awaitImpl struct {
-	await func(p *Proc, w Wait, stage func() Wait)
-	spawn func(k *Kernel, nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) *Proc
+	await  func(p *Proc, w Wait, stage func() Wait)
+	spawn  func(k *Kernel, nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) int64
+	polled bool
 }
 
-// spawnLazyThen is SpawnAwait spelled as its definition: SpawnLazy with
-// the wait as the body's first statement.
-func spawnLazyThen(await func(*Proc, Wait, func() Wait)) func(*Kernel, func() string, Wait, func() Wait, func(*Proc)) *Proc {
-	return func(k *Kernel, nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) *Proc {
-		return k.SpawnLazy(nameFn, func(p *Proc) { await(p, w, stage); fn(p) })
+// spawnLazyThen spawns a daemon by SpawnLazy with the wait as the body's
+// first statement, and returns its PID.
+func spawnLazyThen(await func(*Proc, Wait, func() Wait)) func(*Kernel, func() string, Wait, func() Wait, func(*Proc)) int64 {
+	return func(k *Kernel, nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) int64 {
+		return k.SpawnLazy(nameFn, func(p *Proc) { await(p, w, stage); fn(p) }).ID
 	}
 }
 
+// spawnPolled spawns a daemon that starts by waiting out a period d as a
+// group of one SpawnPollers member polling at d, whose predicate is the
+// stage: the mix's daemon stages return After(d) or Resume. Any other
+// daemon it spawns as spawnLazyThen does.
+func spawnPolled(k *Kernel, nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) int64 {
+	if w.c != nil || w.d <= 0 {
+		return spawnLazyThen((*Proc).Await)(k, nameFn, w, stage, fn)
+	}
+	return k.SpawnPollers(1, w.d, func(int) string { return nameFn() },
+		func(int) bool { return stage() == Resume }, func(p *Proc, _ int) { fn(p) })
+}
+
 var (
-	byLoop       = awaitImpl{awaitLoop, spawnLazyThen(awaitLoop)}
-	byAwait      = awaitImpl{(*Proc).Await, spawnLazyThen((*Proc).Await)}
-	bySpawnAwait = awaitImpl{(*Proc).Await, (*Kernel).SpawnAwait}
+	byLoop    = awaitImpl{awaitLoop, spawnLazyThen(awaitLoop), false}
+	byAwait   = awaitImpl{(*Proc).Await, spawnLazyThen((*Proc).Await), false}
+	byPollers = awaitImpl{(*Proc).Await, spawnPolled, true}
 )
 
 // awaitMixRun is what one run of the random program produced.
@@ -54,6 +70,7 @@ type awaitMixRun struct {
 
 	quietStarted int    // daemon bodies entered in the quiet phase
 	quietWorkers uint64 // WorkersCreated at the end of the quiet phase
+	lazy         int    // daemons a polled implementation spawned as SpawnLazy does
 	workers      uint64 // WorkersCreated before Close
 
 	waits   [3]int // what the stages returned: After, On, Resume
@@ -180,7 +197,10 @@ func runAwaitMix(seed int64, shapes awaitShapes, impl awaitImpl) awaitMixRun {
 			}
 			return Resume
 		})
-		p := impl.spawn(k, func() string { return fmt.Sprintf("daemon-%d", i) }, first, idle, func(p *Proc) {
+		if impl.polled && (first.c != nil || first.d <= 0) {
+			out.lazy++
+		}
+		pid := impl.spawn(k, func() string { return fmt.Sprintf("daemon-%d", i) }, first, idle, func(p *Proc) {
 			defer func() { unwound++ }()
 			if quiet {
 				out.quietStarted++
@@ -200,7 +220,7 @@ func runAwaitMix(seed int64, shapes awaitShapes, impl awaitImpl) awaitMixRun {
 				impl.await(p, in, idle)
 			}
 		})
-		out.pids = append(out.pids, p.ID)
+		out.pids = append(out.pids, pid)
 	}
 	if spin { // released at instant 0, behind a few spins
 		k.Schedule(0, func() { k.Schedule(0, func() { flags[0]++ }) })
@@ -446,14 +466,15 @@ func matchAwaitMix(t *testing.T, seed int64, shapes awaitShapes, name string, im
 	return got
 }
 
-// unboundWhileWaiting checks a SpawnAwait run created a worker per daemon
-// let go in the quiet phase at most (a finished one may serve the next),
-// none while waiting, and returns how many daemons waited it out without
-// one.
+// unboundWhileWaiting checks a polled run created in the quiet phase a
+// worker per daemon let go at most (a finished one may serve the next)
+// plus one per daemon spawned lazily, none for a daemon still polling, and
+// returns how many daemons waited it out without one.
 func unboundWhileWaiting(t *testing.T, seed int64, got awaitMixRun) int {
 	t.Helper()
-	if got.quietWorkers > uint64(got.quietStarted) {
-		t.Fatalf("seed %d: %d workers in the quiet phase for %d daemons let go", seed, got.quietWorkers, got.quietStarted)
+	if got.quietWorkers > uint64(got.quietStarted+got.lazy) {
+		t.Fatalf("seed %d: %d workers in the quiet phase for %d daemons let go and %d spawned lazily",
+			seed, got.quietWorkers, got.quietStarted, got.lazy)
 	}
 	return len(got.pids) - int(got.quietWorkers)
 }
@@ -467,11 +488,11 @@ func (total *awaitMixRun) tally(run awaitMixRun) {
 }
 
 // TestAwaitMatchesReferenceLoop: Await must be event-for-event the loop it
-// stands for, and SpawnAwait SpawnLazy with the Await first (see
-// matchAwaitMix), over the whole mix — several workers wait on one Cond,
-// and Close cuts waits short — while SpawnAwait creates no worker for a
-// daemon that has not been let go. The four tests after it run the same
-// check on one shape at a time.
+// stands for, and a SpawnPollers member SpawnLazy with the Await first
+// (see matchAwaitMix), over the whole mix — several workers wait on one
+// Cond, and Close cuts waits short — while a member creates no worker
+// until it is let go. The four tests after it run the same check on one
+// shape at a time; TestPollersMatchSpawnLoop runs groups of many members.
 //
 // Mutations of kernel.go this was checked to fail under: blocked++
 // dropped from proceed; blocked++ dropped on a woken re-park only (the
@@ -480,17 +501,16 @@ func (total *awaitMixRun) tally(run awaitMixRun) {
 // later plain Cond wake runs a stale stage); the evResume case resuming
 // the process without running its stage; a delay's expiry queued as a
 // Sleep's, so no stage runs; proceed taking After(0) for Resume; a Cond
-// re-park under the old park generation (no prepark); a SpawnAwait
-// process's worker bound at its first event, before its stage says
-// Resume; Close not counting unbound processes out of Live; proceed
-// reporting Resume as a wait for a process that already has a worker.
+// re-park under the old park generation (no prepark); Close not counting
+// unbound processes out of Live; proceed reporting Resume as a wait for a
+// process that already has a worker.
 func TestAwaitMatchesReferenceLoop(t *testing.T) {
 	var total awaitMixRun
 	saved := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		want := referenceAwaitMix(t, seed, allShapes, byLoop)
 		matchAwaitMix(t, seed, allShapes, "Await", byAwait, "the loop", want)
-		got := matchAwaitMix(t, seed, allShapes, "SpawnAwait", bySpawnAwait, "the loop", want)
+		got := matchAwaitMix(t, seed, allShapes, "SpawnPollers", byPollers, "the loop", want)
 		saved += unboundWhileWaiting(t, seed, got)
 		total.tally(got)
 	}
@@ -542,15 +562,15 @@ func TestWaitStagedMatchesWaitLoop(t *testing.T) {
 	}
 }
 
-// TestSpawnPolledMatchesSpawnLazy: SpawnAwait — what SpawnPolled was, for
-// a daemon that starts by waiting — matches SpawnLazy with the Await as
-// the body's first statement, while creating no worker for a daemon until
-// its stage lets it go.
+// TestSpawnPolledMatchesSpawnLazy: SpawnPollers — what SpawnPolled was,
+// for a daemon that starts by waiting — matches SpawnLazy with the Await
+// as the body's first statement, while creating no worker for a daemon
+// until its predicate lets it go.
 func TestSpawnPolledMatchesSpawnLazy(t *testing.T) {
 	saved := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		want := referenceAwaitMix(t, seed, 0, byAwait)
-		got := matchAwaitMix(t, seed, 0, "SpawnAwait", bySpawnAwait, "SpawnLazy", want)
+		got := matchAwaitMix(t, seed, 0, "SpawnPollers", byPollers, "SpawnLazy", want)
 		saved += unboundWhileWaiting(t, seed, got)
 	}
 	if saved < 250 {
@@ -795,27 +815,21 @@ func TestCloseUnwindsProcessesParkedMidStage(t *testing.T) {
 	}
 }
 
-// TestSpawnPolledOwnsNoWorkerUntilReleased pins SpawnAwait's accounting: a
-// waiting process is live and blocked like any waiting process, creates a
-// worker only in the event whose stage lets it go, and is counted out of
-// Live by Close if that event never came.
+// TestSpawnPolledOwnsNoWorkerUntilReleased pins SpawnPollers' accounting:
+// a waiting member is live and blocked like any waiting process, creates a
+// worker only in the tick whose predicate lets it go, and is counted out
+// of Live by Close if that tick never came.
 func TestSpawnPolledOwnsNoWorkerUntilReleased(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel(1)
 	ready := make([]bool, 8)
 	ran := 0
-	for i := range ready {
-		idle := func() Wait {
-			if ready[i] {
-				return Resume
-			}
-			return After(10 * time.Microsecond)
-		}
-		k.SpawnAwait(func() string { return "daemon" }, idle(), idle, func(p *Proc) {
+	k.SpawnPollers(len(ready), 10*time.Microsecond, func(int) string { return "daemon" },
+		func(i int) bool { return ready[i] },
+		func(p *Proc, _ int) {
 			ran++
 			p.Sleep(time.Hour)
 		})
-	}
 	k.RunUntil(Millisecond)
 	if k.WorkersCreated() != 0 || runtime.NumGoroutine() > before {
 		t.Fatalf("waiting processes hold %d workers and %d goroutines, want 0 0",
@@ -839,18 +853,18 @@ func TestSpawnPolledOwnsNoWorkerUntilReleased(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestSpawnPolledIdleTickAllocatesNothing: an unbound idle tick — a
-// SpawnAwait process re-checked and still waiting — is one pop and one
-// push, as for a bound one.
+// TestSpawnPolledIdleTickAllocatesNothing: an idle round — SpawnPollers
+// members re-checked and still waiting — is one pop and one push however
+// many members it ticks, and so is a lone member's tick.
 func TestSpawnPolledIdleTickAllocatesNothing(t *testing.T) {
-	k := NewKernel(1)
-	defer k.Close()
-	idle := func() Wait { return After(time.Microsecond) }
-	for i := 0; i < 64; i++ {
-		k.SpawnAwait(func() string { return "daemon" }, idle(), idle, func(p *Proc) {})
-	}
-	k.RunUntil(10 * Microsecond) // queues at capacity
-	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
-		t.Fatalf("unbound idle tick allocates %v objects, want 0", a)
+	for _, n := range []int{1, 64} {
+		k := NewKernel(1)
+		k.SpawnPollers(n, time.Microsecond, func(int) string { return "daemon" },
+			func(int) bool { return false }, func(*Proc, int) { t.Error("a calm member ran") })
+		k.RunUntil(10 * Microsecond) // queues at capacity
+		if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
+			t.Fatalf("%d members: an idle round allocates %v objects, want 0", n, a)
+		}
+		k.Close()
 	}
 }

@@ -34,9 +34,10 @@ const mixH1, mixH2 = 300 * Microsecond, 700 * Microsecond
 // buildIsolatedMix populates one shard with a random program drawn from
 // r, logging every action into *log. Nothing in it reaches another shard.
 // It mixes sleepers that spawn children, a re-armed Timer, a bounded
-// Every, SpawnAwait daemons and in-body Awaits on Conds that timed
-// callbacks signal, SpawnStaged countdowns, and processes parked on a
-// Cond nobody signals, which Close unwinds. A quarter of the shards start
+// Every, daemons whose Awaits wait on Conds that timed callbacks signal,
+// a group of SpawnPollers members the sleepers let go, SpawnStaged
+// countdowns, and processes parked on a Cond nobody signals, which Close
+// unwinds. A quarter of the shards start
 // only after mixH1, or never, so their clocks move only by RunUntil's
 // final alignment.
 func buildIsolatedMix(k *Kernel, r *rand.Rand, log *[]eventStamp) {
@@ -50,6 +51,7 @@ func buildIsolatedMix(k *Kernel, r *rand.Rand, log *[]eventStamp) {
 		start = mixH1 + Time(us(1+r.Intn(50)))
 	}
 	var conds [3]Cond
+	let := make([]bool, r.Intn(6))
 	for i, n := 0, 1+r.Intn(4); i < n; i++ {
 		k.Schedule(start, func() {
 			k.Spawn("sleeper", func(p *Proc) {
@@ -61,6 +63,9 @@ func buildIsolatedMix(k *Kernel, r *rand.Rand, log *[]eventStamp) {
 					}
 					if k.Rand().Intn(3) == 0 {
 						conds[k.Rand().Intn(len(conds))].Signal()
+					}
+					if len(let) > 0 && k.Rand().Intn(4) == 0 {
+						let[k.Rand().Intn(len(let))] = true
 					}
 				}
 			})
@@ -102,13 +107,24 @@ func buildIsolatedMix(k *Kernel, r *rand.Rand, log *[]eventStamp) {
 			return After(us(k.Rand().Intn(25)))
 		}
 		k.Schedule(start, func() {
-			k.SpawnAwait(func() string { return "daemon" }, On(c), stage, func(p *Proc) {
+			k.Spawn("daemon", func(p *Proc) {
+				p.Await(On(c), stage)
 				mark()
 				p.Await(After(us(3)), stage)
 				mark()
 			})
 		})
 	}
+	period := us(2 + r.Intn(20))
+	k.Schedule(start, func() {
+		k.SpawnPollers(len(let), period, func(int) string { return "poller" },
+			func(i int) bool { mark(); return let[i] || k.Now() >= start+mixH2 }, // Run ends
+			func(p *Proc, i int) {
+				mark()
+				p.Sleep(us(k.Rand().Intn(10)))
+				mark()
+			})
+	})
 	for i, n := 0, r.Intn(3); i < n; i++ {
 		left := 2 + r.Intn(4)
 		k.Schedule(start+Time(us(r.Intn(100))), func() {

@@ -79,8 +79,8 @@ const noSlot int32 = -1
 type slot struct {
 	fn  func()       // evFn payload
 	tfn func(uint64) // evTagged payload
-	tag uint64       // evTagged argument
-	p   *Proc        // evResume / evWakeParked / evStart / evStartAwait / evAwait payload
+	tag uint64       // evTagged argument; evRun: the run's index in Kernel.runs
+	p   *Proc        // evResume / evWakeParked / evStart / evAwait payload
 	t   *Timer       // evTimer payload
 	// at and seq are the event's key while it is in a lane: the entries
 	// behind a lane's head are in no queue array, and the tail's key is
@@ -127,7 +127,7 @@ const (
 	evResume                   // resume p (already un-blocked by wake), or run its Await stage
 	evWakeParked               // un-block and resume p (Sleep expiry)
 	evStart                    // first resume of a freshly spawned p
-	evStartAwait               // first event of a SpawnAwait p: its first wait, without a worker
+	evRun                      // the ticks of a run of SpawnPollers members (see round)
 	evAwait                    // un-block p and run its Await stage (delay expiry)
 	evTimer                    // fire t (see Timer)
 )
@@ -184,11 +184,18 @@ type Kernel struct {
 	slots    []slot
 	freeSlot int32 // first free slot, linked through slot.pos; noSlot if none
 
+	// SpawnPollers' runs (see pollRun): every one ever made, by the index
+	// an evRun slot names; the ones in no queue; and the members queued
+	// in runs beyond the first of each, which Pending counts.
+	runs      []*pollRun
+	freeRuns  []*pollRun
+	pollExtra int
+
 	rng       *rand.Rand
 	nextPID   int64
 	live      int     // processes spawned and not yet finished
 	blocked   int     // processes currently parked
-	unbound   int     // SpawnAwait and SpawnStaged processes still waiting, without a worker
+	unbound   int     // SpawnPollers members and SpawnStaged processes still waiting, without a worker
 	staged    []*Proc // finished SpawnStaged processes, for the next one
 	curr      *Proc
 	processed uint64
@@ -229,7 +236,9 @@ func (k *Kernel) Live() int { return k.live }
 func (k *Kernel) Blocked() int { return k.blocked }
 
 // Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) + k.behind + len(k.nowq) - k.nowHead - k.dead }
+func (k *Kernel) Pending() int {
+	return len(k.heap) + k.behind + len(k.nowq) - k.nowHead - k.dead + k.pollExtra
+}
 
 // QueueStats is a host-side reading of the event queue. It describes the
 // simulator, not the simulation, and belongs in no report.
@@ -698,7 +707,7 @@ func (k *Kernel) Every(t0 Time, period time.Duration, fn func() bool) {
 // ParKernel's do across windows); a process must never call them.
 type worker struct {
 	own      Proc          // the process Spawn puts on this worker
-	p        *Proc         // the process running or last run: &own, or a SpawnAwait process bound by proceed
+	p        *Proc         // the process running or last run: &own, or a SpawnPollers member let go
 	fn       func(p *Proc) // next body to run
 	next     func() (done, ok bool)
 	stop     func()
@@ -786,23 +795,168 @@ func (k *Kernel) spawnProc(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAwait is SpawnLazy for a process that starts by waiting. It is
-// event-for-event identical to
+// SpawnPollers starts n processes, members 0 to n-1 of a group, that
+// poll before they run. Member i is event-for-event
 //
-//	k.SpawnLazy(nameFn, func(p *Proc) { p.Await(w, stage); fn(p) })
+//	k.SpawnLazy(func() string { return name(i) }, func(p *Proc) {
+//		p.Await(After(period), func() Wait {
+//			if ready(i) {
+//				return Resume
+//			}
+//			return After(period)
+//		})
+//		body(p, i)
+//	})
 //
-// — same PID, same events under the same sequence numbers, same Live and
-// Blocked — but until stage returns Resume the process is its Proc and
-// nothing else: the worker is bound then, so a daemon whose condition
-// never arises in a run (the reactor of a calm machine) never owns a
-// coroutine. fn must not be nil: a process without a body is SpawnStaged's.
-func (k *Kernel) SpawnAwait(nameFn func() string, w Wait, stage func() Wait, fn func(p *Proc)) *Proc {
-	k.nextPID++
-	p := &Proc{ID: k.nextPID, k: k, nameFn: nameFn, stage: stage, first: w, body: fn}
-	k.live++
-	k.unbound++
-	k.push(k.now, evStartAwait).p = p
-	return p
+// spawned in member order: the same PIDs, every tick at the same (time,
+// seq) and counted as one event, the same Live, Blocked and Pending. Only
+// the representation differs. Until ready(i) holds, a member is an index:
+// at that tick it gets a Proc and a worker and runs body within the tick.
+// And members whose ticks fall at one instant under consecutive sequence
+// numbers are one queue entry, a run (see round), so a calm fleet — the
+// reactors of machines that never need one — is one entry and a loop.
+// ready runs in kernel context, like a stage; it must not block or call
+// Stop. SpawnPollers returns the first member's PID.
+func (k *Kernel) SpawnPollers(n int, period time.Duration, name func(i int) string, ready func(i int) bool, body func(p *Proc, i int)) int64 {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: SpawnPollers with period %v: a poller that never waits livelocks the clock", period))
+	}
+	pid0 := k.nextPID + 1
+	if n <= 0 {
+		return pid0
+	}
+	k.nextPID += int64(n)
+	k.live += n
+	k.unbound += n
+	r := k.newRun(&pollGroup{period: period, name: name, ready: ready, body: body, pid0: pid0})
+	r.members = slices.Grow(r.members, n)
+	for i := 0; i < n; i++ {
+		r.members = append(r.members, int32(i))
+	}
+	r.started = false
+	k.queueRun(r, k.now, k.seq+1) // the members' start events
+	k.seq += uint64(n)
+	return pid0
+}
+
+// pollGroup is one SpawnPollers call.
+type pollGroup struct {
+	period time.Duration
+	name   func(i int) string
+	ready  func(i int) bool
+	body   func(p *Proc, i int)
+	pid0   int64 // member i's PID is pid0+i
+}
+
+// pollRun is one queue entry for members of a group whose ticks fall at
+// at under the numbers seq, seq+1, … in the order listed.
+type pollRun struct {
+	g       *pollGroup
+	members []int32
+	at      Time
+	seq     uint64
+	id      int32 // index in Kernel.runs
+	queued  bool
+	started bool // false for a group's first run: its ticks are the start events
+}
+
+// newRun returns an empty run of g that is in no queue.
+func (k *Kernel) newRun(g *pollGroup) *pollRun {
+	var r *pollRun
+	if n := len(k.freeRuns); n > 0 {
+		r, k.freeRuns = k.freeRuns[n-1], k.freeRuns[:n-1]
+	} else {
+		r = &pollRun{id: int32(len(k.runs))}
+		k.runs = append(k.runs, r)
+	}
+	r.g, r.started = g, true
+	return r
+}
+
+// queueRun queues r, its members listed, keyed by its first tick. It goes
+// in the heap even at now: a run left behind by letGo comes before the
+// FIFO's entries.
+func (k *Kernel) queueRun(r *pollRun, at Time, seq uint64) {
+	r.at, r.seq, r.queued = at, seq, true
+	k.pollExtra += len(r.members) - 1
+	i, s := k.newSlot(evRun)
+	s.tag = uint64(r.id)
+	k.heapInsert(qkey{at: at, seq: seq, slot: i})
+}
+
+// freeRun returns r, in no queue, to the free list.
+func (k *Kernel) freeRun(r *pollRun) {
+	r.g, r.members = nil, r.members[:0]
+	k.freeRuns = append(k.freeRuns, r)
+}
+
+// round runs the ticks of run r, popped at its key, in member order and
+// counts each as an event. Nothing sorts between two consecutive numbers,
+// so nothing else can run between two of them. A member that ready lets
+// go ends the round (letGo); every other takes the next number for its
+// next tick a period on, and the members whose numbers follow on are one
+// run.
+// That run is r again if it is free, so a calm round allocates nothing: a
+// member is written back into r.members at or before the place it was
+// read from.
+func (k *Kernel) round(r *pollRun) {
+	g, ms, at, seq, started := r.g, r.members, r.at, r.seq, r.started
+	r.members, r.queued, r.started = ms[:0], false, true
+	k.pollExtra -= len(ms) - 1
+	var o *pollRun // the run the last member joined
+	for j, i := range ms {
+		if j > 0 { // step counted the first
+			k.processed++
+			if k.processed&(yieldEvery-1) == 0 {
+				runtime.Gosched()
+			}
+		}
+		if !started {
+			k.blocked++ // waiting out its first period from here
+		} else if g.ready(int(i)) {
+			k.letGo(r, ms, j, at, seq+uint64(j)+1)
+			return
+		}
+		k.seq++
+		if o != nil && o.seq+uint64(len(o.members)) == k.seq {
+			o.members = append(o.members, i)
+			k.pollExtra++
+			continue
+		}
+		if o = r; r.queued {
+			o = k.newRun(g)
+		}
+		o.members = append(o.members[:0], i)
+		k.queueRun(o, k.now.Add(g.period), k.seq)
+	}
+	if !r.queued {
+		k.freeRun(r)
+	}
+}
+
+// letGo ends the round of r, whose members were ms, at ms[j]: the members
+// after it are queued as a run keyed by the next tick, (at, seq), and
+// ms[j] gets a Proc under its PID and a worker and resumes within its own
+// tick.
+func (k *Kernel) letGo(r *pollRun, ms []int32, j int, at Time, seq uint64) {
+	g, i := r.g, ms[j]
+	if rest := ms[j+1:]; len(rest) > 0 {
+		nr := r
+		if r.queued {
+			nr = k.newRun(g)
+		}
+		nr.members = append(nr.members[:0], rest...)
+		k.queueRun(nr, at, seq)
+	}
+	if !r.queued {
+		k.freeRun(r)
+	}
+	k.blocked--
+	k.unbound--
+	p := &Proc{ID: g.pid0 + int64(i), k: k, nameFn: func() string { return g.name(int(i)) }}
+	w := k.getWorker()
+	w.p, w.fn, p.w = p, func(p *Proc) { g.body(p, int(i)) }, w
+	k.resumeAndWait(p)
 }
 
 // SpawnStaged starts a process made only of stages: its start event runs
@@ -861,8 +1015,14 @@ func (k *Kernel) Close() {
 			panic(fmt.Sprintf("sim: process %q panicked while Close unwound it: %v", p.label(), w.panicVal))
 		}
 	}
-	k.live -= k.unbound // SpawnAwait processes whose stage never said Resume
+	k.live -= k.unbound // SpawnPollers members never let go, SpawnStaged processes mid-wait
 	k.unbound = 0
+	for _, r := range k.runs {
+		if r.g != nil {
+			k.freeRun(r)
+		}
+	}
+	k.pollExtra = 0
 	clear(k.workers)
 	k.workers = k.workers[:0]
 	for i := range k.slots {
@@ -883,7 +1043,7 @@ func (k *Kernel) Close() {
 
 // WorkersCreated reports how many workers (coroutines) the kernel has
 // ever created; the gap between this and the number of processes spawned
-// is the pool's hit count plus the SpawnAwait processes still waiting.
+// is the pool's hit count plus the SpawnPollers members still waiting.
 func (k *Kernel) WorkersCreated() uint64 { return k.created }
 
 // Switches reports how many times the kernel has handed the host thread
@@ -944,12 +1104,12 @@ func (k *Kernel) await(p *Proc, w Wait) bool {
 
 // proceed moves p, parked and not counted blocked, on to w in kernel
 // context, in the event that ended its last wait: into its next wait, or —
-// w being Resume — out of its Await, bound to a worker first if it is a
-// SpawnAwait process that never ran, and then it reports true: the caller
+// w being Resume — out of its Await, and then it reports true: the caller
 // resumes p within this same event. (The caller, not proceed: a frame
 // between step and the coroutine switch costs a mispredicted return on
-// every switch back, ~15 ns an RPC.) A SpawnStaged process has no body to
-// resume: it ends here, and proceed reports false.
+// every switch back, ~15 ns an RPC.) A SpawnStaged process, the one kind
+// without a worker, has no body to resume: it ends here, and proceed
+// reports false.
 func (k *Kernel) proceed(p *Proc, w Wait) (resume bool) {
 	if k.await(p, w) {
 		k.blocked++
@@ -958,14 +1118,10 @@ func (k *Kernel) proceed(p *Proc, w Wait) (resume bool) {
 	p.stage = nil
 	if p.w == nil {
 		k.unbound--
-		if p.body == nil {
-			p.finished = true
-			k.live--
-			k.staged = append(k.staged, p)
-			return false
-		}
-		w := k.getWorker()
-		w.p, w.fn, p.w, p.body = p, p.body, w, nil
+		p.finished = true
+		k.live--
+		k.staged = append(k.staged, p)
+		return false
 	}
 	return true
 }
@@ -1031,10 +1187,10 @@ func (k *Kernel) step(limit Time) bool {
 		k.resumeAndWait(k.takeProc(e.slot))
 	case evStart:
 		k.resumeAndWait(k.takeProc(e.slot))
-	case evStartAwait:
-		if p := k.takeProc(e.slot); k.proceed(p, p.first) {
-			k.resumeAndWait(p)
-		}
+	case evRun:
+		r := k.runs[s.tag]
+		k.recycle(e.slot)
+		k.round(r)
 	}
 	return true
 }
@@ -1092,7 +1248,7 @@ func (k *Kernel) Stop() { k.stopFlag = true }
 type Proc struct {
 	ID int64
 	k  *Kernel
-	w  *worker // nil while a SpawnAwait process is still waiting
+	w  *worker // nil for a SpawnStaged process
 
 	// Lazy naming: name is computed from nameFn the first time Name is
 	// called, so hot spawn paths never pay for a formatted name that
@@ -1105,21 +1261,15 @@ type Proc struct {
 	// some waker already won it.
 	parkSeq uint64
 
-	// The stage of the Await the process is in, nil outside one; and for
-	// a SpawnAwait process, its first wait and the body a worker runs once
-	// a stage says Resume.
+	// The stage of the Await the process is in, nil outside one.
 	stage func() Wait
-	first Wait
-	body  func(p *Proc)
 
 	// The delay of the process's last Await delay and that delay's lane
 	// (see pushAfter). The zero value is right: delay 0 has no lane.
 	laneDelay time.Duration
 	lane      int32
 
-	// The flags sit in the lane's word: a Proc is allocated by the
-	// thousand (one per polled reactor), and a word apiece would cost each
-	// of them a size class.
+	// The flags sit in the lane's word, where they cost no word apiece.
 	parkWoken bool
 	finished  bool
 }

@@ -350,7 +350,8 @@ func pingPong(k *Kernel, ready *atomic.Bool, seen *uint64) {
 // handoff that never enters the Go scheduler, so at one P a runnable
 // goroutine (the GC's mark worker, here one that sets a flag) would wait
 // for sysmon's preemption. The loop must yield to it every yieldEvery
-// events, sequentially and in each shard of a ParKernel at one worker.
+// events, sequentially, in a round of pollers and in each shard of a
+// ParKernel at one worker.
 // The bound is two yields, not one: Gosched puts the loop on the global
 // run queue, and one schedule in 61 serves that queue first.
 func TestKernelYieldsToTheGoScheduler(t *testing.T) {
@@ -364,6 +365,27 @@ func TestKernelYieldsToTheGoScheduler(t *testing.T) {
 		var ready atomic.Bool
 		var seen uint64
 		pingPong(k, &ready, &seen)
+		go ready.Store(true)
+		k.RunUntil(horizon)
+		if seen == 0 || seen > bound {
+			t.Fatalf("flag first seen at event %d of %d, want 1..%d", seen, k.EventsProcessed(), bound)
+		}
+	})
+
+	// A round of 100 members is one Step of 100 events, and the yield
+	// must come at the member that crosses a multiple, not at a round's
+	// first only.
+	t.Run("pollers", func(t *testing.T) {
+		k := NewKernel(1)
+		defer k.Close()
+		var ready atomic.Bool
+		var seen uint64
+		k.SpawnPollers(100, time.Microsecond, func(int) string { return "poller" }, func(int) bool {
+			if seen == 0 && ready.Load() {
+				seen = k.EventsProcessed()
+			}
+			return false
+		}, func(*Proc, int) {})
 		go ready.Store(true)
 		k.RunUntil(horizon)
 		if seen == 0 || seen > bound {

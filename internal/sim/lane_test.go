@@ -295,39 +295,39 @@ func TestLanesMatchTheHeap(t *testing.T) {
 	}
 }
 
-// TestPollFleetSharesOneHeapEntry: a fleet of calm reactors — processes
-// that poll at one period and never find anything — is one lane, so the
-// heap holds one entry for all of them. A lane that never drains must not
-// grow either: each tick's slot is the one the tick before it freed, so
-// the slab stays at its warm-up length and a tick allocates nothing.
+// TestPollFleetSharesOneHeapEntry: a fleet of calm reactors — SpawnPollers
+// members that poll at one period and never find anything — is one run, so
+// the queue holds one entry for all of them while Pending counts a tick a
+// member. A run that never ends must not grow either: each round re-arms
+// into the run it pops, so the slab and the run table stay at their
+// warm-up length and a round allocates nothing.
 func TestPollFleetSharesOneHeapEntry(t *testing.T) {
 	k := NewKernel(1)
 	defer k.Close()
 	const fleet = 125
-	calm := func() Wait { return After(200 * time.Microsecond) }
-	for i := 0; i < fleet; i++ {
-		k.SpawnAwait(func() string { return "reactor" }, calm(), calm,
-			func(*Proc) { t.Error("a reactor that is always calm resumed") })
-	}
+	k.SpawnPollers(fleet, 200*time.Microsecond, func(int) string { return "reactor" },
+		func(int) bool { return false },
+		func(*Proc, int) { t.Error("a reactor that is always calm resumed") })
 	k.RunUntil(Millisecond)
 	check := func(when string) {
 		t.Helper()
-		if st := k.QueueStats(); st.Heap != 1 || st.Behind != fleet-1 || k.Pending() != fleet || st.LaneFallbacks != 0 {
-			t.Fatalf("%s: heap %d, behind the head %d, Pending %d, fallbacks %d: want 1, %d, %d, 0",
-				when, st.Heap, st.Behind, k.Pending(), st.LaneFallbacks, fleet-1, fleet)
+		if st := k.QueueStats(); st.Heap != 1 || st.Behind != 0 || k.Pending() != fleet || len(k.runs) != 1 {
+			t.Fatalf("%s: heap %d, behind heads %d, Pending %d, runs %d: want 1, 0, %d, 1",
+				when, st.Heap, st.Behind, k.Pending(), len(k.runs), fleet)
 		}
 	}
 	check("after warm-up")
 	slab := len(k.slots)
 	if a := testing.AllocsPerRun(1000, func() { k.Step() }); a != 0 {
-		t.Fatalf("an idle tick allocates %v objects, want 0", a)
+		t.Fatalf("an idle round allocates %v objects, want 0", a)
 	}
+	events := k.EventsProcessed()
 	for i := 0; i < 100_000; i++ {
 		k.Step()
 	}
-	check("after 100,000 ticks")
-	if len(k.slots) != slab || k.WorkersCreated() != 0 {
-		t.Fatalf("slab grew from %d to %d slots over 100,000 idle ticks (%d workers created): want no growth, no workers",
-			slab, len(k.slots), k.WorkersCreated())
+	check("after 100,000 rounds")
+	if n := k.EventsProcessed() - events; len(k.slots) != slab || k.WorkersCreated() != 0 || n != fleet*100_000 {
+		t.Fatalf("slab grew from %d to %d slots over 100,000 idle rounds (%d workers created, %d events): want no growth, no workers, a tick a member",
+			slab, len(k.slots), k.WorkersCreated(), n)
 	}
 }

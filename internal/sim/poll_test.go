@@ -25,8 +25,11 @@ func (k *Kernel) peek() (eventStamp, bool) {
 		return eventStamp{}, false
 	}
 	st := eventStamp{at: e.at, seq: e.seq}
-	if p := k.slots[e.slot].p; p != nil {
-		st.pid = p.ID
+	if s := &k.slots[e.slot]; s.p != nil {
+		st.pid = s.p.ID
+	} else if s.kind == evRun { // its first member's tick
+		r := k.runs[s.tag]
+		st.pid = r.g.pid0 + int64(r.members[0])
 	}
 	return st, true
 }

@@ -23,12 +23,13 @@ func TestProcSwitchAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestProcFitsItsSizeClass: a Proc is allocated by the thousand (one per
-// reactor), and with one Await state in place of four mechanisms' own it
-// is 104 bytes, inside the 112-byte size class.
+// TestProcFitsItsSizeClass: a Proc is allocated per pooled worker, per
+// SpawnStaged process and per SpawnPollers member let go, and with one
+// Await state in place of four mechanisms' own it is 80 bytes, inside the
+// 80-byte size class.
 func TestProcFitsItsSizeClass(t *testing.T) {
-	if s := unsafe.Sizeof(Proc{}); s > 112 {
-		t.Fatalf("Proc is %d bytes, want at most 112", s)
+	if s := unsafe.Sizeof(Proc{}); s > 80 {
+		t.Fatalf("Proc is %d bytes, want at most 80", s)
 	}
 }
 
@@ -91,13 +92,8 @@ func TestKernelSteppedFromTwoHostGoroutines(t *testing.T) {
 			k.Spawn("handler", func(hp *Proc) { hp.Sleep(7 * time.Microsecond) })
 		}
 	})
-	early := func() Wait {
-		if steps < 50 {
-			return After(5 * time.Microsecond)
-		}
-		return Resume
-	}
-	k.SpawnAwait(func() string { return "late" }, early(), early, func(p *Proc) { p.Sleep(time.Hour) })
+	k.SpawnPollers(1, 5*time.Microsecond, func(int) string { return "late" },
+		func(int) bool { return steps >= 50 }, func(p *Proc, _ int) { p.Sleep(time.Hour) })
 
 	const windows = 200
 	turn := make(chan int) // the window to run next: the baton between the two drivers

@@ -6,6 +6,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -85,6 +89,10 @@ func TestLineLedger(t *testing.T) {
 	}
 }
 
+// ledgerDocs are the repository's docs at its root; the root's other
+// Markdown files are logs and reference material.
+var ledgerDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"}
+
 // TestDocLedger: no doc is larger than its byte ceiling in locFile, so
 // a doc that grows says so in the change that grows it, by raising its
 // row there.
@@ -102,7 +110,7 @@ func TestDocLedger(t *testing.T) {
 		}
 		ceiling[name] = n
 	}
-	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
+	for _, name := range ledgerDocs {
 		fi, err := os.Stat(name)
 		if err != nil {
 			t.Fatal(err)
@@ -112,5 +120,88 @@ func TestDocLedger(t *testing.T) {
 		} else if fi.Size() > limit {
 			t.Errorf("%s is %d bytes, over its ceiling of %d in %s", name, fi.Size(), limit, locFile)
 		}
+	}
+}
+
+// roadmapRef matches a cross-reference to a ROADMAP item: "ROADMAP item
+// N" or "items N", the latter with any further numbers it lists ("items
+// 2 and 3", "items 8, 9 and 12"). itemHead matches the head of an item
+// in ROADMAP.md's open list: a line that starts "N. **".
+var (
+	roadmapRef = regexp.MustCompile(`(?:ROADMAP item|[Ii]tems) (\d+(?:\([a-z]+\))?(?:(?:, | and |, and )\d+)*)`)
+	itemNumber = regexp.MustCompile(`\d+`) // a sub-item's letters hold none
+	itemHead   = regexp.MustCompile(`(?m)^(\d+)\. \*\*`)
+)
+
+// roadmapRefs returns the item numbers text cites.
+func roadmapRefs(text string) []int {
+	var refs []int
+	for _, m := range roadmapRef.FindAllStringSubmatch(text, -1) {
+		for _, f := range itemNumber.FindAllString(m[1], -1) {
+			n, _ := strconv.Atoi(f)
+			refs = append(refs, n)
+		}
+	}
+	return refs
+}
+
+// TestRoadmapRefs: every "ROADMAP item N" or "items N" in a Go file, a
+// doc (ledgerDocs, or any Markdown file below the root) or the CI
+// workflow names an item ROADMAP.md numbers, so a closed or renumbered
+// item cannot leave a stale reference behind. The root's logs are
+// history and are not read.
+func TestRoadmapRefs(t *testing.T) {
+	raw, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := map[int]bool{}
+	for _, m := range itemHead.FindAllStringSubmatch(string(raw), -1) {
+		n, _ := strconv.Atoi(m[1])
+		items[n] = true
+	}
+	if len(items) < 5 {
+		t.Fatalf("ROADMAP.md numbers %d items; the item list was not found", len(items))
+	}
+	// A reference planted by hand must be read, and fail. (Built at run
+	// time, or this file would cite it.)
+	planted := roadmapRefs(fmt.Sprintf("see ROADMAP item %d(ii), and items %d, %d and %d", 99, 1, 2, 98))
+	if !reflect.DeepEqual(planted, []int{99, 1, 2, 98}) || items[99] || items[98] {
+		t.Fatalf("a planted reference reads %v, want [99 1 2 98], two of them unnumbered", planted)
+	}
+	cited := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		switch slash := filepath.ToSlash(path); {
+		case strings.HasSuffix(path, ".go"), strings.HasPrefix(slash, ".github/workflows/"),
+			slices.Contains(ledgerDocs, path), strings.HasSuffix(path, ".md") && strings.Contains(slash, "/"):
+		default:
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, n := range roadmapRefs(string(src)) {
+			cited++
+			if !items[n] {
+				t.Errorf("%s cites ROADMAP item %d, which ROADMAP.md does not number", path, n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cited < 10 {
+		t.Fatalf("%d references found; the pattern no longer matches how the tree cites items", cited)
 	}
 }
