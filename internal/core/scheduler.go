@@ -615,7 +615,7 @@ func (sc *Scheduler) rebalance(p *sim.Proc) {
 // bytes with, when the peer's machine has capacity — the paper's
 // affinity answer to "how can we maintain locality?" (§5).
 func (sc *Scheduler) colocate(p *sim.Proc) {
-	// Snapshot candidates first: migration mutates comm maps' owners.
+	// Snapshot candidates first: migration mutates comm counters' owners.
 	type move struct {
 		id     proclet.ID
 		target cluster.MachineID
@@ -631,12 +631,11 @@ func (sc *Scheduler) colocate(p *sim.Proc) {
 		if pi.pinned || pi.pr.State() != proclet.StateRunning {
 			continue
 		}
-		// A tie in bytes goes to the lower peer ID, not to map order.
 		var bestPeer proclet.ID
 		var bestBytes int64
 		for peer, bytes := range pi.pr.CommBytes() {
-			if bytes > bestBytes || bytes == bestBytes && bytes > 0 && peer < bestPeer {
-				bestPeer, bestBytes = peer, bytes
+			if bytes > bestBytes {
+				bestPeer, bestBytes = proclet.ID(peer), bytes
 			}
 		}
 		pi.pr.ResetComm()

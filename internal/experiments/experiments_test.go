@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,19 +359,19 @@ func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
 	}
 	cfg := fig1Config(TestScale)
 	for _, mode := range []string{"quicksand", "pinned", "coarse"} {
-		want, err := fig1RunFull(cfg, mode, nil, blocking)
+		want, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, blocking)
 		if err != nil {
 			t.Fatalf("%s, blocking: %v", mode, err)
 		}
-		got, err := fig1RunFull(cfg, mode, nil, (*core.ComputeProclet).RunCompute)
+		got, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, (*core.ComputeProclet).RunCompute)
 		if err != nil {
 			t.Fatalf("%s, RunCompute: %v", mode, err)
 		}
 		if got.events != want.events {
 			t.Errorf("%s: %d events with RunCompute, %d with the blocking unit", mode, got.events, want.events)
 		}
-		if !reflect.DeepEqual(got.trace, want.trace) {
-			t.Errorf("%s: control-plane traces differ\nRunCompute: %v\nblocking:   %v", mode, got.trace, want.trace)
+		if !reflect.DeepEqual(got.trace.Lines(), want.trace.Lines()) {
+			t.Errorf("%s: control-plane traces differ\nRunCompute: %v\nblocking:   %v", mode, got.trace.Lines(), want.trace.Lines())
 		}
 		for m := range want.perMachine {
 			if !reflect.DeepEqual(got.perMachine[m], want.perMachine[m]) {
@@ -384,6 +385,93 @@ func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
 		}
 		if mode == "quicksand" && (want.migrations == 0 || want.goodputPct < 50) {
 			t.Errorf("quicksand mode migrated %d times for %.1f%% goodput: the run exercises nothing", want.migrations, want.goodputPct)
+		}
+	}
+}
+
+// resetFig1Memo empties the fig1 memo, so a test sees only the runs it
+// fills and counts only the simulations it causes.
+func resetFig1Memo() {
+	fig1Runs.Lock()
+	defer fig1Runs.Unlock()
+	fig1Runs.runs = make(map[fig1Key]*fig1Entry)
+	fig1Runs.misses = 0
+}
+
+// TestFig1MemoMatchesFreshRun: every run a TestScale pass of the
+// paper-figs experiments leaves in the fig1 memo is the run its key
+// describes — reflect.DeepEqual to a fresh, unmemoized fig1RunFull of
+// that key, series and rendered trace included. fig1's three modes,
+// abl-sched's two rows besides two-level, abl-granularity's four heaps
+// and abl-reactor's two periods besides 200µs are 11 distinct runs.
+func TestFig1MemoMatchesFreshRun(t *testing.T) {
+	defer resetFig1Memo()
+	resetFig1Memo()
+	for _, id := range []string{"fig1", "fig3", "abl-migration", "abl-split", "abl-prefetch", "abl-sched",
+		"abl-locality", "abl-granularity", "abl-reactor", "abl-postcopy", "ext-harvest"} {
+		if _, err := Run(id, TestScale); err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+	}
+	if n := len(fig1Runs.runs); n != 11 || fig1Runs.misses != 11 {
+		t.Errorf("memo holds %d runs after %d misses, want 11 of each", n, fig1Runs.misses)
+	}
+	for key, e := range fig1Runs.runs {
+		fresh, err := fig1RunFull(key.cfg, key.mode, key.sys, false, (*core.ComputeProclet).RunCompute)
+		if err != nil || e.err != nil {
+			t.Fatalf("%s %+v: fresh run %v, memoized %v", key.mode, key.sys, err, e.err)
+		}
+		if !reflect.DeepEqual(e.st.trace.Lines(), fresh.trace.Lines()) {
+			t.Errorf("%s %+v: memoized trace differs from a fresh run's", key.mode, key.sys)
+		}
+		if !reflect.DeepEqual(e.st, fresh) {
+			t.Errorf("%s %+v: memoized run (%d events, %.3f%%) differs from a fresh one (%d events, %.3f%%)",
+				key.mode, key.sys, e.st.events, e.st.goodputPct, fresh.events, fresh.goodputPct)
+		}
+	}
+}
+
+// TestFig1MemoConcurrent: fig1, abl-sched and abl-reactor run at once at
+// -par 4, so their shared run — fig1's quicksand mode, abl-sched's
+// two-level row, abl-reactor's 200µs row — is asked for by three
+// goroutines together. Each of the 7 distinct runs is simulated exactly
+// once, and every report is the -par 1 golden's, seed 0. Under -race
+// this is the memo's data-race check.
+func TestFig1MemoConcurrent(t *testing.T) {
+	defer resetFig1Memo()
+	defer SetParallelism(0)
+	resetFig1Memo()
+	SetParallelism(4)
+	SetBaseSeed(0)
+	ids := []string{"fig1", "abl-sched", "abl-reactor"}
+	results := make([]*Result, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(id, TestScale)
+		}()
+	}
+	wg.Wait()
+	if n := len(fig1Runs.runs); n != 7 || fig1Runs.misses != 7 {
+		t.Errorf("memo holds %d runs after %d misses, want 7 of each", n, fig1Runs.misses)
+	}
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", id, errs[i])
+		}
+		var b strings.Builder
+		b.WriteString("-- seed 0\n")
+		writeGolden(&b, results[i])
+		raw, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := strings.Cut(string(raw), "-- seed 1\n")
+		if b.String() != want {
+			t.Errorf("%s at -par 4, concurrent: %s", id, firstDiff(want, b.String()))
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/runpar"
 	"repro/internal/sim"
@@ -110,7 +111,7 @@ type chaosOutcome struct {
 	recover    int64 // orphans successfully re-placed
 	promotions int64 // backup promotions (replicated run only)
 	events     uint64
-	trace      []string
+	trace      *obs.Log // rendered only for the reported variant
 }
 
 // runChaosOnce drives the workload, with or without the fault
@@ -219,7 +220,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 	if rm != nil {
 		out.promotions = rm.Promotions.Value()
 	}
-	out.trace = sys.Trace.Lines()
+	out.trace = sys.Trace
 	return out, nil
 }
 
@@ -266,7 +267,7 @@ func runExtChaos(scale Scale) (*Result, error) {
 	}
 	chaos, base, repl := outs[0], outs[1], outs[2]
 	res.EventsProcessed = chaos.events + base.events + repl.events
-	res.Trace = chaos.trace
+	res.Trace = chaos.trace.Lines()
 
 	baseMean := meanOver(base.goodput, cfg.bucket, cfg.warmup, cfg.horizon)
 	dip := meanOver(chaos.goodput, cfg.bucket, firstFault, finalHeal)

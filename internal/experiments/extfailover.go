@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/runpar"
 	"repro/internal/sim"
@@ -82,7 +83,7 @@ type failoverOutcome struct {
 	goodput           []float64
 	failoverMS        []float64 // per affected store: crash -> first post-crash ack
 	events            uint64
-	trace             []string
+	trace             *obs.Log // rendered only for the reported variant
 }
 
 // runFailoverOnce drives the open-loop write workload at the given
@@ -188,7 +189,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 	out.resyncs = rm.Resyncs.Value()
 	out.confirms = rm.Detector().Confirms.Value()
 	out.replRecords = rm.ReplRecords.Value()
-	out.trace = sys.Trace.Lines()
+	out.trace = sys.Trace
 	if rf >= 2 && inject {
 		if err := maybeExportTrace("ext-failover", sys); err != nil {
 			return out, err
@@ -219,7 +220,7 @@ func runExtFailover(scale Scale) (*Result, error) {
 	}
 	rf2, rf2Base, rf1, rf1Base := outs[0], outs[1], outs[2], outs[3]
 	res.EventsProcessed = rf2.events + rf2Base.events + rf1.events + rf1Base.events
-	res.Trace = rf2.trace
+	res.Trace = rf2.trace.Lines()
 
 	foMean, foMax := 0.0, 0.0
 	for _, ms := range rf2.failoverMS {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gpu"
+	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/proclet"
 	"repro/internal/runpar"
@@ -91,7 +92,7 @@ type gpufleetOut struct {
 	opened      int // incidents opened by the step-latency SLO
 	resolved    int
 	events      uint64
-	trace       []string
+	trace       *obs.Log // rendered only for the reported variant
 }
 
 // gpufleetSLO watches the fleet's per-step latency: 20ms windows, a
@@ -233,7 +234,7 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 	out.stranded = fleet.Stranded.Value()
 	out.xids = in.GPUXids.Value()
 	out.events = sys.K.EventsProcessed()
-	out.trace = sys.Trace.Lines()
+	out.trace = sys.Trace
 	return out, nil
 }
 
@@ -271,7 +272,7 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	}
 	robust, nomit, nockpt, oracle := outs[0], outs[1], outs[2], outs[3]
 	res.EventsProcessed = robust.events + nomit.events + nockpt.events + oracle.events
-	res.Trace = robust.trace
+	res.Trace = robust.trace.Lines()
 
 	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
 	res.addf("%-15s %13s %9s %10s %9s %6s %11s %10s", "variant",

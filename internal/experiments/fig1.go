@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/runpar"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -46,7 +48,8 @@ func fig1Config(scale Scale) fig1Cfg {
 	return cfg
 }
 
-// fig1Stats is one mode's outcome.
+// fig1Stats is one mode's outcome. A memoized one is shared by every
+// caller of its key, so its series and log are read-only.
 type fig1Stats struct {
 	goodputPct float64 // achieved / ideal over the stats window
 	migrations int64
@@ -55,35 +58,95 @@ type fig1Stats struct {
 	reactMeanM float64 // mean ms from antagonist flip to >50% goodput
 	perMachine [2]*metrics.BucketSeries
 	events     uint64   // kernel events executed in this mode's run
-	trace      []string // rendered control-plane trace for this mode
+	trace      *obs.Log // control-plane trace, rendered only where reported
 }
 
+// fig1Run runs one of fig1's own modes on the default system. Its
+// quicksand mode is the run -trace-dir exports as fig1.trace.json.
 func fig1Run(cfg fig1Cfg, mode string) (fig1Stats, error) {
-	return fig1RunFull(cfg, mode, nil, (*core.ComputeProclet).RunCompute)
+	return fig1Cached(cfg, mode, core.DefaultConfig(), mode == "quicksand" && traceDir != "")
 }
 
 // fig1RunWith runs the Quicksand mode with a mutated system config
-// (scheduler ablations).
+// (scheduler ablations). It is never traced.
 func fig1RunWith(cfg fig1Cfg, mutate func(*core.Config)) (fig1Stats, error) {
-	return fig1RunFull(cfg, "quicksand", mutate, (*core.ComputeProclet).RunCompute)
+	sysCfg := core.DefaultConfig()
+	mutate(&sysCfg)
+	return fig1Cached(cfg, "quicksand", sysCfg, false)
 }
 
-// fig1RunFull runs one mode. enqueue is how a filler unit — work of
-// compute, then a function that cannot block — reaches a compute proclet:
-// RunCompute, except in the test that holds RunCompute to its blocking twin.
-func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config),
-	enqueue func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn)) (fig1Stats, error) {
-	sysCfg := core.DefaultConfig()
-	if mutate != nil {
-		mutate(&sysCfg)
+// fig1Key is every input of a memoized fig1RunFull. The base seed and
+// worker count do not move its outcome; they keep each seed and -par
+// pass of the golden table simulating on its own.
+type fig1Key struct {
+	cfg     fig1Cfg
+	mode    string
+	sys     core.Config
+	seed    int64
+	workers int
+}
+
+// fig1Entry is one memoized run; done closes when st and err are set.
+type fig1Entry struct {
+	done chan struct{}
+	st   fig1Stats
+	err  error
+}
+
+// fig1Memo memoizes the fig1-family runs of this process: fig1's
+// quicksand mode is also abl-sched's two-level row and abl-reactor's
+// 200µs row, and each is simulated once. misses counts the runs
+// simulated through it.
+type fig1Memo struct {
+	sync.Mutex
+	runs   map[fig1Key]*fig1Entry
+	misses int
+}
+
+var fig1Runs = fig1Memo{runs: make(map[fig1Key]*fig1Entry)}
+
+// fig1Cached returns the run of (cfg, mode, sysCfg) from the memo,
+// simulating it on the first call; concurrent callers of one key wait
+// for that one run. A traced run bypasses the memo, since tracing adds
+// kernel events and writes a file.
+func fig1Cached(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool) (fig1Stats, error) {
+	if traced {
+		return fig1RunFull(cfg, mode, sysCfg, true, (*core.ComputeProclet).RunCompute)
 	}
+	key := fig1Key{cfg: cfg, mode: mode, sys: sysCfg, seed: baseSeed, workers: workers()}
+	fig1Runs.Lock()
+	e, ok := fig1Runs.runs[key]
+	if !ok {
+		e = &fig1Entry{done: make(chan struct{})}
+		fig1Runs.runs[key] = e
+		fig1Runs.misses++
+	}
+	fig1Runs.Unlock()
+	if !ok {
+		// Closed even if the run panics, so no waiter hangs the runpar
+		// pass that re-panics.
+		defer close(e.done)
+		e.st, e.err = fig1RunFull(cfg, mode, sysCfg, false, (*core.ComputeProclet).RunCompute)
+		return e.st, e.err
+	}
+	<-e.done
+	return e.st, e.err
+}
+
+// fig1RunFull runs one mode on a system built from sysCfg; traced
+// records spans and exports them as fig1.trace.json. enqueue is how a
+// filler unit — work of compute, then a function that cannot block —
+// reaches a compute proclet: RunCompute, except in the test that holds
+// RunCompute to its blocking twin.
+func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
+	enqueue func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn)) (fig1Stats, error) {
 	machines := []cluster.MachineConfig{
 		{Cores: cfg.cores, MemBytes: 32 << 30},
 		{Cores: cfg.cores, MemBytes: 32 << 30},
 	}
 	sys := core.NewSystem(sysCfg, machines)
 	defer sys.Close()
-	if mode == "quicksand" {
+	if traced {
 		maybeTrace(sys)
 	}
 	k := sys.K
@@ -206,8 +269,8 @@ func fig1RunFull(cfg fig1Cfg, mode string, mutate func(*core.Config),
 		st.reactMeanM = sum / float64(len(reacts))
 	}
 	st.events = k.EventsProcessed()
-	st.trace = sys.Trace.Lines()
-	if mode == "quicksand" {
+	st.trace = sys.Trace
+	if traced {
 		if err := maybeExportTrace("fig1", sys); err != nil {
 			return st, err
 		}
@@ -241,7 +304,7 @@ func runFig1(scale Scale) (*Result, error) {
 		res.set(mode+".mig_mean_ms", st.migMeanMs)
 		res.set(mode+".react_ms", st.reactMeanM)
 		res.EventsProcessed += st.events
-		res.Trace = append(res.Trace, st.trace...)
+		res.Trace = append(res.Trace, st.trace.Lines()...)
 		// Plot-ready series: per-machine goodput in units/ms, 1 ms
 		// buckets — the data behind the paper's Figure 1 plot.
 		nB := int(int64(cfg.horizon) / int64(time.Millisecond))

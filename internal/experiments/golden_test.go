@@ -147,7 +147,9 @@ func firstDiff(want, got string) string {
 // TestTraceExportGoldens holds the -trace-dir exports to
 // testdata/traces.golden: the SHA-256 of every file that fig1,
 // ext-failover, ext-memharvest and ext-serve write at TestScale, base
-// seed 0 — the Chrome writer's bytes, spans and telemetry both.
+// seed 0 — the Chrome writer's bytes, spans and telemetry both. The
+// ablations that rerun fig1's workload (abl-sched, abl-reactor) run
+// after fig1 and must leave fig1.trace.json as fig1 wrote it.
 // EXPERIMENTS_UPDATE_GOLDENS=1 rewrites the file.
 func TestTraceExportGoldens(t *testing.T) {
 	defer SetTraceDir("")
@@ -156,7 +158,7 @@ func TestTraceExportGoldens(t *testing.T) {
 	SetTraceDir(dir)
 	SetParallelism(1)
 	SetBaseSeed(0)
-	for _, id := range []string{"fig1", "ext-failover", "ext-memharvest", "ext-serve"} {
+	for _, id := range []string{"fig1", "abl-sched", "abl-reactor", "ext-failover", "ext-memharvest", "ext-serve"} {
 		if _, err := Run(id, TestScale); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -148,7 +148,7 @@ type Proclet struct {
 	nextThread int64
 	tasks      []*cluster.Task // outstanding thread compute, in submission order
 
-	commBytes map[ID]int64 // affinity: bytes exchanged per peer proclet
+	commBytes []int64 // affinity: bytes exchanged, indexed by peer ID
 	invokes   metrics.Counter
 }
 
@@ -171,11 +171,21 @@ func (pr *Proclet) HeapBytes() int64 { return pr.heapBytes }
 func (pr *Proclet) Invocations() int64 { return pr.invokes.Value() }
 
 // CommBytes returns bytes exchanged with each peer proclet since the
-// last ResetComm (the scheduler's affinity signal). Not a copy.
-func (pr *Proclet) CommBytes() map[ID]int64 { return pr.commBytes }
+// last ResetComm, indexed by peer ID (the scheduler's affinity signal).
+// Not a copy; a peer past its end has exchanged nothing.
+func (pr *Proclet) CommBytes() []int64 { return pr.commBytes }
 
 // ResetComm clears the affinity counters.
-func (pr *Proclet) ResetComm() { pr.commBytes = make(map[ID]int64) }
+func (pr *Proclet) ResetComm() { clear(pr.commBytes) }
+
+// addComm counts bytes exchanged with peer, growing the counters to
+// its ID.
+func (pr *Proclet) addComm(peer ID, bytes int64) {
+	if n := int(peer) + 1; n > len(pr.commBytes) {
+		pr.commBytes = append(pr.commBytes, make([]int64, n-len(pr.commBytes))...)
+	}
+	pr.commBytes[peer] += bytes
+}
 
 // methodEntry is one method name's registrations: fast, blocking, or —
 // through HandleStaged only — fast and staged.

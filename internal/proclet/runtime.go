@@ -175,7 +175,6 @@ func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Pr
 		resident:   true,
 		allocEpoch: mach.Epoch(),
 		heapBytes:  heapBytes,
-		commBytes:  make(map[ID]int64),
 	}
 	rt.procs = append(rt.procs, pr)
 	rt.Trace.Emitf(rt.k.Now(), obs.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, pr.id)
@@ -511,11 +510,11 @@ func (rt *Runtime) account(pr *Proclet, from ID, arg, res Msg) {
 	pr.invokes.Inc()
 	if from != 0 {
 		bytes := arg.Bytes + res.Bytes
-		pr.commBytes[from] += bytes
+		pr.addComm(from, bytes)
 		// Record symmetrically so a mobile caller can discover its
 		// affinity for a pinned callee.
 		if caller := rt.Lookup(from); caller != nil {
-			caller.commBytes[pr.id] += bytes
+			caller.addComm(pr.id, bytes)
 		}
 	}
 }

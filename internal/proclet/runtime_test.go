@@ -337,8 +337,10 @@ func TestAffinityTracking(t *testing.T) {
 		t.Errorf("affinity bytes = %d, want 500", got)
 	}
 	b.ResetComm()
-	if len(b.CommBytes()) != 0 {
-		t.Error("ResetComm did not clear")
+	for peer, bytes := range b.CommBytes() {
+		if bytes != 0 {
+			t.Errorf("ResetComm left %d bytes for peer %d", bytes, peer)
+		}
 	}
 }
 
