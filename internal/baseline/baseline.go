@@ -61,7 +61,7 @@ func StaticPipeline(k *sim.Kernel, machines []*cluster.Machine, imgs []workload.
 	// Partition the corpus contiguously by fraction.
 	bounds := make([]int, len(machines)+1)
 	for i := range machines {
-		bounds[i+1] = bounds[i] + int(float64(len(imgs))*frac[i]+0.5)
+		bounds[i+1] = bounds[i] + int(float64(float64(len(imgs))*frac[i])+0.5)
 	}
 	bounds[len(machines)] = len(imgs)
 

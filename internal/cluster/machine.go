@@ -232,7 +232,7 @@ func (m *Machine) perTaskRate() float64 {
 // Utilization returns the cores in use, counting reservations, as a
 // fraction of total cores.
 func (m *Machine) Utilization() float64 {
-	return (math.Min(m.reserved, m.cfg.Cores) + m.perTaskRate()*float64(m.Runnable())) / m.cfg.Cores
+	return (math.Min(m.reserved, m.cfg.Cores) + float64(m.perTaskRate()*float64(m.Runnable()))) / m.cfg.Cores
 }
 
 // ---- the run list ----
@@ -287,7 +287,7 @@ func (m *Machine) settle() {
 	elapsed := float64(now - m.lastSettle)
 	rate := m.perTaskRate()
 	if rate > 0 {
-		m.attained += elapsed * rate
+		m.attained += float64(elapsed * rate)
 		m.CoreSeconds += elapsed * rate * float64(m.Runnable()) / 1e9
 	}
 	m.lastSettle = now

@@ -724,7 +724,7 @@ func TestExtServeShape(t *testing.T) {
 func TestExtServePreloadThatDoesNotFitIsAnError(t *testing.T) {
 	cfg := serveConfig(TestScale)
 	cfg.objBytes = 160 << 10 // 512 objects of 160 KB: 80 MB a store
-	_, err := runServeOnce(cfg, 1)
+	_, err := runServeOnce(cfg)
 	if !errors.Is(err, cluster.ErrNoMemory) || !strings.Contains(err.Error(), "preload of store 0 (512 objects of 163840 bytes)") {
 		t.Errorf("err = %v, want the preload's ErrNoMemory", err)
 	}
@@ -836,8 +836,8 @@ func TestExtGPUFleetShape(t *testing.T) {
 
 // TestRunLeavesNoGoroutines: an experiment's daemons (reactors, the
 // global and adaptation loops, antagonists) are still parked when it
-// ends, and at -par 4 a partitioned fleet has a ParKernel worker pool;
-// closing its systems must release every one of them.
+// ends, and at -par 4 experiments run on host workers; closing their
+// systems must release every one of them.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(0)
@@ -859,31 +859,6 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-}
-
-// TestExtScaleDeterminism: a partitioned fleet's run is the same at
-// every host worker count. ext-scale's scaleDet — per-shard events, op
-// and error counts, window and cross-message totals, and the merged
-// trace — must be reflect.DeepEqual at P = 1, 4 and 8, at base seeds 0
-// to 2. Under -race this is also the data-race check of the window
-// barrier and the mailboxes at fleet scale.
-func TestExtScaleDeterminism(t *testing.T) {
-	defer SetBaseSeed(0)
-	sameAtEveryP(t, func(p int) (scaleDet, []uint64, error) {
-		det, err := runScaleOnce(scaleConfig(TestScale), p)
-		return det, det.ShardEvents, err
-	})
-}
-
-// TestExtServeDeterminism: as TestExtScaleDeterminism, for ext-serve's
-// serveOutcome, which adds request counts and the latency histograms
-// down to the bucket.
-func TestExtServeDeterminism(t *testing.T) {
-	defer SetBaseSeed(0)
-	sameAtEveryP(t, func(p int) (serveOutcome, []uint64, error) {
-		o, err := runServeOnce(serveConfig(TestScale), p)
-		return o, o.det.ShardEvents, err
-	})
 }
 
 // TestExtGPUFleetDeterminism: ext-gpufleet fans its four variants
@@ -908,30 +883,6 @@ func TestExtGPUFleetDeterminism(t *testing.T) {
 			} else if !reflect.DeepEqual(res, ref) {
 				t.Errorf("seed %d: -par %d diverged from -par 1 (events %d vs %d)",
 					seed, par, res.EventsProcessed, ref.EventsProcessed)
-			}
-		}
-	}
-}
-
-// sameAtEveryP runs once at each worker count and base seed and fails
-// unless every run of a seed is reflect.DeepEqual to its P = 1 run.
-func sameAtEveryP[O any](t *testing.T, once func(workers int) (O, []uint64, error)) {
-	t.Helper()
-	sweepP := []int{1, 4, 8}
-	for _, seed := range goldenSeeds {
-		SetBaseSeed(seed)
-		var ref O
-		var refEvents []uint64
-		for i, p := range sweepP {
-			o, events, err := once(p)
-			if err != nil {
-				t.Fatalf("seed %d P=%d: %v", seed, p, err)
-			}
-			if i == 0 {
-				ref, refEvents = o, events
-			} else if !reflect.DeepEqual(o, ref) {
-				t.Errorf("seed %d: P=%d diverged from P=%d (per-shard events %v vs %v)",
-					seed, p, sweepP[0], events, refEvents)
 			}
 		}
 	}

@@ -11,10 +11,9 @@ package experiments
 // (granular re-placement plus rebuild, as in ext-chaos — now inside a
 // partitioned run).
 //
-// The run takes its host worker count from SetParallelism; every field
-// of its scaleDet — per-shard event counts, per-shard op and error
-// counts, window and cross-message totals, and the merged control-plane
-// trace — is the same at any worker count, which the tests assert.
+// The shards are linked, so they run window by window in shard order on
+// one host goroutine, whatever -par says (DESIGN.md §11); the golden
+// table holds the run at -par 1 and 4.
 
 import (
 	"fmt"
@@ -65,8 +64,7 @@ func scaleConfig(scale Scale) scaleCfg {
 	return cfg
 }
 
-// scaleDet is one run's measurements, every one of which must be
-// identical at any worker count.
+// scaleDet is one run's measurements.
 type scaleDet struct {
 	ShardEvents []uint64
 	Ops         []int64
@@ -81,12 +79,10 @@ type scaleDet struct {
 	Trace       []string
 }
 
-// runScaleOnce builds the partitioned fleet and drives it with the
-// given number of host workers.
-func runScaleOnce(cfg scaleCfg, workers int) (scaleDet, error) {
+// runScaleOnce builds the partitioned fleet and runs it.
+func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 	fl := fleet.New(seeded(29), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
 	defer fl.Close()
-	fl.PK.SetWorkers(workers)
 	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
 
 	type shardState struct {
@@ -200,7 +196,7 @@ func runExtScale(scale Scale) (*Result, error) {
 	res.addf("faults: shard 0 crashes machine 1 at %v, restarts it at %v",
 		sim.Time(float64(cfg.horizon)*0.35), sim.Time(float64(cfg.horizon)*0.65))
 
-	ref, err := runScaleOnce(cfg, workers())
+	ref, err := runScaleOnce(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -16,17 +16,15 @@ package experiments
 // mem.getbatch fan-in RPCs to the shard's stores. Latency
 // (arrival-to-completion, i.e. queue wait + fan-in service) lands in
 // fixed-bucket metrics.LogHistograms: alloc-free to record, merged
-// across shards in fixed order, byte-identical at any worker count.
+// across shards in fixed order.
 //
 // Three phases share the horizon: a diurnal baseline, a flash crowd
 // (tenant C's intensity ramps ~5x), and migration-under-load (every
 // shard migrates two of its stores to different machines while serving,
 // so the migrate-phase p999 shows the blackout cost). A jittered
 // workload.Antagonist per shard exercises the injected-RNG interference
-// path. Like ext-scale, the run takes its host worker count from
-// SetParallelism, and every observable of a run — per-shard events,
-// request counts, histograms, merged trace, trace exports — is the same
-// at any worker count, which the tests assert.
+// path. Like ext-scale, the linked shards run in shard order on one host
+// goroutine at any -par.
 
 import (
 	"bytes"
@@ -185,10 +183,7 @@ func (cfg serveCfg) phaseOf(at sim.Time) int {
 	}
 }
 
-// serveDet is every observable that must be identical at any worker
-// count, which the tests compare with reflect.DeepEqual across worker
-// counts. Histogram state rides along as snapshots: if a single latency
-// bucket shifts between worker counts, the comparison fails.
+// serveDet is a run's per-shard counts, totals and merged trace.
 type serveDet struct {
 	ShardEvents []uint64
 	Generated   []uint64
@@ -203,8 +198,6 @@ type serveDet struct {
 	Spans       []int   // per-shard span count (0 when untraced)
 	Windows     uint64
 	CrossMsgs   uint64
-	Phases      []metrics.LogSnapshot // merged across shards, per phase
-	Overall     metrics.LogSnapshot
 	Trace       []string
 }
 
@@ -290,13 +283,11 @@ func (sv *serveServer) served(w sim.Wait) sim.Wait {
 	return sv.Step()
 }
 
-// runServeOnce builds the partitioned serving fleet and drives it with
-// the given number of host workers.
-func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
+// runServeOnce builds the partitioned serving fleet and runs it.
+func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	var out serveOutcome
 	fl := fleet.New(seeded(37), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
 	defer fl.Close()
-	fl.PK.SetWorkers(workers)
 	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
 	injWindow := time.Duration(fl.PK.Lookahead()) * time.Duration(cfg.injWindows)
 
@@ -374,7 +365,7 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 
 		// A jittered high-priority antagonist on one store machine: its
 		// interference pattern comes from an injected per-shard RNG, so it
-		// replays identically at any worker count.
+		// replays identically.
 		ant := &workload.Antagonist{
 			Machine: st.sys.Cluster.Machine(1),
 			Period:  2 * time.Millisecond, Busy: 500 * time.Microsecond,
@@ -479,13 +470,10 @@ func runServeOnce(cfg serveCfg, workers int) (serveOutcome, error) {
 	det.CrossMsgs = uint64(net.CrossCalls.Value())
 
 	// Merge shard-local histograms in fixed shard order: integer bucket
-	// addition, byte-identical at any worker count.
+	// addition.
 	out.overall = metrics.MergeLogHistograms("latency", overall...)
-	det.Overall = out.overall.Snapshot()
 	for ph, name := range servePhases {
-		h := metrics.MergeLogHistograms("latency."+name, phases[ph]...)
-		out.phases = append(out.phases, h)
-		det.Phases = append(det.Phases, h.Snapshot())
+		out.phases = append(out.phases, metrics.MergeLogHistograms("latency."+name, phases[ph]...))
 	}
 	det.Trace = fl.Trace()
 
@@ -526,7 +514,7 @@ func runExtServe(scale Scale) (*Result, error) {
 			t.name, t.clients, t.perRPS, t.theta, t.keys, extra)
 	}
 
-	ref, err := runServeOnce(cfg, workers())
+	ref, err := runServeOnce(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func (f *Fleet) RunUntil(t sim.Time) {
 	f.PK.RunUntil(t)
 }
 
-// Close retires the host worker pool and unwinds every shard kernel.
+// Close unwinds every shard kernel.
 func (f *Fleet) Close() { f.PK.Close() }
 
 // Events returns each shard's executed kernel events, in shard order.

@@ -109,7 +109,7 @@ func Diurnal(base, amp float64, period time.Duration) func(t sim.Time) float64 {
 		panic("load: diurnal amplitude must be in [0, 1]")
 	}
 	return func(t sim.Time) float64 {
-		return base * (1 + amp*math.Sin(2*math.Pi*float64(t)/float64(period)))
+		return base * (1 + float64(amp*math.Sin(2*math.Pi*float64(t)/float64(period))))
 	}
 }
 
@@ -163,7 +163,7 @@ func (c Curve) rateFrom(i int, t sim.Time) (float64, int) {
 	}
 	a, b := pts[i], pts[i+1]
 	frac := float64(t-a.At) / float64(b.At-a.At)
-	return a.Rate + (b.Rate-a.Rate)*frac, i
+	return a.Rate + float64((b.Rate-a.Rate)*frac), i
 }
 
 // maxRate returns the maximum rate over [from, to], scanning from
@@ -234,8 +234,8 @@ func (a *Arrivals) Draw(from, to sim.Time) []sim.Time {
 	gapScale := float64(sim.Second) / lamMax
 	t := from
 	for {
-		u := a.rng.Float64()
-		t += sim.Time(-math.Log(1-u)*gapScale + 0.5)
+		u := float64(a.rng.Float64())
+		t += sim.Time(float64(-math.Log(1-u)*gapScale) + 0.5)
 		if t >= to {
 			break
 		}

@@ -69,7 +69,7 @@ func zeta(n uint64, theta float64) float64 {
 		// Euler–Maclaurin: Σ_{k+1..n} i^-θ ≈ ∫_k^n x^-θ dx + (n^-θ - k^-θ)/2.
 		k, fn := float64(exact), float64(n)
 		sum += (math.Pow(fn, 1-theta)-math.Pow(k, 1-theta))/(1-theta) +
-			(math.Pow(fn, -theta)-math.Pow(k, -theta))/2
+			float64((math.Pow(fn, -theta)-math.Pow(k, -theta))/2)
 	}
 	return sum
 }
@@ -111,7 +111,7 @@ func buildZipf(n uint64, theta float64) *Zipf {
 		// 64·|yf| covers x^yf (|ln x| < 44, see rank); 2⁻⁴⁰ covers the
 		// roundings, a few ulps (2⁻⁵²) each.
 		z.k = uint64(yi)
-		z.guard = 64*math.Abs(yf) + 0x1p-40
+		z.guard = float64(64*math.Abs(yf)) + 0x1p-40
 	}
 	return z
 }
@@ -165,7 +165,7 @@ func (z *Zipf) rank(u float64) uint64 {
 	if uz < z.zeta2 {
 		return 1
 	}
-	x := z.eta*u - z.eta + 1
+	x := float64(z.eta*u) - z.eta + 1
 	if z.k != 0 {
 		p, s := 1.0, x
 		for i := z.k; i != 0; i >>= 1 {
@@ -174,7 +174,7 @@ func (z *Zipf) rank(u float64) uint64 {
 			}
 			s *= s
 		}
-		v := float64(z.n) * p
+		v := float64(float64(z.n) * p)
 		r := uint64(v)
 		if f, band := v-float64(r), z.guard*v; f > band && 1-f > band {
 			return min(r, z.n-1)

@@ -212,9 +212,9 @@ func MergeLogHistograms(name string, hs ...*LogHistogram) *LogHistogram {
 
 // Snapshot returns the histogram's deterministic state: every non-empty
 // bucket as (index, count) pairs plus the exact count/sum/min/max. Two
-// histograms that recorded the same samples — in any order, under any
-// worker count — produce identical snapshots, so snapshots are directly
-// comparable with reflect.DeepEqual in determinism harnesses.
+// histograms that recorded the same samples — in any order — produce
+// identical snapshots, so snapshots are directly comparable with
+// reflect.DeepEqual in determinism harnesses.
 type LogSnapshot struct {
 	Buckets []int
 	Counts  []uint64

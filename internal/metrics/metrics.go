@@ -10,7 +10,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -122,8 +121,7 @@ func (h *Histogram) Mean() float64 {
 func (h *Histogram) Max() float64 { return h.max }
 
 // Counter is a monotonically increasing count. It is single-threaded
-// like every other container here: use SharedCounter for counts that
-// multiple partitioned-simulation shards bump concurrently.
+// like every other container here.
 type Counter struct {
 	n int64
 }
@@ -141,32 +139,6 @@ func (c *Counter) Addn(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n }
-
-// SharedCounter is a monotonically increasing count safe for concurrent
-// increments from multiple host goroutines. The partitioned simulation
-// kernel (sim.ParKernel) executes shards on parallel workers, so
-// counters that aggregate across shards — cross-shard calls, bytes over
-// partition boundaries — must be atomic; shard-local counters should
-// stay plain Counters. Atomic increments commute, so totals are
-// deterministic at any worker count even though increment interleaving
-// is not.
-type SharedCounter struct {
-	n atomic.Int64
-}
-
-// Inc adds one to the counter.
-func (c *SharedCounter) Inc() { c.n.Add(1) }
-
-// Addn adds n (which must be non-negative) to the counter.
-func (c *SharedCounter) Addn(n int64) {
-	if n < 0 {
-		panic("metrics: counter decrement")
-	}
-	c.n.Add(n)
-}
-
-// Value returns the current count.
-func (c *SharedCounter) Value() int64 { return c.n.Load() }
 
 // EWMA is an exponentially weighted moving average: each observation
 // folds in with weight alpha. The first observation seeds the average
@@ -192,7 +164,7 @@ func (e *EWMA) Observe(v float64) {
 	if e.n == 0 {
 		e.v = v
 	} else {
-		e.v += e.alpha * (v - e.v)
+		e.v += float64(e.alpha * (v - e.v))
 	}
 	e.n++
 }

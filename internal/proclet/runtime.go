@@ -313,7 +313,7 @@ func backoff(base, limit time.Duration, retry int) time.Duration {
 
 // jittered spreads d by retryJitter, where u is a uniform draw in [0, 1).
 func jittered(d time.Duration, u float64) time.Duration {
-	return time.Duration(float64(d) * (1 - retryJitter/2 + retryJitter*u))
+	return time.Duration(float64(d) * (1 - retryJitter/2 + float64(retryJitter*u)))
 }
 
 // retryable reports whether an invocation error is worth retrying after

@@ -269,7 +269,7 @@ func (pn *pinger) stage() sim.Wait {
 		default:
 			period := d.cfg.HeartbeatPeriod
 			if j := d.cfg.HeartbeatJitter; j > 0 {
-				period = time.Duration(float64(period) * (1 - j/2 + j*d.k.Rand().Float64()))
+				period = time.Duration(float64(period) * (1 - float64(j/2) + float64(j*d.k.Rand().Float64())))
 			}
 			pn.slept = true
 			return sim.After(period)

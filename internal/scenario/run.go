@@ -147,13 +147,14 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		par = 1
 	}
 	f, w := sp.Fleet, sp.Workload
+	nShards, machines := int(f.Shards), int(f.Machines) // validate bounds their product
 	horizon := mst(sp.HorizonMS)
 	drain := mst(sp.DrainMS)
 	deadline := int64(w.DeadlineUS * 1e3)
 	bucketNS := int64(sp.BucketMS * 1e6)
 	nBuckets := int((int64(horizon)+int64(drain))/bucketNS) + 2
 
-	fl := fleet.New(seed, f.Shards, f.Machines, cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20})
+	fl := fleet.New(seed, nShards, machines, cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20})
 	defer fl.Close()
 	fl.PK.SetWorkers(par)
 	injWindow := time.Duration(fl.PK.Lookahead()) * injWindows
@@ -173,8 +174,8 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		store int // shard-local store index
 		to    int // shard-local machine
 	}
-	faults := make([]fault.Schedule, f.Shards)
-	migs := make([][]migration, f.Shards)
+	faults := make([]fault.Schedule, nShards)
+	migs := make([][]migration, nShards)
 	spikes := make(map[string][]func(sim.Time) float64)
 	for _, ev := range sp.Events {
 		at := mst(ev.AtMS)
@@ -185,7 +186,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		case onStore:
 			s := ev.Store / w.Stores
 			migs[s] = append(migs[s], migration{
-				at: at, store: ev.Store % w.Stores, to: ev.To % f.Machines})
+				at: at, store: ev.Store % w.Stores, to: ev.To % machines})
 		default:
 			// Machine-, GPU- and link-addressed kinds are fault-plane
 			// operations; each reads only its own fields of the event.
@@ -193,10 +194,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			if kind.on == onLink {
 				a = ev.A
 			}
-			faults[a/f.Machines] = append(faults[a/f.Machines], fault.Event{
+			faults[a/machines] = append(faults[a/machines], fault.Event{
 				At: at, Op: kind.op,
-				A:          cluster.MachineID(a % f.Machines),
-				B:          cluster.MachineID(ev.B % f.Machines),
+				A:          cluster.MachineID(a % machines),
+				B:          cluster.MachineID(ev.B % machines),
 				Extra:      time.Duration(ev.ExtraUS * 1e3),
 				Drop:       ev.Drop,
 				Gpu:        ev.GPU,
@@ -215,7 +216,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		preload.IDs[i], preload.Vals[i], preload.Sizes[i] = uint64(i), core.Int(writeVal(uint64(i))), w.ObjectBytes
 	}
 
-	shards := make([]*shardState, f.Shards)
+	shards := make([]*shardState, nShards)
 	for s, sys := range fl.Shards {
 		st := &shardState{
 			Tally: fleet.Tally{
@@ -245,7 +246,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					Kind:     slo.RuleKind(r.Kind),
 					Name:     r.Name,
 					BoundMS:  r.BoundMS,
-					FloorRPS: r.FloorRPS / float64(f.Shards),
+					FloorRPS: r.FloorRPS / float64(nShards),
 					Ceiling:  r.Ceiling,
 					For:      r.For,
 					Severity: r.Severity,
@@ -348,13 +349,13 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// curve, and the whole thing is pre-sampled into a piecewise curve.
 		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		for ti, t := range w.Tenants {
-			per := t.Rate / float64(f.Shards)
+			per := t.Rate / float64(nShards)
 			var base func(sim.Time) float64
 			switch t.Curve {
 			case "diurnal":
 				base = load.Diurnal(per, t.Amp, msd(t.PeriodMS))
 			case "ramp":
-				base = load.Ramp(per, t.To/float64(f.Shards), msd(t.OverMS))
+				base = load.Ramp(per, t.To/float64(nShards), msd(t.OverMS))
 			default:
 				base = func(sim.Time) float64 { return per }
 			}

@@ -191,6 +191,8 @@ func TestDegenerateValues(t *testing.T) {
 		{"machines product past int64", strings.Replace(minimal, "  machines: 3\n", "  machines: 4294967296\n  shards: 4294967296\n", 1), `scenario "mini": fleet.shards 4294967296 × fleet.machines 4294967296 is 18446744073709551616 machines (limit 100000) — shrink either`},
 		{"servers over the run budget", workload("servers: 10000000"), `scenario "mini": workload.servers 10000000 is more than a shard can poll (limit 1000) — shrink it`},
 		{"servers at the limit", workload("servers: 1000"), ""},
+		{"servers past 32 bits", workload("servers: 4294967296"), `workload: field "servers": 4294967296 does not fit in 32 bits (line 7)`},
+		{"servers at the top of 32 bits", workload("servers: 2147483647"), `scenario "mini": workload.servers 2147483647 is more than a shard can poll (limit 1000) — shrink it`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -75,8 +76,8 @@ type SLORule struct {
 // (servers, failure-detector monitor) and cannot be crashed. GPUs, when
 // present, attach to every non-front-end machine (1..Machines-1).
 type Fleet struct {
-	Shards   int        `yaml:"shards" def:"1" bound:">= 1"`
-	Machines int        `yaml:"machines" def:"4" bound:">= 2"` // per shard
+	Shards   int64      `yaml:"shards" def:"1" bound:">= 1"`
+	Machines int64      `yaml:"machines" def:"4" bound:">= 2"` // per shard
 	Cores    int        `yaml:"cores" def:"4" bound:">= 1"`
 	MemMB    int64      `yaml:"mem_mb" def:"64" bound:">= 1"`
 	GPUs     []GPUClass `yaml:"gpus"` // device classes per non-front-end machine
@@ -427,7 +428,17 @@ func (f *field) set(p unsafe.Pointer, s string) string {
 		*(*float64)(p) = v
 		return f.outside(v)
 	default:
-		v, err := strconv.ParseInt(s, 10, 64)
+		// An int field holds 32 bits on every host, so a file means the
+		// same on a 32-bit build as on a 64-bit one; the int64 fields
+		// (fleet size, byte counts) keep their 64.
+		bits := 64
+		if f.kind == reflect.Int {
+			bits = 32
+		}
+		v, err := strconv.ParseInt(s, 10, bits)
+		if errors.Is(err, strconv.ErrRange) {
+			return f.about(fmt.Sprintf("%s does not fit in %d bits", s, bits))
+		}
 		if err != nil {
 			return f.mistyped(strconv.Quote(s))
 		}
@@ -584,11 +595,7 @@ const (
 // the fields to shrink. The offered load is an upper bound: a tenant's
 // spikes multiply whether or not they overlap.
 func (sp *Spec) overBudget() error {
-	f, w := sp.Fleet, sp.Workload
-	if n := float64(f.Shards) * float64(f.Machines); n > maxFleetMachines {
-		return fmt.Errorf("scenario %q: fleet.shards %d × fleet.machines %d is %.0f machines (limit %d) — shrink either",
-			sp.Name, f.Shards, f.Machines, n, maxFleetMachines)
-	}
+	w := sp.Workload
 	if w.Servers > maxServers {
 		return fmt.Errorf("scenario %q: workload.servers %d is more than a shard can poll (limit %d) — shrink it",
 			sp.Name, w.Servers, maxServers)
@@ -618,9 +625,10 @@ func (sp *Spec) overBudget() error {
 
 // validate enforces what no single schema row can: values whose absence
 // is the error, range reports that name several fields or their owner,
-// and cross-field invariants — replication against fleet shape, event
-// targets in range and on one shard, non-decreasing timestamps — and,
-// of a spec sound in every part, that the whole fits the run budget.
+// and cross-field invariants — the fleet's size against the run budget,
+// replication against fleet shape, event targets in range and on one
+// shard, non-decreasing timestamps — and, of a spec sound in every part,
+// that the rest fits the run budget.
 func (sp *Spec) validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf(`scenario is missing "name"`)
@@ -632,9 +640,16 @@ func (sp *Spec) validate() error {
 		return fmt.Errorf("scenario %q: recovery_frac must be in (0, 1] (got %g)", sp.Name, sp.RecoveryFrac)
 	}
 	f, w := sp.Fleet, sp.Workload
-	if w.RF < 1 || w.RF > f.Machines-1 {
+	// The fleet's size goes first, so that no product of its two
+	// dimensions below can overflow an int, even a 32-bit one.
+	if n := float64(f.Shards) * float64(f.Machines); n > maxFleetMachines {
+		return fmt.Errorf("scenario %q: fleet.shards %d × fleet.machines %d is %.0f machines (limit %d) — shrink either",
+			sp.Name, f.Shards, f.Machines, n, maxFleetMachines)
+	}
+	shards, machines := int(f.Shards), int(f.Machines)
+	if w.RF < 1 || w.RF > machines-1 {
 		return fmt.Errorf("scenario %q: rf must be in [1, machines-1] (got rf=%d with %d machines/shard)",
-			sp.Name, w.RF, f.Machines)
+			sp.Name, w.RF, machines)
 	}
 	if w.RF > 1 && w.Rebuild {
 		return fmt.Errorf("scenario %q: rebuild is an rf=1 fallback; at rf=%d durability must come from replication alone",
@@ -650,7 +665,7 @@ func (sp *Spec) validate() error {
 	if f.MemMB > math.MaxInt64>>20 {
 		return fmt.Errorf("scenario %q: fleet.mem_mb %d is more bytes than fit in 63 bits", sp.Name, f.MemMB)
 	}
-	fullest := (w.Stores + f.Machines - 2) / (f.Machines - 1)
+	fullest := (w.Stores + machines - 2) / (machines - 1)
 	if room := f.MemMB << 20 / int64(fullest) / int64(w.Objects); w.ObjectBytes > room-core.ObjectOverheadBytes {
 		return fmt.Errorf("scenario %q: the preload does not fit: fleet.mem_mb %d leaves %d bytes an object on the machine holding %d × %d of them (stores × objects), and object_bytes %d + %d of overhead is more — raise fleet.mem_mb or shrink workload.objects × object_bytes",
 			sp.Name, f.MemMB, room, fullest, w.Objects, w.ObjectBytes, core.ObjectOverheadBytes)
@@ -745,8 +760,8 @@ func (sp *Spec) validate() error {
 			}
 		}
 	}
-	totalMachines := f.Shards * f.Machines
-	totalStores := f.Shards * w.Stores
+	totalMachines := shards * machines
+	totalStores := shards * w.Stores
 	for i, ev := range sp.Events {
 		if i > 0 && ev.AtMS < sp.Events[i-1].AtMS {
 			return fmt.Errorf("events must be in non-decreasing time order: events[%d] at_ms=%g is earlier than events[%d] at_ms=%g (line %d)",
@@ -764,10 +779,10 @@ func (sp *Spec) validate() error {
 			if ev.Machine < 0 || ev.Machine >= totalMachines {
 				return fmt.Errorf("events[%d]: machine %d out of range [0, %d) (line %d)", i, ev.Machine, totalMachines, ev.Line)
 			}
-			if ev.Machine%f.Machines == 0 && on == onGPU {
+			if ev.Machine%machines == 0 && on == onGPU {
 				return fmt.Errorf("events[%d]: machine %d is a shard front end and hosts no GPUs (line %d)", i, ev.Machine, ev.Line)
 			}
-			if ev.Machine%f.Machines == 0 {
+			if ev.Machine%machines == 0 {
 				return fmt.Errorf("events[%d]: machine %d is a shard front end (servers + failure monitor) and cannot be %sed (line %d)",
 					i, ev.Machine, ev.Kind, ev.Line)
 			}
@@ -792,9 +807,9 @@ func (sp *Spec) validate() error {
 			if ev.A == ev.B {
 				return fmt.Errorf("events[%d]: link endpoints must differ (line %d)", i, ev.Line)
 			}
-			if ev.A/f.Machines != ev.B/f.Machines {
+			if ev.A/machines != ev.B/machines {
 				return fmt.Errorf("events[%d]: link %d-%d crosses shards (%d and %d); link faults are shard-local (line %d)",
-					i, ev.A, ev.B, ev.A/f.Machines, ev.B/f.Machines, ev.Line)
+					i, ev.A, ev.B, ev.A/machines, ev.B/machines, ev.Line)
 			}
 			if ev.Kind == KindDegrade && (ev.Drop < 0 || ev.Drop > 1) {
 				return fmt.Errorf("events[%d]: drop must be in [0, 1] (got %g) (line %d)", i, ev.Drop, ev.Line)
@@ -816,11 +831,11 @@ func (sp *Spec) validate() error {
 			if ev.To < 0 || ev.To >= totalMachines {
 				return fmt.Errorf("events[%d]: destination machine %d out of range [0, %d) (line %d)", i, ev.To, totalMachines, ev.Line)
 			}
-			if ev.Store/w.Stores != ev.To/f.Machines {
+			if ev.Store/w.Stores != ev.To/machines {
 				return fmt.Errorf("events[%d]: store %d (shard %d) cannot migrate to machine %d (shard %d); migration is shard-local (line %d)",
-					i, ev.Store, ev.Store/w.Stores, ev.To, ev.To/f.Machines, ev.Line)
+					i, ev.Store, ev.Store/w.Stores, ev.To, ev.To/machines, ev.Line)
 			}
-			if ev.To%f.Machines == 0 {
+			if ev.To%machines == 0 {
 				return fmt.Errorf("events[%d]: machine %d is a shard front end; stores live on machines 1.. (line %d)", i, ev.To, ev.Line)
 			}
 		}

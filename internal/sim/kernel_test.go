@@ -396,7 +396,6 @@ func TestKernelYieldsToTheGoScheduler(t *testing.T) {
 	t.Run("parkernel", func(t *testing.T) {
 		pk := NewParKernel(1, 2, 10*Microsecond)
 		defer pk.Close()
-		pk.SetWorkers(1)
 		var ready atomic.Bool
 		seen := make([]uint64, pk.NumShards())
 		for s := range seen {

@@ -1,16 +1,15 @@
-// Partitioned conservative-parallel kernel.
+// Partitioned conservative kernel.
 //
 // A ParKernel shards a simulation across S independent Kernel instances
-// (logical shards) and executes them with up to P host worker
-// goroutines. Synchronization follows the classic conservative
+// (logical shards). Synchronization follows the classic conservative
 // time-stepped ("bounded lag" / YAWNS-style) protocol: all shards
 // advance together through a lookahead window [W, W+L) whose width L is
 // the minimum cross-shard propagation latency, so no event a shard
 // executes inside a window can be invalidated by a message from another
 // shard — any such message, sent at time t >= W, arrives no earlier
 // than t+L >= W+L, which is the next window. Cross-shard messages are
-// exchanged through per-(src,dst) single-writer mailboxes that are
-// drained at the window barrier in a fixed (dst, src, FIFO) order.
+// buffered in per-(src,dst) mailboxes that are drained at the window
+// barrier in a fixed (dst, src, FIFO) order.
 //
 // Determinism is structural, not incidental:
 //
@@ -18,27 +17,28 @@
 //     FIFO, RNG, worker pool, and (time, seq) order. Shards share no
 //     mutable state, so a shard's execution depends only on its seed
 //     and the sequence of mailbox messages it receives.
-//   - Window boundaries are computed single-threaded from the global
-//     minimum next-event time, and mailboxes are merged single-threaded
-//     in a fixed order. Neither depends on the worker count.
-//   - P (workers) therefore only chooses how many shards execute
-//     concurrently within a window; it can never reorder anything.
-//     Same seed => byte-identical per-shard event counts, traces and
-//     metrics at every P.
+//   - Window boundaries are computed from the global minimum next-event
+//     time, the shards due in a window run one after another in shard
+//     order, and mailboxes are merged in a fixed order.
+//
+// Linked shards run on the caller's goroutine: a window holds a few
+// dozen events, too few to pay for handing shards to other host
+// threads (EXPERIMENTS.md, "P>1").
 //
 // A ParKernel with one shard degenerates to exactly the sequential
 // Kernel: Run/RunUntil delegate straight to the underlying Kernel with
 // zero windows, zero barriers and zero extra events.
 //
 // An isolated ParKernel (Isolate) has no cross-shard channel, so it runs
-// each shard straight to the limit in one pass, with no window barrier:
-// the same per-shard events in the same order, in less wall clock.
+// each shard straight to the limit in one pass, with no window barrier,
+// fanned out over up to SetWorkers host goroutines: the same per-shard
+// events in the same order, in less wall clock.
 package sim
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/runpar"
 )
 
 // crossMsg is one cross-shard event: run fn in the destination shard at
@@ -46,12 +46,6 @@ import (
 type crossMsg struct {
 	at Time
 	fn func()
-}
-
-// shardTask is one window's worth of work for one shard.
-type shardTask struct {
-	k     *Kernel
-	until Time
 }
 
 // ParKernel coordinates S shard kernels under conservative lookahead
@@ -70,27 +64,15 @@ type shardTask struct {
 type ParKernel struct {
 	shards    []*Kernel
 	lookahead Time
-	workers   int
+	workers   int // host goroutines of the isolated pass
 
-	// mail[src][dst] buffers cross-shard messages sent during a window.
-	// Each slot has exactly one writer (the worker executing shard src)
-	// and is drained single-threaded at the barrier, so it needs no
-	// locking; the window-barrier WaitGroup provides the happens-before
-	// edges in both directions.
+	// mail[src][dst] buffers cross-shard messages sent during a window;
+	// deliver drains it at the barrier.
 	mail [][][]crossMsg
 
-	// crossSent counts mailbox messages. Shard workers append
-	// concurrently from different shards, hence the atomic.
-	crossSent atomic.Uint64
+	crossSent uint64 // mailbox messages sent
 	windows   uint64
 	isolated  bool // set by Isolate: no Send, no windows
-
-	// active is a per-window scratch list of shards with runnable work.
-	active []*Kernel
-
-	pool     []chan shardTask // one task channel per started worker
-	poolWG   sync.WaitGroup   // open shard tasks in the current window
-	poolSize int
 }
 
 // NewParKernel creates a partitioned kernel with the given number of
@@ -109,7 +91,6 @@ func NewParKernel(seed int64, shards int, lookahead Time) *ParKernel {
 		shards:    make([]*Kernel, shards),
 		lookahead: lookahead,
 		workers:   1,
-		active:    make([]*Kernel, 0, shards),
 	}
 	for i := range pk.shards {
 		pk.shards[i] = NewKernel(seed + int64(i)*1_000_003)
@@ -130,32 +111,19 @@ func (pk *ParKernel) Shard(i int) *Kernel { return pk.shards[i] }
 // Lookahead returns the window width.
 func (pk *ParKernel) Lookahead() Time { return pk.lookahead }
 
-// SetWorkers bounds how many shards execute concurrently (P). Values
-// above the shard count are clamped; values below one mean one. The
-// setting affects wall-clock only — simulation results are identical at
-// every worker count. Must not be called while Run/RunUntil is active.
-func (pk *ParKernel) SetWorkers(p int) {
-	if p < 1 {
-		p = 1
-	}
-	if p > len(pk.shards) {
-		p = len(pk.shards)
-	}
-	if p != pk.poolSize {
-		pk.stopPool()
-	}
-	pk.workers = p
-}
-
-// Workers returns the configured worker bound.
-func (pk *ParKernel) Workers() int { return pk.workers }
+// SetWorkers bounds how many shards an isolated kernel's pass runs at
+// once (P); linked shards always run one at a time, in shard order.
+// Values below one mean one. The setting affects wall-clock only —
+// simulation results are identical at every worker count. Must not be
+// called while Run/RunUntil is active.
+func (pk *ParKernel) SetWorkers(p int) { pk.workers = max(p, 1) }
 
 // Windows reports how many lookahead windows have been executed.
 func (pk *ParKernel) Windows() uint64 { return pk.windows }
 
 // CrossMessages reports how many cross-shard mailbox messages have been
 // sent.
-func (pk *ParKernel) CrossMessages() uint64 { return pk.crossSent.Load() }
+func (pk *ParKernel) CrossMessages() uint64 { return pk.crossSent }
 
 // Isolate declares that no shard will Send to another (a cross-shard
 // Send then panics), so Run and RunUntil run with no windows. It must
@@ -188,7 +156,7 @@ func (pk *ParKernel) Send(src, dst int, at Time, fn func()) {
 			src, dst, at, pk.shards[src].now, pk.lookahead))
 	}
 	pk.mail[src][dst] = append(pk.mail[src][dst], crossMsg{at: at, fn: fn})
-	pk.crossSent.Add(1)
+	pk.crossSent++
 }
 
 // minNext returns the earliest next-event time across all shards.
@@ -206,11 +174,11 @@ func (pk *ParKernel) minNext() (Time, bool) {
 }
 
 // deliver drains every mailbox into the destination shards'
-// event queues. Runs single-threaded at the window barrier; the merge
-// order (dst ascending, then src ascending, then FIFO within a
-// mailbox) is fixed, so the (time, seq) stamps each destination kernel
-// assigns — and therefore the drain order of same-instant cross-shard
-// events — are identical on every run and at every worker count.
+// event queues at the window barrier. The merge order (dst ascending,
+// then src ascending, then FIFO within a mailbox) is fixed, so the
+// (time, seq) stamps each destination kernel assigns — and therefore
+// the drain order of same-instant cross-shard events — are identical on
+// every run.
 func (pk *ParKernel) deliver() {
 	for dst := range pk.shards {
 		k := pk.shards[dst]
@@ -228,60 +196,20 @@ func (pk *ParKernel) deliver() {
 	}
 }
 
-// startPool launches the worker goroutines. Each worker owns a
-// dedicated task channel; runWindow deals shards round-robin so the
-// assignment of shards to workers is fixed (it only matters for wall
-// clock, never for results).
-func (pk *ParKernel) startPool() {
-	pk.pool = make([]chan shardTask, pk.workers)
-	for w := range pk.pool {
-		ch := make(chan shardTask, len(pk.shards))
-		pk.pool[w] = ch
-		go func() {
-			for task := range ch {
-				task.k.RunUntil(task.until)
-				pk.poolWG.Done()
-			}
-		}()
-	}
-	pk.poolSize = pk.workers
-}
-
-// stopPool retires the worker goroutines (idempotent).
-func (pk *ParKernel) stopPool() {
-	for _, ch := range pk.pool {
-		close(ch)
-	}
-	pk.pool = nil
-	pk.poolSize = 0
-}
-
-// runWindow executes every shard with runnable work up to and including
-// until. The channel send (barrier entry) and WaitGroup wait (barrier
-// exit) establish happens-before edges between the coordinator and each
-// worker, so mailbox slices written during the window are safely read
-// by deliver afterwards.
-func (pk *ParKernel) runWindow(until Time) {
-	pk.active = pk.active[:0]
+// runDue runs every shard with an event due by until up to and
+// including until, in shard order; a shard with nothing due keeps its
+// clock.
+func (pk *ParKernel) runDue(until Time) {
 	for _, sh := range pk.shards {
-		if at, ok := sh.nextAt(); ok && at <= until {
-			pk.active = append(pk.active, sh)
-		}
+		runShard(sh, until)
 	}
-	if pk.workers <= 1 || len(pk.active) <= 1 {
-		for _, sh := range pk.active {
-			sh.RunUntil(until)
-		}
-		return
+}
+
+// runShard is runDue for one shard.
+func runShard(sh *Kernel, until Time) {
+	if at, ok := sh.nextAt(); ok && at <= until {
+		sh.RunUntil(until)
 	}
-	if pk.pool == nil {
-		pk.startPool()
-	}
-	pk.poolWG.Add(len(pk.active))
-	for i, sh := range pk.active {
-		pk.pool[i%len(pk.pool)] <- shardTask{k: sh, until: until}
-	}
-	pk.poolWG.Wait()
 }
 
 // RunUntil executes all shards up to and including virtual time t,
@@ -292,8 +220,16 @@ func (pk *ParKernel) RunUntil(t Time) Time {
 	if len(pk.shards) == 1 {
 		return pk.shards[0].RunUntil(t)
 	}
-	if pk.isolated {
-		pk.runWindow(t)
+	switch {
+	case pk.isolated && pk.workers > 1:
+		// Shards share nothing, so which host goroutine runs a shard
+		// changes only the wall clock.
+		runpar.Map(len(pk.shards), pk.workers, func(i int) struct{} {
+			runShard(pk.shards[i], t)
+			return struct{}{}
+		})
+	case pk.isolated:
+		pk.runDue(t) // one worker: inline, with no closure to allocate
 	}
 	for !pk.isolated {
 		w, ok := pk.minNext()
@@ -304,7 +240,7 @@ func (pk *ParKernel) RunUntil(t Time) Time {
 		if end > t {
 			end = t
 		}
-		pk.runWindow(end)
+		pk.runDue(end)
 		pk.windows++
 		pk.deliver()
 	}
@@ -327,13 +263,12 @@ func (pk *ParKernel) Run() Time {
 	return max
 }
 
-// Close retires the host worker pool and closes every shard kernel
-// (see Kernel.Close: pooled workers retire, still-parked processes are
-// unwound, pending events are dropped). Call when done with the
-// ParKernel; code that builds many would otherwise accumulate a fleet's
-// worth of parked goroutines, and the shard state they pin, per run.
+// Close closes every shard kernel (see Kernel.Close: pooled workers
+// retire, still-parked processes are unwound, pending events are
+// dropped). Call when done with the ParKernel; code that builds many
+// would otherwise accumulate a fleet's worth of parked goroutines, and
+// the shard state they pin, per run.
 func (pk *ParKernel) Close() {
-	pk.stopPool()
 	for _, sh := range pk.shards {
 		sh.Close()
 	}

@@ -64,15 +64,14 @@ func TestParKernelSingleShardReduction(t *testing.T) {
 }
 
 // parRun executes a canonical multi-shard workload with cross-shard
-// ping-pong traffic at the given worker count and returns per-shard
-// logs and per-shard event counts.
-func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
+// ping-pong traffic and returns per-shard logs and per-shard event
+// counts.
+func parRun(t *testing.T, horizon Time) ([][]string, []uint64) {
 	t.Helper()
 	const shards = 4
 	const lookahead = 2 * Microsecond
 	pk := NewParKernel(3, shards, lookahead)
 	defer pk.Close()
-	pk.SetWorkers(workers)
 
 	logs := make([][]string, shards)
 	for s := 0; s < shards; s++ {
@@ -111,32 +110,21 @@ func parRun(t *testing.T, workers int, horizon Time) ([][]string, []uint64) {
 	return logs, counts
 }
 
-// The same seed must produce byte-identical per-shard behaviour at
-// every worker count: P only chooses concurrency, never order.
-func TestParKernelDeterministicAcrossWorkers(t *testing.T) {
+// The same seed must produce byte-identical per-shard behaviour on
+// every run: window boundaries, shard order and the mailbox merge
+// depend on nothing but the shards' queues.
+func TestParKernelRerunIsIdentical(t *testing.T) {
 	const horizon = 120 * Microsecond
-	refLogs, refCounts := parRun(t, 1, horizon)
-	for _, p := range []int{2, 4, 8} {
-		logs, counts := parRun(t, p, horizon)
-		if !reflect.DeepEqual(refCounts, counts) {
-			t.Fatalf("P=%d: per-shard event counts %v, want %v", p, counts, refCounts)
-		}
-		if !reflect.DeepEqual(refLogs, logs) {
-			t.Fatalf("P=%d: shard logs differ from P=1", p)
-		}
-	}
-	// And re-running at the same P is identical too.
-	logs, counts := parRun(t, 4, horizon)
-	logs2, counts2 := parRun(t, 4, horizon)
+	logs, counts := parRun(t, horizon)
+	logs2, counts2 := parRun(t, horizon)
 	if !reflect.DeepEqual(logs, logs2) || !reflect.DeepEqual(counts, counts2) {
-		t.Fatal("two P=4 runs differ")
+		t.Fatal("two runs of one seed differ")
 	}
 }
 
 // Kernel.Every must reschedule seamlessly across window barriers: a
 // periodic timer whose period is not a multiple of the lookahead window
-// ticks at exactly the arithmetic sequence of times, whether it runs
-// under the sequential kernel or any ParKernel worker count.
+// ticks at exactly the arithmetic sequence of times on every shard.
 func TestParKernelEveryAcrossWindows(t *testing.T) {
 	const lookahead = 2 * Microsecond
 	const horizon = 50 * Microsecond
@@ -149,36 +137,28 @@ func TestParKernelEveryAcrossWindows(t *testing.T) {
 		return ts
 	}()
 
-	run := func(workers int) [][]Time {
-		pk := NewParKernel(9, 3, lookahead)
-		defer pk.Close()
-		pk.SetWorkers(workers)
-		got := make([][]Time, pk.NumShards())
-		for s := 0; s < pk.NumShards(); s++ {
-			s := s
-			k := pk.Shard(s)
-			k.Every(500, 700*time.Nanosecond, func() bool {
-				got[s] = append(got[s], k.Now())
+	pk := NewParKernel(9, 3, lookahead)
+	defer pk.Close()
+	got := make([][]Time, pk.NumShards())
+	for s := 0; s < pk.NumShards(); s++ {
+		s := s
+		k := pk.Shard(s)
+		k.Every(500, 700*time.Nanosecond, func() bool {
+			got[s] = append(got[s], k.Now())
+			return true
+		})
+		// Keep cross traffic flowing so windows are exercised.
+		if s > 0 {
+			k.Every(Microsecond, 5*time.Microsecond, func() bool {
+				pk.Send(s, 0, k.Now()+lookahead, func() {})
 				return true
 			})
-			// Keep cross traffic flowing so windows are exercised.
-			if s > 0 {
-				k.Every(Microsecond, 5*time.Microsecond, func() bool {
-					pk.Send(s, 0, k.Now()+lookahead, func() {})
-					return true
-				})
-			}
 		}
-		pk.RunUntil(horizon)
-		return got
 	}
-
-	for _, p := range []int{1, 3} {
-		got := run(p)
-		for s, ticks := range got {
-			if !reflect.DeepEqual(ticks, want) {
-				t.Fatalf("P=%d shard %d: Every ticked at %v, want %v", p, s, ticks[:min(len(ticks), 5)], want[:5])
-			}
+	pk.RunUntil(horizon)
+	for s, ticks := range got {
+		if !reflect.DeepEqual(ticks, want) {
+			t.Fatalf("shard %d: Every ticked at %v, want %v", s, ticks[:min(len(ticks), 5)], want[:5])
 		}
 	}
 }
@@ -193,43 +173,37 @@ func TestParKernelCrossShardSameInstantFIFO(t *testing.T) {
 	const lookahead = 2 * Microsecond
 	at := Time(10 * Microsecond)
 
-	run := func(workers int) []string {
-		pk := NewParKernel(1, 3, lookahead)
-		defer pk.Close()
-		pk.SetWorkers(workers)
-		var order []string
-		// Shard 2's own event at the contested instant, scheduled up
-		// front (lowest seq at time `at`).
-		pk.Shard(2).Schedule(at, func() {
-			order = append(order, "local")
-			// Same-instant chain through the nowq fast path: these get
-			// post-barrier sequence numbers, so they must run after the
-			// already-queued cross deliveries at this instant.
-			pk.Shard(2).Schedule(pk.Shard(2).Now(), func() { order = append(order, "local-chain") })
+	pk := NewParKernel(1, 3, lookahead)
+	defer pk.Close()
+	var order []string
+	// Shard 2's own event at the contested instant, scheduled up
+	// front (lowest seq at time `at`).
+	pk.Shard(2).Schedule(at, func() {
+		order = append(order, "local")
+		// Same-instant chain through the nowq fast path: these get
+		// post-barrier sequence numbers, so they must run after the
+		// already-queued cross deliveries at this instant.
+		pk.Shard(2).Schedule(pk.Shard(2).Now(), func() { order = append(order, "local-chain") })
+	})
+	// Shards 0 and 1 each send two messages to shard 2, all at the
+	// same instant. Send order within a shard is FIFO; shard 0's
+	// mailbox drains before shard 1's.
+	for _, src := range []int{1, 0} { // deliberately registered out of order
+		src := src
+		pk.Shard(src).Schedule(at-lookahead, func() {
+			for i := 0; i < 2; i++ {
+				i := i
+				pk.Send(src, 2, at, func() {
+					order = append(order, fmt.Sprintf("src%d-msg%d", src, i))
+				})
+			}
 		})
-		// Shards 0 and 1 each send two messages to shard 2, all at the
-		// same instant. Send order within a shard is FIFO; shard 0's
-		// mailbox drains before shard 1's.
-		for _, src := range []int{1, 0} { // deliberately registered out of order
-			src := src
-			pk.Shard(src).Schedule(at-lookahead, func() {
-				for i := 0; i < 2; i++ {
-					i := i
-					pk.Send(src, 2, at, func() {
-						order = append(order, fmt.Sprintf("src%d-msg%d", src, i))
-					})
-				}
-			})
-		}
-		pk.RunUntil(at + Microsecond)
-		return order
 	}
+	pk.RunUntil(at + Microsecond)
 
 	want := []string{"local", "src0-msg0", "src0-msg1", "src1-msg0", "src1-msg1", "local-chain"}
-	for _, p := range []int{1, 2, 3} {
-		if got := run(p); !reflect.DeepEqual(got, want) {
-			t.Fatalf("P=%d: same-instant drain order %v, want %v", p, got, want)
-		}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("same-instant drain order %v, want %v", order, want)
 	}
 }
 

@@ -412,7 +412,6 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 func TestParKernelCloseUnwindsShards(t *testing.T) {
 	before := runtime.NumGoroutine()
 	pk := NewParKernel(1, 4, 10*Microsecond)
-	pk.SetWorkers(2)
 	for s := 0; s < pk.NumShards(); s++ {
 		for i := 0; i < 8; i++ {
 			pk.Shard(s).Spawn("daemon", func(p *Proc) {

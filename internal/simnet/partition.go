@@ -95,9 +95,9 @@ type PartitionCall struct {
 type Partition struct {
 	pk            *sim.ParKernel
 	fabrics       []*Fabric
-	CrossCalls    metrics.SharedCounter // completed cross-shard RPCs
-	CrossBytes    metrics.SharedCounter // payload bytes across shard boundaries
-	CrossTimeouts metrics.SharedCounter // cross-shard calls resolved by deadline
+	CrossCalls    metrics.Counter // completed cross-shard RPCs
+	CrossBytes    metrics.Counter // payload bytes across shard boundaries
+	CrossTimeouts metrics.Counter // cross-shard calls resolved by deadline
 }
 
 // NewPartition builds the cross-shard plane over one Fabric per shard.

@@ -293,8 +293,8 @@ func partitionTrafficRun(t *testing.T, seed int64, workers int) ([][]string, []i
 }
 
 // The same seed must produce byte-identical transcripts and counters at
-// every worker count: the host parallelism level is invisible to the
-// simulation.
+// every worker count: SetWorkers bounds only an isolated kernel's pass,
+// so a linked partition runs the same whatever it is set to.
 func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		baseLogs, baseCounters := partitionTrafficRun(t, seed, 1)

@@ -101,7 +101,7 @@ type Image struct {
 func GenImages(rng *rand.Rand, n int, meanBytes int64, meanCPU time.Duration, spread float64) []Image {
 	imgs := make([]Image, n)
 	for i := range imgs {
-		f := 1 + spread*(2*rng.Float64()-1)
+		f := 1 + float64(spread*(2*float64(rng.Float64())-1))
 		imgs[i] = Image{
 			Idx:   i,
 			Bytes: int64(float64(meanBytes) * f),
