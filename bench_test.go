@@ -40,21 +40,19 @@ func benchSystem() *core.System {
 
 // ---- Paper figures ----
 
-// unmemoized gives benchmark iteration i a base seed of its own. The
-// figure-1 runs (fig1, abl-sched) ignore the base seed, but the
-// experiments package memoizes them per process under it, so without a
-// fresh one every iteration after the first would reuse the first's
-// runs. The seeds start past any a test uses; the caller restores 0.
-func unmemoized(i int) { experiments.SetBaseSeed(1000 + int64(i)) }
+// unmemoized empties the experiments package's run memo before a
+// benchmark iteration. A process simulates each distinct run once, so
+// without it every iteration after the first would time the memo, not
+// the simulation; the worker count stays at its default.
+func unmemoized() { experiments.SetParallelism(0) }
 
 // BenchmarkFig1FillerMigration regenerates Figure 1: the filler
 // application migrating across machines every 10 ms.
 func BenchmarkFig1FillerMigration(b *testing.B) {
 	b.ReportAllocs()
-	defer experiments.SetBaseSeed(0)
 	var goodput float64
 	for i := 0; i < b.N; i++ {
-		unmemoized(i)
+		unmemoized()
 		res, err := experiments.Run("fig1", experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)
@@ -70,6 +68,7 @@ func BenchmarkFig2Imbalance(b *testing.B) {
 	b.ReportAllocs()
 	var worst float64
 	for i := 0; i < b.N; i++ {
+		unmemoized()
 		res, err := experiments.Run("fig2", experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)
@@ -104,10 +103,9 @@ func BenchmarkFig3Adaptation(b *testing.B) {
 func benchAblation(b *testing.B, id, metric, unit string) {
 	b.Helper()
 	b.ReportAllocs()
-	defer experiments.SetBaseSeed(0)
 	var v float64
 	for i := 0; i < b.N; i++ {
-		unmemoized(i)
+		unmemoized()
 		res, err := experiments.Run(id, experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)
@@ -913,6 +911,7 @@ func BenchmarkExtGPUReclaim(b *testing.B) {
 	b.ReportAllocs()
 	var pct float64
 	for i := 0; i < b.N; i++ {
+		unmemoized()
 		res, err := experiments.Run("ext-gpu", experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)
@@ -927,6 +926,7 @@ func BenchmarkExtHarvest(b *testing.B) {
 	b.ReportAllocs()
 	var pct float64
 	for i := 0; i < b.N; i++ {
+		unmemoized()
 		res, err := experiments.Run("ext-harvest", experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)

@@ -35,10 +35,12 @@ func runExperiment(t *testing.T, id string) *experiments.Result {
 
 // TestFig1Deterministic: fig1 is the same Result, down to every trace
 // event and series sample, whether the Go runtime schedules it on one
-// host thread or on all of them.
+// host thread or on all of them. SetParallelism empties the run memo,
+// so the second run simulates too.
 func TestFig1Deterministic(t *testing.T) {
 	a := runExperiment(t, "fig1")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	experiments.SetParallelism(0)
 	if b := runExperiment(t, "fig1"); !reflect.DeepEqual(a, b) {
 		t.Error("fig1 differs between GOMAXPROCS=1 and the host default")
 	}
@@ -65,11 +67,13 @@ func TestFig1DeterministicParallel(t *testing.T) {
 // table: seed 3 must produce the same crash instants, drop decisions,
 // retry backoffs and recovery twice over, must differ from seed 0, and
 // must leave nothing behind that moves seed 0 once it is restored.
+// Setting the seed empties the run memo, so every run here simulates.
 func TestExtChaosDeterministic(t *testing.T) {
 	defer experiments.SetBaseSeed(0)
 	base := runExperiment(t, "ext-chaos")
 	experiments.SetBaseSeed(3)
 	shifted := runExperiment(t, "ext-chaos")
+	experiments.SetBaseSeed(3)
 	if again := runExperiment(t, "ext-chaos"); !reflect.DeepEqual(shifted, again) {
 		t.Error("ext-chaos at seed 3 differs from itself")
 	}

@@ -1,37 +1,17 @@
 // Package experiments regenerates every table and figure in the
 // Quicksand paper's evaluation, plus ablations of the design choices.
-// Each experiment is a named runner that builds its own simulated
-// cluster, drives the workload, and reports the paper's rows/series
+// Each experiment is a named runner: a list of run specs, each
+// simulated on its own cluster by one executor (runs.go), and a
+// reporter that turns their outcomes into the paper's rows/series
 // alongside machine-readable key values.
 //
-// The experiment index (DESIGN.md §4):
-//
-//	fig1           Figure 1  — filler migration across 10 ms idle gaps
-//	fig2           Figure 2  — preprocessing parity across imbalanced splits
-//	fig3           Figure 3  — adapting producers to 4<->8 GPU swings
-//	abl-migration  ablation  — migration latency vs proclet state size
-//	abl-split      ablation  — split latency vs shard size
-//	abl-prefetch   ablation  — iterator prefetch on/off
-//	abl-sched      ablation  — two-level vs local-only vs global-only
-//	abl-locality   ablation  — affinity colocation on/off
-//	ext-gpu        extension — GPU proclets (§4/§5 future work) vs restart
-//	abl-granularity ablation — goodput vs proclet granularity
-//	abl-reactor    ablation  — goodput vs fast-path sampling period
-//	ext-harvest    extension — fleet-wide staggered-idle harvesting
-//	ext-memharvest extension — memory harvesting without data loss
-//	abl-postcopy   ablation  — blackout of pre- vs post-copy migration
-//	ext-tiering    extension — cold shards spill to a flash tier
-//	ext-chaos      extension — goodput under injected crashes/partitions
-//	ext-failover   extension — replicated proclets, leases, failover
-//	ext-scale      extension — 1,000-machine partitioned fleet (ParKernel)
-//	ext-serve      extension — million-client open-loop serving (tail latency)
-//	ext-gpufleet   extension — GPU gray failures: checkpoints, stragglers, makespan
+// List and Title give the experiment index; DESIGN.md §4 describes
+// each experiment.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 )
 
@@ -106,31 +86,21 @@ func (r *Result) Print(w io.Writer) {
 	}
 }
 
-// parallelism bounds the host goroutines of one experiment: those that
-// fan independent simulation configurations (fig1/fig2 modes, ablation
-// sweep points) out across cores, each on its own sim.Kernel with
-// results merged by configuration index, and the sim.ParKernel workers
-// of the partitioned fleets (ext-scale, ext-serve). 0 means GOMAXPROCS.
-// The outcome is identical at any setting.
+// parallelism bounds the host goroutines that simulate one
+// experiment's run specs (runs.go), each on its own sim.Kernel with
+// outcomes merged in spec order. 0 means GOMAXPROCS. The outcome is
+// identical at any setting.
 var parallelism = 0
 
 // SetParallelism bounds each experiment's host workers to n (n <= 0
-// restores the GOMAXPROCS default); the output is the same at any n.
-// Not safe to call concurrently with Run.
+// restores the GOMAXPROCS default) and empties the run memo; the output
+// is the same at any n. Not safe to call concurrently with Run.
 func SetParallelism(n int) {
 	if n <= 0 {
 		n = 0
 	}
 	parallelism = n
-}
-
-// workers is the host worker count parallelism resolves to, as
-// runpar.Map resolves its par.
-func workers() int {
-	if parallelism > 0 {
-		return parallelism
-	}
-	return runtime.GOMAXPROCS(0)
+	memo.reset()
 }
 
 // baseSeed offsets the RNG seeds of the seed-swept experiments (fig2,
@@ -142,9 +112,12 @@ func workers() int {
 // unaffected.
 var baseSeed int64
 
-// SetBaseSeed sets the seed offset (see baseSeed). Not safe to call
-// concurrently with Run.
-func SetBaseSeed(s int64) { baseSeed = s }
+// SetBaseSeed sets the seed offset (see baseSeed) and empties the run
+// memo. Not safe to call concurrently with Run.
+func SetBaseSeed(s int64) {
+	baseSeed = s
+	memo.reset()
+}
 
 // seeded mixes an experiment's built-in seed with the base seed; with
 // the default base of 0 it returns s unchanged.

@@ -8,13 +8,13 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/runpar"
 )
 
 func TestListAndTitles(t *testing.T) {
@@ -359,16 +359,16 @@ func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
 	}
 	cfg := fig1Config(TestScale)
 	for _, mode := range []string{"quicksand", "pinned", "coarse"} {
-		want, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, blocking)
+		want, wantEvents, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, blocking)
 		if err != nil {
 			t.Fatalf("%s, blocking: %v", mode, err)
 		}
-		got, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, (*core.ComputeProclet).RunCompute)
+		got, gotEvents, err := fig1RunFull(cfg, mode, core.DefaultConfig(), false, (*core.ComputeProclet).RunCompute)
 		if err != nil {
 			t.Fatalf("%s, RunCompute: %v", mode, err)
 		}
-		if got.events != want.events {
-			t.Errorf("%s: %d events with RunCompute, %d with the blocking unit", mode, got.events, want.events)
+		if gotEvents != wantEvents {
+			t.Errorf("%s: %d events with RunCompute, %d with the blocking unit", mode, gotEvents, wantEvents)
 		}
 		if !reflect.DeepEqual(got.trace.Lines(), want.trace.Lines()) {
 			t.Errorf("%s: control-plane traces differ\nRunCompute: %v\nblocking:   %v", mode, got.trace.Lines(), want.trace.Lines())
@@ -389,82 +389,131 @@ func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
 	}
 }
 
-// resetFig1Memo empties the fig1 memo, so a test sees only the runs it
-// fills and counts only the simulations it causes.
-func resetFig1Memo() {
-	fig1Runs.Lock()
-	defer fig1Runs.Unlock()
-	fig1Runs.runs = make(map[fig1Key]*fig1Entry)
-	fig1Runs.misses = 0
+// paperFigs are the experiments of the benchmark's paper-figs workload.
+var paperFigs = []string{"fig1", "fig3", "abl-migration", "abl-split", "abl-prefetch", "abl-sched",
+	"abl-locality", "abl-granularity", "abl-reactor", "abl-postcopy", "ext-harvest"}
+
+// rerun simulates a spec the memo holds afresh, bypassing the memo.
+func rerun(t *testing.T, s any) (any, uint64, error) {
+	t.Helper()
+	switch s := s.(type) {
+	case fig1Spec:
+		return fresh(s)
+	case fig2Spec:
+		return fresh(s)
+	case migrationSpec:
+		return fresh(s)
+	case splitSpec:
+		return fresh(s)
+	case prefetchSpec:
+		return fresh(s)
+	case localitySpec:
+		return fresh(s)
+	case postcopySpec:
+		return fresh(s)
+	case harvestSpec:
+		return fresh(s)
+	case tieringSpec:
+		return fresh(s)
+	case extGPUSpec:
+		return fresh(s)
+	case chaosSpec:
+		return fresh(s)
+	case failoverSpec:
+		return fresh(s)
+	case gpufleetSpec:
+		return fresh(s)
+	}
+	t.Fatalf("no fresh run for a %T", s)
+	return nil, 0, nil
 }
 
-// TestFig1MemoMatchesFreshRun: every run a TestScale pass of the
-// paper-figs experiments leaves in the fig1 memo is the run its key
-// describes — reflect.DeepEqual to a fresh, unmemoized fig1RunFull of
-// that key, series and rendered trace included. fig1's three modes,
-// abl-sched's two rows besides two-level, abl-granularity's four heaps
-// and abl-reactor's two periods besides 200µs are 11 distinct runs.
-func TestFig1MemoMatchesFreshRun(t *testing.T) {
-	defer resetFig1Memo()
-	resetFig1Memo()
-	for _, id := range []string{"fig1", "fig3", "abl-migration", "abl-split", "abl-prefetch", "abl-sched",
-		"abl-locality", "abl-granularity", "abl-reactor", "abl-postcopy", "ext-harvest"} {
+func fresh[S spec[O], O any](s S) (any, uint64, error) {
+	out, events, err := s.run()
+	return out, events, err
+}
+
+// fig1Runs counts the fig1-family specs in the memo.
+func fig1Runs() int {
+	n := 0
+	for s := range memo.runs {
+		if _, ok := s.(fig1Spec); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunMemoMatchesFreshRun: a TestScale pass of the paper-figs
+// experiments simulates 26 distinct specs, each once; fig3 is a single
+// run and bypasses the memo. 11 of them are the fig1 family: fig1's
+// three modes, abl-sched's two rows besides two-level, abl-granularity's
+// four heaps and abl-reactor's two periods besides 200µs. Every run the
+// memo holds is reflect.DeepEqual, events included, to a fresh run of
+// its spec, series and control-plane log included.
+func TestRunMemoMatchesFreshRun(t *testing.T) {
+	defer memo.reset()
+	memo.reset()
+	for _, id := range paperFigs {
 		if _, err := Run(id, TestScale); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	if n := len(fig1Runs.runs); n != 11 || fig1Runs.misses != 11 {
-		t.Errorf("memo holds %d runs after %d misses, want 11 of each", n, fig1Runs.misses)
+	if n := len(memo.runs); n != 26 || memo.misses != 26 || fig1Runs() != 11 {
+		t.Errorf("memo holds %d runs (%d of fig1's family) after %d misses, want 26 (11) after 26", n, fig1Runs(), memo.misses)
 	}
-	for key, e := range fig1Runs.runs {
-		fresh, err := fig1RunFull(key.cfg, key.mode, key.sys, false, (*core.ComputeProclet).RunCompute)
+	for s, e := range memo.runs {
+		out, events, err := rerun(t, s)
 		if err != nil || e.err != nil {
-			t.Fatalf("%s %+v: fresh run %v, memoized %v", key.mode, key.sys, err, e.err)
+			t.Fatalf("%T %+v: fresh run %v, memoized %v", s, s, err, e.err)
 		}
-		if !reflect.DeepEqual(e.st.trace.Lines(), fresh.trace.Lines()) {
-			t.Errorf("%s %+v: memoized trace differs from a fresh run's", key.mode, key.sys)
-		}
-		if !reflect.DeepEqual(e.st, fresh) {
-			t.Errorf("%s %+v: memoized run (%d events, %.3f%%) differs from a fresh one (%d events, %.3f%%)",
-				key.mode, key.sys, e.st.events, e.st.goodputPct, fresh.events, fresh.goodputPct)
+		if events != e.events || !reflect.DeepEqual(out, e.out) {
+			t.Errorf("%T %+v: memoized run (%d events) differs from a fresh one (%d events)", s, s, e.events, events)
 		}
 	}
 }
 
-// TestFig1MemoConcurrent: fig1, abl-sched and abl-reactor run at once at
-// -par 4, so their shared run — fig1's quicksand mode, abl-sched's
-// two-level row, abl-reactor's 200µs row — is asked for by three
-// goroutines together. Each of the 7 distinct runs is simulated exactly
-// once, and every report is the -par 1 golden's, seed 0. Under -race
-// this is the memo's data-race check.
-func TestFig1MemoConcurrent(t *testing.T) {
-	defer resetFig1Memo()
+// TestRunMemoConcurrent: every experiment that simulates more than one
+// spec runs at -par 4, four experiments at a time, and reports its -par
+// 1 golden, seed 0. The fig1 family goes first, so fig1's quicksand
+// mode — abl-sched's two-level row, abl-reactor's 200µs row — is asked
+// for by three goroutines together, and each of the family's 11 specs
+// is still simulated once. Under -race this is the executor's data-race
+// check, and the one run of the formerly sequential experiments' specs
+// on parallel workers.
+func TestRunMemoConcurrent(t *testing.T) {
+	defer memo.reset()
 	defer SetParallelism(0)
-	resetFig1Memo()
 	SetParallelism(4)
 	SetBaseSeed(0)
-	ids := []string{"fig1", "abl-sched", "abl-reactor"}
-	results := make([]*Result, len(ids))
-	errs := make([]error, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = Run(id, TestScale)
-		}()
+	ids := []string{"fig1", "abl-sched", "abl-reactor", "abl-granularity"}
+	for _, id := range List() {
+		switch id {
+		case "fig1", "abl-sched", "abl-reactor", "abl-granularity",
+			"fig3", "ext-memharvest", "ext-scale", "ext-serve": // the family, and the single runs
+		default:
+			ids = append(ids, id)
+		}
 	}
-	wg.Wait()
-	if n := len(fig1Runs.runs); n != 7 || fig1Runs.misses != 7 {
-		t.Errorf("memo holds %d runs after %d misses, want 7 of each", n, fig1Runs.misses)
+	type ran struct {
+		res *Result
+		err error
+	}
+	rs := runpar.Map(len(ids), 4, func(i int) ran {
+		res, err := Run(ids[i], TestScale)
+		return ran{res, err}
+	})
+	if n := len(memo.runs); n != memo.misses || fig1Runs() != 11 {
+		t.Errorf("memo holds %d runs (%d of fig1's family) after %d misses, want one miss a run and 11 of the family",
+			n, fig1Runs(), memo.misses)
 	}
 	for i, id := range ids {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", id, errs[i])
+		if rs[i].err != nil {
+			t.Fatalf("%s: %v", id, rs[i].err)
 		}
 		var b strings.Builder
 		b.WriteString("-- seed 0\n")
-		writeGolden(&b, results[i])
+		writeGolden(&b, rs[i].res)
 		raw, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
 		if err != nil {
 			t.Fatal(err)

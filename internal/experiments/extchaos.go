@@ -21,7 +21,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/replication"
-	"repro/internal/runpar"
 	"repro/internal/sim"
 )
 
@@ -108,19 +107,26 @@ type chaosOutcome struct {
 	failed     int64     // ops that exhausted retries
 	lost       int64     // acked objects missing at the end
 	crashes    int64
-	recover    int64 // orphans successfully re-placed
-	promotions int64 // backup promotions (replicated run only)
-	events     uint64
+	recover    int64    // orphans successfully re-placed
+	promotions int64    // backup promotions (replicated run only)
 	trace      *obs.Log // rendered only for the reported variant
 }
 
-// runChaosOnce drives the workload, with or without the fault
-// schedule. At rf >= 2 the stores are replicated through the
-// lease/heartbeat plane and there is NO rebuilder: durability must come
-// from replication alone, including through the false suspicion the
-// 0-2 partition induces (the monitor on m0 confirms a perfectly
-// healthy m2 dead; leases make the resulting promotion safe).
-func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
+// chaosSpec is one ext-chaos run: the workload, with or without the
+// fault schedule, at replication factor rf. At rf >= 2 the stores are
+// replicated through the lease/heartbeat plane and there is NO
+// rebuilder: durability must come from replication alone, including
+// through the false suspicion the 0-2 partition induces (the monitor on
+// m0 confirms a perfectly healthy m2 dead; leases make the resulting
+// promotion safe).
+type chaosSpec struct {
+	scale  Scale
+	inject bool
+	rf     int
+}
+
+func (s chaosSpec) run() (chaosOutcome, uint64, error) {
+	cfg, inject, rf := chaosConfig(s.scale), s.inject, s.rf
 	var out chaosOutcome
 	sysCfg := core.DefaultConfig()
 	sysCfg.Seed = seeded(11)
@@ -135,7 +141,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 
 	stores, err := fleet.PlaceStores(sys, "store-%d", cfg.stores, 0, rf)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 	// The durable source: every acked put is recorded host-side, per
 	// store, and replayed by the rebuilder when a store's machine dies.
@@ -149,7 +155,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 		mid := cluster.MachineID(i % len(cfg.machines))
 		cp, err := core.NewComputeProcletOn(sys, fmt.Sprintf("chaos-cp-%d", i), mid, cfg.poolTh)
 		if err != nil {
-			return out, err
+			return out, 0, err
 		}
 		pool[i] = cp
 	}
@@ -210,9 +216,8 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 	})
 	sys.K.Run()
 	if !completed {
-		return out, fmt.Errorf("ext-chaos: run did not complete (workload wedged)")
+		return out, 0, fmt.Errorf("ext-chaos: run did not complete (workload wedged)")
 	}
-	out.events = sys.K.EventsProcessed()
 	if in != nil {
 		out.crashes = in.Crashes.Value()
 		out.recover = sys.Sched.Recoveries.Value()
@@ -221,7 +226,7 @@ func runChaosOnce(cfg chaosCfg, inject bool, rf int) (chaosOutcome, error) {
 		out.promotions = rm.Promotions.Value()
 	}
 	out.trace = sys.Trace
-	return out, nil
+	return out, sys.K.EventsProcessed(), nil
 }
 
 // meanOver averages goodput buckets whose start time lies in [from, to).
@@ -250,23 +255,15 @@ func runExtChaos(scale Scale) (*Result, error) {
 	res.addf("faults: crash m1 @%v, partition 0-2 @%v, crash m2 + degrade 0-3 @%v; all healed by %v",
 		firstFault, sim.Time(float64(cfg.horizon)*0.40), sim.Time(float64(cfg.horizon)*0.55), finalHeal)
 
-	// Three independent simulations fanned across host cores: the chaos
-	// run (rebuilder-backed, RF=1), the identically-seeded no-fault run,
-	// and the same chaos schedule at RF=2 with NO rebuilder — acked
-	// writes must survive on replicas alone.
-	type variant struct {
-		inject bool
-		rf     int
-	}
-	variants := []variant{{true, 1}, {false, 1}, {true, 2}}
-	outs, err := runpar.MapErr(len(variants), parallelism, func(i int) (chaosOutcome, error) {
-		return runChaosOnce(cfg, variants[i].inject, variants[i].rf)
-	})
+	// The chaos run (rebuilder-backed, RF=1), the identically-seeded
+	// no-fault run, and the same chaos schedule at RF=2 with NO
+	// rebuilder — acked writes must survive on replicas alone.
+	outs, events, err := simulate([]chaosSpec{{scale, true, 1}, {scale, false, 1}, {scale, true, 2}})
 	if err != nil {
 		return nil, err
 	}
 	chaos, base, repl := outs[0], outs[1], outs[2]
-	res.EventsProcessed = chaos.events + base.events + repl.events
+	res.EventsProcessed = events
 	res.Trace = chaos.trace.Lines()
 
 	baseMean := meanOver(base.goodput, cfg.bucket, cfg.warmup, cfg.horizon)

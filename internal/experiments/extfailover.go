@@ -24,7 +24,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/replication"
-	"repro/internal/runpar"
 	"repro/internal/sim"
 )
 
@@ -82,21 +81,31 @@ type failoverOutcome struct {
 	replRecords       int64
 	goodput           []float64
 	failoverMS        []float64 // per affected store: crash -> first post-crash ack
-	events            uint64
-	trace             *obs.Log // rendered only for the reported variant
+	trace             *obs.Log  // rendered only for the reported variant
 }
 
-// runFailoverOnce drives the open-loop write workload at the given
-// replication factor, optionally crashing machine 1 mid-run. The
-// heartbeat detector and lease plane are installed in every variant —
-// recovery is detector-driven, never oracle-driven.
-func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, error) {
+// failoverSpec is one ext-failover run: the open-loop write workload at
+// replication factor rf, crashing machine 1 mid-run when inject. The
+// heartbeat detector and lease plane are installed in every run —
+// recovery is detector-driven, never oracle-driven. traced is the RF=2
+// crash run when a trace directory is set, exported as
+// ext-failover.trace.json.
+type failoverSpec struct {
+	scale          Scale
+	rf             int
+	inject, traced bool
+}
+
+func (s failoverSpec) tracing() bool { return s.traced }
+
+func (s failoverSpec) run() (failoverOutcome, uint64, error) {
+	cfg, rf, inject := failoverConfig(s.scale), s.rf, s.inject
 	var out failoverOutcome
 	sysCfg := core.DefaultConfig()
 	sysCfg.Seed = seeded(17)
 	sys := core.NewSystem(sysCfg, cfg.machines)
 	defer sys.Close()
-	if rf >= 2 && inject {
+	if s.traced {
 		maybeTrace(sys)
 	}
 	sys.Start()
@@ -109,7 +118,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 	// clients and never crashes.
 	stores, err := fleet.PlaceStores(sys, "fstore-%d", cfg.stores, 1, rf)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 	ledger := fleet.NewLedger(stores, cfg.opBytes, opVal)
 	affected := make([]bool, cfg.stores) // primary on the crashing machine
@@ -167,7 +176,7 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 	})
 	sys.K.Run()
 	if !completed {
-		return out, fmt.Errorf("ext-failover: run did not complete (workload wedged)")
+		return out, 0, fmt.Errorf("ext-failover: run did not complete (workload wedged)")
 	}
 
 	if inject {
@@ -183,19 +192,18 @@ func runFailoverOnce(cfg failoverCfg, rf int, inject bool) (failoverOutcome, err
 				float64(at-cfg.crashAt)/float64(time.Millisecond))
 		}
 	}
-	out.events = sys.K.EventsProcessed()
 	out.promotions = rm.Promotions.Value()
 	out.deposes = rm.Deposes.Value()
 	out.resyncs = rm.Resyncs.Value()
 	out.confirms = rm.Detector().Confirms.Value()
 	out.replRecords = rm.ReplRecords.Value()
 	out.trace = sys.Trace
-	if rf >= 2 && inject {
+	if s.traced {
 		if err := maybeExportTrace("ext-failover", sys); err != nil {
-			return out, err
+			return out, 0, err
 		}
 	}
-	return out, nil
+	return out, sys.K.EventsProcessed(), nil
 }
 
 func runExtFailover(scale Scale) (*Result, error) {
@@ -206,20 +214,14 @@ func runExtFailover(scale Scale) (*Result, error) {
 		len(cfg.machines), cfg.stores, len(cfg.machines)-1, cfg.clients, cfg.crashAt, cfg.restart)
 	res.addf("durability plane: heartbeat detector + leases on every run; no rebuilder anywhere")
 
-	// Four independent simulations: {RF=2, RF=1} x {crash, no-fault}.
-	type variant struct {
-		rf     int
-		inject bool
-	}
-	variants := []variant{{2, true}, {2, false}, {1, true}, {1, false}}
-	outs, err := runpar.MapErr(len(variants), parallelism, func(i int) (failoverOutcome, error) {
-		return runFailoverOnce(cfg, variants[i].rf, variants[i].inject)
-	})
+	// {RF=2, RF=1} x {crash, no-fault}.
+	outs, events, err := simulate([]failoverSpec{
+		{scale, 2, true, traceDir != ""}, {scale, 2, false, false}, {scale, 1, true, false}, {scale, 1, false, false}})
 	if err != nil {
 		return nil, err
 	}
 	rf2, rf2Base, rf1, rf1Base := outs[0], outs[1], outs[2], outs[3]
-	res.EventsProcessed = rf2.events + rf2Base.events + rf1.events + rf1Base.events
+	res.EventsProcessed = events
 	res.Trace = rf2.trace.Lines()
 
 	foMean, foMax := 0.0, 0.0

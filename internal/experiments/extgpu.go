@@ -51,7 +51,6 @@ func extGPUConfig(scale Scale) extGPUCfg {
 
 // extGPUOut is one mode's outcome.
 type extGPUOut struct {
-	events     uint64
 	steps      int64
 	idealSteps float64
 	evacs      int64
@@ -59,7 +58,15 @@ type extGPUOut struct {
 	restarts   int64
 }
 
-func extGPURun(cfg extGPUCfg, fungible bool) (extGPUOut, error) {
+// extGPUSpec is one ext-gpu mode: GPU proclets the fleet migrates off
+// a reclaimed device when fungible, restart from a checkpoint when not.
+type extGPUSpec struct {
+	cfg      extGPUCfg
+	fungible bool
+}
+
+func (s extGPUSpec) run() (extGPUOut, uint64, error) {
+	cfg, fungible := s.cfg, s.fungible
 	var out extGPUOut
 	machines := make([]cluster.MachineConfig, cfg.machines)
 	for i := range machines {
@@ -76,7 +83,7 @@ func extGPURun(cfg extGPUCfg, fungible bool) (extGPUOut, error) {
 	for i := range trainers {
 		gp, err := fleet.Add(fmt.Sprintf("trainer-%d", i), cfg.modelBytes, cfg.stepKernel)
 		if err != nil {
-			return out, err
+			return out, 0, err
 		}
 		trainers[i] = gp
 	}
@@ -153,14 +160,13 @@ func extGPURun(cfg extGPUCfg, fungible bool) (extGPUOut, error) {
 
 	sys.K.RunUntil(cfg.horizon)
 	fleet.Stop()
-	out.events = sys.K.EventsProcessed()
 
 	stepTime := cfg.stepKernel +
 		time.Duration(float64(cfg.batchBytes)/16e9*1e9) // kernel + upload
 	out.idealSteps = float64(cfg.trainers) * float64(cfg.horizon) / float64(stepTime)
 	out.evacs = fleet.Evacuations.Value()
 	out.evacMeanMs = fleet.MigrationLatency.Mean() * 1000
-	return out, nil
+	return out, sys.K.EventsProcessed(), nil
 }
 
 func runExtGPU(scale Scale) (*Result, error) {
@@ -171,26 +177,22 @@ func runExtGPU(scale Scale) (*Result, error) {
 	res.addf("reclaimed every %v for %v; baseline restart costs %v + checkpoint reload",
 		cfg.reclaimGap, cfg.reclaimHold, cfg.coldStart)
 	res.addf("%-14s %12s %12s %10s %14s %10s", "mode", "steps", "ideal%", "evacs", "evac mean[ms]", "restarts")
-	for _, mode := range []struct {
-		name     string
-		fungible bool
-	}{{"gpu-proclets", true}, {"restart", false}} {
-		out, err := extGPURun(cfg, mode.fungible)
-		if err != nil {
-			return nil, err
-		}
-		res.EventsProcessed += out.events
+	outs, events, err := simulate([]extGPUSpec{{cfg, true}, {cfg, false}})
+	if err != nil {
+		return nil, err
+	}
+	res.EventsProcessed = events
+	for i, name := range []string{"gpu-proclets", "restart"} {
+		out := outs[i]
 		pct := 100 * float64(out.steps) / out.idealSteps
 		res.addf("%-14s %12d %11.1f%% %10d %14.1f %10d",
-			mode.name, out.steps, pct, out.evacs, out.evacMeanMs, out.restarts)
-		res.set(mode.name+".steps", float64(out.steps))
-		res.set(mode.name+".ideal_pct", pct)
-		res.set(mode.name+".evacs", float64(out.evacs))
-		res.set(mode.name+".restarts", float64(out.restarts))
-		if mode.fungible {
-			res.set("evac_mean_ms", out.evacMeanMs)
-		}
+			name, out.steps, pct, out.evacs, out.evacMeanMs, out.restarts)
+		res.set(name+".steps", float64(out.steps))
+		res.set(name+".ideal_pct", pct)
+		res.set(name+".evacs", float64(out.evacs))
+		res.set(name+".restarts", float64(out.restarts))
 	}
+	res.set("evac_mean_ms", outs[0].evacMeanMs)
 	res.addf("shape: device-state migration (~tens of ms for the model over host links + network) keeps")
 	res.addf("training near the ideal across reclamations; restart-based recovery pays a second per event.")
 	return res, nil

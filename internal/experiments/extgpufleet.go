@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/proclet"
-	"repro/internal/runpar"
 	"repro/internal/sim"
 )
 
@@ -91,7 +90,6 @@ type gpufleetOut struct {
 	sloWindows  int // step-latency SLO windows closed
 	opened      int // incidents opened by the step-latency SLO
 	resolved    int
-	events      uint64
 	trace       *obs.Log // rendered only for the reported variant
 }
 
@@ -113,10 +111,17 @@ func gpufleetSLO(cfg gpufleetCfg) *slo.Monitor {
 	})
 }
 
-// runGPUFleetOnce drives cfg.trainers checkpointed trainers to the
-// fixed step target. inject installs the gray-failure schedule; ckpt
-// enables the per-step mirror; mitigate enables straggler re-dispatch.
-func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut, error) {
+// gpufleetSpec is one ext-gpufleet variant: cfg.trainers checkpointed
+// trainers driven to the fixed step target. inject installs the
+// gray-failure schedule; ckpt enables the per-step mirror; mitigate
+// enables straggler re-dispatch.
+type gpufleetSpec struct {
+	scale                  Scale
+	inject, ckpt, mitigate bool
+}
+
+func (s gpufleetSpec) run() (gpufleetOut, uint64, error) {
+	cfg, inject, ckpt, mitigate := gpufleetConfig(s.scale), s.inject, s.ckpt, s.mitigate
 	var out gpufleetOut
 	machines := make([]cluster.MachineConfig, cfg.machines)
 	for i := range machines {
@@ -163,7 +168,7 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 	for i := range trainers {
 		gp, err := fleet.Add(fmt.Sprintf("trainer-%d", i), cfg.modelBytes, cfg.stepKernel)
 		if err != nil {
-			return out, err
+			return out, 0, err
 		}
 		trainers[i] = gp
 	}
@@ -215,7 +220,7 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 	})
 	sys.K.RunUntil(cfg.guard)
 	if !completed {
-		return out, fmt.Errorf("ext-gpufleet: trainers did not finish %d steps by %v (fleet wedged)",
+		return out, 0, fmt.Errorf("ext-gpufleet: trainers did not finish %d steps by %v (fleet wedged)",
 			cfg.targetSteps, cfg.guard)
 	}
 	fleet.Stop()
@@ -233,9 +238,8 @@ func runGPUFleetOnce(cfg gpufleetCfg, inject, ckpt, mitigate bool) (gpufleetOut,
 	out.mitigations = fleet.Mitigations.Value()
 	out.stranded = fleet.Stranded.Value()
 	out.xids = in.GPUXids.Value()
-	out.events = sys.K.EventsProcessed()
 	out.trace = sys.Trace
-	return out, nil
+	return out, sys.K.EventsProcessed(), nil
 }
 
 func runExtGPUFleet(scale Scale) (*Result, error) {
@@ -249,29 +253,21 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	res.addf("faults: spot reclaim m1/gpu2 @25ms (returns @95ms), XID m0/gpu0 @40ms, throttle x3")
 	res.addf("m1/gpu0 @60ms (never heals), ECC stutter m1/gpu1 @60ms (heals @160ms); m2 is the spare pool")
 
-	// Four variants fanned across host cores: the full robustness plane,
-	// mitigation off (stragglers crawl), checkpoints off (XID loses all
-	// acked work), and the undisturbed oracle the makespans are measured
-	// against.
-	type variant struct {
-		name                   string
-		inject, ckpt, mitigate bool
-	}
-	variants := []variant{
-		{"robust", true, true, true},
-		{"no-mitigation", true, true, false},
-		{"no-checkpoint", true, false, true},
-		{"oracle", false, false, false},
-	}
-	outs, err := runpar.MapErr(len(variants), parallelism, func(i int) (gpufleetOut, error) {
-		v := variants[i]
-		return runGPUFleetOnce(cfg, v.inject, v.ckpt, v.mitigate)
+	// The full robustness plane, mitigation off (stragglers crawl),
+	// checkpoints off (XID loses all acked work), and the undisturbed
+	// oracle the makespans are measured against.
+	names := []string{"robust", "no-mitigation", "no-checkpoint", "oracle"}
+	outs, events, err := simulate([]gpufleetSpec{
+		{scale, true, true, true},
+		{scale, true, true, false},
+		{scale, true, false, true},
+		{scale, false, false, false},
 	})
 	if err != nil {
 		return nil, err
 	}
 	robust, nomit, nockpt, oracle := outs[0], outs[1], outs[2], outs[3]
-	res.EventsProcessed = robust.events + nomit.events + nockpt.events + oracle.events
+	res.EventsProcessed = events
 	res.Trace = robust.trace.Lines()
 
 	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
@@ -279,7 +275,7 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 		"makespan[ms]", "steps", "lost-steps", "restores", "evacs", "mitigations", "stranded")
 	for i, o := range outs {
 		res.addf("%-15s %13.1f %9d %10d %9d %6d %11d %10d",
-			variants[i].name, ms(o.makespan), o.steps, o.lostSteps,
+			names[i], ms(o.makespan), o.steps, o.lostSteps,
 			o.restores, o.evacs, o.mitigations, o.stranded)
 	}
 	ratio := ms(robust.makespan) / ms(oracle.makespan)

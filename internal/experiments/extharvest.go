@@ -12,110 +12,125 @@ import (
 	"repro/internal/workload"
 )
 
+// ext-harvest's fleet: harvestMachines machines of harvestCores cores,
+// each busy 2/3 of every harvestPeriod, and filler work in units of
+// harvestUnit.
+const (
+	harvestMachines = 6
+	harvestCores    = 8.0
+	harvestPeriod   = 24 * time.Millisecond
+	harvestUnit     = 50 * time.Microsecond
+)
+
+// harvestSpec is one ext-harvest mode: the filler as a fungible pool,
+// or rented statically on machines 0 and 1, run to horizon and
+// measured from measure.
+type harvestSpec struct {
+	horizon, measure sim.Time
+	fungible         bool
+}
+
+// harvestOut is one ext-harvest mode's outcome.
+type harvestOut struct {
+	goodputPct float64
+	migrations int64
+}
+
+func (s harvestSpec) run() (harvestOut, uint64, error) {
+	machines := make([]cluster.MachineConfig, harvestMachines)
+	for i := range machines {
+		machines[i] = cluster.MachineConfig{Cores: harvestCores, MemBytes: 16 << 30}
+	}
+	sys := core.NewSystem(core.DefaultConfig(), machines)
+	defer sys.Close()
+	// Staggered antagonists: machine i idle during the i-th third
+	// of the period (busy the other two thirds).
+	busy := harvestPeriod * 2 / 3
+	for i, m := range sys.Cluster.Machines() {
+		a := &workload.Antagonist{
+			Machine: m, Period: harvestPeriod, Busy: busy,
+			Offset: time.Duration(i%3) * harvestPeriod / 3, Cores: harvestCores,
+		}
+		a.Start(sys.K)
+	}
+	goodput := metrics.NewBucketSeries(time.Millisecond)
+	// One closure value feeds every task, as in fig1: a completion
+	// re-enqueues the same unit on its current proclet.
+	var count core.TaskFn
+	feed := func(cp *core.ComputeProclet) {
+		cp.RunCompute(harvestUnit, count)
+	}
+	count = func(tc *core.TaskCtx) {
+		goodput.Add(sys.K.Now(), 1)
+		feed(tc.ComputeProclet())
+	}
+	// Filler sized to the idle capacity: 2 machines' worth.
+	members := int(2 * harvestCores)
+	if s.fungible {
+		sys.Start()
+		pool, err := sys.NewPool("filler", 1, members, 1, members)
+		if err != nil {
+			return harvestOut{}, 0, err
+		}
+		for _, m := range pool.Members() {
+			feed(m)
+			feed(m)
+		}
+	} else {
+		// Static: the filler rents machines 0 and 1 outright.
+		for i := 0; i < members; i++ {
+			cp, err := core.NewComputeProcletOn(sys, fmt.Sprintf("static-%d", i), cluster.MachineID(i%2), 1)
+			if err != nil {
+				return harvestOut{}, 0, err
+			}
+			sys.Sched.Pin(cp.ID())
+			feed(cp)
+			feed(cp)
+		}
+	}
+	sys.K.RunUntil(s.horizon)
+	idealPerMs := 2 * harvestCores * float64(time.Millisecond) / float64(harvestUnit)
+	fromB := int(int64(s.measure) / int64(time.Millisecond))
+	toB := int(int64(s.horizon) / int64(time.Millisecond))
+	var achieved float64
+	for b := fromB; b < toB; b++ {
+		achieved += goodput.Bucket(b)
+	}
+	return harvestOut{100 * achieved / (idealPerMs * float64(toB-fromB)), sys.Runtime.Migrations.Value()},
+		sys.K.EventsProcessed(), nil
+}
+
 // runExtHarvest generalizes Figure 1 to a fleet: N machines run
 // high-priority apps with staggered phases, so at any instant a
 // rotating subset of the fleet is idle. A fungible filler must chase
 // capacity across all machines at once — the utility-computing vision
 // the paper's introduction motivates.
 func runExtHarvest(scale Scale) (*Result, error) {
-	nMachines := 6
-	cores := 8.0
-	period := 24 * time.Millisecond
 	horizon := sim.Time(1200 * time.Millisecond)
 	measure := sim.Time(120 * time.Millisecond)
 	if scale == TestScale {
 		horizon = sim.Time(300 * time.Millisecond)
 		measure = sim.Time(60 * time.Millisecond)
 	}
-	unit := 50 * time.Microsecond
 
 	res := newResult("ext-harvest", "extension: filler harvests a 6-machine fleet with staggered idle phases")
 	res.addf("setup: %d machines x %.0f cores; each runs a high-priority app busy 2/3 of a %v period,",
-		nMachines, cores, period)
+		harvestMachines, harvestCores, harvestPeriod)
 	res.addf("phases staggered so exactly 1/3 of the fleet (= %d machines) is idle at any instant",
-		nMachines/3)
+		harvestMachines/3)
 
-	run := func(fungible bool) (float64, int64, error) {
-		machines := make([]cluster.MachineConfig, nMachines)
-		for i := range machines {
-			machines[i] = cluster.MachineConfig{Cores: cores, MemBytes: 16 << 30}
-		}
-		sys := core.NewSystem(core.DefaultConfig(), machines)
-		defer sys.Close()
-		// Staggered antagonists: machine i idle during the i-th third
-		// of the period (busy the other two thirds).
-		busy := period * 2 / 3
-		for i, m := range sys.Cluster.Machines() {
-			a := &workload.Antagonist{
-				Machine: m, Period: period, Busy: busy,
-				Offset: time.Duration(i%3) * period / 3, Cores: cores,
-			}
-			// Machines idle in slot (i%3)+... : offset shifts the busy
-			// window; the idle window is the remaining third.
-			a.Start(sys.K)
-			_ = i
-		}
-		goodput := metrics.NewBucketSeries(time.Millisecond)
-		// One closure value feeds every task, as in fig1: a completion
-		// re-enqueues the same unit on its current proclet.
-		var count core.TaskFn
-		feed := func(cp *core.ComputeProclet) {
-			cp.RunCompute(unit, count)
-		}
-		count = func(tc *core.TaskCtx) {
-			goodput.Add(sys.K.Now(), 1)
-			feed(tc.ComputeProclet())
-		}
-		// Filler sized to the idle capacity: 2 machines' worth.
-		members := int(2 * cores)
-		if fungible {
-			sys.Start()
-			pool, err := sys.NewPool("filler", 1, members, 1, members)
-			if err != nil {
-				return 0, 0, err
-			}
-			for _, m := range pool.Members() {
-				feed(m)
-				feed(m)
-			}
-		} else {
-			// Static: the filler rents machines 0 and 1 outright.
-			for i := 0; i < members; i++ {
-				cp, err := core.NewComputeProcletOn(sys, fmt.Sprintf("static-%d", i), cluster.MachineID(i%2), 1)
-				if err != nil {
-					return 0, 0, err
-				}
-				sys.Sched.Pin(cp.ID())
-				feed(cp)
-				feed(cp)
-			}
-		}
-		sys.K.RunUntil(horizon)
-		res.EventsProcessed += sys.K.EventsProcessed()
-		idealPerMs := 2 * cores * float64(time.Millisecond) / float64(unit)
-		fromB := int(int64(measure) / int64(time.Millisecond))
-		toB := int(int64(horizon) / int64(time.Millisecond))
-		var achieved float64
-		for b := fromB; b < toB; b++ {
-			achieved += goodput.Bucket(b)
-		}
-		return 100 * achieved / (idealPerMs * float64(toB-fromB)), sys.Runtime.Migrations.Value(), nil
+	outs, events, err := simulate([]harvestSpec{{horizon, measure, true}, {horizon, measure, false}})
+	if err != nil {
+		return nil, err
 	}
-
+	res.EventsProcessed = events
+	qs, static := outs[0], outs[1]
 	res.addf("%-10s %14s %12s", "mode", "goodput[%ideal]", "migrations")
-	qs, qsMigs, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	res.addf("%-10s %14.1f %12d", "quicksand", qs, qsMigs)
-	static, _, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	res.addf("%-10s %14.1f %12d", "static", static, 0)
-	res.set("quicksand.goodput_pct", qs)
-	res.set("static.goodput_pct", static)
-	res.set("quicksand.migrations", float64(qsMigs))
+	res.addf("%-10s %14.1f %12d", "quicksand", qs.goodputPct, qs.migrations)
+	res.addf("%-10s %14.1f %12d", "static", static.goodputPct, 0)
+	res.set("quicksand.goodput_pct", qs.goodputPct)
+	res.set("static.goodput_pct", static.goodputPct)
+	res.set("quicksand.migrations", float64(qs.migrations))
 	res.addf("shape: the fungible filler follows the idle third around the fleet; a static 2-machine")
 	res.addf("rental only gets those machines' idle thirds (~33%% of ideal).")
 	return res, nil

@@ -64,19 +64,13 @@ func scaleConfig(scale Scale) scaleCfg {
 	return cfg
 }
 
-// scaleDet is one run's measurements.
+// scaleDet is one run's totals over its shards and its merged trace.
 type scaleDet struct {
-	ShardEvents []uint64
-	Ops         []int64
-	Failed      []int64
-	CrossOps    []int64
-	CrossFailed []int64
-	Lost        int64
-	Crashes     int64
-	Recoveries  int64
-	Windows     uint64
-	CrossMsgs   uint64
-	Trace       []string
+	events                             uint64
+	ops, failed, crossOps, crossFailed int64
+	lost, crashes, recoveries          int64
+	windows, crossMsgs                 uint64
+	trace                              []string
 }
 
 // runScaleOnce builds the partitioned fleet and runs it.
@@ -119,12 +113,7 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 		{At: sim.Time(float64(cfg.horizon) * 0.65), Op: fault.OpRestart, A: 1},
 	})
 
-	det := scaleDet{
-		Ops:         make([]int64, cfg.shards),
-		Failed:      make([]int64, cfg.shards),
-		CrossOps:    make([]int64, cfg.shards),
-		CrossFailed: make([]int64, cfg.shards),
-	}
+	var det scaleDet
 	for s, st := range shards {
 		k := fl.PK.Shard(s)
 		var wg sim.WaitGroup
@@ -138,18 +127,18 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 					if err := st.stores[idx].PutInt(p, 0, key, opVal(key), cfg.opBytes); err == nil {
 						st.ledger.Ack(idx, key)
 						st.latest = opVal(key)
-						det.Ops[s]++
+						det.ops++
 					} else {
-						det.Failed[s]++
+						det.failed++
 					}
 					if op%cfg.crossEvery == 0 {
 						_, err := net.Call(p, simnet.ShardNode{Shard: s, Node: 0},
 							simnet.ShardNode{Shard: (s + 1) % cfg.shards, Node: 0},
 							"xget", simnet.Message{Bytes: 64})
 						if err == nil {
-							det.CrossOps[s]++
+							det.crossOps++
 						} else {
-							det.CrossFailed[s]++
+							det.crossFailed++
 						}
 					}
 				}
@@ -160,7 +149,7 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 			if s == 0 {
 				// Sampled read-back on the crash shard: acked writes must
 				// have survived the crash via re-placement + rebuild.
-				det.Lost = st.ledger.Verify(p, cfg.sample)
+				det.lost = st.ledger.Verify(p, cfg.sample)
 			}
 			st.done = true
 		})
@@ -173,12 +162,12 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 			return det, fmt.Errorf("ext-scale: shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
 		}
 	}
-	det.ShardEvents = fl.Events()
-	det.Crashes = in.Crashes.Value()
-	det.Recoveries = fl.Shards[0].Sched.Recoveries.Value()
-	det.Windows = fl.PK.Windows()
-	det.CrossMsgs = uint64(net.CrossCalls.Value())
-	det.Trace = fl.Trace()
+	det.events = sumU64(fl.Events())
+	det.crashes = in.Crashes.Value()
+	det.recoveries = fl.Shards[0].Sched.Recoveries.Value()
+	det.windows = fl.PK.Windows()
+	det.crossMsgs = uint64(net.CrossCalls.Value())
+	det.trace = fl.Trace()
 	return det, nil
 }
 
@@ -200,32 +189,24 @@ func runExtScale(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = sumU64(ref.ShardEvents)
-	res.Trace = ref.Trace
-
-	var ops, failed, crossOps, crossFailed int64
-	for s := 0; s < cfg.shards; s++ {
-		ops += ref.Ops[s]
-		failed += ref.Failed[s]
-		crossOps += ref.CrossOps[s]
-		crossFailed += ref.CrossFailed[s]
-	}
+	res.EventsProcessed = ref.events
+	res.Trace = ref.trace
 	res.addf("ops acked %d (failed %d), cross-shard reads %d (failed %d), objects lost %d",
-		ops, failed, crossOps, crossFailed, ref.Lost)
+		ref.ops, ref.failed, ref.crossOps, ref.crossFailed, ref.lost)
 	res.addf("crashes %d, orphans re-placed %d; %d sync windows, %d cross-shard RPCs",
-		ref.Crashes, ref.Recoveries, ref.Windows, ref.CrossMsgs)
+		ref.crashes, ref.recoveries, ref.windows, ref.crossMsgs)
 
 	res.set("machines", float64(cfg.shards*cfg.perShard))
 	res.set("shards", float64(cfg.shards))
-	res.set("ops", float64(ops))
-	res.set("failed", float64(failed))
-	res.set("cross_ops", float64(crossOps))
-	res.set("cross_failed", float64(crossFailed))
-	res.set("lost", float64(ref.Lost))
-	res.set("crashes", float64(ref.Crashes))
-	res.set("recoveries", float64(ref.Recoveries))
-	res.set("windows", float64(ref.Windows))
-	res.set("cross_msgs", float64(ref.CrossMsgs))
+	res.set("ops", float64(ref.ops))
+	res.set("failed", float64(ref.failed))
+	res.set("cross_ops", float64(ref.crossOps))
+	res.set("cross_failed", float64(ref.crossFailed))
+	res.set("lost", float64(ref.lost))
+	res.set("crashes", float64(ref.crashes))
+	res.set("recoveries", float64(ref.recoveries))
+	res.set("windows", float64(ref.windows))
+	res.set("cross_msgs", float64(ref.crossMsgs))
 	res.set("events", float64(res.EventsProcessed))
 	return res, nil
 }

@@ -183,22 +183,15 @@ func (cfg serveCfg) phaseOf(at sim.Time) int {
 	}
 }
 
-// serveDet is a run's per-shard counts, totals and merged trace.
+// serveDet is a run's totals over its shards and its merged trace.
 type serveDet struct {
-	ShardEvents []uint64
-	Generated   []uint64
-	Served      []uint64
-	Timeouts    []uint64
-	Errors      []uint64
-	Migrations  []int64
-	StartNS     []int64 // per-shard injection start (after preload)
-	Opened      []int   // per-shard SLO incidents opened
-	Resolved    []int   // per-shard SLO incidents resolved
-	SLOWindows  []int   // per-shard SLO windows closed
-	Spans       []int   // per-shard span count (0 when untraced)
-	Windows     uint64
-	CrossMsgs   uint64
-	Trace       []string
+	events                              uint64
+	generated, served, timeouts, errors uint64
+	migrations                          int64
+	startNS                             int64 // the last shard's injection start (after preload)
+	opened, resolved, sloWindows        int   // SLO incidents opened and resolved, windows closed
+	windows, crossMsgs                  uint64
+	trace                               []string
 }
 
 type serveOutcome struct {
@@ -432,19 +425,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 
 	fl.RunUntil(cfg.horizon + cfg.slack)
 
-	det := serveDet{
-		ShardEvents: fl.Events(),
-		Generated:   make([]uint64, cfg.shards),
-		Served:      make([]uint64, cfg.shards),
-		Timeouts:    make([]uint64, cfg.shards),
-		Errors:      make([]uint64, cfg.shards),
-		Migrations:  make([]int64, cfg.shards),
-		StartNS:     make([]int64, cfg.shards),
-		Opened:      make([]int, cfg.shards),
-		Resolved:    make([]int, cfg.shards),
-		SLOWindows:  make([]int, cfg.shards),
-		Spans:       make([]int, cfg.shards),
-	}
+	det := serveDet{events: sumU64(fl.Events()), windows: fl.PK.Windows(), crossMsgs: uint64(net.CrossCalls.Value())}
 	for s, st := range shards {
 		if st.setupErr != nil {
 			return out, fmt.Errorf("ext-serve: shard %d: %w", s, st.setupErr)
@@ -454,20 +435,17 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 				s, cfg.horizon+cfg.slack, st.Served, st.inj.TotalGenerated())
 		}
 		st.Mon.Finish(cfg.horizon)
-		det.Generated[s] = st.inj.TotalGenerated()
-		det.Served[s] = st.Served
-		det.Timeouts[s] = st.Timeouts
-		det.Errors[s] = st.Errors
-		det.Migrations[s] = st.migOK
-		det.StartNS[s] = st.startNS
-		det.Opened[s] = st.Mon.Opened()
-		det.Resolved[s] = st.Mon.Resolved()
-		det.SLOWindows[s] = st.Mon.WindowsClosed()
-		det.Spans[s] = st.sys.Obs.Len()
+		det.generated += st.inj.TotalGenerated()
+		det.served += st.Served
+		det.timeouts += st.Timeouts
+		det.errors += st.Errors
+		det.migrations += st.migOK
+		det.startNS = max(det.startNS, st.startNS)
+		det.opened += st.Mon.Opened()
+		det.resolved += st.Mon.Resolved()
+		det.sloWindows += st.Mon.WindowsClosed()
 		out.incidents = append(out.incidents, st.Mon.Incidents()...)
 	}
-	det.Windows = fl.PK.Windows()
-	det.CrossMsgs = uint64(net.CrossCalls.Value())
 
 	// Merge shard-local histograms in fixed shard order: integer bucket
 	// addition.
@@ -475,7 +453,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	for ph, name := range servePhases {
 		out.phases = append(out.phases, metrics.MergeLogHistograms("latency."+name, phases[ph]...))
 	}
-	det.Trace = fl.Trace()
+	det.trace = fl.Trace()
 
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
@@ -518,23 +496,11 @@ func runExtServe(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = sumU64(ref.det.ShardEvents)
-	res.Trace = ref.det.Trace
-
-	var generated, served, timeouts, errs uint64
-	var migrations int64
-	startNS := ref.det.StartNS[0]
-	for s := 0; s < cfg.shards; s++ {
-		generated += ref.det.Generated[s]
-		served += ref.det.Served[s]
-		timeouts += ref.det.Timeouts[s]
-		errs += ref.det.Errors[s]
-		migrations += ref.det.Migrations[s]
-		if ref.det.StartNS[s] > startNS {
-			startNS = ref.det.StartNS[s]
-		}
-	}
-	durS := float64(int64(cfg.horizon)-startNS) / 1e9
+	det := ref.det
+	res.EventsProcessed = det.events
+	res.Trace = det.trace
+	generated, served, timeouts := det.generated, det.served, det.timeouts
+	durS := float64(int64(cfg.horizon)-det.startNS) / 1e9
 	goodput := float64(served-timeouts) / durS
 	timeoutRate := 0.0
 	if served > 0 {
@@ -542,7 +508,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	}
 
 	res.addf("requests: %d generated, %d served, %d past the %v deadline (%.4f%%), %d errors",
-		generated, served, timeouts, cfg.deadline, 100*timeoutRate, errs)
+		generated, served, timeouts, cfg.deadline, 100*timeoutRate, det.errors)
 	res.addf("goodput %.0f req/s over the %.2f ms serving window", goodput, durS*1e3)
 	res.addf("%s", ref.overall.String())
 	for ph, name := range servePhases {
@@ -552,19 +518,12 @@ func runExtServe(scale Scale) (*Result, error) {
 			h.QuantileMS(0.999), float64(h.Max())/1e6)
 	}
 	res.addf("migration under load: %d stores moved; %d sync windows, %d cross-shard RPCs",
-		migrations, ref.det.Windows, ref.det.CrossMsgs)
-
-	opened, resolved, sloWindows := 0, 0, 0
-	for s := 0; s < cfg.shards; s++ {
-		opened += ref.det.Opened[s]
-		resolved += ref.det.Resolved[s]
-		sloWindows += ref.det.SLOWindows[s]
-	}
+		det.migrations, det.windows, det.crossMsgs)
 	res.addf("slo plane: %d windows closed across shards; %d incidents opened, %d resolved",
-		sloWindows, opened, resolved)
-	res.set("slo_windows", float64(sloWindows))
-	res.set("incidents_opened", float64(opened))
-	res.set("incidents_resolved", float64(resolved))
+		det.sloWindows, det.opened, det.resolved)
+	res.set("slo_windows", float64(det.sloWindows))
+	res.set("incidents_opened", float64(det.opened))
+	res.set("incidents_resolved", float64(det.resolved))
 
 	if traceDir != "" {
 		st := ref.sampleStats
@@ -597,7 +556,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("served", float64(served))
 	res.set("timeouts", float64(timeouts))
 	res.set("timeout_rate", timeoutRate)
-	res.set("errors", float64(errs))
+	res.set("errors", float64(det.errors))
 	res.set("goodput_rps", goodput)
 	res.set("p50_ms", ref.overall.QuantileMS(0.50))
 	res.set("p99_ms", ref.overall.QuantileMS(0.99))
@@ -605,9 +564,9 @@ func runExtServe(scale Scale) (*Result, error) {
 	for ph, name := range servePhases {
 		res.set("p999_ms_"+name, ref.phases[ph].QuantileMS(0.999))
 	}
-	res.set("migrations", float64(migrations))
-	res.set("windows", float64(ref.det.Windows))
-	res.set("cross_msgs", float64(ref.det.CrossMsgs))
+	res.set("migrations", float64(det.migrations))
+	res.set("windows", float64(det.windows))
+	res.set("cross_msgs", float64(det.crossMsgs))
 	res.set("events", float64(res.EventsProcessed))
 	return res, nil
 }

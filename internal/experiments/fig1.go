@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/runpar"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -48,8 +46,8 @@ func fig1Config(scale Scale) fig1Cfg {
 	return cfg
 }
 
-// fig1Stats is one mode's outcome. A memoized one is shared by every
-// caller of its key, so its series and log are read-only.
+// fig1Stats is one run's outcome. A memoized one is shared by every
+// caller of its spec, so its series and log are read-only.
 type fig1Stats struct {
 	goodputPct float64 // achieved / ideal over the stats window
 	migrations int64
@@ -57,80 +55,32 @@ type fig1Stats struct {
 	migMaxMs   float64
 	reactMeanM float64 // mean ms from antagonist flip to >50% goodput
 	perMachine [2]*metrics.BucketSeries
-	events     uint64   // kernel events executed in this mode's run
 	trace      *obs.Log // control-plane trace, rendered only where reported
 }
 
-// fig1Run runs one of fig1's own modes on the default system. Its
-// quicksand mode is the run -trace-dir exports as fig1.trace.json.
-func fig1Run(cfg fig1Cfg, mode string) (fig1Stats, error) {
-	return fig1Cached(cfg, mode, core.DefaultConfig(), mode == "quicksand" && traceDir != "")
+// fig1Spec is one fig1-family run: one of fig1's own modes, or the
+// Quicksand mode under a scheduler ablation's system config (abl-sched,
+// abl-granularity, abl-reactor). traced is fig1's own quicksand run
+// when a trace directory is set, exported as fig1.trace.json.
+type fig1Spec struct {
+	cfg    fig1Cfg
+	mode   string
+	sys    core.Config
+	traced bool
 }
 
-// fig1RunWith runs the Quicksand mode with a mutated system config
-// (scheduler ablations). It is never traced.
-func fig1RunWith(cfg fig1Cfg, mutate func(*core.Config)) (fig1Stats, error) {
-	sysCfg := core.DefaultConfig()
-	mutate(&sysCfg)
-	return fig1Cached(cfg, "quicksand", sysCfg, false)
+func (s fig1Spec) tracing() bool { return s.traced }
+
+func (s fig1Spec) run() (fig1Stats, uint64, error) {
+	return fig1RunFull(s.cfg, s.mode, s.sys, s.traced, (*core.ComputeProclet).RunCompute)
 }
 
-// fig1Key is every input of a memoized fig1RunFull. The base seed and
-// worker count do not move its outcome; they keep each seed and -par
-// pass of the golden table simulating on its own.
-type fig1Key struct {
-	cfg     fig1Cfg
-	mode    string
-	sys     core.Config
-	seed    int64
-	workers int
-}
-
-// fig1Entry is one memoized run; done closes when st and err are set.
-type fig1Entry struct {
-	done chan struct{}
-	st   fig1Stats
-	err  error
-}
-
-// fig1Memo memoizes the fig1-family runs of this process: fig1's
-// quicksand mode is also abl-sched's two-level row and abl-reactor's
-// 200µs row, and each is simulated once. misses counts the runs
-// simulated through it.
-type fig1Memo struct {
-	sync.Mutex
-	runs   map[fig1Key]*fig1Entry
-	misses int
-}
-
-var fig1Runs = fig1Memo{runs: make(map[fig1Key]*fig1Entry)}
-
-// fig1Cached returns the run of (cfg, mode, sysCfg) from the memo,
-// simulating it on the first call; concurrent callers of one key wait
-// for that one run. A traced run bypasses the memo, since tracing adds
-// kernel events and writes a file.
-func fig1Cached(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool) (fig1Stats, error) {
-	if traced {
-		return fig1RunFull(cfg, mode, sysCfg, true, (*core.ComputeProclet).RunCompute)
-	}
-	key := fig1Key{cfg: cfg, mode: mode, sys: sysCfg, seed: baseSeed, workers: workers()}
-	fig1Runs.Lock()
-	e, ok := fig1Runs.runs[key]
-	if !ok {
-		e = &fig1Entry{done: make(chan struct{})}
-		fig1Runs.runs[key] = e
-		fig1Runs.misses++
-	}
-	fig1Runs.Unlock()
-	if !ok {
-		// Closed even if the run panics, so no waiter hangs the runpar
-		// pass that re-panics.
-		defer close(e.done)
-		e.st, e.err = fig1RunFull(cfg, mode, sysCfg, false, (*core.ComputeProclet).RunCompute)
-		return e.st, e.err
-	}
-	<-e.done
-	return e.st, e.err
+// fig1With is the untraced Quicksand-mode run of cfg on the default
+// system config as mutate changes it (the scheduler ablations).
+func fig1With(cfg fig1Cfg, mutate func(*core.Config)) fig1Spec {
+	sys := core.DefaultConfig()
+	mutate(&sys)
+	return fig1Spec{cfg: cfg, mode: "quicksand", sys: sys}
 }
 
 // fig1RunFull runs one mode on a system built from sysCfg; traced
@@ -139,7 +89,7 @@ func fig1Cached(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool) (fig1
 // reaches a compute proclet: RunCompute, except in the test that holds
 // RunCompute to its blocking twin.
 func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
-	enqueue func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn)) (fig1Stats, error) {
+	enqueue func(cp *core.ComputeProclet, work time.Duration, fn core.TaskFn)) (fig1Stats, uint64, error) {
 	machines := []cluster.MachineConfig{
 		{Cores: cfg.cores, MemBytes: 32 << 30},
 		{Cores: cfg.cores, MemBytes: 32 << 30},
@@ -183,7 +133,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 		sys.Start()
 		pool, err := sys.NewPool("filler", cfg.workersPer, cfg.members, 1, cfg.members)
 		if err != nil {
-			return st, err
+			return st, 0, err
 		}
 		for _, m := range pool.Members() {
 			for w := 0; w < 2*cfg.workersPer; w++ {
@@ -195,7 +145,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 		for i := 0; i < cfg.members; i++ {
 			cp, err := core.NewComputeProcletOn(sys, fmt.Sprintf("pinned-%d", i), 0, cfg.workersPer)
 			if err != nil {
-				return st, err
+				return st, 0, err
 			}
 			sys.Sched.Pin(cp.ID())
 			for w := 0; w < 2*cfg.workersPer; w++ {
@@ -206,14 +156,14 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 		// VM-grained filler: monolithic state, slow monitor.
 		ca, err := baseline.NewCoarseApp(sys, "vm-filler", 0, cfg.members, cfg.coarseGB, 250*time.Millisecond)
 		if err != nil {
-			return st, err
+			return st, 0, err
 		}
 		ca.StartMonitor()
 		for i := 0; i < 2*cfg.members; i++ {
 			feed(ca.Compute())
 		}
 	default:
-		return st, fmt.Errorf("fig1: unknown mode %q", mode)
+		return st, 0, fmt.Errorf("fig1: unknown mode %q", mode)
 	}
 
 	k.RunUntil(cfg.horizon)
@@ -268,14 +218,13 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 		}
 		st.reactMeanM = sum / float64(len(reacts))
 	}
-	st.events = k.EventsProcessed()
 	st.trace = sys.Trace
 	if traced {
 		if err := maybeExportTrace("fig1", sys); err != nil {
-			return st, err
+			return st, 0, err
 		}
 	}
-	return st, nil
+	return st, k.EventsProcessed(), nil
 }
 
 func runFig1(scale Scale) (*Result, error) {
@@ -286,15 +235,16 @@ func runFig1(scale Scale) (*Result, error) {
 	res.addf("filler: %d compute proclets x 1 worker, %v work units; horizon %v",
 		cfg.members, cfg.unit, cfg.horizon)
 	res.addf("%-10s %14s %12s %14s %14s %12s", "mode", "goodput[%ideal]", "migrations", "mig mean[ms]", "mig max[ms]", "react[ms]")
-	// The three modes are independent simulations on independent
-	// kernels; run them across host cores and merge in mode order.
 	modes := []string{"quicksand", "pinned", "coarse"}
-	stats, err := runpar.MapErr(len(modes), parallelism, func(i int) (fig1Stats, error) {
-		return fig1Run(cfg, modes[i])
-	})
+	specs := make([]fig1Spec, len(modes))
+	for i, mode := range modes {
+		specs[i] = fig1Spec{cfg: cfg, mode: mode, sys: core.DefaultConfig(), traced: mode == "quicksand" && traceDir != ""}
+	}
+	stats, events, err := simulate(specs)
 	if err != nil {
 		return nil, err
 	}
+	res.EventsProcessed = events
 	for i, mode := range modes {
 		st := stats[i]
 		res.addf("%-10s %14.1f %12d %14.3f %14.3f %12.2f",
@@ -303,7 +253,6 @@ func runFig1(scale Scale) (*Result, error) {
 		res.set(mode+".migrations", float64(st.migrations))
 		res.set(mode+".mig_mean_ms", st.migMeanMs)
 		res.set(mode+".react_ms", st.reactMeanM)
-		res.EventsProcessed += st.events
 		res.Trace = append(res.Trace, st.trace.Lines()...)
 		// Plot-ready series: per-machine goodput in units/ms, 1 ms
 		// buckets — the data behind the paper's Figure 1 plot.

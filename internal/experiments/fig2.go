@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dtp"
-	"repro/internal/runpar"
 	"repro/internal/sharded"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -85,18 +84,30 @@ func fig2Config(scale Scale) fig2Cfg {
 	}
 }
 
+// fig2Images is the corpus every run of fig2 preprocesses.
+func fig2Images(cfg fig2Cfg) []workload.Image {
+	return workload.GenImages(rand.New(rand.NewSource(seeded(42))), cfg.images, cfg.meanBytes, cfg.meanCPU, cfg.spread)
+}
+
 // fig2Outcome reports one configuration's pipeline run.
 type fig2Outcome struct {
 	completion sim.Time
 	shards     int
 	procSplit  []int // compute proclets per machine at completion
-	events     uint64
 }
 
-// fig2Pipeline runs the Quicksand preprocessing pipeline on the given
-// machine set and returns the preprocessing completion time (load
-// phase excluded, as in the paper's in-memory setup).
-func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload.Image) (fig2Outcome, error) {
+// fig2Spec is one row of fig2: the Quicksand preprocessing pipeline on
+// one machine split. Its outcome's completion time excludes the load
+// phase, as in the paper's in-memory setup.
+type fig2Spec struct {
+	scale Scale
+	row   int
+}
+
+func (s fig2Spec) run() (fig2Outcome, uint64, error) {
+	cfg := fig2Config(s.scale)
+	row := cfg.rows[s.row]
+	machines, imgs := row.machines, fig2Images(cfg)
 	var out fig2Outcome
 	sysCfg := core.DefaultConfig()
 	sysCfg.Seed = seeded(sysCfg.Seed)
@@ -110,11 +121,11 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 	}
 	vec, err := sharded.NewVector[workload.Image](sys, "images", opts)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 	queue, err := sharded.NewQueue[workload.Batch](sys, "batches", opts)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 	gpus := workload.NewGPUPool(queue, 0, cfg.gpuBatch, cfg.gpus)
 	gpus.Start(sys.K)
@@ -125,7 +136,7 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 	}
 	pool, err := sys.NewPool("preproc", 1, totalCores, 1, totalCores)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 
 	var runErr error
@@ -162,43 +173,36 @@ func fig2Pipeline(cfg fig2Cfg, machines []cluster.MachineConfig, imgs []workload
 	})
 	sys.K.Run()
 	if runErr != nil {
-		return out, runErr
+		return out, 0, fmt.Errorf("fig2 %s: %w", row.name, runErr)
 	}
 	if !done {
-		return out, fmt.Errorf("fig2: pipeline did not complete (deadlock?)")
+		return out, 0, fmt.Errorf("fig2 %s: pipeline did not complete (deadlock?)", row.name)
 	}
-	out.events = sys.K.EventsProcessed()
-	return out, nil
+	return out, sys.K.EventsProcessed(), nil
 }
 
 func runFig2(scale Scale) (*Result, error) {
 	cfg := fig2Config(scale)
-	imgs := workload.GenImages(rand.New(rand.NewSource(seeded(42))), cfg.images, cfg.meanBytes, cfg.meanCPU, cfg.spread)
+	imgs := fig2Images(cfg)
 	res := newResult("fig2", "Figure 2: preprocessing time parity across imbalanced machine splits")
 	res.addf("corpus: %d images, %.1f GiB, %.0f core-seconds of preprocessing",
 		cfg.images, float64(workload.TotalBytes(imgs))/(1<<30), workload.TotalCPU(imgs))
 	res.addf("%-16s %-28s %10s %9s %8s %s",
 		"config", "machines", "time[s]", "vs base", "shards", "compute split")
 
-	// Each machine-split configuration is an independent simulation on
-	// its own kernel; fan them out across host cores. Results are
-	// consumed strictly in row order (the baseline ratio demands it),
-	// never in completion order.
-	outs, err := runpar.MapErr(len(cfg.rows), parallelism, func(i int) (fig2Outcome, error) {
-		out, err := fig2Pipeline(cfg, cfg.rows[i].machines, imgs)
-		if err != nil {
-			return out, fmt.Errorf("fig2 %s: %w", cfg.rows[i].name, err)
-		}
-		return out, nil
-	})
+	specs := make([]fig2Spec, len(cfg.rows))
+	for i := range specs {
+		specs[i] = fig2Spec{scale, i}
+	}
+	outs, events, err := simulate(specs)
 	if err != nil {
 		return nil, err
 	}
+	res.EventsProcessed = events
 
 	var baseSec float64
 	for i, row := range cfg.rows {
 		out := outs[i]
-		res.EventsProcessed += out.events
 		sec := out.completion.Seconds()
 		if row.name == "baseline" {
 			baseSec = sec

@@ -301,14 +301,6 @@ func (t *Tracer) TakeNext() SpanID {
 	return id
 }
 
-// Len returns the number of recorded spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.spans)
-}
-
 // SpansByID returns the spans in ascending ID order. When the spans
 // are already ordered (the common case: one live tracer) the
 // underlying slice is returned without copying.
@@ -370,7 +362,9 @@ func (t *Tracer) LastOpen(kinds ...string) SpanID {
 func Concat(tracers ...*Tracer) *Tracer {
 	total := 0
 	for _, t := range tracers {
-		total += t.Len()
+		if t != nil {
+			total += len(t.spans)
+		}
 	}
 	out := &Tracer{pos: make(map[SpanID]int, total)}
 	out.spans = make([]Span, 0, total)

@@ -29,7 +29,7 @@ func TestNilTracerSafe(t *testing.T) {
 	if tr.TakeNext() != 0 {
 		t.Error("nil TakeNext must be 0")
 	}
-	if tr.Len() != 0 || tr.SpansByID() != nil || tr.Span(1) != nil {
+	if len(tr.SpansByID()) != 0 || tr.SpansByID() != nil || tr.Span(1) != nil {
 		t.Error("nil tracer must hold nothing")
 	}
 }
@@ -394,7 +394,7 @@ func TestAnalyzeReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	rp := Analyze(recs)
-	if rp.Spans != tr.Len() || rp.Samples == 0 {
+	if rp.Spans != len(tr.SpansByID()) || rp.Samples == 0 {
 		t.Errorf("report counts: %d spans %d samples", rp.Spans, rp.Samples)
 	}
 	if len(rp.Migrations) != 1 {

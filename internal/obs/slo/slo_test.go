@@ -269,8 +269,8 @@ func TestFilterKeepsTailErrAndHead(t *testing.T) {
 	if st.Kept >= st.Trees {
 		t.Errorf("sampling kept everything (%d/%d)", st.Kept, st.Trees)
 	}
-	if st.KeptSpans != sampled.Len() {
-		t.Errorf("KeptSpans = %d but tracer holds %d", st.KeptSpans, sampled.Len())
+	if st.KeptSpans != len(sampled.SpansByID()) {
+		t.Errorf("KeptSpans = %d but tracer holds %d", st.KeptSpans, len(sampled.SpansByID()))
 	}
 
 	// Subset property: every sampled span is byte-identical to the full
