@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -26,13 +25,9 @@ func wireNS(cfg Config, bytes int64) time.Duration {
 // message's wire time, in integer nanoseconds computed from the Config
 // alone. Checked on the default fabric, the unit-test fabric and one
 // whose every constant is odd, for fixed sizes from empty to 100 MB and
-// 200 seeded draws below 1 GiB per fabric.
-//
-// The fabric computes a wire time as a float64 quotient and truncates
-// it, which lands 1 ns off the closed form for a few sizes in a
-// thousand. That is ROADMAP item 2's to fix, since it moves simulated
-// output: the test fails on any other difference and otherwise skips,
-// naming the sizes.
+// 200 seeded draws below 1 GiB per fabric. A wire time computed as a
+// truncated float64 quotient lands 1 ns off for a few sizes in a
+// thousand, and fails here.
 func TestIdleCallCostIsClosedForm(t *testing.T) {
 	odd := Config{
 		Latency:          3*time.Microsecond + 7,
@@ -41,7 +36,6 @@ func TestIdleCallCostIsClosedForm(t *testing.T) {
 		MsgOverheadBytes: 37,
 	}
 	rng := rand.New(rand.NewSource(1))
-	checked, rounded, first := 0, 0, ""
 	for ci, cfg := range []Config{DefaultConfig(), testConfig(), odd} {
 		sizes := []int64{0, 1, 100, 4096, 1 << 20, 100_000_007}
 		for i := 0; i < 200; i++ {
@@ -63,23 +57,11 @@ func TestIdleCallCostIsClosedForm(t *testing.T) {
 			})
 			k.Run()
 			k.Close()
-			want := cfg.RPCOverhead + 2*cfg.Latency + wireNS(cfg, req) + wireNS(cfg, rep)
-			checked++
-			switch d := took - want; {
-			case d == 0:
-			case d >= -2 && d <= 2: // one nanosecond per wire term at most
-				if rounded++; first == "" {
-					first = fmt.Sprintf("config %d: %d-byte request, %d-byte reply: %d ns, closed form %d ns", ci, req, rep, took, want)
-				}
-			default:
+			if want := cfg.RPCOverhead + 2*cfg.Latency + wireNS(cfg, req) + wireNS(cfg, rep); took != want {
 				t.Errorf("config %d, %d-byte request, %d-byte reply: idle call took %d ns, closed form %d ns (overhead %v + 2 x %v + wire %v + %v)",
 					ci, req, rep, took, want, cfg.RPCOverhead, cfg.Latency, wireNS(cfg, req), wireNS(cfg, rep))
 			}
 		}
-	}
-	if rounded > 0 {
-		t.Skipf("ROADMAP item 2: simnet's wireTime truncates a float64 quotient, so %d of %d calls are 1 ns per message off the closed form (first: %s)",
-			rounded, checked, first)
 	}
 }
 

@@ -20,6 +20,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/metrics"
@@ -383,10 +384,14 @@ func (n *Node) entry(method string) *methodEntry {
 	return e
 }
 
-// wireTime returns how long size payload bytes occupy a NIC direction.
+// wireTime returns how long size payload bytes occupy a NIC direction:
+// the bytes plus the per-message header at line rate, truncated to whole
+// nanoseconds. The product is taken in 128 bits, so it is exact for any
+// size a machine can hold.
 func (f *Fabric) wireTime(size int64) time.Duration {
-	total := size + f.cfg.MsgOverheadBytes
-	return time.Duration(float64(total) / float64(f.cfg.Bandwidth) * 1e9)
+	hi, lo := bits.Mul64(uint64(size+f.cfg.MsgOverheadBytes), uint64(time.Second))
+	q, _ := bits.Div64(hi, lo, uint64(f.cfg.Bandwidth))
+	return time.Duration(q)
 }
 
 // deliveryTime reserves NIC time on both ends and returns the absolute
