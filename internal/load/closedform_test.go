@@ -1,7 +1,6 @@
 package load
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -66,13 +65,10 @@ func exactZipf(n uint64, theta float64, top int) func(*rand.Rand) uint64 {
 // and 1 are also held alone, each within 5 standard deviations
 // (√(N·p(1−p)) ≈ 766 and 564 draws).
 //
-// The chi-square law fails for Zipf.Sample, and the test skips on it
-// naming the defect: Gray's inversion draws ranks 0 and 1 exactly but
-// ranks 2 and up from a continuous approximation, rank 2 about 20% too
-// often. Ranks 0 and 1 are held regardless. The law itself is shown sound
-// on exactZipf, which it passes, and sharp on exactZipf at θ = 0.98, which
-// it fails; the hand mutation of Sample it fails on (tried) is rank 0
-// taken for uz < 1.01 instead of uz < 1.
+// The law is shown sound on exactZipf, which it passes, and sharp on
+// exactZipf at θ = 0.98, which it fails. Gray's inversion on every rank
+// (Zipf before its head table) fails it too, drawing rank 2 about 20%
+// too often.
 func TestZipfFrequenciesMatchPMF(t *testing.T) {
 	const (
 		n     = 1_000_000
@@ -102,8 +98,8 @@ func TestZipfFrequenciesMatchPMF(t *testing.T) {
 		}
 	}
 	if chi2 > bound {
-		t.Skip(fmt.Sprintf("defect: Zipf.Sample's counts of the top %d ranks are off the pmf, chi-square %.0f > %.0f; "+
-			"rank %d drawn %.3f× its probability (Gray's inversion approximates ranks >= 2)", top, chi2, bound, worst, ratio))
+		t.Errorf("Zipf.Sample's counts of the top %d ranks are off the pmf: chi-square %.0f > %.0f; rank %d drawn %.3f× its probability",
+			top, chi2, bound, worst, ratio)
 	}
 }
 

@@ -17,8 +17,10 @@
 //     window maximum, allocation-free after warm-up, from an injected
 //     per-shard RNG stream.
 //   - Zipf (zipf.go): O(1) skewed key sampling with zero allocations
-//     on the sample path. Where 1/(1−theta) is within 1e-12 of an
-//     integer k (every skew in use), a draw takes x^k by repeated
+//     on the sample path. The 1,024 most popular ranks are drawn by
+//     exact inversion of the pmf, from a guide into a table of its
+//     cumulative sums. Past them, where 1/(1−theta) is within 1e-12 of
+//     an integer k (every skew in use), a draw takes x^k by repeated
 //     squaring and falls back to math.Pow only within a guard band of a
 //     rank boundary, so every rank is the one math.Pow gives.
 //   - Injector (inject.go): batched shard-local injection — arrivals

@@ -7,17 +7,22 @@ import (
 	"sync/atomic"
 )
 
-// Zipf samples ranks in [0, n) with P(rank=i) ∝ 1/(i+1)^theta in O(1)
-// per sample using Gray's rejection-free inversion (the "quickly
-// generating billion-record synthetic databases" generator, as adopted
-// by YCSB). All per-sample work is a handful of float operations
-// against precomputed constants — no tables, no allocations — so a
-// skewed popularity distribution over tens of millions of keys costs
-// the same as one over a hundred.
+// Zipf samples ranks in [0, n) with P(rank=i) ∝ 1/(i+1)^theta. A draw
+// below the head cut (the zipfHead most popular ranks) is exact: it
+// inverts the pmf's cumulative sums, a table buildZipf fills with the
+// same summation zeta starts with. Past the cut it uses Gray's
+// rejection-free inversion (the "quickly generating billion-record
+// synthetic databases" generator, as adopted by YCSB), a handful of
+// float operations against precomputed constants, which approximates
+// the pmf closely far from the head but draws rank 2 about 20% too
+// often at theta 0.99. So a skewed popularity distribution over tens of
+// millions of keys costs one table of at most zipfHead sums, and no
+// allocation per draw.
 //
-// The inversion raises x to alpha = 1/(1−theta). For every skew in use
-// (0.9, 0.99, 0.75, 0.5) alpha is within 1e-12 of an integer, and rank
-// takes that power by repeated squaring, not math.Pow's Exp and Log.
+// Gray's inversion raises x to alpha = 1/(1−theta). For every skew in
+// use (0.9, 0.99, 0.75, 0.5) alpha is within 1e-12 of an integer, and
+// rank takes that power by repeated squaring, not math.Pow's Exp and
+// Log.
 //
 // A Zipf is immutable after construction and holds no RNG: the stream
 // is injected per call, so one shared Zipf serves every shard of a
@@ -31,6 +36,13 @@ type Zipf struct {
 	zetan float64
 	eta   float64
 	zeta2 float64
+	// head[i] is Σ_{j=1..i+1} j^-theta, for the first min(n, zipfHead)
+	// ranks: rank i is drawn when head[i-1] <= u·zetan < head[i].
+	head []float64
+	// guide[⌊u·zetan·perStep⌋] is the first rank whose head sum passes
+	// the start of u's bucket: a head draw scans from there.
+	guide   []uint16
+	perStep float64
 	// k and guard are the integer-power fast path: k is the integer
 	// alpha rounds to (0 when alpha is not within 1e-12 of one), guard
 	// the relative distance from an integer inside which rank falls back
@@ -38,6 +50,9 @@ type Zipf struct {
 	k     uint64
 	guard float64
 }
+
+// zipfHead is the head cut: the ranks drawn by exact inversion.
+const zipfHead = 1024
 
 // Fast-path limits: alpha may be this far from its integer k, and k at
 // most this large. The distance bounds the guard (under 6.5e-11 of a
@@ -91,13 +106,29 @@ var zipfMemo sync.Map
 // is summed once.
 var zipfBuilds atomic.Int64
 
-// buildZipf is the un-memoised constructor: two zeta summations and the
-// constants derived from them.
+// buildZipf is the un-memoised constructor: two zeta summations, the
+// head table, and the constants derived from them.
 func buildZipf(n uint64, theta float64) *Zipf {
 	zipfBuilds.Add(1)
-	z := &Zipf{n: n, theta: theta}
+	z := &Zipf{n: n, theta: theta, head: make([]float64, min(n, zipfHead))}
 	z.zetan = zeta(n, theta)
 	z.zeta2 = zeta(2, theta)
+	// The head's sums are added in zeta's order, so the last is zeta's
+	// partial sum there, bit for bit.
+	var sum float64
+	for i := range z.head {
+		sum += math.Pow(float64(i+1), -theta)
+		z.head[i] = sum
+	}
+	z.perStep = float64(len(z.head)) / sum
+	z.guide = make([]uint16, len(z.head)+1)
+	i := 0
+	for j := range z.guide {
+		for i < len(z.head)-1 && z.head[i] <= float64(j)/z.perStep {
+			i++
+		}
+		z.guide[j] = uint16(i)
+	}
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
 	// Split alpha as math.Pow does: Pow(x, alpha) is Exp(yf·Log(x)) times
@@ -146,8 +177,10 @@ func (z *Zipf) Sample(rng *rand.Rand) uint64 {
 	return z.rank(rng.Float64())
 }
 
-// rank maps a uniform u in [0, 1) to its rank: ⌊n·x^alpha⌋ with
-// x = eta·u − eta + 1, clamped to n−1.
+// rank maps a uniform u in [0, 1) to its rank. Below the head cut it
+// is the first i with u·zetan < head[i]. Past it, it is Gray's
+// ⌊n·x^alpha⌋ with x = eta·u − eta + 1, clamped to [len(head), n−1]
+// (to n−1 when the head holds every rank).
 //
 // With an integer k, v = n·x^k differs from n·Pow(x, alpha) only by the
 // factor x^(alpha−k), within |alpha−k|·|ln x| of 1, and by the roundings
@@ -155,16 +188,24 @@ func (z *Zipf) Sample(rng *rand.Rand) uint64 {
 // x^alpha ≥ 2/n, so |ln x| ≤ (1−theta)·ln(n/2) < 44 and the two differ
 // by less than guard·v. When v is farther than that from an integer,
 // both floor to the same rank; inside that band, and for an alpha with
-// no k, rank evaluates math.Pow itself. Every rank is therefore the one
-// n·Pow(x, alpha) gives on the same host (TestZipfRankMatchesPow).
+// no k, rank evaluates math.Pow itself. Every rank past the cut is
+// therefore the one n·Pow(x, alpha) gives on the same host
+// (TestZipfRankMatchesPow).
 func (z *Zipf) rank(u float64) uint64 {
 	uz := u * z.zetan
-	if uz < 1 {
-		return 0
+	if h := z.head; uz < h[len(h)-1] {
+		// The guide's start is within a rounding of the bucket's; the
+		// scan is exact from any start.
+		i := int(z.guide[int(uz*z.perStep)])
+		for i > 0 && uz < h[i-1] {
+			i--
+		}
+		for uz >= h[i] {
+			i++
+		}
+		return uint64(i)
 	}
-	if uz < z.zeta2 {
-		return 1
-	}
+	cut := min(uint64(len(z.head)), z.n-1)
 	x := float64(z.eta*u) - z.eta + 1
 	if z.k != 0 {
 		p, s := 1.0, x
@@ -177,10 +218,10 @@ func (z *Zipf) rank(u float64) uint64 {
 		v := float64(float64(z.n) * p)
 		r := uint64(v)
 		if f, band := v-float64(r), z.guard*v; f > band && 1-f > band {
-			return min(r, z.n-1)
+			return max(min(r, z.n-1), cut)
 		}
 	}
-	return min(uint64(float64(z.n)*math.Pow(x, z.alpha)), z.n-1)
+	return max(min(uint64(float64(z.n)*math.Pow(x, z.alpha)), z.n-1), cut)
 }
 
 // ScrambleKey maps a popularity rank to a pseudo-random but stable key

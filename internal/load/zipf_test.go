@@ -3,6 +3,8 @@ package load
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -31,6 +33,9 @@ func sameBits(t *testing.T, what string, got, want *Zipf) {
 	}
 	if got.n != want.n || got.k != want.k {
 		t.Fatalf("%s: n, k = %d, %d, want %d, %d", what, got.n, got.k, want.n, want.k)
+	}
+	if !slices.Equal(got.head, want.head) {
+		t.Fatalf("%s n=%d theta=%g: head table differs from the un-memoised one", what, want.n, want.theta)
 	}
 	for _, f := range fields {
 		if math.Float64bits(f.got) != math.Float64bits(f.want) {
@@ -139,22 +144,16 @@ func TestNewZipfRejectsOutOfRangeTheta(t *testing.T) {
 	}
 }
 
-// powRank is Sample as it stood before the integer-power fast path:
-// Gray's inversion with the power taken by math.Pow on every draw. It is
-// the reference every rank is held to.
+// powRank is Sample with every power taken by math.Pow: the head by
+// exact inversion (sort.Search over the same sums), the rest by Gray's
+// inversion. It is the reference every rank is held to.
 func powRank(z *Zipf, u float64) uint64 {
 	uz := u * z.zetan
-	if uz < 1 {
-		return 0
-	}
-	if uz < z.zeta2 {
-		return 1
+	if h := z.head; uz < h[len(h)-1] {
+		return uint64(sort.Search(len(h), func(i int) bool { return uz < h[i] }))
 	}
 	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if r >= z.n {
-		r = z.n - 1
-	}
-	return r
+	return max(min(r, z.n-1), min(uint64(len(z.head)), z.n-1))
 }
 
 // rankPairs is the (n, theta) grid rank is checked on. The thetas are
@@ -208,12 +207,15 @@ func boundaryRanks(z *Zipf, rng *rand.Rand) []float64 {
 // within 40 ulps of each probed rank boundary, where the integer power
 // and math.Pow are likeliest to floor differently. The boundary draws
 // catch each of these hand mutations of rank and buildZipf:
-//   - guard 0 (the fast path floors inside the band too): 344 and 1,707
+//   - guard 0 (the fast path floors inside the band too): 75 and 410
 //     mismatches at (2²⁰, 0.9) and (10⁷, 0.99), none at an exact alpha;
 //   - no yi++ when yf > 0.5 (theta 0.99 squares to x^99, not x^100):
-//     884,286 at (2²⁰, 0.99);
-//   - no fallback (the fast floor is returned inside the band): 371 and
-//     1,707.
+//     510,108 at (2²⁰, 0.99);
+//   - no fallback (the fast floor is returned inside the band): 90 and
+//     410.
+//
+// Ranks in the head table are drawn by neither power, so they are held
+// to sort.Search over the same sums.
 func TestZipfRankMatchesPow(t *testing.T) {
 	const draws = 1_000_000
 	for _, p := range rankPairs() {

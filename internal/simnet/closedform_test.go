@@ -168,7 +168,9 @@ func TestNICQueueIsMD1(t *testing.T) {
 // arrival on, so the healthy message queues behind a message that has not
 // arrived. That is ROADMAP item 2(ii)'s to fix, since it moves simulated
 // output: the test fails on any other outcome and otherwise skips,
-// naming it.
+// naming it. The fix waits for 2(iii): with the spike charged after the
+// NIC is released, ext-chaos's full-scale RF=2 run falsely confirms a
+// machine and promotes a backup whose resync snapshot never landed.
 func TestExtraLatencyAddsToPropagationOnly(t *testing.T) {
 	cfg := DefaultConfig()
 	const size = 12436
