@@ -96,10 +96,10 @@ type zipfKey struct {
 }
 
 // zipfMemo holds every sampler this process has built, zipfKey →
-// *Zipf. It has no eviction and no size cap on purpose: an entry is tens
-// of bytes of constants and costs a full zeta summation (≈ 3.5 ms at n ≥
-// zetaExactMax) to create, so the table cannot grow faster than about
-// 15 KB per CPU-second spent filling it.
+// *Zipf. It has no eviction and no size cap on purpose: an entry is at
+// most ~10 KB (the head table and its guide) and costs a full zeta
+// summation (≈ 3.5 ms at n ≥ zetaExactMax) to create, so the table
+// cannot grow faster than about 3 MB per CPU-second spent filling it.
 var zipfMemo sync.Map
 
 // zipfBuilds counts buildZipf calls, for the test that a repeated pair
