@@ -90,10 +90,9 @@ func (t *sourceTree) load(dir string) (*sourcePkg, error) {
 		return nil, err
 	}
 	p := &sourcePkg{dir: dir, info: &types.Info{
-		Types:     make(map[ast.Expr]types.TypeAndValue),
-		Defs:      make(map[*ast.Ident]types.Object),
-		Uses:      make(map[*ast.Ident]types.Object),
-		Instances: make(map[*ast.Ident]types.Instance),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(t.fset, filepath.Join(t.root, dir, name), nil, 0)
@@ -515,26 +514,6 @@ func funcCensus(t *sourceTree) (gate, error) {
 			}
 			if e := out[f.Origin()]; e != nil && (id.Pos() < e.decl.Pos() || id.Pos() >= e.decl.End()) {
 				e.used = true
-			}
-		}
-		// A generic function calls the methods of its type parameters'
-		// constraints, so each instantiation uses those methods of its
-		// type arguments.
-		for id, inst := range p.info.Instances {
-			f, ok := p.info.Uses[id].(*types.Func)
-			if !ok {
-				continue
-			}
-			tparams := f.Type().(*types.Signature).TypeParams()
-			for i := 0; i < tparams.Len(); i++ {
-				c := tparams.At(i).Constraint().Underlying().(*types.Interface)
-				for j := 0; j < c.NumMethods(); j++ {
-					m := c.Method(j)
-					obj, _, _ := types.LookupFieldOrMethod(inst.TypeArgs.At(i), true, m.Pkg(), m.Name())
-					if mf, ok := obj.(*types.Func); ok && out[mf.Origin()] != nil {
-						out[mf.Origin()].used = true
-					}
-				}
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // bytes of state live-migrated between two idle machines.
 type migrationSpec int64
 
-func (s migrationSpec) run() (time.Duration, uint64, error) {
+func (s migrationSpec) run() (any, uint64, error) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 8 << 30},
 		{Cores: 8, MemBytes: 8 << 30},
@@ -47,11 +47,10 @@ func runAblMigration(scale Scale) (*Result, error) {
 	}
 	res := newResult("abl-migration", "migration latency vs proclet state size")
 	res.addf("%-12s %14s", "state", "latency[ms]")
-	lats, events, err := simulate(sizes)
+	lats, err := simulate[time.Duration](res, sizes)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, size := range sizes {
 		ms := float64(lats[i]) / 1e6
 		res.addf("%-12s %14.3f", byteSize(int64(size)), ms)
@@ -68,7 +67,7 @@ type splitSpec int64
 // splitOut is one abl-split point's outcome.
 type splitOut struct{ splitMs, plainMs float64 }
 
-func (s splitSpec) run() (splitOut, uint64, error) {
+func (s splitSpec) run() (any, uint64, error) {
 	var out splitOut
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 8 << 30},
@@ -115,11 +114,10 @@ func runAblSplit(scale Scale) (*Result, error) {
 	}
 	res := newResult("abl-split", "split latency vs shard size cap")
 	res.addf("%-12s %16s %16s", "shard cap", "split time[ms]", "plain push[ms]")
-	outs, events, err := simulate(caps)
+	outs, err := simulate[splitOut](res, caps)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, cap := range caps {
 		res.addf("%-12s %16.3f %16.3f", byteSize(int64(cap)), outs[i].splitMs, outs[i].plainMs)
 		res.set(fmt.Sprintf("split_ms.%d", cap), outs[i].splitMs)
@@ -137,7 +135,7 @@ type prefetchSpec struct{ elems, batch int }
 const prefetchCompute = 100 * time.Microsecond
 
 // run returns the scan's host-visible seconds.
-func (s prefetchSpec) run() (float64, uint64, error) {
+func (s prefetchSpec) run() (any, uint64, error) {
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 8 << 30},
 		{Cores: 8, MemBytes: 8 << 30},
@@ -195,11 +193,10 @@ func runAblPrefetch(scale Scale) (*Result, error) {
 		elems = 64
 	}
 	res := newResult("abl-prefetch", "iterator prefetch hides remote shard latency")
-	secs, events, err := simulate([]prefetchSpec{{elems, 16}, {elems, 0}})
+	secs, err := simulate[float64](res, []prefetchSpec{{elems, 16}, {elems, 0}})
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	withPf, without := secs[0], secs[1]
 	// Lower bound: pure compute with data already local.
 	ideal := float64(elems) * prefetchCompute.Seconds()
@@ -237,11 +234,10 @@ func runAblSched(scale Scale) (*Result, error) {
 			c.DisableSlowPath = m.disSlow
 		})
 	}
-	stats, events, err := simulate(specs)
+	stats, err := simulate[fig1Stats](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, m := range modes {
 		st := stats[i]
 		res.addf("%-12s %14.1f %12d", m.name, st.goodputPct, st.migrations)
@@ -268,7 +264,7 @@ type localityOut struct {
 	moves     int64 // affinity moves
 }
 
-func (s localitySpec) run() (localityOut, uint64, error) {
+func (s localitySpec) run() (any, uint64, error) {
 	sysCfg := core.DefaultConfig()
 	sysCfg.DisableSlowPath = !s.colocate
 	sys := core.NewSystem(sysCfg, []cluster.MachineConfig{
@@ -320,11 +316,10 @@ func runAblLocality(scale Scale) (*Result, error) {
 		horizon = sim.Time(400 * time.Millisecond)
 	}
 	res := newResult("abl-locality", "affinity colocation for chatty proclet pairs")
-	outs, events, err := simulate([]localitySpec{{horizon, true}, {horizon, false}})
+	outs, err := simulate[localityOut](res, []localitySpec{{horizon, true}, {horizon, false}})
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	with, without, moves := outs[0].opsPerSec, outs[1].opsPerSec, outs[0].moves
 	res.addf("%-16s %14s %14s", "mode", "ops/sec", "affinity moves")
 	res.addf("%-16s %14.0f %14d", "colocation on", with, moves)
@@ -361,11 +356,10 @@ func runAblGranularity(scale Scale) (*Result, error) {
 			c.ComputeProcletHeap = totalState / int64(members)
 		})
 	}
-	stats, events, err := simulate(specs)
+	stats, err := simulate[fig1Stats](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, members := range memberCounts {
 		st := stats[i]
 		label := fmt.Sprintf("%d x %dw x %s", members, specs[i].cfg.workersPer, byteSize(specs[i].sys.ComputeProcletHeap))
@@ -399,11 +393,10 @@ func runAblReactor(scale Scale) (*Result, error) {
 	for i, period := range periods {
 		specs[i] = fig1With(base, func(c *core.Config) { c.LocalPeriod = period })
 	}
-	stats, events, err := simulate(specs)
+	stats, err := simulate[fig1Stats](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, period := range periods {
 		st := stats[i]
 		res.addf("%-12v %14.1f %12d", period, st.goodputPct, st.migrations)
@@ -429,7 +422,7 @@ type postcopyOut struct {
 	penalties  int64
 }
 
-func (s postcopySpec) run() (postcopyOut, uint64, error) {
+func (s postcopySpec) run() (any, uint64, error) {
 	var o postcopyOut
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: 8 << 30},
@@ -498,11 +491,10 @@ func runAblPostcopy(scale Scale) (*Result, error) {
 	for _, size := range sizes {
 		specs = append(specs, postcopySpec{size, false}, postcopySpec{size, true})
 	}
-	outs, events, err := simulate(specs)
+	outs, err := simulate[postcopyOut](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, size := range sizes {
 		pre, post := outs[2*i], outs[2*i+1]
 		res.addf("%-10s %16.3f %17.3f %16.3f %16d",

@@ -393,64 +393,14 @@ func TestFig1RunComputeMatchesBlockingUnit(t *testing.T) {
 var paperFigs = []string{"fig1", "fig3", "abl-migration", "abl-split", "abl-prefetch", "abl-sched",
 	"abl-locality", "abl-granularity", "abl-reactor", "abl-postcopy", "ext-harvest"}
 
-// rerun simulates a spec the memo holds afresh, bypassing the memo.
-func rerun(t *testing.T, s any) (any, uint64, error) {
-	t.Helper()
-	switch s := s.(type) {
-	case fig1Spec:
-		return fresh(s)
-	case fig2Spec:
-		return fresh(s)
-	case migrationSpec:
-		return fresh(s)
-	case splitSpec:
-		return fresh(s)
-	case prefetchSpec:
-		return fresh(s)
-	case localitySpec:
-		return fresh(s)
-	case postcopySpec:
-		return fresh(s)
-	case harvestSpec:
-		return fresh(s)
-	case tieringSpec:
-		return fresh(s)
-	case extGPUSpec:
-		return fresh(s)
-	case chaosSpec:
-		return fresh(s)
-	case failoverSpec:
-		return fresh(s)
-	case gpufleetSpec:
-		return fresh(s)
-	}
-	t.Fatalf("no fresh run for a %T", s)
-	return nil, 0, nil
-}
-
-func fresh[S spec[O], O any](s S) (any, uint64, error) {
-	out, events, err := s.run()
-	return out, events, err
-}
-
-// fig1Runs counts the fig1-family specs in the memo.
-func fig1Runs() int {
-	n := 0
-	for s := range memo.runs {
-		if _, ok := s.(fig1Spec); ok {
-			n++
-		}
-	}
-	return n
-}
-
 // TestRunMemoMatchesFreshRun: a TestScale pass of the paper-figs
 // experiments simulates 26 distinct specs, each once; fig3 is a single
-// run and bypasses the memo. 11 of them are the fig1 family: fig1's
-// three modes, abl-sched's two rows besides two-level, abl-granularity's
-// four heaps and abl-reactor's two periods besides 200µs. Every run the
-// memo holds is reflect.DeepEqual, events included, to a fresh run of
-// its spec, series and control-plane log included.
+// run and bypasses the executor. 11 of them are the fig1 family, the
+// memo's: fig1's three modes, abl-sched's two rows besides two-level,
+// abl-granularity's four heaps and abl-reactor's two periods besides
+// 200µs. Every run the memo holds is reflect.DeepEqual, events
+// included, to a fresh run of its spec, series and control-plane log
+// included.
 func TestRunMemoMatchesFreshRun(t *testing.T) {
 	defer memo.reset()
 	memo.reset()
@@ -459,17 +409,40 @@ func TestRunMemoMatchesFreshRun(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 	}
-	if n := len(memo.runs); n != 26 || memo.misses != 26 || fig1Runs() != 11 {
-		t.Errorf("memo holds %d runs (%d of fig1's family) after %d misses, want 26 (11) after 26", n, fig1Runs(), memo.misses)
+	if n := len(memo.runs); n != 11 || memo.misses != 26 {
+		t.Errorf("memo holds %d fig1-family runs after %d misses, want 11 after 26", n, memo.misses)
 	}
 	for s, e := range memo.runs {
-		out, events, err := rerun(t, s)
+		out, events, err := s.run()
 		if err != nil || e.err != nil {
-			t.Fatalf("%T %+v: fresh run %v, memoized %v", s, s, err, e.err)
+			t.Fatalf("%+v: fresh run %v, memoized %v", s, err, e.err)
 		}
 		if events != e.events || !reflect.DeepEqual(out, e.out) {
-			t.Errorf("%T %+v: memoized run (%d events) differs from a fresh one (%d events)", s, s, e.events, events)
+			t.Errorf("%+v: memoized run (%d events) differs from a fresh one (%d events)", s, e.events, events)
 		}
+	}
+}
+
+// TestRunMemoPanic: a memoized run that panics is simulated once, and
+// every caller of its spec, the first and each later one, panics with
+// what the run panicked with. A fig1Cfg with no cores panics in the
+// cluster.
+func TestRunMemoPanic(t *testing.T) {
+	defer memo.reset()
+	memo.reset()
+	bad := fig1Spec{mode: "quicksand", sys: core.DefaultConfig()}
+	for i := 0; i < 2; i++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "cluster: machine needs positive core count" {
+					t.Errorf("call %d panicked with %v, want the run's own panic", i, r)
+				}
+			}()
+			once(bad)
+		}()
+	}
+	if memo.misses != 1 {
+		t.Errorf("%d misses, want the one run", memo.misses)
 	}
 }
 
@@ -478,9 +451,10 @@ func TestRunMemoMatchesFreshRun(t *testing.T) {
 // 1 golden, seed 0. The fig1 family goes first, so fig1's quicksand
 // mode — abl-sched's two-level row, abl-reactor's 200µs row — is asked
 // for by three goroutines together, and each of the family's 11 specs
-// is still simulated once. Under -race this is the executor's data-race
-// check, and the one run of the formerly sequential experiments' specs
-// on parallel workers.
+// is still simulated once: the 16 experiments ask for 48 specs, 46 of
+// them distinct. Under -race this is the executor's data-race check,
+// and the one run of the formerly sequential experiments' specs on
+// parallel workers.
 func TestRunMemoConcurrent(t *testing.T) {
 	defer memo.reset()
 	defer SetParallelism(0)
@@ -503,9 +477,8 @@ func TestRunMemoConcurrent(t *testing.T) {
 		res, err := Run(ids[i], TestScale)
 		return ran{res, err}
 	})
-	if n := len(memo.runs); n != memo.misses || fig1Runs() != 11 {
-		t.Errorf("memo holds %d runs (%d of fig1's family) after %d misses, want one miss a run and 11 of the family",
-			n, fig1Runs(), memo.misses)
+	if n := len(memo.runs); n != 11 || memo.misses != 46 {
+		t.Errorf("memo holds %d fig1-family runs after %d misses, want 11 after 46", n, memo.misses)
 	}
 	for i, id := range ids {
 		if rs[i].err != nil {

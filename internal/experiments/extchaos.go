@@ -125,7 +125,7 @@ type chaosSpec struct {
 	rf     int
 }
 
-func (s chaosSpec) run() (chaosOutcome, uint64, error) {
+func (s chaosSpec) run() (any, uint64, error) {
 	cfg, inject, rf := chaosConfig(s.scale), s.inject, s.rf
 	var out chaosOutcome
 	sysCfg := core.DefaultConfig()
@@ -258,12 +258,11 @@ func runExtChaos(scale Scale) (*Result, error) {
 	// The chaos run (rebuilder-backed, RF=1), the identically-seeded
 	// no-fault run, and the same chaos schedule at RF=2 with NO
 	// rebuilder — acked writes must survive on replicas alone.
-	outs, events, err := simulate([]chaosSpec{{scale, true, 1}, {scale, false, 1}, {scale, true, 2}})
+	outs, err := simulate[chaosOutcome](res, []chaosSpec{{scale, true, 1}, {scale, false, 1}, {scale, true, 2}})
 	if err != nil {
 		return nil, err
 	}
 	chaos, base, repl := outs[0], outs[1], outs[2]
-	res.EventsProcessed = events
 	res.Trace = chaos.trace.Lines()
 
 	baseMean := meanOver(base.goodput, cfg.bucket, cfg.warmup, cfg.horizon)

@@ -96,9 +96,7 @@ type failoverSpec struct {
 	inject, traced bool
 }
 
-func (s failoverSpec) tracing() bool { return s.traced }
-
-func (s failoverSpec) run() (failoverOutcome, uint64, error) {
+func (s failoverSpec) run() (any, uint64, error) {
 	cfg, rf, inject := failoverConfig(s.scale), s.rf, s.inject
 	var out failoverOutcome
 	sysCfg := core.DefaultConfig()
@@ -215,13 +213,12 @@ func runExtFailover(scale Scale) (*Result, error) {
 	res.addf("durability plane: heartbeat detector + leases on every run; no rebuilder anywhere")
 
 	// {RF=2, RF=1} x {crash, no-fault}.
-	outs, events, err := simulate([]failoverSpec{
+	outs, err := simulate[failoverOutcome](res, []failoverSpec{
 		{scale, 2, true, traceDir != ""}, {scale, 2, false, false}, {scale, 1, true, false}, {scale, 1, false, false}})
 	if err != nil {
 		return nil, err
 	}
 	rf2, rf2Base, rf1, rf1Base := outs[0], outs[1], outs[2], outs[3]
-	res.EventsProcessed = events
 	res.Trace = rf2.trace.Lines()
 
 	foMean, foMax := 0.0, 0.0

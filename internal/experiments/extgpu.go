@@ -65,7 +65,7 @@ type extGPUSpec struct {
 	fungible bool
 }
 
-func (s extGPUSpec) run() (extGPUOut, uint64, error) {
+func (s extGPUSpec) run() (any, uint64, error) {
 	cfg, fungible := s.cfg, s.fungible
 	var out extGPUOut
 	machines := make([]cluster.MachineConfig, cfg.machines)
@@ -177,11 +177,10 @@ func runExtGPU(scale Scale) (*Result, error) {
 	res.addf("reclaimed every %v for %v; baseline restart costs %v + checkpoint reload",
 		cfg.reclaimGap, cfg.reclaimHold, cfg.coldStart)
 	res.addf("%-14s %12s %12s %10s %14s %10s", "mode", "steps", "ideal%", "evacs", "evac mean[ms]", "restarts")
-	outs, events, err := simulate([]extGPUSpec{{cfg, true}, {cfg, false}})
+	outs, err := simulate[extGPUOut](res, []extGPUSpec{{cfg, true}, {cfg, false}})
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, name := range []string{"gpu-proclets", "restart"} {
 		out := outs[i]
 		pct := 100 * float64(out.steps) / out.idealSteps

@@ -120,7 +120,7 @@ type gpufleetSpec struct {
 	inject, ckpt, mitigate bool
 }
 
-func (s gpufleetSpec) run() (gpufleetOut, uint64, error) {
+func (s gpufleetSpec) run() (any, uint64, error) {
 	cfg, inject, ckpt, mitigate := gpufleetConfig(s.scale), s.inject, s.ckpt, s.mitigate
 	var out gpufleetOut
 	machines := make([]cluster.MachineConfig, cfg.machines)
@@ -257,7 +257,7 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	// checkpoints off (XID loses all acked work), and the undisturbed
 	// oracle the makespans are measured against.
 	names := []string{"robust", "no-mitigation", "no-checkpoint", "oracle"}
-	outs, events, err := simulate([]gpufleetSpec{
+	outs, err := simulate[gpufleetOut](res, []gpufleetSpec{
 		{scale, true, true, true},
 		{scale, true, true, false},
 		{scale, true, false, true},
@@ -267,7 +267,6 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	robust, nomit, nockpt, oracle := outs[0], outs[1], outs[2], outs[3]
-	res.EventsProcessed = events
 	res.Trace = robust.trace.Lines()
 
 	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }

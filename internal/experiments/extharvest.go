@@ -36,7 +36,7 @@ type harvestOut struct {
 	migrations int64
 }
 
-func (s harvestSpec) run() (harvestOut, uint64, error) {
+func (s harvestSpec) run() (any, uint64, error) {
 	machines := make([]cluster.MachineConfig, harvestMachines)
 	for i := range machines {
 		machines[i] = cluster.MachineConfig{Cores: harvestCores, MemBytes: 16 << 30}
@@ -119,11 +119,10 @@ func runExtHarvest(scale Scale) (*Result, error) {
 	res.addf("phases staggered so exactly 1/3 of the fleet (= %d machines) is idle at any instant",
 		harvestMachines/3)
 
-	outs, events, err := simulate([]harvestSpec{{horizon, measure, true}, {horizon, measure, false}})
+	outs, err := simulate[harvestOut](res, []harvestSpec{{horizon, measure, true}, {horizon, measure, false}})
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	qs, static := outs[0], outs[1]
 	res.addf("%-10s %14s %12s", "mode", "goodput[%ideal]", "migrations")
 	res.addf("%-10s %14.1f %12d", "quicksand", qs.goodputPct, qs.migrations)

@@ -22,7 +22,7 @@ type tieringOut struct {
 	spills, faults int64
 }
 
-func (s tieringSpec) run() (tieringOut, uint64, error) {
+func (s tieringSpec) run() (any, uint64, error) {
 	var out tieringOut
 	sys := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
 		{Cores: 8, MemBytes: s.ramPer},
@@ -95,11 +95,10 @@ func runExtTiering(scale Scale) (*Result, error) {
 	}
 
 	res := newResult("ext-tiering", "extension: flash as slow cheap memory for sharded data")
-	outs, events, err := simulate([]tieringSpec{{ramPer, nFits, 0}, {ramPer, nBig, 0}, {ramPer, nBig, hotRounds}})
+	outs, err := simulate[tieringOut](res, []tieringSpec{{ramPer, nFits, 0}, {ramPer, nBig, 0}, {ramPer, nBig, hotRounds}})
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	inRAM, tiered, hot := outs[0], outs[1], outs[2]
 	res.addf("%-28s %16s %8s %8s", "scenario", "scan[ms/elem]", "spills", "faults")
 	res.addf("%-28s %16.3f %8d %8d", "fits in RAM", inRAM.msPerElem, inRAM.spills, inRAM.faults)

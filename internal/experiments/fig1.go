@@ -69,9 +69,7 @@ type fig1Spec struct {
 	traced bool
 }
 
-func (s fig1Spec) tracing() bool { return s.traced }
-
-func (s fig1Spec) run() (fig1Stats, uint64, error) {
+func (s fig1Spec) run() (any, uint64, error) {
 	return fig1RunFull(s.cfg, s.mode, s.sys, s.traced, (*core.ComputeProclet).RunCompute)
 }
 
@@ -240,11 +238,10 @@ func runFig1(scale Scale) (*Result, error) {
 	for i, mode := range modes {
 		specs[i] = fig1Spec{cfg: cfg, mode: mode, sys: core.DefaultConfig(), traced: mode == "quicksand" && traceDir != ""}
 	}
-	stats, events, err := simulate(specs)
+	stats, err := simulate[fig1Stats](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 	for i, mode := range modes {
 		st := stats[i]
 		res.addf("%-10s %14.1f %12d %14.3f %14.3f %12.2f",

@@ -104,7 +104,7 @@ type fig2Spec struct {
 	row   int
 }
 
-func (s fig2Spec) run() (fig2Outcome, uint64, error) {
+func (s fig2Spec) run() (any, uint64, error) {
 	cfg := fig2Config(s.scale)
 	row := cfg.rows[s.row]
 	machines, imgs := row.machines, fig2Images(cfg)
@@ -194,11 +194,10 @@ func runFig2(scale Scale) (*Result, error) {
 	for i := range specs {
 		specs[i] = fig2Spec{scale, i}
 	}
-	outs, events, err := simulate(specs)
+	outs, err := simulate[fig2Outcome](res, specs)
 	if err != nil {
 		return nil, err
 	}
-	res.EventsProcessed = events
 
 	var baseSec float64
 	for i, row := range cfg.rows {
