@@ -12,10 +12,10 @@ import (
 
 // zipfLaw is the Zipf law's measurement: draws ranks from sample and
 // returns, over the top ranks, the chi-square statistic of the counts
-// against the analytic pmf p(i) = (i+1)^-θ / H(n,θ), the z-scores of ranks
-// 0 and 1, and the rank whose count is furthest from its expectation in
-// relative terms.
-func zipfLaw(n uint64, theta float64, draws, top int, sample func(*rand.Rand) uint64) (chi2 float64, z [2]float64, worst int, ratio float64) {
+// against the analytic pmf p(i) = (i+1)^-θ / H(n,θ), the z-scores of the
+// heldRanks, and the rank whose count is furthest from its expectation
+// in relative terms. top must pass the head cut.
+func zipfLaw(n uint64, theta float64, draws, top int, sample func(*rand.Rand) uint64) (chi2 float64, z [len(heldRanks)]float64, worst int, ratio float64) {
 	rng := rand.New(rand.NewSource(1))
 	counts := make([]float64, top)
 	for i := 0; i < draws; i++ {
@@ -29,8 +29,10 @@ func zipfLaw(n uint64, theta float64, draws, top int, sample func(*rand.Rand) ui
 		p := math.Pow(float64(i+1), -theta) / h
 		e := float64(draws) * p
 		chi2 += (counts[i] - e) * (counts[i] - e) / e
-		if i < 2 {
-			z[i] = (counts[i] - e) / math.Sqrt(e*(1-p))
+		for j, r := range heldRanks {
+			if i == r {
+				z[j] = (counts[i] - e) / math.Sqrt(e*(1-p))
+			}
 		}
 		if r := counts[i] / e; math.Abs(r-1) > math.Abs(ratio-1) {
 			worst, ratio = i, r
@@ -38,6 +40,10 @@ func zipfLaw(n uint64, theta float64, draws, top int, sample func(*rand.Rand) ui
 	}
 	return chi2, z, worst, ratio
 }
+
+// heldRanks are the ranks zipfLaw scores alone: the two most popular,
+// and the first past the head cut.
+var heldRanks = [...]int{0, 1, zipfHead}
 
 // exactZipf samples the analytic pmf by inverting its cumulative sum: the
 // sampler zipfLaw is calibrated against. A draw past the top ranks only
@@ -56,25 +62,26 @@ func exactZipf(n uint64, theta float64, top int) func(*rand.Rand) uint64 {
 }
 
 // TestZipfFrequenciesMatchPMF: at 10M draws over n = 1M ranks with the
-// YCSB skew θ = 0.99, the counts of the top 1,000 ranks match the
-// analytic pmf.
+// YCSB skew θ = 0.99, the counts of the top 2,048 ranks — the head
+// table's 1,024 and as many past the cut — match the analytic pmf.
 //
 // Tolerances from the sample size: rank i's count is binomial(N, p(i)),
-// so the chi-square statistic over k = 1,000 ranks has mean k and
-// standard deviation √(2k) ≈ 45; the bound is k + 6√(2k) ≈ 1,268. Ranks 0
-// and 1 are also held alone, each within 5 standard deviations
-// (√(N·p(1−p)) ≈ 766 and 564 draws).
+// so the chi-square statistic over k = 2,048 ranks has mean k and
+// standard deviation √(2k) = 64; the bound is k + 6√(2k) = 2,432. Ranks
+// 0, 1 and 1,024 are also held alone, each within 5 standard deviations
+// (√(N·p(1−p)) ≈ 766, 564 and 26 draws).
 //
 // The law is shown sound on exactZipf, which it passes, and sharp on
 // exactZipf at θ = 0.98, which it fails. Gray's inversion on every rank
 // (Zipf before its head table) fails it too, drawing rank 2 about 20%
-// too often.
+// too often; so does a head table with Gray's inversion of the same u
+// past the cut, which draws rank 1,024 about 120 times too often.
 func TestZipfFrequenciesMatchPMF(t *testing.T) {
 	const (
 		n     = 1_000_000
 		theta = 0.99
 		draws = 10_000_000
-		top   = 1000
+		top   = 2 * zipfHead
 	)
 	bound := top + 6*math.Sqrt(2*top)
 	if testing.Short() {
@@ -91,10 +98,10 @@ func TestZipfFrequenciesMatchPMF(t *testing.T) {
 	}
 	z := NewZipf(n, theta)
 	chi2, zs, worst, ratio := zipfLaw(n, theta, draws, top, z.Sample)
-	t.Logf("Zipf.Sample: chi-square %.0f (bound %.0f), ranks 0 and 1 at %.2f and %.2f standard deviations", chi2, bound, zs[0], zs[1])
+	t.Logf("Zipf.Sample: chi-square %.0f (bound %.0f), ranks %v at %.2f standard deviations", chi2, bound, heldRanks, zs)
 	for i, v := range zs {
 		if math.Abs(v) > 5 {
-			t.Errorf("rank %d drawn %.1f standard deviations off the pmf", i, v)
+			t.Errorf("rank %d drawn %.1f standard deviations off the pmf", heldRanks[i], v)
 		}
 	}
 	if chi2 > bound {

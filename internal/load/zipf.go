@@ -13,11 +13,14 @@ import (
 // same summation zeta starts with. Past the cut it uses Gray's
 // rejection-free inversion (the "quickly generating billion-record
 // synthetic databases" generator, as adopted by YCSB), a handful of
-// float operations against precomputed constants, which approximates
-// the pmf closely far from the head but draws rank 2 about 20% too
-// often at theta 0.99. So a skewed popularity distribution over tens of
-// millions of keys costs one table of at most zipfHead sums, and no
-// allocation per draw.
+// float operations against precomputed constants, on Gray's own tail:
+// the pmf's tail mass is mapped linearly onto the uniforms Gray sends
+// past the cut. Gray's density is the pmf's within a constant factor
+// far from the head, and the map supplies that factor; on the head
+// itself Gray draws rank 2 about 20% too often at theta 0.99, and its
+// CDF at the cut is above the pmf's. So a skewed popularity
+// distribution over tens of millions of keys costs one table of at most
+// zipfHead sums, and no allocation per draw.
 //
 // Gray's inversion raises x to alpha = 1/(1−theta). For every skew in
 // use (0.9, 0.99, 0.75, 0.5) alpha is within 1e-12 of an integer, and
@@ -43,6 +46,10 @@ type Zipf struct {
 	// the start of u's bucket: a head draw scans from there.
 	guide   []uint16
 	perStep float64
+	// cutU is Gray's uniform at the cut, the least that it maps to a
+	// rank past it; tailStep is (1 − cutU)/(zetan − head[cut−1]), so a
+	// tail draw u·zetan in [head[cut−1], zetan) maps onto [cutU, 1).
+	cutU, tailStep float64
 	// k and guard are the integer-power fast path: k is the integer
 	// alpha rounds to (0 when alpha is not within 1e-12 of one), guard
 	// the relative distance from an integer inside which rank falls back
@@ -131,6 +138,10 @@ func buildZipf(n uint64, theta float64) *Zipf {
 	}
 	z.alpha = 1 / (1 - theta)
 	z.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
+	if n > zipfHead {
+		z.cutU = 1 - (1-math.Pow(zipfHead/float64(n), 1-theta))/z.eta
+		z.tailStep = (1 - z.cutU) / (z.zetan - sum)
+	}
 	// Split alpha as math.Pow does: Pow(x, alpha) is Exp(yf·Log(x)) times
 	// x^yi by repeated squaring, with yf moved into (-0.5, 0.5].
 	yi, yf := math.Modf(z.alpha)
@@ -178,22 +189,13 @@ func (z *Zipf) Sample(rng *rand.Rand) uint64 {
 }
 
 // rank maps a uniform u in [0, 1) to its rank. Below the head cut it
-// is the first i with u·zetan < head[i]. Past it, it is Gray's
-// ⌊n·x^alpha⌋ with x = eta·u − eta + 1, clamped to [len(head), n−1]
-// (to n−1 when the head holds every rank).
-//
-// With an integer k, v = n·x^k differs from n·Pow(x, alpha) only by the
-// factor x^(alpha−k), within |alpha−k|·|ln x| of 1, and by the roundings
-// of the two products (a few ulps each). A rank of 2 or more has
-// x^alpha ≥ 2/n, so |ln x| ≤ (1−theta)·ln(n/2) < 44 and the two differ
-// by less than guard·v. When v is farther than that from an integer,
-// both floor to the same rank; inside that band, and for an alpha with
-// no k, rank evaluates math.Pow itself. Every rank past the cut is
-// therefore the one n·Pow(x, alpha) gives on the same host
-// (TestZipfRankMatchesPow).
+// is the first i with u·zetan < head[i]. Past it (and when the head
+// holds every rank, past it only by a rounding of u·zetan), it is
+// Gray's rank of u's image on Gray's tail.
 func (z *Zipf) rank(u float64) uint64 {
 	uz := u * z.zetan
-	if h := z.head; uz < h[len(h)-1] {
+	h := z.head
+	if uz < h[len(h)-1] {
 		// The guide's start is within a rounding of the bucket's; the
 		// scan is exact from any start.
 		i := int(z.guide[int(uz*z.perStep)])
@@ -205,8 +207,26 @@ func (z *Zipf) rank(u float64) uint64 {
 		}
 		return uint64(i)
 	}
-	cut := min(uint64(len(z.head)), z.n-1)
-	x := float64(z.eta*u) - z.eta + 1
+	if z.n <= zipfHead {
+		return z.n - 1
+	}
+	return z.gray(z.cutU + float64((uz-h[len(h)-1])*z.tailStep))
+}
+
+// gray is Gray's ⌊n·x^alpha⌋ for a uniform g in [cutU, 1), with
+// x = eta·g − eta + 1, clamped to [zipfHead, n−1] against roundings.
+//
+// With an integer k, v = n·x^k differs from n·Pow(x, alpha) only by the
+// factor x^(alpha−k), within |alpha−k|·|ln x| of 1, and by the roundings
+// of the two products (a few ulps each). A rank of 2 or more has
+// x^alpha ≥ 2/n, so |ln x| ≤ (1−theta)·ln(n/2) < 44 and the two differ
+// by less than guard·v. When v is farther than that from an integer,
+// both floor to the same rank; inside that band, and for an alpha with
+// no k, gray evaluates math.Pow itself. Every rank past the cut is
+// therefore the one n·Pow(x, alpha) gives on the same host
+// (TestZipfRankMatchesPow).
+func (z *Zipf) gray(g float64) uint64 {
+	x := float64(z.eta*g) - z.eta + 1
 	if z.k != 0 {
 		p, s := 1.0, x
 		for i := z.k; i != 0; i >>= 1 {
@@ -218,10 +238,10 @@ func (z *Zipf) rank(u float64) uint64 {
 		v := float64(float64(z.n) * p)
 		r := uint64(v)
 		if f, band := v-float64(r), z.guard*v; f > band && 1-f > band {
-			return max(min(r, z.n-1), cut)
+			return max(min(r, z.n-1), zipfHead)
 		}
 	}
-	return max(min(uint64(float64(z.n)*math.Pow(x, z.alpha)), z.n-1), cut)
+	return max(min(uint64(float64(z.n)*math.Pow(x, z.alpha)), z.n-1), zipfHead)
 }
 
 // ScrambleKey maps a popularity rank to a pseudo-random but stable key

@@ -30,6 +30,8 @@ func sameBits(t *testing.T, what string, got, want *Zipf) {
 		{"eta", got.eta, want.eta},
 		{"zeta2", got.zeta2, want.zeta2},
 		{"guard", got.guard, want.guard},
+		{"cutU", got.cutU, want.cutU},
+		{"tailStep", got.tailStep, want.tailStep},
 	}
 	if got.n != want.n || got.k != want.k {
 		t.Fatalf("%s: n, k = %d, %d, want %d, %d", what, got.n, got.k, want.n, want.k)
@@ -146,14 +148,19 @@ func TestNewZipfRejectsOutOfRangeTheta(t *testing.T) {
 
 // powRank is Sample with every power taken by math.Pow: the head by
 // exact inversion (sort.Search over the same sums), the rest by Gray's
-// inversion. It is the reference every rank is held to.
+// inversion on its own tail. It is the reference every rank is held to.
 func powRank(z *Zipf, u float64) uint64 {
 	uz := u * z.zetan
-	if h := z.head; uz < h[len(h)-1] {
+	h := z.head
+	if uz < h[len(h)-1] {
 		return uint64(sort.Search(len(h), func(i int) bool { return uz < h[i] }))
 	}
-	r := uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
-	return max(min(r, z.n-1), min(uint64(len(z.head)), z.n-1))
+	if z.n <= zipfHead {
+		return z.n - 1
+	}
+	g := z.cutU + float64((uz-h[len(h)-1])*z.tailStep)
+	r := uint64(float64(z.n) * math.Pow(float64(z.eta*g)-z.eta+1, z.alpha))
+	return max(min(r, z.n-1), zipfHead)
 }
 
 // rankPairs is the (n, theta) grid rank is checked on. The thetas are
@@ -172,12 +179,17 @@ func rankPairs() []zipfKey {
 	return append(pairs, zipfKey{5_000_000, 0.9}, zipfKey{2_000_000, 0.75})
 }
 
-// boundaryU returns the u at which n·x^alpha is exactly rank v in real
-// arithmetic, as near as float64 gets: x = (v/n)^(1−theta) and
-// u = 1 − (1−x)/eta.
+// boundaryU returns the u at which Gray's n·x^alpha is exactly rank v
+// in real arithmetic, as near as float64 gets: x = (v/n)^(1−theta),
+// Gray's uniform g = 1 − (1−x)/eta, and u the draw rank maps onto g
+// (g itself when the head holds every rank).
 func boundaryU(z *Zipf, v float64) float64 {
 	x := math.Pow(v/float64(z.n), 1-z.theta)
-	return 1 - (1-x)/z.eta
+	g := 1 - (1-x)/z.eta
+	if z.n <= zipfHead {
+		return g
+	}
+	return (z.head[len(z.head)-1] + (g-z.cutU)/z.tailStep) / z.zetan
 }
 
 // boundaryRanks returns the rank boundaries probed for z: 256 spread
@@ -206,13 +218,13 @@ func boundaryRanks(z *Zipf, rng *rand.Rand) []float64 {
 // million uniform draws on every pair of rankPairs and for every u
 // within 40 ulps of each probed rank boundary, where the integer power
 // and math.Pow are likeliest to floor differently. The boundary draws
-// catch each of these hand mutations of rank and buildZipf:
-//   - guard 0 (the fast path floors inside the band too): 75 and 410
+// catch each of these hand mutations of gray and buildZipf:
+//   - guard 0 (the fast path floors inside the band too): 72 and 426
 //     mismatches at (2²⁰, 0.9) and (10⁷, 0.99), none at an exact alpha;
 //   - no yi++ when yf > 0.5 (theta 0.99 squares to x^99, not x^100):
-//     510,108 at (2²⁰, 0.99);
-//   - no fallback (the fast floor is returned inside the band): 90 and
-//     410.
+//     513,500 at (2²⁰, 0.99);
+//   - no fallback (the fast floor is returned inside the band): 87 and
+//     426.
 //
 // Ranks in the head table are drawn by neither power, so they are held
 // to sort.Search over the same sums.
