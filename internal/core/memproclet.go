@@ -391,7 +391,10 @@ func (mp *MemoryProclet) applyDelRange(arg proclet.Msg) (proclet.Msg, []repRecor
 // UpdateFn mutates one object in place, inside the memory proclet —
 // compute shipped to the data. It receives the old value (if any) and
 // returns the new value with its size; returning keep=false deletes the
-// object instead.
+// object instead. fn must not write into old: the machine may refuse
+// the new size, and a refused update leaves the stored value as it was
+// only if fn built its result apart from old. A caller may run the same
+// fn again after relieving the machine.
 type UpdateFn func(old any, exists bool) (val any, bytes int64, keep bool)
 
 // updateReq is the wire argument of mem.update. argBytes sizes the

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -31,7 +30,7 @@ func NewMap[K comparable, V any](sys *core.System, name string, opts Options) (*
 	m := &Map[K, V]{}
 	// A hash is its own object id, and the last shard runs to the top of
 	// the hash space.
-	if err := m.init(sys, name, opts.withDefaults(), 0, ^uint64(0), m.splitShard); err != nil {
+	if err := m.init(sys, name, opts.withDefaults(), 0, ^uint64(0)); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -51,44 +50,28 @@ func (m *Map[K, V]) Put(p *sim.Proc, from cluster.MachineID, key K, val V, bytes
 	m.ops.enter(sh.mp.ID())
 	inserted := false
 	entryBytes := bytes + 16 // key material
-	err := sh.mp.Update(p, from, h, entryBytes, func(old any, exists bool) (any, int64, bool) {
+	// One update for both attempts. It builds a new bucket rather than
+	// writing into the stored one, so a write the machine refuses leaves
+	// the key as it was.
+	update := func(old any, exists bool) (any, int64, bool) {
 		var bucket []mapEntry[K, V]
 		if exists {
 			bucket = old.([]mapEntry[K, V])
 		}
-		var total int64
-		replaced := false
-		for i := range bucket {
-			if bucket[i].key == key {
-				bucket[i] = mapEntry[K, V]{key: key, val: val, bytes: entryBytes}
-				replaced = true
+		next := make([]mapEntry[K, V], 0, len(bucket)+1)
+		total := entryBytes
+		for _, e := range bucket {
+			if e.key != key {
+				next = append(next, e)
+				total += e.bytes
 			}
-			total += bucket[i].bytes
 		}
-		if !replaced {
-			bucket = append(bucket, mapEntry[K, V]{key: key, val: val, bytes: entryBytes})
-			total += entryBytes
-			inserted = true
-		}
-		return bucket, total, true
-	})
-	if errors.Is(err, cluster.ErrNoMemory) {
-		if m.sys.Sched.FreeUpMemory(p, sh.mp.Location(), entryBytes*4) {
-			err = sh.mp.Update(p, from, h, entryBytes, func(old any, exists bool) (any, int64, bool) {
-				var bucket []mapEntry[K, V]
-				if exists {
-					bucket = old.([]mapEntry[K, V])
-				}
-				var total int64
-				for i := range bucket {
-					total += bucket[i].bytes
-				}
-				bucket = append(bucket, mapEntry[K, V]{key: key, val: val, bytes: entryBytes})
-				inserted = true
-				return bucket, total + entryBytes, true
-			})
-		}
+		inserted = len(next) == len(bucket)
+		return append(next, mapEntry[K, V]{key: key, val: val, bytes: entryBytes}), total, true
 	}
+	err := relieved(p, m.sys, sh.mp, entryBytes*4, func() error {
+		return sh.mp.Update(p, from, h, entryBytes, update)
+	})
 	// Release the op entry before any split: splitShard drains the
 	// shard's in-flight operations and must not wait on ourselves.
 	m.ops.exit(sh.mp.ID())
@@ -253,44 +236,4 @@ func (m *Map[K, V]) Delete(p *sim.Proc, from cluster.MachineID, key K) error {
 		m.count--
 	}
 	return nil
-}
-
-// splitShard splits shard s at the midpoint of its hash range. Caller
-// holds adaptMu.
-func (m *Map[K, V]) splitShard(p *sim.Proc, s int) bool {
-	lo, hi := m.shards[s].lo, m.hiOf(s)
-	mid := lo + (hi-lo)/2
-	if mid == lo {
-		return false
-	}
-	src := m.shards[s].mp
-	dst, err := m.newShard()
-	if err != nil {
-		return false
-	}
-	m.gate.open(lo, hi)
-	defer m.gate.close()
-	m.ops.drain(p, src.ID())
-	home := src.Location()
-	ids, vals, sizes, err := src.Scan(p, home, mid, hi)
-	if err == nil && len(ids) > 0 {
-		err = dst.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-	}
-	if err != nil {
-		dst.Destroy()
-		return false
-	}
-	m.shards = append(m.shards, shard{})
-	copy(m.shards[s+2:], m.shards[s+1:])
-	m.shards[s+1] = shard{lo: mid, mp: dst}
-	m.publishIndex(p)
-	if len(ids) > 0 {
-		if err := src.DelRange(p, home, mid, hi); err != nil {
-			return false
-		}
-	}
-	m.Splits++
-	m.sys.Trace.Emitf(m.sys.K.Now(), obs.KindSplit, m.name,
-		int(src.Location()), int(dst.Location()), "hash mid=%x, %d shards", mid, len(m.shards))
-	return true
 }

@@ -117,13 +117,9 @@ func (q *Queue[T]) Push(p *sim.Proc, from cluster.MachineID, val T, bytes int64)
 		}
 	}
 	q.notEmpty.Signal()
-	err := seg.mp.Put(p, from, seq+1, val, bytes)
-	if errors.Is(err, cluster.ErrNoMemory) {
-		if q.sys.Sched.FreeUpMemory(p, seg.mp.Location(), bytes*4) {
-			err = seg.mp.Put(p, from, seq+1, val, bytes)
-		}
-	}
-	if err != nil {
+	if err := relieved(p, q.sys, seg.mp, bytes*4, func() error {
+		return seg.mp.Put(p, from, seq+1, val, bytes)
+	}); err != nil {
 		return err
 	}
 	seg.pushed++

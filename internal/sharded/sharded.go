@@ -17,6 +17,7 @@ import (
 	"errors"
 	"hash/fnv"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/proclet"
 	"repro/internal/sim"
@@ -49,6 +50,17 @@ func (o Options) withDefaults() Options {
 		o.MaxShardBytes = core.MaxShardBytes()
 	}
 	return o
+}
+
+// relieved runs write and, when mp's machine refuses it for memory,
+// asks the scheduler to free need bytes there and runs it once more —
+// the synchronous pressure relief every structure's write path uses.
+func relieved(p *sim.Proc, sys *core.System, mp *core.MemoryProclet, need int64, write func() error) error {
+	err := write()
+	if errors.Is(err, cluster.ErrNoMemory) && sys.Sched.FreeUpMemory(p, mp.Location(), need) {
+		err = write()
+	}
+	return err
 }
 
 // hashKey hashes an arbitrary comparable key into the uint64 shard

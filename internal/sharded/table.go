@@ -17,8 +17,8 @@ const indexObjID = 1
 // start, each a memory proclet, with a pinned index proclet holding the
 // routing table. It owns the §3.3 restructuring protocol — the split
 // gate and op drain that give a restructure an atomic view, merge,
-// publish, the adaptation loop and teardown. Only the split function is
-// specific to the structure; Adapt calls it through split.
+// split, merge, publish, the adaptation loop and teardown. What differs
+// per structure is the key space (off, end) and the value encoding.
 type table struct {
 	sys  *core.System
 	name string
@@ -33,8 +33,6 @@ type table struct {
 	// end is the last shard's exclusive bound: ^uint64(0) for Map, the
 	// element count for Vector.
 	end uint64
-	// split splits shard s; the caller holds adaptMu.
-	split func(p *sim.Proc, s int) bool
 
 	gate      splitGate
 	ops       *opTracker
@@ -61,8 +59,8 @@ type shard struct {
 
 // init creates the index proclet and the first shard, and registers
 // the structure with the adaptation loop when its options ask.
-func (t *table) init(sys *core.System, name string, opts Options, off, end uint64, split func(*sim.Proc, int) bool) error {
-	*t = table{sys: sys, name: name, opts: opts, off: off, end: end, split: split, ops: newOpTracker()}
+func (t *table) init(sys *core.System, name string, opts Options, off, end uint64) error {
+	*t = table{sys: sys, name: name, opts: opts, off: off, end: end, ops: newOpTracker()}
 	idx, err := sys.NewMemoryProclet(name+".index", 4096)
 	if err != nil {
 		return err
@@ -123,6 +121,60 @@ func (t *table) publishIndex(p *sim.Proc) {
 	t.index.Put(p, t.index.Location(), indexObjID, routes, int64(16*len(routes)))
 }
 
+// splitShard splits shard s at the midpoint of its range. It gates the
+// shard's whole range — for the last shard an open-ended one, since
+// Vector appends reserve keys past the current end — drains the shard,
+// and only then takes the bounds. Spilled shards are not split (they
+// have no resident proclet). Caller holds adaptMu.
+func (t *table) splitShard(p *sim.Proc, s int) bool {
+	if t.shards[s].spilled {
+		return false
+	}
+	src := t.shards[s].mp
+	dst, err := t.newShard()
+	if err != nil {
+		return false // no capacity anywhere; leave the shard oversized
+	}
+	lo := t.shards[s].lo
+	gateHi := ^uint64(0)
+	if s+1 < len(t.shards) {
+		gateHi = t.shards[s+1].lo
+	}
+	t.gate.open(lo, gateHi)
+	defer t.gate.close()
+	t.ops.drain(p, src.ID())
+	hi := t.hiOf(s)
+	if hi-lo < 2 {
+		dst.Destroy()
+		return false
+	}
+	mid := lo + (hi-lo)/2
+	home := src.Location()
+	ids, vals, sizes, err := src.Scan(p, home, mid+t.off, hi+t.off)
+	if err == nil && len(ids) > 0 {
+		err = dst.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
+	}
+	if err != nil {
+		dst.Destroy()
+		return false
+	}
+	// Publish the new routing before deleting from the source so
+	// readers always find their key on one side or the other.
+	t.shards = append(t.shards, shard{})
+	copy(t.shards[s+2:], t.shards[s+1:])
+	t.shards[s+1] = shard{lo: mid, mp: dst}
+	t.publishIndex(p)
+	if len(ids) > 0 {
+		if err := src.DelRange(p, home, mid+t.off, hi+t.off); err != nil {
+			return false
+		}
+	}
+	t.Splits++
+	t.sys.Trace.Emitf(t.sys.K.Now(), obs.KindSplit, t.name,
+		int(src.Location()), int(dst.Location()), "shard %d at %d, %d shards", s, mid, len(t.shards))
+	return true
+}
+
 // mergeShards merges shard s+1 into shard s — the paper's answer to
 // structures left sparse after heavy deletes (§3.3). It gates both
 // ranges, drains both shards, and only then takes the bounds, which a
@@ -171,7 +223,7 @@ func (t *table) Adapt(p *sim.Proc) {
 	defer t.adaptMu.Unlock()
 	for s := 0; s < len(t.shards); s++ {
 		if !t.shards[s].spilled && t.shards[s].mp.HeapBytes() > t.opts.MaxShardBytes {
-			t.split(p, s)
+			t.splitShard(p, s)
 		}
 	}
 	mergeMax := t.opts.MaxShardBytes / 2

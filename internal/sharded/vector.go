@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -33,7 +32,7 @@ func NewVector[T any](sys *core.System, name string, opts Options) (*Vector[T], 
 	v := &Vector[T]{}
 	// Element i is object i+1, and the table's end is the element count,
 	// which PushBack advances.
-	if err := v.init(sys, name, opts, 1, 0, v.splitShard); err != nil {
+	if err := v.init(sys, name, opts, 1, 0); err != nil {
 		return nil, err
 	}
 	return v, nil
@@ -83,13 +82,9 @@ func (v *Vector[T]) PushBack(p *sim.Proc, from cluster.MachineID, val T, bytes i
 	v.touch(last)
 	sh := v.shards[last]
 	v.ops.enter(sh.mp.ID())
-	err := sh.mp.Put(p, from, i+1, val, bytes)
-	if errors.Is(err, cluster.ErrNoMemory) {
-		// Ask the scheduler to relieve the machine, then retry once.
-		if v.sys.Sched.FreeUpMemory(p, sh.mp.Location(), bytes*4) {
-			err = sh.mp.Put(p, from, i+1, val, bytes)
-		}
-	}
+	err := relieved(p, v.sys, sh.mp, bytes*4, func() error {
+		return sh.mp.Put(p, from, i+1, val, bytes)
+	})
 	v.ops.exit(sh.mp.ID())
 	if errors.Is(err, cluster.ErrNoMemory) && v.opts.Spill != nil {
 		// Memory tiering: push the coldest shard down to the storage
@@ -129,58 +124,4 @@ func (v *Vector[T]) PushBack(p *sim.Proc, from cluster.MachineID, val T, bytes i
 		v.adaptMu.Unlock()
 	}
 	return nil
-}
-
-// splitShard splits shard s at its midpoint. Caller holds adaptMu.
-// Spilled shards are not split (they have no resident proclet).
-func (v *Vector[T]) splitShard(p *sim.Proc, s int) bool {
-	if v.shards[s].spilled {
-		return false
-	}
-	src := v.shards[s].mp
-	dst, err := v.newShard()
-	if err != nil {
-		return false // no capacity anywhere; leave the shard oversized
-	}
-	// Gate the shard's whole range. For the last shard the range is
-	// open-ended: appends reserve indices beyond the current length,
-	// so the gate must cover them too.
-	lo := v.shards[s].lo
-	gateHi := ^uint64(0)
-	if s+1 < len(v.shards) {
-		gateHi = v.shards[s+1].lo
-	}
-	v.gate.open(lo, gateHi)
-	defer v.gate.close()
-	// Wait out operations that were already in flight against the
-	// source shard when the gate closed, then take stable bounds.
-	v.ops.drain(p, src.ID())
-	hi := v.hiOf(s)
-	if hi-lo < 2 {
-		dst.Destroy()
-		return false
-	}
-	mid := lo + (hi-lo)/2
-	home := src.Location()
-	ids, vals, sizes, err := src.Scan(p, home, mid+1, hi+1)
-	if err == nil {
-		err = dst.PutBatch(p, home, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes})
-	}
-	if err != nil {
-		dst.Destroy()
-		return false
-	}
-	// Publish the new routing before deleting from the source so
-	// readers always find their element on one side or the other.
-	v.shards = append(v.shards, shard{})
-	copy(v.shards[s+2:], v.shards[s+1:])
-	v.shards[s+1] = shard{lo: mid, mp: dst}
-	v.publishIndex(p)
-	if err := src.DelRange(p, home, mid+1, hi+1); err != nil {
-		return false
-	}
-	v.Splits++
-	v.sys.Trace.Emitf(v.sys.K.Now(), obs.KindSplit, v.name,
-		int(src.Location()), int(dst.Location()), "shard %d at %d, %d shards", s, mid, len(v.shards))
-	return true
 }
