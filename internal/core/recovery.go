@@ -84,50 +84,38 @@ func (sc *Scheduler) recoverOne(p *sim.Proc, pr *proclet.Proclet) {
 		kind = pi.kind
 	}
 	for attempt := 0; attempt < restoreAttempts; attempt++ {
-		var (
-			target cluster.MachineID
-			err    error
-		)
-		switch kind {
-		case KindMemory:
-			// The heap died with the machine: place by the proclet's
-			// pre-crash footprint, restore empty, then rebuild.
-			lost := pr.HeapBytes()
-			target, err = sc.PlaceMemory(lost)
-			if err == nil {
-				mp, _ := pr.Data.(*MemoryProclet)
-				if mp != nil {
-					mp.objs = objTable{}
-				}
-				pr.ResetHeap()
-				if err = sc.sys.Runtime.Restore(p, pr, target); err == nil {
-					sc.Recoveries.Inc()
-					if mp != nil && sc.sys.rebuild != nil {
-						if rerr := sc.sys.rebuild(p, mp); rerr != nil {
-							sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindRecover, pr.Name(),
-								-1, int(target), "rebuild failed: %v", rerr)
-						}
-					}
-					return
-				}
-			}
-		case KindCompute:
+		var target cluster.MachineID
+		var err error
+		if kind == KindCompute {
 			target, err = sc.placeCompute()
-			if err == nil {
-				if err = sc.sys.Runtime.Restore(p, pr, target); err == nil {
-					sc.Recoveries.Inc()
-					return
-				}
-			}
-		default:
+		} else {
+			// A memory orphan places by its pre-crash footprint; its heap
+			// is reset below, so a later attempt places by 0 bytes.
 			target, err = sc.PlaceMemory(pr.HeapBytes())
-			if err == nil {
-				if err = sc.sys.Runtime.Restore(p, pr, target); err == nil {
-					sc.Recoveries.Inc()
-					return
-				}
+		}
+		if err != nil {
+			continue
+		}
+		// A memory orphan's heap died with the machine: restore it empty,
+		// then rebuild.
+		var mp *MemoryProclet
+		if kind == KindMemory {
+			if mp, _ = pr.Data.(*MemoryProclet); mp != nil {
+				mp.objs = objTable{}
+			}
+			pr.ResetHeap()
+		}
+		if err := sc.sys.Runtime.Restore(p, pr, target); err != nil {
+			continue
+		}
+		sc.Recoveries.Inc()
+		if mp != nil && sc.sys.rebuild != nil {
+			if rerr := sc.sys.rebuild(p, mp); rerr != nil {
+				sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindRecover, pr.Name(),
+					-1, int(target), "rebuild failed: %v", rerr)
 			}
 		}
+		return
 	}
 	// No live machine could take it: shed the proclet so its callers see
 	// ErrNotFound instead of retrying against a dead entry forever.

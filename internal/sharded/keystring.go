@@ -1,6 +1,9 @@
 package sharded
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // keyString produces a canonical string form of a comparable key for
 // hashing. Common key types avoid reflection; everything else falls
@@ -10,37 +13,29 @@ func keyString[K comparable](k K) string {
 	case string:
 		return v
 	case int:
-		return itoa(int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	case int32:
-		return itoa(int64(v))
+		return strconv.FormatInt(int64(v), 10)
 	case int64:
-		return itoa(v)
+		return strconv.FormatInt(v, 10)
 	case uint64:
-		return utoa(v)
+		return strconv.FormatUint(v, 10)
 	case uint32:
-		return utoa(uint64(v))
+		return strconv.FormatUint(uint64(v), 10)
 	default:
 		return fmt.Sprint(k)
 	}
 }
 
-func itoa(v int64) string {
-	if v < 0 {
-		return "-" + utoa(uint64(-v))
+// hashKey hashes an arbitrary comparable key into the uint64 shard
+// space using FNV-1a over its printed form. Deterministic across runs.
+func hashKey[K comparable](k K) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	s := keyString(k)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
 	}
-	return utoa(uint64(v))
-}
-
-func utoa(v uint64) string {
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return string(buf[i:])
+	return h
 }

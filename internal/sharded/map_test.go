@@ -3,9 +3,12 @@ package sharded
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
-	"testing/quick"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -188,51 +191,143 @@ func TestMapHashCollisionsBucketed(t *testing.T) {
 	s.K.Run()
 }
 
-// Property: a sharded map behaves exactly like a Go map under an
-// arbitrary sequence of puts and deletes, including across splits.
-func TestMapMatchesModelProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		s := testSys(t)
-		m, err := NewMap[int, int](s, "model", Options{MaxShardBytes: 4 << 10})
-		if err != nil {
-			return false
+// FuzzMapModel drives a Map with a tape of puts, deletes, adapt passes
+// and fills against a Go map. Each op is two bytes, a code and an
+// argument; the machines hold 1 MiB, so 200,000-byte fills push puts
+// into ErrNoMemory, and the scheduler's relief either makes room by
+// moving a proclet to the other machine or cannot. The model applies
+// only the operations the Map acknowledged. After every op, Len, the Get
+// of every key and the stored buckets (one entry per key) must match it.
+func FuzzMapModel(f *testing.F) {
+	// The ample-memory cases: puts of 256 bytes and deletes over 32 keys,
+	// as random as the property this target replaced.
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 25; c++ {
+		tape := make([]byte, 2*rng.Intn(120))
+		for i := 0; i < len(tape); i += 2 {
+			op := rng.Intn(1 << 16)
+			if op%3 == 2 {
+				tape[i] = mapOpDelete
+			}
+			tape[i+1] = byte(op % 32)
 		}
+		f.Add(tape)
+	}
+	// A 100-byte value replaced by a 50,000-byte one after five fills
+	// leave the shard's machine (0) 48,076 bytes free: relief moves a
+	// fill to machine 1, or finds machine 1 filled too.
+	grow := []byte{mapOpPut100, 7, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpPut50k, 7}
+	f.Add(grow)
+	f.Add(append([]byte{mapOpFill, 1, mapOpFill, 1, mapOpFill, 1, mapOpFill, 1, mapOpFill, 1}, grow...))
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if err := runMapModel(tape); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The tape's op codes: code%8 picks the op, and for a put code/8%4
+// picks the value's size from mapPutBytes.
+const (
+	mapOpPut     = 0 // and 1, 2
+	mapOpDelete  = 3 // and 4
+	mapOpAdapt   = 5
+	mapOpFill    = 6 // and 7: a 200,000-byte store on machine arg%2
+	mapOpPut100  = mapOpPut + 8*1
+	mapOpPut50k  = mapOpPut + 8*3
+	mapModelKeys = 32
+	mapModelOps  = 256
+)
+
+var mapPutBytes = [4]int64{256, 100, 1000, 50_000}
+
+// runMapModel plays tape against a Map and a Go map, returning the
+// first divergence.
+func runMapModel(tape []byte) error {
+	s := core.NewSystem(core.DefaultConfig(), []cluster.MachineConfig{
+		{Cores: 2, MemBytes: 1 << 20},
+		{Cores: 2, MemBytes: 1 << 20},
+	})
+	m, err := NewMap[int, int](s, "model", Options{MaxShardBytes: 4 << 10})
+	if err != nil {
+		return err
+	}
+	var fail error
+	s.K.Spawn("driver", func(p *sim.Proc) {
 		model := map[int]int{}
-		okAll := true
-		s.K.Spawn("driver", func(p *sim.Proc) {
-			for _, op := range ops {
-				key := int(op % 32)
-				switch {
-				case op%3 == 2:
-					m.Delete(p, 0, key)
-					delete(model, key)
-				default:
-					val := int(op)
-					if err := m.Put(p, 0, key, val, 256); err != nil {
-						okAll = false
-						return
-					}
-					model[key] = val
+		// Past mapModelOps, ops add run time, not reach.
+		for i := 0; i+1 < min(len(tape), 2*mapModelOps) && fail == nil; i += 2 {
+			code, arg := tape[i], tape[i+1]
+			key := int(arg) % mapModelKeys
+			switch code % 8 {
+			case 0, 1, 2:
+				err := m.Put(p, 0, key, i, mapPutBytes[code/8%4])
+				if err == nil {
+					model[key] = i
+				} else if !errors.Is(err, cluster.ErrNoMemory) {
+					fail = fmt.Errorf("Put(%d): %w", key, err)
+				}
+			case 3, 4:
+				if err := m.Delete(p, 0, key); err != nil {
+					fail = fmt.Errorf("Delete(%d): %w", key, err)
+				}
+				delete(model, key)
+			case 5:
+				m.Adapt(p)
+			default:
+				if mp, err := core.NewMemoryProcletOn(s, fmt.Sprintf("fill-%d", i), cluster.MachineID(arg%2)); err == nil {
+					mp.Put(p, 0, 1, 0, 200_000) // a refused fill stays empty
 				}
 			}
-			if int(m.Len()) != len(model) {
-				okAll = false
-				return
+			if fail == nil {
+				fail = checkMapModel(p, m, model)
 			}
-			for k, want := range model {
-				got, err := m.Get(p, 0, k)
-				if err != nil || got != want {
-					okAll = false
-					return
-				}
+			if fail != nil {
+				fail = fmt.Errorf("op %d (%d, %d): %w", i/2, code, arg, fail)
 			}
-		})
-		s.K.Run()
-		return okAll
+		}
+	})
+	s.K.Run()
+	return fail
+}
+
+// checkMapModel holds m to model: its length, every key's Get, and one
+// stored entry per key.
+func checkMapModel(p *sim.Proc, m *Map[int, int], model map[int]int) error {
+	if m.Len() != int64(len(model)) {
+		return fmt.Errorf("Len = %d, model holds %d", m.Len(), len(model))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
+	for k := 0; k < mapModelKeys; k++ {
+		got, err := m.Get(p, 0, k)
+		want, ok := model[k]
+		if !ok && !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("Get(%d) = %d, %v; want ErrNotFound", k, got, err)
+		}
+		if ok && (err != nil || got != want) {
+			return fmt.Errorf("Get(%d) = %d, %v; want %d", k, got, err, want)
+		}
 	}
+	entries := map[int]int{}
+	for _, sh := range m.Shards() {
+		_, vals, _, err := sh.Scan(p, 0, 0, ^uint64(0))
+		if err != nil {
+			return err
+		}
+		for _, v := range vals {
+			for _, e := range v.Any().([]mapEntry[int, int]) {
+				entries[e.key]++
+			}
+		}
+	}
+	for k, n := range entries {
+		if n != 1 {
+			return fmt.Errorf("key %d stored %d times", k, n)
+		}
+	}
+	if len(entries) != len(model) {
+		return fmt.Errorf("%d keys stored, model holds %d", len(entries), len(model))
+	}
+	return nil
 }
 
 func TestKeyStringStable(t *testing.T) {
@@ -266,5 +361,25 @@ func TestKeyStringStable(t *testing.T) {
 	type pair struct{ A, B int }
 	if keyString(pair{1, 2}) != fmt.Sprint(pair{1, 2}) {
 		t.Error("struct key fallback broken")
+	}
+	// Routing: each key hashes to the value recorded when hashKey ran
+	// hash/fnv over a hand-rolled decimal form, so no key changes shard.
+	for i, c := range []struct{ got, want uint64 }{
+		{hashKey(""), 0xcbf29ce484222325},
+		{hashKey("str"), 0x826e83195d0d60f0},
+		{hashKey("user:42"), 0x6c151ea4dcd221c2},
+		{hashKey(0), 0xaf63ad4c86019caf},
+		{hashKey(42), 0x7ee7e07b4b19223},
+		{hashKey(-7), 0x7d01107b497db5d},
+		{hashKey(int64(math.MinInt64)), 0x5cc2383abc21cb79},
+		{hashKey(int32(math.MinInt32)), 0x50b2b941857248b1},
+		{hashKey(int64(9)), 0xaf63b44c8601a894},
+		{hashKey(uint64(math.MaxUint64)), 0xedf2a76b38fc3c54},
+		{hashKey(uint32(math.MaxUint32)), 0x2d48362b84de7a22},
+		{hashKey(pair{1, 2}), 0x433afdc69ac990ba},
+	} {
+		if c.got != c.want {
+			t.Errorf("case %d: hashKey = %#x, want %#x", i, c.got, c.want)
+		}
 	}
 }

@@ -7,15 +7,14 @@
 // mapping shard ranges to data proclets, which clients cache so lookups
 // route directly to the owning shard, and the restructuring protocol
 // that keeps shards within the migration-latency budget (§3.3): a
-// shard that outgrows MaxShardBytes splits in two by the structure's
-// own split function, and adjacent underfull shards merge. Iterators
+// shard that outgrows MaxShardBytes splits at the midpoint of its
+// range, and adjacent underfull shards merge. Iterators
 // carry semantic hints that drive prefetching, hiding remote-shard
 // access latency behind computation.
 package sharded
 
 import (
 	"errors"
-	"hash/fnv"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -61,21 +60,6 @@ func relieved(p *sim.Proc, sys *core.System, mp *core.MemoryProclet, need int64,
 		err = write()
 	}
 	return err
-}
-
-// hashKey hashes an arbitrary comparable key into the uint64 shard
-// space using FNV-1a over its printed form. Deterministic across runs.
-func hashKey[K comparable](k K) uint64 {
-	h := fnv.New64a()
-	writeKey(h, k)
-	return h.Sum64()
-}
-
-func writeKey[K comparable](h interface{ Write([]byte) (int, error) }, k K) {
-	// fmt.Fprintf would allocate; for the simulator's purposes the
-	// printed form is a fine canonical encoding.
-	b := []byte(keyString(k))
-	h.Write(b)
 }
 
 // opTracker counts in-flight structure operations per shard proclet.
