@@ -214,8 +214,8 @@ func FuzzMapModel(f *testing.F) {
 		f.Add(tape)
 	}
 	// A 100-byte value replaced by a 50,000-byte one after five fills
-	// leave the shard's machine (0) 48,076 bytes free: relief moves a
-	// fill to machine 1, or finds machine 1 filled too.
+	// leave the shard's machine (0) less free than the replace adds:
+	// relief moves a fill to machine 1, or finds machine 1 filled too.
 	grow := []byte{mapOpPut100, 7, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpFill, 0, mapOpPut50k, 7}
 	f.Add(grow)
 	f.Add(append([]byte{mapOpFill, 1, mapOpFill, 1, mapOpFill, 1, mapOpFill, 1, mapOpFill, 1}, grow...))
@@ -259,20 +259,20 @@ func runMapModel(tape []byte) error {
 		for i := 0; i+1 < min(len(tape), 2*mapModelOps) && fail == nil; i += 2 {
 			code, arg := tape[i], tape[i+1]
 			key := int(arg) % mapModelKeys
-			switch code % 8 {
-			case 0, 1, 2:
+			switch op := code % 8; {
+			case op < mapOpDelete:
 				err := m.Put(p, 0, key, i, mapPutBytes[code/8%4])
 				if err == nil {
 					model[key] = i
 				} else if !errors.Is(err, cluster.ErrNoMemory) {
 					fail = fmt.Errorf("Put(%d): %w", key, err)
 				}
-			case 3, 4:
+			case op < mapOpAdapt:
 				if err := m.Delete(p, 0, key); err != nil {
 					fail = fmt.Errorf("Delete(%d): %w", key, err)
 				}
 				delete(model, key)
-			case 5:
+			case op == mapOpAdapt:
 				m.Adapt(p)
 			default:
 				if mp, err := core.NewMemoryProcletOn(s, fmt.Sprintf("fill-%d", i), cluster.MachineID(arg%2)); err == nil {

@@ -16,8 +16,8 @@ const indexObjID = 1
 // table is the range table Map and Vector share: shards sorted by range
 // start, each a memory proclet, with a pinned index proclet holding the
 // routing table. It owns the §3.3 restructuring protocol — the split
-// gate and op drain that give a restructure an atomic view, merge,
-// split, merge, publish, the adaptation loop and teardown. What differs
+// gate and op drain that give a restructure an atomic view, split,
+// merge, publish, the adaptation loop and teardown. What differs
 // per structure is the key space (off, end) and the value encoding.
 type table struct {
 	sys  *core.System
