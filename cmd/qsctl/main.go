@@ -208,7 +208,7 @@ func runScenarioFile(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, []byte(strings.Join(out.Trace, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(*traceOut, []byte(strings.Join(out.Trace(), "\n")+"\n"), 0o644); err != nil {
 			fmt.Fprintf(stderr, "qsctl: writing trace: %v\n", err)
 			return 1
 		}

@@ -27,8 +27,8 @@ func runExperiment(t *testing.T, id string) *experiments.Result {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	if res.EventsProcessed == 0 || len(res.Trace) == 0 {
-		t.Fatalf("%s: %d kernel events, %d trace events: want both non-zero", id, res.EventsProcessed, len(res.Trace))
+	if n := len(res.TraceLines()); res.EventsProcessed == 0 || n == 0 {
+		t.Fatalf("%s: %d kernel events, %d trace events: want both non-zero", id, res.EventsProcessed, n)
 	}
 	return res
 }

@@ -112,7 +112,7 @@ func (sc *Scheduler) recoverOne(p *sim.Proc, pr *proclet.Proclet) {
 		if mp != nil && sc.sys.rebuild != nil {
 			if rerr := sc.sys.rebuild(p, mp); rerr != nil {
 				sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindRecover, pr.Name(),
-					-1, int(target), "rebuild failed: %v", rerr)
+					-1, int(target), "rebuild failed: %v", rerr.Error())
 			}
 		}
 		return

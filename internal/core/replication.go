@@ -540,7 +540,7 @@ func (rs *replicaSet) dropBackup(b *backupRef, cause error) {
 	rs.rm.BackupDrops.Inc()
 	sys := rs.rm.sys
 	sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, rs.primary.pr.Name(),
-		int(b.mp.pr.Location()), -1, "dropped backup %s: %v", b.mp.pr.Name(), cause)
+		int(b.mp.pr.Location()), -1, "dropped backup %s: %v", b.mp.pr.Name(), cause.Error())
 	rs.rm.scheduleResync(rs)
 }
 
@@ -590,7 +590,7 @@ func (rs *replicaSet) resync(p *sim.Proc) {
 			// stay degraded and let the next membership change retry.
 			sys := rs.rm.sys
 			sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, rs.primary.pr.Name(),
-				int(rs.primary.pr.Location()), -1, "resync degraded: %v", err)
+				int(rs.primary.pr.Location()), -1, "resync degraded: %v", err.Error())
 			break
 		}
 		rs.rm.Resyncs.Inc()

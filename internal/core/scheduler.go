@@ -89,6 +89,8 @@ type Scheduler struct {
 	// them only before its first blocking call.
 	victims []*procInfo
 	added   []float64
+	// evacs holds the finished evacuation records reactCPU reuses.
+	evacs []*evacuation
 
 	// Counters for control-plane activity.
 	Evacuations   metrics.Counter // fast-path CPU evacuations
@@ -173,6 +175,7 @@ func (sc *Scheduler) start() {
 			func(i int) bool { return sc.needsReact(ms[i]) },
 			func(p *sim.Proc, i int) {
 				m := ms[i]
+				var round sim.WaitGroup // this reactor's evacuations in flight
 				calm := func() sim.Wait {
 					if sc.needsReact(m) {
 						return sim.Resume
@@ -180,7 +183,7 @@ func (sc *Scheduler) start() {
 					return sim.After(sc.cfg.LocalPeriod)
 				}
 				for {
-					sc.reactCPU(p, m)
+					sc.reactCPU(p, m, &round)
 					sc.reactMem(p, m)
 					p.Await(sim.After(sc.cfg.LocalPeriod), calm)
 				}
@@ -342,19 +345,17 @@ func (sc *Scheduler) placeComputeIdle() (cluster.MachineID, error) {
 // movableOn appends to dst the non-pinned, running proclets of a kind on
 // machine m, smallest heap first (cheapest to migrate).
 func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) []*procInfo {
-	keep := func(pi *procInfo) {
-		if pi.kind == kind && !pi.pinned &&
-			pi.pr.Location() == m && pi.pr.State() == proclet.StateRunning {
-			dst = append(dst, pi)
-		}
-	}
 	if kind == KindCompute {
 		for _, pi := range sc.compute {
-			keep(pi)
+			if pi.movableOn(m, kind) {
+				dst = append(dst, pi)
+			}
 		}
 	} else {
 		for _, pi := range sc.info {
-			keep(pi)
+			if pi.movableOn(m, kind) {
+				dst = append(dst, pi)
+			}
 		}
 	}
 	slices.SortFunc(dst, func(a, b *procInfo) int {
@@ -364,6 +365,13 @@ func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) 
 		return cmp.Compare(a.pr.ID(), b.pr.ID())
 	})
 	return dst
+}
+
+// movableOn reports whether pi is a non-pinned, running proclet of kind
+// on machine m.
+func (pi *procInfo) movableOn(m cluster.MachineID, kind Kind) bool {
+	return pi.kind == kind && !pi.pinned &&
+		pi.pr.Location() == m && pi.pr.State() == proclet.StateRunning
 }
 
 // needsReact reports whether the fast path would act on machine m now:
@@ -378,8 +386,9 @@ func (sc *Scheduler) needsReact(m *cluster.Machine) bool {
 }
 
 // reactCPU evacuates compute proclets from an overloaded machine,
-// launching the migrations in parallel and waiting for them all.
-func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
+// launching the migrations in parallel and waiting on round, the
+// reactor's own group, for them all.
+func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine, round *sim.WaitGroup) {
 	if m.Down() {
 		return
 	}
@@ -396,9 +405,10 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 		return
 	}
 	// Projected demand added to each target this round.
-	sc.added = append(sc.added[:0], make([]float64, sc.sys.Cluster.NumMachines())...)
+	n := sc.sys.Cluster.NumMachines()
+	sc.added = slices.Grow(sc.added[:0], n)[:n]
 	added := sc.added
-	var wg *sim.WaitGroup // made by the first launch: most rounds find no target
+	clear(added)
 	launched := 0
 	var sp obs.SpanID
 	for _, v := range victims {
@@ -425,28 +435,59 @@ func (sc *Scheduler) reactCPU(p *sim.Proc, m *cluster.Machine) {
 		}
 		added[target] += d
 		demand -= d
-		if wg == nil {
-			wg = new(sim.WaitGroup)
-		}
-		// Copies for the closure: capturing wg or sp themselves would put
-		// them on the heap in every round, launch or not.
-		id, cause, round := v.pr.ID(), sp, wg
+		e := sc.evacuation()
+		e.id, e.target, e.cause, e.round = v.pr.ID(), target, sp, round
 		round.Add(1)
 		launched++
-		sc.sys.K.Spawn("sched/evacuate", func(mp *sim.Proc) {
-			defer round.Done()
-			if err := sc.sys.Runtime.MigrateCaused(mp, id, target, cause); err == nil {
-				sc.Evacuations.Inc()
-			}
-		})
+		sc.sys.K.Spawn("sched/evacuate", e.run)
 	}
 	if launched > 0 {
 		// A cluster machine's Name is "m<ID>": no subject to format.
 		sc.sys.Trace.Emitf(sc.sys.K.Now(), obs.KindPressure, m.Name,
 			int(m.ID), -1, "cpu evacuating %d proclets", launched)
-		wg.Wait(p)
+		round.Wait(p)
 	}
 	sc.sys.Obs.End(sp)
+}
+
+// evacuation is one CPU evacuation reactCPU launches: a record the
+// scheduler reuses, its process body bound once, so a launch at steady
+// state allocates nothing.
+type evacuation struct {
+	sc     *Scheduler
+	id     proclet.ID
+	target cluster.MachineID
+	cause  obs.SpanID
+	round  *sim.WaitGroup
+	run    func(*sim.Proc) // e.migrate
+}
+
+// evacuation takes a finished record, or makes one.
+func (sc *Scheduler) evacuation() *evacuation {
+	if n := len(sc.evacs); n > 0 {
+		e := sc.evacs[n-1]
+		sc.evacs = sc.evacs[:n-1]
+		return e
+	}
+	e := &evacuation{sc: sc}
+	e.run = e.migrate
+	return e
+}
+
+// migrate is the evacuation's process: it moves the proclet, then
+// hands the record back and counts itself out of its round.
+func (e *evacuation) migrate(p *sim.Proc) {
+	defer e.finish()
+	if err := e.sc.sys.Runtime.MigrateCaused(p, e.id, e.target, e.cause); err == nil {
+		e.sc.Evacuations.Inc()
+	}
+}
+
+func (e *evacuation) finish() {
+	round := e.round
+	e.round = nil
+	e.sc.evacs = append(e.sc.evacs, e)
+	round.Done()
 }
 
 // pickCPUTarget finds the machine (other than src) that can absorb d

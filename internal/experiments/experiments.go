@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Result is one experiment's output.
@@ -31,11 +33,21 @@ type Result struct {
 	SeriesTime []float64
 	// EventsProcessed is the total number of kernel events executed
 	// across the experiment's simulation runs (every experiment sets it),
-	// and Trace the rendered control-plane event log of those that keep
-	// one — both exist so the golden table can assert that one seed
-	// produces exactly one behaviour.
+	// and Traces the control-plane event logs of those that keep one, in
+	// run order — both exist so the golden table can assert that one seed
+	// produces exactly one behaviour. The logs are rendered only when
+	// read, by TraceLines.
 	EventsProcessed uint64
-	Trace           []string
+	Traces          []*obs.Log
+}
+
+// TraceLines renders Traces, one line per event, log after log.
+func (r *Result) TraceLines() []string {
+	var lines []string
+	for _, l := range r.Traces {
+		lines = append(lines, l.Lines()...)
+	}
+	return lines
 }
 
 func newResult(id, title string) *Result {

@@ -684,7 +684,7 @@ func TestExtScaleShape(t *testing.T) {
 	if res.Values["cross_msgs"] <= 0 {
 		t.Error("no cross-shard RPCs completed")
 	}
-	if len(res.Trace) == 0 || res.EventsProcessed == 0 {
+	if len(res.TraceLines()) == 0 || res.EventsProcessed == 0 {
 		t.Error("missing merged trace or event count")
 	}
 }
@@ -851,7 +851,7 @@ func TestExtGPUFleetShape(t *testing.T) {
 	if res.Values["steps"] <= 0 {
 		t.Error("no training steps recorded")
 	}
-	if res.EventsProcessed == 0 || len(res.Trace) == 0 {
+	if res.EventsProcessed == 0 || len(res.TraceLines()) == 0 {
 		t.Error("missing determinism evidence (events/trace)")
 	}
 }

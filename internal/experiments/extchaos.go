@@ -263,7 +263,7 @@ func runExtChaos(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	chaos, base, repl := outs[0], outs[1], outs[2]
-	res.Trace = chaos.trace.Lines()
+	res.Traces = []*obs.Log{chaos.trace}
 
 	baseMean := meanOver(base.goodput, cfg.bucket, cfg.warmup, cfg.horizon)
 	dip := meanOver(chaos.goodput, cfg.bucket, firstFault, finalHeal)

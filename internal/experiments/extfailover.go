@@ -219,7 +219,7 @@ func runExtFailover(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	rf2, rf2Base, rf1, rf1Base := outs[0], outs[1], outs[2], outs[3]
-	res.Trace = rf2.trace.Lines()
+	res.Traces = []*obs.Log{rf2.trace}
 
 	foMean, foMax := 0.0, 0.0
 	for _, ms := range rf2.failoverMS {

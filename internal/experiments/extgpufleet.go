@@ -267,7 +267,7 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	robust, nomit, nockpt, oracle := outs[0], outs[1], outs[2], outs[3]
-	res.Trace = robust.trace.Lines()
+	res.Traces = []*obs.Log{robust.trace}
 
 	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
 	res.addf("%-15s %13s %9s %10s %9s %6s %11s %10s", "variant",

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -70,7 +71,7 @@ type scaleDet struct {
 	ops, failed, crossOps, crossFailed int64
 	lost, crashes, recoveries          int64
 	windows, crossMsgs                 uint64
-	trace                              []string
+	trace                              *obs.Log
 }
 
 // runScaleOnce builds the partitioned fleet and runs it.
@@ -190,7 +191,7 @@ func runExtScale(scale Scale) (*Result, error) {
 		return nil, err
 	}
 	res.EventsProcessed = ref.events
-	res.Trace = ref.trace
+	res.Traces = []*obs.Log{ref.trace}
 	res.addf("ops acked %d (failed %d), cross-shard reads %d (failed %d), objects lost %d",
 		ref.ops, ref.failed, ref.crossOps, ref.crossFailed, ref.lost)
 	res.addf("crashes %d, orphans re-placed %d; %d sync windows, %d cross-shard RPCs",

@@ -191,7 +191,7 @@ type serveDet struct {
 	startNS                             int64 // the last shard's injection start (after preload)
 	opened, resolved, sloWindows        int   // SLO incidents opened and resolved, windows closed
 	windows, crossMsgs                  uint64
-	trace                               []string
+	trace                               *obs.Log
 }
 
 type serveOutcome struct {
@@ -498,7 +498,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	}
 	det := ref.det
 	res.EventsProcessed = det.events
-	res.Trace = det.trace
+	res.Traces = []*obs.Log{det.trace}
 	generated, served, timeouts := det.generated, det.served, det.timeouts
 	durS := float64(int64(cfg.horizon)-det.startNS) / 1e9
 	goodput := float64(served-timeouts) / durS

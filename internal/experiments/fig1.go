@@ -250,7 +250,7 @@ func runFig1(scale Scale) (*Result, error) {
 		res.set(mode+".migrations", float64(st.migrations))
 		res.set(mode+".mig_mean_ms", st.migMeanMs)
 		res.set(mode+".react_ms", st.reactMeanM)
-		res.Trace = append(res.Trace, st.trace.Lines()...)
+		res.Traces = append(res.Traces, st.trace)
 		// Plot-ready series: per-machine goodput in units/ms, 1 ms
 		// buckets — the data behind the paper's Figure 1 plot.
 		nB := int(int64(cfg.horizon) / int64(time.Millisecond))

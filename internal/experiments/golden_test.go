@@ -100,7 +100,8 @@ func writeGolden(b *strings.Builder, res *Result) {
 	for _, k := range sortedKeys(res.Values) {
 		fmt.Fprintf(b, "value %s %s\n", k, strconv.FormatFloat(res.Values[k], 'g', -1, 64))
 	}
-	fmt.Fprintf(b, "trace %d %s\n", len(res.Trace), digest(res.Trace))
+	trace := res.TraceLines()
+	fmt.Fprintf(b, "trace %d %s\n", len(trace), digest(trace))
 	fmt.Fprintf(b, "series_time %d %s\n", len(res.SeriesTime), digest(floats(res.SeriesTime)))
 	for _, k := range sortedKeys(res.Series) {
 		fmt.Fprintf(b, "series %s %d %s\n", k, len(res.Series[k]), digest(floats(res.Series[k])))

@@ -85,16 +85,16 @@ func (f *Fleet) Events() []uint64 {
 	return n
 }
 
-// Trace renders the control-plane log of the whole fleet: the shards'
-// logs merged by time, ties broken by shard index. The result depends
-// only on what each shard logged, never on the host worker count.
-func (f *Fleet) Trace() []string {
+// Trace is the control-plane log of the whole fleet: the shards' logs
+// merged by time, ties broken by shard index. The result depends only
+// on what each shard logged, never on the host worker count.
+func (f *Fleet) Trace() *obs.Log {
 	logs := make([]*obs.Log, len(f.Shards))
 	for s, sys := range f.Shards {
 		logs[s] = sys.Trace
 	}
 	merged, _ := obs.MergeLogs(logs...)
-	return merged.Lines()
+	return merged
 }
 
 // PlaceStores creates n memory proclets named by nameFmt (one %d verb,

@@ -259,7 +259,7 @@ func TestLedgerStaysProportionalToDistinctKeys(t *testing.T) {
 func TestTraceMergesByTimeThenShard(t *testing.T) {
 	f, _ := crashRun(t, true)
 	defer f.Close()
-	got := f.Trace()
+	got := f.Trace().Lines()
 
 	type tagged struct {
 		e     obs.Event

@@ -313,7 +313,7 @@ func (f *Fleet) detectStragglers(p *sim.Proc) {
 		f.sys.Trace.Emitf(p.Now(), obs.KindRebalance, gp.Name(),
 			int(gp.Device().Machine.ID), int(dst.Machine.ID),
 			"straggler %.3fms vs median %.3fms: re-dispatch %s -> %s",
-			gp.stepLatencyMS(), median, gp.Device(), dst)
+			gp.stepLatencyMS(), median, gp.Device().String(), dst.String())
 		f.move(p, e, dst, gp.migrateTo, &f.Mitigations)
 	}
 }

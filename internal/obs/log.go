@@ -2,7 +2,9 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -48,13 +50,169 @@ func (l *Log) Emit(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Emitf is shorthand for Emit with a formatted detail string.
+// Emitf is Emit with a detail string formatted as fmt.Sprintf would,
+// byte for byte, for the verbs and argument types appendDetail takes.
+// The text is built in a stack buffer and args do not escape, so an
+// event costs one allocation, its detail string, and none when format
+// has no verb. A call outside that set panics with the format.
 func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	l.Emit(Event{At: at, Kind: kind, Subject: subject, From: from, To: to,
-		Detail: fmt.Sprintf(format, args...)})
+	detail := format
+	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
+		var buf [128]byte
+		detail = string(appendDetail(buf[:0], format, args))
+	}
+	l.Emit(Event{At: at, Kind: kind, Subject: subject, From: from, To: to, Detail: detail})
+}
+
+// appendDetail appends format rendered with args to b. It takes a
+// closed set of verbs — %d over int, int32, int64, uint32 and uint64;
+// %s over string, time.Duration and sim.Time; %.Nf over float64; %v over
+// all of these; and %% — and calls no fmt function and no method
+// through an interface, which is what keeps args on the caller's stack.
+// Anything else panics: falling back to fmt would box every call's
+// arguments again. TestEmitfArgs holds every call site to the same set.
+func appendDetail(b []byte, format string, args []any) []byte {
+	next := 0
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			b = append(b, format...)
+			break
+		}
+		b = append(b, format[:i]...)
+		format = format[i+1:]
+		prec := -1
+		if format != "" && format[0] == '.' {
+			prec = 0
+			for format = format[1:]; format != "" && '0' <= format[0] && format[0] <= '9'; format = format[1:] {
+				prec = 10*prec + int(format[0]-'0')
+			}
+		}
+		if format == "" {
+			badDetail(format, "ends inside a verb")
+		}
+		verb := format[0]
+		format = format[1:]
+		if verb == '%' && prec < 0 {
+			b = append(b, '%')
+			continue
+		}
+		if next == len(args) {
+			badDetail(format, "has more verbs than arguments")
+		}
+		b = appendArg(b, verb, prec, args[next], format)
+		next++
+	}
+	if next != len(args) {
+		badDetail(format, "has fewer verbs than arguments")
+	}
+	return b
+}
+
+// appendArg appends one argument under its verb; prec is -1 unless the
+// verb carried a precision. rest is the format after the verb, for the
+// panic message.
+func appendArg(b []byte, verb byte, prec int, arg any, rest string) []byte {
+	plain := prec < 0 && verb == 'v'
+	switch v := arg.(type) {
+	case int:
+		if plain || prec < 0 && verb == 'd' {
+			return strconv.AppendInt(b, int64(v), 10)
+		}
+	case int32:
+		if plain || prec < 0 && verb == 'd' {
+			return strconv.AppendInt(b, int64(v), 10)
+		}
+	case int64:
+		if plain || prec < 0 && verb == 'd' {
+			return strconv.AppendInt(b, v, 10)
+		}
+	case uint32:
+		if plain || prec < 0 && verb == 'd' {
+			return strconv.AppendUint(b, uint64(v), 10)
+		}
+	case uint64:
+		if plain || prec < 0 && verb == 'd' {
+			return strconv.AppendUint(b, v, 10)
+		}
+	case float64:
+		// strconv writes NaN, +Inf and -Inf, and the sign, as fmt does.
+		if plain {
+			return strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
+		if prec >= 0 && verb == 'f' {
+			return strconv.AppendFloat(b, v, 'f', prec, 64)
+		}
+	case string:
+		if plain || prec < 0 && verb == 's' {
+			return append(b, v...)
+		}
+	case time.Duration:
+		if plain || prec < 0 && verb == 's' {
+			return appendDuration(b, v)
+		}
+	case sim.Time:
+		if plain || prec < 0 && verb == 's' {
+			return appendDuration(b, time.Duration(v))
+		}
+	default:
+		badDetail(rest, "has an argument of an unsupported type")
+	}
+	badDetail(rest, "has a verb its argument's type does not take")
+	return nil
+}
+
+// badDetail panics for an Emitf call appendDetail cannot render; rest is
+// the format from the point where rendering stopped.
+func badDetail(rest, what string) {
+	panic("obs: Emitf format " + what + " (at " + strconv.Quote(rest) + ")")
+}
+
+// appendDuration appends d as time.Duration's String renders it:
+// "0s", "1.5µs", "20ms", "1m0.5s", "2h0m0s".
+func appendDuration(b []byte, d time.Duration) []byte {
+	u := uint64(d)
+	if d < 0 {
+		b = append(b, '-')
+		u = -u
+	}
+	switch {
+	case u == 0:
+		return append(b, "0s"...)
+	case u < uint64(time.Microsecond):
+		return append(strconv.AppendUint(b, u, 10), "ns"...)
+	case u < uint64(time.Millisecond):
+		return append(appendFrac(b, u, uint64(time.Microsecond)), "µs"...)
+	case u < uint64(time.Second):
+		return append(appendFrac(b, u, uint64(time.Millisecond)), "ms"...)
+	}
+	h, m := u/uint64(time.Hour), u/uint64(time.Minute)%60
+	if h > 0 {
+		b = append(strconv.AppendUint(b, h, 10), 'h')
+	}
+	if h > 0 || m > 0 {
+		b = append(strconv.AppendUint(b, m, 10), 'm')
+	}
+	return append(appendFrac(b, u%uint64(time.Minute), uint64(time.Second)), 's')
+}
+
+// appendFrac appends v/unit as a decimal, trailing zeros dropped, and
+// the point too when nothing follows it; unit is a power of ten.
+func appendFrac(b []byte, v, unit uint64) []byte {
+	b = strconv.AppendUint(b, v/unit, 10)
+	frac := v % unit
+	if frac == 0 {
+		return b
+	}
+	b = append(b, '.')
+	for unit /= 10; frac > 0; unit /= 10 {
+		b = append(b, byte('0'+frac/unit))
+		frac %= unit
+	}
+	return b
 }
 
 // Events returns all events in emission order (not a copy).

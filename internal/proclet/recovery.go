@@ -63,7 +63,7 @@ func (rt *Runtime) CrashMachine(mid cluster.MachineID) []*Proclet {
 		pr.unblocked.Broadcast()
 		pr.drained.Broadcast()
 		rt.Trace.Emitf(rt.k.Now(), obs.KindCrash, pr.name, int(mid), -1,
-			"orphaned id=%d heap=%d", pr.id, pr.heapBytes)
+			"orphaned id=%d heap=%d", int64(pr.id), pr.heapBytes)
 		orphans = append(orphans, pr)
 	}
 	return orphans
@@ -91,7 +91,7 @@ func (rt *Runtime) Depose(pr *Proclet) error {
 	pr.unblocked.Broadcast()
 	pr.drained.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), obs.KindRepl, pr.name, int(mid), -1,
-		"deposed id=%d (false confirmation)", pr.id)
+		"deposed id=%d (false confirmation)", int64(pr.id))
 	return nil
 }
 
@@ -127,7 +127,7 @@ func (rt *Runtime) Restore(p *sim.Proc, pr *Proclet, to cluster.MachineID) error
 	pr.state = StateRunning
 	pr.unblocked.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), obs.KindRecover, pr.name, int(from), int(to),
-		"restored id=%d heap=%d", pr.id, pr.heapBytes)
+		"restored id=%d heap=%d", int64(pr.id), pr.heapBytes)
 	return nil
 }
 
@@ -143,5 +143,5 @@ func (rt *Runtime) Abandon(pr *Proclet) {
 	rt.procs[pr.id] = nil
 	pr.unblocked.Broadcast()
 	rt.Trace.Emitf(rt.k.Now(), obs.KindDestroy, pr.name, int(pr.machine), -1,
-		"shed after crash id=%d", pr.id)
+		"shed after crash id=%d", int64(pr.id))
 }

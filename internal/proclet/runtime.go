@@ -177,7 +177,7 @@ func (rt *Runtime) Spawn(name string, m cluster.MachineID, heapBytes int64) (*Pr
 		heapBytes:  heapBytes,
 	}
 	rt.procs = append(rt.procs, pr)
-	rt.Trace.Emitf(rt.k.Now(), obs.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, pr.id)
+	rt.Trace.Emitf(rt.k.Now(), obs.KindSpawn, name, -1, int(m), "heap=%d id=%d", heapBytes, int64(pr.id))
 	return pr, nil
 }
 
@@ -198,7 +198,7 @@ func (rt *Runtime) Destroy(id ID) error {
 	pr.cancelTasks()
 	rt.procs[id] = nil
 	pr.unblocked.Broadcast()
-	rt.Trace.Emitf(rt.k.Now(), obs.KindDestroy, pr.name, int(m), -1, "id=%d", id)
+	rt.Trace.Emitf(rt.k.Now(), obs.KindDestroy, pr.name, int(m), -1, "id=%d", int64(id))
 	return nil
 }
 

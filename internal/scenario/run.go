@@ -58,8 +58,8 @@ type AssertResult struct {
 }
 
 // Outcome is everything a finished run produced: the full metric set,
-// the merged latency histogram, per-assertion verdicts, and the merged
-// control-plane trace.
+// the merged latency histogram, per-assertion verdicts, and the shards'
+// control-plane logs, which Trace merges and renders.
 type Outcome struct {
 	Spec    *Spec
 	Seed    int64
@@ -67,14 +67,13 @@ type Outcome struct {
 	Hist    *metrics.LogHistogram
 	Asserts []AssertResult
 	Pass    bool
-	Trace   []string
 
 	// SLO plane results: incidents in shard order, and per-shard
 	// window history when Options.KeepWindows is set.
 	Incidents  []slo.Incident
 	SLOHistory [][]slo.WindowStat
 
-	logs []*obs.Log // per-shard control-plane logs: WriteFlightDump's source
+	logs []*obs.Log // per-shard control-plane logs: Trace's and WriteFlightDump's source
 }
 
 // flightTail is how many of each shard's latest control-plane events
@@ -460,7 +459,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 	}
 
-	return collect(sp, seed, fl, shards, bucketNS)
+	return collect(sp, seed, shards, bucketNS)
 }
 
 // metric is one row of the report: a name assertions may reference,
@@ -566,7 +565,7 @@ var metricTable = []metric{
 var MetricNames = column(metricTable, func(d metric) string { return d.name })
 
 // collect folds per-shard state into the Outcome, in fixed shard order.
-func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucketNS int64) (*Outcome, error) {
+func collect(sp *Spec, seed int64, shards []*shardState, bucketNS int64) (*Outcome, error) {
 	horizon := mst(sp.HorizonMS)
 	out := &Outcome{Spec: sp, Seed: seed, Pass: true,
 		Metrics: make(map[string]float64, len(metricTable))}
@@ -611,7 +610,6 @@ func collect(sp *Spec, seed int64, fl *fleet.Fleet, shards []*shardState, bucket
 			out.Pass = false
 		}
 	}
-	out.Trace = fl.Trace()
 	return out, nil
 }
 
@@ -778,6 +776,13 @@ func (o *Outcome) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
+}
+
+// Trace renders the run's control-plane log, the shards' logs merged by
+// time, ties broken by shard index: the file qsctl run -trace-out writes.
+func (o *Outcome) Trace() []string {
+	merged, _ := obs.MergeLogs(o.logs...)
+	return merged.Lines()
 }
 
 // WriteFlightDump renders the flight-recorder timeline — the last

@@ -75,11 +75,13 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	p.park()
 }
 
+// release wakes the waiters and keeps the slice for the next round.
 func (wg *WaitGroup) release() {
 	for _, w := range wg.waiters {
 		w.wake()
 	}
-	wg.waiters = nil
+	clear(wg.waiters)
+	wg.waiters = wg.waiters[:0]
 }
 
 // Cond is a simulated condition variable. Unlike sync.Cond it is not
