@@ -53,6 +53,16 @@ func (a *Antagonist) Start(k *sim.Kernel) {
 	if a.Jitter > 0 && a.Rng == nil {
 		panic("workload: jittered antagonist needs an injected *rand.Rand")
 	}
+	// The callbacks are bound once: a period schedules them, it does not
+	// build them.
+	release := func() { a.Machine.SetReserved(0) }
+	busy := func() {
+		if a.stopped {
+			return
+		}
+		a.Machine.SetReserved(a.Cores)
+		k.After(a.Busy, release)
+	}
 	var cycle func()
 	at := sim.Time(0).Add(a.Offset)
 	cycle = func() {
@@ -62,19 +72,9 @@ func (a *Antagonist) Start(k *sim.Kernel) {
 		}
 		if a.Jitter > 0 {
 			// Uniform in [0, 2*Jitter): keeps the window inside the period.
-			start := k.Now().Add(time.Duration(a.Rng.Int63n(2 * int64(a.Jitter))))
-			k.Schedule(start, func() {
-				if a.stopped {
-					return
-				}
-				a.Machine.SetReserved(a.Cores)
-				k.After(a.Busy, func() { a.Machine.SetReserved(0) })
-			})
+			k.Schedule(k.Now().Add(time.Duration(a.Rng.Int63n(2*int64(a.Jitter)))), busy)
 		} else {
-			a.Machine.SetReserved(a.Cores)
-			k.After(a.Busy, func() {
-				a.Machine.SetReserved(0)
-			})
+			busy()
 		}
 		at = at.Add(a.Period)
 		k.Schedule(at, cycle)
