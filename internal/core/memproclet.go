@@ -592,6 +592,9 @@ func (mp *MemoryProclet) Location() cluster.MachineID { return mp.pr.Location() 
 // HeapBytes returns accounted state size.
 func (mp *MemoryProclet) HeapBytes() int64 { return mp.pr.HeapBytes() }
 
+// NumObjects returns how many objects the proclet stores.
+func (mp *MemoryProclet) NumObjects() int { return mp.objs.len() }
+
 // Destroy removes the proclet and its objects. Destroying a replicated
 // primary tears down its backups too. A proclet that is gone or
 // migrating is left as it is: Destroy returns ErrNotFound or

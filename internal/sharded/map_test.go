@@ -138,6 +138,32 @@ func TestMapSplitsUnderLoad(t *testing.T) {
 	s.K.Run()
 }
 
+// TestMapDoesNotSplitOneObject: a shard over the cap that holds one
+// bucket cannot be halved, so a put that leaves it there splits
+// nothing, and neither does Adapt afterwards (nor does it merge).
+func TestMapDoesNotSplitOneObject(t *testing.T) {
+	s := testSys(t)
+	m, _ := NewMap[int, []byte](s, "map", Options{MaxShardBytes: 4 << 10})
+	s.K.Spawn("driver", func(p *sim.Proc) {
+		for i := 0; i < 10; i++ {
+			if err := m.Put(p, 0, 7, nil, 50_000); err != nil {
+				t.Fatalf("Put #%d: %v", i, err)
+			}
+		}
+		if m.NumShards() != 1 || m.Splits != 0 {
+			t.Errorf("after 10 puts of one key: %d shards, %d splits; want 1 and 0", m.NumShards(), m.Splits)
+		}
+		m.Adapt(p)
+		if m.NumShards() != 1 || m.Splits != 0 || m.Merges != 0 {
+			t.Errorf("after Adapt: %d shards, %d splits, %d merges; want 1, 0, 0", m.NumShards(), m.Splits, m.Merges)
+		}
+		if _, err := m.Get(p, 0, 7); err != nil {
+			t.Errorf("Get(7): %v", err)
+		}
+	})
+	s.K.Run()
+}
+
 func TestMapMergeAfterDeletes(t *testing.T) {
 	// The paper's motivating merge case: a hash table shrunk by heavy
 	// deletes re-compacts into fewer memory proclets.

@@ -125,9 +125,12 @@ func (t *table) publishIndex(p *sim.Proc) {
 // shard's whole range — for the last shard an open-ended one, since
 // Vector appends reserve keys past the current end — drains the shard,
 // and only then takes the bounds. Spilled shards are not split (they
-// have no resident proclet). Caller holds adaptMu.
+// have no resident proclet), nor are shards of one object (a Map
+// bucket, a Vector element): halving the range would move that object
+// or nothing and leave the shard as large as before. Caller holds
+// adaptMu.
 func (t *table) splitShard(p *sim.Proc, s int) bool {
-	if t.shards[s].spilled {
+	if t.shards[s].spilled || t.shards[s].mp.NumObjects() < 2 {
 		return false
 	}
 	src := t.shards[s].mp
