@@ -1109,11 +1109,20 @@ func BenchmarkLogEmit(b *testing.B) {
 
 // TestLogEmitDoesNotAllocate is BenchmarkLogEmit's assertion: anything
 // Emit does per event beyond the append (a hook, a formatted copy)
-// shows up as at least one allocation per call.
+// shows up as at least one allocation per call. Emitf may allocate the
+// detail string and nothing else: a boxed argument or a fmt call would
+// add at least one more.
 func TestLogEmitDoesNotAllocate(t *testing.T) {
 	l := warmLog()
 	if allocs := testing.AllocsPerRun(1000, func() { l.Emit(logEmitEvent) }); allocs != 0 {
 		t.Fatalf("Emit into a warm log allocates: %v allocs/op", allocs)
+	}
+	l = warmLog()
+	heap, latency := int64(1<<20)+7, 1500*time.Microsecond+3
+	if allocs := testing.AllocsPerRun(1000, func() {
+		l.Emitf(1, obs.KindMigrate, "mem-1", 0, 1, "bytes=%d latency=%v", heap, latency)
+	}); allocs > 1 {
+		t.Fatalf("Emitf of an int64 and a time.Duration into a warm log: %v allocs/op, want at most 1", allocs)
 	}
 }
 

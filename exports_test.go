@@ -1124,6 +1124,101 @@ func TestNoDeadCode(t *testing.T) {
 	}
 }
 
+// emitfTakes is what obs.Log.Emitf renders without fmt: for each
+// argument type, the verbs that take it ("f" stands for a %.Nf).
+var emitfTakes = map[string]string{
+	"int": "dv", "int32": "dv", "int64": "dv", "uint32": "dv", "uint64": "dv",
+	"float64": "fv", "string": "sv", "time.Duration": "sv", "repro/internal/sim.Time": "sv",
+}
+
+// TestEmitfArgs checks every obs.Log.Emitf call against the verbs and
+// argument types its formatter takes; go vet's printf check does not,
+// since Emitf calls no fmt function. The format must be a constant, each
+// verb one of %d %s %v %.Nf %%, the arguments one a verb, and each
+// argument's type one its verb takes: a named type (proclet.ID) or an
+// interface (error) is converted at the call.
+func TestEmitfArgs(t *testing.T) {
+	tree, err := checkedTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const formatArg = 5 // Emitf(at, kind, subject, from, to, format, args...)
+	calls := 0
+	for _, p := range tree.pkgs {
+		if p == nil {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeOf(p.info, call)
+				if fn == nil || fn.Name() != "Emitf" || fn.Pkg().Path() != "repro/internal/obs" || recvName(fn) != "Log" {
+					return true
+				}
+				calls++
+				at := tree.fset.Position(call.Pos())
+				if call.Ellipsis.IsValid() {
+					t.Errorf("%s: Emitf forwards a slice; its arguments cannot be checked", at)
+					return true
+				}
+				format := p.info.Types[call.Args[formatArg]].Value
+				if format == nil || format.Kind() != constant.String {
+					t.Errorf("%s: Emitf's format is not a constant", at)
+					return true
+				}
+				verbs, err := emitfVerbs(constant.StringVal(format))
+				args := call.Args[formatArg+1:]
+				switch {
+				case err != nil:
+					t.Errorf("%s: %v", at, err)
+				case len(verbs) != len(args):
+					t.Errorf("%s: %d verbs, %d arguments", at, len(verbs), len(args))
+				default:
+					for i, arg := range args {
+						typ := types.TypeString(p.info.Types[arg].Type, nil)
+						if !strings.Contains(emitfTakes[typ], verbs[i]) {
+							t.Errorf("%s: argument %d is a %s, which Emitf does not render under %%%s", at, i+1, typ, verbs[i])
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if calls == 0 {
+		t.Error("found no obs.Log.Emitf call")
+	}
+}
+
+// emitfVerbs lists a format's verbs, a %.Nf as "f"; %% is no verb.
+func emitfVerbs(format string) ([]string, error) {
+	var verbs []string
+	for {
+		i := strings.IndexByte(format, '%')
+		if i < 0 {
+			return verbs, nil
+		}
+		format = format[i+1:]
+		prec := strings.HasPrefix(format, ".")
+		if prec {
+			format = strings.TrimLeft(format[1:], "0123456789")
+		}
+		switch {
+		case format == "":
+			return nil, fmt.Errorf("format ends inside a verb")
+		case format[0] == 'f' && prec, strings.IndexByte("dsv", format[0]) >= 0 && !prec:
+			verbs = append(verbs, format[:1])
+		case format[0] == '%' && !prec:
+		default:
+			return nil, fmt.Errorf("verb %%%s is not one Emitf renders", format[:1])
+		}
+		format = format[1:]
+	}
+}
+
 // TestNoHostClock: no non-test code of the root module reads the host
 // clock. A simulated run is a function of its seed, so a reading of
 // time.Now or time.Since in it is either dead or a value that differs

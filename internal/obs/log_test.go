@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -55,6 +56,36 @@ func TestCountDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Count allocated %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestEmitfPanicsOutsideItsVerbs: a type or verb Emitf's formatter
+// does not take panics with the format instead of falling back to fmt,
+// which would box every call's arguments again.
+func TestEmitfPanicsOutsideItsVerbs(t *testing.T) {
+	type id int64
+	for _, tc := range []struct {
+		format string
+		args   []any
+	}{
+		{"id=%d", []any{id(3)}},
+		{"err %v", []any{errors.New("x")}},
+		{"%x", []any{7}},
+		{"%s", []any{7}},
+		{"%d", []any{1.5}},
+		{"%.2f", []any{int64(2)}},
+		{"%d %d", []any{1}},
+		{"%d", []any{1, 2}},
+		{"trailing %", nil},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "obs: Emitf format") {
+					t.Errorf("Emitf(%q, %v) recovered %v, want a panic naming the format", tc.format, tc.args, r)
+				}
+			}()
+			NewLog().Emitf(0, KindMigrate, "x", 0, 1, tc.format, tc.args...)
+		}()
 	}
 }
 
