@@ -91,6 +91,9 @@ type Scheduler struct {
 	added   []float64
 	// evacs holds the finished evacuation records reactCPU reuses.
 	evacs []*evacuation
+	// movers is rebalance's victim list. Only the global loop calls
+	// rebalance, so the list may outlive its blocking migrations.
+	movers []*procInfo
 
 	// Counters for control-plane activity.
 	Evacuations   metrics.Counter // fast-path CPU evacuations
@@ -619,7 +622,8 @@ func (sc *Scheduler) rebalance(p *sim.Proc) {
 			return
 		}
 		moved := false
-		for _, v := range sc.movableOn(nil, hi.ID, KindCompute) {
+		sc.movers = sc.movableOn(sc.movers[:0], hi.ID, KindCompute)
+		for _, v := range sc.movers {
 			d := v.demand()
 			if d == 0 {
 				continue
