@@ -350,13 +350,13 @@ func (sc *Scheduler) placeComputeIdle() (cluster.MachineID, error) {
 func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) []*procInfo {
 	if kind == KindCompute {
 		for _, pi := range sc.compute {
-			if pi.movableOn(m, kind) {
+			if pi.movable(m, kind) {
 				dst = append(dst, pi)
 			}
 		}
 	} else {
 		for _, pi := range sc.info {
-			if pi.movableOn(m, kind) {
+			if pi.movable(m, kind) {
 				dst = append(dst, pi)
 			}
 		}
@@ -370,9 +370,9 @@ func (sc *Scheduler) movableOn(dst []*procInfo, m cluster.MachineID, kind Kind) 
 	return dst
 }
 
-// movableOn reports whether pi is a non-pinned, running proclet of kind
+// movable reports whether pi is a non-pinned, running proclet of kind
 // on machine m.
-func (pi *procInfo) movableOn(m cluster.MachineID, kind Kind) bool {
+func (pi *procInfo) movable(m cluster.MachineID, kind Kind) bool {
 	return pi.kind == kind && !pi.pinned &&
 		pi.pr.Location() == m && pi.pr.State() == proclet.StateRunning
 }

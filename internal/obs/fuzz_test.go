@@ -42,13 +42,12 @@ func FuzzReadChromeTrace(f *testing.F) {
 // FuzzEmitfDetail holds Emitf's formatter to fmt.Sprintf, byte for
 // byte: each input builds one format from the verbs Emitf takes, with
 // an argument of every supported type, and shape picks each argument's
-// verb (%d or %v, %s or %v, %v or a %.Nf) and where a literal %% and the
-// string itself go. The seeds cover the extremes of every type: the
+// verb (%d or %v, %s or %v, %v or a %.Nf) and where a literal %% goes. The seeds cover the extremes of every type: the
 // smallest and largest integers, NaN, ±Inf, denormal and huge floats,
 // strings holding verbs, and durations from a nanosecond to hours.
 func FuzzEmitfDetail(f *testing.F) {
 	f.Add(int64(0), uint64(0), 0.0, "", int64(0), uint16(0))
-	f.Add(int64(-1), uint64(1), -0.0, "%", int64(1), uint16(0xffff))
+	f.Add(int64(-1), uint64(1), math.Copysign(0, -1), "%", int64(1), uint16(0xffff))
 	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), math.NaN(), "100%d done", int64(math.MinInt64), uint16(0x5555))
 	f.Add(int64(math.MaxInt64), uint64(math.MaxUint32), math.Inf(1), "%!s(MISSING)", int64(math.MaxInt64), uint16(0xaaaa))
 	f.Add(int64(math.MinInt32), uint64(1)<<32, math.Inf(-1), "µs %% %v", int64(999), uint16(0x1234))

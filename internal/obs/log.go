@@ -75,27 +75,27 @@ func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format stri
 // Anything else panics: falling back to fmt would box every call's
 // arguments again. TestEmitfArgs holds every call site to the same set.
 func appendDetail(b []byte, format string, args []any) []byte {
-	next := 0
+	rest, next := format, 0
 	for {
-		i := strings.IndexByte(format, '%')
+		i := strings.IndexByte(rest, '%')
 		if i < 0 {
-			b = append(b, format...)
+			b = append(b, rest...)
 			break
 		}
-		b = append(b, format[:i]...)
-		format = format[i+1:]
+		b = append(b, rest[:i]...)
+		rest = rest[i+1:]
 		prec := -1
-		if format != "" && format[0] == '.' {
+		if rest != "" && rest[0] == '.' {
 			prec = 0
-			for format = format[1:]; format != "" && '0' <= format[0] && format[0] <= '9'; format = format[1:] {
-				prec = 10*prec + int(format[0]-'0')
+			for rest = rest[1:]; rest != "" && '0' <= rest[0] && rest[0] <= '9'; rest = rest[1:] {
+				prec = 10*prec + int(rest[0]-'0')
 			}
 		}
-		if format == "" {
+		if rest == "" {
 			badDetail(format, "ends inside a verb")
 		}
-		verb := format[0]
-		format = format[1:]
+		verb := rest[0]
+		rest = rest[1:]
 		if verb == '%' && prec < 0 {
 			b = append(b, '%')
 			continue
@@ -103,7 +103,10 @@ func appendDetail(b []byte, format string, args []any) []byte {
 		if next == len(args) {
 			badDetail(format, "has more verbs than arguments")
 		}
-		b = appendArg(b, verb, prec, args[next], format)
+		var ok bool
+		if b, ok = appendArg(b, verb, prec, args[next]); !ok {
+			badDetail(format, "has a verb its argument's type does not take")
+		}
 		next++
 	}
 	if next != len(args) {
@@ -112,63 +115,41 @@ func appendDetail(b []byte, format string, args []any) []byte {
 	return b
 }
 
-// appendArg appends one argument under its verb; prec is -1 unless the
-// verb carried a precision. rest is the format after the verb, for the
-// panic message.
-func appendArg(b []byte, verb byte, prec int, arg any, rest string) []byte {
-	plain := prec < 0 && verb == 'v'
+// appendArg appends one argument under its verb, prec being -1 unless
+// the verb carried one. It reports false for a pair it does not take.
+func appendArg(b []byte, verb byte, prec int, arg any) ([]byte, bool) {
+	integer := prec < 0 && (verb == 'd' || verb == 'v')
+	text := prec < 0 && (verb == 's' || verb == 'v')
 	switch v := arg.(type) {
 	case int:
-		if plain || prec < 0 && verb == 'd' {
-			return strconv.AppendInt(b, int64(v), 10)
-		}
+		return strconv.AppendInt(b, int64(v), 10), integer
 	case int32:
-		if plain || prec < 0 && verb == 'd' {
-			return strconv.AppendInt(b, int64(v), 10)
-		}
+		return strconv.AppendInt(b, int64(v), 10), integer
 	case int64:
-		if plain || prec < 0 && verb == 'd' {
-			return strconv.AppendInt(b, v, 10)
-		}
+		return strconv.AppendInt(b, v, 10), integer
 	case uint32:
-		if plain || prec < 0 && verb == 'd' {
-			return strconv.AppendUint(b, uint64(v), 10)
-		}
+		return strconv.AppendUint(b, uint64(v), 10), integer
 	case uint64:
-		if plain || prec < 0 && verb == 'd' {
-			return strconv.AppendUint(b, v, 10)
-		}
+		return strconv.AppendUint(b, v, 10), integer
 	case float64:
 		// strconv writes NaN, +Inf and -Inf, and the sign, as fmt does.
-		if plain {
-			return strconv.AppendFloat(b, v, 'g', -1, 64)
-		}
 		if prec >= 0 && verb == 'f' {
-			return strconv.AppendFloat(b, v, 'f', prec, 64)
+			return strconv.AppendFloat(b, v, 'f', prec, 64), true
 		}
+		return strconv.AppendFloat(b, v, 'g', -1, 64), prec < 0 && verb == 'v'
 	case string:
-		if plain || prec < 0 && verb == 's' {
-			return append(b, v...)
-		}
+		return append(b, v...), text
 	case time.Duration:
-		if plain || prec < 0 && verb == 's' {
-			return appendDuration(b, v)
-		}
+		return appendDuration(b, v), text
 	case sim.Time:
-		if plain || prec < 0 && verb == 's' {
-			return appendDuration(b, time.Duration(v))
-		}
-	default:
-		badDetail(rest, "has an argument of an unsupported type")
+		return appendDuration(b, time.Duration(v)), text
 	}
-	badDetail(rest, "has a verb its argument's type does not take")
-	return nil
+	return b, false
 }
 
-// badDetail panics for an Emitf call appendDetail cannot render; rest is
-// the format from the point where rendering stopped.
-func badDetail(rest, what string) {
-	panic("obs: Emitf format " + what + " (at " + strconv.Quote(rest) + ")")
+// badDetail panics for an Emitf call appendDetail cannot render.
+func badDetail(format, what string) {
+	panic("obs: Emitf format " + strconv.Quote(format) + " " + what)
 }
 
 // appendDuration appends d as time.Duration's String renders it:
