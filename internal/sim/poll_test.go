@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -408,21 +409,50 @@ func TestCloseUnwindsParkedProcesses(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestParKernelCloseUnwindsShards: the same through a ParKernel.
+// TestParKernelCloseUnwindsShards: the same through a ParKernel. The
+// daemons are counted by the goroutines whose stack holds one, so a
+// goroutine of earlier work that exits meanwhile does not move the count.
 func TestParKernelCloseUnwindsShards(t *testing.T) {
-	before := runtime.NumGoroutine()
 	pk := NewParKernel(1, 4, 10*Microsecond)
+	daemon := func(p *Proc) {
+		p.Await(After(3*time.Microsecond), func() Wait { return After(3 * time.Microsecond) })
+	}
 	for s := 0; s < pk.NumShards(); s++ {
 		for i := 0; i < 8; i++ {
-			pk.Shard(s).Spawn("daemon", func(p *Proc) {
-				p.Await(After(3*time.Microsecond), func() Wait { return After(3 * time.Microsecond) })
-			})
+			pk.Shard(s).Spawn("daemon", daemon)
 		}
 	}
 	pk.RunUntil(Millisecond)
-	if runtime.NumGoroutine() < before+32 {
-		t.Fatalf("only %d goroutines for 32 parked daemons", runtime.NumGoroutine()-before)
+	frame := runtime.FuncForPC(reflect.ValueOf(daemon).Pointer()).Name() + "("
+	if n := goroutinesIn(frame); n != 32 {
+		t.Fatalf("%d goroutines hold a daemon, want all 32 parked", n)
 	}
 	pk.Close()
-	waitGoroutines(t, before)
+	deadline := time.Now().Add(5 * time.Second)
+	for n := goroutinesIn(frame); n > 0; n = goroutinesIn(frame) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still hold a daemon after Close", n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// goroutinesIn counts the goroutines whose stack holds a call of frame.
+func goroutinesIn(frame string) int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	c := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte(frame)) {
+			c++
+		}
+	}
+	return c
 }
