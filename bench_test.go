@@ -546,24 +546,17 @@ func BenchmarkReplicatedPutBatch(b *testing.B) {
 // store, served as one batch.
 func fanoutCycle(tb testing.TB) (cycle func(), t *fleet.Tally, done func()) {
 	sys := benchSystem()
-	preload := &core.Batch{}
-	for i := 0; i < 64; i++ {
-		preload.IDs = append(preload.IDs, uint64(i))
-		preload.Vals = append(preload.Vals, core.Int(int64(i)))
-		preload.Sizes = append(preload.Sizes, 256)
-	}
 	stores, err := fleet.PlaceStores(sys, "store-%d", 16, 1, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	t = &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
-	sv := fleet.NewServer(sys, t, fleet.NewLedger(stores, 256, func(k uint64) int64 { return int64(k) }), 64, 0)
+	led := fleet.NewLedger(stores, 256)
+	sv := fleet.NewServer(sys, t, led, 64, 0)
 	var q load.Queue
 	sys.K.Spawn("setup", func(p *sim.Proc) {
-		for _, mp := range stores {
-			if err := mp.PutBatch(p, 0, preload); err != nil {
-				tb.Error(err)
-			}
+		if err := led.Preload(p, fleet.Objects(64, 256)); err != nil {
+			tb.Error(err)
 		}
 		q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv)
 	})
@@ -638,7 +631,7 @@ func TestReplicatedPutBatchAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		tally := &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
-		sv := fleet.NewServer(sys, tally, fleet.NewLedger(stores, 256, func(k uint64) int64 { return int64(k) }), 64, 1)
+		sv := fleet.NewServer(sys, tally, fleet.NewLedger(stores, 256), 64, 1)
 		var q load.Queue
 		sys.K.Spawn("server", func(p *sim.Proc) { q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv) })
 		key := uint64(0)
@@ -714,10 +707,11 @@ func BenchmarkObjTableUpsert(b *testing.B) {
 	sys.K.Run()
 }
 
-// BenchmarkMemPutGetInt measures a scalar's round trip through a remote
-// store: one PutInt and one GetInt of the same object from machine 0 to a
-// store on machine 1. Nothing is boxed on the way and nothing allocated.
-func BenchmarkMemPutGetInt(b *testing.B) {
+// BenchmarkMemScalarRoundTrip measures a scalar's round trip through a
+// remote store: one PutInt and a one-object GetBatch of it from machine 0
+// to a store on machine 1. Nothing is boxed on the way and nothing
+// allocated.
+func BenchmarkMemScalarRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	sys := benchSystem()
 	defer sys.Close()
@@ -726,17 +720,19 @@ func BenchmarkMemPutGetInt(b *testing.B) {
 		b.Fatal(err)
 	}
 	sys.K.Spawn("client", func(p *sim.Proc) {
+		var id [1]uint64
+		var got core.Batch
 		for i := -64; i < b.N; i++ {
 			if i == 0 {
 				b.ResetTimer() // the pools have grown
 			}
-			id := uint64(i & 1023)
-			if err := mp.PutInt(p, 0, id, int64(i)<<20, 256); err != nil {
+			id[0] = uint64(i & 1023)
+			if err := mp.PutInt(p, 0, id[0], int64(i)<<20, 256); err != nil {
 				b.Error(err)
 				return
 			}
-			if v, ok, err := mp.GetInt(p, 0, id); err != nil || !ok || v != int64(i)<<20 {
-				b.Errorf("GetInt = %d, %v, %v", v, ok, err)
+			if err := mp.GetBatch(p, 0, id[:], &got); err != nil || len(got.Vals) != 1 || got.Vals[0] != core.Int(int64(i)<<20) {
+				b.Errorf("GetBatch = %v, %v", got.Vals, err)
 				return
 			}
 		}
@@ -750,7 +746,7 @@ func BenchmarkMemPutGetInt(b *testing.B) {
 func BenchmarkLedgerAck(b *testing.B) {
 	b.ReportAllocs()
 	keys := servingKeys()
-	led := fleet.NewLedger(make([]*core.MemoryProclet, 1), 256, func(uint64) int64 { return 0 })
+	led := fleet.NewLedger(make([]*core.MemoryProclet, 1), 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 8 {
 		at := i % len(keys)

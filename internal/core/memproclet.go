@@ -495,14 +495,6 @@ func (mp *MemoryProclet) Get(p *sim.Proc, from cluster.MachineID, id uint64) (an
 	return v.Any(), err
 }
 
-// GetInt is Get for an object stored as a scalar; ok is false when the
-// object is a reference.
-func (mp *MemoryProclet) GetInt(p *sim.Proc, from cluster.MachineID, id uint64) (val int64, ok bool, err error) {
-	v, err := mp.fetch(p, from, methodMemGet, id)
-	val, ok = v.Int()
-	return val, ok, err
-}
-
 // GetBatch fetches the objects with the given IDs in one invocation,
 // into the caller's batch (see Batch for who reuses one and who must
 // not). Absent IDs are skipped: into.IDs lists what was found, aligned

@@ -413,7 +413,15 @@ func TestRefusedPutBatchLeavesTheStoreUntouched(t *testing.T) {
 	s.K.Run()
 }
 
-// A scalar is stored inline and comes back as one: GetInt reads it
+// getInt reads object id from machine 0 as a scalar, unboxed; ok is
+// false when the object is a reference.
+func getInt(p *sim.Proc, mp *MemoryProclet, id uint64) (val int64, ok bool, err error) {
+	v, err := mp.fetch(p, 0, methodMemGet, id)
+	val, ok = v.Int()
+	return val, ok, err
+}
+
+// A scalar is stored inline and comes back as one: a mem.get reads it
 // without a box, Get boxes it as an int64, and a batched read sees the
 // same Value. A reference is not a scalar.
 func TestScalarObjectsRoundTrip(t *testing.T) {
@@ -426,17 +434,17 @@ func TestScalarObjectsRoundTrip(t *testing.T) {
 		if err := mp.Put(p, 0, 6, "ref", 64); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
-		if v, ok, err := mp.GetInt(p, 0, 5); err != nil || !ok || v != -1<<40 {
-			t.Errorf("GetInt(5) = %d, %v, %v", v, ok, err)
+		if v, ok, err := getInt(p, mp, 5); err != nil || !ok || v != -1<<40 {
+			t.Errorf("getInt(5) = %d, %v, %v", v, ok, err)
 		}
 		if v, err := mp.Get(p, 0, 5); err != nil || v != int64(-1<<40) {
 			t.Errorf("Get(5) = %v (%T), %v; want int64", v, v, err)
 		}
-		if _, ok, err := mp.GetInt(p, 0, 6); err != nil || ok {
-			t.Errorf("GetInt of a reference: ok=%v, %v", ok, err)
+		if _, ok, err := getInt(p, mp, 6); err != nil || ok {
+			t.Errorf("getInt of a reference: ok=%v, %v", ok, err)
 		}
-		if _, _, err := mp.GetInt(p, 0, 404); !errors.Is(err, ErrNoObject) {
-			t.Errorf("GetInt of an absent id = %v", err)
+		if _, _, err := getInt(p, mp, 404); !errors.Is(err, ErrNoObject) {
+			t.Errorf("getInt of an absent id = %v", err)
 		}
 		var b Batch
 		if err := mp.GetBatch(p, 0, []uint64{6, 5}, &b); err != nil || len(b.Vals) != 2 ||
@@ -464,8 +472,8 @@ func TestRemoteSingleOpsAllocateNothing(t *testing.T) {
 			if err := mp.PutInt(p, 0, id, i<<32, 128); err != nil {
 				panic(err)
 			}
-			if v, ok, err := mp.GetInt(p, 0, id); err != nil || !ok || v != i<<32 {
-				panic(fmt.Sprintf("GetInt = %d, %v, %v", v, ok, err))
+			if v, ok, err := getInt(p, mp, id); err != nil || !ok || v != i<<32 {
+				panic(fmt.Sprintf("getInt = %d, %v, %v", v, ok, err))
 			}
 			if err := mp.Put(p, 0, id+64, ref, 128); err != nil {
 				panic(err)

@@ -145,7 +145,7 @@ func (s chaosSpec) run() (any, uint64, error) {
 	}
 	// The durable source: every acked put is recorded host-side, per
 	// store, and replayed by the rebuilder when a store's machine dies.
-	ledger := fleet.NewLedger(stores, cfg.opBytes, opVal)
+	ledger := fleet.NewLedger(stores, cfg.opBytes)
 	if rm == nil {
 		sys.SetRebuilder(ledger.Rebuild)
 	}
@@ -184,9 +184,7 @@ func (s chaosSpec) run() (any, uint64, error) {
 				var done sim.Cond
 				pool[(w+op)%cfg.pool].Run(func(tc *core.TaskCtx) {
 					tc.Compute(cfg.opCPU)
-					err := stores[storeIdx].PutInt(tc.Proc(), tc.Machine(), key, opVal(key), cfg.opBytes)
-					if err == nil {
-						ledger.Ack(storeIdx, key)
+					if err := ledger.Put(tc.Proc(), tc.Machine(), storeIdx, key); err == nil {
 						out.ops++
 						if b := int(int64(tc.Proc().Now()) / int64(cfg.bucket)); b < nBuckets {
 							out.goodput[b]++

@@ -118,7 +118,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 	if err != nil {
 		return out, 0, err
 	}
-	ledger := fleet.NewLedger(stores, cfg.opBytes, opVal)
+	ledger := fleet.NewLedger(stores, cfg.opBytes)
 	affected := make([]bool, cfg.stores) // primary on the crashing machine
 	for i, mp := range stores {
 		affected[i] = mp.Location() == 1
@@ -144,8 +144,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 			for op := 0; p.Now() < cfg.horizon; op++ {
 				idx := (w + op) % cfg.stores
 				key := uint64(w)<<32 | uint64(op)
-				if err := stores[idx].PutInt(p, 0, key, opVal(key), cfg.opBytes); err == nil {
-					ledger.Ack(idx, key)
+				if err := ledger.Put(p, 0, idx, key); err == nil {
 					out.ops++
 					now := p.Now()
 					if b := int(int64(now) / int64(cfg.bucket)); b < nBuckets {

@@ -83,7 +83,6 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 	type shardState struct {
 		stores []*core.MemoryProclet
 		ledger *fleet.Ledger
-		latest int64 // last acked value, served by the xget gateway
 		done   bool
 	}
 	shards := make([]*shardState, cfg.shards)
@@ -96,12 +95,12 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 			return scaleDet{}, err
 		}
 		// Crash-lost store contents come back from the shard's ledger.
-		st.ledger = fleet.NewLedger(st.stores, cfg.opBytes, opVal)
+		st.ledger = fleet.NewLedger(st.stores, cfg.opBytes)
 		sys.SetRebuilder(st.ledger.Rebuild)
-		// The cross-shard gateway: machine 0 serves the shard's last
-		// acked value to peers, on the inline fast path.
+		// The cross-shard gateway: machine 0 answers peers on the inline
+		// fast path.
 		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
-			return simnet.Message{Payload: st.latest, Bytes: 128}, nil
+			return simnet.Message{Bytes: 128}, nil
 		})
 	}
 
@@ -125,9 +124,7 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 				for op := 0; p.Now() < cfg.horizon; op++ {
 					idx := (c + op) % cfg.stores
 					key := uint64(c)<<32 | uint64(op)
-					if err := st.stores[idx].PutInt(p, 0, key, opVal(key), cfg.opBytes); err == nil {
-						st.ledger.Ack(idx, key)
-						st.latest = opVal(key)
+					if err := st.ledger.Put(p, 0, idx, key); err == nil {
 						det.ops++
 					} else {
 						det.failed++
@@ -171,12 +168,6 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 	det.trace = fl.Trace()
 	return det, nil
 }
-
-// opVal is the value the closed-loop writers of ext-scale, ext-chaos and
-// ext-failover store under key = client<<32 | op — a pure function of
-// the key, which is what lets a fleet.Ledger of keys stand in for the
-// durable copy of the data.
-func opVal(key uint64) int64 { return int64(key>>32)*1_000_003 + int64(uint32(key)) }
 
 func runExtScale(scale Scale) (*Result, error) {
 	cfg := scaleConfig(scale)

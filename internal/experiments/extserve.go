@@ -291,6 +291,9 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	for i, t := range cfg.tenants {
 		zipfs[i] = load.NewZipf(t.keys, t.theta)
 	}
+	// Every store is preloaded with the same objects; nothing writes to
+	// them.
+	preload := fleet.Objects(cfg.objsPer, cfg.objBytes)
 
 	shards := make([]*serveShard, cfg.shards)
 	// Shard-local latency histograms, [shard] (each shard's Tally.Hist)
@@ -332,8 +335,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
 			return out, err
 		}
-		// The stores hold key i as int64(i); nothing writes to them.
-		ledger := fleet.NewLedger(st.stores, cfg.objBytes, func(key uint64) int64 { return int64(key) })
+		ledger := fleet.NewLedger(st.stores, cfg.objBytes)
 		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: int64(st.Served), Bytes: 64}, nil
 		})
@@ -370,19 +372,8 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 		// Preload, then open the floodgates: injection starts the moment
 		// the stores are populated (a deterministic virtual-time instant).
 		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			ids := make([]uint64, cfg.objsPer)
-			vals := make([]core.Value, cfg.objsPer)
-			sizes := make([]int64, cfg.objsPer)
-			for i := range ids {
-				ids[i] = uint64(i)
-				vals[i] = core.Int(int64(i))
-				sizes[i] = cfg.objBytes
-			}
-			for i, mp := range st.stores {
-				if err := mp.PutBatch(p, 0, &core.Batch{IDs: ids, Vals: vals, Sizes: sizes}); err != nil {
-					st.setupErr = fmt.Errorf("preload of store %d (%d objects of %d bytes): %w", i, cfg.objsPer, cfg.objBytes, err)
-					return
-				}
+			if st.setupErr = ledger.Preload(p, preload); st.setupErr != nil {
+				return
 			}
 			st.startNS = int64(p.Now())
 			st.inj.Start(p.Now(), cfg.horizon)

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -145,7 +146,6 @@ func TestPlaceStoresNamesTheStoreThatFailed(t *testing.T) {
 func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 	t.Helper()
 	f := New(7, 2, 3, testMachine)
-	val := func(k uint64) int64 { return int64(k)*3 + 1 }
 	lost := int64(-1)
 	for s, sys := range f.Shards {
 		sys.Start()
@@ -156,7 +156,7 @@ func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 		if s != 0 {
 			continue
 		}
-		led := NewLedger(stores, 512, val)
+		led := NewLedger(stores, 512)
 		if rebuild {
 			sys.SetRebuilder(led.Rebuild)
 		}
@@ -169,9 +169,7 @@ func crashRun(t *testing.T, rebuild bool) (*Fleet, int64) {
 		sys.K.Spawn("writer", func(p *sim.Proc) {
 			for i := uint64(0); p.Now() < sim.Time(3*time.Millisecond); i++ {
 				k := i*31%60 + i/75*60
-				if stores[k%2].PutInt(p, 0, k, val(k), 512) == nil {
-					led.Ack(int(k%2), k)
-				}
+				led.Put(p, 0, int(k%2), k)
 				p.Sleep(20 * time.Microsecond)
 			}
 			if len(led.Keys(0)) == 0 || len(led.Keys(1)) == 0 {
@@ -206,8 +204,70 @@ func TestLedgerVerifyCountsWhatACrashDestroyed(t *testing.T) {
 	}
 }
 
+// TestLedgerVerifyReadsInChunks: Verify reads the sampled keys (every
+// every-th) in GetBatch calls of up to 64. Two ledgers of one store
+// each are preloaded with n keys. The first store then holds a wrong
+// value under its last sampled key, so exactly that key is lost. The
+// second store is destroyed, so each of its calls fails and every key
+// it was asked for counts.
+func TestLedgerVerifyReadsInChunks(t *testing.T) {
+	for _, n := range []int{63, 64, 65, 129} {
+		for _, every := range []int{1, 3, 1 << 30} {
+			sampled := (n-1)/every + 1
+			chunks := (sampled + verifyChunk - 1) / verifyChunk
+			f := New(5, 1, 3, testMachine)
+			sys := f.Shards[0]
+			tr := sys.EnableTracing()
+			sys.Start()
+			stores, err := PlaceStores(sys, "st-%d", 2, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, failed := NewLedger(stores[:1], 64), NewLedger(stores[1:], 64)
+			calls := func() (c int) {
+				for _, sp := range tr.SpansByID() {
+					if sp.Kind == obs.KindInvoke && sp.Name == "mem.getbatch" {
+						c++
+					}
+				}
+				return c
+			}
+			ran := false
+			sys.K.Spawn("verify", func(p *sim.Proc) {
+				objs := Objects(n, 64)
+				bad := uint64((sampled - 1) * every)
+				if err := errors.Join(good.Preload(p, objs), failed.Preload(p, objs),
+					stores[0].PutInt(p, 0, bad, val(bad)+1, 64), stores[1].Destroy()); err != nil {
+					t.Error(err)
+					return
+				}
+				before := calls()
+				if lost := good.Verify(p, every); lost != 1 {
+					t.Errorf("n=%d every=%d: a wrong value under key %d counted %d lost, want 1", n, every, bad, lost)
+				}
+				if got := calls() - before; got != chunks {
+					t.Errorf("n=%d every=%d: %d GetBatch calls for %d sampled keys, want %d", n, every, got, sampled, chunks)
+				}
+				before = calls()
+				if lost := failed.Verify(p, every); lost != int64(sampled) {
+					t.Errorf("n=%d every=%d: a store whose calls fail counted %d lost, want all %d sampled", n, every, lost, sampled)
+				}
+				if got := calls() - before; got != chunks {
+					t.Errorf("n=%d every=%d: %d failed GetBatch calls, want %d", n, every, got, chunks)
+				}
+				ran = true
+			})
+			f.RunUntil(sim.Time(time.Second))
+			f.Close()
+			if !ran {
+				t.Fatalf("n=%d every=%d: the verifier did not finish", n, every)
+			}
+		}
+	}
+}
+
 func TestLedgerKeysSortedAndDeduplicated(t *testing.T) {
-	led := NewLedger(make([]*core.MemoryProclet, 2), 1, func(uint64) int64 { return 0 })
+	led := NewLedger(make([]*core.MemoryProclet, 2), 1)
 	led.Ack(1, 9, 3, 7)
 	led.Ack(1, 3)
 	led.Ack(1, 1<<40)
@@ -223,7 +283,7 @@ func TestLedgerKeysSortedAndDeduplicated(t *testing.T) {
 // keys a hundred times over must not grow the record a hundredfold.
 func TestLedgerStaysProportionalToDistinctKeys(t *testing.T) {
 	const distinct = 1000
-	led := NewLedger(make([]*core.MemoryProclet, 1), 1, func(uint64) int64 { return 0 })
+	led := NewLedger(make([]*core.MemoryProclet, 1), 1)
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[uint64]bool)
 	for i := 0; i < 100_000; i++ {

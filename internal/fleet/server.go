@@ -134,11 +134,7 @@ func (s *Server) call() bool {
 			s.inv = mp.StartGetBatch(0, ids, &s.rbuf)
 			return true
 		}
-		s.wbuf.IDs, s.wbuf.Vals, s.wbuf.Sizes = ids, s.wbuf.Vals[:0], s.wbuf.Sizes[:0]
-		for _, id := range ids {
-			s.wbuf.Vals = append(s.wbuf.Vals, core.Int(s.l.val(id)))
-			s.wbuf.Sizes = append(s.wbuf.Sizes, s.l.size)
-		}
+		s.l.WriteBatch(ids, &s.wbuf)
 		s.inv = mp.StartPutBatch(0, &s.wbuf)
 		return true
 	}

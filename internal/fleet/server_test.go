@@ -30,7 +30,7 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	led := NewLedger(stores, 256, func(k uint64) int64 { return int64(k) * 3 })
+	led := NewLedger(stores, 256)
 	in := fault.New(sys.K, sys.Cluster, sys.Trace)
 	sys.AttachInjector(in)
 	in.Install(fault.Schedule{
@@ -38,11 +38,8 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 		{At: sim.Time(3 * time.Millisecond), Op: fault.OpRestart, A: 1},
 	})
 	sys.K.Spawn("setup", func(p *sim.Proc) {
-		for k := uint64(0); k < objects; k++ {
-			if err := stores[0].PutInt(p, 0, k, int64(k)*3, 256); err != nil {
-				t.Errorf("preload of key %d: %v", k, err)
-			}
-			led.Ack(0, k)
+		if err := led.Preload(p, Objects(objects, 256)); err != nil {
+			t.Error(err)
 		}
 	})
 

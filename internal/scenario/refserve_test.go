@@ -88,11 +88,7 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 				}
 			}
 			if ids := writeIDs[si]; len(ids) > 0 {
-				wbuf.IDs, wbuf.Vals, wbuf.Sizes = ids, wbuf.Vals[:0], wbuf.Sizes[:0]
-				for _, id := range ids {
-					wbuf.Vals = append(wbuf.Vals, core.Int(writeVal(id)))
-					wbuf.Sizes = append(wbuf.Sizes, w.ObjectBytes)
-				}
+				st.ledger.WriteBatch(ids, &wbuf)
 				if err := parked(func() error { return st.stores[si].PutBatch(p, 0, &wbuf) }); err != nil {
 					st.Errors += uint64(len(ids))
 				} else {

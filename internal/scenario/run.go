@@ -84,9 +84,6 @@ const flightTail = 64
 // the ext-serve experiment (125 x 2us lookahead = 250us windows).
 const injWindows = 125
 
-// verifyChunk bounds ids per read-back GetBatch during verification.
-const verifyChunk = 64
-
 // serverPoll is the server idle-queue poll interval.
 const serverPoll = 20 * time.Microsecond
 
@@ -95,11 +92,6 @@ func mst(ms float64) sim.Time { return sim.Time(ms * 1e6) }
 
 // msd converts scenario milliseconds to a duration.
 func msd(ms float64) time.Duration { return time.Duration(ms * 1e6) }
-
-// writeVal is the value stored under an object id — a pure function of
-// the id, so replays, rebuilds, and verification all agree without
-// coordination.
-func writeVal(id uint64) int64 { return int64(id ^ 0x9e3779b97f4a7c15) }
 
 // shardState is one shard's mutable run state. Written only in shard
 // context (procs on that shard's kernel), read host-side after the run.
@@ -210,10 +202,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 	// Every object a store is preloaded with, and so its ledger's first
 	// entries: ids 0..Objects-1.
-	preload := &core.Batch{IDs: make([]uint64, w.Objects), Vals: make([]core.Value, w.Objects), Sizes: make([]int64, w.Objects)}
-	for i := range preload.IDs {
-		preload.IDs[i], preload.Vals[i], preload.Sizes[i] = uint64(i), core.Int(writeVal(uint64(i))), w.ObjectBytes
-	}
+	preload := fleet.Objects(w.Objects, w.ObjectBytes)
 
 	shards := make([]*shardState, nShards)
 	for s, sys := range fl.Shards {
@@ -292,10 +281,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", sp.Name, err)
 		}
-		st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes, writeVal)
-		for i := range st.stores {
-			st.ledger.Ack(i, preload.IDs...)
-		}
+		st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes)
 		if w.RF == 1 && w.Rebuild {
 			sys.SetRebuilder(st.ledger.Rebuild)
 		}
@@ -374,11 +360,8 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 		// Preload, then start injection at a deterministic virtual instant.
 		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			for i, mp := range st.stores {
-				if err := mp.PutBatch(p, 0, preload); err != nil {
-					st.setupErr = fmt.Errorf("preload of store %d (%d objects of %d bytes): %w", i, w.Objects, w.ObjectBytes, err)
-					return
-				}
+			if st.setupErr = st.ledger.Preload(p, preload); st.setupErr != nil {
+				return
 			}
 			st.startNS = int64(p.Now())
 			st.inj.Start(p.Now(), horizon)
@@ -407,36 +390,10 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 
 		// Durability verification: once the servers drain, read back every
-		// golden key (sorted, chunked) and count what the fleet lost.
+		// acked key and count what the fleet lost.
 		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
 			wg.Wait(p)
-			var rb core.Batch // each chunk is checked before the next is read
-			got := make(map[uint64]int64, verifyChunk)
-			for si, mp := range st.stores {
-				keys := st.ledger.Keys(si)
-				for off := 0; off < len(keys); off += verifyChunk {
-					end := off + verifyChunk
-					if end > len(keys) {
-						end = len(keys)
-					}
-					chunk := keys[off:end]
-					if err := mp.GetBatch(p, 0, chunk, &rb); err != nil {
-						st.lost += int64(len(chunk))
-						continue
-					}
-					clear(got)
-					for j, id := range rb.IDs {
-						if v, ok := rb.Vals[j].Int(); ok {
-							got[id] = v
-						}
-					}
-					for _, id := range chunk {
-						if v, ok := got[id]; !ok || v != writeVal(id) {
-							st.lost++
-						}
-					}
-				}
-			}
+			st.lost = st.ledger.Verify(p, 1)
 			st.done = true
 		})
 	}

@@ -174,20 +174,11 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	if st.stores, err = fleet.PlaceStores(sys, "store-%d", w.Stores, tp.first, w.RF); err != nil {
 		t.Fatal(err)
 	}
-	st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes, writeVal)
-	preload := &core.Batch{}
-	for i := 0; i < w.Objects; i++ {
-		preload.IDs = append(preload.IDs, uint64(i))
-		preload.Vals = append(preload.Vals, core.Int(writeVal(uint64(i))))
-		preload.Sizes = append(preload.Sizes, w.ObjectBytes)
-	}
+	st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes)
+	preload := fleet.Objects(w.Objects, w.ObjectBytes)
 	k.Spawn("setup", func(p *sim.Proc) {
-		for i, mp := range st.stores {
-			if err := mp.PutBatch(p, 0, preload); err != nil {
-				t.Errorf("seed %d: preload of store %d: %v", seed, i, err)
-				return
-			}
-			st.ledger.Ack(i, preload.IDs...)
+		if err := st.ledger.Preload(p, preload); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
 		}
 	})
 
