@@ -126,7 +126,7 @@ func run(w io.Writer) {
 		total, 100*float64(total)/ideal, fleet.LostSteps())
 	fmt.Fprintf(w, "fleet: %d evacuations, %d restores, %d mitigations (mean %.1f ms) across %d reclamations + 1 xid\n",
 		fleet.Evacuations.Value(), fleet.Restores.Value(), fleet.Mitigations.Value(),
-		fleet.MigrationLatency.Mean()*1000, victim)
+		fleet.MigrationLatency.Mean()/1e6, victim)
 }
 
 func main() { run(os.Stdout) }

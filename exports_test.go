@@ -544,7 +544,7 @@ const metricsPath = modulePath + "/internal/metrics"
 // writes the field.
 var recorders = map[string]bool{
 	"Counter.Inc": true, "Counter.Addn": true,
-	"Histogram.ObserveDuration": true, "LogHistogram.Record": true,
+	"Summary.Record": true, "LogHistogram.Record": true,
 	"EWMA.Observe": true, "BucketSeries.Add": true, "TimeSeries.Add": true,
 }
 
@@ -1288,7 +1288,7 @@ func TestStateCensusClassifies(t *testing.T) {
 		{"append to another", "type T struct{ f, g []int }\n\nfunc F(t *T) { t.g = append(t.f, 1) }\n", map[string]bool{"x.T.f": true, "x.T.g": false}},
 		{"Counter.Inc", recorder("Counter", "Inc()"), map[string]bool{"x.T.f": false}},
 		{"Counter.Addn", recorder("Counter", "Addn(2)"), map[string]bool{"x.T.f": false}},
-		{"Histogram.ObserveDuration", recorder("Histogram", "ObserveDuration(1)"), map[string]bool{"x.T.f": false}},
+		{"Summary.Record", recorder("Summary", "Record(1)"), map[string]bool{"x.T.f": false}},
 		{"LogHistogram.Record", recorder("LogHistogram", "Record(1)"), map[string]bool{"x.T.f": false}},
 		{"EWMA.Observe", recorder("EWMA", "Observe(1)"), map[string]bool{"x.T.f": false}},
 		{"BucketSeries.Add", recorder("BucketSeries", "Add(0, 1)"), map[string]bool{"x.T.f": false}},

@@ -50,8 +50,8 @@ type GPU struct {
 	stall      time.Duration
 	kernels    int64 // kernels launched, drives the stutter cadence
 
-	// KernelSeconds accumulates device-busy time.
-	KernelSeconds float64
+	// KernelBusy accumulates device-busy time.
+	KernelBusy time.Duration
 }
 
 // GPUConfig sizes one class of accelerators on a machine.
@@ -248,7 +248,7 @@ func (g *GPU) ExecKernel(p *sim.Proc, d time.Duration) time.Duration {
 	}
 	end := start.Add(eff)
 	g.execFree = end
-	g.KernelSeconds += eff.Seconds()
+	g.KernelBusy += eff
 	p.SleepUntil(end)
 	return time.Duration(start - now)
 }

@@ -70,8 +70,8 @@ func TestGPUKernelSerialization(t *testing.T) {
 	if d1 != 4*sim.Millisecond || d2 != 8*sim.Millisecond {
 		t.Errorf("kernels at %v/%v, want 4ms/8ms (serialized)", d1, d2)
 	}
-	if g.KernelSeconds != 0.008 {
-		t.Errorf("KernelSeconds = %v", g.KernelSeconds)
+	if g.KernelBusy != 8*time.Millisecond {
+		t.Errorf("KernelBusy = %v, want 8ms", g.KernelBusy)
 	}
 }
 

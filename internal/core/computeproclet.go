@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/proclet"
 	"repro/internal/sim"
@@ -80,12 +81,11 @@ type ComputeProclet struct {
 
 	// Queueing-delay telemetry (off by default; enabled when the system
 	// samples telemetry). qTimes mirrors queue index-for-index with each
-	// task's enqueue time; popFront folds the waits into waitSumNS, and
-	// sampleQueueDelayMS drains the accumulator per sampling interval.
+	// task's enqueue time; popFront records the waits into wait, and
+	// sampleQueueDelayMS drains it per sampling interval.
 	delayTrack bool
 	qTimes     []sim.Time
-	waitSumNS  int64
-	waitN      int64
+	wait       metrics.Summary
 }
 
 // enableDelayTracking starts queue-delay accounting, backfilling
@@ -104,13 +104,10 @@ func (cp *ComputeProclet) enableDelayTracking() {
 
 // sampleQueueDelayMS returns the mean queueing delay (enqueue to
 // dequeue) of tasks popped since the previous sample, in milliseconds,
-// and resets the accumulator.
+// and resets the record.
 func (cp *ComputeProclet) sampleQueueDelayMS() float64 {
-	if cp.waitN == 0 {
-		return 0
-	}
-	mean := float64(cp.waitSumNS) / float64(cp.waitN) / 1e6
-	cp.waitSumNS, cp.waitN = 0, 0
+	mean := cp.wait.Mean() / 1e6
+	cp.wait = metrics.Summary{}
 	return mean
 }
 
@@ -277,8 +274,7 @@ func (cp *ComputeProclet) popFront() task {
 	t := cp.queue[cp.qHead]
 	cp.queue[cp.qHead] = task{} // release the closure for GC
 	if cp.delayTrack {
-		cp.waitSumNS += int64(cp.sys.K.Now().Sub(cp.qTimes[cp.qHead]))
-		cp.waitN++
+		cp.wait.Record(int64(cp.sys.K.Now().Sub(cp.qTimes[cp.qHead])))
 	}
 	cp.qHead++
 	if cp.qHead == len(cp.queue) {

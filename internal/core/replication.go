@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/metrics"
@@ -133,10 +132,10 @@ type ReplManager struct {
 	BackupDrops metrics.Counter
 	ReplBatches metrics.Counter
 	ReplRecords metrics.Counter
-	// PromoteLatency records confirmation-to-promotion durations in
-	// seconds (the control-plane half of failover; detection latency is
-	// the detector's DetectLatency).
-	PromoteLatency *metrics.Histogram
+	// PromoteLatency records confirmation-to-promotion durations (the
+	// control-plane half of failover; detection latency is the
+	// detector's DetectLatency).
+	PromoteLatency metrics.Summary
 }
 
 // EnableReplicationPlane installs the durability plane: a heartbeat
@@ -154,7 +153,6 @@ func (s *System) EnableReplicationPlane(rcfg replication.Config, monitor cluster
 		sys:            s,
 		sets:           make(map[proclet.ID]*replicaSet),
 		pendingOrphans: make(map[cluster.MachineID][]*proclet.Proclet),
-		PromoteLatency: new(metrics.Histogram),
 	}
 	det := replication.NewDetector(s.K, s.Cluster, s.Trace, rcfg, monitor)
 	det.OnConfirm = rm.onConfirm
@@ -777,7 +775,7 @@ func (rm *ReplManager) failoverSet(p *sim.Proc, rs *replicaSet) {
 				heap, target, err))
 		}
 		rm.Promotions.Inc()
-		rm.PromoteLatency.ObserveDuration(time.Duration(sys.K.Now() - start))
+		rm.PromoteLatency.Record(int64(sys.K.Now() - start))
 		sys.Sched.Recoveries.Inc()
 		sys.Trace.Emitf(sys.K.Now(), obs.KindRepl, pr.Name(), int(old), int(target),
 			"promoted backup gen=%d applied=%d heap=%d", b.gen, b.applied, heap)

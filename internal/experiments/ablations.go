@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/proclet"
 	"repro/internal/sharded"
 	"repro/internal/sim"
@@ -80,25 +81,21 @@ func (s splitSpec) run() (any, uint64, error) {
 	}
 	elem := int64(s) / 64
 	sys.K.Spawn("driver", func(p *sim.Proc) {
-		var plainSum float64
-		plainN := 0
+		var plain metrics.Summary
 		for i := 0; v.Splits == 0 && i < 200; i++ {
 			before := v.Splits
 			start := p.Now()
 			if err := v.PushBack(p, 0, i, elem); err != nil {
 				return
 			}
-			d := float64(p.Now().Sub(start)) / 1e6
+			d := p.Now().Sub(start)
 			if v.Splits > before {
-				out.splitMs = d
+				out.splitMs = float64(d) / 1e6
 			} else {
-				plainSum += d
-				plainN++
+				plain.Record(int64(d))
 			}
 		}
-		if plainN > 0 {
-			out.plainMs = plainSum / float64(plainN)
-		}
+		out.plainMs = plain.Mean() / 1e6
 	})
 	sys.K.Run()
 	return out, sys.K.EventsProcessed(), nil
@@ -466,7 +463,7 @@ func (s postcopySpec) run() (any, uint64, error) {
 	}
 	o.blackoutMs = float64(maxGap) / 1e6
 	if s.lazy {
-		o.residentMs = sys.Runtime.LazyResidence.Mean() * 1000
+		o.residentMs = sys.Runtime.LazyResidence.Mean() / 1e6
 		o.penalties = sys.Runtime.LazyPenalties.Value()
 	}
 	return o, sys.K.EventsProcessed(), nil

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -80,8 +81,8 @@ type failoverOutcome struct {
 	confirms          int64
 	replRecords       int64
 	goodput           []float64
-	failoverMS        []float64 // per affected store: crash -> first post-crash ack
-	trace             *obs.Log  // rendered only for the reported variant
+	failover          metrics.Summary // per affected store: crash -> first post-crash ack
+	trace             *obs.Log        // rendered only for the reported variant
 }
 
 // failoverSpec is one ext-failover run: the open-loop write workload at
@@ -185,8 +186,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 			if at == 0 {
 				at = cfg.horizon // censored: no ack before the horizon
 			}
-			out.failoverMS = append(out.failoverMS,
-				float64(at-cfg.crashAt)/float64(time.Millisecond))
+			out.failover.Record(int64(at - cfg.crashAt))
 		}
 	}
 	out.promotions = rm.Promotions.Value()
@@ -220,16 +220,7 @@ func runExtFailover(scale Scale) (*Result, error) {
 	rf2, rf2Base, rf1, rf1Base := outs[0], outs[1], outs[2], outs[3]
 	res.Traces = []*obs.Log{rf2.trace}
 
-	foMean, foMax := 0.0, 0.0
-	for _, ms := range rf2.failoverMS {
-		foMean += ms
-		if ms > foMax {
-			foMax = ms
-		}
-	}
-	if n := len(rf2.failoverMS); n > 0 {
-		foMean /= float64(n)
-	}
+	foMean, foMax := rf2.failover.Mean()/1e6, float64(rf2.failover.Max())/1e6
 	overhead := 0.0
 	if rf1Base.ops > 0 {
 		overhead = 1 - float64(rf2Base.ops)/float64(rf1Base.ops)
@@ -248,7 +239,7 @@ func runExtFailover(scale Scale) (*Result, error) {
 	res.addf("detector: %d confirms; rf2 control plane: %d promotions, %d deposes, %d resyncs",
 		rf2.confirms, rf2.promotions, rf2.deposes, rf2.resyncs)
 	res.addf("failover (crash -> first post-crash ack, %d affected stores): mean %.2f ms, max %.2f ms",
-		len(rf2.failoverMS), foMean, foMax)
+		rf2.failover.Count(), foMean, foMax)
 	res.addf("replication: %d log records shipped; steady-state overhead %.1f%% of RF=1 goodput",
 		rf2.replRecords+rf2Base.replRecords, 100*overhead)
 	res.addf("paper shape: at RF=2 every acked write survives the crash (lost=0) with failover bounded")

@@ -165,7 +165,7 @@ func (s extGPUSpec) run() (any, uint64, error) {
 		time.Duration(float64(cfg.batchBytes)/16e9*1e9) // kernel + upload
 	out.idealSteps = float64(cfg.trainers) * float64(cfg.horizon) / float64(stepTime)
 	out.evacs = fleet.Evacuations.Value()
-	out.evacMeanMs = fleet.MigrationLatency.Mean() * 1000
+	out.evacMeanMs = fleet.MigrationLatency.Mean() / 1e6
 	return out, sys.K.EventsProcessed(), nil
 }
 

@@ -76,11 +76,11 @@ type Fleet struct {
 	// Evacuations counts reclaim-driven migrations; Restores counts
 	// checkpoint re-placements after fatal device errors; Mitigations
 	// counts straggler-driven moves. MigrationLatency records all
-	// their durations in seconds.
+	// their durations.
 	Evacuations      metrics.Counter
 	Restores         metrics.Counter
 	Mitigations      metrics.Counter
-	MigrationLatency *metrics.Histogram
+	MigrationLatency metrics.Summary
 	// Stranded counts watcher passes where a proclet sat on a lost
 	// device with nowhere to go.
 	Stranded metrics.Counter
@@ -90,10 +90,9 @@ type Fleet struct {
 // straggler tuning and no checkpointing.
 func NewFleet(sys *core.System, name string, cfg Config) *Fleet {
 	return &Fleet{
-		sys:              sys,
-		name:             name,
-		cfg:              cfg.withDefaults(),
-		MigrationLatency: new(metrics.Histogram),
+		sys:  sys,
+		name: name,
+		cfg:  cfg.withDefaults(),
 	}
 }
 
@@ -264,7 +263,7 @@ func (f *Fleet) move(p *sim.Proc, e *entry, dst *cluster.GPU, how func(*sim.Proc
 		return err
 	}
 	n.Inc()
-	f.MigrationLatency.ObserveDuration(p.Now().Sub(start))
+	f.MigrationLatency.Record(int64(p.Now().Sub(start)))
 	e.strikes = 0
 	e.cooldownUntil = f.pass + cooldownPasses
 	return nil

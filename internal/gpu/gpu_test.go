@@ -55,8 +55,8 @@ func TestGPUDeviceModel(t *testing.T) {
 		}
 	})
 	s.K.Run()
-	if g.KernelSeconds != 0.010 {
-		t.Errorf("KernelSeconds = %v, want 0.010", g.KernelSeconds)
+	if g.KernelBusy != 10*time.Millisecond {
+		t.Errorf("KernelBusy = %v, want 10ms", g.KernelBusy)
 	}
 }
 
@@ -220,8 +220,8 @@ func TestFleetEvacuatesOnReclaim(t *testing.T) {
 		t.Errorf("Evacuations = %d, want 1", fleet.Evacuations.Value())
 	}
 	// 256 MiB down+up (~16+16ms, maybe + wire) within ~50ms.
-	if lat := fleet.MigrationLatency.Max(); lat > 0.06 {
-		t.Errorf("evac latency = %vs, want < 60ms", lat)
+	if lat := fleet.MigrationLatency.Max(); lat > int64(60*time.Millisecond) {
+		t.Errorf("evac latency = %v, want < 60ms", time.Duration(lat))
 	}
 }
 

@@ -193,7 +193,7 @@ func (z *Zipf) Sample(rng *rand.Rand) uint64 {
 // holds every rank, past it only by a rounding of u·zetan), it is
 // Gray's rank of u's image on Gray's tail.
 func (z *Zipf) rank(u float64) uint64 {
-	uz := u * z.zetan
+	uz := float64(u * z.zetan)
 	h := z.head
 	if uz < h[len(h)-1] {
 		// The guide's start is within a rounding of the bucket's; the

@@ -8,7 +8,8 @@ import (
 
 // LogHistogram is a fixed-shape log-scale latency histogram: power-of-two
 // exponent ranges subdivided into 2^logSubBits linear sub-buckets
-// (HDR-histogram style), over an int64 nanosecond domain.
+// (HDR-histogram style), over an int64 nanosecond domain. It is a
+// Summary — the exact count, sum, min and max — plus the buckets.
 //
 // It exists for open-loop serving workloads that observe millions of
 // latencies online: Record is allocation-free (a pure index computation
@@ -26,12 +27,9 @@ import (
 // produced the inputs: record shard-local, aggregate once at a barrier.
 type LogHistogram struct {
 	Name string
+	Summary
 
 	counts [logBuckets]uint64
-	count  uint64
-	sum    int64 // exact integer sum: merge order cannot perturb it
-	min    int64
-	max    int64
 }
 
 // Histogram shape constants. Values below 2^logSubBits ns are exact
@@ -96,33 +94,7 @@ func logWidth(idx int) int64 {
 // Record adds one nanosecond sample. Zero allocations.
 func (h *LogHistogram) Record(ns int64) {
 	h.counts[logIndex(ns)]++
-	h.count++
-	h.sum += ns
-	if h.count == 1 || ns < h.min {
-		h.min = ns
-	}
-	if ns > h.max {
-		h.max = ns
-	}
-}
-
-// Count returns the number of recorded samples.
-func (h *LogHistogram) Count() uint64 { return h.count }
-
-// Mean returns the exact arithmetic mean in nanoseconds (0 when empty).
-func (h *LogHistogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Max returns the exact largest sample in nanoseconds (0 when empty).
-func (h *LogHistogram) Max() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
+	h.Summary.Record(ns)
 }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) in nanoseconds using
@@ -180,14 +152,7 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 	for i := range h.counts {
 		h.counts[i] += o.counts[i]
 	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
+	h.merge(&o.Summary)
 }
 
 // Reset zeroes every bucket so the histogram can be reused — the SLO
@@ -195,7 +160,7 @@ func (h *LogHistogram) Merge(o *LogHistogram) {
 // allocating per window. The name is kept.
 func (h *LogHistogram) Reset() {
 	h.counts = [logBuckets]uint64{}
-	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
+	h.Summary = Summary{}
 }
 
 // MergeLogHistograms merges hs (in argument order) into a fresh

@@ -1,7 +1,7 @@
 // Package metrics provides lightweight measurement containers used by
 // the Quicksand simulator and the experiment harness: time series,
-// fixed-width bucket series (for goodput/utilization timelines),
-// histograms, and counters.
+// fixed-width bucket series (for goodput/utilization timelines), exact
+// latency summaries, histograms, and counters.
 //
 // All containers are designed for single-threaded use from within the
 // deterministic simulation, so they need no locking.
@@ -89,36 +89,58 @@ func (b *BucketSeries) Bucket(i int) float64 {
 	return b.buckets[i]
 }
 
-// Histogram keeps the running mean and maximum of a stream of samples.
-// The sum adds the samples in the order they were observed.
-type Histogram struct {
-	n   int
-	sum float64
-	max float64
+// Summary is the exact record of a latency stream: the sample count
+// and the sum, min and max in integer nanoseconds. Integer sums do not
+// depend on the order samples arrive or records merge, so a mean read
+// from a Summary is the same however the stream was cut. The zero value
+// is ready to use.
+type Summary struct {
+	count uint64
+	sum   int64
+	min   int64
+	max   int64 // starts at 0, so a stream of negative samples leaves it 0
 }
 
-// observe records one sample.
-func (h *Histogram) observe(v float64) {
-	if h.n == 0 || v > h.max {
-		h.max = v
+// Record adds one nanosecond sample. Zero allocations.
+func (s *Summary) Record(ns int64) {
+	s.count++
+	s.sum += ns
+	if s.count == 1 || ns < s.min {
+		s.min = ns
 	}
-	h.n++
-	h.sum += v
+	if ns > s.max {
+		s.max = ns
+	}
 }
 
-// ObserveDuration records a duration sample in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.observe(d.Seconds()) }
+// merge adds o's samples into s.
+func (s *Summary) merge(o *Summary) {
+	if o.count == 0 {
+		return
+	}
+	if s.count == 0 || o.min < s.min {
+		s.min = o.min
+	}
+	if o.max > s.max {
+		s.max = o.max
+	}
+	s.count += o.count
+	s.sum += o.sum
+}
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
+// Count returns the number of recorded samples.
+func (s *Summary) Count() uint64 { return s.count }
+
+// Mean returns the exact arithmetic mean in nanoseconds (0 when empty).
+func (s *Summary) Mean() float64 {
+	if s.count == 0 {
 		return 0
 	}
-	return h.sum / float64(h.n)
+	return float64(s.sum) / float64(s.count)
 }
 
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() float64 { return h.max }
+// Max returns the largest sample in nanoseconds (0 when empty).
+func (s *Summary) Max() int64 { return s.max }
 
 // Counter is a monotonically increasing count. It is single-threaded
 // like every other container here.

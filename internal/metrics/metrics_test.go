@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,71 +58,6 @@ func TestBucketSeries(t *testing.T) {
 	}
 	if empty := NewBucketSeries(time.Millisecond); empty.Bucket(0) != 0 {
 		t.Errorf("empty series Bucket(0) = %v, want 0", empty.Bucket(0))
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	h := new(Histogram)
-	for _, v := range []float64{5, 1, 3, 2, 4} {
-		h.observe(v)
-	}
-	if h.Mean() != 3 || h.Max() != 5 {
-		t.Errorf("Mean/Max = %v/%v, want 3/5", h.Mean(), h.Max())
-	}
-	h.observe(7)
-	if h.Max() != 7 {
-		t.Errorf("Max after a larger observation = %v, want 7", h.Max())
-	}
-	neg := new(Histogram)
-	neg.observe(-2)
-	neg.observe(-1)
-	if neg.Max() != -1 {
-		t.Errorf("Max of negative samples = %v, want -1", neg.Max())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := new(Histogram)
-	if h.Mean() != 0 || h.Max() != 0 {
-		t.Error("empty histogram stats should be 0")
-	}
-}
-
-// TestHistogramIncrementalMatchesFullSort cross-checks the running mean
-// and max of an interleaved build, round by round, against recomputing
-// them from every sample so far: the in-order sum and the top of a full
-// sort.
-func TestHistogramIncrementalMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := new(Histogram)
-	var all []float64
-	for round := 0; round < 20; round++ {
-		n := rng.Intn(40) // including empty rounds
-		for i := 0; i < n; i++ {
-			v := rng.NormFloat64()
-			h.observe(v)
-			all = append(all, v)
-		}
-		if len(all) == 0 {
-			continue
-		}
-		var sum float64
-		for _, v := range all {
-			sum += v
-		}
-		sorted := append([]float64(nil), all...)
-		sort.Float64s(sorted)
-		if mean, max := sum/float64(len(all)), sorted[len(sorted)-1]; h.Mean() != mean || h.Max() != max {
-			t.Fatalf("round %d: Mean/Max = %v/%v, full recomputation %v/%v", round, h.Mean(), h.Max(), mean, max)
-		}
-	}
-}
-
-func TestHistogramObserveDuration(t *testing.T) {
-	h := new(Histogram)
-	h.ObserveDuration(1500 * time.Millisecond)
-	if h.Mean() != 1.5 {
-		t.Errorf("Mean = %v, want 1.5", h.Mean())
 	}
 }
 

@@ -87,7 +87,7 @@ func (rt *Runtime) MigrateLazy(p *sim.Proc, id ID, to cluster.MachineID) error {
 			return // crashed mid-copy; nothing left to settle
 		}
 		pr.lazyWindow = false
-		rt.LazyResidence.ObserveDuration(rt.k.Now().Sub(start))
+		rt.LazyResidence.Record(int64(rt.k.Now().Sub(start)))
 		rt.Trace.Emitf(rt.k.Now(), obs.KindMigrate, pr.name, int(from), int(to),
 			"post-copy resident after %v", rt.k.Now().Sub(start))
 		rt.obs.End(pcp)

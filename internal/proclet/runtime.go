@@ -76,11 +76,10 @@ type Runtime struct {
 	caches [][]int32
 
 	// MigrationLatency records blackout times (the window in which new
-	// invocations block) in seconds, for both pre- and post-copy
-	// migrations. LazyResidence records post-copy start-to-resident
-	// times.
-	MigrationLatency *metrics.Histogram
-	LazyResidence    *metrics.Histogram
+	// invocations block), for both pre- and post-copy migrations.
+	// LazyResidence records post-copy start-to-resident times.
+	MigrationLatency metrics.Summary
+	LazyResidence    metrics.Summary
 	// Counters for runtime activity.
 	Migrations       metrics.Counter
 	DirectoryLookups metrics.Counter
@@ -126,13 +125,11 @@ type invokeReq struct {
 // tracing.
 func NewRuntime(c *cluster.Cluster, tl *obs.Log) *Runtime {
 	rt := &Runtime{
-		Cluster:          c,
-		Trace:            tl,
-		k:                c.K,
-		procs:            make([]*Proclet, 1), // id 0 is "no proclet"
-		caches:           make([][]int32, len(c.Machines())),
-		MigrationLatency: new(metrics.Histogram),
-		LazyResidence:    new(metrics.Histogram),
+		Cluster: c,
+		Trace:   tl,
+		k:       c.K,
+		procs:   make([]*Proclet, 1), // id 0 is "no proclet"
+		caches:  make([][]int32, len(c.Machines())),
 	}
 	c.Fabric.HandleStaged(rt.serveStaged)
 	for _, m := range c.Machines() {
@@ -681,7 +678,7 @@ func (rt *Runtime) commit(mv *move, lazy bool) time.Duration {
 	pr.lazyWindow = lazy
 	pr.unblocked.Broadcast()
 	d := rt.k.Now().Sub(mv.start)
-	rt.MigrationLatency.ObserveDuration(d)
+	rt.MigrationLatency.Record(int64(d))
 	rt.Migrations.Inc()
 	return d
 }

@@ -175,9 +175,9 @@ type Detector struct {
 	Suspects         metrics.Counter
 	Confirms         metrics.Counter
 	FalseSuspects    metrics.Counter // Suspect machines that answered again
-	// DetectLatency records, at each confirmation, seconds since the
+	// DetectLatency records, at each confirmation, the time since the
 	// machine's last successful heartbeat — the blind window.
-	DetectLatency *metrics.Histogram
+	DetectLatency metrics.Summary
 
 	started bool
 }
@@ -188,15 +188,14 @@ type Detector struct {
 // lease; Start launches the ping loops. tl may be nil.
 func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, monitor cluster.MachineID) *Detector {
 	d := &Detector{
-		k:             k,
-		c:             c,
-		tl:            tl,
-		cfg:           cfg.withDefaults(),
-		monitor:       monitor,
-		health:        make([]machineHealth, len(c.Machines())),
-		leases:        make([]sim.Time, len(c.Machines())),
-		pingers:       make([]pinger, len(c.Machines())),
-		DetectLatency: new(metrics.Histogram),
+		k:       k,
+		c:       c,
+		tl:      tl,
+		cfg:     cfg.withDefaults(),
+		monitor: monitor,
+		health:  make([]machineHealth, len(c.Machines())),
+		leases:  make([]sim.Time, len(c.Machines())),
+		pingers: make([]pinger, len(c.Machines())),
 	}
 	now := k.Now()
 	for _, m := range c.Machines() {
@@ -320,7 +319,7 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 	case h.state == StateSuspect && h.misses >= d.cfg.ConfirmMisses:
 		h.state = StateDead
 		d.Confirms.Inc()
-		d.DetectLatency.ObserveDuration(time.Duration(d.k.Now() - h.lastBeat))
+		d.DetectLatency.Record(int64(d.k.Now() - h.lastBeat))
 		d.tl.Emitf(d.k.Now(), obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
 			"confirmed dead after %d misses", h.misses)
 		if d.OnConfirm != nil {

@@ -62,9 +62,9 @@ func TestDetectorCrashSuspectConfirm(t *testing.T) {
 	}
 	// Blind window: last beat to confirmation should span at least
 	// ConfirmMisses heartbeat periods.
-	min := (time.Duration(d.cfg.ConfirmMisses) * d.cfg.HeartbeatPeriod).Seconds() * 0.5
+	min := float64(time.Duration(d.cfg.ConfirmMisses)*d.cfg.HeartbeatPeriod) * 0.5
 	if got := d.DetectLatency.Mean(); got < min {
-		t.Errorf("detect latency %.6fs implausibly small (< %.6fs)", got, min)
+		t.Errorf("detect latency %.0fns implausibly small (< %.0fns)", got, min)
 	}
 }
 
