@@ -809,7 +809,7 @@ func BenchmarkProcletMigration(b *testing.B) {
 		}
 	})
 	sys.K.Run()
-	b.ReportMetric(sys.Runtime.MigrationLatency.Mean()/1e3, "virtual_us/mig")
+	b.ReportMetric(sys.Runtime.MigrationLatency.Mean()*1e6, "virtual_us/mig")
 }
 
 // BenchmarkShardedMapPut measures sharded map writes including the

@@ -77,8 +77,8 @@ func run(w io.Writer) {
 	fmt.Fprintf(w, "filler goodput: %.1f%% of one full machine\n", 100*achieved/(ideal*180))
 	fmt.Fprintf(w, "migrations: %d, mean latency %.3f ms, max %.3f ms\n",
 		sys.Runtime.Migrations.Value(),
-		sys.Runtime.MigrationLatency.Mean()/1e6,
-		float64(sys.Runtime.MigrationLatency.Max())/1e6)
+		sys.Runtime.MigrationLatency.Mean()*1000,
+		sys.Runtime.MigrationLatency.Max()*1000)
 
 	// Timeline excerpt around one antagonist flip (t = 100 ms):
 	fmt.Fprintln(w, "\nper-machine goodput [units/ms] around the 100 ms flip:")

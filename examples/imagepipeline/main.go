@@ -86,7 +86,7 @@ func run(w io.Writer) {
 	fmt.Fprintf(w, "compute proclets by machine: %v\n", split)
 	fmt.Fprintf(w, "GPU batches trained: %d\n", gpus.Consumed.Value())
 	fmt.Fprintf(w, "control plane: %d migrations (mean %.3f ms), %d evacuations, %d memory evictions\n",
-		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()/1e6,
+		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()*1000,
 		sys.Sched.Evacuations.Value(), sys.Sched.MemEvictions.Value())
 }
 

@@ -82,7 +82,7 @@ func run(w io.Writer) {
 			m.ID, float64(m.MemUsed())/(1<<20), m.CoreSeconds)
 	}
 	fmt.Fprintf(w, "migrations: %d (mean %.3f ms)\n",
-		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()/1e6)
+		sys.Runtime.Migrations.Value(), sys.Runtime.MigrationLatency.Mean()*1000)
 }
 
 func main() { run(os.Stdout) }

@@ -102,7 +102,7 @@ func TestCoarseAppMovesSlowly(t *testing.T) {
 		t.Fatalf("loc=%d moves=%d, want moved to 1 once", ca.cp.Location(), ca.Moves)
 	}
 	// The move itself must be slow: 2 GiB over 12.5 GB/s ~ 170ms.
-	if lat := float64(s.Runtime.MigrationLatency.Max()) / 1e6; lat < 100 {
-		t.Errorf("coarse migration took %vms, want >= 100ms", lat)
+	if lat := s.Runtime.MigrationLatency.Max(); lat < 0.1 {
+		t.Errorf("coarse migration took %vs, want >= 100ms", lat)
 	}
 }

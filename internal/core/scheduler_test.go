@@ -100,8 +100,9 @@ func TestReactorEvacuatesOnReservation(t *testing.T) {
 	}
 	// And they must have moved quickly: all migrations done within a
 	// couple of reactor periods + sub-ms migrations.
-	if lat := s.Runtime.MigrationLatency.Max(); lat > int64(time.Millisecond) {
-		t.Errorf("max migration latency = %v, want < 1ms", time.Duration(lat))
+	migs := s.Runtime.MigrationLatency
+	if migs.Max() > 0.001 {
+		t.Errorf("max migration latency = %vs, want < 1ms", migs.Max())
 	}
 }
 

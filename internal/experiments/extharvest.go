@@ -227,7 +227,7 @@ func runExtMemHarvest(scale Scale) (*Result, error) {
 	evictions := sys.Sched.MemEvictions.Value()
 	res.addf("loaded %d MiB across the cluster; tenant oscillates 0<->1.5 GiB on machine 0", loaded*2)
 	res.addf("reads: %d (%d failed); shard evacuations: %d; migration mean %.2f ms",
-		reads, readErrs, evictions, sys.Runtime.MigrationLatency.Mean()/1e6)
+		reads, readErrs, evictions, sys.Runtime.MigrationLatency.Mean()*1000)
 	res.set("reads", float64(reads))
 	res.set("read_errs", float64(readErrs))
 	res.set("evictions", float64(evictions))

@@ -178,8 +178,8 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 	}
 	st.goodputPct = 100 * achieved / (unitsPerMsIdeal * float64(toB-fromB))
 	st.migrations = sys.Runtime.Migrations.Value()
-	st.migMeanMs = sys.Runtime.MigrationLatency.Mean() / 1e6
-	st.migMaxMs = float64(sys.Runtime.MigrationLatency.Max()) / 1e6
+	st.migMeanMs = sys.Runtime.MigrationLatency.Mean() * 1000
+	st.migMaxMs = sys.Runtime.MigrationLatency.Max() * 1000
 
 	// Reaction time: after each antagonist flip, how long until the
 	// newly idle machine's goodput exceeds half its full rate.

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,65 +58,6 @@ func TestBucketSeries(t *testing.T) {
 	}
 	if empty := NewBucketSeries(time.Millisecond); empty.Bucket(0) != 0 {
 		t.Errorf("empty series Bucket(0) = %v, want 0", empty.Bucket(0))
-	}
-}
-
-func TestHistogramStats(t *testing.T) {
-	h := NewLogHistogram("stats")
-	for _, v := range []int64{5, 1, 3, 2, 4} {
-		h.Record(v)
-	}
-	if h.Mean() != 3 || h.Max() != 5 || h.Count() != 5 {
-		t.Errorf("Mean/Max/Count = %v/%v/%v, want 3/5/5", h.Mean(), h.Max(), h.Count())
-	}
-	h.Record(7)
-	if h.Max() != 7 {
-		t.Errorf("Max after a larger sample = %v, want 7", h.Max())
-	}
-	neg := NewLogHistogram("neg")
-	neg.Record(-2)
-	neg.Record(-1)
-	if neg.Max() != 0 || neg.Mean() != -1.5 {
-		t.Errorf("negative samples: Max/Mean = %v/%v, want 0/-1.5", neg.Max(), neg.Mean())
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewLogHistogram("empty")
-	if h.Mean() != 0 || h.Max() != 0 || h.Count() != 0 {
-		t.Error("empty histogram stats should be 0")
-	}
-}
-
-// TestHistogramIncrementalMatchesFullSort cross-checks the running count,
-// mean and max of an interleaved build, round by round, against
-// recomputing them from every sample so far: the in-order sum and the
-// top of a full sort.
-func TestHistogramIncrementalMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewLogHistogram("incremental")
-	var all []int64
-	for round := 0; round < 20; round++ {
-		n := rng.Intn(40) // including empty rounds
-		for i := 0; i < n; i++ {
-			v := 1 + rng.Int63n(1e9)
-			h.Record(v)
-			all = append(all, v)
-		}
-		if len(all) == 0 {
-			continue
-		}
-		var sum int64
-		for _, v := range all {
-			sum += v
-		}
-		sorted := append([]int64(nil), all...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		mean, max := float64(sum)/float64(len(all)), sorted[len(sorted)-1]
-		if h.Count() != uint64(len(all)) || h.Mean() != mean || h.Max() != max {
-			t.Fatalf("round %d: Count/Mean/Max = %v/%v/%v, full recomputation %v/%v/%v",
-				round, h.Count(), h.Mean(), h.Max(), len(all), mean, max)
-		}
 	}
 }
 

@@ -78,7 +78,7 @@ type Runtime struct {
 	// MigrationLatency records blackout times (the window in which new
 	// invocations block), for both pre- and post-copy migrations.
 	// LazyResidence records post-copy start-to-resident times.
-	MigrationLatency metrics.Summary
+	MigrationLatency MigrationRecord
 	LazyResidence    metrics.Summary
 	// Counters for runtime activity.
 	Migrations       metrics.Counter
@@ -119,6 +119,18 @@ type invokeReq struct {
 	Method string
 	Arg    Msg
 }
+
+// MigrationRecord is the exact record of migration blackouts: a
+// metrics.Summary in integer nanoseconds whose Mean and Max read
+// seconds, the unit Runtime.MigrationLatency has always reported and
+// the one benchmark/probes.go turns into its simulated µs per migration.
+type MigrationRecord struct{ metrics.Summary }
+
+// Mean returns the mean blackout in seconds (0 before any migration).
+func (r *MigrationRecord) Mean() float64 { return r.Summary.Mean() / 1e9 }
+
+// Max returns the longest blackout in seconds (0 before any migration).
+func (r *MigrationRecord) Max() float64 { return float64(r.Summary.Max()) / 1e9 }
 
 // NewRuntime creates a runtime over an already-populated cluster (all
 // machines must be added before calling). tl may be nil to disable

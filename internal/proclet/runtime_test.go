@@ -151,9 +151,9 @@ func TestMigrateMovesStateAndMemory(t *testing.T) {
 	if rt.Migrations.Value() != 1 {
 		t.Errorf("Migrations = %d", rt.Migrations.Value())
 	}
-	lat := rt.MigrationLatency.Mean() / 1e6
-	if lat < 10 || lat > 12 {
-		t.Errorf("migration latency = %vms, want ~10.6ms", lat)
+	lat := rt.MigrationLatency.Mean()
+	if lat < 0.010 || lat > 0.012 {
+		t.Errorf("migration latency = %vs, want ~10.6ms", lat)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestMigrateSmallProcletSubMillisecond(t *testing.T) {
 		}
 	})
 	k.Run()
-	if lat := rt.MigrationLatency.Mean() / 1e6; lat >= 1 {
-		t.Errorf("64KiB migration took %vms, want < 1ms", lat)
+	if lat := rt.MigrationLatency.Mean(); lat >= 0.001 {
+		t.Errorf("64KiB migration took %vs, want < 1ms", lat)
 	}
 }
 
