@@ -48,6 +48,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,8 +70,18 @@ type benchStats struct {
 }
 
 // writeBenchJSON writes st to BENCH_<id>.json under dir and returns
-// the path written.
+// the path written. A value JSON cannot hold (NaN, ±Inf) is an error
+// naming its key (the first by name), and nothing is written.
 func writeBenchJSON(dir string, st benchStats) (string, error) {
+	bad := ""
+	for k, v := range st.Values {
+		if (math.IsNaN(v) || math.IsInf(v, 0)) && (bad == "" || k < bad) {
+			bad = k
+		}
+	}
+	if bad != "" {
+		return "", fmt.Errorf("value %s is %v, which JSON cannot hold", bad, st.Values[bad])
+	}
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return "", err

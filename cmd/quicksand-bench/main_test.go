@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -58,6 +59,22 @@ func TestWriteBenchJSONBadDir(t *testing.T) {
 
 // TestBenchStatsFromExperiment: a real (test-scale) experiment yields a
 // populated events count for the JSON record.
+// TestWriteBenchJSONNonFinite: a NaN or infinite value is refused by
+// key, the first by name, which run reports under the experiment's id,
+// and no file is left behind.
+func TestWriteBenchJSONNonFinite(t *testing.T) {
+	dir := t.TempDir()
+	st := benchStats{ID: "ext-chaos", Values: map[string]float64{
+		"ops": 12, "recovered_frac": math.NaN(), "dip_frac": math.Inf(1)}}
+	_, err := writeBenchJSON(dir, st)
+	if want := "value dip_frac is +Inf, which JSON cannot hold"; err == nil || err.Error() != want {
+		t.Fatalf("writeBenchJSON error = %v, want %q", err, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "BENCH_ext-chaos.json")); !os.IsNotExist(err) {
+		t.Errorf("a refused record left a file (stat: %v)", err)
+	}
+}
+
 func TestBenchStatsFromExperiment(t *testing.T) {
 	res, err := experiments.Run("fig1", experiments.TestScale)
 	if err != nil {

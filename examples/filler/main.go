@@ -44,9 +44,10 @@ func run(w io.Writer) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	goodput := [2]*metrics.BucketSeries{
-		metrics.NewBucketSeries(time.Millisecond),
-		metrics.NewBucketSeries(time.Millisecond),
+	horizon := sim.Time(200 * time.Millisecond)
+	goodput := [2]metrics.BucketSeries{
+		metrics.NewBucketSeries(time.Millisecond, horizon),
+		metrics.NewBucketSeries(time.Millisecond, horizon),
 	}
 	// A unit is 50 us of compute, then a count and the next unit: nothing
 	// after the compute blocks, so RunCompute carries it as data and the
@@ -64,16 +65,12 @@ func run(w io.Writer) {
 		feed(m)
 	}
 
-	horizon := sim.Time(200 * time.Millisecond)
 	sys.K.RunUntil(horizon)
 
 	// Report: one machine's worth of cores is always idle, so ideal
 	// goodput is 8 cores / 50 us = 160 units per ms.
 	const ideal = 160.0
-	var achieved float64
-	for b := 20; b < 200; b++ {
-		achieved += goodput[0].Bucket(b) + goodput[1].Bucket(b)
-	}
+	achieved := float64(goodput[0].Sum(20, 200) + goodput[1].Sum(20, 200))
 	fmt.Fprintf(w, "filler goodput: %.1f%% of one full machine\n", 100*achieved/(ideal*180))
 	fmt.Fprintf(w, "migrations: %d, mean latency %.3f ms, max %.3f ms\n",
 		sys.Runtime.Migrations.Value(),
@@ -84,7 +81,7 @@ func run(w io.Writer) {
 	fmt.Fprintln(w, "\nper-machine goodput [units/ms] around the 100 ms flip:")
 	fmt.Fprintln(w, "  t[ms]   m0    m1")
 	for b := 96; b < 106; b++ {
-		fmt.Fprintf(w, "  %5d %5.0f %5.0f\n", b, goodput[0].Bucket(b), goodput[1].Bucket(b))
+		fmt.Fprintf(w, "  %5d %5d %5d\n", b, goodput[0].Sum(b, b+1), goodput[1].Sum(b, b+1))
 	}
 }
 

@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -81,6 +83,17 @@ func (r *Result) WriteCSV(w io.Writer) {
 			fmt.Fprintf(w, ",%g", v)
 		}
 		fmt.Fprintln(w)
+	}
+}
+
+// plotBuckets sets the time axis to the start, in ms, of each of the
+// first n buckets of width, and each named series to its counts there.
+func (r *Result) plotBuckets(width time.Duration, n int, series map[string]*metrics.BucketSeries) {
+	for b := 0; b < n; b++ {
+		r.SeriesTime = append(r.SeriesTime, float64(int64(b)*int64(width))/float64(time.Millisecond))
+	}
+	for name, s := range series {
+		r.Series[name] = s.Floats(0, n)
 	}
 }
 

@@ -13,8 +13,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/runpar"
+	"repro/internal/sim"
 )
 
 func TestListAndTitles(t *testing.T) {
@@ -614,6 +616,45 @@ func TestExtChaosShape(t *testing.T) {
 	}
 	if len(res.Series["goodput_repl"]) == 0 {
 		t.Error("missing goodput_repl series")
+	}
+}
+
+// TestChaosGoodputArithmetic runs hand-built timelines through
+// ext-chaos's reporter: a run that never re-reaches the tolerance
+// reports recovery_ms -1 and measures its tail from the final heal, an
+// empty no-fault tail reads 0, and neither reads NaN.
+func TestChaosGoodputArithmetic(t *testing.T) {
+	cfg := chaosConfig(TestScale)
+	_, firstFault, finalHeal := chaosSchedule(cfg.horizon)
+	// series has count before in the buckets that start before at, and
+	// after from there on.
+	series := func(at sim.Time, before, after int64) *metrics.BucketSeries {
+		b := metrics.NewBucketSeries(cfg.bucket, cfg.horizon)
+		for t := sim.Time(0); t <= cfg.horizon; t += sim.Time(cfg.bucket) {
+			if t < at {
+				b.Add(t, before)
+			} else {
+				b.Add(t, after)
+			}
+		}
+		return &b
+	}
+	recoverAt := finalHeal + sim.Time(4*cfg.bucket)
+	for _, c := range []struct {
+		name                        string
+		chaos, base                 *metrics.BucketSeries
+		mean, dip, recoveryMS, frac float64
+	}{
+		{"never recovers", series(firstFault, 10, 2), series(0, 0, 10), 10, 2, -1, 0.2},
+		{"empty no-fault tail", series(firstFault, 10, 2), series(finalHeal, 10, 0), 240.0 / 36, 2, -1, 0},
+		{"recovers four buckets after the heal", series(recoverAt, 2, 10), series(0, 0, 10), 10, 2,
+			float64(recoverAt-finalHeal) / float64(time.Millisecond), 1},
+	} {
+		mean, dip, recoveryMS, frac := chaosGoodput(cfg, c.chaos, c.base, firstFault, finalHeal)
+		if mean != c.mean || dip != c.dip || recoveryMS != c.recoveryMS || frac != c.frac {
+			t.Errorf("%s: mean %v, dip %v, recovery_ms %v, recovered_frac %v; want %v, %v, %v, %v",
+				c.name, mean, dip, recoveryMS, frac, c.mean, c.dip, c.recoveryMS, c.frac)
+		}
 	}
 }
 

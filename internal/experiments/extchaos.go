@@ -13,12 +13,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -102,10 +104,10 @@ func chaosSchedule(h sim.Time) (fault.Schedule, sim.Time, sim.Time) {
 
 // chaosOutcome is one run's measurements.
 type chaosOutcome struct {
-	goodput    []float64 // completed ops per bucket
-	ops        int64     // total acked ops
-	failed     int64     // ops that exhausted retries
-	lost       int64     // acked objects missing at the end
+	goodput    metrics.BucketSeries // completed ops per bucket
+	ops        int64                // total acked ops
+	failed     int64                // ops that exhausted retries
+	lost       int64                // acked objects missing at the end
 	crashes    int64
 	recover    int64    // orphans successfully re-placed
 	promotions int64    // backup promotions (replicated run only)
@@ -168,8 +170,7 @@ func (s chaosSpec) run() (any, uint64, error) {
 		in.Install(sched)
 	}
 
-	nBuckets := int(int64(cfg.horizon)/int64(cfg.bucket)) + 1
-	out.goodput = make([]float64, nBuckets)
+	out.goodput = metrics.NewBucketSeries(cfg.bucket, cfg.horizon)
 
 	var wg sim.WaitGroup
 	for w := 0; w < cfg.clients; w++ {
@@ -186,9 +187,7 @@ func (s chaosSpec) run() (any, uint64, error) {
 					tc.Compute(cfg.opCPU)
 					if err := ledger.Put(tc.Proc(), tc.Machine(), storeIdx, key); err == nil {
 						out.ops++
-						if b := int(int64(tc.Proc().Now()) / int64(cfg.bucket)); b < nBuckets {
-							out.goodput[b]++
-						}
+						out.goodput.Add(tc.Proc().Now(), 1)
 					} else {
 						out.failed++
 					}
@@ -227,21 +226,25 @@ func (s chaosSpec) run() (any, uint64, error) {
 	return out, sys.K.EventsProcessed(), nil
 }
 
-// meanOver averages goodput buckets whose start time lies in [from, to).
-func meanOver(g []float64, bucket time.Duration, from, to sim.Time) float64 {
-	var sum float64
-	n := 0
-	for b := range g {
-		start := sim.Time(int64(b) * int64(bucket))
-		if start >= from && start < to {
-			sum += g[b]
-			n++
-		}
+// chaosGoodput is ext-chaos's goodput arithmetic. A time bound selects
+// the buckets that start at or after it. recoveryMS is -1 when no bucket
+// after the final heal reaches the tolerance of the no-fault mean, and
+// the tail then starts at the final heal; recoveredFrac is 0 when the
+// no-fault tail is empty.
+func chaosGoodput(cfg chaosCfg, chaos, base *metrics.BucketSeries, firstFault, finalHeal sim.Time) (baseMean, dip, recoveryMS, recoveredFrac float64) {
+	w := int64(cfg.bucket)
+	at := func(t sim.Time) int { return int((int64(t) + w - 1) / w) }
+	end, tail := at(cfg.horizon), at(finalHeal)
+	baseMean = base.Mean(at(cfg.warmup), end)
+	dip = slices.Min(chaos.Floats(at(firstFault), tail))
+	recoveryMS = -1
+	if b := chaos.First(tail, chaos.Len(), cfg.tolerance*baseMean); b >= 0 {
+		recoveryMS, tail = float64(sim.Time(int64(b)*w)-finalHeal)/float64(time.Millisecond), b
 	}
-	if n == 0 {
-		return 0
+	if baseTail := base.Mean(tail, end); baseTail > 0 {
+		recoveredFrac = chaos.Mean(tail, end) / baseTail
 	}
-	return sum / float64(n)
+	return baseMean, dip, recoveryMS, recoveredFrac
 }
 
 func runExtChaos(scale Scale) (*Result, error) {
@@ -263,39 +266,11 @@ func runExtChaos(scale Scale) (*Result, error) {
 	chaos, base, repl := outs[0], outs[1], outs[2]
 	res.Traces = []*obs.Log{chaos.trace}
 
-	baseMean := meanOver(base.goodput, cfg.bucket, cfg.warmup, cfg.horizon)
-	dip := meanOver(chaos.goodput, cfg.bucket, firstFault, finalHeal)
-	for b := range chaos.goodput {
-		start := sim.Time(int64(b) * int64(cfg.bucket))
-		if start >= firstFault && start < finalHeal && chaos.goodput[b] < dip {
-			dip = chaos.goodput[b]
-		}
-	}
-	// Recovery: first bucket at/after the final heal that reaches the
-	// tolerance threshold of the no-fault mean.
-	recoveryMS := -1.0
-	recoveredFrom := cfg.horizon
-	for b := range chaos.goodput {
-		start := sim.Time(int64(b) * int64(cfg.bucket))
-		if start >= finalHeal && chaos.goodput[b] >= cfg.tolerance*baseMean {
-			recoveryMS = float64(start-finalHeal) / float64(time.Millisecond)
-			recoveredFrom = start
-			break
-		}
-	}
-	recoveredFrac := 0.0
-	if baseMean > 0 {
-		recoveredFrac = meanOver(chaos.goodput, cfg.bucket, recoveredFrom, cfg.horizon) /
-			meanOver(base.goodput, cfg.bucket, recoveredFrom, cfg.horizon)
-	}
+	baseMean, dip, recoveryMS, recoveredFrac := chaosGoodput(cfg, &chaos.goodput, &base.goodput, firstFault, finalHeal)
 
 	// Plot-ready series: goodput per bucket, chaos vs no-fault.
-	for b := range chaos.goodput {
-		res.SeriesTime = append(res.SeriesTime, float64(int64(b)*int64(cfg.bucket))/float64(time.Millisecond))
-	}
-	res.Series["goodput_chaos"] = chaos.goodput
-	res.Series["goodput_nofault"] = base.goodput
-	res.Series["goodput_repl"] = repl.goodput
+	res.plotBuckets(cfg.bucket, chaos.goodput.Len(), map[string]*metrics.BucketSeries{
+		"goodput_chaos": &chaos.goodput, "goodput_nofault": &base.goodput, "goodput_repl": &repl.goodput})
 
 	res.addf("%-22s %12s %12s %12s", "", "chaos", "no-fault", "chaos-rf2")
 	res.addf("%-22s %12d %12d %12d", "ops acked", chaos.ops, base.ops, repl.ops)

@@ -80,7 +80,7 @@ type failoverOutcome struct {
 	resyncs           int64
 	confirms          int64
 	replRecords       int64
-	goodput           []float64
+	goodput           metrics.BucketSeries
 	failover          metrics.Summary // per affected store: crash -> first post-crash ack
 	trace             *obs.Log        // rendered only for the reported variant
 }
@@ -132,8 +132,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 		})
 	}
 
-	nBuckets := int(int64(cfg.horizon)/int64(cfg.bucket)) + 1
-	out.goodput = make([]float64, nBuckets)
+	out.goodput = metrics.NewBucketSeries(cfg.bucket, cfg.horizon)
 	firstAck := make([]sim.Time, cfg.stores) // first ack at/after the crash
 
 	var wg sim.WaitGroup
@@ -148,9 +147,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 				if err := ledger.Put(p, 0, idx, key); err == nil {
 					out.ops++
 					now := p.Now()
-					if b := int(int64(now) / int64(cfg.bucket)); b < nBuckets {
-						out.goodput[b]++
-					}
+					out.goodput.Add(now, 1)
 					if inject && now >= cfg.crashAt && firstAck[idx] == 0 {
 						firstAck[idx] = now
 					}
@@ -226,11 +223,8 @@ func runExtFailover(scale Scale) (*Result, error) {
 		overhead = 1 - float64(rf2Base.ops)/float64(rf1Base.ops)
 	}
 
-	for b := range rf2.goodput {
-		res.SeriesTime = append(res.SeriesTime, float64(int64(b)*int64(cfg.bucket))/float64(time.Millisecond))
-	}
-	res.Series["goodput_rf2"] = rf2.goodput
-	res.Series["goodput_rf1"] = rf1.goodput
+	res.plotBuckets(cfg.bucket, rf2.goodput.Len(), map[string]*metrics.BucketSeries{
+		"goodput_rf2": &rf2.goodput, "goodput_rf1": &rf1.goodput})
 
 	res.addf("%-24s %10s %10s %10s %10s", "", "rf2", "rf2-base", "rf1", "rf1-base")
 	res.addf("%-24s %10d %10d %10d %10d", "ops acked", rf2.ops, rf2Base.ops, rf1.ops, rf1Base.ops)

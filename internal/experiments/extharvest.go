@@ -53,7 +53,7 @@ func (s harvestSpec) run() (any, uint64, error) {
 		}
 		a.Start(sys.K)
 	}
-	goodput := metrics.NewBucketSeries(time.Millisecond)
+	goodput := metrics.NewBucketSeries(time.Millisecond, s.horizon)
 	// One closure value feeds every task, as in fig1: a completion
 	// re-enqueues the same unit on its current proclet.
 	var count core.TaskFn
@@ -92,10 +92,7 @@ func (s harvestSpec) run() (any, uint64, error) {
 	idealPerMs := 2 * harvestCores * float64(time.Millisecond) / float64(harvestUnit)
 	fromB := int(int64(s.measure) / int64(time.Millisecond))
 	toB := int(int64(s.horizon) / int64(time.Millisecond))
-	var achieved float64
-	for b := fromB; b < toB; b++ {
-		achieved += goodput.Bucket(b)
-	}
+	achieved := float64(goodput.Sum(fromB, toB))
 	return harvestOut{100 * achieved / (idealPerMs * float64(toB-fromB)), sys.Runtime.Migrations.Value()},
 		sys.K.EventsProcessed(), nil
 }

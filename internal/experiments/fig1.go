@@ -54,7 +54,7 @@ type fig1Stats struct {
 	migMeanMs  float64
 	migMaxMs   float64
 	reactMeanM float64 // mean ms from antagonist flip to >50% goodput
-	perMachine [2]*metrics.BucketSeries
+	perMachine [2]metrics.BucketSeries
 	trace      *obs.Log // control-plane trace, rendered only where reported
 }
 
@@ -110,7 +110,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 
 	var st fig1Stats
 	for i := range st.perMachine {
-		st.perMachine[i] = metrics.NewBucketSeries(time.Millisecond)
+		st.perMachine[i] = metrics.NewBucketSeries(time.Millisecond, cfg.horizon)
 	}
 
 	// One closure value feeds every task: each completion re-enqueues
@@ -172,10 +172,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 	unitsPerMsIdeal := cfg.cores * float64(time.Millisecond) / float64(cfg.unit)
 	fromB := int(int64(cfg.measure) / int64(time.Millisecond))
 	toB := int(int64(cfg.horizon) / int64(time.Millisecond))
-	var achieved float64
-	for b := fromB; b < toB; b++ {
-		achieved += st.perMachine[0].Bucket(b) + st.perMachine[1].Bucket(b)
-	}
+	achieved := float64(st.perMachine[0].Sum(fromB, toB) + st.perMachine[1].Sum(fromB, toB))
 	st.goodputPct = 100 * achieved / (unitsPerMsIdeal * float64(toB-fromB))
 	st.migrations = sys.Runtime.Migrations.Value()
 	st.migMeanMs = sys.Runtime.MigrationLatency.Mean() * 1000
@@ -186,35 +183,18 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 	halfRate := unitsPerMsIdeal / 2
 	periodMs := int(cfg.period / time.Millisecond)
 	halfMs := periodMs / 2
-	var reacts []float64
-	for t := fromB - fromB%halfMs; t+halfMs <= toB; t += halfMs {
-		if t <= fromB {
-			continue
+	var reactSum, flips int
+	for t := fromB - fromB%halfMs + halfMs; t+halfMs <= toB; t += halfMs {
+		idle := 1 - t/halfMs%2 // flip index t/halfMs: odd -> m0 became idle
+		react := halfMs        // never recovered
+		if b := st.perMachine[idle].First(t, t+halfMs, halfRate); b >= 0 {
+			react = b - t
 		}
-		k := t / halfMs // flip index: odd -> m0 became idle
-		idle := 1
-		if k%2 == 1 {
-			idle = 0
-		}
-		found := -1
-		for b := t; b < t+halfMs; b++ {
-			if st.perMachine[idle].Bucket(b) >= halfRate {
-				found = b - t
-				break
-			}
-		}
-		if found >= 0 {
-			reacts = append(reacts, float64(found))
-		} else {
-			reacts = append(reacts, float64(halfMs)) // never recovered
-		}
+		reactSum += react
+		flips++
 	}
-	if len(reacts) > 0 {
-		var sum float64
-		for _, r := range reacts {
-			sum += r
-		}
-		st.reactMeanM = sum / float64(len(reacts))
+	if flips > 0 {
+		st.reactMeanM = float64(reactSum) / float64(flips)
 	}
 	st.trace = sys.Trace
 	if traced {
@@ -242,8 +222,11 @@ func runFig1(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Plot-ready series: per-machine goodput in units/ms, 1 ms buckets —
+	// the data behind the paper's Figure 1 plot.
+	plot := map[string]*metrics.BucketSeries{}
 	for i, mode := range modes {
-		st := stats[i]
+		st := &stats[i]
 		res.addf("%-10s %14.1f %12d %14.3f %14.3f %12.2f",
 			mode, st.goodputPct, st.migrations, st.migMeanMs, st.migMaxMs, st.reactMeanM)
 		res.set(mode+".goodput_pct", st.goodputPct)
@@ -251,22 +234,9 @@ func runFig1(scale Scale) (*Result, error) {
 		res.set(mode+".mig_mean_ms", st.migMeanMs)
 		res.set(mode+".react_ms", st.reactMeanM)
 		res.Traces = append(res.Traces, st.trace)
-		// Plot-ready series: per-machine goodput in units/ms, 1 ms
-		// buckets — the data behind the paper's Figure 1 plot.
-		nB := int(int64(cfg.horizon) / int64(time.Millisecond))
-		if len(res.SeriesTime) == 0 {
-			for b := 0; b < nB; b++ {
-				res.SeriesTime = append(res.SeriesTime, float64(b))
-			}
-		}
-		for m := 0; m < 2; m++ {
-			col := make([]float64, nB)
-			for b := 0; b < nB; b++ {
-				col[b] = st.perMachine[m].Bucket(b)
-			}
-			res.Series[fmt.Sprintf("%s_m%d_goodput", mode, m)] = col
-		}
+		plot[mode+"_m0_goodput"], plot[mode+"_m1_goodput"] = &st.perMachine[0], &st.perMachine[1]
 	}
+	res.plotBuckets(time.Millisecond, int(int64(cfg.horizon)/int64(time.Millisecond)), plot)
 	res.addf("paper shape: Quicksand migrates in <1 ms and fills both machines' gaps (~2x pinned goodput);")
 	res.addf("coarse-grained (VM-style) migration cannot chase 10 ms windows.")
 	return res, nil

@@ -50,7 +50,7 @@ type fig3Out struct {
 	events   uint64
 	size     *metrics.TimeSeries // producer pool size over time
 	active   *metrics.TimeSeries // active GPUs over time
-	consumed *metrics.BucketSeries
+	consumed metrics.BucketSeries
 	splits   int64
 	merges   int64
 }
@@ -104,12 +104,12 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 
 	// Samplers.
 	out.size = metrics.NewTimeSeries("producers")
-	out.consumed = metrics.NewBucketSeries(10 * time.Millisecond)
+	out.consumed = metrics.NewBucketSeries(10*time.Millisecond, cfg.horizon)
 	lastConsumed := int64(0)
 	sys.K.Every(0, time.Millisecond, func() bool {
 		out.size.Add(sys.K.Now(), float64(pool.Size()))
 		c := gpus.Consumed.Value()
-		out.consumed.Add(sys.K.Now(), float64(c-lastConsumed))
+		out.consumed.Add(sys.K.Now(), c-lastConsumed)
 		lastConsumed = c
 		return sys.K.Now() < cfg.horizon
 	})
@@ -176,14 +176,10 @@ func fig3Reactions(cfg fig3Cfg, out fig3Out) (perFlip []float64, gpuUtil []float
 		settledFrom := start + sim.Time(time.Duration(react)*time.Millisecond)
 		gpusActive := flips[i].Value
 		capacity := gpusActive / cfg.gpuBatch.Seconds() * (end - settledFrom).Seconds()
-		var used float64
 		fromB := int(int64(settledFrom) / int64(10*time.Millisecond))
 		toB := int(int64(end) / int64(10*time.Millisecond))
-		for b := fromB; b < toB; b++ {
-			used += out.consumed.Bucket(b)
-		}
 		if capacity > 0 {
-			gpuUtil = append(gpuUtil, 100*used/capacity)
+			gpuUtil = append(gpuUtil, 100*float64(out.consumed.Sum(fromB, toB))/capacity)
 		}
 	}
 	return perFlip, gpuUtil
@@ -241,7 +237,7 @@ func runFig3(scale Scale) (*Result, error) {
 		res.SeriesTime = append(res.SeriesTime, float64(ms))
 		producers[ms], _ = out.size.At(at)
 		gpusActive[ms], _ = out.active.At(at)
-		consumed[ms] = out.consumed.Bucket(ms / 10)
+		consumed[ms] = float64(out.consumed.Sum(ms/10, ms/10+1))
 	}
 	res.Series["producers"] = producers
 	res.Series["gpus_active"] = gpusActive

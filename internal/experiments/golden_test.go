@@ -20,6 +20,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,7 +45,8 @@ func TestExtGoldens(t *testing.T) {
 }
 
 // goldenTable checks every id in List() that take selects against its
-// golden, at every golden seed and -par value.
+// golden, at every golden seed and -par value, and fails on a NaN or
+// infinite value even while rewriting the goldens.
 func goldenTable(t *testing.T, take func(id string) bool) {
 	t.Helper()
 	defer SetBaseSeed(0)
@@ -64,6 +66,13 @@ func goldenTable(t *testing.T, take func(id string) bool) {
 					res, err := Run(id, TestScale)
 					if err != nil {
 						t.Fatalf("-par %d seed %d: %v", par, seed, err)
+					}
+					// A golden takes no value quicksand-bench -json
+					// would refuse, so benchdiff can read every one.
+					for _, k := range sortedKeys(res.Values) {
+						if v := res.Values[k]; math.IsNaN(v) || math.IsInf(v, 0) {
+							t.Fatalf("-par %d seed %d: value %s is %v, which no BENCH_*.json can hold", par, seed, k, v)
+						}
 					}
 					fmt.Fprintf(&b, "-- seed %d\n", seed)
 					writeGolden(&b, res)

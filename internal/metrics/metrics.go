@@ -53,40 +53,94 @@ func (s *TimeSeries) At(t sim.Time) (v float64, ok bool) {
 	return s.points[i-1].Value, true
 }
 
-// BucketSeries accumulates values into fixed-width time buckets. It is
-// the container behind goodput/throughput timelines: each Add(t, v)
-// adds v into the bucket containing t.
+// BucketSeries is the one goodput timeline: exact integer counts in
+// fixed-width buckets, sized once for a span. Reads take a bucket-index
+// range [i, j), clipped to the series. Integer sums do not depend on
+// the order counts arrive or series merge, and read exactly as floats.
 type BucketSeries struct {
 	Width   time.Duration
-	buckets []float64
+	buckets []int64
 }
 
-// NewBucketSeries creates a bucket series with the given bucket width.
-func NewBucketSeries(width time.Duration) *BucketSeries {
-	if width <= 0 {
-		panic("metrics: bucket width must be positive")
+// NewBucketSeries makes a series of span/width + 1 buckets, one for every
+// time in [0, span]. The bucket slice is its one allocation.
+func NewBucketSeries(width time.Duration, span sim.Time) BucketSeries {
+	if width <= 0 || span < 0 {
+		panic("metrics: bucket width must be positive and span non-negative")
 	}
-	return &BucketSeries{Width: width}
+	return BucketSeries{Width: width, buckets: make([]int64, int64(span)/int64(width)+1)}
 }
 
-// Add accumulates v into the bucket containing time t.
-func (b *BucketSeries) Add(t sim.Time, v float64) {
+// Add adds n into the bucket holding t; a t past the span is dropped.
+// Zero allocations.
+func (b *BucketSeries) Add(t sim.Time, n int64) {
 	if t < 0 {
 		panic("metrics: negative time")
 	}
-	idx := int(int64(t) / int64(b.Width))
-	for len(b.buckets) <= idx {
-		b.buckets = append(b.buckets, 0)
+	if i := int64(t) / int64(b.Width); i < int64(len(b.buckets)) {
+		b.buckets[i] += n
 	}
-	b.buckets[idx] += v
 }
 
-// Bucket returns the accumulated value of bucket i (0 beyond the end).
-func (b *BucketSeries) Bucket(i int) float64 {
-	if i < 0 || i >= len(b.buckets) {
-		return 0
+// Len returns the number of buckets.
+func (b *BucketSeries) Len() int { return len(b.buckets) }
+
+// window returns the buckets of [i, j) that the series holds.
+func (b *BucketSeries) window(i, j int) []int64 {
+	i, j = max(i, 0), min(j, len(b.buckets))
+	if i >= j {
+		return nil
 	}
-	return b.buckets[i]
+	return b.buckets[i:j]
+}
+
+// Sum returns the total count of the buckets in [i, j).
+func (b *BucketSeries) Sum(i, j int) int64 {
+	var s int64
+	for _, v := range b.window(i, j) {
+		s += v
+	}
+	return s
+}
+
+// Mean returns the mean count of the buckets in [i, j), 0 when the
+// series holds none of them.
+func (b *BucketSeries) Mean(i, j int) float64 {
+	if n := len(b.window(i, j)); n > 0 {
+		return float64(b.Sum(i, j)) / float64(n)
+	}
+	return 0
+}
+
+// First returns the index of the first bucket in [i, j) whose count is
+// at least min, or -1 when none is.
+func (b *BucketSeries) First(i, j int, min float64) int {
+	i = max(i, 0)
+	for k, v := range b.window(i, j) {
+		if float64(v) >= min {
+			return i + k
+		}
+	}
+	return -1
+}
+
+// Merge adds o's counts, of a series of the same width, into b bucket
+// by bucket; o's buckets past b's span are dropped.
+func (b *BucketSeries) Merge(o *BucketSeries) {
+	for i, v := range o.buckets[:min(len(o.buckets), len(b.buckets))] {
+		b.buckets[i] += v
+	}
+}
+
+// Floats returns the counts of the buckets in [i, j) as a new slice,
+// the form a plotted series takes.
+func (b *BucketSeries) Floats(i, j int) []float64 {
+	w := b.window(i, j)
+	out := make([]float64, len(w))
+	for k, v := range w {
+		out[k] = float64(v)
+	}
+	return out
 }
 
 // Summary is the exact record of a latency stream: the sample count

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"testing"
-	"testing/quick"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -39,28 +37,6 @@ func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
 	s.Add(5, 2)
 }
 
-func TestBucketSeries(t *testing.T) {
-	b := NewBucketSeries(time.Millisecond)
-	b.Add(0, 1)
-	b.Add(sim.Time(500*time.Microsecond), 2)
-	b.Add(sim.Time(time.Millisecond), 4)
-	b.Add(sim.Time(5*time.Millisecond), 8)
-	if len(b.buckets) != 6 {
-		t.Errorf("buckets = %d, want 6", len(b.buckets))
-	}
-	if b.Bucket(0) != 3 || b.Bucket(1) != 4 || b.Bucket(5) != 8 {
-		t.Errorf("buckets = %v", b.buckets)
-	}
-	for _, i := range []int{2, 99, -1, -100} {
-		if b.Bucket(i) != 0 {
-			t.Errorf("Bucket(%d) = %v, want 0 (empty or out of range)", i, b.Bucket(i))
-		}
-	}
-	if empty := NewBucketSeries(time.Millisecond); empty.Bucket(0) != 0 {
-		t.Errorf("empty series Bucket(0) = %v, want 0", empty.Bucket(0))
-	}
-}
-
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -78,36 +54,4 @@ func TestCounterNegativePanics(t *testing.T) {
 	}()
 	var c Counter
 	c.Addn(-1)
-}
-
-// Property: the buckets sum to the inserted values, and bucket
-// assignment matches integer division.
-func TestBucketSeriesTotalProperty(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		b := NewBucketSeries(100 * time.Nanosecond)
-		var want float64
-		wantBuckets := map[int]float64{}
-		for _, o := range offsets {
-			t := sim.Time(o)
-			b.Add(t, 1)
-			want++
-			wantBuckets[int(o/100)]++
-		}
-		var total float64
-		for _, v := range b.buckets {
-			total += v
-		}
-		if total != want {
-			return false
-		}
-		for i, v := range wantBuckets {
-			if b.Bucket(i) != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
 }

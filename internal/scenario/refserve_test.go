@@ -50,7 +50,7 @@ func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max 
 
 // refServe is a scenario server's process body as it was then. It adds one
 // to switches each time p is switched back in after a park.
-func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim.Time, deadline, bucketNS int64, switches *uint64) {
+func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim.Time, deadline int64, switches *uint64) {
 	k := st.sys.K
 	// parked counts the switch back into p that a call which parked it
 	// ends with: it ran past the event it started in.
@@ -108,11 +108,7 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 			if lat > deadline {
 				st.Timeouts++
 			} else {
-				bi := int(int64(now) / bucketNS)
-				if bi >= len(st.good) {
-					bi = len(st.good) - 1
-				}
-				st.good[bi]++
+				st.good.Add(now, 1)
 			}
 		}
 	}, switches)

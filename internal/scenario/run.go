@@ -109,19 +109,17 @@ type shardState struct {
 
 	lost     int64
 	migOK    int64
-	startNS  int64   // when the preload finished; 0 until it has
-	setupErr error   // why it never will
-	good     []int64 // goodput buckets: on-deadline completions by completion time
+	startNS  int64                // when the preload finished; 0 until it has
+	setupErr error                // why it never will
+	good     metrics.BucketSeries // goodput: on-deadline completions by completion time
 	done     bool
 }
 
 // countGood is the shard's Tally.OnServe: an on-deadline completion
 // counts in the goodput bucket of its completion time.
-func (st *shardState) countGood(bucketNS int64) func(arrived, done sim.Time, missed bool) {
-	return func(_, done sim.Time, missed bool) {
-		if !missed {
-			st.good[min(int(int64(done)/bucketNS), len(st.good)-1)]++
-		}
+func (st *shardState) countGood(_, done sim.Time, missed bool) {
+	if !missed {
+		st.good.Add(done, 1)
 	}
 }
 
@@ -142,8 +140,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	horizon := mst(sp.HorizonMS)
 	drain := mst(sp.DrainMS)
 	deadline := int64(w.DeadlineUS * 1e3)
-	bucketNS := int64(sp.BucketMS * 1e6)
-	nBuckets := int((int64(horizon)+int64(drain))/bucketNS) + 2
+	bucket := time.Duration(sp.BucketMS * 1e6)
 
 	fl := fleet.New(seed, nShards, machines, cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20})
 	defer fl.Close()
@@ -213,9 +210,9 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				Horizon:  horizon,
 			},
 			sys:  sys,
-			good: make([]int64, nBuckets),
+			good: metrics.NewBucketSeries(bucket, horizon+drain),
 		}
-		st.OnServe = st.countGood(bucketNS)
+		st.OnServe = st.countGood
 		shards[s] = st
 		k := sys.K
 		sys.Start()
@@ -416,7 +413,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		}
 	}
 
-	return collect(sp, seed, shards, bucketNS)
+	return collect(sp, seed, shards)
 }
 
 // metric is one row of the report: a name assertions may reference,
@@ -432,10 +429,9 @@ type metric struct {
 // state no single shard holds.
 type rollup struct {
 	*Outcome
-	good     []int64 // goodput buckets, summed over shards
-	startNS  int64   // when the last shard finished preloading
-	horizon  int64
-	bucketNS int64
+	good    metrics.BucketSeries // goodput, merged over shards
+	startNS int64                // when the last shard finished preloading
+	horizon int64
 }
 
 // ratio is a/b, and 0 while b has nothing in it.
@@ -498,7 +494,7 @@ var metricTable = []metric{
 	}, nil},
 	{"recoveries", func(st *shardState) float64 { return float64(st.sys.Sched.Recoveries.Value()) }, nil},
 	{"migrations", func(st *shardState) float64 { return float64(st.migOK) }, nil},
-	{"recovery_ms", nil, func(r *rollup) float64 { return recoveryMS(r.Spec, r.good, r.bucketNS, r.startNS, r.horizon) }},
+	{"recovery_ms", nil, func(r *rollup) float64 { return recoveryMS(r.Spec, &r.good, r.startNS, r.horizon) }},
 	{"events", func(st *shardState) float64 { return float64(st.sys.K.EventsProcessed()) }, nil},
 	{"gpu_xids", func(st *shardState) float64 { return float64(st.in.GPUXids.Value()) }, nil},
 	{"gpu_throttles", func(st *shardState) float64 { return float64(st.in.GPUThrottles.Value()) }, nil},
@@ -522,12 +518,12 @@ var metricTable = []metric{
 var MetricNames = column(metricTable, func(d metric) string { return d.name })
 
 // collect folds per-shard state into the Outcome, in fixed shard order.
-func collect(sp *Spec, seed int64, shards []*shardState, bucketNS int64) (*Outcome, error) {
+func collect(sp *Spec, seed int64, shards []*shardState) (*Outcome, error) {
 	horizon := mst(sp.HorizonMS)
 	out := &Outcome{Spec: sp, Seed: seed, Pass: true,
 		Metrics: make(map[string]float64, len(metricTable))}
-	r := rollup{Outcome: out, good: make([]int64, len(shards[0].good)),
-		horizon: int64(horizon), bucketNS: bucketNS}
+	r := rollup{Outcome: out, horizon: int64(horizon),
+		good: metrics.NewBucketSeries(shards[0].good.Width, horizon+mst(sp.DrainMS))}
 	hists := make([]*metrics.LogHistogram, len(shards))
 	for s, st := range shards {
 		// Seal the SLO plane at the horizon: trailing empty windows
@@ -543,9 +539,7 @@ func collect(sp *Spec, seed int64, shards []*shardState, bucketNS int64) (*Outco
 			r.startNS = st.startNS
 		}
 		hists[s] = st.Hist
-		for i, v := range st.good {
-			r.good[i] += v
-		}
+		r.good.Merge(&st.good)
 		for _, d := range metricTable {
 			if d.shard != nil {
 				out.Metrics[d.name] += d.shard(st)
@@ -573,8 +567,9 @@ func collect(sp *Spec, seed int64, shards []*shardState, bucketNS int64) (*Outco
 // recoveryMS measures how long after the last scheduled disturbance
 // goodput regained RecoveryFrac of its pre-event baseline. 0 when the
 // scenario has no events or no measurable baseline; NeverRecovered when
-// no in-horizon bucket after the last event reaches the threshold.
-func recoveryMS(sp *Spec, good []int64, bucketNS, startNS, horizon int64) float64 {
+// no in-horizon bucket after the last event reaches the threshold. A
+// window [a, b) holds the buckets wholly inside it: a rounds up, b down.
+func recoveryMS(sp *Spec, good *metrics.BucketSeries, startNS, horizon int64) float64 {
 	if len(sp.Events) == 0 {
 		return 0
 	}
@@ -585,27 +580,16 @@ func recoveryMS(sp *Spec, good []int64, bucketNS, startNS, horizon int64) float6
 			lastEnd = e
 		}
 	}
-	var sum int64
-	var n int
-	for i := range good {
-		bs, be := int64(i)*bucketNS, int64(i+1)*bucketNS
-		if bs >= startNS+bucketNS && be <= firstNS {
-			sum += good[i]
-			n++
-		}
-	}
-	if n == 0 || sum == 0 {
+	w := int64(good.Width)
+	from := func(a int64) int { return int((a + w - 1) / w) }
+	i, j := from(startNS+w), min(int(firstNS/w), good.Len())
+	sum := good.Sum(i, j)
+	if sum == 0 {
 		return 0
 	}
-	threshold := sp.RecoveryFrac * float64(sum) / float64(n)
-	for i := range good {
-		bs, be := int64(i)*bucketNS, int64(i+1)*bucketNS
-		if bs < lastEnd || be > horizon {
-			continue
-		}
-		if float64(good[i]) >= threshold {
-			return float64(bs-lastEnd) / 1e6
-		}
+	threshold := sp.RecoveryFrac * float64(sum) / float64(j-i)
+	if b := good.First(from(lastEnd), int(horizon/w), threshold); b >= 0 {
+		return float64(int64(b)*w-lastEnd) / 1e6
 	}
 	return NeverRecovered
 }

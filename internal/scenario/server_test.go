@@ -37,7 +37,7 @@ const (
 	tapeHorizon  = 3 * sim.Millisecond
 	tapeEnd      = tapeHorizon + 12*sim.Millisecond
 	tapeDeadline = int64(400 * time.Microsecond)
-	tapeBucketNS = int64(sim.Millisecond)
+	tapeBucket   = time.Millisecond
 )
 
 func newServeTape(seed int64) serveTape {
@@ -100,7 +100,7 @@ type serveRun struct {
 	results  []string // one line per server exit, migration and the horizon
 	served   []uint64 // served, timeouts, errs, acked
 	hist     metrics.LogSnapshot
-	good     []int64
+	good     metrics.BucketSeries
 	ledger   [][]uint64
 	trace    []string
 	counters []int64
@@ -162,9 +162,9 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	st := &shardState{
 		Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: tapeDeadline, Horizon: tapeHorizon},
 		sys:   sys,
-		good:  make([]int64, int(int64(tapeEnd)/tapeBucketNS)+2),
+		good:  metrics.NewBucketSeries(tapeBucket, tapeEnd),
 	}
-	st.OnServe = st.countGood(tapeBucketNS)
+	st.OnServe = st.countGood
 	st.in = fault.New(k, sys.Cluster, sys.Trace)
 	sys.AttachInjector(st.in)
 	if w.RF >= 2 {
@@ -220,7 +220,7 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 		k.Spawn(fmt.Sprintf("server-%d", srv), func(p *sim.Proc) {
 			if ref {
 				out.serverSwitches++ // its start
-				refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, tapeBucketNS, &out.serverSwitches)
+				refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, &out.serverSwitches)
 			} else {
 				st.queue.Serve(p, tapeHorizon, serverPoll, w.BatchMax, census{fleet.NewServer(sys, &st.Tally, st.ledger, w.Objects, w.WriteFrac), cov})
 			}

@@ -572,11 +572,11 @@ func (sp *Spec) applyDefaults() {
 	}
 }
 
-// maxCurvePoints bounds how finely sample_step_ms may cut the horizon:
-// every tenant on every shard holds its pre-sampled rate curve, 16 bytes a
-// point, and the step's own floor allows a million points a millisecond.
-// The default step makes 200.
-const maxCurvePoints = 100_000
+// maxTimelinePoints bounds the points a step cuts the run into: every
+// tenant on every shard holds a rate-curve point a sample_step_ms, every
+// shard a goodput bucket a bucket_ms, and the SLO monitor closes (under
+// qsctl top, keeps) a window a window_ms. A step's floor allows 10^6 a ms.
+const maxTimelinePoints = 100_000
 
 // The run budget bounds what a file may ask Run to simulate, each limit
 // 100 times or more what the largest committed scenario, benchmark
@@ -636,6 +636,10 @@ func (sp *Spec) validate() error {
 	if sp.HorizonMS <= 0 {
 		return fmt.Errorf("scenario %q: horizon_ms must be positive (got %g)", sp.Name, sp.HorizonMS)
 	}
+	if n := (sp.HorizonMS + sp.DrainMS) / sp.BucketMS; n > maxTimelinePoints {
+		return fmt.Errorf("scenario %q: bucket_ms %g cuts horizon_ms %g + drain_ms %g into %.0f goodput buckets (limit %d) — raise bucket_ms or shrink horizon_ms or drain_ms",
+			sp.Name, sp.BucketMS, sp.HorizonMS, sp.DrainMS, n, maxTimelinePoints)
+	}
 	if sp.RecoveryFrac <= 0 || sp.RecoveryFrac > 1 {
 		return fmt.Errorf("scenario %q: recovery_frac must be in (0, 1] (got %g)", sp.Name, sp.RecoveryFrac)
 	}
@@ -676,9 +680,9 @@ func (sp *Spec) validate() error {
 	if len(w.Tenants) == 0 {
 		return fmt.Errorf("scenario %q: workload needs at least one tenant", sp.Name)
 	}
-	if pts := sp.HorizonMS / w.SampleStepMS; pts > maxCurvePoints {
+	if pts := sp.HorizonMS / w.SampleStepMS; pts > maxTimelinePoints {
 		return fmt.Errorf("scenario %q: workload: sample_step_ms %g cuts horizon_ms %g into %.0f rate-curve points (limit %d)",
-			sp.Name, w.SampleStepMS, sp.HorizonMS, pts, maxCurvePoints)
+			sp.Name, w.SampleStepMS, sp.HorizonMS, pts, maxTimelinePoints)
 	}
 	for gi, c := range f.GPUs {
 		if c.Count < 1 || c.MemMB < 1 || c.LinkGBps <= 0 || c.Speed <= 0 {
@@ -731,6 +735,10 @@ func (sp *Spec) validate() error {
 	if sp.SLO.Enabled() || len(sp.SLO.Rules) > 0 {
 		if sp.SLO.WindowMS <= 0 {
 			return fmt.Errorf("scenario %q: slo needs window_ms > 0 (got %g)", sp.Name, sp.SLO.WindowMS)
+		}
+		if n := sp.HorizonMS / sp.SLO.WindowMS; n > maxTimelinePoints {
+			return fmt.Errorf("scenario %q: slo: window_ms %g cuts horizon_ms %g into %.0f windows (limit %d) — raise slo.window_ms or shrink horizon_ms",
+				sp.Name, sp.SLO.WindowMS, sp.HorizonMS, n, maxTimelinePoints)
 		}
 		if len(sp.SLO.Rules) == 0 {
 			return fmt.Errorf("scenario %q: slo needs at least one rule", sp.Name)

@@ -167,6 +167,16 @@ func TestParseErrorPaths(t *testing.T) {
 			strings.Replace(minimal, "  stores: 2\n", "  stores: 2\n  sample_step_ms: 0.00003\n", 1),
 			`scenario "mini": workload: sample_step_ms 3e-05 cuts horizon_ms 4 into 133333 rate-curve points (limit 100000)`,
 		},
+		{
+			"bucket width implies too many goodput buckets",
+			minimal + "drain_ms: 1\nbucket_ms: 0.00004\n",
+			`scenario "mini": bucket_ms 4e-05 cuts horizon_ms 4 + drain_ms 1 into 125000 goodput buckets (limit 100000) — raise bucket_ms or shrink horizon_ms or drain_ms`,
+		},
+		{
+			"slo window implies too many windows",
+			minimal + "slo:\n  window_ms: 0.00003\n  rules:\n    - kind: p999_above\n      bound_ms: 1\n",
+			`scenario "mini": slo: window_ms 3e-05 cuts horizon_ms 4 into 133333 windows (limit 100000) — raise slo.window_ms or shrink horizon_ms`,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
