@@ -22,9 +22,10 @@
 // -json additionally writes one BENCH_<id>.json file per experiment
 // with the kernel events the run processed, its heap allocations and
 // its values. The allocation count is a process-wide delta, so with
-// -json the experiments run one after another and each record counts
-// only its own; -par still bounds each experiment's own workers. A
-// record holds no host time.
+// -json the experiments run one after another, each from an empty run
+// memo, and each record counts only its own runs, whatever ran before
+// it; -par still bounds each experiment's own workers. A record holds
+// no host time.
 //
 // -seed N offsets the RNG seeds of the seed-swept experiments (fig2,
 // ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve). Runs at
@@ -194,6 +195,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	outs := runpar.Map(len(ids), expPar, func(i int) outcome {
 		var m0 runtime.MemStats
 		if *jsonOut {
+			// Empty the run memo, so a record counts its own runs
+			// whatever ran before it (abl-sched shares fig1's).
+			experiments.SetParallelism(*par)
 			runtime.ReadMemStats(&m0)
 		}
 		res, err := experiments.Run(ids[i], scale)

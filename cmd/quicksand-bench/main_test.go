@@ -149,3 +149,40 @@ func TestJSONRunsExperimentsOneAtATime(t *testing.T) {
 		t.Errorf("records add up to %d of the run's %d allocations: the experiments overlapped", sum, total)
 	}
 }
+
+// TestJSONRecordIgnoresRunOrder: -json empties the run memo before each
+// experiment, so fig1's record counts fig1's own runs even when
+// abl-sched, which shares fig1's quicksand run, went first. Its events
+// match a run of fig1 alone exactly, and its allocations within
+// benchdiff's 10%.
+func TestJSONRecordIgnoresRunOrder(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	record := func(ids ...string) benchStats {
+		if err := os.Chdir(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		if code := run(append([]string{"-scale", "test", "-json"}, ids...), io.Discard, io.Discard); code != 0 {
+			t.Fatalf("%v: exit code %d", ids, code)
+		}
+		data, err := os.ReadFile("BENCH_fig1.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st benchStats
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	alone, after := record("fig1"), record("abl-sched", "fig1")
+	if after.Events != alone.Events {
+		t.Errorf("fig1 after abl-sched: %d events, alone %d", after.Events, alone.Events)
+	}
+	if d := math.Abs(float64(after.Allocs) - float64(alone.Allocs)); d > 0.1*float64(alone.Allocs) {
+		t.Errorf("fig1 after abl-sched: %d allocs, alone %d: more than 10%% apart", after.Allocs, alone.Allocs)
+	}
+}

@@ -260,8 +260,7 @@ func (in *Injector) crash(mid cluster.MachineID) {
 	// retired, memory wiped), then the control plane's orphaning pass.
 	in.c.Node(mid).SetDown(true)
 	m.Crash()
-	in.t.Emitf(in.k.Now(), obs.KindCrash, fmt.Sprintf("m%d", mid), int(mid), -1,
-		"machine fail-stop")
+	in.t.Emitf(in.k.Now(), obs.KindCrash, m.Name, int(mid), -1, "machine fail-stop")
 	if in.HookCrash != nil {
 		in.HookCrash(mid)
 	}
@@ -275,8 +274,7 @@ func (in *Injector) restart(mid cluster.MachineID) {
 	in.Restarts.Inc()
 	m.Restart()
 	in.c.Node(mid).SetDown(false)
-	in.t.Emitf(in.k.Now(), obs.KindRecover, fmt.Sprintf("m%d", mid), int(mid), -1,
-		"machine restart (empty)")
+	in.t.Emitf(in.k.Now(), obs.KindRecover, m.Name, int(mid), -1, "machine restart (empty)")
 	if in.HookRestart != nil {
 		in.HookRestart(mid)
 	}

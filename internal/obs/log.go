@@ -1,43 +1,102 @@
 package obs
 
 import (
-	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/sim"
 )
 
 // Event is one control-plane occurrence. From/To are machine IDs (as
 // ints to avoid layering on the cluster package); -1 means not
-// applicable.
+// applicable. An Emitf event keeps its format and its arguments as
+// tagged words; Detail renders them when read.
 type Event struct {
 	At      sim.Time
 	Kind    string // a Kind* constant
 	Subject string // proclet or resource name
 	From    int
 	To      int
-	Detail  string
+
+	format string
+	tags   uint64     // argument i's argTag in bits 4i..4i+3, 0 past the last
+	words  [2]uint64  // the arguments, if at most two and none a string
+	spill  []spillArg // else all of them, in the log's slab
 }
 
+// argTag says how an argument is stored and which verbs render it.
+type argTag uint8
+
+const (
+	tagInt      argTag = iota + 1 // int, int32, int64
+	tagUint                       // uint32, uint64
+	tagFloat                      // float64, as math.Float64bits
+	tagDuration                   // time.Duration, sim.Time
+	tagString                     // string, in spillArg.s
+)
+
+// spillArg is one argument of an event whose arguments are spilled.
+type spillArg struct {
+	word uint64
+	s    string
+}
+
+// Detail renders the event's detail as fmt.Sprintf(format, args...)
+// would, byte for byte; "" when the event has none.
+func (e Event) Detail() string {
+	var buf [128]byte
+	return string(e.appendDetail(buf[:0]))
+}
+
+// String renders the event as fmt's "%12v %-9s %-24s" of At, Kind and
+// Subject, then " %d->%d" of From and To unless both are negative, then
+// " (%s)" of a non-empty Detail.
 func (e Event) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12v %-9s %-24s", e.At, e.Kind, e.Subject)
+	var buf [128]byte
+	return string(e.appendLine(buf[:0]))
+}
+
+// appendLine appends String's rendering; fmt pads by runes, so does it.
+func (e *Event) appendLine(b []byte) []byte {
+	var at [32]byte
+	t := appendDuration(at[:0], time.Duration(e.At))
+	b = append(appendPad(b, 12-utf8.RuneCount(t)), t...)
+	b = appendPad(append(append(b, ' '), e.Kind...), 9-utf8.RuneCountInString(e.Kind))
+	b = appendPad(append(append(b, ' '), e.Subject...), 24-utf8.RuneCountInString(e.Subject))
 	if e.From >= 0 || e.To >= 0 {
-		fmt.Fprintf(&b, " %d->%d", e.From, e.To)
+		b = append(strconv.AppendInt(append(b, ' '), int64(e.From), 10), "->"...)
+		b = strconv.AppendInt(b, int64(e.To), 10)
 	}
-	if e.Detail != "" {
-		fmt.Fprintf(&b, " (%s)", e.Detail)
+	n := len(b)
+	if b = e.appendDetail(append(b, " ("...)); len(b) == n+2 {
+		return b[:n]
 	}
-	return b.String()
+	return append(b, ')')
+}
+
+func appendPad(b []byte, n int) []byte {
+	for ; n > 0; n-- {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Log is an append-only event log. A nil *Log is valid and discards
-// events, so instrumented code never needs nil checks.
+// events, so instrumented code never needs nil checks. Events live in
+// chunks that are never copied, doubling from 4 events to 273 (on
+// 64-bit hosts); spilled arguments in slab chunks, 8 doubling to 128.
 type Log struct {
-	events []Event
+	chunks [][]Event
+	n      int
+	slab   []spillArg // the current slab chunk
 }
+
+const firstSlab, maxSlab = 8, 128
 
 // NewLog creates an empty log.
 func NewLog() *Log { return &Log{} }
@@ -47,104 +106,183 @@ func (l *Log) Emit(e Event) {
 	if l == nil {
 		return
 	}
-	l.events = append(l.events, e)
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		// 512 bytes doubling to 32 KiB: each a malloc size class.
+		size := (512 << min(len(l.chunks), 6)) / int(unsafe.Sizeof(e))
+		l.chunks = append(l.chunks, make([]Event, 0, size))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], e)
+	l.n++
 }
 
-// Emitf is Emit with a detail string formatted as fmt.Sprintf would,
-// byte for byte, for the verbs and argument types appendDetail takes.
-// The text is built in a stack buffer and args do not escape, so an
-// event costs one allocation, its detail string, and none when format
-// has no verb. A call outside that set panics with the format.
+// Emitf is Emit with a detail that renders as fmt.Sprintf(format,
+// args...) would, byte for byte, for the verbs and argument types
+// checkDetail takes; a call outside them panics with the format.
+// Nothing is rendered here: the event keeps format, a constant
+// (TestEmitfArgs), and each argument as a tagged word, two numbers in
+// the event itself and more, or a string, in the log's slab. Arguments
+// do not escape, so an event costs only its share of a chunk.
 func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format string, args ...any) {
 	if l == nil {
 		return
 	}
-	detail := format
-	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
-		var buf [128]byte
-		detail = string(appendDetail(buf[:0], format, args))
+	if len(args) > 16 {
+		badDetail(format, "has more arguments than tags holds")
 	}
-	l.Emit(Event{At: at, Kind: kind, Subject: subject, From: from, To: to, Detail: detail})
+	e := Event{At: at, Kind: kind, Subject: subject, From: from, To: to, format: format}
+	spill := len(args) > len(e.words)
+	for _, a := range args {
+		if _, ok := a.(string); ok {
+			spill = true
+		}
+	}
+	if spill {
+		if cap(l.slab)-len(l.slab) < len(args) {
+			l.slab = make([]spillArg, 0, max(len(args), firstSlab, min(2*cap(l.slab), maxSlab)))
+		}
+		n := len(l.slab)
+		l.slab = l.slab[:n+len(args)]
+		e.spill = l.slab[n:len(l.slab):len(l.slab)]
+	}
+	for i, a := range args {
+		tag, word, s := toArg(a)
+		if tag == 0 {
+			badDetail(format, "has an argument of a type it does not take")
+		}
+		e.tags |= uint64(tag) << (4 * i)
+		if spill {
+			e.spill[i] = spillArg{word, s}
+		} else {
+			e.words[i] = word
+		}
+	}
+	checkDetail(format, e.tags)
+	l.Emit(e)
 }
 
-// appendDetail appends format rendered with args to b. It takes a
-// closed set of verbs — %d over int, int32, int64, uint32 and uint64;
-// %s over string, time.Duration and sim.Time; %.Nf over float64; %v over
-// all of these; and %% — and calls no fmt function and no method
-// through an interface, which is what keeps args on the caller's stack.
-// Anything else panics: falling back to fmt would box every call's
-// arguments again. TestEmitfArgs holds every call site to the same set.
-func appendDetail(b []byte, format string, args []any) []byte {
+// toArg tags and stores one argument; tag 0 is a type checkDetail does
+// not take.
+func toArg(a any) (tag argTag, word uint64, s string) {
+	switch v := a.(type) {
+	case int:
+		return tagInt, uint64(v), ""
+	case int32:
+		return tagInt, uint64(v), ""
+	case int64:
+		return tagInt, uint64(v), ""
+	case uint32:
+		return tagUint, uint64(v), ""
+	case uint64:
+		return tagUint, v, ""
+	case float64:
+		return tagFloat, math.Float64bits(v), ""
+	case string:
+		return tagString, 0, v
+	case time.Duration:
+		return tagDuration, uint64(v), ""
+	case sim.Time:
+		return tagDuration, uint64(v), ""
+	}
+	return 0, 0, ""
+}
+
+// checkDetail holds format's verbs to the arguments tags describes, one
+// for one, and panics at the first that does not fit. The verbs are a
+// closed set — %d over int, int32, int64, uint32 and uint64; %s over
+// string, time.Duration and sim.Time; %.Nf over float64; %v over all of
+// these; and %% — so rendering calls no fmt function and boxes no
+// argument: falling back to fmt would box every call's arguments again.
+func checkDetail(format string, tags uint64) {
 	rest, next := format, 0
 	for {
 		i := strings.IndexByte(rest, '%')
 		if i < 0 {
-			b = append(b, rest...)
 			break
 		}
-		b = append(b, rest[:i]...)
-		rest = rest[i+1:]
-		prec := -1
-		if rest != "" && rest[0] == '.' {
-			prec = 0
-			for rest = rest[1:]; rest != "" && '0' <= rest[0] && rest[0] <= '9'; rest = rest[1:] {
-				prec = 10*prec + int(rest[0]-'0')
-			}
-		}
-		if rest == "" {
-			badDetail(format, "ends inside a verb")
-		}
-		verb := rest[0]
-		rest = rest[1:]
-		if verb == '%' && prec < 0 {
-			b = append(b, '%')
+		var verb byte
+		var prec int
+		if verb, prec, rest = parseVerb(format, rest[i+1:]); verb == '%' && prec < 0 {
 			continue
 		}
-		if next == len(args) {
+		ok := prec < 0 && (verb == 's' || verb == 'v')
+		switch argTag(tags >> (4 * next) & 15) { // 0 once the shift passes 63
+		case 0:
 			badDetail(format, "has more verbs than arguments")
+		case tagInt, tagUint:
+			ok = prec < 0 && (verb == 'd' || verb == 'v')
+		case tagFloat:
+			ok = prec >= 0 && verb == 'f' || prec < 0 && verb == 'v'
 		}
-		var ok bool
-		if b, ok = appendArg(b, verb, prec, args[next]); !ok {
+		if !ok {
 			badDetail(format, "has a verb its argument's type does not take")
 		}
 		next++
 	}
-	if next != len(args) {
+	if tags>>(4*next) != 0 {
 		badDetail(format, "has fewer verbs than arguments")
 	}
-	return b
 }
 
-// appendArg appends one argument under its verb, prec being -1 unless
-// the verb carried one. It reports false for a pair it does not take.
-func appendArg(b []byte, verb byte, prec int, arg any) ([]byte, bool) {
-	integer := prec < 0 && (verb == 'd' || verb == 'v')
-	text := prec < 0 && (verb == 's' || verb == 'v')
-	switch v := arg.(type) {
-	case int:
-		return strconv.AppendInt(b, int64(v), 10), integer
-	case int32:
-		return strconv.AppendInt(b, int64(v), 10), integer
-	case int64:
-		return strconv.AppendInt(b, v, 10), integer
-	case uint32:
-		return strconv.AppendUint(b, uint64(v), 10), integer
-	case uint64:
-		return strconv.AppendUint(b, v, 10), integer
-	case float64:
-		// strconv writes NaN, +Inf and -Inf, and the sign, as fmt does.
-		if prec >= 0 && verb == 'f' {
-			return strconv.AppendFloat(b, v, 'f', prec, 64), true
+// parseVerb reads the verb whose '%' precedes rest: its letter, its
+// precision (-1 when it has none) and what follows it.
+func parseVerb(format, rest string) (verb byte, prec int, after string) {
+	prec = -1
+	if rest != "" && rest[0] == '.' {
+		prec = 0
+		for rest = rest[1:]; rest != "" && '0' <= rest[0] && rest[0] <= '9'; rest = rest[1:] {
+			prec = 10*prec + int(rest[0]-'0')
 		}
-		return strconv.AppendFloat(b, v, 'g', -1, 64), prec < 0 && verb == 'v'
-	case string:
-		return append(b, v...), text
-	case time.Duration:
-		return appendDuration(b, v), text
-	case sim.Time:
-		return appendDuration(b, time.Duration(v)), text
 	}
-	return b, false
+	if rest == "" {
+		badDetail(format, "ends inside a verb")
+	}
+	return rest[0], prec, rest[1:]
+}
+
+// appendDetail appends the event's format rendered with its arguments,
+// which checkDetail has held to the format.
+func (e *Event) appendDetail(b []byte) []byte {
+	rest, next := e.format, 0
+	for {
+		i := strings.IndexByte(rest, '%')
+		if i < 0 {
+			return append(b, rest...)
+		}
+		b = append(b, rest[:i]...)
+		var verb byte
+		var prec int
+		if verb, prec, rest = parseVerb(e.format, rest[i+1:]); verb == '%' && prec < 0 {
+			b = append(b, '%')
+			continue
+		}
+		var word uint64
+		var s string
+		if e.spill != nil {
+			word, s = e.spill[next].word, e.spill[next].s
+		} else {
+			word = e.words[next]
+		}
+		switch argTag(e.tags >> (4 * next) & 15) {
+		case tagInt:
+			b = strconv.AppendInt(b, int64(word), 10)
+		case tagUint:
+			b = strconv.AppendUint(b, word, 10)
+		case tagFloat:
+			// strconv writes NaN, +Inf and -Inf, and the sign, as fmt does.
+			if prec >= 0 {
+				b = strconv.AppendFloat(b, math.Float64frombits(word), 'f', prec, 64)
+			} else {
+				b = strconv.AppendFloat(b, math.Float64frombits(word), 'g', -1, 64)
+			}
+		case tagDuration:
+			b = appendDuration(b, time.Duration(word))
+		case tagString:
+			b = append(b, s...)
+		}
+		next++
+	}
 }
 
 // badDetail panics for an Emitf call appendDetail cannot render.
@@ -196,12 +334,20 @@ func appendFrac(b []byte, v, unit uint64) []byte {
 	return b
 }
 
-// Events returns all events in emission order (not a copy).
-func (l *Log) Events() []Event {
+// events returns the log's chunks; nil for a nil log.
+func (l *Log) events() [][]Event {
 	if l == nil {
 		return nil
 	}
-	return l.events
+	return l.chunks
+}
+
+// Events returns a copy of the events in emission order; nil if none.
+func (l *Log) Events() []Event {
+	if l.Len() == 0 {
+		return nil
+	}
+	return slices.Concat(l.chunks...)
 }
 
 // Len returns the number of recorded events.
@@ -209,18 +355,17 @@ func (l *Log) Len() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.events)
+	return l.n
 }
 
 // Filter returns the events of the given kind, in order.
 func (l *Log) Filter(kind string) []Event {
-	if l == nil {
-		return nil
-	}
 	var out []Event
-	for _, e := range l.events {
-		if e.Kind == kind {
-			out = append(out, e)
+	for _, c := range l.events() {
+		for i := range c {
+			if c[i].Kind == kind {
+				out = append(out, c[i])
+			}
 		}
 	}
 	return out
@@ -229,16 +374,29 @@ func (l *Log) Filter(kind string) []Event {
 // Count returns how many events of the given kind were recorded,
 // without materializing the filtered slice.
 func (l *Log) Count(kind string) int {
-	if l == nil {
-		return 0
-	}
 	n := 0
-	for i := range l.events {
-		if l.events[i].Kind == kind {
-			n++
+	for _, c := range l.events() {
+		for i := range c {
+			if c[i].Kind == kind {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// Latest returns the last event match reports true for, walking the
+// log backward in place.
+func (l *Log) Latest(match func(*Event) bool) (Event, bool) {
+	chunks := l.events()
+	for ci := len(chunks) - 1; ci >= 0; ci-- {
+		for i := len(chunks[ci]) - 1; i >= 0; i-- {
+			if match(&chunks[ci][i]) {
+				return chunks[ci][i], true
+			}
+		}
+	}
+	return Event{}, false
 }
 
 // MergeLogs combines several logs into one, ordered by timestamp with
@@ -249,61 +407,65 @@ func (l *Log) Count(kind string) int {
 // as a per-shard accumulator — Emit and Count stay lock- and
 // allocation-free — and the merged view depends only on shard contents
 // and argument order, never on the host worker count. Nil logs are
-// skipped; the inputs are not modified.
+// skipped; the inputs are not modified. The merged log is one chunk
+// and shares the inputs' slabs.
 func MergeLogs(logs ...*Log) (merged *Log, src []int) {
 	total := 0
 	for _, l := range logs {
 		total += l.Len()
 	}
 	type cursor struct {
-		events []Event
-		arg    int
+		head []Event   // the rest of the current chunk
+		more [][]Event // the chunks after it
+		arg  int
 	}
 	curs := make([]cursor, 0, len(logs))
 	for i, l := range logs {
 		if l.Len() > 0 {
-			curs = append(curs, cursor{events: l.events, arg: i})
+			curs = append(curs, cursor{head: l.chunks[0], more: l.chunks[1:], arg: i})
 		}
 	}
-	merged = &Log{events: make([]Event, 0, total)}
+	out := make([]Event, 0, total)
 	src = make([]int, 0, total)
 	for {
 		best := -1
 		for i := range curs {
-			if len(curs[i].events) == 0 {
-				continue
-			}
-			if best < 0 || curs[i].events[0].At < curs[best].events[0].At {
+			if len(curs[i].head) > 0 && (best < 0 || curs[i].head[0].At < curs[best].head[0].At) {
 				best = i
 			}
 		}
 		if best < 0 {
-			return merged, src
+			return &Log{chunks: [][]Event{out}, n: total}, src
 		}
-		merged.events = append(merged.events, curs[best].events[0])
-		src = append(src, curs[best].arg)
-		curs[best].events = curs[best].events[1:]
+		c := &curs[best]
+		out = append(out, c.head[0])
+		src = append(src, c.arg)
+		if c.head = c.head[1:]; len(c.head) == 0 && len(c.more) > 0 {
+			c.head, c.more = c.more[0], c.more[1:]
+		}
 	}
 }
 
 // Lines renders the log, one String() per event.
 func (l *Log) Lines() []string {
-	lines := make([]string, l.Len())
-	for i, e := range l.Events() {
-		lines[i] = e.String()
+	lines := make([]string, 0, l.Len())
+	var b []byte
+	for _, c := range l.events() {
+		for i := range c {
+			b = c[i].appendLine(b[:0])
+			lines = append(lines, string(b))
+		}
 	}
 	return lines
 }
 
 // String renders the whole log, one event per line.
 func (l *Log) String() string {
-	if l == nil {
-		return ""
+	var b []byte
+	for _, c := range l.events() {
+		for i := range c {
+			b = append(c[i].appendLine(b), '\n')
+		}
 	}
-	var b strings.Builder
-	for _, e := range l.events {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return string(b)
 }

@@ -8,9 +8,11 @@ import (
 	"go/token"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -24,7 +26,7 @@ func TestEmitAndFilter(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", l.Len())
 	}
 	migs := l.Filter(KindMigrate)
-	if len(migs) != 1 || migs[0].Detail != "bytes=1024" {
+	if len(migs) != 1 || migs[0].Detail() != "bytes=1024" {
 		t.Errorf("Filter(migrate) = %+v", migs)
 	}
 	if l.Count(KindSplit) != 1 || l.Count(KindMerge) != 0 {
@@ -90,7 +92,12 @@ func TestEmitfPanicsOutsideItsVerbs(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{At: 1500, Kind: KindMigrate, Subject: "compute-3", From: 0, To: 2, Detail: "10MiB"}
+	l := NewLog()
+	l.Emitf(1500, KindMigrate, "compute-3", 0, 2, "%dMiB", 10)
+	e := l.Events()[0]
+	if e.Detail() != "10MiB" {
+		t.Errorf("Detail() = %q, want 10MiB", e.Detail())
+	}
 	s := e.String()
 	for _, want := range []string{"migrate", "compute-3", "0->2", "10MiB"} {
 		if !strings.Contains(s, want) {
@@ -248,5 +255,162 @@ func TestKindVocabulary(t *testing.T) {
 	}
 	if blocks != 1 || len(seen) == 0 {
 		t.Errorf("found %d Kind* const blocks declaring %d kinds, want one block", blocks, len(seen))
+	}
+}
+
+// TestEmitfAllocBudget: Emitf renders nothing and stores its arguments
+// as words, so 4,096 events into a fresh log allocate only the log, its
+// event chunks and the chunk list's growth — a few dozen, where
+// rendering each detail at emit time would add 4,096 strings.
+func TestEmitfAllocBudget(t *testing.T) {
+	const n = 4096
+	var l *Log
+	allocs := testing.AllocsPerRun(5, func() {
+		l = NewLog()
+		for i := 0; i < n; i++ {
+			l.Emitf(sim.Time(i), KindMigrate, "mem-1", 0, 1, "bytes=%d latency=%v",
+				int64(i)<<20, time.Duration(i)*time.Microsecond)
+		}
+	})
+	if budget := float64(1 + 2*len(l.chunks)); allocs > budget {
+		t.Errorf("%d Emitf calls allocated %v objects, want at most %v (%d chunks)", n, allocs, budget, len(l.chunks))
+	}
+	if l.Len() != n || len(l.chunks) < 10 {
+		t.Fatalf("log holds %d events in %d chunks", l.Len(), len(l.chunks))
+	}
+}
+
+// oldEventString is the layout Event.String renders, through fmt.
+func oldEventString(at sim.Time, kind, subject string, from, to int, detail string) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%12v %-9s %-24s", at, kind, subject)
+	if from >= 0 || to >= 0 {
+		fmt.Fprintf(&b, " %d->%d", from, to)
+	}
+	if detail != "" {
+		fmt.Fprintf(&b, " (%s)", detail)
+	}
+	return b.String()
+}
+
+// chunkedLog emits n events of mixed kinds, ties and argument shapes —
+// none, two numbers inline, a string and more than two spilled — into
+// one log, and each also into a log of its own: the one-slice
+// reference. It returns the log, the reference and each event's
+// detail as fmt renders it.
+func chunkedLog(n, seed int) (*Log, []Event, []string) {
+	kinds := []string{KindMigrate, KindSplit, KindCrash, KindIncident, KindSpawn, KindRepl}
+	l := NewLog()
+	var ref []Event
+	var details []string
+	for i := 0; i < n; i++ {
+		at := sim.Time((i + seed) / 3 * 1000)
+		kind, subject := kinds[(i*7+seed)%len(kinds)], fmt.Sprintf("p%d", i%13)
+		from, to := i%5-1, (i+seed)%4-1
+		one := NewLog()
+		for _, dst := range []*Log{l, one} {
+			switch i % 5 {
+			case 0:
+				dst.Emitf(at, kind, subject, from, to, "")
+			case 1:
+				dst.Emitf(at, kind, subject, from, to, "bytes=%d latency=%v", int64(i)<<10, time.Duration(i)*time.Microsecond)
+			case 2:
+				dst.Emitf(at, kind, subject, from, to, "backup %s gen=%d", subject+"/b", uint64(i))
+			case 3:
+				dst.Emitf(at, kind, subject, from, to, "shard %d at %d, %d shards", i, -i, int32(i%7))
+			case 4:
+				dst.Emitf(at, kind, subject, from, to, "load %.2f->%.2f (%v)", float64(i)/3, float64(-i)/7, at)
+			}
+		}
+		ref = append(ref, one.Events()[0])
+		details = append(details, [...]string{"",
+			fmt.Sprintf("bytes=%d latency=%v", int64(i)<<10, time.Duration(i)*time.Microsecond),
+			fmt.Sprintf("backup %s gen=%d", subject+"/b", uint64(i)),
+			fmt.Sprintf("shard %d at %d, %d shards", i, -i, int32(i%7)),
+			fmt.Sprintf("load %.2f->%.2f (%v)", float64(i)/3, float64(-i)/7, at)}[i%5])
+	}
+	return l, ref, details
+}
+
+// TestChunkedLogMatchesOneSlice: a log spread over many chunks reads
+// exactly as the same events in one slice would, through every reader:
+// Events, Filter, Count, Latest, Lines, String and MergeLogs. Details
+// and lines match fmt's rendering byte for byte.
+func TestChunkedLogMatchesOneSlice(t *testing.T) {
+	l, ref, details := chunkedLog(1500, 0)
+	if len(l.chunks) < 8 {
+		t.Fatalf("%d events in only %d chunks", l.Len(), len(l.chunks))
+	}
+	if l.Len() != len(ref) || !reflect.DeepEqual(l.Events(), ref) {
+		t.Fatal("Events differs from the one-slice reference")
+	}
+	var lines []string
+	var dump strings.Builder
+	for i, e := range ref {
+		if got := e.Detail(); got != details[i] {
+			t.Fatalf("event %d: Detail %q, fmt %q", i, got, details[i])
+		}
+		lines = append(lines, oldEventString(e.At, e.Kind, e.Subject, e.From, e.To, details[i]))
+		dump.WriteString(lines[i] + "\n")
+	}
+	if !reflect.DeepEqual(l.Lines(), lines) {
+		t.Error("Lines differs from fmt's rendering of the reference")
+	}
+	if l.String() != dump.String() {
+		t.Error("String differs from fmt's rendering of the reference")
+	}
+	for _, kind := range []string{KindMigrate, KindCrash, KindSpawn, KindMerge} {
+		var want []Event
+		for _, e := range ref {
+			if e.Kind == kind {
+				want = append(want, e)
+			}
+		}
+		if got := l.Filter(kind); !reflect.DeepEqual(got, want) {
+			t.Errorf("Filter(%s): %d events, reference %d", kind, len(got), len(want))
+		}
+		if got := l.Count(kind); got != len(want) {
+			t.Errorf("Count(%s) = %d, reference %d", kind, got, len(want))
+		}
+	}
+	for _, at := range []sim.Time{-1, 0, 1000, 123_000, 499_000, 1 << 40} {
+		for _, kind := range []string{KindCrash, KindRepl, KindMerge} {
+			match := func(e *Event) bool { return e.At <= at && e.Kind == kind }
+			var want Event
+			found := false
+			for i := len(ref) - 1; i >= 0 && !found; i-- {
+				if match(&ref[i]) {
+					want, found = ref[i], true
+				}
+			}
+			got, ok := l.Latest(match)
+			if ok != found || !reflect.DeepEqual(got, want) {
+				t.Errorf("Latest(at <= %d, %s) = %v %v, reference %v %v", at, kind, got, ok, want, found)
+			}
+		}
+	}
+
+	other, otherRef, _ := chunkedLog(700, 1)
+	merged, src := MergeLogs(l, nil, other)
+	type tagged struct {
+		e   Event
+		src int
+	}
+	var want []tagged
+	for _, e := range ref {
+		want = append(want, tagged{e, 0})
+	}
+	for _, e := range otherRef {
+		want = append(want, tagged{e, 2})
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].e.At < want[j].e.At })
+	got := merged.Events()
+	if len(got) != len(want) || len(src) != len(want) {
+		t.Fatalf("merge holds %d events and %d sources, reference %d", len(got), len(src), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i].e) || src[i] != want[i].src {
+			t.Fatalf("merged event %d: %v from %d, reference %v from %d", i, got[i], src[i], want[i].e, want[i].src)
+		}
 	}
 }

@@ -344,22 +344,17 @@ func (m *Monitor) recordSpan(inc *Incident, end sim.Time, stillOpen bool) obs.Sp
 	return id
 }
 
-// cause scans the attached control-plane log backward for the most
+// cause walks the attached control-plane log backward for the most
 // recent fault/pressure/migration-family event at or before at.
 func (m *Monitor) cause(at sim.Time) (obs.Event, bool) {
-	evs := m.Log.Events()
-	for i := len(evs) - 1; i >= 0; i-- {
-		e := &evs[i]
-		if e.At > at || e.Kind == obs.KindIncident {
-			continue
-		}
+	return m.Log.Latest(func(e *obs.Event) bool {
 		switch e.Kind {
 		case obs.KindCrash, obs.KindFault, obs.KindMigrate,
 			obs.KindPressure, obs.KindRepl, obs.KindSuspect:
-			return *e, true
+			return e.At <= at
 		}
-	}
-	return obs.Event{}, false
+		return false
+	})
 }
 
 func orNone(s string) string {

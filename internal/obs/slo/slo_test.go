@@ -87,8 +87,8 @@ func TestMonitorOpensAndClosesIncident(t *testing.T) {
 	if len(incEvents) != 2 {
 		t.Fatalf("incident events = %d, want 2", len(incEvents))
 	}
-	if !strings.HasPrefix(incEvents[0].Detail, "open ") || !strings.HasPrefix(incEvents[1].Detail, "close ") {
-		t.Errorf("event details = %q, %q", incEvents[0].Detail, incEvents[1].Detail)
+	if !strings.HasPrefix(incEvents[0].Detail(), "open ") || !strings.HasPrefix(incEvents[1].Detail(), "close ") {
+		t.Errorf("event details = %q, %q", incEvents[0].Detail(), incEvents[1].Detail())
 	}
 }
 
@@ -307,5 +307,47 @@ func TestFilterIncidentOverlapRetains(t *testing.T) {
 	_, st2 := Filter(tr, nil, SampleConfig{TailNS: int64(50 * time.Millisecond)})
 	if st2.Incident != 0 || st2.Kept >= st.Kept {
 		t.Errorf("incident overlap did not change retention: %d vs %d", st2.Kept, st.Kept)
+	}
+}
+
+// TestCauseMatchesBackwardScan: cause walks the log's chunks backward
+// in place, copying nothing, and across many chunks picks the event a
+// backward scan over the copied slice picks — also when the only cause
+// sits in the first chunk, under a thousand events that are none.
+func TestCauseMatchesBackwardScan(t *testing.T) {
+	kinds := []string{obs.KindSpawn, obs.KindCrash, obs.KindIncident, obs.KindMigrate, obs.KindSplit,
+		obs.KindFault, obs.KindPressure, obs.KindRepl, obs.KindSuspect}
+	mixed := obs.NewLog()
+	for i := 0; i < 2000; i++ {
+		mixed.Emitf(sim.Time(i/2*1000), kinds[(i*5)%len(kinds)], "p", i%7-1, -1, "n=%d", i)
+	}
+	buried := obs.NewLog()
+	buried.Emitf(0, obs.KindCrash, "m3", 3, -1, "machine fail-stop")
+	for i := 1; i <= 1000; i++ {
+		buried.Emitf(sim.Time(i), obs.KindSpawn, "p", -1, 0, "")
+	}
+	for _, l := range []*obs.Log{mixed, buried} {
+		m := &Monitor{Log: l}
+		evs := l.Events()
+		for at := sim.Time(-1000); at <= 1_001_000; at += 7919 {
+			var want obs.Event
+			found := false
+			for i := len(evs) - 1; i >= 0 && !found; i-- {
+				if e := evs[i]; e.At <= at {
+					switch e.Kind {
+					case obs.KindCrash, obs.KindFault, obs.KindMigrate,
+						obs.KindPressure, obs.KindRepl, obs.KindSuspect:
+						want, found = e, true
+					}
+				}
+			}
+			got, ok := m.cause(at)
+			if ok != found || !reflect.DeepEqual(got, want) {
+				t.Fatalf("cause(%d) = %v %v, backward scan %v %v", at, got, ok, want, found)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { m.cause(1 << 40) }); allocs != 0 {
+			t.Errorf("cause allocates %v objects per call, want 0", allocs)
+		}
 	}
 }

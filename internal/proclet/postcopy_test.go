@@ -14,7 +14,7 @@ import (
 func residences(rt *Runtime) int {
 	n := 0
 	for _, e := range rt.Trace.Events() {
-		if strings.HasPrefix(e.Detail, "post-copy resident") {
+		if strings.HasPrefix(e.Detail(), "post-copy resident") {
 			n++
 		}
 	}

@@ -292,10 +292,10 @@ func (d *Detector) noteAlive(mid cluster.MachineID, at sim.Time) {
 	switch prev {
 	case StateSuspect:
 		d.FalseSuspects.Inc()
-		d.tl.Emitf(at, obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(at, obs.KindSuspect, d.c.Machine(mid).Name, int(d.monitor), int(mid),
 			"cleared: heartbeat answered")
 	case StateDead:
-		d.tl.Emitf(at, obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(at, obs.KindSuspect, d.c.Machine(mid).Name, int(d.monitor), int(mid),
 			"rejoined after confirm")
 	}
 	if d.OnAlive != nil {
@@ -311,7 +311,7 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 	case h.state == StateAlive && h.misses >= d.cfg.SuspectMisses:
 		h.state = StateSuspect
 		d.Suspects.Inc()
-		d.tl.Emitf(d.k.Now(), obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(d.k.Now(), obs.KindSuspect, d.c.Machine(mid).Name, int(d.monitor), int(mid),
 			"suspected after %d misses", h.misses)
 		if d.OnSuspect != nil {
 			d.OnSuspect(mid)
@@ -320,7 +320,7 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 		h.state = StateDead
 		d.Confirms.Inc()
 		d.DetectLatency.Record(int64(d.k.Now() - h.lastBeat))
-		d.tl.Emitf(d.k.Now(), obs.KindSuspect, fmt.Sprintf("m%d", mid), int(d.monitor), int(mid),
+		d.tl.Emitf(d.k.Now(), obs.KindSuspect, d.c.Machine(mid).Name, int(d.monitor), int(mid),
 			"confirmed dead after %d misses", h.misses)
 		if d.OnConfirm != nil {
 			d.OnConfirm(mid)
