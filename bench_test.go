@@ -550,9 +550,10 @@ func fanoutCycle(tb testing.TB) (cycle func(), t *fleet.Tally, done func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	t = &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
 	led := fleet.NewLedger(stores, 256)
-	sv := fleet.NewServer(sys, t, led, 64, 0)
+	sh := &fleet.Shard{Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}, Sys: sys, Ledger: led}
+	t = &sh.Tally
+	sv := fleet.NewServer(sh, 64, 0)
 	var q load.Queue
 	sys.K.Spawn("setup", func(p *sim.Proc) {
 		if err := led.Preload(p, fleet.Objects(64, 256)); err != nil {
@@ -630,8 +631,9 @@ func TestReplicatedPutBatchAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tally := &fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}
-		sv := fleet.NewServer(sys, tally, fleet.NewLedger(stores, 256), 64, 1)
+		sh := &fleet.Shard{Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}, Sys: sys, Ledger: fleet.NewLedger(stores, 256)}
+		tally := &sh.Tally
+		sv := fleet.NewServer(sh, 64, 1)
 		var q load.Queue
 		sys.K.Spawn("server", func(p *sim.Proc) { q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv) })
 		key := uint64(0)
@@ -1079,7 +1081,8 @@ const logEmitChunk = 1 << 12
 var logEmitEvent = func() obs.Event {
 	l := obs.NewLog()
 	l.Emitf(1, obs.KindMigrate, "mem-1", 0, 1, "bytes=%d", 1024)
-	return l.Events()[0]
+	e, _ := l.Latest(func(*obs.Event) bool { return true })
+	return e
 }()
 
 // warmLog returns a log that already holds logEmitChunk events — a

@@ -173,10 +173,7 @@ func failoverRoutingRun(t *testing.T, seed int64) (before, after cluster.Machine
 	if rm.Promotions.Value() != 1 {
 		t.Errorf("seed %d: promotions = %d, want 1", seed, rm.Promotions.Value())
 	}
-	for _, e := range sys.Trace.Events() {
-		trace = append(trace, e.String())
-	}
-	return before, after, trace
+	return before, after, sys.Trace.Lines()
 }
 
 // TestDirectoryRoutingDuringFailover checks, across five seeds, that a

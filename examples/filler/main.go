@@ -40,7 +40,7 @@ func run(w io.Writer) {
 	}
 
 	// The filler: 8 single-worker compute proclets doing 50 us units.
-	pool, err := sys.NewPool("filler", 1, 8, 1, 8)
+	pool, err := sys.NewPool("filler", 1, 8, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

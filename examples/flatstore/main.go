@@ -49,7 +49,6 @@ func measure(nProclets int) (ops int64, elapsed time.Duration) {
 		}
 		start := p.Now()
 		for c := 0; c < clients; c++ {
-			c := c
 			wg.Add(1)
 			sys.K.Spawn("client", func(cp *sim.Proc) {
 				defer wg.Done()

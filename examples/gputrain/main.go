@@ -64,7 +64,6 @@ func run(w io.Writer) {
 
 	horizon := sim.Time(time.Second)
 	for _, gp := range trainers {
-		gp := gp
 		sys.K.Spawn("driver", func(p *sim.Proc) {
 			for p.Now() < horizon {
 				err := gp.Step(p, gp.Device().Machine.ID, 8<<20)

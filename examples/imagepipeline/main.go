@@ -50,7 +50,7 @@ func run(w io.Writer) {
 	gpus := workload.NewGPUPool(queue, 0, time.Millisecond, 32)
 	gpus.Start(sys.K)
 
-	pool, err := sys.NewPool("preproc", 1, 16, 1, 16)
+	pool, err := sys.NewPool("preproc", 1, 16, 16)
 	if err != nil {
 		log.Fatal(err)
 	}

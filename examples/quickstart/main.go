@@ -44,7 +44,7 @@ func run(w io.Writer) {
 
 	// A distributed thread pool: compute proclets placed where cores
 	// are free (mostly m0).
-	pool, err := sys.NewPool("workers", 2, 4, 1, 8)
+	pool, err := sys.NewPool("workers", 2, 4, 8)
 	if err != nil {
 		log.Fatal(err)
 	}

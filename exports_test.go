@@ -7,7 +7,8 @@ package quicksand
 // nothing uses, or on a func or method that only its own package calls;
 // TestNoDeadCode fails on any function or method of the root module,
 // exported or not, that only tests use, on any struct field or
-// parameter declared there that only tests read, and on any field of an
+// parameter declared there that only tests read, on any func- or
+// pointer-typed field there that only tests set, and on any field of an
 // exported Config or Options struct under internal/ that code outside
 // its package sets to at most one value.
 
@@ -554,6 +555,8 @@ type state struct {
 	name string // pkg.Owner.field, pkg.Func.param or pkg.Type.Method.param
 	pos  token.Position
 	read bool // read by a non-test file, or exempt
+	hook bool // a func- or pointer-typed field
+	set  bool // set by a non-test file, or exempt
 }
 
 // stateCensus finds every struct field and function parameter that a
@@ -561,7 +564,11 @@ type state struct {
 // non-test file of the tree reads. Writing a field is not reading it:
 // the target of an assignment or of ++/--, a composite-literal key,
 // x.f = append(x.f, …) and a call of a metrics recorder on it are
-// writes, and every other use is a read. A field is also read when
+// writes, and every other use is a read. A func- or pointer-typed field
+// — a hook or a recorder — that no non-test file sets, by assignment,
+// composite literal or &x.f, is dead however often it is read: its nil
+// checks and calls, and recorder or method calls through it, never run.
+// A field is also read when
 //   - a json or yaml tag names it;
 //   - it is exported and its struct is reachable from a value the tree
 //     passes to encoding/json;
@@ -589,7 +596,9 @@ func stateCensus(t *sourceTree) gate {
 					for _, fl := range n.Fields.List {
 						for _, id := range fl.Names {
 							if id.Name != "_" {
-								vars[p.info.Defs[id].(*types.Var)] = &state{name: owner + "." + id.Name, pos: t.fset.Position(id.Pos()), read: codecTagged(fl)}
+								v := p.info.Defs[id].(*types.Var)
+								tagged := codecTagged(fl)
+								vars[v] = &state{name: owner + "." + id.Name, pos: t.fset.Position(id.Pos()), read: tagged, hook: isHook(v.Type()), set: tagged}
 							}
 						}
 					}
@@ -620,6 +629,11 @@ func stateCensus(t *sourceTree) gate {
 	mark := func(v *types.Var) {
 		if s := vars[v.Origin()]; s != nil {
 			s.read = true
+		}
+	}
+	markSet := func(v *types.Var) {
+		if s := vars[v.Origin()]; s != nil {
+			s.set = true
 		}
 	}
 	var keyed func(T types.Type)
@@ -699,10 +713,25 @@ func stateCensus(t *sourceTree) gate {
 						if !obj.IsField() || reads(p.info, n, stack) {
 							mark(obj)
 						}
+						if obj.IsField() && sets(n, stack) {
+							markSet(obj)
+						}
 					case *types.Func:
 						if !called(n, stack) {
 							for _, s := range params[obj.Origin()] {
 								s.read = true
+							}
+						}
+					}
+				case *ast.CompositeLit: // T{v, …} sets T's fields in order
+					T := p.info.TypeOf(n)
+					if ptr, ok := T.Underlying().(*types.Pointer); ok { // an elided &T
+						T = ptr.Elem()
+					}
+					if st, ok := T.Underlying().(*types.Struct); ok {
+						for i, elt := range n.Elts {
+							if _, keyed := elt.(*ast.KeyValueExpr); !keyed {
+								markSet(st.Field(i))
 							}
 						}
 					}
@@ -737,6 +766,8 @@ func stateCensus(t *sourceTree) gate {
 	for v, s := range vars {
 		finding := ""
 		switch {
+		case s.hook && !s.set:
+			finding = "is never set by a non-test file, so nothing reads or calls through it: delete it, or list the test that sets it in " + allowFile
 		case s.read:
 		case v.IsField():
 			finding = "is never read by a non-test file: delete it, or list the test that reads it in " + allowFile
@@ -833,6 +864,50 @@ func reads(info *types.Info, id *ast.Ident, stack []ast.Node) bool {
 		return !ok || call.Fun != n || !isFunc || m.Pkg() == nil || m.Pkg().Path() != metricsPath || !recorders[recvName(m)+"."+m.Name()]
 	}
 	return true
+}
+
+// sets reports whether the use id of a field, which stack encloses,
+// sets it: the target of an assignment, a composite-literal key, or an
+// operand of &, which may set it through the pointer.
+func sets(id *ast.Ident, stack []ast.Node) bool {
+	i := len(stack) - 1
+	if kv, ok := stack[i].(*ast.KeyValueExpr); ok && kv.Key == id {
+		_, lit := stack[i-1].(*ast.CompositeLit)
+		return lit
+	}
+	sel, ok := stack[i].(*ast.SelectorExpr)
+	if !ok || sel.Sel != id {
+		return false
+	}
+	var e ast.Expr = sel
+	for i--; i > 0; i-- {
+		paren, ok := stack[i].(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		e = paren
+	}
+	switch n := stack[i].(type) {
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if lhs == e {
+				return true
+			}
+		}
+	case *ast.UnaryExpr:
+		return n.Op == token.AND
+	}
+	return false
+}
+
+// isHook reports whether a field of type T is a hook or a recorder: a
+// func or a pointer.
+func isHook(T types.Type) bool {
+	switch T.Underlying().(type) {
+	case *types.Signature, *types.Pointer:
+		return true
+	}
+	return false
 }
 
 // called reports whether the use id of a function, which stack
@@ -1096,6 +1171,13 @@ func optionCensus(t *sourceTree) gate {
 // storage.DeviceConfig's ReadLatency, WriteLatency and Bandwidth — and
 // allowlisted the 12 that benchmark/probes.go pins: replication.Config's
 // six, simnet.Config's five and slo.Config.Machine.
+//
+// At the parent of the change that added the rule for func- and
+// pointer-typed fields it failed on four, each nil-checked and called
+// or recorded into but set by no non-test file, which that change
+// deleted: cluster.Machine.MemSeries, fault.Injector.HookRestart,
+// slo.Monitor.OnWindow and replication.Detector.OnSuspect (set only by
+// a test, which now reads the detector's log).
 func TestNoDeadCode(t *testing.T) {
 	tree, err := checkedTree()
 	if err != nil {
@@ -1293,7 +1375,15 @@ func TestStateCensusClassifies(t *testing.T) {
 		{"EWMA.Observe", recorder("EWMA", "Observe(1)"), map[string]bool{"x.T.f": false}},
 		{"BucketSeries.Add", recorder("BucketSeries", "Add(0, 1)"), map[string]bool{"x.T.f": false}},
 		{"TimeSeries.Add", recorder("TimeSeries", "Add(0, 1)"), map[string]bool{"x.T.f": false}},
-		{"any other method", recorder("Counter", "Value()"), map[string]bool{"x.T.f": true}},
+		{"any other method", recorder("Counter", "Value()") + "\nfunc G() *T { return &T{f: new(metrics.Counter)} }\n", map[string]bool{"x.T.f": true}},
+		{"hook never set (fault.Injector.HookRestart)", "type T struct{ f func(int) }\n\nfunc F(t *T) {\n\tif t.f != nil {\n\t\tt.f(1)\n\t}\n}\n", map[string]bool{"x.T.f": false}},
+		{"recorder never set (cluster.Machine.MemSeries)", "type T struct{ f *metrics.TimeSeries }\n\nfunc F(t *T) {\n\tif t.f != nil {\n\t\tt.f.Add(0, 1)\n\t}\n}\n", map[string]bool{"x.T.f": false}},
+		{"method call through a pointer never set", recorder("Counter", "Value()"), map[string]bool{"x.T.f": false}},
+		{"hook set by assignment", "type T struct{ f func() }\n\nfunc F(t *T) {\n\tt.f = func() {}\n\tt.f()\n}\n", map[string]bool{"x.T.f": true}},
+		{"hook set by a composite-literal key", "type T struct{ f func() }\n\nfunc F() { (&T{f: func() {}}).f() }\n", map[string]bool{"x.T.f": true}},
+		{"hook set by a positional composite literal", "type T struct {\n\tn int\n\tf func() int\n}\n\nfunc F() int { return T{1, func() int { return 2 }}.f() + T{}.n }\n", map[string]bool{"x.T.f": true, "x.T.n": true}},
+		{"hook set by an elided &T literal", "type T struct{ f func() }\n\nvar ts = []*T{{func() {}}}\n\nfunc F() { ts[0].f() }\n", map[string]bool{"x.T.f": true}},
+		{"pointer set through its address", "type T struct{ f *int }\n\nfunc F(t *T, v *int) int {\n\tp := &t.f\n\t*p = v\n\treturn *t.f\n}\n", map[string]bool{"x.T.f": true}},
 		{"address taken", "type T struct{ f int }\n\nfunc F(t *T) *int { return &t.f }\n", map[string]bool{"x.T.f": true}},
 		{"json tag", "type T struct {\n\tf int `json:\"f\"`\n}\n\nfunc F(t *T) { t.f = 1 }\n", map[string]bool{"x.T.f": true}},
 		{"yaml tag", "type T struct {\n\tf int `yaml:\"f\"`\n}\n\nfunc F(t *T) { t.f = 1 }\n", map[string]bool{"x.T.f": true}},

@@ -26,7 +26,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -173,9 +172,6 @@ type Machine struct {
 	// CoreSeconds accumulates CPU work completed on this machine, in
 	// core-seconds. Reserved (antagonist) cores are not counted.
 	CoreSeconds float64
-	// MemSeries, when non-nil, receives memory-used samples on every
-	// allocation change.
-	MemSeries *metrics.TimeSeries
 }
 
 // NewMachine creates a standalone machine on the kernel. Most callers
@@ -342,9 +338,6 @@ func (m *Machine) Crash() {
 		m.retire(m.runHead, true)
 	}
 	m.memUsed = 0
-	if m.MemSeries != nil {
-		m.MemSeries.Add(m.k.Now(), 0)
-	}
 	m.reschedule() // no tasks: stops the completion timer
 }
 
@@ -431,9 +424,6 @@ func (m *Machine) AllocMem(bytes int64) error {
 			ErrNoMemory, m.ID, bytes, m.MemFree())
 	}
 	m.memUsed += bytes
-	if m.MemSeries != nil {
-		m.MemSeries.Add(m.k.Now(), float64(m.memUsed))
-	}
 	return nil
 }
 
@@ -443,9 +433,6 @@ func (m *Machine) FreeMem(bytes int64) {
 		panic(fmt.Sprintf("cluster: bad free of %d bytes (used %d)", bytes, m.memUsed))
 	}
 	m.memUsed -= bytes
-	if m.MemSeries != nil {
-		m.MemSeries.Add(m.k.Now(), float64(m.memUsed))
-	}
 }
 
 // MemUsed returns bytes currently allocated.

@@ -429,7 +429,6 @@ type Pool struct {
 	sys        *System
 	name       string
 	workersPer int
-	minSize    int
 	maxSize    int
 	members    []*ComputeProclet
 	nextName   int
@@ -443,15 +442,13 @@ type Pool struct {
 }
 
 // NewPool creates a pool with `initial` members of workersPer threads
-// each. minSize/maxSize bound adaptation (maxSize<=0 means unbounded).
-func (s *System) NewPool(name string, workersPer, initial, minSize, maxSize int) (*Pool, error) {
+// each. Adaptation keeps it between one member and maxSize (maxSize<=0
+// means unbounded).
+func (s *System) NewPool(name string, workersPer, initial, maxSize int) (*Pool, error) {
 	if initial < 1 || workersPer < 1 {
 		panic("core: pool needs at least one member and one worker")
 	}
-	if minSize < 1 {
-		minSize = 1
-	}
-	pl := &Pool{sys: s, name: name, workersPer: workersPer, minSize: minSize, maxSize: maxSize}
+	pl := &Pool{sys: s, name: name, workersPer: workersPer, maxSize: maxSize}
 	for i := 0; i < initial; i++ {
 		if _, err := pl.addMember(); err != nil {
 			return nil, err
@@ -544,9 +541,9 @@ func (pl *Pool) Grow() (bool, error) {
 // to its siblings immediately; the member itself retires in the
 // background once its running tasks drain, so a controller can issue
 // several merges per tick without serializing on task completions.
-// It reports false when the pool is at its minimum size.
+// It reports false when the pool is down to one member.
 func (pl *Pool) Shrink() (bool, error) {
-	if len(pl.members) <= pl.minSize {
+	if len(pl.members) <= 1 {
 		return false, nil
 	}
 	vIdx := pl.emptiestIdx()

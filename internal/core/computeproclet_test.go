@@ -79,7 +79,7 @@ func TestComputeProcletMigratesMidTask(t *testing.T) {
 
 func TestPoolDispatchBalances(t *testing.T) {
 	s := testSystem(t)
-	pl, err := s.NewPool("pool", 1, 2, 1, 0)
+	pl, err := s.NewPool("pool", 1, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPoolDispatchBalances(t *testing.T) {
 
 func TestPoolGrowSplitsQueue(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 1, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 1, 0)
 	ran := 0
 	for i := 0; i < 8; i++ {
 		pl.Run(func(tc *TaskCtx) {
@@ -132,7 +132,7 @@ func TestPoolGrowRefusesWithoutIdleCPU(t *testing.T) {
 	// Single machine, 2 cores, both fully reserved: splitting must not
 	// create a new proclet (§3.3's guard).
 	s := testSystem(t, cluster.MachineConfig{Cores: 2, MemBytes: 1 << 30})
-	pl, _ := s.NewPool("pool", 1, 1, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 1, 0)
 	s.Cluster.Machine(0).SetReserved(2)
 	for i := 0; i < 4; i++ {
 		pl.Run(func(tc *TaskCtx) { tc.Compute(time.Millisecond) })
@@ -154,7 +154,7 @@ func TestPoolGrowRefusesWithoutIdleCPU(t *testing.T) {
 
 func TestPoolGrowRespectsMaxSize(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 2, 1, 2)
+	pl, _ := s.NewPool("pool", 1, 2, 2)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
 		if grew, _ := pl.Grow(); grew {
 			t.Error("Grow exceeded maxSize")
@@ -165,7 +165,7 @@ func TestPoolGrowRespectsMaxSize(t *testing.T) {
 
 func TestPoolShrinkMergesQueue(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 3, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 3, 0)
 	ran := 0
 	for i := 0; i < 9; i++ {
 		pl.Run(func(tc *TaskCtx) {
@@ -192,12 +192,13 @@ func TestPoolShrinkMergesQueue(t *testing.T) {
 	}
 }
 
+// A pool keeps at least one member.
 func TestPoolShrinkRespectsMinSize(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 2, 2, 0)
+	pl, _ := s.NewPool("pool", 1, 1, 0)
 	s.K.Spawn("ctl", func(p *sim.Proc) {
-		if shrank, _ := pl.Shrink(); shrank {
-			t.Error("Shrink below minSize")
+		if shrank, _ := pl.Shrink(); shrank || pl.Size() != 1 {
+			t.Errorf("Shrink of a one-member pool: shrank %v, %d members left", shrank, pl.Size())
 		}
 	})
 	s.K.Run()
@@ -206,7 +207,7 @@ func TestPoolShrinkRespectsMinSize(t *testing.T) {
 func TestPoolSplitLatencyIsMilliseconds(t *testing.T) {
 	// §3.3: splits stay fast because compute proclets are granular.
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 1, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 1, 0)
 	for i := 0; i < 100; i++ {
 		pl.Run(func(tc *TaskCtx) { tc.Compute(10 * time.Millisecond) })
 	}
@@ -225,7 +226,7 @@ func TestPoolSplitLatencyIsMilliseconds(t *testing.T) {
 
 func TestPoolWorkStealing(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 2, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 2, 0)
 	// Pile all work onto member 0 directly; member 1's idle worker
 	// must steal.
 	done := 0
@@ -259,7 +260,7 @@ func TestPoolWorkStealing(t *testing.T) {
 
 func TestStealRespectsMinimumBacklog(t *testing.T) {
 	s := testSystem(t)
-	pl, _ := s.NewPool("pool", 1, 2, 1, 0)
+	pl, _ := s.NewPool("pool", 1, 2, 0)
 	// A single task must not ping-pong between members.
 	pl.members[0].Run(func(tc *TaskCtx) { tc.Compute(time.Millisecond) })
 	s.K.Spawn("w", func(p *sim.Proc) { pl.WaitIdle(p) })

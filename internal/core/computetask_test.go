@@ -190,7 +190,7 @@ func TestComputeTasksMoveWithTheirWork(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := testSystem(t)
 			defer s.Close()
-			pl, err := s.NewPool("pool", 1, tc.members, 1, 0)
+			pl, err := s.NewPool("pool", 1, tc.members, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

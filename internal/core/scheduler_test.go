@@ -72,7 +72,7 @@ func TestPlaceMemoryRequiresRoom(t *testing.T) {
 func TestReactorEvacuatesOnReservation(t *testing.T) {
 	s := testSystem(t)
 	s.Start()
-	pl, _ := s.NewPool("filler", 1, 4, 1, 0)
+	pl, _ := s.NewPool("filler", 1, 4, 0)
 	// Keep workers permanently busy with short tasks.
 	var feed func(cp *ComputeProclet)
 	feed = func(cp *ComputeProclet) {
@@ -109,7 +109,7 @@ func TestReactorEvacuatesOnReservation(t *testing.T) {
 func TestReactorLeavesBalancedClusterAlone(t *testing.T) {
 	s := testSystem(t)
 	s.Start()
-	pl, _ := s.NewPool("calm", 1, 2, 1, 0)
+	pl, _ := s.NewPool("calm", 1, 2, 0)
 	for i := 0; i < 2; i++ {
 		pl.Run(func(tc *TaskCtx) { tc.Compute(50 * time.Millisecond) })
 	}

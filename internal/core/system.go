@@ -210,7 +210,6 @@ func (s *System) EnableTelemetry() *obs.Telemetry {
 	}
 	s.Tel = obs.NewTelemetry(s.K, telemetryPeriod)
 	for _, m := range s.Cluster.Machines() {
-		m := m
 		id := int(m.ID)
 		s.Tel.Register(fmt.Sprintf("m%d.cpu_util", id), id, m.Utilization)
 		s.Tel.Register(fmt.Sprintf("m%d.mem_frac", id), id, func() float64 {

@@ -32,7 +32,6 @@ func ForEachVec[T any](p *sim.Proc, pool *core.Pool, v *sharded.Vector[T], chunk
 	var wg sim.WaitGroup
 	var firstErr error
 	for lo := uint64(0); lo < n; lo += uint64(chunk) {
-		lo := lo
 		hi := lo + uint64(chunk)
 		if hi > n {
 			hi = n

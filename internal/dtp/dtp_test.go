@@ -20,7 +20,7 @@ func testSys(t *testing.T) *core.System {
 
 func TestForEachVecVisitsAll(t *testing.T) {
 	s := testSys(t)
-	pool, err := s.NewPool("pool", 2, 2, 1, 0)
+	pool, err := s.NewPool("pool", 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestForEachVecVisitsAll(t *testing.T) {
 func TestForEachVecParallelSpeedup(t *testing.T) {
 	// 64 elements x 1ms compute on 8 cores should take ~8ms, not 64ms.
 	s := testSys(t)
-	pool, _ := s.NewPool("pool", 4, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 4, 2, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 1 << 20})
 	var elapsed time.Duration
 	s.K.Spawn("driver", func(p *sim.Proc) {
@@ -76,7 +76,7 @@ func TestForEachVecParallelSpeedup(t *testing.T) {
 
 func TestMapVecOrder(t *testing.T) {
 	s := testSys(t)
-	pool, _ := s.NewPool("pool", 2, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 2, 2, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 8 << 10})
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
@@ -100,7 +100,7 @@ func TestMapVecOrder(t *testing.T) {
 
 func TestReduceVec(t *testing.T) {
 	s := testSys(t)
-	pool, _ := s.NewPool("pool", 2, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 2, 2, 0)
 	v, _ := sharded.NewVector[int](s, "vec", sharded.Options{MaxShardBytes: 8 << 10})
 	s.K.Spawn("driver", func(p *sim.Proc) {
 		want := 0
@@ -123,7 +123,7 @@ func TestReduceVec(t *testing.T) {
 
 func TestTargetScalerTracksTarget(t *testing.T) {
 	s := testSys(t)
-	pool, _ := s.NewPool("producers", 1, 4, 1, 16)
+	pool, _ := s.NewPool("producers", 1, 4, 16)
 	target := 4
 	ts := NewTargetScaler(pool, func() int { return target })
 	s.Sched.RegisterAdaptive(ts)
@@ -161,7 +161,7 @@ func TestTargetScalerTracksTarget(t *testing.T) {
 
 func TestThreadPoolWaitIdle(t *testing.T) {
 	s := testSys(t)
-	pool, _ := s.NewPool("pool", 1, 2, 1, 0)
+	pool, _ := s.NewPool("pool", 1, 2, 0)
 	ran := 0
 	for i := 0; i < 4; i++ {
 		pool.Run(func(tc *core.TaskCtx) {

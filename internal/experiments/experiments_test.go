@@ -793,6 +793,21 @@ func TestExtServePreloadThatDoesNotFitIsAnError(t *testing.T) {
 	}
 }
 
+// TestExtServePreloadThatNeverLandedIsAnError: a preload still on the
+// wire when the run ends generated no request, so there is no goodput to
+// report; ext-serve used to report 0 requests and a rate over the whole
+// horizon without an error.
+func TestExtServePreloadThatNeverLandedIsAnError(t *testing.T) {
+	cfg := serveConfig(TestScale)
+	cfg.objBytes = 48 << 10 // 512 objects of 48 KB: 24 MB a store, ~2 ms each at 100 Gb/s
+	cfg.horizon, cfg.slack = sim.Time(2*time.Millisecond), sim.Time(2*time.Millisecond)
+	_, err := runServeOnce(cfg)
+	want := "ext-serve: shard 0: the preload of 4 stores (512 objects of 49152 bytes each) was still on the wire at 4ms, so no request was ever generated"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v\nwant %s", err, want)
+	}
+}
+
 // TestExtServeTraceSampling drives the traced path: per-shard tracers
 // with disjoint ID bases, tail-based sampling against the run's
 // incidents, and both exports written. The run itself enforces the 10x

@@ -174,7 +174,6 @@ func (s chaosSpec) run() (any, uint64, error) {
 
 	var wg sim.WaitGroup
 	for w := 0; w < cfg.clients; w++ {
-		w := w
 		wg.Add(1)
 		sys.K.Spawn(fmt.Sprintf("chaos-client-%d", w), func(p *sim.Proc) {
 			defer wg.Done()

@@ -68,7 +68,7 @@ func (s harvestSpec) run() (any, uint64, error) {
 	members := int(2 * harvestCores)
 	if s.fungible {
 		sys.Start()
-		pool, err := sys.NewPool("filler", 1, members, 1, members)
+		pool, err := sys.NewPool("filler", 1, members, members)
 		if err != nil {
 			return harvestOut{}, 0, err
 		}

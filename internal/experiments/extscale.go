@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -80,23 +79,16 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 	defer fl.Close()
 	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
 
-	type shardState struct {
-		stores []*core.MemoryProclet
-		ledger *fleet.Ledger
-		done   bool
-	}
-	shards := make([]*shardState, cfg.shards)
+	shards := make([]*fleet.Shard, cfg.shards)
 	for s, sys := range fl.Shards {
-		st := &shardState{}
-		shards[s] = st
 		sys.Start()
-		var err error
-		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
+		st, err := fl.NewShard(s, cfg.stores, 1, cfg.opBytes)
+		if err != nil {
 			return scaleDet{}, err
 		}
+		shards[s] = st
 		// Crash-lost store contents come back from the shard's ledger.
-		st.ledger = fleet.NewLedger(st.stores, cfg.opBytes)
-		sys.SetRebuilder(st.ledger.Rebuild)
+		sys.SetRebuilder(st.Ledger.Rebuild)
 		// The cross-shard gateway: machine 0 answers peers on the inline
 		// fast path.
 		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
@@ -115,16 +107,12 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 
 	var det scaleDet
 	for s, st := range shards {
-		k := fl.PK.Shard(s)
-		var wg sim.WaitGroup
 		for c := 0; c < cfg.clients; c++ {
-			wg.Add(1)
-			k.Spawn(fmt.Sprintf("s%d-client-%d", s, c), func(p *sim.Proc) {
-				defer wg.Done()
+			st.Go(fmt.Sprintf("s%d-client-%d", s, c), func(p *sim.Proc) {
 				for op := 0; p.Now() < cfg.horizon; op++ {
 					idx := (c + op) % cfg.stores
 					key := uint64(c)<<32 | uint64(op)
-					if err := st.ledger.Put(p, 0, idx, key); err == nil {
+					if err := st.Ledger.Put(p, 0, idx, key); err == nil {
 						det.ops++
 					} else {
 						det.failed++
@@ -142,22 +130,20 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 				}
 			})
 		}
-		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
-			wg.Wait(p)
+		st.Drain(func(p *sim.Proc) {
 			if s == 0 {
 				// Sampled read-back on the crash shard: acked writes must
 				// have survived the crash via re-placement + rebuild.
-				det.lost = st.ledger.Verify(p, cfg.sample)
+				det.lost = st.Ledger.Verify(p, cfg.sample)
 			}
-			st.done = true
 		})
 	}
 
 	fl.RunUntil(cfg.horizon + cfg.slack)
 
-	for s, st := range shards {
-		if !st.done {
-			return det, fmt.Errorf("ext-scale: shard %d did not drain by %v (workload wedged)", s, cfg.horizon+cfg.slack)
+	for _, st := range shards {
+		if err := st.Err(cfg.horizon + cfg.slack); err != nil {
+			return det, fmt.Errorf("ext-scale: %w", err)
 		}
 	}
 	det.events = sumU64(fl.Events())

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -66,12 +65,10 @@ type serveCfg struct {
 	objBytes   int64
 	servers    int // server procs per shard
 	batchMax   int // max requests per fan-in batch
-	poll       time.Duration
 	crossEvery int // cross-shard gateway ping every Nth batch
 	deadline   time.Duration
 	horizon    sim.Time
 	slack      sim.Time
-	injWindows int     // injector batch window, in lookahead windows
 	diurnalAmp float64 // diurnal sine amplitude
 	spikeMult  float64 // flash-crowd multiplier
 	migratePer int     // stores migrated per shard in the migrate phase
@@ -90,12 +87,10 @@ func serveConfig(scale Scale) serveCfg {
 		objBytes:   256,
 		servers:    4,
 		batchMax:   32,
-		poll:       20 * time.Microsecond,
 		crossEvery: 8,
 		deadline:   time.Millisecond,
 		horizon:    sim.Time(8 * time.Millisecond),
 		slack:      sim.Time(8 * time.Millisecond),
-		injWindows: 125, // 125 x 2us lookahead = 250us batch windows
 		diurnalAmp: 0.3,
 		spikeMult:  4,
 		migratePer: 2,
@@ -183,8 +178,9 @@ func (cfg serveCfg) phaseOf(at sim.Time) int {
 	}
 }
 
-// serveDet is a run's totals over its shards and its merged trace.
-type serveDet struct {
+// serveOutcome is a run's totals over its shards, its merged histograms
+// and trace, and its trace exports.
+type serveOutcome struct {
 	events                              uint64
 	generated, served, timeouts, errors uint64
 	migrations                          int64
@@ -192,12 +188,8 @@ type serveDet struct {
 	opened, resolved, sloWindows        int   // SLO incidents opened and resolved, windows closed
 	windows, crossMsgs                  uint64
 	trace                               *obs.Log
-}
-
-type serveOutcome struct {
-	det     serveDet
-	phases  []*metrics.LogHistogram
-	overall *metrics.LogHistogram
+	phases                              []*metrics.LogHistogram
+	overall                             *metrics.LogHistogram
 
 	// Trace exports, only when a trace directory is configured: the
 	// full merged Chrome trace, its tail-sampled subset, and the
@@ -208,20 +200,6 @@ type serveOutcome struct {
 	incidents    []slo.Incident
 }
 
-// serveShard is one shard's serving state, written only in its shard's
-// context.
-type serveShard struct {
-	fleet.Tally
-	sys      *core.System
-	stores   []*core.MemoryProclet
-	inj      *load.Injector
-	queue    load.Queue
-	migOK    int64
-	startNS  int64
-	setupErr error
-	done     bool
-}
-
 // serveServer is one server: a fleet.Server whose every crossEvery-th
 // batch ends with a cross-shard gateway read, which keeps the fleet
 // coupled through the partition mailboxes. The read is stepped from the
@@ -230,7 +208,7 @@ type serveServer struct {
 	*fleet.Server
 	cfg     *serveCfg
 	shard   int
-	st      *serveShard
+	st      *fleet.Shard
 	net     *simnet.Partition
 	batches int
 	xc      simnet.PartitionCall
@@ -264,7 +242,7 @@ func (sv *serveServer) served(w sim.Wait) sim.Wait {
 	if sv.batches++; sv.batches%sv.cfg.crossEvery != 0 {
 		return sim.Resume
 	}
-	sv.st.sys.Obs.SetNext(sv.Root())
+	sv.st.Sys.Obs.SetNext(sv.Root())
 	xc, err := sv.net.StartCall(simnet.ShardNode{Shard: sv.shard, Node: 0},
 		simnet.ShardNode{Shard: (sv.shard + 1) % sv.cfg.shards, Node: 0},
 		"xget", simnet.Message{Bytes: 64})
@@ -282,7 +260,6 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	fl := fleet.New(seeded(37), cfg.shards, cfg.perShard, cluster.MachineConfig{Cores: 4, MemBytes: 64 << 20})
 	defer fl.Close()
 	net := fl.Partition() // the cross-shard gateway: this fleet runs windowed
-	injWindow := time.Duration(fl.PK.Lookahead()) * time.Duration(cfg.injWindows)
 
 	// Shared immutable per-tenant samplers: each shard draws from its
 	// own RNG streams, and load.NewZipf memoises the zeta precompute, so
@@ -295,7 +272,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	// them.
 	preload := fleet.Objects(cfg.objsPer, cfg.objBytes)
 
-	shards := make([]*serveShard, cfg.shards)
+	shards := make([]*fleet.Shard, cfg.shards)
 	// Shard-local latency histograms, [shard] (each shard's Tally.Hist)
 	// and [phase][shard].
 	overall := make([]*metrics.LogHistogram, cfg.shards)
@@ -315,7 +292,16 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 		for ph, name := range servePhases {
 			phases[ph][s] = metrics.NewLogHistogram(fmt.Sprintf("s%d.lat.%s", s, name))
 		}
-		st := &serveShard{sys: sys, Tally: fleet.Tally{
+		sys.Start()
+
+		// Machine 0 is the shard's front end (servers + cross-shard
+		// gateway); the stores go on the others.
+		st, err := fl.NewShard(s, cfg.stores, 1, cfg.objBytes)
+		if err != nil {
+			return out, err
+		}
+		shards[s] = st
+		st.Tally = fleet.Tally{
 			Hist:     overall[s],
 			Mon:      serveSLO(cfg, s),
 			Deadline: int64(cfg.deadline),
@@ -323,20 +309,10 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 			OnServe: func(arrived, done sim.Time, _ bool) {
 				phases[cfg.phaseOf(arrived)][s].Record(int64(done - arrived))
 			},
-		}}
-		shards[s] = st
+		}
 		st.Mon.Log = sys.Trace
 		st.Mon.Tracer = sys.Obs
-		sys.Start()
-
-		// Machine 0 is the shard's front end (servers + cross-shard
-		// gateway); the stores go on the others.
-		var err error
-		if st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), cfg.stores, 1, 1); err != nil {
-			return out, err
-		}
-		ledger := fleet.NewLedger(st.stores, cfg.objBytes)
-		st.sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
+		sys.Cluster.Node(0).HandleFast("xget", func(req simnet.Message) (simnet.Message, error) {
 			return simnet.Message{Payload: int64(st.Served), Bytes: 64}, nil
 		})
 
@@ -344,7 +320,6 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 		// divided by the shard count, diurnal-modulated, with tenant C
 		// riding the flash-crowd multiplier. Arrivals land in the shard's
 		// serving queue; servers drain it.
-		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		period := time.Duration(cfg.horizon)
 		spikeF := load.Spike(
 			sim.Time(float64(cfg.horizon)*cfg.flashAt),
@@ -355,14 +330,14 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 			if t.spike {
 				f = func(at sim.Time) float64 { return base(at) * spikeF(at) }
 			}
-			st.inj.AddTenant(t.name, load.Sampled(cfg.horizon, cfg.sampleStep, f), zipfs[ti])
+			st.Inj.AddTenant(t.name, load.Sampled(cfg.horizon, cfg.sampleStep, f), zipfs[ti])
 		}
 
 		// A jittered high-priority antagonist on one store machine: its
 		// interference pattern comes from an injected per-shard RNG, so it
 		// replays identically.
 		ant := &workload.Antagonist{
-			Machine: st.sys.Cluster.Machine(1),
+			Machine: sys.Cluster.Machine(1),
 			Period:  2 * time.Millisecond, Busy: 500 * time.Microsecond,
 			Cores: 2, Jitter: 200 * time.Microsecond,
 			Rng: rand.New(rand.NewSource(seeded(41) + int64(s))),
@@ -371,70 +346,47 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 
 		// Preload, then open the floodgates: injection starts the moment
 		// the stores are populated (a deterministic virtual-time instant).
-		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			if st.setupErr = ledger.Preload(p, preload); st.setupErr != nil {
-				return
-			}
-			st.startNS = int64(p.Now())
-			st.inj.Start(p.Now(), cfg.horizon)
+		// The servers are batched fan-in with a gateway read (serveServer).
+		st.Serve(preload, cfg.servers, cfg.batchMax, 0, func(srv *fleet.Server) load.Handler {
+			return &serveServer{Server: srv, cfg: &cfg, shard: s, st: st, net: net}
 		})
-
-		// Server pool: batched fan-in (serveServer).
-		var wg sim.WaitGroup
-		for srv := 0; srv < cfg.servers; srv++ {
-			wg.Add(1)
-			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
-				defer wg.Done()
-				sv := &serveServer{Server: fleet.NewServer(sys, &st.Tally, ledger, cfg.objsPer, 0),
-					cfg: &cfg, shard: s, st: st, net: net}
-				st.queue.Serve(p, cfg.horizon, cfg.poll, cfg.batchMax, sv)
-			})
-		}
 
 		// Migration under load: partway through the migrate phase each
 		// shard moves migratePer stores to new machines while the servers
 		// keep draining.
 		k.Spawn(fmt.Sprintf("s%d-migrator", s), func(p *sim.Proc) {
 			p.Sleep(time.Duration(float64(cfg.horizon) * (cfg.migrateAt + 0.05)))
-			for i := 0; i < cfg.migratePer && i < len(st.stores); i++ {
-				from := st.stores[i].Location()
+			for i := 0; i < cfg.migratePer && i < len(st.Stores); i++ {
+				from := st.Stores[i].Location()
 				to := cluster.MachineID(1 + (int(from)+((cfg.perShard-1)+1)/2-1)%(cfg.perShard-1))
 				if to == from {
 					to = cluster.MachineID(1 + int(from)%(cfg.perShard-1))
 				}
-				if err := st.sys.Runtime.Migrate(p, st.stores[i].ID(), to); err == nil {
-					st.migOK++
+				if err := sys.Runtime.Migrate(p, st.Stores[i].ID(), to); err == nil {
+					out.migrations++
 				}
 			}
 		})
 
-		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
-			wg.Wait(p)
-			st.done = true
-		})
+		st.Drain(nil)
 	}
 
 	fl.RunUntil(cfg.horizon + cfg.slack)
 
-	det := serveDet{events: sumU64(fl.Events()), windows: fl.PK.Windows(), crossMsgs: uint64(net.CrossCalls.Value())}
-	for s, st := range shards {
-		if st.setupErr != nil {
-			return out, fmt.Errorf("ext-serve: shard %d: %w", s, st.setupErr)
-		}
-		if !st.done {
-			return out, fmt.Errorf("ext-serve: shard %d did not drain by %v (%d/%d served)",
-				s, cfg.horizon+cfg.slack, st.Served, st.inj.TotalGenerated())
+	out.events, out.windows, out.crossMsgs = sumU64(fl.Events()), fl.PK.Windows(), uint64(net.CrossCalls.Value())
+	for _, st := range shards {
+		if err := st.Err(cfg.horizon + cfg.slack); err != nil {
+			return out, fmt.Errorf("ext-serve: %w", err)
 		}
 		st.Mon.Finish(cfg.horizon)
-		det.generated += st.inj.TotalGenerated()
-		det.served += st.Served
-		det.timeouts += st.Timeouts
-		det.errors += st.Errors
-		det.migrations += st.migOK
-		det.startNS = max(det.startNS, st.startNS)
-		det.opened += st.Mon.Opened()
-		det.resolved += st.Mon.Resolved()
-		det.sloWindows += st.Mon.WindowsClosed()
+		out.generated += st.Inj.TotalGenerated()
+		out.served += st.Served
+		out.timeouts += st.Timeouts
+		out.errors += st.Errors
+		out.startNS = max(out.startNS, st.StartNS)
+		out.opened += st.Mon.Opened()
+		out.resolved += st.Mon.Resolved()
+		out.sloWindows += st.Mon.WindowsClosed()
 		out.incidents = append(out.incidents, st.Mon.Incidents()...)
 	}
 
@@ -444,7 +396,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	for ph, name := range servePhases {
 		out.phases = append(out.phases, metrics.MergeLogHistograms("latency."+name, phases[ph]...))
 	}
-	det.trace = fl.Trace()
+	out.trace = fl.Trace()
 
 	// Traced runs: concatenate the per-shard tracers (disjoint ID
 	// ranges, so the merge is a deterministic sort), run tail-based
@@ -452,7 +404,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 	if traceDir != "" {
 		tracers := make([]*obs.Tracer, cfg.shards)
 		for s, st := range shards {
-			tracers[s] = st.sys.Obs
+			tracers[s] = st.Sys.Obs
 		}
 		merged := obs.Concat(tracers...)
 		sampled, stats := slo.Filter(merged, out.incidents, serveSampleConfig(cfg))
@@ -465,7 +417,6 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 		}
 		out.fullTrace, out.sampledTrace, out.sampleStats = fb.Bytes(), sb.Bytes(), stats
 	}
-	out.det = det
 	return out, nil
 }
 
@@ -487,11 +438,10 @@ func runExtServe(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	det := ref.det
-	res.EventsProcessed = det.events
-	res.Traces = []*obs.Log{det.trace}
-	generated, served, timeouts := det.generated, det.served, det.timeouts
-	durS := float64(int64(cfg.horizon)-det.startNS) / 1e9
+	res.EventsProcessed = ref.events
+	res.Traces = []*obs.Log{ref.trace}
+	generated, served, timeouts := ref.generated, ref.served, ref.timeouts
+	durS := float64(int64(cfg.horizon)-ref.startNS) / 1e9
 	goodput := float64(served-timeouts) / durS
 	timeoutRate := 0.0
 	if served > 0 {
@@ -499,7 +449,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	}
 
 	res.addf("requests: %d generated, %d served, %d past the %v deadline (%.4f%%), %d errors",
-		generated, served, timeouts, cfg.deadline, 100*timeoutRate, det.errors)
+		generated, served, timeouts, cfg.deadline, 100*timeoutRate, ref.errors)
 	res.addf("goodput %.0f req/s over the %.2f ms serving window", goodput, durS*1e3)
 	res.addf("%s", ref.overall.String())
 	for ph, name := range servePhases {
@@ -509,12 +459,12 @@ func runExtServe(scale Scale) (*Result, error) {
 			h.QuantileMS(0.999), float64(h.Max())/1e6)
 	}
 	res.addf("migration under load: %d stores moved; %d sync windows, %d cross-shard RPCs",
-		det.migrations, det.windows, det.crossMsgs)
+		ref.migrations, ref.windows, ref.crossMsgs)
 	res.addf("slo plane: %d windows closed across shards; %d incidents opened, %d resolved",
-		det.sloWindows, det.opened, det.resolved)
-	res.set("slo_windows", float64(det.sloWindows))
-	res.set("incidents_opened", float64(det.opened))
-	res.set("incidents_resolved", float64(det.resolved))
+		ref.sloWindows, ref.opened, ref.resolved)
+	res.set("slo_windows", float64(ref.sloWindows))
+	res.set("incidents_opened", float64(ref.opened))
+	res.set("incidents_resolved", float64(ref.resolved))
 
 	if traceDir != "" {
 		st := ref.sampleStats
@@ -547,7 +497,7 @@ func runExtServe(scale Scale) (*Result, error) {
 	res.set("served", float64(served))
 	res.set("timeouts", float64(timeouts))
 	res.set("timeout_rate", timeoutRate)
-	res.set("errors", float64(det.errors))
+	res.set("errors", float64(ref.errors))
 	res.set("goodput_rps", goodput)
 	res.set("p50_ms", ref.overall.QuantileMS(0.50))
 	res.set("p99_ms", ref.overall.QuantileMS(0.99))
@@ -555,9 +505,9 @@ func runExtServe(scale Scale) (*Result, error) {
 	for ph, name := range servePhases {
 		res.set("p999_ms_"+name, ref.phases[ph].QuantileMS(0.999))
 	}
-	res.set("migrations", float64(det.migrations))
-	res.set("windows", float64(det.windows))
-	res.set("cross_msgs", float64(det.crossMsgs))
+	res.set("migrations", float64(ref.migrations))
+	res.set("windows", float64(ref.windows))
+	res.set("cross_msgs", float64(ref.crossMsgs))
 	res.set("events", float64(res.EventsProcessed))
 	return res, nil
 }

@@ -129,7 +129,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 	switch mode {
 	case "quicksand":
 		sys.Start()
-		pool, err := sys.NewPool("filler", cfg.workersPer, cfg.members, 1, cfg.members)
+		pool, err := sys.NewPool("filler", cfg.workersPer, cfg.members, cfg.members)
 		if err != nil {
 			return st, 0, err
 		}

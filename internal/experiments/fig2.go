@@ -134,7 +134,7 @@ func (s fig2Spec) run() (any, uint64, error) {
 	for _, mc := range machines {
 		totalCores += int(mc.Cores)
 	}
-	pool, err := sys.NewPool("preproc", 1, totalCores, 1, totalCores)
+	pool, err := sys.NewPool("preproc", 1, totalCores, totalCores)
 	if err != nil {
 		return out, 0, err
 	}

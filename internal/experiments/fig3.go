@@ -75,7 +75,7 @@ func fig3Run(cfg fig3Cfg) (fig3Out, error) {
 	// Producers start matched to the high-GPU state.
 	ratio := int(float64(cfg.preprocCPU) / float64(cfg.gpuBatch))
 	initial := cfg.gpusHi * ratio
-	pool, err := sys.NewPool("preproc", 1, initial, 1, cfg.maxProducers)
+	pool, err := sys.NewPool("preproc", 1, initial, cfg.maxProducers)
 	if err != nil {
 		return out, err
 	}

@@ -122,8 +122,6 @@ type Injector struct {
 	// retired, memory wiped). The control plane orphans and re-places
 	// the machine's proclets here.
 	HookCrash func(m cluster.MachineID)
-	// HookRestart runs after machine m rejoins empty.
-	HookRestart func(m cluster.MachineID)
 	// HookGPU runs after any GPU fault op changes device state on
 	// machine m's GPU gpu (xid, throttle, heal, reclaim, return). A GPU
 	// fleet kicks its watcher here so reaction latency is not quantized
@@ -163,7 +161,6 @@ func (in *Injector) Install(s Schedule) {
 	copy(sorted, s)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 	for _, ev := range sorted {
-		ev := ev
 		in.k.Schedule(ev.At, func() { in.Apply(ev) })
 	}
 }
@@ -275,7 +272,4 @@ func (in *Injector) restart(mid cluster.MachineID) {
 	m.Restart()
 	in.c.Node(mid).SetDown(false)
 	in.t.Emitf(in.k.Now(), obs.KindRecover, m.Name, int(mid), -1, "machine restart (empty)")
-	if in.HookRestart != nil {
-		in.HookRestart(mid)
-	}
 }

@@ -2,8 +2,9 @@
 // partitioned topology every multi-shard run shares, where its memory
 // proclets go, how its per-shard control-plane logs merge, the durable
 // record an experiment checks "no acked write lost" against (Ledger),
-// and how a server fans a batch out to the stores (Server). DESIGN.md
-// "Fleet assembly" states the contract.
+// how a server fans a batch out to the stores (Server), and a shard's
+// lifecycle from placement through preload and serving to the drain
+// check (Shard). DESIGN.md "Fleet assembly" states the contract.
 package fleet
 
 import (

@@ -329,9 +329,7 @@ func TestTraceMergesByTimeThenShard(t *testing.T) {
 	logs := make([]*obs.Log, len(f.Shards))
 	for s, sys := range f.Shards {
 		logs[s] = sys.Trace
-		for _, e := range sys.Trace.Events() {
-			all = append(all, tagged{e, s})
-		}
+		sys.Trace.Each(func(e *obs.Event) { all = append(all, tagged{*e, s}) })
 	}
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].e.At != all[j].e.At {
@@ -359,9 +357,9 @@ func TestTraceMergesByTimeThenShard(t *testing.T) {
 	}
 	// And it is the rendering the callers used to assemble by hand.
 	merged, _ := obs.MergeLogs(logs...)
-	for i, e := range merged.Events() {
-		if got[i] != e.String() {
-			t.Fatalf("line %d = %q, obs.MergeLogs renders %q", i, got[i], e.String())
+	for i, line := range merged.Lines() {
+		if got[i] != line {
+			t.Fatalf("line %d = %q, obs.MergeLogs renders %q", i, got[i], line)
 		}
 	}
 }

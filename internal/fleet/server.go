@@ -31,7 +31,7 @@ type Tally struct {
 // tail-based sampling retains its causal tree.
 var errDeadline = errors.New("deadline exceeded")
 
-// Server is one server's load.Handler: batched fan-in over a ledger's
+// Server is one server's load.Handler: batched fan-in over its shard's
 // stores. A request whose key falls in the write fraction writes object
 // load.ScrambleKey(key), any other reads object key % objects, and either
 // goes to store key % len(stores). The stores are called one invocation
@@ -48,9 +48,7 @@ var errDeadline = errors.New("deadline exceeded")
 // to completion, so its queue wait shows in the extent a tail sampler
 // keys on.
 type Server struct {
-	sys     *core.System
-	t       *Tally
-	l       *Ledger
+	sh      *Shard
 	objects uint64
 	cut     uint64 // a key is a write iff key % 1000 < cut
 
@@ -69,12 +67,12 @@ type Server struct {
 	root  obs.SpanID
 }
 
-// NewServer returns a server on sys's shard over l's stores that records
-// into t. Reads address objects 0 to objects-1; writeFrac of the keys,
-// to a thousandth, are writes.
-func NewServer(sys *core.System, t *Tally, l *Ledger, objects int, writeFrac float64) *Server {
-	return &Server{sys: sys, t: t, l: l, objects: uint64(objects), cut: uint64(writeFrac * 1000),
-		calls: make([][]uint64, 2*len(l.stores))}
+// NewServer returns a server of sh over its ledger's stores that
+// records into its tally. Reads address objects 0 to objects-1;
+// writeFrac of the keys, to a thousandth, are writes.
+func NewServer(sh *Shard, objects int, writeFrac float64) *Server {
+	return &Server{sh: sh, objects: uint64(objects), cut: uint64(writeFrac * 1000),
+		calls: make([][]uint64, 2*len(sh.Ledger.stores))}
 }
 
 // Root returns the causal tree of the batch in hand, or of the last one.
@@ -83,11 +81,11 @@ func (s *Server) Root() obs.SpanID { return s.root }
 // Begin opens the batch's tree, groups it by call and starts the first.
 func (s *Server) Begin(batch []load.Request) sim.Wait {
 	s.batch = batch
-	s.root = s.sys.Obs.Start(obs.KindReq, "batch", 0, 0)
+	s.root = s.sh.Sys.Obs.Start(obs.KindReq, "batch", 0, 0)
 	for i := range s.calls {
 		s.calls[i] = s.calls[i][:0]
 	}
-	stores := uint64(len(s.l.stores))
+	stores := uint64(len(s.sh.Ledger.stores))
 	for _, r := range batch {
 		op := 2 * (r.Key % stores)
 		if r.Key%1000 < s.cut {
@@ -128,13 +126,13 @@ func (s *Server) call() bool {
 		if len(ids) == 0 {
 			continue
 		}
-		mp := s.l.stores[s.op/2]
-		s.sys.Obs.SetNext(s.root)
+		mp := s.sh.Ledger.stores[s.op/2]
+		s.sh.Sys.Obs.SetNext(s.root)
 		if s.op%2 == 0 {
 			s.inv = mp.StartGetBatch(0, ids, &s.rbuf)
 			return true
 		}
-		s.l.WriteBatch(ids, &s.wbuf)
+		s.sh.Ledger.WriteBatch(ids, &s.wbuf)
 		s.inv = mp.StartPutBatch(0, &s.wbuf)
 		return true
 	}
@@ -143,14 +141,14 @@ func (s *Server) call() bool {
 
 // settle counts call op's outcome.
 func (s *Server) settle(err error) {
-	t, ids := s.t, s.calls[s.op]
+	t, ids := &s.sh.Tally, s.calls[s.op]
 	switch {
 	case err != nil:
 		t.Errors += uint64(len(ids))
 	case s.op%2 == 0:
 		t.Errors += uint64(len(ids) - len(s.rbuf.IDs))
 	default:
-		s.l.Ack(s.op/2, ids...)
+		s.sh.Ledger.Ack(s.op/2, ids...)
 		t.Acked += uint64(len(ids))
 	}
 }
@@ -158,7 +156,7 @@ func (s *Server) settle(err error) {
 // complete records every request of the batch as served now and closes
 // the batch's tree.
 func (s *Server) complete() {
-	t, tr, now := s.t, s.sys.Obs, s.sys.K.Now()
+	t, tr, now := &s.sh.Tally, s.sh.Sys.Obs, s.sh.Sys.K.Now()
 	for _, r := range s.batch {
 		lat := int64(now - r.At)
 		missed := lat > t.Deadline

@@ -44,7 +44,8 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 	})
 
 	horizon := sim.Time(10 * time.Millisecond)
-	tally := &Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Second), Horizon: horizon}
+	sh := &Shard{Tally: Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Second), Horizon: horizon}, Sys: sys, Ledger: led}
+	tally := &sh.Tally
 	var q load.Queue
 	// Half the keys are writes (key % 1000 < 500); the reads address
 	// objects key % 16, all preloaded.
@@ -60,7 +61,7 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 		}
 	}
 	sys.K.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, horizon, 20*time.Microsecond, 8, NewServer(sys, tally, led, objects, 0.5))
+		q.Serve(p, horizon, 20*time.Microsecond, 8, NewServer(sh, objects, 0.5))
 	})
 	f.RunUntil(horizon + sim.Time(time.Millisecond))
 

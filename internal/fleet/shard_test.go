@@ -1,0 +1,126 @@
+package fleet
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/load"
+	"repro/internal/metrics"
+	"repro/internal/sim"
+)
+
+// runShard serves one shard of three machines: two stores preloaded
+// with objects of size bytes each, a tenant at rate req/s until horizon,
+// and one server taking batches of batchMax. It runs the fleet to limit
+// and returns the shard.
+func runShard(t *testing.T, objects int, size int64, rate float64, batchMax int, horizon, limit sim.Time) *Shard {
+	t.Helper()
+	f := New(5, 1, 3, testMachine)
+	t.Cleanup(f.Close)
+	f.Shards[0].Start()
+	sh, err := f.NewShard(0, 2, 1, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.Tally = Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Millisecond), Horizon: horizon}
+	sh.Inj.AddTenant("t", load.Constant(rate), load.NewZipf(1000, 0.9))
+	sh.Serve(Objects(objects, size), 1, batchMax, 0, nil)
+	sh.Drain(nil)
+	f.RunUntil(limit)
+	return sh
+}
+
+func TestShardServesAndDrains(t *testing.T) {
+	horizon := sim.Time(2 * time.Millisecond)
+	sh := runShard(t, 32, 256, 200_000, 16, horizon, 3*horizon)
+	if err := sh.Err(3 * horizon); err != nil {
+		t.Fatal(err)
+	}
+	if sh.StartNS <= 0 || sim.Time(sh.StartNS) >= horizon {
+		t.Errorf("injection began at %dns, want inside (0, %v)", sh.StartNS, horizon)
+	}
+	if gen := sh.Inj.TotalGenerated(); gen == 0 || sh.Served != gen || sh.Errors != 0 {
+		t.Errorf("%d served, %d errors of %d generated; want every request served", sh.Served, sh.Errors, gen)
+	}
+	for i, mp := range sh.Stores {
+		if want := fmt.Sprintf("s0-store-%d", i); sh.Sys.Runtime.Lookup(mp.ID()).Name() != want || mp.Location() != cluster.MachineID(1+i) {
+			t.Errorf("store %d: %q on machine %d, want %q on machine %d", i, sh.Sys.Runtime.Lookup(mp.ID()).Name(), mp.Location(), want, 1+i)
+		}
+	}
+}
+
+// A preload that does not fit fails the shard with the store's error.
+func TestShardPreloadFailure(t *testing.T) {
+	sh := runShard(t, 80, 1<<20, 1000, 16, sim.Time(time.Millisecond), sim.Time(time.Second))
+	err := sh.Err(sim.Time(time.Second))
+	if !errors.Is(err, cluster.ErrNoMemory) || !strings.HasPrefix(err.Error(), "shard 0: preload of store 0 (80 objects of 1048576 bytes): ") {
+		t.Errorf("err = %v, want shard 0's ErrNoMemory from the preload of store 0", err)
+	}
+}
+
+// A preload still on the wire at the limit fails the shard: no request
+// was ever generated, so there is nothing to report a rate over.
+func TestShardPreloadThatNeverLanded(t *testing.T) {
+	// 2 stores x 24 MB take about 4 ms at 100 Gb/s.
+	limit := sim.Time(time.Millisecond)
+	sh := runShard(t, 24, 1<<20, 1000, 16, limit, limit)
+	err := sh.Err(limit)
+	want := "shard 0: the preload of 2 stores (24 objects of 1048576 bytes each) was still on the wire at 1ms, so no request was ever generated"
+	if !errors.Is(err, ErrPreloading) || err.Error() != want {
+		t.Errorf("err = %v\nwant %s", err, want)
+	}
+	if sh.Inj.TotalGenerated() != 0 {
+		t.Errorf("%d requests generated before the preload landed", sh.Inj.TotalGenerated())
+	}
+}
+
+// Servers still working through their backlog at the limit fail the
+// shard, with how far they got.
+func TestShardServersThatDidNotDrain(t *testing.T) {
+	// One server taking one request a call cannot keep up with 2M req/s.
+	horizon := sim.Time(time.Millisecond)
+	limit := horizon + sim.Time(100*time.Microsecond)
+	sh := runShard(t, 32, 256, 2_000_000, 1, horizon, limit)
+	err := sh.Err(limit)
+	gen := sh.Inj.TotalGenerated()
+	want := fmt.Sprintf("shard 0 did not drain by 1.1ms (%d served of %d generated)", sh.Served, gen)
+	if !errors.Is(err, ErrUndrained) || err.Error() != want || sh.Served == 0 || sh.Served >= gen {
+		t.Errorf("err = %v\nwant %s, with some but not all requests served", err, want)
+	}
+}
+
+// A shard that does not serve drains once its own workers return, and
+// only then runs its verify; a worker still running at the limit fails
+// it.
+func TestShardWorkersDrainBeforeVerify(t *testing.T) {
+	for _, stuck := range []bool{false, true} {
+		f := New(5, 1, 3, testMachine)
+		f.Shards[0].Start()
+		sh, err := f.NewShard(0, 2, 1, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var left, verified sim.Time
+		sh.Go("worker", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			if stuck {
+				p.Sleep(time.Hour)
+			}
+			left = p.Now()
+		})
+		sh.Drain(func(p *sim.Proc) { verified = p.Now() })
+		f.RunUntil(sim.Time(10 * time.Millisecond))
+		err = sh.Err(sim.Time(10 * time.Millisecond))
+		switch {
+		case stuck && (err == nil || err.Error() != "shard 0 did not drain by 10ms" || verified != 0):
+			t.Errorf("stuck worker: err = %v, verify ran at %v; want the shard undrained and no verify", err, verified)
+		case !stuck && (err != nil || verified != left || left != sim.Time(time.Millisecond)):
+			t.Errorf("err = %v, worker left at %v, verify ran at %v; want verify as the worker left", err, left, verified)
+		}
+		f.Close()
+	}
+}

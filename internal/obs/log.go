@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -15,7 +14,8 @@ import (
 // Event is one control-plane occurrence. From/To are machine IDs (as
 // ints to avoid layering on the cluster package); -1 means not
 // applicable. An Emitf event keeps its format and its arguments as
-// tagged words; Detail renders them when read.
+// tagged words; Detail renders them when read. It is 96 bytes on 64-bit
+// hosts: the format is its bytes and a length, packed with the tags.
 type Event struct {
 	At      sim.Time
 	Kind    string // a Kind* constant
@@ -23,10 +23,10 @@ type Event struct {
 	From    int
 	To      int
 
-	format string
-	tags   uint64     // argument i's argTag in bits 4i..4i+3, 0 past the last
-	words  [2]uint64  // the arguments, if at most two and none a string
-	spill  []spillArg // else all of them, in the log's slab
+	format unsafe.Pointer // the format's bytes
+	meta   uint64         // the format's length, then from bit 32 the tags of the arguments in words
+	words  [2]uint64      // the arguments, if at most two and none a string
+	spill  *spillArg      // else their tags, then each of them, in the log's slab
 }
 
 // argTag says how an argument is stored and which verbs render it.
@@ -40,7 +40,9 @@ const (
 	tagString                     // string, in spillArg.s
 )
 
-// spillArg is one argument of an event whose arguments are spilled.
+// spillArg is one argument of an event whose arguments are spilled, or
+// the tags that lead them. Argument i's argTag is in bits 4i..4i+3 of
+// tags, 0 past the last.
 type spillArg struct {
 	word uint64
 	s    string
@@ -58,11 +60,12 @@ func (e Event) Detail() string {
 // " (%s)" of a non-empty Detail.
 func (e Event) String() string {
 	var buf [128]byte
-	return string(e.appendLine(buf[:0]))
+	return string(e.AppendLine(buf[:0]))
 }
 
-// appendLine appends String's rendering; fmt pads by runes, so does it.
-func (e *Event) appendLine(b []byte) []byte {
+// AppendLine appends String's rendering to b; fmt pads by runes, so
+// does it.
+func (e *Event) AppendLine(b []byte) []byte {
 	var at [32]byte
 	t := appendDuration(at[:0], time.Duration(e.At))
 	b = append(appendPad(b, 12-utf8.RuneCount(t)), t...)
@@ -88,7 +91,7 @@ func appendPad(b []byte, n int) []byte {
 
 // Log is an append-only event log. A nil *Log is valid and discards
 // events, so instrumented code never needs nil checks. Events live in
-// chunks that are never copied, doubling from 4 events to 273 (on
+// chunks that are never copied, doubling from 5 events to 341 (on
 // 64-bit hosts); spilled arguments in slab chunks, 8 doubling to 128.
 type Log struct {
 	chunks [][]Event
@@ -128,37 +131,46 @@ func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format stri
 	if l == nil {
 		return
 	}
-	if len(args) > 16 {
-		badDetail(format, "has more arguments than tags holds")
+	if len(args) > 16 || uint64(len(format)) > math.MaxUint32 {
+		badDetail(format, "has more than 16 arguments, or is over 4 GiB")
 	}
-	e := Event{At: at, Kind: kind, Subject: subject, From: from, To: to, format: format}
+	e := Event{At: at, Kind: kind, Subject: subject, From: from, To: to,
+		format: unsafe.Pointer(unsafe.StringData(format)), meta: uint64(len(format))}
 	spill := len(args) > len(e.words)
 	for _, a := range args {
 		if _, ok := a.(string); ok {
 			spill = true
 		}
 	}
+	var spilled []spillArg
 	if spill {
-		if cap(l.slab)-len(l.slab) < len(args) {
-			l.slab = make([]spillArg, 0, max(len(args), firstSlab, min(2*cap(l.slab), maxSlab)))
+		if cap(l.slab)-len(l.slab) <= len(args) {
+			l.slab = make([]spillArg, 0, max(len(args)+1, firstSlab, min(2*cap(l.slab), maxSlab)))
 		}
 		n := len(l.slab)
-		l.slab = l.slab[:n+len(args)]
-		e.spill = l.slab[n:len(l.slab):len(l.slab)]
+		l.slab = l.slab[:n+1+len(args)]
+		spilled = l.slab[n:]
+		e.spill = &spilled[0]
 	}
+	var tags uint64
 	for i, a := range args {
 		tag, word, s := toArg(a)
 		if tag == 0 {
 			badDetail(format, "has an argument of a type it does not take")
 		}
-		e.tags |= uint64(tag) << (4 * i)
+		tags |= uint64(tag) << (4 * i)
 		if spill {
-			e.spill[i] = spillArg{word, s}
+			spilled[1+i] = spillArg{word, s}
 		} else {
 			e.words[i] = word
 		}
 	}
-	checkDetail(format, e.tags)
+	checkDetail(format, tags)
+	if spill {
+		spilled[0].word = tags
+	} else {
+		e.meta |= tags << 32
+	}
 	l.Emit(e)
 }
 
@@ -244,7 +256,11 @@ func parseVerb(format, rest string) (verb byte, prec int, after string) {
 // appendDetail appends the event's format rendered with its arguments,
 // which checkDetail has held to the format.
 func (e *Event) appendDetail(b []byte) []byte {
-	rest, next := e.format, 0
+	format, tags := unsafe.String((*byte)(e.format), uint32(e.meta)), e.meta>>32
+	if e.spill != nil {
+		tags = e.spill.word
+	}
+	rest, next := format, 0
 	for {
 		i := strings.IndexByte(rest, '%')
 		if i < 0 {
@@ -253,18 +269,19 @@ func (e *Event) appendDetail(b []byte) []byte {
 		b = append(b, rest[:i]...)
 		var verb byte
 		var prec int
-		if verb, prec, rest = parseVerb(e.format, rest[i+1:]); verb == '%' && prec < 0 {
+		if verb, prec, rest = parseVerb(format, rest[i+1:]); verb == '%' && prec < 0 {
 			b = append(b, '%')
 			continue
 		}
 		var word uint64
 		var s string
 		if e.spill != nil {
-			word, s = e.spill[next].word, e.spill[next].s
+			a := unsafe.Slice(e.spill, next+2)[next+1]
+			word, s = a.word, a.s
 		} else {
 			word = e.words[next]
 		}
-		switch argTag(e.tags >> (4 * next) & 15) {
+		switch argTag(tags >> (4 * next) & 15) {
 		case tagInt:
 			b = strconv.AppendInt(b, int64(word), 10)
 		case tagUint:
@@ -342,12 +359,14 @@ func (l *Log) events() [][]Event {
 	return l.chunks
 }
 
-// Events returns a copy of the events in emission order; nil if none.
-func (l *Log) Events() []Event {
-	if l.Len() == 0 {
-		return nil
+// Each calls f with each event in emission order, in place: nothing is
+// copied.
+func (l *Log) Each(f func(e *Event)) {
+	for _, c := range l.events() {
+		for i := range c {
+			f(&c[i])
+		}
 	}
-	return slices.Concat(l.chunks...)
 }
 
 // Len returns the number of recorded events.
@@ -361,13 +380,11 @@ func (l *Log) Len() int {
 // Filter returns the events of the given kind, in order.
 func (l *Log) Filter(kind string) []Event {
 	var out []Event
-	for _, c := range l.events() {
-		for i := range c {
-			if c[i].Kind == kind {
-				out = append(out, c[i])
-			}
+	l.Each(func(e *Event) {
+		if e.Kind == kind {
+			out = append(out, *e)
 		}
-	}
+	})
 	return out
 }
 
@@ -375,13 +392,11 @@ func (l *Log) Filter(kind string) []Event {
 // without materializing the filtered slice.
 func (l *Log) Count(kind string) int {
 	n := 0
-	for _, c := range l.events() {
-		for i := range c {
-			if c[i].Kind == kind {
-				n++
-			}
+	l.Each(func(e *Event) {
+		if e.Kind == kind {
+			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -450,22 +465,16 @@ func MergeLogs(logs ...*Log) (merged *Log, src []int) {
 func (l *Log) Lines() []string {
 	lines := make([]string, 0, l.Len())
 	var b []byte
-	for _, c := range l.events() {
-		for i := range c {
-			b = c[i].appendLine(b[:0])
-			lines = append(lines, string(b))
-		}
-	}
+	l.Each(func(e *Event) {
+		b = e.AppendLine(b[:0])
+		lines = append(lines, string(b))
+	})
 	return lines
 }
 
 // String renders the whole log, one event per line.
 func (l *Log) String() string {
 	var b []byte
-	for _, c := range l.events() {
-		for i := range c {
-			b = append(c[i].appendLine(b), '\n')
-		}
-	}
+	l.Each(func(e *Event) { b = append(e.AppendLine(b), '\n') })
 	return string(b)
 }

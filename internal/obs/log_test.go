@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -38,7 +39,7 @@ func TestNilLogSafe(t *testing.T) {
 	var l *Log
 	l.Emit(Event{Kind: KindSpawn})
 	l.Emitf(0, KindMigrate, "x", 0, 1, "d")
-	if l.Len() != 0 || l.Events() != nil || l.Filter(KindSpawn) != nil || l.String() != "" || len(l.Lines()) != 0 {
+	if l.Len() != 0 || copyOf(l) != nil || l.Filter(KindSpawn) != nil || l.String() != "" || len(l.Lines()) != 0 {
 		t.Error("nil log must discard everything")
 	}
 	if l.Count(KindSpawn) != 0 {
@@ -94,7 +95,7 @@ func TestEmitfPanicsOutsideItsVerbs(t *testing.T) {
 func TestEventString(t *testing.T) {
 	l := NewLog()
 	l.Emitf(1500, KindMigrate, "compute-3", 0, 2, "%dMiB", 10)
-	e := l.Events()[0]
+	e := copyOf(l)[0]
 	if e.Detail() != "10MiB" {
 		t.Errorf("Detail() = %q, want 10MiB", e.Detail())
 	}
@@ -162,14 +163,14 @@ func TestMerge(t *testing.T) {
 				t.Fatalf("%d source indices for %d events", len(src), m.Len())
 			}
 			var got []string
-			for i, e := range m.Events() {
+			for i, e := range copyOf(m) {
 				got = append(got, fmt.Sprintf("%d/%s@%d", int64(e.At), e.Subject, src[i]))
 			}
 			if g := strings.Join(got, " "); g != tc.want {
 				t.Errorf("merge\n got %s\nwant %s", g, tc.want)
 			}
 			m2, src2 := MergeLogs(tc.logs...)
-			if !reflect.DeepEqual(m.Events(), m2.Events()) || !reflect.DeepEqual(src, src2) {
+			if !reflect.DeepEqual(copyOf(m), copyOf(m2)) || !reflect.DeepEqual(src, src2) {
 				t.Error("two merges of the same logs differ")
 			}
 			for i, l := range tc.logs {
@@ -258,6 +259,19 @@ func TestKindVocabulary(t *testing.T) {
 	}
 }
 
+// TestEventSize: an event is 96 bytes on 64-bit hosts — its format a
+// pointer and a length packed with the tags, spilled arguments one
+// pointer into the slab — so a log's first 512-byte chunk holds 5
+// events and its 32 KiB chunks 341.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned on 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Event{}); got != 96 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want 96", got)
+	}
+}
+
 // TestEmitfAllocBudget: Emitf renders nothing and stores its arguments
 // as words, so 4,096 events into a fresh log allocate only the log, its
 // event chunks and the chunk list's growth — a few dozen, where
@@ -278,6 +292,13 @@ func TestEmitfAllocBudget(t *testing.T) {
 	if l.Len() != n || len(l.chunks) < 10 {
 		t.Fatalf("log holds %d events in %d chunks", l.Len(), len(l.chunks))
 	}
+}
+
+// copyOf copies l's events in emission order, for comparisons.
+func copyOf(l *Log) []Event {
+	var out []Event
+	l.Each(func(e *Event) { out = append(out, *e) })
+	return out
 }
 
 // oldEventString is the layout Event.String renders, through fmt.
@@ -322,7 +343,7 @@ func chunkedLog(n, seed int) (*Log, []Event, []string) {
 				dst.Emitf(at, kind, subject, from, to, "load %.2f->%.2f (%v)", float64(i)/3, float64(-i)/7, at)
 			}
 		}
-		ref = append(ref, one.Events()[0])
+		ref = append(ref, copyOf(one)[0])
 		details = append(details, [...]string{"",
 			fmt.Sprintf("bytes=%d latency=%v", int64(i)<<10, time.Duration(i)*time.Microsecond),
 			fmt.Sprintf("backup %s gen=%d", subject+"/b", uint64(i)),
@@ -341,7 +362,7 @@ func TestChunkedLogMatchesOneSlice(t *testing.T) {
 	if len(l.chunks) < 8 {
 		t.Fatalf("%d events in only %d chunks", l.Len(), len(l.chunks))
 	}
-	if l.Len() != len(ref) || !reflect.DeepEqual(l.Events(), ref) {
+	if l.Len() != len(ref) || !reflect.DeepEqual(copyOf(l), ref) {
 		t.Fatal("Events differs from the one-slice reference")
 	}
 	var lines []string
@@ -404,7 +425,7 @@ func TestChunkedLogMatchesOneSlice(t *testing.T) {
 		want = append(want, tagged{e, 2})
 	}
 	sort.SliceStable(want, func(i, j int) bool { return want[i].e.At < want[j].e.At })
-	got := merged.Events()
+	got := copyOf(merged)
 	if len(got) != len(want) || len(src) != len(want) {
 		t.Fatalf("merge holds %d events and %d sources, reference %d", len(got), len(src), len(want))
 	}

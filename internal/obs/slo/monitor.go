@@ -136,14 +136,12 @@ type Monitor struct {
 	incidents     []Incident
 	history       []WindowStat
 
-	// Hooks, all optional. Log receives incident open/close events and
+	// Hooks, both optional. Log receives incident open/close events and
 	// is scanned backward for the causal control-plane event; Tracer
 	// receives one incident span per incident (recorded at close, so
-	// span IDs stay deterministic); OnWindow observes every closed
-	// window.
-	Log      *obs.Log
-	Tracer   *obs.Tracer
-	OnWindow func(WindowStat)
+	// span IDs stay deterministic).
+	Log    *obs.Log
+	Tracer *obs.Tracer
 }
 
 // New creates a monitor. It panics on a malformed config — the config
@@ -242,9 +240,6 @@ func (m *Monitor) closeWindow() {
 	m.windowsClosed++
 	if m.cfg.KeepHistory {
 		m.history = append(m.history, stat)
-	}
-	if m.OnWindow != nil {
-		m.OnWindow(stat)
 	}
 	for i := range m.rules {
 		m.evalRule(&m.rules[i], &stat)

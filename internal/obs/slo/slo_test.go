@@ -328,7 +328,8 @@ func TestCauseMatchesBackwardScan(t *testing.T) {
 	}
 	for _, l := range []*obs.Log{mixed, buried} {
 		m := &Monitor{Log: l}
-		evs := l.Events()
+		var evs []obs.Event
+		l.Each(func(e *obs.Event) { evs = append(evs, *e) })
 		for at := sim.Time(-1000); at <= 1_001_000; at += 7919 {
 			var want obs.Event
 			found := false

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -13,11 +14,11 @@ import (
 // log records each one as it lands.
 func residences(rt *Runtime) int {
 	n := 0
-	for _, e := range rt.Trace.Events() {
+	rt.Trace.Each(func(e *obs.Event) {
 		if strings.HasPrefix(e.Detail(), "post-copy resident") {
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -158,14 +158,13 @@ type Detector struct {
 	leases  []sim.Time // serving-lease expiry per machine
 	pingers []pinger   // one heartbeat loop per machine, in one allocation
 
-	// OnSuspect fires when a machine transitions Alive→Suspect;
-	// OnConfirm when Suspect→Dead (recovery should begin); OnAlive on
-	// every successful heartbeat round trip — not just transitions —
+	// OnConfirm fires when a machine transitions Suspect→Dead (recovery
+	// should begin); OnAlive on every successful heartbeat round trip —
+	// not just transitions —
 	// because a machine can crash and restart so fast it never leaves
 	// Alive, yet its orphaned proclets still need recovery. Hooks run in
 	// kernel context, in the event that settles a heartbeat: they must
 	// not block, and spawn a process for anything that waits.
-	OnSuspect func(cluster.MachineID)
 	OnConfirm func(cluster.MachineID)
 	OnAlive   func(cluster.MachineID)
 
@@ -313,9 +312,6 @@ func (d *Detector) noteMiss(mid cluster.MachineID) {
 		d.Suspects.Inc()
 		d.tl.Emitf(d.k.Now(), obs.KindSuspect, d.c.Machine(mid).Name, int(d.monitor), int(mid),
 			"suspected after %d misses", h.misses)
-		if d.OnSuspect != nil {
-			d.OnSuspect(mid)
-		}
 	case h.state == StateSuspect && h.misses >= d.cfg.ConfirmMisses:
 		h.state = StateDead
 		d.Confirms.Inc()

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -28,15 +29,9 @@ func TestDetectorCrashSuspectConfirm(t *testing.T) {
 	in := fault.New(k, c, tl)
 	d := NewDetector(k, c, tl, Config{}, 0)
 
-	var order []string
-	d.OnSuspect = func(mid cluster.MachineID) {
-		order = append(order, "suspect")
-		if mid != 1 {
-			t.Errorf("suspected m%d, want m1", mid)
-		}
-	}
+	confirms := 0
 	d.OnConfirm = func(mid cluster.MachineID) {
-		order = append(order, "confirm")
+		confirms++
 		if mid != 1 {
 			t.Errorf("confirmed m%d, want m1", mid)
 		}
@@ -48,8 +43,16 @@ func TestDetectorCrashSuspectConfirm(t *testing.T) {
 	in.Install(fault.Schedule{{At: sim.Time(2 * time.Millisecond), Op: fault.OpCrash, A: 1}})
 	k.RunUntil(sim.Time(20 * time.Millisecond))
 
-	if len(order) != 2 || order[0] != "suspect" || order[1] != "confirm" {
-		t.Fatalf("hook order = %v, want [suspect confirm]", order)
+	// The detector's log holds m1's two transitions, suspicion first.
+	var order []string
+	for _, e := range tl.Filter(obs.KindSuspect) {
+		if e.Subject != "m1" {
+			t.Errorf("%v: a transition of %s, want only m1's", e, e.Subject)
+		}
+		order = append(order, e.Detail())
+	}
+	if confirms != 1 || len(order) != 2 || !strings.HasPrefix(order[0], "suspected after") || !strings.HasPrefix(order[1], "confirmed dead after") {
+		t.Fatalf("%d confirm hooks, transitions %q; want one hook, suspected then confirmed dead", confirms, order)
 	}
 	if got := d.health[1].state; got != StateDead {
 		t.Errorf("state of m1 = %v, want dead", got)

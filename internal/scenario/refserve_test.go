@@ -51,7 +51,7 @@ func (q *refQueue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max 
 // refServe is a scenario server's process body as it was then. It adds one
 // to switches each time p is switched back in after a park.
 func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim.Time, deadline int64, switches *uint64) {
-	k := st.sys.K
+	k := st.Sys.K
 	// parked counts the switch back into p that a call which parked it
 	// ends with: it ran past the event it started in.
 	parked := func(call func() error) error {
@@ -66,7 +66,7 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 	readIDs := make([][]uint64, w.Stores)
 	writeIDs := make([][]uint64, w.Stores)
 	var rbuf, wbuf core.Batch
-	q.Serve(p, horizon, serverPoll, w.BatchMax, func(batch []load.Request) {
+	q.Serve(p, horizon, tapePoll, w.BatchMax, func(batch []load.Request) {
 		for i := range readIDs {
 			readIDs[i] = readIDs[i][:0]
 			writeIDs[i] = writeIDs[i][:0]
@@ -79,20 +79,20 @@ func refServe(p *sim.Proc, q *refQueue, st *shardState, w *Workload, horizon sim
 				readIDs[si] = append(readIDs[si], r.Key%uint64(w.Objects))
 			}
 		}
-		for si := range st.stores {
+		for si := range st.Stores {
 			if ids := readIDs[si]; len(ids) > 0 {
-				if err := parked(func() error { return st.stores[si].GetBatch(p, 0, ids, &rbuf) }); err != nil {
+				if err := parked(func() error { return st.Stores[si].GetBatch(p, 0, ids, &rbuf) }); err != nil {
 					st.Errors += uint64(len(ids))
 				} else {
 					st.Errors += uint64(len(ids) - len(rbuf.IDs))
 				}
 			}
 			if ids := writeIDs[si]; len(ids) > 0 {
-				st.ledger.WriteBatch(ids, &wbuf)
-				if err := parked(func() error { return st.stores[si].PutBatch(p, 0, &wbuf) }); err != nil {
+				st.Ledger.WriteBatch(ids, &wbuf)
+				if err := parked(func() error { return st.Stores[si].PutBatch(p, 0, &wbuf) }); err != nil {
 					st.Errors += uint64(len(ids))
 				} else {
-					st.ledger.Ack(si, ids...)
+					st.Ledger.Ack(si, ids...)
 					st.Acked += uint64(len(ids))
 				}
 			}

@@ -1,10 +1,10 @@
 package scenario
 
 // The scenario engine: compile a validated Spec onto the partitioned
-// simulation kernel and drive it to completion. Each fleet shard gets
-// its own core.System, store proclets, open-loop load.Injector, fault
-// injector, and server pool — the same shapes as the hand-coded
-// internal/experiments drivers, but assembled from data.
+// simulation kernel and drive it to completion. Each fleet shard is a
+// fleet.Shard — core.System, store proclets, open-loop load.Injector
+// and server pool, the lifecycle ext-serve and ext-scale share — plus
+// a fault injector, assembled from data.
 //
 // Determinism contract: a run at a fixed seed produces byte-identical
 // reports at any host worker count. Everything in Outcome is derived
@@ -80,39 +80,25 @@ type Outcome struct {
 // the flight dump keeps.
 const flightTail = 64
 
-// injWindows sizes the injector batch window in lookahead units, as in
-// the ext-serve experiment (125 x 2us lookahead = 250us windows).
-const injWindows = 125
-
-// serverPoll is the server idle-queue poll interval.
-const serverPoll = 20 * time.Microsecond
-
 // mst converts scenario milliseconds to virtual time.
 func mst(ms float64) sim.Time { return sim.Time(ms * 1e6) }
 
 // msd converts scenario milliseconds to a duration.
 func msd(ms float64) time.Duration { return time.Duration(ms * 1e6) }
 
-// shardState is one shard's mutable run state. Written only in shard
-// context (procs on that shard's kernel), read host-side after the run.
+// shardState is what a scenario keeps of a shard beyond its
+// fleet.Shard. Written only in shard context (procs on that shard's
+// kernel), read host-side after the run.
 type shardState struct {
-	fleet.Tally
-	sys      *core.System
+	*fleet.Shard
 	rm       *core.ReplManager
 	in       *fault.Injector
-	stores   []*core.MemoryProclet
-	ledger   *fleet.Ledger
-	inj      *load.Injector
-	queue    load.Queue
 	fleet    *gpu.Fleet
 	trainers []*gpu.Proclet
 
-	lost     int64
-	migOK    int64
-	startNS  int64                // when the preload finished; 0 until it has
-	setupErr error                // why it never will
-	good     metrics.BucketSeries // goodput: on-deadline completions by completion time
-	done     bool
+	lost  int64
+	migOK int64
+	good  metrics.BucketSeries // goodput: on-deadline completions by completion time
 }
 
 // countGood is the shard's Tally.OnServe: an on-deadline completion
@@ -145,7 +131,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 	fl := fleet.New(seed, nShards, machines, cluster.MachineConfig{Cores: float64(f.Cores), MemBytes: f.MemMB << 20})
 	defer fl.Close()
 	fl.PK.SetWorkers(par)
-	injWindow := time.Duration(fl.PK.Lookahead()) * injWindows
 
 	// One immutable sampler per tenant serves every shard. NewZipf owns
 	// the zeta precompute: tenants and runs that share (keys, zipf)
@@ -203,27 +188,19 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 	shards := make([]*shardState, nShards)
 	for s, sys := range fl.Shards {
-		st := &shardState{
-			Tally: fleet.Tally{
-				Hist:     metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
-				Deadline: deadline,
-				Horizon:  horizon,
-			},
-			sys:  sys,
-			good: metrics.NewBucketSeries(bucket, horizon+drain),
-		}
-		st.OnServe = st.countGood
+		st := &shardState{good: metrics.NewBucketSeries(bucket, horizon+drain)}
 		shards[s] = st
 		k := sys.K
 		sys.Start()
 
 		// The fault plane is installed on every shard — even those with no
 		// scheduled faults — so RPC timeout behavior is uniform fleet-wide.
-		st.in = fault.New(k, st.sys.Cluster, st.sys.Trace)
-		st.sys.AttachInjector(st.in)
+		st.in = fault.New(k, sys.Cluster, sys.Trace)
+		sys.AttachInjector(st.in)
 
 		// The streaming SLO plane, when declared: fleet-wide rate floors
 		// split across shards the same way tenant rates do.
+		var mon *slo.Monitor
 		if sp.SLO.Enabled() {
 			rules := make([]slo.Rule, len(sp.SLO.Rules))
 			for i, r := range sp.SLO.Rules {
@@ -237,7 +214,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					Severity: r.Severity,
 				}
 			}
-			st.Mon = slo.New(slo.Config{
+			mon = slo.New(slo.Config{
 				Window:      mst(sp.SLO.WindowMS),
 				Windows:     sp.SLO.Windows,
 				Rules:       rules,
@@ -245,7 +222,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 				Machine:     -1,
 				KeepHistory: opt.KeepWindows,
 			})
-			st.Mon.Log = st.sys.Trace
+			mon.Log = sys.Trace
 		}
 
 		// GPUs attach to every non-front-end machine; machine 0 stays a
@@ -261,26 +238,31 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					Speed:         c.Speed,
 				}
 			}
-			for _, m := range st.sys.Cluster.Machines() {
+			for _, m := range sys.Cluster.Machines() {
 				if m.ID != 0 {
 					m.AddGPUs(cfgs...)
 				}
 			}
 		}
 		if w.RF >= 2 {
-			st.rm = st.sys.EnableReplicationPlane(replication.Config{}, 0)
+			st.rm = sys.EnableReplicationPlane(replication.Config{}, 0)
 		}
 
 		// Stores go on machines 1..Machines-1; machine 0 is the shard
 		// front end (servers + failure-detector monitor).
 		var err error
-		st.stores, err = fleet.PlaceStores(sys, fmt.Sprintf("s%d-store-%%d", s), w.Stores, 1, w.RF)
-		if err != nil {
+		if st.Shard, err = fl.NewShard(s, w.Stores, w.RF, w.ObjectBytes); err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", sp.Name, err)
 		}
-		st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes)
+		st.Tally = fleet.Tally{
+			Hist:     metrics.NewLogHistogram(fmt.Sprintf("s%d.lat", s)),
+			Mon:      mon,
+			Deadline: deadline,
+			Horizon:  horizon,
+			OnServe:  st.countGood,
+		}
 		if w.RF == 1 && w.Rebuild {
-			sys.SetRebuilder(st.ledger.Rebuild)
+			sys.SetRebuilder(st.Ledger.Rebuild)
 		}
 		st.in.Install(faults[s])
 
@@ -288,7 +270,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// best device, reacts to XIDs/reclaims/stragglers, and fault hooks
 		// kick its watcher so reactions aren't quantized to the period.
 		if w.Trainers.Count > 0 {
-			st.fleet = gpu.NewFleet(st.sys, fmt.Sprintf("s%d-trainers", s), gpu.Config{
+			st.fleet = gpu.NewFleet(sys, fmt.Sprintf("s%d-trainers", s), gpu.Config{
 				Checkpoint: gpu.CheckpointConfig{
 					DeltaBytes:    w.Trainers.CheckpointKB << 10,
 					SnapshotEvery: w.Trainers.SnapshotEvery,
@@ -306,7 +288,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			st.in.HookGPU = func(cluster.MachineID, int) { fleet.Kick() }
 			fleet.Start()
 			for ti, tp := range st.trainers {
-				tp := tp
 				k.Spawn(fmt.Sprintf("s%d-trainer-%d-driver", s, ti), func(p *sim.Proc) {
 					for p.Now() < horizon {
 						err := tp.Step(p, tp.Device().Machine.ID, w.Trainers.BatchKB<<10)
@@ -329,7 +310,6 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 		// The shard's open-loop arrival stream: each tenant's fleet rate is
 		// split evenly across shards, spike events multiply onto the base
 		// curve, and the whole thing is pre-sampled into a piecewise curve.
-		st.inj = load.NewInjector(k, injWindow, st.queue.Push)
 		for ti, t := range w.Tenants {
 			per := t.Rate / float64(nShards)
 			var base func(sim.Time) float64
@@ -352,35 +332,18 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 					return v
 				}
 			}
-			st.inj.AddTenant(t.Name, load.Sampled(horizon, msd(w.SampleStepMS), rate), zipfs[ti])
+			st.Inj.AddTenant(t.Name, load.Sampled(horizon, msd(w.SampleStepMS), rate), zipfs[ti])
 		}
 
-		// Preload, then start injection at a deterministic virtual instant.
-		k.Spawn(fmt.Sprintf("s%d-setup", s), func(p *sim.Proc) {
-			if st.setupErr = st.ledger.Preload(p, preload); st.setupErr != nil {
-				return
-			}
-			st.startNS = int64(p.Now())
-			st.inj.Start(p.Now(), horizon)
-		})
-
-		// Server pool on machine 0, each server a Queue.Serve over a
-		// fleet.Server.
-		var wg sim.WaitGroup
-		for srv := 0; srv < w.Servers; srv++ {
-			wg.Add(1)
-			k.Spawn(fmt.Sprintf("s%d-server-%d", s, srv), func(p *sim.Proc) {
-				defer wg.Done()
-				st.queue.Serve(p, horizon, serverPoll, w.BatchMax, fleet.NewServer(sys, &st.Tally, st.ledger, w.Objects, w.WriteFrac))
-			})
-		}
+		// Preload, then inject from a deterministic virtual instant; the
+		// server pool on machine 0 drains the queue.
+		st.Serve(preload, w.Servers, w.BatchMax, w.WriteFrac, nil)
 
 		// Timed migrations ride their own sleeper procs.
 		for mi, m := range migs[s] {
-			m := m
 			k.Spawn(fmt.Sprintf("s%d-migrate-%d", s, mi), func(p *sim.Proc) {
 				p.Sleep(time.Duration(m.at))
-				if err := st.sys.Runtime.Migrate(p, st.stores[m.store].ID(), cluster.MachineID(m.to)); err == nil {
+				if err := sys.Runtime.Migrate(p, st.Stores[m.store].ID(), cluster.MachineID(m.to)); err == nil {
 					st.migOK++
 				}
 			})
@@ -388,32 +351,32 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 
 		// Durability verification: once the servers drain, read back every
 		// acked key and count what the fleet lost.
-		k.Spawn(fmt.Sprintf("s%d-verify", s), func(p *sim.Proc) {
-			wg.Wait(p)
-			st.lost = st.ledger.Verify(p, 1)
-			st.done = true
-		})
+		st.Drain(func(p *sim.Proc) { st.lost = st.Ledger.Verify(p, 1) })
 	}
 
 	fl.RunUntil(horizon + drain)
 
-	for s, st := range shards {
-		switch {
-		case errors.Is(st.setupErr, cluster.ErrNoMemory):
-			return nil, fmt.Errorf("scenario %q: shard %d: %w: raise fleet.mem_mb or shrink workload.objects × object_bytes", sp.Name, s, st.setupErr)
-		case st.setupErr != nil:
-			return nil, fmt.Errorf("scenario %q: shard %d: %w", sp.Name, s, st.setupErr)
-		case st.startNS == 0:
-			return nil, fmt.Errorf("scenario %q: shard %d: the preload of %d stores (%d objects of %d bytes each) was still on the wire at %v, so no request was ever generated — raise horizon_ms or shrink workload.objects × object_bytes",
-				sp.Name, s, w.Stores, w.Objects, w.ObjectBytes, horizon+drain)
-		}
-		if !st.done {
-			return nil, fmt.Errorf("scenario %q: shard %d did not drain by %v (%d served of %d generated) — raise drain_ms or heal the fleet before the horizon",
-				sp.Name, s, horizon+drain, st.Served, st.inj.TotalGenerated())
+	for _, st := range shards {
+		if err := st.Err(horizon + drain); err != nil {
+			return nil, fmt.Errorf("scenario %q: %w%s", sp.Name, err, advice(err))
 		}
 	}
 
 	return collect(sp, seed, shards)
+}
+
+// advice is the scenario field to change for a shard that did not
+// finish, as a suffix of its error.
+func advice(err error) string {
+	switch {
+	case errors.Is(err, cluster.ErrNoMemory):
+		return ": raise fleet.mem_mb or shrink workload.objects × object_bytes"
+	case errors.Is(err, fleet.ErrPreloading):
+		return " — raise horizon_ms or shrink workload.objects × object_bytes"
+	case errors.Is(err, fleet.ErrUndrained):
+		return " — raise drain_ms or heal the fleet before the horizon"
+	}
+	return ""
 }
 
 // metric is one row of the report: a name assertions may reference,
@@ -466,7 +429,7 @@ func trainerSum(get func(*gpu.Proclet) int64) func(*shardState) float64 {
 // metricTable is every metric of a run, in report order. MetricNames,
 // collect's accumulation and the report all derive from it.
 var metricTable = []metric{
-	{"generated", func(st *shardState) float64 { return float64(st.inj.TotalGenerated()) }, nil},
+	{"generated", func(st *shardState) float64 { return float64(st.Inj.TotalGenerated()) }, nil},
 	{"served", func(st *shardState) float64 { return float64(st.Served) }, nil},
 	{"timeouts", func(st *shardState) float64 { return float64(st.Timeouts) }, nil},
 	{"timeout_frac", nil, func(r *rollup) float64 { return ratio(r.Metrics["timeouts"], r.Metrics["served"]) }},
@@ -492,10 +455,10 @@ var metricTable = []metric{
 		}
 		return float64(st.rm.Promotions.Value())
 	}, nil},
-	{"recoveries", func(st *shardState) float64 { return float64(st.sys.Sched.Recoveries.Value()) }, nil},
+	{"recoveries", func(st *shardState) float64 { return float64(st.Sys.Sched.Recoveries.Value()) }, nil},
 	{"migrations", func(st *shardState) float64 { return float64(st.migOK) }, nil},
 	{"recovery_ms", nil, func(r *rollup) float64 { return recoveryMS(r.Spec, &r.good, r.startNS, r.horizon) }},
-	{"events", func(st *shardState) float64 { return float64(st.sys.K.EventsProcessed()) }, nil},
+	{"events", func(st *shardState) float64 { return float64(st.Sys.K.EventsProcessed()) }, nil},
 	{"gpu_xids", func(st *shardState) float64 { return float64(st.in.GPUXids.Value()) }, nil},
 	{"gpu_throttles", func(st *shardState) float64 { return float64(st.in.GPUThrottles.Value()) }, nil},
 	{"gpu_heals", func(st *shardState) float64 { return float64(st.in.GPUHeals.Value()) }, nil},
@@ -534,10 +497,8 @@ func collect(sp *Spec, seed int64, shards []*shardState) (*Outcome, error) {
 		if h := st.Mon.History(); h != nil {
 			out.SLOHistory = append(out.SLOHistory, h)
 		}
-		out.logs = append(out.logs, st.sys.Trace)
-		if st.startNS > r.startNS {
-			r.startNS = st.startNS
-		}
+		out.logs = append(out.logs, st.Sys.Trace)
+		r.startNS = max(r.startNS, st.StartNS)
 		hists[s] = st.Hist
 		r.good.Merge(&st.good)
 		for _, d := range metricTable {
@@ -738,18 +699,18 @@ func (o *Outcome) WriteFlightDump(w io.Writer) error {
 		older[s] = max(0, l.Len()-flightTail)
 		evicted += older[s]
 	}
-	if _, err := fmt.Fprintf(w, "flight recorder: %s seed %d (%d entries, %d evicted)\n",
-		o.Spec.Name, o.Seed, merged.Len()-evicted, evicted); err != nil {
-		return err
-	}
-	for i, e := range merged.Events() {
-		if older[shard[i]] > 0 {
-			older[shard[i]]--
-			continue
+	b := fmt.Appendf(nil, "flight recorder: %s seed %d (%d entries, %d evicted)\n",
+		o.Spec.Name, o.Seed, merged.Len()-evicted, evicted)
+	i := 0
+	merged.Each(func(e *obs.Event) {
+		s := shard[i]
+		i++
+		if older[s] > 0 {
+			older[s]--
+			return
 		}
-		if _, err := fmt.Fprintf(w, "s%-2d %v\n", shard[i], e); err != nil {
-			return err
-		}
-	}
-	return nil
+		b = append(e.AppendLine(fmt.Appendf(b, "s%-2d ", s)), '\n')
+	})
+	_, err := w.Write(b)
+	return err
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 const smoke = `name: smoke
@@ -159,7 +160,8 @@ func TestFlightDumpIsTheTailOfEachShardsLog(t *testing.T) {
 	var tail []tagged
 	evicted := 0
 	for s, l := range out.logs {
-		ev := l.Events()
+		var ev []obs.Event
+		l.Each(func(e *obs.Event) { ev = append(ev, *e) })
 		if n := len(ev) - 64; n > 0 {
 			evicted += n
 			ev = ev[n:]
@@ -188,6 +190,54 @@ func TestFlightDumpIsTheTailOfEachShardsLog(t *testing.T) {
 		if want := fmt.Sprintf("s%-2d %v", tg.shard, tg.e); entries[i] != want {
 			t.Fatalf("entry %d = %q, want %q", i, entries[i], want)
 		}
+	}
+}
+
+// TestFlightDumpBytes pins WriteFlightDump byte for byte against the
+// rendering it had when it copied the merged log and printed each event
+// through fmt: three shard logs of 100, 70 and 20 events, in every
+// argument shape, tied in time across shards, so two shards lose their
+// heads and every tie is broken by shard.
+func TestFlightDumpBytes(t *testing.T) {
+	logs := []*obs.Log{obs.NewLog(), obs.NewLog(), obs.NewLog()}
+	for s, n := range []int{100, 70, 20} {
+		for i := 0; i < n; i++ {
+			at, subject := sim.Time(i/2*1000), fmt.Sprintf("s%d-store-%d", s, i%3)
+			switch i % 4 {
+			case 0:
+				logs[s].Emitf(at, obs.KindMigrate, subject, i%3, -1, "bytes=%d latency=%v", int64(i)<<10, time.Duration(i)*time.Microsecond)
+			case 1:
+				logs[s].Emitf(at, obs.KindRepl, subject, -1, -1, "backup %s gen=%d", subject+"/b", uint64(i))
+			case 2:
+				logs[s].Emitf(at, obs.KindSplit, subject, 1, 2, "shard %d at %d, %d shards", i, -i, int32(s))
+			default:
+				logs[s].Emitf(at, obs.KindIncident, subject, -1, -1, "")
+			}
+		}
+	}
+	out := &Outcome{Spec: &Spec{Name: "dump"}, Seed: 9, logs: logs}
+	var want bytes.Buffer
+	merged, shard := obs.MergeLogs(logs...)
+	older := []int{100 - flightTail, 70 - flightTail, 0}
+	fmt.Fprintf(&want, "flight recorder: dump seed 9 (%d entries, %d evicted)\n", 2*flightTail+20, 100+70-2*flightTail)
+	i := 0
+	merged.Each(func(e *obs.Event) {
+		if s := shard[i]; older[s] > 0 {
+			older[s]--
+		} else {
+			fmt.Fprintf(&want, "s%-2d %v\n", s, *e)
+		}
+		i++
+	})
+	var got bytes.Buffer
+	if err := out.WriteFlightDump(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("flight dump:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+	if n := strings.Count(got.String(), "\n"); n != 1+2*flightTail+20 {
+		t.Errorf("%d lines, want a header and %d entries", n, 2*flightTail+20)
 	}
 }
 

@@ -38,6 +38,7 @@ const (
 	tapeEnd      = tapeHorizon + 12*sim.Millisecond
 	tapeDeadline = int64(400 * time.Microsecond)
 	tapeBucket   = time.Millisecond
+	tapePoll     = 20 * time.Microsecond // a fleet shard's server poll
 )
 
 func newServeTape(seed int64) serveTape {
@@ -160,9 +161,11 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	sys := core.NewSystemOnKernel(k, core.DefaultConfig(), mcs)
 	w := tp.w
 	st := &shardState{
-		Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: tapeDeadline, Horizon: tapeHorizon},
-		sys:   sys,
-		good:  metrics.NewBucketSeries(tapeBucket, tapeEnd),
+		Shard: &fleet.Shard{
+			Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: tapeDeadline, Horizon: tapeHorizon},
+			Sys:   sys,
+		},
+		good: metrics.NewBucketSeries(tapeBucket, tapeEnd),
 	}
 	st.OnServe = st.countGood
 	st.in = fault.New(k, sys.Cluster, sys.Trace)
@@ -171,13 +174,13 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 		st.rm = sys.EnableReplicationPlane(replication.Config{}, 0)
 	}
 	var err error
-	if st.stores, err = fleet.PlaceStores(sys, "store-%d", w.Stores, tp.first, w.RF); err != nil {
+	if st.Stores, err = fleet.PlaceStores(sys, "store-%d", w.Stores, tp.first, w.RF); err != nil {
 		t.Fatal(err)
 	}
-	st.ledger = fleet.NewLedger(st.stores, w.ObjectBytes)
+	st.Ledger = fleet.NewLedger(st.Stores, w.ObjectBytes)
 	preload := fleet.Objects(w.Objects, w.ObjectBytes)
 	k.Spawn("setup", func(p *sim.Proc) {
-		if err := st.ledger.Preload(p, preload); err != nil {
+		if err := st.Ledger.Preload(p, preload); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	})
@@ -185,7 +188,7 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	var out serveRun
 	cov := &out.cov
 	var rq refQueue
-	push := st.queue.Push
+	push := st.Queue.Push
 	if ref {
 		push = rq.Push
 	}
@@ -209,7 +212,7 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 			if cov.active > 0 {
 				cov.midBatch++
 			}
-			err := sys.Runtime.Migrate(p, st.stores[m.store].ID(), cluster.MachineID(m.to))
+			err := sys.Runtime.Migrate(p, st.Stores[m.store].ID(), cluster.MachineID(m.to))
 			if err == nil {
 				cov.migrated++
 			}
@@ -222,7 +225,7 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 				out.serverSwitches++ // its start
 				refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, &out.serverSwitches)
 			} else {
-				st.queue.Serve(p, tapeHorizon, serverPoll, w.BatchMax, census{fleet.NewServer(sys, &st.Tally, st.ledger, w.Objects, w.WriteFrac), cov})
+				st.Queue.Serve(p, tapeHorizon, tapePoll, w.BatchMax, census{fleet.NewServer(st.Shard, w.Objects, w.WriteFrac), cov})
 			}
 			out.results = append(out.results, fmt.Sprintf("%v pid %d server %d left", p.Now(), p.ID, srv))
 		})
@@ -255,8 +258,8 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 	out.served = []uint64{st.Served, st.Timeouts, st.Errors, st.Acked}
 	out.hist = st.Hist.Snapshot()
 	out.good = st.good
-	for i := range st.stores {
-		out.ledger = append(out.ledger, st.ledger.Keys(i))
+	for i := range st.Stores {
+		out.ledger = append(out.ledger, st.Ledger.Keys(i))
 	}
 	out.trace = sys.Trace.Lines()
 	rt, f := sys.Runtime, sys.Cluster.Fabric

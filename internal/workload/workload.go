@@ -174,7 +174,6 @@ func NewGPUPool(q *sharded.Queue[Batch], machine cluster.MachineID, perBatch tim
 func (g *GPUPool) Start(k *sim.Kernel) {
 	g.ActiveSeries.Add(k.Now(), float64(g.active))
 	for i := 0; i < g.maxGPUs; i++ {
-		i := i
 		k.Spawn("gpu", func(p *sim.Proc) { g.gpuLoop(p, i) })
 	}
 }
