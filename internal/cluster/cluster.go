@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -14,24 +15,57 @@ type Cluster struct {
 	Fabric *simnet.Fabric
 
 	machines []*Machine // indexed by MachineID: AddMachine assigns IDs densely from 0
+
+	complete func(id uint64) // every machine's completion timer, bound once
 }
 
 // New creates an empty cluster on the kernel with the given network.
 func New(k *sim.Kernel, netCfg simnet.Config) *Cluster {
-	return &Cluster{
+	c := &Cluster{
 		K:      k,
 		Fabric: simnet.New(k, netCfg),
 	}
+	c.complete = c.completeOn
+	return c
 }
+
+// completeOn is machine id's completion timer firing.
+func (c *Cluster) completeOn(id uint64) { c.machines[id].completeFinished() }
 
 // AddMachine creates a machine, attaches it to the fabric, and returns
 // it. IDs are assigned sequentially from 0.
 func (c *Cluster) AddMachine(cfg MachineConfig) *Machine {
-	id := MachineID(len(c.machines))
-	m := NewMachine(c.K, id, fmt.Sprintf("m%d", id), cfg)
-	c.machines = append(c.machines, m)
-	c.Fabric.AddNode(simnet.NodeID(id))
-	return m
+	c.AddMachines([]MachineConfig{cfg})
+	return c.machines[len(c.machines)-1]
+}
+
+// AddMachines is AddMachine for each of cfgs in order, with the
+// machines, their names and their fabric nodes each in one allocation.
+func (c *Cluster) AddMachines(cfgs []MachineConfig) {
+	first := len(c.machines)
+	w := 2 // bytes a name takes at most: "m" and the last id's digits
+	for n := first + len(cfgs) - 1; n >= 10; n /= 10 {
+		w++
+	}
+	b := make([]byte, 0, len(cfgs)*w)
+	ends := make([]int, len(cfgs))
+	for i := range cfgs {
+		b = strconv.AppendInt(append(b, 'm'), int64(first+i), 10)
+		ends[i] = len(b)
+	}
+	names := string(b)
+	slab := make([]Machine, len(cfgs))
+	c.machines = slices.Grow(c.machines, len(cfgs))
+	start := 0
+	for i, cfg := range cfgs {
+		m := &slab[i]
+		id := MachineID(first + i)
+		m.init(c.K, id, names[start:ends[i]], cfg)
+		m.completion.InitTagged(c.K, c.complete, uint64(id))
+		c.machines = append(c.machines, m)
+		start = ends[i]
+	}
+	c.Fabric.AddNodes(simnet.NodeID(first), len(cfgs))
 }
 
 // Machines returns all machines in ID order (not a copy).

@@ -177,20 +177,21 @@ type Machine struct {
 // NewMachine creates a standalone machine on the kernel. Most callers
 // use Cluster.AddMachine instead.
 func NewMachine(k *sim.Kernel, id MachineID, name string, cfg MachineConfig) *Machine {
+	m := &Machine{}
+	m.init(k, id, name, cfg)
+	m.completion.Init(k, m.completeFinished)
+	return m
+}
+
+// init makes m a new machine, all but its completion timer.
+func (m *Machine) init(k *sim.Kernel, id MachineID, name string, cfg MachineConfig) {
 	if cfg.Cores <= 0 {
 		panic("cluster: machine needs positive core count")
 	}
 	if cfg.MemBytes < 0 {
 		panic("cluster: negative memory capacity")
 	}
-	m := &Machine{
-		ID:   id,
-		Name: name,
-		k:    k,
-		cfg:  cfg,
-	}
-	m.completion.Init(k, m.completeFinished)
-	return m
+	m.ID, m.Name, m.k, m.cfg = id, name, k, cfg
 }
 
 // Cores returns the machine's total core count.

@@ -134,11 +134,22 @@ func NewMemoryProcletOn(sys *System, name string, m cluster.MachineID) (*MemoryP
 	}
 	mp := &MemoryProclet{sys: sys, pr: pr}
 	pr.Data = mp
-	mp.registerMethods()
-	mp.registerMutators()
+	pr.UseMethods(memMethods)
 	sys.Sched.register(pr, KindMemory)
 	return mp, nil
 }
+
+// memMethods is every memory proclet's method table, shared read-only:
+// each method finds its MemoryProclet through the proclet it runs on.
+var memMethods = func() *proclet.Methods {
+	t := &proclet.Methods{}
+	registerReads(t)
+	registerMutators(t)
+	return t
+}()
+
+// memOf returns the MemoryProclet a method of memMethods runs on.
+func memOf(pr *proclet.Proclet) *MemoryProclet { return pr.Data.(*MemoryProclet) }
 
 // NewMemoryProclet creates a memory proclet, letting the scheduler pick
 // the machine with the most free memory.
@@ -167,27 +178,35 @@ func (mp *MemoryProclet) gate() error {
 	return nil
 }
 
-// applyFn applies one mutating operation to local state and returns the
-// log records describing its effect, in mp.recs. Records are built only
-// when the proclet is a replicated primary; the unreplicated fast path
-// allocates nothing.
-type applyFn func(arg proclet.Msg) (proclet.Msg, []repRecord, error)
+// applyFn applies one mutating operation to mp's local state and returns
+// the log records describing its effect, in mp.recs: a method expression
+// such as (*MemoryProclet).applyPut. Records are built only when the
+// proclet is a replicated primary; the unreplicated fast path allocates
+// nothing.
+type applyFn func(mp *MemoryProclet, arg proclet.Msg) (proclet.Msg, []repRecord, error)
 
-// handleMutator registers a mutating method over one evaluation of the
-// apply method value: inline unreplicated, and on a replicated primary as
-// a staged write (replWrite), which ships log records before it acks.
-func (mp *MemoryProclet) handleMutator(method string, apply applyFn) {
-	mp.pr.HandleStaged(method, func(arg proclet.Msg) (proclet.Msg, error) {
+// handleMutator registers a mutating method over apply: inline
+// unreplicated, and on a replicated primary as a staged write (replWrite),
+// which ships log records before it acks.
+func handleMutator(t *proclet.Methods, method string, apply applyFn) {
+	t.HandleStaged(method, func(pr *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
+		mp := memOf(pr)
 		if mp.rs != nil {
 			return proclet.Msg{}, simnet.ErrWouldBlock
 		}
-		res, _, err := apply(arg)
+		res, _, err := apply(mp, arg)
 		return res, err
-	}, func(arg proclet.Msg) proclet.Staged { return mp.sys.getWrite(mp, apply, arg) })
+	}, func(pr *proclet.Proclet, arg proclet.Msg) proclet.Staged {
+		mp := memOf(pr)
+		return mp.sys.getWrite(mp, apply, arg)
+	})
 }
 
-func (mp *MemoryProclet) registerMethods() {
-	mp.pr.HandleFast(methodMemGet, func(arg proclet.Msg) (proclet.Msg, error) {
+// registerReads installs the methods that change nothing a primary
+// replicates: the reads and a backup's apply.
+func registerReads(t *proclet.Methods) {
+	t.HandleFast(methodMemGet, func(pr *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
+		mp := memOf(pr)
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
 		}
@@ -197,10 +216,11 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return e.msg(), nil
 	})
-	mp.pr.HandleFast(methodMemGetBatch, func(arg proclet.Msg) (proclet.Msg, error) {
+	t.HandleFast(methodMemGetBatch, func(pr *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
 		// Read-only and non-blocking, so like mem.get it serves on the
 		// inline fast path even on a replicated primary. Absent IDs are
 		// skipped: the response lists what was found.
+		mp := memOf(pr)
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
 		}
@@ -213,7 +233,8 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: b, Bytes: b.totalBytes()}, nil
 	})
-	mp.pr.HandleFast(methodMemScan, func(arg proclet.Msg) (proclet.Msg, error) {
+	t.HandleFast(methodMemScan, func(pr *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
+		mp := memOf(pr)
 		if err := mp.gate(); err != nil {
 			return proclet.Msg{}, err
 		}
@@ -226,11 +247,12 @@ func (mp *MemoryProclet) registerMethods() {
 		}
 		return proclet.Msg{Payload: res, Bytes: res.totalBytes()}, nil
 	})
-	mp.pr.HandleFast(methodMemReplApply, func(arg proclet.Msg) (proclet.Msg, error) {
+	t.HandleFast(methodMemReplApply, func(pr *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
 		// Backup side of log shipping: apply a record batch. Records are
 		// absolute effects, so reapplying after a retried ship is
 		// idempotent. A heap-growth failure leaves this backup stale and
 		// errors the ship; the primary drops and replaces it.
+		mp := memOf(pr)
 		r := arg.Payload.(*replApplyReq)
 		mp.objs.reserve(mp.objs.len() + len(r.recs))
 		for _, rec := range r.recs {
@@ -404,15 +426,15 @@ type updateReq struct {
 	fn UpdateFn
 }
 
-// registerMutators installs the mutating methods; registerMethods the
+// registerMutators installs the mutating methods; registerReads the
 // rest.
-func (mp *MemoryProclet) registerMutators() {
-	mp.handleMutator(methodMemPut, mp.applyPut)
-	mp.handleMutator(methodMemDel, mp.applyDel)
-	mp.handleMutator(methodMemPutBatch, mp.applyPutBatch)
-	mp.handleMutator(methodMemDelRange, mp.applyDelRange)
-	mp.handleMutator(methodMemTake, mp.applyTake)
-	mp.handleMutator(methodMemUpdate, mp.applyUpdate)
+func registerMutators(t *proclet.Methods) {
+	handleMutator(t, methodMemPut, (*MemoryProclet).applyPut)
+	handleMutator(t, methodMemDel, (*MemoryProclet).applyDel)
+	handleMutator(t, methodMemPutBatch, (*MemoryProclet).applyPutBatch)
+	handleMutator(t, methodMemDelRange, (*MemoryProclet).applyDelRange)
+	handleMutator(t, methodMemTake, (*MemoryProclet).applyTake)
+	handleMutator(t, methodMemUpdate, (*MemoryProclet).applyUpdate)
 }
 
 func (mp *MemoryProclet) applyTake(arg proclet.Msg) (proclet.Msg, []repRecord, error) {

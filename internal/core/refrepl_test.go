@@ -45,13 +45,16 @@ func refMemoryProcletOn(sys *System, name string, m cluster.MachineID, cen *refC
 	}
 	mp := &MemoryProclet{sys: sys, pr: pr}
 	pr.Data = mp
-	mp.registerMethods()
+	reads := &proclet.Methods{}
+	registerReads(reads)
+	pr.UseMethods(reads)
 	for _, m := range []struct {
 		method string
 		apply  applyFn
 	}{
-		{methodMemPut, mp.applyPut}, {methodMemDel, mp.applyDel}, {methodMemPutBatch, mp.applyPutBatch},
-		{methodMemDelRange, mp.applyDelRange}, {methodMemTake, mp.applyTake}, {methodMemUpdate, mp.applyUpdate},
+		{methodMemPut, (*MemoryProclet).applyPut}, {methodMemDel, (*MemoryProclet).applyDel},
+		{methodMemPutBatch, (*MemoryProclet).applyPutBatch}, {methodMemDelRange, (*MemoryProclet).applyDelRange},
+		{methodMemTake, (*MemoryProclet).applyTake}, {methodMemUpdate, (*MemoryProclet).applyUpdate},
 	} {
 		pr.Handle(m.method, refMutator(mp, m.apply, cen))
 	}
@@ -66,14 +69,14 @@ func refMutator(mp *MemoryProclet, apply applyFn, cen *refCensus) proclet.Method
 		rs := mp.rs
 		if rs == nil {
 			cen.unreplicated++
-			res, _, err := apply(arg)
+			res, _, err := apply(mp, arg)
 			return res, err
 		}
 		if err := mp.gate(); err != nil {
 			cen.refused++
 			return proclet.Msg{}, err
 		}
-		res, recs, err := apply(arg)
+		res, recs, err := apply(mp, arg)
 		if err != nil {
 			return proclet.Msg{}, err
 		}

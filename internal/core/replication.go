@@ -294,9 +294,9 @@ func (w *replWrite) Step() sim.Wait {
 		if rs == nil {
 			// Replication was released between the fast decline and this
 			// dispatch; serve plainly.
-			w.res, _, w.err = w.apply(w.arg)
+			w.res, _, w.err = w.apply(w.mp, w.arg)
 		} else if w.err = w.mp.gate(); w.err == nil {
-			w.res, recs, w.err = w.apply(w.arg)
+			w.res, recs, w.err = w.apply(w.mp, w.arg)
 		}
 		if w.err != nil || len(recs) == 0 {
 			return sim.Resume

@@ -139,9 +139,7 @@ func NewSystem(cfg Config, machines []cluster.MachineConfig) *System {
 // Close on a system built this way is a no-op.
 func NewSystemOnKernel(k *sim.Kernel, cfg Config, machines []cluster.MachineConfig) *System {
 	cl := cluster.New(k, simnet.DefaultConfig())
-	for _, mc := range machines {
-		cl.AddMachine(mc)
-	}
+	cl.AddMachines(machines)
 	tl := obs.NewLog()
 	s := &System{
 		K:       k,

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/load"
@@ -52,12 +53,14 @@ type Server struct {
 	objects uint64
 	cut     uint64 // a key is a write iff key % 1000 < cut
 
-	// calls holds the batch's keys per call: store i's reads at 2i, its
-	// writes at 2i+1. op is the call the server is at, inv that call in
-	// flight.
-	calls [][]uint64
-	op    int
-	inv   *proclet.Invocation
+	// keys holds the batch's keys grouped by call — store i's reads are
+	// call 2i, its writes call 2i+1 — in batch order within a call: call c
+	// is keys[off[c]:off[c+1]]. op is the call the server is at, inv that
+	// call in flight.
+	keys []uint64
+	off  []int
+	op   int
+	inv  *proclet.Invocation
 	// One read buffer and one write buffer per server: nothing read is
 	// kept past the call, and the store copies a write out in the event
 	// the call is served.
@@ -72,7 +75,7 @@ type Server struct {
 // writeFrac of the keys, to a thousandth, are writes.
 func NewServer(sh *Shard, objects int, writeFrac float64) *Server {
 	return &Server{sh: sh, objects: uint64(objects), cut: uint64(writeFrac * 1000),
-		calls: make([][]uint64, 2*len(sh.Ledger.stores))}
+		off: make([]int, 2*len(sh.Ledger.stores)+1)}
 }
 
 // Root returns the causal tree of the batch in hand, or of the last one.
@@ -82,21 +85,44 @@ func (s *Server) Root() obs.SpanID { return s.root }
 func (s *Server) Begin(batch []load.Request) sim.Wait {
 	s.batch = batch
 	s.root = s.sh.Sys.Obs.Start(obs.KindReq, "batch", 0, 0)
-	for i := range s.calls {
-		s.calls[i] = s.calls[i][:0]
-	}
-	stores := uint64(len(s.sh.Ledger.stores))
+	// A stable counting sort: count call c's keys in off[c+1], sum the
+	// counts into starts, place each key in batch order at its call's
+	// cursor off[c], which leaves off[c] at call c's end, then shift off
+	// one place right so that it holds the starts again.
+	clear(s.off)
 	for _, r := range batch {
-		op := 2 * (r.Key % stores)
-		if r.Key%1000 < s.cut {
-			s.calls[op+1] = append(s.calls[op+1], load.ScrambleKey(r.Key))
-		} else {
-			s.calls[op] = append(s.calls[op], r.Key%s.objects)
-		}
+		s.off[s.callOf(r.Key)+1]++
 	}
+	for c := 1; c < len(s.off); c++ {
+		s.off[c] += s.off[c-1]
+	}
+	s.keys = slices.Grow(s.keys[:0], len(batch))[:len(batch)]
+	for _, r := range batch {
+		c := s.callOf(r.Key)
+		k := r.Key % s.objects
+		if c%2 == 1 {
+			k = load.ScrambleKey(r.Key)
+		}
+		s.keys[s.off[c]] = k
+		s.off[c]++
+	}
+	copy(s.off[1:], s.off)
+	s.off[0] = 0
 	s.op = 0
 	return s.Step()
 }
+
+// callOf returns the call a request for key joins.
+func (s *Server) callOf(key uint64) int {
+	c := 2 * int(key%uint64(len(s.sh.Ledger.stores)))
+	if key%1000 < s.cut {
+		c++
+	}
+	return c
+}
+
+// ids returns call c's keys.
+func (s *Server) ids(c int) []uint64 { return s.keys[s.off[c]:s.off[c+1]] }
 
 // Step steps the call in flight; once it ends, it settles it and starts
 // the next, and once none is left it completes the batch.
@@ -121,8 +147,8 @@ func (s *Server) Step() sim.Wait {
 // call starts the first call from op on that has keys, and reports
 // whether there was one.
 func (s *Server) call() bool {
-	for ; s.op < len(s.calls); s.op++ {
-		ids := s.calls[s.op]
+	for ; s.op < len(s.off)-1; s.op++ {
+		ids := s.ids(s.op)
 		if len(ids) == 0 {
 			continue
 		}
@@ -141,7 +167,7 @@ func (s *Server) call() bool {
 
 // settle counts call op's outcome.
 func (s *Server) settle(err error) {
-	t, ids := &s.sh.Tally, s.calls[s.op]
+	t, ids := &s.sh.Tally, s.ids(s.op)
 	switch {
 	case err != nil:
 		t.Errors += uint64(len(ids))

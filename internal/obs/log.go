@@ -424,10 +424,16 @@ func (l *Log) Latest(match func(*Event) bool) (Event, bool) {
 // and argument order, never on the host worker count. Nil logs are
 // skipped; the inputs are not modified. The merged log is one chunk
 // and shares the inputs' slabs.
-func MergeLogs(logs ...*Log) (merged *Log, src []int) {
+func MergeLogs(logs ...*Log) (merged *Log, src []int) { return MergeTails(math.MaxInt, logs...) }
+
+// MergeTails is MergeLogs over the last n events of each log (all of a
+// shorter one). Each log is in time order, so this is the merge of the
+// whole logs with every event before a tail left out, at the cost of the
+// tails alone.
+func MergeTails(n int, logs ...*Log) (merged *Log, src []int) {
 	total := 0
 	for _, l := range logs {
-		total += l.Len()
+		total += min(l.Len(), n)
 	}
 	type cursor struct {
 		head []Event   // the rest of the current chunk
@@ -436,9 +442,15 @@ func MergeLogs(logs ...*Log) (merged *Log, src []int) {
 	}
 	curs := make([]cursor, 0, len(logs))
 	for i, l := range logs {
-		if l.Len() > 0 {
-			curs = append(curs, cursor{head: l.chunks[0], more: l.chunks[1:], arg: i})
+		if min(l.Len(), n) == 0 {
+			continue
 		}
+		chunks, skip := l.chunks, l.Len()-min(l.Len(), n)
+		for skip >= len(chunks[0]) {
+			skip -= len(chunks[0])
+			chunks = chunks[1:]
+		}
+		curs = append(curs, cursor{head: chunks[0][skip:], more: chunks[1:], arg: i})
 	}
 	out := make([]Event, 0, total)
 	src = make([]int, 0, total)

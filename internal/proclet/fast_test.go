@@ -98,7 +98,7 @@ func TestFastMethodDuringLazyWindow(t *testing.T) {
 		}
 		// The inline dispatch path must refuse to serve during the
 		// window rather than skip the penalty.
-		if _, err := rt.execFastOn(1, &invokeReq{Target: pr.ID(), Method: "get"}); !errors.Is(err, simnet.ErrWouldBlock) {
+		if _, err := rt.execFastOn(1, simnet.Message{Payload: &invokeReq{Target: pr.ID(), Method: "get"}}); !errors.Is(err, simnet.ErrWouldBlock) {
 			t.Errorf("execFastOn during lazy window: err = %v, want ErrWouldBlock", err)
 		}
 		// An invocation at the proclet's new home pays the penalty on
@@ -146,6 +146,32 @@ func TestFastMethodChasesMigration(t *testing.T) {
 		}
 		if res.Payload != 0 {
 			t.Errorf("served at machine %v, want 0", res.Payload)
+		}
+	})
+	k.Run()
+}
+
+// TestFabricWideInvokeIsToldItsNode: one registration serves
+// proclet.invoke on every machine, told the machine the request landed
+// on, so a request sent straight to a proclet's old home answers ErrMoved
+// and one sent to its new home is served there.
+func TestFabricWideInvokeIsToldItsNode(t *testing.T) {
+	k, c, rt := testEnv(t, 3)
+	defer k.Close()
+	pr, _ := rt.Spawn("svc", 0, 1024)
+	pr.HandleFast("where", func(arg Msg) (Msg, error) {
+		return Msg{Word: uint64(pr.Location())}, nil
+	})
+	k.Spawn("driver", func(p *sim.Proc) {
+		if err := rt.Migrate(p, pr.ID(), 1); err != nil {
+			t.Fatalf("Migrate: %v", err)
+		}
+		req := &invokeReq{Target: pr.ID(), Method: "where"}
+		for to, want := range []error{ErrMoved, nil, ErrMoved} {
+			res, err := c.Fabric.Call(p, 2, simnet.NodeID(to), methodInvoke, simnet.Message{Payload: req})
+			if !errors.Is(err, want) || (want == nil && res.Word != 1) {
+				t.Errorf("invoke landing on m%d = %d, %v; want err %v", to, res.Word, err, want)
+			}
 		}
 	})
 	k.Run()

@@ -132,7 +132,7 @@ func (inv *Invocation) Step() sim.Wait {
 				}
 				inv.call, inv.err = rt.Cluster.Fabric.StartCall(
 					simnet.NodeID(inv.from), simnet.NodeID(inv.loc),
-					"proclet.invoke", simnet.Message{Payload: &inv.req, Bytes: inv.req.Arg.Bytes}, 0)
+					methodInvoke, simnet.Message{Payload: &inv.req, Bytes: inv.req.Arg.Bytes}, 0)
 				inv.phase = invCall
 				continue
 			}

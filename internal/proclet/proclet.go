@@ -100,6 +100,14 @@ type FastMethod func(arg Msg) (Msg, error)
 // wait, or Resume once it is over; End returns its result and retires it.
 type StagedMethod func(arg Msg) Staged
 
+// FastMethodOn and StagedMethodOn are FastMethod and StagedMethod told
+// the proclet they run on: what a Methods table shared by many proclets
+// registers, once for all of them.
+type (
+	FastMethodOn   func(pr *Proclet, arg Msg) (Msg, error)
+	StagedMethodOn func(pr *Proclet, arg Msg) Staged
+)
+
 // Staged is one run of a StagedMethod. Neither method may block.
 type Staged interface {
 	Step() sim.Wait
@@ -126,12 +134,14 @@ type Proclet struct {
 	allocEpoch uint64
 
 	heapBytes int64
-	// methods holds each method name once, with whichever of its two
+	// methods holds each method name once, with whichever of its
 	// registrations exist. A proclet has a dozen methods at most, so
 	// dispatch scans by name, as simnet.Node.lookup does one layer down,
 	// and an invocation the fast registration declines has its fallback
-	// in hand.
-	methods []methodEntry
+	// in hand. It may be a Methods table other proclets share (UseMethods):
+	// it is then full to capacity, so a registration of the proclet's own
+	// copies it before appending.
+	methods methodTable
 
 	// Data holds the proclet's actual structure state (shard contents,
 	// task queues). It travels with the proclet on migration; its
@@ -191,55 +201,80 @@ func (pr *Proclet) addComm(peer ID, bytes int64) {
 // through HandleStaged only — fast and staged.
 type methodEntry struct {
 	name     string
-	fast     FastMethod
+	fast     FastMethodOn
 	blocking Method
-	staged   StagedMethod
+	staged   StagedMethodOn
 }
 
-// method returns the entry registered under name, or nil.
-func (pr *Proclet) method(name string) *methodEntry {
-	for i := range pr.methods {
-		if e := &pr.methods[i]; e.name == name {
+// methodTable is a proclet's methods, each name once.
+type methodTable []methodEntry
+
+// find returns the entry registered under name, or nil.
+func (t methodTable) find(name string) *methodEntry {
+	for i := range t {
+		if e := &t[i]; e.name == name {
 			return e
 		}
 	}
 	return nil
 }
 
+// add registers e, or panics, naming owner, if its name is taken: a
+// method name is fast, blocking or staged, and registered once.
+func (t *methodTable) add(owner string, e methodEntry) {
+	if t.find(e.name) != nil {
+		panic(fmt.Sprintf("proclet: duplicate method %q on %s", e.name, owner))
+	}
+	*t = append(*t, e)
+}
+
+// Methods is a method table that any number of proclets share read-only
+// (Proclet.UseMethods): its methods are told the proclet they run on, so
+// one registration serves all of them. Fill it before the first proclet
+// takes it.
+type Methods struct{ t methodTable }
+
+// HandleFast registers a fast method (see Proclet.HandleFast).
+func (m *Methods) HandleFast(method string, fn FastMethodOn) {
+	m.t.add("a shared table", methodEntry{name: method, fast: fn})
+}
+
+// HandleStaged registers a staged method (see Proclet.HandleStaged).
+func (m *Methods) HandleStaged(method string, fast FastMethodOn, staged StagedMethodOn) {
+	m.t.add("a shared table", methodEntry{name: method, fast: fast, staged: staged})
+}
+
+// UseMethods makes m the proclet's method table, in place of what it had.
+// The proclet shares m: a method it registers afterwards goes to a copy
+// of its own, which no other proclet sees.
+func (pr *Proclet) UseMethods(m *Methods) { pr.methods = m.t[:len(m.t):len(m.t)] }
+
+// method returns the entry registered under name, or nil.
+func (pr *Proclet) method(name string) *methodEntry { return pr.methods.find(name) }
+
 // Handle registers a method. Registration is not allowed after the
 // proclet has started serving (no enforcement; callers register at
 // construction time).
 func (pr *Proclet) Handle(method string, fn Method) {
-	if e := pr.method(method); e != nil {
-		if e.blocking != nil {
-			panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
-		}
-		panic(fmt.Sprintf("proclet: method %q on %s already registered as fast", method, pr.name))
-	}
-	pr.methods = append(pr.methods, methodEntry{name: method, blocking: fn})
+	pr.methods.add(pr.name, methodEntry{name: method, blocking: fn})
 }
 
 // HandleFast registers a non-blocking method served on the inline
 // dispatch path (see FastMethod). A method name is either fast or
 // blocking, not both; registering it in both tables panics.
 func (pr *Proclet) HandleFast(method string, fn FastMethod) {
-	if e := pr.method(method); e != nil {
-		if e.fast != nil {
-			panic(fmt.Sprintf("proclet: duplicate fast method %q on %s", method, pr.name))
-		}
-		panic(fmt.Sprintf("proclet: method %q on %s already registered as blocking", method, pr.name))
-	}
-	pr.methods = append(pr.methods, methodEntry{name: method, fast: fn})
+	pr.methods.add(pr.name, methodEntry{name: method, fast: func(_ *Proclet, arg Msg) (Msg, error) { return fn(arg) }})
 }
 
 // HandleStaged registers a method that is fast when it can be: fast (which
 // may be nil) serves an invocation inline or declines it with
 // simnet.ErrWouldBlock, and staged serves what it declines.
 func (pr *Proclet) HandleStaged(method string, fast FastMethod, staged StagedMethod) {
-	if pr.method(method) != nil {
-		panic(fmt.Sprintf("proclet: duplicate method %q on %s", method, pr.name))
+	e := methodEntry{name: method, staged: func(_ *Proclet, arg Msg) Staged { return staged(arg) }}
+	if fast != nil {
+		e.fast = func(_ *Proclet, arg Msg) (Msg, error) { return fast(arg) }
 	}
-	pr.methods = append(pr.methods, methodEntry{name: method, fast: fast, staged: staged})
+	pr.methods.add(pr.name, e)
 }
 
 // GrowHeap adjusts the proclet's accounted state size by delta bytes

@@ -143,27 +143,27 @@ func NewRuntime(c *cluster.Cluster, tl *obs.Log) *Runtime {
 		procs:   make([]*Proclet, 1), // id 0 is "no proclet"
 		caches:  make([][]int32, len(c.Machines())),
 	}
+	// One registration a fabric serves invocations on every machine: fast
+	// methods inline at request delivery, anything else on serveProc, or
+	// a staged method on the fabric's staged handler, serveStaged.
 	c.Fabric.HandleStaged(rt.serveStaged)
-	for _, m := range c.Machines() {
-		mid := m.ID
-		n := c.Node(mid)
-		// The staged handler's run, on a process for a blocking method.
-		n.Handle("proclet.invoke", func(hp *sim.Proc, req simnet.Message) (simnet.Message, error) {
-			h := rt.startRun(mid, req)
-			hp.Await(h.stage(), h.stageF)
-			if e := h.blocking; e != nil {
-				h.res, h.err = rt.serveBlocking(hp, h.pr, e, h.req.From, h.req.Arg)
-			}
-			return h.End()
-		})
-		// Fast methods are served inline at request delivery; anything
-		// else falls back to the handler above, or a staged method to the
-		// fabric's staged handler, serveStaged.
-		n.HandleFast("proclet.invoke", func(req simnet.Message) (simnet.Message, error) {
-			return rt.execFastOn(mid, req.Payload.(*invokeReq))
-		})
-	}
+	c.Fabric.Handle(methodInvoke, rt.serveProc)
+	c.Fabric.HandleFast(methodInvoke, rt.execFastOn)
 	return rt
+}
+
+// methodInvoke is the fabric method a remote invocation travels as.
+const methodInvoke = "proclet.invoke"
+
+// serveProc is a remote invocation's blocking handler on machine to: the
+// staged handler's run, on a process for a blocking method.
+func (rt *Runtime) serveProc(to simnet.NodeID, hp *sim.Proc, req simnet.Message) (simnet.Message, error) {
+	h := rt.startRun(cluster.MachineID(to), req)
+	hp.Await(h.stage(), h.stageF)
+	if e := h.blocking; e != nil {
+		h.res, h.err = rt.serveBlocking(hp, h.pr, e, h.req.From, h.req.Arg)
+	}
+	return h.End()
 }
 
 // Spawn creates a proclet with heapBytes of state on machine m. It
@@ -335,12 +335,14 @@ func retryable(err error) bool {
 }
 
 // execFastOn serves a remote invocation inline in kernel context at the
-// instant the request lands. It declines to a handler — the staged one for
-// a staged method (simnet.ErrStaged), else the blocking one — when the
-// proclet is migrating or in a post-copy lazy window (the handler waits
-// those out), or the method is not fast, or its fast registration declined.
-func (rt *Runtime) execFastOn(m cluster.MachineID, r *invokeReq) (Msg, error) {
-	pr := rt.localOn(m, r.Target)
+// instant the request lands on machine to. It declines to a handler — the
+// staged one for a staged method (simnet.ErrStaged), else the blocking one
+// — when the proclet is migrating or in a post-copy lazy window (the
+// handler waits those out), or the method is not fast, or its fast
+// registration declined.
+func (rt *Runtime) execFastOn(to simnet.NodeID, req simnet.Message) (Msg, error) {
+	r := req.Payload.(*invokeReq)
+	pr := rt.localOn(cluster.MachineID(to), r.Target)
 	if pr == nil {
 		return Msg{}, ErrMoved
 	}
@@ -466,7 +468,7 @@ func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Ms
 		return Msg{}, nil, fmt.Errorf("%w: %q on %s", ErrNoMethod, method, pr.name)
 	}
 	if e.fast != nil {
-		res, err := e.fast(arg)
+		res, err := e.fast(pr, arg)
 		if !errors.Is(err, simnet.ErrWouldBlock) {
 			rt.FastInvokes.Inc()
 			rt.account(pr, from, arg, res)
@@ -481,7 +483,7 @@ func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Ms
 // serveBlocking does, and account it.
 func (rt *Runtime) startStaged(pr *Proclet, e *methodEntry, arg Msg) Staged {
 	pr.active++
-	return e.staged(arg)
+	return e.staged(pr, arg)
 }
 
 func (rt *Runtime) endStaged(pr *Proclet, st Staged, from ID, arg Msg) (Msg, error) {

@@ -204,16 +204,21 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, mon
 		pn.stageF = pn.stage
 		d.health[mid] = machineHealth{state: StateAlive, lastBeat: now}
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
-		// The handler runs in kernel context at request delivery on the
-		// target machine: the lease renewal models local knowledge — a
-		// partitioned machine stops receiving pings and its lease lapses
-		// without any cross-machine coordination.
-		d.c.Node(mid).HandleFast(methodPing, func(req simnet.Message) (simnet.Message, error) {
-			d.leases[mid] = d.k.Now() + sim.Time(d.cfg.LeaseDuration)
-			return simnet.Message{Bytes: pingBytes}, nil
-		})
 	}
+	c.Fabric.HandleFast(methodPing, d.renew)
 	return d
+}
+
+// renew is the heartbeat handler of every machine, run in kernel context
+// at request delivery on the pinged machine to: the lease renewal models
+// local knowledge — a partitioned machine stops receiving pings and its
+// lease lapses without any cross-machine coordination. A machine added
+// after NewDetector holds no lease to renew.
+func (d *Detector) renew(to simnet.NodeID, _ simnet.Message) (simnet.Message, error) {
+	if uint(to) < uint(len(d.leases)) {
+		d.leases[to] = d.k.Now() + sim.Time(d.cfg.LeaseDuration)
+	}
+	return simnet.Message{Bytes: pingBytes}, nil
 }
 
 // Start launches one heartbeat process per monitored machine. Call

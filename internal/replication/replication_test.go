@@ -128,6 +128,31 @@ func TestDetectorPartitionLapsesLeaseBeforeConfirm(t *testing.T) {
 // advertises 0.2, so the per-machine ping loops stay synchronized.
 // Defaulting it moves events; it is ROADMAP item 2's defect (iv), for
 // the PR that is allowed to — that PR updates this test.
+// TestPingRenewsOnlyThePingedLease: one heartbeat handler serves every
+// machine, told the machine the ping landed on, so a ping renews that
+// machine's lease and leaves every other as it was.
+func TestPingRenewsOnlyThePingedLease(t *testing.T) {
+	k, c, tl := testCluster(t, 4)
+	defer k.Close()
+	d := NewDetector(k, c, tl, Config{}, 0)
+	granted := d.LeaseExpiry(0)
+	k.Spawn("pinger", func(p *sim.Proc) {
+		p.Sleep(time.Millisecond)
+		if _, err := c.Fabric.Call(p, 0, 2, methodPing, simnet.Message{Bytes: pingBytes}); err != nil {
+			t.Fatalf("ping: %v", err)
+		}
+	})
+	k.Run()
+	for mid := cluster.MachineID(0); mid < 4; mid++ {
+		switch got := d.LeaseExpiry(mid); {
+		case mid == 2 && got <= granted+sim.Time(time.Millisecond):
+			t.Errorf("m2 lease expires at %v, want a lease renewed after 1ms", got)
+		case mid != 2 && got != granted:
+			t.Errorf("m%d lease expires at %v, want %v as granted", mid, got, granted)
+		}
+	}
+}
+
 func TestZeroConfigHasNoHeartbeatJitter(t *testing.T) {
 	if j := (Config{}).withDefaults().HeartbeatJitter; j != 0 {
 		t.Errorf("Config{}.withDefaults().HeartbeatJitter = %v, want 0", j)

@@ -692,24 +692,17 @@ func (o *Outcome) Trace() []string {
 // shard and tagged with the shard — the artifact qsctl run saves when
 // assertions fail or an incident opened.
 func (o *Outcome) WriteFlightDump(w io.Writer) error {
-	merged, shard := obs.MergeLogs(o.logs...)
-	older := make([]int, len(o.logs)) // per shard: events before its tail
-	evicted := 0
-	for s, l := range o.logs {
-		older[s] = max(0, l.Len()-flightTail)
-		evicted += older[s]
+	merged, shard := obs.MergeTails(flightTail, o.logs...)
+	evicted := -merged.Len()
+	for _, l := range o.logs {
+		evicted += l.Len()
 	}
 	b := fmt.Appendf(nil, "flight recorder: %s seed %d (%d entries, %d evicted)\n",
-		o.Spec.Name, o.Seed, merged.Len()-evicted, evicted)
+		o.Spec.Name, o.Seed, merged.Len(), evicted)
 	i := 0
 	merged.Each(func(e *obs.Event) {
-		s := shard[i]
+		b = append(e.AppendLine(fmt.Appendf(b, "s%-2d ", shard[i])), '\n')
 		i++
-		if older[s] > 0 {
-			older[s]--
-			return
-		}
-		b = append(e.AppendLine(fmt.Appendf(b, "s%-2d ", s)), '\n')
 	})
 	_, err := w.Write(b)
 	return err

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -238,6 +240,40 @@ func TestFlightDumpBytes(t *testing.T) {
 	}
 	if n := strings.Count(got.String(), "\n"); n != 1+2*flightTail+20 {
 		t.Errorf("%d lines, want a header and %d entries", n, 2*flightTail+20)
+	}
+}
+
+// TestFlightDumpCostsOnlyTheTails: the dump merges each shard's last
+// flightTail events and nothing before them, so logs ten times that long
+// cost it no more bytes than logs twice that long. Four shards put both
+// counts of the header past 255, which fmt boxes without allocating.
+func TestFlightDumpCostsOnlyTheTails(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dumpBytes := func(n int) uint64 {
+		logs := []*obs.Log{obs.NewLog(), obs.NewLog(), obs.NewLog(), obs.NewLog()}
+		for s, l := range logs {
+			for i := 0; i < n; i++ {
+				l.Emitf(sim.Time(i/2*1000), obs.KindMigrate, "store", s, -1, "bytes=%d", int64(i))
+			}
+		}
+		out := &Outcome{Spec: &Spec{Name: "dump"}, Seed: 1, logs: logs}
+		// The fewest bytes of five tries: whatever else runs meanwhile only
+		// adds to a reading.
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := out.WriteFlightDump(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if short, long := dumpBytes(2*flightTail), dumpBytes(10*flightTail); long > short {
+		t.Errorf("dumping logs of %d events allocates %d bytes, of %d events %d: the dump copies more than the tails",
+			10*flightTail, long, 2*flightTail, short)
 	}
 }
 

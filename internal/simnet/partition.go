@@ -249,7 +249,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: destination %v", ErrNodeDown, to))
 		return
 	}
-	e := dst.lookup(method)
+	e := dstFab.handlers(dst, method)
 	if e == nil {
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %q on %v", ErrNoHandler, method, to))
 		return
@@ -267,7 +267,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 
 	k.Schedule(rxEnd, func() {
 		if fh != nil {
-			rep, err := fh(req)
+			rep, err := fh(to.Node, req)
 			if err == nil || !errors.Is(err, ErrWouldBlock) {
 				if err == nil {
 					dstFab.FastCalls.Inc()
@@ -285,7 +285,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 		k.SpawnLazy(
 			func() string { return fmt.Sprintf("xrpc:%s@%v", method, to) },
 			func(hp *sim.Proc) {
-				rep, err := h(hp, req)
+				rep, err := h(to.Node, hp, req)
 				pt.reply(cc, to, from, rep, err)
 			})
 	})

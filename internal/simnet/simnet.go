@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -127,6 +128,14 @@ type Handler func(p *sim.Proc, req Message) (Message, error)
 // Handler instead.
 type FastHandler func(req Message) (Message, error)
 
+// NodeHandler is a Handler registered once for every node of a fabric
+// (Fabric.Handle), told the node the request landed on.
+type NodeHandler func(to NodeID, p *sim.Proc, req Message) (Message, error)
+
+// NodeFastHandler is a FastHandler registered once for every node of a
+// fabric (Fabric.HandleFast), told the node the request landed on.
+type NodeFastHandler func(to NodeID, req Message) (Message, error)
+
 // StagedHandler serves a request for cs on node to that a fast handler
 // declined with ErrStaged. Called in kernel context as the request lands,
 // it copies what it needs of req, which the caller owns, and returns the
@@ -134,11 +143,11 @@ type FastHandler func(req Message) (Message, error)
 type StagedHandler func(to NodeID, req Message, cs *Call) (stage func() sim.Wait)
 
 // methodEntry is what one method dispatches to on a node: a fast
-// handler, a blocking one, or both.
+// handler, a blocking one, or both, each told the receiving node.
 type methodEntry struct {
 	method   string
-	fast     FastHandler
-	blocking Handler
+	fast     NodeFastHandler
+	blocking NodeHandler
 }
 
 // Node is a machine's attachment to the fabric.
@@ -153,9 +162,10 @@ type Node struct {
 	// heartbeat and retry, always in the same words.
 	errSrcDown, errDstDown error
 
-	// Handlers by method. Almost every node serves a single method
-	// (proclet.invoke), so the first two registered live inline and only a
-	// node with more pays for a map.
+	// Handlers by method registered on this node alone; the fabric's
+	// (Fabric.Handle), which serve every node, are the rest. A node serves
+	// one or two such methods at most, so the first two registered live
+	// inline and only a node with more pays for a map.
 	methods [2]methodEntry
 	inline  int // slots of methods in use
 	spill   map[string]*methodEntry
@@ -173,6 +183,11 @@ type Fabric struct {
 	// 0, so every send's two endpoint lookups are bounds-checked loads,
 	// not map probes. An id nobody added holds nil.
 	nodes []*Node
+
+	// methods holds the handlers that serve every node (Handle,
+	// HandleFast), told the node: the proclet runtime's invoke and the
+	// failure detector's ping, which differ only by node.
+	methods []methodEntry
 
 	// faults holds per-directed-link fault state. It stays empty on
 	// fault-free runs, so the hot paths pay only a length check.
@@ -207,6 +222,54 @@ type Fabric struct {
 // HandleStaged sets the handler for the requests a fast handler on any
 // node declines with ErrStaged.
 func (f *Fabric) HandleStaged(h StagedHandler) { f.staged = h }
+
+// Handle registers a blocking handler for method on every node, present
+// and future. A node's own registration of the method (Node.Handle,
+// Node.HandleFast) takes its place on that node.
+func (f *Fabric) Handle(method string, h NodeHandler) {
+	e := f.entry(method)
+	if e.blocking != nil {
+		panic(fmt.Sprintf("simnet: duplicate fabric-wide handler %q", method))
+	}
+	e.blocking = h
+}
+
+// HandleFast is Handle for an inline handler (see Node.HandleFast).
+func (f *Fabric) HandleFast(method string, h NodeFastHandler) {
+	e := f.entry(method)
+	if e.fast != nil {
+		panic(fmt.Sprintf("simnet: duplicate fabric-wide fast handler %q", method))
+	}
+	e.fast = h
+}
+
+// entry returns method's fabric-wide entry, adding it the first time.
+func (f *Fabric) entry(method string) *methodEntry {
+	if e := f.lookup(method); e != nil {
+		return e
+	}
+	f.methods = append(f.methods, methodEntry{method: method})
+	return &f.methods[len(f.methods)-1]
+}
+
+// handlers returns what method dispatches to on node n: n's own entry,
+// else the fabric-wide one, else nil.
+func (f *Fabric) handlers(n *Node, method string) *methodEntry {
+	if e := n.lookup(method); e != nil {
+		return e
+	}
+	return f.lookup(method)
+}
+
+// lookup returns the fabric-wide entry of method, or nil.
+func (f *Fabric) lookup(method string) *methodEntry {
+	for i := range f.methods {
+		if e := &f.methods[i]; e.method == method {
+			return e
+		}
+	}
+	return nil
+}
 
 // SetTracer attaches a span tracer to the fabric. Pass nil to detach.
 func (f *Fabric) SetTracer(t *obs.Tracer) { f.obs = t }
@@ -281,18 +344,31 @@ func (f *Fabric) extraLatency(from, to NodeID) time.Duration {
 // panics. IDs need not arrive in order or start at 0; the table grows
 // to the largest one.
 func (f *Fabric) AddNode(id NodeID) *Node {
-	if id < 0 {
-		panic(fmt.Sprintf("simnet: negative node id %d", id))
+	f.AddNodes(id, 1)
+	return f.nodes[id]
+}
+
+// AddNodes attaches n new nodes, first to first+n-1, as AddNode would,
+// in one allocation.
+func (f *Fabric) AddNodes(first NodeID, n int) {
+	if grow := int(first) + n - len(f.nodes); grow > 0 {
+		f.nodes = slices.Grow(f.nodes, grow)
 	}
-	if f.Node(id) != nil {
-		panic(fmt.Sprintf("simnet: duplicate node %d", id))
+	slab := make([]Node, n)
+	for i := range slab {
+		id := first + NodeID(i)
+		if id < 0 {
+			panic(fmt.Sprintf("simnet: negative node id %d", id))
+		}
+		if f.Node(id) != nil {
+			panic(fmt.Sprintf("simnet: duplicate node %d", id))
+		}
+		for int(id) >= len(f.nodes) {
+			f.nodes = append(f.nodes, nil)
+		}
+		slab[i].ID, slab[i].f = id, f
+		f.nodes[id] = &slab[i]
 	}
-	for int(id) >= len(f.nodes) {
-		f.nodes = append(f.nodes, nil)
-	}
-	n := &Node{ID: id, f: f}
-	f.nodes[id] = n
-	return n
 }
 
 // Node returns the node with the given ID, or nil if there is none
@@ -338,7 +414,7 @@ func (n *Node) Handle(method string, h Handler) {
 	if e.blocking != nil {
 		panic(fmt.Sprintf("simnet: duplicate handler %q on node %d", method, n.ID))
 	}
-	e.blocking = h
+	e.blocking = func(_ NodeID, p *sim.Proc, req Message) (Message, error) { return h(p, req) }
 }
 
 // HandleFast registers an inline handler for method on this node. A
@@ -350,7 +426,7 @@ func (n *Node) HandleFast(method string, h FastHandler) {
 	if e.fast != nil {
 		panic(fmt.Sprintf("simnet: duplicate fast handler %q on node %d", method, n.ID))
 	}
-	e.fast = h
+	e.fast = func(_ NodeID, req Message) (Message, error) { return h(req) }
 }
 
 // lookup returns method's entry on this node, nil when nothing is
@@ -515,8 +591,8 @@ type Call struct {
 	to      NodeID
 	method  string
 	req     Message
-	h       Handler     // blocking handler, or nil
-	fh      FastHandler // fast handler, or nil
+	h       NodeHandler     // blocking handler, or nil
+	fh      NodeFastHandler // fast handler, or nil
 	timeout time.Duration
 
 	sp obs.SpanID // the call's span, 0 without a tracer
@@ -705,7 +781,7 @@ func (cs *Call) onDelivered(gen uint64) {
 		return // the call already resolved (timeout / node down) or recycled
 	}
 	if cs.fh != nil {
-		reply, err := cs.fh(cs.req)
+		reply, err := cs.fh(cs.to, cs.req)
 		if err == nil || !errors.Is(err, ErrWouldBlock) {
 			if err == nil {
 				cs.f.FastCalls.Inc()
@@ -732,7 +808,7 @@ func (cs *Call) onDelivered(gen uint64) {
 }
 
 func (cs *Call) runProc(hp *sim.Proc) {
-	reply, err := cs.h(hp, cs.req)
+	reply, err := cs.h(cs.to, hp, cs.req)
 	cs.sendReply(reply, err)
 }
 
@@ -832,7 +908,7 @@ func (f *Fabric) StartCall(from, to NodeID, method string, req Message, d time.D
 	if err != nil {
 		return nil, err
 	}
-	e := dst.lookup(method)
+	e := f.handlers(dst, method)
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q on node %d", ErrNoHandler, method, to)
 	}
