@@ -241,8 +241,8 @@ func TestMethodTableInlineAndSpill(t *testing.T) {
 	srv.Handle("m4", blocking("m4")) // both handlers, blocking first
 	srv.HandleFast("m4", decline)
 	srv.HandleFast("m1", decline) // both handlers, inline slot
-	if len(srv.spill) != 3 {
-		t.Fatalf("%d methods spilled, want 3 of 5", len(srv.spill))
+	if len(srv.own.spill) != 3 {
+		t.Fatalf("%d methods spilled, want 3 of 5", len(srv.own.spill))
 	}
 
 	want := map[string]string{"m0": "fast:m0", "m1": "blocking:m1", "m2": "fast:m2", "m3": "blocking:m3", "m4": "blocking:m4"}

@@ -249,7 +249,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: destination %v", ErrNodeDown, to))
 		return
 	}
-	e := dstFab.handlers(dst, method)
+	e := dstFab.dispatch(dst, method)
 	if e == nil {
 		pt.reply(cc, to, from, Message{}, fmt.Errorf("%w: %q on %v", ErrNoHandler, method, to))
 		return

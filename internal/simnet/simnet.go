@@ -162,13 +162,9 @@ type Node struct {
 	// heartbeat and retry, always in the same words.
 	errSrcDown, errDstDown error
 
-	// Handlers by method registered on this node alone; the fabric's
-	// (Fabric.Handle), which serve every node, are the rest. A node serves
-	// one or two such methods at most, so the first two registered live
-	// inline and only a node with more pays for a map.
-	methods [2]methodEntry
-	inline  int // slots of methods in use
-	spill   map[string]*methodEntry
+	// own holds the handlers registered on this node alone; the fabric's
+	// (Fabric.Handle), which serve every node, are the rest.
+	own handlers
 
 	// TxBytes and RxBytes count payload+header bytes through this NIC.
 	TxBytes metrics.Counter
@@ -184,10 +180,10 @@ type Fabric struct {
 	// not map probes. An id nobody added holds nil.
 	nodes []*Node
 
-	// methods holds the handlers that serve every node (Handle,
+	// every holds the handlers that serve every node (Handle,
 	// HandleFast), told the node: the proclet runtime's invoke and the
 	// failure detector's ping, which differ only by node.
-	methods []methodEntry
+	every handlers
 
 	// faults holds per-directed-link fault state. It stays empty on
 	// fault-free runs, so the hot paths pay only a length check.
@@ -227,7 +223,7 @@ func (f *Fabric) HandleStaged(h StagedHandler) { f.staged = h }
 // and future. A node's own registration of the method (Node.Handle,
 // Node.HandleFast) takes its place on that node.
 func (f *Fabric) Handle(method string, h NodeHandler) {
-	e := f.entry(method)
+	e := f.every.entry(method)
 	if e.blocking != nil {
 		panic(fmt.Sprintf("simnet: duplicate fabric-wide handler %q", method))
 	}
@@ -236,39 +232,20 @@ func (f *Fabric) Handle(method string, h NodeHandler) {
 
 // HandleFast is Handle for an inline handler (see Node.HandleFast).
 func (f *Fabric) HandleFast(method string, h NodeFastHandler) {
-	e := f.entry(method)
+	e := f.every.entry(method)
 	if e.fast != nil {
 		panic(fmt.Sprintf("simnet: duplicate fabric-wide fast handler %q", method))
 	}
 	e.fast = h
 }
 
-// entry returns method's fabric-wide entry, adding it the first time.
-func (f *Fabric) entry(method string) *methodEntry {
-	if e := f.lookup(method); e != nil {
-		return e
-	}
-	f.methods = append(f.methods, methodEntry{method: method})
-	return &f.methods[len(f.methods)-1]
-}
-
-// handlers returns what method dispatches to on node n: n's own entry,
+// dispatch returns what method dispatches to on node n: n's own entry,
 // else the fabric-wide one, else nil.
-func (f *Fabric) handlers(n *Node, method string) *methodEntry {
-	if e := n.lookup(method); e != nil {
+func (f *Fabric) dispatch(n *Node, method string) *methodEntry {
+	if e := n.own.lookup(method); e != nil {
 		return e
 	}
-	return f.lookup(method)
-}
-
-// lookup returns the fabric-wide entry of method, or nil.
-func (f *Fabric) lookup(method string) *methodEntry {
-	for i := range f.methods {
-		if e := &f.methods[i]; e.method == method {
-			return e
-		}
-	}
-	return nil
+	return f.every.lookup(method)
 }
 
 // SetTracer attaches a span tracer to the fabric. Pass nil to detach.
@@ -410,7 +387,7 @@ func (f *Fabric) failInflightOn(id NodeID) {
 
 // Handle registers an RPC handler for method on this node.
 func (n *Node) Handle(method string, h Handler) {
-	e := n.entry(method)
+	e := n.own.entry(method)
 	if e.blocking != nil {
 		panic(fmt.Sprintf("simnet: duplicate handler %q on node %d", method, n.ID))
 	}
@@ -422,41 +399,50 @@ func (n *Node) Handle(method string, h Handler) {
 // runs first and may return ErrWouldBlock to route a request to the
 // blocking one (per request, so the decision can depend on state).
 func (n *Node) HandleFast(method string, h FastHandler) {
-	e := n.entry(method)
+	e := n.own.entry(method)
 	if e.fast != nil {
 		panic(fmt.Sprintf("simnet: duplicate fast handler %q on node %d", method, n.ID))
 	}
 	e.fast = func(_ NodeID, req Message) (Message, error) { return h(req) }
 }
 
-// lookup returns method's entry on this node, nil when nothing is
-// registered under that name.
-func (n *Node) lookup(method string) *methodEntry {
-	for i := range n.methods[:n.inline] {
-		if e := &n.methods[i]; e.method == method {
+// handlers is a table of methods. A table holds one or two at most (a
+// fabric's: invoke and ping), so the first two registered live inline and
+// only a table with more pays for a map.
+type handlers struct {
+	methods [2]methodEntry
+	inline  int // slots of methods in use
+	spill   map[string]*methodEntry
+}
+
+// lookup returns method's entry, nil when nothing is registered under
+// that name.
+func (h *handlers) lookup(method string) *methodEntry {
+	for i := range h.methods[:h.inline] {
+		if e := &h.methods[i]; e.method == method {
 			return e
 		}
 	}
-	return n.spill[method]
+	return h.spill[method]
 }
 
 // entry is lookup for registration: the first time a method is named it
 // claims the next inline slot or, those gone, a place in the spill map.
-func (n *Node) entry(method string) *methodEntry {
-	if e := n.lookup(method); e != nil {
+func (h *handlers) entry(method string) *methodEntry {
+	if e := h.lookup(method); e != nil {
 		return e
 	}
-	if n.inline < len(n.methods) {
-		e := &n.methods[n.inline]
-		n.inline++
+	if h.inline < len(h.methods) {
+		e := &h.methods[h.inline]
+		h.inline++
 		e.method = method
 		return e
 	}
-	if n.spill == nil {
-		n.spill = make(map[string]*methodEntry)
+	if h.spill == nil {
+		h.spill = make(map[string]*methodEntry)
 	}
 	e := &methodEntry{method: method}
-	n.spill[method] = e
+	h.spill[method] = e
 	return e
 }
 
@@ -908,7 +894,7 @@ func (f *Fabric) StartCall(from, to NodeID, method string, req Message, d time.D
 	if err != nil {
 		return nil, err
 	}
-	e := f.handlers(dst, method)
+	e := f.dispatch(dst, method)
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q on node %d", ErrNoHandler, method, to)
 	}
