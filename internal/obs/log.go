@@ -442,10 +442,11 @@ func MergeTails(n int, logs ...*Log) (merged *Log, src []int) {
 	}
 	curs := make([]cursor, 0, len(logs))
 	for i, l := range logs {
-		if min(l.Len(), n) == 0 {
+		take := min(l.Len(), n)
+		if take == 0 {
 			continue
 		}
-		chunks, skip := l.chunks, l.Len()-min(l.Len(), n)
+		chunks, skip := l.chunks, l.Len()-take
 		for skip >= len(chunks[0]) {
 			skip -= len(chunks[0])
 			chunks = chunks[1:]

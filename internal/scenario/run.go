@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -701,7 +702,12 @@ func (o *Outcome) WriteFlightDump(w io.Writer) error {
 		o.Spec.Name, o.Seed, merged.Len(), evicted)
 	i := 0
 	merged.Each(func(e *obs.Event) {
-		b = append(e.AppendLine(fmt.Appendf(b, "s%-2d ", shard[i])), '\n')
+		// "s%-2d " without fmt: shard tags are at most two digits wide.
+		b = strconv.AppendInt(append(b, 's'), int64(shard[i]), 10)
+		if shard[i] < 10 {
+			b = append(b, ' ')
+		}
+		b = append(e.AppendLine(append(b, ' ')), '\n')
 		i++
 	})
 	_, err := w.Write(b)
