@@ -190,7 +190,7 @@ func BenchmarkTimerRearm(b *testing.B) {
 		k.Schedule(sim.Time(i)*sim.Millisecond, noop)
 	}
 	var t sim.Timer
-	t.Init(k, noop)
+	t.Init(k, func(uint64) {}, 0)
 	t.Arm(sim.Microsecond)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

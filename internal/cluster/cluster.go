@@ -61,7 +61,7 @@ func (c *Cluster) AddMachines(cfgs []MachineConfig) {
 		m := &slab[i]
 		id := MachineID(first + i)
 		m.init(c.K, id, names[start:ends[i]], cfg)
-		m.completion.InitTagged(c.K, c.complete, uint64(id))
+		m.completion.Init(c.K, c.complete, uint64(id))
 		c.machines = append(c.machines, m)
 		start = ends[i]
 	}

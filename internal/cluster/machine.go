@@ -179,7 +179,7 @@ type Machine struct {
 func NewMachine(k *sim.Kernel, id MachineID, name string, cfg MachineConfig) *Machine {
 	m := &Machine{}
 	m.init(k, id, name, cfg)
-	m.completion.Init(k, m.completeFinished)
+	m.completion.Init(k, func(uint64) { m.completeFinished() }, 0)
 	return m
 }
 

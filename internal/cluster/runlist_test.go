@@ -39,7 +39,7 @@ type refTask struct {
 
 func newRefMachine(k *sim.Kernel, cores float64) *refMachine {
 	r := &refMachine{k: k, cores: cores}
-	r.completion.Init(k, r.completeFinished)
+	r.completion.Init(k, func(uint64) { r.completeFinished() }, 0)
 	return r
 }
 

@@ -123,11 +123,6 @@ func TestDetectorPartitionLapsesLeaseBeforeConfirm(t *testing.T) {
 	}
 }
 
-// TestZeroConfigHasNoHeartbeatJitter pins what every caller in the tree
-// runs with: Config{} keeps HeartbeatJitter 0 although defaultConfig
-// advertises 0.2, so the per-machine ping loops stay synchronized.
-// Defaulting it moves events; it is ROADMAP item 2's defect (iv), for
-// the PR that is allowed to — that PR updates this test.
 // TestPingRenewsOnlyThePingedLease: one heartbeat handler serves every
 // machine, told the machine the ping landed on, so a ping renews that
 // machine's lease and leaves every other as it was.
@@ -153,6 +148,11 @@ func TestPingRenewsOnlyThePingedLease(t *testing.T) {
 	}
 }
 
+// TestZeroConfigHasNoHeartbeatJitter pins what every caller in the tree
+// runs with: Config{} keeps HeartbeatJitter 0 although defaultConfig
+// advertises 0.2, so the per-machine ping loops stay synchronized.
+// Defaulting it moves events; it is ROADMAP item 2's defect (iv), for
+// the PR that is allowed to — that PR updates this test.
 func TestZeroConfigHasNoHeartbeatJitter(t *testing.T) {
 	if j := (Config{}).withDefaults().HeartbeatJitter; j != 0 {
 		t.Errorf("Config{}.withDefaults().HeartbeatJitter = %v, want 0", j)

@@ -73,12 +73,12 @@ func buildIsolatedMix(k *Kernel, r *rand.Rand, log *[]eventStamp) {
 	}
 	var tm Timer
 	fires := 0
-	tm.Init(k, func() {
+	tm.Init(k, func(uint64) {
 		mark()
 		if fires++; fires < 10 {
 			tm.Arm(k.Now() + Time(us(1+k.Rand().Intn(40))))
 		}
-	})
+	}, 0)
 	first := start + Time(us(r.Intn(40)))
 	k.Schedule(start, func() {
 		tm.Arm(start + Time(us(50)))

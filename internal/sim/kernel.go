@@ -598,24 +598,18 @@ func (k *Kernel) nextAt() (Time, bool) {
 // re-armable.
 type Timer struct {
 	k    *Kernel
-	fn   func()       // what Init bound, or nil
-	tfn  func(uint64) // what InitTagged bound, with its argument
+	fn   func(uint64) // what Init bound, run with tag
 	tag  uint64
 	slot int32 // slab slot of the queued firing; noSlot while idle
 }
 
 // Init binds the timer, idle, to the kernel it fires on and to what it
-// runs. fn executes in kernel context, like a Schedule callback, with the
-// timer already idle, so it may re-arm.
-func (t *Timer) Init(k *Kernel, fn func()) {
-	t.k, t.fn, t.tfn, t.slot = k, fn, nil, noSlot
-}
-
-// InitTagged is Init for a timer that runs fn(tag): timers that differ
-// only by the tag — a fleet's machines, each its own completion timer —
-// share one fn instead of binding a func value apiece.
-func (t *Timer) InitTagged(k *Kernel, fn func(tag uint64), tag uint64) {
-	t.k, t.fn, t.tfn, t.tag, t.slot = k, nil, fn, tag, noSlot
+// runs: fn(tag). fn executes in kernel context, like a ScheduleTagged
+// callback, with the timer already idle, so it may re-arm. Timers that
+// differ only by the tag — a fleet's machines, each its own completion
+// timer — share one fn instead of binding a func value apiece.
+func (t *Timer) Init(k *Kernel, fn func(tag uint64), tag uint64) {
+	t.k, t.fn, t.tag, t.slot = k, fn, tag, noSlot
 }
 
 // Arm sets the timer to fire at absolute virtual time at, replacing any
@@ -1183,11 +1177,7 @@ func (k *Kernel) step(limit Time) bool {
 		s.t = nil
 		k.recycle(e.slot)
 		t.slot = noSlot // idle before it fires: fn may re-arm
-		if t.fn != nil {
-			t.fn()
-		} else {
-			t.tfn(t.tag)
-		}
+		t.fn(t.tag)
 	case evAwait:
 		k.blocked--
 		fallthrough

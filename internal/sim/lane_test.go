@@ -150,7 +150,7 @@ func runLaneMix(seed int64, plain bool) laneMixRun {
 		timers := make([]Timer, 2+rng.Intn(3))
 		for i := range timers {
 			tid := id()
-			timers[i].Init(k, func() { fire(tid) })
+			timers[i].Init(k, func(uint64) { fire(tid) }, 0)
 		}
 		k.Spawn("timer-driver", func(p *Proc) {
 			for p.Now() < until {

@@ -58,7 +58,7 @@ type kernelTimer struct{ t Timer }
 
 func newKernelTimer(k *Kernel, _ *pollMixRun, fire func()) mixTimer {
 	kt := &kernelTimer{}
-	kt.t.Init(k, fire)
+	kt.t.Init(k, func(uint64) { fire() }, 0)
 	return kt
 }
 

@@ -14,7 +14,7 @@ func TestTimerFiresOnceWhereLastArmed(t *testing.T) {
 	defer k.Close()
 	var fired []Time
 	var tm Timer
-	tm.Init(k, func() { fired = append(fired, k.Now()) })
+	tm.Init(k, func(uint64) { fired = append(fired, k.Now()) }, 0)
 
 	tm.Arm(50 * Microsecond)
 	tm.Arm(20 * Microsecond) // earlier
@@ -41,7 +41,7 @@ func TestTimerRearmsFromItsOwnFiring(t *testing.T) {
 	defer k.Close()
 	var fired []Time
 	var tm Timer
-	tm.Init(k, func() {
+	tm.Init(k, func(uint64) {
 		fired = append(fired, k.Now())
 		switch len(fired) {
 		case 1:
@@ -49,7 +49,7 @@ func TestTimerRearmsFromItsOwnFiring(t *testing.T) {
 		case 2:
 			tm.Arm(k.Now().Add(5 * time.Microsecond))
 		}
-	})
+	}, 0)
 	tm.Arm(10 * Microsecond)
 	k.Run()
 	if want := []Time{10 * Microsecond, 10 * Microsecond, 15 * Microsecond}; !reflect.DeepEqual(fired, want) {
@@ -68,8 +68,8 @@ func TestTimerSupersededInTheSameInstant(t *testing.T) {
 	defer k.Close()
 	var order []string
 	var a, b Timer
-	a.Init(k, func() { order = append(order, "a@"+k.Now().String()) })
-	b.Init(k, func() { order = append(order, "b@"+k.Now().String()) })
+	a.Init(k, func(uint64) { order = append(order, "a@"+k.Now().String()) }, 0)
+	b.Init(k, func(uint64) { order = append(order, "b@"+k.Now().String()) }, 0)
 	k.Schedule(0, func() {
 		a.Arm(0)               // FIFO
 		b.Arm(0)               // FIFO, behind a
@@ -103,7 +103,7 @@ func TestTimerStopIsIdempotent(t *testing.T) {
 	defer k.Close()
 	fired := 0
 	var tm Timer
-	tm.Init(k, func() { fired++ })
+	tm.Init(k, func(uint64) { fired++ }, 0)
 	seq := k.seq
 	tm.Stop() // never armed
 	tm.Arm(10 * Microsecond)
@@ -134,7 +134,7 @@ func TestCloseLeavesTimersIdle(t *testing.T) {
 	fired := 0
 	var timers [3]Timer
 	for i := range timers {
-		timers[i].Init(k, func() { fired++ })
+		timers[i].Init(k, func(uint64) { fired++ }, 0)
 	}
 	k.Schedule(5*Microsecond, func() {})
 	k.RunUntil(Microsecond)
@@ -181,7 +181,7 @@ func TestTimerAllocatesNothingInSteadyState(t *testing.T) {
 		k.Schedule(Time(i)*Second, func() {}) // a heap for the timer to move in
 	}
 	var tm Timer
-	tm.Init(k, func() {})
+	tm.Init(k, func(uint64) {}, 0)
 	cycle := func() {
 		now := k.Now()
 		tm.Arm(now.Add(9 * time.Microsecond))
