@@ -1206,19 +1206,22 @@ func TestNoDeadCode(t *testing.T) {
 	}
 }
 
-// emitfTakes is what obs.Log.Emitf renders without fmt: for each
-// argument type, the verbs that take it ("f" stands for a %.Nf).
+// emitfTakes is what obs.Log.Emitf renders exactly: for each argument
+// type it stores, the verbs that take it ("f" stands for a %.Nf).
 var emitfTakes = map[string]string{
 	"int": "dv", "int32": "dv", "int64": "dv", "uint32": "dv", "uint64": "dv",
 	"float64": "fv", "string": "sv", "time.Duration": "sv", "repro/internal/sim.Time": "sv",
 }
 
 // TestEmitfArgs checks every obs.Log.Emitf call against the verbs and
-// argument types its formatter takes; go vet's printf check does not,
-// since Emitf calls no fmt function. The format must be a constant, each
-// verb one of %d %s %v %.Nf %%, the arguments one a verb, and each
-// argument's type one its verb takes: a named type (proclet.ID) or an
-// interface (error) is converted at the call.
+// argument types it renders exactly; go vet's printf check does not,
+// since Emitf is no printf wrapper. Emitf stores each argument as the
+// widest type of its tag and fmt renders that on read, so this is the
+// only verb check, and it keeps the round trip exact: under these verbs
+// an int32 prints as the int64 it is stored as. The format must be a
+// constant, each verb one of %d %s %v %.Nf %%, the arguments one a verb,
+// and each argument's type one its verb takes: a named type (proclet.ID)
+// or an interface (error) is converted at the call.
 func TestEmitfArgs(t *testing.T) {
 	tree, err := checkedTree()
 	if err != nil {

@@ -237,7 +237,7 @@ func (s *System) EnableTelemetry() *obs.Telemetry {
 
 // Close ends the simulation and releases every goroutine of the
 // kernel: pooled workers and the daemons still parked (reactors, the
-// global and adaptation loops, ping loops). Call it when done
+// global and adaptation loops). Call it when done
 // simulating on this system; experiment sweeps and benchmark loops
 // that build many systems would otherwise accumulate a fleet's worth of
 // parked goroutines per system for the life of the host process. No-op for systems built

@@ -39,12 +39,16 @@ func FuzzReadChromeTrace(f *testing.F) {
 	})
 }
 
-// FuzzEmitfDetail holds Emitf's formatter to fmt.Sprintf, byte for
-// byte: each input builds one format from the verbs Emitf takes, with
-// an argument of every supported type, and shape picks each argument's
-// verb (%d or %v, %s or %v, %v or a %.Nf) and where a literal %% goes. The seeds cover the extremes of every type: the
-// smallest and largest integers, NaN, ±Inf, denormal and huge floats,
-// strings holding verbs, and durations from a nanosecond to hours.
+// FuzzEmitfDetail holds the round trip through Emitf's stored words to
+// fmt.Sprintf of the original arguments, byte for byte: each argument
+// is stored as the widest type of its tag and rebuilt as that type on
+// read, which must print as the original does. Each input builds one
+// format from the verbs TestEmitfArgs admits, with an argument of every
+// stored type, and shape picks each argument's verb (%d or %v, %s or
+// %v, %v or a %.Nf) and where a literal %% goes. The seeds cover the
+// extremes of every type: the smallest and largest integers, NaN, ±Inf,
+// denormal and huge floats, strings holding verbs, and durations from a
+// nanosecond to hours.
 func FuzzEmitfDetail(f *testing.F) {
 	f.Add(int64(0), uint64(0), 0.0, "", int64(0), uint16(0))
 	f.Add(int64(-1), uint64(1), math.Copysign(0, -1), "%", int64(1), uint16(0xffff))
@@ -79,34 +83,6 @@ func FuzzEmitfDetail(f *testing.F) {
 		l.Emitf(1, KindMigrate, "p", 0, 1, format.String(), args...)
 		if got := copyOf(l)[0].Detail(); got != want {
 			t.Fatalf("Emitf(%q)\n got %q\nwant %q", format.String(), got, want)
-		}
-	})
-}
-
-// FuzzEventString holds Event.String to the fmt layout it replaced,
-// "%12v %-9s %-24s" then " %d->%d" then " (%s)", byte for byte: widths
-// count runes, not bytes, so the seeds include multi-byte and invalid
-// UTF-8 text, µs times that pad by rune, and fields wider than their
-// column. The detail arrives as a %s argument or, verb-free, as the
-// format itself.
-func FuzzEventString(f *testing.F) {
-	f.Add(int64(0), "spawn", "mem-1", -1, 0, "")
-	f.Add(int64(1500), "migrate", "compute-3", 0, 2, "bytes=1024 latency=1.5µs")
-	f.Add(int64(-1), "", "", -1, -1, "x")
-	f.Add(int64(math.MaxInt64), "incident", "µ-proclet-with-a-very-long-name", 7, -1, "open p99 severity=page cause=none")
-	f.Add(int64(math.MinInt64), "k\xffµ", "s\x00\xfe", math.MinInt32, math.MaxInt32, "a\xffb")
-	f.Add(int64(999), "rebalance", "ééééééééééééééééééééééééé", -5, 3, "load 0.50->0.25")
-	f.Fuzz(func(t *testing.T, at int64, kind, subject string, from, to int, detail string) {
-		want := oldEventString(sim.Time(at), kind, subject, from, to, detail)
-		l := NewLog()
-		l.Emitf(sim.Time(at), kind, subject, from, to, "%s", detail)
-		if !strings.Contains(detail, "%") {
-			l.Emitf(sim.Time(at), kind, subject, from, to, detail)
-		}
-		for i, e := range copyOf(l) {
-			if got := e.String(); got != want {
-				t.Fatalf("event %d: String\n got %q\nwant %q", i, got, want)
-			}
 		}
 	})
 }

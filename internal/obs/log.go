@@ -1,11 +1,10 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"time"
-	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/sim"
@@ -29,7 +28,7 @@ type Event struct {
 	spill  *spillArg      // else their tags, then each of them, in the log's slab
 }
 
-// argTag says how an argument is stored and which verbs render it.
+// argTag says how an argument is stored and as which type it renders.
 type argTag uint8
 
 const (
@@ -48,45 +47,26 @@ type spillArg struct {
 	s    string
 }
 
-// Detail renders the event's detail as fmt.Sprintf(format, args...)
-// would, byte for byte; "" when the event has none.
-func (e Event) Detail() string {
-	var buf [128]byte
-	return string(e.appendDetail(buf[:0]))
-}
+// Detail renders the event's detail, fmt.Sprintf of its format and
+// arguments; "" when the event has none.
+func (e Event) Detail() string { return string(e.appendDetail(nil)) }
 
 // String renders the event as fmt's "%12v %-9s %-24s" of At, Kind and
 // Subject, then " %d->%d" of From and To unless both are negative, then
 // " (%s)" of a non-empty Detail.
-func (e Event) String() string {
-	var buf [128]byte
-	return string(e.AppendLine(buf[:0]))
-}
+func (e Event) String() string { return string(e.AppendLine(nil)) }
 
-// AppendLine appends String's rendering to b; fmt pads by runes, so
-// does it.
+// AppendLine appends String's rendering to b.
 func (e *Event) AppendLine(b []byte) []byte {
-	var at [32]byte
-	t := appendDuration(at[:0], time.Duration(e.At))
-	b = append(appendPad(b, 12-utf8.RuneCount(t)), t...)
-	b = appendPad(append(append(b, ' '), e.Kind...), 9-utf8.RuneCountInString(e.Kind))
-	b = appendPad(append(append(b, ' '), e.Subject...), 24-utf8.RuneCountInString(e.Subject))
+	b = fmt.Appendf(b, "%12v %-9s %-24s", e.At, e.Kind, e.Subject)
 	if e.From >= 0 || e.To >= 0 {
-		b = append(strconv.AppendInt(append(b, ' '), int64(e.From), 10), "->"...)
-		b = strconv.AppendInt(b, int64(e.To), 10)
+		b = fmt.Appendf(b, " %d->%d", e.From, e.To)
 	}
 	n := len(b)
 	if b = e.appendDetail(append(b, " ("...)); len(b) == n+2 {
 		return b[:n]
 	}
 	return append(b, ')')
-}
-
-func appendPad(b []byte, n int) []byte {
-	for ; n > 0; n-- {
-		b = append(b, ' ')
-	}
-	return b
 }
 
 // Log is an append-only event log. A nil *Log is valid and discards
@@ -121,12 +101,13 @@ func (l *Log) Emit(e Event) {
 }
 
 // Emitf is Emit with a detail that renders as fmt.Sprintf(format,
-// args...) would, byte for byte, for the verbs and argument types
-// checkDetail takes; a call outside them panics with the format.
-// Nothing is rendered here: the event keeps format, a constant
-// (TestEmitfArgs), and each argument as a tagged word, two numbers in
-// the event itself and more, or a string, in the log's slab. Arguments
-// do not escape, so an event costs only its share of a chunk.
+// args...) when read. Nothing is rendered here: the event keeps format,
+// a constant, and each argument as a tagged word, two numbers in the
+// event itself and more, or a string, in the log's slab. An argument of
+// a type toArg does not store, or more than 16 of them, panics with the
+// format; TestEmitfArgs holds every call site's verbs to its arguments'
+// types. Arguments do not escape, so an event costs only its share of a
+// chunk.
 func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format string, args ...any) {
 	if l == nil {
 		return
@@ -165,7 +146,6 @@ func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format stri
 			e.words[i] = word
 		}
 	}
-	checkDetail(format, tags)
 	if spill {
 		spilled[0].word = tags
 	} else {
@@ -174,8 +154,8 @@ func (l *Log) Emitf(at sim.Time, kind, subject string, from, to int, format stri
 	l.Emit(e)
 }
 
-// toArg tags and stores one argument; tag 0 is a type checkDetail does
-// not take.
+// toArg tags and stores one argument; tag 0 is a type Emitf does not
+// store.
 func toArg(a any) (tag argTag, word uint64, s string) {
 	switch v := a.(type) {
 	case int:
@@ -200,155 +180,46 @@ func toArg(a any) (tag argTag, word uint64, s string) {
 	return 0, 0, ""
 }
 
-// checkDetail holds format's verbs to the arguments tags describes, one
-// for one, and panics at the first that does not fit. The verbs are a
-// closed set — %d over int, int32, int64, uint32 and uint64; %s over
-// string, time.Duration and sim.Time; %.Nf over float64; %v over all of
-// these; and %% — so rendering calls no fmt function and boxes no
-// argument: falling back to fmt would box every call's arguments again.
-func checkDetail(format string, tags uint64) {
-	rest, next := format, 0
-	for {
-		i := strings.IndexByte(rest, '%')
-		if i < 0 {
-			break
-		}
-		var verb byte
-		var prec int
-		if verb, prec, rest = parseVerb(format, rest[i+1:]); verb == '%' && prec < 0 {
-			continue
-		}
-		ok := prec < 0 && (verb == 's' || verb == 'v')
-		switch argTag(tags >> (4 * next) & 15) { // 0 once the shift passes 63
-		case 0:
-			badDetail(format, "has more verbs than arguments")
-		case tagInt, tagUint:
-			ok = prec < 0 && (verb == 'd' || verb == 'v')
-		case tagFloat:
-			ok = prec >= 0 && verb == 'f' || prec < 0 && verb == 'v'
-		}
-		if !ok {
-			badDetail(format, "has a verb its argument's type does not take")
-		}
-		next++
-	}
-	if tags>>(4*next) != 0 {
-		badDetail(format, "has fewer verbs than arguments")
-	}
-}
-
-// parseVerb reads the verb whose '%' precedes rest: its letter, its
-// precision (-1 when it has none) and what follows it.
-func parseVerb(format, rest string) (verb byte, prec int, after string) {
-	prec = -1
-	if rest != "" && rest[0] == '.' {
-		prec = 0
-		for rest = rest[1:]; rest != "" && '0' <= rest[0] && rest[0] <= '9'; rest = rest[1:] {
-			prec = 10*prec + int(rest[0]-'0')
-		}
-	}
-	if rest == "" {
-		badDetail(format, "ends inside a verb")
-	}
-	return rest[0], prec, rest[1:]
-}
-
-// appendDetail appends the event's format rendered with its arguments,
-// which checkDetail has held to the format.
+// appendDetail appends fmt's rendering of the event's format with its
+// arguments, each rebuilt from its word as the widest type of its tag.
+// Under the verbs TestEmitfArgs admits an int32 prints as the int64 it
+// is stored as, and a sim.Time as a time.Duration, so the detail is the
+// one the original arguments would give.
 func (e *Event) appendDetail(b []byte) []byte {
 	format, tags := unsafe.String((*byte)(e.format), uint32(e.meta)), e.meta>>32
 	if e.spill != nil {
 		tags = e.spill.word
 	}
-	rest, next := format, 0
-	for {
-		i := strings.IndexByte(rest, '%')
-		if i < 0 {
-			return append(b, rest...)
-		}
-		b = append(b, rest[:i]...)
-		var verb byte
-		var prec int
-		if verb, prec, rest = parseVerb(format, rest[i+1:]); verb == '%' && prec < 0 {
-			b = append(b, '%')
-			continue
-		}
+	var buf [16]any
+	args := buf[:0]
+	for i := 0; tags>>(4*i)&15 != 0; i++ { // 0 once the shift passes 63
 		var word uint64
 		var s string
 		if e.spill != nil {
-			a := unsafe.Slice(e.spill, next+2)[next+1]
+			a := unsafe.Slice(e.spill, i+2)[i+1]
 			word, s = a.word, a.s
 		} else {
-			word = e.words[next]
+			word = e.words[i]
 		}
-		switch argTag(tags >> (4 * next) & 15) {
+		switch argTag(tags >> (4 * i) & 15) {
 		case tagInt:
-			b = strconv.AppendInt(b, int64(word), 10)
+			args = append(args, int64(word))
 		case tagUint:
-			b = strconv.AppendUint(b, word, 10)
+			args = append(args, word)
 		case tagFloat:
-			// strconv writes NaN, +Inf and -Inf, and the sign, as fmt does.
-			if prec >= 0 {
-				b = strconv.AppendFloat(b, math.Float64frombits(word), 'f', prec, 64)
-			} else {
-				b = strconv.AppendFloat(b, math.Float64frombits(word), 'g', -1, 64)
-			}
+			args = append(args, math.Float64frombits(word))
 		case tagDuration:
-			b = appendDuration(b, time.Duration(word))
+			args = append(args, time.Duration(word))
 		case tagString:
-			b = append(b, s...)
+			args = append(args, s)
 		}
-		next++
 	}
+	return fmt.Appendf(b, format, args...)
 }
 
-// badDetail panics for an Emitf call appendDetail cannot render.
+// badDetail panics for an Emitf call whose arguments it cannot store.
 func badDetail(format, what string) {
 	panic("obs: Emitf format " + strconv.Quote(format) + " " + what)
-}
-
-// appendDuration appends d as time.Duration's String renders it:
-// "0s", "1.5µs", "20ms", "1m0.5s", "2h0m0s".
-func appendDuration(b []byte, d time.Duration) []byte {
-	u := uint64(d)
-	if d < 0 {
-		b = append(b, '-')
-		u = -u
-	}
-	switch {
-	case u == 0:
-		return append(b, "0s"...)
-	case u < uint64(time.Microsecond):
-		return append(strconv.AppendUint(b, u, 10), "ns"...)
-	case u < uint64(time.Millisecond):
-		return append(appendFrac(b, u, uint64(time.Microsecond)), "µs"...)
-	case u < uint64(time.Second):
-		return append(appendFrac(b, u, uint64(time.Millisecond)), "ms"...)
-	}
-	h, m := u/uint64(time.Hour), u/uint64(time.Minute)%60
-	if h > 0 {
-		b = append(strconv.AppendUint(b, h, 10), 'h')
-	}
-	if h > 0 || m > 0 {
-		b = append(strconv.AppendUint(b, m, 10), 'm')
-	}
-	return append(appendFrac(b, u%uint64(time.Minute), uint64(time.Second)), 's')
-}
-
-// appendFrac appends v/unit as a decimal, trailing zeros dropped, and
-// the point too when nothing follows it; unit is a power of ten.
-func appendFrac(b []byte, v, unit uint64) []byte {
-	b = strconv.AppendUint(b, v/unit, 10)
-	frac := v % unit
-	if frac == 0 {
-		return b
-	}
-	b = append(b, '.')
-	for unit /= 10; frac > 0; unit /= 10 {
-		b = append(b, byte('0'+frac/unit))
-		frac %= unit
-	}
-	return b
 }
 
 // events returns the log's chunks; nil for a nil log.
@@ -483,11 +354,4 @@ func (l *Log) Lines() []string {
 		lines = append(lines, string(b))
 	})
 	return lines
-}
-
-// String renders the whole log, one event per line.
-func (l *Log) String() string {
-	var b []byte
-	l.Each(func(e *Event) { b = append(e.AppendLine(b), '\n') })
-	return string(b)
 }

@@ -201,7 +201,6 @@ func NewDetector(k *sim.Kernel, c *cluster.Cluster, tl *obs.Log, cfg Config, mon
 		mid := m.ID
 		pn := &d.pingers[mid]
 		pn.d, pn.mid = d, mid
-		pn.stageF = pn.stage
 		d.health[mid] = machineHealth{state: StateAlive, lastBeat: now}
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
 	}
@@ -234,19 +233,19 @@ func (d *Detector) Start() {
 		d.health[mid].lastBeat = now
 		d.leases[mid] = now + sim.Time(d.cfg.LeaseDuration)
 		pn := &d.pingers[mid]
-		d.k.SpawnLazy(pn.name, func(p *sim.Proc) { p.Await(pn.stage(), pn.stageF) })
+		d.k.SpawnStaged(pn.name, pn.stage)
 	}
 }
 
 // pinger is the monitor's heartbeat loop for one machine — sleep a
 // jittered period, ping, settle the outcome, and again — as the stage of
-// one Await, so its process is switched in at its start and never again.
+// a staged process, so it runs in kernel context and is never switched
+// in.
 type pinger struct {
-	d      *Detector
-	mid    cluster.MachineID
-	slept  bool         // the period is over: ping
-	call   *simnet.Call // the ping in flight
-	stageF func() sim.Wait
+	d     *Detector
+	mid   cluster.MachineID
+	slept bool         // the period is over: ping
+	call  *simnet.Call // the ping in flight
 }
 
 func (pn *pinger) name() string { return fmt.Sprintf("repl/fd-m%d", pn.mid) }

@@ -177,12 +177,13 @@ func TestConfigRejectsUnsafeLease(t *testing.T) {
 	cfg.withDefaults()
 }
 
-// TestDetectorSwitchesOnlyAtStart: each machine's heartbeat loop is one
-// Await, so monitoring N machines for K periods switches exactly N times,
-// at the loops' starts: pings, their settling and the periods between run
-// in kernel context. With a machine crashed the confirmation lands at the
-// instant the blocking ping loop confirmed it, 3.505024 ms for a crash at
-// 1 ms, after as many heartbeats (312); that loop switched 594 times.
+// TestDetectorSwitchesOnlyAtStart: each machine's heartbeat loop is a
+// staged process, so monitoring N machines for K periods switches no
+// process in at all: the loops' starts, pings, their settling and the
+// periods between run in kernel context. With a machine crashed the
+// confirmation lands at the instant the blocking ping loop confirmed it,
+// 3.505024 ms for a crash at 1 ms, after as many heartbeats (312); that
+// loop switched 594 times.
 func TestDetectorSwitchesOnlyAtStart(t *testing.T) {
 	const n, periods = 8, 40
 	for _, crash := range []bool{false, true} {
@@ -195,8 +196,8 @@ func TestDetectorSwitchesOnlyAtStart(t *testing.T) {
 			fault.New(k, c, tl).Install(fault.Schedule{{At: sim.Time(time.Millisecond), Op: fault.OpCrash, A: 3}})
 		}
 		k.RunUntil(sim.Time(periods * d.cfg.HeartbeatPeriod))
-		if got := k.Switches(); got != n {
-			t.Errorf("crash %v: %d machines monitored for %d periods switched %d times, want %d", crash, n, periods, got, n)
+		if got := k.Switches(); got != 0 {
+			t.Errorf("crash %v: %d machines monitored for %d periods switched %d times, want 0", crash, n, periods, got)
 		}
 		if sent := d.HeartbeatsSent.Value(); sent < n*(periods-1) {
 			t.Errorf("crash %v: %d heartbeats sent, want at least %d", crash, sent, n*(periods-1))
@@ -205,6 +206,40 @@ func TestDetectorSwitchesOnlyAtStart(t *testing.T) {
 			t.Errorf("m3 confirmed dead at %v after %d heartbeats, want %v after 312", confirmAt, d.HeartbeatsSent.Value(), want)
 		}
 		k.Close()
+	}
+}
+
+// TestDetectorStartAllocs: a monitored machine costs a detector a few
+// allocations — its pinger's name and stage method values and its staged
+// Proc — and no worker, coroutine or closure: NewDetector, Start and the
+// first instant at 250 machines cost at most 500 allocations more than at
+// 125, where a pinger spawned as a worker process cost 17 a machine.
+func TestDetectorStartAllocs(t *testing.T) {
+	const runs = 5
+	cost := func(n int) float64 {
+		// AllocsPerRun calls f once more than runs; each call takes a
+		// cluster built outside it.
+		ks := make([]*sim.Kernel, runs+1)
+		cs := make([]*cluster.Cluster, runs+1)
+		for i := range ks {
+			ks[i], cs[i], _ = testCluster(t, n)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			k, c := ks[next], cs[next]
+			next++
+			NewDetector(k, c, nil, Config{}, 0).Start()
+			k.RunUntil(k.Now())
+		})
+		for _, k := range ks {
+			k.Close()
+		}
+		return allocs
+	}
+	small, large := cost(125), cost(250)
+	if large-small > 500 {
+		t.Errorf("a detector over 250 machines costs %.0f allocations, over 125 %.0f: %.1f a machine, want at most 4",
+			large, small, (large-small)/125)
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -702,12 +701,7 @@ func (o *Outcome) WriteFlightDump(w io.Writer) error {
 		o.Spec.Name, o.Seed, merged.Len(), evicted)
 	i := 0
 	merged.Each(func(e *obs.Event) {
-		// "s%-2d " without fmt: shard tags are at most two digits wide.
-		b = strconv.AppendInt(append(b, 's'), int64(shard[i]), 10)
-		if shard[i] < 10 {
-			b = append(b, ' ')
-		}
-		b = append(e.AppendLine(append(b, ' ')), '\n')
+		b = append(e.AppendLine(fmt.Appendf(b, "s%-2d ", shard[i])), '\n')
 		i++
 	})
 	_, err := w.Write(b)

@@ -248,7 +248,8 @@ func TestFlightDumpBytes(t *testing.T) {
 // cost it no more bytes than logs twice that long. Every event is the
 // same, so both dumps print the same lines, and sixteen shards give both
 // headers four-digit counts, past the small numbers fmt boxes without
-// allocating.
+// allocating. Under the race detector the dump's fmt calls vary its bytes
+// by up to poolNoise; merging the whole logs would add 800 KiB.
 func TestFlightDumpCostsOnlyTheTails(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	dumpBytes := func(n int) uint64 {
@@ -260,9 +261,8 @@ func TestFlightDumpCostsOnlyTheTails(t *testing.T) {
 			}
 		}
 		out := &Outcome{Spec: &Spec{Name: "dump"}, Seed: 1, logs: logs}
-		// The fewest bytes of ten tries: whatever else runs meanwhile, and
-		// the race detector's random drops from fmt's sync.Pool, only add
-		// to a reading.
+		// The fewest bytes of ten tries: whatever else runs meanwhile only
+		// adds to a reading.
 		least := uint64(math.MaxUint64)
 		for try := 0; try < 10; try++ {
 			var before, after runtime.MemStats
@@ -275,7 +275,7 @@ func TestFlightDumpCostsOnlyTheTails(t *testing.T) {
 		}
 		return least
 	}
-	if short, long := dumpBytes(2*flightTail), dumpBytes(10*flightTail); long > short {
+	if short, long := dumpBytes(2*flightTail), dumpBytes(10*flightTail); long > short+poolNoise {
 		t.Errorf("dumping logs of %d events allocates %d bytes, of %d events %d: the dump copies more than the tails",
 			10*flightTail, long, 2*flightTail, short)
 	}

@@ -992,7 +992,7 @@ func (k *Kernel) SpawnStaged(nameFn func() string, stage func() Wait) {
 // reclaimed, so code that churns through many kernels (benchmark loops,
 // experiment sweeps, scenario runs) must Close each kernel when done with
 // it. Pooled workers retire; processes still parked mid-body (daemons
-// such as reactors, servers and ping loops, or anything waiting on a
+// such as reactors and servers, or anything waiting on a
 // condition that never fired) are unwound — every park, including one in
 // a deferred function, panics with closeUnwind — so their deferred
 // functions run; pending events are dropped, since they may refer to the

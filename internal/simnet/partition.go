@@ -17,8 +17,8 @@ package simnet
 // cross-shard message is timestamped at least one propagation latency
 // (Config.Latency) after it is sent, and the ParKernel's window width
 // must be at most that latency (validated in NewPartition). This is
-// exactly the "lookahead derived from minimum simnet propagation
-// latency" of DESIGN.md §10.
+// exactly the lookahead of DESIGN.md §11, which derives from the minimum
+// one-way propagation latency of the simulated network.
 //
 // Model notes, where the cross-shard path deviates slightly from the
 // single-fabric path (documented rather than hidden):
