@@ -293,9 +293,11 @@ func BenchmarkRunCall(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			data.HandleFast("get", func(arg proclet.Msg) (proclet.Msg, error) {
+			var m proclet.Methods
+			m.HandleFast("get", func(_ *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) {
 				return proclet.Msg{Word: arg.Word, Bytes: 64}, nil
 			})
+			data.UseMethods(&m)
 			left := b.N
 			var op, next core.TaskFn
 			var got core.CallFn
@@ -553,13 +555,13 @@ func fanoutCycle(tb testing.TB) (cycle func(), t *fleet.Tally, done func()) {
 	led := fleet.NewLedger(stores, 256)
 	sh := &fleet.Shard{Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}, Sys: sys, Ledger: led}
 	t = &sh.Tally
-	sv := fleet.NewServer(sh, 64, 0)
+	sv := fleet.NewServer(sh, 64, 64, 0)
 	var q load.Queue
 	sys.K.Spawn("setup", func(p *sim.Proc) {
 		if err := led.Preload(p, fleet.Objects(64, 256)); err != nil {
 			tb.Error(err)
 		}
-		q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv)
+		q.Serve(sys.K, nil, sim.Time(time.Hour), 20*time.Microsecond, 64, sv, nil)
 	})
 	key := uint64(0)
 	cycle = func() {
@@ -633,9 +635,9 @@ func TestReplicatedPutBatchAllocatesNothing(t *testing.T) {
 		}
 		sh := &fleet.Shard{Tally: fleet.Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Hour)}, Sys: sys, Ledger: fleet.NewLedger(stores, 256)}
 		tally := &sh.Tally
-		sv := fleet.NewServer(sh, 64, 1)
+		sv := fleet.NewServer(sh, 64, 64, 1)
 		var q load.Queue
-		sys.K.Spawn("server", func(p *sim.Proc) { q.Serve(p, sim.Time(time.Hour), 20*time.Microsecond, 64, sv) })
+		q.Serve(sys.K, nil, sim.Time(time.Hour), 20*time.Microsecond, 64, sv, nil)
 		key := uint64(0)
 		cycle := func() {
 			for i := 0; i < 64; i++ {

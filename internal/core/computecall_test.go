@@ -47,7 +47,7 @@ func runCaller(t *testing.T, staged bool, disturb func(s *System, in *fault.Inje
 		t.Fatal(err)
 	}
 	calls := 0
-	target.HandleFast("get", func(arg proclet.Msg) (proclet.Msg, error) {
+	handleFast(target, "get", func(arg proclet.Msg) (proclet.Msg, error) {
 		if calls++; calls == 10 {
 			s.K.Spawn("ctl", func(p *sim.Proc) { disturb(s, in, p, cp, target.ID()) })
 		}
@@ -160,6 +160,14 @@ func TestRunCallMatchesBlockingTaskStepForStep(t *testing.T) {
 	}
 }
 
+// handleFast gives pr a method table of one fast method: a
+// proclet.Methods that one proclet uses.
+func handleFast(pr *proclet.Proclet, method string, fn func(arg proclet.Msg) (proclet.Msg, error)) {
+	var m proclet.Methods
+	m.HandleFast(method, func(_ *proclet.Proclet, arg proclet.Msg) (proclet.Msg, error) { return fn(arg) })
+	pr.UseMethods(&m)
+}
+
 // goid returns the id of the goroutine it runs on: the host's for kernel
 // context, a process's own for code that process runs.
 func goid() string {
@@ -184,15 +192,15 @@ func TestRunCallResumesForLocalBlockingMethodOnly(t *testing.T) {
 	}
 	var where []string
 	note := func(what string) { where = append(where, what+"@"+goid()) }
+	handleFast(pr, "f", func(proclet.Msg) (proclet.Msg, error) {
+		note("fast")
+		return proclet.Msg{Word: 2}, nil
+	})
 	pr.Handle("m", func(ctx *proclet.Ctx, _ proclet.Msg) (proclet.Msg, error) {
 		note("blocking")
 		ctx.Proc.Sleep(10 * time.Microsecond)
 		note("woke")
 		return proclet.Msg{Word: 1}, nil
-	})
-	pr.HandleFast("f", func(proclet.Msg) (proclet.Msg, error) {
-		note("fast")
-		return proclet.Msg{Word: 2}, nil
 	})
 	cp.RunCall(pr.ID(), "m", proclet.Msg{}, func(_ *TaskCtx, res proclet.Msg, err error) {
 		note(fmt.Sprintf("then(%d, %v)", res.Word, err))
@@ -232,7 +240,7 @@ func TestRunCallThenMustNotBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr.HandleFast("f", func(proclet.Msg) (proclet.Msg, error) { return proclet.Msg{}, nil })
+	handleFast(pr, "f", func(proclet.Msg) (proclet.Msg, error) { return proclet.Msg{}, nil })
 	cp.RunCall(pr.ID(), "f", proclet.Msg{}, func(tc *TaskCtx, _ proclet.Msg, _ error) { tc.Compute(time.Microsecond) })
 	defer func() {
 		msg := fmt.Sprint(recover())
@@ -257,7 +265,7 @@ func TestRunCallSteadyStateAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr.HandleFast("get", func(arg proclet.Msg) (proclet.Msg, error) { return proclet.Msg{Word: arg.Word, Bytes: 64}, nil })
+	handleFast(pr, "get", func(arg proclet.Msg) (proclet.Msg, error) { return proclet.Msg{Word: arg.Word, Bytes: 64}, nil })
 	ops := 0
 	var got CallFn
 	var op TaskFn

@@ -69,7 +69,7 @@ func TestMemoryProcletOwnMethodStaysOwn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.pr.HandleFast("extra", func(proclet.Msg) (proclet.Msg, error) { return proclet.Msg{Word: 7}, nil })
+	a.pr.Handle("extra", func(*proclet.Ctx, proclet.Msg) (proclet.Msg, error) { return proclet.Msg{Word: 7}, nil })
 	c, err := NewMemoryProcletOn(sys, "c", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -280,12 +280,51 @@ func TestLedgerKeysSortedAndDeduplicated(t *testing.T) {
 }
 
 // TestLedgerStaysProportionalToDistinctKeys: acking the same thousand
-// keys a hundred times over must not grow the record a hundredfold.
+// keys a hundred times over must not grow the record a hundredfold. With
+// a preload the bound is the same: the preload is held once, in the
+// batch it came in, and a store's own record counts only its acks.
 func TestLedgerStaysProportionalToDistinctKeys(t *testing.T) {
 	const distinct = 1000
 	led := NewLedger(make([]*core.MemoryProclet, 1), 1)
+	ledgerStaysProportional(t, led, distinct)
+
+	f := New(3, 1, 2, testMachine)
+	defer f.Close()
+	sys := f.Shards[0]
+	sys.Start()
+	stores, err := PlaceStores(sys, "st-%d", 4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := Objects(8*distinct, 1)
+	led = NewLedger(stores, 1)
+	sys.K.Spawn("preload", func(p *sim.Proc) {
+		if err := led.Preload(p, objs); err != nil {
+			t.Error(err)
+		}
+	})
+	f.RunUntil(sim.Time(time.Second))
+	for i := range stores {
+		if c := cap(led.acked[i].keys); c > 4*distinct {
+			t.Errorf("store %d: a preload of %d keys took room for %d in the store's own record", i, len(objs.IDs), c)
+		}
+	}
+	ledgerStaysProportional(t, led, distinct)
+	if len(led.base) == 0 || &led.base[0] != &objs.IDs[0] {
+		t.Error("the ledger does not hold the preload in the batch it came in")
+	}
+}
+
+// ledgerStaysProportional acks a hundred thousand draws of distinct keys
+// into store 0, holding the record's room to four times them, and checks
+// Keys against what was acked, led's preload included.
+func ledgerStaysProportional(t *testing.T, led *Ledger, distinct int) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	seen := make(map[uint64]bool)
+	for _, k := range led.base {
+		seen[k] = true
+	}
 	for i := 0; i < 100_000; i++ {
 		k := uint64(rng.Intn(distinct)) * 7919
 		seen[k] = true
@@ -306,7 +345,7 @@ func TestLedgerStaysProportionalToDistinctKeys(t *testing.T) {
 	// The caller owns what Keys returns — Rebuild has it on the wire while
 	// servers keep acking — so a later compaction must not touch it.
 	before := slices.Clone(keys)
-	for k := uint64(0); k <= distinct; k++ {
+	for k := uint64(0); k <= uint64(distinct); k++ {
 		led.Ack(0, k)
 	}
 	if !slices.Equal(keys, before) {

@@ -63,7 +63,8 @@ type Server struct {
 	inv  *proclet.Invocation
 	// One read buffer and one write buffer per server: nothing read is
 	// kept past the call, and the store copies a write out in the event
-	// the call is served.
+	// the call is served. Both, and keys, are sized to a batch when the
+	// server is built.
 	rbuf, wbuf core.Batch
 
 	batch []load.Request
@@ -71,11 +72,13 @@ type Server struct {
 }
 
 // NewServer returns a server of sh over its ledger's stores that
-// records into its tally. Reads address objects 0 to objects-1;
-// writeFrac of the keys, to a thousandth, are writes.
-func NewServer(sh *Shard, objects int, writeFrac float64) *Server {
+// records into its tally, taking batches of up to batchMax. Reads
+// address objects 0 to objects-1; writeFrac of the keys, to a
+// thousandth, are writes.
+func NewServer(sh *Shard, objects, batchMax int, writeFrac float64) *Server {
 	return &Server{sh: sh, objects: uint64(objects), cut: uint64(writeFrac * 1000),
-		off: make([]int, 2*len(sh.Ledger.stores)+1)}
+		keys: make([]uint64, 0, batchMax), off: make([]int, 2*len(sh.Ledger.stores)+1),
+		rbuf: batchOf(batchMax), wbuf: core.Batch{Vals: make([]core.Value, 0, batchMax), Sizes: make([]int64, 0, batchMax)}}
 }
 
 // Root returns the causal tree of the batch in hand, or of the last one.

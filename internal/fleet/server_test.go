@@ -60,9 +60,7 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 			sys.K.Schedule(at, func() { q.Push(load.Request{At: at, Key: key}) })
 		}
 	}
-	sys.K.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, horizon, 20*time.Microsecond, 8, NewServer(sh, objects, 0.5))
-	})
+	q.Serve(sys.K, nil, horizon, 20*time.Microsecond, 8, NewServer(sh, objects, 8, 0.5), nil)
 	f.RunUntil(horizon + sim.Time(time.Millisecond))
 
 	if loc := stores[0].Location(); loc == 1 {

@@ -61,10 +61,11 @@ func (f *Fleet) NewShard(s, n, rf int, size int64) (*Shard, error) {
 }
 
 // Serve spawns s<s>-setup, which preloads every store with objs and
-// then injects until the tally's Horizon, and servers s<s>-server-<i>
-// that drain the queue until then in batches of up to batchMax: each a
-// Server over objs' keys with writeFrac of them writes, handed to wrap
-// when it is set. Register the injector's tenants first.
+// then injects until the tally's Horizon, and servers s<s>-server-<i>,
+// staged processes (load.Queue.Serve) that drain the queue until then in
+// batches of up to batchMax: each a Server over objs' keys with
+// writeFrac of them writes, handed to wrap when it is set. Register the
+// injector's tenants first.
 func (sh *Shard) Serve(objs *core.Batch, servers, batchMax int, writeFrac float64, wrap func(*Server) load.Handler) {
 	sh.preload = objs
 	sh.Sys.K.Spawn(fmt.Sprintf("s%d-setup", sh.index), func(p *sim.Proc) {
@@ -74,15 +75,16 @@ func (sh *Shard) Serve(objs *core.Batch, servers, batchMax int, writeFrac float6
 		sh.StartNS = int64(p.Now())
 		sh.Inj.Start(p.Now(), sh.Horizon)
 	})
+	done := sh.workers.Done
 	for i := 0; i < servers; i++ {
-		srv := NewServer(sh, len(objs.IDs), writeFrac)
+		srv := NewServer(sh, len(objs.IDs), batchMax, writeFrac)
 		var h load.Handler = srv
 		if wrap != nil {
 			h = wrap(srv)
 		}
-		sh.Go(fmt.Sprintf("s%d-server-%d", sh.index, i), func(p *sim.Proc) {
-			sh.Queue.Serve(p, sh.Horizon, serverPoll, batchMax, h)
-		})
+		sh.workers.Add(1)
+		sh.Queue.Serve(sh.Sys.K, func() string { return fmt.Sprintf("s%d-server-%d", sh.index, i) },
+			sh.Horizon, serverPoll, batchMax, h, done)
 	}
 }
 

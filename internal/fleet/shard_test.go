@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -122,5 +124,113 @@ func TestShardWorkersDrainBeforeVerify(t *testing.T) {
 			t.Errorf("err = %v, worker left at %v, verify ran at %v; want verify as the worker left", err, left, verified)
 		}
 		f.Close()
+	}
+}
+
+// shardCost is what one shard's whole life allocated.
+type shardCost struct {
+	allocs, bytes float64
+	workers       uint64 // coroutines its kernel created
+}
+
+// serveCost builds a one-shard fleet of three machines with stores
+// stores, preloads objects objects of 64 bytes, serves 1M req/s with a
+// tenth of them writes through servers servers taking batches of 16 for
+// a millisecond, drains and verifies every key, and returns what all of
+// that allocated: the fewest of three tries, at GOMAXPROCS 1.
+func serveCost(t *testing.T, stores, servers, objects int) shardCost {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := shardCost{allocs: math.Inf(1), bytes: math.Inf(1)}
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f := New(5, 1, 3, testMachine)
+		f.Shards[0].Start()
+		sh, err := f.NewShard(0, stores, 1, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		horizon := sim.Time(time.Millisecond)
+		sh.Tally = Tally{Hist: metrics.NewLogHistogram("lat"), Deadline: int64(time.Millisecond), Horizon: horizon}
+		sh.Inj.AddTenant("t", load.Constant(1_000_000), load.NewZipf(1000, 0.9))
+		sh.Serve(Objects(objects, 64), servers, 16, 0.1, nil)
+		lost := int64(-1)
+		sh.Drain(func(p *sim.Proc) { lost = sh.Ledger.Verify(p, 1) })
+		f.RunUntil(10 * horizon)
+		if err := sh.Err(10 * horizon); err != nil || lost != 0 || sh.Acked == 0 {
+			t.Fatalf("%d stores, %d servers, %d objects: %v, %d lost, %d writes acked", stores, servers, objects, err, lost, sh.Acked)
+		}
+		workers := sh.Sys.K.WorkersCreated()
+		f.Close()
+		runtime.ReadMemStats(&after)
+		best.allocs = min(best.allocs, float64(after.Mallocs-before.Mallocs))
+		best.bytes = min(best.bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		best.workers = workers
+	}
+	return best
+}
+
+// tableBytes is what a bare store allocates to take a preload of objects
+// objects of 64 bytes: its object table. The store beside it takes the
+// preload first, so the system's scratch has grown.
+func tableBytes(t *testing.T, objects int) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f := New(5, 1, 2, testMachine)
+	defer f.Close()
+	sys := f.Shards[0]
+	sys.Start()
+	stores, err := PlaceStores(sys, "st-%d", 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := Objects(objects, 64)
+	var before, after runtime.MemStats
+	sys.K.Spawn("preload", func(p *sim.Proc) {
+		err := stores[0].PutBatch(p, 0, objs)
+		runtime.ReadMemStats(&before)
+		if err = errors.Join(err, stores[1].PutBatch(p, 0, objs)); err != nil {
+			t.Error(err)
+		}
+		runtime.ReadMemStats(&after)
+	})
+	f.RunUntil(sim.Time(time.Second))
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestShardServeAllocs holds a serving shard's cost to its shape:
+//
+//   - Twice the stores costs nothing per store that grows with the
+//     objects beyond each store's own object table: the preload is kept
+//     once for the whole ledger, and Verify walks the records in place.
+//   - Twice the servers costs at most a fixed few allocations a server
+//     (norace_test.go and race_test.go count them): a server's buffers
+//     are sized to a batch when it is built, not grown by its batches.
+//   - A server is a staged process, so no server creates a worker.
+func TestShardServeAllocs(t *testing.T) {
+	const stores, servers, objects = 4, 2, 256
+	base := serveCost(t, stores, servers, objects)
+
+	// Bytes a store and an object cost, over the object table's own.
+	perStore := func(objects int) float64 {
+		return serveCost(t, 2*stores, servers, objects).bytes - serveCost(t, stores, servers, objects).bytes
+	}
+	slope := (perStore(4*objects) - perStore(objects)) / (stores * 3 * objects)
+	table := (tableBytes(t, 4*objects) - tableBytes(t, objects)) / (3 * objects)
+	t.Logf("a store costs %.1f bytes an object, its object table %.1f", slope, table)
+	if slope > table+storeObjectSlack {
+		t.Errorf("each store costs %.1f bytes an object, %.1f over its object table's %.1f: want at most %d, none of it a copy of the preload",
+			slope, slope-table, table, storeObjectSlack)
+	}
+
+	more := serveCost(t, stores, 2*servers, objects)
+	per := (more.allocs - base.allocs) / servers
+	t.Logf("a server costs %.1f allocations", per)
+	if per > perServerAllocs {
+		t.Errorf("%d more servers cost %.0f allocations, %.1f a server: want at most %d", servers, more.allocs-base.allocs, per, perServerAllocs)
+	}
+	if more.workers != base.workers {
+		t.Errorf("%d servers created %d workers, %d servers %d: a staged server creates none", 2*servers, more.workers, servers, base.workers)
 	}
 }

@@ -19,49 +19,52 @@ type Queue struct {
 // Push appends an arrival; pass it to NewInjector as the handler.
 func (q *Queue) Push(r Request) { q.reqs = append(q.reqs, r) }
 
-// Handler serves the batches a server takes off its Queue, as the stages
-// of the server's one Await (sim.Proc.Await). Begin takes a batch and Step
-// carries it on; each runs in kernel context, in the event that ended the
-// wait before it, and returns the next wait, or Resume once the batch is
-// served. Neither may block. The batch belongs to the server, which
-// refills it for the next Begin.
+// Handler serves the batches a server takes off its Queue, as stages of
+// the server's process. Begin takes a batch and Step carries it on; each
+// runs in kernel context, in the event that ended the wait before it, and
+// returns the next wait, or Resume once the batch is served. Neither may
+// block. The batch belongs to the server, which refills it for the next
+// Begin.
 type Handler interface {
 	Begin(batch []Request) sim.Wait
 	Step() sim.Wait
 }
 
-// Serve runs one server on process p: it hands h runs of at most max
-// queued requests, oldest first, until the queue is empty and the horizon
-// has passed — so every arrival delivered before the horizon is served,
-// however late. Polling an empty queue, taking a batch and serving it are
-// all stages of one Await: p is switched in at its start and at its exit,
-// and nowhere else. Several servers may share one queue.
-func (q *Queue) Serve(p *sim.Proc, horizon sim.Time, poll time.Duration, max int, h Handler) {
+// Serve spawns one server of the queue on k, a staged process
+// (sim.Kernel.SpawnStaged) named by name, and returns its PID. It hands h
+// runs of at most max queued requests, oldest first, until the queue is
+// empty and the horizon has passed — so every arrival delivered before
+// the horizon is served, however late. Polling an empty queue, taking a
+// batch and serving it are all stages of the process, which is never
+// switched in. done, when set, runs in the stage the server leaves in.
+// Several servers may share one queue.
+func (q *Queue) Serve(k *sim.Kernel, name func() string, horizon sim.Time, poll time.Duration, max int, h Handler, done func()) int64 {
 	if max < 1 {
 		panic(fmt.Sprintf("load: Queue.Serve with max %d: a server takes at least one request at a time", max))
 	}
 	if poll <= 0 {
 		panic(fmt.Sprintf("load: Queue.Serve with poll %v: a server re-checking an empty queue at one instant never lets the clock move", poll))
 	}
-	s := &server{q: q, p: p, h: h, horizon: horizon, poll: poll, max: max, batch: make([]Request, 0, max)}
-	p.Await(s.next(), s.next)
+	s := &server{q: q, k: k, h: h, horizon: horizon, poll: poll, max: max, batch: make([]Request, 0, max), done: done}
+	return k.SpawnStaged(name, s.next)
 }
 
 // server is one Serve's state between two waits.
 type server struct {
 	q       *Queue
-	p       *sim.Proc
+	k       *sim.Kernel
 	h       Handler
 	horizon sim.Time
 	poll    time.Duration
 	max     int
 	batch   []Request
 	busy    bool // h has a batch in hand
+	done    func()
 }
 
-// next advances the server as far as it goes without waiting: it carries
-// the batch in hand on, or takes the next one, or polls an empty queue.
-// It returns Resume when the server is done.
+// next is the server's stage: it carries the batch in hand on, or takes
+// the next one, or polls an empty queue, as far as it goes without
+// waiting. It returns Resume when the server leaves.
 func (s *server) next() sim.Wait {
 	q := s.q
 	for {
@@ -70,10 +73,13 @@ func (s *server) next() sim.Wait {
 		case s.busy:
 			w = s.h.Step()
 		case q.qhead == len(q.reqs):
-			if s.p.Now() >= s.horizon {
-				return sim.Resume
+			if s.k.Now() < s.horizon {
+				return sim.After(s.poll)
 			}
-			return sim.After(s.poll)
+			if s.done != nil {
+				s.done()
+			}
+			return sim.Resume
 		default:
 			n := min(len(q.reqs)-q.qhead, s.max)
 			s.batch = append(s.batch[:0], q.reqs[q.qhead:q.qhead+n]...)

@@ -34,15 +34,12 @@ func TestQueueServeDrainsPastTheHorizon(t *testing.T) {
 	horizon := 100 * us
 	var served []uint64
 	var exited sim.Time
-	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, horizon, 10*time.Microsecond, 2, serveFunc(func(batch []Request) time.Duration {
-			for _, r := range batch {
-				served = append(served, r.Key)
-			}
-			return 30 * time.Microsecond // service time: the backlog outlives the horizon
-		}))
-		exited = p.Now()
-	})
+	q.Serve(k, nil, horizon, 10*time.Microsecond, 2, serveFunc(func(batch []Request) time.Duration {
+		for _, r := range batch {
+			served = append(served, r.Key)
+		}
+		return 30 * time.Microsecond // service time: the backlog outlives the horizon
+	}), func() { exited = k.Now() })
 	// Nothing queued for the first 80 µs, then a burst of seven.
 	k.Schedule(80*us, func() {
 		for i := uint64(0); i < 7; i++ {
@@ -67,6 +64,9 @@ func TestQueueServeDrainsPastTheHorizon(t *testing.T) {
 	if exited != 200*us {
 		t.Errorf("server exited at %v, want 200µs (when the backlog was drained)", exited)
 	}
+	if n := k.Switches(); n != 0 {
+		t.Errorf("the server was switched in %d times; a staged server never is", n)
+	}
 }
 
 // TestQueueServeExitsAtTheHorizonWhenIdle: with nothing left the server
@@ -76,13 +76,10 @@ func TestQueueServeExitsAtTheHorizonWhenIdle(t *testing.T) {
 	defer k.Close()
 	var q Queue
 	exited := sim.Time(-1)
-	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, 95*us, 10*time.Microsecond, 4, serveFunc(func([]Request) time.Duration {
-			t.Error("handle called with nothing queued")
-			return 0
-		}))
-		exited = p.Now()
-	})
+	q.Serve(k, nil, 95*us, 10*time.Microsecond, 4, serveFunc(func([]Request) time.Duration {
+		t.Error("handle called with nothing queued")
+		return 0
+	}), func() { exited = k.Now() })
 	k.Run()
 	if exited != 100*us {
 		t.Errorf("idle server exited at %v, want 100µs (first 10µs poll past 95µs)", exited)
@@ -99,17 +96,15 @@ func TestQueueServeBatchBound(t *testing.T) {
 	const max = 5
 	seen := make(map[uint64]int)
 	for s := 0; s < 2; s++ {
-		k.Spawn("server", func(p *sim.Proc) {
-			q.Serve(p, 50*us, time.Microsecond, max, serveFunc(func(batch []Request) time.Duration {
-				if len(batch) == 0 || len(batch) > max {
-					t.Errorf("batch of %d, want 1..%d", len(batch), max)
-				}
-				for _, r := range batch {
-					seen[r.Key]++
-				}
-				return 2 * time.Microsecond
-			}))
-		})
+		q.Serve(k, nil, 50*us, time.Microsecond, max, serveFunc(func(batch []Request) time.Duration {
+			if len(batch) == 0 || len(batch) > max {
+				t.Errorf("batch of %d, want 1..%d", len(batch), max)
+			}
+			for _, r := range batch {
+				seen[r.Key]++
+			}
+			return 2 * time.Microsecond
+		}), nil)
 	}
 	next := uint64(0)
 	for at := sim.Time(0); at < 40*us; at += 4 * us {
@@ -145,12 +140,10 @@ func TestQueueCycleAllocatesNothing(t *testing.T) {
 	defer k.Close()
 	var q Queue
 	served := 0
-	k.Spawn("server", func(p *sim.Proc) {
-		q.Serve(p, sim.Time(time.Hour), time.Microsecond, 8, serveFunc(func(batch []Request) time.Duration {
-			served += len(batch)
-			return 0
-		}))
-	})
+	q.Serve(k, nil, sim.Time(time.Hour), time.Microsecond, 8, serveFunc(func(batch []Request) time.Duration {
+		served += len(batch)
+		return 0
+	}), nil)
 	cycle := func() {
 		for i := 0; i < 20; i++ {
 			q.Push(Request{At: k.Now(), Key: uint64(i)})
@@ -171,23 +164,24 @@ func TestQueueCycleAllocatesNothing(t *testing.T) {
 
 // TestQueueServeRejectsMaxBelowOne: a server that may take no request
 // would spin at one instant forever (max 0) or fail to size its batch
-// (max < 0); Serve refuses both up front, naming the value.
+// (max < 0); Serve refuses both up front, naming the value, and spawns
+// nothing.
 func TestQueueServeRejectsMaxBelowOne(t *testing.T) {
 	for _, max := range []int{0, -3} {
 		k := sim.NewKernel(1)
 		var q Queue
 		q.Push(Request{Key: 1})
-		k.Spawn("server", func(p *sim.Proc) {
-			q.Serve(p, 10*us, time.Microsecond, max, serveFunc(func([]Request) time.Duration { return 0 }))
-		})
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			k.Run()
+			q.Serve(k, nil, 10*us, time.Microsecond, max, serveFunc(func([]Request) time.Duration { return 0 }), nil)
 			return nil
 		}()
 		want := fmt.Sprintf("Queue.Serve with max %d", max)
 		if s, _ := got.(string); !strings.Contains(s, want) {
-			t.Errorf("max %d: Run panicked with %v, want a panic naming %q", max, got, want)
+			t.Errorf("max %d: Serve panicked with %v, want a panic naming %q", max, got, want)
+		}
+		if k.Live() != 0 {
+			t.Errorf("max %d: a refused Serve left %d processes live", max, k.Live())
 		}
 		k.Close()
 	}
@@ -196,22 +190,22 @@ func TestQueueServeRejectsMaxBelowOne(t *testing.T) {
 // TestQueueServeRejectsPollNotPositive: a server that polls an empty
 // queue at After(0) re-queues itself at the same instant forever, so the
 // clock never reaches the horizon; Serve refuses a poll <= 0 up front,
-// naming the value.
+// naming the value, and spawns nothing.
 func TestQueueServeRejectsPollNotPositive(t *testing.T) {
 	for _, poll := range []time.Duration{0, -time.Microsecond} {
 		k := sim.NewKernel(1)
 		var q Queue
-		k.Spawn("server", func(p *sim.Proc) {
-			q.Serve(p, 2*us, poll, 1, serveFunc(func([]Request) time.Duration { return 0 }))
-		})
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			k.RunUntil(2 * us)
+			q.Serve(k, nil, 2*us, poll, 1, serveFunc(func([]Request) time.Duration { return 0 }), nil)
 			return nil
 		}()
 		want := fmt.Sprintf("Queue.Serve with poll %v", poll)
 		if s, _ := got.(string); !strings.Contains(s, want) {
-			t.Errorf("poll %v: RunUntil panicked with %v, want a panic naming %q", poll, got, want)
+			t.Errorf("poll %v: Serve panicked with %v, want a panic naming %q", poll, got, want)
+		}
+		if k.Live() != 0 {
+			t.Errorf("poll %v: a refused Serve left %d processes live", poll, k.Live())
 		}
 		k.Close()
 	}

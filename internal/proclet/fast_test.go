@@ -9,14 +9,22 @@ import (
 	"repro/internal/simnet"
 )
 
-// TestFastMethodLocal: a FastMethod invoked locally skips the Ctx but
+// handleFast gives pr a method table of one fast method: a Methods that
+// one proclet uses.
+func handleFast(pr *Proclet, method string, fn func(arg Msg) (Msg, error)) {
+	var m Methods
+	m.HandleFast(method, func(_ *Proclet, arg Msg) (Msg, error) { return fn(arg) })
+	pr.UseMethods(&m)
+}
+
+// TestFastMethodLocal: a fast method invoked locally skips the Ctx but
 // pays the same simulated costs as a blocking method.
 func TestFastMethodLocal(t *testing.T) {
 	k, _, rt := testEnv(t, 2)
 	defer k.Close()
 	pr, _ := rt.Spawn("counter", 0, 1024)
 	count := 0
-	pr.HandleFast("inc", func(arg Msg) (Msg, error) {
+	handleFast(pr, "inc", func(arg Msg) (Msg, error) {
 		count++
 		return Msg{Payload: count}, nil
 	})
@@ -47,14 +55,14 @@ func TestFastMethodLocal(t *testing.T) {
 	}
 }
 
-// TestFastMethodRemoteInline: a remote invocation of a FastMethod is
+// TestFastMethodRemoteInline: a remote invocation of a fast method is
 // served inline by the fabric (no handler process) while still paying
 // full wire costs.
 func TestFastMethodRemoteInline(t *testing.T) {
 	k, c, rt := testEnv(t, 2)
 	defer k.Close()
 	pr, _ := rt.Spawn("svc", 1, 1024)
-	pr.HandleFast("echo", func(arg Msg) (Msg, error) {
+	handleFast(pr, "echo", func(arg Msg) (Msg, error) {
 		return Msg{Payload: arg.Payload, Bytes: arg.Bytes}, nil
 	})
 	k.Spawn("client", func(p *sim.Proc) {
@@ -86,7 +94,7 @@ func TestFastMethodDuringLazyWindow(t *testing.T) {
 	k, _, rt := testEnv(t, 2)
 	defer k.Close()
 	pr, _ := rt.Spawn("svc", 0, 16<<20)
-	pr.HandleFast("get", func(arg Msg) (Msg, error) {
+	handleFast(pr, "get", func(arg Msg) (Msg, error) {
 		return Msg{Payload: "v"}, nil
 	})
 	k.Spawn("ctl", func(p *sim.Proc) {
@@ -127,7 +135,7 @@ func TestFastMethodChasesMigration(t *testing.T) {
 	k, _, rt := testEnv(t, 2)
 	defer k.Close()
 	pr, _ := rt.Spawn("svc", 1, 1024)
-	pr.HandleFast("where", func(arg Msg) (Msg, error) {
+	handleFast(pr, "where", func(arg Msg) (Msg, error) {
 		return Msg{Payload: int(pr.Location())}, nil
 	})
 	k.Spawn("driver", func(p *sim.Proc) {
@@ -159,7 +167,7 @@ func TestFabricWideInvokeIsToldItsNode(t *testing.T) {
 	k, c, rt := testEnv(t, 3)
 	defer k.Close()
 	pr, _ := rt.Spawn("svc", 0, 1024)
-	pr.HandleFast("where", func(arg Msg) (Msg, error) {
+	handleFast(pr, "where", func(arg Msg) (Msg, error) {
 		return Msg{Word: uint64(pr.Location())}, nil
 	})
 	k.Spawn("driver", func(p *sim.Proc) {
@@ -183,7 +191,7 @@ func TestHandleFastDuplicatePanics(t *testing.T) {
 	k, _, rt := testEnv(t, 1)
 	defer k.Close()
 	pr, _ := rt.Spawn("svc", 0, 1024)
-	pr.HandleFast("m", func(arg Msg) (Msg, error) { return Msg{}, nil })
+	handleFast(pr, "m", func(arg Msg) (Msg, error) { return Msg{}, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on dual registration")

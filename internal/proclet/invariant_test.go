@@ -221,7 +221,7 @@ func TestRuntimeInvariantsProperty(t *testing.T) {
 						if np.ID()%2 == 0 {
 							np.Handle("ping", func(*Ctx, Msg) (Msg, error) { return Msg{}, nil })
 						} else {
-							np.HandleFast("ping", func(Msg) (Msg, error) { return Msg{}, nil })
+							handleFast(np, "ping", func(Msg) (Msg, error) { return Msg{}, nil })
 						}
 						all = append(all, np)
 						md.place(np.ID(), m)

@@ -184,20 +184,19 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 			t.Fatal(err)
 		}
 		prs[i], ids[i] = pr, pr.ID()
-		pr.HandleFast("fast", func(arg Msg) (Msg, error) {
+		// The fast and staged methods are a table of the proclet's own;
+		// the blocking ones join a copy of it.
+		var m Methods
+		m.HandleFast("fast", func(_ *Proclet, arg Msg) (Msg, error) {
 			return Msg{Word: arg.Word + 1, Bytes: 16}, nil
 		})
-		pr.Handle("block", func(ctx *Ctx, arg Msg) (Msg, error) {
-			ctx.Proc.Sleep(time.Duration(arg.Word) * time.Microsecond)
-			return Msg{Word: arg.Word + 2, Bytes: 32}, nil
-		})
 		// Odd words decline the fast registration to a staged one.
-		pr.HandleStaged("fb", func(arg Msg) (Msg, error) {
+		m.HandleStaged("fb", func(_ *Proclet, arg Msg) (Msg, error) {
 			if arg.Word%2 == 1 {
 				return Msg{}, simnet.ErrWouldBlock
 			}
 			return Msg{Word: arg.Word + 3}, nil
-		}, func(arg Msg) Staged {
+		}, func(_ *Proclet, arg Msg) Staged {
 			return &waitThen{d: 10 * time.Microsecond, then: func() (Msg, error) {
 				return Msg{Word: arg.Word + 4, Bytes: 8}, nil
 			}}
@@ -211,13 +210,18 @@ func runTape(t *testing.T, seed int64, tp tape, invoke invokeFn) tapeRun {
 			}
 			return Msg{Word: arg.Word + 5}, nil
 		}
-		pr.HandleStaged("flaky", func(arg Msg) (Msg, error) {
+		m.HandleStaged("flaky", func(_ *Proclet, arg Msg) (Msg, error) {
 			if arg.Word%2 == 1 {
 				return Msg{}, simnet.ErrWouldBlock
 			}
 			return refuse(arg)
-		}, func(arg Msg) Staged {
+		}, func(_ *Proclet, arg Msg) Staged {
 			return &waitThen{d: 5 * time.Microsecond, then: func() (Msg, error) { return refuse(arg) }}
+		})
+		pr.UseMethods(&m)
+		pr.Handle("block", func(ctx *Ctx, arg Msg) (Msg, error) {
+			ctx.Proc.Sleep(time.Duration(arg.Word) * time.Microsecond)
+			return Msg{Word: arg.Word + 2, Bytes: 32}, nil
 		})
 		// A nested invocation from the method's own process.
 		pr.Handle("relay", func(ctx *Ctx, arg Msg) (Msg, error) {
@@ -417,9 +421,11 @@ func abandonHandler(t *testing.T, staged bool) {
 		t.Fatal(err)
 	}
 	if staged {
-		moving.HandleStaged("ping", nil, func(Msg) Staged {
+		var m Methods
+		m.HandleStaged("ping", nil, func(*Proclet, Msg) Staged {
 			return &waitThen{then: func() (Msg, error) { return Msg{}, nil }}
 		})
+		moving.UseMethods(&m)
 	} else {
 		moving.Handle("ping", func(*Ctx, Msg) (Msg, error) { return Msg{}, nil })
 	}

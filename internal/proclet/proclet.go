@@ -83,32 +83,29 @@ func (s State) String() string {
 // proclets through the context.
 type Method func(ctx *Ctx, arg Msg) (Msg, error)
 
-// FastMethod is a proclet method that never blocks: no sleeping, no
+// FastMethodOn is a proclet method that never blocks: no sleeping, no
 // compute, no locks, no nested calls. Remote invocations of a fast
 // method are served inline at the instant the request is delivered —
 // no handler process, no process switch, no Ctx allocation — via
 // simnet's fast-dispatch path; local invocations skip the Ctx as well.
 // Pure state reads and writes (directory lookups, memory-proclet
 // get/put) belong here.
-type FastMethod func(arg Msg) (Msg, error)
-
-// StagedMethod is a proclet method that waits but never blocks (a
+//
+// StagedMethodOn is a proclet method that waits but never blocks (a
 // replicated write waiting for its backups). It starts a run for arg, a
 // Staged, which the caller's Invocation steps, or for a remote caller a
 // staged handler process (sim.Kernel.SpawnStaged); no process switches in.
 // Step moves a run as far as it goes without waiting and returns the next
 // wait, or Resume once it is over; End returns its result and retires it.
-type StagedMethod func(arg Msg) Staged
-
-// FastMethodOn and StagedMethodOn are FastMethod and StagedMethod told
-// the proclet they run on: what a Methods table shared by many proclets
-// registers, once for all of them.
+//
+// Both are told the proclet they run on: a Methods table, shared by any
+// number of proclets, registers them once for all of them.
 type (
 	FastMethodOn   func(pr *Proclet, arg Msg) (Msg, error)
 	StagedMethodOn func(pr *Proclet, arg Msg) Staged
 )
 
-// Staged is one run of a StagedMethod. Neither method may block.
+// Staged is one run of a StagedMethodOn. Neither method may block.
 type Staged interface {
 	Step() sim.Wait
 	End() (Msg, error)
@@ -198,7 +195,7 @@ func (pr *Proclet) addComm(peer ID, bytes int64) {
 }
 
 // methodEntry is one method name's registrations: fast, blocking, or —
-// through HandleStaged only — fast and staged.
+// through Methods.HandleStaged only — fast and staged.
 type methodEntry struct {
 	name     string
 	fast     FastMethodOn
@@ -234,12 +231,15 @@ func (t *methodTable) add(owner string, e methodEntry) {
 // takes it.
 type Methods struct{ t methodTable }
 
-// HandleFast registers a fast method (see Proclet.HandleFast).
+// HandleFast registers a non-blocking method served on the inline
+// dispatch path (see FastMethodOn). A method name is registered once.
 func (m *Methods) HandleFast(method string, fn FastMethodOn) {
 	m.t.add("a shared table", methodEntry{name: method, fast: fn})
 }
 
-// HandleStaged registers a staged method (see Proclet.HandleStaged).
+// HandleStaged registers a method that is fast when it can be: fast (which
+// may be nil) serves an invocation inline or declines it with
+// simnet.ErrWouldBlock, and staged serves what it declines.
 func (m *Methods) HandleStaged(method string, fast FastMethodOn, staged StagedMethodOn) {
 	m.t.add("a shared table", methodEntry{name: method, fast: fast, staged: staged})
 }
@@ -257,24 +257,6 @@ func (pr *Proclet) method(name string) *methodEntry { return pr.methods.find(nam
 // construction time).
 func (pr *Proclet) Handle(method string, fn Method) {
 	pr.methods.add(pr.name, methodEntry{name: method, blocking: fn})
-}
-
-// HandleFast registers a non-blocking method served on the inline
-// dispatch path (see FastMethod). A method name is either fast or
-// blocking, not both; registering it in both tables panics.
-func (pr *Proclet) HandleFast(method string, fn FastMethod) {
-	pr.methods.add(pr.name, methodEntry{name: method, fast: func(_ *Proclet, arg Msg) (Msg, error) { return fn(arg) }})
-}
-
-// HandleStaged registers a method that is fast when it can be: fast (which
-// may be nil) serves an invocation inline or declines it with
-// simnet.ErrWouldBlock, and staged serves what it declines.
-func (pr *Proclet) HandleStaged(method string, fast FastMethod, staged StagedMethod) {
-	e := methodEntry{name: method, staged: func(_ *Proclet, arg Msg) Staged { return staged(arg) }}
-	if fast != nil {
-		e.fast = func(_ *Proclet, arg Msg) (Msg, error) { return fast(arg) }
-	}
-	pr.methods.add(pr.name, e)
 }
 
 // GrowHeap adjusts the proclet's accounted state size by delta bytes

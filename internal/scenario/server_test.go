@@ -220,14 +220,19 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 		})
 	}
 	for srv := 0; srv < w.Servers; srv++ {
+		left := func(pid int64) {
+			out.results = append(out.results, fmt.Sprintf("%v pid %d server %d left", k.Now(), pid, srv))
+		}
+		if !ref {
+			var pid int64
+			pid = st.Queue.Serve(k, nil, tapeHorizon, tapePoll, w.BatchMax,
+				census{fleet.NewServer(st.Shard, w.Objects, w.BatchMax, w.WriteFrac), cov}, func() { left(pid) })
+			continue
+		}
 		k.Spawn(fmt.Sprintf("server-%d", srv), func(p *sim.Proc) {
-			if ref {
-				out.serverSwitches++ // its start
-				refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, &out.serverSwitches)
-			} else {
-				st.Queue.Serve(p, tapeHorizon, tapePoll, w.BatchMax, census{fleet.NewServer(st.Shard, w.Objects, w.WriteFrac), cov})
-			}
-			out.results = append(out.results, fmt.Sprintf("%v pid %d server %d left", p.Now(), p.ID, srv))
+			out.serverSwitches++ // its start
+			refServe(p, &rq, st, &w, tapeHorizon, tapeDeadline, &out.serverSwitches)
+			left(p.ID)
 		})
 	}
 	k.Schedule(tapeHorizon, func() {
@@ -312,10 +317,10 @@ func runServeTape(t *testing.T, seed int64, tp serveTape, ref bool) serveRun {
 // arrivals just before the horizon, which passes with work still queued.
 // The test fails if any of these never happened across the seeds.
 //
-// Every staged server must be switched in exactly twice, at its start and
-// at its exit, rf 2 tapes included. The runs agree event for event, so
-// every other process switches alike in both; the reference loop counts
-// its own servers' switches, which leaves the staged servers' share.
+// No staged server may ever be switched in, rf 2 tapes included. The runs
+// agree event for event, so every other process switches alike in both;
+// the reference loop counts its own servers' switches, which leaves the
+// staged servers' share.
 //
 // Hand mutations this fails on (each tried): server.Step ending an
 // invocation that waits for Exec; a batch's latencies recorded when it is
@@ -360,8 +365,8 @@ func TestServerMatchesReferenceLoop(t *testing.T) {
 			}
 		}
 		others := want.switches - want.serverSwitches
-		if servers := got.switches - others; servers != uint64(2*tp.w.Servers) {
-			t.Errorf("seed %d: %d staged servers switched %d times between them, want two each (start and exit); the reference loop's %d", seed, tp.w.Servers, servers, want.serverSwitches)
+		if servers := got.switches - others; servers != 0 {
+			t.Errorf("seed %d: %d staged servers switched %d times between them, want none; the reference loop's %d", seed, tp.w.Servers, servers, want.serverSwitches)
 		}
 		events += len(got.stamps)
 		c := got.cov
@@ -398,22 +403,22 @@ func TestServerMatchesReferenceLoop(t *testing.T) {
 	}
 }
 
-// TestServingFleetSwitchesOnlyAtStartAndExit pins what the staged server
-// is for: on an rf=1 shard whose stores are all remote and nothing fails,
-// a server's process is switched in at its start and at its exit and at
-// no store call — the set-up process, which preloads with blocking
-// PutBatches, accounts for every other switch. The reference loop
-// switches once more per store call.
-func TestServingFleetSwitchesOnlyAtStartAndExit(t *testing.T) {
+// TestServingFleetNeverSwitchesAServer pins what the staged server is
+// for: on an rf=1 shard whose stores are all remote and nothing fails, a
+// server's process is never switched in — not at its start, its exit or
+// any store call. The set-up process, which preloads with blocking
+// PutBatches, accounts for every switch. The reference loop switches at
+// its servers' starts and exits and once more per store call.
+func TestServingFleetNeverSwitchesAServer(t *testing.T) {
 	tp := newServeTape(2) // rf 1
 	tp.w.Servers, tp.first, tp.faults, tp.migs = 3, 1, nil, nil
 	got := runServeTape(t, 2, tp, false)
-	want := uint64(2*tp.w.Servers + 1 + tp.w.Stores)
+	want := uint64(1 + tp.w.Stores)
 	if got.after[1] != 0 {
 		t.Fatalf("%d processes still live at the end; every server should have left", got.after[1])
 	}
 	if got.switches != want {
-		t.Errorf("%d process switches; want %d: two per server, and the set-up's start and one per store it preloads", got.switches, want)
+		t.Errorf("%d process switches; want %d: the set-up's start and one per store it preloads, none for a server", got.switches, want)
 	}
 	ref := runServeTape(t, 2, tp, true)
 	t.Logf("switches: staged %d, reference loop %d, for %d requests", got.switches, ref.switches, got.served[0])

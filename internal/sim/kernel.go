@@ -972,7 +972,8 @@ func (k *Kernel) letGo(r *pollRun, ms []int32, j int, at Time, seq uint64) {
 // — same PID, same events under the same sequence numbers, same Live and
 // Blocked — but it never owns a worker, so it never switches, and its Proc
 // is pooled: a request handler that only waits costs nothing per request.
-func (k *Kernel) SpawnStaged(nameFn func() string, stage func() Wait) {
+// SpawnStaged returns the process's PID.
+func (k *Kernel) SpawnStaged(nameFn func() string, stage func() Wait) int64 {
 	var p *Proc
 	if n := len(k.staged); n > 0 {
 		p, k.staged = k.staged[n-1], k.staged[:n-1]
@@ -985,6 +986,7 @@ func (k *Kernel) SpawnStaged(nameFn func() string, stage func() Wait) {
 	k.live++
 	k.unbound++
 	k.push(k.now, evResume).p = p // evResume runs the stage of a Proc that has one
+	return p.ID
 }
 
 // Close ends the simulation and releases every coroutine the kernel
