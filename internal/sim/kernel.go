@@ -55,15 +55,22 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // qkey is one queued event as the queues see it: when it runs, its place
 // among that instant's events, which slab slot holds what it does, and,
-// for a heap entry that is the head of a lane, which lane (0: none). The
-// same-instant FIFO and the future-event heap hold nothing else, so a
-// sift moves 24 pointer-free bytes and never runs a write barrier.
+// for a heap entry, its mark: the lane it heads (> 0), timerKey for a
+// Timer's firing, or 0. The same-instant FIFO and the future-event heap
+// hold nothing else, so a sift moves 24 pointer-free bytes and never runs
+// a write barrier.
 type qkey struct {
 	at   Time
 	seq  uint64
 	slot int32
 	lane int32
 }
+
+// timerKey marks the heap key of a Timer's firing. A Timer is the only
+// reader of an event's queue position (Arm and Stop find the key through
+// slot.pos), so the sifts write the position back for marked keys alone,
+// and every other key moves through the heap without touching the slab.
+const timerKey int32 = -1
 
 // noSlot is the slot of a FIFO entry whose timer was stopped or re-armed
 // after it was queued (a tombstone), and of an idle Timer.
@@ -87,10 +94,10 @@ type slot struct {
 	// what the next append is checked against.
 	at  Time
 	seq uint64
-	// pos says where the event's key is, so a Timer can find it: the heap
-	// index if >= 0, else the complement of the nowq index. On a lane entry
-	// behind the head it links the next entry of the lane, on a free slot
-	// the free list.
+	// pos says where a Timer's key is, so the Timer can find it: the heap
+	// index if >= 0, else the complement of the nowq index. No other
+	// event's position is kept. On a lane entry behind the head it links
+	// the next entry of the lane, on a free slot the free list.
 	pos  int32
 	kind uint8
 }
@@ -333,7 +340,7 @@ func (l Lane) ScheduleReserved(at Time, seq uint64, fn func(tag uint64), tag uin
 // as enqueue would.
 func (k *Kernel) laneAppend(id int32, at Time, seq uint64, i int32) {
 	if at <= k.now || id == 0 {
-		k.enqueue(at, seq, i)
+		k.enqueue(qkey{at: at, seq: seq, slot: i})
 		return
 	}
 	ln, s := &k.lanes[id-1], &k.slots[i]
@@ -347,7 +354,7 @@ func (k *Kernel) laneAppend(id int32, at Time, seq uint64, i int32) {
 			return
 		}
 		if ln.next == noSlot {
-			ln.next = i // the tail is the head, whose pos is its heap index
+			ln.next = i // the tail is the head, whose pos links nothing
 		} else {
 			tail.pos = i
 		}
@@ -446,24 +453,27 @@ func (k *Kernel) recycle(i int32) {
 func (k *Kernel) push(at Time, kind uint8) *slot {
 	k.seq++
 	i, s := k.newSlot(kind)
-	k.enqueue(at, k.seq, i)
+	k.enqueue(qkey{at: at, seq: k.seq, slot: i})
 	return s
 }
 
-// enqueue routes slot i's key to the same-instant FIFO or the future heap.
-func (k *Kernel) enqueue(at Time, seq uint64, i int32) {
-	if at <= k.now {
+// enqueue routes key e to the same-instant FIFO or the future heap. A
+// Timer's key (marked timerKey) tells its slot where it went.
+func (k *Kernel) enqueue(e qkey) {
+	if e.at <= k.now {
 		// Same-instant fast path: append to the FIFO, skip the heap.
-		k.slots[i].pos = ^int32(len(k.nowq))
-		k.nowq = append(k.nowq, qkey{at: k.now, seq: seq, slot: i})
+		if e.lane == timerKey {
+			k.slots[e.slot].pos = ^int32(len(k.nowq))
+		}
+		k.nowq = append(k.nowq, qkey{at: k.now, seq: e.seq, slot: e.slot})
 		return
 	}
-	k.heapInsert(qkey{at: at, seq: seq, slot: i})
+	k.heapInsert(e)
 }
 
-// unqueue removes the key at pos (see slot.pos) from whichever queue holds
-// it. A FIFO entry cannot be cut out of the middle, so it stays behind as
-// a tombstone that the head skips over.
+// unqueue removes a Timer's key at pos (see slot.pos) from whichever
+// queue holds it. A FIFO entry cannot be cut out of the middle, so it
+// stays behind as a tombstone that the head skips over.
 func (k *Kernel) unqueue(pos int32) {
 	if pos >= 0 {
 		k.heapRemove(int(pos))
@@ -521,7 +531,7 @@ func (k *Kernel) heapPlace(i int, e qkey) {
 }
 
 // siftUp moves the hole at index i toward the root until e fits in it.
-// Every key that moves tells its slot where it went.
+// Every Timer's key that moves tells its slot where it went.
 func (k *Kernel) siftUp(i int, e qkey) {
 	h, slots := k.heap, k.slots
 	for i > 0 {
@@ -530,11 +540,15 @@ func (k *Kernel) siftUp(i int, e qkey) {
 			break
 		}
 		h[i] = h[p]
-		slots[h[i].slot].pos = int32(i)
+		if h[i].lane == timerKey {
+			slots[h[i].slot].pos = int32(i)
+		}
 		i = p
 	}
 	h[i] = e
-	slots[e.slot].pos = int32(i)
+	if e.lane == timerKey {
+		slots[e.slot].pos = int32(i)
+	}
 }
 
 // siftDown moves the hole at index i toward the leaves until e fits in it.
@@ -553,11 +567,15 @@ func (k *Kernel) siftDown(i int, e qkey) {
 			break
 		}
 		h[i] = h[c]
-		slots[h[i].slot].pos = int32(i)
+		if h[i].lane == timerKey {
+			slots[h[i].slot].pos = int32(i)
+		}
 		i = c
 	}
 	h[i] = e
-	slots[e.slot].pos = int32(i)
+	if e.lane == timerKey {
+		slots[e.slot].pos = int32(i)
+	}
 }
 
 // next returns the key of the globally next event in (time, seq) order,
@@ -626,16 +644,17 @@ func (t *Timer) Arm(at Time) {
 		var s *slot
 		i, s = k.newSlot(evTimer)
 		s.t, t.slot = t, i
-		k.enqueue(at, k.seq, i)
+		k.enqueue(qkey{at: at, seq: k.seq, slot: i, lane: timerKey})
 		return
 	}
+	e := qkey{at: at, seq: k.seq, slot: i, lane: timerKey}
 	if pos := k.slots[i].pos; pos >= 0 && at > k.now {
 		// The common case: a future firing moves to another future
 		// instant. Re-key it where it sits and sift.
-		k.heapPlace(int(pos), qkey{at: at, seq: k.seq, slot: i})
+		k.heapPlace(int(pos), e)
 	} else {
 		k.unqueue(pos)
-		k.enqueue(at, k.seq, i)
+		k.enqueue(e)
 	}
 }
 
@@ -1147,7 +1166,7 @@ func (k *Kernel) step(limit Time) bool {
 	}
 	if !fromHeap {
 		k.nowqPop()
-	} else if e.lane != 0 {
+	} else if e.lane > 0 {
 		k.lanePop(e)
 	} else {
 		k.heapRemove(0)

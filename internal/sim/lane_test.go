@@ -164,7 +164,7 @@ func runLaneMix(seed int64, plain bool) laneMixRun {
 				}
 				if i := tm.slot; i != noSlot {
 					last := len(k.heap) - 1
-					if pos := int(k.slots[i].pos); pos >= 0 && pos < last && k.heap[last].lane != 0 {
+					if pos := int(k.slots[i].pos); pos >= 0 && pos < last && k.heap[last].lane > 0 {
 						out.relocations++
 					}
 				}
