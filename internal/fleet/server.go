@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"errors"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/load"
@@ -53,14 +52,18 @@ type Server struct {
 	objects uint64
 	cut     uint64 // a key is a write iff key % 1000 < cut
 
-	// keys holds the batch's keys grouped by call — store i's reads are
-	// call 2i, its writes call 2i+1 — in batch order within a call: call c
-	// is keys[off[c]:off[c+1]]. op is the call the server is at, inv that
-	// call in flight.
-	keys []uint64
-	off  []int
-	op   int
-	inv  *proclet.Invocation
+	// keys is the batch's plan, and each call's ids once it starts. Begin
+	// writes one word per request — its call in the high half, store i's
+	// reads being call 2i and its writes call 2i+1, and its batch index in
+	// the low half — and keeps the words sorted, so the calls come
+	// ascending and each keeps batch order. call turns the next call's run
+	// of words into its ids in place: call op's ids are keys[lo:hi], and
+	// the words from hi on are the calls still to make. inv is the call
+	// in flight.
+	keys   []uint64
+	op     int
+	lo, hi int
+	inv    *proclet.Invocation
 	// One read buffer and one write buffer per server: nothing read is
 	// kept past the call, and the store copies a write out in the event
 	// the call is served. Both, and keys, are sized to a batch when the
@@ -77,42 +80,37 @@ type Server struct {
 // thousandth, are writes.
 func NewServer(sh *Shard, objects, batchMax int, writeFrac float64) *Server {
 	return &Server{sh: sh, objects: uint64(objects), cut: uint64(writeFrac * 1000),
-		keys: make([]uint64, 0, batchMax), off: make([]int, 2*len(sh.Ledger.stores)+1),
+		keys: make([]uint64, 0, batchMax),
 		rbuf: batchOf(batchMax), wbuf: core.Batch{Vals: make([]core.Value, 0, batchMax), Sizes: make([]int64, 0, batchMax)}}
 }
 
 // Root returns the causal tree of the batch in hand, or of the last one.
 func (s *Server) Root() obs.SpanID { return s.root }
 
-// Begin opens the batch's tree, groups it by call and starts the first.
+// Begin opens the batch's tree, plans its calls and starts the first.
 func (s *Server) Begin(batch []load.Request) sim.Wait {
-	s.batch = batch
 	s.root = s.sh.Sys.Obs.Start(obs.KindReq, "batch", 0, 0)
-	// A stable counting sort: count call c's keys in off[c+1], sum the
-	// counts into starts, place each key in batch order at its call's
-	// cursor off[c], which leaves off[c] at call c's end, then shift off
-	// one place right so that it holds the starts again.
-	clear(s.off)
-	for _, r := range batch {
-		s.off[s.callOf(r.Key)+1]++
-	}
-	for c := 1; c < len(s.off); c++ {
-		s.off[c] += s.off[c-1]
-	}
-	s.keys = slices.Grow(s.keys[:0], len(batch))[:len(batch)]
-	for _, r := range batch {
-		c := s.callOf(r.Key)
-		k := r.Key % s.objects
-		if c%2 == 1 {
-			k = load.ScrambleKey(r.Key)
-		}
-		s.keys[s.off[c]] = k
-		s.off[c]++
-	}
-	copy(s.off[1:], s.off)
-	s.off[0] = 0
-	s.op = 0
+	s.plan(batch)
 	return s.Step()
+}
+
+// plan takes batch in hand and writes its plan into keys. A stable
+// insertion sort: a word's batch index is above every word before it,
+// so it stops behind the words of its own call. A batch costs its keys
+// and the calls it makes, whatever the store count.
+func (s *Server) plan(batch []load.Request) {
+	s.batch = batch
+	s.keys = s.keys[:0]
+	for i, r := range batch {
+		w := uint64(s.callOf(r.Key))<<32 | uint64(i)
+		j := len(s.keys)
+		s.keys = append(s.keys, w)
+		for ; j > 0 && s.keys[j-1] > w; j-- {
+			s.keys[j] = s.keys[j-1]
+		}
+		s.keys[j] = w
+	}
+	s.lo, s.hi = 0, 0
 }
 
 // callOf returns the call a request for key joins.
@@ -124,8 +122,8 @@ func (s *Server) callOf(key uint64) int {
 	return c
 }
 
-// ids returns call c's keys.
-func (s *Server) ids(c int) []uint64 { return s.keys[s.off[c]:s.off[c+1]] }
+// ids returns the keys of call op, the one in hand.
+func (s *Server) ids() []uint64 { return s.keys[s.lo:s.hi] }
 
 // Step steps the call in flight; once it ends, it settles it and starts
 // the next, and once none is left it completes the batch.
@@ -138,7 +136,6 @@ func (s *Server) Step() sim.Wait {
 			s.inv = nil
 			_, err := inv.End()
 			s.settle(err)
-			s.op++
 		}
 		if !s.call() {
 			s.complete()
@@ -147,30 +144,45 @@ func (s *Server) Step() sim.Wait {
 	}
 }
 
-// call starts the first call from op on that has keys, and reports
-// whether there was one.
+// call starts the plan's next call, and reports whether one was left.
 func (s *Server) call() bool {
-	for ; s.op < len(s.off)-1; s.op++ {
-		ids := s.ids(s.op)
-		if len(ids) == 0 {
-			continue
-		}
-		mp := s.sh.Ledger.stores[s.op/2]
-		s.sh.Sys.Obs.SetNext(s.root)
-		if s.op%2 == 0 {
-			s.inv = mp.StartGetBatch(0, ids, &s.rbuf)
-			return true
-		}
-		s.sh.Ledger.WriteBatch(ids, &s.wbuf)
-		s.inv = mp.StartPutBatch(0, &s.wbuf)
+	if !s.next() {
+		return false
+	}
+	mp := s.sh.Ledger.stores[s.op/2]
+	s.sh.Sys.Obs.SetNext(s.root)
+	if s.op%2 == 0 {
+		s.inv = mp.StartGetBatch(0, s.ids(), &s.rbuf)
 		return true
 	}
-	return false
+	s.sh.Ledger.WriteBatch(s.ids(), &s.wbuf)
+	s.inv = mp.StartPutBatch(0, &s.wbuf)
+	return true
+}
+
+// next moves op to the plan's next call and writes that call's ids over
+// its words — a read's object key % objects, a write's
+// load.ScrambleKey(key) — and reports whether a call was left.
+func (s *Server) next() bool {
+	if s.hi == len(s.keys) {
+		return false
+	}
+	c := s.keys[s.hi] >> 32
+	s.op, s.lo = int(c), s.hi
+	for ; s.hi < len(s.keys) && s.keys[s.hi]>>32 == c; s.hi++ {
+		key := s.batch[uint32(s.keys[s.hi])].Key
+		if c%2 == 1 {
+			s.keys[s.hi] = load.ScrambleKey(key)
+		} else {
+			s.keys[s.hi] = key % s.objects
+		}
+	}
+	return true
 }
 
 // settle counts call op's outcome.
 func (s *Server) settle(err error) {
-	t, ids := &s.sh.Tally, s.ids(s.op)
+	t, ids := &s.sh.Tally, s.ids()
 	switch {
 	case err != nil:
 		t.Errors += uint64(len(ids))

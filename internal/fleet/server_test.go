@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/load"
 	"repro/internal/metrics"
@@ -106,6 +108,134 @@ func TestServerCountsKeysAReadDidNotReturn(t *testing.T) {
 	for id, calls := range roots {
 		if calls != 2 {
 			t.Errorf("batch %d has %d store calls hanging off it, want 2: a read and a write", id, calls)
+		}
+	}
+}
+
+// countingSortPlan is the plan the server made before its plan cost only
+// a batch's keys and calls: a stable counting sort over every call — count
+// call c's keys in off[c+1], sum the counts into starts, place each key in
+// batch order at its call's cursor, shift the cursors back to starts —
+// and a walk of all 2×stores calls, skipping the empty ones. It is the
+// reference TestServerPlanMatchesCountingSort holds the server to.
+func countingSortPlan(batch []load.Request, stores int, objects, cut uint64) []plannedCall {
+	callOf := func(key uint64) int {
+		c := 2 * int(key%uint64(stores))
+		if key%1000 < cut {
+			c++
+		}
+		return c
+	}
+	off := make([]int, 2*stores+1)
+	for _, r := range batch {
+		off[callOf(r.Key)+1]++
+	}
+	for c := 1; c < len(off); c++ {
+		off[c] += off[c-1]
+	}
+	keys := make([]uint64, len(batch))
+	for _, r := range batch {
+		c := callOf(r.Key)
+		k := r.Key % objects
+		if c%2 == 1 {
+			k = load.ScrambleKey(r.Key)
+		}
+		keys[off[c]] = k
+		off[c]++
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	var calls []plannedCall
+	for c := 0; c < 2*stores; c++ {
+		if off[c] < off[c+1] {
+			calls = append(calls, plannedCall{store: c / 2, write: c%2 == 1, ids: keys[off[c]:off[c+1]]})
+		}
+	}
+	return calls
+}
+
+// plannedCall is one store call of a batch's plan.
+type plannedCall struct {
+	store int
+	write bool
+	ids   []uint64
+}
+
+// TestServerPlanMatchesCountingSort: the server's plan makes the same
+// calls as the counting sort it replaced — the same stores, reads and
+// writes, in the same order, with the same ids in the same order — and
+// settling them leaves the same tallies and the same ledger. Random
+// batches of 1 to batchMax keys, repeats among them, go through one
+// server a store count, at all-read, all-write and mixed write fractions;
+// each call gets a drawn outcome (failed, or a read returning a drawn
+// share of its keys), the same for both plans.
+func TestServerPlanMatchesCountingSort(t *testing.T) {
+	const batchMax, batches = 32, 400
+	rng := rand.New(rand.NewSource(1))
+	for _, stores := range []int{1, 2, 3, 16, 70} {
+		for _, frac := range []float64{0, 1, 0.05, 0.5} {
+			objects := uint64(1 + rng.Intn(300))
+			newShard := func() *Shard {
+				return &Shard{Ledger: NewLedger(make([]*core.MemoryProclet, stores), 64)}
+			}
+			sh, ref := newShard(), newShard()
+			srv := NewServer(sh, int(objects), batchMax, frac)
+			pool := make([]uint64, 1+rng.Intn(8)) // repeats come from here
+			for i := range pool {
+				pool[i] = rng.Uint64()
+			}
+			for b := 0; b < batches; b++ {
+				batch := make([]load.Request, 1+rng.Intn(batchMax))
+				for i := range batch {
+					batch[i].Key = rng.Uint64()
+					if rng.Intn(3) == 0 {
+						batch[i].Key = pool[rng.Intn(len(pool))]
+					}
+				}
+				want := countingSortPlan(batch, stores, objects, srv.cut)
+				srv.plan(batch)
+				j := 0
+				for ; srv.next(); j++ {
+					got := plannedCall{store: srv.op / 2, write: srv.op%2 == 1, ids: srv.ids()}
+					if j >= len(want) {
+						t.Fatalf("%d stores, write fraction %v, batch %d: call %d %+v past the reference's %d calls", stores, frac, b, j, got, len(want))
+					}
+					if w := want[j]; got.store != w.store || got.write != w.write || !slices.Equal(got.ids, w.ids) {
+						t.Fatalf("%d stores, write fraction %v, batch %d: call %d is %+v, the counting sort's %+v", stores, frac, b, j, got, w)
+					}
+					var err error
+					returned := 0
+					switch rng.Intn(4) {
+					case 0:
+						err = errDeadline
+					default:
+						returned = rng.Intn(len(got.ids) + 1)
+					}
+					srv.rbuf.IDs = srv.rbuf.IDs[:returned]
+					srv.settle(err)
+					rt := &ref.Tally
+					switch {
+					case err != nil:
+						rt.Errors += uint64(len(want[j].ids))
+					case !want[j].write:
+						rt.Errors += uint64(len(want[j].ids) - returned)
+					default:
+						ref.Ledger.Ack(want[j].store, want[j].ids...)
+						rt.Acked += uint64(len(want[j].ids))
+					}
+				}
+				if j != len(want) {
+					t.Fatalf("%d stores, write fraction %v, batch %d: %d calls, the counting sort's %d", stores, frac, b, j, len(want))
+				}
+			}
+			if sh.Errors != ref.Errors || sh.Acked != ref.Acked {
+				t.Errorf("%d stores, write fraction %v: %d errors and %d acked, the counting sort's %d and %d", stores, frac, sh.Errors, sh.Acked, ref.Errors, ref.Acked)
+			}
+			for i := 0; i < stores; i++ {
+				if got, want := sh.Ledger.Keys(i), ref.Ledger.Keys(i); !slices.Equal(got, want) {
+					t.Errorf("%d stores, write fraction %v: store %d's ledger holds %d keys, the counting sort's %d", stores, frac, i, len(got), len(want))
+				}
+			}
 		}
 	}
 }
