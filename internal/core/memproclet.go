@@ -60,10 +60,10 @@ type MemoryProclet struct {
 	isBackup bool
 }
 
-// displaced is what one put overwrote.
+// displaced is what the put at index at of a batch overwrote.
 type displaced struct {
-	old     objEntry
-	existed bool
+	at  int
+	old objEntry
 }
 
 // intArg carries mem.put's value when it is a scalar: the id rides in the
@@ -304,16 +304,16 @@ func (mp *MemoryProclet) store(id uint64, e objEntry) error {
 		delta += ObjectOverheadBytes
 	}
 	if err := mp.pr.GrowHeap(delta); err != nil {
-		mp.unstore(id, displaced{old, existed})
+		mp.unstore(id, old, existed)
 		return err
 	}
 	return nil
 }
 
-// unstore undoes one put.
-func (mp *MemoryProclet) unstore(id uint64, d displaced) {
-	if d.existed {
-		mp.objs.put(id, d.old)
+// unstore undoes one put of id, which overwrote old if existed.
+func (mp *MemoryProclet) unstore(id uint64, old objEntry, existed bool) {
+	if existed {
+		mp.objs.put(id, old)
 	} else {
 		mp.objs.del(id)
 	}
@@ -349,27 +349,40 @@ func (mp *MemoryProclet) applyPutBatch(arg proclet.Msg) (proclet.Msg, []repRecor
 	// table and the log records, before this returns: the caller may
 	// refill the batch as soon as its PutBatch does.
 	//
-	// One pass of puts, each remembering what it displaced, then one
-	// charge for the sum: an id named twice finds its first occurrence in
-	// the table, so the sum is right whatever the batch repeats. If the
-	// machine refuses the charge, undoing the puts last to first leaves
-	// the table holding exactly what it held.
+	// One pass of puts, each that overwrote an object remembering what
+	// it displaced, then one charge for the sum: an id named twice finds
+	// its first occurrence in the table, so the sum is right whatever the
+	// batch repeats. If the machine refuses the charge, undoing the puts
+	// last to first — restoring what a put displaced, deleting what it
+	// added — leaves the table holding exactly what it held. A preload
+	// into an empty store displaces nothing and so keeps no scratch.
 	r := arg.Payload.(*Batch)
 	mp.objs.reserve(mp.objs.len() + len(r.IDs))
 	undo := mp.sys.undo[:0]
 	var delta int64
 	for i, id := range r.IDs {
 		old, existed := mp.objs.put(id, objEntry{val: r.Vals[i], bytes: r.Sizes[i]})
-		undo = append(undo, displaced{old, existed})
 		delta += r.Sizes[i] - old.bytes
 		if !existed {
 			delta += ObjectOverheadBytes
+			continue
 		}
+		if len(undo) == cap(undo) { // at most once a batch: room for every put left
+			undo = append(make([]displaced, 0, len(undo)+len(r.IDs)-i), undo...)
+		}
+		undo = append(undo, displaced{i, old})
 	}
 	err := mp.pr.GrowHeap(delta)
 	if err != nil {
-		for i := len(undo) - 1; i >= 0; i-- {
-			mp.unstore(r.IDs[i], undo[i])
+		u := len(undo)
+		for i := len(r.IDs) - 1; i >= 0; i-- {
+			var old objEntry
+			existed := u > 0 && undo[u-1].at == i
+			if existed {
+				u--
+				old = undo[u].old
+			}
+			mp.unstore(r.IDs[i], old, existed)
 		}
 	}
 	clear(undo) // pin no value

@@ -171,10 +171,12 @@ func serveCost(t *testing.T, stores, servers, objects int) shardCost {
 	return best
 }
 
-// tableBytes is what a bare store allocates to take a preload of objects
-// objects of 64 bytes: its object table. The store beside it takes the
-// preload first, so the system's scratch has grown.
-func tableBytes(t *testing.T, objects int) float64 {
+// preloadBytes is what two bare stores allocate to take a preload of
+// objects objects of 64 bytes: first is the system's first store, which
+// takes it while the memory proclets' shared scratch is empty; table is
+// the store beside it, which takes it once the scratch has grown, so it
+// pays for its object table alone.
+func preloadBytes(t *testing.T, objects int) (first, table float64) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f := New(5, 1, 2, testMachine)
@@ -186,17 +188,18 @@ func tableBytes(t *testing.T, objects int) float64 {
 		t.Fatal(err)
 	}
 	objs := Objects(objects, 64)
-	var before, after runtime.MemStats
+	var start, mid, end runtime.MemStats
 	sys.K.Spawn("preload", func(p *sim.Proc) {
+		runtime.ReadMemStats(&start)
 		err := stores[0].PutBatch(p, 0, objs)
-		runtime.ReadMemStats(&before)
+		runtime.ReadMemStats(&mid)
 		if err = errors.Join(err, stores[1].PutBatch(p, 0, objs)); err != nil {
 			t.Error(err)
 		}
-		runtime.ReadMemStats(&after)
+		runtime.ReadMemStats(&end)
 	})
 	f.RunUntil(sim.Time(time.Second))
-	return float64(after.TotalAlloc - before.TotalAlloc)
+	return float64(mid.TotalAlloc - start.TotalAlloc), float64(end.TotalAlloc - mid.TotalAlloc)
 }
 
 // TestShardServeAllocs holds a serving shard's cost to its shape:
@@ -217,11 +220,17 @@ func TestShardServeAllocs(t *testing.T) {
 		return serveCost(t, 2*stores, servers, objects).bytes - serveCost(t, stores, servers, objects).bytes
 	}
 	slope := (perStore(4*objects) - perStore(objects)) / (stores * 3 * objects)
-	table := (tableBytes(t, 4*objects) - tableBytes(t, objects)) / (3 * objects)
-	t.Logf("a store costs %.1f bytes an object, its object table %.1f", slope, table)
+	first4, table4 := preloadBytes(t, 4*objects)
+	first1, table1 := preloadBytes(t, objects)
+	table, first := (table4-table1)/(3*objects), (first4-first1)/(3*objects)
+	t.Logf("a store costs %.1f bytes an object, its object table %.1f, the system's first store's preload %.1f", slope, table, first)
 	if slope > table+storeObjectSlack {
 		t.Errorf("each store costs %.1f bytes an object, %.1f over its object table's %.1f: want at most %d, none of it a copy of the preload",
 			slope, slope-table, table, storeObjectSlack)
+	}
+	if first > table+storeObjectSlack {
+		t.Errorf("a bare system's first preload costs %.1f bytes an object, %.1f over its object table's %.1f: want at most %d, the shared scratch sized once to the batch",
+			first, first-table, table, storeObjectSlack)
 	}
 
 	more := serveCost(t, stores, 2*servers, objects)

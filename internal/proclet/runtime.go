@@ -469,7 +469,7 @@ func (rt *Runtime) serveInline(pr *Proclet, from ID, method string, arg Msg) (Ms
 	}
 	if e.fast != nil {
 		res, err := e.fast(pr, arg)
-		if !errors.Is(err, simnet.ErrWouldBlock) {
+		if !simnet.Declined(err) {
 			rt.FastInvokes.Inc()
 			rt.account(pr, from, arg, res)
 			return res, nil, err

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -215,6 +216,50 @@ func TestSteadyStateCallAllocatesNothing(t *testing.T) {
 			t.Errorf("CallTimeout %v: a steady-state Call step allocates %v objects, want 0", timeout, a)
 		}
 		k.Close()
+	}
+}
+
+// TestFreshCallRecordsAllocateLittle: on a fresh fabric every call takes
+// a record the pool never held, and a record costs the Call itself plus
+// its share of the fabric's growing tables — at most 2 allocations a
+// record over start, send, delivery, reply and End. The closures only a
+// blocking or staged handler or Fabric.Call's wait needs are bound on
+// first use, and the three event callbacks once per fabric; binding all
+// six per record cost 7 allocations a record.
+func TestFreshCallRecordsAllocateLittle(t *testing.T) {
+	const calls = 512
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	k := sim.NewKernel(1)
+	defer k.Close()
+	cfg := testConfig()
+	cfg.CallTimeout = time.Millisecond
+	f := New(k, cfg)
+	f.AddNode(1)
+	f.AddNode(2).HandleFast("echo", func(req Message) (Message, error) { return req, nil })
+	records := make([]*Call, calls)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range records {
+		cs, err := f.StartCall(1, 2, "echo", Message{Bytes: 100}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.Stage() // the caller-side overhead
+		cs.Stage() // the send
+		records[i] = cs
+	}
+	k.Run()
+	for _, cs := range records {
+		if _, err := cs.End(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if len(f.callPool) != calls || f.FastCalls.Value() != calls {
+		t.Fatalf("%d records pooled and %d fast calls served, want %d of each", len(f.callPool), f.FastCalls.Value(), calls)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / calls; per > 2 {
+		t.Errorf("%d calls on a fresh fabric allocated %.2f objects a record, want at most 2", calls, per)
 	}
 }
 

@@ -40,7 +40,6 @@ package simnet
 // the intra-shard fast path stays allocation-free.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -132,7 +131,7 @@ func (pt *Partition) Call(p *sim.Proc, from, to ShardNode, method string, req Me
 	// One park, as on the fabric path: the fixed caller-side software
 	// overhead, then the send stage in kernel context, then the round trip.
 	if pc.local != nil {
-		p.Await(pc.local.Stage(), pc.local.stageF)
+		p.Await(pc.local.Stage(), pc.local.stage())
 	} else {
 		p.Await(pc.cross.stage(), pc.cross.stageF)
 	}
@@ -268,7 +267,7 @@ func (pt *Partition) deliver(cc *crossCall, from, to ShardNode, method string, r
 	k.Schedule(rxEnd, func() {
 		if fh != nil {
 			rep, err := fh(to.Node, req)
-			if err == nil || !errors.Is(err, ErrWouldBlock) {
+			if !Declined(err) {
 				if err == nil {
 					dstFab.FastCalls.Inc()
 				}

@@ -50,6 +50,14 @@ var ErrWouldBlock = errors.New("simnet: fast handler would block")
 // (sim.Kernel.SpawnStaged).
 var ErrStaged = fmt.Errorf("%w: serve it staged", ErrWouldBlock)
 
+// Declined reports whether a fast handler's err declines its request,
+// errors.Is(err, ErrWouldBlock). Every replicated write declines, so the
+// two sentinels are matched by identity before errors.Is unwraps
+// anything else.
+func Declined(err error) bool {
+	return err == ErrWouldBlock || err == ErrStaged || err != nil && errors.Is(err, ErrWouldBlock)
+}
+
 // Config holds the network's performance parameters.
 type Config struct {
 	// Latency is the one-way propagation delay between any two nodes.
@@ -206,8 +214,16 @@ type Fabric struct {
 	Drops metrics.Counter
 
 	// callPool recycles the state of finished calls (see Call). The pool
-	// is a stack, so reuse order is deterministic.
+	// is a stack, so reuse order is deterministic. calls holds every
+	// record the fabric has made, by its id, so that the tagged events
+	// below find theirs: a record's events run one of three callbacks
+	// bound once per fabric, tagged with the record's id and generation
+	// (Call.tag).
 	callPool []*Call
+	calls    []*Call
+	deliverT func(uint64)  // the request lands on the destination
+	finishT  func(uint64)  // the reply lands back on the caller
+	timeoutT func(uint64)  // the call's deadline expires
 	staged   StagedHandler // serves ErrStaged declines on every node
 
 	// obs, when set, records one causal span per call. Nil (the
@@ -256,11 +272,13 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 	if cfg.Bandwidth <= 0 {
 		panic("simnet: bandwidth must be positive")
 	}
-	return &Fabric{
+	f := &Fabric{
 		k:         k,
 		cfg:       cfg,
 		deadlines: k.NewLane(),
 	}
+	f.deliverT, f.finishT, f.timeoutT = f.onDelivered, f.onReplyDelivered, f.onDeadline
+	return f
 }
 
 // Config returns the fabric's configuration.
@@ -559,11 +577,14 @@ func (f *Fabric) transferAsyncTagged(from, to NodeID, size int64, fn func(uint64
 // the reply and retires it. Call is the three around one Await; a caller
 // that is itself an Await stage steps Stage from its own.
 //
-// It carries pre-built closures for every stage of the round trip — send,
-// request delivery, the (pooled) handler process, reply delivery,
-// completion — so a steady-state RPC allocates nothing: not for the
-// kernel events, not for the handler process (worker pool), not for its
-// name (lazy), and not for the caller's wait (inline Cond slot).
+// Its kernel events — request delivery, reply delivery, the deadline —
+// run the fabric's three tagged callbacks, and the closures a caller's
+// wait and a handler process need (Stage, the handler's run, its lazy
+// name) are bound on the record's first use and kept while it is pooled,
+// so a steady-state RPC allocates nothing: not for the kernel events, not
+// for the handler process (worker pool), not for its name (lazy), and not
+// for the caller's wait (inline Cond slot). A fresh record is the Call
+// alone, and a place in the fabric's table of records.
 //
 // Timeouts make recycling subtle: a timed-out call can leave its
 // delivery/reply/deadline events in the queue, and its blocking or staged
@@ -589,7 +610,8 @@ type Call struct {
 	done    bool
 	cv      sim.Cond
 
-	gen         uint64 // bumped on recycle; stale tagged events no-op
+	id          uint32 // index in Fabric.calls
+	gen         uint32 // bumped on recycle; stale tagged events no-op
 	ifIdx       int    // index in Fabric.inflight, -1 if not tracked
 	handlerLive bool   // blocking handler process still references cs
 	abandoned   bool   // owner returned before the handler finished
@@ -599,12 +621,10 @@ type Call struct {
 	deadlineAt  sim.Time
 	deadlineSeq uint64
 
-	stageF   func() sim.Wait // Stage, bound once
-	deliverT func(uint64)    // runs when the request lands on the destination
-	finishT  func(uint64)    // runs when the reply lands back on the caller
-	timeoutT func(uint64)    // runs when the call's deadline expires
-	nameF    func() string   // lazy handler-process name ("rpc:method@node")
-	procF    func(p *sim.Proc)
+	// Bound on the record's first need and kept while it is pooled.
+	stageF func() sim.Wait   // Stage, for a caller's Await (stage)
+	nameF  func() string     // a handler process's lazy name, "rpc:method@node" (name)
+	procF  func(p *sim.Proc) // runProc, a blocking handler's process (onDelivered)
 }
 
 func (f *Fabric) getCall() *Call {
@@ -614,14 +634,38 @@ func (f *Fabric) getCall() *Call {
 		f.callPool = f.callPool[:n-1]
 		return cs
 	}
-	cs := &Call{f: f, ifIdx: -1}
-	cs.stageF = cs.Stage
-	cs.deliverT = cs.onDelivered
-	cs.finishT = cs.onReplyDelivered
-	cs.timeoutT = cs.onDeadline
-	cs.nameF = cs.procName
-	cs.procF = cs.runProc
+	cs := &Call{f: f, id: uint32(len(f.calls)), ifIdx: -1}
+	f.calls = append(f.calls, cs)
 	return cs
+}
+
+// tag names the record and its generation in a tagged event.
+func (cs *Call) tag() uint64 { return uint64(cs.id)<<32 | uint64(cs.gen) }
+
+// tagged returns the record a tagged event names, or nil if it has been
+// recycled since the event was queued. A stale event could match only if
+// its record were recycled 2^32 times while the event was queued.
+func (f *Fabric) tagged(tag uint64) *Call {
+	if cs := f.calls[tag>>32]; cs.gen == uint32(tag) {
+		return cs
+	}
+	return nil
+}
+
+// stage returns Stage as a func value, for the caller's Await.
+func (cs *Call) stage() func() sim.Wait {
+	if cs.stageF == nil {
+		cs.stageF = cs.Stage
+	}
+	return cs.stageF
+}
+
+// name returns procName as a func value, a handler process's lazy name.
+func (cs *Call) name() func() string {
+	if cs.nameF == nil {
+		cs.nameF = cs.procName
+	}
+	return cs.nameF
 }
 
 // putCall retires cs after its owning Call completes. If the blocking
@@ -702,7 +746,7 @@ func (cs *Call) send() sim.Wait {
 
 	if cs.from == cs.to {
 		// Lands now, before any deadline; a blocking handler arms it.
-		f.k.ScheduleTagged(f.k.Now(), cs.deliverT, cs.gen)
+		f.k.ScheduleTagged(f.k.Now(), f.deliverT, cs.tag())
 	} else if f.lost(cs.from, cs.to) {
 		if cs.timeout > 0 {
 			cs.armDeadline() // nothing else will resolve the call
@@ -712,7 +756,7 @@ func (cs *Call) send() sim.Wait {
 			f.Timeouts.Inc()
 			cs.finish(Message{}, fmt.Errorf("%w: %q lost on link %d->%d", ErrTimeout, cs.method, cs.from, cs.to))
 		}
-	} else if at, terr := f.transferAsyncTagged(cs.from, cs.to, cs.req.Bytes, cs.deliverT, cs.gen); terr != nil {
+	} else if at, terr := f.transferAsyncTagged(cs.from, cs.to, cs.req.Bytes, f.deliverT, cs.tag()); terr != nil {
 		cs.finish(Message{}, terr)
 	} else {
 		cs.armDeadlineIfDue(at)
@@ -742,7 +786,7 @@ func (cs *Call) armDeadline() {
 	if cs.deadlineSeq == 0 {
 		return // no deadline, or already queued
 	}
-	cs.f.deadlines.ScheduleReserved(cs.deadlineAt, cs.deadlineSeq, cs.timeoutT, cs.gen)
+	cs.f.deadlines.ScheduleReserved(cs.deadlineAt, cs.deadlineSeq, cs.f.timeoutT, cs.tag())
 	cs.deadlineSeq = 0
 }
 
@@ -762,23 +806,24 @@ func (cs *Call) procName() string {
 // destination node. The fast path serves the RPC inline; a request it
 // declines to the staged handler is served by a staged process;
 // everything else spawns the blocking handler in a pooled process.
-func (cs *Call) onDelivered(gen uint64) {
-	if gen != cs.gen || cs.done {
+func (f *Fabric) onDelivered(tag uint64) {
+	cs := f.tagged(tag)
+	if cs == nil || cs.done {
 		return // the call already resolved (timeout / node down) or recycled
 	}
 	if cs.fh != nil {
 		reply, err := cs.fh(cs.to, cs.req)
-		if err == nil || !errors.Is(err, ErrWouldBlock) {
+		if !Declined(err) {
 			if err == nil {
-				cs.f.FastCalls.Inc()
+				f.FastCalls.Inc()
 			}
 			cs.sendReply(reply, err)
 			return
 		}
-		if err == ErrStaged && cs.f.staged != nil {
+		if err == ErrStaged && f.staged != nil {
 			cs.armDeadline() // a staged handler may outlast any deadline too
 			cs.handlerLive = true
-			cs.f.k.SpawnStaged(cs.nameF, cs.f.staged(cs.to, cs.req, cs))
+			f.k.SpawnStaged(cs.name(), f.staged(cs.to, cs.req, cs))
 			return
 		}
 		if cs.h == nil {
@@ -790,7 +835,10 @@ func (cs *Call) onDelivered(gen uint64) {
 	}
 	cs.armDeadline() // a blocking handler may outlast any deadline
 	cs.handlerLive = true
-	cs.f.k.SpawnLazy(cs.nameF, cs.procF)
+	if cs.procF == nil {
+		cs.procF = cs.runProc
+	}
+	f.k.SpawnLazy(cs.name(), cs.procF)
 }
 
 func (cs *Call) runProc(hp *sim.Proc) {
@@ -802,11 +850,12 @@ func (cs *Call) runProc(hp *sim.Proc) {
 func (cs *Call) Reply(reply Message, err error) { cs.sendReply(reply, err) }
 
 // onDeadline fires when a call's deadline expires before its reply.
-func (cs *Call) onDeadline(gen uint64) {
-	if gen != cs.gen || cs.done {
+func (f *Fabric) onDeadline(tag uint64) {
+	cs := f.tagged(tag)
+	if cs == nil || cs.done {
 		return
 	}
-	cs.f.Timeouts.Inc()
+	f.Timeouts.Inc()
 	cs.finish(Message{}, fmt.Errorf("%w: %q to node %d after %v", ErrTimeout, cs.method, cs.to, cs.timeout))
 }
 
@@ -843,18 +892,17 @@ func (cs *Call) sendReply(reply Message, err error) {
 		return
 	}
 	cs.reply = reply // parked here while the reply crosses the wire
-	if at, terr := cs.f.transferAsyncTagged(cs.to, cs.from, reply.Bytes, cs.finishT, cs.gen); terr != nil {
+	if at, terr := cs.f.transferAsyncTagged(cs.to, cs.from, reply.Bytes, cs.f.finishT, cs.tag()); terr != nil {
 		cs.finish(Message{}, terr)
 	} else {
 		cs.armDeadlineIfDue(at)
 	}
 }
 
-func (cs *Call) onReplyDelivered(gen uint64) {
-	if gen != cs.gen {
-		return
+func (f *Fabric) onReplyDelivered(tag uint64) {
+	if cs := f.tagged(tag); cs != nil {
+		cs.finish(cs.reply, nil)
 	}
-	cs.finish(cs.reply, nil)
 }
 
 func (cs *Call) finish(reply Message, err error) {
@@ -879,7 +927,7 @@ func (f *Fabric) Call(p *sim.Proc, from, to NodeID, method string, req Message) 
 	}
 	// The one park of the call: the fixed caller-side software overhead,
 	// then the send stage in kernel context, then the round trip.
-	p.Await(cs.Stage(), cs.stageF)
+	p.Await(cs.Stage(), cs.stage())
 	return cs.End()
 }
 

@@ -441,6 +441,6 @@ func (f *Fabric) callWithTimeout(p *sim.Proc, from, to NodeID, method string, re
 	if err != nil {
 		return Message{}, err
 	}
-	p.Await(cs.Stage(), cs.stageF)
+	p.Await(cs.Stage(), cs.stage())
 	return cs.End()
 }
