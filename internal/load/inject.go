@@ -15,6 +15,7 @@ type Request struct {
 	At     sim.Time
 	Tenant int
 	Key    uint64
+	seq    uint64 // orders it among At's events: it has arrived once the kernel has Reached (At, seq)
 }
 
 // Injector generates a multi-tenant open-loop request stream on ONE
@@ -25,16 +26,14 @@ type Request struct {
 //
 // Per batch window [W, W+window) the injector — running as an ordinary
 // shard event at W — draws every tenant's arrival instants by thinning,
-// samples a Zipfian key per arrival, and schedules each request on its
-// tenant's sim.Lane — arrivals are drawn in time order, so the kernel's
-// heap orders one entry per tenant, not one per request — with a func
-// bound once. The pending slice is reused across windows, so the whole
-// generate→schedule→deliver path is allocation-free at steady state:
-// cost is O(requests), never O(clients).
-//
-// Arrivals in a window all land strictly before the next batch event
-// (Draw returns [from, to)), so indices into pending are stable for
-// exactly the window that scheduled them.
+// samples a Zipfian key per arrival, and gives each request the sequence
+// number (sim.Kernel.ReserveSeq) an event at its instant would have had.
+// It then hands the whole window to the handler at once, in (At, seq)
+// order. An arrival costs no kernel event: a consumer tells the requests
+// that have arrived by sim.Kernel.Reached, as Queue does, and sees each
+// one exactly when an event at its key would have delivered it. The
+// pending slice is reused across windows, so generation is
+// allocation-free at steady state: cost is O(requests), never O(clients).
 type Injector struct {
 	k       *sim.Kernel
 	window  sim.Time
@@ -44,28 +43,28 @@ type Injector struct {
 	streams []stream
 	pending []Request
 
-	fire  func(uint64) // bound once: delivers pending[tag]
 	batch func(uint64) // bound once: generates the next window
 
 	generated []uint64 // per-tenant request counts
-	delivered uint64
 	windows   uint64
 }
 
 // stream is one tenant's generator state on this shard: its (shard-
 // scaled) rate curve, an independent deterministic RNG stream, and the
-// shared immutable key sampler.
+// shared immutable key sampler. next and end bound its window's requests
+// in pending, in time order, while they are handed over.
 type stream struct {
-	arr  *Arrivals
-	zipf *Zipf
-	rng  *rand.Rand
-	lane sim.Lane // the stream's arrivals, appended in time order
+	arr       *Arrivals
+	zipf      *Zipf
+	rng       *rand.Rand
+	next, end int
 }
 
 // NewInjector creates an injector on shard kernel k drawing arrivals in
 // batches of the given window — use the ParKernel lookahead so one
 // batch event runs per synchronization window. Handler is invoked once
-// per request at its arrival instant, in shard context.
+// per request, in shard context, at the start of the window the request
+// arrives in.
 func NewInjector(k *sim.Kernel, window time.Duration, handler func(Request)) *Injector {
 	if window <= 0 {
 		panic("load: non-positive injector window")
@@ -74,10 +73,6 @@ func NewInjector(k *sim.Kernel, window time.Duration, handler func(Request)) *In
 		panic("load: nil injector handler")
 	}
 	inj := &Injector{k: k, window: sim.Time(window), handler: handler}
-	inj.fire = func(tag uint64) {
-		inj.delivered++
-		inj.handler(inj.pending[tag])
-	}
 	inj.batch = func(uint64) { inj.runBatch() }
 	return inj
 }
@@ -94,7 +89,6 @@ func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) int {
 		arr:  NewArrivals(curve, rng),
 		zipf: zipf,
 		rng:  rng,
-		lane: inj.k.NewLane(),
 	})
 	inj.generated = append(inj.generated, 0)
 	return len(inj.streams) - 1
@@ -114,35 +108,47 @@ func (inj *Injector) Start(from, horizon sim.Time) {
 }
 
 // runBatch draws one window of arrivals for every tenant (fixed tenant
-// order) and schedules each on its tenant's lane.
+// order), numbering each as the next event, schedules the next window,
+// and hands the requests over. Every arrival lands strictly before the
+// next batch event (Draw returns [from, to)).
 func (inj *Injector) runBatch() {
-	t0 := inj.k.Now()
-	t1 := t0 + inj.window
-	if t1 > inj.horizon {
-		t1 = inj.horizon
-	}
+	k := inj.k
+	t0 := k.Now()
+	t1 := min(t0+inj.window, inj.horizon)
 	inj.windows++
 	inj.pending = inj.pending[:0]
 	for si := range inj.streams {
 		s := &inj.streams[si]
-		before := len(inj.pending)
+		s.next = len(inj.pending)
 		for _, at := range s.arr.Draw(t0, t1) {
 			inj.pending = append(inj.pending, Request{
 				At:     at,
 				Tenant: si,
 				Key:    ScrambleKey(s.zipf.Sample(s.rng)),
+				seq:    k.ReserveSeq(),
 			})
 		}
-		inj.generated[si] += uint64(len(inj.pending) - before)
-	}
-	// Schedule only after the slice is fully built: appends above may
-	// reallocate, but indices are stable from here to the next batch.
-	for i := range inj.pending {
-		r := &inj.pending[i]
-		inj.streams[r.Tenant].lane.ScheduleTagged(r.At, inj.fire, uint64(i))
+		s.end = len(inj.pending)
+		inj.generated[si] += uint64(s.end - s.next)
 	}
 	if t1 < inj.horizon {
-		inj.k.ScheduleTagged(t1, inj.batch, 0)
+		k.ScheduleTagged(t1, inj.batch, 0)
+	}
+	// Merge the tenants' runs into (At, seq) order: each run is in time
+	// order, and at a tie the earlier tenant holds the smaller numbers.
+	for {
+		var best *stream
+		for si := range inj.streams {
+			s := &inj.streams[si]
+			if s.next < s.end && (best == nil || inj.pending[s.next].At < inj.pending[best.next].At) {
+				best = s
+			}
+		}
+		if best == nil {
+			return
+		}
+		inj.handler(inj.pending[best.next])
+		best.next++
 	}
 }
 

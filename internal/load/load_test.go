@@ -323,14 +323,20 @@ func TestSamplePathZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// TestInjectorDeliversInOrder: the handler gets each window's requests at
+// the window's start, every one inside the window, in (At, seq) order
+// across the tenants, and all of them.
 func TestInjectorDeliversInOrder(t *testing.T) {
 	k := sim.NewKernel(1)
+	const window = 5 * time.Millisecond
 	var got []Request
-	inj := NewInjector(k, 5*time.Millisecond, func(r Request) {
-		if r.At != k.Now() {
-			t.Fatalf("request fired at %v, stamped %v", k.Now(), r.At)
+	var byTenant [2]uint64
+	inj := NewInjector(k, window, func(r Request) {
+		if now := k.Now(); now%sim.Time(window) != 0 || r.At < now || r.At >= now+sim.Time(window) {
+			t.Fatalf("request at %v handed over at %v, want at the start of its %v window", r.At, now, window)
 		}
 		got = append(got, r)
+		byTenant[r.Tenant]++
 	})
 	z := NewZipf(1000, 0.9)
 	inj.AddTenant("a", Constant(40000), z)
@@ -342,16 +348,15 @@ func TestInjectorDeliversInOrder(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("no requests delivered")
 	}
-	if inj.delivered != uint64(len(got)) || inj.TotalGenerated() != inj.delivered {
-		t.Fatalf("generated %d delivered %d handled %d",
-			inj.TotalGenerated(), inj.delivered, len(got))
+	if inj.TotalGenerated() != uint64(len(got)) || byTenant[0] != inj.generated[0] || byTenant[1] != inj.generated[1] {
+		t.Fatalf("generated %d (%v by tenant), handled %d (%v)", inj.TotalGenerated(), inj.generated, len(got), byTenant)
 	}
 	if inj.windows != 10 {
 		t.Fatalf("windows = %d, want 10", inj.windows)
 	}
 	for i := 1; i < len(got); i++ {
-		if got[i].At < got[i-1].At {
-			t.Fatal("requests delivered out of time order")
+		if a, b := got[i-1], got[i]; b.At < a.At || b.At == a.At && b.seq <= a.seq {
+			t.Fatalf("request %d (at %v, seq %d) handed over after (at %v, seq %d): want (At, seq) order", i, b.At, b.seq, a.At, a.seq)
 		}
 	}
 	// Tenant a offers ~2x tenant b's rate.
@@ -361,22 +366,19 @@ func TestInjectorDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestInjectorArrivalsStayOutOfTheHeap: a tenant's arrivals are drawn in
-// time order and scheduled under increasing sequence numbers, so each one
-// takes its stream's lane and none falls back to the heap. However many
-// requests a window draws ahead, the heap holds the head of each stream
-// and the next batch event.
-func TestInjectorArrivalsStayOutOfTheHeap(t *testing.T) {
+// TestInjectorWindowIsOneEvent: an arrival is a sequence number, not an
+// event, so 20 windows of about 420 requests from three tenants cost the
+// kernel exactly the 20 batch events, and nothing waits in the queue
+// beyond the next one.
+func TestInjectorWindowIsOneEvent(t *testing.T) {
 	k := sim.NewKernel(7)
 	defer k.Close()
 	const window = time.Millisecond
-	var maxHeap, maxBehind int
-	var atWindowStart uint64 // due at the instant they were drawn: the FIFO's, not a lane's
-	inj := NewInjector(k, window, func(r Request) {
-		st := k.QueueStats()
-		maxHeap, maxBehind = max(maxHeap, st.Heap), max(maxBehind, st.Behind)
-		if r.At%sim.Time(window) == 0 {
-			atWindowStart++
+	handled := 0
+	inj := NewInjector(k, window, func(Request) {
+		handled++
+		if n := k.Pending(); n > 1 {
+			t.Fatalf("%d events pending while a window is handed over, want the next batch event alone", n)
 		}
 	})
 	z := NewZipf(1000, 0.9)
@@ -387,18 +389,15 @@ func TestInjectorArrivalsStayOutOfTheHeap(t *testing.T) {
 	inj.Start(0, horizon)
 	k.Run()
 
-	st := k.QueueStats()
-	if inj.windows != 20 || inj.delivered < 7000 || inj.delivered != inj.TotalGenerated() {
-		t.Fatalf("%d windows, %d generated, %d delivered: want 20 windows of about 420 requests, all delivered",
-			inj.windows, inj.TotalGenerated(), inj.delivered)
+	if inj.windows != 20 || handled < 7000 || uint64(handled) != inj.TotalGenerated() {
+		t.Fatalf("%d windows, %d generated, %d handled: want 20 windows of about 420 requests, all handled",
+			inj.windows, inj.TotalGenerated(), handled)
 	}
-	if st.LaneFallbacks != 0 || st.LaneAppends+atWindowStart != inj.TotalGenerated() {
-		t.Errorf("%d of %d arrivals took a lane (%d were due at once), %d fell back to the heap: want all and 0",
-			st.LaneAppends, inj.TotalGenerated(), atWindowStart, st.LaneFallbacks)
+	if n := k.EventsProcessed(); n != 20 {
+		t.Errorf("the kernel ran %d events for 20 windows, want 20", n)
 	}
-	if maxHeap > 3+1 || maxBehind < 300 {
-		t.Errorf("heap reached %d entries with up to %d arrivals waiting behind lane heads: want at most tenants + 1, and a window's worth waiting",
-			maxHeap, maxBehind)
+	if st := k.QueueStats(); st.LaneAppends != 0 {
+		t.Errorf("%d arrivals took a lane, want none", st.LaneAppends)
 	}
 }
 

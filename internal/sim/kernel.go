@@ -154,8 +154,9 @@ func keyLess(a, b qkey) bool {
 // processes and scheduled events. Distinct kernels are fully independent
 // and may run concurrently on separate host goroutines.
 type Kernel struct {
-	now Time
-	seq uint64
+	now    Time
+	seq    uint64
+	curSeq uint64 // the running event's sequence number; allRun once all of now has run
 
 	// The event queue has three parts. Events scheduled at exactly the
 	// current instant — the dominant case: wakes, Yield, same-instant event
@@ -270,12 +271,25 @@ func (k *Kernel) Schedule(at Time, fn func()) {
 
 // ScheduleTagged runs fn(tag) at absolute virtual time at (clamped like
 // Schedule). Because the argument travels in the event itself, callers
-// that schedule the same callback with varying state (for example an
-// injector's per-arrival index) can hold one long-lived fn and schedule
+// that schedule the same callback with varying state (for example a
+// fabric's per-call record index) can hold one long-lived fn and schedule
 // with zero allocations.
 func (k *Kernel) ScheduleTagged(at Time, fn func(tag uint64), tag uint64) {
 	s := k.push(at, evTagged)
 	s.tfn, s.tag = fn, tag
+}
+
+// allRun is Kernel.curSeq between runs: every event at now has run.
+const allRun = math.MaxUint64
+
+// Reached reports whether an event keyed (at, seq) would have run by now:
+// its instant is past, or it is now and its number is below the running
+// event's. A key taken with ReserveSeq and never scheduled is reached
+// exactly when its event would have run, so a consumer that looks for
+// such keys sees what it would have seen had every one been an event.
+// After Run or RunUntil returns, every key at or before now is reached.
+func (k *Kernel) Reached(at Time, seq uint64) bool {
+	return at < k.now || at == k.now && seq < k.curSeq
 }
 
 // ReserveSeq consumes the next event sequence number without scheduling
@@ -291,8 +305,7 @@ func (k *Kernel) ReserveSeq() uint64 {
 }
 
 // Lane is a handle on a FIFO of future events for a source that schedules
-// in (time, seq) order: an open-loop arrival stream, deadlines a fixed
-// timeout after their calls. The heap orders a lane's first entry against
+// in (time, seq) order: deadlines a fixed timeout after their calls. The heap orders a lane's first entry against
 // everything else and the rest wait behind it at no cost to anyone, so a
 // pop sifts through one entry per lane instead of one per event. Order is
 // checked, not assumed: an append that would come before the lane's last
@@ -309,15 +322,6 @@ type Lane struct {
 func (k *Kernel) NewLane() Lane {
 	k.lanes = append(k.lanes, lane{next: noSlot, tail: noSlot})
 	return Lane{k: k, id: int32(len(k.lanes))}
-}
-
-// ScheduleTagged is order-identical to Kernel.ScheduleTagged.
-func (l Lane) ScheduleTagged(at Time, fn func(tag uint64), tag uint64) {
-	k := l.k
-	k.seq++
-	i, s := k.newSlot(evTagged)
-	s.tfn, s.tag = fn, tag
-	k.laneAppend(l.id, at, k.seq, i)
 }
 
 // ScheduleReserved runs fn(tag) at the future instant at, ordered among
@@ -928,6 +932,7 @@ func (k *Kernel) round(r *pollRun) {
 	var o *pollRun // the run the last member joined
 	for j, i := range ms {
 		if j > 0 { // step counted the first
+			k.curSeq = seq + uint64(j)
 			k.processed++
 			if k.processed&(yieldEvery-1) == 0 {
 				runtime.Gosched()
@@ -1174,6 +1179,7 @@ func (k *Kernel) step(limit Time) bool {
 	if e.at > k.now {
 		k.now = e.at
 	}
+	k.curSeq = e.seq
 	k.processed++
 	if k.processed&(yieldEvery-1) == 0 {
 		runtime.Gosched() // host-side only: reads and writes no simulated state
@@ -1241,6 +1247,7 @@ func (k *Kernel) Run() Time {
 	k.stopFlag = false
 	for !k.stopFlag && k.step(maxTime) {
 	}
+	k.curSeq = allRun
 	return k.now
 }
 
@@ -1251,6 +1258,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 	for !k.stopFlag && k.step(t) {
 	}
 	k.advanceTo(t)
+	k.curSeq = allRun
 	return k.now
 }
 

@@ -55,7 +55,18 @@ func (s *laneSource) tagged(at Time, fn func(uint64), id uint64) {
 		s.k.ScheduleTagged(at, fn, id)
 		return
 	}
-	s.l.ScheduleTagged(at, fn, id)
+	laneTagged(s.l, at, fn, id)
+}
+
+// laneTagged queues fn(id) through lane l under the next sequence number,
+// where Kernel.ScheduleTagged would order it: an instant at or before now
+// joins the FIFO, as a lane append there does.
+func laneTagged(l Lane, at Time, fn func(uint64), id uint64) {
+	k := l.k
+	k.seq++
+	i, s := k.newSlot(evTagged)
+	s.tfn, s.tag = fn, id
+	k.laneAppend(l.id, at, k.seq, i)
 }
 
 func (s *laneSource) reserved(at Time, seq uint64, fn func(uint64), id uint64) {
