@@ -305,9 +305,10 @@ func (k *Kernel) ReserveSeq() uint64 {
 }
 
 // Lane is a handle on a FIFO of future events for a source that schedules
-// in (time, seq) order: deadlines a fixed timeout after their calls. The heap orders a lane's first entry against
-// everything else and the rest wait behind it at no cost to anyone, so a
-// pop sifts through one entry per lane instead of one per event. Order is
+// in (time, seq) order, such as deadlines a fixed timeout after their
+// calls. The heap orders a lane's first entry against everything else
+// and the rest wait behind it at no cost to anyone, so a pop sifts
+// through one entry per lane instead of one per event. Order is
 // checked, not assumed: an append that would come before the lane's last
 // entry is queued through the heap like any other event, so every event
 // runs at the same (time, seq) whichever lane it was scheduled through, or
