@@ -415,10 +415,10 @@ func BenchmarkPollFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkLaneArrivals measures one 250us injector window at 400k req/s
-// from two tenants, end to end: draw the arrivals, sample their keys,
-// schedule each through its tenant's lane, deliver them all.
-func BenchmarkLaneArrivals(b *testing.B) {
+// BenchmarkInjectorWindow measures one 250us injector window at 400k
+// req/s from two tenants, end to end: draw the arrivals, sample and
+// number their keys, hand them all over in (At, seq) order.
+func BenchmarkInjectorWindow(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel(1)
 	defer k.Close()

@@ -25,9 +25,11 @@
 //     rank boundary, so every rank is the one math.Pow gives.
 //   - Injector (inject.go): batched shard-local injection — arrivals
 //     for one sim.ParKernel shard are drawn a window at a time in
-//     shard context and enqueued through the kernel's pooled event
-//     queue, so generation parallelizes with the partitioned kernel
-//     and never crosses shards.
+//     shard context, each numbered as the kernel event it would have
+//     been and handed over at the window's start, so generation
+//     parallelizes with the partitioned kernel, never crosses shards
+//     and schedules one event a window. A Queue (queue.go) serves a
+//     request once the kernel has reached its (At, seq) key.
 package load
 
 import (

@@ -287,7 +287,8 @@ const allRun = math.MaxUint64
 // event's. A key taken with ReserveSeq and never scheduled is reached
 // exactly when its event would have run, so a consumer that looks for
 // such keys sees what it would have seen had every one been an event.
-// After Run or RunUntil returns, every key at or before now is reached.
+// Once Run or RunUntil returns, even by Stop, every key at or before now
+// counts as reached.
 func (k *Kernel) Reached(at Time, seq uint64) bool {
 	return at < k.now || at == k.now && seq < k.curSeq
 }

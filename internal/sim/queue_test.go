@@ -88,12 +88,12 @@ func runQueueProgram(data []byte) error {
 	for i := range timers {
 		timers[i].Init(k, fire, timerID+uint64(i))
 	}
-	type pollGroup struct {
+	type pollers struct {
 		period  time.Duration
 		letGoAt int   // the ready call that lets a member go
 		readies []int // ready calls so far, by member
 	}
-	var groups []*pollGroup
+	var groups []*pollers
 
 	var ref, popped []refEvent
 	popIdx := map[uint64]int{} // a popped key's place in popped, by seq
@@ -251,7 +251,7 @@ func runQueueProgram(data []byte) error {
 			}
 		case 6:
 			gi := len(groups)
-			g := &pollGroup{period: time.Duration(1+arg/3%4) * time.Microsecond, letGoAt: 1 + arg/12%4, readies: make([]int, 1+arg%3)}
+			g := &pollers{period: time.Duration(1+arg/3%4) * time.Microsecond, letGoAt: 1 + arg/12%4, readies: make([]int, 1+arg%3)}
 			groups = append(groups, g)
 			base := pollerID + uint64(gi)*4
 			k.SpawnPollers(len(g.readies), g.period, func(int) string { return "poller" }, func(i int) bool {
