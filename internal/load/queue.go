@@ -22,7 +22,7 @@ type Queue struct {
 // before it in (At, seq) order; pass it to NewInjector as the handler. A
 // request pushed by hand at its own instant has arrived at once.
 func (q *Queue) Push(r Request) {
-	if len(q.reqs) == cap(q.reqs) && q.qhead > 0 && 2*q.qhead >= len(q.reqs) {
+	if len(q.reqs) == cap(q.reqs) && 2*q.qhead >= len(q.reqs) {
 		// Full, and at least half of it served: slide the waiting requests
 		// down instead of growing by every request the run will ever see.
 		n := copy(q.reqs, q.reqs[q.qhead:])
