@@ -16,7 +16,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -27,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gpu"
-	"repro/internal/proclet"
 	"repro/internal/sim"
 )
 
@@ -65,18 +63,7 @@ func run(w io.Writer) {
 	horizon := sim.Time(time.Second)
 	for _, gp := range trainers {
 		sys.K.Spawn("driver", func(p *sim.Proc) {
-			for p.Now() < horizon {
-				err := gp.Step(p, gp.Device().Machine.ID, 8<<20)
-				if err == nil {
-					continue
-				}
-				if errors.Is(err, proclet.ErrDead) {
-					return
-				}
-				if gp.AwaitPlaced(p) != nil {
-					return // lost the device; the fleet is on it
-				}
-			}
+			gp.Train(p, 8<<20, func() bool { return p.Now() < horizon }, nil)
 		})
 	}
 

@@ -11,7 +11,6 @@ package experiments
 // a single ratio against an undisturbed oracle run.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -21,7 +20,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
-	"repro/internal/proclet"
 	"repro/internal/sim"
 )
 
@@ -194,20 +192,8 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 			defer wg.Done()
 			// CompletedSteps can roll back on an uncheckpointed restore,
 			// so the loop is over remaining work, not an iteration count.
-			for gp.CompletedSteps() < cfg.targetSteps {
-				before := p.Now()
-				err := gp.Step(p, gp.Device().Machine.ID, cfg.batchBytes)
-				mon.Observe(p.Now(), int64(p.Now()-before), err != nil)
-				if err == nil {
-					continue
-				}
-				if errors.Is(err, proclet.ErrDead) {
-					return
-				}
-				if gp.AwaitPlaced(p) != nil {
-					return
-				}
-			}
+			gp.Train(p, cfg.batchBytes, func() bool { return gp.CompletedSteps() < cfg.targetSteps },
+				func(start sim.Time, err error) { mon.Observe(p.Now(), int64(p.Now()-start), err != nil) })
 		})
 	}
 

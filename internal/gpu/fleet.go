@@ -245,7 +245,7 @@ func (f *Fleet) react(p *sim.Proc) {
 		}
 	}
 	f.detectStragglers(p)
-	// Release drivers parked in AwaitPlaced whose proclet is whole
+	// Release drivers parked in Train whose proclet is whole
 	// again (including devices healed in place).
 	for _, e := range f.procs {
 		if gp := e.gp; !gp.dead && !gp.migrating && gp.Device().Healthy() {

@@ -263,7 +263,7 @@ func (gp *Proclet) resetTelemetry() {
 // travels to the proclet's machine (network), then to the device
 // (host link), then the kernel runs. Steps that land mid-migration
 // wait (outside the invocation) for the move to finish and retry;
-// device failures surface to the caller (see AwaitPlaced).
+// device failures surface to the caller (see Train).
 func (gp *Proclet) Step(p *sim.Proc, from cluster.MachineID, batchBytes int64) error {
 	for {
 		if gp.migrating {
@@ -281,20 +281,35 @@ func (gp *Proclet) Step(p *sim.Proc, from cluster.MachineID, batchBytes int64) e
 	}
 }
 
-// AwaitPlaced blocks until the proclet sits on a healthy device with
-// no migration in flight (or is destroyed). Drivers call this after a
-// Step fails with a device error, then retry: the Fleet's re-placement
-// broadcasts the wakeup.
-func (gp *Proclet) AwaitPlaced(p *sim.Proc) error {
-	for {
+// Train is a trainer's driver loop: while more reports true it steps
+// with batchBytes from the proclet's own machine. After a step fails
+// with a device error it parks until the proclet sits on a healthy
+// device with no migration in flight — the Fleet's re-placement
+// broadcasts the wakeup — and retries. observe, when not nil, sees each
+// step's start instant and error as the step returns. Train returns nil
+// once more reports false and proclet.ErrDead once the proclet is
+// destroyed.
+func (gp *Proclet) Train(p *sim.Proc, batchBytes int64, more func() bool, observe func(start sim.Time, err error)) error {
+	for more() {
+		start := p.Now()
+		err := gp.Step(p, gp.Device().Machine.ID, batchBytes)
+		if observe != nil {
+			observe(start, err)
+		}
+		if err == nil {
+			continue
+		}
+		if errors.Is(err, proclet.ErrDead) {
+			return err
+		}
+		for !gp.dead && (gp.migrating || !gp.gpu.Healthy()) {
+			gp.unblocked.Wait(p)
+		}
 		if gp.dead {
 			return proclet.ErrDead
 		}
-		if !gp.migrating && gp.gpu.Healthy() {
-			return nil
-		}
-		gp.unblocked.Wait(p)
 	}
+	return nil
 }
 
 // migrateTo moves the model replica to another GPU by reading it back

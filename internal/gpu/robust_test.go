@@ -34,13 +34,7 @@ func heteroSys(t *testing.T, seed int64) *core.System {
 // steps or the horizon passes, retrying across device losses.
 func drive(s *core.System, gp *Proclet, batch int64, target int64) {
 	s.K.Spawn("driver/"+gp.Name(), func(p *sim.Proc) {
-		for gp.CompletedSteps() < target {
-			if err := gp.Step(p, gp.Device().Machine.ID, batch); err != nil {
-				if gp.AwaitPlaced(p) != nil {
-					return
-				}
-			}
-		}
+		gp.Train(p, batch, func() bool { return gp.CompletedSteps() < target }, nil)
 	})
 }
 

@@ -29,7 +29,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
-	"repro/internal/proclet"
 	"repro/internal/replication"
 	"repro/internal/sim"
 )
@@ -289,20 +288,7 @@ func Run(sp *Spec, opt Options) (*Outcome, error) {
 			fleet.Start()
 			for ti, tp := range st.trainers {
 				k.Spawn(fmt.Sprintf("s%d-trainer-%d-driver", s, ti), func(p *sim.Proc) {
-					for p.Now() < horizon {
-						err := tp.Step(p, tp.Device().Machine.ID, w.Trainers.BatchKB<<10)
-						if err == nil {
-							continue
-						}
-						if errors.Is(err, proclet.ErrDead) {
-							return
-						}
-						// Device lost mid-stream: park until the fleet
-						// re-places the proclet, then resume stepping.
-						if tp.AwaitPlaced(p) != nil {
-							return
-						}
-					}
+					tp.Train(p, w.Trainers.BatchKB<<10, func() bool { return p.Now() < horizon }, nil)
 				})
 			}
 		}
