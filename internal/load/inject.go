@@ -7,15 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Request is one generated arrival: its virtual-time instant, the
-// tenant that issued it, and a scrambled key drawn from the tenant's
-// Zipfian popularity distribution. Requests are passed by value —
-// nothing on the delivery path allocates.
+// Request is one generated arrival: its virtual-time instant and a
+// scrambled key drawn from its tenant's Zipfian popularity
+// distribution. Requests are passed by value — nothing on the delivery
+// path allocates.
 type Request struct {
-	At     sim.Time
-	Tenant int
-	Key    uint64
-	seq    uint64 // orders it among At's events: it has arrived once the kernel has Reached (At, seq)
+	At  sim.Time
+	Key uint64
+	seq uint64 // orders it among At's events: it has arrived once the kernel has Reached (At, seq)
 }
 
 // Injector generates a multi-tenant open-loop request stream on ONE
@@ -81,9 +80,9 @@ func NewInjector(k *sim.Kernel, window time.Duration, handler func(Request)) *In
 // (already divided by the shard count) and key sampler. The tenant's
 // RNG stream is derived from the shard kernel's RNG at registration
 // time, so registration order — which callers keep fixed across shards
-// and worker counts — fully determines the stream. Returns the tenant
-// index used in Request.Tenant; name labels the call and is not kept.
-func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) int {
+// and worker counts — fully determines the stream. name labels the
+// call and is not kept.
+func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) {
 	rng := rand.New(rand.NewSource(inj.k.Rand().Int63()))
 	inj.streams = append(inj.streams, stream{
 		arr:  NewArrivals(curve, rng),
@@ -91,7 +90,6 @@ func (inj *Injector) AddTenant(name string, curve Curve, zipf *Zipf) int {
 		rng:  rng,
 	})
 	inj.generated = append(inj.generated, 0)
-	return len(inj.streams) - 1
 }
 
 // Start schedules generation over [from, horizon). Must be called
@@ -122,10 +120,9 @@ func (inj *Injector) runBatch() {
 		s.next = len(inj.pending)
 		for _, at := range s.arr.Draw(t0, t1) {
 			inj.pending = append(inj.pending, Request{
-				At:     at,
-				Tenant: si,
-				Key:    ScrambleKey(s.zipf.Sample(s.rng)),
-				seq:    k.ReserveSeq(),
+				At:  at,
+				Key: ScrambleKey(s.zipf.Sample(s.rng)),
+				seq: k.ReserveSeq(),
 			})
 		}
 		s.end = len(inj.pending)

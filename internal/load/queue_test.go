@@ -235,7 +235,7 @@ func (ei *eventInjector) runBatch() {
 	for si := range ei.streams {
 		s := &ei.streams[si]
 		for _, at := range s.arr.Draw(t0, t1) {
-			ei.pending = append(ei.pending, Request{At: at, Tenant: si, Key: ScrambleKey(s.zipf.Sample(s.rng))})
+			ei.pending = append(ei.pending, Request{At: at, Key: ScrambleKey(s.zipf.Sample(s.rng))})
 		}
 	}
 	for i := range ei.pending {
