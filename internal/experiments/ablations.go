@@ -46,7 +46,7 @@ func runAblMigration(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		sizes = []migrationSpec{64 << 10, 1 << 20, 10 << 20}
 	}
-	res := newResult("abl-migration", "migration latency vs proclet state size")
+	res := newResult("abl-migration")
 	res.addf("%-12s %14s", "state", "latency[ms]")
 	lats, err := simulate[time.Duration](res, sizes)
 	if err != nil {
@@ -109,7 +109,7 @@ func runAblSplit(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		caps = []splitSpec{1 << 20, 8 << 20}
 	}
-	res := newResult("abl-split", "split latency vs shard size cap")
+	res := newResult("abl-split")
 	res.addf("%-12s %16s %16s", "shard cap", "split time[ms]", "plain push[ms]")
 	outs, err := simulate[splitOut](res, caps)
 	if err != nil {
@@ -189,7 +189,7 @@ func runAblPrefetch(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		elems = 64
 	}
-	res := newResult("abl-prefetch", "iterator prefetch hides remote shard latency")
+	res := newResult("abl-prefetch")
 	secs, err := simulate[float64](res, []prefetchSpec{{elems, 16}, {elems, 0}})
 	if err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ func runAblPrefetch(scale Scale) (*Result, error) {
 // global-only variants on the Figure 1 workload (§5's design question).
 func runAblSched(scale Scale) (*Result, error) {
 	cfg := fig1Config(scale)
-	res := newResult("abl-sched", "two-level scheduling: fast local + slow global")
+	res := newResult("abl-sched")
 	res.addf("%-12s %14s %12s", "scheduler", "goodput[%ideal]", "migrations")
 	modes := []struct {
 		name             string
@@ -312,7 +312,7 @@ func runAblLocality(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		horizon = sim.Time(400 * time.Millisecond)
 	}
-	res := newResult("abl-locality", "affinity colocation for chatty proclet pairs")
+	res := newResult("abl-locality")
 	outs, err := simulate[localityOut](res, []localitySpec{{horizon, true}, {horizon, false}})
 	if err != nil {
 		return nil, err
@@ -340,7 +340,7 @@ func runAblGranularity(scale Scale) (*Result, error) {
 	base := fig1Config(scale)
 	const totalWorkers = 8
 	const totalState = int64(64 << 20)
-	res := newResult("abl-granularity", "filler goodput vs proclet granularity (constant total state)")
+	res := newResult("abl-granularity")
 	res.addf("total: %d workers, %s of state; figure-1 workload", totalWorkers, byteSize(totalState))
 	res.addf("%-20s %14s %12s %14s", "granularity", "goodput[%ideal]", "migrations", "mig mean[ms]")
 	memberCounts := []int{1, 2, 4, 8}
@@ -374,7 +374,7 @@ func runAblGranularity(scale Scale) (*Result, error) {
 // time and quality'.
 func runAblReactor(scale Scale) (*Result, error) {
 	base := fig1Config(scale)
-	res := newResult("abl-reactor", "filler goodput vs local reactor period")
+	res := newResult("abl-reactor")
 	res.addf("%-12s %14s %12s", "period", "goodput[%ideal]", "migrations")
 	periods := []time.Duration{
 		100 * time.Microsecond,
@@ -480,7 +480,7 @@ func runAblPostcopy(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		sizes = []int64{1 << 20, 64 << 20}
 	}
-	res := newResult("abl-postcopy", "pre-copy vs post-copy (CXL-style) migration")
+	res := newResult("abl-postcopy")
 	res.addf("client pings every 100 us across the move; blackout = longest ping stall")
 	res.addf("%-10s %16s %16s %16s %16s",
 		"state", "pre blackout[ms]", "post blackout[ms]", "resident[ms]", "post stalls")

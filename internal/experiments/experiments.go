@@ -52,8 +52,10 @@ func (r *Result) TraceLines() []string {
 	return lines
 }
 
-func newResult(id, title string) *Result {
-	return &Result{ID: id, Title: title, Values: make(map[string]float64), Series: make(map[string][]float64)}
+// newResult starts experiment id's result; Run fills in its Title from
+// the registry.
+func newResult(id string) *Result {
+	return &Result{ID: id, Values: make(map[string]float64), Series: make(map[string][]float64)}
 }
 
 // WriteCSV writes the result's series as CSV (time_ms plus one column
@@ -166,26 +168,26 @@ var registry = map[string]struct {
 	title string
 	run   Runner
 }{
-	"fig1":            {"filler app harvests 10ms idle CPU windows via migration", runFig1},
-	"fig2":            {"DNN preprocessing across imbalanced machines (table)", runFig2},
-	"fig3":            {"compute proclets adapt to varying GPUs", runFig3},
+	"fig1":            {"Figure 1: millisecond-scale filler migration harvests anti-phased idle CPU", runFig1},
+	"fig2":            {"Figure 2: preprocessing time parity across imbalanced machine splits", runFig2},
+	"fig3":            {"Figure 3: compute proclets track varying GPU availability", runFig3},
 	"abl-migration":   {"migration latency vs proclet state size", runAblMigration},
-	"abl-split":       {"split latency vs shard size", runAblSplit},
-	"abl-prefetch":    {"iterator prefetch on/off", runAblPrefetch},
-	"abl-sched":       {"two-level scheduling ablation", runAblSched},
-	"abl-locality":    {"affinity colocation ablation", runAblLocality},
+	"abl-split":       {"split latency vs shard size cap", runAblSplit},
+	"abl-prefetch":    {"iterator prefetch hides remote shard latency", runAblPrefetch},
+	"abl-sched":       {"two-level scheduling: fast local + slow global", runAblSched},
+	"abl-locality":    {"affinity colocation for chatty proclet pairs", runAblLocality},
 	"ext-gpu":         {"extension: GPU proclets ride out spot reclamations", runExtGPU},
-	"abl-granularity": {"proclet granularity ablation (constant total state)", runAblGranularity},
-	"abl-reactor":     {"fast-path reactor period ablation", runAblReactor},
-	"ext-harvest":     {"extension: harvesting a 6-machine fleet's staggered idle phases", runExtHarvest},
-	"ext-memharvest":  {"extension: sharded store surfs an oscillating memory tenant", runExtMemHarvest},
+	"abl-granularity": {"filler goodput vs proclet granularity (constant total state)", runAblGranularity},
+	"abl-reactor":     {"filler goodput vs local reactor period", runAblReactor},
+	"ext-harvest":     {"extension: filler harvests a 6-machine fleet with staggered idle phases", runExtHarvest},
+	"ext-memharvest":  {"extension: sharded store surfs an oscillating high-priority tenant", runExtMemHarvest},
 	"abl-postcopy":    {"pre-copy vs post-copy (CXL-style) migration", runAblPostcopy},
 	"ext-tiering":     {"extension: flash as slow cheap memory for sharded data", runExtTiering},
-	"ext-chaos":       {"extension: goodput dip and recovery under injected crashes and partitions", runExtChaos},
+	"ext-chaos":       {"extension: goodput under injected crashes, partitions, and degraded links", runExtChaos},
 	"ext-failover":    {"extension: replicated memory proclets fail over a crash without data loss", runExtFailover},
 	"ext-scale":       {"extension: 1,000-machine partitioned fleet, deterministic at any worker count", runExtScale},
 	"ext-serve":       {"extension: million-client open-loop serving with tail-latency telemetry", runExtServe},
-	"ext-gpufleet":    {"extension: heterogeneous GPU fleet under gray failures (checkpoints, stragglers)", runExtGPUFleet},
+	"ext-gpufleet":    {"extension: heterogeneous GPU fleet under gray failures — checkpoints, stragglers, makespan", runExtGPUFleet},
 }
 
 // List returns registered experiment IDs, sorted.
@@ -198,7 +200,8 @@ func List() []string {
 	return ids
 }
 
-// Title returns an experiment's one-line description.
+// Title returns an experiment's one-line description, the title its
+// report prints.
 func Title(id string) string { return registry[id].title }
 
 // Run executes the experiment with the given ID.
@@ -207,5 +210,9 @@ func Run(id string, scale Scale) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, List())
 	}
-	return e.run(scale)
+	res, err := e.run(scale)
+	if res != nil {
+		res.Title = e.title
+	}
+	return res, err
 }

@@ -248,7 +248,7 @@ func chaosGoodput(cfg chaosCfg, chaos, base *metrics.BucketSeries, firstFault, f
 
 func runExtChaos(scale Scale) (*Result, error) {
 	cfg := chaosConfig(scale)
-	res := newResult("ext-chaos", "extension: goodput under injected crashes, partitions, and degraded links")
+	res := newResult("ext-chaos")
 	_, firstFault, finalHeal := chaosSchedule(cfg.horizon)
 	res.addf("setup: %d machines, %d stores, %d compute proclets x %d threads, %d closed-loop clients",
 		len(cfg.machines), cfg.stores, cfg.pool, cfg.poolTh, cfg.clients)

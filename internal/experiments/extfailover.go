@@ -201,8 +201,7 @@ func (s failoverSpec) run() (any, uint64, error) {
 
 func runExtFailover(scale Scale) (*Result, error) {
 	cfg := failoverConfig(scale)
-	res := newResult("ext-failover",
-		"extension: replicated memory proclets fail over a crash without data loss")
+	res := newResult("ext-failover")
 	res.addf("setup: %d machines, %d stores on m1..m%d, %d writers on m0; crash m1 @%v, restart @%v",
 		len(cfg.machines), cfg.stores, len(cfg.machines)-1, cfg.clients, cfg.crashAt, cfg.restart)
 	res.addf("durability plane: heartbeat detector + leases on every run; no rebuilder anywhere")

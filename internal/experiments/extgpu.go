@@ -171,7 +171,7 @@ func (s extGPUSpec) run() (any, uint64, error) {
 
 func runExtGPU(scale Scale) (*Result, error) {
 	cfg := extGPUConfig(scale)
-	res := newResult("ext-gpu", "extension: GPU proclets ride out spot reclamations")
+	res := newResult("ext-gpu")
 	res.addf("setup: %d machines x %d GPUs, %d trainers (model %d MiB, %v kernel); one hosting GPU",
 		cfg.machines, cfg.gpusPer, cfg.trainers, cfg.modelBytes>>20, cfg.stepKernel)
 	res.addf("reclaimed every %v for %v; baseline restart costs %v + checkpoint reload",

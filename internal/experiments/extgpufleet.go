@@ -230,8 +230,7 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 
 func runExtGPUFleet(scale Scale) (*Result, error) {
 	cfg := gpufleetConfig(scale)
-	res := newResult("ext-gpufleet",
-		"extension: heterogeneous GPU fleet under gray failures — checkpoints, stragglers, makespan")
+	res := newResult("ext-gpufleet")
 	res.addf("setup: %d machines of mixed a100/h100 devices, %d trainers (model %d MiB, %v kernel), %d steps each",
 		cfg.machines, cfg.trainers, cfg.modelBytes>>20, cfg.stepKernel, cfg.targetSteps)
 	res.addf("checkpoints: %d KiB delta per step to an anti-affine host-RAM mirror, full snapshot every %d",

@@ -110,7 +110,7 @@ func runExtHarvest(scale Scale) (*Result, error) {
 		measure = sim.Time(60 * time.Millisecond)
 	}
 
-	res := newResult("ext-harvest", "extension: filler harvests a 6-machine fleet with staggered idle phases")
+	res := newResult("ext-harvest")
 	res.addf("setup: %d machines x %.0f cores; each runs a high-priority app busy 2/3 of a %v period,",
 		harvestMachines, harvestCores, harvestPeriod)
 	res.addf("phases staggered so exactly 1/3 of the fleet (= %d machines) is idle at any instant",
@@ -143,7 +143,7 @@ func runExtMemHarvest(scale Scale) (*Result, error) {
 	if scale == TestScale {
 		horizon = sim.Time(800 * time.Millisecond)
 	}
-	res := newResult("ext-memharvest", "extension: sharded store surfs an oscillating high-priority tenant")
+	res := newResult("ext-memharvest")
 
 	sysCfg := core.DefaultConfig()
 	sys := core.NewSystem(sysCfg, []cluster.MachineConfig{

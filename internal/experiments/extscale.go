@@ -157,7 +157,7 @@ func runScaleOnce(cfg scaleCfg) (scaleDet, error) {
 
 func runExtScale(scale Scale) (*Result, error) {
 	cfg := scaleConfig(scale)
-	res := newResult("ext-scale", "extension: 1,000-machine partitioned fleet, deterministic at any worker count")
+	res := newResult("ext-scale")
 	res.addf("fleet: %d shards x %d machines = %d machines; %d stores + %d clients per shard",
 		cfg.shards, cfg.perShard, cfg.shards*cfg.perShard, cfg.stores, cfg.clients)
 	res.addf("faults: shard 0 crashes machine 1 at %v, restarts it at %v",

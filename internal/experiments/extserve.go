@@ -422,7 +422,7 @@ func runServeOnce(cfg serveCfg) (serveOutcome, error) {
 
 func runExtServe(scale Scale) (*Result, error) {
 	cfg := serveConfig(scale)
-	res := newResult("ext-serve", "extension: million-client open-loop serving with tail-latency telemetry")
+	res := newResult("ext-serve")
 	res.addf("fleet: %d shards x %d machines = %d machines; %d stores + %d servers per shard",
 		cfg.shards, cfg.perShard, cfg.shards*cfg.perShard, cfg.stores, cfg.servers)
 	for _, t := range cfg.tenants {

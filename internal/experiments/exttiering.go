@@ -94,7 +94,7 @@ func runExtTiering(scale Scale) (*Result, error) {
 		ramPer = 64 << 20
 	}
 
-	res := newResult("ext-tiering", "extension: flash as slow cheap memory for sharded data")
+	res := newResult("ext-tiering")
 	outs, err := simulate[tieringOut](res, []tieringSpec{{ramPer, nFits, 0}, {ramPer, nBig, 0}, {ramPer, nBig, hotRounds}})
 	if err != nil {
 		return nil, err

@@ -207,7 +207,7 @@ func fig1RunFull(cfg fig1Cfg, mode string, sysCfg core.Config, traced bool,
 
 func runFig1(scale Scale) (*Result, error) {
 	cfg := fig1Config(scale)
-	res := newResult("fig1", "Figure 1: millisecond-scale filler migration harvests anti-phased idle CPU")
+	res := newResult("fig1")
 	res.addf("setup: 2 machines x %.0f cores; high-priority app busy %v of every %v, anti-phased;",
 		cfg.cores, cfg.period/2, cfg.period)
 	res.addf("filler: %d compute proclets x 1 worker, %v work units; horizon %v",

@@ -184,7 +184,7 @@ func (s fig2Spec) run() (any, uint64, error) {
 func runFig2(scale Scale) (*Result, error) {
 	cfg := fig2Config(scale)
 	imgs := fig2Images(cfg)
-	res := newResult("fig2", "Figure 2: preprocessing time parity across imbalanced machine splits")
+	res := newResult("fig2")
 	res.addf("corpus: %d images, %.1f GiB, %.0f core-seconds of preprocessing",
 		cfg.images, float64(workload.TotalBytes(imgs))/(1<<30), workload.TotalCPU(imgs))
 	res.addf("%-16s %-28s %10s %9s %8s %s",

@@ -191,7 +191,7 @@ func runFig3(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := newResult("fig3", "Figure 3: compute proclets track varying GPU availability")
+	res := newResult("fig3")
 	res.EventsProcessed = out.events
 	res.addf("setup: GPUs toggle %d<->%d every %v; preprocessing %v/batch, GPU %v/batch",
 		cfg.gpusHi, cfg.gpusLo, cfg.halfPeriod, cfg.preprocCPU, cfg.gpuBatch)
