@@ -905,20 +905,20 @@ func BenchmarkVectorIterPrefetch(b *testing.B) {
 
 // ---- Extensions ----
 
-// BenchmarkExtGPUReclaim regenerates the GPU-proclet extension: spot
-// reclamations survived by device-state migration.
-func BenchmarkExtGPUReclaim(b *testing.B) {
+// BenchmarkExtGPUFleet regenerates the GPU-fleet extension: gray
+// failures and a clean reclaim survived against a fixed-work makespan.
+func BenchmarkExtGPUFleet(b *testing.B) {
 	b.ReportAllocs()
-	var pct float64
+	var ratio float64
 	for i := 0; i < b.N; i++ {
 		unmemoized()
-		res, err := experiments.Run("ext-gpu", experiments.TestScale)
+		res, err := experiments.Run("ext-gpufleet", experiments.TestScale)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pct = res.Values["gpu-proclets.ideal_pct"]
+		ratio = res.Values["makespan_ratio"]
 	}
-	b.ReportMetric(pct, "ideal_%")
+	b.ReportMetric(ratio, "makespan_ratio")
 }
 
 // BenchmarkExtHarvest regenerates fleet-wide idle harvesting.

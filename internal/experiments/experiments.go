@@ -176,7 +176,6 @@ var registry = map[string]struct {
 	"abl-prefetch":    {"iterator prefetch hides remote shard latency", runAblPrefetch},
 	"abl-sched":       {"two-level scheduling: fast local + slow global", runAblSched},
 	"abl-locality":    {"affinity colocation for chatty proclet pairs", runAblLocality},
-	"ext-gpu":         {"extension: GPU proclets ride out spot reclamations", runExtGPU},
 	"abl-granularity": {"filler goodput vs proclet granularity (constant total state)", runAblGranularity},
 	"abl-reactor":     {"filler goodput vs local reactor period", runAblReactor},
 	"ext-harvest":     {"extension: filler harvests a 6-machine fleet with staggered idle phases", runExtHarvest},

@@ -1,14 +1,17 @@
 package experiments
 
-// ext-gpufleet: a heterogeneous GPU fleet rides out gray failures.
-// ext-gpu showed device-state migration beating restart-based recovery
-// for clean spot reclaims; this extension drives the full robustness
-// plane: XID-style fatal device errors recovered from host-RAM
-// checkpoint mirrors, thermal throttling and ECC stutter absorbed by
-// EWMA straggler detection with speculative re-dispatch to faster
-// spares, and a spot reclaim evacuated over the readable grace window —
-// all against a fixed-work makespan target so the cost of robustness is
-// a single ratio against an undisturbed oracle run.
+// ext-gpufleet: a heterogeneous GPU fleet rides out gray failures. The
+// paper leaves GPU proclets to future work (§4) and asks how to move
+// resource proclets across GPUs rapidly (§5). This extension drives the
+// full robustness plane: XID-style fatal device errors recovered from
+// host-RAM checkpoint mirrors, thermal throttling and ECC stutter
+// absorbed by EWMA straggler detection with speculative re-dispatch to
+// faster spares, and a spot reclaim evacuated over the readable grace
+// window — all against a fixed-work makespan target so the cost of
+// robustness is a single ratio against an undisturbed oracle run. A
+// clean-reclaim case then runs the reclaim alone twice: once evacuated
+// by the fleet watcher, once recovered the way a training framework
+// does without one, by restarting the trainer and reloading its model.
 
 import (
 	"fmt"
@@ -21,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/slo"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // gpufleetCfg parameterizes the GPU-fleet robustness experiment.
@@ -30,9 +34,10 @@ type gpufleetCfg struct {
 	modelBytes  int64
 	stepKernel  time.Duration
 	batchBytes  int64
-	deltaBytes  int64 // per-step checkpoint ship
-	snapEvery   int   // every Nth delta is a full snapshot
-	targetSteps int64 // fixed work per trainer (makespan denominator)
+	deltaBytes  int64         // per-step checkpoint ship
+	snapEvery   int           // every Nth delta is a full snapshot
+	targetSteps int64         // fixed work per trainer (makespan denominator)
+	coldStart   time.Duration // framework restart cost of the restart case
 	guard       sim.Time
 }
 
@@ -46,6 +51,7 @@ func gpufleetConfig(scale Scale) gpufleetCfg {
 		deltaBytes:  256 << 10,
 		snapEvery:   50,
 		targetSteps: 400,
+		coldStart:   time.Second,
 		guard:       sim.Time(8 * time.Second),
 	}
 	if scale == TestScale {
@@ -55,6 +61,15 @@ func gpufleetConfig(scale Scale) gpufleetCfg {
 	return cfg
 }
 
+// gpufleetFaults is the part of gpufleetSchedule a variant injects.
+type gpufleetFaults int
+
+const (
+	noFaults      gpufleetFaults = iota // the undisturbed oracle
+	reclaimFaults                       // the reclaim/return pair: the clean-reclaim case
+	allFaults
+)
+
 // gpufleetSchedule scripts the gray failures against the deterministic
 // initial placement (trainer i sits on machine i/3, device i%3): a
 // spot reclaim/return cycle under trainer 5, a fatal XID under
@@ -62,9 +77,10 @@ func gpufleetConfig(scale Scale) gpufleetCfg {
 // an ECC stutter under trainer 4 that heals late. Machine 2's devices
 // start empty and serve as the spare pool; the reclaim comes first so
 // its grace window is evacuated while the watcher is otherwise idle.
-func gpufleetSchedule() fault.Schedule {
+// reclaimFaults keeps only the reclaim/return pair.
+func gpufleetSchedule(faults gpufleetFaults) fault.Schedule {
 	at := func(ms float64) sim.Time { return sim.Time(ms * 1e6) }
-	return fault.Schedule{
+	sched := fault.Schedule{
 		{At: at(25), Op: fault.OpGPUReclaim, A: 1, Gpu: 2},
 		{At: at(40), Op: fault.OpGPUXid, A: 0, Gpu: 0, Xid: 79},
 		{At: at(60), Op: fault.OpGPUThrottle, A: 1, Gpu: 0, Factor: 3},
@@ -73,6 +89,10 @@ func gpufleetSchedule() fault.Schedule {
 		{At: at(95), Op: fault.OpGPUReturn, A: 1, Gpu: 2},
 		{At: at(160), Op: fault.OpGPUHeal, A: 1, Gpu: 1},
 	}
+	if faults == reclaimFaults {
+		return fault.Schedule{sched[0], sched[4]}
+	}
+	return sched
 }
 
 // gpufleetOut is one variant's outcome.
@@ -82,6 +102,7 @@ type gpufleetOut struct {
 	lostSteps   int64    // acked steps redone after device loss
 	restores    int64
 	evacs       int64
+	restarts    int64 // trainers the restart case's drivers restarted
 	mitigations int64
 	stranded    int64
 	xids        int64
@@ -109,17 +130,20 @@ func gpufleetSLO(cfg gpufleetCfg) *slo.Monitor {
 	})
 }
 
-// gpufleetSpec is one ext-gpufleet variant: cfg.trainers checkpointed
-// trainers driven to the fixed step target. inject installs the
-// gray-failure schedule; ckpt enables the per-step mirror; mitigate
-// enables straggler re-dispatch.
+// gpufleetSpec is one ext-gpufleet variant: cfg.trainers trainers
+// driven to the fixed step target. faults selects the schedule; ckpt
+// enables the per-step mirror; mitigate enables straggler re-dispatch.
+// restart runs no fleet watcher: a driver whose step fails destroys its
+// trainer, pays the framework's cold start, reloads the model over the
+// network onto a picked GPU and resumes from the steps it had acked.
 type gpufleetSpec struct {
-	scale                  Scale
-	inject, ckpt, mitigate bool
+	scale                   Scale
+	faults                  gpufleetFaults
+	ckpt, mitigate, restart bool
 }
 
 func (s gpufleetSpec) run() (any, uint64, error) {
-	cfg, inject, ckpt, mitigate := gpufleetConfig(s.scale), s.inject, s.ckpt, s.mitigate
+	cfg := gpufleetConfig(s.scale)
 	var out gpufleetOut
 	machines := make([]cluster.MachineConfig, cfg.machines)
 	for i := range machines {
@@ -150,13 +174,13 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 	}
 
 	var fcfg gpu.Config
-	if ckpt {
+	if s.ckpt {
 		fcfg.Checkpoint = gpu.CheckpointConfig{
 			DeltaBytes:    cfg.deltaBytes,
 			SnapshotEvery: cfg.snapEvery,
 		}
 	}
-	if !mitigate {
+	if !s.mitigate {
 		// Effectively disable the straggler detector: no EWMA will ever
 		// exceed 1e6 x the fleet median.
 		fcfg.StragglerFactor = 1e6
@@ -170,12 +194,14 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 		}
 		trainers[i] = gp
 	}
-	fleet.Start()
+	if !s.restart {
+		fleet.Start()
+	}
 
 	in := fault.New(sys.K, sys.Cluster, sys.Trace)
 	in.HookGPU = func(cluster.MachineID, int) { fleet.Kick() }
-	if inject {
-		in.Install(gpufleetSchedule())
+	if s.faults != noFaults {
+		in.Install(gpufleetSchedule(s.faults))
 	}
 
 	// The step-latency SLO monitor: host-side arithmetic over the same
@@ -190,10 +216,31 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 		wg.Add(1)
 		sys.K.Spawn(fmt.Sprintf("driver-%d", i), func(p *sim.Proc) {
 			defer wg.Done()
+			var base int64 // steps acked before the trainer's restarts
 			// CompletedSteps can roll back on an uncheckpointed restore,
 			// so the loop is over remaining work, not an iteration count.
-			gp.Train(p, cfg.batchBytes, func() bool { return gp.CompletedSteps() < cfg.targetSteps },
-				func(start sim.Time, err error) { mon.Observe(p.Now(), int64(p.Now()-start), err != nil) })
+			more := func() bool { return base+gp.CompletedSteps() < cfg.targetSteps }
+			observe := func(start sim.Time, err error) {
+				mon.Observe(p.Now(), int64(p.Now()-start), err != nil)
+				if err != nil && s.restart {
+					gp.Destroy()
+				}
+			}
+			for gp.Train(p, cfg.batchBytes, more, observe) != nil && s.restart {
+				out.restarts++
+				base += gp.CompletedSteps()
+				p.Sleep(cfg.coldStart)
+				// The model reloads from machine 0 onto the roomiest
+				// healthy GPU.
+				g, err := fleet.PickGPU(cfg.modelBytes, nil)
+				if err != nil || sys.Cluster.Fabric.Transfer(p, 0, simnet.NodeID(g.Machine.ID), cfg.modelBytes) != nil {
+					return
+				}
+				if gp, err = gpu.New(sys, gp.Name(), g, cfg.modelBytes, cfg.stepKernel); err != nil {
+					return
+				}
+			}
+			out.steps += base + gp.CompletedSteps()
 		})
 	}
 
@@ -211,9 +258,6 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 	}
 	fleet.Stop()
 
-	for _, gp := range trainers {
-		out.steps += gp.CompletedSteps()
-	}
 	mon.Finish(out.makespan)
 	out.sloWindows = mon.WindowsClosed()
 	out.opened = mon.Opened()
@@ -239,25 +283,29 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	res.addf("m1/gpu0 @60ms (never heals), ECC stutter m1/gpu1 @60ms (heals @160ms); m2 is the spare pool")
 
 	// The full robustness plane, mitigation off (stragglers crawl),
-	// checkpoints off (XID loses all acked work), and the undisturbed
-	// oracle the makespans are measured against.
-	names := []string{"robust", "no-mitigation", "no-checkpoint", "oracle"}
+	// checkpoints off (XID loses all acked work), the undisturbed
+	// oracle the makespans are measured against, and the clean-reclaim
+	// case: the reclaim alone, evacuated by the watcher or recovered by
+	// a restart.
+	names := []string{"robust", "no-mitigation", "no-checkpoint", "oracle", "reclaim-migrate", "reclaim-restart"}
 	outs, err := simulate[gpufleetOut](res, []gpufleetSpec{
-		{scale, true, true, true},
-		{scale, true, true, false},
-		{scale, true, false, true},
-		{scale, false, false, false},
+		{scale, allFaults, true, true, false},
+		{scale, allFaults, true, false, false},
+		{scale, allFaults, false, true, false},
+		{scale, noFaults, false, false, false},
+		{scale, reclaimFaults, false, false, false},
+		{scale, reclaimFaults, false, false, true},
 	})
 	if err != nil {
 		return nil, err
 	}
-	robust, nomit, nockpt, oracle := outs[0], outs[1], outs[2], outs[3]
+	robust, nomit, nockpt, oracle, migrate, restart := outs[0], outs[1], outs[2], outs[3], outs[4], outs[5]
 	res.Traces = []*obs.Log{robust.trace}
 
 	ms := func(t sim.Time) float64 { return float64(t) / 1e6 }
 	res.addf("%-15s %13s %9s %10s %9s %6s %11s %10s", "variant",
 		"makespan[ms]", "steps", "lost-steps", "restores", "evacs", "mitigations", "stranded")
-	for i, o := range outs {
+	for i, o := range outs[:4] {
 		res.addf("%-15s %13.1f %9d %10d %9d %6d %11d %10d",
 			names[i], ms(o.makespan), o.steps, o.lostSteps,
 			o.restores, o.evacs, o.mitigations, o.stranded)
@@ -270,6 +318,14 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	res.addf("no-checkpoint redoes %d acked steps after the XID.", nockpt.lostSteps)
 	res.addf("step-latency slo (robust): %d windows, %d incidents opened, %d resolved; no-mitigation: %d opened, %d resolved",
 		robust.sloWindows, robust.opened, robust.resolved, nomit.opened, nomit.resolved)
+	res.addf("clean reclaim: the m1/gpu2 reclaim/return pair alone, checkpoints and mitigation off")
+	res.addf("%-15s %13s %6s %9s", "case", "makespan[ms]", "evacs", "restarts")
+	for i, o := range outs[4:] {
+		res.addf("%-15s %13.1f %6d %9d", names[4+i], ms(o.makespan), o.evacs, o.restarts)
+	}
+	res.addf("migrate finishes %.1f ms before restart: the watcher moves the model over the grace",
+		ms(restart.makespan-migrate.makespan))
+	res.addf("window, while a restart pays the %v framework cold start and a reload over the network.", cfg.coldStart)
 
 	res.set("makespan_ms_robust", ms(robust.makespan))
 	res.set("makespan_ms_nomit", ms(nomit.makespan))
@@ -291,5 +347,9 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 	res.set("incidents_opened", float64(robust.opened))
 	res.set("incidents_resolved", float64(robust.resolved))
 	res.set("nomit_incidents_opened", float64(nomit.opened))
+	res.set("makespan_ms_migrate", ms(migrate.makespan))
+	res.set("makespan_ms_restart", ms(restart.makespan))
+	res.set("migrate_evacuations", float64(migrate.evacs))
+	res.set("restarts", float64(restart.restarts))
 	return res, nil
 }
