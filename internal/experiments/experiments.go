@@ -131,10 +131,10 @@ func SetParallelism(n int) {
 }
 
 // baseSeed offsets the RNG seeds of the seed-swept experiments (fig2,
-// ext-chaos, ext-failover, ext-gpufleet, ext-scale, ext-serve) so CI can
-// verify determinism at several seeds: two runs at the same base seed must
-// be byte-identical, while different base seeds explore different
-// schedules. The default of zero leaves every
+// ext-chaos, ext-failover, ext-scale, ext-serve) and ext-gpufleet's fault
+// instants so CI can verify determinism at several seeds: two runs at the
+// same base seed must be byte-identical, while different base seeds
+// explore different schedules. The default of zero leaves every
 // experiment at its committed seed, so the BENCH_*.json baselines are
 // unaffected.
 var baseSeed int64

@@ -911,6 +911,30 @@ func TestExtGPUFleetReclaimMigrateBeatsRestart(t *testing.T) {
 	}
 }
 
+// TestSeedReachesSweptExperiments: CI sweeps the base seed over the
+// experiments named in baseSeed's comment, and a sweep of an
+// experiment the seed does not reach compares one run with itself. Each
+// must print a different report, values or event count at base seeds 0
+// and 1.
+func TestSeedReachesSweptExperiments(t *testing.T) {
+	defer SetBaseSeed(0)
+	for _, id := range []string{"fig2", "ext-chaos", "ext-failover", "ext-gpufleet", "ext-scale", "ext-serve"} {
+		var runs [2]*Result
+		for seed := range runs {
+			SetBaseSeed(int64(seed))
+			res, err := Run(id, TestScale)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", id, seed, err)
+			}
+			runs[seed] = res
+		}
+		a, b := runs[0], runs[1]
+		if reflect.DeepEqual(a.Lines, b.Lines) && reflect.DeepEqual(a.Values, b.Values) && a.EventsProcessed == b.EventsProcessed {
+			t.Errorf("%s: base seeds 0 and 1 print the same report, values and %d events", id, a.EventsProcessed)
+		}
+	}
+}
+
 // TestRunLeavesNoGoroutines: an experiment's daemons (reactors, the
 // global and adaptation loops, antagonists) are still parked when it
 // ends, and at -par 4 experiments run on host workers; closing their

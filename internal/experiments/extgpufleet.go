@@ -70,6 +70,12 @@ const (
 	allFaults
 )
 
+// gpufleetShift is how many milliseconds the base seed (SetBaseSeed)
+// delays every fault by: 0 at base seed 0, so the committed schedule
+// stands, and up to 7 elsewhere, so a seed sweep lands the same faults
+// at other points of the trainers' steps.
+func gpufleetShift() float64 { return float64(uint64(baseSeed) % 8) }
+
 // gpufleetSchedule scripts the gray failures against the deterministic
 // initial placement (trainer i sits on machine i/3, device i%3): a
 // spot reclaim/return cycle under trainer 5, a fatal XID under
@@ -79,7 +85,8 @@ const (
 // its grace window is evacuated while the watcher is otherwise idle.
 // reclaimFaults keeps only the reclaim/return pair.
 func gpufleetSchedule(faults gpufleetFaults) fault.Schedule {
-	at := func(ms float64) sim.Time { return sim.Time(ms * 1e6) }
+	shift := gpufleetShift()
+	at := func(ms float64) sim.Time { return sim.Time((ms + shift) * 1e6) }
 	sched := fault.Schedule{
 		{At: at(25), Op: fault.OpGPUReclaim, A: 1, Gpu: 2},
 		{At: at(40), Op: fault.OpGPUXid, A: 0, Gpu: 0, Xid: 79},
@@ -279,8 +286,11 @@ func runExtGPUFleet(scale Scale) (*Result, error) {
 		cfg.machines, cfg.trainers, cfg.modelBytes>>20, cfg.stepKernel, cfg.targetSteps)
 	res.addf("checkpoints: %d KiB delta per step to an anti-affine host-RAM mirror, full snapshot every %d",
 		cfg.deltaBytes>>10, cfg.snapEvery)
-	res.addf("faults: spot reclaim m1/gpu2 @25ms (returns @95ms), XID m0/gpu0 @40ms, throttle x3")
-	res.addf("m1/gpu0 @60ms (never heals), ECC stutter m1/gpu1 @60ms (heals @160ms); m2 is the spare pool")
+	sh := gpufleetShift()
+	res.addf("faults: spot reclaim m1/gpu2 @%gms (returns @%gms), XID m0/gpu0 @%gms, throttle x3",
+		25+sh, 95+sh, 40+sh)
+	res.addf("m1/gpu0 @%gms (never heals), ECC stutter m1/gpu1 @%gms (heals @%gms); m2 is the spare pool",
+		60+sh, 60+sh, 160+sh)
 
 	// The full robustness plane, mitigation off (stragglers crawl),
 	// checkpoints off (XID loses all acked work), the undisturbed
