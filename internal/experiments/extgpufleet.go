@@ -222,7 +222,6 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 		i, gp := i, gp
 		wg.Add(1)
 		sys.K.Spawn(fmt.Sprintf("driver-%d", i), func(p *sim.Proc) {
-			defer wg.Done()
 			var base int64 // steps acked before the trainer's restarts
 			// CompletedSteps can roll back on an uncheckpointed restore,
 			// so the loop is over remaining work, not an iteration count.
@@ -248,6 +247,9 @@ func (s gpufleetSpec) run() (any, uint64, error) {
 				}
 			}
 			out.steps += base + gp.CompletedSteps()
+			// A restart that could not place its trainer returned above
+			// without this, so the run reports itself wedged.
+			wg.Done()
 		})
 	}
 
